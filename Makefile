@@ -38,7 +38,7 @@ bench-smoke:
 # datapath numbers they sit next to) and writes the machine-readable
 # results to BENCH_broadcast.json so perf regressions are diffable
 # across PRs. CI regenerates and uploads the same file.
-BENCH_PATTERN = BenchmarkBroadcastSustained|BenchmarkForwardPipelined|BenchmarkControlLatencyUnderLoad|BenchmarkBroadcast$$|BenchmarkHeartbeatSteadyState|BenchmarkHeartbeatQuantized|BenchmarkForwardFanout
+BENCH_PATTERN = BenchmarkBroadcastSustained|BenchmarkForwardPipelined|BenchmarkControlLatencyUnderLoad|BenchmarkBroadcast$$|BenchmarkHeartbeatSteadyState|BenchmarkHeartbeatCounts|BenchmarkForwardFanout
 bench:
 	@$(GO) test -bench='$(BENCH_PATTERN)' -benchtime=2000x -run='^$$' . > bench-broadcast.txt; \
 		status=$$?; cat bench-broadcast.txt; \

@@ -624,12 +624,16 @@ type loopEnd struct {
 	id      topology.NodeID
 	peer    *loopEnd
 	handler transport.Handler
+	tap     func(frame []byte) // optional: sees every outbound frame
 }
 
 func (e *loopEnd) Local() topology.NodeID         { return e.id }
 func (e *loopEnd) SetHandler(h transport.Handler) { e.handler = h }
 func (e *loopEnd) Close() error                   { return nil }
 func (e *loopEnd) Send(_ topology.NodeID, frame []byte) error {
+	if e.tap != nil {
+		e.tap(frame)
+	}
 	if e.peer.handler != nil {
 		e.peer.handler(e.id, frame)
 	}
@@ -697,66 +701,86 @@ func BenchmarkHeartbeatSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkHeartbeatQuantized measures the wire v4 win on the live send
-// path: the same converged two-node system as HeartbeatSteadyState, but
-// with the quantized belief profile negotiated on both sides. The
-// in-benchmark assertions pin the acceptance numbers — full-snapshot
-// heartbeats at least 1.7x smaller than the raw profile, delta
-// heartbeats no worse (converged deltas are near-empty either way, so
-// there is nothing left for quantization to shrink).
-func BenchmarkHeartbeatQuantized(b *testing.B) {
+// rawEquivalent re-encodes a heartbeat frame as a legacy peer would have
+// been sent it: capability advert stripped, so every estimator rides the
+// raw float layout at wire version <= 3.
+func rawEquivalent(b *testing.B, frame []byte) []byte {
+	f, err := wire.Decode(frame)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.Caps = 0
+	if f.Kind == wire.FrameKnowledgeDelta {
+		f.Delta.Caps = 0
+	}
+	raw, err := wire.Encode(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return raw
+}
+
+// BenchmarkHeartbeatCounts measures the wire v5 win on the live send
+// path: the same converged two-node system as HeartbeatSteadyState, in
+// the default configuration, where both sides negotiate the
+// evidence-count layout. The raw baseline is the same traffic, frame for
+// frame, re-encoded without the capability (rawEquivalent) over an
+// untimed window. The in-benchmark assertions pin the acceptance
+// numbers: a two-node full snapshot is three records — ~2,424 B raw
+// against ~31 B of counts, so at least 40x — and delta heartbeats no
+// worse (converged deltas are near-empty either way).
+func BenchmarkHeartbeatCounts(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
 		disable bool
 	}{{"delta", false}, {"full", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			mkPair := func(quantized bool) (*node.Node, *node.Node) {
-				trA, trB := loopPair()
-				mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
-					nd, err := node.New(node.Config{
-						ID:                     id,
-						NumProcs:               2,
-						Neighbors:              []topology.NodeID{1 - id},
-						DisableDeltaHeartbeats: mode.disable,
-						QuantizedBeliefs:       quantized,
-					}, tr)
-					if err != nil {
-						b.Fatal(err)
-					}
-					return nd
+			trA, trB := loopPair()
+			mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
+				nd, err := node.New(node.Config{
+					ID:                     id,
+					NumProcs:               2,
+					Neighbors:              []topology.NodeID{1 - id},
+					DisableDeltaHeartbeats: mode.disable,
+				}, tr)
+				if err != nil {
+					b.Fatal(err)
 				}
-				n0, n1 := mk(0, trA), mk(1, trB)
-				for i := 0; i < 300; i++ { // converge estimates and negotiation
-					tickPair(n0, n1)
-				}
-				return n0, n1
+				return nd
+			}
+			n0, n1 := mk(0, trA), mk(1, trB)
+			for i := 0; i < 300; i++ { // converge estimates and negotiation
+				tickPair(n0, n1)
 			}
 
-			// Untimed raw-profile baseline over a fixed window.
-			r0, r1 := mkPair(false)
-			rawStart := r0.Stats().HeartbeatBytesSent
-			const rawWindow = 400
-			for i := 0; i < rawWindow; i++ {
-				tickPair(r0, r1)
+			var sent [][]byte
+			trA.tap = func(frame []byte) { sent = append(sent, append([]byte(nil), frame...)) }
+			for i := 0; i < 400; i++ {
+				tickPair(n0, n1)
 			}
-			rawPer := float64(r0.Stats().HeartbeatBytesSent-rawStart) / rawWindow
+			trA.tap = nil
+			countBytes, rawBytes := 0, 0
+			for _, frame := range sent {
+				countBytes += len(frame)
+				rawBytes += len(rawEquivalent(b, frame))
+			}
+			ratio := float64(rawBytes) / float64(countBytes)
 
-			n0, n1 := mkPair(true)
 			start := n0.Stats().HeartbeatBytesSent
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tickPair(n0, n1)
 			}
 			b.StopTimer()
-			quantPer := float64(n0.Stats().HeartbeatBytesSent-start) / float64(b.N)
-			b.ReportMetric(quantPer, "hb-bytes/period")
-			b.ReportMetric(rawPer/quantPer, "v3-to-v4-ratio")
-			if mode.name == "full" && rawPer/quantPer < 1.7 {
-				b.Errorf("quantized full heartbeats are only %.2fx smaller than raw (%.1fB vs %.1fB), want >= 1.7x",
-					rawPer/quantPer, quantPer, rawPer)
+			b.ReportMetric(float64(n0.Stats().HeartbeatBytesSent-start)/float64(b.N), "hb-bytes/period")
+			b.ReportMetric(ratio, "raw-to-counts-ratio")
+			if mode.name == "full" && ratio < 40 {
+				b.Errorf("count full heartbeats are only %.1fx smaller than raw (%dB vs %dB), want >= 40x",
+					ratio, countBytes, rawBytes)
 			}
-			if mode.name == "delta" && quantPer > rawPer*1.05 {
-				b.Errorf("quantized delta heartbeats regressed: %.1fB/period vs %.1fB raw", quantPer, rawPer)
+			if mode.name == "delta" && ratio < 1 {
+				b.Errorf("count delta heartbeats regressed: %dB vs %dB raw", countBytes, rawBytes)
 			}
 		})
 	}

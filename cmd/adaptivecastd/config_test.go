@@ -123,16 +123,25 @@ func TestTwoDaemonsEndToEnd(t *testing.T) {
 	stdin1, stdin1w := newPipe()
 	var out0, out1 safeBuffer
 	go func() {
+		results <- result{err: run([]string{"-config", path, "-id", "1"}, stdin1, &out1)}
+	}()
+	// The one-shot goes out the moment daemon 0 is up, over a lossless
+	// link with no retry: daemon 1 must be listening by then.
+	deadline := time.After(10 * time.Second)
+	for !strings.Contains(out1.String(), "up on") {
+		select {
+		case <-deadline:
+			t.Fatalf("daemon 1 never came up; out1=%q", out1.String())
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	go func() {
 		results <- result{err: run([]string{
 			"-config", path, "-id", "0",
 			"-broadcast", "hello from daemon 0",
 		}, stdin0, &out0)}
 	}()
-	go func() {
-		results <- result{err: run([]string{"-config", path, "-id", "1"}, stdin1, &out1)}
-	}()
 
-	deadline := time.After(10 * time.Second)
 	for {
 		if strings.Contains(out1.String(), "hello from daemon 0") {
 			break

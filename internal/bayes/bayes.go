@@ -10,11 +10,18 @@
 // The invariant Σ_u P_B[u] = 1 holds after every update (Table 1 of the
 // paper illustrates one decreaseReliability step with U = 5).
 //
-// Beliefs are stored in log space so that long one-sided evidence runs
-// (thousands of consecutive successes on a reliable link) cannot underflow
-// an interval's belief to exactly zero — a zero would be unrecoverable
-// under multiplicative Bayes updates and would freeze the estimator. The
-// exposed API still speaks in plain probabilities.
+// An estimator does not store the belief vector. Every estimator starts
+// from a prior — uniform, or an immutable log-prior left by Refine or a
+// raw wire state — and only ever absorbs integer success and failure
+// counts, so its posterior is a pure function of a few words:
+//
+//	log P_B[u] ∝ prior[u] + failures·log(mid_u) + successes·log(1−mid_u)
+//
+// Observing is two integer additions; the vector is materialized on
+// demand (Beliefs, Refine, the raw wire layout), in log space so that
+// long one-sided evidence runs (thousands of consecutive successes on a
+// reliable link) cannot underflow an interval's belief to exactly zero.
+// The exposed API still speaks in plain probabilities.
 package bayes
 
 import (
@@ -30,13 +37,13 @@ const DefaultIntervals = 100
 
 // grid is the immutable interval geometry of an estimator: the midpoints
 // and their cached log likelihoods. Estimators with the same interval
-// count share one grid (it never changes after construction), so cloning
-// an estimator copies only the belief vector. Uniform grids are memoized
-// per interval count; Refine builds private grids.
+// count share one grid (it never changes after construction). Uniform
+// grids are memoized per interval count; Refine builds private grids.
 type grid struct {
 	mid     []float64 // P_{F|B}[u] = (2u-1)/(2U): midpoint of interval u
 	logFail []float64 // log(mid), cached
 	logSucc []float64 // log(1-mid), cached
+	uniform bool      // the memoized standard grid: serializes as its interval count
 }
 
 // maxCachedGrids bounds the uniform-grid memo table. Well-behaved
@@ -71,6 +78,7 @@ func uniformGrid(u int) *grid {
 		return el.Value.(*gridEntry).g
 	}
 	g := gridFromMids(uniformMids(u))
+	g.uniform = true
 	grids[u] = gridsLRU.PushFront(&gridEntry{u: u, g: g})
 	for gridsLRU.Len() > maxCachedGrids {
 		oldest := gridsLRU.Back()
@@ -115,11 +123,20 @@ func gridFromMids(mids []float64) *grid {
 // intervals and per-interval beliefs. The zero value is unusable; use New.
 //
 // Estimators are not safe for concurrent mutation; the knowledge layer
-// serializes access, and the live node guards views with a mutex.
+// serializes access, and the live node guards views with a mutex. The
+// posterior summary (mean, MAP) is refreshed by every constructor and
+// mutation and never on a read, so an estimator shared copy-on-write
+// between views may be read from several goroutines at once.
 type Estimator struct {
-	g      *grid
-	logBel []float64 // unnormalized log beliefs, max pinned at 0
-	obs    int       // total evidence count (failures + successes)
+	g       *grid
+	base    []float64 // immutable log-prior; nil is the uniform prior
+	baseObs int       // evidence already folded into base (Refine)
+	succ    int       // successes absorbed on top of base
+	fail    int       // failures absorbed on top of base
+
+	mean   float64 // posterior mean
+	mapIdx int     // maximum-a-posteriori interval
+	mapBel float64 // its belief, 1/Σ_u exp(logBel[u]-max)
 }
 
 // New returns an estimator over u intervals with a uniform prior, matching
@@ -128,7 +145,9 @@ func New(u int) (*Estimator, error) {
 	if u < 2 {
 		return nil, fmt.Errorf("bayes: need at least 2 intervals, got %d", u)
 	}
-	return &Estimator{g: uniformGrid(u), logBel: make([]float64, u)}, nil
+	e := &Estimator{g: uniformGrid(u)}
+	e.refresh()
+	return e, nil
 }
 
 // MustNew is New for callers with a compile-time constant interval count.
@@ -160,11 +179,8 @@ func (e *Estimator) ObserveFailure(factor int) {
 	if factor <= 0 {
 		return
 	}
-	e.obs += factor
-	for i := range e.logBel {
-		e.logBel[i] += float64(factor) * e.g.logFail[i]
-	}
-	e.rebase()
+	e.fail += factor
+	e.refresh()
 }
 
 // ObserveSuccess applies increaseReliability(estimate, factor): it updates
@@ -174,61 +190,66 @@ func (e *Estimator) ObserveSuccess(factor int) {
 	if factor <= 0 {
 		return
 	}
-	e.obs += factor
-	for i := range e.logBel {
-		e.logBel[i] += float64(factor) * e.g.logSucc[i]
-	}
-	e.rebase()
+	e.succ += factor
+	e.refresh()
 }
 
-// rebase shifts log beliefs so the maximum is zero, keeping them in a
-// range where exp() is meaningful without changing the distribution.
-func (e *Estimator) rebase() {
-	max := e.logBel[0]
-	for _, lb := range e.logBel[1:] {
-		if lb > max {
-			max = lb
+// logBelief returns the unnormalized log belief of interval i: the prior
+// plus the log likelihood of the evidence. Materialization and the
+// summary refresh both evaluate exactly this expression, so a state that
+// crossed the wire as a raw vector summarizes to the same bits as the
+// counts it was cut from.
+func (e *Estimator) logBelief(i int) float64 {
+	v := float64(e.fail)*e.g.logFail[i] + float64(e.succ)*e.g.logSucc[i]
+	if e.base != nil {
+		v += e.base[i]
+	}
+	return v
+}
+
+// appendLogBeliefs appends the log-belief vector, shifted so its maximum
+// is 0 (the range where exp() is meaningful), to dst.
+func (e *Estimator) appendLogBeliefs(dst []float64) []float64 {
+	from := len(dst)
+	max := math.Inf(-1)
+	for i := range e.g.mid {
+		v := e.logBelief(i)
+		if v > max {
+			max = v
+		}
+		dst = append(dst, v)
+	}
+	for i := from; i < len(dst); i++ {
+		dst[i] -= max
+	}
+	return dst
+}
+
+// refresh recomputes the posterior summary from the sufficient statistic.
+func (e *Estimator) refresh() {
+	best, max := 0, math.Inf(-1)
+	for i := range e.g.mid {
+		if v := e.logBelief(i); v > max {
+			best, max = i, v
 		}
 	}
-	for i := range e.logBel {
-		e.logBel[i] -= max
+	var m, z float64
+	for i, mid := range e.g.mid {
+		w := math.Exp(e.logBelief(i) - max)
+		z += w
+		m += w * mid
 	}
-}
-
-// norm returns Σ_u exp(logBel[u]); at least 1 because rebase pins the
-// maximum at 0.
-func (e *Estimator) norm() float64 {
-	var z float64
-	for _, lb := range e.logBel {
-		z += math.Exp(lb)
-	}
-	return z
+	e.mean, e.mapIdx, e.mapBel = m/z, best, 1/z
 }
 
 // Mean returns the posterior mean failure probability Σ_u P_B[u]*mid_u.
 // This is the point estimate the adaptive protocol feeds into the MRT and
 // optimize() computations.
-func (e *Estimator) Mean() float64 {
-	var m, z float64
-	for i, lb := range e.logBel {
-		w := math.Exp(lb)
-		z += w
-		m += w * e.g.mid[i]
-	}
-	return m / z
-}
+func (e *Estimator) Mean() float64 { return e.mean }
 
 // MAP returns the index of the maximum-a-posteriori interval and its
 // belief. Ties break toward the more reliable (lower) interval.
-func (e *Estimator) MAP() (interval int, belief float64) {
-	best, bestLB := 0, e.logBel[0]
-	for i := 1; i < len(e.logBel); i++ {
-		if e.logBel[i] > bestLB {
-			best, bestLB = i, e.logBel[i]
-		}
-	}
-	return best, math.Exp(bestLB) / e.norm()
-}
+func (e *Estimator) MAP() (interval int, belief float64) { return e.mapIdx, e.mapBel }
 
 // IntervalOf returns the index of the interval containing probability p.
 // p is clamped to [0, 1]; p == 1 falls in the last interval, matching the
@@ -267,15 +288,14 @@ func (e *Estimator) IntervalBounds(u int) (lo, hi float64) {
 
 // Belief returns P_B[u].
 func (e *Estimator) Belief(u int) float64 {
-	return math.Exp(e.logBel[u]) / e.norm()
+	return math.Exp(e.logBelief(u)-e.logBelief(e.mapIdx)) * e.mapBel
 }
 
 // Beliefs returns the normalized belief vector.
 func (e *Estimator) Beliefs() []float64 {
-	out := make([]float64, len(e.logBel))
-	z := e.norm()
-	for i, lb := range e.logBel {
-		out[i] = math.Exp(lb) / z
+	out := e.appendLogBeliefs(make([]float64, 0, len(e.g.mid)))
+	for i, lb := range out {
+		out[i] = math.Exp(lb) * e.mapBel
 	}
 	return out
 }
@@ -297,41 +317,29 @@ func (e *Estimator) BeliefSum() float64 {
 	return s
 }
 
-// Clone returns an independent copy of the estimator. The interval grid is
-// immutable and shared, so only the belief vector is copied — cloning is
-// what the adaptive protocol does when a process adopts a neighbor's
+// Clone returns an independent copy of the estimator. Grid and prior are
+// immutable and shared, so a clone copies a few words — cloning is what
+// the adaptive protocol does when a process adopts a neighbor's
 // less-distorted estimate (Algorithm 3) and needs to evolve it locally.
 func (e *Estimator) Clone() *Estimator {
-	return &Estimator{g: e.g, logBel: append([]float64(nil), e.logBel...), obs: e.obs}
-}
-
-// CopyFrom overwrites e's state with src's without allocating, provided
-// both have the same interval count.
-func (e *Estimator) CopyFrom(src *Estimator) error {
-	if len(e.logBel) != len(src.logBel) {
-		return fmt.Errorf("bayes: interval mismatch %d vs %d", len(e.logBel), len(src.logBel))
-	}
-	e.g = src.g
-	copy(e.logBel, src.logBel)
-	e.obs = src.obs
-	return nil
+	c := *e
+	return &c
 }
 
 // Observations returns the total evidence count absorbed so far. The
 // dynamic-refinement extension gates on it: refining before enough
 // evidence has accumulated risks re-gridding around a transient MAP.
-func (e *Estimator) Observations() int { return e.obs }
+func (e *Estimator) Observations() int { return e.baseObs + e.succ + e.fail }
 
 // EdgeStuck reports whether at least minMass posterior mass sits on the
 // grid's first or last interval — for a refined estimator this means the
 // truth most likely lies outside the refined window and the refinement
 // should be abandoned.
 func (e *Estimator) EdgeStuck(minMass float64) bool {
-	mapIdx, mass := e.MAP()
-	if mass < minMass {
+	if e.mapBel < minMass {
 		return false
 	}
-	return mapIdx == 0 || mapIdx == len(e.logBel)-1
+	return e.mapIdx == 0 || e.mapIdx == len(e.g.mid)-1
 }
 
 // Converged reports whether the estimator has locked onto the true failure
@@ -341,12 +349,10 @@ func (e *Estimator) EdgeStuck(minMass float64) bool {
 // in the system learn the reliability probabilities" — i.e. the Bayesian
 // networks have found the right probability interval).
 func (e *Estimator) Converged(truth float64, slack int, minBelief float64) bool {
-	mapIdx, b := e.MAP()
-	if b < minBelief {
+	if e.mapBel < minBelief {
 		return false
 	}
-	want := e.IntervalOf(truth)
-	diff := mapIdx - want
+	diff := e.mapIdx - e.IntervalOf(truth)
 	if diff < 0 {
 		diff = -diff
 	}
@@ -357,13 +363,12 @@ func (e *Estimator) Converged(truth float64, slack int, minBelief float64) bool 
 // increasing the number of probabilistic intervals when better precision
 // is required"): it re-grids the estimator so the same number of intervals
 // covers only the current MAP interval's neighborhood. The accumulated
-// posterior carries over — each refined interval inherits the belief
-// density of the coarse interval containing it — so past evidence keeps
-// constraining the estimate at coarse granularity while new evidence
-// resolves the sub-interval detail.
+// posterior carries over as the refined estimator's prior — each refined
+// interval inherits the belief density of the coarse interval containing
+// it — so past evidence keeps constraining the estimate at coarse
+// granularity while new evidence resolves the sub-interval detail.
 func (e *Estimator) Refine() *Estimator {
-	mapIdx, _ := e.MAP()
-	lo, hi := e.IntervalBounds(mapIdx)
+	lo, hi := e.IntervalBounds(e.mapIdx)
 	// Widen by one interval on each side so a truth near the boundary is
 	// not excluded by an early, slightly-off MAP.
 	width := hi - lo
@@ -376,16 +381,18 @@ func (e *Estimator) Refine() *Estimator {
 		hi = 1
 	}
 	u := len(e.g.mid)
+	coarse := e.appendLogBeliefs(make([]float64, 0, u))
 	mids := make([]float64, u)
-	logBel := make([]float64, u)
+	base := make([]float64, u)
 	span := hi - lo
 	for i := 0; i < u; i++ {
 		mids[i] = lo + span*float64(2*i+1)/float64(2*u)
 		// Inherit the density of the coarse interval this midpoint falls
-		// in (piecewise-constant prior carry-over).
-		logBel[i] = e.logBel[e.IntervalOf(mids[i])]
+		// in (piecewise-constant prior carry-over). The window contains
+		// the MAP interval, so the maximum stays pinned at 0.
+		base[i] = coarse[e.IntervalOf(mids[i])]
 	}
-	out := &Estimator{g: gridFromMids(mids), logBel: logBel, obs: e.obs}
-	out.rebase()
+	out := &Estimator{g: gridFromMids(mids), base: base, baseObs: e.Observations()}
+	out.refresh()
 	return out
 }

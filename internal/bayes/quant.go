@@ -1,79 +1,35 @@
 package bayes
 
-import "math"
-
-// Fixed-point quantization for the wire v4 belief profile.
+// Fixed-point dequantization for the wire v4 belief profile — the
+// previous compact profile, superseded by evidence counts and kept
+// decodable only. It shipped log beliefs and refined midpoints as uint16
+// fixed-point codes scaled to the value's actual support:
 //
-// A posterior's useful precision is ~1e-3 (interval width 1/U with
-// U ≈ 100), yet the wire ships every log belief and refined midpoint as
-// a full float64. The v4 profile replaces both with uint16 fixed-point
-// codes scaled to the value's actual support:
-//
-//   - Log beliefs are non-positive and, after the estimator's running
-//     rebase, the maximum is 0. Mass below e^BeliefFloor is statistically
-//     indistinguishable from zero, so beliefs quantize over
-//     [scale, 0] where scale = max(BeliefFloor, min(logBel)) ships once
-//     per estimator as a float64 — a shared-exponent block: 2 bytes per
-//     belief instead of 8.
+//   - Log beliefs are non-positive with their maximum at 0. Mass below
+//     e^BeliefFloor is statistically indistinguishable from zero, so
+//     beliefs were quantized over [scale, 0] where
+//     scale = max(BeliefFloor, min(logBel)) ships once per estimator as a
+//     float64.
 //   - Refined midpoints lie strictly inside (0,1); the first and last
-//     ship exact and the interior quantizes over [first, last].
+//     ship exact and the interior is quantized over [first, last].
 //
 // Error budget: the belief step is |scale|/65535 ≤ 64/65535 ≈ 9.8e-4 in
-// log space, so each weight carries a relative error ≤ ~4.9e-4 and the
-// posterior mean moves by well under 1e-3 (pinned by TestQuantErrorBound
-// in internal/wire). Quantization is a projection: quantizing an
-// already-dequantized state reproduces it bit-exactly, so estimates that
-// hop across several v4 links do not drift further than the first hop.
+// log space, so the posterior mean moves by well under 1e-3. The encoder
+// half lives on in quant_test.go as the reference these functions are
+// tested against.
 
 const (
 	// BeliefFloor is the most negative log belief the quantized profile
 	// can represent. e^-64 ≈ 1.6e-28 of posterior mass — far below any
-	// weight that could influence a mean at the wire's precision — so
-	// clamping to it loses nothing observable, while bounding the
-	// quantization step at 64/65535 in log space.
+	// weight that could influence a mean at the wire's precision.
 	BeliefFloor = -64.0
 
 	// quantSteps is the fixed-point range of one uint16 code.
 	quantSteps = 65535
 )
 
-// BeliefQuantScale returns the shared scale for a log-belief block: the
-// smallest log belief, clamped to BeliefFloor, and to ≤ 0 so the zero
-// state (fresh estimator, all beliefs 0) yields scale 0. The scale ships
-// once per estimator; every belief quantizes as a fraction of it.
-func BeliefQuantScale(logBeliefs []float64) float64 {
-	scale := 0.0
-	for _, lb := range logBeliefs {
-		if lb < scale {
-			scale = lb
-		}
-	}
-	if scale < BeliefFloor {
-		scale = BeliefFloor
-	}
-	return scale
-}
-
-// QuantizeBelief maps one log belief to its fixed-point code for the
-// given scale. Values below scale clamp to it (the BeliefFloor cut);
-// values above 0 clamp to 0 (rebase tolerance).
-func QuantizeBelief(lb, scale float64) uint16 {
-	if scale == 0 {
-		return 0
-	}
-	if lb < scale {
-		lb = scale
-	}
-	if lb > 0 {
-		lb = 0
-	}
-	return uint16(math.Round(lb / scale * quantSteps))
-}
-
-// DequantizeBelief is the inverse of QuantizeBelief. The minimum belief
-// of a block always carries code 65535 (or the block is all-zero), so
-// BeliefQuantScale of the dequantized block reproduces scale exactly and
-// quantization is idempotent across hops.
+// DequantizeBelief maps a fixed-point code back to its log belief for the
+// block's shared scale.
 func DequantizeBelief(q uint16, scale float64) float64 {
 	if scale == 0 {
 		return 0
@@ -81,23 +37,8 @@ func DequantizeBelief(q uint16, scale float64) float64 {
 	return scale * float64(q) / quantSteps
 }
 
-// QuantizeMid maps a refined-grid midpoint to its fixed-point code over
-// the grid's [first, last] span. Callers ship first and last exact and
-// quantize only the interior, so the span is always representable.
-func QuantizeMid(m, first, last float64) uint16 {
-	if last <= first {
-		return 0
-	}
-	if m < first {
-		m = first
-	}
-	if m > last {
-		m = last
-	}
-	return uint16(math.Round((m - first) / (last - first) * quantSteps))
-}
-
-// DequantizeMid is the inverse of QuantizeMid.
+// DequantizeMid maps a fixed-point code back to a refined-grid midpoint
+// over the grid's [first, last] span.
 func DequantizeMid(q uint16, first, last float64) float64 {
 	return first + (last-first)*float64(q)/quantSteps
 }

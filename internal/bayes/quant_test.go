@@ -6,6 +6,56 @@ import (
 	"testing"
 )
 
+// The v4 encoder half, kept as the reference the dequantizers are tested
+// against (the runtime only decodes the quantized profile).
+
+// BeliefQuantScale returns the shared scale for a log-belief block: the
+// smallest log belief, clamped to BeliefFloor, and to ≤ 0 so the zero
+// state (fresh estimator, all beliefs 0) yields scale 0.
+func BeliefQuantScale(logBeliefs []float64) float64 {
+	scale := 0.0
+	for _, lb := range logBeliefs {
+		if lb < scale {
+			scale = lb
+		}
+	}
+	if scale < BeliefFloor {
+		scale = BeliefFloor
+	}
+	return scale
+}
+
+// QuantizeBelief maps one log belief to its fixed-point code for the
+// given scale. Values below scale clamp to it (the BeliefFloor cut);
+// values above 0 clamp to 0.
+func QuantizeBelief(lb, scale float64) uint16 {
+	if scale == 0 {
+		return 0
+	}
+	if lb < scale {
+		lb = scale
+	}
+	if lb > 0 {
+		lb = 0
+	}
+	return uint16(math.Round(lb / scale * quantSteps))
+}
+
+// QuantizeMid maps a refined-grid midpoint to its fixed-point code over
+// the grid's [first, last] span.
+func QuantizeMid(m, first, last float64) uint16 {
+	if last <= first {
+		return 0
+	}
+	if m < first {
+		m = first
+	}
+	if m > last {
+		m = last
+	}
+	return uint16(math.Round((m - first) / (last - first) * quantSteps))
+}
+
 func TestBeliefQuantScale(t *testing.T) {
 	if s := BeliefQuantScale(nil); s != 0 {
 		t.Errorf("empty block scale = %v, want 0", s)

@@ -6,49 +6,82 @@ import (
 )
 
 // State is the serializable form of an Estimator, used when estimates ride
-// inside heartbeat messages over a real transport. Midpoints and log
-// beliefs fully determine the posterior.
+// inside heartbeat messages over a real transport: the grid, an optional
+// log-prior, and the evidence counts absorbed on top of it. A state cut
+// from an estimator that never left the uniform prior on the uniform grid
+// — every estimator that was neither refined nor rebuilt from a raw belief
+// vector — is just (Intervals, Succ, Fail).
+//
+// The slices are shared with the estimator that produced (or will adopt)
+// the state and must be treated as read-only.
 type State struct {
-	Mids       []float64 `json:"mids"`
-	LogBeliefs []float64 `json:"logBeliefs"`
+	// Intervals is U. With Mids nil the grid is the standard uniform one.
+	Intervals int
+	// Mids holds the explicit midpoints of a refined grid (len Intervals).
+	Mids []float64
+	// LogBeliefs is the log-prior the counts build on (len Intervals,
+	// non-positive); nil is the uniform prior.
+	LogBeliefs []float64
+	// Succ and Fail are the success and failure events absorbed on top of
+	// LogBeliefs.
+	Succ, Fail int
+
+	g *grid // the source estimator's grid; nil for a state built by hand or off the wire
 }
 
-// State returns a deep-copied snapshot of the estimator.
+// State returns the estimator's serializable form in O(1): grid and prior
+// are immutable, so the state shares them instead of copying.
 func (e *Estimator) State() State {
-	return State{
-		Mids:       append([]float64(nil), e.g.mid...),
-		LogBeliefs: append([]float64(nil), e.logBel...),
+	s := State{Intervals: len(e.g.mid), LogBeliefs: e.base, Succ: e.succ, Fail: e.fail, g: e.g}
+	if !e.g.uniform {
+		s.Mids = e.g.mid
 	}
+	return s
 }
 
-// NewFromState reconstructs an estimator from a snapshot, validating that
-// the state is well-formed (matching lengths, midpoints strictly inside
-// (0,1), log beliefs non-positive). Estimators carrying the standard
-// uniform midpoints share the memoized grid; refined grids get a private
-// one.
+// NewFromState reconstructs an estimator from a state, validating that it
+// is well-formed (matching lengths, midpoints strictly inside (0,1), log
+// beliefs non-positive, counts non-negative, some posterior mass
+// somewhere). Estimators carrying the standard uniform midpoints share
+// the memoized grid; refined grids get a private one. The estimator
+// adopts the state's slices without copying.
 func NewFromState(s State) (*Estimator, error) {
-	u := len(s.Mids)
+	u := s.Intervals
 	if u < 2 {
 		return nil, fmt.Errorf("bayes: state has %d intervals, need >= 2", u)
 	}
-	if len(s.LogBeliefs) != u {
-		return nil, fmt.Errorf("bayes: state mismatch: %d mids, %d beliefs", u, len(s.LogBeliefs))
+	if s.Mids != nil && len(s.Mids) != u {
+		return nil, fmt.Errorf("bayes: state mismatch: %d intervals, %d mids", u, len(s.Mids))
 	}
-	for i := 0; i < u; i++ {
-		m := s.Mids[i]
-		if !(m > 0 && m < 1) {
-			return nil, fmt.Errorf("bayes: state midpoint %v outside (0,1)", m)
+	if s.LogBeliefs != nil && len(s.LogBeliefs) != u {
+		return nil, fmt.Errorf("bayes: state mismatch: %d intervals, %d beliefs", u, len(s.LogBeliefs))
+	}
+	if s.Succ < 0 || s.Fail < 0 {
+		return nil, fmt.Errorf("bayes: state evidence counts (%d, %d) negative", s.Succ, s.Fail)
+	}
+	g := s.g
+	if g == nil {
+		for _, m := range s.Mids {
+			if !(m > 0 && m < 1) {
+				return nil, fmt.Errorf("bayes: state midpoint %v outside (0,1)", m)
+			}
 		}
-		lb := s.LogBeliefs[i]
+		g = uniformGrid(u)
+		if s.Mids != nil && !midsEqual(g.mid, s.Mids) {
+			g = gridFromMids(s.Mids)
+		}
+	}
+	for _, lb := range s.LogBeliefs {
 		if math.IsNaN(lb) || lb > 1e-9 {
 			return nil, fmt.Errorf("bayes: state log belief %v invalid", lb)
 		}
 	}
-	g := uniformGrid(u)
-	if !midsEqual(g.mid, s.Mids) {
-		g = gridFromMids(append([]float64(nil), s.Mids...))
+	e := &Estimator{g: g, base: s.LogBeliefs, succ: s.Succ, fail: s.Fail}
+	e.refresh()
+	if math.IsNaN(e.mean) {
+		return nil, fmt.Errorf("bayes: state carries no posterior mass")
 	}
-	return &Estimator{g: g, logBel: append([]float64(nil), s.LogBeliefs...)}, nil
+	return e, nil
 }
 
 func midsEqual(a, b []float64) bool {
@@ -60,30 +93,40 @@ func midsEqual(a, b []float64) bool {
 	return true
 }
 
-// HasUniformMids reports whether the state's midpoints are exactly the
-// standard uniform grid for their count ((2i+1)/2U) — the common case for
-// every estimator that was never refined. Serializers use this to omit
-// the midpoints entirely and ship only the interval count. The midpoints
-// are recomputed with the same expression uniformMids uses (bit-exact),
-// so this takes no lock and exits on the first refined midpoint.
-func (s State) HasUniformMids() bool {
-	u := len(s.Mids)
-	for i, m := range s.Mids {
-		if m != float64(2*i+1)/float64(2*u) {
-			return false
-		}
-	}
-	return true
+// Holds reports whether e already is the estimator NewFromState(s) would
+// build, for count states (raw vectors are not compared): re-adopting an
+// unchanged estimate over another route need not rebuild it.
+func (e *Estimator) Holds(s *State) bool {
+	return s.IsCounts() && e.base == nil && e.g.uniform &&
+		len(e.g.mid) == s.Intervals && e.succ == s.Succ && e.fail == s.Fail
 }
 
-// UniformGridMids returns the midpoints of the standard uniform grid with
-// u intervals. The returned slice is shared across callers and must be
-// treated as read-only.
-func UniformGridMids(u int) []float64 {
-	if u < 2 {
+// IsCounts reports whether the state is fully described by (Intervals,
+// Succ, Fail): uniform grid, uniform prior. Serializers ship such a state
+// as three integers.
+func (s *State) IsCounts() bool { return s.Mids == nil && s.LogBeliefs == nil }
+
+// AppendLogBeliefs appends the state's belief vector in log space to dst:
+// the float form legacy wire layouts carry. A state without evidence ships
+// its prior verbatim, so a raw vector relayed across several hops stays
+// byte-identical; otherwise the posterior is materialized with its
+// maximum pinned at 0.
+func (s *State) AppendLogBeliefs(dst []float64) []float64 {
+	if s.LogBeliefs != nil && s.Succ == 0 && s.Fail == 0 {
+		return append(dst, s.LogBeliefs...)
+	}
+	g := s.g
+	switch {
+	case g != nil:
+	case s.Mids != nil:
+		g = gridFromMids(s.Mids)
+	case s.Intervals < 2:
 		// Degenerate counts never correspond to a usable estimator; build
 		// them privately instead of polluting the memoized grid table.
-		return uniformMids(u)
+		g = gridFromMids(uniformMids(s.Intervals))
+	default:
+		g = uniformGrid(s.Intervals)
 	}
-	return uniformGrid(u).mid
+	e := Estimator{g: g, base: s.LogBeliefs, succ: s.Succ, fail: s.Fail}
+	return e.appendLogBeliefs(dst)
 }

@@ -55,19 +55,31 @@ func TestStateRoundTripRefined(t *testing.T) {
 }
 
 func TestNewFromStateValidation(t *testing.T) {
-	good := MustNew(5).State()
+	mids := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+	flat := make([]float64, 5)
 	cases := map[string]State{
-		"too few intervals": {Mids: []float64{0.5}, LogBeliefs: []float64{0}},
-		"length mismatch":   {Mids: good.Mids, LogBeliefs: good.LogBeliefs[:3]},
-		"mid at zero":       {Mids: []float64{0, 0.3, 0.5, 0.7, 0.9}, LogBeliefs: good.LogBeliefs},
-		"mid at one":        {Mids: []float64{0.1, 0.3, 0.5, 0.7, 1}, LogBeliefs: good.LogBeliefs},
-		"positive logbel":   {Mids: good.Mids, LogBeliefs: []float64{1, 0, 0, 0, 0}},
-		"nan logbel":        {Mids: good.Mids, LogBeliefs: []float64{math.NaN(), 0, 0, 0, 0}},
+		"too few intervals": {Intervals: 1, Mids: []float64{0.5}, LogBeliefs: []float64{0}},
+		"mids mismatch":     {Intervals: 5, Mids: mids[:3]},
+		"beliefs mismatch":  {Intervals: 5, LogBeliefs: flat[:3]},
+		"mid at zero":       {Intervals: 5, Mids: []float64{0, 0.3, 0.5, 0.7, 0.9}, LogBeliefs: flat},
+		"mid at one":        {Intervals: 5, Mids: []float64{0.1, 0.3, 0.5, 0.7, 1}, LogBeliefs: flat},
+		"positive logbel":   {Intervals: 5, Mids: mids, LogBeliefs: []float64{1, 0, 0, 0, 0}},
+		"nan logbel":        {Intervals: 5, Mids: mids, LogBeliefs: []float64{math.NaN(), 0, 0, 0, 0}},
+		"negative count":    {Intervals: 5, Succ: -1},
+		"no mass":           {Intervals: 2, LogBeliefs: []float64{math.Inf(-1), math.Inf(-1)}},
 	}
 	for name, s := range cases {
 		if _, err := NewFromState(s); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+	// Explicit midpoints that happen to be the uniform grid share it.
+	e, err := NewFromState(State{Intervals: 5, Mids: mids, LogBeliefs: flat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.g != uniformGrid(5) {
+		t.Error("explicit uniform midpoints did not resolve to the shared grid")
 	}
 }
 

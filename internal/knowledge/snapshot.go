@@ -34,13 +34,20 @@ type LinkRecord struct {
 	Est  bayes.State
 }
 
-// Snapshot deep-copies the view into a wire-ready payload. It also
-// refreshes the wire signatures (see DeltaSince): a full snapshot ships
-// every record, so it baselines them all — the next delta cut against an
-// ack of this version re-ships only what changes afterwards.
+// Snapshot cuts the view into a wire-ready payload: one record per known
+// estimate, each an O(1) bayes.State sharing the estimator's immutable
+// grid and prior, so the payload stays valid however the view moves on.
+// It also refreshes the wire signatures (see DeltaSince): a full snapshot
+// ships every record, so it baselines them all — the next delta cut
+// against an ack of this version re-ships only what changes afterwards.
 func (v *View) Snapshot() *Snapshot {
 	v.refreshSigs()
-	s := &Snapshot{From: v.self, Seq: v.selfSeq}
+	s := &Snapshot{
+		From:  v.self,
+		Seq:   v.selfSeq,
+		Procs: make([]ProcRecord, 0, len(v.procs)),
+		Links: make([]LinkRecord, 0, len(v.links)),
+	}
 	for i := range v.procs {
 		ps := &v.procs[i]
 		if ps.dist == DistInf || ps.departed {
@@ -262,12 +269,14 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 		if pr.Dist >= mine.dist {
 			continue
 		}
-		est, err := bayes.NewFromState(pr.Est)
-		if err != nil {
-			return changed, fmt.Errorf("knowledge: process %d estimate: %w", pr.ID, err)
+		if !mine.est.Holds(&pr.Est) {
+			est, err := bayes.NewFromState(pr.Est)
+			if err != nil {
+				return changed, fmt.Errorf("knowledge: process %d estimate: %w", pr.ID, err)
+			}
+			mine.est = est // freshly decoded: exclusively ours
+			mine.shared = false
 		}
-		mine.est = est // freshly decoded: exclusively ours
-		mine.shared = false
 		mine.dist = bump(pr.Dist)
 		mine.supplier = s.From
 		mine.sinceUpdate = 0
@@ -297,12 +306,14 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 		if lr.Dist >= mine.dist {
 			continue
 		}
-		est, err := bayes.NewFromState(lr.Est)
-		if err != nil {
-			return changed, fmt.Errorf("knowledge: link %v estimate: %w", lr.Link, err)
+		if !mine.est.Holds(&lr.Est) {
+			est, err := bayes.NewFromState(lr.Est)
+			if err != nil {
+				return changed, fmt.Errorf("knowledge: link %v estimate: %w", lr.Link, err)
+			}
+			mine.est = est // freshly decoded: exclusively ours
+			mine.shared = false
 		}
-		mine.est = est // freshly decoded: exclusively ours
-		mine.shared = false
 		mine.dist = bump(lr.Dist)
 		mine.supplier = s.From
 		mine.sinceUpdate = 0

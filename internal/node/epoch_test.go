@@ -187,7 +187,10 @@ func TestStaleEpochFramesFencedAndRepaired(t *testing.T) {
 
 	// Node 1 still heartbeats at epoch 0: node 0 must fence those frames
 	// and the repair loop must pull node 1 (and transitively node 2) to
-	// epoch 2 within a few periods.
+	// epoch 2 within a few periods. Node 1 ticks first, on its own: in a
+	// shared round node 0's re-announcement can reach it before it has
+	// sent anything at the old epoch.
+	nodes[1].Tick()
 	settleTicks(nodes, 4)
 	if got := nodes[0].Stats().StaleEpochFrames; got == 0 {
 		t.Error("no stale-epoch frames counted at node 0")

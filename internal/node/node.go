@@ -59,26 +59,26 @@ type Stats struct {
 	HeartbeatsReceived  int
 	DeltaHeartbeatsSent int // heartbeats that shipped as knowledge deltas (subset of HeartbeatsSent)
 	HeartbeatBytesSent  int // encoded heartbeat bytes handed to the transport
-	// QuantizedHeartbeatsSent counts heartbeats (full or delta) that
-	// shipped estimates in the wire v4 quantized belief profile — sent
-	// only toward peers that advertised the capability, plus the bounded
+	// CountHeartbeatsSent counts heartbeats (full or delta) that rode a
+	// wire v5 frame, shipping estimates as evidence counts — sent only
+	// toward peers that advertised the capability, plus the bounded
 	// capability hellos (subset of HeartbeatsSent).
-	QuantizedHeartbeatsSent int
-	DataSent                int
-	DataReceived            int
-	Delivered               int // deliveries actually enqueued for the application
-	DroppedDeliveries       int // deliveries discarded because the channel was full
-	SuppressedReplays       int // redeliveries filtered by the durable dedup log
-	FallbackFloods          int // broadcasts flooded for lack of a connected view
-	DecodeErrors            int // frames that failed wire decoding
-	SnapshotMergeErrors     int // well-formed frames whose knowledge snapshot the view rejected
-	LogErrors               int // durable-write failures: dedup log records and seq-lease extensions
-	PlanCacheHits           int // broadcasts that reused the cached (tree, allocation) plan
-	PlanCacheMisses         int // broadcasts that had to replan because the view changed
-	ForwardCacheHits        int // received data frames whose tree came from the forwarder cache
-	ForwardCacheMisses      int // received data frames that had to rebuild their tree
-	StaleEpochFrames        int // frames fenced off because they carried an older membership epoch
-	EpochChanges            int // membership epoch adoptions (joins/leaves applied, catch-ups included)
+	CountHeartbeatsSent int
+	DataSent            int
+	DataReceived        int
+	Delivered           int // deliveries actually enqueued for the application
+	DroppedDeliveries   int // deliveries discarded because the channel was full
+	SuppressedReplays   int // redeliveries filtered by the durable dedup log
+	FallbackFloods      int // broadcasts flooded for lack of a connected view
+	DecodeErrors        int // frames that failed wire decoding
+	SnapshotMergeErrors int // well-formed frames whose knowledge snapshot the view rejected
+	LogErrors           int // durable-write failures: dedup log records and seq-lease extensions
+	PlanCacheHits       int // broadcasts that reused the cached (tree, allocation) plan
+	PlanCacheMisses     int // broadcasts that had to replan because the view changed
+	ForwardCacheHits    int // received data frames whose tree came from the forwarder cache
+	ForwardCacheMisses  int // received data frames that had to rebuild their tree
+	StaleEpochFrames    int // frames fenced off because they carried an older membership epoch
+	EpochChanges        int // membership epoch adoptions (joins/leaves applied, catch-ups included)
 
 	// Send-path counters (see Config.DisableLaneScheduler and the encode pool).
 	LaneDrops        LaneDrops // outbound frames shed by the lane scheduler, per lane
@@ -103,7 +103,7 @@ type counters struct {
 	heartbeatsSent      atomic.Int64
 	heartbeatsReceived  atomic.Int64
 	deltaHeartbeatsSent atomic.Int64
-	quantHeartbeatsSent atomic.Int64
+	countHeartbeatsSent atomic.Int64
 	heartbeatBytesSent  atomic.Int64
 	dataSent            atomic.Int64
 	dataReceived        atomic.Int64
@@ -124,26 +124,26 @@ type counters struct {
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		HeartbeatsSent:          int(c.heartbeatsSent.Load()),
-		HeartbeatsReceived:      int(c.heartbeatsReceived.Load()),
-		DeltaHeartbeatsSent:     int(c.deltaHeartbeatsSent.Load()),
-		QuantizedHeartbeatsSent: int(c.quantHeartbeatsSent.Load()),
-		HeartbeatBytesSent:      int(c.heartbeatBytesSent.Load()),
-		DataSent:                int(c.dataSent.Load()),
-		DataReceived:            int(c.dataReceived.Load()),
-		Delivered:               int(c.delivered.Load()),
-		DroppedDeliveries:       int(c.droppedDeliveries.Load()),
-		SuppressedReplays:       int(c.suppressedReplays.Load()),
-		FallbackFloods:          int(c.fallbackFloods.Load()),
-		DecodeErrors:            int(c.decodeErrors.Load()),
-		SnapshotMergeErrors:     int(c.snapshotMergeErrors.Load()),
-		LogErrors:               int(c.logErrors.Load()),
-		PlanCacheHits:           int(c.planCacheHits.Load()),
-		PlanCacheMisses:         int(c.planCacheMisses.Load()),
-		ForwardCacheHits:        int(c.forwardCacheHits.Load()),
-		ForwardCacheMisses:      int(c.forwardCacheMisses.Load()),
-		StaleEpochFrames:        int(c.staleEpochFrames.Load()),
-		EpochChanges:            int(c.epochChanges.Load()),
+		HeartbeatsSent:      int(c.heartbeatsSent.Load()),
+		HeartbeatsReceived:  int(c.heartbeatsReceived.Load()),
+		DeltaHeartbeatsSent: int(c.deltaHeartbeatsSent.Load()),
+		CountHeartbeatsSent: int(c.countHeartbeatsSent.Load()),
+		HeartbeatBytesSent:  int(c.heartbeatBytesSent.Load()),
+		DataSent:            int(c.dataSent.Load()),
+		DataReceived:        int(c.dataReceived.Load()),
+		Delivered:           int(c.delivered.Load()),
+		DroppedDeliveries:   int(c.droppedDeliveries.Load()),
+		SuppressedReplays:   int(c.suppressedReplays.Load()),
+		FallbackFloods:      int(c.fallbackFloods.Load()),
+		DecodeErrors:        int(c.decodeErrors.Load()),
+		SnapshotMergeErrors: int(c.snapshotMergeErrors.Load()),
+		LogErrors:           int(c.logErrors.Load()),
+		PlanCacheHits:       int(c.planCacheHits.Load()),
+		PlanCacheMisses:     int(c.planCacheMisses.Load()),
+		ForwardCacheHits:    int(c.forwardCacheHits.Load()),
+		ForwardCacheMisses:  int(c.forwardCacheMisses.Load()),
+		StaleEpochFrames:    int(c.staleEpochFrames.Load()),
+		EpochChanges:        int(c.epochChanges.Load()),
 	}
 }
 
@@ -220,19 +220,6 @@ type Config struct {
 	// factor; disabling them is for benchmarks and for mixed clusters
 	// whose peers predate the delta frame kind.
 	DisableDeltaHeartbeats bool
-	// QuantizedBeliefs opts the node into the wire v4 quantized belief
-	// profile: estimator beliefs and refined-grid midpoints ship as uint16
-	// fixed-point codes over shared scales instead of float64s (roughly a
-	// 3.8x estimator-body shrink at the paper's U=100, within 1e-3 of the
-	// float estimates). The profile is negotiated per peer: a Caps varint
-	// rides the first frame toward each neighbor (repeated with geometric
-	// backoff while the neighbor has not advertised back), each side
-	// records the highest mutually supported version per neighbor, and
-	// quantized frames flow only toward peers that advertised v4
-	// themselves — frames toward everyone else stay byte-identical to
-	// wire v3. Off (the default) the node never advertises and every
-	// frame stays on the raw float profile.
-	QuantizedBeliefs bool
 	// ForwardCacheSize bounds the forwarder tree cache: received data
 	// frames carrying the same (root, parents) tree reuse one rebuilt
 	// mrt.Tree instead of re-deriving it per frame. 0 means the default
@@ -334,18 +321,18 @@ const announceRounds = 3
 // the repair paths (per stale frame received, per redundancy round) pay
 // one Send each, never a re-serialization.
 //
-// A join whose subject advertised the quantized capability is pre-encoded
+// A join whose subject advertised the count capability is pre-encoded
 // twice: frame strips the Caps field and stays wire v3 (safe toward any
-// peer, including ones that predate v4), frameV4 carries it. Sends pick
-// per destination — frameV4 only toward peers that have advertised v4
-// themselves — so the subject's capability still reaches its (v4)
-// neighbors through relays, pre-warming their negotiation, without a v4
-// frame ever landing on a legacy peer.
+// peer, including ones that predate capabilities), frameV5 carries it.
+// Sends pick per destination — frameV5 only toward peers that have
+// advertised v5 themselves — so the subject's capability still reaches
+// its (v5) neighbors through relays, pre-warming their negotiation,
+// without a v5 frame ever landing on a legacy peer.
 type memberChange struct {
 	kind    wire.FrameKind // FrameJoin or FrameLeave
 	member  wire.Membership
 	frame   []byte // <= v3 encoding (Caps stripped); valid toward every peer
-	frameV4 []byte // v4 encoding carrying the subject's Caps; nil unless advertised
+	frameV5 []byte // v5 encoding carrying the subject's Caps; nil unless advertised
 }
 
 // newMemberChange builds the record, deep-copying the slices (the caller
@@ -355,8 +342,8 @@ func newMemberChange(kind wire.FrameKind, m *wire.Membership) *memberChange {
 	mc := &memberChange{kind: kind, member: *m}
 	mc.member.Departed = append([]topology.NodeID(nil), m.Departed...)
 	mc.member.Neighbors = append([]topology.NodeID(nil), m.Neighbors...)
-	if kind == wire.FrameJoin && mc.member.Caps >= wire.CapsQuantized {
-		mc.frameV4, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &mc.member})
+	if kind == wire.FrameJoin && mc.member.Caps >= wire.CapsCounts {
+		mc.frameV5, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &mc.member})
 		legacy := mc.member
 		legacy.Caps = 0
 		mc.frame, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &legacy})
@@ -366,14 +353,14 @@ func newMemberChange(kind wire.FrameKind, m *wire.Membership) *memberChange {
 	return mc
 }
 
-// frameFor picks the announcement encoding for one destination: the v4
+// frameFor picks the announcement encoding for one destination: the v5
 // variant when the peer advertised the capability, the universally safe
 // <= v3 variant otherwise (including while the peer's caps are unknown —
-// a v4 frame toward a legacy peer would be dropped whole, losing the
+// a v5 frame toward a legacy peer would be dropped whole, losing the
 // membership change until the epoch-repair loop).
 func (mc *memberChange) frameFor(caps uint8) []byte {
-	if caps >= wire.CapsQuantized && mc.frameV4 != nil {
-		return mc.frameV4
+	if caps >= wire.CapsCounts && mc.frameV5 != nil {
+		return mc.frameV5
 	}
 	return mc.frame
 }
@@ -381,9 +368,9 @@ func (mc *memberChange) frameFor(caps uint8) []byte {
 // Capability-hello pacing (see peerWire): the first frame toward a peer
 // with unknown caps is an advert, then re-adverts ride every 4th, 8th,
 // 16th … frame up to one in helloGapMax. The backoff bounds the cost at
-// genuinely-legacy peers — they drop each v4 hello whole, losing one
+// genuinely-legacy peers — they drop each v5 hello whole, losing one
 // heartbeat's knowledge in helloGapMax frames (~0.4%) at the cap — while
-// restarted or lossy v4 pairs still re-converge: some hello eventually
+// restarted or lossy v5 pairs still re-converge: some hello eventually
 // lands in one direction, and the forceAdv echo closes the other within
 // one frame.
 const (
@@ -393,11 +380,11 @@ const (
 
 // peerWire tracks wire-version negotiation toward one peer. caps is the
 // highest mutually supported wire version: 0 until the peer's first
-// frame arrives, capsLegacy once it has spoken without advertising, 4
-// once it advertised the quantized capability (sticky — upgrades only).
-// While caps < 4, helloNext counts down the frames until the next
+// frame arrives, capsLegacy once it has spoken without advertising v5, 5
+// once it advertised the count capability (sticky — upgrades only).
+// While caps < 5, helloNext counts down the frames until the next
 // capability advert (gap doubling from helloGapFirst to helloGapMax).
-// forceAdv is a one-shot set when the peer upgrades to 4: the next frame
+// forceAdv is a one-shot set when the peer upgrades to 5: the next frame
 // toward it advertises back regardless of payload, so a fresh pair
 // completes negotiation in one round-trip instead of waiting for a
 // non-empty delta.
@@ -408,15 +395,16 @@ type peerWire struct {
 	forceAdv  bool
 }
 
-// capsLegacy marks a peer that has sent frames but never a capability
-// advert: assume the highest pre-negotiation wire version.
+// capsLegacy marks a peer that has sent frames but never advertised v5
+// (no advert at all, or the previous v4 profile): send it the highest
+// pre-negotiation wire version.
 const capsLegacy = 3
 
 // capsStep reads the negotiation state toward one peer and advances its
 // hello countdown by the frame the caller is about to send. advert
 // reports that this frame should carry a capability advert (and, while
-// the peer's own caps are unknown, a quantized payload — the hello
-// doubles as the first quantized frame).
+// the peer's own caps are unknown, a count payload — the hello doubles
+// as the first v5 frame).
 func (n *Node) capsStep(to topology.NodeID) (caps uint8, advert bool) {
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
@@ -425,7 +413,7 @@ func (n *Node) capsStep(to topology.NodeID) (caps uint8, advert bool) {
 		pw = &peerWire{}
 		n.peerWire[to] = pw
 	}
-	if pw.caps >= wire.CapsQuantized {
+	if pw.caps >= wire.CapsCounts {
 		advert = pw.forceAdv
 		pw.forceAdv = false
 		return pw.caps, advert
@@ -445,16 +433,16 @@ func (n *Node) capsStep(to topology.NodeID) (caps uint8, advert bool) {
 
 // noteCaps records a peer's advertised capability from a frame it sent
 // directly (heartbeats and deltas; data frames are relayed verbatim and
-// say nothing about the relayer). caps == 0 means the frame carried no
-// advert: the peer spoke, so it is at least legacy. Upgrades are sticky
-// — an advertised capability is a property of the peer's binary, and
-// empty deltas from a known-v4 peer deliberately drop back to the
-// oldest layout. A fresh upgrade to 4 arms forceAdv so the next frame
-// toward the peer advertises back immediately.
+// say nothing about the relayer). caps below CapsCounts means the frame
+// carried no v5 advert: the peer spoke, so it is at least legacy.
+// Upgrades are sticky — an advertised capability is a property of the
+// peer's binary, and empty deltas from a known-v5 peer deliberately drop
+// back to the oldest layout. A fresh upgrade to 5 arms forceAdv so the
+// next frame toward the peer advertises back immediately.
 func (n *Node) noteCaps(from topology.NodeID, caps uint64) {
 	c := uint8(capsLegacy)
-	if caps >= wire.CapsQuantized {
-		c = wire.CapsQuantized // min(theirs, ours): we speak up to v4
+	if caps >= wire.CapsCounts {
+		c = wire.CapsCounts // min(theirs, ours): we speak up to v5
 	}
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
@@ -466,7 +454,7 @@ func (n *Node) noteCaps(from topology.NodeID, caps uint64) {
 	if c <= pw.caps {
 		return
 	}
-	if c >= wire.CapsQuantized {
+	if c >= wire.CapsCounts {
 		pw.forceAdv = true
 	}
 	pw.caps = c
@@ -645,21 +633,17 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if cfg.Epoch > 0 {
 		// A node constructed mid-epoch (a joiner) can catch laggard peers
 		// up on its own membership change, and re-floods it for a few
-		// periods in case the AnnounceJoin flood is lost. A quantized
-		// joiner stamps its capability on the announcement so its (v4)
-		// neighbors can pre-warm negotiation from relays; the actual
-		// flood still picks the legacy variant until a peer advertises.
-		var caps uint64
-		if cfg.QuantizedBeliefs {
-			caps = wire.CapsQuantized
-		}
+		// periods in case the AnnounceJoin flood is lost. The joiner
+		// stamps its capability on the announcement so its (v5) neighbors
+		// can pre-warm negotiation from relays; the actual flood still
+		// picks the legacy variant until a peer advertises.
 		n.lastChange.Store(newMemberChange(wire.FrameJoin, &wire.Membership{
 			Node:      cfg.ID,
 			Epoch:     cfg.Epoch,
 			NumProcs:  cfg.NumProcs,
 			Departed:  cfg.Departed,
 			Neighbors: roster,
-			Caps:      caps,
+			Caps:      wire.CapsCounts,
 		}))
 		n.announceLeft.Store(announceRounds)
 	}
@@ -961,55 +945,37 @@ func (n *Node) Tick() {
 
 	if n.cfg.DisableDeltaHeartbeats {
 		// At most two encodes per period regardless of degree: one raw
-		// frame shared by every legacy/unknown neighbor, one quantized v4
+		// frame shared by every legacy/unknown neighbor, one v5 count
 		// frame shared by every neighbor that advertised the capability
-		// (or is owed a hello). Without QuantizedBeliefs this stays the
-		// single shared raw frame it always was.
-		var rawFrame, quantFrame []byte
-		sent, quant := 0, 0
+		// (or is owed a hello).
+		frames := make(map[uint64][]byte, 2) // by Caps: raw, counts
+		sent, counts := 0, 0
 		for _, nb := range neighbors {
-			frame := rawFrame
-			quantized := false
-			if n.cfg.QuantizedBeliefs {
-				caps, advert := n.capsStep(nb)
-				quantized = caps >= wire.CapsQuantized || advert
-			}
-			if quantized {
-				if quantFrame == nil {
-					f, err := wire.Encode(&wire.Frame{
-						Kind:      wire.FrameHeartbeat,
-						Heartbeat: full,
-						Caps:      wire.CapsQuantized,
-						Quant:     true,
-					})
-					if err != nil {
-						continue
-					}
-					quantFrame = f
-				}
-				frame = quantFrame
-			} else if frame == nil {
-				f, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: full})
+			caps := n.heartbeatCaps(nb, true)
+			frame := frames[caps]
+			if frame == nil {
+				var err error
+				frame, err = wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: full, Caps: caps})
 				if err != nil {
 					return
 				}
-				rawFrame, frame = f, f
+				frames[caps] = frame
 			}
 			if err := n.sendControl(nb, frame, nil); err == nil {
 				sent++
-				if quantized {
-					quant++
+				if caps != 0 {
+					counts++
 				}
 				n.stats.heartbeatBytesSent.Add(int64(len(frame)))
 			}
 		}
 		n.stats.heartbeatsSent.Add(int64(sent))
-		n.stats.quantHeartbeatsSent.Add(int64(quant))
+		n.stats.countHeartbeatsSent.Add(int64(counts))
 		return
 	}
 
 	// Shared delta cuts: the snapshot section of a delta frame is encoded
-	// once per distinct (snapshot, profile) pair — in the common case
+	// once per distinct (snapshot, layout) pair — in the common case
 	// every neighbor acked the same version and negotiated the same wire
 	// version, so once per period — then spliced after each neighbor's
 	// individual header: Since/Ack/Cadence/Caps differ per peer, the
@@ -1017,24 +983,22 @@ func (n *Node) Tick() {
 	// by AppendDeltaFrame, so they recycle as soon as the loop ends;
 	// frame buffers recycle when their send releases them.
 	type secKey struct {
-		snap  *knowledge.Snapshot
-		quant bool
+		snap   *knowledge.Snapshot
+		counts bool
 	}
 	var secBufs []*encBuf
 	secs := make(map[secKey][]byte, 2)
-	sectionFor := func(s *knowledge.Snapshot, quant bool) ([]byte, error) {
-		k := secKey{s, quant}
+	sectionFor := func(s *knowledge.Snapshot, counts bool) ([]byte, error) {
+		k := secKey{s, counts}
 		if sec, ok := secs[k]; ok {
 			return sec, nil
 		}
 		eb := n.encPool.get()
-		var sec []byte
-		var err error
-		if quant {
-			sec, err = wire.AppendSnapshotSectionQuantized(eb.b, s)
-		} else {
-			sec, err = wire.AppendSnapshotSection(eb.b, s)
+		appendSection := wire.AppendSnapshotSection
+		if counts {
+			appendSection = wire.AppendSnapshotSectionCounts
 		}
+		sec, err := appendSection(eb.b, s)
 		if err != nil {
 			n.encPool.put(eb)
 			return nil, err
@@ -1045,7 +1009,7 @@ func (n *Node) Tick() {
 		return sec, nil
 	}
 
-	sent, deltas, quants := 0, 0, 0
+	sent, deltas, counts := 0, 0, 0
 	for _, o := range outs {
 		declared := 1
 		if n.cad != nil {
@@ -1061,26 +1025,8 @@ func (n *Node) Tick() {
 				continue
 			}
 		}
-		// Wire-profile decision. Toward a peer that advertised v4:
-		// quantized v4 when the section is non-empty (that is where the
-		// bytes are) or a return advert is owed; an empty delta drops
-		// back to the oldest layout — an empty quantized section encodes
-		// the same bytes as an empty raw one, so v4 would only add the
-		// Caps varint to a frame whose whole point is being minimal.
-		// Toward an unknown/legacy peer: raw <= v3, except the paced
-		// capability hellos, which ride v4 with a quantized payload (a
-		// genuinely legacy peer drops the frame whole either way, and a
-		// v4 peer gets its first quantized knowledge one frame early).
-		var caps uint64
-		quant := false
-		if n.cfg.QuantizedBeliefs {
-			pc, advert := n.capsStep(o.to)
-			nonEmpty := len(o.snap.Procs) > 0 || len(o.snap.Links) > 0
-			if (pc >= wire.CapsQuantized && nonEmpty) || advert {
-				caps, quant = wire.CapsQuantized, true
-			}
-		}
-		sec, err := sectionFor(o.snap, quant)
+		caps := n.heartbeatCaps(o.to, len(o.snap.Procs) > 0 || len(o.snap.Links) > 0)
+		sec, err := sectionFor(o.snap, caps != 0)
 		if err != nil {
 			continue
 		}
@@ -1104,8 +1050,8 @@ func (n *Node) Tick() {
 			if o.since > 0 {
 				deltas++
 			}
-			if quant {
-				quants++
+			if caps != 0 {
+				counts++
 			}
 		}
 	}
@@ -1114,7 +1060,25 @@ func (n *Node) Tick() {
 	}
 	n.stats.heartbeatsSent.Add(int64(sent))
 	n.stats.deltaHeartbeatsSent.Add(int64(deltas))
-	n.stats.quantHeartbeatsSent.Add(int64(quants))
+	n.stats.countHeartbeatsSent.Add(int64(counts))
+}
+
+// heartbeatCaps decides the wire layout of the heartbeat about to go to
+// one peer, advancing its hello pacing: CapsCounts — a version-5 frame
+// shipping evidence counts — or 0, raw <= v3. Toward a peer that
+// advertised v5: counts when the record section is non-empty (that is
+// where the bytes are) or a return advert is owed; an empty delta drops
+// back to the oldest layout — an empty section encodes the same bytes
+// either way, so v5 would only add the Caps varint to a frame whose whole
+// point is being minimal. Toward an unknown/legacy peer: raw, except the
+// paced capability hellos, which ride v5 with a count payload (a
+// genuinely legacy peer drops the frame whole either way, and a v5 peer
+// gets its first counts one frame early).
+func (n *Node) heartbeatCaps(to topology.NodeID, nonEmpty bool) uint64 {
+	if pc, advert := n.capsStep(to); (pc >= wire.CapsCounts && nonEmpty) || advert {
+		return wire.CapsCounts
+	}
+	return 0
 }
 
 // cadenceStep advances the adaptive-cadence controller for one neighbor
@@ -1495,7 +1459,7 @@ func (n *Node) handleMembership(from topology.NodeID, kind wire.FrameKind, m *wi
 	// the subject legacy (noteCaps's "spoke without advertising" reading
 	// applies to direct frames only). The relayer's own caps are learned
 	// from its heartbeats, never inferred from what it forwards.
-	if kind == wire.FrameJoin && m.Caps >= wire.CapsQuantized {
+	if kind == wire.FrameJoin && m.Caps >= wire.CapsCounts {
 		n.noteCaps(m.Node, m.Caps)
 	}
 	if !n.applyMembership(kind, m) {
@@ -1576,7 +1540,7 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
 	// deliberately survives: what a peer's binary can decode is a
 	// property of the peer, not of the roster, and re-negotiating across
 	// every epoch change would downgrade the (large) post-change full
-	// snapshots to the raw profile.
+	// snapshots to the raw layout.
 	n.peerMu.Lock()
 	for k := range n.peerSeen {
 		delete(n.peerSeen, k)

@@ -63,9 +63,6 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 			if over.Piggyback {
 				c.Piggyback = true
 			}
-			if over.QuantizedBeliefs {
-				c.QuantizedBeliefs = true
-			}
 			if over.DisableLaneScheduler {
 				c.DisableLaneScheduler = true
 			}

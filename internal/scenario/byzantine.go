@@ -13,8 +13,10 @@ import (
 )
 
 // byzantineReplay is the one live-cluster scenario: a rogue peer replays
-// every committed fuzz-corpus seed — plus seeded mutations of them and
-// hand-crafted poisonous heartbeats — at a running 4-node Fabric
+// every committed fuzz-corpus seed — historical frames of every wire
+// version and the forged evidence-count heartbeats (oversize U, overflowed
+// counts, count records in pre-v5 frames) — plus seeded mutations of them
+// and hand-crafted poisonous heartbeats, at a running 4-node Fabric
 // cluster, mid-traffic. The cluster is built at a membership epoch
 // strictly newer than anything the corpus ever encoded, so the epoch
 // fence (not luck) is what keeps historical data/delta/join/leave frames

@@ -37,48 +37,58 @@ import (
 // nothing until a membership change actually happens, and old peers
 // interoperate in a static cluster by reading epoch-0 frames as their own.
 //
-// Version 4 adds capability negotiation and the quantized belief profile.
+// Version 4 added capability negotiation and the quantized belief profile.
 // A v4 heartbeat carries a Caps uvarint (the sender's highest supported
-// wire version, ≥ 4 by construction) before its snapshot; a v4 delta
-// carries the same uvarint after Epoch; a v4 join appends the subject's
-// Caps after the neighbor list. Inside a v4 frame, estimator states may
-// use two additional layouts — flagQUniform and flagQWindow — that ship
-// log beliefs (and refined midpoints) as uint16 fixed-point codes over a
-// shared scale instead of float64s (see internal/bayes/quant.go for the
-// scheme and its ≤1e-3 error budget). The encoder emits version 4 only
-// when Caps is set, which the node does only toward peers that advertised
-// v4 themselves (or as a periodic capability hello), so every frame to a
-// non-v4 peer stays byte-identical to the v3-era encoding. Data frames
-// never encode as v4: they are encoded once and relayed verbatim across
-// peers with mixed capabilities, so their estimates always ride the raw
-// profile. Leave frames also stay v3 (a departing node has nothing to
-// negotiate).
+// wire version, ≥ the frame's own by construction) before its snapshot; a
+// v4 delta carries the same uvarint after Epoch; a v4 join appends the
+// subject's Caps after the neighbor list. Inside a v4 frame, estimator
+// states may use two additional layouts — flagQUniform and flagQWindow —
+// that ship log beliefs (and refined midpoints) as uint16 fixed-point
+// codes over a shared scale (see internal/bayes/quant.go). Version 4 is
+// the previous profile: it still decodes, but nothing emits the quantized
+// layouts any more.
+//
+// Version 5 keeps the v4 header and adds the evidence-count estimator
+// layout, flagCounts: an estimator that never left the uniform prior on
+// the uniform grid is a pure function of three integers, so it ships as
+// uvarint U, uvarint successes, uvarint failures (~5 bytes against ~800
+// raw). Every other estimator — refined, or rebuilt from a raw vector —
+// rides the raw layouts, which stay legal in every version. The encoder
+// emits version 5 only when Caps ≥ CapsCounts is set, which the node does
+// only toward peers that advertised it themselves (or as a periodic
+// capability hello), so every frame to any other peer stays
+// byte-identical to the v3-era encoding. Data frames never encode above
+// v3: they are encoded once and relayed verbatim across peers with mixed
+// capabilities, so their estimates always ride the raw layouts. Leave
+// frames also stay v3 (a departing node has nothing to negotiate).
 //
 // Integers are varints (unsigned for sequence numbers, lengths and
 // counts; zigzag for node IDs, distortions and allocations, which can be
 // negative sentinels), floats are 8-byte little-endian IEEE 754, byte
 // strings are length-prefixed. A Bayesian estimator whose midpoints are
-// the standard uniform grid — every estimator that was never refined —
-// ships only its interval count; refined grids ship their midpoints
-// explicitly.
+// the standard uniform grid ships only its interval count; refined grids
+// ship their midpoints explicitly.
 
 const (
 	magic       = 0xAC
 	version     = 1
 	version2    = 2 // delta frames carrying a stretched Cadence
 	version3    = 3 // nonzero membership epoch; join/leave frames
-	version4    = 4 // capability advert; quantized belief profile
+	version4    = 4 // capability advert; quantized belief profile (decode only)
+	version5    = 5 // evidence-count estimator layout
 	headerSize  = 3
 	flagUniform = 1 << 0 // estimator state: midpoints are the uniform grid
 	flagRefined = 0      // (midpoints explicit; no flag bits set)
 
-	// Quantized estimator layouts, legal only inside version-4 frames.
-	// flagQUniform is flagUniform's quantized twin (uniform grid, count
-	// only); flagQWindow carries a refined grid with exact first/last
-	// midpoints and uint16 interior codes. The raw layouts stay legal in
-	// v4 frames — the encoder falls back to them for degenerate states.
+	// Quantized estimator layouts, legal only from version 4 on and never
+	// emitted any more. flagQUniform is flagUniform's quantized twin
+	// (uniform grid, count only); flagQWindow carries a refined grid with
+	// exact first/last midpoints and uint16 interior codes.
 	flagQUniform = 2
 	flagQWindow  = 3
+	// flagCounts is the evidence-count layout, legal only from version 5
+	// on: uniform grid, uniform prior, (U, successes, failures).
+	flagCounts = 4
 )
 
 // appendUvarint, appendVarint etc. build on the stdlib append helpers; a
@@ -88,7 +98,7 @@ const (
 type reader struct {
 	b      []byte
 	off    int
-	ver    byte // frame version from the header; gates v4-only layouts
+	ver    byte // frame version from the header; gates the v4+ and v5+ layouts
 	borrow bool // byte fields alias b instead of copying (DecodeBorrow)
 	err    error
 }
@@ -185,13 +195,13 @@ func (r *reader) floats(n int, what string) []float64 {
 	return out
 }
 
-// caps reads a version-4 capability advert: the sender's highest
-// supported wire version. A v4 frame advertising less than v4 is
+// caps reads a capability advert: the sender's highest supported wire
+// version. A frame advertising less than its own version is
 // self-contradictory and rejected.
 func (r *reader) caps() uint64 {
 	v := r.uvarint()
-	if r.err == nil && (v < version4 || v > MaxCaps) {
-		r.fail("v4 frame advertises caps %d", v)
+	if r.err == nil && (v < uint64(r.ver) || v > MaxCaps) {
+		r.fail("version-%d frame advertises caps %d", r.ver, v)
 	}
 	return v
 }
@@ -244,18 +254,33 @@ func appendFloats(b []byte, fs []float64) []byte {
 // Estimator state
 // ---------------------------------------------------------------------------
 
-func appendEstimator(b []byte, s *bayes.State) []byte {
-	if s.HasUniformMids() {
+// appendEstimator writes one estimator state. counts permits the
+// evidence-count layout and must be false unless the surrounding frame
+// encodes as version 5; states the layout cannot carry — a refined grid,
+// a raw-vector prior, an interval or evidence count beyond what decoders
+// admit — fall back to the raw float layouts, materializing the
+// log-belief vector on the way out.
+func appendEstimator(b []byte, s *bayes.State, counts bool) []byte {
+	if counts && s.IsCounts() && s.Intervals <= MaxIntervals &&
+		s.Succ >= 0 && s.Fail >= 0 && s.Succ+s.Fail <= MaxEvidence {
+		b = append(b, flagCounts)
+		b = binary.AppendUvarint(b, uint64(s.Intervals))
+		b = binary.AppendUvarint(b, uint64(s.Succ))
+		return binary.AppendUvarint(b, uint64(s.Fail))
+	}
+	if s.Mids == nil {
 		b = append(b, flagUniform)
-		b = binary.AppendUvarint(b, uint64(len(s.Mids)))
+		b = binary.AppendUvarint(b, uint64(s.Intervals))
 	} else {
 		b = append(b, flagRefined)
 		b = binary.AppendUvarint(b, uint64(len(s.Mids)))
 		b = appendFloats(b, s.Mids)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.LogBeliefs)))
-	b = appendFloats(b, s.LogBeliefs)
-	return b
+	// The paper's U = 100 materializes on the stack; larger grids spill.
+	var scratch [128]float64
+	beliefs := s.AppendLogBeliefs(scratch[:0])
+	b = binary.AppendUvarint(b, uint64(len(beliefs)))
+	return appendFloats(b, beliefs)
 }
 
 func (r *reader) estimator() bayes.State {
@@ -274,10 +299,11 @@ func (r *reader) estimator() bayes.State {
 			r.fail("uniform grid count %d exceeds frame", u)
 			return s
 		}
-		s.Mids = bayes.UniformGridMids(int(u))
+		s.Intervals = int(u)
 	case flagRefined:
 		n := r.count("midpoints")
 		s.Mids = r.floats(n, "midpoints")
+		s.Intervals = n
 	case flagQUniform:
 		if r.ver < version4 {
 			r.fail("quantized estimator in a version-%d frame", r.ver)
@@ -293,7 +319,7 @@ func (r *reader) estimator() bayes.State {
 			r.fail("quantized grid count %d exceeds frame", u)
 			return s
 		}
-		s.Mids = bayes.UniformGridMids(int(u))
+		s.Intervals = int(u)
 		s.LogBeliefs = r.qbeliefs(int(u))
 		return s
 	case flagQWindow:
@@ -327,8 +353,30 @@ func (r *reader) estimator() bayes.State {
 		if r.err != nil {
 			return s
 		}
-		s.Mids = mids
+		s.Mids, s.Intervals = mids, int(u)
 		s.LogBeliefs = r.qbeliefs(int(u))
+		return s
+	case flagCounts:
+		if r.ver < version5 {
+			r.fail("evidence-count estimator in a version-%d frame", r.ver)
+			return s
+		}
+		// A count record is a handful of bytes whatever it declares, so
+		// nothing about the frame bounds U or the counts: bound them here,
+		// before U can size a grid or a count can overflow float64(n)·log.
+		u, succ, fail := r.uvarint(), r.uvarint(), r.uvarint()
+		if r.err != nil {
+			return s
+		}
+		if u > MaxIntervals {
+			r.fail("evidence-count estimator declares %d intervals, bound is %d", u, MaxIntervals)
+			return s
+		}
+		if succ > MaxEvidence || fail > MaxEvidence || succ+fail > MaxEvidence {
+			r.fail("evidence counts (%d, %d) exceed the %d bound", succ, fail, MaxEvidence)
+			return s
+		}
+		s.Intervals, s.Succ, s.Fail = int(u), int(succ), int(fail)
 		return s
 	default:
 		r.fail("unknown estimator flags %#x", flags)
@@ -380,67 +428,34 @@ func (r *reader) qbeliefs(n int) []float64 {
 	return out
 }
 
-// appendEstimatorQuant is appendEstimator in the v4 quantized profile:
-// beliefs (and refined midpoints) ship as uint16 fixed-point codes over
-// a shared scale. Degenerate states — too few intervals, mismatched
-// lengths, a collapsed refined window — fall back to the raw layout,
-// which stays legal inside v4 frames.
-func appendEstimatorQuant(b []byte, s *bayes.State) []byte {
-	u := len(s.Mids)
-	if u < 2 || len(s.LogBeliefs) != u {
-		return appendEstimator(b, s)
-	}
-	if s.HasUniformMids() {
-		b = append(b, flagQUniform)
-		b = binary.AppendUvarint(b, uint64(u))
-	} else {
-		first, last := s.Mids[0], s.Mids[u-1]
-		if !(first > 0 && first < 1) || !(last > first && last < 1) {
-			return appendEstimator(b, s)
-		}
-		b = append(b, flagQWindow)
-		b = binary.AppendUvarint(b, uint64(u))
-		b = appendFloat(b, first)
-		b = appendFloat(b, last)
-		for _, m := range s.Mids[1 : u-1] {
-			b = binary.LittleEndian.AppendUint16(b, bayes.QuantizeMid(m, first, last))
-		}
-	}
-	scale := bayes.BeliefQuantScale(s.LogBeliefs)
-	b = appendFloat(b, scale)
-	for _, lb := range s.LogBeliefs {
-		b = binary.LittleEndian.AppendUint16(b, bayes.QuantizeBelief(lb, scale))
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------------
 // Knowledge snapshots
 // ---------------------------------------------------------------------------
 
 // estimatorSize is a pre-allocation estimate for one serialized
-// estimator. It deliberately over-estimates by counting the midpoints
-// even when the uniform fast path will omit them, so sizing never pays
-// the uniformity check (appendEstimator computes it exactly once).
-func estimatorSize(s *bayes.State) int {
-	return 1 + 2*binary.MaxVarintLen32 + 8*len(s.LogBeliefs) + 8*len(s.Mids)
+// estimator; counts says the frame may use the evidence-count layout.
+func estimatorSize(s *bayes.State, counts bool) int {
+	if counts && s.IsCounts() {
+		return 1 + 3*binary.MaxVarintLen64
+	}
+	return 1 + 2*binary.MaxVarintLen32 + 8*s.Intervals + 8*len(s.Mids)
 }
 
-func snapshotSize(s *knowledge.Snapshot) int {
+func snapshotSize(s *knowledge.Snapshot, counts bool) int {
 	n := 4 * binary.MaxVarintLen64
 	for i := range s.Procs {
-		n += 2*binary.MaxVarintLen64 + estimatorSize(&s.Procs[i].Est)
+		n += 2*binary.MaxVarintLen64 + estimatorSize(&s.Procs[i].Est, counts)
 	}
 	for i := range s.Links {
-		n += 3*binary.MaxVarintLen64 + estimatorSize(&s.Links[i].Est)
+		n += 3*binary.MaxVarintLen64 + estimatorSize(&s.Links[i].Est, counts)
 	}
 	return n
 }
 
-// appendSnapshot writes a snapshot's record section. quant selects the
-// v4 quantized estimator profile; callers must pass false unless the
-// surrounding frame encodes as version 4.
-func appendSnapshot(b []byte, s *knowledge.Snapshot, quant bool) []byte {
+// appendSnapshot writes a snapshot's record section. counts permits the
+// evidence-count estimator layout; callers must pass false unless the
+// surrounding frame encodes as version 5.
+func appendSnapshot(b []byte, s *knowledge.Snapshot, counts bool) []byte {
 	b = binary.AppendVarint(b, int64(s.From))
 	b = binary.AppendUvarint(b, s.Seq)
 	b = binary.AppendUvarint(b, uint64(len(s.Procs)))
@@ -448,11 +463,7 @@ func appendSnapshot(b []byte, s *knowledge.Snapshot, quant bool) []byte {
 		pr := &s.Procs[i]
 		b = binary.AppendVarint(b, int64(pr.ID))
 		b = binary.AppendVarint(b, int64(pr.Dist))
-		if quant {
-			b = appendEstimatorQuant(b, &pr.Est)
-		} else {
-			b = appendEstimator(b, &pr.Est)
-		}
+		b = appendEstimator(b, &pr.Est, counts)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Links)))
 	for i := range s.Links {
@@ -460,11 +471,7 @@ func appendSnapshot(b []byte, s *knowledge.Snapshot, quant bool) []byte {
 		b = binary.AppendVarint(b, int64(lr.Link.A))
 		b = binary.AppendVarint(b, int64(lr.Link.B))
 		b = binary.AppendVarint(b, int64(lr.Dist))
-		if quant {
-			b = appendEstimatorQuant(b, &lr.Est)
-		} else {
-			b = appendEstimator(b, &lr.Est)
-		}
+		b = appendEstimator(b, &lr.Est, counts)
 	}
 	return b
 }
@@ -513,7 +520,7 @@ func (r *reader) snapshot() *knowledge.Snapshot {
 // ---------------------------------------------------------------------------
 
 func deltaSize(d *KnowledgeDelta) int {
-	return 5*binary.MaxVarintLen64 + snapshotSize(d.Snap)
+	return 5*binary.MaxVarintLen64 + snapshotSize(d.Snap, d.Caps >= CapsCounts)
 }
 
 // appendDelta lays out the version bookkeeping before the record set, so
@@ -521,9 +528,9 @@ func deltaSize(d *KnowledgeDelta) int {
 // a handful of bytes. The cadence uvarint exists only in version-2+
 // frames (version-1 frames imply cadence 1); the epoch uvarint only in
 // version-3 frames (earlier versions imply epoch 0); the caps uvarint
-// only in version-4 frames.
-func appendDelta(b []byte, d *KnowledgeDelta, ver byte, quant bool) []byte {
-	return appendSnapshot(appendDeltaHeader(b, d, ver), d.Snap, quant)
+// only from version 4 on.
+func appendDelta(b []byte, d *KnowledgeDelta, ver byte) []byte {
+	return appendSnapshot(appendDeltaHeader(b, d, ver), d.Snap, ver >= version5)
 }
 
 // appendDeltaHeader writes the delta's version bookkeeping without its
@@ -579,7 +586,7 @@ func dataSize(m *DataMsg) int {
 	n := 8*binary.MaxVarintLen64 + len(m.Parents)*binary.MaxVarintLen32 +
 		len(m.AllocByNode)*binary.MaxVarintLen32 + len(m.Body) + 1
 	if m.Piggyback != nil {
-		n += snapshotSize(m.Piggyback)
+		n += snapshotSize(m.Piggyback, false)
 	}
 	return n
 }
@@ -599,8 +606,8 @@ func appendData(b []byte, m *DataMsg, ver byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m.Body)))
 	b = append(b, m.Body...)
 	if m.Piggyback != nil {
-		// Data frames never encode as v4 (they are relayed verbatim across
-		// mixed-capability peers), so the piggyback is always raw-profile.
+		// Data frames never encode above v3 (they are relayed verbatim
+		// across mixed-capability peers), so the piggyback is always raw.
 		b = append(b, 1)
 		b = appendSnapshot(b, m.Piggyback, false)
 	} else {
@@ -726,9 +733,9 @@ func frameVersion(f *Frame) byte {
 	switch f.Kind {
 	case FrameHeartbeat:
 		if f.Caps > 0 {
-			// Only a capability advert (and the quantized profile it
-			// unlocks) needs the v4 layout.
-			return version4
+			// Only a capability advert (and the count layout it unlocks)
+			// needs the caps-carrying layout.
+			return capsVersion(f.Caps)
 		}
 	case FrameData:
 		if f.Data.Epoch > 0 {
@@ -740,7 +747,7 @@ func frameVersion(f *Frame) byte {
 		return deltaVersion(f.Delta)
 	case FrameJoin:
 		if f.Member.Caps > 0 {
-			return version4
+			return capsVersion(f.Member.Caps)
 		}
 		// Membership kinds exist only since v3; no older layout to match.
 		return version3
@@ -754,7 +761,7 @@ func frameVersion(f *Frame) byte {
 // the pre-encoded-section fast path (AppendDeltaFrame).
 func deltaVersion(d *KnowledgeDelta) byte {
 	if d.Caps > 0 {
-		return version4
+		return capsVersion(d.Caps)
 	}
 	if d.Epoch > 0 {
 		return version3
@@ -767,13 +774,23 @@ func deltaVersion(d *KnowledgeDelta) byte {
 	return version
 }
 
+// capsVersion is the version a capability-carrying frame encodes as:
+// version 5 when the sender advertises it, else version 4 — the layout a
+// decoded previous-profile frame re-encodes to.
+func capsVersion(caps uint64) byte {
+	if caps >= CapsCounts {
+		return version5
+	}
+	return version4
+}
+
 // frameSize over-estimates the encoded size of a validated frame, for
 // pre-sizing fresh buffers.
 func frameSize(f *Frame) int {
 	size := headerSize
 	switch f.Kind {
 	case FrameHeartbeat:
-		size += snapshotSize(f.Heartbeat) + binary.MaxVarintLen64
+		size += snapshotSize(f.Heartbeat, f.Caps >= CapsCounts) + binary.MaxVarintLen64
 	case FrameData:
 		size += dataSize(f.Data) + binary.MaxVarintLen64
 	case FrameKnowledgeDelta:
@@ -788,18 +805,17 @@ func frameSize(f *Frame) int {
 // validated frame to b. It allocates nothing beyond growing b.
 func appendFrameBytes(b []byte, f *Frame) []byte {
 	ver := frameVersion(f)
-	quant := f.Quant && ver >= version4
 	b = append(b, magic, ver, byte(f.Kind))
 	switch f.Kind {
 	case FrameHeartbeat:
 		if ver >= version4 {
 			b = binary.AppendUvarint(b, f.Caps)
 		}
-		b = appendSnapshot(b, f.Heartbeat, quant)
+		b = appendSnapshot(b, f.Heartbeat, ver >= version5)
 	case FrameData:
 		b = appendData(b, f.Data, ver)
 	case FrameKnowledgeDelta:
-		b = appendDelta(b, f.Delta, ver, quant)
+		b = appendDelta(b, f.Delta, ver)
 	case FrameJoin, FrameLeave:
 		b = appendMembership(b, f.Member, ver)
 	}
@@ -817,7 +833,7 @@ func decodeBinary(b []byte, borrow bool) (*Frame, error) {
 	if b[0] != magic {
 		return nil, fmt.Errorf("wire: bad magic %#x", b[0])
 	}
-	if b[1] < version || b[1] > version4 {
+	if b[1] < version || b[1] > version5 {
 		return nil, fmt.Errorf("wire: unsupported version %d", b[1])
 	}
 	f := &Frame{Kind: FrameKind(b[2])}
@@ -831,8 +847,8 @@ func decodeBinary(b []byte, borrow bool) (*Frame, error) {
 	case FrameData:
 		if r.ver >= version4 {
 			// Data frames are encoded once and relayed verbatim across
-			// peers with mixed capabilities; they never ride v4.
-			return nil, errors.New("wire: data frame at version 4")
+			// peers with mixed capabilities; they never ride v4 or later.
+			return nil, fmt.Errorf("wire: data frame at version %d", r.ver)
 		}
 		f.Data = r.data(b[1])
 	case FrameKnowledgeDelta:

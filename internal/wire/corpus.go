@@ -23,9 +23,10 @@ type CorpusSeed struct {
 }
 
 // CorpusSeeds returns every committed FuzzDecode corpus seed, sorted by
-// name. The corpus is the codec's catalog of hostile-but-historical
-// inputs: every frame shape every wire version ever produced, exactly as
-// a malicious or ancient peer could replay them.
+// name. The corpus is the codec's catalog of hostile inputs: every frame
+// shape every wire version ever produced, exactly as a malicious or
+// ancient peer could replay them, plus forged frames no encoder ever
+// emitted (the forged-N files), which must fail to decode.
 func CorpusSeeds() ([]CorpusSeed, error) {
 	const dir = "testdata/fuzz/FuzzDecode"
 	entries, err := corpusFS.ReadDir(dir)

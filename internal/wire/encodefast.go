@@ -37,18 +37,18 @@ func EncodeInto(buf []byte, f *Frame) ([]byte, error) {
 }
 
 // AppendSnapshotSection appends the wire form of a knowledge snapshot's
-// record section to dst, in the raw (float64) estimator profile. The
-// raw section layout is identical across all wire versions, which is
-// what makes shared delta cuts sound: encode the section once per
-// acked-base group of neighbors, then build each neighbor's frame around
-// it with AppendDeltaFrame — per-neighbor fields (Ack, Cadence) and even
-// the frame version may differ without invalidating the shared bytes.
+// record section to dst, in the raw (float64) estimator layouts. The
+// raw section is identical across all wire versions, which is what makes
+// shared delta cuts sound: encode the section once per acked-base group
+// of neighbors, then build each neighbor's frame around it with
+// AppendDeltaFrame — per-neighbor fields (Ack, Cadence) and even the
+// frame version may differ without invalidating the shared bytes.
 //
-// The quantized profile is the one exception: its estimator layouts are
-// legal only inside version-4 frames, so a section encoded with
-// AppendSnapshotSectionQuantized may only be spliced under a delta whose
-// Caps is set. The node keys its shared-section cache on (cut, profile)
-// accordingly.
+// The evidence-count layout is the one exception: it is legal only
+// inside version-5 frames, so a section encoded with
+// AppendSnapshotSectionCounts may only be spliced under a delta whose
+// Caps is at least CapsCounts. The node keys its shared-section cache on
+// (cut, layout) accordingly.
 func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 	if s == nil {
 		return dst, errors.New("wire: nil snapshot")
@@ -56,13 +56,12 @@ func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 	return appendSnapshot(dst, s, false), nil
 }
 
-// AppendSnapshotSectionQuantized is AppendSnapshotSection in the v4
-// quantized belief profile: uint16 fixed-point beliefs and refined
-// midpoints over shared scales (see internal/bayes/quant.go). The
-// resulting section may only ride version-4 frames — splice it only
-// under deltas carrying a capability advert, toward peers that
-// advertised v4 themselves.
-func AppendSnapshotSectionQuantized(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
+// AppendSnapshotSectionCounts is AppendSnapshotSection with the
+// evidence-count layout for every estimator it can carry (three varints
+// instead of U floats). The resulting section may only ride version-5
+// frames — splice it only under deltas advertising CapsCounts, toward
+// peers that advertised it themselves.
+func AppendSnapshotSectionCounts(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 	if s == nil {
 		return dst, errors.New("wire: nil snapshot")
 	}
@@ -71,11 +70,11 @@ func AppendSnapshotSectionQuantized(dst []byte, s *knowledge.Snapshot) ([]byte, 
 
 // AppendDeltaFrame appends a complete knowledge-delta frame to dst,
 // splicing in a record section pre-encoded with AppendSnapshotSection
-// (or, when d.Caps is set, either section profile — the quantized one
-// requires it) of d.Snap's records; d.Snap itself is not read and may be
-// nil. The output is byte-identical to AppendFrame of the equivalent
-// frame — version selection follows the same rules — at the cost of one
-// header instead of a full snapshot walk per neighbor.
+// (or, when d.Caps ≥ CapsCounts, AppendSnapshotSectionCounts — the count
+// layout requires it) of d.Snap's records; d.Snap itself is not read and
+// may be nil. The output is byte-identical to AppendFrame of the
+// equivalent frame — version selection follows the same rules — at the
+// cost of one header instead of a full snapshot walk per neighbor.
 func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte, error) {
 	if d == nil {
 		return dst, errors.New("wire: nil delta")
@@ -110,8 +109,8 @@ func SpliceDataPiggyback(dst, raw []byte, snap *knowledge.Snapshot) ([]byte, err
 	}
 	dst = append(dst, raw[:flagOff]...)
 	if snap != nil {
-		// Data frames never ride v4 (the splice output keeps raw's
-		// version), so the snapshot is always raw-profile.
+		// Data frames never ride v4+ (the splice output keeps raw's
+		// version), so the snapshot always uses the raw layouts.
 		dst = append(dst, 1)
 		dst = appendSnapshot(dst, snap, false)
 	} else {

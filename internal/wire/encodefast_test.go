@@ -73,14 +73,13 @@ func TestAppendDeltaFrameMatchesEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Encode: %v", i, err)
 		}
-		// The section profile follows the frame's: quantized seeds splice
-		// a quantized section (the (cut, profile) cache key Tick uses).
-		var section []byte
-		if f.Quant {
-			section, err = AppendSnapshotSectionQuantized(nil, f.Delta.Snap)
-		} else {
-			section, err = AppendSnapshotSection(nil, f.Delta.Snap)
+		// The section layout follows the frame's: v5 seeds splice a count
+		// section (the (cut, layout) cache key Tick uses).
+		appendSection := AppendSnapshotSection
+		if f.Delta.Caps >= CapsCounts {
+			appendSection = AppendSnapshotSectionCounts
 		}
+		section, err := appendSection(nil, f.Delta.Snap)
 		if err != nil {
 			t.Fatalf("seed %d: snapshot section: %v", i, err)
 		}

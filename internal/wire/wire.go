@@ -8,8 +8,9 @@
 //
 // Encoding is a compact hand-rolled binary format (see binary.go): a
 // 3-byte versioned header followed by varint-coded integers and raw IEEE
-// 754 floats, with a fast path that ships only the interval count for
-// Bayesian estimators on the standard uniform grid. The previous
+// 754 floats. Toward peers that negotiated wire version 5, a Bayesian
+// estimator that never left the uniform prior ships as its evidence
+// counts — three integers — instead of its belief vector. The previous
 // stdlib-gob codec is retained as EncodeGob/DecodeGob for benchmarks and
 // size comparisons; it is not used on any live path.
 //
@@ -40,16 +41,16 @@ type FrameKind uint8
 //
 //adaptivelint:wirecorpus dir=testdata/fuzz/FuzzDecode magic=0xAC
 const (
-	FrameHeartbeat      FrameKind = iota + 1 //adaptivelint:wirekind versions=1,4
+	FrameHeartbeat      FrameKind = iota + 1 //adaptivelint:wirekind versions=1,4,5
 	FrameData                                //adaptivelint:wirekind versions=1,3
-	FrameKnowledgeDelta                      //adaptivelint:wirekind versions=1,2,3,4
+	FrameKnowledgeDelta                      //adaptivelint:wirekind versions=1,2,3,4,5
 	// FrameJoin announces a membership epoch change that added a process;
 	// FrameLeave one that removed a process. Both carry a Membership
-	// payload and encode as wire version 3 — or 4 when the join advertises
-	// the subject's capabilities. Receivers flood them so every member
-	// converges on the new epoch; the epoch number itself dedups the
-	// flood.
-	FrameJoin  //adaptivelint:wirekind versions=3,4
+	// payload and encode as wire version 3 — or 4/5 when the join
+	// advertises the subject's capabilities. Receivers flood them so every
+	// member converges on the new epoch; the epoch number itself dedups
+	// the flood.
+	FrameJoin  //adaptivelint:wirekind versions=3,4,5
 	FrameLeave //adaptivelint:wirekind versions=3
 )
 
@@ -77,9 +78,9 @@ type Membership struct {
 	Departed  []topology.NodeID
 	Neighbors []topology.NodeID
 	// Caps advertises the subject's highest supported wire version (the
-	// v4 capability negotiation; see CapsQuantized). 0 omits it and the
-	// frame encodes as version 3, byte-identical to pre-caps peers. Only
-	// join frames may carry it — a leaver has nothing to negotiate.
+	// capability negotiation; see CapsCounts). 0 omits it and the frame
+	// encodes as version 3, byte-identical to pre-caps peers. Only join
+	// frames may carry it — a leaver has nothing to negotiate.
 	Caps uint64
 }
 
@@ -124,9 +125,9 @@ type KnowledgeDelta struct {
 	Epoch   uint64
 	// Caps advertises the sender's highest supported wire version. 0 —
 	// the pre-negotiation case — encodes exactly as before capabilities
-	// existed (wire version ≤ 3); a nonzero value rides a version-4 frame
-	// and unlocks the quantized belief profile for the record section.
-	// The node sets it only toward peers that have advertised v4
+	// existed (wire version ≤ 3); CapsCounts or more rides a version-5
+	// frame and unlocks the evidence-count layout for the record section.
+	// The node sets it only toward peers that have advertised v5
 	// themselves, or as a periodic capability hello toward peers whose
 	// capabilities are still unknown.
 	Caps uint64
@@ -138,10 +139,26 @@ type KnowledgeDelta struct {
 // detection forever; 256 periods is far beyond any sane stretch cap.
 const MaxCadence = 256
 
-// CapsQuantized is the Caps value a node advertising wire v4 (the
-// quantized belief profile) puts on its frames: capability adverts carry
-// the sender's highest supported wire version.
+// CapsCounts is the Caps value a node puts on its frames: capability
+// adverts carry the sender's highest supported wire version, and version 5
+// is the evidence-count estimator layout.
+const CapsCounts = 5
+
+// CapsQuantized is the lowest capability a frame may advertise: wire v4,
+// the previous (quantized-belief) profile. Frames advertising it still
+// decode; a peer that speaks no more than v4 is sent raw ≤ v3 frames.
 const CapsQuantized = 4
+
+// MaxIntervals bounds the interval count U an evidence-count estimator
+// record may declare. The float layouts bound U by the bytes left in the
+// frame; a count record is ~5 bytes whatever it declares, and U sizes the
+// grid the receiver builds. 4096 is 40× the paper's precision.
+const MaxIntervals = 1 << 12
+
+// MaxEvidence bounds successes+failures in an evidence-count record, so
+// that count·log(mid) stays a well-conditioned float64: 2^40 events is a
+// heartbeat per millisecond for 35 years.
+const MaxEvidence = 1 << 40
 
 // MaxCaps bounds the capability value a frame may carry. Caps is a
 // version number, not a bitmask; 255 leaves far more headroom than the
@@ -193,16 +210,9 @@ type Frame struct {
 	Member *Membership
 	// Caps advertises the sender's highest supported wire version on a
 	// full heartbeat frame (delta and join frames carry their own Caps
-	// field on their payloads). 0 omits it; a nonzero value rides a
-	// version-4 frame.
+	// field on their payloads). 0 omits it; CapsCounts or more rides a
+	// version-5 frame, whose snapshot ships evidence counts.
 	Caps uint64
-	// Quant selects the v4 quantized belief profile for the frame's
-	// snapshot payload. It is an encoder directive, not itself
-	// serialized: decoders materialize dequantized float states and leave
-	// it false. Effective only when the frame encodes as version 4 (a
-	// nonzero Caps); setting it on a non-v4 frame is a validation error
-	// so a profile mismatch cannot slip out silently.
-	Quant bool
 }
 
 // Encode serializes a frame in the binary wire format.
@@ -280,22 +290,6 @@ func validate(f *Frame) error {
 		}
 		if f.Caps < CapsQuantized || f.Caps > MaxCaps {
 			return fmt.Errorf("wire: caps %d outside [%d,%d]", f.Caps, CapsQuantized, MaxCaps)
-		}
-	}
-	if f.Quant {
-		switch f.Kind {
-		case FrameHeartbeat:
-			if f.Caps == 0 {
-				return errors.New("wire: quantized heartbeat without a capability advert")
-			}
-		case FrameKnowledgeDelta:
-			if f.Delta == nil || f.Delta.Caps == 0 {
-				return errors.New("wire: quantized delta without a capability advert")
-			}
-		case FrameData, FrameJoin, FrameLeave:
-			return errors.New("wire: quantized profile on a frame kind without estimates")
-		default:
-			return errors.New("wire: quantized profile on a frame kind without estimates")
 		}
 	}
 	switch f.Kind {

@@ -160,7 +160,7 @@ func TestRefinedGridRoundTrip(t *testing.T) {
 	snap := v.Snapshot()
 	refined := false
 	for _, pr := range snap.Procs {
-		if !pr.Est.HasUniformMids() {
+		if pr.Est.Mids != nil {
 			refined = true
 		}
 	}

@@ -167,22 +167,6 @@ func WithAdaptiveCadence(max time.Duration) Option {
 	return func(c *nodeConfig) { c.adaptiveCadence = max }
 }
 
-// WithQuantizedBeliefs opts the node into the wire v4 quantized belief
-// profile: estimator beliefs and refined-grid midpoints ship as uint16
-// fixed-point codes over shared scales instead of float64s, shrinking a
-// full knowledge snapshot roughly 3.8x at the default U=100 while
-// keeping every decoded estimate within 1e-3 of the float value. The
-// profile is negotiated per peer — a capability varint rides the first
-// frame toward each neighbor (repeated with geometric backoff until the
-// neighbor advertises back), and quantized frames flow only toward
-// peers that advertised v4 themselves, so frames toward legacy peers
-// stay byte-identical to wire v3 and mixed clusters interoperate.
-// Negotiation progress is observable via
-// NodeStats.QuantizedHeartbeatsSent. Off by default.
-func WithQuantizedBeliefs() Option {
-	return func(c *nodeConfig) { c.inner.QuantizedBeliefs = true }
-}
-
 // WithForwardCache sizes the forwarder tree cache (default 16 entries;
 // size <= 0 disables it). Received data frames carry their routing tree
 // as a parent vector; the cache lets a forwarder relaying repeated
