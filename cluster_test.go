@@ -75,10 +75,38 @@ func TestClusterAdaptiveCadence(t *testing.T) {
 	}
 	defer func() { _ = c.Close() }()
 
+	// tick runs whole periods one node at a time: the next node ticks only
+	// after every frame the last one sent has left the lanes and been
+	// handled, so each handler runs at a fixed point between its node's
+	// own Ticks and the frame count below is the cadence controller's,
+	// not the scheduler's (a heartbeat handled on the other side of its
+	// receiver's Tick from the previous one reads as an empty period and
+	// snaps the stretch back). The fabric is lossless, so a node's frames
+	// are done exactly when the fabric's surviving copies equal the
+	// frames the nodes have accounted for.
+	handledAll := func() bool {
+		fs := c.Fabric().Stats()
+		handled := 0
+		for id := 0; id < 4; id++ {
+			s := c.Stats(adaptivecast.NodeID(id))
+			handled += s.HeartbeatsReceived + s.SnapshotMergeErrors + s.DecodeErrors + s.StaleEpochFrames
+		}
+		return handled == fs.Sent-fs.Lost-fs.FaultDrops-fs.Overflows
+	}
 	tick := func(n int) {
-		for i := 0; i < n; i++ {
-			c.Tick()
-			time.Sleep(time.Millisecond)
+		t.Helper()
+		for i := 0; i < 4*n; i++ {
+			nd := c.Node(adaptivecast.NodeID(i % 4))
+			nd.Tick()
+			if !nd.WaitSendIdle(5 * time.Second) {
+				t.Fatalf("node %d never flushed its heartbeats", i%4)
+			}
+			for deadline := time.Now().Add(5 * time.Second); !handledAll(); {
+				if time.Now().After(deadline) {
+					t.Fatalf("node %d's heartbeats were never handled", i%4)
+				}
+				time.Sleep(20 * time.Microsecond)
+			}
 		}
 	}
 	tick(500) // converge and stretch

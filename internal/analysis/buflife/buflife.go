@@ -5,8 +5,9 @@
 //	//adaptivelint:bufpool type=encodePool get=get put=put releaser=releaser
 //	//adaptivelint:bufshared type=sharedRelease acquire=acquire
 //
-// bufpool names a pool type and its lifecycle methods: a value bound
-// from `get` must reach `put` or `releaser` exactly once on every path
+// bufpool names a pool type and its lifecycle methods (releaser= is
+// optional: a pool that hands out no release callback omits it): a value
+// bound from `get` must reach `put` or `releaser` exactly once on every path
 // out of the function (error returns included), must not be read after
 // release, and must not escape into struct fields, other function
 // literals, or map/slice stores. bufshared names a refcount fan-out
@@ -43,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc:      "pooled buffers must reach put/releaser exactly once on every path, never be used after release, and never escape their function; acquired release callbacks are spent exactly once",
 	BugClass: "use-after-release and double-release of pooled memory; leaked refcounts",
 	Directives: []string{
-		"//adaptivelint:bufpool type=<T> get=<m> put=<m> releaser=<m>",
+		"//adaptivelint:bufpool type=<T> get=<m> put=<m> [releaser=<m>]",
 		"//adaptivelint:bufshared type=<T> acquire=<m>",
 	},
 	Run: run,
@@ -96,7 +97,7 @@ func parseConfig(pass *analysis.Pass) (*config, error) {
 	for _, d := range pass.Directives() {
 		switch d.Verb {
 		case "bufpool":
-			kv, err := keyvals(d.Args, "type", "get", "put", "releaser")
+			kv, err := keyvals(d.Args, "type", "get", "put")
 			if err != nil {
 				return nil, fmt.Errorf("bufpool directive: %w", err)
 			}

@@ -2,6 +2,7 @@
 // buflife's caught violations next to the correctly-silent near-misses.
 //
 //adaptivelint:bufpool type=pool get=get put=put releaser=releaser
+//adaptivelint:bufpool type=scratchPool get=get put=put
 //adaptivelint:bufshared type=shared acquire=acquire
 package a
 
@@ -160,4 +161,30 @@ func releaserBound(p *pool, cond bool) func() {
 	}
 	rel()
 	return nil
+}
+
+// scratchPool is declared without a releaser: put is its only release.
+type scratchPool struct{}
+
+func (p *scratchPool) get() *buf   { return &buf{} }
+func (p *scratchPool) put(sc *buf) {}
+
+// scratchDeferred puts the scratch back on every return. Silent.
+func scratchDeferred(p *scratchPool, cond bool) int {
+	sc := p.get()
+	defer p.put(sc)
+	if cond {
+		return len(sc.b)
+	}
+	return 0
+}
+
+// scratchLeaksOnEarlyReturn forgets the put on one path.
+func scratchLeaksOnEarlyReturn(p *scratchPool, cond bool) int {
+	sc := p.get()
+	if cond {
+		return -1 // want `pooled buffer sc acquired at line \d+ never reaches put/releaser on this path`
+	}
+	p.put(sc)
+	return 0
 }

@@ -28,7 +28,10 @@
 // calls the item's release callback exactly once, after the frame was
 // flushed (the transport's Send contract returns the buffer to the
 // caller on return), shed, or drained by Close. Callers recycling
-// pooled encode buffers hand the pool's put as the release.
+// pooled encode buffers hand the pool's put as the release. The queues'
+// own backing arrays belong to the peer and alternate between filling
+// and flushing; a flushed array is cleared before it is reused, so the
+// scheduler holds no frame and no release callback past its flush.
 package lanes
 
 import (
@@ -329,6 +332,13 @@ type peer struct {
 	closed    bool
 	q         [numLanes][]item
 	dataSince time.Time // arrival of the oldest queued data frame
+
+	// spare and batch belong to the drain goroutine alone: spare[ln] is
+	// the cleared backing array of the lane's last flush, which take
+	// swaps back in as the next queue; batch is the multi-frame flush's
+	// reused transport argument.
+	spare [numLanes][]item
+	batch []transport.FrameBatch
 }
 
 // kick nudges the drain goroutine; a full wake channel means a nudge is
@@ -356,7 +366,7 @@ func (p *peer) loop() {
 			// collect popped any queued control frames even though data is
 			// held for the window — flush them before sleeping so the
 			// aggregation window never delays the control lane.
-			p.flushOneByOne(ctl)
+			p.flushOneByOne(Control, ctl)
 			timer := time.NewTimer(wait)
 			select {
 			case <-p.wake:
@@ -373,9 +383,9 @@ func (p *peer) loop() {
 			}
 			continue
 		}
-		p.flushOneByOne(ctl)
+		p.flushOneByOne(Control, ctl)
 		p.flushBatch(data)
-		p.flushOneByOne(tel)
+		p.flushOneByOne(Telemetry, tel)
 	}
 }
 
@@ -411,48 +421,81 @@ func (p *peer) collect() (ctl, data, tel []item, wait time.Duration, done bool) 
 	return ctl, data, tel, wait, done
 }
 
-// take pops a lane's whole queue (lock held by caller). The pending
-// counter is decremented by the flush functions once the frames have
-// actually reached the transport, so WaitIdle covers in-flight flushes,
-// not just queue occupancy.
+// take pops a lane's whole queue (lock held by caller), leaving the
+// spare array in its place. The pending counter is decremented by the
+// flush functions once the frames have actually reached the transport, so
+// WaitIdle covers in-flight flushes, not just queue occupancy.
 func (p *peer) take(ln Lane) []item {
 	items := p.q[ln]
 	if len(items) == 0 {
 		return nil
 	}
-	p.q[ln] = nil
+	p.q[ln], p.spare[ln] = p.spare[ln], nil
 	return items
 }
 
-// flushOneByOne sends items individually through the SendN fast path,
-// preserving per-frame ordering.
-func (p *peer) flushOneByOne(items []item) {
+// keepCap bounds the backing arrays a peer keeps between flushes. A
+// flush in steady state is a frame or a few; an array that grew to hold
+// a backlog (up to QueueDepth under load) goes back to the collector
+// instead of staying pinned to every peer for good.
+const keepCap = 16
+
+// recycle clears a flushed queue — dropping its frames and release
+// callbacks — and keeps its backing array for the lane's next take.
+func (p *peer) recycle(ln Lane, items []item) {
+	if cap(items) > keepCap {
+		return
+	}
+	clear(items)
+	p.spare[ln] = items[:0]
+}
+
+// flushOneByOne sends a lane's items individually through the SendN fast
+// path, preserving per-frame ordering.
+func (p *peer) flushOneByOne(ln Lane, items []item) {
+	if len(items) == 0 {
+		return
+	}
 	for _, it := range items {
-		if _, err := transport.SendN(p.s.tr, p.to, it.frame, it.copies); err != nil {
-			p.s.sendFailures.Add(1)
-		}
-		p.s.flushes.Add(1)
+		p.sendOne(it)
 		if it.release != nil {
 			it.release()
 		}
 		p.s.pending.Add(-1)
 	}
+	p.recycle(ln, items)
 }
 
-// flushBatch sends a data batch as one coalesced multi-frame flush.
+// sendOne is one single-frame transport flush.
+func (p *peer) sendOne(it item) {
+	if _, err := transport.SendN(p.s.tr, p.to, it.frame, it.copies); err != nil {
+		p.s.sendFailures.Add(1)
+	}
+	p.s.flushes.Add(1)
+}
+
+// flushBatch sends the data lane's items as one flush: coalesced into a
+// multi-frame transport call when there are several, the plain SendN of
+// its only frame otherwise.
 func (p *peer) flushBatch(items []item) {
 	if len(items) == 0 {
 		return
 	}
-	batch := make([]transport.FrameBatch, len(items))
-	for i, it := range items {
-		batch[i] = transport.FrameBatch{Frame: it.frame, Copies: it.copies}
-	}
-	if _, err := transport.SendFrames(p.s.tr, p.to, batch); err != nil {
-		p.s.sendFailures.Add(1)
-	}
-	p.s.flushes.Add(1)
-	if len(items) >= 2 {
+	if len(items) == 1 {
+		p.sendOne(items[0])
+	} else {
+		for _, it := range items {
+			p.batch = append(p.batch, transport.FrameBatch{Frame: it.frame, Copies: it.copies})
+		}
+		if _, err := transport.SendFrames(p.s.tr, p.to, p.batch); err != nil {
+			p.s.sendFailures.Add(1)
+		}
+		clear(p.batch)
+		p.batch = p.batch[:0]
+		if cap(p.batch) > keepCap {
+			p.batch = nil
+		}
+		p.s.flushes.Add(1)
 		p.s.coalescedFlushes.Add(1)
 		p.s.coalescedFrames.Add(int64(len(items)))
 	}
@@ -462,4 +505,5 @@ func (p *peer) flushBatch(items []item) {
 		}
 	}
 	p.s.pending.Add(-int64(len(items)))
+	p.recycle(Data, items)
 }

@@ -35,6 +35,7 @@ type recFlush struct {
 	to     topology.NodeID
 	frames [][]byte
 	copies []int
+	multi  bool // arrived through SendFrames rather than Send/SendN
 }
 
 func (r *recTransport) Local() topology.NodeID       { return 0 }
@@ -42,12 +43,12 @@ func (r *recTransport) SetHandler(transport.Handler) {}
 func (r *recTransport) Close() error                 { return nil }
 
 func (r *recTransport) Send(to topology.NodeID, frame []byte) error {
-	return r.record(to, [][]byte{frame}, []int{1})
+	return r.record(to, [][]byte{frame}, []int{1}, false)
 }
 
 // SendN implements the BatchSender fast path.
 func (r *recTransport) SendN(to topology.NodeID, frame []byte, n int) error {
-	return r.record(to, [][]byte{frame}, []int{n})
+	return r.record(to, [][]byte{frame}, []int{n}, false)
 }
 
 // SendFrames implements the MultiFrameSender fast path.
@@ -58,10 +59,10 @@ func (r *recTransport) SendFrames(to topology.NodeID, batch []transport.FrameBat
 		frames[i] = e.Frame
 		copies[i] = e.Copies
 	}
-	return r.record(to, frames, copies)
+	return r.record(to, frames, copies, true)
 }
 
-func (r *recTransport) record(to topology.NodeID, frames [][]byte, copies []int) error {
+func (r *recTransport) record(to topology.NodeID, frames [][]byte, copies []int, multi bool) error {
 	if r.entered != nil {
 		r.entered <- struct{}{}
 	}
@@ -74,7 +75,7 @@ func (r *recTransport) record(to topology.NodeID, frames [][]byte, copies []int)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.flushes = append(r.flushes, recFlush{to: to, frames: cp, copies: copies})
+	r.flushes = append(r.flushes, recFlush{to: to, frames: cp, copies: copies, multi: multi})
 	return nil
 }
 

@@ -443,7 +443,7 @@ func TestBorrowDecodeOnFabric(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
 	nodes := buildCluster(t, g, fabric, nil)
-	if !nodes[0].borrowDecode {
+	if !nodes[0].ownsFrames {
 		t.Fatal("fabric endpoint did not enable borrow decode")
 	}
 	settleTicks(nodes, 3)

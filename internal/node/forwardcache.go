@@ -19,8 +19,10 @@ const defaultForwardCacheSize = 16
 // frame carries its tree as a parent vector, and a forwarder relaying a
 // stream of broadcasts down one tree would otherwise rebuild the same
 // tree per frame. Entries are keyed by an FNV-1a hash of (root, parents)
-// and verified against the stored vector on hit, so a hash collision
-// degrades to a miss instead of forwarding along the wrong tree.
+// and verified against the cached tree's own parent vector on hit, so a
+// hash collision degrades to a miss instead of forwarding along the wrong
+// tree. An entry holds nothing of the frame it was built from: the
+// decoder's parent vector is reused for the next frame (wire.Scratch).
 //
 // The cache has its own mutex (lock-split like the rest of the node); the
 // cached trees are immutable after construction and safe to share across
@@ -33,10 +35,8 @@ type forwardCache struct {
 }
 
 type forwardEntry struct {
-	key     uint64
-	root    topology.NodeID
-	parents []topology.NodeID
-	tree    *mrt.Tree
+	key  uint64
+	tree *mrt.Tree
 }
 
 func newForwardCache(capacity int) *forwardCache {
@@ -68,12 +68,13 @@ func fnv1a(root topology.NodeID, parents []topology.NodeID) uint64 {
 	return h
 }
 
-func parentsEqual(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
+// treeIs reports whether t is the tree (root, parents) describes.
+func treeIs(t *mrt.Tree, root topology.NodeID, parents []topology.NodeID) bool {
+	if t.Root() != root || t.NumNodes() != len(parents) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for v, p := range parents {
+		if t.Parent(topology.NodeID(v)) != p {
 			return false
 		}
 	}
@@ -89,12 +90,12 @@ func (c *forwardCache) get(root topology.NodeID, parents []topology.NodeID) (*mr
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*forwardEntry)
-	if e.root != root || !parentsEqual(e.parents, parents) {
+	tree := el.Value.(*forwardEntry).tree
+	if !treeIs(tree, root, parents) {
 		return nil, false // hash collision: treat as a miss
 	}
 	c.order.MoveToFront(el)
-	return e.tree, true
+	return tree, true
 }
 
 // clear drops every entry — called on a membership epoch change, whose
@@ -110,19 +111,19 @@ func (c *forwardCache) clear() {
 }
 
 // put inserts a rebuilt tree, evicting the least recently used entry when
-// full. The parents slice is retained: wire.Decode allocates it per frame
-// and nothing else holds it.
+// full. parents is only hashed, never retained: it is the decoder's
+// reused storage, and tree owns its copy of the vector (mrt.FromParents).
 func (c *forwardCache) put(root topology.NodeID, parents []topology.NodeID, tree *mrt.Tree) {
 	key := fnv1a(root, parents)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		// Same key raced in, or a collision: newest wins either way.
-		el.Value = &forwardEntry{key: key, root: root, parents: parents, tree: tree}
+		el.Value = &forwardEntry{key: key, tree: tree}
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&forwardEntry{key: key, root: root, parents: parents, tree: tree})
+	c.byKey[key] = c.order.PushFront(&forwardEntry{key: key, tree: tree})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)

@@ -30,10 +30,10 @@ package node
 // The goroutines, bufpool and bufshared directives are the package's
 // lifecycle contracts (wave-2 analyzers): every go statement must
 // declare the stop signal its body observes (goroleak), and every
-// buffer obtained from encodePool — or release callback fanned out
-// through sharedRelease — must be spent exactly once on every path
-// (buflife). Channel ownership is declared per field on the Node
-// struct (chanowner).
+// buffer obtained from encodePool, every decode scratch obtained from
+// decodePool — or release callback fanned out through sharedRelease —
+// must be spent exactly once on every path (buflife). Channel ownership
+// is declared per field on the Node struct (chanowner).
 //
 //adaptivelint:lockrank Node.memberMu=10 Node.planMu=20 Node.viewMu=30
 //adaptivelint:lockrank Node.reannMu=40 Node.peerMu=40 Node.cadMu=40 Node.leaseMu=40
@@ -44,4 +44,5 @@ package node
 //adaptivelint:epochfence kinds=FrameData,FrameKnowledgeDelta gate=epochGate
 //adaptivelint:goroutines checked
 //adaptivelint:bufpool type=encodePool get=get put=put releaser=releaser
+//adaptivelint:bufpool type=decodePool get=get put=put
 //adaptivelint:bufshared type=sharedRelease acquire=acquire

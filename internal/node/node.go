@@ -501,9 +501,12 @@ type Node struct {
 	// it (full-snapshot heartbeats carry no epoch).
 	announceLeft atomic.Int32
 
-	// borrowDecode is set when the transport hands the handler exclusive
-	// frame buffers (transport.FrameOwner), enabling zero-copy decode.
-	borrowDecode bool
+	// ownsFrames is set when the transport hands the handler exclusive
+	// frame buffers (transport.FrameOwner): a delivered body and a relayed
+	// frame may then alias the inbound buffer instead of copying it.
+	// decPool holds the decode storage handle borrows per inbound frame.
+	ownsFrames bool
+	decPool    decodePool
 
 	// lanes is the optional prioritized send scheduler
 	// (on unless Config.DisableLaneScheduler); nil keeps every send synchronous on the
@@ -628,7 +631,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	n.nbs.Store(&roster)
 	n.reannounced = make(map[topology.NodeID]bool)
 	if fo, ok := tr.(transport.FrameOwner); ok && fo.HandlerOwnsFrame() {
-		n.borrowDecode = true
+		n.ownsFrames = true
 	}
 	if cfg.Epoch > 0 {
 		// A node constructed mid-epoch (a joiner) can catch laggard peers
@@ -1360,18 +1363,15 @@ func (n *Node) flood(except topology.NodeID, frame []byte, release func()) error
 	return nil
 }
 
-// handle is the transport callback; frames arrive serialized. Frames are
-// decoded zero-copy when the transport hands over buffer ownership
-// (transport.FrameOwner — the in-process Fabric), and epoch-gated before
-// any protocol processing (see epochGate).
+// handle is the transport callback; frames arrive serialized. Every
+// frame is decoded into pooled storage with the body aliasing frameBytes,
+// so nothing decoded from a data frame outlives this call unless it is
+// copied (see wire.Scratch, pushDelivery, forwardCache.put), and
+// epoch-gated before any protocol processing (see epochGate).
 func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
-	var frame *wire.Frame
-	var err error
-	if n.borrowDecode {
-		frame, err = wire.DecodeBorrow(frameBytes)
-	} else {
-		frame, err = wire.Decode(frameBytes)
-	}
+	sc := n.decPool.get()
+	defer n.decPool.put(sc)
+	frame, err := sc.DecodeBorrow(frameBytes)
 	if err != nil {
 		n.stats.decodeErrors.Add(1)
 		return
@@ -1773,7 +1773,13 @@ func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
 		}
 	}
 	if deliver {
-		n.pushDelivery(Delivery{Origin: msg.Origin, Seq: msg.Seq, From: from, Body: msg.Body})
+		body := msg.Body
+		if !n.ownsFrames {
+			// The transport recycles the buffer the body aliases; the
+			// application keeps its delivery.
+			body = append([]byte(nil), body...)
+		}
+		n.pushDelivery(Delivery{Origin: msg.Origin, Seq: msg.Seq, From: from, Body: body})
 	}
 
 	if len(msg.Parents) == 0 {

@@ -15,7 +15,10 @@ package node
 // Frames are encoded into pooled buffers (encodePool); the release
 // callback threaded through the send path returns a buffer to the pool
 // once the last send is done with it, which is what makes the encode
-// datapath allocation-free in steady state.
+// datapath allocation-free in steady state. The receive side mirrors it:
+// handle decodes every inbound frame into pooled storage (decodePool)
+// that is the handler's until it returns, so a relay reads the decoded
+// message only while handing frames to the send path, never after.
 
 import (
 	"sync"
@@ -32,6 +35,9 @@ import (
 // into an interface allocation on every cycle.
 type encBuf struct {
 	b []byte
+	// release returns the buffer to its pool; bound once when the buffer
+	// is made, so threading it through a send allocates nothing.
+	release func()
 }
 
 // encodePool recycles frame encode buffers and counts its effectiveness
@@ -52,16 +58,34 @@ func (p *encodePool) get() *encBuf {
 		return eb
 	}
 	p.misses.Add(1)
-	return &encBuf{b: make([]byte, 0, 512)}
+	eb := &encBuf{b: make([]byte, 0, 512)}
+	eb.release = func() { p.put(eb) }
+	return eb
 }
 
 func (p *encodePool) put(eb *encBuf) { p.pool.Put(eb) }
 
 // releaser returns the callback that recycles eb, in the shape the send
 // path threads around.
-func (p *encodePool) releaser(eb *encBuf) func() {
-	return func() { p.put(eb) }
+func (p *encodePool) releaser(eb *encBuf) func() { return eb.release }
+
+// decodePool recycles the decode storage of the receive path: handle
+// takes one wire.Scratch per inbound frame and puts it back when it
+// returns. Transports serialise a node's handler, so one Scratch per node
+// is in use at a time; the pool is what keeps a test or a second
+// transport goroutine calling handle concurrently safe.
+type decodePool struct {
+	pool sync.Pool
 }
+
+func (p *decodePool) get() *wire.Scratch {
+	if v := p.pool.Get(); v != nil {
+		return v.(*wire.Scratch)
+	}
+	return new(wire.Scratch)
+}
+
+func (p *decodePool) put(sc *wire.Scratch) { p.pool.Put(sc) }
 
 // sharedRelease fans one release callback out to the several sends of a
 // fan-out (one frame, many children): each acquire() hands out a
@@ -72,6 +96,7 @@ func (p *encodePool) releaser(eb *encBuf) func() {
 type sharedRelease struct {
 	left    atomic.Int32
 	release func()
+	putFn   func() // r.put, bound once: every acquire hands out the same value
 }
 
 func newSharedRelease(release func()) *sharedRelease {
@@ -79,6 +104,7 @@ func newSharedRelease(release func()) *sharedRelease {
 		return nil
 	}
 	r := &sharedRelease{release: release}
+	r.putFn = r.put
 	r.left.Store(1) // the creator's reference, dropped by done()
 	return r
 }
@@ -88,7 +114,7 @@ func (r *sharedRelease) acquire() func() {
 		return nil
 	}
 	r.left.Add(1)
-	return r.put
+	return r.putFn
 }
 
 func (r *sharedRelease) put() {
@@ -180,7 +206,7 @@ func (n *Node) encodeDataFrame(msg *wire.DataMsg) (frame []byte, release func(),
 
 // relayDataFrame produces the outbound frame for relaying an inbound
 // data message, reusing the raw inbound bytes instead of re-serializing
-// where it can. Reuse requires buffer ownership (borrowDecode — the
+// where it can. Reuse requires buffer ownership (ownsFrames — the
 // transport handed the handler the buffer for keeps), since the bytes
 // must stay valid for the send path's lifetime:
 //
@@ -194,7 +220,7 @@ func (n *Node) encodeDataFrame(msg *wire.DataMsg) (frame []byte, release func(),
 //     a pooled buffer.
 //   - not owned (TCP): full re-encode into a pooled buffer.
 func (n *Node) relayDataFrame(msg *wire.DataMsg, raw []byte) (frame []byte, release func(), err error) {
-	if n.borrowDecode && raw != nil {
+	if n.ownsFrames && raw != nil {
 		if !n.cfg.Piggyback {
 			return raw, nil, nil
 		}

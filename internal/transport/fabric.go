@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -299,24 +300,14 @@ func (f *Fabric) route(from, to topology.NodeID, frame []byte, n int) error {
 		return nil
 	}
 
-	// Copy: the sender may reuse its buffer after Send returns.
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	deliver := func() {
-		select {
-		case dst.queue <- inboundFrame{from: from, frame: cp, copies: survivors}:
-		case <-dst.stop:
-		default:
-			f.mu.Lock()
-			f.stats.Overflows += survivors
-			f.mu.Unlock()
-		}
-	}
+	// Copy: the sender may reuse its buffer after Send returns, and the
+	// receiving handler owns what it is handed (FrameOwner).
+	in := inboundFrame{from: from, frame: bytes.Clone(frame), copies: survivors}
 	if delay > 0 {
-		time.AfterFunc(delay, deliver)
+		time.AfterFunc(delay, func() { dst.enqueue(in) })
 		return nil
 	}
-	deliver()
+	dst.enqueue(in)
 	return nil
 }
 
@@ -348,59 +339,56 @@ func (f *Fabric) routeBatch(from, to topology.NodeID, batch []FrameBatch) error 
 		f.mu.Unlock()
 		return nil
 	}
-	survivors := make([]int, len(batch))
-	for i, e := range batch {
-		if e.Copies <= 0 {
-			continue
-		}
-		f.stats.Sent += e.Copies
-		survivors[i] = e.Copies
+	// A flush is a handful of frames; only a larger one sizes its own
+	// survivor counts.
+	var few [8]int
+	survivors := few[:0]
+	if len(batch) > len(few) {
+		survivors = make([]int, 0, len(batch))
+	}
+	for _, e := range batch {
+		n := max(e.Copies, 0)
+		f.stats.Sent += n
 		if m.Loss > 0 {
-			survivors[i] = 0
-			for c := 0; c < e.Copies; c++ {
+			sent := n
+			n = 0
+			for c := 0; c < sent; c++ {
 				if f.rng.Float64() >= m.Loss {
-					survivors[i]++
+					n++
 				}
 			}
-			f.stats.Lost += e.Copies - survivors[i]
+			f.stats.Lost += sent - n
 		}
+		survivors = append(survivors, n)
 	}
 	delay := f.delayFor(m)
 	f.mu.Unlock()
 
-	inbound := make([]inboundFrame, 0, len(batch))
+	// One delayed delivery for the whole flush: the frames shared a wire,
+	// so they share an arrival (and one timer — per-frame timers would
+	// melt the runtime under a saturating sender).
+	var held []inboundFrame
 	for i, e := range batch {
 		if survivors[i] == 0 {
 			continue
 		}
 		// Copy per frame: the sender may recycle its buffers on return.
-		cp := make([]byte, len(e.Frame))
-		copy(cp, e.Frame)
-		inbound = append(inbound, inboundFrame{from: from, frame: cp, copies: survivors[i]})
-	}
-	if len(inbound) == 0 {
-		return nil
-	}
-	// One delayed delivery for the whole flush: the frames shared a wire,
-	// so they share an arrival (and one timer — per-frame timers would
-	// melt the runtime under a saturating sender).
-	deliver := func() {
-		for _, in := range inbound {
-			select {
-			case dst.queue <- in:
-			case <-dst.stop:
-			default:
-				f.mu.Lock()
-				f.stats.Overflows += in.copies
-				f.mu.Unlock()
-			}
+		in := inboundFrame{from: from, frame: bytes.Clone(e.Frame), copies: survivors[i]}
+		if delay > 0 {
+			held = append(held, in)
+		} else {
+			dst.enqueue(in)
 		}
 	}
-	if delay > 0 {
-		time.AfterFunc(delay, deliver)
-		return nil
+	// flush is held's final value: a closure over held itself, which the
+	// loop reassigns, would move it to the heap on every call.
+	if flush := held; len(flush) > 0 {
+		time.AfterFunc(delay, func() {
+			for _, in := range flush {
+				dst.enqueue(in)
+			}
+		})
 	}
-	deliver()
 	return nil
 }
 
@@ -433,7 +421,7 @@ type fabricEndpoint struct {
 	linksMu sync.Mutex
 	links   map[topology.NodeID]*linkBuf
 
-	//adaptivelint:chan owner=Fabric.route,Fabric.routeBatch close=never
+	//adaptivelint:chan owner=fabricEndpoint.enqueue close=never
 	queue chan inboundFrame
 	//adaptivelint:chan owner=none close=fabricEndpoint.Close
 	stop chan struct{}
@@ -516,6 +504,19 @@ func (ep *fabricEndpoint) SendFrames(to topology.NodeID, batch []FrameBatch) err
 	}
 	ep.paySendCost(to)
 	return ep.fabric.routeBatch(ep.id, to, batch)
+}
+
+// enqueue hands one routed frame to the endpoint's receive loop, or
+// counts its copies as overflow when the queue is full.
+func (ep *fabricEndpoint) enqueue(in inboundFrame) {
+	select {
+	case ep.queue <- in:
+	case <-ep.stop:
+	default:
+		ep.fabric.mu.Lock()
+		ep.fabric.stats.Overflows += in.copies
+		ep.fabric.mu.Unlock()
+	}
 }
 
 // Close implements Transport.

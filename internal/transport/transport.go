@@ -73,10 +73,11 @@ type BatchSender interface {
 // FrameOwner is the optional marker for transports whose inbound frame
 // buffers are exclusively owned by the receiving side: the transport
 // never reuses or mutates a buffer after handing it to the handler, so
-// the handler may retain it — and decode it zero-copy (wire.DecodeBorrow)
-// instead of copying body bytes out. The in-process Fabric qualifies (it
-// allocates a fresh buffer per routed frame); TCP does not (it reads
-// into a recycled buffer) and keeps the copying decode.
+// the handler may retain it — the node then delivers a body and relays a
+// frame as the inbound bytes themselves instead of copying them. The
+// in-process Fabric qualifies (it allocates a fresh buffer per routed
+// frame, the one allocation of its hand-off); TCP does not promise it,
+// so toward TCP the node copies what outlives the handler call.
 type FrameOwner interface {
 	// HandlerOwnsFrame reports whether handler-received frame buffers are
 	// the handler's to keep.

@@ -83,3 +83,25 @@ func BenchmarkHeartbeatDecode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDecodeData decodes one 32-process tree frame, the receive side
+// of every data copy: into fresh storage (Decode, what tools and tests
+// use) and into reused storage (Scratch, what the node's handler uses).
+func BenchmarkDecodeData(b *testing.B) {
+	frame := treeFrame(b, 32, 7, "payload of a broadcast")
+	var sc Scratch
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) (*Frame, error)
+	}{{"fresh", Decode}, {"reused", sc.DecodeBorrow}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(frame)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.decode(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -619,21 +619,25 @@ func appendData(b []byte, m *DataMsg, ver byte) []byte {
 	return b
 }
 
-func (r *reader) data(ver byte) *DataMsg {
-	m := &DataMsg{
-		Origin: r.nodeID(),
-		Seq:    r.uvarint(),
-		Root:   r.nodeID(),
+// data parses a data payload into m, reusing the capacity of m's Parents
+// and AllocByNode and overwriting every other field.
+func (r *reader) data(ver byte, m *DataMsg) *DataMsg {
+	*m = DataMsg{
+		Origin:      r.nodeID(),
+		Seq:         r.uvarint(),
+		Root:        r.nodeID(),
+		Parents:     m.Parents[:0],
+		AllocByNode: m.AllocByNode[:0],
 	}
 	nParents := r.count("parents")
-	if nParents > 0 {
+	if nParents > cap(m.Parents) {
 		m.Parents = make([]topology.NodeID, 0, nParents)
 	}
 	for i := 0; i < nParents && r.err == nil; i++ {
 		m.Parents = append(m.Parents, r.nodeID())
 	}
 	nAlloc := r.count("allocations")
-	if nAlloc > 0 {
+	if nAlloc > cap(m.AllocByNode) {
 		m.AllocByNode = make([]int32, 0, nAlloc)
 	}
 	for i := 0; i < nAlloc && r.err == nil; i++ {
@@ -826,17 +830,17 @@ func encodeBinary(f *Frame) ([]byte, error) {
 	return appendFrameBytes(make([]byte, 0, frameSize(f)), f), nil
 }
 
-func decodeBinary(b []byte, borrow bool) (*Frame, error) {
+func decodeBinary(b []byte, f *Frame, m *DataMsg, borrow bool) error {
 	if len(b) < headerSize {
-		return nil, errors.New("wire: frame shorter than header")
+		return errors.New("wire: frame shorter than header")
 	}
 	if b[0] != magic {
-		return nil, fmt.Errorf("wire: bad magic %#x", b[0])
+		return fmt.Errorf("wire: bad magic %#x", b[0])
 	}
 	if b[1] < version || b[1] > version5 {
-		return nil, fmt.Errorf("wire: unsupported version %d", b[1])
+		return fmt.Errorf("wire: unsupported version %d", b[1])
 	}
-	f := &Frame{Kind: FrameKind(b[2])}
+	f.Kind = FrameKind(b[2])
 	r := &reader{b: b, off: headerSize, ver: b[1], borrow: borrow}
 	switch f.Kind {
 	case FrameHeartbeat:
@@ -848,24 +852,27 @@ func decodeBinary(b []byte, borrow bool) (*Frame, error) {
 		if r.ver >= version4 {
 			// Data frames are encoded once and relayed verbatim across
 			// peers with mixed capabilities; they never ride v4 or later.
-			return nil, fmt.Errorf("wire: data frame at version %d", r.ver)
+			return fmt.Errorf("wire: data frame at version %d", r.ver)
 		}
-		f.Data = r.data(b[1])
+		if m == nil {
+			m = new(DataMsg)
+		}
+		f.Data = r.data(b[1], m)
 	case FrameKnowledgeDelta:
 		f.Delta = r.delta(b[1])
 	case FrameJoin, FrameLeave:
 		if b[1] < version3 {
-			return nil, fmt.Errorf("wire: membership frame at version %d", b[1])
+			return fmt.Errorf("wire: membership frame at version %d", b[1])
 		}
 		f.Member = r.membership()
 	default:
-		return nil, fmt.Errorf("wire: unknown frame kind %d", f.Kind)
+		return fmt.Errorf("wire: unknown frame kind %d", f.Kind)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(b)-r.off)
+		return fmt.Errorf("wire: %d trailing bytes", len(b)-r.off)
 	}
-	return f, nil
+	return nil
 }

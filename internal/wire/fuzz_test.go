@@ -212,8 +212,11 @@ func framesEqual(a, b *Frame) bool {
 
 // FuzzDecode is the codec's safety net: Decode must never panic on
 // arbitrary bytes, and any frame it accepts must re-encode and re-decode
-// to an identical frame (Decode(Encode(f)) round-trips).
+// to an identical frame (Decode(Encode(f)) round-trips). A Scratch still
+// holding whatever the previous input left in it must accept exactly the
+// same inputs and decode them to the same frame.
 func FuzzDecode(f *testing.F) {
+	var sc Scratch
 	for _, frame := range seedFrames(f) {
 		b, err := Encode(frame)
 		if err != nil {
@@ -227,8 +230,15 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{magic, version, byte(FrameHeartbeat), 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := Decode(data)
+		reused, serr := sc.DecodeBorrow(data)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("fresh decode says %v, reused storage says %v", err, serr)
+		}
 		if err != nil {
 			return // malformed input rejected without panicking: fine
+		}
+		if !framesEqual(frame, reused) {
+			t.Fatalf("reused storage drift:\nfresh:  %+v\nreused: %+v", frame, reused)
 		}
 		reencoded, err := Encode(frame)
 		if err != nil {

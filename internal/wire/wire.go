@@ -223,33 +223,62 @@ func Encode(f *Frame) ([]byte, error) {
 	return encodeBinary(f)
 }
 
-// Decode parses a frame. Malformed input returns an error, never panics.
-// Variable-length byte fields (the data body) are copied out of b, so the
-// caller may reuse the buffer immediately.
+// Decode parses a frame into fresh storage. Malformed input returns an
+// error, never panics. Variable-length byte fields (the data body) are
+// copied out of b, so the caller may reuse the buffer immediately and keep
+// the frame for as long as it likes.
 func Decode(b []byte) (*Frame, error) {
-	return decode(b, false)
+	return decodeFresh(b, false)
 }
 
 // DecodeBorrow is Decode without the body copy: the returned frame's
-// DataMsg.Body aliases b. It removes the last per-frame allocation on
-// receive paths whose transport hands the handler an exclusively owned
-// buffer (the in-process Fabric); transports that reuse read buffers
-// (TCP) must keep using Decode. The caller must not recycle b while the
-// frame — or anything the body was handed to, like an application
-// Delivery — is live.
+// DataMsg.Body aliases b, everything else is fresh storage the caller
+// owns. The caller must not recycle b while the frame — or anything the
+// body was handed to, like an application Delivery — is live.
 func DecodeBorrow(b []byte) (*Frame, error) {
-	return decode(b, true)
+	return decodeFresh(b, true)
 }
 
-func decode(b []byte, borrow bool) (*Frame, error) {
-	f, err := decodeBinary(b, borrow)
-	if err != nil {
-		return nil, err
-	}
-	if err := validate(f); err != nil {
+func decodeFresh(b []byte, borrow bool) (*Frame, error) {
+	f := new(Frame)
+	if err := decodeInto(b, f, nil, borrow); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// Scratch is caller-owned decode storage for the receive path, where the
+// m[j] copies of every broadcast make data frames the bulk of what is
+// decoded and three quarters of them are dropped as duplicates right
+// after. The Frame its DecodeBorrow returns, and a data frame's DataMsg
+// with its Parents and AllocByNode vectors, live in the Scratch and are
+// overwritten by its next decode — a caller that keeps any of them past
+// that point copies it first. The payloads of the other frame kinds, and
+// a data frame's Piggyback snapshot, are fresh per call and the caller's
+// to keep. The zero value is ready to use; a Scratch is not safe for
+// concurrent use.
+type Scratch struct {
+	frame Frame
+	data  DataMsg
+}
+
+// DecodeBorrow is the package-level DecodeBorrow into s: same parse, same
+// checks, and DataMsg.Body aliases b.
+func (s *Scratch) DecodeBorrow(b []byte) (*Frame, error) {
+	s.frame = Frame{}
+	if err := decodeInto(b, &s.frame, &s.data, true); err != nil {
+		return nil, err
+	}
+	return &s.frame, nil
+}
+
+// decodeInto is the one decode path: parse b into the zero frame f (a data
+// payload into m, or into a fresh DataMsg when m is nil), then validate.
+func decodeInto(b []byte, f *Frame, m *DataMsg, borrow bool) error {
+	if err := decodeBinary(b, f, m, borrow); err != nil {
+		return err
+	}
+	return validate(f)
 }
 
 // EncodeGob serializes a frame with the legacy stdlib-gob codec. It is

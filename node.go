@@ -2,6 +2,7 @@ package adaptivecast
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,7 +44,10 @@ type Node struct {
 }
 
 // subscription is one registered handler; the slice keeps registration
-// order and stays proportional to the active subscribers.
+// order and stays proportional to the active subscribers. It is
+// copy-on-write: Subscribe and cancel install a fresh slice under mu and
+// never modify one in place, so dispatch iterates the slice it loaded
+// without holding the lock or copying it.
 type subscription struct {
 	id int
 	fn func(Delivery)
@@ -153,7 +157,7 @@ func (n *Node) Subscribe(fn func(Delivery)) (cancel func()) {
 	n.mu.Lock()
 	id := n.nextSub
 	n.nextSub++
-	n.subs = append(n.subs, subscription{id: id, fn: fn})
+	n.subs = append(slices.Clip(n.subs), subscription{id: id, fn: fn})
 	// The dispatcher starts on the first subscription — and never after
 	// Close, so no handler runs once Close has returned.
 	start := !n.dispatching && !n.closed
@@ -168,7 +172,7 @@ func (n *Node) Subscribe(fn func(Delivery)) (cancel func()) {
 		n.mu.Lock()
 		for i, s := range n.subs {
 			if s.id == id {
-				n.subs = append(n.subs[:i], n.subs[i+1:]...)
+				n.subs = append(n.subs[:i:i], n.subs[i+1:]...)
 				break
 			}
 		}
@@ -203,13 +207,10 @@ func (n *Node) dispatchLoop() {
 // registration order.
 func (n *Node) dispatch(d Delivery) {
 	n.mu.Lock()
-	fns := make([]func(Delivery), len(n.subs))
-	for i, s := range n.subs {
-		fns[i] = s.fn
-	}
+	subs := n.subs
 	n.mu.Unlock()
-	for _, fn := range fns {
-		fn(d)
+	for _, s := range subs {
+		s.fn(d)
 	}
 }
 
