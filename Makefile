@@ -35,12 +35,13 @@ bench-smoke:
 
 # bench runs the send-path benchmarks (sustained broadcast, pipelined
 # forward, control latency, plus the steady-state heartbeat/forward
-# datapath numbers they sit next to) and writes the machine-readable
-# results to BENCH_broadcast.json so perf regressions are diffable
-# across PRs. CI regenerates and uploads the same file.
+# datapath numbers they sit next to; the forwarder fan-out lives with its
+# layer in internal/node) and writes the machine-readable results to
+# BENCH_broadcast.json so perf regressions are diffable across PRs. CI
+# regenerates and uploads the same file.
 BENCH_PATTERN = BenchmarkBroadcastSustained|BenchmarkForwardPipelined|BenchmarkControlLatencyUnderLoad|BenchmarkBroadcast$$|BenchmarkHeartbeatSteadyState|BenchmarkHeartbeatCounts|BenchmarkForwardFanout
 bench:
-	@$(GO) test -bench='$(BENCH_PATTERN)' -benchtime=2000x -run='^$$' . > bench-broadcast.txt; \
+	@$(GO) test -bench='$(BENCH_PATTERN)' -benchtime=2000x -run='^$$' . ./internal/node > bench-broadcast.txt; \
 		status=$$?; cat bench-broadcast.txt; \
 		if [ $$status -ne 0 ]; then rm -f bench-broadcast.txt; exit $$status; fi
 	$(GO) run ./cmd/benchjson -o BENCH_broadcast.json < bench-broadcast.txt

@@ -835,95 +835,6 @@ func BenchmarkHeartbeatAdaptiveCadence(b *testing.B) {
 	}
 }
 
-// fanoutSink is the forwarder benchmark's outbound side: it counts
-// logical sends and implements the BatchSender fast path so a per-child
-// burst costs one call.
-type fanoutSink struct {
-	id      topology.NodeID
-	handler transport.Handler
-	sends   int
-}
-
-func (s *fanoutSink) Local() topology.NodeID         { return s.id }
-func (s *fanoutSink) SetHandler(h transport.Handler) { s.handler = h }
-func (s *fanoutSink) Close() error                   { return nil }
-func (s *fanoutSink) Send(topology.NodeID, []byte) error {
-	s.sends++
-	return nil
-}
-func (s *fanoutSink) SendN(_ topology.NodeID, _ []byte, n int) error {
-	s.sends += n
-	return nil
-}
-
-// BenchmarkForwardFanout measures the forwarder receive path under
-// repeated same-tree traffic: decode a data frame, rebuild (or fetch from
-// the forwarder cache) its 32-node tree, and push the allocated copies to
-// 30 children. The cached/nocache sub-benchmarks isolate the cache's
-// contribution.
-func BenchmarkForwardFanout(b *testing.B) {
-	const procs = 32
-	// Root 0 hands to forwarder 1, which fans out to children 2..31 with
-	// 2 copies each — the worst-case interior node of a shallow MRT.
-	parents := make([]topology.NodeID, procs)
-	alloc := make([]int32, procs)
-	parents[0] = topology.None
-	parents[1] = 0
-	alloc[1] = 1
-	for i := 2; i < procs; i++ {
-		parents[i] = 1
-		alloc[i] = 2
-	}
-
-	for _, mode := range []struct {
-		name string
-		size int
-	}{{"cached", 0}, {"nocache", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sink := &fanoutSink{id: 1}
-			nd, err := node.New(node.Config{
-				ID:               1,
-				NumProcs:         procs,
-				Neighbors:        []topology.NodeID{0},
-				ForwardCacheSize: mode.size,
-				DeliveryBuffer:   1, // deliveries overflow silently; not under test
-				// Direct sends: this benchmark isolates the forward path
-				// (decode, tree rebuild, per-child fanout) and counts sends
-				// synchronously; the lane scheduler's contribution is
-				// measured by BenchmarkForwardPipelined.
-				DisableLaneScheduler: true,
-			}, sink)
-			if err != nil {
-				b.Fatal(err)
-			}
-			body := []byte("fanout payload 0123456789abcdef")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
-					Origin:      0,
-					Seq:         uint64(i + 1),
-					Root:        0,
-					Parents:     parents,
-					AllocByNode: alloc,
-					Body:        body,
-				}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sink.handler(0, frame)
-			}
-			b.StopTimer()
-			if want := b.N * 60; sink.sends != want {
-				b.Fatalf("forwarded %d copies, want %d", sink.sends, want)
-			}
-			st := nd.Stats()
-			if mode.size == 0 && st.ForwardCacheHits < b.N-1 {
-				b.Fatalf("cache ineffective: %d hits over %d frames", st.ForwardCacheHits, b.N)
-			}
-		})
-	}
-}
-
 // BenchmarkEpochRebuild measures the cost of one membership epoch change
 // on a running cluster — Cluster.AddNode end to end: topology growth,
 // joiner construction (estimator allocation for the grown ID space), the

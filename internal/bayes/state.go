@@ -39,31 +39,42 @@ func (e *Estimator) State() State {
 	return s
 }
 
-// NewFromState reconstructs an estimator from a state, validating that it
-// is well-formed (matching lengths, midpoints strictly inside (0,1), log
-// beliefs non-positive, counts non-negative, some posterior mass
-// somewhere). Estimators carrying the standard uniform midpoints share
-// the memoized grid; refined grids get a private one. The estimator
-// adopts the state's slices without copying.
+// NewFromState reconstructs an estimator from a state; see Adopt for the
+// validation and the sharing rules.
 func NewFromState(s State) (*Estimator, error) {
+	e := new(Estimator)
+	if err := e.Adopt(s); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Adopt overwrites e with the estimator the state describes, validating
+// that it is well-formed (matching lengths, midpoints strictly inside
+// (0,1), log beliefs non-positive, counts non-negative, some posterior
+// mass somewhere); a malformed state leaves e as it was. Estimators
+// carrying the standard uniform midpoints share the memoized grid;
+// refined grids get a private one. The estimator adopts the state's
+// slices without copying. e must not be shared with another view.
+func (e *Estimator) Adopt(s State) error {
 	u := s.Intervals
 	if u < 2 {
-		return nil, fmt.Errorf("bayes: state has %d intervals, need >= 2", u)
+		return fmt.Errorf("bayes: state has %d intervals, need >= 2", u)
 	}
 	if s.Mids != nil && len(s.Mids) != u {
-		return nil, fmt.Errorf("bayes: state mismatch: %d intervals, %d mids", u, len(s.Mids))
+		return fmt.Errorf("bayes: state mismatch: %d intervals, %d mids", u, len(s.Mids))
 	}
 	if s.LogBeliefs != nil && len(s.LogBeliefs) != u {
-		return nil, fmt.Errorf("bayes: state mismatch: %d intervals, %d beliefs", u, len(s.LogBeliefs))
+		return fmt.Errorf("bayes: state mismatch: %d intervals, %d beliefs", u, len(s.LogBeliefs))
 	}
 	if s.Succ < 0 || s.Fail < 0 {
-		return nil, fmt.Errorf("bayes: state evidence counts (%d, %d) negative", s.Succ, s.Fail)
+		return fmt.Errorf("bayes: state evidence counts (%d, %d) negative", s.Succ, s.Fail)
 	}
 	g := s.g
 	if g == nil {
 		for _, m := range s.Mids {
 			if !(m > 0 && m < 1) {
-				return nil, fmt.Errorf("bayes: state midpoint %v outside (0,1)", m)
+				return fmt.Errorf("bayes: state midpoint %v outside (0,1)", m)
 			}
 		}
 		g = uniformGrid(u)
@@ -73,15 +84,16 @@ func NewFromState(s State) (*Estimator, error) {
 	}
 	for _, lb := range s.LogBeliefs {
 		if math.IsNaN(lb) || lb > 1e-9 {
-			return nil, fmt.Errorf("bayes: state log belief %v invalid", lb)
+			return fmt.Errorf("bayes: state log belief %v invalid", lb)
 		}
 	}
-	e := &Estimator{g: g, base: s.LogBeliefs, succ: s.Succ, fail: s.Fail}
-	e.refresh()
-	if math.IsNaN(e.mean) {
-		return nil, fmt.Errorf("bayes: state carries no posterior mass")
+	next := Estimator{g: g, base: s.LogBeliefs, succ: s.Succ, fail: s.Fail}
+	next.refresh()
+	if math.IsNaN(next.mean) {
+		return fmt.Errorf("bayes: state carries no posterior mass")
 	}
-	return e, nil
+	*e = next
+	return nil
 }
 
 func midsEqual(a, b []float64) bool {

@@ -253,6 +253,17 @@ func (v *View) checkSnapshot(s *Snapshot) error {
 	return nil
 }
 
+// adoptState returns the estimator s describes, exclusively this view's:
+// est itself, overwritten in place, unless it may be referenced by another
+// view (copy-on-write), in which case a fresh one. A malformed state
+// leaves est untouched.
+func adoptState(est *bayes.Estimator, shared bool, s bayes.State) (*bayes.Estimator, error) {
+	if shared {
+		return bayes.NewFromState(s)
+	}
+	return est, est.Adopt(s)
+}
+
 // mergeSnapshotEstimates applies selectBestEstimate over a snapshot's
 // process and link records (Algorithm 4 lines 26–33, wire path),
 // reporting whether any estimate was adopted or link learned.
@@ -270,12 +281,11 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 			continue
 		}
 		if !mine.est.Holds(&pr.Est) {
-			est, err := bayes.NewFromState(pr.Est)
+			est, err := adoptState(mine.est, mine.shared, pr.Est)
 			if err != nil {
 				return changed, fmt.Errorf("knowledge: process %d estimate: %w", pr.ID, err)
 			}
-			mine.est = est // freshly decoded: exclusively ours
-			mine.shared = false
+			mine.est, mine.shared = est, false
 		}
 		mine.dist = bump(pr.Dist)
 		mine.supplier = s.From
@@ -307,12 +317,11 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 			continue
 		}
 		if !mine.est.Holds(&lr.Est) {
-			est, err := bayes.NewFromState(lr.Est)
+			est, err := adoptState(mine.est, mine.shared, lr.Est)
 			if err != nil {
 				return changed, fmt.Errorf("knowledge: link %v estimate: %w", lr.Link, err)
 			}
-			mine.est = est // freshly decoded: exclusively ours
-			mine.shared = false
+			mine.est, mine.shared = est, false
 		}
 		mine.dist = bump(lr.Dist)
 		mine.supplier = s.From

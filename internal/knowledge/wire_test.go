@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/knowledge"
+	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/wire"
 )
@@ -64,8 +66,9 @@ func TestEvidenceCountSurvivesAdoption(t *testing.T) {
 
 // TestReadoptionKeepsUnchangedEstimator: an estimate re-adopted with the
 // counts the view already holds — the same owner's state arriving again,
-// or over another equal-distance route — keeps its estimator instead of
-// rebuilding it; changed counts replace it.
+// or over another equal-distance route — keeps its estimator untouched;
+// changed counts are adopted (into the estimator the record already owns
+// or a new one, the view's choice); a malformed state changes nothing.
 func TestReadoptionKeepsUnchangedEstimator(t *testing.T) {
 	owner, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{})
 	if err != nil {
@@ -84,22 +87,37 @@ func TestReadoptionKeepsUnchangedEstimator(t *testing.T) {
 	if err := adopter.MergeSnapshot(overWire(t, snap, wire.CapsCounts)); err != nil {
 		t.Fatal(err)
 	}
-	if adopter.ProcEstimator(0) != first {
-		t.Error("re-adopting unchanged counts rebuilt the estimator")
+	if got := adopter.ProcEstimator(0); got != first || got.Observations() != 1 {
+		t.Errorf("re-adopting unchanged counts rebuilt the estimator (%d observations)", got.Observations())
 	}
 	owner.BeginPeriod()
 	if err := adopter.MergeSnapshot(overWire(t, owner.Snapshot(), wire.CapsCounts)); err != nil {
 		t.Fatal(err)
 	}
-	if got := adopter.ProcEstimator(0); got == first || got.Observations() != 2 {
-		t.Errorf("changed counts were not adopted: %d observations", got.Observations())
+	got := adopter.ProcEstimator(0)
+	if got.Observations() != 2 || got.Mean() != owner.ProcEstimator(0).Mean() {
+		t.Errorf("changed counts were not adopted: %d observations, mean %v (owner's %v)",
+			got.Observations(), got.Mean(), owner.ProcEstimator(0).Mean())
+	}
+
+	// A closer route's record that fails validation is refused whole.
+	mean := got.Mean()
+	forged := &knowledge.Snapshot{From: 0, Seq: 9, Procs: []knowledge.ProcRecord{
+		{ID: 0, Dist: 0, Est: bayes.State{Intervals: got.Intervals(), Succ: 5, Fail: -1}},
+	}}
+	if err := adopter.MergeSnapshotKnowledgeOnly(forged); err == nil {
+		t.Fatal("a negative evidence count was adopted")
+	}
+	if after := adopter.ProcEstimator(0); after.Observations() != 2 || after.Mean() != mean {
+		t.Errorf("a malformed state moved the estimate: %d observations, mean %v (was 2, %v)",
+			after.Observations(), after.Mean(), mean)
 	}
 }
 
 // benchCluster grows n views over a random 4-connected graph by exchanging
 // snapshots for a few lossy periods, so every view holds estimates for
 // the whole system, and returns them with the graph.
-func benchCluster(b *testing.B, n int) ([]*knowledge.View, *topology.Graph) {
+func benchCluster(b testing.TB, n int) ([]*knowledge.View, *topology.Graph) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(n)))
 	g, err := topology.RandomConnected(n, 4, rng)
@@ -129,6 +147,82 @@ func benchCluster(b *testing.B, n int) ([]*knowledge.View, *topology.Graph) {
 		}
 	}
 	return views, g
+}
+
+// TestAllocsMergeSnapshot pins a heartbeat merge at n = 128: a count
+// snapshot in which every estimate moved, merged into a view that already
+// holds every record it names, overwrites each record's own estimator and
+// allocates nothing; only a link never heard of before costs its record
+// and its estimator.
+func TestAllocsMergeSnapshot(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	views, g := benchCluster(t, 128)
+	v, nb := views[0], views[g.Neighbors(0)[0]]
+	base := overWire(t, nb.Snapshot(), wire.CapsCounts)
+	if got := len(base.Procs) + len(base.Links); got < 340 {
+		t.Fatalf("the neighbor's snapshot carries %d records, want the whole system (>= 340)", got)
+	}
+	// moved is the neighbor's snapshot as it would arrive r periods on:
+	// every count grown, every record at distance 0 so each one is closer
+	// than what the view holds and is adopted again.
+	moved := func(r int) *knowledge.Snapshot {
+		s := &knowledge.Snapshot{From: base.From,
+			Procs: append([]knowledge.ProcRecord(nil), base.Procs...),
+			Links: append([]knowledge.LinkRecord(nil), base.Links...)}
+		for i := range s.Procs {
+			s.Procs[i].Dist, s.Procs[i].Est.Succ = 0, 40+r
+		}
+		for i := range s.Links {
+			s.Links[i].Dist, s.Links[i].Est.Succ = 0, 40+r
+		}
+		return s
+	}
+	const runs = 20
+	snaps := make([]*knowledge.Snapshot, runs+2)
+	for r := range snaps {
+		snaps[r] = moved(r)
+	}
+	if err := v.MergeSnapshotKnowledgeOnly(snaps[0]); err != nil { // the view now holds every record
+		t.Fatal(err)
+	}
+	next := 1
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := v.MergeSnapshotKnowledgeOnly(snaps[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); got != 0 {
+		t.Errorf("re-merging %d moved records allocated %.1f times, want 0", len(base.Procs)+len(base.Links), got)
+	}
+	far := base.Procs[len(base.Procs)-1].ID // v is process 0: not this one
+	if got := v.ProcEstimator(far).Observations(); got < 40+runs {
+		t.Fatalf("process %d holds %d observations after the merges, want >= %d: nothing was adopted", far, got, 40+runs)
+	}
+
+	// One link no view has heard of, per run.
+	fresh := make([]*knowledge.Snapshot, runs+1)
+	for r := range fresh {
+		a, b := topology.NodeID(r), topology.NodeID(127-r)
+		for g.HasLink(a, b) {
+			b--
+		}
+		fresh[r] = &knowledge.Snapshot{From: base.From, Links: []knowledge.LinkRecord{
+			{Link: topology.NewLink(a, b), Dist: 3, Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 7, Fail: 1}}}}
+		if _, _, known := v.LossEstimate(fresh[r].Links[0].Link); known {
+			t.Fatalf("link %v is already known", fresh[r].Links[0].Link)
+		}
+	}
+	next = 0
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := v.MergeSnapshotKnowledgeOnly(fresh[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); got < 2 || got > 3 {
+		t.Errorf("learning one link allocated %.1f times, want its linkState, its estimator and at most one table growth", got)
+	}
 }
 
 var benchSizes = []struct {

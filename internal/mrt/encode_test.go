@@ -39,6 +39,16 @@ func TestParentsRoundTrip(t *testing.T) {
 	if err := rebuilt.Validate(g); err != nil {
 		t.Fatal(err)
 	}
+	// Child lists come out in ascending ID with no sort: the order a relay
+	// scanning the vector forwards in.
+	for v := 0; v < rebuilt.NumNodes(); v++ {
+		ch := rebuilt.Children(topology.NodeID(v))
+		for i := 1; i < len(ch); i++ {
+			if ch[i-1] >= ch[i] {
+				t.Fatalf("children of %d not ascending: %v", v, ch)
+			}
+		}
+	}
 	// Edge indices are internally consistent even if ordered differently.
 	for i := 0; i < rebuilt.NumEdges(); i++ {
 		if rebuilt.EdgeOf(rebuilt.EdgeChild(i)) != i {

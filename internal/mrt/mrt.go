@@ -16,7 +16,6 @@
 package mrt
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -46,28 +45,57 @@ type cross struct {
 	to   topology.NodeID
 }
 
-// crossHeap is a max-heap on reliability with lexicographic (from, to)
-// tie-breaking for determinism.
+// before is the heap order: higher reliability first, then lexicographic
+// (from, to) for determinism. No two candidates share (from, to), so the
+// order is total and the pop sequence does not depend on the heap's shape.
+func (e cross) before(o cross) bool {
+	if e.rel != o.rel {
+		return e.rel > o.rel
+	}
+	if e.from != o.from {
+		return e.from < o.from
+	}
+	return e.to < o.to
+}
+
+// crossHeap is a binary max-heap of candidate edges under before. It is
+// typed rather than a container/heap so a push or pop boxes nothing.
 type crossHeap []cross
 
-func (h crossHeap) Len() int { return len(h) }
-func (h crossHeap) Less(i, j int) bool {
-	if h[i].rel != h[j].rel {
-		return h[i].rel > h[j].rel
+func (h *crossHeap) push(e cross) {
+	s := append(*h, e)
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !s[i].before(s[up]) {
+			break
+		}
+		s[i], s[up] = s[up], s[i]
+		i = up
 	}
-	if h[i].from != h[j].from {
-		return h[i].from < h[j].from
-	}
-	return h[i].to < h[j].to
+	*h = s
 }
-func (h crossHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *crossHeap) Push(x interface{}) { *h = append(*h, x.(cross)) }
-func (h *crossHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+
+func (h *crossHeap) pop() cross {
+	s := *h
+	top, last := s[0], len(s)-1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 // Build computes mrt(G, C) rooted at root using the modified Prim's
@@ -101,7 +129,9 @@ func Build(g *topology.Graph, c *config.Config, root topology.NodeID) (*Tree, er
 		t.edgeOf[i] = -1
 	}
 
-	h := &crossHeap{}
+	// A link becomes a candidate at most once: when its first endpoint
+	// joins the tree.
+	h := make(crossHeap, 0, g.NumLinks())
 	add := func(v topology.NodeID) {
 		inTree[v] = true
 		t.order = append(t.order, v)
@@ -119,16 +149,16 @@ func Build(g *topology.Graph, c *config.Config, root topology.NodeID) (*Tree, er
 				a, b = b, a
 			}
 			rel := (1 - c.Crash(a)) * (1 - c.Loss(linkIdxs[i])) * (1 - c.Crash(b))
-			heap.Push(h, cross{rel: rel, from: v, to: w})
+			h.push(cross{rel: rel, from: v, to: w})
 		}
 	}
 
 	add(root)
 	for len(t.order) < g.NumActive() {
-		if h.Len() == 0 {
+		if len(h) == 0 {
 			return nil, ErrDisconnected
 		}
-		e := heap.Pop(h).(cross)
+		e := h.pop()
 		if inTree[e.to] {
 			continue // stale entry; a better edge already claimed e.to
 		}

@@ -37,7 +37,7 @@ package node
 //
 //adaptivelint:lockrank Node.memberMu=10 Node.planMu=20 Node.viewMu=30
 //adaptivelint:lockrank Node.reannMu=40 Node.peerMu=40 Node.cadMu=40 Node.leaseMu=40
-//adaptivelint:lockrank deliveredSet.mu=40 forwardCache.mu=40
+//adaptivelint:lockrank deliveredSet.mu=40
 //adaptivelint:lockrank MemStorage.mu=50
 //adaptivelint:noblockingcalls Node.viewMu
 //adaptivelint:blockingpkg adaptivecast/internal/transport adaptivecast/internal/lanes

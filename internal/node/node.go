@@ -9,23 +9,21 @@
 // Concurrency is lock-split so the datapath scales with broadcast rate:
 // the knowledge view has its own mutex (heartbeat merges and ticks),
 // the dedup set has its own (inbound data), the broadcast plan cache has
-// its own (outbound data), the forwarder tree cache and the delta-
-// heartbeat peer bookkeeping each have their own, and every counter is an
-// atomic — Broadcast, handleData and Tick never serialize on one global
-// lock.
+// its own (outbound data), the delta-heartbeat peer bookkeeping has its
+// own, and every counter is an atomic — Broadcast, handleData and Tick
+// never serialize on one global lock.
 //
 // Steady-state bandwidth is kept flat by three mechanisms layered here:
 // heartbeats ship per-neighbor knowledge deltas against the version the
 // neighbor last acked (full-snapshot fallback when no ack anchors one),
 // per-edge retransmission bursts go through the transport's SendN
-// batching, and received data frames reuse cached trees instead of
-// rebuilding them per frame.
+// batching, and a relay reads its children straight off the parent vector
+// a data frame carries instead of rebuilding the tree.
 package node
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +73,13 @@ type Stats struct {
 	LogErrors           int // durable-write failures: dedup log records and seq-lease extensions
 	PlanCacheHits       int // broadcasts that reused the cached (tree, allocation) plan
 	PlanCacheMisses     int // broadcasts that had to replan because the view changed
-	ForwardCacheHits    int // received data frames whose tree came from the forwarder cache
-	ForwardCacheMisses  int // received data frames that had to rebuild their tree
 	StaleEpochFrames    int // frames fenced off because they carried an older membership epoch
 	EpochChanges        int // membership epoch adoptions (joins/leaves applied, catch-ups included)
+
+	// Deprecated: always 0, no tree is rebuilt on receipt.
+	ForwardCacheHits int
+	// Deprecated: always 0, no tree is rebuilt on receipt.
+	ForwardCacheMisses int
 
 	// Send-path counters (see Config.DisableLaneScheduler and the encode pool).
 	LaneDrops        LaneDrops // outbound frames shed by the lane scheduler, per lane
@@ -116,8 +117,6 @@ type counters struct {
 	logErrors           atomic.Int64
 	planCacheHits       atomic.Int64
 	planCacheMisses     atomic.Int64
-	forwardCacheHits    atomic.Int64
-	forwardCacheMisses  atomic.Int64
 	staleEpochFrames    atomic.Int64
 	epochChanges        atomic.Int64
 }
@@ -140,8 +139,6 @@ func (c *counters) snapshot() Stats {
 		LogErrors:           int(c.logErrors.Load()),
 		PlanCacheHits:       int(c.planCacheHits.Load()),
 		PlanCacheMisses:     int(c.planCacheMisses.Load()),
-		ForwardCacheHits:    int(c.forwardCacheHits.Load()),
-		ForwardCacheMisses:  int(c.forwardCacheMisses.Load()),
 		StaleEpochFrames:    int(c.staleEpochFrames.Load()),
 		EpochChanges:        int(c.epochChanges.Load()),
 	}
@@ -220,11 +217,6 @@ type Config struct {
 	// factor; disabling them is for benchmarks and for mixed clusters
 	// whose peers predate the delta frame kind.
 	DisableDeltaHeartbeats bool
-	// ForwardCacheSize bounds the forwarder tree cache: received data
-	// frames carrying the same (root, parents) tree reuse one rebuilt
-	// mrt.Tree instead of re-deriving it per frame. 0 means the default
-	// (16 entries); negative disables the cache.
-	ForwardCacheSize int
 	// AdaptiveCadenceMax caps the adaptive heartbeat cadence, in
 	// heartbeat periods: once a neighbor's delta has been empty, anchored
 	// and suspicion-free for a few consecutive periods, the node
@@ -276,9 +268,6 @@ func (c Config) withDefaults() Config {
 	if c.DeliveryBuffer == 0 {
 		c.DeliveryBuffer = 128
 	}
-	if c.ForwardCacheSize == 0 {
-		c.ForwardCacheSize = defaultForwardCacheSize
-	}
 	if c.AdaptiveCadenceMax > wire.MaxCadence {
 		c.AdaptiveCadenceMax = wire.MaxCadence
 	}
@@ -294,7 +283,7 @@ func (c Config) withDefaults() Config {
 // too, so repeated warm-up broadcasts don't re-derive the failure).
 // Plans are shared across broadcasts; no field is ever mutated.
 type plan struct {
-	tree    *mrt.Tree
+	edges   int // tree links, for the OnTreeRebuild hook
 	parents []topology.NodeID
 	alloc   []int32
 	planned int
@@ -548,10 +537,6 @@ type Node struct {
 	peerAcked map[topology.NodeID]uint64
 	peerWire  map[topology.NodeID]*peerWire
 
-	// fwdCache memoizes trees rebuilt from received parent vectors; nil
-	// when disabled.
-	fwdCache *forwardCache
-
 	// cadMu guards the adaptive-cadence controller state (a leaf lock
 	// taken once per Tick; nothing is called while holding it). cad[j]
 	// tracks the stretch toward neighbor j; nil when adaptive cadence is
@@ -649,9 +634,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 			Caps:      wire.CapsCounts,
 		}))
 		n.announceLeft.Store(announceRounds)
-	}
-	if cfg.ForwardCacheSize > 0 {
-		n.fwdCache = newForwardCache(cfg.ForwardCacheSize)
 	}
 	if cfg.AdaptiveCadenceMax > 1 && !cfg.DisableDeltaHeartbeats {
 		n.cad = make(map[topology.NodeID]*cadence.State, len(cfg.Neighbors))
@@ -1168,7 +1150,7 @@ func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 		msg.AllocByNode = p.alloc
 		planned = p.planned
 		if fresh && n.cfg.Hooks.OnTreeRebuild != nil {
-			n.cfg.Hooks.OnTreeRebuild(seq, p.tree.NumEdges(), planned)
+			n.cfg.Hooks.OnTreeRebuild(seq, p.edges, planned)
 		}
 	} else {
 		n.stats.fallbackFloods.Add(1)
@@ -1183,7 +1165,7 @@ func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 		return seq, planned, encErr
 	}
 	if p.err == nil {
-		err = n.forward(p.tree, msg, frame, release)
+		err = n.forward(msg, frame, release)
 	} else {
 		err = n.flood(topology.None, frame, release) // originator flood: every neighbor
 	}
@@ -1268,7 +1250,7 @@ func buildPlan(g *topology.Graph, c *config.Config, err error, root topology.Nod
 		return &plan{err: err}
 	}
 	return &plan{
-		tree:    tree,
+		edges:   tree.NumEdges(),
 		parents: tree.Parents(),
 		alloc:   byNode,
 		planned: optimize.Total(alloc),
@@ -1276,9 +1258,9 @@ func buildPlan(g *topology.Graph, c *config.Config, err error, root topology.Nod
 }
 
 // allocByNode re-keys an edge-indexed allocation by child node for the
-// wire format, rejecting allocations that would not survive the int32
-// cast and tree edges that point outside the node range instead of
-// silently truncating either.
+// wire format, rejecting allocations peers would refuse to decode
+// (wire.MaxAllocation) and tree edges that point outside the node range
+// instead of silently truncating either.
 func allocByNode(tree *mrt.Tree, alloc []int) ([]int32, error) {
 	if len(alloc) != tree.NumEdges() {
 		return nil, fmt.Errorf("node: allocation covers %d edges, tree has %d", len(alloc), tree.NumEdges())
@@ -1289,8 +1271,8 @@ func allocByNode(tree *mrt.Tree, alloc []int) ([]int32, error) {
 		if child < 0 || int(child) >= len(out) {
 			return nil, fmt.Errorf("node: tree edge %d leads to out-of-range node %d", i, child)
 		}
-		if alloc[i] < 0 || alloc[i] > math.MaxInt32 {
-			return nil, fmt.Errorf("node: allocation %d for edge %d overflows the wire format", alloc[i], i)
+		if alloc[i] < 0 || alloc[i] > wire.MaxAllocation {
+			return nil, fmt.Errorf("node: allocation %d for edge %d outside the wire format's [0,%d]", alloc[i], i, wire.MaxAllocation)
 		}
 		out[child] = int32(alloc[i])
 	}
@@ -1298,24 +1280,27 @@ func allocByNode(tree *mrt.Tree, alloc []int) ([]int32, error) {
 }
 
 // forward pushes the allocated copies of a pre-encoded data frame to
-// this node's children in the message's tree (Algorithm 1 lines 8–12),
-// batching each child's m[j] identical copies through the send path's
-// SendN/data-lane fast path (one fabric enqueue / one TCP flush per
-// child instead of one per copy). The frame is shared across children;
-// release (optional) is fanned out so the buffer recycles after the
-// last child's send is done with it. Individual send failures are
-// tolerated (the protocol's loss model), but when every attempted send
-// fails structurally — closed transport, unknown peers — the broadcast
-// went nowhere and the caller is told.
-func (n *Node) forward(tree *mrt.Tree, msg *wire.DataMsg, frame []byte, release func()) error {
+// this node's children in the tree the message carries (Algorithm 1
+// lines 8–12): every v with msg.Parents[v] == self, in ascending ID, gets
+// msg.AllocByNode[v] copies. The origin and a relay take the same path —
+// the origin's plan is already in msg, a relay has checked the vector
+// (mrt.CheckParents). Each child's m[j] identical copies are batched
+// through the send path's SendN/data-lane fast path (one fabric enqueue /
+// one TCP flush per child instead of one per copy). The frame is shared
+// across children; release (optional) is fanned out so the buffer
+// recycles after the last child's send is done with it. Individual send
+// failures are tolerated (the protocol's loss model), but when every
+// attempted send fails structurally — closed transport, unknown peers —
+// the broadcast went nowhere and the caller is told.
+func (n *Node) forward(msg *wire.DataMsg, frame []byte, release func()) error {
 	attempted, sent := 0, 0
 	var lastErr error
 	shared := newSharedRelease(release)
-	for _, child := range tree.Children(n.cfg.ID) {
-		copies := 0
-		if int(child) < len(msg.AllocByNode) {
-			copies = int(msg.AllocByNode[child])
-		}
+	self, ps := n.cfg.ID, msg.Parents
+	for child := mrt.NextChild(ps, self, topology.None); child != topology.None; child = mrt.NextChild(ps, self, child) {
+		// wire's validate, on encode and decode alike, holds AllocByNode
+		// to Parents' length and each entry to [0, wire.MaxAllocation].
+		copies := int(msg.AllocByNode[child])
 		if copies == 0 {
 			continue
 		}
@@ -1366,7 +1351,7 @@ func (n *Node) flood(except topology.NodeID, frame []byte, release func()) error
 // handle is the transport callback; frames arrive serialized. Every
 // frame is decoded into pooled storage with the body aliasing frameBytes,
 // so nothing decoded from a data frame outlives this call unless it is
-// copied (see wire.Scratch, pushDelivery, forwardCache.put), and
+// copied (see wire.Scratch, pushDelivery), and
 // epoch-gated before any protocol processing (see epochGate).
 func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	sc := n.decPool.get()
@@ -1483,12 +1468,12 @@ func (n *Node) handleMembership(from topology.NodeID, kind wire.FrameKind, m *wi
 // applyMembership installs a membership change: grow the view's ID space,
 // tombstone departed members, splice the subject in or out of the local
 // neighbor roster, adopt the epoch, and re-anchor everything derived from
-// the old membership — the plan cache and forwarder tree cache are
-// invalidated, and the per-neighbor ack/seen/cadence state is reset so
-// the next heartbeat exchange falls back to full snapshots (the
-// knowledge pull that brings a joiner, or a laggard crossing several
-// epochs at once, up to speed). It reports whether the change was newer
-// than the current epoch and therefore applied.
+// the old membership — the plan cache is invalidated, and the
+// per-neighbor ack/seen/cadence state is reset so the next heartbeat
+// exchange falls back to full snapshots (the knowledge pull that brings
+// a joiner, or a laggard crossing several epochs at once, up to speed).
+// It reports whether the change was newer than the current epoch and
+// therefore applied.
 func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
 	n.memberMu.Lock()
 	defer n.memberMu.Unlock()
@@ -1555,9 +1540,6 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
 			delete(n.cad, k)
 		}
 		n.cadMu.Unlock()
-	}
-	if n.fwdCache != nil {
-		n.fwdCache.clear()
 	}
 	// The plan cache invalidates itself: Grow/MarkDeparted/AddNeighbor
 	// bumped the view version it is keyed on.
@@ -1792,40 +1774,18 @@ func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
 		}
 		return
 	}
-	tree, err := n.treeFromParents(msg.Root, msg.Parents)
-	if err != nil {
+	if err := mrt.CheckParents(msg.Root, msg.Parents); err != nil {
 		n.stats.decodeErrors.Add(1)
 		return
 	}
-	if int(n.cfg.ID) >= tree.NumNodes() {
+	if int(n.cfg.ID) >= len(msg.Parents) {
 		return // tree predates our membership; nothing to forward
 	}
 	frame, release, err := n.relayDataFrame(msg, raw)
 	if err != nil {
 		return
 	}
-	_ = n.forward(tree, msg, frame, release)
-}
-
-// treeFromParents rebuilds (or fetches from the forwarder cache) the tree
-// a data message carries. Repeated traffic down one tree — the common
-// shape, one active tree per broadcaster — costs a hash lookup per frame
-// instead of an O(n) rebuild with its allocations.
-func (n *Node) treeFromParents(root topology.NodeID, parents []topology.NodeID) (*mrt.Tree, error) {
-	if n.fwdCache == nil {
-		return mrt.FromParents(root, parents)
-	}
-	if tree, ok := n.fwdCache.get(root, parents); ok {
-		n.stats.forwardCacheHits.Add(1)
-		return tree, nil
-	}
-	n.stats.forwardCacheMisses.Add(1)
-	tree, err := mrt.FromParents(root, parents)
-	if err != nil {
-		return nil, err
-	}
-	n.fwdCache.put(root, parents, tree)
-	return tree, nil
+	_ = n.forward(msg, frame, release)
 }
 
 // pushDelivery hands a delivery to the application without blocking the

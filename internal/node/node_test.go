@@ -51,9 +51,6 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 			if over.DisableDeltaHeartbeats {
 				c.DisableDeltaHeartbeats = true
 			}
-			if over.ForwardCacheSize != 0 {
-				c.ForwardCacheSize = over.ForwardCacheSize
-			}
 			if over.AdaptiveCadenceMax != 0 {
 				c.AdaptiveCadenceMax = over.AdaptiveCadenceMax
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"adaptivecast/internal/mrt"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 )
@@ -268,96 +267,5 @@ func TestDeliveredSetOverflowCap(t *testing.T) {
 	}
 	if !s.mark(0, maxOverflow+3) {
 		t.Error("the next contiguous seq must be fresh")
-	}
-}
-
-// TestForwardCacheLRU unit-tests the forwarder tree cache: hits on the
-// same (root, parents), misses across trees, and LRU eviction.
-func TestForwardCacheLRU(t *testing.T) {
-	c := newForwardCache(2)
-	parents := func(root topology.NodeID) []topology.NodeID {
-		// Star rooted at `root` over 4 nodes.
-		ps := []topology.NodeID{root, root, root, root}
-		ps[root] = topology.None
-		return ps
-	}
-	build := func(root topology.NodeID) *mrt.Tree {
-		tree, err := mrt.FromParents(root, parents(root))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tree
-	}
-
-	if _, ok := c.get(0, parents(0)); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.put(0, parents(0), build(0))
-	c.put(1, parents(1), build(1))
-	if tree, ok := c.get(0, parents(0)); !ok || tree.Root() != 0 {
-		t.Fatalf("miss after put: ok=%v", ok)
-	}
-	// Inserting a third entry evicts the LRU (root 1: root 0 was just
-	// touched).
-	c.put(2, parents(2), build(2))
-	if _, ok := c.get(1, parents(1)); ok {
-		t.Error("LRU entry not evicted")
-	}
-	if _, ok := c.get(0, parents(0)); !ok {
-		t.Error("recently used entry evicted")
-	}
-	// A different parent vector under the same root is a different tree.
-	other := []topology.NodeID{topology.None, 0, 1, 2}
-	if _, ok := c.get(0, other); ok {
-		t.Error("hit for a tree that was never cached")
-	}
-}
-
-// TestForwardCacheOnReceivePath checks the forwarder-side integration:
-// repeated broadcasts down one tree cost one rebuild on each forwarder,
-// and the cache can be disabled.
-func TestForwardCacheOnReceivePath(t *testing.T) {
-	for _, disabled := range []bool{false, true} {
-		g, err := topology.Line(3) // 0 — 1 — 2: node 1 forwards
-		if err != nil {
-			t.Fatal(err)
-		}
-		fabric := transport.NewFabric(transport.FabricOptions{})
-		nodes := buildCluster(t, g, fabric, func(i int) Config {
-			if disabled {
-				return Config{ForwardCacheSize: -1}
-			}
-			return Config{}
-		})
-		for p := 0; p < 8; p++ {
-			for _, nd := range nodes {
-				nd.Tick()
-			}
-			time.Sleep(time.Millisecond)
-		}
-
-		const rounds = 5
-		for b := 0; b < rounds; b++ {
-			if _, _, err := nodes[0].Broadcast([]byte("fan")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		waitStat(t, func() bool { return nodes[2].Stats().Delivered >= rounds },
-			"tail node missed broadcasts")
-
-		st := nodes[1].Stats()
-		if disabled {
-			if st.ForwardCacheHits != 0 || st.ForwardCacheMisses != 0 {
-				t.Errorf("disabled cache counted activity: %+v", st)
-			}
-		} else {
-			if st.ForwardCacheMisses < 1 {
-				t.Errorf("no forward-cache miss recorded: %+v", st)
-			}
-			if st.ForwardCacheHits < rounds-1 {
-				t.Errorf("ForwardCacheHits = %d, want >= %d (same tree per frame)", st.ForwardCacheHits, rounds-1)
-			}
-		}
-		_ = fabric.Close()
 	}
 }

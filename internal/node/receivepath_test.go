@@ -1,7 +1,11 @@
 package node
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -38,21 +42,97 @@ func chainParents(n int) []topology.NodeID {
 	return ps
 }
 
-// chainFrame is one copy of a broadcast from 0 riding that chain, two
-// copies per edge.
-func chainFrame(tb testing.TB, n int, seq uint64, body string) []byte {
+// dataFrame encodes one copy of broadcast (0, seq) carrying the tree
+// (root 0, parents) and the per-child copy counts alloc.
+func dataFrame(tb testing.TB, seq uint64, parents []topology.NodeID, alloc []int32, body string) []byte {
 	tb.Helper()
-	alloc := make([]int32, n)
-	for v := 1; v < n; v++ {
-		alloc[v] = 2
-	}
 	b, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
-		Origin: 0, Seq: seq, Root: 0, Parents: chainParents(n), AllocByNode: alloc, Body: []byte(body),
+		Origin: 0, Seq: seq, Root: 0, Parents: parents, AllocByNode: alloc, Body: []byte(body),
 	}})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return b
+}
+
+// twoPerEdge allocates two copies to every slot of parents that has a
+// parent.
+func twoPerEdge(parents []topology.NodeID) []int32 {
+	alloc := make([]int32, len(parents))
+	for v, p := range parents {
+		if p != topology.None {
+			alloc[v] = 2
+		}
+	}
+	return alloc
+}
+
+// chainFrame is one copy of a broadcast from 0 riding the chain of n, two
+// copies per edge.
+func chainFrame(tb testing.TB, n int, seq uint64, body string) []byte {
+	tb.Helper()
+	return dataFrame(tb, seq, chainParents(n), twoPerEdge(chainParents(n)), body)
+}
+
+// sentTo is one data send a relay made: copies of a frame toward a peer.
+type sentTo struct {
+	to     topology.NodeID
+	copies int
+}
+
+// recordTransport is a frame-owning sink that notes every send in order.
+// Nodes over it run without the lane scheduler, so a send happens on the
+// goroutine that called handle.
+type recordTransport struct {
+	sinkTransport
+	sent []sentTo
+}
+
+func (r *recordTransport) Send(to topology.NodeID, _ []byte) error {
+	r.sent = append(r.sent, sentTo{to, 1})
+	return nil
+}
+
+func (r *recordTransport) SendN(to topology.NodeID, _ []byte, n int) error {
+	r.sent = append(r.sent, sentTo{to, n})
+	return nil
+}
+
+// take returns what was sent since the last take.
+func (r *recordTransport) take() []sentTo {
+	out := r.sent
+	r.sent = nil
+	return out
+}
+
+// recordingRelay is node 1 of an ID space of n over a recordTransport.
+func recordingRelay(tb testing.TB, n int) (*Node, *recordTransport) {
+	tb.Helper()
+	rec := &recordTransport{sinkTransport: sinkTransport{id: 1, owns: true}}
+	nd, err := New(Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2},
+		DeliveryBuffer: 64, DisableLaneScheduler: true}, rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(nd.Stop)
+	return nd, rec
+}
+
+// childrenSends is what a relay at self owes the tree (0, parents): alloc
+// copies to each child the rebuilt tree lists, in its order.
+func childrenSends(tb testing.TB, parents []topology.NodeID, alloc []int32, self topology.NodeID) []sentTo {
+	tb.Helper()
+	tree, err := mrt.FromParents(0, parents)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var want []sentTo
+	for _, c := range tree.Children(self) {
+		if alloc[c] > 0 {
+			want = append(want, sentTo{c, int(alloc[c])})
+		}
+	}
+	return want
 }
 
 // midChainNode is node 1 of a chain of n over a sink transport.
@@ -67,46 +147,151 @@ func midChainNode(tb testing.TB, n int, owns bool) *Node {
 	return nd
 }
 
-// TestForwardCacheSurvivesDecoderReuse: the cache used to key an entry on
-// the decoder's own parent vector; with reused decode storage the next
-// frame overwrites that vector. An entry must keep matching the tree it
-// was stored for, and only that tree.
+// TestForwardCacheLRU keeps the name of the cache it used to test; no
+// tree is cached any more. It unit-tests the scan that replaced the
+// cache: forward reads this node's children off whichever vector the
+// message carries, and vectors taken in turn, over and over, each yield
+// their own children whatever was scanned before.
+func TestForwardCacheLRU(t *testing.T) {
+	nd, rec := recordingRelay(t, 6)
+	vectors := [][]topology.NodeID{
+		{topology.None, 0, 1, 1, 3, 1},                         // 1 relays to 2, 3 and 5
+		{topology.None, 0, 0, 2, 2, 4},                         // 1 is a leaf
+		{topology.None, 0, 1, 2, 3, 4},                         // the chain: 1 relays to 2
+		{topology.None, 0, topology.None, 1, topology.None, 3}, // tombstones beside 1's only child
+	}
+	for round := 0; round < 3; round++ {
+		for i, parents := range vectors {
+			alloc := twoPerEdge(parents)
+			alloc[len(alloc)-1] = int32(3 + i)
+			msg := &wire.DataMsg{Origin: 0, Seq: 1, Root: 0, Parents: parents, AllocByNode: alloc}
+			if err := nd.forward(msg, []byte("frame"), nil); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rec.take(), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
+				t.Fatalf("round %d vector %d: forwarded %v, the tree's children are %v", round, i, got, want)
+			}
+		}
+	}
+}
+
+// TestForwardCacheOnReceivePath keeps its name too: five broadcasts down
+// one tree and then five down a second, different tree from the same
+// origin are each relayed along their own vector, and the retired cache
+// counters stay 0.
+func TestForwardCacheOnReceivePath(t *testing.T) {
+	nd, rec := recordingRelay(t, 5)
+	treeA := chainParents(5)                              // 1 relays to 2
+	treeB := []topology.NodeID{topology.None, 0, 3, 1, 1} // 1 relays to 3 and 4
+	seq := uint64(0)
+	for _, parents := range [][]topology.NodeID{treeA, treeB} {
+		alloc := twoPerEdge(parents)
+		want := childrenSends(t, parents, alloc, 1)
+		for b := 0; b < 5; b++ {
+			seq++
+			nd.handle(0, dataFrame(t, seq, parents, alloc, "fan"))
+			if got := rec.take(); !slices.Equal(got, want) {
+				t.Fatalf("broadcast %d relayed to %v, its own tree says %v", seq, got, want)
+			}
+		}
+	}
+	st := nd.Stats()
+	if st.DataReceived != 10 || st.Delivered != 10 || st.DecodeErrors != 0 {
+		t.Errorf("stats %+v: want 10 first receipts, all delivered, no decode errors", st)
+	}
+	if st.ForwardCacheHits != 0 || st.ForwardCacheMisses != 0 {
+		t.Errorf("retired forward-cache counters moved: %d hits, %d misses", st.ForwardCacheHits, st.ForwardCacheMisses)
+	}
+}
+
+// TestForwardCacheSurvivesDecoderReuse keeps its name: a relay that
+// decoded tree A and then the shorter tree B into the same reused Scratch
+// forwards B's children — not A's, and nothing from the slots of A's
+// vector that B's decode left behind in the storage.
 func TestForwardCacheSurvivesDecoderReuse(t *testing.T) {
-	star := []topology.NodeID{topology.None, 0, 0, 0}
+	nd, rec := recordingRelay(t, 6)
+	treeA := []topology.NodeID{topology.None, 0, 1, 2, 1, 1} // 1 relays to 2, 4 and 5
+	treeB := []topology.NodeID{topology.None, 0, 0, 1}       // 1 relays to 3
 	var sc wire.Scratch
-	decode := func(parents []topology.NodeID) *wire.DataMsg {
-		t.Helper()
-		b, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
-			Origin: 0, Seq: 1, Root: 0, Parents: parents, AllocByNode: make([]int32, len(parents)),
+	for i, parents := range [][]topology.NodeID{treeA, treeB, treeA} {
+		alloc := twoPerEdge(parents)
+		raw := dataFrame(t, uint64(i+1), parents, alloc, "reuse")
+		f, err := sc.DecodeBorrow(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.handleData(0, f.Data, raw)
+		if got, want := rec.take(), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
+			t.Fatalf("frame %d through reused decode storage: relayed to %v, its tree says %v", i, got, want)
+		}
+	}
+}
+
+// TestMalformedTreeIsDeliveredNotRelayed: a data frame whose parent
+// vector is not a tree rooted at its root still delivers its payload, is
+// counted once in DecodeErrors, and is relayed to nobody.
+func TestMalformedTreeIsDeliveredNotRelayed(t *testing.T) {
+	for i, c := range []struct {
+		name    string
+		root    topology.NodeID
+		parents []topology.NodeID
+	}{
+		{"cycle off the root", 0, []topology.NodeID{topology.None, 0, 3, 2}},
+		{"cycle through this relay", 0, []topology.NodeID{topology.None, 2, 1, 1}},
+		{"self-parent", 0, []topology.NodeID{topology.None, 0, 2, 1}},
+		{"root with a parent", 0, []topology.NodeID{1, 0, 1, 1}},
+		{"root out of range", 7, []topology.NodeID{topology.None, 0, 1, 1}},
+		{"parent out of range", 0, []topology.NodeID{topology.None, 0, 1, 9}},
+		{"parent below None", 0, []topology.NodeID{topology.None, 0, 1, -2}},
+		{"hanging off a tombstone", 0, []topology.NodeID{topology.None, 0, topology.None, 2}},
+	} {
+		nd, rec := recordingRelay(t, 4)
+		if _, err := mrt.FromParents(c.root, c.parents); err == nil {
+			t.Fatalf("%s: the vector is a valid tree; the case tests nothing", c.name)
+		}
+		raw, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
+			Origin: 0, Seq: uint64(i + 1), Root: c.root, Parents: c.parents, AllocByNode: []int32{0, 2, 2, 2}, Body: []byte("still delivered"),
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := sc.DecodeBorrow(b)
-		if err != nil {
-			t.Fatal(err)
+		nd.handle(0, raw)
+		st := nd.Stats()
+		if st.Delivered != 1 || st.DecodeErrors != 1 || st.DataSent != 0 || len(rec.take()) != 0 {
+			t.Errorf("%s: Delivered %d, DecodeErrors %d, DataSent %d; want 1, 1, 0 and no send", c.name, st.Delivered, st.DecodeErrors, st.DataSent)
 		}
-		return f.Data
 	}
+}
 
-	c := newForwardCache(4)
-	first := decode(chainParents(4))
-	tree, err := mrt.FromParents(first.Root, first.Parents)
-	if err != nil {
-		t.Fatal(err)
+// TestForgedAllocationIsRejectedWhole: one AllocByNode entry past the
+// allocator's ceiling would have a relay enqueue that many copies toward
+// one child, and a negative one would hide "all forwards failed"; either
+// frame fails to decode — one DecodeErrors, no delivery, nothing sent.
+func TestForgedAllocationIsRejectedWhole(t *testing.T) {
+	const sentinel = 77777 // a three-byte varint found nowhere else in the frame
+	alloc := twoPerEdge(chainParents(4))
+	alloc[2] = sentinel
+	valid := dataFrame(t, 1, chainParents(4), alloc, "x")
+	mark := binary.AppendVarint(nil, sentinel)
+	at := bytes.Index(valid, mark)
+	if at < 0 || bytes.LastIndex(valid, mark) != at {
+		t.Fatal("the sentinel allocation is not unique in the frame")
 	}
-	c.put(first.Root, first.Parents, tree)
-
-	second := decode(star) // same storage: first.Parents now reads as the star
-	if _, ok := c.get(second.Root, second.Parents); ok {
-		t.Fatal("a tree that was never cached hit the entry of the frame decoded before it")
+	for _, forged := range []int64{1<<31 - 1, wire.MaxAllocation + 1, -1} {
+		raw := append(append(append([]byte(nil), valid[:at]...), binary.AppendVarint(nil, forged)...), valid[at+len(mark):]...)
+		nd, rec := recordingRelay(t, 4)
+		nd.handle(0, raw)
+		st := nd.Stats()
+		if st.DecodeErrors != 1 || st.DataReceived != 0 || st.Delivered != 0 || len(rec.take()) != 0 {
+			t.Errorf("allocation %d: DecodeErrors %d, DataReceived %d, Delivered %d; want 1, 0, 0 and no send",
+				forged, st.DecodeErrors, st.DataReceived, st.Delivered)
+		}
 	}
-	got, ok := c.get(0, chainParents(4))
-	if !ok || got != tree {
-		t.Fatalf("the cached chain no longer hits after its decode storage was reused (ok=%v)", ok)
-	}
-	if got.Parent(3) != 2 || len(got.Children(0)) != 1 {
-		t.Fatal("the cached tree is not the chain it was stored as")
+	// The splice itself is sound: the sentinel frame relays as allocated.
+	nd, rec := recordingRelay(t, 4)
+	nd.handle(0, valid)
+	if got := rec.take(); !slices.Equal(got, []sentTo{{2, sentinel}}) {
+		t.Fatalf("the unforged frame relayed %v, want %d copies to 2", got, sentinel)
 	}
 }
 
@@ -167,19 +352,33 @@ func TestHandleIsSafeFromSeveralGoroutines(t *testing.T) {
 	}
 }
 
+// neverSeenTree is a 128-slot parent vector no earlier call returned:
+// 0 → 1 → 2, and every further slot under a random earlier slot of 2's
+// subtree, so node 1's one child is a lane that is already warm.
+func neverSeenTree(rng *rand.Rand) []topology.NodeID {
+	parents := make([]topology.NodeID, 128)
+	parents[0], parents[1], parents[2] = topology.None, 0, 1
+	for v := 3; v < len(parents); v++ {
+		parents[v] = topology.NodeID(2 + rng.Intn(v-2))
+	}
+	return parents
+}
+
 // TestAllocsHandleData pins the node's share of a broadcast on an owning
-// transport: a duplicate copy — three of every four copies handled —
-// allocates nothing on its way to being dropped, and a first receipt that
-// hits the forward cache delivers and relays within one allocation.
+// transport at zero: a duplicate copy — three of every four copies
+// handled — on its way to being dropped, and a first receipt of a
+// 128-slot tree this node has never seen, checked, delivered and relayed.
 func TestAllocsHandleData(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins do not hold under the race detector")
 	}
-	nd := midChainNode(t, 32, true)
+	nd := midChainNode(t, 128, true)
 	const runs = 200
+	rng := rand.New(rand.NewSource(11))
 	frames := make([][]byte, runs+8)
 	for i := range frames {
-		frames[i] = chainFrame(t, 32, uint64(i+1), "payload of a broadcast")
+		parents := neverSeenTree(rng)
+		frames[i] = dataFrame(t, uint64(i+1), parents, twoPerEdge(parents), "payload of a broadcast")
 	}
 	next := 0
 	first := func() {
@@ -191,17 +390,17 @@ func TestAllocsHandleData(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		first() // tree cached, lane queues and decode storage warm
+		first() // lane queues and decode storage warm
 	}
 	if got := testing.AllocsPerRun(runs, func() { nd.handle(0, frames[0]) }); got != 0 {
 		t.Errorf("a duplicate data copy allocated %.2f times through handle, want 0", got)
 	}
-	if got := testing.AllocsPerRun(runs, first); got > 1 {
-		t.Errorf("a first receipt with a cached tree allocated %.2f times through handle, want <= 1", got)
+	if got := testing.AllocsPerRun(runs, first); got != 0 {
+		t.Errorf("a first receipt of a never-seen tree allocated %.2f times through handle, want 0", got)
 	}
 	st := nd.Stats()
-	if st.ForwardCacheMisses != 1 || st.DataSent != 2*st.DataReceived {
-		t.Errorf("stats %+v: want one tree rebuild and two relayed copies per first receipt", st)
+	if st.DecodeErrors != 0 || st.DataSent != 2*st.DataReceived {
+		t.Errorf("stats %+v: want no decode errors and two relayed copies per first receipt", st)
 	}
 }
 
@@ -215,5 +414,42 @@ func BenchmarkHandleDuplicate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nd.handle(0, f)
+	}
+}
+
+// BenchmarkForwardFanout is the forwarder receive path on its widest
+// interior node: decode a data frame, check its 32-slot vector, deliver,
+// and push two copies to each of 30 children (direct sends; the lane
+// scheduler is BenchmarkForwardPipelined's subject).
+func BenchmarkForwardFanout(b *testing.B) {
+	const procs = 32
+	parents := make([]topology.NodeID, procs)
+	parents[0], parents[1] = topology.None, 0
+	for v := 2; v < procs; v++ {
+		parents[v] = 1
+	}
+	alloc := twoPerEdge(parents)
+	alloc[1] = 1
+	nd, err := New(Config{ID: 1, NumProcs: procs, Neighbors: []topology.NodeID{0},
+		DeliveryBuffer:       1, // deliveries overflow silently; not under test
+		DisableLaneScheduler: true}, &sinkTransport{id: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(nd.Stop)
+	msg := &wire.DataMsg{Origin: 0, Root: 0, Parents: parents, AllocByNode: alloc, Body: []byte("fanout payload 0123456789abcdef")}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		msg.Seq = uint64(i + 1)
+		frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: msg})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nd.handle(0, frame)
+	}
+	b.StopTimer()
+	if got, want := nd.Stats().DataSent, b.N*60; got != want {
+		b.Fatalf("forwarded %d copies, want %d", got, want)
 	}
 }

@@ -642,8 +642,8 @@ func (r *reader) data(ver byte, m *DataMsg) *DataMsg {
 	}
 	for i := 0; i < nAlloc && r.err == nil; i++ {
 		v := r.varint()
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			r.fail("allocation %d overflows int32", v)
+		if v < 0 || v > MaxAllocation {
+			r.fail("allocation %d outside [0,%d]", v, MaxAllocation)
 			return nil
 		}
 		m.AllocByNode = append(m.AllocByNode, int32(v))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"adaptivecast/internal/optimize"
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
 )
@@ -90,5 +91,49 @@ func TestAllocsDecodeData(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s of a data frame allocated %.1f times per op, want %.0f", c.name, got, c.want)
 		}
+	}
+}
+
+// TestForgedAllocationMustNotDecode: an AllocByNode entry is a number of
+// sends a relay will make toward one child, so an entry past the
+// allocator's own ceiling (one frame → 2³¹ enqueues) or below zero (a
+// negative attempted count hides "all forwards failed") must not decode —
+// fresh, borrowed, or into storage a valid frame just used — and Encode
+// must refuse to produce it.
+func TestForgedAllocationMustNotDecode(t *testing.T) {
+	var sc Scratch
+	for _, forged := range []int32{MaxAllocation + 1, 1<<31 - 1, -1, -1 << 31} {
+		m := &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x"),
+			Parents:     []topology.NodeID{topology.None, 0, 1},
+			AllocByNode: []int32{0, 1, forged}}
+		f := &Frame{Kind: FrameData, Data: m}
+		if _, err := Encode(f); err == nil {
+			t.Errorf("Encode accepted allocation %d", forged)
+		}
+		b, err := encodeBinary(f) // what a forger puts on the wire
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.DecodeBorrow(treeFrame(t, 8, 3, "dirty")); err != nil {
+			t.Fatal(err)
+		}
+		for name, decode := range map[string]func([]byte) (*Frame, error){
+			"Decode": Decode, "DecodeBorrow": DecodeBorrow, "Scratch.DecodeBorrow": sc.DecodeBorrow,
+		} {
+			if _, err := decode(b); err == nil {
+				t.Errorf("%s accepted allocation %d", name, forged)
+			}
+		}
+	}
+	m := &DataMsg{Origin: 0, Seq: 1, Root: 0, Parents: []topology.NodeID{topology.None, 0}, AllocByNode: []int32{0, MaxAllocation}}
+	b, err := Encode(&Frame{Kind: FrameData, Data: m})
+	if err != nil {
+		t.Fatalf("the allocator's ceiling itself must encode: %v", err)
+	}
+	if _, err := Decode(b); err != nil {
+		t.Fatalf("the allocator's ceiling itself must decode: %v", err)
+	}
+	if MaxAllocation != optimize.DefaultMaxTotal {
+		t.Errorf("MaxAllocation = %d no longer restates optimize.DefaultMaxTotal = %d", MaxAllocation, optimize.DefaultMaxTotal)
 	}
 }

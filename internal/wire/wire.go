@@ -160,6 +160,14 @@ const MaxIntervals = 1 << 12
 // heartbeat per millisecond for 35 years.
 const MaxEvidence = 1 << 40
 
+// MaxAllocation bounds one AllocByNode entry, restating
+// optimize.DefaultMaxTotal (the most copies the allocator will plan for a
+// whole broadcast, so no honest entry exceeds it). A relay sends an
+// entry's worth of copies toward one child, so an unbounded entry would
+// let one forged frame make every relay enqueue 2³¹ sends, and a negative
+// one would corrupt the relay's sent-versus-attempted accounting.
+const MaxAllocation = 1 << 22
+
 // MaxCaps bounds the capability value a frame may carry. Caps is a
 // version number, not a bitmask; 255 leaves far more headroom than the
 // format will ever use while keeping hostile values trivially rejectable.
@@ -336,6 +344,11 @@ func validate(f *Frame) error {
 		if len(f.Data.Parents) > 0 && len(f.Data.AllocByNode) != len(f.Data.Parents) {
 			return fmt.Errorf("wire: allocation covers %d nodes, tree has %d",
 				len(f.Data.AllocByNode), len(f.Data.Parents))
+		}
+		for v, a := range f.Data.AllocByNode {
+			if a < 0 || a > MaxAllocation {
+				return fmt.Errorf("wire: allocation %d for node %d outside [0,%d]", a, v, MaxAllocation)
+			}
 		}
 	case FrameKnowledgeDelta:
 		if f.Delta == nil || f.Delta.Snap == nil || f.Heartbeat != nil || f.Data != nil || f.Member != nil {

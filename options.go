@@ -167,21 +167,6 @@ func WithAdaptiveCadence(max time.Duration) Option {
 	return func(c *nodeConfig) { c.adaptiveCadence = max }
 }
 
-// WithForwardCache sizes the forwarder tree cache (default 16 entries;
-// size <= 0 disables it). Received data frames carry their routing tree
-// as a parent vector; the cache lets a forwarder relaying repeated
-// traffic down the same tree reuse one rebuilt tree instead of
-// re-deriving it per frame. Effectiveness is observable via
-// NodeStats.ForwardCacheHits / ForwardCacheMisses.
-func WithForwardCache(size int) Option {
-	return func(c *nodeConfig) {
-		if size <= 0 {
-			size = -1
-		}
-		c.inner.ForwardCacheSize = size
-	}
-}
-
 // WithLaneScheduler enables or disables the per-peer prioritized lane
 // scheduler (control > data > telemetry). It is ON by default: sends
 // are asynchronous hand-offs to bounded per-peer queues,
