@@ -12,6 +12,7 @@ package config
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"adaptivecast/internal/topology"
 )
@@ -27,11 +28,19 @@ type Config struct {
 // New returns a configuration over g with all probabilities zero
 // (perfectly reliable system).
 func New(g *topology.Graph) *Config {
-	return &Config{
-		graph: g,
-		crash: make([]float64, g.NumNodes()),
-		loss:  make([]float64, g.NumLinks()),
-	}
+	c := new(Config)
+	c.Reset(g)
+	return c
+}
+
+// Reset re-aligns c with g at all probabilities zero, what New(g) returns,
+// keeping the storage of its two vectors.
+func (c *Config) Reset(g *topology.Graph) {
+	c.graph = g
+	c.crash = slices.Grow(c.crash[:0], g.NumNodes())[:g.NumNodes()]
+	c.loss = slices.Grow(c.loss[:0], g.NumLinks())[:g.NumLinks()]
+	clear(c.crash)
+	clear(c.loss)
 }
 
 // Uniform returns a configuration over g where every process crashes with
@@ -139,8 +148,8 @@ func (c *Config) Lambda(pred, child topology.NodeID) (float64, error) {
 // nodes and/or links since construction (a membership epoch change): new
 // crash entries start at probability 0 and new link entries at loss 0,
 // exactly like New. Link *removals* must be mirrored with RemoveLinkAt
-// before Grow, or the index alignment is lost. The live node rebuilds
-// fresh configurations per replan (knowledge.View.EstimatedConfig), so
+// before Grow, or the index alignment is lost. The live node refills a
+// configuration per replan (knowledge.View.EstimatedConfigInto), so
 // Grow/RemoveLinkAt serve long-lived ground-truth configurations — the
 // simulator-side membership work tracked on the ROADMAP; the alignment
 // contract is pinned by TestGrowAndRemoveLinkAtMirrorGraph.

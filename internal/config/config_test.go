@@ -274,3 +274,38 @@ func TestGrowAndRemoveLinkAtMirrorGraph(t *testing.T) {
 		t.Error("out-of-range RemoveLinkAt should fail")
 	}
 }
+
+// TestResetMatchesNew: a configuration that held probabilities for a
+// larger graph is, once Reset onto a smaller one, what New returns there —
+// aligned with it and all zero — and resetting onto a shape it already
+// held allocates nothing.
+func TestResetMatchesNew(t *testing.T) {
+	big, small := ring(t, 12), ring(t, 5)
+	c, err := Uniform(big, 0.3, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Reset(small)
+	if c.Graph() != small {
+		t.Fatal("Reset did not re-align the configuration")
+	}
+	if d, err := c.MaxAbsDiff(New(small)); err != nil || d != 0 {
+		t.Fatalf("reset configuration differs from a new one by %v (%v)", d, err)
+	}
+	if err := c.SetLoss(small.NumLinks(), 0.1); err == nil {
+		t.Error("a link index of the larger graph is still settable")
+	}
+	c.Reset(big)
+	if d, err := c.MaxAbsDiff(New(big)); err != nil || d != 0 {
+		t.Fatalf("configuration reset back onto the larger graph differs from a new one by %v (%v)", d, err)
+	}
+}
+
+// TestAllocsReset pins Reset onto a shape the configuration already held.
+func TestAllocsReset(t *testing.T) {
+	big, small := ring(t, 12), ring(t, 5)
+	c := New(big)
+	if got := testing.AllocsPerRun(20, func() { c.Reset(small); c.Reset(big) }); got != 0 {
+		t.Errorf("Reset within capacity allocated %.0f times, want 0", got)
+	}
+}

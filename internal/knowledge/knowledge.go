@@ -901,38 +901,50 @@ func (v *View) LinkEstimator(l topology.Link) *bayes.Estimator {
 	return v.links[idx].est
 }
 
-// EstimatedConfig materializes the view into a concrete (G, C) pair for
-// the MRT and optimize() machinery: the graph contains every known link,
-// crash probabilities are posterior means (unknown processes keep the
-// uniform-prior mean 0.5, which steers the MRT away from them until news
-// arrives), and loss probabilities are posterior means. Departed
-// processes are tombstoned in the materialized graph (their links were
-// already forgotten by MarkDeparted), so trees span only live members.
+// EstimatedConfig materializes the view into a fresh (G, C) pair; see
+// EstimatedConfigInto.
 func (v *View) EstimatedConfig() (*topology.Graph, *config.Config, error) {
-	g := topology.New(v.n)
+	g, c := new(topology.Graph), new(config.Config)
+	if err := v.EstimatedConfigInto(g, c); err != nil {
+		return nil, nil, err
+	}
+	return g, c, nil
+}
+
+// EstimatedConfigInto materializes the view into a concrete (G, C) pair
+// for the MRT and optimize() machinery, overwriting g and c and reusing
+// their storage: the graph contains every known link (in interner order,
+// which fixes the dense link indices), crash probabilities are posterior
+// means (unknown processes keep the uniform-prior mean 0.5, which steers
+// the MRT away from them until news arrives), and loss probabilities are
+// posterior means. Departed processes are tombstoned in the materialized
+// graph (their links were already forgotten by MarkDeparted), so trees
+// span only live members. On error g and c are left half-filled.
+func (v *View) EstimatedConfigInto(g *topology.Graph, c *config.Config) error {
+	g.Reset(v.n)
 	for i, ls := range v.links {
 		if ls == nil {
 			continue
 		}
 		l := v.interner.Link(i)
 		if _, err := g.AddLink(l.A, l.B); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 	for i := range v.procs {
 		if v.procs[i].departed {
 			if err := g.RemoveNode(topology.NodeID(i)); err != nil {
-				return nil, nil, err
+				return err
 			}
 		}
 	}
-	c := config.New(g)
+	c.Reset(g)
 	for i := range v.procs {
 		if v.procs[i].departed {
 			continue
 		}
 		if err := c.SetCrash(topology.NodeID(i), v.procs[i].est.Mean()); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 	for i, ls := range v.links {
@@ -941,10 +953,10 @@ func (v *View) EstimatedConfig() (*topology.Graph, *config.Config, error) {
 		}
 		l := v.interner.Link(i)
 		if err := c.SetLossBetween(l.A, l.B, ls.est.Mean()); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	return g, c, nil
+	return nil
 }
 
 // Criterion is the convergence test of Figures 5 and 6: an estimate has

@@ -96,27 +96,41 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 		return nil, false
 	}
 	v.refreshSigs()
-	s = &Snapshot{From: v.self, Seq: v.selfSeq}
+	// Size the cut before filling it: growing two slices from nil costs
+	// more than a second scan. No scratch is shared between cuts, since
+	// Tick is not serialized against itself.
+	shipsProc := func(ps *procState) bool { return ps.dist != DistInf && !ps.departed && ps.sig.at > base }
+	shipsLink := func(ls *linkState) bool { return ls != nil && ls.sig.at > base }
+	nProcs, nLinks := 0, 0
 	for i := range v.procs {
-		ps := &v.procs[i]
-		if ps.dist == DistInf || ps.departed || ps.sig.at <= base {
-			continue
+		if shipsProc(&v.procs[i]) {
+			nProcs++
 		}
-		s.Procs = append(s.Procs, ProcRecord{
-			ID:   topology.NodeID(i),
-			Dist: ps.dist,
-			Est:  ps.est.State(),
-		})
+	}
+	for _, ls := range v.links {
+		if shipsLink(ls) {
+			nLinks++
+		}
+	}
+	s = &Snapshot{From: v.self, Seq: v.selfSeq,
+		Procs: make([]ProcRecord, 0, nProcs), Links: make([]LinkRecord, 0, nLinks)}
+	for i := range v.procs {
+		if ps := &v.procs[i]; shipsProc(ps) {
+			s.Procs = append(s.Procs, ProcRecord{
+				ID:   topology.NodeID(i),
+				Dist: ps.dist,
+				Est:  ps.est.State(),
+			})
+		}
 	}
 	for idx, ls := range v.links {
-		if ls == nil || ls.sig.at <= base {
-			continue
+		if shipsLink(ls) {
+			s.Links = append(s.Links, LinkRecord{
+				Link: v.interner.Link(idx),
+				Dist: ls.dist,
+				Est:  ls.est.State(),
+			})
 		}
-		s.Links = append(s.Links, LinkRecord{
-			Link: v.interner.Link(idx),
-			Dist: ls.dist,
-			Est:  ls.est.State(),
-		})
 	}
 	return s, true
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaptivecast/internal/bayes"
+	"adaptivecast/internal/config"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
@@ -225,6 +226,40 @@ func TestAllocsMergeSnapshot(t *testing.T) {
 	}
 }
 
+// TestAllocsDeltaAndEstimatedConfig pins the two per-period constructions
+// at n = 128: a delta cut is the snapshot and its two record slices, each
+// sized before it is filled, and refilling a (graph, config) pair that
+// held the same view allocates nothing.
+func TestAllocsDeltaAndEstimatedConfig(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	views, g := benchCluster(t, 128)
+	v, nb := views[0], views[g.Neighbors(0)[0]]
+	base := v.Version()
+	nb.BeginPeriod()
+	v.BeginPeriod()
+	if err := v.MergeSnapshot(nb.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := v.DeltaSince(base); !ok || len(d.Procs) == 0 || len(d.Links) == 0 {
+		t.Fatalf("the period's delta is %+v (anchored: %v), want process and link records", d, ok)
+	}
+	if got := testing.AllocsPerRun(50, func() { v.DeltaSince(base) }); got > 3 {
+		t.Errorf("DeltaSince allocated %.1f times, want at most 3", got)
+	}
+	eg, ec := new(topology.Graph), new(config.Config)
+	fill := func() {
+		if err := v.EstimatedConfigInto(eg, ec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill()
+	if got := testing.AllocsPerRun(50, fill); got != 0 {
+		t.Errorf("EstimatedConfigInto on a warm pair allocated %.1f times over %d links, want 0", got, eg.NumLinks())
+	}
+}
+
 var benchSizes = []struct {
 	name string
 	n    int
@@ -295,15 +330,27 @@ func BenchmarkMergeSnapshotAt(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimatedConfig materializes (G, C) from a view that spans the
+// system: into fresh storage, as a caller without a workspace gets it, and
+// into the pair the previous iteration filled, as a replan gets it.
 func BenchmarkEstimatedConfig(b *testing.B) {
 	for _, size := range benchSizes {
+		views, _ := benchCluster(b, size.n)
 		b.Run(size.name, func(b *testing.B) {
-			views, _ := benchCluster(b, size.n)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g, _, err := views[0].EstimatedConfig()
 				if err != nil {
+					b.Fatal(err)
+				}
+				sinkRecords += g.NumLinks()
+			}
+		})
+		b.Run(size.name+"/reused", func(b *testing.B) {
+			g, c := new(topology.Graph), new(config.Config)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := views[0].EstimatedConfigInto(g, c); err != nil {
 					b.Fatal(err)
 				}
 				sinkRecords += g.NumLinks()

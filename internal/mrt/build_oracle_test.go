@@ -26,8 +26,10 @@ func (h *oracleHeap) Pop() interface{} {
 }
 
 // oracleParents is Appendix B's modified Prim over oracleHeap, reduced to
-// the parent vector; ok is false on a disconnected topology.
-func oracleParents(g *topology.Graph, c *config.Config, root topology.NodeID) (parents []topology.NodeID, ok bool) {
+// the parent vector and the order nodes joined the tree in (which fixes
+// the edge indices and the child lists); ok is false on a disconnected
+// topology.
+func oracleParents(g *topology.Graph, c *config.Config, root topology.NodeID) (parents, order []topology.NodeID, ok bool) {
 	n := g.NumNodes()
 	parents = make([]topology.NodeID, n)
 	for i := range parents {
@@ -39,6 +41,7 @@ func oracleParents(g *topology.Graph, c *config.Config, root topology.NodeID) (p
 	add := func(v topology.NodeID) {
 		inTree[v] = true
 		spanned++
+		order = append(order, v)
 		links := g.NeighborLinks(v)
 		for i, w := range g.Neighbors(v) {
 			if inTree[w] {
@@ -54,7 +57,7 @@ func oracleParents(g *topology.Graph, c *config.Config, root topology.NodeID) (p
 	add(root)
 	for spanned < g.NumActive() {
 		if h.Len() == 0 {
-			return nil, false
+			return nil, nil, false
 		}
 		e := heap.Pop(h).(cross)
 		if inTree[e.to] {
@@ -63,7 +66,7 @@ func oracleParents(g *topology.Graph, c *config.Config, root topology.NodeID) (p
 		parents[e.to] = e.from
 		add(e.to)
 	}
-	return parents, true
+	return parents, order, true
 }
 
 // tiedConfig draws every crash and loss probability from three values, so
@@ -108,7 +111,7 @@ func TestBuildMatchesContainerHeapOracle(t *testing.T) {
 		if !g.Active(root) {
 			continue
 		}
-		want, ok := oracleParents(g, c, root)
+		want, _, ok := oracleParents(g, c, root)
 		tree, err := Build(g, c, root)
 		if !ok {
 			if err != ErrDisconnected {
@@ -125,6 +128,83 @@ func TestBuildMatchesContainerHeapOracle(t *testing.T) {
 				t.Fatalf("triple %d (n=%d root=%d): parent of %d is %d, oracle says %d", i, n, root, v, got[v], want[v])
 			}
 		}
+	}
+}
+
+// TestBuilderReusedMatchesOracle: one Builder taken through 200 random
+// (graph, config, root) triples of varying size — disconnected ones and
+// ones with a departed member among them — returns each time the parents,
+// order, edge indices and child lists the oracle derives from scratch,
+// with nothing of the tree before left in them.
+func TestBuilderReusedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var b Builder
+	built := 0
+	for i := 0; i < 200; i++ {
+		n := 5 + rng.Intn(60)
+		g, err := topology.RandomConnected(n, 2+rng.Intn(3), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			if err := g.RemoveNode(topology.NodeID(rng.Intn(n))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := tiedConfig(t, g, rng)
+		root := topology.NodeID(rng.Intn(n))
+		if !g.Active(root) {
+			continue
+		}
+		parents, order, ok := oracleParents(g, c, root)
+		tree, err := b.Build(g, c, root)
+		if !ok {
+			if err != ErrDisconnected {
+				t.Fatalf("triple %d: oracle found no spanning tree, Build err = %v", i, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("triple %d: %v", i, err)
+		}
+		built++
+		if tree.Root() != root || tree.NumNodes() != n || len(tree.Order()) != len(order) {
+			t.Fatalf("triple %d: tree rooted at %d over %d slots spans %d nodes, oracle: root %d, %d slots, %d nodes",
+				i, tree.Root(), tree.NumNodes(), len(tree.Order()), root, n, len(order))
+		}
+		children := make([][]topology.NodeID, n)
+		for at, v := range order {
+			if tree.Order()[at] != v {
+				t.Fatalf("triple %d: order %v, oracle %v", i, tree.Order(), order)
+			}
+			if tree.EdgeOf(v) != at-1 {
+				t.Fatalf("triple %d: edge of %d is %d, oracle says %d", i, v, tree.EdgeOf(v), at-1)
+			}
+			if at > 0 {
+				children[parents[v]] = append(children[parents[v]], v)
+			}
+		}
+		for v := 0; v < n; v++ {
+			id := topology.NodeID(v)
+			if tree.Parent(id) != parents[v] {
+				t.Fatalf("triple %d: parent of %d is %d, oracle says %d", i, v, tree.Parent(id), parents[v])
+			}
+			if parents[v] == topology.None && id != root && tree.EdgeOf(id) != -1 {
+				t.Fatalf("triple %d: unspanned slot %d has edge %d", i, v, tree.EdgeOf(id))
+			}
+			got := tree.Children(id)
+			if len(got) != len(children[v]) {
+				t.Fatalf("triple %d: children of %d are %v, oracle says %v", i, v, got, children[v])
+			}
+			for k := range got {
+				if got[k] != children[v][k] {
+					t.Fatalf("triple %d: children of %d are %v, oracle says %v", i, v, got, children[v])
+				}
+			}
+		}
+	}
+	if built < 100 {
+		t.Fatalf("only %d of 200 triples built a tree", built)
 	}
 }
 
@@ -149,5 +229,14 @@ func TestAllocsBuild(t *testing.T) {
 	})
 	if limit := float64(8 + tree.NumEdges()); got > limit {
 		t.Errorf("Build allocated %.0f times over %d links at n = 128, want <= %.0f", got, g.NumLinks(), limit)
+	}
+	// A Builder that built this tree before owns all of that already.
+	var b Builder
+	if got := testing.AllocsPerRun(20, func() {
+		if tree, err = b.Build(g, c, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("a warm Builder allocated %.0f times, want 0", got)
 	}
 }

@@ -98,13 +98,31 @@ func (h *crossHeap) pop() cross {
 	return top
 }
 
+// Build computes mrt(G, C) rooted at root into fresh storage; see
+// Builder.Build.
+func Build(g *topology.Graph, c *config.Config, root topology.NodeID) (*Tree, error) {
+	return new(Builder).Build(g, c, root)
+}
+
+// Builder owns the storage of the tree it builds — the parent, order and
+// edge vectors, the child lists — and of Prim's in-tree marks and
+// candidate heap, and reuses all of it on the next Build. The zero value
+// is ready to use; a Builder is not safe for concurrent use.
+type Builder struct {
+	tree   Tree
+	inTree []bool
+	heap   crossHeap
+}
+
 // Build computes mrt(G, C) rooted at root using the modified Prim's
 // algorithm of Appendix B. The tree spans every *active* process of g —
 // tombstoned processes (departed members of earlier epochs) keep their
 // slot in the parent vector with parent None but are neither visited nor
 // required for connectivity. It returns ErrDisconnected if some active
-// process is unreachable from root.
-func Build(g *topology.Graph, c *config.Config, root topology.NodeID) (*Tree, error) {
+// process is unreachable from root. The returned tree lives in b and is
+// valid until b's next Build: a caller that keeps any of it past that
+// point copies it out first (Parents does).
+func (b *Builder) Build(g *topology.Graph, c *config.Config, root topology.NodeID) (*Tree, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, errors.New("mrt: empty topology")
@@ -116,22 +134,34 @@ func Build(g *topology.Graph, c *config.Config, root topology.NodeID) (*Tree, er
 		return nil, errors.New("mrt: configuration is not aligned with the topology")
 	}
 
-	t := &Tree{
-		root:     root,
-		parent:   make([]topology.NodeID, n),
-		children: make([][]topology.NodeID, n),
-		order:    make([]topology.NodeID, 0, n),
-		edgeOf:   make([]int, n),
+	t := &b.tree
+	t.root = root
+	if cap(t.parent) < n {
+		t.parent = make([]topology.NodeID, n)
+		t.order = make([]topology.NodeID, 0, n)
+		t.edgeOf = make([]int, n)
+		b.inTree = make([]bool, n)
 	}
-	inTree := make([]bool, n)
+	if cap(t.children) < n {
+		// Grown in place: the child lists b already has keep their storage.
+		t.children = append(t.children[:cap(t.children)], make([][]topology.NodeID, n-cap(t.children))...)
+	}
+	t.parent, t.children, t.order, t.edgeOf = t.parent[:n], t.children[:n], t.order[:0], t.edgeOf[:n]
+	inTree := b.inTree[:n]
 	for i := range t.parent {
 		t.parent[i] = topology.None
+		t.children[i] = t.children[i][:0]
 		t.edgeOf[i] = -1
+		inTree[i] = false
 	}
 
 	// A link becomes a candidate at most once: when its first endpoint
-	// joins the tree.
-	h := make(crossHeap, 0, g.NumLinks())
+	// joins the tree. So the heap never outgrows this capacity, and h below
+	// stays on b.heap's array.
+	if cap(b.heap) < g.NumLinks() {
+		b.heap = make(crossHeap, 0, g.NumLinks())
+	}
+	h := b.heap[:0]
 	add := func(v topology.NodeID) {
 		inTree[v] = true
 		t.order = append(t.order, v)
@@ -144,11 +174,11 @@ func Build(g *topology.Graph, c *config.Config, root topology.NodeID) (*Tree, er
 			// Canonical multiplication order (lower ID first) keeps the
 			// weight bit-identical with config.EdgeReliability and across
 			// traversal directions, which the determinism guarantee needs.
-			a, b := v, w
-			if a > b {
-				a, b = b, a
+			lo, hi := v, w
+			if lo > hi {
+				lo, hi = hi, lo
 			}
-			rel := (1 - c.Crash(a)) * (1 - c.Loss(linkIdxs[i])) * (1 - c.Crash(b))
+			rel := (1 - c.Crash(lo)) * (1 - c.Loss(linkIdxs[i])) * (1 - c.Crash(hi))
 			h.push(cross{rel: rel, from: v, to: w})
 		}
 	}

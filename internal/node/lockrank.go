@@ -31,8 +31,9 @@ package node
 // lifecycle contracts (wave-2 analyzers): every go statement must
 // declare the stop signal its body observes (goroleak), and every
 // buffer obtained from encodePool, every decode scratch obtained from
-// decodePool — or release callback fanned out through sharedRelease —
-// must be spent exactly once on every path (buflife). Channel ownership
+// decodePool, every replan workspace obtained from planPool — or release
+// callback fanned out through sharedRelease — must be spent exactly once
+// on every path (buflife). Channel ownership
 // is declared per field on the Node struct (chanowner).
 //
 //adaptivelint:lockrank Node.memberMu=10 Node.planMu=20 Node.viewMu=30
@@ -45,4 +46,5 @@ package node
 //adaptivelint:goroutines checked
 //adaptivelint:bufpool type=encodePool get=get put=put releaser=releaser
 //adaptivelint:bufpool type=decodePool get=get put=put
+//adaptivelint:bufpool type=planPool get=get put=put
 //adaptivelint:bufshared type=sharedRelease acquire=acquire

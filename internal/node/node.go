@@ -810,9 +810,9 @@ func (n *Node) Tick() {
 		return
 	}
 	// Snapshot the roster once per period: membership changes landing
-	// mid-tick take effect next period. Copy the peer bookkeeping first
-	// (leaf lock, never nested under viewMu) so delta cutting under the
-	// view lock reads no shared maps.
+	// mid-tick take effect next period. Copy the peer bookkeeping into the
+	// per-neighbor outbound list first (leaf lock, never nested under
+	// viewMu) so delta cutting under the view lock reads no shared maps.
 	neighbors := n.Neighbors()
 	epoch := n.epoch.Load()
 	// Re-arm the per-peer stale-epoch re-announcement budget (see
@@ -834,32 +834,32 @@ func (n *Node) Tick() {
 			}
 		}
 	}
-	var acked, seen map[topology.NodeID]uint64
+	type outbound struct {
+		to        topology.NodeID
+		base, ack uint64 // the version of this view the neighbor acked; of its view merged here
+		snap      *knowledge.Snapshot
+		since     uint64 // base when snap is a delta cut from it, 0 when it is the full snapshot
+		suspected bool
+	}
+	var outs []outbound
 	if !n.cfg.DisableDeltaHeartbeats {
-		acked = make(map[topology.NodeID]uint64, len(neighbors))
-		seen = make(map[topology.NodeID]uint64, len(neighbors))
+		outs = make([]outbound, len(neighbors))
 		n.peerMu.Lock()
-		for _, nb := range neighbors {
-			acked[nb] = n.peerAcked[nb]
-			seen[nb] = n.peerSeen[nb]
+		for i, nb := range neighbors {
+			outs[i] = outbound{to: nb, base: n.peerAcked[nb], ack: n.peerSeen[nb]}
 		}
 		n.peerMu.Unlock()
 	}
-
-	type outbound struct {
-		to    topology.NodeID
-		snap  *knowledge.Snapshot
-		since uint64
-	}
-	var outs []outbound
 	var full *knowledge.Snapshot
-	var ver uint64
-	var susp map[topology.NodeID]bool
 
 	n.viewMu.Lock()
 	n.view.BeginPeriod()
-	ver = n.view.Version()
-	if n.cad != nil {
+	ver := n.view.Version()
+	if n.cfg.DisableDeltaHeartbeats {
+		full = n.view.Snapshot()
+	}
+	for i := range outs {
+		o := &outs[i]
 		// Suspicion state must be read after BeginPeriod (which is where
 		// Event 2 raises suspicions), so a suspicion snaps cadence back to
 		// δ within the same period it fires. Suspicion is scoped to the
@@ -869,43 +869,24 @@ func (n *Node) Tick() {
 		// suspicion dirties the suspect's record, so the deltas toward
 		// everyone go non-empty at δ until the news is acked) and then
 		// re-stretch while the suspect's link alone stays at δ.
-		for _, nb := range neighbors {
-			if n.view.Suspected(nb) {
-				if susp == nil {
-					susp = make(map[topology.NodeID]bool, 1)
-				}
-				susp[nb] = true
-			}
-		}
-	}
-	if n.cfg.DisableDeltaHeartbeats {
-		full = n.view.Snapshot()
-	} else {
-		outs = make([]outbound, 0, len(neighbors))
+		o.suspected = n.view.Suspected(o.to)
 		// One cut per distinct acked base: in the common case every
 		// neighbor acked the same version, so a node of any degree scans
-		// the view once per period, not once per neighbor. A nil cached
-		// cut records an unanchorable base.
-		cuts := make(map[uint64]*knowledge.Snapshot, 1)
-		for _, nb := range neighbors {
-			o := outbound{to: nb}
-			if base := acked[nb]; base > 0 {
-				d, cached := cuts[base]
-				if !cached {
-					d, _ = n.view.DeltaSince(base)
-					cuts[base] = d
-				}
-				if d != nil {
-					o.snap, o.since = d, base
-				}
+		// the view once per period, not once per neighbor. An earlier
+		// neighbor's fallback is reused the same way.
+		j := 0
+		for j < i && outs[j].base != o.base {
+			j++
+		}
+		if j < i {
+			o.snap, o.since = outs[j].snap, outs[j].since
+		} else if d, ok := n.view.DeltaSince(o.base); ok {
+			o.snap, o.since = d, o.base
+		} else {
+			if full == nil {
+				full = n.view.Snapshot()
 			}
-			if o.snap == nil {
-				if full == nil {
-					full = n.view.Snapshot()
-				}
-				o.snap = full // since stays 0: full-snapshot fallback
-			}
-			outs = append(outs, o)
+			o.snap = full // since stays 0: full-snapshot fallback
 		}
 	}
 	n.viewMu.Unlock()
@@ -967,16 +948,18 @@ func (n *Node) Tick() {
 	// record section doesn't. Section buffers are copied into the frames
 	// by AppendDeltaFrame, so they recycle as soon as the loop ends;
 	// frame buffers recycle when their send releases them.
-	type secKey struct {
+	type section struct {
 		snap   *knowledge.Snapshot
 		counts bool
+		bytes  []byte
 	}
-	var secBufs []*encBuf
-	secs := make(map[secKey][]byte, 2)
+	secs := make([]section, 0, 4)
+	secBufs := make([]*encBuf, 0, 4)
 	sectionFor := func(s *knowledge.Snapshot, counts bool) ([]byte, error) {
-		k := secKey{s, counts}
-		if sec, ok := secs[k]; ok {
-			return sec, nil
+		for _, sec := range secs {
+			if sec.snap == s && sec.counts == counts {
+				return sec.bytes, nil
+			}
 		}
 		eb := n.encPool.get()
 		appendSection := wire.AppendSnapshotSection
@@ -990,7 +973,7 @@ func (n *Node) Tick() {
 		}
 		eb.b = sec
 		secBufs = append(secBufs, eb)
-		secs[k] = sec
+		secs = append(secs, section{s, counts, sec})
 		return sec, nil
 	}
 
@@ -1002,7 +985,7 @@ func (n *Node) Tick() {
 			// including skipped ones — so a snap-back trigger (non-empty or
 			// unanchored delta, suspicion of this neighbor) re-enables the
 			// δ cadence and sends within the same period it appears.
-			stable := o.since > 0 && !susp[o.to] &&
+			stable := o.since > 0 && !o.suspected &&
 				len(o.snap.Procs) == 0 && len(o.snap.Links) == 0
 			var due bool
 			declared, due = n.cadenceStep(o.to, stable)
@@ -1019,7 +1002,7 @@ func (n *Node) Tick() {
 		frame, err := wire.AppendDeltaFrame(eb.b, &wire.KnowledgeDelta{
 			Since:   o.since,
 			Ver:     ver,
-			Ack:     seen[o.to],
+			Ack:     o.ack,
 			Cadence: uint64(declared),
 			Epoch:   epoch,
 			Caps:    caps,
@@ -1202,42 +1185,78 @@ func (n *Node) ensureSeqLease(seq uint64) {
 // only then).
 func (n *Node) currentPlan() (p *plan, fresh bool) {
 	if n.cfg.DisablePlanCache {
-		n.viewMu.Lock()
-		g, c, err := n.view.EstimatedConfig()
-		n.viewMu.Unlock()
-		return buildPlan(g, c, err, n.cfg.ID, n.cfg.K), true
+		p, _ = n.replan()
+		return p, true
 	}
 	n.planMu.Lock()
 	defer n.planMu.Unlock()
 	n.viewMu.Lock()
 	ver := n.view.Version()
+	n.viewMu.Unlock()
 	if n.cachedPlan != nil && n.planVersion == ver {
-		n.viewMu.Unlock()
 		n.stats.planCacheHits.Add(1)
 		return n.cachedPlan, false
 	}
-	// Materialize (G, C) under the view lock, then build the tree and
-	// allocation on the private copy with the view lock released, so a
-	// rebuild never blocks heartbeat merges.
-	g, c, err := n.view.EstimatedConfig()
-	n.viewMu.Unlock()
 	n.stats.planCacheMisses.Add(1)
-	p = buildPlan(g, c, err, n.cfg.ID, n.cfg.K)
-	n.cachedPlan, n.planVersion = p, ver
-	return p, true
+	n.cachedPlan, n.planVersion = n.replan()
+	return n.cachedPlan, true
 }
 
-// buildPlan derives (MRT, allocation) from a materialized estimated
-// configuration.
-func buildPlan(g *topology.Graph, c *config.Config, err error, root topology.NodeID, k float64) *plan {
+// replan derives a plan from the view as it stands, and reports the view
+// version it stands at. (G, C) is materialized under the view lock into a
+// pooled workspace; the tree and allocation are built on that private
+// copy with the view lock released, so a replan never blocks heartbeat
+// merges. The plan owns its vectors: nothing in it aliases the workspace,
+// which goes back to the pool before the plan is used.
+func (n *Node) replan() (p *plan, ver uint64) {
+	ws := planWorkspaces.get()
+	defer planWorkspaces.put(ws)
+	n.viewMu.Lock()
+	ver = n.view.Version()
+	err := n.view.EstimatedConfigInto(&ws.graph, &ws.config)
+	n.viewMu.Unlock()
+	if err != nil {
+		return &plan{err: err}, ver
+	}
+	return ws.plan(n.cfg.ID, n.cfg.K), ver
+}
+
+// planWorkspace is the scaffolding of one replan: the estimated (G, C)
+// and the MRT builder, ≈ 40 KB in ≈ 700 objects at n = 128 and garbage the
+// moment the plan's vectors are copied out.
+type planWorkspace struct {
+	graph   topology.Graph
+	config  config.Config
+	builder mrt.Builder
+}
+
+// planPool recycles replan workspaces: one pool for the process, not a
+// field of the node, because a node that kept its own would hold it
+// between replans (fabric128-hb: heap 20.5 → 25.4 MB) and, where origins
+// rotate, still find it cold.
+type planPool struct {
+	pool sync.Pool
+}
+
+var planWorkspaces planPool
+
+func (p *planPool) get() *planWorkspace {
+	if v := p.pool.Get(); v != nil {
+		return v.(*planWorkspace)
+	}
+	return new(planWorkspace)
+}
+
+func (p *planPool) put(ws *planWorkspace) { p.pool.Put(ws) }
+
+// plan derives (MRT, allocation) from the estimated configuration the
+// workspace holds.
+func (ws *planWorkspace) plan(root topology.NodeID, k float64) *plan {
+	tree, err := ws.builder.Build(&ws.graph, &ws.config, root)
 	if err != nil {
 		return &plan{err: err}
 	}
-	tree, err := mrt.Build(g, c, root)
-	if err != nil {
-		return &plan{err: err}
-	}
-	lams, err := tree.Lambdas(c)
+	lams, err := tree.Lambdas(&ws.config)
 	if err != nil {
 		return &plan{err: err}
 	}

@@ -2,12 +2,27 @@ package node
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"adaptivecast/internal/bayes"
+	"adaptivecast/internal/knowledge"
+	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 )
+
+// freshPlan is the replan pipeline on storage nobody used before: the
+// reference a plan from a pooled workspace is compared against.
+func freshPlan(v *knowledge.View, root topology.NodeID, k float64) *plan {
+	ws := new(planWorkspace)
+	if err := v.EstimatedConfigInto(&ws.graph, &ws.config); err != nil {
+		return &plan{err: err}
+	}
+	return ws.plan(root, k)
+}
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, cond func() bool, msg string) {
@@ -44,6 +59,115 @@ func convergedLine3(t *testing.T, cfg func(i int) Config) ([]*Node, *transport.F
 		tickAll(nodes)
 	}
 	return nodes, fabric
+}
+
+// taughtNode is a lone node over g whose view was handed, by one
+// neighbour's snapshot, an estimate of every process and link of g: enough
+// to plan over the whole graph without running a cluster.
+func taughtNode(t *testing.T, g *topology.Graph, id topology.NodeID, rng *rand.Rand) *Node {
+	t.Helper()
+	fabric := transport.NewFabric(transport.FabricOptions{})
+	t.Cleanup(func() { _ = fabric.Close() })
+	nd, err := New(Config{ID: id, NumProcs: g.NumNodes(), Neighbors: g.Neighbors(id)}, fabric.Endpoint(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nd.Stop)
+	est := func() bayes.State {
+		return bayes.State{Intervals: bayes.DefaultIntervals, Succ: 200 + rng.Intn(400), Fail: rng.Intn(60)}
+	}
+	snap := &knowledge.Snapshot{From: g.Neighbors(nd.ID())[0], Seq: 1}
+	for p := 0; p < g.NumNodes(); p++ {
+		snap.Procs = append(snap.Procs, knowledge.ProcRecord{ID: topology.NodeID(p), Dist: 0, Est: est()})
+	}
+	for _, l := range g.Links() {
+		snap.Links = append(snap.Links, knowledge.LinkRecord{Link: l, Dist: 0, Est: est()})
+	}
+	nd.viewMu.Lock()
+	defer nd.viewMu.Unlock()
+	if err := nd.view.MergeSnapshotKnowledgeOnly(snap); err != nil {
+		t.Fatal(err)
+	}
+	return nd
+}
+
+// samePlan reports whether two plans carry the same tree, allocation and
+// total.
+func samePlan(a, b *plan) bool {
+	return a.err == nil && b.err == nil && a.edges == b.edges && a.planned == b.planned &&
+		reflect.DeepEqual(a.parents, b.parents) && reflect.DeepEqual(a.alloc, b.alloc)
+}
+
+// TestReplanOnPooledWorkspace: a plan built on a workspace that last held
+// a larger, different cluster equals the plan a fresh pipeline computes
+// from the same view; a plan handed out earlier shares no memory with the
+// workspace, so it reads the same after the workspace planned something
+// else.
+func TestReplanOnPooledWorkspace(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	big, err := topology.RandomConnected(128, 4, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := topology.RandomConnected(24, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigNode, smallNode := taughtNode(t, big, 7, rng), taughtNode(t, small, 3, rng)
+
+	// One workspace, used in turn, against storage nobody used before.
+	ws := new(planWorkspace)
+	fill := func(nd *Node) *plan {
+		if err := nd.view.EstimatedConfigInto(&ws.graph, &ws.config); err != nil {
+			t.Fatal(err)
+		}
+		return ws.plan(nd.ID(), DefaultK)
+	}
+	first := fill(bigNode)
+	if want := freshPlan(bigNode.view, 7, DefaultK); !samePlan(first, want) {
+		t.Fatalf("plan over 128 processes on a new workspace: %+v, fresh pipeline: %+v", first, want)
+	}
+	kept := &plan{edges: first.edges, planned: first.planned,
+		parents: append([]topology.NodeID(nil), first.parents...), alloc: append([]int32(nil), first.alloc...)}
+	if got, want := fill(smallNode), freshPlan(smallNode.view, 3, DefaultK); !samePlan(got, want) {
+		t.Fatalf("plan over 24 processes on the workspace that held 128: %+v, fresh pipeline: %+v", got, want)
+	}
+	if !samePlan(first, kept) {
+		t.Fatalf("the first plan changed when its workspace was reused: %+v, was %+v", first, kept)
+	}
+
+	// The node's own replan, through the pool, over a view that moved.
+	for round := 0; round < 3; round++ {
+		got, ver := bigNode.replan()
+		if want := freshPlan(bigNode.view, 7, DefaultK); !samePlan(got, want) || ver != bigNode.view.Version() {
+			t.Fatalf("round %d: pooled replan at version %d: %+v, fresh pipeline at %d: %+v", round, ver, got, bigNode.view.Version(), want)
+		}
+		if _, _ = smallNode.replan(); !samePlan(first, kept) {
+			t.Fatalf("round %d: an earlier plan changed under a later replan", round)
+		}
+		bigNode.Tick() // a period passes: the self estimate moves, the version with it
+	}
+}
+
+// TestAllocsReplan: at n = 128 a replan on a warm workspace allocates the
+// plan, its two vectors, the λ vector and the allocator's two — nothing
+// for the graph, the configuration or the tree.
+func TestAllocsReplan(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	rng := rand.New(rand.NewSource(59))
+	g, err := topology.RandomConnected(128, 4, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := taughtNode(t, g, 0, rng)
+	if p, _ := nd.replan(); p.err != nil || p.edges != 127 {
+		t.Fatalf("the taught node plans %d edges (%v), want 127", p.edges, p.err)
+	}
+	if got := testing.AllocsPerRun(20, func() { nd.replan() }); got > 8 {
+		t.Errorf("a replan over 128 processes on a warm workspace allocated %.0f times, want at most 8", got)
+	}
 }
 
 // TestPlanCacheSameViewHits pins the cache contract: an unchanged view

@@ -282,10 +282,8 @@ func TestQuantizedEstimateParity(t *testing.T) {
 							seed, name, i, l, mo, do, mr, dr)
 					}
 				}
-				gr, cr, errR := rv.EstimatedConfig()
-				go_, co, errO := ov.EstimatedConfig()
-				pr := buildPlan(gr, cr, errR, topology.NodeID(i), DefaultK)
-				po := buildPlan(go_, co, errO, topology.NodeID(i), DefaultK)
+				pr := freshPlan(rv, topology.NodeID(i), DefaultK)
+				po := freshPlan(ov, topology.NodeID(i), DefaultK)
 				if pr.err != nil || po.err != nil {
 					t.Fatalf("seed %d %s: node %d cannot plan: %v / %v", seed, name, i, pr.err, po.err)
 				}

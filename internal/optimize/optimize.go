@@ -15,7 +15,6 @@
 package optimize
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -96,29 +95,70 @@ func (o Options) maxTotal() int {
 
 // gainItem is one edge in the greedy max-heap. gain is the multiplicative
 // improvement of r when adding one more message to the edge:
-// (1-λ^(m+1))/(1-λ^m)  (Eq. 6).
+// (1-λ^(m+1))/(1-λ^m)  (Eq. 6). next is that numerator, 1-λ^(m+1): it is
+// the denominator of the edge's following gain, so a step pays one Pow.
 type gainItem struct {
 	gain float64
+	next float64
 	edge int
 }
 
+// before is the heap order: higher gain first, ties to the lower edge
+// (deterministic, matches GreedyNaive).
+func (a gainItem) before(b gainItem) bool {
+	if a.gain != b.gain {
+		return a.gain > b.gain
+	}
+	return a.edge < b.edge
+}
+
+// gainHeap is a binary max-heap of edges under before. It is typed rather
+// than a container/heap so no comparison or swap goes through an
+// interface; the sift-down makes the comparisons container/heap's made,
+// in their order.
 type gainHeap []gainItem
 
-func (h gainHeap) Len() int { return len(h) }
-func (h gainHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
+// down restores the heap order below slot i.
+func (h gainHeap) down(i int) {
+	it := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(it) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return h[i].edge < h[j].edge // deterministic tie-break, matches GreedyNaive
+	h[i] = it
 }
-func (h gainHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x interface{}) { *h = append(*h, x.(gainItem)) }
-func (h *gainHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+
+// newGainHeap heaps every edge that can still gain (λ > 0) at m = 1.
+func newGainHeap(lambdas []float64) gainHeap {
+	h := make(gainHeap, 0, len(lambdas))
+	for j, lam := range lambdas {
+		if lam > 0 {
+			next := edgeTerm(lam, 2)
+			h = append(h, gainItem{gain: next / edgeTerm(lam, 1), next: next, edge: j})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+// step gives the top edge, now at m messages, its next gain and re-heaps.
+func (h gainHeap) step(lam float64, m int) {
+	top := &h[0]
+	next := edgeTerm(lam, m+1)
+	top.gain, top.next = next/top.next, next
+	h.down(0)
 }
 
 func gain(lam float64, m int) float64 {
@@ -147,19 +187,15 @@ func Greedy(lambdas []float64, k float64, opts Options) ([]int, error) {
 	// Track reach in log space so large trees cannot underflow.
 	logK := math.Log(k)
 	var logR float64
-	h := make(gainHeap, 0, n)
-	for j, lam := range lambdas {
+	for _, lam := range lambdas {
 		logR += math.Log(edgeTerm(lam, 1))
-		if lam > 0 {
-			h = append(h, gainItem{gain: gain(lam, 1), edge: j})
-		}
 	}
-	heap.Init(&h)
+	h := newGainHeap(lambdas)
 
 	total := n
 	budget := opts.maxTotal()
 	for logR < logK {
-		if h.Len() == 0 {
+		if len(h) == 0 {
 			// Every remaining gain is 1: reach cannot improve further.
 			return nil, ErrUnreachable
 		}
@@ -170,8 +206,7 @@ func Greedy(lambdas []float64, k float64, opts Options) ([]int, error) {
 		if total > budget {
 			return nil, fmt.Errorf("%w (total > %d)", ErrBudget, budget)
 		}
-		h[0].gain = gain(lambdas[it.edge], m[it.edge])
-		heap.Fix(&h, 0)
+		h.step(lambdas[it.edge], m[it.edge])
 	}
 	return m, nil
 }
@@ -239,19 +274,14 @@ func GreedyBudget(lambdas []float64, budget int) ([]int, float64, error) {
 		}
 	}
 	m := make([]int, n)
-	h := make(gainHeap, 0, n)
 	for j := range m {
 		m[j] = 1
-		if lambdas[j] > 0 {
-			h = append(h, gainItem{gain: gain(lambdas[j], 1), edge: j})
-		}
 	}
-	heap.Init(&h)
-	for spent := n; spent < budget && h.Len() > 0; spent++ {
-		it := h[0]
-		m[it.edge]++
-		h[0].gain = gain(lambdas[it.edge], m[it.edge])
-		heap.Fix(&h, 0)
+	h := newGainHeap(lambdas)
+	for spent := n; spent < budget && len(h) > 0; spent++ {
+		edge := h[0].edge
+		m[edge]++
+		h.step(lambdas[edge], m[edge])
 	}
 	return m, Reach(lambdas, m), nil
 }

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -100,15 +101,63 @@ func TestGreedyMinimality(t *testing.T) {
 	}
 }
 
-func TestGreedyMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(12)
-		lams := make([]float64, n)
-		for i := range lams {
+// randomLambdas draws n edge failure probabilities: from a continuous
+// range, or from three levels so that most gains tie and the lower-edge
+// tie-break decides, with some edges at λ = 0 (which never enter the heap).
+func randomLambdas(rng *rand.Rand, n int) []float64 {
+	levels := []float64{0.05, 0.2, 0.6}
+	tied := rng.Intn(2) == 0
+	lams := make([]float64, n)
+	for i := range lams {
+		switch {
+		case rng.Intn(8) == 0:
+			lams[i] = 0
+		case tied:
+			lams[i] = levels[rng.Intn(len(levels))]
+		default:
 			lams[i] = rng.Float64() * 0.8
 		}
-		k := 0.95 + rng.Float64()*0.049
+	}
+	return lams
+}
+
+// budgetNaive is GreedyBudget by linear scan: the oracle for the heap's
+// selection order in the dual problem.
+func budgetNaive(lams []float64, budget int) []int {
+	m := make([]int, len(lams))
+	for j := range m {
+		m[j] = 1
+	}
+	for spent := len(lams); spent < budget; spent++ {
+		best, bestGain := -1, 0.0
+		for j, lam := range lams {
+			if g := gain(lam, m[j]); lam > 0 && (best < 0 || g > bestGain) {
+				best, bestGain = j, g
+			}
+		}
+		if best < 0 {
+			break
+		}
+		m[best]++
+	}
+	return m
+}
+
+// TestGreedyMatchesNaive: the heap, which carries each edge's last
+// numerator over as its next denominator, picks edge for edge what the
+// literal Algorithm 2 picks computing both terms afresh — on trees up to
+// 200 edges, with forced ties and λ = 0 edges, at every K the experiments
+// use — and GreedyBudget picks what a linear scan picks.
+func TestGreedyMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	trials := 100
+	if testing.Short() {
+		trials = 25
+	}
+	ks := []float64{0.5, 0.9, 0.99, 0.9999}
+	for trial := 0; trial < trials; trial++ {
+		lams := randomLambdas(rng, 1+rng.Intn(200))
+		k := ks[trial%len(ks)]
 		fast, err := Greedy(lams, k, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -117,14 +166,62 @@ func TestGreedyMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if Total(fast) != Total(naive) {
-			t.Fatalf("trial %d: heap total %d != naive total %d", trial, Total(fast), Total(naive))
-		}
 		for j := range fast {
 			if fast[j] != naive[j] {
-				t.Fatalf("trial %d: allocations differ at edge %d: %v vs %v", trial, j, fast, naive)
+				t.Fatalf("trial %d (K=%v): allocations differ at edge %d of %d: heap %d, naive %d", trial, k, j, len(lams), fast[j], naive[j])
 			}
 		}
+		budget := Total(fast) + rng.Intn(len(lams)+1)
+		dual, r, err := GreedyBudget(lams, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := budgetNaive(lams, budget)
+		for j := range dual {
+			if dual[j] != want[j] {
+				t.Fatalf("trial %d (budget %d): dual allocations differ at edge %d of %d: heap %d, scan %d", trial, budget, j, len(lams), dual[j], want[j])
+			}
+		}
+		if r != Reach(lams, want) {
+			t.Fatalf("trial %d: GreedyBudget reports reach %v, its allocation has %v", trial, r, Reach(lams, want))
+		}
+	}
+}
+
+// TestAllocsGreedy pins the allocator at its result and its heap.
+func TestAllocsGreedy(t *testing.T) {
+	lams := randomLambdas(rand.New(rand.NewSource(9)), 127)
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := Greedy(lams, 0.9999, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 2 {
+		t.Errorf("Greedy over 127 edges allocated %.0f times, want 2", got)
+	}
+}
+
+var sinkTotal int
+
+// BenchmarkGreedy allocates retransmissions over a tree of 32 and of 128
+// processes at the default K, on the λ range a lossy cluster's estimates
+// fall in: what every replan pays after its tree is built.
+func BenchmarkGreedy(b *testing.B) {
+	for _, edges := range []int{31, 127} {
+		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(edges)))
+			lams := make([]float64, edges)
+			for i := range lams {
+				lams[i] = 0.02 + 0.2*rng.Float64()
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := Greedy(lams, 0.9999, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkTotal += m[0]
+			}
+		})
 	}
 }
 

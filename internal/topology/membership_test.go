@@ -1,6 +1,11 @@
 package topology
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"adaptivecast/internal/raceflag"
+)
 
 // TestAddRemoveNodeEpochs covers the mutable growth path: dense ID
 // assignment, tombstoning, link cleanup and epoch accounting.
@@ -144,5 +149,82 @@ func TestCloneKeepsMembership(t *testing.T) {
 		if c.Link(i) != g.Link(i) {
 			t.Errorf("clone link %d = %v, want %v", i, c.Link(i), g.Link(i))
 		}
+	}
+}
+
+// TestResetMatchesNew: a graph that was larger, was mutated by every
+// membership operation and is then Reset behaves like New(n) — no node,
+// link, tombstone, epoch or adjacency entry of its past shows — and a
+// refill of the shape it last held allocates nothing.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := New(0)
+	for i := 0; i < 100; i++ {
+		// A past life: random links, a grown node, a removed link and node.
+		n := 4 + rng.Intn(40)
+		g.Reset(n + rng.Intn(20))
+		for j := 0; j < 3*n; j++ {
+			_, _ = g.AddLink(NodeID(rng.Intn(g.NumNodes())), NodeID(rng.Intn(g.NumNodes())))
+		}
+		extra := g.AddNode()
+		mustAdd(t, g, extra, 0)
+		if _, _, err := g.RemoveLink(g.Link(0).A, g.Link(0).B); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.RemoveNode(NodeID(1 + rng.Intn(3))); err != nil {
+			t.Fatal(err)
+		}
+
+		g.Reset(n)
+		want := New(n)
+		for j := 0; j < 2*n; j++ {
+			a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			gi, gerr := g.AddLink(a, b)
+			wi, werr := want.AddLink(a, b)
+			if gi != wi || (gerr == nil) != (werr == nil) {
+				t.Fatalf("round %d: AddLink(%d,%d) = %d, %v on the reset graph; %d, %v on a new one", i, a, b, gi, gerr, wi, werr)
+			}
+		}
+		if g.NumNodes() != n || g.NumActive() != n || g.Epoch() != 0 || g.NumLinks() != want.NumLinks() || g.Connected() != want.Connected() {
+			t.Fatalf("round %d: reset graph has %d nodes (%d active), %d links, epoch %d; a new one %d, %d, 0",
+				i, g.NumNodes(), g.NumActive(), g.NumLinks(), g.Epoch(), n, want.NumLinks())
+		}
+		for v := 0; v < n; v++ {
+			nbs, wantNbs := g.Neighbors(NodeID(v)), want.Neighbors(NodeID(v))
+			if len(nbs) != len(wantNbs) || len(g.NeighborLinks(NodeID(v))) != len(nbs) {
+				t.Fatalf("round %d: node %d has neighbours %v over links %v, a new graph has %v", i, v, nbs, g.NeighborLinks(NodeID(v)), wantNbs)
+			}
+			for k := range nbs {
+				if nbs[k] != wantNbs[k] || g.NeighborLinks(NodeID(v))[k] != want.NeighborLinks(NodeID(v))[k] {
+					t.Fatalf("round %d: node %d has neighbours %v over links %v, a new graph has %v over %v",
+						i, v, nbs, g.NeighborLinks(NodeID(v)), wantNbs, want.NeighborLinks(NodeID(v)))
+				}
+			}
+		}
+	}
+}
+
+// TestAllocsReset: refilling a graph with the shape it last held reuses
+// the link list, the link map and every adjacency list.
+func TestAllocsReset(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	shape, err := RandomConnected(128, 4, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(0)
+	fill := func() {
+		g.Reset(shape.NumNodes())
+		for _, l := range shape.Links() {
+			if _, err := g.AddLink(l.A, l.B); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill()
+	if got := testing.AllocsPerRun(20, fill); got != 0 {
+		t.Errorf("refilling %d links over %d nodes allocated %.0f times, want 0", shape.NumLinks(), shape.NumNodes(), got)
 	}
 }

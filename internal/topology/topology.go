@@ -77,16 +77,39 @@ type Graph struct {
 
 // New returns an empty graph over n processes (no links) at epoch 0.
 func New(n int) *Graph {
+	g := new(Graph)
+	g.Reset(n)
+	return g
+}
+
+// Reset empties g to what New(n) returns — n live processes, no links,
+// epoch 0 — keeping its storage: the link list, the link map's buckets and
+// every adjacency list stay allocated, so refilling a graph of the same
+// shape allocates nothing.
+func (g *Graph) Reset(n int) {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{
-		n:         n,
-		removed:   make([]bool, n),
-		linkIndex: make(map[Link]int),
-		adj:       make([][]NodeID, n),
-		adjLink:   make([][]int, n),
+	g.n, g.epoch, g.nRemoved = n, 0, 0
+	g.links = g.links[:0]
+	if g.linkIndex == nil {
+		g.linkIndex = make(map[Link]int)
 	}
+	clear(g.linkIndex)
+	g.removed, g.adj, g.adjLink = resized(g.removed, n), resized(g.adj, n), resized(g.adjLink, n)
+	clear(g.removed)
+	for i := range g.adj {
+		g.adj[i], g.adjLink[i] = g.adj[i][:0], g.adjLink[i][:0]
+	}
+}
+
+// resized returns s at length n, keeping the elements its array already
+// holds (for the adjacency lists, their storage) and zero ones past them.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // NumNodes returns the size of the ID space [0, n) — tombstoned processes

@@ -153,12 +153,17 @@ func (r *reader) varint() int64 {
 // count reads an element count and bounds it by the bytes still in the
 // frame (every element takes at least one byte), so a hostile length
 // prefix cannot drive a giant allocation.
-func (r *reader) count(what string) int {
+func (r *reader) count(what string) int { return r.countOf(what, 1) }
+
+// countOf is count for elements of at least minSize encoded bytes each:
+// the count sizes an array of decoded elements, which for a knowledge
+// record is some twenty times its shortest encoding.
+func (r *reader) countOf(what string, minSize int) int {
 	v := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if v > uint64(r.remaining()) {
+	if v > uint64(r.remaining()/minSize) {
 		r.fail("%s count %d exceeds frame", what, v)
 		return 0
 	}
@@ -476,16 +481,29 @@ func appendSnapshot(b []byte, s *knowledge.Snapshot, counts bool) []byte {
 	return b
 }
 
-func (r *reader) snapshot() *knowledge.Snapshot {
-	s := &knowledge.Snapshot{
-		From: r.nodeID(),
-		Seq:  r.uvarint(),
+// The shortest legal encodings, from the layouts above: an estimator is a
+// flag byte and at least two one-byte varints (a uniform or refined grid
+// count, then a belief count; every other layout is longer), a process
+// record prefixes it with two varints (ID, distortion) and a link record
+// with three (A, B, distortion).
+const (
+	minEstimatorSize  = 3
+	minProcRecordSize = 2 + minEstimatorSize
+	minLinkRecordSize = 3 + minEstimatorSize
+)
+
+// snapshot parses a record section into s, reusing the capacity of its two
+// record slices and overwriting every other field. Each estimator's own
+// float vectors are fresh either way.
+func (r *reader) snapshot(s *knowledge.Snapshot) *knowledge.Snapshot {
+	*s = knowledge.Snapshot{
+		From:  r.nodeID(),
+		Seq:   r.uvarint(),
+		Procs: s.Procs[:0],
+		Links: s.Links[:0],
 	}
-	nProcs := r.count("proc records")
-	if r.err != nil {
-		return nil
-	}
-	if nProcs > 0 {
+	nProcs := r.countOf("proc records", minProcRecordSize)
+	if nProcs > cap(s.Procs) {
 		s.Procs = make([]knowledge.ProcRecord, 0, nProcs)
 	}
 	for i := 0; i < nProcs && r.err == nil; i++ {
@@ -495,11 +513,8 @@ func (r *reader) snapshot() *knowledge.Snapshot {
 			Est:  r.estimator(),
 		})
 	}
-	nLinks := r.count("link records")
-	if r.err != nil {
-		return nil
-	}
-	if nLinks > 0 {
+	nLinks := r.countOf("link records", minLinkRecordSize)
+	if nLinks > cap(s.Links) {
 		s.Links = make([]knowledge.LinkRecord, 0, nLinks)
 	}
 	for i := 0; i < nLinks && r.err == nil; i++ {
@@ -553,8 +568,10 @@ func appendDeltaHeader(b []byte, d *KnowledgeDelta, ver byte) []byte {
 	return b
 }
 
-func (r *reader) delta(ver byte) *KnowledgeDelta {
-	d := &KnowledgeDelta{
+// delta parses a delta payload into d and its record section into snap
+// (see snapshot), overwriting every field.
+func (r *reader) delta(ver byte, d *KnowledgeDelta, snap *knowledge.Snapshot) *KnowledgeDelta {
+	*d = KnowledgeDelta{
 		Since:   r.uvarint(),
 		Ver:     r.uvarint(),
 		Ack:     r.uvarint(),
@@ -571,7 +588,7 @@ func (r *reader) delta(ver byte) *KnowledgeDelta {
 	if ver >= version4 {
 		d.Caps = r.caps()
 	}
-	d.Snap = r.snapshot()
+	d.Snap = r.snapshot(snap)
 	if r.err != nil {
 		return nil
 	}
@@ -652,7 +669,7 @@ func (r *reader) data(ver byte, m *DataMsg) *DataMsg {
 	switch r.byte() {
 	case 0:
 	case 1:
-		m.Piggyback = r.snapshot()
+		m.Piggyback = r.snapshot(new(knowledge.Snapshot)) // kept past the frame by whoever relays it
 	default:
 		r.fail("bad piggyback flag")
 	}
@@ -830,7 +847,11 @@ func encodeBinary(f *Frame) ([]byte, error) {
 	return appendFrameBytes(make([]byte, 0, frameSize(f)), f), nil
 }
 
-func decodeBinary(b []byte, f *Frame, m *DataMsg, borrow bool) error {
+// decodeBinary parses b into sc: the frame, and its payload into the
+// storage sc holds for that kind.
+func decodeBinary(b []byte, sc *Scratch, borrow bool) error {
+	f := &sc.frame
+	*f = Frame{}
 	if len(b) < headerSize {
 		return errors.New("wire: frame shorter than header")
 	}
@@ -847,19 +868,16 @@ func decodeBinary(b []byte, f *Frame, m *DataMsg, borrow bool) error {
 		if r.ver >= version4 {
 			f.Caps = r.caps()
 		}
-		f.Heartbeat = r.snapshot()
+		f.Heartbeat = r.snapshot(&sc.snap)
 	case FrameData:
 		if r.ver >= version4 {
 			// Data frames are encoded once and relayed verbatim across
 			// peers with mixed capabilities; they never ride v4 or later.
 			return fmt.Errorf("wire: data frame at version %d", r.ver)
 		}
-		if m == nil {
-			m = new(DataMsg)
-		}
-		f.Data = r.data(b[1], m)
+		f.Data = r.data(b[1], &sc.data)
 	case FrameKnowledgeDelta:
-		f.Delta = r.delta(b[1])
+		f.Delta = r.delta(b[1], &sc.delta, &sc.snap)
 	case FrameJoin, FrameLeave:
 		if b[1] < version3 {
 			return fmt.Errorf("wire: membership frame at version %d", b[1])

@@ -2,8 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
+	"adaptivecast/internal/bayes"
+	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/optimize"
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
@@ -66,8 +71,9 @@ func TestScratchIsOverwrittenNotMerged(t *testing.T) {
 
 // TestAllocsDecodeData pins where the receive path's allocations went: a
 // data frame decoded into reused storage allocates nothing, and the
-// fresh-storage wrappers still cost one object per part of the message
-// (Frame, DataMsg, Parents, AllocByNode — and the body copy for Decode).
+// fresh-storage wrappers cost the fresh Scratch they decode into (Frame
+// and DataMsg together), Parents and AllocByNode — and the body copy for
+// Decode.
 func TestAllocsDecodeData(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins do not hold under the race detector")
@@ -80,8 +86,8 @@ func TestAllocsDecodeData(t *testing.T) {
 		want   float64
 	}{
 		{"Scratch.DecodeBorrow", sc.DecodeBorrow, 0},
-		{"DecodeBorrow", DecodeBorrow, 4},
-		{"Decode", Decode, 5},
+		{"DecodeBorrow", DecodeBorrow, 3},
+		{"Decode", Decode, 4},
 	} {
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := c.decode(b); err != nil {
@@ -135,5 +141,202 @@ func TestForgedAllocationMustNotDecode(t *testing.T) {
 	}
 	if MaxAllocation != optimize.DefaultMaxTotal {
 		t.Errorf("MaxAllocation = %d no longer restates optimize.DefaultMaxTotal = %d", MaxAllocation, optimize.DefaultMaxTotal)
+	}
+}
+
+// countHeartbeat encodes a v5 heartbeat from process 1 of procs process
+// records and links link records, evidence counts all but the first
+// process record: that one builds on a raw prior peaked at interval peak,
+// so it rides the raw float layout and its decoded estimator state owns a
+// vector.
+func countHeartbeat(tb testing.TB, seq uint64, procs, links, peak int) (*knowledge.Snapshot, []byte) {
+	tb.Helper()
+	prior := make([]float64, 8)
+	for i := range prior {
+		prior[i] = -float64((i - peak) * (i - peak))
+	}
+	snap := &knowledge.Snapshot{From: 1, Seq: seq}
+	for i := 0; i < procs; i++ {
+		est := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 10 + i + peak, Fail: i % 7}
+		if i == 0 {
+			est = bayes.State{Intervals: len(prior), LogBeliefs: prior}
+		}
+		snap.Procs = append(snap.Procs, knowledge.ProcRecord{ID: topology.NodeID(i + 1), Dist: i % 3, Est: est})
+	}
+	for i := 0; i < links; i++ {
+		snap.Links = append(snap.Links, knowledge.LinkRecord{
+			Link: topology.NewLink(topology.NodeID(i+1), topology.NodeID(i+2)), Dist: 1 + i%3,
+			Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 50 + i + peak, Fail: i % 5},
+		})
+	}
+	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap, b
+}
+
+// TestScratchHeartbeatRecordsAreOverwritten: heartbeat A (300 records)
+// then heartbeat B (3 records) into one Scratch yields exactly B's
+// records, and a view that merged A out of the Scratch — raw-layout record
+// included, whose estimator keeps the decoded vector as its prior — reads
+// the same means after B, whose own raw record lands in the same slot, is
+// decoded over it.
+func TestScratchHeartbeatRecordsAreOverwritten(t *testing.T) {
+	snapA, a := countHeartbeat(t, 1, 120, 180, 2)
+	_, b := countHeartbeat(t, 2, 2, 1, 6)
+	var sc Scratch
+	fa, err := sc.DecodeBorrow(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := Decode(a); !framesEqual(want, fa) {
+		t.Fatal("heartbeat A through a Scratch differs from its fresh decode")
+	}
+	v, err := knowledge.NewView(0, 200, []topology.NodeID{1}, nil, knowledge.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.MergeSnapshot(fa.Heartbeat); err != nil {
+		t.Fatal(err)
+	}
+	means := func() (out []float64) {
+		for _, pr := range snapA.Procs {
+			m, _ := v.CrashEstimate(pr.ID)
+			out = append(out, m)
+		}
+		for _, lr := range snapA.Links {
+			m, _, ok := v.LossEstimate(lr.Link)
+			if !ok {
+				t.Fatalf("the view did not learn link %v from heartbeat A", lr.Link)
+			}
+			out = append(out, m)
+		}
+		return out
+	}
+	before := means()
+	if raw, _ := bayes.NewFromState(snapA.Procs[0].Est); before[0] != raw.Mean() {
+		t.Fatalf("the raw-layout record reads %v in the view, its state means %v: it was not adopted", before[0], raw.Mean())
+	}
+
+	fb, err := sc.DecodeBorrow(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fb.Heartbeat.Procs) != 2 || len(fb.Heartbeat.Links) != 1 {
+		t.Fatalf("heartbeat B decoded to %d process and %d link records after A, want 2 and 1", len(fb.Heartbeat.Procs), len(fb.Heartbeat.Links))
+	}
+	if want, _ := Decode(b); !framesEqual(want, fb) {
+		t.Fatal("heartbeat B through the Scratch that held A differs from its fresh decode")
+	}
+	for i, m := range means() {
+		if math.Float64bits(m) != math.Float64bits(before[i]) {
+			t.Fatalf("estimate %d read %v after merging A and %v once B was decoded into the same Scratch", i, before[i], m)
+		}
+	}
+}
+
+// TestAllocsDecodeHeartbeat: a delta frame of evidence-count records, the
+// steady-state heartbeat, decodes into a Scratch that held one like it
+// without allocating; the fresh wrapper pays a Scratch and its two record
+// slices.
+func TestAllocsDecodeHeartbeat(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	snap, _ := countHeartbeat(t, 3, 40, 60, 0)
+	snap.Procs = snap.Procs[1:] // counts only
+	b, err := Encode(&Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 4, Ver: 9, Ack: 2, Caps: CapsCounts}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scratch
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) (*Frame, error)
+		want   float64
+	}{
+		{"Scratch.DecodeBorrow", sc.DecodeBorrow, 0},
+		{"DecodeBorrow", DecodeBorrow, 3},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if f, err := c.decode(b); err != nil || len(f.Delta.Snap.Procs) != 39 || len(f.Delta.Snap.Links) != 60 {
+				t.Fatal(f, err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s of a count delta frame allocated %.1f times per op, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
+// TestForgedRecordCountMustNotAmplify: a record count sizes an array of
+// ≈ 100-byte records, so it is bounded by what the bytes left could hold
+// at the shortest legal record, not by the bytes themselves. A 200 KB
+// frame declaring 200,000 process (or link) records must fail to decode —
+// fresh, borrowed, or into a Scratch a valid heartbeat just used — before
+// the array is made; and a Scratch does not keep arrays past keepRecords.
+func TestForgedRecordCountMustNotAmplify(t *testing.T) {
+	const declared = 200000
+	forge := func(links bool) []byte {
+		b := []byte{magic, version, byte(FrameHeartbeat)}
+		b = binary.AppendVarint(b, 1)  // From
+		b = binary.AppendUvarint(b, 1) // Seq
+		if links {
+			b = binary.AppendUvarint(b, 0) // no process records
+		}
+		b = binary.AppendUvarint(b, declared)
+		// Zero bytes parse as the shortest records there are, so without
+		// the bound the parse runs on until the bytes are gone.
+		return append(b, make([]byte, declared)...)
+	}
+	_, valid := countHeartbeat(t, 1, 20, 30, 1)
+	var sc Scratch
+	for _, links := range []bool{false, true} {
+		b := forge(links)
+		for name, decode := range map[string]func([]byte) (*Frame, error){
+			"Decode": Decode, "DecodeBorrow": DecodeBorrow, "Scratch.DecodeBorrow": sc.DecodeBorrow,
+		} {
+			if _, err := sc.DecodeBorrow(valid); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decode(b)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s accepted %d records (links: %v) in %d bytes", name, declared, links, len(b))
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("%s allocated %d bytes rejecting a %d-byte frame (links: %v), want < 1 MiB", name, got, len(b), links)
+			}
+		}
+	}
+	if minProcRecordSize != 5 || minLinkRecordSize != 6 {
+		t.Errorf("shortest records are %d and %d bytes, the forged frames assume 5 and 6", minProcRecordSize, minLinkRecordSize)
+	}
+
+	// The shortest legal records, exactly as many as the bytes hold, still
+	// decode (into estimators no view would adopt): the bound is tight.
+	exact := []byte{magic, version, byte(FrameHeartbeat), 2, 1, 3}
+	exact = append(exact, make([]byte, 3*minProcRecordSize)...)
+	exact = append(exact, 2)
+	for i := 0; i < 2; i++ {
+		exact = append(exact, 2, 4, 0, 0, 0, 0) // link 1–2, the rest zero
+	}
+	if f, err := Decode(exact); err != nil || len(f.Heartbeat.Procs) != 3 || len(f.Heartbeat.Links) != 2 {
+		t.Errorf("shortest-record heartbeat decoded to %+v, %v; want 3 process and 2 link records", f, err)
+	}
+
+	_, huge := countHeartbeat(t, 1, keepRecords+1, keepRecords+1, 1)
+	if _, err := sc.DecodeBorrow(huge); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.DecodeBorrow(valid); err != nil {
+		t.Fatal(err)
+	}
+	if cap(sc.snap.Procs) > keepRecords || cap(sc.snap.Links) > keepRecords {
+		t.Errorf("the Scratch kept arrays of %d and %d records after a %d-record heartbeat, want at most %d",
+			cap(sc.snap.Procs), cap(sc.snap.Links), keepRecords+1, keepRecords)
 	}
 }

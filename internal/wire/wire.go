@@ -236,7 +236,7 @@ func Encode(f *Frame) ([]byte, error) {
 // copied out of b, so the caller may reuse the buffer immediately and keep
 // the frame for as long as it likes.
 func Decode(b []byte) (*Frame, error) {
-	return decodeFresh(b, false)
+	return new(Scratch).decode(b, false)
 }
 
 // DecodeBorrow is Decode without the body copy: the returned frame's
@@ -244,49 +244,56 @@ func Decode(b []byte) (*Frame, error) {
 // owns. The caller must not recycle b while the frame — or anything the
 // body was handed to, like an application Delivery — is live.
 func DecodeBorrow(b []byte) (*Frame, error) {
-	return decodeFresh(b, true)
-}
-
-func decodeFresh(b []byte, borrow bool) (*Frame, error) {
-	f := new(Frame)
-	if err := decodeInto(b, f, nil, borrow); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return new(Scratch).decode(b, true)
 }
 
 // Scratch is caller-owned decode storage for the receive path, where the
 // m[j] copies of every broadcast make data frames the bulk of what is
 // decoded and three quarters of them are dropped as duplicates right
-// after. The Frame its DecodeBorrow returns, and a data frame's DataMsg
-// with its Parents and AllocByNode vectors, live in the Scratch and are
-// overwritten by its next decode — a caller that keeps any of them past
-// that point copies it first. The payloads of the other frame kinds, and
-// a data frame's Piggyback snapshot, are fresh per call and the caller's
-// to keep. The zero value is ready to use; a Scratch is not safe for
-// concurrent use.
+// after, and where every heartbeat is merged into the view and dropped.
+// Everything its DecodeBorrow returns lives in the Scratch and is
+// overwritten by its next decode — the Frame, a data frame's DataMsg with
+// its Parents and AllocByNode, a heartbeat's Snapshot or KnowledgeDelta
+// with their record slices — so a caller that keeps any of it past that
+// point copies it first. A heartbeat's records live in the Scratch; only
+// per-estimator vectors are the caller's to keep: the float vectors inside
+// a record's estimator state are fresh per call (a view that adopts the
+// record keeps them as the estimator's prior), as are a data frame's
+// Piggyback snapshot and a membership payload. The zero value is ready to
+// use; a Scratch is not safe for concurrent use.
 type Scratch struct {
 	frame Frame
 	data  DataMsg
+	delta KnowledgeDelta
+	snap  knowledge.Snapshot
 }
+
+// keepRecords bounds the record slices a Scratch keeps between decodes:
+// one full heartbeat from a cluster far past anything a flat roster holds
+// must not pin its arrays in a pool for good.
+const keepRecords = 4096
 
 // DecodeBorrow is the package-level DecodeBorrow into s: same parse, same
 // checks, and DataMsg.Body aliases b.
 func (s *Scratch) DecodeBorrow(b []byte) (*Frame, error) {
-	s.frame = Frame{}
-	if err := decodeInto(b, &s.frame, &s.data, true); err != nil {
+	if cap(s.snap.Procs) > keepRecords {
+		s.snap.Procs = nil
+	}
+	if cap(s.snap.Links) > keepRecords {
+		s.snap.Links = nil
+	}
+	return s.decode(b, true)
+}
+
+// decode is the one decode path: parse b into s, then validate.
+func (s *Scratch) decode(b []byte, borrow bool) (*Frame, error) {
+	if err := decodeBinary(b, s, borrow); err != nil {
+		return nil, err
+	}
+	if err := validate(&s.frame); err != nil {
 		return nil, err
 	}
 	return &s.frame, nil
-}
-
-// decodeInto is the one decode path: parse b into the zero frame f (a data
-// payload into m, or into a fresh DataMsg when m is nil), then validate.
-func decodeInto(b []byte, f *Frame, m *DataMsg, borrow bool) error {
-	if err := decodeBinary(b, f, m, borrow); err != nil {
-		return err
-	}
-	return validate(f)
 }
 
 // EncodeGob serializes a frame with the legacy stdlib-gob codec. It is
