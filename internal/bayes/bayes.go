@@ -122,21 +122,29 @@ func gridFromMids(mids []float64) *grid {
 // Estimator approximates one failure probability with U probability
 // intervals and per-interval beliefs. The zero value is unusable; use New.
 //
-// Estimators are not safe for concurrent mutation; the knowledge layer
-// serializes access, and the live node guards views with a mutex. The
-// posterior summary (mean, MAP) is refreshed by every constructor and
-// mutation and never on a read, so an estimator shared copy-on-write
-// between views may be read from several goroutines at once.
+// An Estimator is a small value (56 bytes): views hold it inline in their
+// records and adopting one is a copy. Estimators are not safe for
+// concurrent mutation; the knowledge layer serializes access, and the live
+// node guards views with a mutex. The posterior summary (mean, MAP) is
+// refreshed by every constructor and mutation and never on a read, so an
+// estimator may be read from several goroutines at once.
 type Estimator struct {
-	g       *grid
-	base    []float64 // immutable log-prior; nil is the uniform prior
-	baseObs int       // evidence already folded into base (Refine)
-	succ    int       // successes absorbed on top of base
-	fail    int       // failures absorbed on top of base
+	g     *grid
+	prior *prior // nil for the uniform prior, which every count estimator has
+	succ  int    // successes absorbed on top of the prior
+	fail  int    // failures absorbed on top of the prior
 
 	mean   float64 // posterior mean
-	mapIdx int     // maximum-a-posteriori interval
-	mapBel float64 // its belief, 1/Σ_u exp(logBel[u]-max)
+	mapBel float64 // MAP belief, 1/Σ_u exp(logBel[u]-max)
+	mapIdx int32   // maximum-a-posteriori interval
+}
+
+// prior is an estimator's non-uniform starting point: an immutable
+// log-prior (left by Refine, or shipped as a raw wire vector) and the
+// evidence already folded into it.
+type prior struct {
+	base []float64
+	obs  int
 }
 
 // New returns an estimator over u intervals with a uniform prior, matching
@@ -201,8 +209,8 @@ func (e *Estimator) ObserveSuccess(factor int) {
 // counts it was cut from.
 func (e *Estimator) logBelief(i int) float64 {
 	v := float64(e.fail)*e.g.logFail[i] + float64(e.succ)*e.g.logSucc[i]
-	if e.base != nil {
-		v += e.base[i]
+	if e.prior != nil {
+		v += e.prior.base[i]
 	}
 	return v
 }
@@ -239,7 +247,7 @@ func (e *Estimator) refresh() {
 		z += w
 		m += w * mid
 	}
-	e.mean, e.mapIdx, e.mapBel = m/z, best, 1/z
+	e.mean, e.mapIdx, e.mapBel = m/z, int32(best), 1/z
 }
 
 // Mean returns the posterior mean failure probability Σ_u P_B[u]*mid_u.
@@ -249,7 +257,7 @@ func (e *Estimator) Mean() float64 { return e.mean }
 
 // MAP returns the index of the maximum-a-posteriori interval and its
 // belief. Ties break toward the more reliable (lower) interval.
-func (e *Estimator) MAP() (interval int, belief float64) { return e.mapIdx, e.mapBel }
+func (e *Estimator) MAP() (interval int, belief float64) { return int(e.mapIdx), e.mapBel }
 
 // IntervalOf returns the index of the interval containing probability p.
 // p is clamped to [0, 1]; p == 1 falls in the last interval, matching the
@@ -288,7 +296,7 @@ func (e *Estimator) IntervalBounds(u int) (lo, hi float64) {
 
 // Belief returns P_B[u].
 func (e *Estimator) Belief(u int) float64 {
-	return math.Exp(e.logBelief(u)-e.logBelief(e.mapIdx)) * e.mapBel
+	return math.Exp(e.logBelief(u)-e.logBelief(int(e.mapIdx))) * e.mapBel
 }
 
 // Beliefs returns the normalized belief vector.
@@ -317,10 +325,10 @@ func (e *Estimator) BeliefSum() float64 {
 	return s
 }
 
-// Clone returns an independent copy of the estimator. Grid and prior are
-// immutable and shared, so a clone copies a few words — cloning is what
-// the adaptive protocol does when a process adopts a neighbor's
-// less-distorted estimate (Algorithm 3) and needs to evolve it locally.
+// Clone returns an independent copy of the estimator on the heap. Grid and
+// prior are immutable and shared, so a clone copies a few words; an
+// assignment of the value is the same copy, which is how a view adopts a
+// neighbor's less-distorted estimate (Algorithm 3).
 func (e *Estimator) Clone() *Estimator {
 	c := *e
 	return &c
@@ -329,7 +337,12 @@ func (e *Estimator) Clone() *Estimator {
 // Observations returns the total evidence count absorbed so far. The
 // dynamic-refinement extension gates on it: refining before enough
 // evidence has accumulated risks re-gridding around a transient MAP.
-func (e *Estimator) Observations() int { return e.baseObs + e.succ + e.fail }
+func (e *Estimator) Observations() int {
+	if e.prior != nil {
+		return e.prior.obs + e.succ + e.fail
+	}
+	return e.succ + e.fail
+}
 
 // EdgeStuck reports whether at least minMass posterior mass sits on the
 // grid's first or last interval — for a refined estimator this means the
@@ -339,7 +352,7 @@ func (e *Estimator) EdgeStuck(minMass float64) bool {
 	if e.mapBel < minMass {
 		return false
 	}
-	return e.mapIdx == 0 || e.mapIdx == len(e.g.mid)-1
+	return e.mapIdx == 0 || int(e.mapIdx) == len(e.g.mid)-1
 }
 
 // Converged reports whether the estimator has locked onto the true failure
@@ -352,7 +365,7 @@ func (e *Estimator) Converged(truth float64, slack int, minBelief float64) bool 
 	if e.mapBel < minBelief {
 		return false
 	}
-	diff := e.mapIdx - e.IntervalOf(truth)
+	diff := int(e.mapIdx) - e.IntervalOf(truth)
 	if diff < 0 {
 		diff = -diff
 	}
@@ -368,7 +381,7 @@ func (e *Estimator) Converged(truth float64, slack int, minBelief float64) bool 
 // it — so past evidence keeps constraining the estimate at coarse
 // granularity while new evidence resolves the sub-interval detail.
 func (e *Estimator) Refine() *Estimator {
-	lo, hi := e.IntervalBounds(e.mapIdx)
+	lo, hi := e.IntervalBounds(int(e.mapIdx))
 	// Widen by one interval on each side so a truth near the boundary is
 	// not excluded by an early, slightly-off MAP.
 	width := hi - lo
@@ -392,7 +405,7 @@ func (e *Estimator) Refine() *Estimator {
 		// the MAP interval, so the maximum stays pinned at 0.
 		base[i] = coarse[e.IntervalOf(mids[i])]
 	}
-	out := &Estimator{g: gridFromMids(mids), base: base, baseObs: e.Observations()}
+	out := &Estimator{g: gridFromMids(mids), prior: &prior{base: base, obs: e.Observations()}}
 	out.refresh()
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // vectorEstimator is the literal Algorithm 5: U log beliefs updated in
@@ -103,7 +104,7 @@ func TestRefinedCountsMatchIncrementalVector(t *testing.T) {
 		e.ObserveFailure(1 + rng.Intn(50))
 		e.ObserveSuccess(500 + rng.Intn(500))
 		r := e.Refine()
-		v := &vectorEstimator{g: r.g, logBel: append([]float64(nil), r.base...)}
+		v := &vectorEstimator{g: r.g, logBel: append([]float64(nil), r.prior.base...)}
 		randomRun(rng, r, v)
 		_, wantMean := v.beliefs()
 		if d := math.Abs(r.Mean() - wantMean); d > 1e-12 {
@@ -172,9 +173,9 @@ func TestRawStateSummarizesIdentically(t *testing.T) {
 	}
 }
 
-// TestSharedEstimatorConcurrentReads is the copy-on-write contract under
-// the race detector: one estimator adopted by two views is read by both
-// at once, each cloning before it mutates, and no read writes a cache.
+// TestSharedEstimatorConcurrentReads is the read contract under the race
+// detector: one estimator is read from two goroutines at once, each
+// copying it before it mutates, and no read writes a cache.
 func TestSharedEstimatorConcurrentReads(t *testing.T) {
 	shared := MustNew(DefaultIntervals)
 	shared.ObserveFailure(3)
@@ -235,5 +236,13 @@ func BenchmarkClone(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkEstimator = e.Clone()
+	}
+}
+
+// TestEstimatorFootprint pins the estimator at 56 bytes: views hold one
+// inline per process and per link record.
+func TestEstimatorFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Estimator{}); got > 56 {
+		t.Errorf("an estimator is %d bytes, want <= 56", got)
 	}
 }

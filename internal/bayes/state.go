@@ -32,7 +32,10 @@ type State struct {
 // State returns the estimator's serializable form in O(1): grid and prior
 // are immutable, so the state shares them instead of copying.
 func (e *Estimator) State() State {
-	s := State{Intervals: len(e.g.mid), LogBeliefs: e.base, Succ: e.succ, Fail: e.fail, g: e.g}
+	s := State{Intervals: len(e.g.mid), Succ: e.succ, Fail: e.fail, g: e.g}
+	if e.prior != nil {
+		s.LogBeliefs = e.prior.base
+	}
 	if !e.g.uniform {
 		s.Mids = e.g.mid
 	}
@@ -55,7 +58,7 @@ func NewFromState(s State) (*Estimator, error) {
 // mass somewhere); a malformed state leaves e as it was. Estimators
 // carrying the standard uniform midpoints share the memoized grid;
 // refined grids get a private one. The estimator adopts the state's
-// slices without copying. e must not be shared with another view.
+// slices without copying.
 func (e *Estimator) Adopt(s State) error {
 	u := s.Intervals
 	if u < 2 {
@@ -87,7 +90,10 @@ func (e *Estimator) Adopt(s State) error {
 			return fmt.Errorf("bayes: state log belief %v invalid", lb)
 		}
 	}
-	next := Estimator{g: g, base: s.LogBeliefs, succ: s.Succ, fail: s.Fail}
+	next := Estimator{g: g, succ: s.Succ, fail: s.Fail}
+	if s.LogBeliefs != nil {
+		next.prior = &prior{base: s.LogBeliefs}
+	}
 	next.refresh()
 	if math.IsNaN(next.mean) {
 		return fmt.Errorf("bayes: state carries no posterior mass")
@@ -109,7 +115,7 @@ func midsEqual(a, b []float64) bool {
 // build, for count states (raw vectors are not compared): re-adopting an
 // unchanged estimate over another route need not rebuild it.
 func (e *Estimator) Holds(s *State) bool {
-	return s.IsCounts() && e.base == nil && e.g.uniform &&
+	return s.IsCounts() && e.prior == nil && e.g.uniform &&
 		len(e.g.mid) == s.Intervals && e.succ == s.Succ && e.fail == s.Fail
 }
 
@@ -139,6 +145,9 @@ func (s *State) AppendLogBeliefs(dst []float64) []float64 {
 	default:
 		g = uniformGrid(s.Intervals)
 	}
-	e := Estimator{g: g, base: s.LogBeliefs, succ: s.Succ, fail: s.Fail}
+	e := Estimator{g: g, succ: s.Succ, fail: s.Fail}
+	if s.LogBeliefs != nil {
+		e.prior = &prior{base: s.LogBeliefs}
+	}
 	return e.appendLogBeliefs(dst)
 }

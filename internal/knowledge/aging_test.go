@@ -127,16 +127,11 @@ func TestLinkAgingNeverSetsDirty(t *testing.T) {
 	if !ok {
 		t.Fatal("remote link not adopted")
 	}
-	var ls *linkState
-	for i, cand := range v0.links {
-		if cand != nil && v0.interner.Link(i) == remote {
-			ls = cand
-		}
-	}
+	ls := v0.link(v0.interner.Lookup(remote))
 	if ls == nil {
 		t.Fatal("remote link state not found")
 	}
-	ls.sig.dirty = false // clear the adoption-time mark, then age
+	ls.dirty = false // clear the adoption-time mark, then age
 	aged := false
 	for p := 0; p < 256 && !aged; p++ {
 		v0.BeginPeriod()
@@ -146,7 +141,7 @@ func TestLinkAgingNeverSetsDirty(t *testing.T) {
 	if !aged {
 		t.Fatal("remote link never aged")
 	}
-	if ls.sig.dirty {
+	if ls.dirty {
 		t.Error("link aging set the dirty bit — decay must ride the next re-ship, not force one")
 	}
 }

@@ -55,7 +55,9 @@ package knowledge
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 
 	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/config"
@@ -154,39 +156,55 @@ func (p Params) withDefaults() Params {
 // Interner assigns process-local dense indices to links as they become
 // known, so views can keep link estimates in slices. Views in one
 // simulation may share an interner (indices then agree across views, which
-// the merge fast path exploits); live nodes each own one.
+// the merge fast path exploits); live nodes each own one. Links are kept
+// packed, both endpoints in one word (see pack).
 type Interner struct {
-	idx   map[topology.Link]int
-	links []topology.Link
+	idx   map[uint64]int32
+	links []uint64
 }
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{idx: make(map[topology.Link]int)}
+	return &Interner{idx: make(map[uint64]int32)}
+}
+
+// pack folds a link's two endpoints into one word, A high; ok is false
+// when an endpoint is outside [0, 2³²), where no interned link lives.
+func pack(l topology.Link) (key uint64, ok bool) {
+	return uint64(l.A)<<32 | uint64(l.B), uint64(l.A)|uint64(l.B) <= math.MaxUint32
 }
 
 // Intern returns the dense index for l, assigning the next free index on
-// first sight.
+// first sight. l must be canonical with endpoints in the view's ID space.
 func (t *Interner) Intern(l topology.Link) int {
-	if i, ok := t.idx[l]; ok {
-		return i
+	key, ok := pack(l)
+	if !ok {
+		panic(fmt.Sprintf("knowledge: interning link %v outside any ID space", l))
+	}
+	if i, ok := t.idx[key]; ok {
+		return int(i)
 	}
 	i := len(t.links)
-	t.idx[l] = i
-	t.links = append(t.links, l)
+	t.idx[key] = int32(i)
+	t.links = append(t.links, key)
 	return i
 }
 
 // Lookup returns the index of l, or -1 if never interned.
 func (t *Interner) Lookup(l topology.Link) int {
-	if i, ok := t.idx[l]; ok {
-		return i
+	if key, ok := pack(l); ok {
+		if i, ok := t.idx[key]; ok {
+			return int(i)
+		}
 	}
 	return -1
 }
 
 // Link returns the link with dense index i.
-func (t *Interner) Link(i int) topology.Link { return t.links[i] }
+func (t *Interner) Link(i int) topology.Link {
+	key := t.links[i]
+	return topology.Link{A: topology.NodeID(key >> 32), B: topology.NodeID(uint32(key))}
+}
 
 // Len returns the number of interned links.
 func (t *Interner) Len() int { return len(t.links) }
@@ -194,15 +212,14 @@ func (t *Interner) Len() int { return len(t.links) }
 // wireSig is a record's last-shipped wire signature for delta heartbeats:
 // the posterior mean, distortion and grid identity at the record's last
 // meaningful change, plus the view version that change was stamped with.
-// Mutation sites set only the dirty bit (one store, so the simulator's
-// merge fast path pays nothing); refreshSigs re-evaluates dirty records
-// lazily when a delta is cut and stamps `at` only when the content moved
-// beyond Params.DeltaEpsilon — distortion *aging* (Event 2's dist++)
+// Mutation sites set only the record's dirty bit (one store, so the
+// simulator's merge fast path pays nothing); refreshSigs re-evaluates dirty
+// records lazily when a delta is cut and stamps `at` only when the content
+// moved beyond Params.DeltaEpsilon — distortion *aging* (Event 2's dist++)
 // deliberately never sets the bit, because aging is local confidence decay
 // every peer applies to its own copies and carries no news.
 type wireSig struct {
-	dirty bool
-	at    uint64 // view version of the last meaningful change
+	at uint64 // view version of the last meaningful change
 	// meanAt is the view version of the last *value* change (mean beyond
 	// DeltaEpsilon, or grid): distortion-only changes advance `at` (they
 	// must re-ship — peers' adoption decisions read distortion) but not
@@ -211,86 +228,81 @@ type wireSig struct {
 	// as stability rather than news.
 	meanAt uint64
 	mean   float64
-	dist   int
-	gridN  int
 	grid0  float64
+	dist   int32
+	gridN  int32
 }
 
 // procState is C_k[p_i]: the estimate one process keeps about another
-// process (or itself).
-//
-// Estimator objects are shared between views on adoption (Algorithm 3's
-// "adopt the best") instead of copied: sharing a pointer is exactly the
-// semantics of receiving a serialized snapshot, because every mutation
-// goes through mutable(), which clones first when the object might be
-// referenced elsewhere (copy-on-write). A shared estimator is therefore a
-// frozen snapshot of the source at adoption time — the source's future
-// local updates do not teleport to adopters, preserving the propagation
-// delays that the paper's scalability experiment (Figure 6) measures.
+// process (or itself). A record is its estimate and nothing more: the
+// estimator is held by value, so adopting a peer's estimate (Algorithm 3's
+// "adopt the best") copies it — a frozen snapshot of the source at
+// adoption time, exactly what receiving a serialized heartbeat gives. The
+// source's later local updates do not teleport to adopters, preserving the
+// propagation delays the paper's scalability experiment (Figure 6)
+// measures. What a view keeps only about its direct neighbors lives in
+// peerState, not in this Π-sized array.
 type procState struct {
-	est         *bayes.Estimator
-	shared      bool // est may be referenced by another view: clone before mutating
-	refined     bool // AutoRefine already re-gridded this estimator
-	departed    bool // tombstoned by a membership epoch change; never shipped or aged
-	dist        int
-	lastSeq     uint64 // C_k[p_j].seq: last heartbeat sequence received (neighbors)
-	suspected   int    // C_k[p_j].suspected: Event 2 firings since last heartbeat
-	timeout     int    // ∆_k[p_j] in periods
-	sinceUpdate int    // periods since this estimate was last refreshed
-	cadence     int    // declared inter-frame gap in periods (0 or 1 = every δ)
+	est         bayes.Estimator
+	sig         wireSig
+	dist        int32
+	sinceUpdate int32 // periods since this estimate was last refreshed
 	// supplier is the neighbor whose merge last supplied this estimate
 	// (topology.None for self-measured or never-adopted records): Event-2
 	// aging of non-neighbor estimates scales with the supplier's declared
 	// inbound cadence, so a stretched gossip path doesn't decay knowledge
 	// that is merely arriving slowly.
-	supplier topology.NodeID
-	sig      wireSig
+	supplier int32
+	dirty    bool // the estimate changed since refreshSigs last looked (see wireSig)
+	refined  bool // AutoRefine already re-gridded this estimator
+	departed bool // tombstoned by a membership epoch change; never shipped or aged
+}
+
+// peerState is what a view keeps about a direct neighbor (or a process
+// that once was one, or sent it a heartbeat) beyond its estimate: the
+// sequence-gap accounting of Event 1 and the suspicion, timeout and
+// cadence of Event 2. It lives beside the Π-sized record array, for the
+// few processes that have one.
+type peerState struct {
+	neighbor  bool   // a direct neighbor of self now
+	lastSeq   uint64 // C_k[p_j].seq: last heartbeat sequence received
+	suspected int    // C_k[p_j].suspected: Event 2 firings since last heartbeat
+	timeout   int    // ∆_k[p_j] in periods
+	cadence   int    // declared inter-frame gap in periods (0 or 1 = every δ)
 }
 
 // effCadence is the neighbor's declared heartbeat cadence with the
-// classic one-frame-per-δ default.
-func (ps *procState) effCadence() int {
-	if ps.cadence < 1 {
+// classic one-frame-per-δ default (also for a nil p).
+func (p *peerState) effCadence() int {
+	if p == nil || p.cadence < 1 {
 		return 1
 	}
-	return ps.cadence
+	return p.cadence
 }
 
-// mutable returns the estimator, cloning it first if it might be shared
-// with another view.
-func (ps *procState) mutable() *bayes.Estimator {
-	if ps.shared {
-		ps.est = ps.est.Clone()
-		ps.shared = false
-	}
-	return ps.est
-}
-
-// linkState is C_k[l_i]: the estimate kept about one link. Link distortion
-// captures only network distance (the paper ages only process estimates
-// with time). Sharing semantics match procState.
+// linkState is C_k[l_i]: the estimate kept about one link, by value like
+// procState. Link distortion captures only network distance (the paper
+// ages only process estimates with time).
 type linkState struct {
-	est     *bayes.Estimator
-	shared  bool
-	refined bool // AutoRefine already re-gridded this estimator
-	dist    int
+	est  bayes.Estimator
+	sig  wireSig
+	dist int32
 	// supplier and sinceUpdate drive the remote-link flavor of Event-2
 	// aging (see Params.LinkAgeTimeout): supplier is the neighbor whose
 	// merge last supplied this estimate, sinceUpdate the quiet periods
 	// since. Incident links (dist 0) never age and ignore both.
-	supplier    topology.NodeID
-	sinceUpdate int
-	sig         wireSig
+	sinceUpdate int32
+	supplier    int32
+	known       bool // false: a slot no link of this view occupies
+	dirty       bool
+	refined     bool
 }
 
-// mutable returns the estimator, cloning it first if it might be shared.
-func (ls *linkState) mutable() *bayes.Estimator {
-	if ls.shared {
-		ls.est = ls.est.Clone()
-		ls.shared = false
-	}
-	return ls.est
-}
+// Link records live in fixed chunks that never move, so a record's
+// address is stable for the view's lifetime and learning a link never
+// copies the others. A chunk is 16 records: a view of a few processes
+// pays for few empty slots, and 16 × 112 bytes is an exact size class.
+const chunkLen = 16
 
 // View is (Λ_k, C_k): everything process self believes about the system.
 // It is a pure state machine — time is injected by calling BeginPeriod
@@ -302,13 +314,14 @@ type View struct {
 	n         int
 	params    Params
 	interner  *Interner
+	uniform   bayes.Estimator // the uniform-prior estimator every new record starts from
 	procs     []procState
-	links     []*linkState // indexed by interner index; nil = unknown link
-	neighbor  []bool       // direct neighbors of self
-	nDeparted int          // tombstoned processes; 0 keeps membership checks off hot paths
-	selfSeq   uint64       // heartbeat sequencer C_k[p_k].seq
-	version   uint64       // monotonic mutation counter, see Version
-	sigVer    uint64       // version the wire signatures were last refreshed at
+	links     []*[chunkLen]linkState // link records by interner index, in chunks
+	peers     []*peerState           // by process; nil for one that never was a neighbor
+	nDeparted int                    // tombstoned processes; 0 keeps membership checks off hot paths
+	selfSeq   uint64                 // heartbeat sequencer C_k[p_k].seq
+	version   uint64                 // monotonic mutation counter, see Version
+	sigVer    uint64                 // version the wire signatures were last refreshed at
 }
 
 // NewView builds the initial view of process self in a system of n
@@ -325,39 +338,85 @@ func NewView(self topology.NodeID, n int, neighbors []topology.NodeID, interner 
 	}
 	v := &View{
 		self:     self,
-		n:        n,
 		params:   params,
 		interner: interner,
-		procs:    make([]procState, n),
-		neighbor: make([]bool, n),
+		uniform:  *bayes.MustNew(params.Intervals),
 	}
-	for i := range v.procs {
-		v.procs[i] = procState{
-			est:      bayes.MustNew(params.Intervals),
-			dist:     DistInf,
-			timeout:  params.InitialTimeout,
-			supplier: topology.None,
-		}
-	}
+	v.addProcs(n)
 	v.procs[self].dist = 0 // p_k sees itself with no distortion
-	v.procs[self].sig.dirty = true
+	v.procs[self].dirty = true
 	for _, nb := range neighbors {
 		if nb == self || nb < 0 || int(nb) >= n {
 			return nil, fmt.Errorf("knowledge: invalid neighbor %d", nb)
 		}
-		v.neighbor[nb] = true
-		idx := v.interner.Intern(topology.NewLink(self, nb))
-		v.ensureLinks(idx)
-		v.links[idx] = &linkState{est: bayes.MustNew(params.Intervals), dist: 0, supplier: topology.None, sig: wireSig{dirty: true}}
+		v.addPeer(nb).neighbor = true
+		v.incident(nb)
 	}
 	return v, nil
 }
 
-// ensureLinks grows the link slice to cover index idx.
-func (v *View) ensureLinks(idx int) {
-	for len(v.links) <= idx {
-		v.links = append(v.links, nil)
+// addProcs extends the process space to n processes; a new one starts
+// as a record nothing is known about (the paper's d = ∞ initialization).
+func (v *View) addProcs(n int) {
+	v.procs = slices.Grow(v.procs, n-v.n)
+	for range n - v.n {
+		v.procs = append(v.procs, procState{est: v.uniform, dist: DistInf, supplier: int32(topology.None)})
 	}
+	v.peers = append(v.peers, make([]*peerState, n-v.n)...)
+	v.n = n
+}
+
+// incident returns the record of the link self—j, which self measures
+// itself, learning it with zero distortion if the view does not know it.
+func (v *View) incident(j topology.NodeID) (ls *linkState, learned bool) {
+	ls = v.slot(v.interner.Intern(topology.NewLink(v.self, j)))
+	if ls.known {
+		return ls, false
+	}
+	*ls = linkState{est: v.uniform, known: true, dirty: true, supplier: int32(topology.None)}
+	return ls, true
+}
+
+// chunk returns link chunk c, allocating the chunks up to it.
+func (v *View) chunk(c int) *[chunkLen]linkState {
+	for len(v.links) <= c {
+		v.links = append(v.links, new([chunkLen]linkState))
+	}
+	return v.links[c]
+}
+
+// slot returns the record of link index idx, known or not.
+func (v *View) slot(idx int) *linkState { return &v.chunk(idx / chunkLen)[idx%chunkLen] }
+
+// link returns the record of link index idx, or nil when the view does
+// not know that link.
+func (v *View) link(idx int) *linkState {
+	if idx < 0 || idx/chunkLen >= len(v.links) || !v.links[idx/chunkLen][idx%chunkLen].known {
+		return nil
+	}
+	return &v.links[idx/chunkLen][idx%chunkLen]
+}
+
+// knownLinks yields every link record the view knows, with its interner
+// index, in index order.
+func (v *View) knownLinks() iter.Seq2[int, *linkState] {
+	return func(yield func(int, *linkState) bool) {
+		for c, chunk := range v.links {
+			for i := range chunk {
+				if chunk[i].known && !yield(c*chunkLen+i, &chunk[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// addPeer returns the neighbor bookkeeping of j, starting it if needed.
+func (v *View) addPeer(j topology.NodeID) *peerState {
+	if v.peers[j] == nil {
+		v.peers[j] = &peerState{timeout: v.params.InitialTimeout}
+	}
+	return v.peers[j]
 }
 
 // Self returns the owning process ID.
@@ -391,16 +450,7 @@ func (v *View) Grow(newN int) {
 	if newN <= v.n {
 		return
 	}
-	for i := v.n; i < newN; i++ {
-		v.procs = append(v.procs, procState{
-			est:      bayes.MustNew(v.params.Intervals),
-			dist:     DistInf,
-			timeout:  v.params.InitialTimeout,
-			supplier: topology.None,
-		})
-		v.neighbor = append(v.neighbor, false)
-	}
-	v.n = newN
+	v.addProcs(newN)
 	v.version++
 }
 
@@ -417,16 +467,14 @@ func (v *View) MarkDeparted(id topology.NodeID) {
 	}
 	ps := &v.procs[id]
 	ps.departed = true
-	ps.suspected = 0
-	ps.sig.dirty = false
-	v.neighbor[id] = false
+	ps.dirty = false
+	if p := v.peers[id]; p != nil {
+		p.suspected, p.neighbor = 0, false
+	}
 	v.nDeparted++
-	for idx := range v.links {
-		if v.links[idx] == nil {
-			continue
-		}
+	for idx, ls := range v.knownLinks() {
 		if l := v.interner.Link(idx); l.A == id || l.B == id {
-			v.links[idx] = nil
+			*ls = linkState{}
 		}
 	}
 	v.version++
@@ -449,38 +497,33 @@ func (v *View) AddNeighbor(nb topology.NodeID) error {
 	if v.procs[nb].departed {
 		return fmt.Errorf("knowledge: neighbor %d is departed", nb)
 	}
-	if v.neighbor[nb] {
+	p := v.addPeer(nb)
+	if p.neighbor {
 		return nil
 	}
-	v.neighbor[nb] = true
-	idx := v.interner.Intern(topology.NewLink(v.self, nb))
-	v.ensureLinks(idx)
-	if v.links[idx] == nil {
-		v.links[idx] = &linkState{est: bayes.MustNew(v.params.Intervals), dist: 0, supplier: topology.None, sig: wireSig{dirty: true}}
-	} else {
-		v.links[idx].dist = 0
-		v.links[idx].sinceUpdate = 0
-		v.links[idx].sig.dirty = true
+	p.neighbor = true
+	if ls, learned := v.incident(nb); !learned {
+		ls.dist, ls.sinceUpdate, ls.dirty = 0, 0, true
 	}
 	// The neighbor's sequence accounting restarts from scratch: the first
 	// frame books no gap (lastSeq 0) and suspicion state is clean.
-	v.procs[nb].lastSeq = 0
-	v.procs[nb].suspected = 0
+	p.lastSeq, p.suspected = 0, 0
 	v.procs[nb].sinceUpdate = 0
 	v.version++
 	return nil
 }
 
 // IsNeighbor reports whether j is a direct neighbor of self.
-func (v *View) IsNeighbor(j topology.NodeID) bool { return v.neighbor[j] }
+func (v *View) IsNeighbor(j topology.NodeID) bool {
+	p := v.peers[j]
+	return p != nil && p.neighbor
+}
 
 // KnownLinks returns the links the view currently knows about.
 func (v *View) KnownLinks() []topology.Link {
 	var out []topology.Link
-	for i, ls := range v.links {
-		if ls != nil {
-			out = append(out, v.interner.Link(i))
-		}
+	for i := range v.knownLinks() {
+		out = append(out, v.interner.Link(i))
 	}
 	return out
 }
@@ -494,8 +537,8 @@ func (v *View) KnownLinks() []topology.Link {
 func (v *View) BeginPeriod() {
 	v.selfSeq++
 	v.version++
-	v.procs[v.self].mutable().ObserveSuccess(1) // Event 3: ∆tick = δ
-	v.procs[v.self].sig.dirty = true
+	v.procs[v.self].est.ObserveSuccess(1) // Event 3: ∆tick = δ
+	v.procs[v.self].dirty = true
 	if v.params.AutoRefine && v.selfSeq%uint64(v.params.refineEvery) == 0 {
 		v.maybeRefine()
 	}
@@ -518,11 +561,14 @@ func (v *View) BeginPeriod() {
 		// arrive as fast as the gossip hop feeding us, so a stretched
 		// supply route ages the copy slower instead of decaying knowledge
 		// that is merely in transit.
-		scale := ps.effCadence()
-		if !v.neighbor[j] {
-			scale = v.supplierCadence(ps.supplier)
+		timeout, scale := v.params.InitialTimeout, 1
+		p := v.peers[j]
+		if p != nil && p.neighbor {
+			timeout, scale = p.timeout, p.effCadence()
+		} else {
+			p, scale = nil, v.supplierCadence(ps.supplier)
 		}
-		if ps.sinceUpdate < ps.timeout*scale {
+		if int(ps.sinceUpdate) < timeout*scale {
 			continue
 		}
 		// Event 2: no update of p_j's estimate for ∆_k[p_j].
@@ -530,10 +576,10 @@ func (v *View) BeginPeriod() {
 		if ps.dist != DistInf {
 			ps.dist++ // knowledge gets distorted with time
 		}
-		if v.neighbor[j] {
-			ps.suspected++
-			ps.mutable().ObserveFailure(1)
-			ps.sig.dirty = true
+		if p != nil {
+			p.suspected++
+			ps.est.ObserveFailure(1)
+			ps.dirty = true
 			// Link evidence is intentionally NOT decreased here; see the
 			// package comment — losses are booked exactly from sequence
 			// gaps on the next reception, keeping the link posterior
@@ -549,12 +595,12 @@ func (v *View) BeginPeriod() {
 	// distortion ships whenever the record is next re-shipped anyway.
 	// Incident links (dist 0) are self-measured every reception and never
 	// age; unknown links (DistInf) have nothing left to decay.
-	for _, ls := range v.links {
-		if ls == nil || ls.dist == 0 || ls.dist == DistInf {
+	for _, ls := range v.knownLinks() {
+		if ls.dist == 0 || ls.dist == DistInf {
 			continue
 		}
 		ls.sinceUpdate++
-		if ls.sinceUpdate < v.params.LinkAgeTimeout*v.supplierCadence(ls.supplier) {
+		if int(ls.sinceUpdate) < v.params.LinkAgeTimeout*v.supplierCadence(ls.supplier) {
 			continue
 		}
 		ls.sinceUpdate = 0
@@ -567,11 +613,11 @@ func (v *View) BeginPeriod() {
 // self-measured, never adopted, or its supplier is not currently a
 // direct neighbor (a departed or demoted supplier can't deliver news at
 // any cadence, so the copy ages on the unscaled clock).
-func (v *View) supplierCadence(sup topology.NodeID) int {
-	if sup < 0 || int(sup) >= v.n || !v.neighbor[sup] {
+func (v *View) supplierCadence(sup int32) int {
+	if sup < 0 || int(sup) >= v.n || v.peers[sup] == nil || !v.peers[sup].neighbor {
 		return 1
 	}
-	return v.procs[sup].effCadence()
+	return v.peers[sup].effCadence()
 }
 
 // maybeRefine applies the dynamic-precision extension to the estimates
@@ -582,14 +628,14 @@ func (v *View) supplierCadence(sup topology.NodeID) int {
 // any other knowledge.
 func (v *View) maybeRefine() {
 	self := &v.procs[v.self]
-	self.est, self.refined, self.shared = v.refineStep(self.est, self.refined, self.shared)
-	self.sig.dirty = true
-	for _, ls := range v.links {
-		if ls == nil || ls.dist != 0 {
+	self.refined = v.refineStep(&self.est, self.refined)
+	self.dirty = true
+	for _, ls := range v.knownLinks() {
+		if ls.dist != 0 {
 			continue
 		}
-		ls.est, ls.refined, ls.shared = v.refineStep(ls.est, ls.refined, ls.shared)
-		ls.sig.dirty = true
+		ls.refined = v.refineStep(&ls.est, ls.refined)
+		ls.dirty = true
 	}
 }
 
@@ -597,32 +643,25 @@ func (v *View) maybeRefine() {
 // unrefined estimators refine once they hold enough concentrated
 // evidence; refined estimators whose mass piles on a window edge (the
 // truth moved or the window was wrong) fall back to the coarse grid and
-// start over.
-func (v *View) refineStep(est *bayes.Estimator, refined, shared bool) (*bayes.Estimator, bool, bool) {
+// start over. It rewrites est in place and returns the new refined flag.
+func (v *View) refineStep(est *bayes.Estimator, refined bool) bool {
 	if !refined {
 		if est.Observations() < v.params.RefineMinObs {
-			return est, refined, shared
+			return false
 		}
 		if _, mass := est.MAP(); mass < v.params.RefineMass {
-			return est, refined, shared
+			return false
 		}
-		return est.Refine(), true, false
+		*est = *est.Refine()
+		return true
 	}
 	if est.EdgeStuck(v.params.RefineMass) {
 		// Abandon the refinement: the coarse grid re-localizes from
 		// scratch and a better window is chosen later.
-		return bayes.MustNew(v.params.Intervals), false, false
+		*est = v.uniform
+		return false
 	}
-	return est, refined, shared
-}
-
-// linkTo returns the state of the direct link self—j, or nil.
-func (v *View) linkTo(j topology.NodeID) *linkState {
-	idx := v.interner.Lookup(topology.NewLink(v.self, j))
-	if idx < 0 || idx >= len(v.links) {
-		return nil
-	}
-	return v.links[idx]
+	return true
 }
 
 // OnRecover is Event 4: the process just returned from a crash that
@@ -630,8 +669,8 @@ func (v *View) linkTo(j topology.NodeID) *linkState {
 // decreased proportionally.
 func (v *View) OnRecover(missedTicks int) {
 	v.version++
-	v.procs[v.self].mutable().ObserveFailure(missedTicks)
-	v.procs[v.self].sig.dirty = true
+	v.procs[v.self].est.ObserveFailure(missedTicks)
+	v.procs[v.self].dirty = true
 }
 
 // MergeFrom is Event 1 operating directly on the sender's live view
@@ -664,7 +703,8 @@ func (v *View) MergeFromAt(from topology.NodeID, senderSeq uint64, cadence int, 
 // (Event 2 fired since j's last heartbeat). Non-neighbors are never
 // suspected — their estimates only age.
 func (v *View) Suspected(j topology.NodeID) bool {
-	return v.neighbor[j] && v.procs[j].suspected > 0
+	p := v.peers[j]
+	return p != nil && p.neighbor && p.suspected > 0
 }
 
 // AnySuspected reports whether any direct neighbor is currently
@@ -672,8 +712,8 @@ func (v *View) Suspected(j topology.NodeID) bool {
 // neighbor's heartbeat interval back to δ while this holds, so suspicion
 // news always propagates at full cadence.
 func (v *View) AnySuspected() bool {
-	for j := range v.procs {
-		if v.neighbor[j] && v.procs[j].suspected > 0 {
+	for _, p := range v.peers {
+		if p != nil && p.neighbor && p.suspected > 0 {
 			return true
 		}
 	}
@@ -682,7 +722,7 @@ func (v *View) AnySuspected() bool {
 
 // NeighborCadence reports the heartbeat cadence neighbor j declared on
 // its last frame (1 = classic), for tests and introspection.
-func (v *View) NeighborCadence(j topology.NodeID) int { return v.procs[j].effCadence() }
+func (v *View) NeighborCadence(j topology.NodeID) int { return v.peers[j].effCadence() }
 
 // MergeKnowledgeOnly merges the estimates and topology of src without the
 // heartbeat sequence accounting. This is the paper's piggybacking remark
@@ -716,15 +756,13 @@ func (v *View) mergeEstimates(src *View) bool {
 	// Views may disagree on |Π| mid-epoch-change; merge the common prefix.
 	// Tombstoned records are never adopted — a stale peer cannot resurrect
 	// a departed member.
-	np := len(v.procs)
-	if len(src.procs) < np {
-		np = len(src.procs)
-	}
-	for i := 0; i < np; i++ {
+	for i := range min(len(v.procs), len(src.procs)) {
 		if depCheck && (v.procs[i].departed || src.procs[i].departed) {
 			continue
 		}
-		if v.adoptProc(&v.procs[i], &src.procs[i], src.self) {
+		if mine, theirs := &v.procs[i], &src.procs[i]; theirs.dist < mine.dist {
+			mine.est = theirs.est
+			mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty = bump(theirs.dist), int32(src.self), 0, true
 			changed = true
 		}
 	}
@@ -736,67 +774,48 @@ func (v *View) mergeEstimates(src *View) bool {
 	// like the proc loop's prefix bound — adopting one would poison
 	// EstimatedConfig until this view grows.
 	sizeCheck := len(src.procs) > len(v.procs)
-	for idx, theirs := range src.links {
-		if theirs == nil {
-			continue
-		}
-		if depCheck || sizeCheck {
-			l := src.interner.Link(idx)
-			if int(l.B) >= v.n { // canonical A < B: one bound check suffices
+	// The interner is shared, so both views keep a link in the same chunk
+	// and slot.
+	for c, chunk := range src.links {
+		mines := v.chunk(c)
+		for i := range chunk {
+			theirs := &chunk[i]
+			if !theirs.known {
 				continue
 			}
-			if depCheck && (v.Departed(l.A) || v.Departed(l.B)) {
-				continue
+			if depCheck || sizeCheck {
+				l := src.interner.Link(c*chunkLen + i)
+				if int(l.B) >= v.n { // canonical A < B: one bound check suffices
+					continue
+				}
+				if depCheck && (v.Departed(l.A) || v.Departed(l.B)) {
+					continue
+				}
 			}
-		}
-		v.ensureLinks(idx)
-		mine := v.links[idx]
-		if mine == nil {
-			theirs.shared = true
-			v.links[idx] = &linkState{est: theirs.est, shared: true, dist: bump(theirs.dist), supplier: src.self, sig: wireSig{dirty: true}}
-			changed = true
-			continue
-		}
-		if theirs.dist < mine.dist {
-			theirs.shared = true
-			mine.est = theirs.est
-			mine.shared = true
-			mine.dist = bump(theirs.dist)
-			mine.supplier = src.self
-			mine.sinceUpdate = 0
-			mine.sig.dirty = true
-			changed = true
+			// An unknown link's slot is a zero record: adopting into it
+			// learns the link.
+			if mine := &mines[i]; !mine.known || theirs.dist < mine.dist {
+				mine.est, mine.known = theirs.est, true
+				mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty = bump(theirs.dist), int32(src.self), 0, true
+				changed = true
+			}
 		}
 	}
 	return changed
 }
 
-// adoptProc applies selectBestEstimate to one process estimate pair,
-// reporting whether the peer's estimate won. Adoption shares the
-// estimator object copy-on-write (see procState); sequence numbers,
-// suspicion counters and timeouts are local observations about the
-// *neighbor link*, not part of the propagated estimate, and are never
-// adopted.
-func (v *View) adoptProc(mine, theirs *procState, supplier topology.NodeID) bool {
-	if theirs.dist >= mine.dist {
-		return false
-	}
-	theirs.shared = true
-	mine.est = theirs.est
-	mine.shared = true
-	mine.dist = bump(theirs.dist)
-	mine.supplier = supplier
-	mine.sinceUpdate = 0
-	mine.sig.dirty = true
-	return true
-}
-
 // bump increments a distortion, saturating at DistInf.
-func bump(d int) int {
+func bump(d int32) int32 {
 	if d >= DistInf-1 {
 		return DistInf
 	}
 	return d + 1
+}
+
+// wireDist is a distortion off the wire as a record holds it, clamped
+// into [0, DistInf].
+func wireDist(d int) int32 {
+	return int32(min(max(d, 0), DistInf))
 }
 
 // maxDeclaredCadence clamps the heartbeat cadence a peer may declare,
@@ -822,18 +841,14 @@ const maxDeclaredCadence = 256
 // sender may break its promise by sending early (snap-back on a view
 // change), which books no spurious loss: an early frame only shrinks g.
 func (v *View) reconcileLink(from topology.NodeID, senderSeq uint64, cadence int) {
-	ps := &v.procs[from]
-	ls := v.linkTo(from)
-	if ls == nil {
+	ps := v.addPeer(from)
+	ls, learned := v.incident(from)
+	if learned {
 		// First contact with a previously unknown neighbor (dynamic
-		// topologies): learn the link with zero distortion.
-		v.neighbor[from] = true
-		idx := v.interner.Intern(topology.NewLink(v.self, from))
-		v.ensureLinks(idx)
-		ls = &linkState{est: bayes.MustNew(v.params.Intervals), dist: 0, supplier: topology.None}
-		v.links[idx] = ls
+		// topologies): the link is learned with zero distortion.
+		ps.neighbor = true
 	}
-	ls.sig.dirty = true // success/failure evidence below moves the estimate
+	ls.dirty = true // success/failure evidence below moves the estimate
 
 	missed := 0
 	switch {
@@ -852,53 +867,53 @@ func (v *View) reconcileLink(from topology.NodeID, senderSeq uint64, cadence int
 	if missed > 0 {
 		// Exactly `missed` heartbeats were sent and never arrived: ground-
 		// truth loss evidence revealed by the sequence numbers.
-		ls.mutable().ObserveFailure(missed)
+		ls.est.ObserveFailure(missed)
 	}
 	if ps.suspected-missed > 1 && ps.timeout < v.params.MaxTimeout {
 		// Suspicions clearly outpaced real losses: the timeout is too
 		// aggressive for this neighbor, relax it (Algorithm 4 line 23).
 		ps.timeout++
 	}
-	ls.mutable().ObserveSuccess(1) // the heartbeat that just arrived
+	ls.est.ObserveSuccess(1) // the heartbeat that just arrived
 	ps.suspected = 0
 	ps.lastSeq = senderSeq
-	ps.sinceUpdate = 0
-	if cadence < 1 {
-		cadence = 1
-	} else if cadence > maxDeclaredCadence {
-		cadence = maxDeclaredCadence
-	}
-	ps.cadence = cadence
+	v.procs[from].sinceUpdate = 0
+	ps.cadence = min(max(cadence, 1), maxDeclaredCadence)
 }
 
 // CrashEstimate returns the current point estimate of P_i and its
 // distortion (DistInf when nothing is known).
 func (v *View) CrashEstimate(i topology.NodeID) (mean float64, dist int) {
 	ps := &v.procs[i]
-	return ps.est.Mean(), ps.dist
+	return ps.est.Mean(), int(ps.dist)
 }
 
 // LossEstimate returns the current point estimate of L for link l and its
 // distortion; ok is false when the link is unknown.
 func (v *View) LossEstimate(l topology.Link) (mean float64, dist int, ok bool) {
-	idx := v.interner.Lookup(l)
-	if idx < 0 || idx >= len(v.links) || v.links[idx] == nil {
+	ls := v.link(v.interner.Lookup(l))
+	if ls == nil {
 		return 0, DistInf, false
 	}
-	return v.links[idx].est.Mean(), v.links[idx].dist, true
+	return ls.est.Mean(), int(ls.dist), true
 }
 
 // ProcEstimator exposes the Bayesian estimator for process i (read-only
-// use; experiments inspect convergence).
-func (v *View) ProcEstimator(i topology.NodeID) *bayes.Estimator { return v.procs[i].est }
+// use; experiments inspect convergence). It points into the view's
+// record, which later merges and periods update in place; the pointer
+// stays valid until the view Grows, the one call that moves process
+// records. Clone it to keep a snapshot.
+func (v *View) ProcEstimator(i topology.NodeID) *bayes.Estimator { return &v.procs[i].est }
 
-// LinkEstimator exposes the Bayesian estimator for link l, or nil.
+// LinkEstimator exposes the Bayesian estimator for link l, or nil. It
+// points into the view's record, which never moves: the pointer stays
+// valid for the view's lifetime, reading whatever the record holds (a
+// forgotten link's record reads as zero).
 func (v *View) LinkEstimator(l topology.Link) *bayes.Estimator {
-	idx := v.interner.Lookup(l)
-	if idx < 0 || idx >= len(v.links) || v.links[idx] == nil {
-		return nil
+	if ls := v.link(v.interner.Lookup(l)); ls != nil {
+		return &ls.est
 	}
-	return v.links[idx].est
+	return nil
 }
 
 // EstimatedConfig materializes the view into a fresh (G, C) pair; see
@@ -922,10 +937,7 @@ func (v *View) EstimatedConfig() (*topology.Graph, *config.Config, error) {
 // span only live members. On error g and c are left half-filled.
 func (v *View) EstimatedConfigInto(g *topology.Graph, c *config.Config) error {
 	g.Reset(v.n)
-	for i, ls := range v.links {
-		if ls == nil {
-			continue
-		}
+	for i := range v.knownLinks() {
 		l := v.interner.Link(i)
 		if _, err := g.AddLink(l.A, l.B); err != nil {
 			return err
@@ -947,10 +959,7 @@ func (v *View) EstimatedConfigInto(g *topology.Graph, c *config.Config) error {
 			return err
 		}
 	}
-	for i, ls := range v.links {
-		if ls == nil {
-			continue
-		}
+	for i, ls := range v.knownLinks() {
 		l := v.interner.Link(i)
 		if err := c.SetLossBetween(l.A, l.B, ls.est.Mean()); err != nil {
 			return err
@@ -993,12 +1002,8 @@ func (v *View) ConvergedTo(truth *config.Config, crit Criterion) bool {
 		}
 	}
 	for li := 0; li < g.NumLinks(); li++ {
-		l := g.Link(li)
-		idx := v.interner.Lookup(l)
-		if idx < 0 || idx >= len(v.links) || v.links[idx] == nil {
-			return false
-		}
-		if !v.links[idx].est.Converged(truth.Loss(li), crit.Slack, crit.MinBelief) {
+		ls := v.link(v.interner.Lookup(g.Link(li)))
+		if ls == nil || !ls.est.Converged(truth.Loss(li), crit.Slack, crit.MinBelief) {
 			return false
 		}
 	}

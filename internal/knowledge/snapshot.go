@@ -46,7 +46,7 @@ func (v *View) Snapshot() *Snapshot {
 		From:  v.self,
 		Seq:   v.selfSeq,
 		Procs: make([]ProcRecord, 0, len(v.procs)),
-		Links: make([]LinkRecord, 0, len(v.links)),
+		Links: make([]LinkRecord, 0, v.interner.Len()),
 	}
 	for i := range v.procs {
 		ps := &v.procs[i]
@@ -55,17 +55,14 @@ func (v *View) Snapshot() *Snapshot {
 		}
 		s.Procs = append(s.Procs, ProcRecord{
 			ID:   topology.NodeID(i),
-			Dist: ps.dist,
+			Dist: int(ps.dist),
 			Est:  ps.est.State(),
 		})
 	}
-	for idx, ls := range v.links {
-		if ls == nil {
-			continue
-		}
+	for idx, ls := range v.knownLinks() {
 		s.Links = append(s.Links, LinkRecord{
 			Link: v.interner.Link(idx),
-			Dist: ls.dist,
+			Dist: int(ls.dist),
 			Est:  ls.est.State(),
 		})
 	}
@@ -100,15 +97,14 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 	// more than a second scan. No scratch is shared between cuts, since
 	// Tick is not serialized against itself.
 	shipsProc := func(ps *procState) bool { return ps.dist != DistInf && !ps.departed && ps.sig.at > base }
-	shipsLink := func(ls *linkState) bool { return ls != nil && ls.sig.at > base }
 	nProcs, nLinks := 0, 0
 	for i := range v.procs {
 		if shipsProc(&v.procs[i]) {
 			nProcs++
 		}
 	}
-	for _, ls := range v.links {
-		if shipsLink(ls) {
+	for _, ls := range v.knownLinks() {
+		if ls.sig.at > base {
 			nLinks++
 		}
 	}
@@ -118,16 +114,16 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 		if ps := &v.procs[i]; shipsProc(ps) {
 			s.Procs = append(s.Procs, ProcRecord{
 				ID:   topology.NodeID(i),
-				Dist: ps.dist,
+				Dist: int(ps.dist),
 				Est:  ps.est.State(),
 			})
 		}
 	}
-	for idx, ls := range v.links {
-		if shipsLink(ls) {
+	for idx, ls := range v.knownLinks() {
+		if ls.sig.at > base {
 			s.Links = append(s.Links, LinkRecord{
 				Link: v.interner.Link(idx),
-				Dist: ls.dist,
+				Dist: int(ls.dist),
 				Est:  ls.est.State(),
 			})
 		}
@@ -150,27 +146,28 @@ func (v *View) refreshSigs() {
 		eps = 0
 	}
 	for i := range v.procs {
-		ps := &v.procs[i]
-		if ps.sig.dirty {
-			refreshSig(&ps.sig, ps.est, ps.dist, eps, v.version)
+		if ps := &v.procs[i]; ps.dirty {
+			ps.dirty = false
+			ps.sig.refresh(&ps.est, ps.dist, eps, v.version)
 		}
 	}
-	for _, ls := range v.links {
-		if ls != nil && ls.sig.dirty {
-			refreshSig(&ls.sig, ls.est, ls.dist, eps, v.version)
+	for _, ls := range v.knownLinks() {
+		if ls.dirty {
+			ls.dirty = false
+			ls.sig.refresh(&ls.est, ls.dist, eps, v.version)
 		}
 	}
 }
 
-// refreshSig clears one dirty bit, stamping the record iff its content
-// drifted beyond the last stamped signature. Drift is measured against
-// the mean at the last stamp, not the previous period's, so sub-epsilon
-// movements cannot accumulate into unbounded divergence. Value changes
-// (mean or grid) additionally stamp meanAt, the quiescence watermark
-// that ignores distortion-only churn.
-func refreshSig(sig *wireSig, est *bayes.Estimator, dist int, eps float64, ver uint64) {
-	sig.dirty = false
-	gridN, grid0 := est.GridSignature()
+// refresh re-evaluates a dirty record's signature, stamping it iff its
+// content drifted beyond the last stamped signature. Drift is measured
+// against the mean at the last stamp, not the previous period's, so
+// sub-epsilon movements cannot accumulate into unbounded divergence. Value
+// changes (mean or grid) additionally stamp meanAt, the quiescence
+// watermark that ignores distortion-only churn.
+func (sig *wireSig) refresh(est *bayes.Estimator, dist int32, eps float64, ver uint64) {
+	n, grid0 := est.GridSignature()
+	gridN := int32(n)
 	mean := est.Mean()
 	valueMoved := gridN != sig.gridN || grid0 != sig.grid0 || math.Abs(mean-sig.mean) > eps
 	if sig.at != 0 && dist == sig.dist && !valueMoved {
@@ -205,8 +202,8 @@ func (v *View) QuiescentSince(base uint64) bool {
 			return false
 		}
 	}
-	for _, ls := range v.links {
-		if ls != nil && ls.sig.meanAt > base {
+	for _, ls := range v.knownLinks() {
+		if ls.sig.meanAt > base {
 			return false
 		}
 	}
@@ -267,17 +264,6 @@ func (v *View) checkSnapshot(s *Snapshot) error {
 	return nil
 }
 
-// adoptState returns the estimator s describes, exclusively this view's:
-// est itself, overwritten in place, unless it may be referenced by another
-// view (copy-on-write), in which case a fresh one. A malformed state
-// leaves est untouched.
-func adoptState(est *bayes.Estimator, shared bool, s bayes.State) (*bayes.Estimator, error) {
-	if shared {
-		return bayes.NewFromState(s)
-	}
-	return est, est.Adopt(s)
-}
-
 // mergeSnapshotEstimates applies selectBestEstimate over a snapshot's
 // process and link records (Algorithm 4 lines 26–33, wire path),
 // reporting whether any estimate was adopted or link learned.
@@ -291,56 +277,40 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 		if depCheck && mine.departed {
 			continue // a stale peer cannot resurrect a tombstoned member
 		}
-		if pr.Dist >= mine.dist {
+		dist := wireDist(pr.Dist)
+		if dist >= mine.dist {
 			continue
 		}
 		if !mine.est.Holds(&pr.Est) {
-			est, err := adoptState(mine.est, mine.shared, pr.Est)
-			if err != nil {
+			if err := mine.est.Adopt(pr.Est); err != nil {
 				return changed, fmt.Errorf("knowledge: process %d estimate: %w", pr.ID, err)
 			}
-			mine.est, mine.shared = est, false
 		}
-		mine.dist = bump(pr.Dist)
-		mine.supplier = s.From
-		mine.sinceUpdate = 0
-		mine.sig.dirty = true
+		mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty = bump(dist), int32(s.From), 0, true
 		changed = true
 	}
 
 	for _, lr := range s.Links {
-		if lr.Link.A < 0 || int(lr.Link.B) >= v.n || lr.Link.A == lr.Link.B {
+		l := topology.NewLink(lr.Link.A, lr.Link.B)
+		if l.A < 0 || int(l.B) >= v.n || l.A == l.B {
 			return changed, fmt.Errorf("knowledge: snapshot carries invalid link %v", lr.Link)
 		}
-		if depCheck && (v.Departed(lr.Link.A) || v.Departed(lr.Link.B)) {
+		if depCheck && (v.Departed(l.A) || v.Departed(l.B)) {
 			continue // links to departed members stay forgotten
 		}
-		idx := v.interner.Intern(topology.NewLink(lr.Link.A, lr.Link.B))
-		v.ensureLinks(idx)
-		mine := v.links[idx]
-		if mine == nil {
-			est, err := bayes.NewFromState(lr.Est)
-			if err != nil {
-				return changed, fmt.Errorf("knowledge: link %v estimate: %w", lr.Link, err)
-			}
-			v.links[idx] = &linkState{est: est, dist: bump(lr.Dist), supplier: s.From, sig: wireSig{dirty: true}}
-			changed = true
+		// An unknown link's slot is a zero record: adopting into it learns
+		// the link, and a malformed state leaves it unknown.
+		mine := v.slot(v.interner.Intern(l))
+		dist := wireDist(lr.Dist)
+		if mine.known && dist >= mine.dist {
 			continue
 		}
-		if lr.Dist >= mine.dist {
-			continue
-		}
-		if !mine.est.Holds(&lr.Est) {
-			est, err := adoptState(mine.est, mine.shared, lr.Est)
-			if err != nil {
+		if !mine.known || !mine.est.Holds(&lr.Est) {
+			if err := mine.est.Adopt(lr.Est); err != nil {
 				return changed, fmt.Errorf("knowledge: link %v estimate: %w", lr.Link, err)
 			}
-			mine.est, mine.shared = est, false
 		}
-		mine.dist = bump(lr.Dist)
-		mine.supplier = s.From
-		mine.sinceUpdate = 0
-		mine.sig.dirty = true
+		mine.known, mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty = true, bump(dist), int32(s.From), 0, true
 		changed = true
 	}
 	return changed, nil

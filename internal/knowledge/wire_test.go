@@ -153,8 +153,8 @@ func benchCluster(b testing.TB, n int) ([]*knowledge.View, *topology.Graph) {
 // TestAllocsMergeSnapshot pins a heartbeat merge at n = 128: a count
 // snapshot in which every estimate moved, merged into a view that already
 // holds every record it names, overwrites each record's own estimator and
-// allocates nothing; only a link never heard of before costs its record
-// and its estimator.
+// allocates nothing; a link never heard of before is adopted into a slot
+// of a link chunk and costs at most an amortised chunk or index growth.
 func TestAllocsMergeSnapshot(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins do not hold under the race detector")
@@ -221,8 +221,8 @@ func TestAllocsMergeSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		next++
-	}); got < 2 || got > 3 {
-		t.Errorf("learning one link allocated %.1f times, want its linkState, its estimator and at most one table growth", got)
+	}); got > 1 {
+		t.Errorf("learning one link allocated %.1f times, want at most one (a chunk or index growth, amortised)", got)
 	}
 }
 

@@ -11,36 +11,88 @@ import (
 // receive path never contends with broadcast planning.
 //
 // Broadcast sequence numbers are originator-local and start at 1, and a
-// working network delivers almost all of them, so instead of one map
-// entry per broadcast forever (unbounded growth under sustained traffic)
-// the set keeps, per origin, a contiguous watermark w — every seq in
-// [1, w] was seen — plus a small overflow set for out-of-order seqs above
-// it. Marking w+1 advances the watermark through the overflow, so steady
-// traffic keeps the overflow near-empty and memory O(origins + reorder
-// window). Seq 0 is reserved by the wire format (frames carrying it are
-// rejected at decode) and reads as already-seen here.
+// working network delivers almost all of them, so instead of one entry per
+// broadcast forever (unbounded growth under sustained traffic) the set
+// keeps, per origin, a contiguous watermark w — every seq in [1, w] was
+// seen — in a dense slice by origin ID, plus, while a gap is open, a
+// window of maxOverflow bits over the seqs (w, w+maxOverflow] for
+// out-of-order arrivals. Marking w+1 advances the watermark through the
+// window, and the window is dropped once the gap closes, so steady traffic
+// keeps memory at one word per origin. Seq 0 is reserved by the wire
+// format (frames carrying it are rejected at decode) and reads as
+// already-seen here. Origins are IDs the caller has range-checked.
 //
 // A gap that never closes — the origin's sequencer resumed past a crash,
 // or a broadcast was wholly lost (the reliability target is K, not 1) —
-// must not regrow an entry per broadcast forever, so the overflow is
-// hard-capped at maxOverflow entries per origin: on overflow the
-// watermark is forced up to the oldest buffered seq, conceding that
-// anything below it will never arrive. A straggler older than the cap's
-// reorder window would be wrongly suppressed, which is the same
-// best-effort trade the transport already makes.
+// must not cost more than the window, so a seq beyond the window's end
+// slides it: the watermark is forced up to seq−maxOverflow, conceding
+// that anything below it will never arrive, and absorbs the contiguous
+// run above. The concession is by distance (a straggler more than
+// maxOverflow seqs behind the newest is suppressed), where the overflow
+// set this replaced, capped at maxOverflow entries, conceded by count; the
+// two agree whenever the span above the watermark stays within the window.
+// It is the same best-effort trade the transport already makes.
 type deliveredSet struct {
-	mu        sync.Mutex
-	watermark map[topology.NodeID]uint64
-	overflow  map[topology.NodeID]map[uint64]struct{}
+	mu   sync.Mutex
+	w    []uint64                       // by origin ID: every seq in [1, w] was seen
+	gaps map[topology.NodeID]*seqWindow // origins with an open gap: what was seen above it
 }
 
-// maxOverflow bounds the per-origin out-of-order buffer (~16 B/entry).
+// maxOverflow is the span of an origin's window above its watermark, in
+// seqs (512 bytes of bits while a gap is open).
 const maxOverflow = 1 << 12
 
+// seqWindow is a ring of maxOverflow bits: seq q is bit q mod maxOverflow,
+// so inside one window every bit names a single seq.
+type seqWindow struct {
+	bits [maxOverflow / 64]uint64
+	n    int // bits set
+}
+
+func (g *seqWindow) has(q uint64) bool { return g.bits[q/64%(maxOverflow/64)]&(1<<(q%64)) != 0 }
+
+func (g *seqWindow) set(q uint64) {
+	g.bits[q/64%(maxOverflow/64)] |= 1 << (q % 64)
+	g.n++
+}
+
+func (g *seqWindow) clear(q uint64) {
+	if g.has(q) {
+		g.bits[q/64%(maxOverflow/64)] &^= 1 << (q % 64)
+		g.n--
+	}
+}
+
+// advance moves watermark w up to `to` (every seq at or below it reads as
+// seen), then through the contiguous run the window holds above it, and
+// returns the new watermark. A nil window holds nothing.
+func (g *seqWindow) advance(w, to uint64) uint64 {
+	if g == nil {
+		return to
+	}
+	if to-w >= maxOverflow {
+		*g = seqWindow{}
+	}
+	for q := w + 1; q <= to && g.n > 0; q++ {
+		g.clear(q)
+	}
+	for g.n > 0 && g.has(to+1) {
+		to++
+		g.clear(to)
+	}
+	return to
+}
+
 func newDeliveredSet() *deliveredSet {
-	return &deliveredSet{
-		watermark: make(map[topology.NodeID]uint64),
-		overflow:  make(map[topology.NodeID]map[uint64]struct{}),
+	return &deliveredSet{gaps: make(map[topology.NodeID]*seqWindow)}
+}
+
+// grow sizes the watermarks for an ID space of n processes.
+func (s *deliveredSet) grow(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n > len(s.w) {
+		s.w = append(s.w, make([]uint64, n-len(s.w))...)
 	}
 }
 
@@ -49,58 +101,33 @@ func newDeliveredSet() *deliveredSet {
 func (s *deliveredSet) mark(origin topology.NodeID, seq uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w := s.watermark[origin]
+	if int(origin) >= len(s.w) {
+		s.w = append(s.w, make([]uint64, int(origin)+1-len(s.w))...)
+	}
+	w, g := s.w[origin], s.gaps[origin]
 	if seq <= w {
 		return false
 	}
-	over := s.overflow[origin]
-	if _, dup := over[seq]; dup {
+	if seq-w > maxOverflow {
+		// The gap below the window is not closing; force the watermark up
+		// so seq fits, keeping memory bounded.
+		w = g.advance(w, seq-maxOverflow)
+	}
+	switch {
+	case seq == w+1:
+		w = g.advance(w, seq)
+	case g == nil:
+		g = new(seqWindow)
+		s.gaps[origin] = g
+		g.set(seq)
+	case g.has(seq):
 		return false
+	default:
+		g.set(seq)
 	}
-	if seq == w+1 {
-		// Contiguous: advance the watermark through any overflow run.
-		w++
-		for {
-			if _, ok := over[w+1]; !ok {
-				break
-			}
-			delete(over, w+1)
-			w++
-		}
-		s.watermark[origin] = w
-		if len(over) == 0 {
-			delete(s.overflow, origin)
-		}
-		return true
-	}
-	if over == nil {
-		over = make(map[uint64]struct{})
-		s.overflow[origin] = over
-	}
-	over[seq] = struct{}{}
-	if len(over) > maxOverflow {
-		// The gap below the buffered seqs is not closing; force the
-		// watermark up to the oldest buffered seq and absorb the
-		// contiguous run above it, keeping memory bounded.
-		min := seq
-		for q := range over {
-			if q < min {
-				min = q
-			}
-		}
-		delete(over, min)
-		w = min
-		for {
-			if _, ok := over[w+1]; !ok {
-				break
-			}
-			delete(over, w+1)
-			w++
-		}
-		s.watermark[origin] = w
-		if len(over) == 0 {
-			delete(s.overflow, origin)
-		}
+	s.w[origin] = w
+	if g != nil && g.n == 0 {
+		delete(s.gaps, origin)
 	}
 	return true
 }
@@ -109,11 +136,12 @@ func (s *deliveredSet) mark(origin topology.NodeID, seq uint64) bool {
 func (s *deliveredSet) seen(origin topology.NodeID, seq uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if seq <= s.watermark[origin] {
-		return true
+	w := uint64(0)
+	if int(origin) < len(s.w) {
+		w = s.w[origin]
 	}
-	_, ok := s.overflow[origin][seq]
-	return ok
+	g := s.gaps[origin]
+	return seq <= w || g != nil && seq-w <= maxOverflow && g.has(seq)
 }
 
 // pending returns the number of out-of-order seqs currently buffered
@@ -122,8 +150,8 @@ func (s *deliveredSet) pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, over := range s.overflow {
-		n += len(over)
+	for _, g := range s.gaps {
+		n += g.n
 	}
 	return n
 }

@@ -68,7 +68,7 @@ type Stats struct {
 	DroppedDeliveries   int // deliveries discarded because the channel was full
 	SuppressedReplays   int // redeliveries filtered by the durable dedup log
 	FallbackFloods      int // broadcasts flooded for lack of a connected view
-	DecodeErrors        int // frames that failed wire decoding
+	DecodeErrors        int // frames that failed wire decoding, or carried a forged origin or tree
 	SnapshotMergeErrors int // well-formed frames whose knowledge snapshot the view rejected
 	LogErrors           int // durable-write failures: dedup log records and seq-lease extensions
 	PlanCacheHits       int // broadcasts that reused the cached (tree, allocation) plan
@@ -513,8 +513,12 @@ type Node struct {
 	// seq is the broadcast sequencer (atomic: Broadcast never locks it).
 	seq atomic.Uint64
 
-	// delivered dedups inbound broadcasts under its own lock.
+	// delivered dedups inbound broadcasts under its own lock, one
+	// watermark per process. procs is the view's ID-space size, stored
+	// after every Grow: the receive path range-checks a data frame's
+	// origin against it without viewMu.
 	delivered *deliveredSet
+	procs     atomic.Int64
 
 	// planMu guards the cached broadcast plan. Lock order: planMu may
 	// take viewMu; never the reverse.
@@ -612,6 +616,8 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		done:       make(chan struct{}),
 	}
 	n.epoch.Store(cfg.Epoch)
+	n.procs.Store(int64(cfg.NumProcs))
+	n.delivered.grow(cfg.NumProcs)
 	roster := append([]topology.NodeID(nil), cfg.Neighbors...)
 	n.nbs.Store(&roster)
 	n.reannounced = make(map[topology.NodeID]bool)
@@ -1504,6 +1510,8 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
 
 	n.viewMu.Lock()
 	n.view.Grow(m.NumProcs)
+	n.procs.Store(int64(n.view.NumProcs()))
+	n.delivered.grow(n.view.NumProcs())
 	for _, d := range m.Departed {
 		n.view.MarkDeparted(d)
 	}
@@ -1732,11 +1740,18 @@ func (n *Node) handleDelta(from topology.NodeID, d *wire.KnowledgeDelta) {
 
 // handleData is Algorithm 1 lines 5–7: deliver on first receipt, then
 // keep propagating along the carried tree (or re-flood warm-up
-// messages). raw is the encoded inbound frame; when the transport
-// handed over its ownership the relay reuses (or splices) it instead of
-// re-serializing — see relayDataFrame.
+// messages). A frame whose origin is outside the ID space is dropped
+// whole and counted in DecodeErrors. raw is the encoded inbound frame;
+// when the transport handed over its ownership the relay reuses (or
+// splices) it instead of re-serializing — see relayDataFrame.
 func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
 	if n.closed.Load() {
+		return
+	}
+	if msg.Origin < 0 || int64(msg.Origin) >= n.procs.Load() {
+		// No process of this ID space sent it: a forged origin would be
+		// delivered, relayed and given a dedup entry that is never freed.
+		n.stats.decodeErrors.Add(1)
 		return
 	}
 	if msg.Piggyback != nil {
