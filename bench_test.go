@@ -213,26 +213,6 @@ func BenchmarkOptimizeGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeGreedyNaive measures the literal Algorithm 2 for
-// comparison with the heap-accelerated version.
-func BenchmarkOptimizeGreedyNaive(b *testing.B) {
-	g, cfg := benchTopology(b, 100, 8)
-	tree, err := mrt.Build(g, cfg, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lams, err := tree.Lambdas(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := optimize.GreedyNaive(lams, 0.9999, optimize.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkReach measures one reach-function evaluation on 99 edges.
 func BenchmarkReach(b *testing.B) {
 	lams := make([]float64, 99)
@@ -394,60 +374,6 @@ func BenchmarkWireEncodeData(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: msg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(frame) == 0 {
-			b.Fatal("empty frame")
-		}
-	}
-}
-
-// BenchmarkSnapshotEncodeGob / BenchmarkWireDecodeGob /
-// BenchmarkWireEncodeDataGob are the legacy-codec baselines for the
-// binary benchmarks above and below; the binary codec must beat them.
-func BenchmarkSnapshotEncodeGob(b *testing.B) {
-	v, err := knowledge.NewView(0, 100, []topology.NodeID{1, 2, 3, 4}, nil, knowledge.Params{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v.BeginPeriod()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := wire.EncodeGob(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: v.Snapshot()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(frame) == 0 {
-			b.Fatal("empty frame")
-		}
-	}
-}
-
-func BenchmarkWireDecodeGob(b *testing.B) {
-	v, err := knowledge.NewView(0, 100, []topology.NodeID{1, 2, 3, 4}, nil, knowledge.Params{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v.BeginPeriod()
-	frame, err := wire.EncodeGob(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: v.Snapshot()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(frame)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.DecodeGob(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireEncodeDataGob(b *testing.B) {
-	msg := benchDataMsg(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := wire.EncodeGob(&wire.Frame{Kind: wire.FrameData, Data: msg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -701,9 +627,8 @@ func BenchmarkHeartbeatSteadyState(b *testing.B) {
 	}
 }
 
-// rawEquivalent re-encodes a heartbeat frame as a legacy peer would have
-// been sent it: capability advert stripped, so every estimator rides the
-// raw float layout at wire version <= 3.
+// rawEquivalent re-encodes a heartbeat frame without Caps, so every
+// estimator rides the raw float layout at wire version <= 3.
 func rawEquivalent(b *testing.B, frame []byte) []byte {
 	f, err := wire.Decode(frame)
 	if err != nil {
@@ -722,8 +647,8 @@ func rawEquivalent(b *testing.B, frame []byte) []byte {
 
 // BenchmarkHeartbeatCounts measures the wire v5 win on the live send
 // path: the same converged two-node system as HeartbeatSteadyState, in
-// the default configuration, where both sides negotiate the
-// evidence-count layout. The raw baseline is the same traffic, frame for
+// the default configuration, where both sides ship the evidence-count
+// layout. The raw baseline is the same traffic, frame for
 // frame, re-encoded without the capability (rawEquivalent) over an
 // untimed window. The in-benchmark assertions pin the acceptance
 // numbers: a two-node full snapshot is three records — ~2,424 B raw
@@ -749,7 +674,7 @@ func BenchmarkHeartbeatCounts(b *testing.B) {
 				return nd
 			}
 			n0, n1 := mk(0, trA), mk(1, trB)
-			for i := 0; i < 300; i++ { // converge estimates and negotiation
+			for i := 0; i < 300; i++ { // converge the estimates
 				tickPair(n0, n1)
 			}
 

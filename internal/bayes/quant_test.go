@@ -6,170 +6,167 @@ import (
 	"testing"
 )
 
-// The v4 encoder half, kept as the reference the dequantizers are tested
-// against (the runtime only decodes the quantized profile).
+// The five tests below keep the names they had when the wire's compact
+// profile was the v4 quantized encoding. The compact profile today is the
+// count layout: a state described by (Intervals, Succ, Fail) alone, which
+// a heartbeat ships as three integers. They pin that layout and its bounds.
 
-// BeliefQuantScale returns the shared scale for a log-belief block: the
-// smallest log belief, clamped to BeliefFloor, and to ≤ 0 so the zero
-// state (fresh estimator, all beliefs 0) yields scale 0.
-func BeliefQuantScale(logBeliefs []float64) float64 {
-	scale := 0.0
-	for _, lb := range logBeliefs {
-		if lb < scale {
-			scale = lb
-		}
-	}
-	if scale < BeliefFloor {
-		scale = BeliefFloor
-	}
-	return scale
+// offWire is s as a decoder builds it from a count record: the three
+// integers and nothing shared with the estimator that cut it.
+func offWire(s State) State {
+	return State{Intervals: s.Intervals, Succ: s.Succ, Fail: s.Fail}
 }
 
-// QuantizeBelief maps one log belief to its fixed-point code for the
-// given scale. Values below scale clamp to it (the BeliefFloor cut);
-// values above 0 clamp to 0.
-func QuantizeBelief(lb, scale float64) uint16 {
-	if scale == 0 {
-		return 0
-	}
-	if lb < scale {
-		lb = scale
-	}
-	if lb > 0 {
-		lb = 0
-	}
-	return uint16(math.Round(lb / scale * quantSteps))
-}
-
-// QuantizeMid maps a refined-grid midpoint to its fixed-point code over
-// the grid's [first, last] span.
-func QuantizeMid(m, first, last float64) uint16 {
-	if last <= first {
-		return 0
-	}
-	if m < first {
-		m = first
-	}
-	if m > last {
-		m = last
-	}
-	return uint16(math.Round((m - first) / (last - first) * quantSteps))
-}
-
+// TestBeliefQuantScale: which states are count states. An estimator that
+// only ever observed is one, and its state carries exactly what it
+// observed; a refined estimator and one rebuilt from a raw vector carry a
+// prior no count record can describe, and are not.
 func TestBeliefQuantScale(t *testing.T) {
-	if s := BeliefQuantScale(nil); s != 0 {
-		t.Errorf("empty block scale = %v, want 0", s)
+	e := MustNew(DefaultIntervals)
+	e.ObserveFailure(4)
+	e.ObserveSuccess(96)
+	s := e.State()
+	if !s.IsCounts() || s.Intervals != DefaultIntervals || s.Succ != 96 || s.Fail != 4 {
+		t.Fatalf("observed-only estimator cut %+v, want the count state (100, 96, 4)", s)
 	}
-	if s := BeliefQuantScale([]float64{0, 0, 0}); s != 0 {
-		t.Errorf("all-zero block scale = %v, want 0", s)
+	if c := e.Clone().State(); !c.IsCounts() {
+		t.Error("a clone of a count estimator is not one")
 	}
-	if s := BeliefQuantScale([]float64{-1.5, -0.25, 0}); s != -1.5 {
-		t.Errorf("scale = %v, want the block minimum -1.5", s)
+	if r := e.Refine().State(); r.IsCounts() {
+		t.Error("a refined estimator cut a count state")
 	}
-	if s := BeliefQuantScale([]float64{-500, -2}); s != BeliefFloor {
-		t.Errorf("scale = %v, want clamp to BeliefFloor %v", s, BeliefFloor)
+	raw, err := NewFromState(State{Intervals: 4, LogBeliefs: []float64{0, -1, -2, -3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := raw.State(); rs.IsCounts() {
+		t.Error("an estimator rebuilt from a raw vector cut a count state")
 	}
 }
 
+// TestQuantizeBeliefBounds: the bounds Adopt puts on a count state. Fewer
+// than two intervals and negative counts are refused and leave the
+// estimator as it was; counts as large as the wire admits (2^40 events)
+// still summarize to a finite mean inside (0, 1).
 func TestQuantizeBeliefBounds(t *testing.T) {
-	const scale = -10.0
-	if q := QuantizeBelief(0, scale); q != 0 {
-		t.Errorf("log belief 0 -> code %d, want 0", q)
+	e := MustNew(10)
+	e.ObserveSuccess(30)
+	mean := e.Mean()
+	for name, s := range map[string]State{
+		"no intervals":     {Intervals: 0, Succ: 1},
+		"one interval":     {Intervals: 1, Succ: 1},
+		"negative success": {Intervals: 10, Succ: -1},
+		"negative failure": {Intervals: 10, Fail: -1},
+	} {
+		if err := e.Adopt(s); err == nil {
+			t.Errorf("%s: Adopt accepted %+v", name, s)
+		}
+		if e.Mean() != mean || e.Observations() != 30 {
+			t.Fatalf("%s: a refused state moved the estimate", name)
+		}
 	}
-	if q := QuantizeBelief(scale, scale); q != quantSteps {
-		t.Errorf("block minimum -> code %d, want %d", q, quantSteps)
-	}
-	// Clamps: below scale and above zero both stay in range.
-	if q := QuantizeBelief(-1e6, scale); q != quantSteps {
-		t.Errorf("below-scale belief -> code %d, want clamp to %d", q, quantSteps)
-	}
-	if q := QuantizeBelief(0.5, scale); q != 0 {
-		t.Errorf("positive belief -> code %d, want clamp to 0", q)
-	}
-	// Zero scale (fresh estimator): everything is code 0, value 0.
-	if q := QuantizeBelief(-3, 0); q != 0 {
-		t.Errorf("zero-scale quantize -> %d, want 0", q)
-	}
-	if v := DequantizeBelief(quantSteps, 0); v != 0 {
-		t.Errorf("zero-scale dequantize -> %v, want 0", v)
+	for _, s := range []State{
+		{Intervals: 4096, Succ: 1<<40 - 1, Fail: 1},
+		{Intervals: 2, Fail: 1 << 40},
+	} {
+		got, err := NewFromState(s)
+		if err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		if m := got.Mean(); !(m > 0 && m < 1) {
+			t.Errorf("%+v summarizes to mean %v", s, m)
+		}
 	}
 }
 
-// TestBeliefQuantStepBound pins the error budget the wire profile is
-// built on: one quantization step is at most |BeliefFloor|/65535 in log
-// space, and a belief round-trip never moves more than half a step.
+// TestBeliefQuantStepBound: the count layout is exact, so there is no
+// step to bound. Over random schedules an estimator rebuilt from the three
+// integers alone has the bit-identical mean, MAP and belief vector.
 func TestBeliefQuantStepBound(t *testing.T) {
-	maxStep := -BeliefFloor / quantSteps
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		scale := -rng.Float64() * -BeliefFloor
-		lb := scale * rng.Float64()
-		got := DequantizeBelief(QuantizeBelief(lb, scale), scale)
-		if err := math.Abs(got - lb); err > maxStep/2+1e-12 {
-			t.Fatalf("round-trip error %v exceeds half-step %v (lb=%v scale=%v)", err, maxStep/2, lb, scale)
+	for run := 0; run < 200; run++ {
+		e := MustNew(2 + rng.Intn(DefaultIntervals))
+		e.ObserveFailure(rng.Intn(300))
+		e.ObserveSuccess(rng.Intn(3000))
+		got, err := NewFromState(offWire(e.State()))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestBeliefQuantProjection pins the multi-hop stability property:
-// quantizing an already-dequantized block reproduces the exact codes and
-// the exact scale, so an estimate that crosses several v4 links carries
-// only the first hop's quantization error.
-func TestBeliefQuantProjection(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(100)
-		block := make([]float64, n)
-		for i := range block {
-			block[i] = -rng.Float64() * 80 // some below BeliefFloor
+		gi, gb := got.MAP()
+		if ei, eb := e.MAP(); got.Mean() != e.Mean() || gi != ei || gb != eb {
+			t.Fatalf("run %d: (%v, %d, %v) rebuilt from counts, (%v, %d, %v) observed",
+				run, got.Mean(), gi, gb, e.Mean(), ei, eb)
 		}
-		block[rng.Intn(n)] = 0 // rebased maximum
-		scale := BeliefQuantScale(block)
-
-		codes := make([]uint16, n)
-		decoded := make([]float64, n)
-		for i, lb := range block {
-			codes[i] = QuantizeBelief(lb, scale)
-			decoded[i] = DequantizeBelief(codes[i], scale)
-		}
-		scale2 := BeliefQuantScale(decoded)
-		if scale2 != scale {
-			t.Fatalf("trial %d: dequantized block re-derives scale %v, want %v", trial, scale2, scale)
-		}
-		for i, d := range decoded {
-			if q2 := QuantizeBelief(d, scale2); q2 != codes[i] {
-				t.Fatalf("trial %d: code %d re-quantizes to %d (value %v)", trial, codes[i], q2, d)
+		want := e.Beliefs()
+		for i, b := range got.Beliefs() {
+			if math.Float64bits(b) != math.Float64bits(want[i]) {
+				t.Fatalf("run %d: belief %d is %v rebuilt, %v observed", run, i, b, want[i])
 			}
 		}
 	}
 }
 
-func TestQuantizeMidRoundTrip(t *testing.T) {
-	const first, last = 0.0125, 0.9875
-	step := (last - first) / quantSteps
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10000; i++ {
-		m := first + (last-first)*rng.Float64()
-		got := DequantizeMid(QuantizeMid(m, first, last), first, last)
-		if err := math.Abs(got - m); err > step/2+1e-12 {
-			t.Fatalf("midpoint round-trip error %v exceeds half-step %v", err, step/2)
+// TestBeliefQuantProjection: an estimate that crosses several links in
+// the count layout arrives unchanged. Each hop adopts the three integers
+// and cuts them again, bit for bit, and Holds recognises the state it
+// already adopted, so a re-delivered estimate is not rebuilt.
+func TestBeliefQuantProjection(t *testing.T) {
+	e := MustNew(DefaultIntervals)
+	e.ObserveFailure(17)
+	e.ObserveSuccess(1234)
+	s := offWire(e.State())
+	for hop := 0; hop < 5; hop++ {
+		next, err := NewFromState(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Mean() != e.Mean() || next.Observations() != e.Observations() {
+			t.Fatalf("hop %d: mean %v after %d observations, want %v after %d",
+				hop, next.Mean(), next.Observations(), e.Mean(), e.Observations())
+		}
+		if !next.Holds(&s) {
+			t.Fatalf("hop %d: the adopter does not hold the state it adopted", hop)
+		}
+		if again := next.State(); !again.IsCounts() || again.Intervals != s.Intervals ||
+			again.Succ != s.Succ || again.Fail != s.Fail {
+			t.Fatalf("hop %d: re-cut %+v, want %+v", hop, again, s)
 		}
 	}
-	// Endpoints map to the exact codes, out-of-span values clamp, and a
-	// collapsed span degrades to code 0.
-	if q := QuantizeMid(first, first, last); q != 0 {
-		t.Errorf("first midpoint -> code %d, want 0", q)
+	moved := s
+	moved.Succ++
+	if e.Holds(&moved) {
+		t.Error("Holds matched a state whose counts moved")
 	}
-	if q := QuantizeMid(last, first, last); q != quantSteps {
-		t.Errorf("last midpoint -> code %d, want %d", q, quantSteps)
+}
+
+// TestQuantizeMidRoundTrip: a count state materializes, for the raw wire
+// layouts, exactly the vector its estimator does, with the maximum pinned
+// at 0; a degenerate count state materializes without touching the
+// uniform-grid cache.
+func TestQuantizeMidRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for run := 0; run < 100; run++ {
+		e := MustNew(DefaultIntervals)
+		e.ObserveFailure(rng.Intn(100))
+		e.ObserveSuccess(rng.Intn(1000))
+		s := offWire(e.State())
+		got, want := s.AppendLogBeliefs(nil), e.appendLogBeliefs(nil)
+		max := math.Inf(-1)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("run %d: log belief %d materialized as %v, the estimator's is %v", run, i, got[i], want[i])
+			}
+			max = math.Max(max, got[i])
+		}
+		if max != 0 {
+			t.Fatalf("run %d: materialized maximum %v, want 0", run, max)
+		}
 	}
-	if q := QuantizeMid(-1, first, last); q != 0 {
-		t.Errorf("below-span midpoint -> code %d, want 0", q)
+	before := cachedGrids()
+	if got := (&State{Intervals: 1, Succ: 3}).AppendLogBeliefs(nil); len(got) != 1 {
+		t.Errorf("a one-interval count state materialized %d beliefs", len(got))
 	}
-	if q := QuantizeMid(2, first, last); q != quantSteps {
-		t.Errorf("above-span midpoint -> code %d, want %d", q, quantSteps)
-	}
-	if q := QuantizeMid(0.5, 0.5, 0.5); q != 0 {
-		t.Errorf("collapsed span -> code %d, want 0", q)
+	if cachedGrids() != before {
+		t.Error("a degenerate count state entered the uniform-grid cache")
 	}
 }

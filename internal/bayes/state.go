@@ -125,7 +125,7 @@ func (e *Estimator) Holds(s *State) bool {
 func (s *State) IsCounts() bool { return s.Mids == nil && s.LogBeliefs == nil }
 
 // AppendLogBeliefs appends the state's belief vector in log space to dst:
-// the float form legacy wire layouts carry. A state without evidence ships
+// the float form the raw wire layouts carry. A state without evidence ships
 // its prior verbatim, so a raw vector relayed across several hops stays
 // byte-identical; otherwise the posterior is materialized with its
 // maximum pinned at 0.

@@ -309,7 +309,12 @@ func BenchmarkDeltaSince(b *testing.B) {
 }
 
 // BenchmarkMergeSnapshotAt merges a neighbor's full snapshot as decoded
-// from a count frame, the live node's per-heartbeat Event 1.
+// from a count frame, the live node's per-heartbeat Event 1. After one
+// BeginPeriod almost every record arrives unchanged and skips its
+// estimator's refresh; the /moved variants merge a snapshot in which
+// every record's counts changed since the last merge and every record is
+// closer than the view's copy, so each one is adopted and refreshed —
+// what a heartbeat costs while estimates are still moving.
 func BenchmarkMergeSnapshotAt(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(size.name, func(b *testing.B) {
@@ -321,6 +326,30 @@ func BenchmarkMergeSnapshotAt(b *testing.B) {
 				b.StopTimer()
 				nb.BeginPeriod()
 				snap := overWire(b, nb.Snapshot(), wire.CapsCounts)
+				b.StartTimer()
+				if err := v.MergeSnapshotAt(snap, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(size.name+"/moved", func(b *testing.B) {
+			views, g := benchCluster(b, size.n)
+			v, nb := views[0], views[g.Neighbors(0)[0]]
+			nb.BeginPeriod()
+			snap := overWire(b, nb.Snapshot(), wire.CapsCounts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				snap.Seq++
+				for j := range snap.Procs {
+					snap.Procs[j].Dist = 0
+					snap.Procs[j].Est.Succ++
+				}
+				for j := range snap.Links {
+					snap.Links[j].Dist = 0
+					snap.Links[j].Est.Succ++
+				}
 				b.StartTimer()
 				if err := v.MergeSnapshotAt(snap, 1); err != nil {
 					b.Fatal(err)

@@ -260,6 +260,78 @@ func TestSnapshotMergeErrorsSurfaced(t *testing.T) {
 	}
 }
 
+// TestHeartbeatMustNameItsSender: a heartbeat or delta whose snapshot
+// names another sender than the transport delivered it from is refused
+// before any merge or bookkeeping and counted in SnapshotMergeErrors.
+// Merging it would book its link evidence on (self, Snap.From) — learning
+// a link that does not exist — and key the ack maps by a transport ID
+// nothing checked. The same frame from its named sender still merges.
+func TestHeartbeatMustNameItsSender(t *testing.T) {
+	nd, err := New(Config{ID: 0, NumProcs: 4, Neighbors: []topology.NodeID{1}}, &sinkTransport{id: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nd.Stop)
+	counts := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40}
+	snap := func(from topology.NodeID) *knowledge.Snapshot {
+		return &knowledge.Snapshot{From: from, Seq: 5, Procs: []knowledge.ProcRecord{{ID: 3, Dist: 1, Est: counts}}}
+	}
+	delta := func(from topology.NodeID) []byte {
+		b, err := wire.Encode(&wire.Frame{Kind: wire.FrameKnowledgeDelta,
+			Delta: &wire.KnowledgeDelta{Snap: snap(from), Ver: 7, Ack: 2, Caps: wire.CapsCounts}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	full, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap(2), Caps: wire.CapsCounts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerKeys := func() int {
+		nd.peerMu.Lock()
+		defer nd.peerMu.Unlock()
+		return len(nd.peerSeen) + len(nd.peerAcked)
+	}
+
+	// Transport sender 1 claims to be 2, in a delta and in a full heartbeat.
+	nd.handle(1, delta(2))
+	nd.handle(1, full)
+	// Transport senders nobody knows claim to be the neighbor.
+	for from := topology.NodeID(1000); from < 1005; from++ {
+		nd.handle(from, delta(1))
+	}
+	s := nd.Stats()
+	if s.SnapshotMergeErrors != 7 || s.HeartbeatsReceived != 0 {
+		t.Errorf("7 frames naming another sender: %d merge errors, %d heartbeats merged; want 7 and 0",
+			s.SnapshotMergeErrors, s.HeartbeatsReceived)
+	}
+	if links := nd.KnownLinks(); len(links) != 1 {
+		t.Errorf("the node knows links %v, want only its own link to 1", links)
+	}
+	if _, dist := nd.CrashEstimate(3); dist != math.MaxInt32 {
+		t.Errorf("process 3 is known at distortion %d from a refused frame", dist)
+	}
+	if got := peerKeys(); got != 0 {
+		t.Errorf("refused frames left %d ack-map entries", got)
+	}
+
+	// The honest frame merges and is acked.
+	nd.handle(1, delta(1))
+	if s := nd.Stats(); s.HeartbeatsReceived != 1 || s.SnapshotMergeErrors != 7 {
+		t.Errorf("the honest delta: %d heartbeats merged, %d merge errors; want 1 and 7", s.HeartbeatsReceived, s.SnapshotMergeErrors)
+	}
+	if _, dist := nd.CrashEstimate(3); dist != 2 {
+		t.Errorf("process 3 at distortion %d after the honest delta, want 2", dist)
+	}
+	nd.peerMu.Lock()
+	seen, acked := nd.peerSeen[1], nd.peerAcked[1]
+	nd.peerMu.Unlock()
+	if seen != 7 || acked != 2 || peerKeys() != 2 {
+		t.Errorf("after the honest delta seen=%d acked=%d over %d entries, want 7, 2 over 2", seen, acked, peerKeys())
+	}
+}
+
 func waitStat(t *testing.T, cond func() bool, msg string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

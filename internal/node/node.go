@@ -58,9 +58,8 @@ type Stats struct {
 	DeltaHeartbeatsSent int // heartbeats that shipped as knowledge deltas (subset of HeartbeatsSent)
 	HeartbeatBytesSent  int // encoded heartbeat bytes handed to the transport
 	// CountHeartbeatsSent counts heartbeats (full or delta) that rode a
-	// wire v5 frame, shipping estimates as evidence counts — sent only
-	// toward peers that advertised the capability, plus the bounded
-	// capability hellos (subset of HeartbeatsSent).
+	// wire v5 frame, shipping estimates as evidence counts: every one
+	// whose record section is non-empty (subset of HeartbeatsSent).
 	CountHeartbeatsSent int
 	DataSent            int
 	DataReceived        int
@@ -69,7 +68,7 @@ type Stats struct {
 	SuppressedReplays   int // redeliveries filtered by the durable dedup log
 	FallbackFloods      int // broadcasts flooded for lack of a connected view
 	DecodeErrors        int // frames that failed wire decoding, or carried a forged origin or tree
-	SnapshotMergeErrors int // well-formed frames whose knowledge snapshot the view rejected
+	SnapshotMergeErrors int // well-formed frames whose knowledge snapshot the view rejected, or that named another sender
 	LogErrors           int // durable-write failures: dedup log records and seq-lease extensions
 	PlanCacheHits       int // broadcasts that reused the cached (tree, allocation) plan
 	PlanCacheMisses     int // broadcasts that had to replan because the view changed
@@ -171,10 +170,10 @@ type Config struct {
 	NumProcs int
 	// Neighbors are the directly connected processes.
 	Neighbors []topology.NodeID
-	// Epoch is the initial membership epoch. 0 — the static-cluster
-	// default — keeps every frame byte-identical to pre-epoch peers; a
-	// node created to join a running cluster declares the bumped epoch of
-	// the membership change that admits it.
+	// Epoch is the initial membership epoch. 0 is the static-cluster
+	// default, whose frames carry no epoch; a node created to join a
+	// running cluster declares the bumped epoch of the membership change
+	// that admits it.
 	Epoch uint64
 	// Departed lists the processes already tombstoned as of Epoch, so a
 	// joiner's view starts aligned with the cluster's roster instead of
@@ -209,13 +208,13 @@ type Config struct {
 	// (the pre-cache behavior; useful for benchmarks and debugging).
 	DisablePlanCache bool
 	// DisableDeltaHeartbeats makes every heartbeat ship the full knowledge
-	// snapshot as a legacy FrameHeartbeat, instead of the default
-	// per-neighbor knowledge deltas (records changed since the version the
-	// neighbor last acked, with a full-snapshot fallback while the
-	// neighbor's acked version is unknown or predates this incarnation).
-	// Deltas shrink steady-state heartbeat bandwidth by the convergence
-	// factor; disabling them is for benchmarks and for mixed clusters
-	// whose peers predate the delta frame kind.
+	// snapshot as one FrameHeartbeat, encoded once per period for every
+	// neighbor, instead of the default per-neighbor knowledge deltas
+	// (records changed since the version the neighbor last acked, with a
+	// full-snapshot fallback while the neighbor's acked version is unknown
+	// or predates this incarnation). Deltas shrink steady-state heartbeat
+	// bandwidth by the convergence factor; disabling them is for
+	// benchmarks.
 	DisableDeltaHeartbeats bool
 	// AdaptiveCadenceMax caps the adaptive heartbeat cadence, in
 	// heartbeat periods: once a neighbor's delta has been empty, anchored
@@ -228,8 +227,7 @@ type Config struct {
 	// suspicion timeout and sequence-gap loss accounting instead of
 	// falsely suspecting (or under-counting) a quiet-by-design neighbor.
 	// Values <= 1 disable stretching (the default); adaptive cadence
-	// requires delta heartbeats and all peers to understand wire
-	// version 2 frames.
+	// requires delta heartbeats.
 	AdaptiveCadenceMax int
 	// DisableLaneScheduler turns off the per-peer prioritized lane
 	// scheduler (control > data > telemetry) and reverts every send to a
@@ -309,155 +307,21 @@ const announceRounds = 3
 // catches it up in one frame. frame is the announcement pre-encoded, so
 // the repair paths (per stale frame received, per redundancy round) pay
 // one Send each, never a re-serialization.
-//
-// A join whose subject advertised the count capability is pre-encoded
-// twice: frame strips the Caps field and stays wire v3 (safe toward any
-// peer, including ones that predate capabilities), frameV5 carries it.
-// Sends pick per destination — frameV5 only toward peers that have
-// advertised v5 themselves — so the subject's capability still reaches
-// its (v5) neighbors through relays, pre-warming their negotiation,
-// without a v5 frame ever landing on a legacy peer.
 type memberChange struct {
-	kind    wire.FrameKind // FrameJoin or FrameLeave
-	member  wire.Membership
-	frame   []byte // <= v3 encoding (Caps stripped); valid toward every peer
-	frameV5 []byte // v5 encoding carrying the subject's Caps; nil unless advertised
+	kind   wire.FrameKind // FrameJoin or FrameLeave
+	member wire.Membership
+	frame  []byte
 }
 
 // newMemberChange builds the record, deep-copying the slices (the caller
-// may hold them) and pre-encoding the frame(s). Encoding a validated
+// may hold them) and pre-encoding the frame. Encoding a validated
 // Membership cannot fail; a nil frame just disables re-announcement.
 func newMemberChange(kind wire.FrameKind, m *wire.Membership) *memberChange {
 	mc := &memberChange{kind: kind, member: *m}
 	mc.member.Departed = append([]topology.NodeID(nil), m.Departed...)
 	mc.member.Neighbors = append([]topology.NodeID(nil), m.Neighbors...)
-	if kind == wire.FrameJoin && mc.member.Caps >= wire.CapsCounts {
-		mc.frameV5, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &mc.member})
-		legacy := mc.member
-		legacy.Caps = 0
-		mc.frame, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &legacy})
-		return mc
-	}
 	mc.frame, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &mc.member})
 	return mc
-}
-
-// frameFor picks the announcement encoding for one destination: the v5
-// variant when the peer advertised the capability, the universally safe
-// <= v3 variant otherwise (including while the peer's caps are unknown —
-// a v5 frame toward a legacy peer would be dropped whole, losing the
-// membership change until the epoch-repair loop).
-func (mc *memberChange) frameFor(caps uint8) []byte {
-	if caps >= wire.CapsCounts && mc.frameV5 != nil {
-		return mc.frameV5
-	}
-	return mc.frame
-}
-
-// Capability-hello pacing (see peerWire): the first frame toward a peer
-// with unknown caps is an advert, then re-adverts ride every 4th, 8th,
-// 16th … frame up to one in helloGapMax. The backoff bounds the cost at
-// genuinely-legacy peers — they drop each v5 hello whole, losing one
-// heartbeat's knowledge in helloGapMax frames (~0.4%) at the cap — while
-// restarted or lossy v5 pairs still re-converge: some hello eventually
-// lands in one direction, and the forceAdv echo closes the other within
-// one frame.
-const (
-	helloGapFirst = 4
-	helloGapMax   = 256
-)
-
-// peerWire tracks wire-version negotiation toward one peer. caps is the
-// highest mutually supported wire version: 0 until the peer's first
-// frame arrives, capsLegacy once it has spoken without advertising v5, 5
-// once it advertised the count capability (sticky — upgrades only).
-// While caps < 5, helloNext counts down the frames until the next
-// capability advert (gap doubling from helloGapFirst to helloGapMax).
-// forceAdv is a one-shot set when the peer upgrades to 5: the next frame
-// toward it advertises back regardless of payload, so a fresh pair
-// completes negotiation in one round-trip instead of waiting for a
-// non-empty delta.
-type peerWire struct {
-	caps      uint8
-	helloGap  uint16
-	helloNext uint16
-	forceAdv  bool
-}
-
-// capsLegacy marks a peer that has sent frames but never advertised v5
-// (no advert at all, or the previous v4 profile): send it the highest
-// pre-negotiation wire version.
-const capsLegacy = 3
-
-// capsStep reads the negotiation state toward one peer and advances its
-// hello countdown by the frame the caller is about to send. advert
-// reports that this frame should carry a capability advert (and, while
-// the peer's own caps are unknown, a count payload — the hello doubles
-// as the first v5 frame).
-func (n *Node) capsStep(to topology.NodeID) (caps uint8, advert bool) {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	pw := n.peerWire[to]
-	if pw == nil {
-		pw = &peerWire{}
-		n.peerWire[to] = pw
-	}
-	if pw.caps >= wire.CapsCounts {
-		advert = pw.forceAdv
-		pw.forceAdv = false
-		return pw.caps, advert
-	}
-	if pw.helloNext == 0 {
-		if pw.helloGap == 0 {
-			pw.helloGap = helloGapFirst
-		} else if pw.helloGap < helloGapMax {
-			pw.helloGap *= 2
-		}
-		pw.helloNext = pw.helloGap
-		return pw.caps, true
-	}
-	pw.helloNext--
-	return pw.caps, false
-}
-
-// noteCaps records a peer's advertised capability from a frame it sent
-// directly (heartbeats and deltas; data frames are relayed verbatim and
-// say nothing about the relayer). caps below CapsCounts means the frame
-// carried no v5 advert: the peer spoke, so it is at least legacy.
-// Upgrades are sticky — an advertised capability is a property of the
-// peer's binary, and empty deltas from a known-v5 peer deliberately drop
-// back to the oldest layout. A fresh upgrade to 5 arms forceAdv so the
-// next frame toward the peer advertises back immediately.
-func (n *Node) noteCaps(from topology.NodeID, caps uint64) {
-	c := uint8(capsLegacy)
-	if caps >= wire.CapsCounts {
-		c = wire.CapsCounts // min(theirs, ours): we speak up to v5
-	}
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	pw := n.peerWire[from]
-	if pw == nil {
-		pw = &peerWire{}
-		n.peerWire[from] = pw
-	}
-	if c <= pw.caps {
-		return
-	}
-	if c >= wire.CapsCounts {
-		pw.forceAdv = true
-	}
-	pw.caps = c
-}
-
-// peerCapsOf reads the negotiated wire version toward one peer (0 when
-// the peer has never spoken) without advancing the hello pacing.
-func (n *Node) peerCapsOf(to topology.NodeID) uint8 {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	if pw := n.peerWire[to]; pw != nil {
-		return pw.caps
-	}
-	return 0
 }
 
 // Node is one live process.
@@ -532,14 +396,12 @@ type Node struct {
 	// next heartbeat. peerAcked[j] is the latest version of *this* view j
 	// has acknowledged — the base the next delta to j is cut from; 0 (or a
 	// value ahead of the current view, after a restart) forces the
-	// full-snapshot fallback. peerWire[j] is the wire-capability
-	// negotiation state toward j; unlike the ack bookkeeping it survives
-	// membership changes — what a peer's binary can decode does not
-	// change with the roster.
+	// full-snapshot fallback. Both are keyed only by senders whose frame
+	// named them (see sentBy), so checkSnapshot's bound on Snap.From
+	// bounds them too.
 	peerMu    sync.Mutex
 	peerSeen  map[topology.NodeID]uint64
 	peerAcked map[topology.NodeID]uint64
-	peerWire  map[topology.NodeID]*peerWire
 
 	// cadMu guards the adaptive-cadence controller state (a leaf lock
 	// taken once per Tick; nothing is called while holding it). cad[j]
@@ -610,7 +472,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		delivered:  newDeliveredSet(),
 		peerSeen:   make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
 		peerAcked:  make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
-		peerWire:   make(map[topology.NodeID]*peerWire, len(cfg.Neighbors)),
 		deliveries: make(chan Delivery, cfg.DeliveryBuffer),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -627,17 +488,13 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if cfg.Epoch > 0 {
 		// A node constructed mid-epoch (a joiner) can catch laggard peers
 		// up on its own membership change, and re-floods it for a few
-		// periods in case the AnnounceJoin flood is lost. The joiner
-		// stamps its capability on the announcement so its (v5) neighbors
-		// can pre-warm negotiation from relays; the actual flood still
-		// picks the legacy variant until a peer advertises.
+		// periods in case the AnnounceJoin flood is lost.
 		n.lastChange.Store(newMemberChange(wire.FrameJoin, &wire.Membership{
 			Node:      cfg.ID,
 			Epoch:     cfg.Epoch,
 			NumProcs:  cfg.NumProcs,
 			Departed:  cfg.Departed,
 			Neighbors: roster,
-			Caps:      wire.CapsCounts,
 		}))
 		n.announceLeft.Store(announceRounds)
 	}
@@ -835,7 +692,7 @@ func (n *Node) Tick() {
 		if lc := n.lastChange.Load(); lc != nil && lc.frame != nil {
 			for _, nb := range neighbors {
 				if nb != lc.member.Node {
-					_ = n.sendControl(nb, lc.frameFor(n.peerCapsOf(nb)), nil)
+					_ = n.sendControl(nb, lc.frame, nil)
 				}
 			}
 		}
@@ -916,70 +773,57 @@ func (n *Node) Tick() {
 	}
 
 	if n.cfg.DisableDeltaHeartbeats {
-		// At most two encodes per period regardless of degree: one raw
-		// frame shared by every legacy/unknown neighbor, one v5 count
-		// frame shared by every neighbor that advertised the capability
-		// (or is owed a hello).
-		frames := make(map[uint64][]byte, 2) // by Caps: raw, counts
-		sent, counts := 0, 0
+		// One encode per period regardless of degree, shared by every
+		// neighbor.
+		caps := heartbeatCaps(full)
+		frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: full, Caps: caps})
+		if err != nil {
+			return
+		}
+		sent := 0
 		for _, nb := range neighbors {
-			caps := n.heartbeatCaps(nb, true)
-			frame := frames[caps]
-			if frame == nil {
-				var err error
-				frame, err = wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: full, Caps: caps})
-				if err != nil {
-					return
-				}
-				frames[caps] = frame
-			}
 			if err := n.sendControl(nb, frame, nil); err == nil {
 				sent++
-				if caps != 0 {
-					counts++
-				}
 				n.stats.heartbeatBytesSent.Add(int64(len(frame)))
 			}
 		}
 		n.stats.heartbeatsSent.Add(int64(sent))
-		n.stats.countHeartbeatsSent.Add(int64(counts))
+		if caps != 0 {
+			n.stats.countHeartbeatsSent.Add(int64(sent))
+		}
 		return
 	}
 
 	// Shared delta cuts: the snapshot section of a delta frame is encoded
-	// once per distinct (snapshot, layout) pair — in the common case
-	// every neighbor acked the same version and negotiated the same wire
-	// version, so once per period — then spliced after each neighbor's
-	// individual header: Since/Ack/Cadence/Caps differ per peer, the
-	// record section doesn't. Section buffers are copied into the frames
-	// by AppendDeltaFrame, so they recycle as soon as the loop ends;
-	// frame buffers recycle when their send releases them.
+	// once per distinct snapshot — in the common case every neighbor acked
+	// the same version, so once per period — then spliced after each
+	// neighbor's individual header: Since/Ack/Cadence differ per peer, the
+	// record section doesn't. It is always cut in the count layout: a
+	// non-empty section rides v5 (see heartbeatCaps), and an empty one is
+	// the same bytes in every layout. Section buffers are copied into the
+	// frames by AppendDeltaFrame, so they recycle as soon as the loop
+	// ends; frame buffers recycle when their send releases them.
 	type section struct {
-		snap   *knowledge.Snapshot
-		counts bool
-		bytes  []byte
+		snap  *knowledge.Snapshot
+		bytes []byte
 	}
 	secs := make([]section, 0, 4)
 	secBufs := make([]*encBuf, 0, 4)
-	sectionFor := func(s *knowledge.Snapshot, counts bool) ([]byte, error) {
+	sectionFor := func(s *knowledge.Snapshot) ([]byte, error) {
 		for _, sec := range secs {
-			if sec.snap == s && sec.counts == counts {
+			if sec.snap == s {
 				return sec.bytes, nil
 			}
 		}
 		eb := n.encPool.get()
-		appendSection := wire.AppendSnapshotSection
-		if counts {
-			appendSection = wire.AppendSnapshotSectionCounts
-		}
-		sec, err := appendSection(eb.b, s)
+		sec, err := wire.AppendSnapshotSectionCounts(eb.b, s)
 		if err != nil {
 			n.encPool.put(eb)
 			return nil, err
 		}
 		eb.b = sec
 		secBufs = append(secBufs, eb)
-		secs = append(secs, section{s, counts, sec})
+		secs = append(secs, section{s, sec})
 		return sec, nil
 	}
 
@@ -999,11 +843,11 @@ func (n *Node) Tick() {
 				continue
 			}
 		}
-		caps := n.heartbeatCaps(o.to, len(o.snap.Procs) > 0 || len(o.snap.Links) > 0)
-		sec, err := sectionFor(o.snap, caps != 0)
+		sec, err := sectionFor(o.snap)
 		if err != nil {
 			continue
 		}
+		caps := heartbeatCaps(o.snap)
 		eb := n.encPool.get()
 		frame, err := wire.AppendDeltaFrame(eb.b, &wire.KnowledgeDelta{
 			Since:   o.since,
@@ -1037,19 +881,13 @@ func (n *Node) Tick() {
 	n.stats.countHeartbeatsSent.Add(int64(counts))
 }
 
-// heartbeatCaps decides the wire layout of the heartbeat about to go to
-// one peer, advancing its hello pacing: CapsCounts — a version-5 frame
-// shipping evidence counts — or 0, raw <= v3. Toward a peer that
-// advertised v5: counts when the record section is non-empty (that is
-// where the bytes are) or a return advert is owed; an empty delta drops
-// back to the oldest layout — an empty section encodes the same bytes
-// either way, so v5 would only add the Caps varint to a frame whose whole
-// point is being minimal. Toward an unknown/legacy peer: raw, except the
-// paced capability hellos, which ride v5 with a count payload (a
-// genuinely legacy peer drops the frame whole either way, and a v5 peer
-// gets its first counts one frame early).
-func (n *Node) heartbeatCaps(to topology.NodeID, nonEmpty bool) uint64 {
-	if pc, advert := n.capsStep(to); (pc >= wire.CapsCounts && nonEmpty) || advert {
+// heartbeatCaps decides the wire layout of a heartbeat: CapsCounts — a
+// version-5 frame shipping evidence counts — for a non-empty record
+// section, where the bytes are; 0 for an empty one, which encodes the
+// same bytes in any layout and so takes the oldest header that fits
+// (v1–v3) rather than pay for the Caps varint.
+func heartbeatCaps(s *knowledge.Snapshot) uint64 {
+	if len(s.Procs) > 0 || len(s.Links) > 0 {
 		return wire.CapsCounts
 	}
 	return 0
@@ -1377,7 +1215,8 @@ func (n *Node) flood(except topology.NodeID, frame []byte, release func()) error
 // frame is decoded into pooled storage with the body aliasing frameBytes,
 // so nothing decoded from a data frame outlives this call unless it is
 // copied (see wire.Scratch, pushDelivery), and
-// epoch-gated before any protocol processing (see epochGate).
+// epoch-gated before any protocol processing (see epochGate). A heartbeat
+// or delta must name its transport sender (see sentBy).
 func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	sc := n.decPool.get()
 	defer n.decPool.put(sc)
@@ -1388,13 +1227,10 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	}
 	switch frame.Kind {
 	case wire.FrameHeartbeat:
-		// Legacy full-snapshot heartbeats predate epochs and carry none;
-		// they are not gated (a static cluster is the only place they
-		// interoperate cleanly anyway).
-		if n.closed.Load() {
+		// Full-snapshot heartbeats carry no epoch and are not gated.
+		if n.closed.Load() || !n.sentBy(from, frame.Heartbeat) {
 			return
 		}
-		n.noteCaps(from, frame.Caps)
 		n.viewMu.Lock()
 		err := n.view.MergeSnapshot(frame.Heartbeat)
 		n.viewMu.Unlock()
@@ -1404,7 +1240,7 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 			n.stats.snapshotMergeErrors.Add(1)
 		}
 	case wire.FrameKnowledgeDelta:
-		if !n.epochGate(from, frame.Delta.Epoch) {
+		if !n.epochGate(from, frame.Delta.Epoch) || !n.sentBy(from, frame.Delta.Snap) {
 			return
 		}
 		n.handleDelta(from, frame.Delta)
@@ -1416,6 +1252,21 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	case wire.FrameJoin, wire.FrameLeave:
 		n.handleMembership(from, frame.Kind, frame.Member)
 	}
+}
+
+// sentBy reports whether a heartbeat's snapshot names the peer the
+// transport delivered it from, and counts a mismatch in
+// SnapshotMergeErrors. The merge books the heartbeat's link evidence on
+// (self, Snap.From) and learns that link if it is new, and the ack
+// bookkeeping is keyed by the transport sender, so a frame claiming
+// another sender would credit a link it never crossed and key state by
+// an ID nothing has checked.
+func (n *Node) sentBy(from topology.NodeID, s *knowledge.Snapshot) bool {
+	if s.From == from {
+		return true
+	}
+	n.stats.snapshotMergeErrors.Add(1)
+	return false
 }
 
 // epochGate fences a data/delta frame against the node's membership
@@ -1444,7 +1295,7 @@ func (n *Node) epochGate(from topology.NodeID, frameEpoch uint64) bool {
 		n.reannMu.Unlock()
 		if first {
 			if lc := n.lastChange.Load(); lc != nil && lc.frame != nil {
-				_ = n.sendControl(from, lc.frameFor(n.peerCapsOf(from)), nil)
+				_ = n.sendControl(from, lc.frame, nil)
 			}
 		}
 	}
@@ -1463,15 +1314,6 @@ func (n *Node) handleMembership(from topology.NodeID, kind wire.FrameKind, m *wi
 	if m.Node == n.cfg.ID && kind == wire.FrameLeave {
 		return // the cluster says we left; nothing sensible to apply locally
 	}
-	// A join carrying the subject's capability advert pre-warms the
-	// negotiation toward the joiner — only an explicit advert counts: the
-	// legacy relay variant strips Caps, and its absence must not brand
-	// the subject legacy (noteCaps's "spoke without advertising" reading
-	// applies to direct frames only). The relayer's own caps are learned
-	// from its heartbeats, never inferred from what it forwards.
-	if kind == wire.FrameJoin && m.Caps >= wire.CapsCounts {
-		n.noteCaps(m.Node, m.Caps)
-	}
 	if !n.applyMembership(kind, m) {
 		return
 	}
@@ -1485,7 +1327,7 @@ func (n *Node) handleMembership(from topology.NodeID, kind wire.FrameKind, m *wi
 			if nb == from || nb == m.Node {
 				continue
 			}
-			_ = n.sendControl(nb, lc.frameFor(n.peerCapsOf(nb)), nil)
+			_ = n.sendControl(nb, lc.frame, nil)
 		}
 	}
 }
@@ -1548,11 +1390,7 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
 	// fallback toward every neighbor; clearing peerSeen makes this node
 	// ack 0 until fresh full snapshots arrive, forcing the fallback in
 	// the other direction too. Cadence controllers restart at one frame
-	// per period, which also pushes the news out immediately. peerWire
-	// deliberately survives: what a peer's binary can decode is a
-	// property of the peer, not of the roster, and re-negotiating across
-	// every epoch change would downgrade the (large) post-change full
-	// snapshots to the raw layout.
+	// per period, which also pushes the news out immediately.
 	n.peerMu.Lock()
 	for k := range n.peerSeen {
 		delete(n.peerSeen, k)
@@ -1606,7 +1444,7 @@ func (n *Node) AnnounceJoin() error {
 	var lastErr error
 	sent := 0
 	for _, nb := range n.Neighbors() {
-		if err := n.tr.Send(nb, lc.frameFor(n.peerCapsOf(nb))); err == nil {
+		if err := n.tr.Send(nb, lc.frame); err == nil {
 			sent++
 		} else {
 			lastErr = err
@@ -1710,10 +1548,6 @@ func (n *Node) handleDelta(from topology.NodeID, d *wire.KnowledgeDelta) {
 	if n.closed.Load() {
 		return
 	}
-	// Record the sender's wire capability before anything can reject the
-	// frame's contents: a direct frame is proof of what the peer speaks
-	// regardless of what its snapshot merges to.
-	n.noteCaps(from, d.Caps)
 	n.viewMu.Lock()
 	// The declared cadence scales this view's expected-arrival accounting
 	// for the sender: suspicion timeout and sequence-gap loss bookkeeping

@@ -1,15 +1,14 @@
 package node
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
@@ -50,48 +49,6 @@ func (tp *tapTransport) frames(to topology.NodeID) [][]byte {
 	return out
 }
 
-// legacyTransport makes the node behind it look, on the wire, like a
-// binary that predates capability negotiation: frames above wire v3
-// addressed to it are dropped undecoded (an old decoder rejects the
-// version byte), and its own frames leave as the raw <= v3 encoding of
-// the same content, capability advert stripped. The count layout is the
-// node's only compact profile and has no switch, so this is how tests
-// get a legacy peer.
-type legacyTransport struct {
-	transport.Transport
-	dropped atomic.Int64 // inbound frames above v3
-}
-
-func (lt *legacyTransport) SetHandler(h transport.Handler) {
-	lt.Transport.SetHandler(func(from topology.NodeID, frame []byte) {
-		if len(frame) > 1 && frame[1] > 3 {
-			lt.dropped.Add(1)
-			return
-		}
-		h(from, frame)
-	})
-}
-
-func (lt *legacyTransport) Send(to topology.NodeID, frame []byte) error {
-	f, err := wire.Decode(frame)
-	if err != nil {
-		return err
-	}
-	f.Caps = 0
-	switch f.Kind {
-	case wire.FrameKnowledgeDelta:
-		f.Delta.Caps = 0
-	case wire.FrameJoin:
-		f.Member.Caps = 0
-	case wire.FrameHeartbeat, wire.FrameData, wire.FrameLeave:
-	}
-	legacy, err := wire.Encode(f)
-	if err != nil {
-		return err
-	}
-	return lt.Transport.Send(to, legacy)
-}
-
 // buildClusterOver is buildCluster with every node's fabric endpoint
 // passed through wrap.
 func buildClusterOver(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg Config,
@@ -111,12 +68,14 @@ func buildClusterOver(t *testing.T, g *topology.Graph, fabric *transport.Fabric,
 }
 
 // The tests below keep the names they had when the compact profile was
-// the opt-in v4 quantized encoding; the profile they pin today is the
-// default v5 evidence-count layout and its negotiation.
+// the opt-in v4 quantized encoding with per-peer negotiation; what they
+// pin today is the one dialect every node speaks: v5 evidence counts for
+// every non-empty record section, the oldest header that fits for every
+// empty one.
 
-// TestQuantizedClusterNegotiates: a default cluster converges onto the
-// v5 profile with no option set — every node ships evidence counts,
-// nobody mis-decodes anything, and the knowledge plane is complete.
+// TestQuantizedClusterNegotiates: a default cluster ships evidence counts
+// with no option set — nobody mis-decodes anything, and the knowledge
+// plane is complete.
 func TestQuantizedClusterNegotiates(t *testing.T) {
 	g, err := topology.Line(3)
 	if err != nil {
@@ -129,7 +88,7 @@ func TestQuantizedClusterNegotiates(t *testing.T) {
 	for i, nd := range nodes {
 		s := nd.Stats()
 		if s.CountHeartbeatsSent == 0 {
-			t.Errorf("node %d never sent a count heartbeat in an all-v5 cluster", i)
+			t.Errorf("node %d never sent a count heartbeat", i)
 		}
 		if s.DecodeErrors != 0 {
 			t.Errorf("node %d hit %d decode errors on v5 traffic", i, s.DecodeErrors)
@@ -138,19 +97,17 @@ func TestQuantizedClusterNegotiates(t *testing.T) {
 			t.Errorf("node %d knows %d links, want 2", i, got)
 		}
 	}
-	// Negotiation converges fast: after the settle, essentially all of a
-	// node's heartbeats that carry records ride the count layout.
+	// Essentially all of a node's heartbeats that carry records ride the
+	// count layout.
 	s := nodes[1].Stats()
 	if s.CountHeartbeatsSent*2 < s.HeartbeatsSent {
-		t.Errorf("middle node sent %d count heartbeats of %d — negotiation never converged",
-			s.CountHeartbeatsSent, s.HeartbeatsSent)
+		t.Errorf("middle node sent %d count heartbeats of %d", s.CountHeartbeatsSent, s.HeartbeatsSent)
 	}
 }
 
-// TestQuantizedFullHeartbeats: negotiation also rides classic
-// full-snapshot heartbeats (DisableDeltaHeartbeats), where the win is
-// largest — after the first exchange, essentially every frame both ways
-// ships counts.
+// TestQuantizedFullHeartbeats: classic full-snapshot heartbeats
+// (DisableDeltaHeartbeats) always carry records, so every one of them
+// ships counts, from the first period on.
 func TestQuantizedFullHeartbeats(t *testing.T) {
 	g, err := topology.Line(2)
 	if err != nil {
@@ -167,8 +124,8 @@ func TestQuantizedFullHeartbeats(t *testing.T) {
 		if s.DecodeErrors != 0 {
 			t.Errorf("node %d hit %d decode errors", i, s.DecodeErrors)
 		}
-		if s.CountHeartbeatsSent < s.HeartbeatsSent-2 {
-			t.Errorf("node %d sent %d count heartbeats of %d full heartbeats — negotiation never converged",
+		if s.HeartbeatsSent == 0 || s.CountHeartbeatsSent != s.HeartbeatsSent {
+			t.Errorf("node %d sent %d count heartbeats of %d full heartbeats, want all of them",
 				i, s.CountHeartbeatsSent, s.HeartbeatsSent)
 		}
 	}
@@ -296,126 +253,143 @@ func TestQuantizedEstimateParity(t *testing.T) {
 	}
 }
 
-// TestQuantizedMixedCluster checks one-sided deployment on a live
-// cluster: v5 nodes and legacy (<= v3) peers interoperate — v5 pairs
-// ship counts between themselves, nothing above v3 reaches a legacy peer
-// except the paced hellos it drops, and nobody's knowledge plane or
-// decoding suffers.
+// TestQuantizedMixedCluster: a retired wire v4 frame sent at a live node
+// is rejected whole. The frame is a v4 heartbeat around raw estimator
+// layouts, the shape a v4 binary sent, carrying a close, alarming
+// estimate of the sender that the node would adopt from any frame it
+// accepts: it books exactly one DecodeErrors and merges nothing. The
+// same heartbeat at version 1 is then merged, so the version alone is
+// what was refused.
 func TestQuantizedMixedCluster(t *testing.T) {
-	g, err := topology.Ring(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	legacy := make([]*legacyTransport, 6)
-	nodes := buildClusterOver(t, g, fabric, Config{}, func(i int, tr transport.Transport) transport.Transport {
-		if i < 3 { // nodes 0-1-2: two adjacent v5 pairs on the ring
-			return tr
-		}
-		legacy[i] = &legacyTransport{Transport: tr}
-		return legacy[i]
-	})
-	const periods = 320
-	settleTicks(nodes, periods)
-	for i, nd := range nodes {
-		s := nd.Stats()
-		if s.DecodeErrors != 0 {
-			t.Errorf("node %d hit %d decode errors on mixed traffic", i, s.DecodeErrors)
-		}
-		if got := len(nd.KnownLinks()); got != 6 {
-			t.Errorf("node %d knows %d links in the mixed cluster, want 6", i, got)
-		}
-		if i < 3 && s.CountHeartbeatsSent == 0 {
-			t.Errorf("v5 node %d never sent a count heartbeat despite a v5 neighbor", i)
-		}
-		// A legacy peer sees nothing above v3 but hellos: two neighbors,
-		// about 9 geometrically paced hellos each over the run.
-		if lt := legacy[i]; lt != nil && lt.dropped.Load() > 2*12 {
-			t.Errorf("legacy node %d was sent %d frames above v3 over %d periods", i, lt.dropped.Load(), periods)
-		}
-		// Nearly lossless links (a dropped hello is the only loss): the
-		// layout switch must not perturb accounting.
-		for _, l := range nd.KnownLinks() {
-			if mean, dist, ok := nd.LossEstimate(l); ok && dist == 0 && mean > 0.25 {
-				t.Errorf("node %d estimates loss %.3f on lossless %v under mixed layouts", i, mean, l)
-			}
-		}
-	}
-	// The v5 node between two v5 neighbors speaks counts on essentially
-	// every heartbeat that carries records.
-	if s := nodes[1].Stats(); s.CountHeartbeatsSent*4 < s.HeartbeatsSent {
-		t.Errorf("node 1 sent %d count heartbeats of %d between v5 neighbors", s.CountHeartbeatsSent, s.HeartbeatsSent)
-	}
-}
-
-// TestQuantizedLegacyFrameDiscipline audits the actual bytes a node
-// sends toward a peer that never advertises the capability: everything
-// is byte-identical to the v3-era encoding of its content — version
-// <= 3, raw estimator layouts, no advert — except the geometrically
-// backed-off hello frames, whose count over N periods is
-// O(log N + N/256).
-func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 	g, err := topology.Line(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
+	nodes := buildCluster(t, g, fabric, nil)
+	settleTicks(nodes, 20)
+	nd := nodes[0]
 
-	tap := newTap(fabric.Endpoint(0))
-	legacy := &legacyTransport{Transport: fabric.Endpoint(1)} // node 1 never advertises
-	nodes := buildClusterOver(t, g, fabric, Config{}, func(i int, _ transport.Transport) transport.Transport {
-		if i == 0 {
+	alarming := bayes.State{Intervals: bayes.DefaultIntervals, Fail: 500}
+	snap := &knowledge.Snapshot{From: 1, Seq: 1 << 20, Procs: []knowledge.ProcRecord{
+		{ID: 1, Dist: 0, Est: bayes.State{Intervals: bayes.DefaultIntervals, LogBeliefs: alarming.AppendLogBeliefs(nil)}},
+	}}
+	v1, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1[1] != 1 {
+		t.Fatalf("raw heartbeat encoded at version %d, want 1", v1[1])
+	}
+	// A v4 heartbeat is a v1 heartbeat with a caps varint after the header.
+	v4 := append([]byte{v1[0], 4, v1[2], 4}, v1[3:]...)
+
+	state := func() (Stats, uint64, float64) {
+		nd.viewMu.Lock()
+		defer nd.viewMu.Unlock()
+		mean, _ := nd.view.CrashEstimate(1)
+		return nd.Stats(), nd.view.Version(), mean
+	}
+	before, ver, mean := state()
+	nd.handle(1, v4)
+	after, verAfter, meanAfter := state()
+	if got := after.DecodeErrors - before.DecodeErrors; got != 1 {
+		t.Errorf("the v4 frame booked %d decode errors, want 1", got)
+	}
+	if after.HeartbeatsReceived != before.HeartbeatsReceived || after.SnapshotMergeErrors != before.SnapshotMergeErrors {
+		t.Errorf("the v4 frame reached the merge: heartbeats %d → %d, merge errors %d → %d",
+			before.HeartbeatsReceived, after.HeartbeatsReceived, before.SnapshotMergeErrors, after.SnapshotMergeErrors)
+	}
+	if verAfter != ver || meanAfter != mean {
+		t.Errorf("the v4 frame moved the view: version %d → %d, estimate of 1 %v → %v", ver, verAfter, mean, meanAfter)
+	}
+
+	nd.handle(1, v1)
+	merged, _, meanMerged := state()
+	if merged.HeartbeatsReceived != after.HeartbeatsReceived+1 || meanMerged <= 0.5 {
+		t.Errorf("the same heartbeat at version 1 was not merged: heartbeats %d → %d, estimate of 1 %v",
+			after.HeartbeatsReceived, merged.HeartbeatsReceived, meanMerged)
+	}
+}
+
+// TestQuantizedLegacyFrameDiscipline audits every frame a node in a
+// default cluster sends, from its first period: every heartbeat or delta
+// whose record section is non-empty is a v5 frame with Caps = CapsCounts
+// whose records all ride the count layout, every empty one is a header of
+// version 3 or less, every data frame is v1 or v3, and no frame is v4.
+func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
+	g, err := topology.Line(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := transport.NewFabric(transport.FabricOptions{})
+	defer func() { _ = fabric.Close() }()
+
+	tap := newTap(fabric.Endpoint(1))
+	nodes := buildClusterOver(t, g, fabric, Config{}, func(i int, tr transport.Transport) transport.Transport {
+		if i == 1 {
 			return tap
 		}
-		return legacy
+		return tr
 	})
+	settleTicks(nodes, 200) // long enough for the deltas to go empty
+	if _, _, err := nodes[1].Broadcast([]byte("audit")); err != nil {
+		t.Fatal(err)
+	}
+	settleTicks(nodes, 40)
 
-	const periods = 600
-	settleTicks(nodes, periods)
-
-	hellos := 0
-	for fi, b := range tap.frames(1) {
-		if len(b) < 3 {
-			t.Fatalf("frame %d: short frame (%d bytes)", fi, len(b))
-		}
-		f, err := wire.Decode(b)
-		if err != nil {
-			t.Fatalf("frame %d: does not decode: %v", fi, err)
-		}
-		if b[1] <= 3 {
-			// Decode admits count records only inside v5 frames, so a
-			// frame that decodes at <= v3 and re-encodes to itself is the
-			// v3-era encoding, float for float.
-			again, err := wire.Encode(f)
+	v5, empty, data := 0, 0, 0
+	for _, to := range g.Neighbors(1) {
+		for fi, b := range tap.frames(to) {
+			f, err := wire.Decode(b)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("frame %d to %d does not decode: %v", fi, to, err)
 			}
-			if !bytes.Equal(again, b) {
-				t.Fatalf("frame %d toward the legacy peer is not the canonical v%d encoding of its content", fi, b[1])
+			var snap *knowledge.Snapshot
+			var caps uint64
+			switch f.Kind {
+			case wire.FrameHeartbeat:
+				snap, caps = f.Heartbeat, f.Caps
+			case wire.FrameKnowledgeDelta:
+				snap, caps = f.Delta.Snap, f.Delta.Caps
+			case wire.FrameData:
+				data++
+				if b[1] != 1 && b[1] != 3 {
+					t.Errorf("data frame %d to %d at version %d", fi, to, b[1])
+				}
+				continue
+			case wire.FrameJoin, wire.FrameLeave:
+				t.Fatalf("frame %d to %d: membership frame in a static cluster", fi, to)
 			}
-			continue
+			if len(snap.Procs)+len(snap.Links) == 0 {
+				empty++
+				if b[1] > 3 || caps != 0 {
+					t.Errorf("empty frame %d to %d at version %d with caps %d", fi, to, b[1], caps)
+				}
+				continue
+			}
+			v5++
+			if b[1] != 5 || caps != wire.CapsCounts {
+				t.Errorf("non-empty frame %d to %d at version %d with caps %d", fi, to, b[1], caps)
+			}
+			for _, pr := range snap.Procs {
+				if !pr.Est.IsCounts() {
+					t.Errorf("frame %d to %d: process %d record rode a raw layout", fi, to, pr.ID)
+				}
+			}
+			for _, lr := range snap.Links {
+				if !lr.Est.IsCounts() {
+					t.Errorf("frame %d to %d: link %v record rode a raw layout", fi, to, lr.Link)
+				}
+			}
 		}
-		hellos++
-		if f.Kind != wire.FrameKnowledgeDelta || f.Delta.Caps != wire.CapsCounts {
-			t.Fatalf("frame %d: v%d frame toward a legacy peer without a capability advert", fi, b[1])
-		}
 	}
-	if hellos == 0 {
-		t.Error("node never sent a capability hello toward the silent peer")
+	if v5 == 0 || empty == 0 || data == 0 {
+		t.Fatalf("tap saw %d non-empty, %d empty and %d data frames; the audit needs all three", v5, empty, data)
 	}
-	// Hello pacing over 600 periods: first frame, then gaps 4, 8, ...,
-	// 256, 256 — about 9 frames. Anything near the period count means the
-	// backoff is broken and legacy peers pay a permanent v5 tax.
-	if hellos > 12 {
-		t.Errorf("node sent %d hellos over %d periods, want <= 12 (geometric backoff)", hellos, periods)
-	}
-	if got := nodes[0].Stats().CountHeartbeatsSent; got != hellos {
-		t.Errorf("CountHeartbeatsSent = %d but %d v5 frames crossed the tap", got, hellos)
-	}
-	if got := int(legacy.dropped.Load()); got != hellos {
-		t.Errorf("legacy peer dropped %d frames above v3, tap saw %d hellos", got, hellos)
+	if got := nodes[1].Stats().CountHeartbeatsSent; got != v5 {
+		t.Errorf("CountHeartbeatsSent = %d but %d v5 frames crossed the tap", got, v5)
 	}
 	for i, nd := range nodes {
 		if errs := nd.Stats().DecodeErrors; errs != 0 {

@@ -10,8 +10,9 @@
 // one more message on an edge is isotonic (Lemma 4) and independent of the
 // other edges, a max-heap of per-edge gains yields exactly the greedy
 // choices of Algorithm 2 in O(total·log n) instead of O(total·n). The
-// literal Algorithm 2 is kept as GreedyNaive and the two are
-// property-tested against each other and against Exhaustive.
+// literal Algorithm 2 lives in the tests as GreedyNaive, the executable
+// specification Greedy is property-tested against, as it is against
+// Exhaustive.
 package optimize
 
 import (
@@ -161,10 +162,6 @@ func (h gainHeap) step(lam float64, m int) {
 	h.down(0)
 }
 
-func gain(lam float64, m int) float64 {
-	return edgeTerm(lam, m+1) / edgeTerm(lam, m)
-}
-
 // Greedy solves the optimization problem of Eq. 3 with the greedy strategy
 // of Algorithm 2, accelerated with a max-heap over per-edge gains. It
 // returns the per-edge message counts (aligned with lambdas) whose total
@@ -207,54 +204,6 @@ func Greedy(lambdas []float64, k float64, opts Options) ([]int, error) {
 			return nil, fmt.Errorf("%w (total > %d)", ErrBudget, budget)
 		}
 		h.step(lambdas[it.edge], m[it.edge])
-	}
-	return m, nil
-}
-
-// GreedyNaive is the literal Algorithm 2 of the paper: start from
-// ~m = (1,...,1) and repeatedly add one message to the edge maximizing
-// r(~m+~u_j)/r(~m) until r(~m) ≥ K. It is O(total·n) and exists as the
-// executable specification that Greedy is tested against.
-//
-// The reach value is accumulated in log space with exactly the same
-// floating-point operations as Greedy, so the two implementations differ
-// only in how they select the best edge (linear scan vs heap) and are
-// therefore bit-identical in their results.
-func GreedyNaive(lambdas []float64, k float64, opts Options) ([]int, error) {
-	if err := checkArgs(lambdas, k); err != nil {
-		return nil, err
-	}
-	n := len(lambdas)
-	m := make([]int, n)
-	for j := range m {
-		m[j] = 1
-	}
-	if k <= 0 || n == 0 {
-		return m, nil
-	}
-	logK := math.Log(k)
-	var logR float64
-	for _, lam := range lambdas {
-		logR += math.Log(edgeTerm(lam, 1))
-	}
-	budget := opts.maxTotal()
-	total := n
-	for logR < logK {
-		best, bestGain := -1, 1.0
-		for j, lam := range lambdas {
-			if g := gain(lam, m[j]); g > bestGain {
-				best, bestGain = j, g
-			}
-		}
-		if best < 0 {
-			return nil, ErrUnreachable
-		}
-		logR += math.Log(gain(lambdas[best], m[best]))
-		m[best]++
-		total++
-		if total > budget {
-			return nil, fmt.Errorf("%w (total > %d)", ErrBudget, budget)
-		}
 	}
 	return m, nil
 }

@@ -105,3 +105,64 @@ func BenchmarkDecodeData(b *testing.B) {
 		})
 	}
 }
+
+// benchView is a 100-process view after one period, the heartbeat payload
+// the gob baseline benchmarks encode.
+func benchView(b *testing.B) *knowledge.View {
+	v, err := knowledge.NewView(0, 100, []topology.NodeID{1, 2, 3, 4}, nil, knowledge.Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v.BeginPeriod()
+	return v
+}
+
+// benchDataMsg is a data message carrying a 100-process tree and its
+// allocation, the shape every copy of a planned broadcast has.
+func benchDataMsg() *DataMsg {
+	m := &DataMsg{Origin: 0, Seq: 42, Root: 0, Body: []byte("benchmark payload 0123456789abcdef"),
+		Parents: make([]topology.NodeID, 100), AllocByNode: make([]int32, 100)}
+	m.Parents[0] = topology.None
+	for v := 1; v < len(m.Parents); v++ {
+		m.Parents[v], m.AllocByNode[v] = topology.NodeID((v-1)/3), int32(1+v%3)
+	}
+	return m
+}
+
+// BenchmarkSnapshotEncodeGob / BenchmarkWireDecodeGob /
+// BenchmarkWireEncodeDataGob time the gob baseline (EncodeGob, DecodeGob)
+// on a heartbeat and a data frame, for comparison with the binary codec.
+func BenchmarkSnapshotEncodeGob(b *testing.B) {
+	v := benchView(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame, err := EncodeGob(&Frame{Kind: FrameHeartbeat, Heartbeat: v.Snapshot()})
+		if err != nil || len(frame) == 0 {
+			b.Fatal(len(frame), err)
+		}
+	}
+}
+
+func BenchmarkWireDecodeGob(b *testing.B) {
+	frame, err := EncodeGob(&Frame{Kind: FrameHeartbeat, Heartbeat: benchView(b).Snapshot()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeGob(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWireEncodeDataGob(b *testing.B) {
+	msg := benchDataMsg()
+	for i := 0; i < b.N; i++ {
+		frame, err := EncodeGob(&Frame{Kind: FrameData, Data: msg})
+		if err != nil || len(frame) == 0 {
+			b.Fatal(len(frame), err)
+		}
+	}
+}

@@ -14,53 +14,41 @@ import (
 // Binary framing (see the README "Wire format" section):
 //
 //	[0] magic 0xAC
-//	[1] version (1, 2 or 3)
+//	[1] version (1, 2, 3 or 5)
 //	[2] kind (FrameHeartbeat | FrameData | FrameKnowledgeDelta | FrameJoin | FrameLeave)
 //	payload…
 //
+// Every frame encodes as the oldest version that can carry its payload.
 // Version 2 differs from version 1 in exactly one place: a knowledge-
 // delta payload carries one extra Cadence uvarint after the
-// {Since, Ver, Ack} header. The encoder emits version 2 only for delta
-// frames whose cadence is actually stretched (Cadence > 1); everything
-// else — all heartbeat and data frames, and every classic one-frame-per-δ
-// delta — stays a version-1 frame, byte-identical to what pre-cadence
-// peers emit and decode. Old peers therefore interoperate untouched
-// unless an operator turns adaptive cadence on against them.
+// {Since, Ver, Ack} header, so only deltas whose cadence is actually
+// stretched (Cadence > 1) need it.
 //
 // Version 3 adds dynamic membership: delta payloads gain an Epoch uvarint
-// after Cadence (which is always present in a v3 delta, stretched or
-// not), data payloads gain an Epoch uvarint after the piggyback section,
-// and the FrameJoin / FrameLeave kinds carry a Membership payload. The
-// encoder emits version 3 only when the epoch is nonzero (or for the
-// membership kinds, which exist only then), so every static-cluster frame
-// stays byte-identical to what v1/v2 peers emit and decode: epochs cost
-// nothing until a membership change actually happens, and old peers
-// interoperate in a static cluster by reading epoch-0 frames as their own.
+// after Cadence (which is always present from v3 on, stretched or not),
+// data payloads gain an Epoch uvarint after the piggyback section, and
+// the FrameJoin / FrameLeave kinds carry a Membership payload. Only a
+// nonzero epoch (and the membership kinds) needs it, so a static
+// cluster's frames cost nothing for epochs.
 //
-// Version 4 added capability negotiation and the quantized belief profile.
-// A v4 heartbeat carries a Caps uvarint (the sender's highest supported
-// wire version, ≥ the frame's own by construction) before its snapshot; a
-// v4 delta carries the same uvarint after Epoch; a v4 join appends the
-// subject's Caps after the neighbor list. Inside a v4 frame, estimator
-// states may use two additional layouts — flagQUniform and flagQWindow —
-// that ship log beliefs (and refined midpoints) as uint16 fixed-point
-// codes over a shared scale (see internal/bayes/quant.go). Version 4 is
-// the previous profile: it still decodes, but nothing emits the quantized
-// layouts any more.
-//
-// Version 5 keeps the v4 header and adds the evidence-count estimator
-// layout, flagCounts: an estimator that never left the uniform prior on
-// the uniform grid is a pure function of three integers, so it ships as
+// Version 5 adds a Caps uvarint — the sender's highest supported wire
+// version, at least 5 — to heartbeat frames (before the snapshot) and to
+// delta frames (after Epoch), and the evidence-count estimator layout,
+// flagCounts: an estimator that never left the uniform prior on the
+// uniform grid is a pure function of three integers, so it ships as
 // uvarint U, uvarint successes, uvarint failures (~5 bytes against ~800
 // raw). Every other estimator — refined, or rebuilt from a raw vector —
-// rides the raw layouts, which stay legal in every version. The encoder
-// emits version 5 only when Caps ≥ CapsCounts is set, which the node does
-// only toward peers that advertised it themselves (or as a periodic
-// capability hello), so every frame to any other peer stays
-// byte-identical to the v3-era encoding. Data frames never encode above
-// v3: they are encoded once and relayed verbatim across peers with mixed
-// capabilities, so their estimates always ride the raw layouts. Leave
-// frames also stay v3 (a departing node has nothing to negotiate).
+// rides the raw layouts, which are legal in every version. The node sends
+// a heartbeat or delta whose record section is non-empty as version 5; an
+// empty section encodes the same bytes in any layout, so it keeps the
+// oldest header that fits. Data frames have no v5 layout, so their
+// piggybacked snapshots ride the raw layouts. Membership frames are
+// always v3.
+//
+// The decoder accepts exactly those shapes — heartbeat v1 and v5, data v1
+// and v3, delta v1, v2, v3 and v5, join and leave v3 — which are the
+// versions the wirekind annotations on the FrameKind constants declare.
+// Version 4, the retired quantized-belief profile, is unsupported.
 //
 // Integers are varints (unsigned for sequence numbers, lengths and
 // counts; zigzag for node IDs, distortions and allocations, which can be
@@ -74,18 +62,10 @@ const (
 	version     = 1
 	version2    = 2 // delta frames carrying a stretched Cadence
 	version3    = 3 // nonzero membership epoch; join/leave frames
-	version4    = 4 // capability advert; quantized belief profile (decode only)
-	version5    = 5 // evidence-count estimator layout
+	version5    = 5 // caps field; evidence-count estimator layout
 	headerSize  = 3
 	flagUniform = 1 << 0 // estimator state: midpoints are the uniform grid
 	flagRefined = 0      // (midpoints explicit; no flag bits set)
-
-	// Quantized estimator layouts, legal only from version 4 on and never
-	// emitted any more. flagQUniform is flagUniform's quantized twin
-	// (uniform grid, count only); flagQWindow carries a refined grid with
-	// exact first/last midpoints and uint16 interior codes.
-	flagQUniform = 2
-	flagQWindow  = 3
 	// flagCounts is the evidence-count layout, legal only from version 5
 	// on: uniform grid, uniform prior, (U, successes, failures).
 	flagCounts = 4
@@ -98,7 +78,7 @@ const (
 type reader struct {
 	b      []byte
 	off    int
-	ver    byte // frame version from the header; gates the v4+ and v5+ layouts
+	ver    byte // frame version from the header; gates the v5 layouts
 	borrow bool // byte fields alias b instead of copying (DecodeBorrow)
 	err    error
 }
@@ -200,7 +180,7 @@ func (r *reader) floats(n int, what string) []float64 {
 	return out
 }
 
-// caps reads a capability advert: the sender's highest supported wire
+// caps reads a Caps field: the sender's highest supported wire
 // version. A frame advertising less than its own version is
 // self-contradictory and rejected.
 func (r *reader) caps() uint64 {
@@ -208,19 +188,6 @@ func (r *reader) caps() uint64 {
 	if r.err == nil && (v < uint64(r.ver) || v > MaxCaps) {
 		r.fail("version-%d frame advertises caps %d", r.ver, v)
 	}
-	return v
-}
-
-func (r *reader) uint16v() uint16 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 2 {
-		r.fail("truncated fixed-point code")
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
 	return v
 }
 
@@ -309,58 +276,6 @@ func (r *reader) estimator() bayes.State {
 		n := r.count("midpoints")
 		s.Mids = r.floats(n, "midpoints")
 		s.Intervals = n
-	case flagQUniform:
-		if r.ver < version4 {
-			r.fail("quantized estimator in a version-%d frame", r.ver)
-			return s
-		}
-		// One count serves both mids and beliefs; each belief below takes
-		// 2 bytes.
-		u := r.uvarint()
-		if r.err != nil {
-			return s
-		}
-		if u > uint64(r.remaining()/2+1) {
-			r.fail("quantized grid count %d exceeds frame", u)
-			return s
-		}
-		s.Intervals = int(u)
-		s.LogBeliefs = r.qbeliefs(int(u))
-		return s
-	case flagQWindow:
-		if r.ver < version4 {
-			r.fail("quantized estimator in a version-%d frame", r.ver)
-			return s
-		}
-		u := r.uvarint()
-		if r.err != nil {
-			return s
-		}
-		if u < 2 || u > uint64(r.remaining()/2+1) {
-			r.fail("quantized window count %d invalid", u)
-			return s
-		}
-		first, last := r.float(), r.float()
-		if r.err != nil {
-			return s
-		}
-		// Clamp the support window at decode so a hostile frame cannot
-		// smuggle out-of-(0,1) midpoints through the dequantizer.
-		if !(first > 0 && first < 1) || !(last > first && last < 1) {
-			r.fail("quantized window [%v,%v] outside (0,1)", first, last)
-			return s
-		}
-		mids := make([]float64, u)
-		mids[0], mids[u-1] = first, last
-		for i := 1; i < int(u)-1 && r.err == nil; i++ {
-			mids[i] = bayes.DequantizeMid(r.uint16v(), first, last)
-		}
-		if r.err != nil {
-			return s
-		}
-		s.Mids, s.Intervals = mids, int(u)
-		s.LogBeliefs = r.qbeliefs(int(u))
-		return s
 	case flagCounts:
 		if r.ver < version5 {
 			r.fail("evidence-count estimator in a version-%d frame", r.ver)
@@ -390,47 +305,6 @@ func (r *reader) estimator() bayes.State {
 	n := r.count("beliefs")
 	s.LogBeliefs = r.floats(n, "beliefs")
 	return s
-}
-
-// qbeliefs reads a quantized log-belief block: a shared float64 scale
-// followed by n uint16 codes. The scale is clamped into
-// [bayes.BeliefFloor, 0] and the block re-normalized to a 0 maximum, so
-// a quantized merge can never produce out-of-support estimates no matter
-// what a hostile frame ships.
-func (r *reader) qbeliefs(n int) []float64 {
-	scale := r.float()
-	if r.err != nil {
-		return nil
-	}
-	if math.IsNaN(scale) || scale > 0 {
-		r.fail("quantized belief scale %v invalid", scale)
-		return nil
-	}
-	if scale < bayes.BeliefFloor {
-		scale = bayes.BeliefFloor
-	}
-	if r.remaining() < 2*n {
-		r.fail("beliefs: %d fixed-point codes exceed frame", n)
-		return nil
-	}
-	out := make([]float64, n)
-	maxLb := math.Inf(-1)
-	for i := range out {
-		out[i] = bayes.DequantizeBelief(r.uint16v(), scale)
-		if out[i] > maxLb {
-			maxLb = out[i]
-		}
-	}
-	// Honest blocks always contain a code-0 belief (the estimator rebases
-	// its maximum to 0 before encoding), making this a no-op; rebase here
-	// anyway so decoded beliefs always satisfy the ≤0 support invariant
-	// with a representable maximum.
-	if n > 0 && maxLb < 0 {
-		for i := range out {
-			out[i] -= maxLb
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -541,9 +415,9 @@ func deltaSize(d *KnowledgeDelta) int {
 // appendDelta lays out the version bookkeeping before the record set, so
 // the fixed-cost liveness header of a near-empty steady-state delta stays
 // a handful of bytes. The cadence uvarint exists only in version-2+
-// frames (version-1 frames imply cadence 1); the epoch uvarint only in
-// version-3 frames (earlier versions imply epoch 0); the caps uvarint
-// only from version 4 on.
+// frames (version-1 frames imply cadence 1); the epoch uvarint only from
+// version 3 on (earlier versions imply epoch 0); the caps uvarint only in
+// version 5.
 func appendDelta(b []byte, d *KnowledgeDelta, ver byte) []byte {
 	return appendSnapshot(appendDeltaHeader(b, d, ver), d.Snap, ver >= version5)
 }
@@ -562,7 +436,7 @@ func appendDeltaHeader(b []byte, d *KnowledgeDelta, ver byte) []byte {
 	if ver >= version3 {
 		b = binary.AppendUvarint(b, d.Epoch)
 	}
-	if ver >= version4 {
+	if ver >= version5 {
 		b = binary.AppendUvarint(b, d.Caps)
 	}
 	return b
@@ -585,7 +459,7 @@ func (r *reader) delta(ver byte, d *KnowledgeDelta, snap *knowledge.Snapshot) *K
 	if ver >= version3 {
 		d.Epoch = r.uvarint()
 	}
-	if ver >= version4 {
+	if ver >= version5 {
 		d.Caps = r.caps()
 	}
 	d.Snap = r.snapshot(snap)
@@ -623,8 +497,7 @@ func appendData(b []byte, m *DataMsg, ver byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m.Body)))
 	b = append(b, m.Body...)
 	if m.Piggyback != nil {
-		// Data frames never encode above v3 (they are relayed verbatim
-		// across mixed-capability peers), so the piggyback is always raw.
+		// Data frames have no v5 layout, so the piggyback is raw.
 		b = append(b, 1)
 		b = appendSnapshot(b, m.Piggyback, false)
 	} else {
@@ -687,10 +560,10 @@ func (r *reader) data(ver byte, m *DataMsg) *DataMsg {
 // ---------------------------------------------------------------------------
 
 func membershipSize(m *Membership) int {
-	return (6 + len(m.Departed) + len(m.Neighbors)) * binary.MaxVarintLen64
+	return (5 + len(m.Departed) + len(m.Neighbors)) * binary.MaxVarintLen64
 }
 
-func appendMembership(b []byte, m *Membership, ver byte) []byte {
+func appendMembership(b []byte, m *Membership) []byte {
 	b = binary.AppendVarint(b, int64(m.Node))
 	b = binary.AppendUvarint(b, m.Epoch)
 	b = binary.AppendUvarint(b, uint64(m.NumProcs))
@@ -701,9 +574,6 @@ func appendMembership(b []byte, m *Membership, ver byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m.Neighbors)))
 	for _, nb := range m.Neighbors {
 		b = binary.AppendVarint(b, int64(nb))
-	}
-	if ver >= version4 {
-		b = binary.AppendUvarint(b, m.Caps)
 	}
 	return b
 }
@@ -733,9 +603,6 @@ func (r *reader) membership() *Membership {
 	for i := 0; i < nNbs && r.err == nil; i++ {
 		m.Neighbors = append(m.Neighbors, r.nodeID())
 	}
-	if r.ver >= version4 {
-		m.Caps = r.caps()
-	}
 	if r.err != nil {
 		return nil
 	}
@@ -746,33 +613,24 @@ func (r *reader) membership() *Membership {
 // Frames
 // ---------------------------------------------------------------------------
 
-// frameVersion picks the wire version a frame encodes as. The rule is
-// always "oldest layout that can carry the payload", so static-cluster
-// frames stay byte-identical to v1/v2 peers (the golden interop test
-// pins this).
+// frameVersion picks the wire version a frame encodes as: always the
+// oldest layout that can carry the payload, so static-cluster frames stay
+// byte-identical to the v1/v2 encoding (the golden test pins this).
 func frameVersion(f *Frame) byte {
 	switch f.Kind {
 	case FrameHeartbeat:
 		if f.Caps > 0 {
-			// Only a capability advert (and the count layout it unlocks)
-			// needs the caps-carrying layout.
-			return capsVersion(f.Caps)
+			return version5
 		}
 	case FrameData:
 		if f.Data.Epoch > 0 {
-			// Only a grown/shrunk cluster needs the epoch fence; static
-			// clusters stay byte-identical to v1 peers.
+			// Only a grown/shrunk cluster needs the epoch fence.
 			return version3
 		}
 	case FrameKnowledgeDelta:
 		return deltaVersion(f.Delta)
-	case FrameJoin:
-		if f.Member.Caps > 0 {
-			return capsVersion(f.Member.Caps)
-		}
+	case FrameJoin, FrameLeave:
 		// Membership kinds exist only since v3; no older layout to match.
-		return version3
-	case FrameLeave:
 		return version3
 	}
 	return version
@@ -782,27 +640,17 @@ func frameVersion(f *Frame) byte {
 // the pre-encoded-section fast path (AppendDeltaFrame).
 func deltaVersion(d *KnowledgeDelta) byte {
 	if d.Caps > 0 {
-		return capsVersion(d.Caps)
+		return version5
 	}
 	if d.Epoch > 0 {
 		return version3
 	}
 	if d.Cadence > 1 {
 		// Only a stretched cadence needs the v2 layout; the classic
-		// one-frame-per-δ delta stays byte-identical to v1 peers.
+		// one-frame-per-δ delta stays byte-identical to v1.
 		return version2
 	}
 	return version
-}
-
-// capsVersion is the version a capability-carrying frame encodes as:
-// version 5 when the sender advertises it, else version 4 — the layout a
-// decoded previous-profile frame re-encodes to.
-func capsVersion(caps uint64) byte {
-	if caps >= CapsCounts {
-		return version5
-	}
-	return version4
 }
 
 // frameSize over-estimates the encoded size of a validated frame, for
@@ -829,7 +677,7 @@ func appendFrameBytes(b []byte, f *Frame) []byte {
 	b = append(b, magic, ver, byte(f.Kind))
 	switch f.Kind {
 	case FrameHeartbeat:
-		if ver >= version4 {
+		if ver >= version5 {
 			b = binary.AppendUvarint(b, f.Caps)
 		}
 		b = appendSnapshot(b, f.Heartbeat, ver >= version5)
@@ -838,7 +686,7 @@ func appendFrameBytes(b []byte, f *Frame) []byte {
 	case FrameKnowledgeDelta:
 		b = appendDelta(b, f.Delta, ver)
 	case FrameJoin, FrameLeave:
-		b = appendMembership(b, f.Member, ver)
+		b = appendMembership(b, f.Member)
 	}
 	return b
 }
@@ -858,29 +706,31 @@ func decodeBinary(b []byte, sc *Scratch, borrow bool) error {
 	if b[0] != magic {
 		return fmt.Errorf("wire: bad magic %#x", b[0])
 	}
-	if b[1] < version || b[1] > version5 {
-		return fmt.Errorf("wire: unsupported version %d", b[1])
+	ver := b[1]
+	if ver < version || ver > version5 || ver == 4 { // 4: the retired quantized profile
+		return fmt.Errorf("wire: unsupported version %d", ver)
 	}
 	f.Kind = FrameKind(b[2])
-	r := &reader{b: b, off: headerSize, ver: b[1], borrow: borrow}
+	r := &reader{b: b, off: headerSize, ver: ver, borrow: borrow}
 	switch f.Kind {
 	case FrameHeartbeat:
-		if r.ver >= version4 {
+		if ver != version && ver != version5 {
+			return fmt.Errorf("wire: heartbeat frame at version %d", ver)
+		}
+		if ver == version5 {
 			f.Caps = r.caps()
 		}
 		f.Heartbeat = r.snapshot(&sc.snap)
 	case FrameData:
-		if r.ver >= version4 {
-			// Data frames are encoded once and relayed verbatim across
-			// peers with mixed capabilities; they never ride v4 or later.
-			return fmt.Errorf("wire: data frame at version %d", r.ver)
+		if ver != version && ver != version3 {
+			return fmt.Errorf("wire: data frame at version %d", ver)
 		}
-		f.Data = r.data(b[1], &sc.data)
+		f.Data = r.data(ver, &sc.data)
 	case FrameKnowledgeDelta:
-		f.Delta = r.delta(b[1], &sc.delta, &sc.snap)
+		f.Delta = r.delta(ver, &sc.delta, &sc.snap)
 	case FrameJoin, FrameLeave:
-		if b[1] < version3 {
-			return fmt.Errorf("wire: membership frame at version %d", b[1])
+		if ver != version3 {
+			return fmt.Errorf("wire: membership frame at version %d", ver)
 		}
 		f.Member = r.membership()
 	default:

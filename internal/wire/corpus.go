@@ -23,10 +23,11 @@ type CorpusSeed struct {
 }
 
 // CorpusSeeds returns every committed FuzzDecode corpus seed, sorted by
-// name. The corpus is the codec's catalog of hostile inputs: every frame
-// shape every wire version ever produced, exactly as a malicious or
-// ancient peer could replay them, plus forged frames no encoder ever
-// emitted (the forged-N files), which must fail to decode.
+// name. The corpus is the codec's catalog of hostile inputs: one frame of
+// every shape the encoder produces, exactly as a malicious peer could
+// replay them, plus frames that must fail to decode — shapes the decoder
+// retired (the retired-N files) and forged frames no encoder ever emitted
+// (the forged-N files).
 func CorpusSeeds() ([]CorpusSeed, error) {
 	const dir = "testdata/fuzz/FuzzDecode"
 	entries, err := corpusFS.ReadDir(dir)

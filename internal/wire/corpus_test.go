@@ -8,27 +8,26 @@ import (
 	"testing"
 )
 
-// Seeds 10–15 of the committed corpus are the wire v4 quantized frames of
-// the previous profile. The encoder that produced them is gone — v4 only
-// decodes — so they stay as frozen bytes and the canonical frames past
-// the first ten number from 16.
-const (
-	frozenV4First = 10
-	frozenV4Seeds = 6
-)
+// Two kinds of committed corpus file must NOT decode. The forged-N files
+// are the forged evidence-count heartbeats (forgedCountFrames). The
+// retired-N files are frames of shapes this decoder no longer accepts,
+// kept as the bytes an old binary or a replaying peer would send:
+// retired-0 to retired-5 are wire v4 quantized frames (four deltas, a
+// heartbeat and a join), retired-6 a v5 join carrying a capability
+// advert, and retired-7 a v4 header around raw estimator layouts. Both
+// kinds are committed next to the seeds so fuzzing starts from them and
+// the byzantine-replay scenario throws them at a live cluster.
+const forgedPrefix, retiredPrefix = "forged-", "retired-"
 
+// seedName names the corpus file of canonical frame i. The names seed-14
+// and seed-15 stay unused: they held v4 frames, now retired-4 and
+// retired-5, and the v5 frames past them keep their committed names.
 func seedName(i int) string {
-	if i >= frozenV4First {
-		i += frozenV4Seeds
+	if i >= 14 {
+		i += 2
 	}
 	return fmt.Sprintf("seed-%d", i)
 }
-
-// forgedPrefix names the corpus files that must NOT decode: the forged
-// evidence-count heartbeats (forgedCountFrames), committed next to the
-// seeds so fuzzing starts from them and the byzantine-replay scenario
-// throws them at a live cluster with the rest of the corpus.
-const forgedPrefix = "forged-"
 
 // writeCorpusFile adds one corpus file. A committed file is never
 // overwritten: the corpus's value is its historical bytes (a regenerated
@@ -49,9 +48,10 @@ func writeCorpusFile(t *testing.T, dir, name string, b []byte) {
 // TestWriteSeedCorpus completes the committed fuzz seed corpus under
 // testdata/fuzz/FuzzDecode from the canonical seed frames and the forged
 // count frames. It only writes when WIRE_WRITE_CORPUS=1 is set; a normal
-// test run instead verifies that every committed seed still decodes (and
-// every forged one still does not), so corpus and codec cannot drift
-// apart silently.
+// test run instead verifies that every committed seed still decodes, and
+// that every forged or retired one fails fresh, borrowed and through a
+// Scratch a valid frame just used, so corpus and codec cannot drift apart
+// silently.
 func TestWriteSeedCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
 	if os.Getenv("WIRE_WRITE_CORPUS") == "1" {
@@ -102,14 +102,15 @@ func TestWriteSeedCorpus(t *testing.T) {
 			t.Errorf("%s: not a parseable go-fuzz corpus file", name)
 			continue
 		}
-		_, err = Decode(b)
-		if strings.HasPrefix(e.Name(), forgedPrefix) {
-			if err == nil {
-				t.Errorf("%s: forged frame decodes", name)
+		if strings.HasPrefix(e.Name(), forgedPrefix) || strings.HasPrefix(e.Name(), retiredPrefix) {
+			for what, err := range decodeEverywhere(t, b) {
+				if err == nil {
+					t.Errorf("%s: %s accepts a frame that must not decode", name, what)
+				}
 			}
 			continue
 		}
-		if err != nil {
+		if _, err := Decode(b); err != nil {
 			t.Errorf("%s: committed seed no longer decodes: %v", name, err)
 			continue
 		}

@@ -8,7 +8,7 @@ package wire
 // forward splice (relays reuse the already-encoded data-message bytes
 // instead of re-serializing per hop). Every function here produces
 // byte-identical output to Encode for the same logical frame; the
-// golden interop and byte-equality tests pin that.
+// golden and byte-equality tests pin that.
 
 import (
 	"errors"
@@ -47,8 +47,7 @@ func EncodeInto(buf []byte, f *Frame) ([]byte, error) {
 // The evidence-count layout is the one exception: it is legal only
 // inside version-5 frames, so a section encoded with
 // AppendSnapshotSectionCounts may only be spliced under a delta whose
-// Caps is at least CapsCounts. The node keys its shared-section cache on
-// (cut, layout) accordingly.
+// Caps is at least CapsCounts.
 func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 	if s == nil {
 		return dst, errors.New("wire: nil snapshot")
@@ -59,8 +58,7 @@ func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 // AppendSnapshotSectionCounts is AppendSnapshotSection with the
 // evidence-count layout for every estimator it can carry (three varints
 // instead of U floats). The resulting section may only ride version-5
-// frames — splice it only under deltas advertising CapsCounts, toward
-// peers that advertised it themselves.
+// frames: splice it only under deltas whose Caps is CapsCounts or more.
 func AppendSnapshotSectionCounts(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 	if s == nil {
 		return dst, errors.New("wire: nil snapshot")
@@ -79,14 +77,8 @@ func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte
 	if d == nil {
 		return dst, errors.New("wire: nil delta")
 	}
-	if d.Since > d.Ver {
-		return dst, fmt.Errorf("wire: delta base %d ahead of its version %d", d.Since, d.Ver)
-	}
-	if d.Cadence > MaxCadence {
-		return dst, fmt.Errorf("wire: cadence %d exceeds the %d-period bound", d.Cadence, MaxCadence)
-	}
-	if d.Caps != 0 && (d.Caps < CapsQuantized || d.Caps > MaxCaps) {
-		return dst, fmt.Errorf("wire: caps %d outside [%d,%d]", d.Caps, CapsQuantized, MaxCaps)
+	if err := checkDeltaHeader(d); err != nil {
+		return dst, err
 	}
 	ver := deltaVersion(d)
 	dst = append(dst, magic, ver, byte(FrameKnowledgeDelta))
@@ -109,7 +101,7 @@ func SpliceDataPiggyback(dst, raw []byte, snap *knowledge.Snapshot) ([]byte, err
 	}
 	dst = append(dst, raw[:flagOff]...)
 	if snap != nil {
-		// Data frames never ride v4+ (the splice output keeps raw's
+		// Data frames have no v5 layout (the splice output keeps raw's
 		// version), so the snapshot always uses the raw layouts.
 		dst = append(dst, 1)
 		dst = appendSnapshot(dst, snap, false)

@@ -28,6 +28,10 @@ func seedFrames(tb testing.TB) []*Frame {
 	if !ok {
 		tb.Fatal("seed delta not anchorable")
 	}
+	empty, ok := v.DeltaSince(v.Version())
+	if !ok || len(empty.Procs)+len(empty.Links) != 0 {
+		tb.Fatal("steady-state delta not empty")
+	}
 	return []*Frame{
 		{Kind: FrameHeartbeat, Heartbeat: snap},
 		{Kind: FrameData, Data: &DataMsg{Origin: 2, Seq: 7, Root: 2, Body: []byte("payload")}},
@@ -62,11 +66,28 @@ func seedFrames(tb testing.TB) []*Frame {
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 2, Epoch: 4}},
 		{Kind: FrameJoin, Member: &Membership{Node: 5, Epoch: 3, NumProcs: 6, Departed: []topology.NodeID{1}, Neighbors: []topology.NodeID{0, 2}}},
 		{Kind: FrameLeave, Member: &Membership{Node: 1, Epoch: 4, NumProcs: 6, Departed: []topology.NodeID{1, 3}}},
-		// Wire v5: capability-advertising frames, whose snapshots ship
-		// evidence counts (flagCounts). The refined snapshot pins the raw
-		// fallback inside a v5 frame; the join carries the subject's
-		// capability advert. (The v4 quantized shapes live on only as the
-		// frozen corpus seeds 10–15: nothing encodes them any more.)
+		// Empty lists and optional sections inside the newer layouts: the
+		// first join into a static cluster (nothing departed), an
+		// epoch-tagged data frame carrying a piggyback, a v5 heartbeat
+		// around a refined snapshot (the raw fallback outside a delta),
+		// and a converged delta with no records, which takes the oldest
+		// header that fits (v2 for its stretched cadence).
+		{Kind: FrameJoin, Member: &Membership{Node: 4, Epoch: 1, NumProcs: 5, Neighbors: []topology.NodeID{0}}},
+		{Kind: FrameData, Data: &DataMsg{
+			Origin:      0,
+			Seq:         2,
+			Root:        0,
+			Parents:     []topology.NodeID{topology.None, 0, 0},
+			AllocByNode: []int32{0, 1, 1},
+			Body:        []byte("epoch tree"),
+			Piggyback:   snap,
+			Epoch:       4,
+		}},
+		{Kind: FrameHeartbeat, Heartbeat: refinedSnapshot(tb), Caps: CapsCounts},
+		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: empty, Since: v.Version(), Ver: v.Version(), Ack: 9, Cadence: 4}},
+		// Wire v5: frames carrying Caps, whose snapshots ship evidence
+		// counts (flagCounts). The refined snapshot pins the raw fallback
+		// inside a v5 frame.
 		{Kind: FrameKnowledgeDelta,
 			Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 2, Epoch: 4, Caps: CapsCounts}},
 		{Kind: FrameKnowledgeDelta,
@@ -74,11 +95,6 @@ func seedFrames(tb testing.TB) []*Frame {
 		{Kind: FrameKnowledgeDelta,
 			Delta: &KnowledgeDelta{Snap: refinedSnapshot(tb), Since: 0, Ver: 1, Caps: CapsCounts}},
 		{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts},
-		{Kind: FrameJoin, Member: &Membership{Node: 5, Epoch: 3, NumProcs: 6, Departed: []topology.NodeID{1}, Neighbors: []topology.NodeID{0, 2}, Caps: CapsCounts}},
-		// What a decoded previous-profile frame re-encodes to: a v4 header
-		// (caps 4) around raw estimator layouts.
-		{Kind: FrameKnowledgeDelta,
-			Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Caps: CapsQuantized}},
 	}
 }
 
@@ -204,7 +220,7 @@ func framesEqual(a, b *Frame) bool {
 		return snapshotsEqual(x.Piggyback, y.Piggyback)
 	case FrameJoin, FrameLeave:
 		x, y := a.Member, b.Member
-		return x.Node == y.Node && x.Epoch == y.Epoch && x.NumProcs == y.NumProcs && x.Caps == y.Caps &&
+		return x.Node == y.Node && x.Epoch == y.Epoch && x.NumProcs == y.NumProcs &&
 			nodeIDsEqual(x.Departed, y.Departed) && nodeIDsEqual(x.Neighbors, y.Neighbors)
 	}
 	return false
@@ -228,6 +244,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{magic})
 	f.Add([]byte{magic, version, byte(FrameData)})
 	f.Add([]byte{magic, version, byte(FrameHeartbeat), 0xff, 0xff, 0xff})
+	// Headers the decoder refuses: a kind at a version it never rides, and
+	// the retired v4.
+	f.Add([]byte{magic, version2, byte(FrameHeartbeat), 2, 1, 0, 0})
+	f.Add([]byte{magic, 4, byte(FrameKnowledgeDelta)})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := Decode(data)
 		reused, serr := sc.DecodeBorrow(data)
@@ -274,11 +294,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 // handHeartbeat assembles, byte by byte, a heartbeat whose snapshot holds
 // one process record with the given encoded estimator — for layouts and
-// values no encoder emits. From version 4 on it advertises its own
-// version.
+// values no encoder emits. A v4 or v5 header advertises its own version
+// as caps.
 func handHeartbeat(ver byte, estimator []byte) []byte {
 	b := []byte{magic, ver, byte(FrameHeartbeat)}
-	if ver >= version4 {
+	if ver >= 4 {
 		b = binary.AppendUvarint(b, uint64(ver)) // caps
 	}
 	b = binary.AppendVarint(b, 1)  // from
@@ -314,7 +334,7 @@ func forgedCountFrames() []forgedCount {
 		{"U just past the bound", heartbeat(version5, MaxIntervals+1, 3, 1)},
 		{"success count overflow", heartbeat(version5, 100, math.MaxUint64, 0)},
 		{"evidence sum past the bound", heartbeat(version5, 100, MaxEvidence, 1)},
-		{"count layout in a v4 frame", heartbeat(version4, 100, 3, 1)},
+		{"count layout in a v4 frame", heartbeat(4, 100, 3, 1)},
 		{"count layout in a v1 frame", heartbeat(version, 100, 3, 1)},
 	}
 }

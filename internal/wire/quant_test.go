@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"adaptivecast/internal/bayes"
@@ -121,93 +122,93 @@ func TestQuantErrorBound(t *testing.T) {
 	}
 }
 
-// TestQuantizedDecodeRenormalizes pins the decode-side safety clamp of
-// the previous (v4 quantized) profile, which still decodes: a belief
-// block whose maximum drifts below 0 (a non-rebased sender) comes out of
-// the wire re-normalized to a 0 maximum with the pairwise differences
-// preserved, so a quantized merge can never inject out-of-support
-// estimates. Nothing encodes the layout any more, so the frame is
-// assembled by hand.
+// TestQuantizedDecodeRenormalizes keeps its name from when the v4
+// quantized profile still decoded. It now pins the retirement: a v4
+// heartbeat fails as an unsupported version whatever its estimator
+// layout, fresh, borrowed and through a Scratch a valid frame just used,
+// and the quantized estimator flags are unknown layouts even inside a v5
+// frame. The same raw record in a v5 header decodes.
 func TestQuantizedDecodeRenormalizes(t *testing.T) {
-	beliefs := []float64{-1, -2.5, -3, -1.5}
-	const scale = -3.0
-	est := binary.AppendUvarint([]byte{flagQUniform}, uint64(len(beliefs)))
-	est = appendFloat(est, scale)
-	for _, lb := range beliefs {
-		est = binary.LittleEndian.AppendUint16(est, uint16(math.Round(lb/scale*65535)))
+	quantized := binary.AppendUvarint([]byte{2}, 4) // the v4 uniform-grid flag, U = 4
+	quantized = appendFloat(quantized, -3)          // the shared belief scale
+	for _, code := range []uint16{21845, 54613, 65535, 32768} {
+		quantized = binary.LittleEndian.AppendUint16(quantized, code)
 	}
-	b := handHeartbeat(version4, est)
-	f, err := Decode(b)
+	raw := binary.AppendUvarint([]byte{flagUniform}, 2)
+	raw = binary.AppendUvarint(raw, 2)
+	raw = appendFloats(raw, []float64{0, -1})
+
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		why   string
+	}{
+		{"v4 quantized", handHeartbeat(4, quantized), "unsupported version 4"},
+		{"v4 raw", handHeartbeat(4, raw), "unsupported version 4"},
+		{"quantized flag in v5", handHeartbeat(version5, quantized), "unknown estimator flags"},
+		{"quantized window flag in v5", handHeartbeat(version5, append([]byte{3}, quantized[1:]...)), "unknown estimator flags"},
+	} {
+		for what, err := range decodeEverywhere(t, c.frame) {
+			if err == nil || !strings.Contains(err.Error(), c.why) {
+				t.Errorf("%s: %s says %v, want an error naming %q", c.name, what, err, c.why)
+			}
+		}
+	}
+	f, err := Decode(handHeartbeat(version5, raw))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("a raw record in a v5 heartbeat must decode: %v", err)
 	}
-	got := f.Heartbeat.Procs[0].Est.LogBeliefs
-	maxLB := math.Inf(-1)
-	for _, lb := range got {
-		if lb > 0 {
-			t.Fatalf("decoded log belief %v is positive", lb)
-		}
-		if lb > maxLB {
-			maxLB = lb
-		}
-	}
-	if maxLB != 0 {
-		t.Errorf("decoded block maximum is %v, want re-normalized to 0", maxLB)
-	}
-	for i, want := range []float64{0, -1.5, -2, -0.5} {
-		if diff := math.Abs(got[i] - want); diff > 1e-3 {
-			t.Errorf("belief %d: got %v, want %v +- 1e-3 after renormalization", i, got[i], want)
-		}
-	}
-	// A decoded v4 frame re-encodes as v4 with the raw layouts.
-	again, err := Encode(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again[1] != version4 {
-		t.Errorf("decoded v4 frame re-encoded at version %d", again[1])
-	}
-	if f2, err := Decode(again); err != nil || !framesEqual(f, f2) {
-		t.Errorf("decoded v4 frame did not survive re-encoding: %v", err)
+	if got := f.Heartbeat.Procs[0].Est; got.Intervals != 2 || !floatsEqual(got.LogBeliefs, []float64{0, -1}) {
+		t.Errorf("raw record decoded as %+v", got)
 	}
 }
 
-// TestCapsValidation pins the well-formedness rules of the capability
-// field across frame kinds.
+// TestCapsValidation pins the well-formedness rules of the Caps field:
+// nonzero values below CapsCounts or above MaxCaps are refused by every
+// encoder, a v5 frame whose Caps is below its own version does not
+// decode, and only heartbeat and delta frames carry the field.
 func TestCapsValidation(t *testing.T) {
 	snap := &knowledge.Snapshot{From: 1, Seq: 3}
-	bad := []struct {
-		name string
-		f    *Frame
-	}{
-		{"heartbeat caps below v4", &Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: 3}},
-		{"heartbeat caps beyond max", &Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: MaxCaps + 1}},
-		{"caps on a data frame", &Frame{Kind: FrameData, Caps: CapsCounts,
-			Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x")}}},
-		{"delta caps below v4", &Frame{Kind: FrameKnowledgeDelta,
-			Delta: &KnowledgeDelta{Snap: snap, Ver: 2, Caps: 2}}},
-		{"leave with caps", &Frame{Kind: FrameLeave,
-			Member: &Membership{Node: 1, Epoch: 2, NumProcs: 3, Departed: []topology.NodeID{1}, Caps: CapsCounts}}},
-		{"join caps beyond max", &Frame{Kind: FrameJoin,
-			Member: &Membership{Node: 2, Epoch: 2, NumProcs: 3, Neighbors: []topology.NodeID{0}, Caps: 300}}},
-	}
-	for _, c := range bad {
-		if _, err := Encode(c.f); err == nil {
-			t.Errorf("%s: Encode should fail", c.name)
+	for _, caps := range []uint64{1, 3, CapsCounts - 1, MaxCaps + 1} {
+		hb := &Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: caps}
+		if _, err := Encode(hb); err == nil {
+			t.Errorf("heartbeat caps %d: Encode should fail", caps)
 		}
+		d := &KnowledgeDelta{Snap: snap, Ver: 2, Caps: caps}
+		if _, err := Encode(&Frame{Kind: FrameKnowledgeDelta, Delta: d}); err == nil {
+			t.Errorf("delta caps %d: Encode should fail", caps)
+		}
+		if _, err := AppendDeltaFrame(nil, d, nil); err == nil {
+			t.Errorf("delta caps %d: AppendDeltaFrame should fail", caps)
+		}
+	}
+	for _, caps := range []uint64{CapsCounts, MaxCaps} {
+		b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: caps})
+		if err != nil {
+			t.Fatalf("heartbeat caps %d refused: %v", caps, err)
+		}
+		if f, err := Decode(b); err != nil || f.Caps != caps || b[1] != version5 {
+			t.Errorf("heartbeat caps %d: version %d, decoded %+v, %v", caps, b[1], f, err)
+		}
+	}
+	if _, err := Encode(&Frame{Kind: FrameData, Caps: CapsCounts,
+		Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x")}}); err == nil {
+		t.Error("caps on a data frame: Encode should fail")
+	}
+	below := []byte{magic, version5, byte(FrameHeartbeat), CapsCounts - 1, 2, 1, 0, 0}
+	if _, err := Decode(below); err == nil {
+		t.Error("a v5 heartbeat whose caps is below its version decoded")
 	}
 }
 
-// TestV4DataFrameRejected pins the mixed-cluster invariant that keeps
-// relays sound: data frames are encoded once and forwarded verbatim
-// across peers of unknown capability, so a data frame above version 3
-// must never exist — decoders drop it outright.
+// TestV4DataFrameRejected: a data frame rides version 1 or 3 and no
+// other, so its header at version 2, 4 or 5 fails to decode.
 func TestV4DataFrameRejected(t *testing.T) {
 	b, err := Encode(&Frame{Kind: FrameData, Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []byte{version4, version5} {
+	for _, ver := range []byte{version2, 4, version5} {
 		forged := append([]byte(nil), b...)
 		forged[1] = ver
 		if _, err := Decode(forged); err == nil {
@@ -216,29 +217,22 @@ func TestV4DataFrameRejected(t *testing.T) {
 	}
 }
 
-// TestNonCapsFramesStayLegacy pins the negotiation ladder's floor: every
-// frame without a capability advert — whatever else it carries — encodes
-// at wire version <= 3, byte-compatible with peers that predate it. (The
+// TestNonCapsFramesStayLegacy: every frame without Caps, whatever else it
+// carries, encodes at wire version <= 3; only Caps makes a v5 frame. (The
 // epoch golden tests additionally pin the exact bytes of the static
 // shapes; this covers every seed shape.)
 func TestNonCapsFramesStayLegacy(t *testing.T) {
 	for i, f := range seedFrames(t) {
 		caps := f.Caps
-		switch f.Kind {
-		case FrameKnowledgeDelta:
+		if f.Kind == FrameKnowledgeDelta {
 			caps = f.Delta.Caps
-		case FrameJoin, FrameLeave:
-			caps = f.Member.Caps
-		}
-		if caps != 0 {
-			continue
 		}
 		b, err := Encode(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b[1] > version3 {
-			t.Errorf("seed %d (kind %d) without caps encoded at version %d", i, f.Kind, b[1])
+		if (caps != 0) != (b[1] == version5) || b[1] > version5 {
+			t.Errorf("seed %d (kind %d, caps %d) encoded at version %d", i, f.Kind, caps, b[1])
 		}
 	}
 }

@@ -32,6 +32,24 @@ func treeFrame(tb testing.TB, n int, seq uint64, body string) []byte {
 	return b
 }
 
+// decodeEverywhere decodes b the three ways a frame reaches a decoder —
+// fresh, borrowed, and into a Scratch that just held a valid frame — and
+// returns each one's error.
+func decodeEverywhere(tb testing.TB, b []byte) map[string]error {
+	tb.Helper()
+	var sc Scratch
+	if _, err := sc.DecodeBorrow(treeFrame(tb, 8, 3, "dirty")); err != nil {
+		tb.Fatal(err)
+	}
+	errs := make(map[string]error, 3)
+	for name, decode := range map[string]func([]byte) (*Frame, error){
+		"Decode": Decode, "DecodeBorrow": DecodeBorrow, "Scratch.DecodeBorrow": sc.DecodeBorrow,
+	} {
+		_, errs[name] = decode(b)
+	}
+	return errs
+}
+
 // TestScratchIsOverwrittenNotMerged: one Scratch decodes a large tree, a
 // small tree, a flood and a heartbeat in turn; each result equals the
 // fresh decode of the same bytes, with nothing left over from the frame

@@ -8,11 +8,9 @@
 //
 // Encoding is a compact hand-rolled binary format (see binary.go): a
 // 3-byte versioned header followed by varint-coded integers and raw IEEE
-// 754 floats. Toward peers that negotiated wire version 5, a Bayesian
+// 754 floats. Inside a version-5 heartbeat or delta frame, a Bayesian
 // estimator that never left the uniform prior ships as its evidence
-// counts — three integers — instead of its belief vector. The previous
-// stdlib-gob codec is retained as EncodeGob/DecodeGob for benchmarks and
-// size comparisons; it is not used on any live path.
+// counts — three integers — instead of its belief vector.
 //
 // The allocation is keyed by child node (AllocByNode) rather than by edge
 // index, so the receiver may rebuild the tree in any deterministic order
@@ -20,8 +18,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -41,16 +37,15 @@ type FrameKind uint8
 //
 //adaptivelint:wirecorpus dir=testdata/fuzz/FuzzDecode magic=0xAC
 const (
-	FrameHeartbeat      FrameKind = iota + 1 //adaptivelint:wirekind versions=1,4,5
+	FrameHeartbeat      FrameKind = iota + 1 //adaptivelint:wirekind versions=1,5
 	FrameData                                //adaptivelint:wirekind versions=1,3
-	FrameKnowledgeDelta                      //adaptivelint:wirekind versions=1,2,3,4,5
+	FrameKnowledgeDelta                      //adaptivelint:wirekind versions=1,2,3,5
 	// FrameJoin announces a membership epoch change that added a process;
 	// FrameLeave one that removed a process. Both carry a Membership
-	// payload and encode as wire version 3 — or 4/5 when the join
-	// advertises the subject's capabilities. Receivers flood them so every
+	// payload and encode as wire version 3. Receivers flood them so every
 	// member converges on the new epoch; the epoch number itself dedups
 	// the flood.
-	FrameJoin  //adaptivelint:wirekind versions=3,4,5
+	FrameJoin  //adaptivelint:wirekind versions=3
 	FrameLeave //adaptivelint:wirekind versions=3
 )
 
@@ -77,11 +72,6 @@ type Membership struct {
 	NumProcs  int
 	Departed  []topology.NodeID
 	Neighbors []topology.NodeID
-	// Caps advertises the subject's highest supported wire version (the
-	// capability negotiation; see CapsCounts). 0 omits it and the frame
-	// encodes as version 3, byte-identical to pre-caps peers. Only join
-	// frames may carry it — a leaver has nothing to negotiate.
-	Caps uint64
 }
 
 // KnowledgeDelta is the delta-heartbeat payload: a partial knowledge
@@ -103,17 +93,16 @@ type Membership struct {
 // Cadence declares, in heartbeat periods, the gap the sender plans until
 // its next frame to this recipient (the adaptive-cadence stretch; see
 // the node's cadence controller). 0 and 1 both mean one frame per period
-// — the classic cadence — and encode as a version-1 frame, byte-identical
-// to pre-cadence peers' wire format; Cadence > 1 rides a version-2 frame,
-// and the receiver scales its expected-arrival accounting (suspicion
-// timeouts and sequence-gap loss bookkeeping) by it so a stretched
-// neighbor is neither falsely suspected nor over-counted as lossy. A
-// sender may break the promise early (snap back on a view change), which
-// is always safe: an early frame shows a smaller-than-declared gap, which
-// books no loss.
+// — the classic cadence — and encode as a version-1 frame; Cadence > 1
+// rides a version-2 frame, and the receiver scales its expected-arrival
+// accounting (suspicion timeouts and sequence-gap loss bookkeeping) by it
+// so a stretched neighbor is neither falsely suspected nor over-counted
+// as lossy. A sender may break the promise early (snap back on a view
+// change), which is always safe: an early frame shows a
+// smaller-than-declared gap, which books no loss.
+//
 // Epoch is the sender's membership epoch (see Membership). 0 — the
-// static-cluster case — encodes exactly as before epochs existed (wire
-// version 1 or 2), so pre-epoch peers interoperate untouched; a positive
+// static-cluster case — needs no field (wire version 1 or 2); a positive
 // epoch rides a version-3 frame and lets receivers fence frames from
 // other membership views.
 type KnowledgeDelta struct {
@@ -123,13 +112,11 @@ type KnowledgeDelta struct {
 	Ack     uint64
 	Cadence uint64
 	Epoch   uint64
-	// Caps advertises the sender's highest supported wire version. 0 —
-	// the pre-negotiation case — encodes exactly as before capabilities
-	// existed (wire version ≤ 3); CapsCounts or more rides a version-5
-	// frame and unlocks the evidence-count layout for the record section.
-	// The node sets it only toward peers that have advertised v5
-	// themselves, or as a periodic capability hello toward peers whose
-	// capabilities are still unknown.
+	// Caps is the sender's highest supported wire version. 0 encodes the
+	// oldest header that fits (version 1, 2 or 3); CapsCounts or more
+	// rides a version-5 frame, whose record section ships evidence counts.
+	// Nothing negotiates on it today: it is validated and carried as the
+	// field a future version would negotiate from.
 	Caps uint64
 }
 
@@ -139,15 +126,10 @@ type KnowledgeDelta struct {
 // detection forever; 256 periods is far beyond any sane stretch cap.
 const MaxCadence = 256
 
-// CapsCounts is the Caps value a node puts on its frames: capability
-// adverts carry the sender's highest supported wire version, and version 5
-// is the evidence-count estimator layout.
+// CapsCounts is the Caps value a node puts on its version-5 frames, the
+// evidence-count estimator layout, and the lowest nonzero Caps a frame
+// may carry.
 const CapsCounts = 5
-
-// CapsQuantized is the lowest capability a frame may advertise: wire v4,
-// the previous (quantized-belief) profile. Frames advertising it still
-// decode; a peer that speaks no more than v4 is sent raw ≤ v3 frames.
-const CapsQuantized = 4
 
 // MaxIntervals bounds the interval count U an evidence-count estimator
 // record may declare. The float layouts bound U by the bytes left in the
@@ -204,7 +186,7 @@ type DataMsg struct {
 	// propagation.
 	Piggyback *knowledge.Snapshot
 	// Epoch is the sender's membership epoch; 0 (static cluster) encodes
-	// as a version-1 frame, byte-identical to pre-epoch peers.
+	// as a version-1 frame, which carries none.
 	Epoch uint64
 }
 
@@ -216,10 +198,8 @@ type Frame struct {
 	Delta     *KnowledgeDelta
 	// Member carries the FrameJoin / FrameLeave payload.
 	Member *Membership
-	// Caps advertises the sender's highest supported wire version on a
-	// full heartbeat frame (delta and join frames carry their own Caps
-	// field on their payloads). 0 omits it; CapsCounts or more rides a
-	// version-5 frame, whose snapshot ships evidence counts.
+	// Caps is KnowledgeDelta.Caps for a full heartbeat frame (a delta
+	// carries its own on its payload).
 	Caps uint64
 }
 
@@ -296,32 +276,6 @@ func (s *Scratch) decode(b []byte, borrow bool) (*Frame, error) {
 	return &s.frame, nil
 }
 
-// EncodeGob serializes a frame with the legacy stdlib-gob codec. It is
-// kept only as the baseline for codec benchmarks and size-regression
-// tests; live nodes always speak the binary format.
-func EncodeGob(f *Frame) ([]byte, error) {
-	if err := validate(f); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("wire: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeGob parses a legacy gob frame (benchmark baseline only).
-func DecodeGob(b []byte) (*Frame, error) {
-	var f Frame
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	if err := validate(&f); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 // validate enforces the kind/payload pairing in both directions, so a
 // malformed peer cannot feed nil payloads into the node.
 func validate(f *Frame) error {
@@ -332,8 +286,8 @@ func validate(f *Frame) error {
 		if f.Kind != FrameHeartbeat {
 			return errors.New("wire: frame-level caps on a non-heartbeat frame")
 		}
-		if f.Caps < CapsQuantized || f.Caps > MaxCaps {
-			return fmt.Errorf("wire: caps %d outside [%d,%d]", f.Caps, CapsQuantized, MaxCaps)
+		if err := checkCaps(f.Caps); err != nil {
+			return err
 		}
 	}
 	switch f.Kind {
@@ -361,15 +315,7 @@ func validate(f *Frame) error {
 		if f.Delta == nil || f.Delta.Snap == nil || f.Heartbeat != nil || f.Data != nil || f.Member != nil {
 			return errors.New("wire: knowledge-delta frame payload mismatch")
 		}
-		if f.Delta.Since > f.Delta.Ver {
-			return fmt.Errorf("wire: delta base %d ahead of its version %d", f.Delta.Since, f.Delta.Ver)
-		}
-		if f.Delta.Cadence > MaxCadence {
-			return fmt.Errorf("wire: cadence %d exceeds the %d-period bound", f.Delta.Cadence, MaxCadence)
-		}
-		if c := f.Delta.Caps; c != 0 && (c < CapsQuantized || c > MaxCaps) {
-			return fmt.Errorf("wire: caps %d outside [%d,%d]", c, CapsQuantized, MaxCaps)
-		}
+		return checkDeltaHeader(f.Delta)
 	case FrameJoin, FrameLeave:
 		m := f.Member
 		if m == nil || f.Heartbeat != nil || f.Data != nil || f.Delta != nil {
@@ -395,12 +341,6 @@ func validate(f *Frame) error {
 		if f.Kind == FrameLeave && len(m.Neighbors) != 0 {
 			return errors.New("wire: leave frame carries joiner links")
 		}
-		if f.Kind == FrameLeave && m.Caps != 0 {
-			return errors.New("wire: leave frame carries a capability advert")
-		}
-		if c := m.Caps; c != 0 && (c < CapsQuantized || c > MaxCaps) {
-			return fmt.Errorf("wire: caps %d outside [%d,%d]", c, CapsQuantized, MaxCaps)
-		}
 		for _, nb := range m.Neighbors {
 			if nb < 0 || int(nb) >= m.NumProcs || nb == m.Node {
 				return fmt.Errorf("wire: joiner link to invalid process %d", nb)
@@ -408,6 +348,30 @@ func validate(f *Frame) error {
 		}
 	default:
 		return fmt.Errorf("wire: unknown frame kind %d", f.Kind)
+	}
+	return nil
+}
+
+// checkDeltaHeader validates a delta's version bookkeeping, everything
+// but its record section: Encode and the shared-section fast path
+// (AppendDeltaFrame) both apply it.
+func checkDeltaHeader(d *KnowledgeDelta) error {
+	if d.Since > d.Ver {
+		return fmt.Errorf("wire: delta base %d ahead of its version %d", d.Since, d.Ver)
+	}
+	if d.Cadence > MaxCadence {
+		return fmt.Errorf("wire: cadence %d exceeds the %d-period bound", d.Cadence, MaxCadence)
+	}
+	if d.Caps != 0 {
+		return checkCaps(d.Caps)
+	}
+	return nil
+}
+
+// checkCaps bounds a nonzero Caps value.
+func checkCaps(c uint64) error {
+	if c < CapsCounts || c > MaxCaps {
+		return fmt.Errorf("wire: caps %d outside [%d,%d]", c, CapsCounts, MaxCaps)
 	}
 	return nil
 }

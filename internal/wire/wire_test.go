@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"testing"
 
 	"adaptivecast/internal/knowledge"
@@ -180,10 +182,35 @@ func TestRefinedGridRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGobCompat keeps the legacy codec alive for benchmarks: both codecs
-// must accept the same frames, and the binary encoding must be strictly
-// smaller for both frame kinds (the size win is an acceptance criterion
-// of the codec change).
+// EncodeGob serializes a frame with the stdlib-gob codec the binary
+// format replaced, kept as the baseline the codec benchmarks and
+// TestGobCompat measure against.
+func EncodeGob(f *Frame) ([]byte, error) {
+	if err := validate(f); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+		return nil, fmt.Errorf("wire: encode: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeGob parses an EncodeGob frame.
+func DecodeGob(b []byte) (*Frame, error) {
+	var f Frame
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
+		return nil, fmt.Errorf("wire: decode: %w", err)
+	}
+	if err := validate(&f); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
+// TestGobCompat keeps the gob baseline honest: both codecs must accept
+// the same frames, and the binary encoding must be strictly smaller for
+// every frame kind.
 func TestGobCompat(t *testing.T) {
 	for _, frame := range seedFrames(t) {
 		gobBytes, err := EncodeGob(frame)

@@ -138,8 +138,7 @@ func WithPlanCache(enabled bool) Option {
 // incarnation. Once estimates converge, deltas shrink to a near-empty
 // liveness header; effectiveness is observable via
 // NodeStats.DeltaHeartbeatsSent / HeartbeatBytesSent. Disabling restores
-// full-snapshot heartbeats on every period (benchmarks, or clusters with
-// peers that predate the delta frame kind).
+// full-snapshot heartbeats on every period (for benchmarks).
 func WithDeltaHeartbeats(enabled bool) Option {
 	return func(c *nodeConfig) { c.inner.DisableDeltaHeartbeats = !enabled }
 }
@@ -162,7 +161,7 @@ func WithDeltaHeartbeats(enabled bool) Option {
 // a crashed neighbor is suspected after timeout·cadence periods instead
 // of timeout. max is rounded down to whole heartbeat periods (values
 // below 2δ disable stretching); adaptive cadence requires delta
-// heartbeats (the default) and peers that understand wire version 2.
+// heartbeats (the default).
 func WithAdaptiveCadence(max time.Duration) Option {
 	return func(c *nodeConfig) { c.adaptiveCadence = max }
 }
@@ -220,11 +219,10 @@ func WithObserver(o Observer) Option {
 }
 
 // WithEpoch declares the initial membership epoch (default 0, the static
-// cluster). A node constructed to join a running cluster sets the epoch
-// of the membership change that admits it; its frames then ride wire
-// version 3 with the epoch fence, and AnnounceJoin floods the change to
-// the cluster. Epoch 0 keeps every frame byte-identical to pre-epoch
-// peers.
+// cluster, whose frames carry no epoch). A node constructed to join a
+// running cluster sets the epoch of the membership change that admits it;
+// its data and delta frames then carry the epoch fence, and AnnounceJoin
+// floods the change to the cluster.
 func WithEpoch(epoch uint64) Option {
 	return func(c *nodeConfig) { c.inner.Epoch = epoch }
 }
