@@ -17,8 +17,10 @@ type FabricOptions struct {
 	Seed int64
 	// Latency delays every delivery (0 = immediate).
 	Latency time.Duration
-	// QueueSize is each endpoint's inbound buffer (default 1024). When a
-	// queue is full the frame is dropped — the model tolerates loss by
+	// QueueSize bounds how many routed entries each endpoint's inbox
+	// holds (default 1024). It is a bound, not a preallocation: the inbox
+	// grows on demand and an idle endpoint holds a few slots. When an
+	// inbox is full the frame is dropped — the model tolerates loss by
 	// construction, and the drop is counted in Stats.
 	QueueSize int
 	// SendCost charges the sender this many bytes of memory copy per
@@ -46,8 +48,8 @@ func (o FabricOptions) withDefaults() FabricOptions {
 type FabricStats struct {
 	Sent       int
 	Lost       int // dropped by injected probabilistic loss
-	FaultDrops int // dropped by a hard fault: a Down link or a partition
-	Overflows  int // dropped because a receive queue was full
+	FaultDrops int // dropped by a hard fault: a Down link, a partition or a closed endpoint
+	Overflows  int // dropped because a receiving inbox was full
 }
 
 // LinkModel describes one *direction* of a link. The zero value is a
@@ -221,13 +223,20 @@ func (f *Fabric) Endpoint(id topology.NodeID) Transport {
 	if ep, ok := f.endpoints[id]; ok {
 		return ep
 	}
+	if f.closed {
+		// Nothing would ever stop a receive loop started now: hand out an
+		// endpoint that is closed from birth and runs no goroutine.
+		ep := &fabricEndpoint{fabric: f, id: id, stop: closedSignal}
+		ep.closeOnce.Do(func() {})
+		return ep
+	}
 	ep := &fabricEndpoint{
 		fabric: f,
 		id:     id,
-		queue:  make(chan inboundFrame, f.opts.QueueSize),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	ep.inbox.init(f.opts.QueueSize)
 	if f.opts.SendCost > 0 {
 		ep.links = make(map[topology.NodeID]*linkBuf)
 	}
@@ -259,12 +268,12 @@ func (f *Fabric) Close() error {
 }
 
 // route samples loss per copy and hands the survivors to the destination
-// queue as one entry: n logical copies cost one buffer copy and one
-// channel operation, but link loss — the model the protocol's redundancy
+// inbox as one entry: n logical copies cost one buffer copy and one
+// inbox put, but link loss — the model the protocol's redundancy
 // math is built on — stays an independent Bernoulli trial per copy.
-// Queue overflow (local backpressure, not part of the paper's loss model)
-// drops the surviving batch as a unit; that correlation is not new — a
-// queue with no room for copy 1 of a burst had no room for copies 2..n
+// Inbox overflow (local backpressure, not part of the paper's loss model)
+// drops the surviving batch as a unit; that correlation is not new — an
+// inbox with no room for copy 1 of a burst had no room for copies 2..n
 // sent microseconds later either.
 func (f *Fabric) route(from, to topology.NodeID, frame []byte, n int) error {
 	f.mu.Lock()
@@ -392,13 +401,13 @@ func (f *Fabric) routeBatch(from, to topology.NodeID, batch []FrameBatch) error 
 	return nil
 }
 
-// inboundFrame is one queue entry: `copies` logical arrivals of the same
-// frame (the handler runs once per copy).
-type inboundFrame struct {
-	from   topology.NodeID
-	frame  []byte
-	copies int
-}
+// closedSignal is the stop channel of an endpoint handed out by a closed
+// fabric: closed from the start, so Send fails at once.
+var closedSignal = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // linkBuf is one outbound connection's simulated write buffer: the
 // per-link lock serializes flushes on the same link while flushes to
@@ -421,8 +430,7 @@ type fabricEndpoint struct {
 	linksMu sync.Mutex
 	links   map[topology.NodeID]*linkBuf
 
-	//adaptivelint:chan owner=fabricEndpoint.enqueue close=never
-	queue chan inboundFrame
+	inbox inbox
 	//adaptivelint:chan owner=none close=fabricEndpoint.Close
 	stop chan struct{}
 	//adaptivelint:chan owner=none close=fabricEndpoint.receiveLoop
@@ -506,44 +514,58 @@ func (ep *fabricEndpoint) SendFrames(to topology.NodeID, batch []FrameBatch) err
 	return ep.fabric.routeBatch(ep.id, to, batch)
 }
 
-// enqueue hands one routed frame to the endpoint's receive loop, or
-// counts its copies as overflow when the queue is full.
+// enqueue hands one routed frame to the endpoint's receive loop. A full
+// inbox counts the frame's copies as overflow; a closed endpoint counts
+// them as fault drops, since route already counted them as sent.
 func (ep *fabricEndpoint) enqueue(in inboundFrame) {
-	select {
-	case ep.queue <- in:
-	case <-ep.stop:
-	default:
-		ep.fabric.mu.Lock()
-		ep.fabric.stats.Overflows += in.copies
-		ep.fabric.mu.Unlock()
+	switch ep.inbox.put(in) {
+	case putFull:
+		ep.fabric.count(&ep.fabric.stats.Overflows, in.copies)
+	case putClosed:
+		ep.fabric.count(&ep.fabric.stats.FaultDrops, in.copies)
 	}
 }
 
-// Close implements Transport.
+// count adds n to one of the fabric's counters.
+func (f *Fabric) count(c *int, n int) {
+	f.mu.Lock()
+	*c += n
+	f.mu.Unlock()
+}
+
+// Close implements Transport. Copies still waiting in the inbox when the
+// receive loop stops will never be handled, so they count as fault drops.
 func (ep *fabricEndpoint) Close() error {
 	ep.closeOnce.Do(func() {
 		close(ep.stop)
 		<-ep.done
+		if dropped := ep.inbox.close(); dropped > 0 {
+			ep.fabric.count(&ep.fabric.stats.FaultDrops, dropped)
+		}
 	})
 	return nil
 }
 
-// receiveLoop serializes handler invocations for this endpoint.
+// receiveLoop serializes handler invocations for this endpoint: woken by
+// a put on an empty inbox, it drains the inbox in FIFO order.
 func (ep *fabricEndpoint) receiveLoop() {
 	defer close(ep.done)
 	for {
 		select {
-		case in := <-ep.queue:
+		case <-ep.inbox.wake:
+		case <-ep.stop:
+			return
+		}
+		for in, ok := ep.inbox.take(); ok; in, ok = ep.inbox.take() {
 			ep.handlerMu.RLock()
 			h := ep.handler
 			ep.handlerMu.RUnlock()
-			if h != nil {
-				for i := 0; i < in.copies; i++ {
-					h(in.from, in.frame)
-				}
+			in.deliver(h)
+			select {
+			case <-ep.stop:
+				return
+			default:
 			}
-		case <-ep.stop:
-			return
 		}
 	}
 }

@@ -32,7 +32,7 @@ func TestFabricHandlerRunsOncePerSurvivingCopy(t *testing.T) {
 			s := f.Stats()
 			want := int64(s.Sent - s.Lost - s.FaultDrops - s.Overflows)
 			got := handled.Load()
-			if got == want && len(b.queue) == 0 {
+			if got == want && b.inbox.len() == 0 {
 				return
 			}
 			if got > want || time.Now().After(deadline) {
@@ -42,7 +42,7 @@ func TestFabricHandlerRunsOncePerSurvivingCopy(t *testing.T) {
 		}
 	}
 
-	// Overflows: the handler is held, so an 8-entry queue fills; each
+	// Overflows: the handler is held, so an 8-entry inbox fills; each
 	// refused entry loses all of its copies, as a unit.
 	for i := 0; i < 20; i++ {
 		if _, err := SendN(a, 1, []byte("held"), 3); err != nil {

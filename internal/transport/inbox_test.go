@@ -1,0 +1,317 @@
+package transport
+
+import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"adaptivecast/internal/raceflag"
+	"adaptivecast/internal/topology"
+)
+
+func entry(i int) inboundFrame {
+	return inboundFrame{from: topology.NodeID(i), frame: []byte{byte(i)}, copies: 1}
+}
+
+// TestInboxFIFOAcrossGrowOfWrappedRing: a ring whose live entries wrap
+// past its end keeps their order when it doubles.
+func TestInboxFIFOAcrossGrowOfWrappedRing(t *testing.T) {
+	var q inbox
+	q.init(64)
+	next, want := 0, 0
+	for ; next < inboxFirst; next++ {
+		if q.put(entry(next)) != putOK {
+			t.Fatal("put refused below the bound")
+		}
+	}
+	for ; want < 5; want++ { // head moves to 5; the next puts wrap to 0..4
+		if in, ok := q.take(); !ok || in.from != topology.NodeID(want) {
+			t.Fatalf("take = %v, %v; want entry %d", in.from, ok, want)
+		}
+	}
+	for ; next < inboxFirst+5; next++ {
+		q.put(entry(next))
+	}
+	if len(q.ring) != inboxFirst || q.head == 0 {
+		t.Fatalf("ring of %d slots, head %d: the test wants a full, wrapped ring", len(q.ring), q.head)
+	}
+	for ; next < 40; next++ { // grows 8 → 16 → 32 → 64 from the wrapped state
+		q.put(entry(next))
+	}
+	if len(q.ring) != 64 {
+		t.Fatalf("ring holds %d slots after growing, want 64", len(q.ring))
+	}
+	for ; want < next; want++ {
+		if in, ok := q.take(); !ok || in.from != topology.NodeID(want) {
+			t.Fatalf("take = %v, %v; want entry %d", in.from, ok, want)
+		}
+	}
+	if _, ok := q.take(); ok || q.len() != 0 {
+		t.Fatal("the inbox is not empty after every entry was taken")
+	}
+}
+
+// TestInboxBoundIsQueueSize: the bound is exactly QueueSize even when it
+// is not a power of two, and the ring keeps its high-water array.
+func TestInboxBoundIsQueueSize(t *testing.T) {
+	var q inbox
+	q.init(12)
+	for i := 0; i < 12; i++ {
+		if r := q.put(entry(i)); r != putOK {
+			t.Fatalf("put %d = %d below a bound of 12", i, r)
+		}
+	}
+	if r := q.put(entry(12)); r != putFull {
+		t.Fatalf("put 13 = %d, want putFull", r)
+	}
+	if len(q.ring) != 12 {
+		t.Fatalf("ring holds %d slots, want the bound 12", len(q.ring))
+	}
+	for i := 0; i < 12; i++ {
+		q.take()
+	}
+	if len(q.ring) != 12 {
+		t.Fatalf("draining shrank the ring to %d slots", len(q.ring))
+	}
+	if got := q.close(); got != 0 {
+		t.Fatalf("closing an empty inbox dropped %d copies", got)
+	}
+	if r := q.put(entry(0)); r != putClosed {
+		t.Fatalf("put after close = %d, want putClosed", r)
+	}
+}
+
+// TestInboxTakeReleasesFrame: a popped slot no longer references the
+// frame, and close reports the copies it still held.
+func TestInboxTakeReleasesFrame(t *testing.T) {
+	var q inbox
+	q.init(4)
+	q.put(inboundFrame{frame: make([]byte, 64), copies: 3})
+	q.put(inboundFrame{frame: make([]byte, 64), copies: 2})
+	if _, ok := q.take(); !ok {
+		t.Fatal("take found nothing")
+	}
+	if s := q.ring[0]; s.frame != nil || s.copies != 0 {
+		t.Fatalf("the popped slot still holds %d bytes and %d copies", len(s.frame), s.copies)
+	}
+	if got := q.close(); got != 2 {
+		t.Fatalf("close dropped %d copies, want the 2 still queued", got)
+	}
+}
+
+// TestTCPBackpressureLosesNothing: with the handler held, a sender pushes
+// several times QueueSize frames; once the handler is released every
+// frame arrives, in order.
+func TestTCPBackpressureLosesNothing(t *testing.T) {
+	const queue, frames = 4, 50
+	server, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{QueueSize: queue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = server.Close() }()
+	gate := make(chan struct{})
+	col := newCollector()
+	server.SetHandler(func(from topology.NodeID, frame []byte) {
+		<-gate
+		col.handler(from, frame)
+	})
+	client, err := NewTCP(0, "127.0.0.1:0", map[topology.NodeID]string{1: server.Addr().String()}, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = client.Close() }()
+
+	for i := 0; i < frames; i++ {
+		if err := client.Send(1, []byte(fmt.Sprintf("f%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for server.inbox.len() < queue { // the reader has filled the inbox
+		if time.Now().After(deadline) {
+			t.Fatalf("the inbox holds %d frames, want %d", server.inbox.len(), queue)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	col.wait(t, frames)
+	got, _ := col.snapshot()
+	for i, fr := range got {
+		if fr != fmt.Sprintf("f%d", i) {
+			t.Fatalf("frame %d = %q: order broken", i, fr)
+		}
+	}
+}
+
+// TestTCPCloseWithReaderBlockedOnFullInbox: Close returns promptly while
+// a reader waits for room the held handler will never make.
+func TestTCPCloseWithReaderBlockedOnFullInbox(t *testing.T) {
+	server, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{QueueSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	defer close(gate)
+	var entered atomic.Bool
+	server.SetHandler(func(topology.NodeID, []byte) {
+		entered.Store(true)
+		select {
+		case <-gate:
+		case <-time.After(100 * time.Millisecond):
+		}
+	})
+	client, err := NewTCP(0, "127.0.0.1:0", map[topology.NodeID]string{1: server.Addr().String()}, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = client.Close() }()
+	for i := 0; i < 10; i++ {
+		if err := client.Send(1, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !entered.Load() || server.inbox.len() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never filled the inbox")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- server.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close hangs while a reader waits on a full inbox")
+	}
+}
+
+// TestFabricCloseCountsFramesInFlight: copies that reach an endpoint after
+// it closed — delayed flushes landing late, and entries its receive loop
+// never got to — are fault drops, so Sent − Lost − FaultDrops − Overflows
+// still equals the handler runs.
+func TestFabricCloseCountsFramesInFlight(t *testing.T) {
+	f := NewFabric(FabricOptions{})
+	defer func() { _ = f.Close() }()
+	a := f.Endpoint(0)
+	b := f.Endpoint(1)
+	var handled atomic.Int64
+	gate := make(chan struct{})
+	b.SetHandler(func(topology.NodeID, []byte) {
+		<-gate
+		handled.Add(1)
+	})
+	// Queued behind the held handler.
+	if _, err := SendN(a, 1, []byte("queued"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SendFrames(a, 1, []FrameBatch{{Frame: []byte("q1"), Copies: 1}, {Frame: []byte("q2"), Copies: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	// In flight when the endpoint closes.
+	if err := f.SetLinkModel(0, 1, LinkModel{Latency: 20 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SendN(a, 1, []byte("late"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SendFrames(a, 1, []FrameBatch{{Frame: []byte("l1"), Copies: 2}, {Frame: []byte("l2"), Copies: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	<-b.(*fabricEndpoint).stop // release the handler only once Close has begun
+	close(gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s := f.Stats()
+		want := int64(s.Sent - s.Lost - s.FaultDrops - s.Overflows)
+		if got := handled.Load(); got == want {
+			if s.Sent != 13 || s.FaultDrops < 7 {
+				t.Fatalf("stats %+v: want 13 sent and at least the 7 late copies dropped", s)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("handler ran %d times, stats %+v allow %d", handled.Load(), s, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFabricEndpointAfterClose: a closed fabric hands out endpoints that
+// are already closed and start no goroutine.
+func TestFabricEndpointAfterClose(t *testing.T) {
+	f := NewFabric(FabricOptions{})
+	f.Endpoint(0)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	const n = 64
+	eps := make([]Transport, n)
+	for i := range eps {
+		eps[i] = f.Endpoint(topology.NodeID(i + 1))
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= n/2 {
+		t.Fatalf("%d endpoints from a closed fabric started %d goroutines", n, grew)
+	}
+	ep := eps[0]
+	if err := ep.Send(0, []byte("x")); err == nil {
+		t.Error("Send on an endpoint of a closed fabric succeeded")
+	}
+	if _, err := SendN(ep, 0, []byte("x"), 2); err == nil {
+		t.Error("SendN on an endpoint of a closed fabric succeeded")
+	}
+	if _, err := SendFrames(ep, 0, []FrameBatch{{Frame: []byte("x"), Copies: 1}}); err == nil {
+		t.Error("SendFrames on an endpoint of a closed fabric succeeded")
+	}
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// endpointBudget is the heap an idle endpoint may hold. A preallocated
+// 1,024-entry queue of 40-byte entries made it about 40 KiB.
+const endpointBudget = 2 << 10
+
+// TestEndpointFootprint pins what an idle endpoint costs: 128 Fabric
+// endpoints and one TCP transport, none of which has received a frame,
+// and the heap they hold after a collection divided among them.
+// Goroutine stacks are not heap and are not counted.
+func TestEndpointFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow memory inflates the heap")
+	}
+	const fabricEndpoints = 128
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f := NewFabric(FabricOptions{})
+	for i := 0; i < fabricEndpoints; i++ {
+		f.Endpoint(topology.NodeID(i)).SetHandler(func(topology.NodeID, []byte) {})
+	}
+	tcp, err := NewTCP(0, "127.0.0.1:0", nil, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEndpoint := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / (fabricEndpoints + 1)
+	runtime.KeepAlive(f)
+	runtime.KeepAlive(tcp)
+	_ = f.Close()
+	_ = tcp.Close()
+	t.Logf("an idle endpoint holds %d bytes of heap", perEndpoint)
+	if perEndpoint > endpointBudget {
+		t.Errorf("an idle endpoint holds %d bytes of heap, budget %d", perEndpoint, endpointBudget)
+	}
+}

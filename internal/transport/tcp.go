@@ -26,7 +26,9 @@ const (
 type TCPOptions struct {
 	// DialTimeout bounds outbound connection establishment (default 5s).
 	DialTimeout time.Duration
-	// QueueSize is the inbound dispatch buffer (default 1024).
+	// QueueSize bounds how many received frames wait for the handler
+	// (default 1024). It is a bound, not a preallocation: the inbox grows
+	// on demand. A reader that finds it full waits, so TCP never drops.
 	QueueSize int
 	// Dial, when non-nil, replaces net.DialTimeout for outbound
 	// connections. Fault-injection tests use it to wrap the returned
@@ -71,8 +73,7 @@ type TCP struct {
 	framesSent atomic.Int64
 	bytesSent  atomic.Int64
 
-	//adaptivelint:chan owner=TCP.readLoop close=never
-	inbound chan inboundFrame
+	inbox inbox
 	//adaptivelint:chan owner=none close=TCP.Close
 	stop chan struct{}
 	//adaptivelint:chan owner=none close=TCP.dispatchLoop
@@ -124,10 +125,10 @@ func NewTCP(local topology.NodeID, listenAddr string, peers map[topology.NodeID]
 		peers:    make(map[topology.NodeID]string, len(peers)),
 		conns:    make(map[topology.NodeID]*tcpConn),
 		inConns:  make(map[net.Conn]struct{}),
-		inbound:  make(chan inboundFrame, opts.QueueSize),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	t.inbox.init(opts.QueueSize)
 	for id, addr := range peers {
 		t.peers[id] = addr
 	}
@@ -325,6 +326,7 @@ func (t *TCP) Close() error {
 	}
 	t.wg.Wait()
 	<-t.done
+	t.inbox.close() // frames nobody will dispatch: let them go
 	return nil
 }
 
@@ -383,30 +385,38 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return
 		}
-		select {
-		case t.inbound <- inboundFrame{from: from, frame: frame, copies: 1}:
-		case <-t.stop:
-			return
+		// A full inbox holds the reader, and with it the connection, until
+		// the dispatcher makes room: backpressure instead of loss.
+		for t.inbox.put(inboundFrame{from: from, frame: frame, copies: 1}) == putFull {
+			select {
+			case <-t.inbox.space:
+			case <-t.stop:
+				return
+			}
 		}
 	}
 }
 
-// dispatchLoop serializes handler invocations.
+// dispatchLoop serializes handler invocations: woken by a put on an
+// empty inbox, it drains the inbox in FIFO order.
 func (t *TCP) dispatchLoop() {
 	defer close(t.done)
 	for {
 		select {
-		case in := <-t.inbound:
+		case <-t.inbox.wake:
+		case <-t.stop:
+			return
+		}
+		for in, ok := t.inbox.take(); ok; in, ok = t.inbox.take() {
 			t.handlerMu.RLock()
 			h := t.handler
 			t.handlerMu.RUnlock()
-			if h != nil {
-				for i := 0; i < in.copies; i++ {
-					h(in.from, in.frame)
-				}
+			in.deliver(h)
+			select {
+			case <-t.stop:
+				return
+			default:
 			}
-		case <-t.stop:
-			return
 		}
 	}
 }

@@ -63,7 +63,7 @@ type Transport interface {
 // that any copy arrived.
 //
 // Implementations in this package: the Fabric delivers n logical copies
-// from a single queue enqueue (one buffer copy, one channel operation),
+// from a single inbox entry (one buffer copy, one inbox put),
 // and TCP coalesces the n length-prefixed frames into one buffered flush
 // (one syscall instead of 2n writes).
 type BatchSender interface {
