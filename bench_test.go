@@ -387,23 +387,14 @@ func BenchmarkWireEncodeData(b *testing.B) {
 // in-process fabric and ticks it until node 0's view spans the topology
 // and plans a real MRT (no warm-up flood). It is the fixture for the
 // broadcast-throughput benchmarks.
-func benchConvergedCluster(b *testing.B, n, conn int, disableCache bool) *adaptivecast.Cluster {
-	return benchConvergedClusterCfg(b, n, conn, func(cfg *adaptivecast.ClusterConfig) {
-		cfg.DisablePlanCache = disableCache
-	})
-}
-
-// benchConvergedClusterCfg is benchConvergedCluster with a config hook,
-// so send-path benchmarks can toggle the lane scheduler on the same
-// converged fixture.
-func benchConvergedClusterCfg(b *testing.B, n, conn int, mutate func(*adaptivecast.ClusterConfig)) *adaptivecast.Cluster {
+func benchConvergedCluster(b *testing.B, n, conn int) *adaptivecast.Cluster {
 	b.Helper()
 	rng := rand.New(rand.NewSource(23))
 	g, err := adaptivecast.RandomConnected(n, conn, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return benchConvergeGraph(b, g, mutate)
+	return benchConvergeGraph(b, g, nil)
 }
 
 // benchConvergeGraph builds a cluster over an explicit graph and runs it
@@ -444,21 +435,7 @@ func benchConvergeGraph(b *testing.B, g *adaptivecast.Topology, mutate func(*ada
 // on a converged 32-node cluster: repeated same-view broadcasts from one
 // node (plan + encode + hand-off to the transport).
 func BenchmarkBroadcast(b *testing.B) {
-	c := benchConvergedCluster(b, 32, 4, false)
-	body := []byte("broadcast payload 0123456789abcdef")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Broadcast(0, body); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBroadcastNoPlanCache is BenchmarkBroadcast with the plan cache
-// disabled — every broadcast rebuilds the MRT and allocation, isolating
-// the cache's contribution to the headline number.
-func BenchmarkBroadcastNoPlanCache(b *testing.B) {
-	c := benchConvergedCluster(b, 32, 4, true)
+	c := benchConvergedCluster(b, 32, 4)
 	body := []byte("broadcast payload 0123456789abcdef")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -472,7 +449,7 @@ func BenchmarkBroadcastNoPlanCache(b *testing.B) {
 // broadcasters on the same node, measuring lock contention on the
 // broadcast path.
 func BenchmarkBroadcastParallel(b *testing.B) {
-	c := benchConvergedCluster(b, 32, 4, false)
+	c := benchConvergedCluster(b, 32, 4)
 	body := []byte("broadcast payload 0123456789abcdef")
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -551,6 +528,10 @@ type loopEnd struct {
 	peer    *loopEnd
 	handler transport.Handler
 	tap     func(frame []byte) // optional: sees every outbound frame
+	// ackless hands the peer every delta with Ack = 0: the peer never
+	// learns what this end has merged, so every heartbeat it sends back is
+	// the since = 0 full-snapshot fallback — the full-heartbeat baseline.
+	ackless bool
 }
 
 func (e *loopEnd) Local() topology.NodeID         { return e.id }
@@ -560,16 +541,29 @@ func (e *loopEnd) Send(_ topology.NodeID, frame []byte) error {
 	if e.tap != nil {
 		e.tap(frame)
 	}
+	if e.ackless {
+		f, err := wire.Decode(frame)
+		if err != nil {
+			return err
+		}
+		if f.Kind == wire.FrameKnowledgeDelta {
+			f.Delta.Ack = 0
+		}
+		if frame, err = wire.Encode(f); err != nil {
+			return err
+		}
+	}
 	if e.peer.handler != nil {
 		e.peer.handler(e.id, frame)
 	}
 	return nil
 }
 
-// loopPair wires two synchronous ends back to back.
-func loopPair() (*loopEnd, *loopEnd) {
-	a := &loopEnd{id: 0}
-	b := &loopEnd{id: 1}
+// loopPair wires two synchronous ends back to back; full makes both
+// ends ackless.
+func loopPair(full bool) (*loopEnd, *loopEnd) {
+	a := &loopEnd{id: 0, ackless: full}
+	b := &loopEnd{id: 1, ackless: full}
 	a.peer, b.peer = b, a
 	return a, b
 }
@@ -590,21 +584,21 @@ func tickPair(n0, n1 *node.Node) {
 // a converged two-node system on the live wire path. The delta/full
 // sub-benchmarks quantify the knowledge-delta win: once estimates
 // converge, delta heartbeats collapse to near-empty frames while full
-// snapshots keep re-shipping the whole (Λ_k, C_k) every period. The
-// hb-bytes/period metric is the acceptance number recorded in the README.
+// snapshots (the since = 0 fallback, forced by an ackless loop) keep
+// re-shipping the whole (Λ_k, C_k) every period. The hb-bytes/period
+// metric is the acceptance number recorded in the README.
 func BenchmarkHeartbeatSteadyState(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		disable bool
+		name string
+		full bool
 	}{{"delta", false}, {"full", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			trA, trB := loopPair()
+			trA, trB := loopPair(mode.full)
 			mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
 				nd, err := node.New(node.Config{
-					ID:                     id,
-					NumProcs:               2,
-					Neighbors:              []topology.NodeID{1 - id},
-					DisableDeltaHeartbeats: mode.disable,
+					ID:        id,
+					NumProcs:  2,
+					Neighbors: []topology.NodeID{1 - id},
 				}, tr)
 				if err != nil {
 					b.Fatal(err)
@@ -651,22 +645,22 @@ func rawEquivalent(b *testing.B, frame []byte) []byte {
 // layout. The raw baseline is the same traffic, frame for
 // frame, re-encoded without the capability (rawEquivalent) over an
 // untimed window. The in-benchmark assertions pin the acceptance
-// numbers: a two-node full snapshot is three records — ~2,424 B raw
-// against ~31 B of counts, so at least 40x — and delta heartbeats no
-// worse (converged deltas are near-empty either way).
+// numbers: a two-node full snapshot (the since = 0 fallback every frame
+// is under an ackless loop) is three records — ~2,424 B raw against
+// ~31 B of counts, so at least 40x — and delta heartbeats no worse
+// (converged deltas are near-empty either way).
 func BenchmarkHeartbeatCounts(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		disable bool
+		name string
+		full bool
 	}{{"delta", false}, {"full", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			trA, trB := loopPair()
+			trA, trB := loopPair(mode.full)
 			mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
 				nd, err := node.New(node.Config{
-					ID:                     id,
-					NumProcs:               2,
-					Neighbors:              []topology.NodeID{1 - id},
-					DisableDeltaHeartbeats: mode.disable,
+					ID:        id,
+					NumProcs:  2,
+					Neighbors: []topology.NodeID{1 - id},
 				}, tr)
 				if err != nil {
 					b.Fatal(err)
@@ -700,11 +694,11 @@ func BenchmarkHeartbeatCounts(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(n0.Stats().HeartbeatBytesSent-start)/float64(b.N), "hb-bytes/period")
 			b.ReportMetric(ratio, "raw-to-counts-ratio")
-			if mode.name == "full" && ratio < 40 {
+			if mode.full && ratio < 40 {
 				b.Errorf("count full heartbeats are only %.1fx smaller than raw (%dB vs %dB), want >= 40x",
 					ratio, countBytes, rawBytes)
 			}
-			if mode.name == "delta" && ratio < 1 {
+			if !mode.full && ratio < 1 {
 				b.Errorf("count delta heartbeats regressed: %dB vs %dB raw", countBytes, rawBytes)
 			}
 		})
@@ -725,7 +719,7 @@ func BenchmarkHeartbeatAdaptiveCadence(b *testing.B) {
 		max  int
 	}{{"adaptive", 8}, {"fixed", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
-			trA, trB := loopPair()
+			trA, trB := loopPair(false)
 			mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
 				nd, err := node.New(node.Config{
 					ID:                 id,
@@ -815,21 +809,15 @@ func BenchmarkEpochRebuild(b *testing.B) {
 // simulated kernel copy (ClusterConfig.SendCost); on a free transport
 // there is no saturation to pipeline past and the benchmark would only
 // measure queue overhead. Sub-benchmarks compare the synchronous direct
-// path against the lane scheduler (and the scheduler with a small
-// aggregation window). The lane queue is deep enough that nothing is
-// shed — queued work still has to drain inside the timed region
-// (WaitSendIdle), so the comparison counts transport work actually
-// done, not promises queued.
+// path against the lane scheduler. The lane queue is deep enough that
+// nothing is shed — queued work still has to drain inside the timed
+// region (WaitSendIdle), so the comparison counts transport work
+// actually done, not promises queued.
 func BenchmarkBroadcastSustained(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		lanes  bool
-		window time.Duration
-	}{
-		{"direct", false, 0},
-		{"lanes", true, 0},
-		{"lanes-window", true, 200 * time.Microsecond},
-	} {
+		name  string
+		lanes bool
+	}{{"direct", false}, {"lanes", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			g, err := adaptivecast.Star(32)
 			if err != nil {
@@ -838,7 +826,6 @@ func BenchmarkBroadcastSustained(b *testing.B) {
 			c := benchConvergeGraph(b, g, func(cfg *adaptivecast.ClusterConfig) {
 				cfg.DisableLaneScheduler = !mode.lanes
 				cfg.LaneQueueDepth = 1 << 15
-				cfg.AggregationWindow = mode.window
 				cfg.SendCost = 32 << 10
 			})
 			body := []byte("sustained broadcast payload 0123456789abcdef0123456789abcdef")
@@ -998,9 +985,9 @@ func BenchmarkForwardPipelined(b *testing.B) {
 // with realistic latency and per-flush send cost — idle versus with the
 // data lane saturated by a background enqueuer. The lane scheduler's
 // acceptance bar is that this stays flat (<= 1.2x the idle baseline):
-// control preempts queued data at every drain round and the aggregation
-// window never holds it, so a saturated datapath adds at most one
-// in-flight data flush of delay — noise against the link latency.
+// control preempts queued data at every drain round, so a saturated
+// datapath adds at most one in-flight data flush of delay — noise
+// against the link latency.
 func BenchmarkControlLatencyUnderLoad(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
@@ -1026,7 +1013,7 @@ func BenchmarkControlLatencyUnderLoad(b *testing.B) {
 					delivered <- struct{}{}
 				}
 			})
-			s := lanes.New(sender, lanes.Config{QueueDepth: 256, Window: 200 * time.Microsecond})
+			s := lanes.New(sender, lanes.Config{QueueDepth: 256})
 			defer func() { _ = s.Close() }()
 
 			stop := make(chan struct{})

@@ -35,17 +35,9 @@ type ClusterConfig struct {
 	// Piggyback attaches knowledge snapshots to data frames on every
 	// node (Section 4.1's bandwidth optimization).
 	Piggyback bool
-	// DisablePlanCache forces every broadcast on every node to replan
-	// from the current view (see WithPlanCache; mainly for benchmarks).
-	DisablePlanCache bool
-	// DisableDeltaHeartbeats makes every node heartbeat its full knowledge
-	// snapshot every period (see WithDeltaHeartbeats; mainly for
-	// benchmarks and bandwidth comparisons).
-	DisableDeltaHeartbeats bool
 	// AdaptiveCadence, when positive, lets every node stretch heartbeats
 	// toward stable neighbors up to this interval, snapping back to
-	// HeartbeatEvery on any change (see WithAdaptiveCadence). Requires
-	// delta heartbeats (i.e. DisableDeltaHeartbeats unset).
+	// HeartbeatEvery on any change (see WithAdaptiveCadence).
 	AdaptiveCadence time.Duration
 	// DisableLaneScheduler reverts every node's sends to synchronous
 	// transport calls instead of the prioritized per-peer lane scheduler
@@ -54,10 +46,6 @@ type ClusterConfig struct {
 	// LaneQueueDepth bounds each peer's data lane (see
 	// WithLaneQueueDepth; default 256).
 	LaneQueueDepth int
-	// AggregationWindow coalesces same-peer data frames queued within
-	// this window into one transport flush (see WithAggregationWindow;
-	// default 0, flush immediately).
-	AggregationWindow time.Duration
 }
 
 // Cluster is a thin convenience layer over Node: one node per process of
@@ -127,12 +115,6 @@ func (c *Cluster) nodeOptions() []Option {
 	if cfg.Piggyback {
 		opts = append(opts, WithPiggyback())
 	}
-	if cfg.DisablePlanCache {
-		opts = append(opts, WithPlanCache(false))
-	}
-	if cfg.DisableDeltaHeartbeats {
-		opts = append(opts, WithDeltaHeartbeats(false))
-	}
 	if cfg.AdaptiveCadence > 0 {
 		opts = append(opts, WithAdaptiveCadence(cfg.AdaptiveCadence))
 	}
@@ -141,9 +123,6 @@ func (c *Cluster) nodeOptions() []Option {
 	}
 	if cfg.LaneQueueDepth > 0 {
 		opts = append(opts, WithLaneQueueDepth(cfg.LaneQueueDepth))
-	}
-	if cfg.AggregationWindow > 0 {
-		opts = append(opts, WithAggregationWindow(cfg.AggregationWindow))
 	}
 	return opts
 }

@@ -68,7 +68,8 @@ func LoadClusterConfig(path string) (*ClusterConfig, error) {
 }
 
 // Validate checks structural consistency: dense IDs, symmetric neighbor
-// relations, addresses present, and a connected topology.
+// relations, addresses present, a connected topology, and no negative
+// heartbeat period.
 func (cc *ClusterConfig) Validate() error {
 	n := len(cc.Nodes)
 	if n < 2 {
@@ -76,6 +77,9 @@ func (cc *ClusterConfig) Validate() error {
 	}
 	if cc.K < 0 || cc.K >= 1 {
 		return fmt.Errorf("config: k=%v outside [0,1)", cc.K)
+	}
+	if cc.HeartbeatMillis < 0 {
+		return fmt.Errorf("config: heartbeatMillis=%d is negative", cc.HeartbeatMillis)
 	}
 	seen := make(map[adaptivecast.NodeID]bool, n)
 	for _, ns := range cc.Nodes {

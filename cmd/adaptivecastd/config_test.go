@@ -58,13 +58,14 @@ func TestLoadConfigDefaults(t *testing.T) {
 
 func TestValidateRejects(t *testing.T) {
 	cases := map[string]string{
-		"too few nodes": `{"nodes":[{"id":0,"addr":"a:1"}]}`,
-		"bad k":         `{"k": 1.5, "nodes":[{"id":0,"addr":"a:1","neighbors":[1]},{"id":1,"addr":"b:1","neighbors":[0]}]}`,
-		"sparse ids":    `{"nodes":[{"id":0,"addr":"a:1","neighbors":[5]},{"id":5,"addr":"b:1","neighbors":[0]}]}`,
-		"duplicate ids": `{"nodes":[{"id":0,"addr":"a:1","neighbors":[0]},{"id":0,"addr":"b:1","neighbors":[0]}]}`,
-		"missing addr":  `{"nodes":[{"id":0,"neighbors":[1]},{"id":1,"addr":"b:1","neighbors":[0]}]}`,
-		"asymmetric":    `{"nodes":[{"id":0,"addr":"a:1","neighbors":[1]},{"id":1,"addr":"b:1","neighbors":[]}]}`,
-		"self loop":     `{"nodes":[{"id":0,"addr":"a:1","neighbors":[0,1]},{"id":1,"addr":"b:1","neighbors":[0]}]}`,
+		"too few nodes":      `{"nodes":[{"id":0,"addr":"a:1"}]}`,
+		"bad k":              `{"k": 1.5, "nodes":[{"id":0,"addr":"a:1","neighbors":[1]},{"id":1,"addr":"b:1","neighbors":[0]}]}`,
+		"negative heartbeat": `{"heartbeatMillis": -5, "nodes":[{"id":0,"addr":"a:1","neighbors":[1]},{"id":1,"addr":"b:1","neighbors":[0]}]}`,
+		"sparse ids":         `{"nodes":[{"id":0,"addr":"a:1","neighbors":[5]},{"id":5,"addr":"b:1","neighbors":[0]}]}`,
+		"duplicate ids":      `{"nodes":[{"id":0,"addr":"a:1","neighbors":[0]},{"id":0,"addr":"b:1","neighbors":[0]}]}`,
+		"missing addr":       `{"nodes":[{"id":0,"neighbors":[1]},{"id":1,"addr":"b:1","neighbors":[0]}]}`,
+		"asymmetric":         `{"nodes":[{"id":0,"addr":"a:1","neighbors":[1]},{"id":1,"addr":"b:1","neighbors":[]}]}`,
+		"self loop":          `{"nodes":[{"id":0,"addr":"a:1","neighbors":[0,1]},{"id":1,"addr":"b:1","neighbors":[0]}]}`,
 		"disconnected": `{"nodes":[
 			{"id":0,"addr":"a:1","neighbors":[1]},{"id":1,"addr":"b:1","neighbors":[0]},
 			{"id":2,"addr":"c:1","neighbors":[3]},{"id":3,"addr":"d:1","neighbors":[2]}

@@ -1,9 +1,9 @@
 // Package lanes is the prioritized, pipelined send path between the node
-// and its transport: a per-peer three-lane scheduler (control > data >
-// telemetry) with bounded queues and watermark actions, modeled on the
-// RSPP lane-scheduler shape. The node classifies every outbound frame
-// into a lane and enqueues it; a per-peer drain goroutine flushes queued
-// frames through the transport's batch fast paths, strictly by priority:
+// and its transport: a per-peer two-lane scheduler (control > data) with
+// a bounded data queue, modeled on the RSPP lane-scheduler shape. The
+// node classifies every outbound frame into a lane and enqueues it; a
+// per-peer drain goroutine flushes queued frames through the transport's
+// batch fast paths, strictly by priority:
 //
 //   - Control (heartbeats, knowledge deltas, membership announcements —
 //     everything the knowledge plane depends on) is never dropped and
@@ -11,17 +11,11 @@
 //     saturated datapath instead of starving behind it.
 //   - Data (broadcast payloads) is bounded: beyond the queue depth new
 //     frames are shed (counted, and tolerable — loss is the protocol's
-//     model), and past the high-water mark the aggregation window is
-//     bypassed so pending frames coalesce into multi-frame flushes
-//     (transport.SendFrames) immediately.
-//   - Telemetry is shed first: it is dropped the moment its own queue
-//     fills or the data lane crosses its high-water mark. Nothing
-//     protocol-critical ever rides this lane.
-//
-// A configurable time-window aggregator (Config.Window, default 0 = off)
-// additionally holds data frames briefly so *different* broadcasts
-// headed to the same peer merge into one flush — one syscall on TCP, one
-// lock acquisition on the in-process Fabric.
+//     model). Whatever queued while the drain was busy leaves as one
+//     multi-frame flush (transport.SendFrames), so *different* broadcasts
+//     headed to the same peer coalesce whenever they arrive faster than
+//     the drain flushes — one syscall on TCP, one lock acquisition on the
+//     in-process Fabric.
 //
 // Buffer ownership: Enqueue takes ownership of the frame buffer's
 // lifecycle, not its storage — the scheduler never mutates a frame, and
@@ -54,9 +48,6 @@ const (
 	// Data carries broadcast payloads: bounded, shed beyond QueueDepth,
 	// coalesced into multi-frame flushes under pressure.
 	Data
-	// Telemetry carries operational frames nothing in the protocol
-	// depends on; shed first under pressure.
-	Telemetry
 
 	numLanes
 )
@@ -67,25 +58,16 @@ func (l Lane) String() string {
 		return "control"
 	case Data:
 		return "data"
-	case Telemetry:
-		return "telemetry"
 	}
 	return "invalid"
 }
 
 // Config tunes the scheduler.
 type Config struct {
-	// QueueDepth bounds each peer's data and telemetry queues (default
-	// 256). The control queue is unbounded by design: control frames are
-	// few (O(neighbors) per heartbeat period) and must never be dropped.
+	// QueueDepth bounds each peer's data queue (default 256). The control
+	// queue is unbounded by design: control frames are few (O(neighbors)
+	// per heartbeat period) and must never be dropped.
 	QueueDepth int
-	// Window is the data-lane aggregation window: a data frame may wait
-	// up to this long for more frames to the same peer before flushing,
-	// so different broadcasts coalesce into one multi-frame flush. 0 (the
-	// default) disables the wait — frames still coalesce naturally when
-	// they queue up faster than the drain flushes. The window never
-	// delays control frames, and watermark pressure bypasses it.
-	Window time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -98,9 +80,8 @@ func (c Config) withDefaults() Config {
 // Drops counts frames shed per lane. Control is structurally always 0 —
 // the field exists so tests can assert exactly that.
 type Drops struct {
-	Control   int
-	Data      int
-	Telemetry int
+	Control int
+	Data    int
 }
 
 // Stats is a snapshot of scheduler counters.
@@ -111,7 +92,7 @@ type Stats struct {
 	// to preserve strict ordering; each counts).
 	Flushes int
 	// CoalescedFlushes counts data flushes that carried at least two
-	// distinct frames — the aggregation (or natural batching) win.
+	// distinct frames — the batching win.
 	CoalescedFlushes int
 	// CoalescedFrames counts data frames that shared a flush with at
 	// least one other frame.
@@ -168,14 +149,20 @@ var ErrClosed = errors.New("lanes: scheduler closed")
 // the caller's buffer accounting never leaks.
 //
 // A nil error means the frame was accepted into a queue (or, for a shed
-// telemetry/data frame, accounted); it does not mean any copy reached
-// the transport, mirroring Send's best-effort contract.
+// data frame, accounted); it does not mean any copy reached the
+// transport, mirroring Send's best-effort contract.
 func (s *Scheduler) Enqueue(to topology.NodeID, ln Lane, frame []byte, copies int, release func()) error {
 	if copies <= 0 {
 		if release != nil {
 			release()
 		}
 		return nil
+	}
+	if ln >= numLanes {
+		if release != nil {
+			release()
+		}
+		return errors.New("lanes: invalid lane")
 	}
 	p, err := s.peerFor(to)
 	if err != nil {
@@ -184,7 +171,6 @@ func (s *Scheduler) Enqueue(to topology.NodeID, ln Lane, frame []byte, copies in
 		}
 		return err
 	}
-	it := item{frame: frame, copies: copies, release: release}
 
 	p.mu.Lock()
 	if p.closed {
@@ -194,37 +180,16 @@ func (s *Scheduler) Enqueue(to topology.NodeID, ln Lane, frame []byte, copies in
 		}
 		return ErrClosed
 	}
-	depth := s.cfg.QueueDepth
-	shed := false
-	switch ln {
-	case Control:
-		// Unbounded: control is never dropped.
-	case Data:
-		shed = len(p.q[Data]) >= depth
-	case Telemetry:
-		// Watermark action "shed telemetry first": telemetry goes the
-		// moment its own queue fills *or* the data lane is under
-		// pressure — a busy datapath spends its queue budget on data.
-		shed = len(p.q[Telemetry]) >= depth || len(p.q[Data]) >= depth/2
-	default:
+	// Control is unbounded: it is never dropped.
+	if ln == Data && len(p.q[Data]) >= s.cfg.QueueDepth {
 		p.mu.Unlock()
-		if release != nil {
-			release()
-		}
-		return errors.New("lanes: invalid lane")
-	}
-	if shed {
-		p.mu.Unlock()
-		s.drops[ln].Add(1)
+		s.drops[Data].Add(1)
 		if release != nil {
 			release()
 		}
 		return nil
 	}
-	if ln == Data && len(p.q[Data]) == 0 {
-		p.dataSince = time.Now()
-	}
-	p.q[ln] = append(p.q[ln], it)
+	p.q[ln] = append(p.q[ln], item{frame: frame, copies: copies, release: release})
 	s.pending.Add(1)
 	p.mu.Unlock()
 	p.kick()
@@ -277,9 +242,8 @@ func (s *Scheduler) WaitIdle(timeout time.Duration) bool {
 func (s *Scheduler) Stats() Stats {
 	return Stats{
 		Drops: Drops{
-			Control:   int(s.drops[Control].Load()),
-			Data:      int(s.drops[Data].Load()),
-			Telemetry: int(s.drops[Telemetry].Load()),
+			Control: int(s.drops[Control].Load()),
+			Data:    int(s.drops[Data].Load()),
 		},
 		Flushes:          int(s.flushes.Load()),
 		CoalescedFlushes: int(s.coalescedFlushes.Load()),
@@ -289,9 +253,8 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // Close drains every queue — control and data frames still flush onto
-// the transport; a pending aggregation window is cut short — then stops
-// the drain goroutines. Enqueue fails afterwards. Close the scheduler
-// before the transport.
+// the transport — then stops the drain goroutines. Enqueue fails
+// afterwards. Close the scheduler before the transport.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -328,10 +291,9 @@ type peer struct {
 	//adaptivelint:chan owner=none close=Scheduler.Close
 	stop chan struct{}
 
-	mu        sync.Mutex
-	closed    bool
-	q         [numLanes][]item
-	dataSince time.Time // arrival of the oldest queued data frame
+	mu     sync.Mutex
+	closed bool
+	q      [numLanes][]item
 
 	// spare and batch belong to the drain goroutine alone: spare[ln] is
 	// the cleared backing array of the lane's last flush, which take
@@ -352,73 +314,34 @@ func (p *peer) kick() {
 
 // loop drains the peer's lanes by strict priority until closed and
 // empty. Control flushes frame by frame (ordering is part of the
-// protocol's serialized-input assumption); data flushes as one
-// multi-frame batch, which is where coalescing happens; telemetry
-// flushes only when both higher lanes are empty.
+// protocol's serialized-input assumption) ahead of data, which flushes as
+// one multi-frame batch — where coalescing happens.
 func (p *peer) loop() {
 	defer p.s.wg.Done()
 	for {
-		ctl, data, tel, wait, done := p.collect()
+		ctl, data, done := p.collect()
 		if done {
 			return
 		}
-		if wait > 0 {
-			// collect popped any queued control frames even though data is
-			// held for the window — flush them before sleeping so the
-			// aggregation window never delays the control lane.
-			p.flushOneByOne(Control, ctl)
-			timer := time.NewTimer(wait)
-			select {
-			case <-p.wake:
-			case <-timer.C:
-			case <-p.stop:
-			}
-			timer.Stop()
-			continue
-		}
-		if ctl == nil && data == nil && tel == nil {
+		if ctl == nil && data == nil {
 			select {
 			case <-p.wake:
 			case <-p.stop:
 			}
 			continue
 		}
-		p.flushOneByOne(Control, ctl)
-		p.flushBatch(data)
-		p.flushOneByOne(Telemetry, tel)
+		p.flushControl(ctl)
+		p.flushData(data)
 	}
 }
 
-// collect pops whatever is flushable now, under the queue lock. wait is
-// how long the drain should sleep for the data aggregation window to
-// fill (0 = nothing to wait for); done reports a closed and fully
-// drained peer.
-func (p *peer) collect() (ctl, data, tel []item, wait time.Duration, done bool) {
+// collect pops both queues under the queue lock; done reports a closed
+// and fully drained peer.
+func (p *peer) collect() (ctl, data []item, done bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ctl = p.take(Control)
-	if n := len(p.q[Data]); n > 0 {
-		// The aggregation window holds a young, small data queue open so
-		// more broadcasts can join the flush; pressure (high-water mark)
-		// or closure cuts it short.
-		w := p.s.cfg.Window
-		underPressure := n >= p.s.cfg.QueueDepth/2
-		if w > 0 && !underPressure && !p.closed {
-			if age := time.Since(p.dataSince); age < w {
-				wait = w - age
-			}
-		}
-		if wait == 0 {
-			data = p.take(Data)
-		}
-	}
-	if ctl == nil && data == nil && wait == 0 {
-		tel = p.take(Telemetry)
-	}
-	// Closure forces wait to 0 above, so on a closed peer every queue
-	// was just popped: nothing left means the drain is complete.
-	done = p.closed && ctl == nil && data == nil && tel == nil
-	return ctl, data, tel, wait, done
+	ctl, data = p.take(Control), p.take(Data)
+	return ctl, data, p.closed && ctl == nil && data == nil
 }
 
 // take pops a lane's whole queue (lock held by caller), leaving the
@@ -450,9 +373,9 @@ func (p *peer) recycle(ln Lane, items []item) {
 	p.spare[ln] = items[:0]
 }
 
-// flushOneByOne sends a lane's items individually through the SendN fast
-// path, preserving per-frame ordering.
-func (p *peer) flushOneByOne(ln Lane, items []item) {
+// flushControl sends the control lane's items individually through the
+// SendN fast path, preserving per-frame ordering.
+func (p *peer) flushControl(items []item) {
 	if len(items) == 0 {
 		return
 	}
@@ -463,7 +386,7 @@ func (p *peer) flushOneByOne(ln Lane, items []item) {
 		}
 		p.s.pending.Add(-1)
 	}
-	p.recycle(ln, items)
+	p.recycle(Control, items)
 }
 
 // sendOne is one single-frame transport flush.
@@ -474,10 +397,10 @@ func (p *peer) sendOne(it item) {
 	p.s.flushes.Add(1)
 }
 
-// flushBatch sends the data lane's items as one flush: coalesced into a
+// flushData sends the data lane's items as one flush: coalesced into a
 // multi-frame transport call when there are several, the plain SendN of
 // its only frame otherwise.
-func (p *peer) flushBatch(items []item) {
+func (p *peer) flushData(items []item) {
 	if len(items) == 0 {
 		return
 	}

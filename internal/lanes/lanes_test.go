@@ -1,6 +1,7 @@
 package lanes
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -205,97 +206,13 @@ func TestControlNeverShed(t *testing.T) {
 	}
 }
 
-// TestTelemetryShedUnderDataPressure: telemetry is refused the moment
-// the data lane crosses half its depth, even though telemetry's own
-// queue is empty.
-func TestTelemetryShedUnderDataPressure(t *testing.T) {
-	const depth = 4
-	tr := &recTransport{entered: make(chan struct{}, 64), gate: make(chan struct{})}
-	s := New(tr, Config{QueueDepth: depth})
-
-	if err := s.Enqueue(1, Data, frame(0), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	<-tr.entered
-	for i := byte(1); i <= depth/2; i++ { // data lane at the half-depth watermark
-		if err := s.Enqueue(1, Data, frame(i), 1, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Enqueue(1, Telemetry, frame(0xE0), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Drops.Telemetry; got != 1 {
-		t.Fatalf("Drops.Telemetry = %d, want 1", got)
-	}
-	tr.open()
-	waitIdle(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAggregationWindowCoalesces holds three broadcasts inside one
-// window and asserts they leave as a single multi-frame flush.
-func TestAggregationWindowCoalesces(t *testing.T) {
-	tr := &recTransport{}
-	s := New(tr, Config{QueueDepth: 64, Window: 50 * time.Millisecond})
-	defer func() { _ = s.Close() }()
-
-	for i := byte(0); i < 3; i++ {
-		if err := s.Enqueue(7, Data, frame(i), 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	waitIdle(t, s)
-
-	flushes := tr.snapshot()
-	if len(flushes) != 1 {
-		t.Fatalf("got %d flushes, want 1 coalesced flush: %+v", len(flushes), flushes)
-	}
-	if got := len(flushes[0].frames); got != 3 {
-		t.Fatalf("coalesced flush carried %d frames, want 3", got)
-	}
-	st := s.Stats()
-	if st.CoalescedFlushes != 1 || st.CoalescedFrames != 3 {
-		t.Fatalf("coalesced stats = %d flushes / %d frames, want 1/3", st.CoalescedFlushes, st.CoalescedFrames)
-	}
-}
-
-// TestWindowDoesNotDelayControl: a control frame enqueued while a data
-// window is open flushes immediately, ahead of the held data.
-func TestWindowDoesNotDelayControl(t *testing.T) {
-	tr := &recTransport{}
-	s := New(tr, Config{QueueDepth: 64, Window: 80 * time.Millisecond})
-	defer func() { _ = s.Close() }()
-
-	if err := s.Enqueue(7, Data, frame(0xD0), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond) // window now open, data held
-	if err := s.Enqueue(7, Control, frame(0xC0), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	waitIdle(t, s)
-
-	flushes := tr.snapshot()
-	if len(flushes) < 2 {
-		t.Fatalf("got %d flushes, want control then data", len(flushes))
-	}
-	if flushes[0].frames[0][0] != 0xC0 {
-		t.Fatalf("first flush carried %#x, want the control frame", flushes[0].frames[0][0])
-	}
-}
-
 // TestCloseDrainsQueues: Close flushes everything still queued onto the
-// transport — cutting a pending aggregation window short — and
-// subsequent Enqueues fail with their release run.
+// transport, and subsequent Enqueues fail with their release run. The
+// transport holds the first flush, so the rest of the frames are still
+// queued when Close is called.
 func TestCloseDrainsQueues(t *testing.T) {
-	tr := &recTransport{}
-	// An hour-long window would otherwise hold the data frames hostage:
-	// only Close's window cut can get them onto the transport.
-	s := New(tr, Config{QueueDepth: 64, Window: time.Hour})
+	tr := &recTransport{entered: make(chan struct{}, 16), gate: make(chan struct{})}
+	s := New(tr, Config{QueueDepth: 64})
 
 	var mu sync.Mutex
 	released := 0
@@ -305,11 +222,20 @@ func TestCloseDrainsQueues(t *testing.T) {
 		if err := s.Enqueue(1, Data, frame(i), 2, release); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			<-tr.entered // the drain is blocked inside the first flush
+		}
 	}
 	if err := s.Enqueue(1, Control, frame(0xC0), 1, release); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for !s.isClosed() {
+		runtime.Gosched()
+	}
+	tr.open()
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 
@@ -352,4 +278,11 @@ func TestCopiesRideTheFlush(t *testing.T) {
 	if len(flushes) != 1 || flushes[0].copies[0] != 5 {
 		t.Fatalf("flushes = %+v, want one flush with 5 copies", flushes)
 	}
+}
+
+// isClosed reports whether Close has begun.
+func (s *Scheduler) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }

@@ -91,7 +91,6 @@ func TestRecycledQueueHoldsNothing(t *testing.T) {
 		for i := 0; i < round%4; i++ {
 			enqueue(Data)
 		}
-		enqueue(Telemetry)
 		if round > 0 {
 			waitIdle(t, s)
 		}

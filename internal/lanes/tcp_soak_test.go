@@ -16,9 +16,8 @@ import (
 // Markers stamped into the first byte of every soak frame so the lossy
 // conn and the receiver can classify frames without protocol knowledge.
 const (
-	soakControl   = 'C'
-	soakData      = 'D'
-	soakTelemetry = 'T'
+	soakControl = 'C'
+	soakData    = 'D'
 )
 
 // lossyConn wraps a real TCP conn and discards whole Write calls with
@@ -104,9 +103,9 @@ func soakFrame(marker byte, seq uint64, size int) []byte {
 // scheduler drives a real TCP transport whose outbound conn randomly
 // eats writes, and the test pins the lane contract under that hostility —
 // control frames are never shed by the scheduler and never lost end to
-// end (in order, every one of them), while data and telemetry shedding
-// stays exactly accounted: every frame is received, scheduler-shed, or
-// eaten by the injected loss, with nothing unexplained.
+// end (in order, every one of them), while data shedding stays exactly
+// accounted: every frame is received, scheduler-shed, or eaten by the
+// injected loss, with nothing unexplained.
 func TestSchedulerOverLossyTCP(t *testing.T) {
 	rounds := 800
 	if testing.Short() {
@@ -138,10 +137,10 @@ func TestSchedulerOverLossyTCP(t *testing.T) {
 	defer send.Close()
 	send.SetHandler(func(topology.NodeID, []byte) {})
 
-	sched := New(send, Config{QueueDepth: 64, Window: 200 * time.Microsecond})
+	sched := New(send, Config{QueueDepth: 64})
 	defer sched.Close()
 
-	var ctlSent, dataSent, telSent int
+	var ctlSent, dataSent int
 	enqueue := func(ln Lane, marker byte, seq uint64, size int) {
 		if err := sched.Enqueue(1, ln, soakFrame(marker, seq, size), 1, nil); err != nil {
 			t.Fatalf("enqueue %c #%d: %v", marker, seq, err)
@@ -154,8 +153,6 @@ func TestSchedulerOverLossyTCP(t *testing.T) {
 			enqueue(Data, soakData, uint64(dataSent), 256)
 			dataSent++
 		}
-		enqueue(Telemetry, soakTelemetry, uint64(telSent), 64)
-		telSent++
 		if r%50 == 49 {
 			time.Sleep(time.Millisecond) // let the drain breathe between bursts
 		}
@@ -169,7 +166,7 @@ func TestSchedulerOverLossyTCP(t *testing.T) {
 	for rx.count(soakControl) < ctlSent && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond) // let in-flight data/telemetry land
+	time.Sleep(20 * time.Millisecond) // let in-flight data land
 
 	stats := sched.Stats()
 	if stats.Drops.Control != 0 {
@@ -192,17 +189,12 @@ func TestSchedulerOverLossyTCP(t *testing.T) {
 		}
 	}
 
-	// Exact conservation for the droppable lanes: received + shed by the
+	// Exact conservation for the droppable lane: received + shed by the
 	// scheduler + eaten by the lossy conn must equal sent.
 	netData := int(lossy.droppedByM[soakData].Load())
-	netTel := int(lossy.droppedByM[soakTelemetry].Load())
 	if got := rx.count(soakData) + stats.Drops.Data + netData; got != dataSent {
 		t.Errorf("data conservation: recv %d + shed %d + net-lost %d = %d, sent %d",
 			rx.count(soakData), stats.Drops.Data, netData, got, dataSent)
-	}
-	if got := rx.count(soakTelemetry) + stats.Drops.Telemetry + netTel; got != telSent {
-		t.Errorf("telemetry conservation: recv %d + shed %d + net-lost %d = %d, sent %d",
-			rx.count(soakTelemetry), stats.Drops.Telemetry, netTel, got, telSent)
 	}
 
 	// The fault injection must actually have bitten, and shedding must be
@@ -216,7 +208,6 @@ func TestSchedulerOverLossyTCP(t *testing.T) {
 	if stats.Drops.Data >= dataSent {
 		t.Errorf("scheduler shed all %d data frames", stats.Drops.Data)
 	}
-	t.Logf("control %d/%d, data recv=%d shed=%d net-lost=%d, telemetry recv=%d shed=%d net-lost=%d, writes dropped=%d",
-		len(ctlSeqs), ctlSent, rx.count(soakData), stats.Drops.Data, netData,
-		rx.count(soakTelemetry), stats.Drops.Telemetry, netTel, lossy.dropped.Load())
+	t.Logf("control %d/%d, data recv=%d shed=%d net-lost=%d, writes dropped=%d",
+		len(ctlSeqs), ctlSent, rx.count(soakData), stats.Drops.Data, netData, lossy.dropped.Load())
 }

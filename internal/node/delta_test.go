@@ -22,7 +22,29 @@ import (
 // case, decided by counting. Under loss (or toward a stopped node) some
 // never arrive, and the round falls back to waiting until the receive
 // counters have stayed put for a few polls.
-func settleTicks(nodes []*Node, periods int) {
+func settleTicks(nodes []*Node, periods int) { settle(nodes, periods, false) }
+
+// settleFullTicks is settleTicks on the full-snapshot reference: every
+// round starts from forgetAcks, so every heartbeat is a whole view.
+func settleFullTicks(nodes []*Node, periods int) { settle(nodes, periods, true) }
+
+// forgetAcks makes the nodes' next Ticks full-snapshot heartbeats, the
+// reference the delta path is measured against: with no ack on record
+// toward any neighbor, every frame Tick cuts is the since = 0 fallback
+// carrying the whole view. peerSeen goes with peerAcked so the frames of
+// the coming round ack nothing either — a neighbor that handles one
+// before its own Tick would otherwise cut a delta against it. Call it
+// while no frame is in flight.
+func forgetAcks(nodes []*Node) {
+	for _, nd := range nodes {
+		nd.peerMu.Lock()
+		clear(nd.peerAcked)
+		clear(nd.peerSeen)
+		nd.peerMu.Unlock()
+	}
+}
+
+func settle(nodes []*Node, periods int, full bool) {
 	// counts returns the heartbeats sent, the heartbeats handled (merged,
 	// or rejected with a counted reason), and every receive-side counter.
 	counts := func() (sent, handled, received int) {
@@ -35,6 +57,9 @@ func settleTicks(nodes []*Node, periods int) {
 		return sent, handled, handled + received
 	}
 	for p := 0; p < periods; p++ {
+		if full {
+			forgetAcks(nodes)
+		}
 		sent0, handled0, _ := counts()
 		start := time.Now()
 		for _, nd := range nodes {
@@ -65,34 +90,33 @@ func settleTicks(nodes []*Node, periods int) {
 
 // TestDeltaHeartbeatSteadyStateBandwidth is the delta acceptance test:
 // once estimates converge, delta heartbeats must spend at least 3x fewer
-// bytes per period than full-snapshot heartbeats. The floor was set when
-// a record was ~806 bytes and survives the ~7.5-byte count record on
-// arithmetic, not luck: on this ring a full v5 heartbeat is a 9-byte
-// header plus 12 records, ~99 B; a converged delta is a ~15-byte liveness
-// header plus the ~1.2 records per frame whose mean still drifts past
-// DeltaEpsilon, ~24 B — 4.2x. The floor trips once deltas re-ship more
-// than ~2.4 records per frame.
+// bytes per period than full-snapshot heartbeats (settleFullTicks, every
+// frame the since = 0 fallback). The floor was set when a record was
+// ~806 bytes and survives the ~7.5-byte count record on arithmetic, not
+// luck: on this ring a full snapshot is a ~15-byte delta header plus 12
+// records, ~105 B; a converged delta is the same header plus the ~1.2
+// records per frame whose mean still drifts past DeltaEpsilon, ~24 B —
+// 4.4x. The floor trips once deltas re-ship more than ~2.6 records per
+// frame.
 func TestDeltaHeartbeatSteadyStateBandwidth(t *testing.T) {
-	run := func(disableDeltas bool) (steadyBytes int) {
+	run := func(rounds func([]*Node, int)) (steadyBytes int) {
 		g, err := topology.Ring(6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fabric := transport.NewFabric(transport.FabricOptions{})
 		defer func() { _ = fabric.Close() }()
-		nodes := buildCluster(t, g, fabric, func(i int) Config {
-			return Config{DisableDeltaHeartbeats: disableDeltas}
-		})
+		nodes := buildCluster(t, g, fabric, nil)
 		// Long enough for every estimate's mean to settle well below the
 		// delta epsilon (posterior drift shrinks like 1/periods²).
-		settleTicks(nodes, 300)
+		rounds(nodes, 300)
 		before := nodes[0].Stats().HeartbeatBytesSent
-		settleTicks(nodes, 40)
+		rounds(nodes, 40)
 		return nodes[0].Stats().HeartbeatBytesSent - before
 	}
 
-	deltaBytes := run(false)
-	fullBytes := run(true)
+	deltaBytes := run(settleTicks)
+	fullBytes := run(settleFullTicks)
 	if deltaBytes <= 0 || fullBytes <= 0 {
 		t.Fatalf("no heartbeat bytes measured: delta=%d full=%d", deltaBytes, fullBytes)
 	}
@@ -178,12 +202,12 @@ func TestDeltaFullFallbackAfterRestart(t *testing.T) {
 
 // TestDeltaConvergesToFullBaseline is the property-style schedule test:
 // random lossy schedules, one cluster on delta heartbeats and one on
-// always-full snapshots, must end with the same view of the system (up to
-// the documented DeltaEpsilon-scale tolerance) once the links calm down
-// and the ack chain repairs.
+// always-full snapshots (settleFullTicks), must end with the same view of
+// the system (up to the documented DeltaEpsilon-scale tolerance) once the
+// links calm down and the ack chain repairs.
 func TestDeltaConvergesToFullBaseline(t *testing.T) {
 	for _, seed := range []int64{3, 17, 99} {
-		run := func(disableDeltas bool) []*Node {
+		run := func(rounds func([]*Node, int)) []*Node {
 			rng := rand.New(rand.NewSource(seed))
 			g, err := topology.RandomConnected(5, 2, rng)
 			if err != nil {
@@ -191,9 +215,7 @@ func TestDeltaConvergesToFullBaseline(t *testing.T) {
 			}
 			fabric := transport.NewFabric(transport.FabricOptions{Seed: seed})
 			t.Cleanup(func() { _ = fabric.Close() })
-			nodes := buildCluster(t, g, fabric, func(i int) Config {
-				return Config{DisableDeltaHeartbeats: disableDeltas}
-			})
+			nodes := buildCluster(t, g, fabric, nil)
 			// Lossy phase: both clusters sample the identical loss schedule
 			// (same seed, same synchronous send order), dropping full and
 			// delta heartbeats alike.
@@ -203,7 +225,7 @@ func TestDeltaConvergesToFullBaseline(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			settleTicks(nodes, 150)
+			rounds(nodes, 150)
 			// Calm phase: no loss; acks repair and estimates settle.
 			for li := 0; li < g.NumLinks(); li++ {
 				l := g.Link(li)
@@ -211,12 +233,12 @@ func TestDeltaConvergesToFullBaseline(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			settleTicks(nodes, 100)
+			rounds(nodes, 100)
 			return nodes
 		}
 
-		deltaNodes := run(false)
-		fullNodes := run(true)
+		deltaNodes := run(settleTicks)
+		fullNodes := run(settleFullTicks)
 		for i := range deltaNodes {
 			for p := 0; p < 5; p++ {
 				mD, dD := deltaNodes[i].CrashEstimate(topology.NodeID(p))

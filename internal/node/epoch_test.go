@@ -306,10 +306,11 @@ func TestEpochStatsRaceClean(t *testing.T) {
 	}
 }
 
-// TestDeltaConvergesToFullAcrossChurn extends the PR 3 delta-vs-full
-// property harness with a random join/leave schedule under loss: delta
-// heartbeats plus the ack chain must converge to the same estimates as
-// full snapshots, and both modes must agree on the final membership.
+// TestDeltaConvergesToFullAcrossChurn extends the delta-vs-full property
+// harness with a random join/leave schedule under loss: delta heartbeats
+// plus the ack chain must converge to the same estimates as full
+// snapshots (forgetAcks before every period), and both modes must agree
+// on the final membership.
 func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn property schedule is long")
@@ -331,16 +332,14 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 			{period: 120, join: true, nbs: []topology.NodeID{0}},
 		}
 
-		run := func(disableDeltas bool) []*Node {
+		run := func(full bool) []*Node {
 			g, err := topology.Ring(4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fabric := transport.NewFabric(transport.FabricOptions{Seed: seed})
 			t.Cleanup(func() { _ = fabric.Close() })
-			nodes := buildCluster(t, g, fabric, func(i int) Config {
-				return Config{DisableDeltaHeartbeats: disableDeltas}
-			})
+			nodes := buildCluster(t, g, fabric, nil)
 			for li := 0; li < g.NumLinks(); li++ {
 				l := g.Link(li)
 				if err := fabric.SetLoss(l.A, l.B, 0.2); err != nil {
@@ -367,8 +366,7 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 					if ev.join {
 						id := topology.NodeID(len(nodes))
 						nd := joinNode(t, fabric, id, len(nodes)+1, ev.nbs, epoch,
-							append([]topology.NodeID(nil), departed...),
-							Config{DisableDeltaHeartbeats: disableDeltas})
+							append([]topology.NodeID(nil), departed...), Config{})
 						nodes = append(nodes, nd)
 					} else {
 						nodes[ev.leaver].Stop()
@@ -388,6 +386,9 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+				}
+				if full {
+					forgetAcks(alive())
 				}
 				for _, nd := range alive() {
 					nd.Tick()

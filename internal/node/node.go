@@ -92,9 +92,8 @@ type Stats struct {
 // Control is structurally always 0 — the control lane is unbounded by
 // design — and the field exists so tests can assert exactly that.
 type LaneDrops struct {
-	Control   int
-	Data      int
-	Telemetry int
+	Control int
+	Data    int
 }
 
 // counters is the runtime's internal, atomically updated form of Stats,
@@ -203,19 +202,6 @@ type Config struct {
 	// DeliveryBuffer sizes the delivery channel (default 128). When the
 	// application lags, further deliveries are dropped and counted.
 	DeliveryBuffer int
-	// DisablePlanCache turns off the broadcast plan cache, forcing every
-	// broadcast to rebuild the MRT and allocation from the current view
-	// (the pre-cache behavior; useful for benchmarks and debugging).
-	DisablePlanCache bool
-	// DisableDeltaHeartbeats makes every heartbeat ship the full knowledge
-	// snapshot as one FrameHeartbeat, encoded once per period for every
-	// neighbor, instead of the default per-neighbor knowledge deltas
-	// (records changed since the version the neighbor last acked, with a
-	// full-snapshot fallback while the neighbor's acked version is unknown
-	// or predates this incarnation). Deltas shrink steady-state heartbeat
-	// bandwidth by the convergence factor; disabling them is for
-	// benchmarks.
-	DisableDeltaHeartbeats bool
 	// AdaptiveCadenceMax caps the adaptive heartbeat cadence, in
 	// heartbeat periods: once a neighbor's delta has been empty, anchored
 	// and suspicion-free for a few consecutive periods, the node
@@ -226,16 +212,15 @@ type Config struct {
 	// the delta frame's Cadence field so the receiver scales its
 	// suspicion timeout and sequence-gap loss accounting instead of
 	// falsely suspecting (or under-counting) a quiet-by-design neighbor.
-	// Values <= 1 disable stretching (the default); adaptive cadence
-	// requires delta heartbeats.
+	// Values <= 1 disable stretching (the default).
 	AdaptiveCadenceMax int
 	// DisableLaneScheduler turns off the per-peer prioritized lane
-	// scheduler (control > data > telemetry) and reverts every send to a
-	// synchronous transport call on the calling goroutine. The scheduler
-	// is on by default: sends are asynchronous hand-offs to bounded
-	// per-peer queues, protocol-critical control frames (heartbeats,
-	// deltas, membership repairs) are never shed and overtake queued
-	// data, and each peer's data drains in coalesced batches through the
+	// scheduler (control > data) and reverts every send to a synchronous
+	// transport call on the calling goroutine. The scheduler is on by
+	// default: sends are asynchronous hand-offs to bounded per-peer
+	// queues, protocol-critical control frames (heartbeats, deltas,
+	// membership repairs) are never shed and overtake queued data, and
+	// each peer's data drains in coalesced batches through the
 	// transport's multi-frame fast path. Disable it only when the
 	// synchronous direct path is required — deterministic single-threaded
 	// drivers, or tests pinning per-call transport behavior.
@@ -244,12 +229,6 @@ type Config struct {
 	// on (default 256). At the high watermark new data frames are shed
 	// and counted in Stats.LaneDrops; the control lane is never bounded.
 	LaneQueueDepth int
-	// AggregationWindow holds queued data frames back up to this long so
-	// several broadcasts to one peer coalesce into one transport flush.
-	// 0 (the default) flushes as soon as the peer's drain goroutine gets
-	// to the frame. Only meaningful with the scheduler on; control frames
-	// are never held back.
-	AggregationWindow time.Duration
 	// Hooks are optional instrumentation callbacks.
 	Hooks Hooks
 	// Now injects a clock for tests (default time.Now).
@@ -351,7 +330,7 @@ type Node struct {
 	// to the neighborhood: announcements ride lossy links like any frame,
 	// and a few redundant rounds bound the chance a member misses a
 	// membership change even where the stale-epoch repair loop cannot see
-	// it (full-snapshot heartbeats carry no epoch).
+	// it.
 	announceLeft atomic.Int32
 
 	// ownsFrames is set when the transport hands the handler exclusive
@@ -446,6 +425,14 @@ type Node struct {
 // ticks (Event 4) before the node starts.
 func New(cfg Config, tr transport.Transport) (*Node, error) {
 	cfg = cfg.withDefaults()
+	switch {
+	case cfg.HeartbeatEvery < 0:
+		return nil, fmt.Errorf("node: negative HeartbeatEvery %v", cfg.HeartbeatEvery)
+	case cfg.DeliveryBuffer < 0:
+		return nil, fmt.Errorf("node: negative DeliveryBuffer %d", cfg.DeliveryBuffer)
+	case cfg.LaneQueueDepth < 0:
+		return nil, fmt.Errorf("node: negative LaneQueueDepth %d", cfg.LaneQueueDepth)
+	}
 	if tr == nil {
 		return nil, errors.New("node: nil transport")
 	}
@@ -498,7 +485,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		}))
 		n.announceLeft.Store(announceRounds)
 	}
-	if cfg.AdaptiveCadenceMax > 1 && !cfg.DisableDeltaHeartbeats {
+	if cfg.AdaptiveCadenceMax > 1 {
 		n.cad = make(map[topology.NodeID]*cadence.State, len(cfg.Neighbors))
 	}
 	// Resume broadcast sequencing above anything this node may have
@@ -538,10 +525,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	}
 	n.seq.Store(resume)
 	if !cfg.DisableLaneScheduler {
-		n.lanes = lanes.New(tr, lanes.Config{
-			QueueDepth: cfg.LaneQueueDepth,
-			Window:     cfg.AggregationWindow,
-		})
+		n.lanes = lanes.New(tr, lanes.Config{QueueDepth: cfg.LaneQueueDepth})
 	}
 	tr.SetHandler(n.handle)
 	return n, nil
@@ -598,11 +582,7 @@ func (n *Node) Stats() Stats {
 	s.EncodePoolMisses = int(n.encPool.misses.Load())
 	if n.lanes != nil {
 		ls := n.lanes.Stats()
-		s.LaneDrops = LaneDrops{
-			Control:   ls.Drops.Control,
-			Data:      ls.Drops.Data,
-			Telemetry: ls.Drops.Telemetry,
-		}
+		s.LaneDrops = LaneDrops(ls.Drops)
 		s.CoalescedFlushes = ls.CoalescedFlushes
 		s.CoalescedFrames = ls.CoalescedFrames
 	}
@@ -662,12 +642,11 @@ func (n *Node) heartbeatLoop() {
 // exported so tests and deterministic drivers can pace the node without
 // real time.
 //
-// With delta heartbeats (the default), each neighbor gets its own frame:
-// the records changed since the version that neighbor last acked, or a
-// full snapshot while the acked version is unknown or unanchorable. Once
-// estimates converge the deltas go empty and a heartbeat shrinks to its
-// liveness header, which is what keeps steady-state bandwidth flat as the
-// system grows.
+// Each neighbor gets its own frame: the records changed since the
+// version that neighbor last acked, or a full snapshot while the acked
+// version is unknown or unanchorable. Once estimates converge the deltas
+// go empty and a heartbeat shrinks to its liveness header, which is what
+// keeps steady-state bandwidth flat as the system grows.
 func (n *Node) Tick() {
 	if n.closed.Load() {
 		return
@@ -704,23 +683,17 @@ func (n *Node) Tick() {
 		since     uint64 // base when snap is a delta cut from it, 0 when it is the full snapshot
 		suspected bool
 	}
-	var outs []outbound
-	if !n.cfg.DisableDeltaHeartbeats {
-		outs = make([]outbound, len(neighbors))
-		n.peerMu.Lock()
-		for i, nb := range neighbors {
-			outs[i] = outbound{to: nb, base: n.peerAcked[nb], ack: n.peerSeen[nb]}
-		}
-		n.peerMu.Unlock()
+	outs := make([]outbound, len(neighbors))
+	n.peerMu.Lock()
+	for i, nb := range neighbors {
+		outs[i] = outbound{to: nb, base: n.peerAcked[nb], ack: n.peerSeen[nb]}
 	}
+	n.peerMu.Unlock()
 	var full *knowledge.Snapshot
 
 	n.viewMu.Lock()
 	n.view.BeginPeriod()
 	ver := n.view.Version()
-	if n.cfg.DisableDeltaHeartbeats {
-		full = n.view.Snapshot()
-	}
 	for i := range outs {
 		o := &outs[i]
 		// Suspicion state must be read after BeginPeriod (which is where
@@ -770,28 +743,6 @@ func (n *Node) Tick() {
 		n.cadPersist = cadSnap
 		_ = n.cfg.Storage.SaveMark(n.cfg.Now(), n.seqLease.Load(), cadSnap)
 		n.leaseMu.Unlock()
-	}
-
-	if n.cfg.DisableDeltaHeartbeats {
-		// One encode per period regardless of degree, shared by every
-		// neighbor.
-		caps := heartbeatCaps(full)
-		frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: full, Caps: caps})
-		if err != nil {
-			return
-		}
-		sent := 0
-		for _, nb := range neighbors {
-			if err := n.sendControl(nb, frame, nil); err == nil {
-				sent++
-				n.stats.heartbeatBytesSent.Add(int64(len(frame)))
-			}
-		}
-		n.stats.heartbeatsSent.Add(int64(sent))
-		if caps != 0 {
-			n.stats.countHeartbeatsSent.Add(int64(sent))
-		}
-		return
 	}
 
 	// Shared delta cuts: the snapshot section of a delta frame is encoded
@@ -1028,10 +979,6 @@ func (n *Node) ensureSeqLease(seq uint64) {
 // reports whether this call built the plan (the OnTreeRebuild hook fires
 // only then).
 func (n *Node) currentPlan() (p *plan, fresh bool) {
-	if n.cfg.DisablePlanCache {
-		p, _ = n.replan()
-		return p, true
-	}
 	n.planMu.Lock()
 	defer n.planMu.Unlock()
 	n.viewMu.Lock()

@@ -45,12 +45,6 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 			if over.DeliveryBuffer != 0 {
 				c.DeliveryBuffer = over.DeliveryBuffer
 			}
-			if over.DisablePlanCache {
-				c.DisablePlanCache = true
-			}
-			if over.DisableDeltaHeartbeats {
-				c.DisableDeltaHeartbeats = true
-			}
 			if over.AdaptiveCadenceMax != 0 {
 				c.AdaptiveCadenceMax = over.AdaptiveCadenceMax
 			}
@@ -65,9 +59,6 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 			}
 			if over.LaneQueueDepth != 0 {
 				c.LaneQueueDepth = over.LaneQueueDepth
-			}
-			if over.AggregationWindow != 0 {
-				c.AggregationWindow = over.AggregationWindow
 			}
 		}
 		nd, err := New(c, fabric.Endpoint(topology.NodeID(i)))
@@ -129,6 +120,22 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{ID: 0, NumProcs: 1, Neighbors: []topology.NodeID{5}}, ep); err == nil {
 		t.Error("bad neighbor should fail")
+	}
+}
+
+// TestNewRejectsNegativeSettings: a negative size or period is refused by
+// New instead of panicking in make (DeliveryBuffer), shedding every data
+// frame (LaneQueueDepth) or panicking in Start's ticker (HeartbeatEvery).
+func TestNewRejectsNegativeSettings(t *testing.T) {
+	for name, c := range map[string]Config{
+		"DeliveryBuffer": {DeliveryBuffer: -1},
+		"LaneQueueDepth": {LaneQueueDepth: -1},
+		"HeartbeatEvery": {HeartbeatEvery: -5 * time.Millisecond},
+	} {
+		c.ID, c.NumProcs, c.Neighbors = 0, 2, []topology.NodeID{1}
+		if _, err := New(c, &sinkTransport{id: 0}); err == nil {
+			t.Errorf("negative %s: New returned no error", name)
+		}
 	}
 }
 

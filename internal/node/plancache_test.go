@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -96,6 +97,23 @@ func taughtNode(t *testing.T, g *topology.Graph, id topology.NodeID, rng *rand.R
 func samePlan(a, b *plan) bool {
 	return a.err == nil && b.err == nil && a.edges == b.edges && a.planned == b.planned &&
 		reflect.DeepEqual(a.parents, b.parents) && reflect.DeepEqual(a.alloc, b.alloc)
+}
+
+// mailTransport keeps every frame sent over it for the test to hand to
+// the addressee's handle itself.
+type mailTransport struct {
+	sinkTransport
+	out []mail
+}
+
+type mail struct {
+	from, to topology.NodeID
+	frame    []byte
+}
+
+func (m *mailTransport) Send(to topology.NodeID, frame []byte) error {
+	m.out = append(m.out, mail{m.id, to, append([]byte(nil), frame...)})
+	return nil
 }
 
 // TestReplanOnPooledWorkspace: a plan built on a workspace that last held
@@ -236,27 +254,82 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled checks WithPlanCache(false) semantics: every
-// broadcast replans and no cache counters move.
-func TestPlanCacheDisabled(t *testing.T) {
-	nodes, _ := convergedLine3(t, func(i int) Config {
-		return Config{DisablePlanCache: true}
-	})
-	nd := nodes[0]
-
-	base := nd.Stats()
-	for i := 0; i < 3; i++ {
-		if _, _, err := nd.Broadcast([]byte("x")); err != nil {
+// TestPlanCacheMatchesFreshPlan is the cached-vs-rebuilt plan oracle:
+// across ticks and merged heartbeats, every plan currentPlan hands out
+// equals the plan a fresh pipeline builds from the view at that version
+// (the paper's replan per broadcast), it is rebuilt exactly when the
+// version moved, and a second call at an unchanged version returns the
+// same *plan. The nodes run without the lane scheduler over a mailbox
+// transport and the test delivers every frame itself, so no view moves
+// between a plan and its check.
+func TestPlanCacheMatchesFreshPlan(t *testing.T) {
+	g, err := topology.RandomConnected(8, 2, rand.New(rand.NewSource(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	nodes, boxes := make([]*Node, n), make([]*mailTransport, n)
+	for i := range nodes {
+		id := topology.NodeID(i)
+		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
+		nd, err := New(Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id), DisableLaneScheduler: true}, boxes[i])
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(nd.Stop)
+		nodes[i] = nd
 	}
-	st := nd.Stats()
-	if st.FallbackFloods != base.FallbackFloods {
-		t.Fatal("broadcasts flooded: view never converged")
+	planVer := make([]uint64, n) // the version each node last planned at
+	for i := range planVer {
+		planVer[i] = math.MaxUint64
 	}
-	if st.PlanCacheHits != base.PlanCacheHits || st.PlanCacheMisses != base.PlanCacheMisses {
-		t.Errorf("cache counters moved with the cache disabled: %+v", st)
+	checks, trees := 0, 0
+	check := func(nd *Node) {
+		t.Helper()
+		p, fresh := nd.currentPlan()
+		ver, want := nd.view.Version(), freshPlan(nd.view, nd.ID(), nd.cfg.K)
+		if fresh != (ver != planVer[nd.ID()]) {
+			t.Fatalf("check %d: node %d at version %d (last plan at %d) rebuilt = %v",
+				checks, nd.ID(), ver, planVer[nd.ID()], fresh)
+		}
+		if p.err != nil || want.err != nil {
+			if (p.err == nil) != (want.err == nil) {
+				t.Fatalf("check %d: node %d at version %d: cached plan error %v, fresh plan error %v",
+					checks, nd.ID(), ver, p.err, want.err)
+			}
+		} else if !samePlan(p, want) {
+			t.Fatalf("check %d: node %d at version %d: cached %+v, fresh %+v", checks, nd.ID(), ver, p, want)
+		} else {
+			trees++
+		}
+		if again, fresh := nd.currentPlan(); again != p || fresh {
+			t.Fatalf("check %d: node %d at unchanged version %d: plan %p → %p, rebuilt = %v",
+				checks, nd.ID(), ver, p, again, fresh)
+		}
+		planVer[nd.ID()] = ver
+		checks++
 	}
+	for _, nd := range nodes {
+		check(nd)
+	}
+	for period := 0; period < 30; period++ {
+		for _, nd := range nodes {
+			nd.Tick()
+			check(nd)
+		}
+		for _, box := range boxes {
+			out := box.out
+			box.out = nil
+			for _, m := range out {
+				nodes[m.to].handle(m.from, m.frame)
+				check(nodes[m.to])
+			}
+		}
+	}
+	if trees < checks/2 {
+		t.Fatalf("only %d of %d checks compared a planned tree; the views never converged", trees, checks)
+	}
+	t.Logf("%d checks, %d of them on a planned tree", checks, trees)
 }
 
 // TestDeliveredWatermarkCompaction checks that sustained in-order traffic

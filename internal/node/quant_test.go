@@ -105,9 +105,9 @@ func TestQuantizedClusterNegotiates(t *testing.T) {
 	}
 }
 
-// TestQuantizedFullHeartbeats: classic full-snapshot heartbeats
-// (DisableDeltaHeartbeats) always carry records, so every one of them
-// ships counts, from the first period on.
+// TestQuantizedFullHeartbeats: full-snapshot heartbeats (settleFullTicks,
+// every frame the since = 0 fallback) always carry records, so every one
+// of them ships counts, from the first period on.
 func TestQuantizedFullHeartbeats(t *testing.T) {
 	g, err := topology.Line(2)
 	if err != nil {
@@ -115,14 +115,15 @@ func TestQuantizedFullHeartbeats(t *testing.T) {
 	}
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, func(i int) Config {
-		return Config{DisableDeltaHeartbeats: true}
-	})
-	settleTicks(nodes, 50)
+	nodes := buildCluster(t, g, fabric, nil)
+	settleFullTicks(nodes, 50)
 	for i, nd := range nodes {
 		s := nd.Stats()
 		if s.DecodeErrors != 0 {
 			t.Errorf("node %d hit %d decode errors", i, s.DecodeErrors)
+		}
+		if s.DeltaHeartbeatsSent != 0 {
+			t.Errorf("node %d cut %d deltas on the full-snapshot reference", i, s.DeltaHeartbeatsSent)
 		}
 		if s.HeartbeatsSent == 0 || s.CountHeartbeatsSent != s.HeartbeatsSent {
 			t.Errorf("node %d sent %d count heartbeats of %d full heartbeats, want all of them",

@@ -154,10 +154,9 @@ func (n *Node) sendControl(to topology.NodeID, frame []byte, release func()) err
 }
 
 // sendDataN ships copies logical copies of a pre-encoded data frame to
-// one peer: the data lane when the scheduler is on (where the
-// aggregation window may coalesce it with other broadcasts into one
-// flush, and the high watermark may shed it under backpressure),
-// transport.SendN otherwise. It reports how many copies were handed to
+// one peer: the data lane when the scheduler is on (where it may share a
+// flush with other broadcasts queued behind a busy drain, and the queue
+// depth may shed it under backpressure), transport.SendN otherwise. It reports how many copies were handed to
 // the send path — a scheduled hand-off counts in full, matching Send's
 // best-effort contract (accepted, not necessarily delivered).
 func (n *Node) sendDataN(to topology.NodeID, frame []byte, copies int, release func()) (int, error) {

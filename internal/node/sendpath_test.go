@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,10 +136,44 @@ func TestPiggybackRelaySplices(t *testing.T) {
 	}
 }
 
-// TestAggregationWindowPreservesOrderAndSet: with the scheduler and a
-// coalescing window on, a burst of broadcasts reaches the peer as the
-// same delivery set, in per-origin order, and the stats prove frames
-// were actually coalesced into shared flushes.
+// holdTransport passes every send through to the transport it wraps,
+// but the first waits until release is closed: what the lane scheduler
+// queues meanwhile piles up behind that flush and leaves in the next.
+type holdTransport struct {
+	transport.Transport
+	entered chan struct{} // receives once, when the held send begins
+	release chan struct{}
+	once    sync.Once
+}
+
+func (h *holdTransport) hold() {
+	h.once.Do(func() {
+		h.entered <- struct{}{}
+		<-h.release
+	})
+}
+
+func (h *holdTransport) Send(to topology.NodeID, frame []byte) error {
+	h.hold()
+	return h.Transport.Send(to, frame)
+}
+
+func (h *holdTransport) SendN(to topology.NodeID, frame []byte, n int) error {
+	h.hold()
+	_, err := transport.SendN(h.Transport, to, frame, n)
+	return err
+}
+
+func (h *holdTransport) SendFrames(to topology.NodeID, batch []transport.FrameBatch) error {
+	h.hold()
+	_, err := transport.SendFrames(h.Transport, to, batch)
+	return err
+}
+
+// TestAggregationWindowPreservesOrderAndSet: broadcasts that queue while
+// the peer's drain is busy leave as one coalesced flush, and still reach
+// the peer as the same delivery set, in per-origin order. The sender's
+// transport holds the first flush, so the other frames provably queue.
 func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
 	const msgs = 20
 	g, err := topology.Line(2)
@@ -147,12 +182,15 @@ func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
 	}
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, func(i int) Config {
-		return Config{
-			AggregationWindow: 5 * time.Millisecond,
-			DeliveryBuffer:    msgs + 4,
-		}
-	})
+	held := &holdTransport{entered: make(chan struct{}), release: make(chan struct{})}
+	nodes := buildClusterOver(t, g, fabric, Config{DeliveryBuffer: msgs + 4},
+		func(i int, tr transport.Transport) transport.Transport {
+			if i == 0 {
+				held.Transport = tr
+				return held
+			}
+			return tr
+		})
 	defer func() {
 		for _, nd := range nodes {
 			nd.Stop()
@@ -163,26 +201,23 @@ func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
 		if _, _, err := nodes[0].Broadcast([]byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			<-held.entered // the drain is blocked inside the first flush
+		}
 	}
-	if !nodes[0].WaitSendIdle(5 * time.Second) {
-		t.Fatal("sender did not drain its lanes")
-	}
-	time.Sleep(10 * time.Millisecond) // fabric hand-off to the receiver
+	close(held.release)
 
-	got := drainDeliveries(nodes[1])
-	if len(got) != msgs {
-		t.Fatalf("receiver delivered %d messages, want %d", len(got), msgs)
-	}
-	for i, d := range got {
-		if d.Origin != 0 || d.Seq != uint64(i+1) {
-			t.Fatalf("delivery %d = origin %d seq %d; coalescing must preserve per-origin order",
-				i, d.Origin, d.Seq)
+	for i := 0; i < msgs; i++ {
+		d := waitDelivery(t, nodes[1])
+		if d.Origin != 0 || d.Seq != uint64(i+1) || string(d.Body) != fmt.Sprintf("m%d", i) {
+			t.Fatalf("delivery %d = origin %d seq %d %q; coalescing must preserve the set and per-origin order",
+				i, d.Origin, d.Seq, d.Body)
 		}
 	}
 	s := nodes[0].Stats()
-	if s.CoalescedFlushes == 0 || s.CoalescedFrames < 2 {
-		t.Errorf("stats = %d coalesced flushes / %d frames; the window never coalesced anything",
-			s.CoalescedFlushes, s.CoalescedFrames)
+	if s.CoalescedFlushes != 1 || s.CoalescedFrames != msgs-1 {
+		t.Errorf("stats = %d coalesced flushes / %d frames, want the %d queued frames in 1 flush",
+			s.CoalescedFlushes, s.CoalescedFrames, msgs-1)
 	}
 	if s.LaneDrops != (LaneDrops{}) {
 		t.Errorf("lane drops = %+v, want none at this depth", s.LaneDrops)
@@ -190,7 +225,7 @@ func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
 }
 
 // TestLaneSchedulerClusterDelivers: a multi-hop cluster with the
-// scheduler on (no window) behaves like the direct path — every node
+// scheduler on behaves like the direct path — every node
 // delivers every broadcast.
 func TestLaneSchedulerClusterDelivers(t *testing.T) {
 	const msgs = 10

@@ -93,11 +93,10 @@ type FrameBatch struct {
 
 // MultiFrameSender is the optional fast path for transports that can
 // flush several *distinct* frames to one peer more cheaply than one call
-// per frame — the lane scheduler's aggregation window coalesces different
-// broadcasts headed to the same peer into one flush, and a transport
-// implementing this turns the whole flush into one operation (TCP: one
-// buffered Write; the Fabric: one lock acquisition with loss still
-// sampled per copy).
+// per frame — the lane scheduler coalesces different broadcasts queued
+// for the same peer into one flush, and a transport implementing this
+// turns the whole flush into one operation (TCP: one buffered Write; the
+// Fabric: one lock acquisition with loss still sampled per copy).
 //
 // Contract: SendFrames(to, batch) is semantically the concatenation of
 // SendN(to, e.Frame, e.Copies) over the batch, in order — per-copy loss

@@ -357,8 +357,7 @@ func TestSubscribeCancel(t *testing.T) {
 }
 
 // TestWithPlanCacheOption checks the public wiring of the plan cache:
-// enabled by default (repeated same-view broadcasts count hits), and
-// fully off under WithPlanCache(false).
+// repeated same-view broadcasts count hits.
 func TestWithPlanCacheOption(t *testing.T) {
 	_, n0, _ := line2(t, nil, nil)
 	for i := 0; i < 3; i++ {
@@ -373,16 +372,5 @@ func TestWithPlanCacheOption(t *testing.T) {
 	}
 	if st.PlanCacheHits < 2 {
 		t.Errorf("default node: PlanCacheHits = %d, want >= 2 for an unchanged view", st.PlanCacheHits)
-	}
-
-	_, off, _ := line2(t, []adaptivecast.Option{adaptivecast.WithPlanCache(false)}, nil)
-	for i := 0; i < 3; i++ {
-		if _, err := off.Broadcast([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st = off.Stats()
-	if st.PlanCacheHits != 0 || st.PlanCacheMisses != 0 {
-		t.Errorf("WithPlanCache(false): cache counters moved: %+v", st)
 	}
 }

@@ -118,31 +118,6 @@ func WithExactlyOnceLog(l *ExactlyOnceLog) Option {
 	return func(c *nodeConfig) { c.inner.DedupLog = l }
 }
 
-// WithPlanCache enables or disables the broadcast plan cache (default
-// enabled). While enabled, the (MRT, allocation) plan computed for a
-// broadcast is reused by subsequent broadcasts until the node's knowledge
-// view changes — repeated same-view broadcasts cost an amortized cache
-// lookup instead of a full replan. Cache effectiveness is observable via
-// NodeStats.PlanCacheHits / PlanCacheMisses. Disabling it restores the
-// replan-every-broadcast behavior (mainly for benchmarks and debugging).
-func WithPlanCache(enabled bool) Option {
-	return func(c *nodeConfig) { c.inner.DisablePlanCache = !enabled }
-}
-
-// WithDeltaHeartbeats enables or disables delta heartbeats (default
-// enabled). While enabled, each heartbeat ships only the knowledge
-// records that changed since the view version the receiving neighbor
-// last acknowledged — acks ride the reverse heartbeats, so no extra
-// messages are exchanged — with a full-snapshot fallback whenever the
-// neighbor's acked version is unknown or predates this node's current
-// incarnation. Once estimates converge, deltas shrink to a near-empty
-// liveness header; effectiveness is observable via
-// NodeStats.DeltaHeartbeatsSent / HeartbeatBytesSent. Disabling restores
-// full-snapshot heartbeats on every period (for benchmarks).
-func WithDeltaHeartbeats(enabled bool) Option {
-	return func(c *nodeConfig) { c.inner.DisableDeltaHeartbeats = !enabled }
-}
-
 // WithAdaptiveCadence stretches heartbeats for stable neighborhoods:
 // once a neighbor's knowledge delta has been empty, anchored and
 // suspicion-free for a few consecutive periods, that neighbor's
@@ -160,19 +135,17 @@ func WithDeltaHeartbeats(enabled bool) Option {
 // lossy. The trade-off is failure-detection latency on stretched links:
 // a crashed neighbor is suspected after timeout·cadence periods instead
 // of timeout. max is rounded down to whole heartbeat periods (values
-// below 2δ disable stretching); adaptive cadence requires delta
-// heartbeats (the default).
+// below 2δ disable stretching).
 func WithAdaptiveCadence(max time.Duration) Option {
 	return func(c *nodeConfig) { c.adaptiveCadence = max }
 }
 
 // WithLaneScheduler enables or disables the per-peer prioritized lane
-// scheduler (control > data > telemetry). It is ON by default: sends
-// are asynchronous hand-offs to bounded per-peer queues,
-// protocol-critical control frames (heartbeats, knowledge deltas,
-// membership changes) are never shed and overtake queued data, and each
-// peer's data drains in coalesced batches through the transport's
-// multi-frame fast path. This is the high-throughput datapath: under
+// scheduler (control > data). It is ON by default: sends are
+// asynchronous hand-offs to bounded per-peer queues, protocol-critical
+// control frames (heartbeats, knowledge deltas, membership changes) are
+// never shed and overtake queued data, and each peer's data drains in
+// coalesced batches through the transport's multi-frame fast path. This is the high-throughput datapath: under
 // broadcast saturation it keeps the knowledge plane's control traffic
 // flowing at its usual latency while data throughput rises with
 // batching. WithLaneScheduler(false) opts out and reverts every send to
@@ -192,18 +165,6 @@ func WithLaneScheduler(enabled bool) Option {
 // The control lane is never bounded.
 func WithLaneQueueDepth(depth int) Option {
 	return func(c *nodeConfig) { c.inner.LaneQueueDepth = depth }
-}
-
-// WithAggregationWindow holds queued data frames back up to w so that
-// several broadcasts headed to the same peer coalesce into one
-// transport flush (one syscall on TCP, one lock acquisition on the
-// in-process fabric, however many frames the flush carries). 0 — the
-// default — flushes as soon as the peer's drain goroutine reaches the
-// frame; the window only applies with the lane scheduler on, and control
-// frames are never held back. Coalescing effectiveness is observable
-// via NodeStats.CoalescedFlushes / CoalescedFrames.
-func WithAggregationWindow(w time.Duration) Option {
-	return func(c *nodeConfig) { c.inner.AggregationWindow = w }
 }
 
 // WithDeliveryBuffer sizes the delivery buffer (default 128). When the
