@@ -33,10 +33,13 @@ lint:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# bench runs the send-path benchmarks (sustained broadcast, pipelined
-# forward, control latency, plus the steady-state heartbeat/forward
-# datapath numbers they sit next to; the forwarder fan-out lives with its
-# layer in internal/node) and writes the machine-readable results to
+# bench runs the send-path benchmarks — sustained broadcast and pipelined
+# forward through the lane scheduler every frame leaves by, control
+# latency idle and under a saturated data lane (which fails with the
+# fabric and scheduler counters instead of hanging when a control frame
+# never arrives), plus the steady-state heartbeat/forward datapath numbers
+# they sit next to; the forwarder fan-out lives with its layer in
+# internal/node — and writes the machine-readable results to
 # BENCH_broadcast.json so perf regressions are diffable across PRs. CI
 # regenerates and uploads the same file.
 BENCH_PATTERN = BenchmarkBroadcastSustained|BenchmarkForwardPipelined|BenchmarkControlLatencyUnderLoad|BenchmarkBroadcast$$|BenchmarkHeartbeatSteadyState|BenchmarkHeartbeatCounts|BenchmarkForwardFanout

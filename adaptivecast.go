@@ -68,7 +68,7 @@ type (
 	// NodeStats are per-node protocol counters.
 	NodeStats = node.Stats
 	// LaneDrops counts outbound frames shed per lane by the lane
-	// scheduler (NodeStats.LaneDrops; see WithLaneScheduler).
+	// scheduler (NodeStats.LaneDrops; see WithLaneQueueDepth).
 	LaneDrops = node.LaneDrops
 )
 

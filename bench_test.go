@@ -795,60 +795,51 @@ func BenchmarkEpochRebuild(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Pipelined send-path benchmarks (lane scheduler, coalescing, zero-alloc
-// encode). BenchmarkBroadcastSustained is the PR's acceptance number:
-// sustained data throughput with the scheduler on must be >= 2x the
-// direct path at saturation. make bench records the results in
-// BENCH_broadcast.json.
+// encode). make bench records the results in BENCH_broadcast.json. Each
+// keeps its one sub-benchmark, lanes, so its rows keep their names in the
+// ledger.
 // ---------------------------------------------------------------------------
 
 // BenchmarkBroadcastSustained measures sustained broadcast throughput
 // from the hub of a converged 32-node star: every broadcast fans out to
 // all 31 peers directly, so the whole cost lands on (and is drained
-// from) node 0's send path in both modes — no relay work escapes the
-// timer asymmetrically. Each transport flush pays a syscall-sized
-// simulated kernel copy (ClusterConfig.SendCost); on a free transport
-// there is no saturation to pipeline past and the benchmark would only
-// measure queue overhead. Sub-benchmarks compare the synchronous direct
-// path against the lane scheduler. The lane queue is deep enough that
-// nothing is shed — queued work still has to drain inside the timed
-// region (WaitSendIdle), so the comparison counts transport work
-// actually done, not promises queued.
+// from) node 0's send path — no relay work escapes the timer. Each
+// transport flush pays a syscall-sized simulated kernel copy
+// (ClusterConfig.SendCost); on a free transport there is no saturation to
+// pipeline past and the benchmark would only measure queue overhead. The
+// lane queue is deep enough that nothing is shed — queued work still has
+// to drain inside the timed region (WaitSendIdle), so the number counts
+// transport work actually done, not promises queued.
 func BenchmarkBroadcastSustained(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		lanes bool
-	}{{"direct", false}, {"lanes", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			g, err := adaptivecast.Star(32)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := benchConvergeGraph(b, g, func(cfg *adaptivecast.ClusterConfig) {
-				cfg.DisableLaneScheduler = !mode.lanes
-				cfg.LaneQueueDepth = 1 << 15
-				cfg.SendCost = 32 << 10
-			})
-			body := []byte("sustained broadcast payload 0123456789abcdef0123456789abcdef")
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, _, err := c.Broadcast(0, body); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			if mode.lanes && !c.Node(0).WaitSendIdle(30*time.Second) {
-				b.Fatal("lanes did not drain")
-			}
-			b.StopTimer()
-			st := c.Stats(0)
-			if d := st.LaneDrops; d != (adaptivecast.LaneDrops{}) {
-				b.Fatalf("lane drops %+v at depth 2^15 — throughput number would count shed frames", d)
-			}
-			b.ReportMetric(float64(st.CoalescedFrames)/float64(b.N), "coalesced/op")
+	b.Run("lanes", func(b *testing.B) {
+		g, err := adaptivecast.Star(32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := benchConvergeGraph(b, g, func(cfg *adaptivecast.ClusterConfig) {
+			cfg.LaneQueueDepth = 1 << 15
+			cfg.SendCost = 32 << 10
 		})
-	}
+		body := []byte("sustained broadcast payload 0123456789abcdef0123456789abcdef")
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, _, err := c.Broadcast(0, body); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		if !c.Node(0).WaitSendIdle(30 * time.Second) {
+			b.Fatal("lanes did not drain")
+		}
+		b.StopTimer()
+		st := c.Stats(0)
+		if d := st.LaneDrops; d != (adaptivecast.LaneDrops{}) {
+			b.Fatalf("lane drops %+v at depth 2^15 — throughput number would count shed frames", d)
+		}
+		b.ReportMetric(float64(st.CoalescedFrames)/float64(b.N), "coalesced/op")
+	})
 }
 
 // pipeFlushBytes is the fixed per-flush cost pipeSink charges: every
@@ -864,8 +855,7 @@ const pipeFlushBytes = 32 << 10
 // of a TCP transport's connection buffers). Each transport call pays one
 // pipeFlushBytes copy under the peer's lock — cost the lane scheduler's
 // per-peer drains can run in parallel and its multi-frame flushes can
-// amortize, while the synchronous forwarder pays it serially on the
-// handler goroutine.
+// amortize.
 type pipeSink struct {
 	id      topology.NodeID
 	handler transport.Handler
@@ -920,9 +910,8 @@ func (s *pipeSink) SendFrames(to topology.NodeID, batch []transport.FrameBatch) 
 }
 
 // BenchmarkForwardPipelined measures the interior-forwarder hot path
-// (decode, cached tree fetch, 60-copy fan-out to 30 children) with the
-// outbound work done synchronously on the handler (direct) versus
-// pipelined through the per-peer lane drains (lanes).
+// (decode, tree check, 60-copy fan-out to 30 children) pipelined through
+// the per-peer lane drains onto a transport with a per-flush cost.
 func BenchmarkForwardPipelined(b *testing.B) {
 	const procs = 32
 	parents := make([]topology.NodeID, procs)
@@ -935,49 +924,43 @@ func BenchmarkForwardPipelined(b *testing.B) {
 		alloc[i] = 2
 	}
 
-	for _, mode := range []struct {
-		name  string
-		lanes bool
-	}{{"direct", false}, {"lanes", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sink := newPipeSink(1)
-			nd, err := node.New(node.Config{
-				ID:                   1,
-				NumProcs:             procs,
-				Neighbors:            []topology.NodeID{0},
-				DisableLaneScheduler: !mode.lanes,
-				LaneQueueDepth:       1 << 15,
-				DeliveryBuffer:       1, // deliveries overflow silently; not under test
-			}, sink)
+	b.Run("lanes", func(b *testing.B) {
+		sink := newPipeSink(1)
+		nd, err := node.New(node.Config{
+			ID:             1,
+			NumProcs:       procs,
+			Neighbors:      []topology.NodeID{0},
+			LaneQueueDepth: 1 << 15,
+			DeliveryBuffer: 1, // deliveries overflow silently; not under test
+		}, sink)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer nd.Stop()
+		body := []byte("fanout payload 0123456789abcdef")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
+				Origin:      0,
+				Seq:         uint64(i + 1),
+				Root:        0,
+				Parents:     parents,
+				AllocByNode: alloc,
+				Body:        body,
+			}})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer nd.Stop()
-			body := []byte("fanout payload 0123456789abcdef")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
-					Origin:      0,
-					Seq:         uint64(i + 1),
-					Root:        0,
-					Parents:     parents,
-					AllocByNode: alloc,
-					Body:        body,
-				}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sink.handler(0, frame)
-			}
-			if mode.lanes && !nd.WaitSendIdle(30*time.Second) {
-				b.Fatal("lanes did not drain")
-			}
-			b.StopTimer()
-			if want := int64(b.N) * 60; sink.sends.Load() != want {
-				b.Fatalf("forwarded %d copies, want %d", sink.sends.Load(), want)
-			}
-		})
-	}
+			sink.handler(0, frame)
+		}
+		if !nd.WaitSendIdle(30 * time.Second) {
+			b.Fatal("lanes did not drain")
+		}
+		b.StopTimer()
+		if want := int64(b.N) * 60; sink.sends.Load() != want {
+			b.Fatalf("forwarded %d copies, want %d", sink.sends.Load(), want)
+		}
+	})
 }
 
 // BenchmarkControlLatencyUnderLoad measures control-frame *delivery*
@@ -1060,13 +1043,25 @@ func BenchmarkControlLatencyUnderLoad(b *testing.B) {
 					}
 				}
 			}
+			// A control frame the fabric never delivers fails the run with
+			// the counters that say where it went, instead of hanging it.
+			const deadline = 10 * time.Second
+			timeout := time.NewTimer(deadline)
+			defer timeout.Stop()
 			ctl := []byte{0xC0}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := s.Enqueue(1, lanes.Control, ctl, 1, nil); err != nil {
 					b.Fatal(err)
 				}
-				<-delivered
+				timeout.Reset(deadline)
+				select {
+				case <-delivered:
+				case <-timeout.C:
+					fs := f.Stats()
+					b.Fatalf("control frame %d of %d not delivered within %v: fabric overflows %d, fault drops %d; scheduler %+v",
+						i+1, b.N, deadline, fs.Overflows, fs.FaultDrops, s.Stats())
+				}
 			}
 			b.StopTimer()
 			close(stop)

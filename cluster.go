@@ -39,10 +39,6 @@ type ClusterConfig struct {
 	// toward stable neighbors up to this interval, snapping back to
 	// HeartbeatEvery on any change (see WithAdaptiveCadence).
 	AdaptiveCadence time.Duration
-	// DisableLaneScheduler reverts every node's sends to synchronous
-	// transport calls instead of the prioritized per-peer lane scheduler
-	// that runs by default (see WithLaneScheduler).
-	DisableLaneScheduler bool
 	// LaneQueueDepth bounds each peer's data lane (see
 	// WithLaneQueueDepth; default 256).
 	LaneQueueDepth int
@@ -117,9 +113,6 @@ func (c *Cluster) nodeOptions() []Option {
 	}
 	if cfg.AdaptiveCadence > 0 {
 		opts = append(opts, WithAdaptiveCadence(cfg.AdaptiveCadence))
-	}
-	if cfg.DisableLaneScheduler {
-		opts = append(opts, WithLaneScheduler(false))
 	}
 	if cfg.LaneQueueDepth > 0 {
 		opts = append(opts, WithLaneQueueDepth(cfg.LaneQueueDepth))
@@ -310,8 +303,9 @@ func (c *Cluster) RemoveNode(id NodeID) error {
 
 // Broadcast reliably broadcasts body from the given node. It returns the
 // broadcast sequence number and the planned data-message count Σ m[j].
-// Like Node.Broadcast, a transport failure after initiation returns the
-// consumed seq alongside the error (seq 0 means nothing was initiated).
+// As with Node.Broadcast, sends are queued, so a transport refusing them
+// shows in NodeStats.SendFailures, not in err; an error after initiation
+// still returns the consumed seq (seq 0 means nothing was initiated).
 func (c *Cluster) Broadcast(from NodeID, body []byte) (seq uint64, planned int, err error) {
 	nd := c.nodeFor(from)
 	if nd == nil {

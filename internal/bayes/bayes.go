@@ -11,17 +11,20 @@
 // paper illustrates one decreaseReliability step with U = 5).
 //
 // An estimator does not store the belief vector. Every estimator starts
-// from a prior — uniform, or an immutable log-prior left by Refine or a
-// raw wire state — and only ever absorbs integer success and failure
-// counts, so its posterior is a pure function of a few words:
+// from a prior — uniform, or the immutable log-prior of a raw wire state —
+// and only ever absorbs integer success and failure counts, so its
+// posterior is a pure function of a few words:
 //
 //	log P_B[u] ∝ prior[u] + failures·log(mid_u) + successes·log(1−mid_u)
 //
 // Observing is two integer additions; the vector is materialized on
-// demand (Beliefs, Refine, the raw wire layout), in log space so that
+// demand (Beliefs, the raw wire layout), in log space so that
 // long one-sided evidence runs (thousands of consecutive successes on a
 // reliable link) cannot underflow an interval's belief to exactly zero.
 // The exposed API still speaks in plain probabilities.
+//
+// The grid is the paper's fixed one: U uniform intervals. Dynamic
+// precision, which the paper proposes as future work, is not implemented.
 package bayes
 
 import (
@@ -35,15 +38,13 @@ import (
 // ("precision of probabilistic intervals", U = 100, Algorithm 5 line 2).
 const DefaultIntervals = 100
 
-// grid is the immutable interval geometry of an estimator: the midpoints
-// and their cached log likelihoods. Estimators with the same interval
-// count share one grid (it never changes after construction). Uniform
-// grids are memoized per interval count; Refine builds private grids.
+// grid is the immutable interval geometry of an estimator: the uniform
+// midpoints and their cached log likelihoods. Estimators with the same
+// interval count share one grid (it never changes after construction).
 type grid struct {
 	mid     []float64 // P_{F|B}[u] = (2u-1)/(2U): midpoint of interval u
 	logFail []float64 // log(mid), cached
 	logSucc []float64 // log(1-mid), cached
-	uniform bool      // the memoized standard grid: serializes as its interval count
 }
 
 // maxCachedGrids bounds the uniform-grid memo table. Well-behaved
@@ -77,8 +78,7 @@ func uniformGrid(u int) *grid {
 		gridsLRU.MoveToFront(el)
 		return el.Value.(*gridEntry).g
 	}
-	g := gridFromMids(uniformMids(u))
-	g.uniform = true
+	g := newGrid(u)
 	grids[u] = gridsLRU.PushFront(&gridEntry{u: u, g: g})
 	for gridsLRU.Len() > maxCachedGrids {
 		oldest := gridsLRU.Back()
@@ -95,26 +95,13 @@ func cachedGrids() int {
 	return gridsLRU.Len()
 }
 
-// uniformMids returns the paper's midpoints (2u-1)/2U.
-func uniformMids(u int) []float64 {
-	mids := make([]float64, u)
-	for i := 0; i < u; i++ {
-		mids[i] = float64(2*i+1) / float64(2*u)
-	}
-	return mids
-}
-
-// gridFromMids builds a grid, caching the log likelihoods. Midpoints must
-// lie strictly inside (0, 1).
-func gridFromMids(mids []float64) *grid {
-	g := &grid{
-		mid:     mids,
-		logFail: make([]float64, len(mids)),
-		logSucc: make([]float64, len(mids)),
-	}
-	for i, m := range mids {
-		g.logFail[i] = math.Log(m)
-		g.logSucc[i] = math.Log(1 - m)
+// newGrid builds the grid of u intervals: the paper's midpoints
+// (2u-1)/2U and their log likelihoods.
+func newGrid(u int) *grid {
+	g := &grid{mid: make([]float64, u), logFail: make([]float64, u), logSucc: make([]float64, u)}
+	for i := range g.mid {
+		m := float64(2*i+1) / float64(2*u)
+		g.mid[i], g.logFail[i], g.logSucc[i] = m, math.Log(m), math.Log(1-m)
 	}
 	return g
 }
@@ -139,12 +126,10 @@ type Estimator struct {
 	mapIdx int32   // maximum-a-posteriori interval
 }
 
-// prior is an estimator's non-uniform starting point: an immutable
-// log-prior (left by Refine, or shipped as a raw wire vector) and the
-// evidence already folded into it.
+// prior is an estimator's non-uniform starting point: the immutable
+// log-prior a raw wire vector shipped.
 type prior struct {
 	base []float64
-	obs  int
 }
 
 // New returns an estimator over u intervals with a uniform prior, matching
@@ -170,15 +155,6 @@ func MustNew(u int) *Estimator {
 
 // Intervals returns U, the number of probability intervals.
 func (e *Estimator) Intervals() int { return len(e.g.mid) }
-
-// GridSignature identifies the estimator's discretization without copying
-// it: the interval count plus the first midpoint. The standard uniform
-// grid and every Refine window differ in at least one of the two, so
-// comparing signatures detects re-gridding in O(1); delta heartbeats use
-// this to decide whether an estimate must be re-shipped.
-func (e *Estimator) GridSignature() (intervals int, firstMid float64) {
-	return len(e.g.mid), e.g.mid[0]
-}
 
 // ObserveFailure applies decreaseReliability(estimate, factor): it updates
 // the beliefs as if `factor` independent failure events had been observed.
@@ -261,9 +237,7 @@ func (e *Estimator) MAP() (interval int, belief float64) { return int(e.mapIdx),
 
 // IntervalOf returns the index of the interval containing probability p.
 // p is clamped to [0, 1]; p == 1 falls in the last interval, matching the
-// paper's closed final interval [1-1/U, 1]. (For refined estimators the
-// grid covers a sub-range; probabilities outside it clamp to the boundary
-// intervals.)
+// paper's closed final interval [1-1/U, 1].
 func (e *Estimator) IntervalOf(p float64) int {
 	u := len(e.g.mid)
 	width := e.intervalWidth()
@@ -334,26 +308,9 @@ func (e *Estimator) Clone() *Estimator {
 	return &c
 }
 
-// Observations returns the total evidence count absorbed so far. The
-// dynamic-refinement extension gates on it: refining before enough
-// evidence has accumulated risks re-gridding around a transient MAP.
-func (e *Estimator) Observations() int {
-	if e.prior != nil {
-		return e.prior.obs + e.succ + e.fail
-	}
-	return e.succ + e.fail
-}
-
-// EdgeStuck reports whether at least minMass posterior mass sits on the
-// grid's first or last interval — for a refined estimator this means the
-// truth most likely lies outside the refined window and the refinement
-// should be abandoned.
-func (e *Estimator) EdgeStuck(minMass float64) bool {
-	if e.mapBel < minMass {
-		return false
-	}
-	return e.mapIdx == 0 || int(e.mapIdx) == len(e.g.mid)-1
-}
+// Observations returns the evidence count absorbed on top of the prior:
+// everything observed, for an estimator that started uniform.
+func (e *Estimator) Observations() int { return e.succ + e.fail }
 
 // Converged reports whether the estimator has locked onto the true failure
 // probability: the MAP interval contains truth (within `slack` neighboring
@@ -370,42 +327,4 @@ func (e *Estimator) Converged(truth float64, slack int, minBelief float64) bool 
 		diff = -diff
 	}
 	return diff <= slack
-}
-
-// Refine is the paper's proposed future-work extension ("dynamically
-// increasing the number of probabilistic intervals when better precision
-// is required"): it re-grids the estimator so the same number of intervals
-// covers only the current MAP interval's neighborhood. The accumulated
-// posterior carries over as the refined estimator's prior — each refined
-// interval inherits the belief density of the coarse interval containing
-// it — so past evidence keeps constraining the estimate at coarse
-// granularity while new evidence resolves the sub-interval detail.
-func (e *Estimator) Refine() *Estimator {
-	lo, hi := e.IntervalBounds(int(e.mapIdx))
-	// Widen by one interval on each side so a truth near the boundary is
-	// not excluded by an early, slightly-off MAP.
-	width := hi - lo
-	lo -= width
-	hi += width
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	u := len(e.g.mid)
-	coarse := e.appendLogBeliefs(make([]float64, 0, u))
-	mids := make([]float64, u)
-	base := make([]float64, u)
-	span := hi - lo
-	for i := 0; i < u; i++ {
-		mids[i] = lo + span*float64(2*i+1)/float64(2*u)
-		// Inherit the density of the coarse interval this midpoint falls
-		// in (piecewise-constant prior carry-over). The window contains
-		// the MAP interval, so the maximum stays pinned at 0.
-		base[i] = coarse[e.IntervalOf(mids[i])]
-	}
-	out := &Estimator{g: gridFromMids(mids), prior: &prior{base: base, obs: e.Observations()}}
-	out.refresh()
-	return out
 }

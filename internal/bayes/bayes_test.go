@@ -168,29 +168,6 @@ func TestExtremeBeliefsDoNotNaN(t *testing.T) {
 	}
 }
 
-func TestRefineNarrowsAroundMAP(t *testing.T) {
-	e := MustNew(DefaultIntervals)
-	const truth = 0.042
-	const nObs = 5000
-	e.ObserveFailure(int(truth * nObs))
-	e.ObserveSuccess(nObs - int(truth*nObs))
-	r := e.Refine()
-	mids := r.Midpoints()
-	span := mids[len(mids)-1] - mids[0]
-	if span >= 0.1 {
-		t.Errorf("refined span = %v, want < 0.1", span)
-	}
-	if mids[0] > truth || mids[len(mids)-1] < truth {
-		t.Errorf("refined range [%v,%v] excludes truth %v", mids[0], mids[len(mids)-1], truth)
-	}
-	// After refinement, the same evidence re-localizes with higher precision.
-	r.ObserveFailure(int(truth * nObs))
-	r.ObserveSuccess(nObs - int(truth*nObs))
-	if d := math.Abs(r.Mean() - truth); d > 0.005 {
-		t.Errorf("refined mean %v off truth by %v", r.Mean(), d)
-	}
-}
-
 // Property: Σ beliefs = 1 after any sequence of updates (the paper's
 // invariant of Algorithm 4), and every belief stays within [0,1].
 func TestInvariantSumOne(t *testing.T) {

@@ -94,21 +94,19 @@ func TestCountsMatchIncrementalVector(t *testing.T) {
 	}
 }
 
-// TestRefinedCountsMatchIncrementalVector repeats the differential check
-// on a refined estimator, whose counts build on a non-uniform prior over
-// a private grid.
+// TestRefinedCountsMatchIncrementalVector keeps the name it had when
+// refined grids existed. It repeats the differential check on an
+// estimator adopted from a raw log-belief vector, whose counts build on a
+// non-uniform prior.
 func TestRefinedCountsMatchIncrementalVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for run := 0; run < 50; run++ {
-		e := MustNew(DefaultIntervals)
-		e.ObserveFailure(1 + rng.Intn(50))
-		e.ObserveSuccess(500 + rng.Intn(500))
-		r := e.Refine()
+		r := rawPrior(t, 1+rng.Intn(50), 500+rng.Intn(500))
 		v := &vectorEstimator{g: r.g, logBel: append([]float64(nil), r.prior.base...)}
 		randomRun(rng, r, v)
 		_, wantMean := v.beliefs()
 		if d := math.Abs(r.Mean() - wantMean); d > 1e-12 {
-			t.Fatalf("run %d: refined mean from counts off by %v", run, d)
+			t.Fatalf("run %d: raw-prior mean from counts off by %v", run, d)
 		}
 	}
 }
@@ -121,7 +119,7 @@ func TestEvidenceCountSurvivesState(t *testing.T) {
 	e.ObserveSuccess(413)
 	s := e.State()
 	if !s.IsCounts() {
-		t.Fatal("a never-refined estimator's state is not a count state")
+		t.Fatal("an observed-only estimator's state is not a count state")
 	}
 	s.g = nil // as decoded off the wire
 	got, err := NewFromState(s)
@@ -147,11 +145,11 @@ func TestRawStateSummarizesIdentically(t *testing.T) {
 		e.ObserveFailure(rng.Intn(200))
 		e.ObserveSuccess(rng.Intn(2000))
 		if run%3 == 0 {
-			e = e.Refine()
+			e = rawPrior(t, rng.Intn(200), rng.Intn(2000))
 			e.ObserveSuccess(1 + rng.Intn(100))
 		}
 		s := e.State()
-		raw := State{Intervals: s.Intervals, Mids: s.Mids, LogBeliefs: s.AppendLogBeliefs(nil)}
+		raw := State{Intervals: s.Intervals, LogBeliefs: s.AppendLogBeliefs(nil)}
 		got, err := NewFromState(raw)
 		if err != nil {
 			t.Fatal(err)

@@ -19,8 +19,8 @@ func offWire(s State) State {
 
 // TestBeliefQuantScale: which states are count states. An estimator that
 // only ever observed is one, and its state carries exactly what it
-// observed; a refined estimator and one rebuilt from a raw vector carry a
-// prior no count record can describe, and are not.
+// observed; one rebuilt from a raw vector carries a prior no count record
+// can describe, and is not.
 func TestBeliefQuantScale(t *testing.T) {
 	e := MustNew(DefaultIntervals)
 	e.ObserveFailure(4)
@@ -31,9 +31,6 @@ func TestBeliefQuantScale(t *testing.T) {
 	}
 	if c := e.Clone().State(); !c.IsCounts() {
 		t.Error("a clone of a count estimator is not one")
-	}
-	if r := e.Refine().State(); r.IsCounts() {
-		t.Error("a refined estimator cut a count state")
 	}
 	raw, err := NewFromState(State{Intervals: 4, LogBeliefs: []float64{0, -1, -2, -3}})
 	if err != nil {

@@ -6,19 +6,17 @@ import (
 )
 
 // State is the serializable form of an Estimator, used when estimates ride
-// inside heartbeat messages over a real transport: the grid, an optional
-// log-prior, and the evidence counts absorbed on top of it. A state cut
-// from an estimator that never left the uniform prior on the uniform grid
-// — every estimator that was neither refined nor rebuilt from a raw belief
-// vector — is just (Intervals, Succ, Fail).
+// inside heartbeat messages over a real transport: the interval count, an
+// optional log-prior, and the evidence counts absorbed on top of it. A
+// state cut from an estimator that never left the uniform prior — every
+// estimator not rebuilt from a raw belief vector — is just (Intervals,
+// Succ, Fail).
 //
-// The slices are shared with the estimator that produced (or will adopt)
+// LogBeliefs is shared with the estimator that produced (or will adopt)
 // the state and must be treated as read-only.
 type State struct {
-	// Intervals is U. With Mids nil the grid is the standard uniform one.
+	// Intervals is U.
 	Intervals int
-	// Mids holds the explicit midpoints of a refined grid (len Intervals).
-	Mids []float64
 	// LogBeliefs is the log-prior the counts build on (len Intervals,
 	// non-positive); nil is the uniform prior.
 	LogBeliefs []float64
@@ -36,9 +34,6 @@ func (e *Estimator) State() State {
 	if e.prior != nil {
 		s.LogBeliefs = e.prior.base
 	}
-	if !e.g.uniform {
-		s.Mids = e.g.mid
-	}
 	return s
 }
 
@@ -53,19 +48,14 @@ func NewFromState(s State) (*Estimator, error) {
 }
 
 // Adopt overwrites e with the estimator the state describes, validating
-// that it is well-formed (matching lengths, midpoints strictly inside
-// (0,1), log beliefs non-positive, counts non-negative, some posterior
-// mass somewhere); a malformed state leaves e as it was. Estimators
-// carrying the standard uniform midpoints share the memoized grid;
-// refined grids get a private one. The estimator adopts the state's
-// slices without copying.
+// that it is well-formed (matching lengths, log beliefs non-positive,
+// counts non-negative, some posterior mass somewhere); a malformed state
+// leaves e as it was. The estimator shares the memoized grid and adopts
+// the state's log-prior without copying.
 func (e *Estimator) Adopt(s State) error {
 	u := s.Intervals
 	if u < 2 {
 		return fmt.Errorf("bayes: state has %d intervals, need >= 2", u)
-	}
-	if s.Mids != nil && len(s.Mids) != u {
-		return fmt.Errorf("bayes: state mismatch: %d intervals, %d mids", u, len(s.Mids))
 	}
 	if s.LogBeliefs != nil && len(s.LogBeliefs) != u {
 		return fmt.Errorf("bayes: state mismatch: %d intervals, %d beliefs", u, len(s.LogBeliefs))
@@ -75,15 +65,7 @@ func (e *Estimator) Adopt(s State) error {
 	}
 	g := s.g
 	if g == nil {
-		for _, m := range s.Mids {
-			if !(m > 0 && m < 1) {
-				return fmt.Errorf("bayes: state midpoint %v outside (0,1)", m)
-			}
-		}
 		g = uniformGrid(u)
-		if s.Mids != nil && !midsEqual(g.mid, s.Mids) {
-			g = gridFromMids(s.Mids)
-		}
 	}
 	for _, lb := range s.LogBeliefs {
 		if math.IsNaN(lb) || lb > 1e-9 {
@@ -102,30 +84,21 @@ func (e *Estimator) Adopt(s State) error {
 	return nil
 }
 
-func midsEqual(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Holds reports whether e already is the estimator NewFromState(s) would
 // build, for count states (raw vectors are not compared): re-adopting an
 // unchanged estimate over another route need not rebuild it.
 func (e *Estimator) Holds(s *State) bool {
-	return s.IsCounts() && e.prior == nil && e.g.uniform &&
+	return s.IsCounts() && e.prior == nil &&
 		len(e.g.mid) == s.Intervals && e.succ == s.Succ && e.fail == s.Fail
 }
 
 // IsCounts reports whether the state is fully described by (Intervals,
-// Succ, Fail): uniform grid, uniform prior. Serializers ship such a state
-// as three integers.
-func (s *State) IsCounts() bool { return s.Mids == nil && s.LogBeliefs == nil }
+// Succ, Fail): a uniform prior. Serializers ship such a state as three
+// integers.
+func (s *State) IsCounts() bool { return s.LogBeliefs == nil }
 
 // AppendLogBeliefs appends the state's belief vector in log space to dst:
-// the float form the raw wire layouts carry. A state without evidence ships
+// the float form the raw wire layout carries. A state without evidence ships
 // its prior verbatim, so a raw vector relayed across several hops stays
 // byte-identical; otherwise the posterior is materialized with its
 // maximum pinned at 0.
@@ -136,12 +109,10 @@ func (s *State) AppendLogBeliefs(dst []float64) []float64 {
 	g := s.g
 	switch {
 	case g != nil:
-	case s.Mids != nil:
-		g = gridFromMids(s.Mids)
 	case s.Intervals < 2:
 		// Degenerate counts never correspond to a usable estimator; build
 		// them privately instead of polluting the memoized grid table.
-		g = gridFromMids(uniformMids(s.Intervals))
+		g = newGrid(s.Intervals)
 	default:
 		g = uniformGrid(s.Intervals)
 	}

@@ -33,38 +33,53 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStateRoundTripRefined keeps the name it had when refined grids
+// existed. Its subject is now the other non-count estimator: one whose
+// prior is a raw log-belief vector, as a piggybacked data frame delivers
+// it, with evidence observed on top. Its state carries the prior and the
+// counts, and rebuilds the same posterior around the same shared prior.
 func TestStateRoundTripRefined(t *testing.T) {
-	e := MustNew(DefaultIntervals)
-	e.ObserveFailure(40)
-	e.ObserveSuccess(960)
-	r := e.Refine()
-	got, err := NewFromState(r.State())
+	r := rawPrior(t, 40, 960)
+	r.ObserveFailure(3)
+	r.ObserveSuccess(70)
+	s := r.State()
+	if s.IsCounts() || s.Succ != 70 || s.Fail != 3 {
+		t.Fatalf("raw-prior state %+v, want the prior plus (70, 3)", s)
+	}
+	got, err := NewFromState(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := r.Midpoints()
-	gm := got.Midpoints()
-	for i := range rm {
-		if rm[i] != gm[i] {
-			t.Fatalf("refined midpoints changed at %d: %v vs %v", i, rm[i], gm[i])
-		}
+	if &got.prior.base[0] != &r.prior.base[0] {
+		t.Error("the rebuilt estimator copied the prior instead of sharing it")
 	}
-	if math.Abs(got.Mean()-r.Mean()) > 1e-12 {
-		t.Errorf("refined mean changed: %v vs %v", got.Mean(), r.Mean())
+	if got.Mean() != r.Mean() {
+		t.Errorf("raw-prior mean changed: %v vs %v", got.Mean(), r.Mean())
 	}
 }
 
+// rawPrior is an estimator adopted from the raw log-belief vector of one
+// that observed succ successes and fail failures.
+func rawPrior(tb testing.TB, fail, succ int) *Estimator {
+	tb.Helper()
+	e := MustNew(DefaultIntervals)
+	e.ObserveFailure(fail)
+	e.ObserveSuccess(succ)
+	s := e.State()
+	r, err := NewFromState(State{Intervals: s.Intervals, LogBeliefs: s.AppendLogBeliefs(nil)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 func TestNewFromStateValidation(t *testing.T) {
-	mids := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	flat := make([]float64, 5)
 	cases := map[string]State{
-		"too few intervals": {Intervals: 1, Mids: []float64{0.5}, LogBeliefs: []float64{0}},
-		"mids mismatch":     {Intervals: 5, Mids: mids[:3]},
+		"too few intervals": {Intervals: 1, LogBeliefs: []float64{0}},
 		"beliefs mismatch":  {Intervals: 5, LogBeliefs: flat[:3]},
-		"mid at zero":       {Intervals: 5, Mids: []float64{0, 0.3, 0.5, 0.7, 0.9}, LogBeliefs: flat},
-		"mid at one":        {Intervals: 5, Mids: []float64{0.1, 0.3, 0.5, 0.7, 1}, LogBeliefs: flat},
-		"positive logbel":   {Intervals: 5, Mids: mids, LogBeliefs: []float64{1, 0, 0, 0, 0}},
-		"nan logbel":        {Intervals: 5, Mids: mids, LogBeliefs: []float64{math.NaN(), 0, 0, 0, 0}},
+		"positive logbel":   {Intervals: 5, LogBeliefs: []float64{1, 0, 0, 0, 0}},
+		"nan logbel":        {Intervals: 5, LogBeliefs: []float64{math.NaN(), 0, 0, 0, 0}},
 		"negative count":    {Intervals: 5, Succ: -1},
 		"no mass":           {Intervals: 2, LogBeliefs: []float64{math.Inf(-1), math.Inf(-1)}},
 	}
@@ -73,13 +88,13 @@ func TestNewFromStateValidation(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	// Explicit midpoints that happen to be the uniform grid share it.
-	e, err := NewFromState(State{Intervals: 5, Mids: mids, LogBeliefs: flat})
+	// A raw vector off the wire shares the memoized grid.
+	e, err := NewFromState(State{Intervals: 5, LogBeliefs: flat})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.g != uniformGrid(5) {
-		t.Error("explicit uniform midpoints did not resolve to the shared grid")
+		t.Error("a raw-vector state did not resolve to the shared grid")
 	}
 }
 
@@ -108,30 +123,13 @@ func TestObservationsCounting(t *testing.T) {
 	if got := e.Clone().Observations(); got != 10 {
 		t.Errorf("clone observations = %d, want 10", got)
 	}
-	if got := e.Refine().Observations(); got != 10 {
-		t.Errorf("refined observations = %d, want 10", got)
+	r, err := NewFromState(State{Intervals: 10, LogBeliefs: e.appendLogBeliefs(nil)})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestEdgeStuck(t *testing.T) {
-	e := MustNew(10)
-	if e.EdgeStuck(0.3) {
-		t.Error("uniform prior reported edge-stuck")
-	}
-	e.ObserveSuccess(500) // all mass on interval 0
-	if !e.EdgeStuck(0.3) {
-		t.Error("mass on first interval not reported")
-	}
-	f := MustNew(10)
-	f.ObserveFailure(500) // all mass on the last interval
-	if !f.EdgeStuck(0.3) {
-		t.Error("mass on last interval not reported")
-	}
-	g := MustNew(10)
-	g.ObserveFailure(300)
-	g.ObserveSuccess(300) // mass in the middle
-	if g.EdgeStuck(0.3) {
-		t.Error("central mass reported edge-stuck")
+	r.ObserveSuccess(2)
+	if got := r.Observations(); got != 2 {
+		t.Errorf("raw-prior observations = %d, want the 2 observed on top of the prior", got)
 	}
 }
 

@@ -78,20 +78,6 @@ type Params struct {
 	// MaxTimeout caps the adaptive growth of per-neighbor timeouts
 	// (default 16 periods).
 	MaxTimeout int
-	// AutoRefine enables the paper's future-work extension ("dynamically
-	// increasing the number of probabilistic intervals when better
-	// precision is required"): once a locally measured estimate (the
-	// process's own reliability or an incident link) concentrates at
-	// least RefineMass posterior mass in one interval, its estimator is
-	// re-gridded around that interval (bayes.Refine). Refined estimates
-	// propagate to other processes through the normal adoption path.
-	AutoRefine bool
-	// RefineMass is the concentration threshold (default 0.5).
-	RefineMass float64
-	// RefineMinObs is the minimum evidence count before an estimator may
-	// refine (default 400): re-gridding around a transient early MAP
-	// would lock the window away from the truth.
-	RefineMinObs int
 	// LinkAgeTimeout is the quiet-period count after which a remote link
 	// estimate's distortion ages one step (default 8). Links have no
 	// Event-3 self-observation keeping them fresh — a converged link stops
@@ -104,8 +90,8 @@ type Params struct {
 	// DeltaEpsilon is the minimum posterior-mean movement for an estimate
 	// to count as changed for delta heartbeats (View.DeltaSince): a record
 	// is re-shipped once its mean has drifted more than DeltaEpsilon from
-	// the value at its last wire-signature bump, or its distortion or grid
-	// changed. Converged estimates keep absorbing evidence but their mean
+	// the value at its last wire-signature bump, or its distortion or
+	// interval count changed. Converged estimates keep absorbing evidence but their mean
 	// barely moves, so they drop out of steady-state deltas — the paper's
 	// continuous heartbeat cost collapses to the liveness header. The
 	// cumulative divergence between a delta receiver's view and the
@@ -115,8 +101,6 @@ type Params struct {
 	// convergence criterion resolves. Negative means exact (any change
 	// re-ships).
 	DeltaEpsilon float64
-	// refineEvery is how often (periods) refinement candidacy is checked.
-	refineEvery int
 }
 
 func (p Params) withDefaults() Params {
@@ -135,20 +119,8 @@ func (p Params) withDefaults() Params {
 	if p.LinkAgeTimeout == 0 {
 		p.LinkAgeTimeout = 8
 	}
-	if p.RefineMass == 0 {
-		// Half the posterior mass in one interval is already strong
-		// localization; refining then leaves plenty of future evidence to
-		// resolve the sub-interval detail.
-		p.RefineMass = 0.5
-	}
-	if p.RefineMinObs == 0 {
-		p.RefineMinObs = 400
-	}
 	if p.DeltaEpsilon == 0 {
 		p.DeltaEpsilon = 1e-4
-	}
-	if p.refineEvery == 0 {
-		p.refineEvery = 16
 	}
 	return p
 }
@@ -210,7 +182,7 @@ func (t *Interner) Link(i int) topology.Link {
 func (t *Interner) Len() int { return len(t.links) }
 
 // wireSig is a record's last-shipped wire signature for delta heartbeats:
-// the posterior mean, distortion and grid identity at the record's last
+// the posterior mean, distortion and interval count at the record's last
 // meaningful change, plus the view version that change was stamped with.
 // Mutation sites set only the record's dirty bit (one store, so the
 // simulator's merge fast path pays nothing); refreshSigs re-evaluates dirty
@@ -221,14 +193,13 @@ func (t *Interner) Len() int { return len(t.links) }
 type wireSig struct {
 	at uint64 // view version of the last meaningful change
 	// meanAt is the view version of the last *value* change (mean beyond
-	// DeltaEpsilon, or grid): distortion-only changes advance `at` (they
+	// DeltaEpsilon, or interval count): distortion-only changes advance `at` (they
 	// must re-ship — peers' adoption decisions read distortion) but not
 	// meanAt. QuiescentSince uses meanAt so cadence controllers can treat
 	// distortion churn — aging and re-adoption of an unchanged estimate —
 	// as stability rather than news.
 	meanAt uint64
 	mean   float64
-	grid0  float64
 	dist   int32
 	gridN  int32
 }
@@ -254,7 +225,6 @@ type procState struct {
 	// that is merely arriving slowly.
 	supplier int32
 	dirty    bool // the estimate changed since refreshSigs last looked (see wireSig)
-	refined  bool // AutoRefine already re-gridded this estimator
 	departed bool // tombstoned by a membership epoch change; never shipped or aged
 }
 
@@ -295,13 +265,13 @@ type linkState struct {
 	supplier    int32
 	known       bool // false: a slot no link of this view occupies
 	dirty       bool
-	refined     bool
 }
 
 // Link records live in fixed chunks that never move, so a record's
 // address is stable for the view's lifetime and learning a link never
 // copies the others. A chunk is 16 records: a view of a few processes
-// pays for few empty slots, and 16 × 112 bytes is an exact size class.
+// pays for few empty slots, and 16 × 104 bytes fits the 1,792-byte size
+// class.
 const chunkLen = 16
 
 // View is (Λ_k, C_k): everything process self believes about the system.
@@ -539,9 +509,6 @@ func (v *View) BeginPeriod() {
 	v.version++
 	v.procs[v.self].est.ObserveSuccess(1) // Event 3: ∆tick = δ
 	v.procs[v.self].dirty = true
-	if v.params.AutoRefine && v.selfSeq%uint64(v.params.refineEvery) == 0 {
-		v.maybeRefine()
-	}
 
 	for j := range v.procs {
 		if topology.NodeID(j) == v.self {
@@ -618,50 +585,6 @@ func (v *View) supplierCadence(sup int32) int {
 		return 1
 	}
 	return v.peers[sup].effCadence()
-}
-
-// maybeRefine applies the dynamic-precision extension to the estimates
-// this process measures itself (its own reliability and incident links):
-// once posterior mass has concentrated, the estimator is re-gridded
-// around the winning interval. Remote processes receive the refined
-// estimators through the usual adoption path, so refinement spreads like
-// any other knowledge.
-func (v *View) maybeRefine() {
-	self := &v.procs[v.self]
-	self.refined = v.refineStep(&self.est, self.refined)
-	self.dirty = true
-	for _, ls := range v.knownLinks() {
-		if ls.dist != 0 {
-			continue
-		}
-		ls.refined = v.refineStep(&ls.est, ls.refined)
-		ls.dirty = true
-	}
-}
-
-// refineStep advances one estimator through the refinement state machine:
-// unrefined estimators refine once they hold enough concentrated
-// evidence; refined estimators whose mass piles on a window edge (the
-// truth moved or the window was wrong) fall back to the coarse grid and
-// start over. It rewrites est in place and returns the new refined flag.
-func (v *View) refineStep(est *bayes.Estimator, refined bool) bool {
-	if !refined {
-		if est.Observations() < v.params.RefineMinObs {
-			return false
-		}
-		if _, mass := est.MAP(); mass < v.params.RefineMass {
-			return false
-		}
-		*est = *est.Refine()
-		return true
-	}
-	if est.EdgeStuck(v.params.RefineMass) {
-		// Abandon the refinement: the coarse grid re-localizes from
-		// scratch and a better window is chosen later.
-		*est = v.uniform
-		return false
-	}
-	return true
 }
 
 // OnRecover is Event 4: the process just returned from a crash that

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/config"
 	"adaptivecast/internal/topology"
 )
@@ -604,109 +605,59 @@ func TestAdoptionIsSnapshot(t *testing.T) {
 	}
 }
 
-// TestAutoRefineImprovesPrecision exercises the paper's future-work
-// extension: with dynamic interval refinement, the estimator localizes
-// the loss probability to an interval two orders of magnitude narrower
-// than the fixed U=100 grid can express. (The posterior *mean* is
-// sampling-noise limited either way; the precision gain is in the
-// interval localization, which is what the paper's "better precision"
-// asks for.)
-func TestAutoRefineImprovesPrecision(t *testing.T) {
-	const trueLoss = 0.032
-	run := func(autoRefine bool) (meanErr, mapWidth, mapMid float64) {
-		rng := rand.New(rand.NewSource(31))
-		in := NewInterner()
-		params := Params{AutoRefine: autoRefine}
-		a, err := NewView(0, 2, []topology.NodeID{1}, in, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewView(1, 2, []topology.NodeID{0}, in, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for period := 0; period < 12000; period++ {
-			a.BeginPeriod()
-			b.BeginPeriod()
-			if rng.Float64() >= trueLoss {
-				if err := b.MergeFrom(0, a.SelfSeq(), a); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if rng.Float64() >= trueLoss {
-				if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		est := a.LinkEstimator(topology.NewLink(0, 1))
-		if est == nil {
-			t.Fatal("link unknown")
-		}
-		mapIdx, _ := est.MAP()
-		lo, hi := est.IntervalBounds(mapIdx)
-		return math.Abs(est.Mean() - trueLoss), hi - lo, (lo + hi) / 2
-	}
-
-	coarseErr, coarseWidth, _ := run(false)
-	fineErr, fineWidth, fineMid := run(true)
-	if fineWidth >= coarseWidth/5 {
-		t.Errorf("refined MAP interval width %v, want ≪ coarse %v", fineWidth, coarseWidth)
-	}
-	// The refined interval localizes the empirical rate, which itself
-	// fluctuates around the truth by ~sqrt(L/T) ≈ 0.0016: the interval
-	// midpoint must sit within a few sigma of the truth.
-	if math.Abs(fineMid-trueLoss) > 0.005 {
-		t.Errorf("refined MAP midpoint %v too far from truth %v", fineMid, trueLoss)
-	}
-	if fineErr > coarseErr+0.002 {
-		t.Errorf("refined mean err %v much worse than coarse %v", fineErr, coarseErr)
-	}
-	if fineErr > 0.005 {
-		t.Errorf("refined mean err %v too large", fineErr)
-	}
-}
-
-// TestRefinedEstimatePropagates ensures refined estimators flow through
-// adoption and snapshots like any other knowledge.
+// TestRefinedEstimatePropagates keeps the name it had when refined grids
+// existed. Its subject is now the other estimate no count record can
+// describe: one adopted from a raw log-belief vector, as a piggybacked
+// data frame delivers it. Such an estimate flows on through adoption and
+// snapshots like any other knowledge, and keeps its prior.
 func TestRefinedEstimatePropagates(t *testing.T) {
 	in := NewInterner()
-	params := Params{AutoRefine: true, RefineMass: 0.5, RefineMinObs: 50, Intervals: 20}
-	a, err := NewView(0, 2, []topology.NodeID{1}, in, params)
+	params := Params{Intervals: 20}
+	a, err := NewView(0, 3, []topology.NodeID{1}, in, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewView(1, 2, []topology.NodeID{0}, in, Params{Intervals: 20})
+	b, err := NewView(1, 3, []topology.NodeID{0}, in, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drive a's self estimate until it concentrates and refines.
-	for i := 0; i < 200; i++ {
-		a.BeginPeriod()
+	// a adopts process 2's estimate from a raw piggyback and observes on.
+	src := bayes.MustNew(20)
+	src.ObserveFailure(4)
+	src.ObserveSuccess(60)
+	st := src.State()
+	raw := bayes.State{Intervals: 20, LogBeliefs: st.AppendLogBeliefs(nil)}
+	if err := a.MergeSnapshotKnowledgeOnly(&Snapshot{From: 1, Seq: 1,
+		Procs: []ProcRecord{{ID: 2, Dist: 0, Est: raw}}}); err != nil {
+		t.Fatal(err)
 	}
-	if !a.procs[0].refined {
-		t.Fatal("self estimate never refined")
+	if s := a.ProcEstimator(2).State(); s.IsCounts() {
+		t.Fatal("the estimate adopted from a raw vector cut a count state")
 	}
-	// b adopts the refined estimator via the live path...
+	srcMean, _ := a.CrashEstimate(2)
+	if math.Abs(srcMean-src.Mean()) > 1e-12 {
+		t.Fatalf("adopted raw estimate %v, its source %v", srcMean, src.Mean())
+	}
+	// b adopts it via the live path...
 	if err := b.MergeFrom(0, a.SelfSeq(), a); err != nil {
 		t.Fatal(err)
 	}
-	mean, _ := b.CrashEstimate(0)
-	srcMean, _ := a.CrashEstimate(0)
-	if math.Abs(mean-srcMean) > 1e-12 {
-		t.Errorf("adopted refined estimate diverged: %v vs %v", mean, srcMean)
+	if mean, _ := b.CrashEstimate(2); mean != srcMean {
+		t.Errorf("adopted raw-prior estimate diverged: %v vs %v", mean, srcMean)
 	}
 	// ...and via the wire path.
-	c, err := NewView(1, 2, []topology.NodeID{0}, NewInterner(), Params{Intervals: 20})
+	c, err := NewView(1, 3, []topology.NodeID{0}, NewInterner(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.MergeSnapshot(a.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	mean, _ = c.CrashEstimate(0)
-	if math.Abs(mean-srcMean) > 1e-12 {
-		t.Errorf("snapshot path diverged on refined estimate: %v vs %v", mean, srcMean)
+	if mean, _ := c.CrashEstimate(2); mean != srcMean {
+		t.Errorf("snapshot path diverged on a raw-prior estimate: %v vs %v", mean, srcMean)
+	}
+	if s := c.ProcEstimator(2).State(); s.IsCounts() {
+		t.Error("the snapshot path dropped the raw prior")
 	}
 }
 

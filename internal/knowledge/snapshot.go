@@ -133,9 +133,9 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 
 // refreshSigs re-evaluates the wire signature of every record whose dirty
 // bit is set, stamping the current version onto records whose content
-// moved meaningfully (mean beyond DeltaEpsilon, or distortion or grid
-// changed). It runs at most once per view version, so cutting deltas for
-// several neighbors in one heartbeat period evaluates each record once.
+// moved meaningfully (mean beyond DeltaEpsilon, or distortion or interval
+// count changed). It runs at most once per view version, so cutting deltas
+// for several neighbors in one heartbeat period evaluates each record once.
 func (v *View) refreshSigs() {
 	if v.sigVer == v.version {
 		return
@@ -163,13 +163,12 @@ func (v *View) refreshSigs() {
 // content drifted beyond the last stamped signature. Drift is measured
 // against the mean at the last stamp, not the previous period's, so
 // sub-epsilon movements cannot accumulate into unbounded divergence. Value
-// changes (mean or grid) additionally stamp meanAt, the quiescence
-// watermark that ignores distortion-only churn.
+// changes (mean or interval count) additionally stamp meanAt, the
+// quiescence watermark that ignores distortion-only churn.
 func (sig *wireSig) refresh(est *bayes.Estimator, dist int32, eps float64, ver uint64) {
-	n, grid0 := est.GridSignature()
-	gridN := int32(n)
+	gridN := int32(est.Intervals())
 	mean := est.Mean()
-	valueMoved := gridN != sig.gridN || grid0 != sig.grid0 || math.Abs(mean-sig.mean) > eps
+	valueMoved := gridN != sig.gridN || math.Abs(mean-sig.mean) > eps
 	if sig.at != 0 && dist == sig.dist && !valueMoved {
 		return
 	}
@@ -180,14 +179,13 @@ func (sig *wireSig) refresh(est *bayes.Estimator, dist int32, eps float64, ver u
 	sig.mean = mean
 	sig.dist = dist
 	sig.gridN = gridN
-	sig.grid0 = grid0
 }
 
 // QuiescentSince reports whether no estimate's *value* — posterior mean
-// beyond DeltaEpsilon, or grid — changed after version base. Unlike an
-// empty DeltaSince, distortion-only changes (aging, re-adoption of the
-// same estimate over a different route) do not break quiescence: they
-// re-ship on deltas but carry no new measurement. Cadence controllers on
+// beyond DeltaEpsilon, or interval count — changed after version base.
+// Unlike an empty DeltaSince, distortion-only changes (aging, re-adoption
+// of the same estimate over a different route) do not break quiescence:
+// they re-ship on deltas but carry no new measurement. Cadence controllers on
 // merge paths that exchange whole views (the simulator) use this as
 // their stability probe; base 0 or a base from a previous incarnation is
 // never quiescent.

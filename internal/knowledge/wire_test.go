@@ -29,9 +29,9 @@ func overWire(tb testing.TB, snap *knowledge.Snapshot, caps uint64) *knowledge.S
 
 // TestEvidenceCountSurvivesAdoption pins the wire bugfix end to end: an
 // estimate adopted from a count heartbeat keeps the evidence count its
-// owner accumulated, so Observations() — and the RefineMinObs gate that
-// reads it — no longer sees zero for everything learned over the wire.
-// The raw layout cannot carry the count and still reads zero.
+// owner accumulated, so Observations() no longer reads zero for
+// everything learned over the wire. The raw layout cannot carry the count
+// and still reads zero.
 func TestEvidenceCountSurvivesAdoption(t *testing.T) {
 	owner, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{})
 	if err != nil {

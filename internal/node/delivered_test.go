@@ -194,11 +194,7 @@ func TestForgedOriginIsRejected(t *testing.T) {
 				nbs = append(nbs, nb)
 			}
 		}
-		rec := &recordTransport{sinkTransport: sinkTransport{id: id, owns: true}}
-		nd, err := New(Config{ID: id, NumProcs: procs, Neighbors: nbs, DeliveryBuffer: 4, DisableLaneScheduler: true}, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nd, rec := newRecorded(t, Config{ID: id, NumProcs: procs, Neighbors: nbs, DeliveryBuffer: 4})
 		from := nbs[0]
 		for i := 0; i < forged; i++ {
 			origin := topology.NodeID(procs + i)
@@ -208,7 +204,7 @@ func TestForgedOriginIsRejected(t *testing.T) {
 			nd.handle(from, flood(origin))
 		}
 		st := nd.Stats()
-		if st.DecodeErrors != forged || st.DataReceived != 0 || st.Delivered != 0 || len(rec.take()) != 0 {
+		if st.DecodeErrors != forged || st.DataReceived != 0 || st.Delivered != 0 || len(rec.take(t)) != 0 {
 			t.Errorf("node %d: DecodeErrors %d, DataReceived %d, Delivered %d; want %d, 0, 0 and no relay",
 				id, st.DecodeErrors, st.DataReceived, st.Delivered, forged)
 		}

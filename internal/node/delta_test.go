@@ -217,7 +217,7 @@ func TestDeltaConvergesToFullBaseline(t *testing.T) {
 			t.Cleanup(func() { _ = fabric.Close() })
 			nodes := buildCluster(t, g, fabric, nil)
 			// Lossy phase: both clusters sample the identical loss schedule
-			// (same seed, same synchronous send order), dropping full and
+			// (same seed, same send order), dropping full and
 			// delta heartbeats alike.
 			for li := 0; li < g.NumLinks(); li++ {
 				l := g.Link(li)

@@ -16,9 +16,9 @@
 // Steady-state bandwidth is kept flat by three mechanisms layered here:
 // heartbeats ship per-neighbor knowledge deltas against the version the
 // neighbor last acked (full-snapshot fallback when no ack anchors one),
-// per-edge retransmission bursts go through the transport's SendN
-// batching, and a relay reads its children straight off the parent vector
-// a data frame carries instead of rebuilding the tree.
+// per-edge retransmission bursts leave through the lane scheduler as one
+// SendN flush, and a relay reads its children straight off the parent
+// vector a data frame carries instead of rebuilding the tree.
 package node
 
 import (
@@ -80,10 +80,11 @@ type Stats struct {
 	// Deprecated: always 0, no tree is rebuilt on receipt.
 	ForwardCacheMisses int
 
-	// Send-path counters (see Config.DisableLaneScheduler and the encode pool).
+	// Send-path counters (the lane scheduler and the encode pool).
 	LaneDrops        LaneDrops // outbound frames shed by the lane scheduler, per lane
 	CoalescedFlushes int       // data flushes that carried >= 2 distinct coalesced frames
 	CoalescedFrames  int       // data frames that shared a flush with at least one other
+	SendFailures     int       // flushes the transport refused outright (closed transport, unknown peer)
 	EncodePoolHits   int       // frame encodes served by a recycled pooled buffer
 	EncodePoolMisses int       // frame encodes that had to allocate a fresh buffer
 }
@@ -214,20 +215,9 @@ type Config struct {
 	// falsely suspecting (or under-counting) a quiet-by-design neighbor.
 	// Values <= 1 disable stretching (the default).
 	AdaptiveCadenceMax int
-	// DisableLaneScheduler turns off the per-peer prioritized lane
-	// scheduler (control > data) and reverts every send to a synchronous
-	// transport call on the calling goroutine. The scheduler is on by
-	// default: sends are asynchronous hand-offs to bounded per-peer
-	// queues, protocol-critical control frames (heartbeats, deltas,
-	// membership repairs) are never shed and overtake queued data, and
-	// each peer's data drains in coalesced batches through the
-	// transport's multi-frame fast path. Disable it only when the
-	// synchronous direct path is required — deterministic single-threaded
-	// drivers, or tests pinning per-call transport behavior.
-	DisableLaneScheduler bool
-	// LaneQueueDepth bounds each peer's data lane when the scheduler is
-	// on (default 256). At the high watermark new data frames are shed
-	// and counted in Stats.LaneDrops; the control lane is never bounded.
+	// LaneQueueDepth bounds each peer's data lane in the lane scheduler
+	// (default 256). At the high watermark new data frames are shed and
+	// counted in Stats.LaneDrops; the control lane is never bounded.
 	LaneQueueDepth int
 	// Hooks are optional instrumentation callbacks.
 	Hooks Hooks
@@ -306,7 +296,6 @@ func newMemberChange(kind wire.FrameKind, m *wire.Membership) *memberChange {
 // Node is one live process.
 type Node struct {
 	cfg Config
-	tr  transport.Transport
 
 	// epoch is the membership epoch this node operates in; frames from
 	// older epochs are fenced off, newer epochs are adopted from
@@ -340,9 +329,8 @@ type Node struct {
 	ownsFrames bool
 	decPool    decodePool
 
-	// lanes is the optional prioritized send scheduler
-	// (on unless Config.DisableLaneScheduler); nil keeps every send synchronous on the
-	// calling goroutine. encPool recycles outbound frame encode buffers
+	// lanes is the prioritized send scheduler every frame leaves through
+	// (see sendpath.go). encPool recycles outbound frame encode buffers
 	// across sends (sound because of the transport Send ownership rule:
 	// buffers are only borrowed for the duration of a send).
 	lanes   *lanes.Scheduler
@@ -454,7 +442,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	}
 	n := &Node{
 		cfg:        cfg,
-		tr:         tr,
 		view:       view,
 		delivered:  newDeliveredSet(),
 		peerSeen:   make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
@@ -524,9 +511,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		}
 	}
 	n.seq.Store(resume)
-	if !cfg.DisableLaneScheduler {
-		n.lanes = lanes.New(tr, lanes.Config{QueueDepth: cfg.LaneQueueDepth})
-	}
+	n.lanes = lanes.New(tr, lanes.Config{QueueDepth: cfg.LaneQueueDepth})
 	tr.SetHandler(n.handle)
 	return n, nil
 }
@@ -551,12 +536,10 @@ func (n *Node) Stop() {
 			<-n.done
 		}
 		n.closed.Store(true)
-		if n.lanes != nil {
-			// Drain, don't drop: queued control and data frames still flush
-			// onto the transport (which the caller owns and must close only
-			// after Stop returns) before Stop completes.
-			_ = n.lanes.Close()
-		}
+		// Drain, don't drop: queued control and data frames still flush
+		// onto the transport (which the caller owns and must close only
+		// after Stop returns) before Stop completes.
+		_ = n.lanes.Close()
 	})
 }
 
@@ -580,26 +563,20 @@ func (n *Node) Stats() Stats {
 	s := n.stats.snapshot()
 	s.EncodePoolHits = int(n.encPool.hits.Load())
 	s.EncodePoolMisses = int(n.encPool.misses.Load())
-	if n.lanes != nil {
-		ls := n.lanes.Stats()
-		s.LaneDrops = LaneDrops(ls.Drops)
-		s.CoalescedFlushes = ls.CoalescedFlushes
-		s.CoalescedFrames = ls.CoalescedFrames
-	}
+	ls := n.lanes.Stats()
+	s.LaneDrops = LaneDrops(ls.Drops)
+	s.CoalescedFlushes = ls.CoalescedFlushes
+	s.CoalescedFrames = ls.CoalescedFrames
+	s.SendFailures = ls.SendFailures
 	return s
 }
 
 // WaitSendIdle blocks until the lane scheduler has flushed every queued
 // outbound frame, or the timeout elapses; it reports whether idle was
-// reached. Without the scheduler sends are synchronous and it returns
-// true immediately. Benchmarks and tests use it so throughput numbers
-// measure frames handed to the transport, not enqueue rate.
-func (n *Node) WaitSendIdle(timeout time.Duration) bool {
-	if n.lanes == nil {
-		return true
-	}
-	return n.lanes.WaitIdle(timeout)
-}
+// reached. Benchmarks and tests use it so throughput numbers measure
+// frames handed to the transport, not enqueue rate, and so a send
+// failure has been counted in Stats.SendFailures.
+func (n *Node) WaitSendIdle(timeout time.Duration) bool { return n.lanes.WaitIdle(timeout) }
 
 // CrashEstimate reads the node's current estimate of process i.
 func (n *Node) CrashEstimate(i topology.NodeID) (mean float64, dist int) {
@@ -902,10 +879,15 @@ func (n *Node) cadenceSnapshot() map[topology.NodeID]int {
 // message is flooded to the neighbors instead and planned is the flood
 // fan-out.
 //
-// On a send failure the broadcast is already partially in effect — the
-// local delivery was queued and the sequence number consumed — so the
-// real seq (and planned count) is returned alongside the error, letting
-// callers dedup a half-sent broadcast instead of retrying it blind.
+// Sends are hand-offs to the lane scheduler, so a transport that refuses
+// them (closed, unknown peer) does not fail the call: the broadcast
+// returns its seq and the refusal is counted in Stats.SendFailures once
+// the lanes flush (see WaitSendIdle). An error comes back only when the
+// send path itself is gone, or the frame failed to encode; the broadcast
+// is then already partially in effect — the local delivery was queued
+// and the sequence number consumed — so the real seq (and planned count)
+// is returned alongside the error, letting callers dedup a half-sent
+// broadcast instead of retrying it blind.
 func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 	if n.closed.Load() {
 		return 0, 0, errors.New("node: stopped")
@@ -1095,13 +1077,12 @@ func allocByNode(tree *mrt.Tree, alloc []int) ([]int32, error) {
 // msg.AllocByNode[v] copies. The origin and a relay take the same path —
 // the origin's plan is already in msg, a relay has checked the vector
 // (mrt.CheckParents). Each child's m[j] identical copies are batched
-// through the send path's SendN/data-lane fast path (one fabric enqueue /
-// one TCP flush per child instead of one per copy). The frame is shared
-// across children; release (optional) is fanned out so the buffer
-// recycles after the last child's send is done with it. Individual send
-// failures are tolerated (the protocol's loss model), but when every
-// attempted send fails structurally — closed transport, unknown peers —
-// the broadcast went nowhere and the caller is told.
+// through the data lane as one SendN flush (one fabric enqueue / one TCP
+// flush per child instead of one per copy). The frame is shared across
+// children; release (optional) is fanned out so the buffer recycles
+// after the last child's send is done with it. When the lanes refuse
+// every hand-off — the scheduler is closed — the broadcast went nowhere
+// and the caller is told.
 func (n *Node) forward(msg *wire.DataMsg, frame []byte, release func()) error {
 	attempted, sent := 0, 0
 	var lastErr error
@@ -1388,17 +1369,10 @@ func (n *Node) AnnounceJoin() error {
 	if lc.frame == nil {
 		return errors.New("node: join announcement failed to encode")
 	}
-	var lastErr error
-	sent := 0
 	for _, nb := range n.Neighbors() {
-		if err := n.tr.Send(nb, lc.frame); err == nil {
-			sent++
-		} else {
-			lastErr = err
+		if err := n.sendControl(nb, lc.frame, nil); err != nil {
+			return fmt.Errorf("node: join announcement: %w", err)
 		}
-	}
-	if sent == 0 && len(n.Neighbors()) > 0 {
-		return fmt.Errorf("node: join announcement reached no neighbor: %w", lastErr)
 	}
 	return nil
 }
@@ -1469,7 +1443,7 @@ func (n *Node) AnnounceLeaveMembership(m *wire.Membership) error {
 		return errors.New("node: leave announcement failed to encode")
 	}
 	for _, nb := range n.Neighbors() {
-		_ = n.tr.Send(nb, lc.frame)
+		_ = n.sendControl(nb, lc.frame, nil) // only a stopped node refuses, and the change is applied
 	}
 	return nil
 }

@@ -54,9 +54,6 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 			if over.Piggyback {
 				c.Piggyback = true
 			}
-			if over.DisableLaneScheduler {
-				c.DisableLaneScheduler = true
-			}
 			if over.LaneQueueDepth != 0 {
 				c.LaneQueueDepth = over.LaneQueueDepth
 			}

@@ -1,10 +1,13 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,9 +103,11 @@ func samePlan(a, b *plan) bool {
 }
 
 // mailTransport keeps every frame sent over it for the test to hand to
-// the addressee's handle itself.
+// the addressee's handle itself. The lane drains call it, one goroutine
+// per peer, so it takes a lock.
 type mailTransport struct {
 	sinkTransport
+	mu  sync.Mutex
 	out []mail
 }
 
@@ -111,9 +116,34 @@ type mail struct {
 	frame    []byte
 }
 
-func (m *mailTransport) Send(to topology.NodeID, frame []byte) error {
-	m.out = append(m.out, mail{m.id, to, append([]byte(nil), frame...)})
+func (m *mailTransport) Send(to topology.NodeID, frame []byte) error { return m.SendN(to, frame, 1) }
+
+func (m *mailTransport) SendN(to topology.NodeID, frame []byte, n int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for range n {
+		m.out = append(m.out, mail{m.id, to, append([]byte(nil), frame...)})
+	}
 	return nil
+}
+
+func (m *mailTransport) SendFrames(to topology.NodeID, batch []transport.FrameBatch) error {
+	for _, e := range batch {
+		_ = m.SendN(to, e.Frame, e.Copies)
+	}
+	return nil
+}
+
+// take returns the mail sent since the last take, sorted stably by
+// destination: the lanes keep the order of the frames to one peer, and
+// nothing across peers.
+func (m *mailTransport) take() []mail {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := m.out
+	m.out = nil
+	slices.SortStableFunc(out, func(a, b mail) int { return cmp.Compare(a.to, b.to) })
+	return out
 }
 
 // TestReplanOnPooledWorkspace: a plan built on a workspace that last held
@@ -259,9 +289,10 @@ func TestPlanCacheInvalidation(t *testing.T) {
 // equals the plan a fresh pipeline builds from the view at that version
 // (the paper's replan per broadcast), it is rebuilt exactly when the
 // version moved, and a second call at an unchanged version returns the
-// same *plan. The nodes run without the lane scheduler over a mailbox
-// transport and the test delivers every frame itself, so no view moves
-// between a plan and its check.
+// same *plan. The nodes run over a mailbox transport and the test
+// delivers every frame itself, once every node's lanes have flushed, so
+// no view moves between a plan and its check and the order of delivery
+// does not depend on the drains' schedule.
 func TestPlanCacheMatchesFreshPlan(t *testing.T) {
 	g, err := topology.RandomConnected(8, 2, rand.New(rand.NewSource(31)))
 	if err != nil {
@@ -272,7 +303,7 @@ func TestPlanCacheMatchesFreshPlan(t *testing.T) {
 	for i := range nodes {
 		id := topology.NodeID(i)
 		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
-		nd, err := New(Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id), DisableLaneScheduler: true}, boxes[i])
+		nd, err := New(Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}, boxes[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,10 +348,13 @@ func TestPlanCacheMatchesFreshPlan(t *testing.T) {
 			nd.Tick()
 			check(nd)
 		}
+		for _, nd := range nodes {
+			if !nd.WaitSendIdle(5 * time.Second) {
+				t.Fatalf("period %d: node %d's lanes never flushed", period, nd.ID())
+			}
+		}
 		for _, box := range boxes {
-			out := box.out
-			box.out = nil
-			for _, m := range out {
+			for _, m := range box.take() {
 				nodes[m.to].handle(m.from, m.frame)
 				check(nodes[m.to])
 			}
@@ -353,22 +387,24 @@ func TestDeliveredWatermarkCompaction(t *testing.T) {
 	}
 }
 
-// TestBroadcastPartialFailureReturnsSeq pins the partial-failure
-// contract on the direct (scheduler-disabled) send path: when every
-// send fails after the broadcast was initiated (seq consumed, local
-// delivery queued), the caller gets the real seq with the error so a
-// half-sent broadcast can be deduped instead of retried blind. With the
-// default lane scheduler, sends are asynchronous hand-offs and such
-// failures surface through stats, not the Broadcast return.
+// TestBroadcastPartialFailureReturnsSeq pins what a broadcast over a
+// transport that refuses every send does. Sends are hand-offs to the
+// lanes, so Broadcast still returns its consumed seq and planned count,
+// and queues its local delivery; once the lanes have flushed, the
+// refusals show in SendFailures, which a healthy broadcast leaves at 0.
 func TestBroadcastPartialFailureReturnsSeq(t *testing.T) {
-	nodes, fabric := convergedLine3(t, func(i int) Config {
-		return Config{DisableLaneScheduler: true}
-	})
+	nodes, fabric := convergedLine3(t, nil)
 	nd := nodes[0]
 
 	okSeq, _, err := nd.Broadcast([]byte("healthy"))
 	if err != nil || okSeq == 0 {
 		t.Fatalf("healthy broadcast: seq %d, err %v", okSeq, err)
+	}
+	if !nd.WaitSendIdle(5 * time.Second) {
+		t.Fatal("the healthy broadcast never left the lanes")
+	}
+	if f := nd.Stats().SendFailures; f != 0 {
+		t.Fatalf("a healthy broadcast counted %d send failures", f)
 	}
 
 	// Kill the transport out from under the (still running) node.
@@ -376,16 +412,22 @@ func TestBroadcastPartialFailureReturnsSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, planned, err := nd.Broadcast([]byte("doomed"))
-	if err == nil {
-		t.Fatal("broadcast over a closed transport must report the send failure")
+	if err != nil {
+		t.Fatalf("broadcast over a closed transport returned %v; its sends are queued, not made", err)
 	}
 	if seq != okSeq+1 {
-		t.Errorf("failed broadcast seq = %d, want the consumed %d", seq, okSeq+1)
+		t.Errorf("doomed broadcast seq = %d, want the consumed %d", seq, okSeq+1)
 	}
 	if planned == 0 {
-		t.Errorf("failed broadcast planned = 0, want the planned count")
+		t.Errorf("doomed broadcast planned = 0, want the planned count")
 	}
-	// The local delivery was still queued before the failure.
+	if !nd.WaitSendIdle(5 * time.Second) {
+		t.Fatal("the doomed broadcast never left the lanes")
+	}
+	if nd.Stats().SendFailures == 0 {
+		t.Error("the closed transport refused the broadcast's sends, and SendFailures is 0")
+	}
+	// The local delivery was still queued.
 	deliveries := drainDeliveries(nd)
 	found := false
 	for _, d := range deliveries {

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -254,23 +256,19 @@ func TestQuantizedEstimateParity(t *testing.T) {
 	}
 }
 
-// TestQuantizedMixedCluster: a retired wire v4 frame sent at a live node
-// is rejected whole. The frame is a v4 heartbeat around raw estimator
-// layouts, the shape a v4 binary sent, carrying a close, alarming
-// estimate of the sender that the node would adopt from any frame it
-// accepts: it books exactly one DecodeErrors and merges nothing. The
-// same heartbeat at version 1 is then merged, so the version alone is
-// what was refused.
-func TestQuantizedMixedCluster(t *testing.T) {
+// alarmingHeartbeat settles a Line(2) and returns node 0 with a raw v1
+// heartbeat from node 1 carrying a close, alarming estimate of node 1
+// that node 0 would adopt from any frame it accepts.
+func alarmingHeartbeat(t *testing.T) (*Node, []byte) {
+	t.Helper()
 	g, err := topology.Line(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
+	t.Cleanup(func() { _ = fabric.Close() })
 	nodes := buildCluster(t, g, fabric, nil)
 	settleTicks(nodes, 20)
-	nd := nodes[0]
 
 	alarming := bayes.State{Intervals: bayes.DefaultIntervals, Fail: 500}
 	snap := &knowledge.Snapshot{From: 1, Seq: 1 << 20, Procs: []knowledge.ProcRecord{
@@ -283,9 +281,14 @@ func TestQuantizedMixedCluster(t *testing.T) {
 	if v1[1] != 1 {
 		t.Fatalf("raw heartbeat encoded at version %d, want 1", v1[1])
 	}
-	// A v4 heartbeat is a v1 heartbeat with a caps varint after the header.
-	v4 := append([]byte{v1[0], 4, v1[2], 4}, v1[3:]...)
+	return nodes[0], v1
+}
 
+// rejectedWhole hands nd the retired frame bad, which must book exactly
+// one DecodeErrors and move nothing, and then good, the same heartbeat in
+// a live shape, which must merge: the retired shape alone was refused.
+func rejectedWhole(t *testing.T, nd *Node, what string, bad, good []byte) {
+	t.Helper()
 	state := func() (Stats, uint64, float64) {
 		nd.viewMu.Lock()
 		defer nd.viewMu.Unlock()
@@ -293,25 +296,58 @@ func TestQuantizedMixedCluster(t *testing.T) {
 		return nd.Stats(), nd.view.Version(), mean
 	}
 	before, ver, mean := state()
-	nd.handle(1, v4)
+	nd.handle(1, bad)
 	after, verAfter, meanAfter := state()
 	if got := after.DecodeErrors - before.DecodeErrors; got != 1 {
-		t.Errorf("the v4 frame booked %d decode errors, want 1", got)
+		t.Errorf("the %s booked %d decode errors, want 1", what, got)
 	}
 	if after.HeartbeatsReceived != before.HeartbeatsReceived || after.SnapshotMergeErrors != before.SnapshotMergeErrors {
-		t.Errorf("the v4 frame reached the merge: heartbeats %d → %d, merge errors %d → %d",
-			before.HeartbeatsReceived, after.HeartbeatsReceived, before.SnapshotMergeErrors, after.SnapshotMergeErrors)
+		t.Errorf("the %s reached the merge: heartbeats %d → %d, merge errors %d → %d",
+			what, before.HeartbeatsReceived, after.HeartbeatsReceived, before.SnapshotMergeErrors, after.SnapshotMergeErrors)
 	}
 	if verAfter != ver || meanAfter != mean {
-		t.Errorf("the v4 frame moved the view: version %d → %d, estimate of 1 %v → %v", ver, verAfter, mean, meanAfter)
+		t.Errorf("the %s moved the view: version %d → %d, estimate of 1 %v → %v", what, ver, verAfter, mean, meanAfter)
 	}
 
-	nd.handle(1, v1)
+	nd.handle(1, good)
 	merged, _, meanMerged := state()
 	if merged.HeartbeatsReceived != after.HeartbeatsReceived+1 || meanMerged <= 0.5 {
-		t.Errorf("the same heartbeat at version 1 was not merged: heartbeats %d → %d, estimate of 1 %v",
-			after.HeartbeatsReceived, merged.HeartbeatsReceived, meanMerged)
+		t.Errorf("the heartbeat the %s was made from was not merged: heartbeats %d → %d, estimate of 1 %v",
+			what, after.HeartbeatsReceived, merged.HeartbeatsReceived, meanMerged)
 	}
+}
+
+// TestQuantizedMixedCluster: a retired wire v4 frame sent at a live node
+// is rejected whole. The frame is a v4 heartbeat around raw estimator
+// layouts, the shape a v4 binary sent: it books exactly one DecodeErrors
+// and merges nothing, and the same heartbeat at version 1 is then merged,
+// so the version alone is what was refused.
+func TestQuantizedMixedCluster(t *testing.T) {
+	nd, v1 := alarmingHeartbeat(t)
+	// A v4 heartbeat is a v1 heartbeat with a caps varint after the header.
+	v4 := append([]byte{v1[0], 4, v1[2], 4}, v1[3:]...)
+	rejectedWhole(t, nd, "v4 frame", v4, v1)
+}
+
+// TestRefinedGridFrameRejected: a heartbeat whose estimator rides the
+// retired refined-grid layout — flags 0x00, then the midpoints shipped
+// explicitly — is rejected whole at a live node, as a v4 frame is, even
+// when its midpoints are the uniform grid's: one DecodeErrors, nothing
+// merged. The same estimate in the raw layout then merges.
+func TestRefinedGridFrameRejected(t *testing.T) {
+	nd, v1 := alarmingHeartbeat(t)
+	const u = bayes.DefaultIntervals
+	at := bytes.Index(v1, []byte{1, u, u}) // the raw layout's flag, U and belief count
+	if at < 0 {
+		t.Fatal("no raw estimator in the heartbeat")
+	}
+	refined := append([]byte(nil), v1[:at]...)
+	refined = append(refined, 0, u) // the refined-grid flag and its midpoint count
+	for i := 0; i < u; i++ {
+		refined = binary.LittleEndian.AppendUint64(refined, math.Float64bits(float64(2*i+1)/float64(2*u)))
+	}
+	refined = append(refined, v1[at+2:]...) // the belief count and vector, unchanged
+	rejectedWhole(t, nd, "refined-grid frame", refined, v1)
 }
 
 // TestQuantizedLegacyFrameDiscipline audits every frame a node in a

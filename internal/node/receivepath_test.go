@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -80,46 +81,80 @@ type sentTo struct {
 	copies int
 }
 
-// recordTransport is a frame-owning sink that notes every send in order.
-// Nodes over it run without the lane scheduler, so a send happens on the
-// goroutine that called handle.
+// recordTransport is a frame-owning sink that notes every send. The lane
+// drains call it, one goroutine per peer, so it takes a lock.
 type recordTransport struct {
 	sinkTransport
+	mu   sync.Mutex
 	sent []sentTo
+	idle func(time.Duration) bool // the sending node's WaitSendIdle
+}
+
+func (r *recordTransport) record(to topology.NodeID, copies int) {
+	r.mu.Lock()
+	r.sent = append(r.sent, sentTo{to, copies})
+	r.mu.Unlock()
 }
 
 func (r *recordTransport) Send(to topology.NodeID, _ []byte) error {
-	r.sent = append(r.sent, sentTo{to, 1})
+	r.record(to, 1)
 	return nil
 }
 
 func (r *recordTransport) SendN(to topology.NodeID, _ []byte, n int) error {
-	r.sent = append(r.sent, sentTo{to, n})
+	r.record(to, n)
 	return nil
 }
 
-// take returns what was sent since the last take.
-func (r *recordTransport) take() []sentTo {
+func (r *recordTransport) SendFrames(to topology.NodeID, batch []transport.FrameBatch) error {
+	for _, e := range batch {
+		r.record(to, e.Copies)
+	}
+	return nil
+}
+
+// take waits for the node's lanes to flush and returns what was sent
+// since the last take, by destination (see byDestination).
+func (r *recordTransport) take(tb testing.TB) []sentTo {
+	tb.Helper()
+	if !r.idle(5 * time.Second) {
+		tb.Fatal("the lanes never flushed")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := r.sent
 	r.sent = nil
-	return out
+	return byDestination(out)
+}
+
+// byDestination sorts sends stably by destination: the lanes keep the
+// order of the sends to one peer, and nothing across peers.
+func byDestination(sends []sentTo) []sentTo {
+	slices.SortStableFunc(sends, func(a, b sentTo) int { return cmp.Compare(a.to, b.to) })
+	return sends
+}
+
+// newRecorded is a node over a recordTransport that waits on its lanes.
+func newRecorded(tb testing.TB, cfg Config) (*Node, *recordTransport) {
+	tb.Helper()
+	rec := &recordTransport{sinkTransport: sinkTransport{id: cfg.ID, owns: true}}
+	nd, err := New(cfg, rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec.idle = nd.WaitSendIdle
+	tb.Cleanup(nd.Stop)
+	return nd, rec
 }
 
 // recordingRelay is node 1 of an ID space of n over a recordTransport.
 func recordingRelay(tb testing.TB, n int) (*Node, *recordTransport) {
 	tb.Helper()
-	rec := &recordTransport{sinkTransport: sinkTransport{id: 1, owns: true}}
-	nd, err := New(Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2},
-		DeliveryBuffer: 64, DisableLaneScheduler: true}, rec)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(nd.Stop)
-	return nd, rec
+	return newRecorded(tb, Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2}, DeliveryBuffer: 64})
 }
 
 // childrenSends is what a relay at self owes the tree (0, parents): alloc
-// copies to each child the rebuilt tree lists, in its order.
+// copies to each child the rebuilt tree lists, by destination.
 func childrenSends(tb testing.TB, parents []topology.NodeID, alloc []int32, self topology.NodeID) []sentTo {
 	tb.Helper()
 	tree, err := mrt.FromParents(0, parents)
@@ -132,7 +167,7 @@ func childrenSends(tb testing.TB, parents []topology.NodeID, alloc []int32, self
 			want = append(want, sentTo{c, int(alloc[c])})
 		}
 	}
-	return want
+	return byDestination(want)
 }
 
 // midChainNode is node 1 of a chain of n over a sink transport.
@@ -168,7 +203,7 @@ func TestForwardCacheLRU(t *testing.T) {
 			if err := nd.forward(msg, []byte("frame"), nil); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := rec.take(), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
+			if got, want := rec.take(t), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
 				t.Fatalf("round %d vector %d: forwarded %v, the tree's children are %v", round, i, got, want)
 			}
 		}
@@ -190,7 +225,7 @@ func TestForwardCacheOnReceivePath(t *testing.T) {
 		for b := 0; b < 5; b++ {
 			seq++
 			nd.handle(0, dataFrame(t, seq, parents, alloc, "fan"))
-			if got := rec.take(); !slices.Equal(got, want) {
+			if got := rec.take(t); !slices.Equal(got, want) {
 				t.Fatalf("broadcast %d relayed to %v, its own tree says %v", seq, got, want)
 			}
 		}
@@ -221,7 +256,7 @@ func TestForwardCacheSurvivesDecoderReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		nd.handleData(0, f.Data, raw)
-		if got, want := rec.take(), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
+		if got, want := rec.take(t), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
 			t.Fatalf("frame %d through reused decode storage: relayed to %v, its tree says %v", i, got, want)
 		}
 	}
@@ -257,7 +292,7 @@ func TestMalformedTreeIsDeliveredNotRelayed(t *testing.T) {
 		}
 		nd.handle(0, raw)
 		st := nd.Stats()
-		if st.Delivered != 1 || st.DecodeErrors != 1 || st.DataSent != 0 || len(rec.take()) != 0 {
+		if st.Delivered != 1 || st.DecodeErrors != 1 || st.DataSent != 0 || len(rec.take(t)) != 0 {
 			t.Errorf("%s: Delivered %d, DecodeErrors %d, DataSent %d; want 1, 1, 0 and no send", c.name, st.Delivered, st.DecodeErrors, st.DataSent)
 		}
 	}
@@ -282,7 +317,7 @@ func TestForgedAllocationIsRejectedWhole(t *testing.T) {
 		nd, rec := recordingRelay(t, 4)
 		nd.handle(0, raw)
 		st := nd.Stats()
-		if st.DecodeErrors != 1 || st.DataReceived != 0 || st.Delivered != 0 || len(rec.take()) != 0 {
+		if st.DecodeErrors != 1 || st.DataReceived != 0 || st.Delivered != 0 || len(rec.take(t)) != 0 {
 			t.Errorf("allocation %d: DecodeErrors %d, DataReceived %d, Delivered %d; want 1, 0, 0 and no send",
 				forged, st.DecodeErrors, st.DataReceived, st.Delivered)
 		}
@@ -290,7 +325,7 @@ func TestForgedAllocationIsRejectedWhole(t *testing.T) {
 	// The splice itself is sound: the sentinel frame relays as allocated.
 	nd, rec := recordingRelay(t, 4)
 	nd.handle(0, valid)
-	if got := rec.take(); !slices.Equal(got, []sentTo{{2, sentinel}}) {
+	if got := rec.take(t); !slices.Equal(got, []sentTo{{2, sentinel}}) {
 		t.Fatalf("the unforged frame relayed %v, want %d copies to 2", got, sentinel)
 	}
 }
@@ -337,8 +372,10 @@ func TestHandleIsSafeFromSeveralGoroutines(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := s; i < len(frames); i += senders {
-				nd.handle(0, frames[i])
-				nd.handle(0, frames[i])
+				// The transport owns nothing it handed over: a relayed
+				// frame sits in the lanes after the call returns.
+				nd.handle(0, bytes.Clone(frames[i]))
+				nd.handle(0, bytes.Clone(frames[i]))
 			}
 		}(s)
 	}
@@ -409,7 +446,7 @@ func TestAllocsHandleData(t *testing.T) {
 func BenchmarkHandleDuplicate(b *testing.B) {
 	nd := midChainNode(b, 32, true)
 	f := chainFrame(b, 32, 1, "payload of a broadcast")
-	nd.handle(0, f)
+	nd.handle(0, bytes.Clone(f)) // relayed: the lanes keep this buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -419,8 +456,10 @@ func BenchmarkHandleDuplicate(b *testing.B) {
 
 // BenchmarkForwardFanout is the forwarder receive path on its widest
 // interior node: decode a data frame, check its 32-slot vector, deliver,
-// and push two copies to each of 30 children (direct sends; the lane
-// scheduler is BenchmarkForwardPipelined's subject).
+// and hand two copies for each of 30 children to the lanes, which flush
+// them onto a transport that does nothing (a transport with a per-flush
+// cost is BenchmarkForwardPipelined's subject). The lanes are deep enough
+// that nothing is shed, and the time includes draining them.
 func BenchmarkForwardFanout(b *testing.B) {
 	const procs = 32
 	parents := make([]topology.NodeID, procs)
@@ -431,8 +470,8 @@ func BenchmarkForwardFanout(b *testing.B) {
 	alloc := twoPerEdge(parents)
 	alloc[1] = 1
 	nd, err := New(Config{ID: 1, NumProcs: procs, Neighbors: []topology.NodeID{0},
-		DeliveryBuffer:       1, // deliveries overflow silently; not under test
-		DisableLaneScheduler: true}, &sinkTransport{id: 1})
+		DeliveryBuffer: 1, // deliveries overflow silently; not under test
+		LaneQueueDepth: 1 << 15}, &sinkTransport{id: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -448,8 +487,11 @@ func BenchmarkForwardFanout(b *testing.B) {
 		}
 		nd.handle(0, frame)
 	}
+	if !nd.WaitSendIdle(30 * time.Second) {
+		b.Fatal("lanes did not drain")
+	}
 	b.StopTimer()
-	if got, want := nd.Stats().DataSent, b.N*60; got != want {
-		b.Fatalf("forwarded %d copies, want %d", got, want)
+	if st, want := nd.Stats(), b.N*60; st.DataSent != want || st.LaneDrops.Data != 0 {
+		b.Fatalf("forwarded %d copies (%d frames shed), want %d", st.DataSent, st.LaneDrops.Data, want)
 	}
 }

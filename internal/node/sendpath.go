@@ -1,16 +1,12 @@
 package node
 
 // The send path: every outbound frame leaves the node through the
-// helpers in this file. They pick between two modes —
-//
-//   - direct (Config.DisableLaneScheduler): the synchronous transport
-//     call the node originally made, release invoked as soon as the call
-//     returns (the transport only borrows the buffer for the call's
-//     duration);
-//   - scheduled (the default): an asynchronous hand-off to the per-peer lane scheduler
-//     (internal/lanes), which flushes control ahead of data, sheds under
-//     backpressure, and may coalesce several data frames to one peer
-//     into a single multi-frame transport flush.
+// helpers in this file, as an asynchronous hand-off to the per-peer lane
+// scheduler (internal/lanes), which flushes control ahead of data, sheds
+// under backpressure, and may coalesce several data frames to one peer
+// into a single multi-frame transport flush. A transport's refusal of a
+// flush is counted there (Stats.SendFailures), never returned to the
+// caller, which has moved on by then.
 //
 // Frames are encoded into pooled buffers (encodePool); the release
 // callback threaded through the send path returns a buffer to the pool
@@ -26,7 +22,6 @@ import (
 
 	"adaptivecast/internal/lanes"
 	"adaptivecast/internal/topology"
-	"adaptivecast/internal/transport"
 	"adaptivecast/internal/wire"
 )
 
@@ -136,47 +131,25 @@ func (r *sharedRelease) done() {
 }
 
 // sendControl ships one pre-encoded protocol-critical frame (heartbeat,
-// delta, membership announcement or repair) to one peer. With the
-// scheduler on it rides the control lane — unbounded, never shed,
-// flushed ahead of any queued data; otherwise it is the former direct
-// synchronous Send. Either way a nil error means the frame was handed
-// to the send path. release, when non-nil, is invoked exactly once when
-// the send path is done with the frame bytes.
+// delta, membership announcement or repair) to one peer on the control
+// lane — unbounded, never shed, flushed ahead of any queued data. A nil
+// error means the frame was queued. release, when non-nil, is invoked
+// exactly once when the lanes are done with the frame bytes.
 func (n *Node) sendControl(to topology.NodeID, frame []byte, release func()) error {
-	if n.lanes != nil {
-		return n.lanes.Enqueue(to, lanes.Control, frame, 1, release)
-	}
-	err := n.tr.Send(to, frame)
-	if release != nil {
-		release()
-	}
-	return err
+	return n.lanes.Enqueue(to, lanes.Control, frame, 1, release)
 }
 
-// sendDataN ships copies logical copies of a pre-encoded data frame to
-// one peer: the data lane when the scheduler is on (where it may share a
-// flush with other broadcasts queued behind a busy drain, and the queue
-// depth may shed it under backpressure), transport.SendN otherwise. It reports how many copies were handed to
-// the send path — a scheduled hand-off counts in full, matching Send's
+// sendDataN ships copies (> 0) logical copies of a pre-encoded data frame
+// to one peer on the data lane, where it may share a flush with other
+// broadcasts queued behind a busy drain, and the queue depth may shed it
+// under backpressure. It reports how many copies were handed over — all
+// of them, or none once the lanes are closed — matching Send's
 // best-effort contract (accepted, not necessarily delivered).
 func (n *Node) sendDataN(to topology.NodeID, frame []byte, copies int, release func()) (int, error) {
-	if copies <= 0 {
-		if release != nil {
-			release()
-		}
-		return 0, nil
+	if err := n.lanes.Enqueue(to, lanes.Data, frame, copies, release); err != nil {
+		return 0, err
 	}
-	if n.lanes != nil {
-		if err := n.lanes.Enqueue(to, lanes.Data, frame, copies, release); err != nil {
-			return 0, err
-		}
-		return copies, nil
-	}
-	got, err := transport.SendN(n.tr, to, frame, copies)
-	if release != nil {
-		release()
-	}
-	return got, err
+	return copies, nil
 }
 
 // encodeDataFrame serializes a data message into a pooled buffer,

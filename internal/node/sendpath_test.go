@@ -224,9 +224,8 @@ func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
 	}
 }
 
-// TestLaneSchedulerClusterDelivers: a multi-hop cluster with the
-// scheduler on behaves like the direct path — every node
-// delivers every broadcast.
+// TestLaneSchedulerClusterDelivers: in a multi-hop cluster, where every
+// frame leaves through the lanes, every node delivers every broadcast.
 func TestLaneSchedulerClusterDelivers(t *testing.T) {
 	const msgs = 10
 	g, err := topology.Ring(4)

@@ -37,25 +37,27 @@ import (
 // flagCounts: an estimator that never left the uniform prior on the
 // uniform grid is a pure function of three integers, so it ships as
 // uvarint U, uvarint successes, uvarint failures (~5 bytes against ~800
-// raw). Every other estimator — refined, or rebuilt from a raw vector —
-// rides the raw layouts, which are legal in every version. The node sends
+// raw). Every other estimator — one rebuilt from a raw vector — rides the
+// raw layout, which is legal in every version. The node sends
 // a heartbeat or delta whose record section is non-empty as version 5; an
 // empty section encodes the same bytes in any layout, so it keeps the
 // oldest header that fits. Data frames have no v5 layout, so their
-// piggybacked snapshots ride the raw layouts. Membership frames are
+// piggybacked snapshots ride the raw layout. Membership frames are
 // always v3.
 //
 // The decoder accepts exactly those shapes — heartbeat v1 and v5, data v1
 // and v3, delta v1, v2, v3 and v5, join and leave v3 — which are the
 // versions the wirekind annotations on the FrameKind constants declare.
-// Version 4, the retired quantized-belief profile, is unsupported.
+// Version 4, the retired quantized-belief profile, is unsupported, and so
+// is the retired refined-grid estimator layout (flags 0x00, midpoints
+// shipped explicitly).
 //
 // Integers are varints (unsigned for sequence numbers, lengths and
 // counts; zigzag for node IDs, distortions and allocations, which can be
 // negative sentinels), floats are 8-byte little-endian IEEE 754, byte
-// strings are length-prefixed. A Bayesian estimator whose midpoints are
-// the standard uniform grid ships only its interval count; refined grids
-// ship their midpoints explicitly.
+// strings are length-prefixed. A raw Bayesian estimator ships its
+// interval count and its log-belief vector; the grid is always the
+// uniform one.
 
 const (
 	magic       = 0xAC
@@ -64,8 +66,7 @@ const (
 	version3    = 3 // nonzero membership epoch; join/leave frames
 	version5    = 5 // caps field; evidence-count estimator layout
 	headerSize  = 3
-	flagUniform = 1 << 0 // estimator state: midpoints are the uniform grid
-	flagRefined = 0      // (midpoints explicit; no flag bits set)
+	flagUniform = 1 << 0 // raw estimator layout: U, then the log-belief vector
 	// flagCounts is the evidence-count layout, legal only from version 5
 	// on: uniform grid, uniform prior, (U, successes, failures).
 	flagCounts = 4
@@ -228,10 +229,10 @@ func appendFloats(b []byte, fs []float64) []byte {
 
 // appendEstimator writes one estimator state. counts permits the
 // evidence-count layout and must be false unless the surrounding frame
-// encodes as version 5; states the layout cannot carry — a refined grid,
-// a raw-vector prior, an interval or evidence count beyond what decoders
-// admit — fall back to the raw float layouts, materializing the
-// log-belief vector on the way out.
+// encodes as version 5; states the layout cannot carry — a raw-vector
+// prior, an interval or evidence count beyond what decoders admit — fall
+// back to the raw float layout, materializing the log-belief vector on the
+// way out.
 func appendEstimator(b []byte, s *bayes.State, counts bool) []byte {
 	if counts && s.IsCounts() && s.Intervals <= MaxIntervals &&
 		s.Succ >= 0 && s.Fail >= 0 && s.Succ+s.Fail <= MaxEvidence {
@@ -240,14 +241,8 @@ func appendEstimator(b []byte, s *bayes.State, counts bool) []byte {
 		b = binary.AppendUvarint(b, uint64(s.Succ))
 		return binary.AppendUvarint(b, uint64(s.Fail))
 	}
-	if s.Mids == nil {
-		b = append(b, flagUniform)
-		b = binary.AppendUvarint(b, uint64(s.Intervals))
-	} else {
-		b = append(b, flagRefined)
-		b = binary.AppendUvarint(b, uint64(len(s.Mids)))
-		b = appendFloats(b, s.Mids)
-	}
+	b = append(b, flagUniform)
+	b = binary.AppendUvarint(b, uint64(s.Intervals))
 	// The paper's U = 100 materializes on the stack; larger grids spill.
 	var scratch [128]float64
 	beliefs := s.AppendLogBeliefs(scratch[:0])
@@ -260,7 +255,7 @@ func (r *reader) estimator() bayes.State {
 	flags := r.byte()
 	switch flags {
 	case flagUniform:
-		// Uniform grids ship only the interval count; each belief below is
+		// The grid ships only as its interval count; each belief below is
 		// 8 bytes, so cap the count by the remaining frame the same way
 		// explicit float arrays are capped.
 		u := r.uvarint()
@@ -272,10 +267,6 @@ func (r *reader) estimator() bayes.State {
 			return s
 		}
 		s.Intervals = int(u)
-	case flagRefined:
-		n := r.count("midpoints")
-		s.Mids = r.floats(n, "midpoints")
-		s.Intervals = n
 	case flagCounts:
 		if r.ver < version5 {
 			r.fail("evidence-count estimator in a version-%d frame", r.ver)
@@ -317,7 +308,7 @@ func estimatorSize(s *bayes.State, counts bool) int {
 	if counts && s.IsCounts() {
 		return 1 + 3*binary.MaxVarintLen64
 	}
-	return 1 + 2*binary.MaxVarintLen32 + 8*s.Intervals + 8*len(s.Mids)
+	return 1 + 2*binary.MaxVarintLen32 + 8*s.Intervals
 }
 
 func snapshotSize(s *knowledge.Snapshot, counts bool) int {
@@ -356,8 +347,8 @@ func appendSnapshot(b []byte, s *knowledge.Snapshot, counts bool) []byte {
 }
 
 // The shortest legal encodings, from the layouts above: an estimator is a
-// flag byte and at least two one-byte varints (a uniform or refined grid
-// count, then a belief count; every other layout is longer), a process
+// flag byte and at least two one-byte varints (an interval count, then a
+// belief count; the count layout is longer), a process
 // record prefixes it with two varints (ID, distortion) and a link record
 // with three (A, B, distortion).
 const (

@@ -14,9 +14,11 @@ import (
 // kept as the bytes an old binary or a replaying peer would send:
 // retired-0 to retired-5 are wire v4 quantized frames (four deltas, a
 // heartbeat and a join), retired-6 a v5 join carrying a capability
-// advert, and retired-7 a v4 header around raw estimator layouts. Both
-// kinds are committed next to the seeds so fuzzing starts from them and
-// the byzantine-replay scenario throws them at a live cluster.
+// advert, retired-7 a v4 header around raw estimator layouts, and
+// retired-8 and retired-9 a v5 heartbeat and a v5 delta around the
+// retired refined-grid estimator layout (flags 0x00). Both kinds are
+// committed next to the seeds so fuzzing starts from them and the
+// byzantine-replay scenario throws them at a live cluster.
 const forgedPrefix, retiredPrefix = "forged-", "retired-"
 
 // seedName names the corpus file of canonical frame i. The names seed-14

@@ -37,7 +37,7 @@ func EncodeInto(buf []byte, f *Frame) ([]byte, error) {
 }
 
 // AppendSnapshotSection appends the wire form of a knowledge snapshot's
-// record section to dst, in the raw (float64) estimator layouts. The
+// record section to dst, in the raw (float64) estimator layout. The
 // raw section is identical across all wire versions, which is what makes
 // shared delta cuts sound: encode the section once per acked-base group
 // of neighbors, then build each neighbor's frame around it with
@@ -102,7 +102,7 @@ func SpliceDataPiggyback(dst, raw []byte, snap *knowledge.Snapshot) ([]byte, err
 	dst = append(dst, raw[:flagOff]...)
 	if snap != nil {
 		// Data frames have no v5 layout (the splice output keeps raw's
-		// version), so the snapshot always uses the raw layouts.
+		// version), so the snapshot always uses the raw layout.
 		dst = append(dst, 1)
 		dst = appendSnapshot(dst, snap, false)
 	} else {
@@ -187,8 +187,6 @@ func (r *reader) skipEstimator() {
 	switch flags := r.byte(); flags {
 	case flagUniform:
 		r.uvarint() // interval count; nothing allocated, nothing to clamp
-	case flagRefined:
-		r.skip(8*r.count("midpoints"), "midpoints")
 	default:
 		r.fail("unknown estimator flags %#x", flags)
 	}

@@ -69,7 +69,7 @@ func seedFrames(tb testing.TB) []*Frame {
 		// Empty lists and optional sections inside the newer layouts: the
 		// first join into a static cluster (nothing departed), an
 		// epoch-tagged data frame carrying a piggyback, a v5 heartbeat
-		// around a refined snapshot (the raw fallback outside a delta),
+		// around a raw-prior snapshot (the raw fallback outside a delta),
 		// and a converged delta with no records, which takes the oldest
 		// header that fits (v2 for its stretched cadence).
 		{Kind: FrameJoin, Member: &Membership{Node: 4, Epoch: 1, NumProcs: 5, Neighbors: []topology.NodeID{0}}},
@@ -83,41 +83,46 @@ func seedFrames(tb testing.TB) []*Frame {
 			Piggyback:   snap,
 			Epoch:       4,
 		}},
-		{Kind: FrameHeartbeat, Heartbeat: refinedSnapshot(tb), Caps: CapsCounts},
+		{Kind: FrameHeartbeat, Heartbeat: rawPriorSnapshot(tb), Caps: CapsCounts},
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: empty, Since: v.Version(), Ver: v.Version(), Ack: 9, Cadence: 4}},
 		// Wire v5: frames carrying Caps, whose snapshots ship evidence
-		// counts (flagCounts). The refined snapshot pins the raw fallback
+		// counts (flagCounts). The raw-prior snapshot pins the raw fallback
 		// inside a v5 frame.
 		{Kind: FrameKnowledgeDelta,
 			Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 2, Epoch: 4, Caps: CapsCounts}},
 		{Kind: FrameKnowledgeDelta,
 			Delta: &KnowledgeDelta{Snap: v.Snapshot(), Since: 0, Ver: v.Version(), Caps: CapsCounts}},
 		{Kind: FrameKnowledgeDelta,
-			Delta: &KnowledgeDelta{Snap: refinedSnapshot(tb), Since: 0, Ver: 1, Caps: CapsCounts}},
+			Delta: &KnowledgeDelta{Snap: rawPriorSnapshot(tb), Since: 0, Ver: 1, Caps: CapsCounts}},
 		{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts},
 	}
 }
 
-// refinedSnapshot builds a snapshot whose self-estimate carries a
-// refined (non-uniform) grid, which no count record can describe.
-func refinedSnapshot(tb testing.TB) *knowledge.Snapshot {
+// rawPriorSnapshot builds a snapshot holding an estimate the view adopted
+// from a raw log-belief vector, as a piggybacked data frame delivers one,
+// with evidence observed on top: its prior is no uniform one, so no count
+// record can describe it.
+func rawPriorSnapshot(tb testing.TB) *knowledge.Snapshot {
 	tb.Helper()
-	v, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{
-		Intervals: 10, AutoRefine: true, RefineMinObs: 4, RefineMass: 0.1,
-	})
+	v, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{Intervals: 10})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		v.BeginPeriod()
+	raw := bayes.State{Intervals: 10, LogBeliefs: []float64{-2, -1, 0, -0.5, -1, -2, -3, -4, -5, -6}}
+	if err := v.MergeSnapshotKnowledgeOnly(&knowledge.Snapshot{From: 1, Seq: 1,
+		Procs: []knowledge.ProcRecord{{ID: 1, Dist: 0, Est: raw}}}); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		v.BeginPeriod() // the silent neighbour's suspicion books a failure on top
 	}
 	snap := v.Snapshot()
 	for _, pr := range snap.Procs {
-		if pr.Est.Mids != nil {
+		if !pr.Est.IsCounts() {
 			return snap
 		}
 	}
-	tb.Fatal("fixture never produced a refined (non-uniform) grid")
+	tb.Fatal("fixture holds no raw-prior estimate")
 	return nil
 }
 
@@ -148,12 +153,11 @@ func floatsEqual(a, b []float64) bool {
 }
 
 // statesEqual compares estimator states by what they denote: the same
-// grid and, bit for bit, the same materialized log-belief vector. A count
-// state and the raw vector it encodes to are equal; two different
-// evidence counts are not.
+// interval count and, bit for bit, the same materialized log-belief
+// vector. A count state and the raw vector it encodes to are equal; two
+// different evidence counts are not.
 func statesEqual(a, b *bayes.State) bool {
-	return a.Intervals == b.Intervals && floatsEqual(a.Mids, b.Mids) &&
-		floatsEqual(a.AppendLogBeliefs(nil), b.AppendLogBeliefs(nil))
+	return a.Intervals == b.Intervals && floatsEqual(a.AppendLogBeliefs(nil), b.AppendLogBeliefs(nil))
 }
 
 func snapshotsEqual(a, b *knowledge.Snapshot) bool {

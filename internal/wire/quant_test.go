@@ -56,9 +56,9 @@ func TestQuantizedHeartbeatSizeRatio(t *testing.T) {
 // profile's 1e-3 tolerance: across random lossy observation schedules an
 // estimate that crosses the wire as evidence counts and the same estimate
 // crossing as a raw vector rebuild posteriors that agree to <= 1e-12 (in
-// fact to the bit), the counts keep their Observations(), refined
-// estimators fall back to the raw layout inside the v5 frame, and a
-// second hop re-encodes the same bytes in either layout.
+// fact to the bit), the counts keep their Observations(), estimators
+// adopted from a raw vector fall back to the raw layout inside the v5
+// frame, and a second hop re-encodes the same bytes in either layout.
 func TestQuantErrorBound(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
@@ -74,9 +74,14 @@ func TestQuantErrorBound(t *testing.T) {
 					est.ObserveSuccess(factor)
 				}
 			}
-			refined := trial%3 == 0
-			if refined {
-				est = est.Refine() // no count record can carry it
+			rawPrior := trial%3 == 0
+			if rawPrior {
+				// Adopted from its own raw vector: no count record can carry it.
+				st := est.State()
+				var err error
+				if est, err = bayes.NewFromState(bayes.State{Intervals: 100, LogBeliefs: st.AppendLogBeliefs(nil)}); err != nil {
+					t.Fatal(err)
+				}
 				est.ObserveSuccess(1 + rng.Intn(20))
 			}
 			snap := &knowledge.Snapshot{
@@ -93,7 +98,7 @@ func TestQuantErrorBound(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := f.Heartbeat.Procs[0].Est
-				if want := caps != 0 && !refined; st.IsCounts() != want {
+				if want := caps != 0 && !rawPrior; st.IsCounts() != want {
 					t.Fatalf("seed %d trial %d caps %d: count layout used = %v, want %v", seed, trial, caps, st.IsCounts(), want)
 				}
 				got, err := bayes.NewFromState(st)
@@ -127,7 +132,8 @@ func TestQuantErrorBound(t *testing.T) {
 // heartbeat fails as an unsupported version whatever its estimator
 // layout, fresh, borrowed and through a Scratch a valid frame just used,
 // and the quantized estimator flags are unknown layouts even inside a v5
-// frame. The same raw record in a v5 header decodes.
+// frame, as is the retired refined-grid flag 0x00. The same raw record in
+// a v5 header decodes.
 func TestQuantizedDecodeRenormalizes(t *testing.T) {
 	quantized := binary.AppendUvarint([]byte{2}, 4) // the v4 uniform-grid flag, U = 4
 	quantized = appendFloat(quantized, -3)          // the shared belief scale
@@ -147,6 +153,8 @@ func TestQuantizedDecodeRenormalizes(t *testing.T) {
 		{"v4 raw", handHeartbeat(4, raw), "unsupported version 4"},
 		{"quantized flag in v5", handHeartbeat(version5, quantized), "unknown estimator flags"},
 		{"quantized window flag in v5", handHeartbeat(version5, append([]byte{3}, quantized[1:]...)), "unknown estimator flags"},
+		{"refined-grid flag in v5", handHeartbeat(version5, append([]byte{0}, raw[1:]...)), "unknown estimator flags"},
+		{"refined-grid flag in v1", handHeartbeat(version, append([]byte{0}, raw[1:]...)), "unknown estimator flags"},
 	} {
 		for what, err := range decodeEverywhere(t, c.frame) {
 			if err == nil || !strings.Contains(err.Error(), c.why) {

@@ -304,9 +304,13 @@ func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 			b = binary.AppendUvarint(b, 0) // no process records
 		}
 		b = binary.AppendUvarint(b, declared)
-		// Zero bytes parse as the shortest records there are, so without
-		// the bound the parse runs on until the bytes are gone.
-		return append(b, make([]byte, declared)...)
+		// The shortest records there are, repeated, so without the bound
+		// the parse runs on until the bytes are gone.
+		rec := []byte{0, 0, flagUniform, 0, 0} // process 0 at distortion 0, U 0, no beliefs
+		if links {
+			rec = []byte{2, 4, 0, flagUniform, 0, 0} // link 1–2
+		}
+		return append(b, bytes.Repeat(rec, declared/len(rec))...)
 	}
 	_, valid := countHeartbeat(t, 1, 20, 30, 1)
 	var sc Scratch
@@ -337,11 +341,9 @@ func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 	// The shortest legal records, exactly as many as the bytes hold, still
 	// decode (into estimators no view would adopt): the bound is tight.
 	exact := []byte{magic, version, byte(FrameHeartbeat), 2, 1, 3}
-	exact = append(exact, make([]byte, 3*minProcRecordSize)...)
+	exact = append(exact, bytes.Repeat([]byte{0, 0, flagUniform, 0, 0}, 3)...)
 	exact = append(exact, 2)
-	for i := 0; i < 2; i++ {
-		exact = append(exact, 2, 4, 0, 0, 0, 0) // link 1–2, the rest zero
-	}
+	exact = append(exact, bytes.Repeat([]byte{2, 4, 0, flagUniform, 0, 0}, 2)...)
 	if f, err := Decode(exact); err != nil || len(f.Heartbeat.Procs) != 3 || len(f.Heartbeat.Links) != 2 {
 		t.Errorf("shortest-record heartbeat decoded to %+v, %v; want 3 process and 2 link records", f, err)
 	}

@@ -132,7 +132,7 @@ const MaxCadence = 256
 const CapsCounts = 5
 
 // MaxIntervals bounds the interval count U an evidence-count estimator
-// record may declare. The float layouts bound U by the bytes left in the
+// record may declare. The raw float layout bounds U by the bytes left in the
 // frame; a count record is ~5 bytes whatever it declares, and U sizes the
 // grid the receiver builds. 4096 is 40× the paper's precision.
 const MaxIntervals = 1 << 12

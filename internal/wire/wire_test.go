@@ -143,42 +143,25 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestRefinedGridRoundTrip covers the slow path: estimators whose grid
-// was re-gridded by AutoRefine carry explicit (non-uniform) midpoints.
+// TestRefinedGridRoundTrip keeps the name it had when refined grids had
+// a layout of their own. It covers the slow path that remains: an
+// estimate adopted from a raw log-belief vector rides the raw layout, in
+// a count frame as in a raw one, and round-trips.
 func TestRefinedGridRoundTrip(t *testing.T) {
-	v, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{
-		Intervals: 10, AutoRefine: true, RefineMinObs: 4, RefineMass: 0.1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough one-sided periods for the self-estimate to concentrate and
-	// refine (candidacy is checked every 16 periods), but short of the
-	// next check, where sustained successes would hit the edge-stuck
-	// fallback and re-grid back to uniform.
-	for i := 0; i < 20; i++ {
-		v.BeginPeriod()
-	}
-	snap := v.Snapshot()
-	refined := false
-	for _, pr := range snap.Procs {
-		if pr.Est.Mids != nil {
-			refined = true
+	snap := rawPriorSnapshot(t)
+	for _, caps := range []uint64{0, CapsCounts} {
+		want := &Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: caps}
+		b, err := Encode(want)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !refined {
-		t.Fatal("fixture never produced a refined (non-uniform) grid")
-	}
-	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !framesEqual(&Frame{Kind: FrameHeartbeat, Heartbeat: snap}, f) {
-		t.Fatal("refined snapshot did not round-trip")
+		f, err := Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !framesEqual(want, f) {
+			t.Fatalf("caps %d: raw-prior snapshot did not round-trip", caps)
+		}
 	}
 }
 

@@ -224,11 +224,15 @@ func (n *Node) Deliveries() <-chan Delivery { return n.inner.Deliveries() }
 // counts meeting the reliability target K, or is flooded to the neighbors
 // while the view cannot produce a spanning tree yet.
 //
-// A non-nil error can accompany a valid Receipt: once the broadcast is
-// initiated (sequence number consumed, local delivery queued), a
-// transport failure reports the receipt of the half-sent broadcast so
-// callers can dedup instead of retrying blind. Receipt.Seq == 0 means
-// nothing was initiated.
+// Sends are asynchronous hand-offs to the node's lane scheduler, so a
+// transport that refuses them (closed, unknown peer) does not fail the
+// call: it is counted in NodeStats.SendFailures once the lanes flush
+// (see WaitSendIdle). A non-nil error can still accompany a valid
+// Receipt — once the broadcast is initiated (sequence number consumed,
+// local delivery queued), a node whose send path is already closed
+// reports the receipt of the half-sent broadcast so callers can dedup
+// instead of retrying blind. Receipt.Seq == 0 means nothing was
+// initiated.
 func (n *Node) Broadcast(body []byte) (Receipt, error) {
 	seq, planned, err := n.inner.Broadcast(body)
 	if seq == 0 {
@@ -269,12 +273,11 @@ func (n *Node) BroadcastCtx(ctx context.Context, body []byte) (Receipt, error) {
 // Stats returns a snapshot of the node's protocol counters.
 func (n *Node) Stats() NodeStats { return n.inner.Stats() }
 
-// WaitSendIdle blocks until the lane scheduler (on by default; see
-// WithLaneScheduler) has flushed every queued outbound frame, or the
-// timeout elapses; it reports whether idle was reached. With the
-// scheduler disabled, sends are synchronous and it returns true
-// immediately. Benchmarks and shutdown sequences use it to distinguish
-// "handed to the transport" from "queued".
+// WaitSendIdle blocks until the lane scheduler (see WithLaneQueueDepth)
+// has flushed every queued outbound frame, or the timeout elapses; it
+// reports whether idle was reached. Benchmarks and shutdown sequences use
+// it to distinguish "handed to the transport" from "queued"; after it a
+// refused flush is counted in NodeStats.SendFailures.
 func (n *Node) WaitSendIdle(timeout time.Duration) bool { return n.inner.WaitSendIdle(timeout) }
 
 // Epoch returns the membership epoch the node currently operates in: 0

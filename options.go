@@ -140,27 +140,14 @@ func WithAdaptiveCadence(max time.Duration) Option {
 	return func(c *nodeConfig) { c.adaptiveCadence = max }
 }
 
-// WithLaneScheduler enables or disables the per-peer prioritized lane
-// scheduler (control > data). It is ON by default: sends are
-// asynchronous hand-offs to bounded per-peer queues, protocol-critical
-// control frames (heartbeats, knowledge deltas, membership changes) are
-// never shed and overtake queued data, and each peer's data drains in
-// coalesced batches through the transport's multi-frame fast path. This is the high-throughput datapath: under
-// broadcast saturation it keeps the knowledge plane's control traffic
-// flowing at its usual latency while data throughput rises with
-// batching. WithLaneScheduler(false) opts out and reverts every send to
-// a synchronous transport call on the calling goroutine — the
-// pre-scheduler behavior, for deterministic drivers or callers that
-// need per-call send errors to surface inline. Scheduler behavior is
-// observable via NodeStats.LaneDrops / CoalescedFlushes.
-func WithLaneScheduler(enabled bool) Option {
-	return func(c *nodeConfig) { c.inner.DisableLaneScheduler = !enabled }
-}
-
-// WithLaneQueueDepth bounds each peer's data lane when the lane
-// scheduler is on (default 256 frames). At the high watermark new data
-// frames are shed — counted in NodeStats.LaneDrops — which is the
-// backpressure policy: shedding data protects the control plane, and
+// WithLaneQueueDepth bounds each peer's data lane (default 256 frames).
+// Every send is an asynchronous hand-off to the node's per-peer lane
+// scheduler (control > data): protocol-critical control frames
+// (heartbeats, knowledge deltas, membership changes) are never shed and
+// overtake queued data, and each peer's data drains in coalesced batches
+// through the transport's multi-frame fast path. At the high watermark
+// new data frames are shed — counted in NodeStats.LaneDrops — which is
+// the backpressure policy: shedding data protects the control plane, and
 // the protocol's redundancy math already tolerates lost data copies.
 // The control lane is never bounded.
 func WithLaneQueueDepth(depth int) Option {
