@@ -63,7 +63,9 @@ type (
 	Link = topology.Link
 	// Topology is the system graph G = (Π, Λ).
 	Topology = topology.Graph
-	// Delivery is one broadcast handed to the application.
+	// Delivery is one broadcast handed to the application. Its Body is
+	// read-only; copy before modifying: it may share storage with the
+	// frame the node is relaying to its children.
 	Delivery = node.Delivery
 	// NodeStats are per-node protocol counters.
 	NodeStats = node.Stats

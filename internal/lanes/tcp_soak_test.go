@@ -113,7 +113,7 @@ func TestSchedulerOverLossyTCP(t *testing.T) {
 	}
 
 	rx := &soakRx{byM: make(map[byte]int)}
-	recv, err := transport.NewTCP(1, "127.0.0.1:0", nil, transport.TCPOptions{QueueSize: 8192})
+	recv, err := transport.NewTCP(1, "127.0.0.1:0", nil, transport.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,11 @@ type Delivery struct {
 	Origin topology.NodeID // broadcast originator
 	Seq    uint64          // originator-local sequence number
 	From   topology.NodeID // immediate sender (tree parent), Origin for local broadcasts
-	Body   []byte
+	// Body is read-only; copy before modifying. On a transport that owns
+	// its frames (transport.FrameOwner: the Fabric and TCP) it aliases the
+	// inbound frame, which this node may still be relaying to its
+	// children: an edit in place would change what they receive.
+	Body []byte
 }
 
 // Stats counts node-level events. Retrieve a snapshot with Node.Stats.
@@ -554,7 +558,8 @@ func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 // announcements add or remove adjacent processes.
 func (n *Node) Neighbors() []topology.NodeID { return *n.nbs.Load() }
 
-// Deliveries returns the channel of application deliveries.
+// Deliveries returns the channel of application deliveries. A delivered
+// Body is read-only; copy before modifying (see Delivery).
 func (n *Node) Deliveries() <-chan Delivery { return n.deliveries }
 
 // Stats returns a snapshot of the node counters, folding in the send

@@ -331,9 +331,9 @@ func TestForgedAllocationIsRejectedWhole(t *testing.T) {
 }
 
 // TestDeliveredBodyOutlivesTransportBuffer: on a transport that keeps its
-// read buffers (TCP), what the application and the OnDeliver hook are
-// handed must not change when the buffer does; on an owning transport the
-// body is the inbound buffer itself, uncopied.
+// read buffers (neither shipped transport does), what the application and
+// the OnDeliver hook are handed must not change when the buffer does; on
+// an owning transport the body is the inbound buffer itself, uncopied.
 func TestDeliveredBodyOutlivesTransportBuffer(t *testing.T) {
 	for _, owns := range []bool{false, true} {
 		var hooked Delivery

@@ -190,7 +190,8 @@ func (n *Node) encodeDataFrame(msg *wire.DataMsg) (frame []byte, release func(),
 //     hop, so the unchanged prefix (header through body) and suffix
 //     (epoch) of raw are spliced around this node's fresh snapshot into
 //     a pooled buffer.
-//   - not owned (TCP): full re-encode into a pooled buffer.
+//   - not owned (a transport that is no FrameOwner; both shipped ones
+//     are): full re-encode into a pooled buffer.
 func (n *Node) relayDataFrame(msg *wire.DataMsg, raw []byte) (frame []byte, release func(), err error) {
 	if n.ownsFrames && raw != nil {
 		if !n.cfg.Piggyback {

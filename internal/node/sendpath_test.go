@@ -95,6 +95,64 @@ func TestRelayReusesInboundFrame(t *testing.T) {
 	}
 }
 
+// TestRelayForwardsInboundBytesOverTCP: TCP keeps no frame it hands the
+// handler, so a relay over real sockets forwards the inbound bytes too —
+// node 1 of the chain 0 — 1 — 2 relays every broadcast without an encode
+// — and node 2 delivers every body intact, although each delivered body
+// shares its buffer with a frame node 1 queued for relay. Nothing ticks:
+// every frame is one of the broadcasts' floods.
+func TestRelayForwardsInboundBytesOverTCP(t *testing.T) {
+	const procs, msgs = 3, 32
+	trs := make([]*transport.TCP, procs)
+	for i := range trs {
+		tr, err := transport.NewTCP(topology.NodeID(i), "127.0.0.1:0", nil, transport.TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = tr.Close() }()
+		trs[i] = tr
+	}
+	nodes := make([]*Node, procs)
+	for i := range nodes {
+		var nbs []topology.NodeID
+		for _, j := range []int{i - 1, i + 1} {
+			if j >= 0 && j < procs {
+				nbs = append(nbs, topology.NodeID(j))
+				trs[i].AddPeer(topology.NodeID(j), trs[j].Addr().String())
+			}
+		}
+		nd, err := New(Config{ID: topology.NodeID(i), NumProcs: procs, Neighbors: nbs, DeliveryBuffer: msgs}, trs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Stop()
+		nodes[i] = nd
+	}
+
+	before := poolEncodes(nodes[1])
+	body := func(seq uint64) string { return fmt.Sprintf("broadcast %d over sockets", seq) }
+	for i := 0; i < msgs; i++ {
+		if _, _, err := nodes[0].Broadcast([]byte(body(uint64(i + 1)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < msgs; i++ {
+		d := waitDelivery(t, nodes[2])
+		if d.Origin != 0 || string(d.Body) != body(d.Seq) {
+			t.Fatalf("node 2 delivered origin %d seq %d %q", d.Origin, d.Seq, d.Body)
+		}
+	}
+	if !nodes[1].WaitSendIdle(5 * time.Second) {
+		t.Fatal("node 1's lanes never flushed")
+	}
+	if got := poolEncodes(nodes[1]) - before; got != 0 {
+		t.Errorf("relaying %d broadcasts over TCP took %d encodes, want 0", msgs, got)
+	}
+	if s := nodes[1].Stats(); s.DataReceived != msgs || s.DecodeErrors != 0 {
+		t.Errorf("node 1: %d first receipts, %d decode errors; want %d and 0", s.DataReceived, s.DecodeErrors, msgs)
+	}
+}
+
 // TestPiggybackRelaySplices: a piggybacking relay re-serializes only its
 // own snapshot (one pooled encode via the splice), and the spliced
 // frames decode cleanly downstream — deliveries arrive and no snapshot

@@ -18,10 +18,10 @@ type FabricOptions struct {
 	// Latency delays every delivery (0 = immediate).
 	Latency time.Duration
 	// QueueSize bounds how many routed entries each endpoint's inbox
-	// holds (default 1024). It is a bound, not a preallocation: the inbox
-	// grows on demand and an idle endpoint holds a few slots. When an
-	// inbox is full the frame is dropped — the model tolerates loss by
-	// construction, and the drop is counted in Stats.
+	// holds; 0 or less uses the default, 1024. It is a bound, not a
+	// preallocation: the inbox grows on demand and an idle endpoint holds
+	// a few slots. When an inbox is full the frame is dropped — the model
+	// tolerates loss by construction, and the drop is counted in Stats.
 	QueueSize int
 	// SendCost charges the sender this many bytes of memory copy per
 	// transport call (Send/SendN/SendFrames each count as one flush),
@@ -38,7 +38,7 @@ func (o FabricOptions) withDefaults() FabricOptions {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.QueueSize == 0 {
+	if o.QueueSize <= 0 {
 		o.QueueSize = 1024
 	}
 	return o

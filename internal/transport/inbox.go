@@ -37,17 +37,15 @@ const (
 	putClosed           // the consumer is gone for good
 )
 
-// inbox is an endpoint's inbound FIFO: a ring that starts empty, doubles
-// on demand up to its bound and then keeps its high-water backing array,
-// so an idle endpoint costs almost nothing and a steady state allocates
-// nothing. One consumer drains it; any number of producers fill it.
+// inbox is a Fabric endpoint's inbound FIFO: a ring that starts empty,
+// doubles on demand up to its bound and then keeps its high-water backing
+// array, so an idle endpoint costs almost nothing and a steady state
+// allocates nothing. One consumer drains it; any number of producers fill
+// it, and a producer that finds it full drops (put never blocks).
 //
 // wake carries at most one token. put leaves one whenever it makes the
 // ring non-empty, and the consumer only waits after take found the ring
-// empty, so a waiting consumer always has a token coming. space mirrors
-// it for producers that wait on a full ring (TCP): every take leaves a
-// token, and a producer that finds the ring full again waits for the
-// next one.
+// empty, so a waiting consumer always has a token coming.
 type inbox struct {
 	mu     sync.Mutex
 	ring   []inboundFrame
@@ -58,14 +56,11 @@ type inbox struct {
 
 	//adaptivelint:chan owner=inbox.put close=never
 	wake chan struct{}
-	//adaptivelint:chan owner=inbox.take close=never
-	space chan struct{}
 }
 
 func (q *inbox) init(limit int) {
 	q.limit = limit
 	q.wake = make(chan struct{}, 1)
-	q.space = make(chan struct{}, 1)
 }
 
 // put appends in unless the inbox is full or closed.
@@ -124,10 +119,6 @@ func (q *inbox) take() (inboundFrame, bool) {
 	}
 	q.n--
 	q.mu.Unlock()
-	select {
-	case q.space <- struct{}{}:
-	default:
-	}
 	return in, true
 }
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -101,96 +100,6 @@ func TestInboxTakeReleasesFrame(t *testing.T) {
 	}
 }
 
-// TestTCPBackpressureLosesNothing: with the handler held, a sender pushes
-// several times QueueSize frames; once the handler is released every
-// frame arrives, in order.
-func TestTCPBackpressureLosesNothing(t *testing.T) {
-	const queue, frames = 4, 50
-	server, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{QueueSize: queue})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = server.Close() }()
-	gate := make(chan struct{})
-	col := newCollector()
-	server.SetHandler(func(from topology.NodeID, frame []byte) {
-		<-gate
-		col.handler(from, frame)
-	})
-	client, err := NewTCP(0, "127.0.0.1:0", map[topology.NodeID]string{1: server.Addr().String()}, TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = client.Close() }()
-
-	for i := 0; i < frames; i++ {
-		if err := client.Send(1, []byte(fmt.Sprintf("f%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for server.inbox.len() < queue { // the reader has filled the inbox
-		if time.Now().After(deadline) {
-			t.Fatalf("the inbox holds %d frames, want %d", server.inbox.len(), queue)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	col.wait(t, frames)
-	got, _ := col.snapshot()
-	for i, fr := range got {
-		if fr != fmt.Sprintf("f%d", i) {
-			t.Fatalf("frame %d = %q: order broken", i, fr)
-		}
-	}
-}
-
-// TestTCPCloseWithReaderBlockedOnFullInbox: Close returns promptly while
-// a reader waits for room the held handler will never make.
-func TestTCPCloseWithReaderBlockedOnFullInbox(t *testing.T) {
-	server, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{QueueSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	defer close(gate)
-	var entered atomic.Bool
-	server.SetHandler(func(topology.NodeID, []byte) {
-		entered.Store(true)
-		select {
-		case <-gate:
-		case <-time.After(100 * time.Millisecond):
-		}
-	})
-	client, err := NewTCP(0, "127.0.0.1:0", map[topology.NodeID]string{1: server.Addr().String()}, TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = client.Close() }()
-	for i := 0; i < 10; i++ {
-		if err := client.Send(1, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !entered.Load() || server.inbox.len() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("the reader never filled the inbox")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	closed := make(chan error, 1)
-	go func() { closed <- server.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close hangs while a reader waits on a full inbox")
-	}
-}
-
 // TestFabricCloseCountsFramesInFlight: copies that reach an endpoint after
 // it closed — delayed flushes landing late, and entries its receive loop
 // never got to — are fault drops, so Sent − Lost − FaultDrops − Overflows
@@ -276,6 +185,31 @@ func TestFabricEndpointAfterClose(t *testing.T) {
 	}
 	if err := ep.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFabricNegativeQueueSizeUsesDefault: a negative QueueSize is the
+// default bound, not a ring sized below zero that panics the first
+// sender while it holds the inbox lock and leaves Close hanging on it.
+func TestFabricNegativeQueueSizeUsesDefault(t *testing.T) {
+	f := NewFabric(FabricOptions{QueueSize: -1})
+	a := f.Endpoint(0)
+	b := f.Endpoint(1)
+	col := newCollector()
+	b.SetHandler(col.handler)
+	if err := a.Send(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, 1)
+	closed := make(chan error, 1)
+	go func() { closed <- f.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close hangs")
 	}
 }
 

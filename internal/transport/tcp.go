@@ -26,10 +26,6 @@ const (
 type TCPOptions struct {
 	// DialTimeout bounds outbound connection establishment (default 5s).
 	DialTimeout time.Duration
-	// QueueSize bounds how many received frames wait for the handler
-	// (default 1024). It is a bound, not a preallocation: the inbox grows
-	// on demand. A reader that finds it full waits, so TCP never drops.
-	QueueSize int
 	// Dial, when non-nil, replaces net.DialTimeout for outbound
 	// connections. Fault-injection tests use it to wrap the returned
 	// net.Conn (e.g. a lossy conn that discards whole writes); production
@@ -41,27 +37,31 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	if o.DialTimeout == 0 {
 		o.DialTimeout = 5 * time.Second
 	}
-	if o.QueueSize == 0 {
-		o.QueueSize = 1024
-	}
 	return o
 }
 
 // TCP is a Transport over real sockets: length-prefixed frames preceded by
 // a one-time hello identifying the sender. Connections are dialed on
-// demand and cached; inbound frames from all connections are serialized
-// through one dispatch goroutine so the node sees ordered input.
+// demand and cached. Each inbound connection's reader runs the handler
+// itself, under one transport-wide lock, so the node sees one frame at a
+// time and each connection's frames in order. A reader waiting on the
+// handler reads nothing, so a slow handler backs up into the kernel
+// socket buffer and then the sender: TCP never drops and keeps no queue.
 //
-// TCP implements BatchSender: SendN assembles the n length-prefixed
-// copies into one buffer and flushes them with a single Write — one
-// syscall for a whole per-edge retransmission burst instead of 2n.
+// TCP implements FrameOwner: every frame is read into a fresh buffer the
+// transport never touches again. It implements BatchSender: SendN
+// assembles the n length-prefixed copies into one buffer and flushes them
+// with a single Write — one syscall for a whole per-edge retransmission
+// burst instead of 2n.
 type TCP struct {
 	local    topology.NodeID
 	opts     TCPOptions
 	listener net.Listener
 
-	handlerMu sync.RWMutex
-	handler   Handler
+	// handleMu serializes handler calls across every reader and guards
+	// handler.
+	handleMu sync.Mutex
+	handler  Handler
 
 	mu      sync.Mutex
 	peers   map[topology.NodeID]string   // static address book
@@ -73,11 +73,8 @@ type TCP struct {
 	framesSent atomic.Int64
 	bytesSent  atomic.Int64
 
-	inbox inbox
 	//adaptivelint:chan owner=none close=TCP.Close
 	stop chan struct{}
-	//adaptivelint:chan owner=none close=TCP.dispatchLoop
-	done chan struct{}
 	wg   sync.WaitGroup
 }
 
@@ -107,6 +104,7 @@ type tcpConn struct {
 }
 
 var _ Transport = (*TCP)(nil)
+var _ FrameOwner = (*TCP)(nil)
 var _ BatchSender = (*TCP)(nil)
 var _ MultiFrameSender = (*TCP)(nil)
 
@@ -126,22 +124,23 @@ func NewTCP(local topology.NodeID, listenAddr string, peers map[topology.NodeID]
 		conns:    make(map[topology.NodeID]*tcpConn),
 		inConns:  make(map[net.Conn]struct{}),
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
-	t.inbox.init(opts.QueueSize)
 	for id, addr := range peers {
 		t.peers[id] = addr
 	}
 	t.wg.Add(1)
 	//adaptivelint:goroutine stop=t.closed
 	go t.acceptLoop()
-	//adaptivelint:goroutine stop=t.stop
-	go t.dispatchLoop()
 	return t, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
 func (t *TCP) Addr() net.Addr { return t.listener.Addr() }
+
+// HandlerOwnsFrame implements FrameOwner: readLoop reads every frame into
+// a fresh buffer and never touches it again, so a delivered body and a
+// relayed frame may be the inbound bytes themselves.
+func (t *TCP) HandlerOwnsFrame() bool { return true }
 
 // AddPeer extends the address book at runtime.
 func (t *TCP) AddPeer(id topology.NodeID, addr string) {
@@ -155,8 +154,8 @@ func (t *TCP) Local() topology.NodeID { return t.local }
 
 // SetHandler implements Transport.
 func (t *TCP) SetHandler(h Handler) {
-	t.handlerMu.Lock()
-	defer t.handlerMu.Unlock()
+	t.handleMu.Lock()
+	defer t.handleMu.Unlock()
 	t.handler = h
 }
 
@@ -324,9 +323,7 @@ func (t *TCP) Close() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	t.wg.Wait()
-	<-t.done
-	t.inbox.close() // frames nobody will dispatch: let them go
+	t.wg.Wait() // readers: a handler call in progress finishes first
 	return nil
 }
 
@@ -353,7 +350,8 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// readLoop validates the hello and streams frames into the dispatcher.
+// readLoop validates the hello, then reads frames and runs the handler on
+// each, one connection's frames in order.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -381,42 +379,24 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if size > maxFrameSize {
 			return
 		}
-		frame := make([]byte, size)
+		frame := make([]byte, size) // the handler's to keep (FrameOwner)
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return
 		}
-		// A full inbox holds the reader, and with it the connection, until
-		// the dispatcher makes room: backpressure instead of loss.
-		for t.inbox.put(inboundFrame{from: from, frame: frame, copies: 1}) == putFull {
-			select {
-			case <-t.inbox.space:
-			case <-t.stop:
-				return
-			}
-		}
-	}
-}
-
-// dispatchLoop serializes handler invocations: woken by a put on an
-// empty inbox, it drains the inbox in FIFO order.
-func (t *TCP) dispatchLoop() {
-	defer close(t.done)
-	for {
+		// The reader waits for the lock and then for the call: a held
+		// handler holds the connection, and the sender's writes back up
+		// behind it — backpressure instead of loss. Once Close has begun,
+		// no further call starts.
+		t.handleMu.Lock()
 		select {
-		case <-t.inbox.wake:
 		case <-t.stop:
+			t.handleMu.Unlock()
 			return
+		default:
 		}
-		for in, ok := t.inbox.take(); ok; in, ok = t.inbox.take() {
-			t.handlerMu.RLock()
-			h := t.handler
-			t.handlerMu.RUnlock()
-			in.deliver(h)
-			select {
-			case <-t.stop:
-				return
-			default:
-			}
+		if t.handler != nil {
+			t.handler(from, frame)
 		}
+		t.handleMu.Unlock()
 	}
 }

@@ -1,0 +1,225 @@
+package transport
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"adaptivecast/internal/topology"
+)
+
+// tcpPair is a server transport with handler h and one client that can
+// reach it as peer 1.
+func tcpPair(t *testing.T, h Handler) (server, client *TCP) {
+	t.Helper()
+	server, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server.SetHandler(h)
+	client, err = NewTCP(0, "127.0.0.1:0", map[topology.NodeID]string{1: server.Addr().String()}, TCPOptions{})
+	if err != nil {
+		_ = server.Close()
+		t.Fatal(err)
+	}
+	return server, client
+}
+
+// TestTCPHandlerOwnsFrame: TCP hands the handler a buffer of its own per
+// frame — single sends and coalesced SendFrames batches alike — so a
+// handler that keeps every frame finds each still holding its bytes once
+// all of them have arrived.
+func TestTCPHandlerOwnsFrame(t *testing.T) {
+	const singles, batches, total = 100, 50, 500
+	var mu sync.Mutex
+	var kept [][]byte
+	all := make(chan struct{})
+	server, client := tcpPair(t, func(_ topology.NodeID, frame []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		kept = append(kept, frame)
+		if len(kept) == total {
+			close(all)
+		}
+	})
+	defer func() { _ = server.Close() }()
+	defer func() { _ = client.Close() }()
+	if !server.HandlerOwnsFrame() {
+		t.Fatal("TCP does not declare that the handler owns its frames")
+	}
+
+	frame := func(i int) []byte {
+		return []byte(fmt.Sprintf("frame %03d %s", i, bytes.Repeat([]byte{byte(i)}, i%37)))
+	}
+	var want [][]byte
+	for i := 0; i < singles; i++ {
+		f := frame(i)
+		want = append(want, f)
+		if err := client.Send(1, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b, i := 0, singles; b < batches; b++ {
+		batch := make([]FrameBatch, 4)
+		for e := range batch {
+			batch[e] = FrameBatch{Frame: frame(i), Copies: 2}
+			want = append(want, batch[e].Frame, batch[e].Frame)
+			i++
+		}
+		if _, err := SendFrames(client, 1, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(want) != total {
+		t.Fatalf("the test sends %d frames, want %d", len(want), total)
+	}
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("%d of %d frames arrived", len(kept), total)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, got := range kept {
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("kept frame %d now reads %q, want %q", i, got, want[i])
+		}
+	}
+}
+
+// TestTCPHandlerNeverRunsConcurrently: three clients send at once, so
+// three readers have frames; the handler is never entered while another
+// call is running, every frame arrives and each client's arrive in order.
+func TestTCPHandlerNeverRunsConcurrently(t *testing.T) {
+	const clients, each = 3, 200
+	var inFlight atomic.Int32
+	col := newCollector()
+	server, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = server.Close() }()
+	server.SetHandler(func(from topology.NodeID, frame []byte) {
+		if n := inFlight.Add(1); n != 1 {
+			t.Errorf("handler entered with %d calls running", n-1)
+		}
+		runtime.Gosched() // widen the window another reader could enter by
+		col.handler(from, frame)
+		inFlight.Add(-1)
+	})
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		id := topology.NodeID(10 + c)
+		client, err := NewTCP(id, "127.0.0.1:0", map[topology.NodeID]string{1: server.Addr().String()}, TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = client.Close() }()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := client.Send(1, []byte(fmt.Sprintf("%d", i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	col.wait(t, clients*each)
+	frames, froms := col.snapshot()
+	next := map[topology.NodeID]int{}
+	for i, fr := range frames {
+		if want := fmt.Sprintf("%d", next[froms[i]]); fr != want {
+			t.Fatalf("client %d: frame %q arrived where %q was next", froms[i], fr, want)
+		}
+		next[froms[i]]++
+	}
+	for c := 0; c < clients; c++ {
+		if got := next[topology.NodeID(10+c)]; got != each {
+			t.Errorf("client %d: %d frames arrived, want %d", 10+c, got, each)
+		}
+	}
+}
+
+// TestTCPHeldHandlerLosesNothing: while the handler is held, the frames
+// behind it wait in the connection; once it is released every frame
+// arrives, in order.
+func TestTCPHeldHandlerLosesNothing(t *testing.T) {
+	const frames = 50
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	col := newCollector()
+	server, client := tcpPair(t, func(from topology.NodeID, frame []byte) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+		col.handler(from, frame)
+	})
+	defer func() { _ = server.Close() }()
+	defer func() { _ = client.Close() }()
+
+	for i := 0; i < frames; i++ {
+		if err := client.Send(1, []byte(fmt.Sprintf("f%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-entered // the first frame's call is held; every send has returned
+	close(gate)
+	col.wait(t, frames)
+	got, _ := col.snapshot()
+	for i, fr := range got {
+		if fr != fmt.Sprintf("f%d", i) {
+			t.Fatalf("frame %d = %q: order broken", i, fr)
+		}
+	}
+}
+
+// TestTCPCloseWithHandlerHeld: Close, begun while a handler call is held
+// and frames wait behind it, returns once that call does, and starts no
+// call for the frames still waiting.
+func TestTCPCloseWithHandlerHeld(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var calls atomic.Int32
+	server, client := tcpPair(t, func(topology.NodeID, []byte) {
+		calls.Add(1)
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	})
+	defer func() { _ = client.Close() }()
+	for i := 0; i < 10; i++ {
+		if err := client.Send(1, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-entered
+	closed := make(chan error, 1)
+	go func() { closed <- server.Close() }()
+	<-server.stop // release the handler only once Close has begun
+	close(gate)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close hangs after the held handler returned")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("the handler ran %d times, want only the call Close found running", n)
+	}
+}

@@ -8,8 +8,9 @@
 //     net package, for running nodes across real machines.
 //
 // Transports deliver opaque byte frames; the wire package handles
-// encoding. Handlers are invoked on the transport's receive goroutine, one
-// frame at a time per node, so node state machines see serialized input.
+// encoding. Handlers are invoked on a transport receive goroutine (the
+// Fabric endpoint's receive loop, a TCP connection's reader), one frame at
+// a time per node, so node state machines see serialized input.
 //
 // The package opts into adaptivelint's goroutine-lifecycle rule: every
 // go statement declares the stop signal its body observes (goroleak),
@@ -21,7 +22,7 @@ package transport
 import "adaptivecast/internal/topology"
 
 // Handler consumes one inbound frame. Implementations must not retain the
-// frame slice after returning.
+// frame slice after returning unless the transport is a FrameOwner.
 type Handler func(from topology.NodeID, frame []byte)
 
 // Transport sends frames to peers and feeds inbound frames to a handler.
@@ -41,9 +42,9 @@ type Transport interface {
 	// and may be recycled immediately. Implementations that need the
 	// bytes later (queued delivery, async writes) must copy before
 	// returning; both in-package transports do (the Fabric copies per
-	// routed frame, TCP lays frames into a fresh write buffer). This is
-	// the outbound mirror of the FrameOwner contract, and it is what
-	// makes pooled encode buffers on the send path sound.
+	// routed frame; TCP has written the frame to the socket before it
+	// returns). This is the outbound mirror of the FrameOwner contract,
+	// and it is what makes pooled encode buffers on the send path sound.
 	Send(to topology.NodeID, frame []byte) error
 	// Close releases resources and stops the receive loop. It is
 	// idempotent; after Close, Send fails and no handler runs.
@@ -74,10 +75,11 @@ type BatchSender interface {
 // buffers are exclusively owned by the receiving side: the transport
 // never reuses or mutates a buffer after handing it to the handler, so
 // the handler may retain it — the node then delivers a body and relays a
-// frame as the inbound bytes themselves instead of copying them. The
-// in-process Fabric qualifies (it allocates a fresh buffer per routed
-// frame, the one allocation of its hand-off); TCP does not promise it,
-// so toward TCP the node copies what outlives the handler call.
+// frame as the inbound bytes themselves instead of copying them. Both
+// in-package transports qualify: the Fabric allocates a fresh buffer per
+// routed frame (the one allocation of its hand-off), and TCP reads every
+// frame into a fresh buffer. A transport that does not promise it gets a
+// node that copies what outlives the handler call.
 type FrameOwner interface {
 	// HandlerOwnsFrame reports whether handler-received frame buffers are
 	// the handler's to keep.

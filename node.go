@@ -148,7 +148,8 @@ func (n *Node) Close() error {
 // its cancel function. Handlers run on one dispatch goroutine in delivery
 // order, shared by all subscribers; a handler that lags by more than the
 // delivery buffer causes further deliveries to be dropped and counted
-// (see WithDeliveryBuffer). Handlers must not block indefinitely.
+// (see WithDeliveryBuffer). Handlers must not block indefinitely. A
+// delivered Body is read-only; copy before modifying (see Delivery).
 //
 // The first Subscribe switches the node to handler-based consumption: a
 // dispatcher starts draining the Deliveries channel. Do not mix Subscribe
@@ -216,7 +217,8 @@ func (n *Node) dispatch(d Delivery) {
 
 // Deliveries returns the raw delivery channel, for channel-style
 // consumers (select loops, pipelines). Do not mix with Subscribe: after
-// the first Subscribe the dispatcher owns this channel.
+// the first Subscribe the dispatcher owns this channel. A delivered Body
+// is read-only; copy before modifying (see Delivery).
 func (n *Node) Deliveries() <-chan Delivery { return n.inner.Deliveries() }
 
 // Broadcast reliably broadcasts body (Algorithm 1): the message rides the

@@ -4,12 +4,13 @@ import "adaptivecast/internal/transport"
 
 // Transport moves opaque frames between protocol nodes. A Node works over
 // any implementation; the package ships two — the in-process Fabric and
-// TCP. Handlers are invoked on the transport's receive goroutine, one
-// frame at a time per node, so node state machines see serialized input.
+// TCP. Handlers are invoked on a transport receive goroutine, one frame
+// at a time per node, so node state machines see serialized input.
 type Transport = transport.Transport
 
 // Handler consumes one inbound frame. Implementations must not retain the
-// frame slice after returning.
+// frame slice after returning unless the transport declares, with
+// HandlerOwnsFrame, that the handler owns it (both shipped transports do).
 type Handler = transport.Handler
 
 // BatchSender is the optional transport fast path for sending n logical
@@ -51,11 +52,12 @@ func NewFabric(opts FabricOptions) *Fabric { return transport.NewFabric(opts) }
 
 // TCP is a Transport over real sockets: length-prefixed frames preceded
 // by a one-time hello identifying the sender. Connections are dialed on
-// demand and cached; inbound frames from all connections are serialized
-// through one dispatch goroutine.
+// demand and cached; each connection's reader runs the handler under one
+// transport-wide lock, so handler calls never overlap and a connection's
+// frames arrive in order.
 type TCP = transport.TCP
 
-// TCPOptions tunes the TCP transport (dial timeout, queue size).
+// TCPOptions tunes the TCP transport (dial timeout, dial hook).
 type TCPOptions = transport.TCPOptions
 
 // TCPStats counts a TCP transport's outbound work (socket flushes,
