@@ -27,15 +27,15 @@
 //     running nodes across machines.
 //
 // Nodes are constructed with functional options (WithK, WithHeartbeat,
-// WithPiggyback, WithStableStorage, WithExactlyOnceLog,
-// WithDeliveryBuffer, WithObserver, ...) so every capability of the
-// runtime — crash-recovery stable storage, exactly-once deduplication
-// across crashes, knowledge piggybacking on data frames — is reachable
-// without touching internal packages. Deliveries are consumed either
-// through Subscribe (handler callbacks, in order) or the raw Deliveries
-// channel; broadcasts are initiated with Broadcast or the context-aware
-// BroadcastCtx, which return a Receipt carrying the sequence number and
-// the planned data-message count.
+// WithPiggyback, WithStableStorage, WithExactlyOnceLog, WithObserver,
+// ...) so every capability of the runtime — crash-recovery stable
+// storage, exactly-once deduplication across crashes, knowledge
+// piggybacking on data frames — is reachable without touching internal
+// packages. Deliveries wait in a byte-bounded queue and are taken either
+// with Next (a blocking pull) or by Subscribe handlers, which a
+// dispatcher calls in order; broadcasts are initiated with Broadcast or
+// the context-aware BroadcastCtx, which return a Receipt carrying the
+// sequence number and the planned data-message count.
 //
 // Cluster is a thin convenience layer over Node: one node per process of
 // a topology, pre-wired over a shared Fabric — the quickest way to run
@@ -63,9 +63,10 @@ type (
 	Link = topology.Link
 	// Topology is the system graph G = (Π, Λ).
 	Topology = topology.Graph
-	// Delivery is one broadcast handed to the application. Its Body is
-	// read-only; copy before modifying: it may share storage with the
-	// frame the node is relaying to its children.
+	// Delivery is one broadcast handed to the application by Node.Next
+	// or a Subscribe handler. Its Body is read-only; copy before
+	// modifying: it may share storage with the frame the node is relaying
+	// to its children.
 	Delivery = node.Delivery
 	// NodeStats are per-node protocol counters.
 	NodeStats = node.Stats

@@ -1,6 +1,7 @@
 package adaptivecast
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -69,14 +70,15 @@ func TestClusterBroadcastQuickstart(t *testing.T) {
 	if planned < 5 {
 		t.Errorf("planned = %d, want >= n-1", planned)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	for i := 0; i < c.NumNodes(); i++ {
-		select {
-		case d := <-c.Deliveries(NodeID(i)):
-			if string(d.Body) != "hello" || d.Origin != 0 {
-				t.Errorf("node %d delivery = %+v", i, d)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("node %d never delivered", i)
+		d, err := c.Node(NodeID(i)).Next(ctx)
+		if err != nil {
+			t.Fatalf("node %d never delivered: %v", i, err)
+		}
+		if string(d.Body) != "hello" || d.Origin != 0 {
+			t.Errorf("node %d delivery = %+v", i, d)
 		}
 	}
 	if c.Stats(0).FallbackFloods != 0 {
@@ -190,7 +192,11 @@ func ExampleCluster() {
 		fmt.Println(err)
 		return
 	}
-	d := <-cluster.Deliveries(3)
+	d, err := cluster.Node(3).Next(context.Background())
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Printf("node 3 got %q from node %d\n", d.Body, d.Origin)
 	// Output: node 3 got "hello, cluster" from node 0
 }

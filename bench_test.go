@@ -5,6 +5,7 @@
 package adaptivecast_test
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -401,10 +402,7 @@ func benchConvergedCluster(b *testing.B, n, conn int) *adaptivecast.Cluster {
 // to a plannable view (see benchConvergedCluster).
 func benchConvergeGraph(b *testing.B, g *adaptivecast.Topology, mutate func(*adaptivecast.ClusterConfig)) *adaptivecast.Cluster {
 	b.Helper()
-	cfg := adaptivecast.ClusterConfig{
-		Topology:       g,
-		DeliveryBuffer: 8,
-	}
+	cfg := adaptivecast.ClusterConfig{Topology: g}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -413,6 +411,11 @@ func benchConvergeGraph(b *testing.B, g *adaptivecast.Topology, mutate func(*ada
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = c.Close() })
+	// Every node takes and discards its deliveries, as an application
+	// would, so b.N broadcasts do not pile up in the delivery queues.
+	for i := 0; i < g.NumNodes(); i++ {
+		c.Node(adaptivecast.NodeID(i)).Subscribe(func(adaptivecast.Delivery) {})
+	}
 	for round := 0; round < 400; round++ {
 		c.Tick()
 		time.Sleep(time.Millisecond) // let the fabric deliver the heartbeats
@@ -990,10 +993,15 @@ func BenchmarkControlLatencyUnderLoad(b *testing.B) {
 			defer func() { _ = f.Close() }()
 			sender := f.Endpoint(0)
 			receiver := f.Endpoint(1)
-			delivered := make(chan struct{}, 1)
+			// A probe is 0xC0 and its index; the handler never blocks, and a
+			// probe that arrives after it was counted lost is ignored.
+			arrived := make(chan uint64, 1<<10)
 			receiver.SetHandler(func(from topology.NodeID, frame []byte) {
-				if len(frame) == 1 && frame[0] == 0xC0 {
-					delivered <- struct{}{}
+				if len(frame) == 9 && frame[0] == 0xC0 {
+					select {
+					case arrived <- binary.LittleEndian.Uint64(frame[1:]):
+					default:
+					}
 				}
 			})
 			s := lanes.New(sender, lanes.Config{QueueDepth: 256})
@@ -1043,27 +1051,58 @@ func BenchmarkControlLatencyUnderLoad(b *testing.B) {
 					}
 				}
 			}
-			// A control frame the fabric never delivers fails the run with
-			// the counters that say where it went, instead of hanging it.
+			// The lanes never shed a control frame, but a full receiver
+			// inbox drops a whole routed flush, probe included. So once a
+			// probe has left the lanes (its release ran), a rise in the
+			// fabric's Overflows before it arrives counts it lost (lost/op)
+			// and the run goes on to the next probe. A probe neither
+			// delivered nor lost within the deadline fails the run with the
+			// counters that say where it went, instead of hanging it.
 			const deadline = 10 * time.Second
 			timeout := time.NewTimer(deadline)
 			defer timeout.Stop()
-			ctl := []byte{0xC0}
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			flushed := make(chan struct{}, 1)
+			release := func() { flushed <- struct{}{} }
+			ctl := make([]byte, 9)
+			ctl[0] = 0xC0
+			lost := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.Enqueue(1, lanes.Control, ctl, 1, nil); err != nil {
+				binary.LittleEndian.PutUint64(ctl[1:], uint64(i))
+				timeout.Reset(deadline)
+				if err := s.Enqueue(1, lanes.Control, ctl, 1, release); err != nil {
 					b.Fatal(err)
 				}
-				timeout.Reset(deadline)
 				select {
-				case <-delivered:
+				case <-flushed:
 				case <-timeout.C:
-					fs := f.Stats()
-					b.Fatalf("control frame %d of %d not delivered within %v: fabric overflows %d, fault drops %d; scheduler %+v",
-						i+1, b.N, deadline, fs.Overflows, fs.FaultDrops, s.Stats())
+					b.Fatalf("control frame %d of %d did not leave the lanes within %v; scheduler %+v",
+						i+1, b.N, deadline, s.Stats())
+				}
+				overflows := f.Stats().Overflows
+			wait:
+				for {
+					select {
+					case id := <-arrived:
+						if id == uint64(i) {
+							break wait
+						}
+					case <-tick.C:
+						if f.Stats().Overflows > overflows {
+							lost++
+							break wait
+						}
+					case <-timeout.C:
+						fs := f.Stats()
+						b.Fatalf("control frame %d of %d neither delivered nor lost within %v: fabric overflows %d, fault drops %d; scheduler %+v",
+							i+1, b.N, deadline, fs.Overflows, fs.FaultDrops, s.Stats())
+					}
 				}
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(lost)/float64(b.N), "lost/op")
 			close(stop)
 			wg.Wait()
 			if mode.saturate && s.Stats().Drops.Data == 0 {

@@ -27,8 +27,6 @@ type ClusterConfig struct {
 	// per-call kernel copy of this many bytes (see FabricOptions.SendCost;
 	// default 0, free). Mainly for saturation benchmarks.
 	SendCost int
-	// DeliveryBuffer sizes each node's delivery channel (default 128).
-	DeliveryBuffer int
 	// BayesIntervals is U, the estimator precision (default 100, the
 	// paper's setting).
 	BayesIntervals int
@@ -105,7 +103,6 @@ func (c *Cluster) nodeOptions() []Option {
 	opts := []Option{
 		WithK(cfg.K),
 		WithHeartbeat(cfg.HeartbeatEvery),
-		WithDeliveryBuffer(cfg.DeliveryBuffer),
 		WithBayesIntervals(cfg.BayesIntervals),
 	}
 	if cfg.Piggyback {
@@ -323,12 +320,6 @@ func (c *Cluster) nodeFor(id NodeID) *Node {
 		return nil
 	}
 	return c.nodes[id]
-}
-
-// Deliveries returns the delivery channel of one node. Do not mix with
-// Subscribe on the same node.
-func (c *Cluster) Deliveries(id NodeID) <-chan Delivery {
-	return c.Node(id).Deliveries()
 }
 
 // Stats returns the protocol counters of one node.

@@ -27,6 +27,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -135,9 +136,28 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	}
 
+	// Deliveries are pulled on their own goroutine and printed here, so
+	// stdout has one writer.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	deliveries := make(chan adaptivecast.Delivery)
+	go func() {
+		for {
+			d, err := nd.Next(ctx)
+			if err != nil {
+				return
+			}
+			select {
+			case deliveries <- d:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+
 	for {
 		select {
-		case d := <-nd.Deliveries():
+		case d := <-deliveries:
 			fmt.Fprintf(stdout, "deliver origin=%d seq=%d: %s\n", d.Origin, d.Seq, d.Body)
 		case line, ok := <-lines:
 			if !ok {

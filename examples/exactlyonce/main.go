@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -118,13 +119,14 @@ func buildPair(g *adaptivecast.Topology, fabric *adaptivecast.Fabric, logPath st
 
 // consume prints up to n deliveries (with a timeout safety net).
 func consume(consumer *adaptivecast.Node, n int) {
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
 	for i := 0; i < n; i++ {
-		select {
-		case d := <-consumer.Deliveries():
-			fmt.Printf("  consumer processed %q (origin %d seq %d)\n", d.Body, d.Origin, d.Seq)
-		case <-time.After(3 * time.Second):
+		d, err := consumer.Next(ctx)
+		if err != nil {
 			fmt.Println("  (no more deliveries)")
 			return
 		}
+		fmt.Printf("  consumer processed %q (origin %d seq %d)\n", d.Body, d.Origin, d.Seq)
 	}
 }

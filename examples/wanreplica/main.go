@@ -72,17 +72,18 @@ func run() error {
 	fmt.Printf("broadcast #%d planned %d data messages for %d nodes\n",
 		r.Seq, r.Planned, cluster.NumNodes())
 
+	applied, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
 	for i := 0; i < cluster.NumNodes(); i++ {
-		select {
-		case d := <-cluster.Deliveries(adaptivecast.NodeID(i)):
-			dc := "dc-1"
-			if i >= 4 {
-				dc = "dc-2"
-			}
-			fmt.Printf("  %s node %d applied %q\n", dc, i, d.Body)
-		case <-time.After(10 * time.Second):
-			return fmt.Errorf("node %d did not deliver", i)
+		d, err := cluster.Node(adaptivecast.NodeID(i)).Next(applied)
+		if err != nil {
+			return fmt.Errorf("node %d did not deliver: %w", i, err)
 		}
+		dc := "dc-1"
+		if i >= 4 {
+			dc = "dc-2"
+		}
+		fmt.Printf("  %s node %d applied %q\n", dc, i, d.Body)
 	}
 	fmt.Println("\nthe MRT crossed the WAN over the more reliable bridge;")
 	fmt.Println("a traditional gossip would have kept spraying the 25%-loss link.")

@@ -226,6 +226,12 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	if star, ok := t.(*ast.StarExpr); ok {
 		t = star.X
 	}
+	switch g := t.(type) { // a generic receiver, Ring[T] or Map[K, V]
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
+	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name
 	}

@@ -76,3 +76,20 @@ func aliasEscape(n *node, v int) {
 	ch := n.deliveries
 	ch <- v
 }
+
+// ring exercises a generic receiver: the role ring.signal names the
+// method of *ring[T].
+type ring[T any] struct {
+	//adaptivelint:chan owner=ring.signal close=never
+	wake chan struct{}
+	held []T
+}
+
+func (q *ring[T]) signal() {
+	q.wake <- struct{}{}
+}
+
+func (q *ring[T]) put(v T) {
+	q.held = append(q.held, v)
+	q.wake <- struct{}{} // want `send on ring.wake from put; declared owners: ring.signal`
+}

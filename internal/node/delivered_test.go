@@ -194,7 +194,7 @@ func TestForgedOriginIsRejected(t *testing.T) {
 				nbs = append(nbs, nb)
 			}
 		}
-		nd, rec := newRecorded(t, Config{ID: id, NumProcs: procs, Neighbors: nbs, DeliveryBuffer: 4})
+		nd, rec := newRecorded(t, Config{ID: id, NumProcs: procs, Neighbors: nbs})
 		from := nbs[0]
 		for i := 0; i < forged; i++ {
 			origin := topology.NodeID(procs + i)

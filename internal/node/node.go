@@ -22,11 +22,13 @@
 package node
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"adaptivecast/internal/cadence"
 	"adaptivecast/internal/config"
@@ -35,6 +37,7 @@ import (
 	"adaptivecast/internal/lanes"
 	"adaptivecast/internal/mrt"
 	"adaptivecast/internal/optimize"
+	"adaptivecast/internal/queue"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 	"adaptivecast/internal/wire"
@@ -43,7 +46,17 @@ import (
 // DefaultK is the default reliability target (the paper's 0.9999).
 const DefaultK = 0.9999
 
-// Delivery is one broadcast handed to the application.
+// DefaultDeliveryBuffer is the default bound, in bytes, on what the
+// delivery queue holds: the largest frame TCP accepts (64 MiB), so any
+// single delivery fits an empty queue.
+const DefaultDeliveryBuffer = 64 << 20
+
+// ErrStopped is returned once the node is stopped: by Broadcast and the
+// membership calls, and by Next when nothing is left to deliver.
+var ErrStopped = errors.New("node: stopped")
+
+// Delivery is one broadcast handed to the application, in the order the
+// node accepted it (see Next).
 type Delivery struct {
 	Origin topology.NodeID // broadcast originator
 	Seq    uint64          // originator-local sequence number
@@ -67,8 +80,8 @@ type Stats struct {
 	CountHeartbeatsSent int
 	DataSent            int
 	DataReceived        int
-	Delivered           int // deliveries actually enqueued for the application
-	DroppedDeliveries   int // deliveries discarded because the channel was full
+	Delivered           int // deliveries actually queued for the application
+	DroppedDeliveries   int // deliveries discarded because the queue was at its byte bound
 	SuppressedReplays   int // redeliveries filtered by the durable dedup log
 	FallbackFloods      int // broadcasts flooded for lack of a connected view
 	DecodeErrors        int // frames that failed wire decoding, or carried a forged origin or tree
@@ -154,8 +167,9 @@ func (c *counters) snapshot() Stats {
 type Hooks struct {
 	// OnDeliver fires after a delivery was queued for the application.
 	OnDeliver func(Delivery)
-	// OnDrop fires when a delivery is discarded because the delivery
-	// buffer was full (the drop is also counted in Stats).
+	// OnDrop fires when a delivery is discarded because it would take the
+	// delivery queue over Config.DeliveryBuffer bytes (the drop is also
+	// counted in Stats).
 	OnDrop func(Delivery)
 	// OnTreeRebuild fires when a broadcast plans a fresh Maximum
 	// Reliability Tree from the current view, with the broadcast's
@@ -204,8 +218,11 @@ type Config struct {
 	// broadcasts. Without it, delivery is exactly-once per incarnation
 	// and at-least-once across crashes.
 	DedupLog *dedup.Log
-	// DeliveryBuffer sizes the delivery channel (default 128). When the
-	// application lags, further deliveries are dropped and counted.
+	// DeliveryBuffer bounds, in bytes, what the delivery queue holds for
+	// an application that lags: each queued delivery weighs its body plus
+	// its own size (default DefaultDeliveryBuffer). The queue grows on
+	// demand up to the bound; a delivery that would cross it is dropped
+	// and counted in Stats.DroppedDeliveries.
 	DeliveryBuffer int
 	// AdaptiveCadenceMax caps the adaptive heartbeat cadence, in
 	// heartbeat periods: once a neighbor's delta has been empty, anchored
@@ -237,7 +254,7 @@ func (c Config) withDefaults() Config {
 		c.HeartbeatEvery = time.Second
 	}
 	if c.DeliveryBuffer == 0 {
-		c.DeliveryBuffer = 128
+		c.DeliveryBuffer = DefaultDeliveryBuffer
 	}
 	if c.AdaptiveCadenceMax > wire.MaxCadence {
 		c.AdaptiveCadenceMax = wire.MaxCadence
@@ -402,8 +419,9 @@ type Node struct {
 	closed  atomic.Bool
 	started atomic.Bool
 
-	//adaptivelint:chan owner=Node.pushDelivery close=never
-	deliveries chan Delivery
+	// deliveries queues what the application has yet to take with Next.
+	deliveries queue.Ring[Delivery]
+
 	//adaptivelint:chan owner=none close=Node.Stop
 	stop chan struct{}
 	//adaptivelint:chan owner=none close=Node.heartbeatLoop
@@ -445,15 +463,15 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		view.MarkDeparted(d)
 	}
 	n := &Node{
-		cfg:        cfg,
-		view:       view,
-		delivered:  newDeliveredSet(),
-		peerSeen:   make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
-		peerAcked:  make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
-		deliveries: make(chan Delivery, cfg.DeliveryBuffer),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		cfg:       cfg,
+		view:      view,
+		delivered: newDeliveredSet(),
+		peerSeen:  make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
+		peerAcked: make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
+	n.deliveries.Init(cfg.DeliveryBuffer, deliveryBytes)
 	n.epoch.Store(cfg.Epoch)
 	n.procs.Store(int64(cfg.NumProcs))
 	n.delivered.grow(cfg.NumProcs)
@@ -544,6 +562,8 @@ func (n *Node) Stop() {
 		// onto the transport (which the caller owns and must close only
 		// after Stop returns) before Stop completes.
 		_ = n.lanes.Close()
+		// Deliveries already queued stay for Next; none is added.
+		n.deliveries.Close()
 	})
 }
 
@@ -558,9 +578,29 @@ func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 // announcements add or remove adjacent processes.
 func (n *Node) Neighbors() []topology.NodeID { return *n.nbs.Load() }
 
-// Deliveries returns the channel of application deliveries. A delivered
-// Body is read-only; copy before modifying (see Delivery).
-func (n *Node) Deliveries() <-chan Delivery { return n.deliveries }
+// Next returns the oldest delivery the application has not taken yet,
+// blocking until one is queued, ctx is done (ctx's error), or the node
+// is stopped and every delivery queued before Stop has been taken
+// (ErrStopped). A queued delivery is returned even when ctx is already
+// done, so a done ctx takes what is queued without waiting. Any number
+// of goroutines may call it; each delivery goes to one of them. A
+// delivered Body is read-only; copy before modifying (see Delivery).
+func (n *Node) Next(ctx context.Context) (Delivery, error) {
+	for {
+		d, r := n.deliveries.Pop()
+		switch r {
+		case queue.Popped:
+			return d, nil
+		case queue.Drained:
+			return Delivery{}, ErrStopped
+		}
+		select {
+		case <-n.deliveries.Wake():
+		case <-ctx.Done():
+			return Delivery{}, ctx.Err()
+		}
+	}
+}
 
 // Stats returns a snapshot of the node counters, folding in the send
 // path's scheduler and encode-pool counters.
@@ -895,7 +935,7 @@ func (n *Node) cadenceSnapshot() map[topology.NodeID]int {
 // broadcast instead of retrying it blind.
 func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 	if n.closed.Load() {
-		return 0, 0, errors.New("node: stopped")
+		return 0, 0, ErrStopped
 	}
 	seq = n.seq.Add(1)
 	if n.cfg.Storage != nil {
@@ -1365,7 +1405,7 @@ func (n *Node) isDepartedIn(m *wire.Membership, id topology.NodeID) bool {
 // joiner into the running cluster.
 func (n *Node) AnnounceJoin() error {
 	if n.closed.Load() {
-		return errors.New("node: stopped")
+		return ErrStopped
 	}
 	lc := n.lastChange.Load()
 	if lc == nil || lc.kind != wire.FrameJoin || lc.member.Node != n.cfg.ID {
@@ -1432,7 +1472,7 @@ func (n *Node) AnnounceLeaveAt(leaver topology.NodeID, epoch uint64) error {
 // m.Node; nothing is applied on error.
 func (n *Node) AnnounceLeaveMembership(m *wire.Membership) error {
 	if n.closed.Load() {
-		return errors.New("node: stopped")
+		return ErrStopped
 	}
 	if m.Node == n.cfg.ID {
 		return errors.New("node: cannot announce own departure")
@@ -1582,19 +1622,23 @@ func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
 	_ = n.forward(msg, frame, release)
 }
 
-// pushDelivery hands a delivery to the application without blocking the
-// receive path; overflow is dropped and counted. Delivered counts only
-// what was actually enqueued for the application — a message that hits a
-// full buffer is a drop, not a delivery, so the two counters partition
-// the outcomes instead of double-counting them.
+// deliveryBytes is what a queued delivery weighs against
+// Config.DeliveryBuffer: its body and its own size.
+func deliveryBytes(d Delivery) int { return int(unsafe.Sizeof(d)) + len(d.Body) }
+
+// pushDelivery queues a delivery for the application without blocking the
+// receive path; one that would take the queue over its byte bound is
+// dropped and counted. Delivered counts only what was actually queued —
+// a drop is not a delivery, so the two counters partition the outcomes
+// instead of double-counting them. A stopped node queues nothing more.
 func (n *Node) pushDelivery(d Delivery) {
-	select {
-	case n.deliveries <- d:
+	switch n.deliveries.Put(d) {
+	case queue.Accepted:
 		n.stats.delivered.Add(1)
 		if n.cfg.Hooks.OnDeliver != nil {
 			n.cfg.Hooks.OnDeliver(d)
 		}
-	default:
+	case queue.Full:
 		n.stats.droppedDeliveries.Add(1)
 		if n.cfg.Hooks.OnDrop != nil {
 			n.cfg.Hooks.OnDrop(d)

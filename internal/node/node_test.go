@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"adaptivecast/internal/dedup"
+	"adaptivecast/internal/queue"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 )
@@ -78,27 +80,27 @@ func tickAll(nodes []*Node) {
 	time.Sleep(2 * time.Millisecond)
 }
 
+// drainDeliveries takes every delivery already queued, without waiting.
 func drainDeliveries(nd *Node) []Delivery {
 	var out []Delivery
 	for {
-		select {
-		case d := <-nd.Deliveries():
-			out = append(out, d)
-		default:
+		d, r := nd.deliveries.Pop()
+		if r != queue.Popped {
 			return out
 		}
+		out = append(out, d)
 	}
 }
 
 func waitDelivery(t *testing.T, nd *Node) Delivery {
 	t.Helper()
-	select {
-	case d := <-nd.Deliveries():
-		return d
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed out waiting for delivery")
-		return Delivery{}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	d, err := nd.Next(ctx)
+	if err != nil {
+		t.Fatalf("waiting for a delivery: %v", err)
 	}
+	return d
 }
 
 func TestNewValidation(t *testing.T) {
@@ -121,8 +123,9 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestNewRejectsNegativeSettings: a negative size or period is refused by
-// New instead of panicking in make (DeliveryBuffer), shedding every data
-// frame (LaneQueueDepth) or panicking in Start's ticker (HeartbeatEvery).
+// New instead of dropping every delivery (DeliveryBuffer), shedding every
+// data frame (LaneQueueDepth) or panicking in Start's ticker
+// (HeartbeatEvery).
 func TestNewRejectsNegativeSettings(t *testing.T) {
 	for name, c := range map[string]Config{
 		"DeliveryBuffer": {DeliveryBuffer: -1},
@@ -197,18 +200,17 @@ func TestHeartbeatsConvergeTopologyAndTreeBroadcast(t *testing.T) {
 		t.Errorf("planned = %d, want >= 5", planned)
 	}
 	for i, nd := range nodes {
-		found := false
-		deadline := time.After(5 * time.Second)
-		for !found {
-			select {
-			case d := <-nd.Deliveries():
-				if string(d.Body) == "tree" {
-					found = true
-				}
-			case <-deadline:
-				t.Fatalf("node %d never delivered", i)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		for {
+			d, err := nd.Next(ctx)
+			if err != nil {
+				t.Fatalf("node %d never delivered: %v", i, err)
+			}
+			if string(d.Body) == "tree" {
+				break
 			}
 		}
+		cancel()
 	}
 }
 
@@ -397,12 +399,12 @@ func TestDeliveryOverflowCounted(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
 	nodes := buildCluster(t, g, fabric, func(i int) Config {
-		return Config{DeliveryBuffer: 1}
+		return Config{DeliveryBuffer: deliveryBytes(Delivery{Body: []byte("a")})}
 	})
 	for p := 0; p < 6; p++ {
 		tickAll(nodes)
 	}
-	// Two broadcasts into a 1-slot buffer nobody drains.
+	// Two broadcasts into a one-delivery bound nobody drains.
 	if _, _, err := nodes[0].Broadcast([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -453,12 +455,13 @@ func TestRelayFloodExcludesSender(t *testing.T) {
 }
 
 // TestDeliveredCountsOnlyEnqueued pins the stats fix: a delivery that
-// hits a full buffer is a drop, not a delivery — the two counters
+// hits a full queue is a drop, not a delivery — the two counters
 // partition outcomes instead of both incrementing for the same message.
 func TestDeliveredCountsOnlyEnqueued(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
-	nd, err := New(Config{ID: 0, NumProcs: 1, DeliveryBuffer: 1}, fabric.Endpoint(0))
+	one := deliveryBytes(Delivery{Body: []byte("x")})
+	nd, err := New(Config{ID: 0, NumProcs: 1, DeliveryBuffer: one}, fabric.Endpoint(0))
 	if err != nil {
 		t.Fatal(err)
 	}

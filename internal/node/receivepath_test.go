@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -150,7 +151,7 @@ func newRecorded(tb testing.TB, cfg Config) (*Node, *recordTransport) {
 // recordingRelay is node 1 of an ID space of n over a recordTransport.
 func recordingRelay(tb testing.TB, n int) (*Node, *recordTransport) {
 	tb.Helper()
-	return newRecorded(tb, Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2}, DeliveryBuffer: 64})
+	return newRecorded(tb, Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2}})
 }
 
 // childrenSends is what a relay at self owes the tree (0, parents): alloc
@@ -173,7 +174,7 @@ func childrenSends(tb testing.TB, parents []topology.NodeID, alloc []int32, self
 // midChainNode is node 1 of a chain of n over a sink transport.
 func midChainNode(tb testing.TB, n int, owns bool) *Node {
 	tb.Helper()
-	nd, err := New(Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2}, DeliveryBuffer: 4},
+	nd, err := New(Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2}},
 		&sinkTransport{id: 1, owns: owns})
 	if err != nil {
 		tb.Fatal(err)
@@ -382,8 +383,8 @@ func TestHandleIsSafeFromSeveralGoroutines(t *testing.T) {
 	wg.Wait()
 	st := nd.Stats()
 	// Trees of 3 to 6 processes in a view of 8 all decode; each broadcast
-	// is a first receipt once and a duplicate once (DeliveryBuffer is 4,
-	// so most deliveries are counted drops — not this test's subject).
+	// is a first receipt once and a duplicate once (nothing takes the
+	// deliveries, which wait in the queue — not this test's subject).
 	if st.DataReceived != len(frames) || st.DecodeErrors != 0 {
 		t.Fatalf("DataReceived = %d, DecodeErrors = %d; want %d and 0", st.DataReceived, st.DecodeErrors, len(frames))
 	}
@@ -421,7 +422,9 @@ func TestAllocsHandleData(t *testing.T) {
 	first := func() {
 		nd.handle(0, frames[next])
 		next++
-		<-nd.Deliveries()
+		if _, err := nd.Next(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		if !nd.WaitSendIdle(5 * time.Second) {
 			t.Fatal("relay never left the lanes")
 		}

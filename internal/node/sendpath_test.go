@@ -121,7 +121,7 @@ func TestRelayForwardsInboundBytesOverTCP(t *testing.T) {
 				trs[i].AddPeer(topology.NodeID(j), trs[j].Addr().String())
 			}
 		}
-		nd, err := New(Config{ID: topology.NodeID(i), NumProcs: procs, Neighbors: nbs, DeliveryBuffer: msgs}, trs[i])
+		nd, err := New(Config{ID: topology.NodeID(i), NumProcs: procs, Neighbors: nbs}, trs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
 	held := &holdTransport{entered: make(chan struct{}), release: make(chan struct{})}
-	nodes := buildClusterOver(t, g, fabric, Config{DeliveryBuffer: msgs + 4},
+	nodes := buildClusterOver(t, g, fabric, Config{},
 		func(i int, tr transport.Transport) transport.Transport {
 			if i == 0 {
 				held.Transport = tr
@@ -292,9 +292,7 @@ func TestLaneSchedulerClusterDelivers(t *testing.T) {
 	}
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, func(i int) Config {
-		return Config{DeliveryBuffer: 4 * msgs}
-	})
+	nodes := buildCluster(t, g, fabric, nil)
 	defer func() {
 		for _, nd := range nodes {
 			nd.Stop()

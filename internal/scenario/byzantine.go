@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -153,28 +154,30 @@ func runByzantineReplay(seed int64, short bool) (Figures, error) {
 	}
 	// drain folds every pending delivery into its probe; a delivery that
 	// matches no probe is a forged broadcast the adversary smuggled in.
+	// queued is a done context: Next with it takes what is queued and
+	// never waits.
+	queued, cancel := context.WithCancel(context.Background())
+	cancel()
 	drain := func() error {
 		for i, nd := range nodes {
 			for {
-				select {
-				case d := <-nd.Deliveries():
-					matched := false
-					for _, pr := range probes {
-						if pr.origin == d.Origin && pr.seq == d.Seq {
-							pr.delivered[topology.NodeID(i)] = true
-							matched = true
-							break
-						}
+				d, err := nd.Next(queued)
+				if err != nil {
+					break
+				}
+				matched := false
+				for _, pr := range probes {
+					if pr.origin == d.Origin && pr.seq == d.Seq {
+						pr.delivered[topology.NodeID(i)] = true
+						matched = true
+						break
 					}
-					if !matched {
-						return fmt.Errorf("forged delivery at node %d: origin %d seq %d body %q",
-							i, d.Origin, d.Seq, d.Body)
-					}
-				default:
-					goto next
+				}
+				if !matched {
+					return fmt.Errorf("forged delivery at node %d: origin %d seq %d body %q",
+						i, d.Origin, d.Seq, d.Body)
 				}
 			}
-		next:
 		}
 		return nil
 	}

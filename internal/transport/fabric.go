@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"adaptivecast/internal/queue"
 	"adaptivecast/internal/topology"
 )
 
@@ -518,10 +519,10 @@ func (ep *fabricEndpoint) SendFrames(to topology.NodeID, batch []FrameBatch) err
 // inbox counts the frame's copies as overflow; a closed endpoint counts
 // them as fault drops, since route already counted them as sent.
 func (ep *fabricEndpoint) enqueue(in inboundFrame) {
-	switch ep.inbox.put(in) {
-	case putFull:
+	switch ep.inbox.Put(in) {
+	case queue.Full:
 		ep.fabric.count(&ep.fabric.stats.Overflows, in.copies)
-	case putClosed:
+	case queue.Closed:
 		ep.fabric.count(&ep.fabric.stats.FaultDrops, in.copies)
 	}
 }
@@ -552,11 +553,11 @@ func (ep *fabricEndpoint) receiveLoop() {
 	defer close(ep.done)
 	for {
 		select {
-		case <-ep.inbox.wake:
+		case <-ep.inbox.Wake():
 		case <-ep.stop:
 			return
 		}
-		for in, ok := ep.inbox.take(); ok; in, ok = ep.inbox.take() {
+		for in, r := ep.inbox.Pop(); r == queue.Popped; in, r = ep.inbox.Pop() {
 			ep.handlerMu.RLock()
 			h := ep.handler
 			ep.handlerMu.RUnlock()

@@ -32,7 +32,7 @@ func TestFabricHandlerRunsOncePerSurvivingCopy(t *testing.T) {
 			s := f.Stats()
 			want := int64(s.Sent - s.Lost - s.FaultDrops - s.Overflows)
 			got := handled.Load()
-			if got == want && b.inbox.len() == 0 {
+			if got == want && b.inbox.Len() == 0 {
 				return
 			}
 			if got > want || time.Now().After(deadline) {

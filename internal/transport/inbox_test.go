@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
+	"adaptivecast/internal/queue"
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
 )
@@ -20,34 +22,34 @@ func TestInboxFIFOAcrossGrowOfWrappedRing(t *testing.T) {
 	var q inbox
 	q.init(64)
 	next, want := 0, 0
-	for ; next < inboxFirst; next++ {
-		if q.put(entry(next)) != putOK {
+	for ; next < queue.First; next++ {
+		if q.Put(entry(next)) != queue.Accepted {
 			t.Fatal("put refused below the bound")
 		}
 	}
 	for ; want < 5; want++ { // head moves to 5; the next puts wrap to 0..4
-		if in, ok := q.take(); !ok || in.from != topology.NodeID(want) {
-			t.Fatalf("take = %v, %v; want entry %d", in.from, ok, want)
+		if in, r := q.Pop(); r != queue.Popped || in.from != topology.NodeID(want) {
+			t.Fatalf("pop = %v, %v; want entry %d", in.from, r, want)
 		}
 	}
-	for ; next < inboxFirst+5; next++ {
-		q.put(entry(next))
+	for ; next < queue.First+5; next++ {
+		q.Put(entry(next))
 	}
-	if len(q.ring) != inboxFirst || q.head == 0 {
-		t.Fatalf("ring of %d slots, head %d: the test wants a full, wrapped ring", len(q.ring), q.head)
+	if q.Cap() != queue.First || q.Len() != queue.First {
+		t.Fatalf("%d entries in %d slots: the test wants a full, wrapped ring", q.Len(), q.Cap())
 	}
 	for ; next < 40; next++ { // grows 8 → 16 → 32 → 64 from the wrapped state
-		q.put(entry(next))
+		q.Put(entry(next))
 	}
-	if len(q.ring) != 64 {
-		t.Fatalf("ring holds %d slots after growing, want 64", len(q.ring))
+	if q.Cap() != 64 {
+		t.Fatalf("ring holds %d slots after growing, want 64", q.Cap())
 	}
 	for ; want < next; want++ {
-		if in, ok := q.take(); !ok || in.from != topology.NodeID(want) {
-			t.Fatalf("take = %v, %v; want entry %d", in.from, ok, want)
+		if in, r := q.Pop(); r != queue.Popped || in.from != topology.NodeID(want) {
+			t.Fatalf("pop = %v, %v; want entry %d", in.from, r, want)
 		}
 	}
-	if _, ok := q.take(); ok || q.len() != 0 {
+	if _, r := q.Pop(); r != queue.Empty || q.Len() != 0 {
 		t.Fatal("the inbox is not empty after every entry was taken")
 	}
 }
@@ -58,42 +60,46 @@ func TestInboxBoundIsQueueSize(t *testing.T) {
 	var q inbox
 	q.init(12)
 	for i := 0; i < 12; i++ {
-		if r := q.put(entry(i)); r != putOK {
+		if r := q.Put(entry(i)); r != queue.Accepted {
 			t.Fatalf("put %d = %d below a bound of 12", i, r)
 		}
 	}
-	if r := q.put(entry(12)); r != putFull {
-		t.Fatalf("put 13 = %d, want putFull", r)
+	if r := q.Put(entry(12)); r != queue.Full {
+		t.Fatalf("put 13 = %d, want Full", r)
 	}
-	if len(q.ring) != 12 {
-		t.Fatalf("ring holds %d slots, want the bound 12", len(q.ring))
+	if q.Cap() != 12 {
+		t.Fatalf("ring holds %d slots, want the bound 12", q.Cap())
 	}
 	for i := 0; i < 12; i++ {
-		q.take()
+		q.Pop()
 	}
-	if len(q.ring) != 12 {
-		t.Fatalf("draining shrank the ring to %d slots", len(q.ring))
+	if q.Cap() != 12 {
+		t.Fatalf("draining shrank the ring to %d slots", q.Cap())
 	}
 	if got := q.close(); got != 0 {
 		t.Fatalf("closing an empty inbox dropped %d copies", got)
 	}
-	if r := q.put(entry(0)); r != putClosed {
-		t.Fatalf("put after close = %d, want putClosed", r)
+	if r := q.Put(entry(0)); r != queue.Closed {
+		t.Fatalf("put after close = %d, want Closed", r)
 	}
 }
 
-// TestInboxTakeReleasesFrame: a popped slot no longer references the
-// frame, and close reports the copies it still held.
+// TestInboxTakeReleasesFrame: once its entry is popped the inbox no
+// longer keeps a frame alive, and close reports the copies it still held.
 func TestInboxTakeReleasesFrame(t *testing.T) {
 	var q inbox
 	q.init(4)
-	q.put(inboundFrame{frame: make([]byte, 64), copies: 3})
-	q.put(inboundFrame{frame: make([]byte, 64), copies: 2})
-	if _, ok := q.take(); !ok {
-		t.Fatal("take found nothing")
+	frame := make([]byte, 64)
+	held := weak.Make(&frame[0])
+	q.Put(inboundFrame{frame: frame, copies: 3})
+	frame = nil
+	q.Put(inboundFrame{frame: make([]byte, 64), copies: 2})
+	if _, r := q.Pop(); r != queue.Popped {
+		t.Fatal("pop found nothing")
 	}
-	if s := q.ring[0]; s.frame != nil || s.copies != 0 {
-		t.Fatalf("the popped slot still holds %d bytes and %d copies", len(s.frame), s.copies)
+	runtime.GC()
+	if held.Value() != nil {
+		t.Fatal("the inbox still references a frame it handed out")
 	}
 	if got := q.close(); got != 2 {
 		t.Fatalf("close dropped %d copies, want the 2 still queued", got)

@@ -52,7 +52,9 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // transport never touches again. It implements BatchSender: SendN
 // assembles the n length-prefixed copies into one buffer and flushes them
 // with a single Write — one syscall for a whole per-edge retransmission
-// burst instead of 2n.
+// burst instead of 2n. The copies of one SendN share a fate: the stream
+// is in order, so if copy k arrives then copy 1 arrived, and they are not
+// the independent losses the protocol's per-edge redundancy assumes.
 type TCP struct {
 	local    topology.NodeID
 	opts     TCPOptions

@@ -56,17 +56,20 @@ type Transport interface {
 // adaptive protocol's allocator assigns m[j] identical copies per tree
 // edge, so the datapath sends the same bytes to the same peer in bursts.
 //
-// Contract: SendN(to, frame, n) is semantically n independent Send calls —
-// the receiver's handler runs once per surviving copy, and probabilistic
-// transports sample loss per copy, not per batch (the protocol's
-// reliability math assumes independent copy losses). n <= 0 is a no-op.
+// Contract: SendN(to, frame, n) hands over n copies of the frame, and the
+// receiver's handler runs once per copy that arrives. n <= 0 is a no-op.
 // Like Send, a nil error means the batch was handed to the transport, not
 // that any copy arrived.
 //
-// Implementations in this package: the Fabric delivers n logical copies
-// from a single inbox entry (one buffer copy, one inbox put),
-// and TCP coalesces the n length-prefixed frames into one buffered flush
-// (one syscall instead of 2n writes).
+// Whether the copies fail independently is the transport's, and the two
+// in this package differ. The Fabric samples loss per copy, the
+// independent losses the protocol's reliability math (Eq. 3) assumes, and
+// delivers the survivors from a single inbox entry (one buffer copy, one
+// inbox put). TCP writes the n length-prefixed copies into one ordered
+// stream with one flush (one syscall instead of 2n writes), so they share
+// a fate: if copy k arrives, copies 1..k-1 arrived before it, and a
+// broken connection loses the tail of the batch, not a random subset.
+// Copies 2..n over TCP buy no reliability.
 type BatchSender interface {
 	SendN(to topology.NodeID, frame []byte, n int) error
 }
@@ -101,8 +104,9 @@ type FrameBatch struct {
 // Fabric: one lock acquisition with loss still sampled per copy).
 //
 // Contract: SendFrames(to, batch) is semantically the concatenation of
-// SendN(to, e.Frame, e.Copies) over the batch, in order — per-copy loss
-// sampling and per-copy handler invocation included. Entries with
+// SendN(to, e.Frame, e.Copies) over the batch, in order — per-copy
+// handler invocation and the transport's loss model included (see
+// BatchSender). Entries with
 // Copies <= 0 are skipped. Frame buffers follow Send's ownership rule:
 // borrowed for the call, the caller's again on return.
 type MultiFrameSender interface {

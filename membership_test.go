@@ -1,6 +1,7 @@
 package adaptivecast_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -14,15 +15,18 @@ func tickCluster(c *adaptivecast.Cluster, periods int) {
 	}
 }
 
+// drainCluster takes every delivery node id has queued, without waiting:
+// Next with a done context returns what is queued and never blocks.
 func drainCluster(c *adaptivecast.Cluster, id adaptivecast.NodeID) []adaptivecast.Delivery {
+	queued, cancel := context.WithCancel(context.Background())
+	cancel()
 	var out []adaptivecast.Delivery
 	for {
-		select {
-		case d := <-c.Deliveries(id):
-			out = append(out, d)
-		default:
+		d, err := c.Node(id).Next(queued)
+		if err != nil {
 			return out
 		}
+		out = append(out, d)
 	}
 }
 

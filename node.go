@@ -2,6 +2,7 @@ package adaptivecast
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"time"
@@ -21,14 +22,21 @@ type Receipt struct {
 	Planned int
 }
 
+// ErrSubscribed is returned by Next on a node that has had a Subscribe:
+// its dispatcher takes every delivery from then on.
+var ErrSubscribed = errors.New("adaptivecast: deliveries go to the subscribers")
+
+// ErrClosed is returned by Next once the node is closed and every
+// delivery it accepted before Close has been taken, and by Broadcast on a
+// closed node.
+var ErrClosed = node.ErrStopped
+
 // Node is one live protocol process bound to a Transport — the core of
 // the public API. Construct it with NewNode over any transport (an
 // in-process Fabric endpoint, a TCP transport, or a custom
 // implementation), start the heartbeat activity with Start (or pace it
-// deterministically with Tick), and consume deliveries either through
-// Subscribe handlers or the raw Deliveries channel. Use one consumption
-// style per node: the first Subscribe starts a dispatcher that drains the
-// channel.
+// deterministically with Tick), and take deliveries with Next, or have
+// Subscribe handlers called with them.
 type Node struct {
 	inner *node.Node
 
@@ -39,7 +47,6 @@ type Node struct {
 	closed      bool
 
 	stopOnce sync.Once
-	stop     chan struct{}
 	done     chan struct{}
 }
 
@@ -84,10 +91,7 @@ func NewNode(tr Transport, numProcs int, neighbors []NodeID, opts ...Option) (*N
 		}
 		cfg.inner.AdaptiveCadenceMax = int(cfg.adaptiveCadence / delta)
 	}
-	n := &Node{
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	n := &Node{done: make(chan struct{})}
 	cfg.inner.Hooks = n.hooks(cfg.obs)
 	inner, err := node.New(cfg.inner, tr)
 	if err != nil {
@@ -124,19 +128,19 @@ func (n *Node) Tick() { n.inner.Tick() }
 
 // Close stops the heartbeat activity and the subscription dispatcher and
 // waits for both to exit. The runtime is stopped before the dispatcher,
-// so every delivery accepted before Close reaches the subscribers. The
-// transport is not closed (the caller owns it). Close is idempotent and
-// safe on nodes that were never started.
+// so every delivery accepted before Close reaches the subscribers (or
+// stays for Next, until ErrClosed). The transport is not closed (the
+// caller owns it). Close is idempotent and safe on nodes that were never
+// started.
 func (n *Node) Close() error {
 	n.stopOnce.Do(func() {
-		// Stop the producer first: after this no new deliveries are
-		// queued, so the dispatcher's shutdown drain is complete.
+		// Stop the producer first: after this no delivery is queued, and
+		// the dispatcher exits once it has handed out the last one.
 		n.inner.Stop()
 		n.mu.Lock()
 		n.closed = true
 		dispatching := n.dispatching
 		n.mu.Unlock()
-		close(n.stop)
 		if dispatching {
 			<-n.done
 		}
@@ -144,16 +148,40 @@ func (n *Node) Close() error {
 	return nil
 }
 
+// Next returns the oldest delivery not yet taken, blocking until one
+// arrives, ctx is done (ctx's error), or the node is closed and every
+// delivery accepted before Close has been taken (ErrClosed). Deliveries
+// come in the order the node accepted them; a queued one is returned even
+// when ctx is already done, so a done ctx takes what is queued without
+// waiting. Any number of goroutines may call Next; each delivery goes to
+// one of them. Once Subscribe has been called, Next returns
+// ErrSubscribed: the dispatcher takes everything.
+//
+// Deliveries wait in an on-demand queue bounded in bytes (64 MiB of
+// bodies and entries), so a consumer that pauses loses nothing short of
+// that; past it, deliveries are dropped and counted in
+// NodeStats.DroppedDeliveries. A delivered Body is read-only; copy
+// before modifying (see Delivery).
+func (n *Node) Next(ctx context.Context) (Delivery, error) {
+	n.mu.Lock()
+	subscribed := n.dispatching
+	n.mu.Unlock()
+	if subscribed {
+		return Delivery{}, ErrSubscribed
+	}
+	return n.inner.Next(ctx)
+}
+
 // Subscribe registers a handler for every subsequent delivery and returns
 // its cancel function. Handlers run on one dispatch goroutine in delivery
-// order, shared by all subscribers; a handler that lags by more than the
-// delivery buffer causes further deliveries to be dropped and counted
-// (see WithDeliveryBuffer). Handlers must not block indefinitely. A
-// delivered Body is read-only; copy before modifying (see Delivery).
+// order, shared by all subscribers; the dispatcher takes each delivery
+// with Next, so what arrives while a handler runs waits in the same
+// byte-bounded queue (see Next). Handlers must not block indefinitely: a
+// blocked handler holds up every later delivery and Close. A delivered
+// Body is read-only; copy before modifying (see Delivery).
 //
-// The first Subscribe switches the node to handler-based consumption: a
-// dispatcher starts draining the Deliveries channel. Do not mix Subscribe
-// with direct reads of that channel.
+// The first Subscribe starts the dispatcher; from then on Next returns
+// ErrSubscribed.
 func (n *Node) Subscribe(fn func(Delivery)) (cancel func()) {
 	n.mu.Lock()
 	id := n.nextSub
@@ -181,26 +209,16 @@ func (n *Node) Subscribe(fn func(Delivery)) (cancel func()) {
 	}
 }
 
-// dispatchLoop fans deliveries out to the subscribers, in order.
+// dispatchLoop fans deliveries out to the subscribers, in order, until
+// the node is closed and the queue is drained.
 func (n *Node) dispatchLoop() {
 	defer close(n.done)
-	ch := n.inner.Deliveries()
 	for {
-		select {
-		case d := <-ch:
-			n.dispatch(d)
-		case <-n.stop:
-			// Drain what was already queued so no accepted delivery is
-			// silently lost on shutdown.
-			for {
-				select {
-				case d := <-ch:
-					n.dispatch(d)
-				default:
-					return
-				}
-			}
+		d, err := n.inner.Next(context.Background())
+		if err != nil {
+			return
 		}
+		n.dispatch(d)
 	}
 }
 
@@ -214,12 +232,6 @@ func (n *Node) dispatch(d Delivery) {
 		s.fn(d)
 	}
 }
-
-// Deliveries returns the raw delivery channel, for channel-style
-// consumers (select loops, pipelines). Do not mix with Subscribe: after
-// the first Subscribe the dispatcher owns this channel. A delivered Body
-// is read-only; copy before modifying (see Delivery).
-func (n *Node) Deliveries() <-chan Delivery { return n.inner.Deliveries() }
 
 // Broadcast reliably broadcasts body (Algorithm 1): the message rides the
 // node's current Maximum Reliability Tree with per-edge retransmission

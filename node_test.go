@@ -230,7 +230,7 @@ func TestSubscribeBackpressure(t *testing.T) {
 	var dropped atomic.Int64
 	_, n0, _ := line2(t,
 		[]adaptivecast.Option{
-			adaptivecast.WithDeliveryBuffer(1),
+			adaptivecast.DeliveryLimitForTest(1, len("b0")),
 			adaptivecast.WithObserver(adaptivecast.Observer{
 				OnDrop: func(adaptivecast.Delivery) { dropped.Add(1) },
 			}),
@@ -254,7 +254,7 @@ func TestSubscribeBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	// ...the second fills the 1-slot buffer, the next 8 must drop.
+	// ...the second fills the one-delivery bound, the next 8 must drop.
 	for i := 0; i < 9; i++ {
 		if _, err := n0.Broadcast([]byte("b")); err != nil {
 			t.Fatal(err)

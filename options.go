@@ -57,7 +57,8 @@ type Observer struct {
 	// OnDeliver fires after a delivery was queued for the application.
 	OnDeliver func(Delivery)
 	// OnDrop fires when a delivery is discarded because the delivery
-	// buffer was full (also counted in NodeStats.DroppedDeliveries).
+	// queue was at its 64 MiB bound (also counted in
+	// NodeStats.DroppedDeliveries; see Node.Next).
 	OnDrop func(Delivery)
 	// OnTreeRebuild fires when a broadcast plans a fresh MRT from the
 	// node's current view. Broadcasts served from the plan cache reuse
@@ -152,13 +153,6 @@ func WithAdaptiveCadence(max time.Duration) Option {
 // The control lane is never bounded.
 func WithLaneQueueDepth(depth int) Option {
 	return func(c *nodeConfig) { c.inner.LaneQueueDepth = depth }
-}
-
-// WithDeliveryBuffer sizes the delivery buffer (default 128). When the
-// application lags behind by more than the buffer, further deliveries are
-// dropped and counted in NodeStats.DroppedDeliveries.
-func WithDeliveryBuffer(size int) Option {
-	return func(c *nodeConfig) { c.inner.DeliveryBuffer = size }
 }
 
 // WithObserver installs instrumentation callbacks.

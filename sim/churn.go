@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -128,20 +129,22 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 		}
 		return out
 	}
+	// queued is a done context: Next with it takes what is queued and
+	// never waits.
+	queued, cancel := context.WithCancel(context.Background())
+	cancel()
 	drain := func() {
 		for _, id := range active() {
-		drainOne:
 			for {
-				select {
-				case d := <-c.Deliveries(id):
-					for _, p := range probes {
-						if string(d.Body) == p.body && !p.seen[id] {
-							p.seen[id] = true
-							p.Delivered++
-						}
+				d, err := c.Node(id).Next(queued)
+				if err != nil {
+					break
+				}
+				for _, p := range probes {
+					if string(d.Body) == p.body && !p.seen[id] {
+						p.seen[id] = true
+						p.Delivered++
 					}
-				default:
-					break drainOne
 				}
 			}
 		}

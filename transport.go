@@ -14,14 +14,14 @@ type Transport = transport.Transport
 type Handler = transport.Handler
 
 // BatchSender is the optional transport fast path for sending n logical
-// copies of one frame more cheaply than n Send calls. The contract is
-// that SendN(to, frame, n) behaves exactly like n independent Sends — the
-// receiver's handler runs once per surviving copy and probabilistic
-// transports sample loss per copy — while the transport is free to batch
-// the work (the built-in Fabric delivers all copies from one queue
-// enqueue; TCP coalesces them into a single socket flush). Custom
-// transports need not implement it: the protocol always goes through
-// SendN, which falls back to looping Send.
+// copies of one frame more cheaply than n Send calls: the receiver's
+// handler runs once per copy that arrives, and the transport is free to
+// batch the work. Whether the copies fail independently depends on the
+// transport: the built-in Fabric samples loss per copy and delivers the
+// survivors from one queue entry, while TCP writes them into one ordered
+// socket flush, so over TCP they share a fate (if copy k arrives, copy 1
+// did). Custom transports need not implement it: the protocol always
+// goes through SendN, which falls back to looping Send.
 type BatchSender = transport.BatchSender
 
 // SendN transmits n logical copies of frame to one peer, using the
