@@ -2,11 +2,15 @@
 // refcounted release callbacks on the zero-alloc send path. A package
 // declares its pools with package-level directives:
 //
-//	//adaptivelint:bufpool type=encodePool get=get put=put releaser=releaser
+//	//adaptivelint:bufpool type=pool.Pool[encBuf] get=Get put=Put releaser=Releaser
 //	//adaptivelint:bufshared type=sharedRelease acquire=acquire
 //
 // bufpool names a pool type and its lifecycle methods (releaser= is
-// optional: a pool that hands out no release callback omits it): a value
+// optional: a pool that hands out no release callback omits it). The type
+// may be the package's own or an imported one (pool.Pool), and a generic
+// type may be pinned to one instantiation (pool.Pool[encBuf],
+// pool.Pool[wire.Scratch]) so each instance gets its own line; without
+// type arguments the line covers every instantiation. A value
 // bound from `get` must reach `put` or `releaser` exactly once on every path
 // out of the function (error returns included), must not be read after
 // release, and must not escape into struct fields, other function
@@ -55,9 +59,11 @@ const (
 	kindRelease = "release callback"
 )
 
-// poolCfg is one declared buffer pool.
+// poolCfg is one declared buffer pool: a type, and for a generic one
+// the instantiation it is pinned to (nil args: any).
 type poolCfg struct {
 	typ                *types.TypeName
+	args               []types.Type
 	get, put, releaser string
 }
 
@@ -101,12 +107,12 @@ func parseConfig(pass *analysis.Pass) (*config, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bufpool directive: %w", err)
 			}
-			tn, err := lookupType(pass, kv["type"])
+			tn, args, err := lookupInstance(pass, kv["type"])
 			if err != nil {
 				return nil, fmt.Errorf("bufpool directive: %w", err)
 			}
 			cfg.pools = append(cfg.pools, &poolCfg{
-				typ: tn, get: kv["get"], put: kv["put"], releaser: kv["releaser"],
+				typ: tn, args: args, get: kv["get"], put: kv["put"], releaser: kv["releaser"],
 			})
 		case "bufshared":
 			kv, err := keyvals(d.Args, "type", "acquire")
@@ -140,8 +146,23 @@ func keyvals(args string, required ...string) (map[string]string, error) {
 	return kv, nil
 }
 
+// lookupType resolves a type name declared in the package, or in one it
+// imports when qualified by that package's name (pool.Pool).
 func lookupType(pass *analysis.Pass, name string) (*types.TypeName, error) {
-	obj := pass.Pkg.Scope().Lookup(name)
+	scope := pass.Pkg.Scope()
+	if pkgName, typName, ok := strings.Cut(name, "."); ok {
+		scope = nil
+		for _, imp := range pass.Pkg.Imports() {
+			if imp.Name() == pkgName {
+				scope, name = imp.Scope(), typName
+				break
+			}
+		}
+		if scope == nil {
+			return nil, fmt.Errorf("names type %q of a package not imported here", name)
+		}
+	}
+	obj := scope.Lookup(name)
 	if obj == nil {
 		return nil, fmt.Errorf("names unknown type %q", name)
 	}
@@ -150,6 +171,33 @@ func lookupType(pass *analysis.Pass, name string) (*types.TypeName, error) {
 		return nil, fmt.Errorf("%q is not a type", name)
 	}
 	return tn, nil
+}
+
+// lookupInstance resolves a type name with optional type arguments,
+// pool.Pool[wire.Scratch], to the generic type and its arguments.
+func lookupInstance(pass *analysis.Pass, spec string) (*types.TypeName, []types.Type, error) {
+	name, rest, generic := strings.Cut(spec, "[")
+	tn, err := lookupType(pass, name)
+	if err != nil || !generic {
+		return tn, nil, err
+	}
+	list, ok := strings.CutSuffix(rest, "]")
+	if !ok || list == "" {
+		return nil, nil, fmt.Errorf("malformed type arguments in %q", spec)
+	}
+	var args []types.Type
+	for _, a := range strings.Split(list, ",") {
+		at, err := lookupType(pass, a)
+		if err != nil {
+			return nil, nil, err
+		}
+		args = append(args, at.Type())
+	}
+	named, ok := tn.Type().(*types.Named)
+	if !ok || named.TypeParams().Len() != len(args) {
+		return nil, nil, fmt.Errorf("%q does not take %d type arguments", name, len(args))
+	}
+	return tn, args, nil
 }
 
 // checkBody runs the obligation walker over one function body (or
@@ -184,9 +232,10 @@ type checker struct {
 
 var _ dataflow.Client = (*checker)(nil)
 
-// methodOn resolves a call to a method on one of the declared types,
-// returning the receiver's type name and the method name.
-func (c *checker) methodOn(call *ast.CallExpr) (*types.TypeName, string) {
+// methodOn resolves a call to a method on a named type, returning the
+// receiver's type (an instantiation, for a generic one) and the method
+// name.
+func (c *checker) methodOn(call *ast.CallExpr) (*types.Named, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil, ""
@@ -207,29 +256,46 @@ func (c *checker) methodOn(call *ast.CallExpr) (*types.TypeName, string) {
 	if !ok {
 		return nil, ""
 	}
-	return named.Obj(), fn.Name()
+	return named, fn.Name()
 }
 
 func (c *checker) poolFor(call *ast.CallExpr) (*poolCfg, string) {
-	tn, m := c.methodOn(call)
-	if tn == nil {
+	named, m := c.methodOn(call)
+	if named == nil {
 		return nil, ""
 	}
 	for _, p := range c.cfg.pools {
-		if p.typ == tn {
+		if p.typ == named.Obj() && sameArgs(p.args, named.TypeArgs()) {
 			return p, m
 		}
 	}
 	return nil, ""
 }
 
+// sameArgs reports whether an instantiation's type arguments are the
+// ones a directive pinned (none pinned matches any).
+func sameArgs(want []types.Type, got *types.TypeList) bool {
+	if want == nil {
+		return true
+	}
+	if got.Len() != len(want) {
+		return false
+	}
+	for i, w := range want {
+		if !types.Identical(w, got.At(i)) {
+			return false
+		}
+	}
+	return true
+}
+
 func (c *checker) sharedFor(call *ast.CallExpr) (*sharedCfg, string) {
-	tn, m := c.methodOn(call)
-	if tn == nil {
+	named, m := c.methodOn(call)
+	if named == nil {
 		return nil, ""
 	}
 	for _, s := range c.cfg.shared {
-		if s.typ == tn {
+		if s.typ == named.Obj() {
 			return s, m
 		}
 	}

@@ -7,6 +7,7 @@
 package selftest
 
 import (
+	"strings"
 	"testing"
 
 	"adaptivecast/internal/analysis"
@@ -42,6 +43,15 @@ func TestEachAnalyzerFires(t *testing.T) {
 		if fired[a.Name] == 0 {
 			t.Errorf("%s reported nothing over its seeded violation; the lint gate would miss a real regression", a.Name)
 		}
+	}
+	// buflife must see through the generic pool: its directive names an
+	// imported instantiation, pool.Pool[tickWorkspace].
+	tickLeak := false
+	for _, d := range diags {
+		tickLeak = tickLeak || d.Analyzer == "buflife" && strings.Contains(d.Message, "pooled buffer ws ")
+	}
+	if !tickLeak {
+		t.Error("buflife missed the tick workspace taken from the generic pool and never put back")
 	}
 	if t.Failed() {
 		for _, d := range diags {

@@ -8,7 +8,8 @@
 //   - wirekind:         a FrameKind switch missing frameB
 //   - epochfence:       the frameA case never calls the declared gate
 //   - chanowner:        a send on the queue channel outside its owner
-//   - buflife:          a pooled buffer leaked on the early-return path
+//   - buflife:          a pooled buffer leaked on the early-return path,
+//     and a tick workspace from the generic pool taken and never put back
 //   - goroleak:         a launch whose body never observes its stop
 package main
 
@@ -17,11 +18,13 @@ import (
 	"sync/atomic"
 
 	"example.com/mod/internal/engine"
+	"example.com/mod/pool"
 )
 
 //adaptivelint:lockrank state.hi=10 state.lo=20
 //adaptivelint:epochfence kinds=frameA gate=gateEpoch
 //adaptivelint:bufpool type=encPool get=get put=put releaser=releaser
+//adaptivelint:bufpool type=pool.Pool[tickWorkspace] get=Get put=Put
 //adaptivelint:goroutines checked
 
 type state struct {
@@ -73,6 +76,17 @@ func leakyEncode(p *encPool, fail bool) []byte {
 	return out
 }
 
+type tickWorkspace struct{ outs []int }
+
+var tickWorkspaces pool.Pool[tickWorkspace]
+
+// leakyTick takes a period workspace and never puts it back (buflife).
+func leakyTick(neighbors int) int {
+	ws := tickWorkspaces.Get()
+	ws.outs = append(ws.outs[:0], neighbors)
+	return len(ws.outs)
+}
+
 // drain spins on queue without ever observing s.stop (goroleak).
 func drain(s *state) {
 	for range s.queue {
@@ -92,6 +106,7 @@ func main() {
 	feed(&s, 1)
 	sideDoor(&s, 2)
 	_ = leakyEncode(&encPool{}, true)
+	_ = leakyTick(3)
 	shutdown(&s)
 
 	s.lo.Lock()

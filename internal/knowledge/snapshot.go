@@ -19,6 +19,27 @@ type Snapshot struct {
 	Links []LinkRecord
 }
 
+// KeepRecords bounds the record slices a reused Snapshot keeps (see
+// Recycle): one cut or decode from a cluster far past anything a flat
+// roster holds must not pin its arrays in a pool for good.
+const KeepRecords = 4096
+
+// Recycle empties s for reuse as the dst of a later cut or decode: it
+// zeroes its records, so no estimator state stays reachable from it, and
+// keeps the capacity of each record slice up to KeepRecords.
+func (s *Snapshot) Recycle() {
+	clear(s.Procs)
+	clear(s.Links)
+	procs, links := s.Procs[:0], s.Links[:0]
+	if cap(procs) > KeepRecords {
+		procs = nil
+	}
+	if cap(links) > KeepRecords {
+		links = nil
+	}
+	*s = Snapshot{Procs: procs, Links: links}
+}
+
 // ProcRecord carries one process estimate. Processes with infinite
 // distortion (never heard of) are omitted from snapshots entirely.
 type ProcRecord struct {
@@ -41,32 +62,45 @@ type LinkRecord struct {
 // ships every record, so it baselines them all — the next delta cut
 // against an ack of this version re-ships only what changes afterwards.
 func (v *View) Snapshot() *Snapshot {
+	s := new(Snapshot)
+	v.SnapshotInto(s)
+	return s
+}
+
+// SnapshotInto is Snapshot into dst: it overwrites dst whole and reuses
+// the capacity of its record slices, so a caller that keeps dst between
+// periods cuts a full snapshot without allocating.
+func (v *View) SnapshotInto(dst *Snapshot) {
 	v.refreshSigs()
-	s := &Snapshot{
-		From:  v.self,
-		Seq:   v.selfSeq,
-		Procs: make([]ProcRecord, 0, len(v.procs)),
-		Links: make([]LinkRecord, 0, v.interner.Len()),
-	}
+	*dst = Snapshot{From: v.self, Seq: v.selfSeq,
+		Procs: grow(dst.Procs, len(v.procs)), Links: grow(dst.Links, v.interner.Len())}
 	for i := range v.procs {
 		ps := &v.procs[i]
 		if ps.dist == DistInf || ps.departed {
 			continue
 		}
-		s.Procs = append(s.Procs, ProcRecord{
+		dst.Procs = append(dst.Procs, ProcRecord{
 			ID:   topology.NodeID(i),
 			Dist: int(ps.dist),
 			Est:  ps.est.State(),
 		})
 	}
 	for idx, ls := range v.knownLinks() {
-		s.Links = append(s.Links, LinkRecord{
+		dst.Links = append(dst.Links, LinkRecord{
 			Link: v.interner.Link(idx),
 			Dist: int(ls.dist),
 			Est:  ls.est.State(),
 		})
 	}
-	return s
+}
+
+// grow returns s emptied, with room for at least n records; never nil,
+// so a cut reads the same whether or not its slices were reused.
+func grow[E any](s []E, n int) []E {
+	if s == nil || cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s[:0]
 }
 
 // DeltaSince returns a partial snapshot holding only the records whose
@@ -89,13 +123,27 @@ func (v *View) Snapshot() *Snapshot {
 // snapshot. Step: the frame cut at version W against acked base V carries
 // exactly the records stamped in (V, W].
 func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
-	if base == 0 || base > v.version {
+	if !v.anchors(base) {
 		return nil, false
+	}
+	s = new(Snapshot)
+	v.DeltaSinceInto(s, base)
+	return s, true
+}
+
+// DeltaSinceInto is DeltaSince into dst: it overwrites dst whole when the
+// cut is anchored (dst is untouched when it is not) and reuses the
+// capacity of its record slices. The caller owns dst, so cuts made at
+// the same time — Tick is not serialized against itself — each need
+// their own.
+func (v *View) DeltaSinceInto(dst *Snapshot, base uint64) (ok bool) {
+	if !v.anchors(base) {
+		return false
 	}
 	v.refreshSigs()
 	// Size the cut before filling it: growing two slices from nil costs
-	// more than a second scan. No scratch is shared between cuts, since
-	// Tick is not serialized against itself.
+	// more than a second scan, and a dst kept from an earlier cut is
+	// usually large enough already.
 	shipsProc := func(ps *procState) bool { return ps.dist != DistInf && !ps.departed && ps.sig.at > base }
 	nProcs, nLinks := 0, 0
 	for i := range v.procs {
@@ -108,11 +156,10 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 			nLinks++
 		}
 	}
-	s = &Snapshot{From: v.self, Seq: v.selfSeq,
-		Procs: make([]ProcRecord, 0, nProcs), Links: make([]LinkRecord, 0, nLinks)}
+	*dst = Snapshot{From: v.self, Seq: v.selfSeq, Procs: grow(dst.Procs, nProcs), Links: grow(dst.Links, nLinks)}
 	for i := range v.procs {
 		if ps := &v.procs[i]; shipsProc(ps) {
-			s.Procs = append(s.Procs, ProcRecord{
+			dst.Procs = append(dst.Procs, ProcRecord{
 				ID:   topology.NodeID(i),
 				Dist: int(ps.dist),
 				Est:  ps.est.State(),
@@ -121,15 +168,19 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 	}
 	for idx, ls := range v.knownLinks() {
 		if ls.sig.at > base {
-			s.Links = append(s.Links, LinkRecord{
+			dst.Links = append(dst.Links, LinkRecord{
 				Link: v.interner.Link(idx),
 				Dist: int(ls.dist),
 				Est:  ls.est.State(),
 			})
 		}
 	}
-	return s, true
+	return true
 }
+
+// anchors reports whether a delta can be cut against base: the peer acked
+// something (base > 0) of this incarnation of the view (base ≤ version).
+func (v *View) anchors(base uint64) bool { return base != 0 && base <= v.version }
 
 // refreshSigs re-evaluates the wire signature of every record whose dirty
 // bit is set, stamping the current version onto records whose content

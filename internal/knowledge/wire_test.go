@@ -2,6 +2,7 @@ package knowledge_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"adaptivecast/internal/bayes"
@@ -227,9 +228,10 @@ func TestAllocsMergeSnapshot(t *testing.T) {
 }
 
 // TestAllocsDeltaAndEstimatedConfig pins the two per-period constructions
-// at n = 128: a delta cut is the snapshot and its two record slices, each
-// sized before it is filled, and refilling a (graph, config) pair that
-// held the same view allocates nothing.
+// at n = 128: a delta cut into a warm Snapshot allocates nothing (the
+// DeltaSince wrapper pays for the snapshot and its two record slices,
+// each sized before it is filled), and refilling a (graph, config) pair
+// that held the same view allocates nothing.
 func TestAllocsDeltaAndEstimatedConfig(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins do not hold under the race detector")
@@ -248,6 +250,18 @@ func TestAllocsDeltaAndEstimatedConfig(t *testing.T) {
 	if got := testing.AllocsPerRun(50, func() { v.DeltaSince(base) }); got > 3 {
 		t.Errorf("DeltaSince allocated %.1f times, want at most 3", got)
 	}
+	// The cut goes to a package variable, so an inlined DeltaSince cannot
+	// keep it on the stack.
+	if got := testing.AllocsPerRun(50, func() { sinkSnapshot, _ = v.DeltaSince(0) }); got != 0 {
+		t.Errorf("an unanchored DeltaSince allocated %.1f times, want 0", got)
+	}
+	var warm knowledge.Snapshot
+	if !v.DeltaSinceInto(&warm, base) {
+		t.Fatal("the period's delta is not anchored")
+	}
+	if got := testing.AllocsPerRun(50, func() { v.DeltaSinceInto(&warm, base) }); got != 0 {
+		t.Errorf("DeltaSinceInto a warm Snapshot allocated %.1f times, want 0", got)
+	}
 	eg, ec := new(topology.Graph), new(config.Config)
 	fill := func() {
 		if err := v.EstimatedConfigInto(eg, ec); err != nil {
@@ -260,12 +274,84 @@ func TestAllocsDeltaAndEstimatedConfig(t *testing.T) {
 	}
 }
 
+// TestIntoFormsReuseTheirSnapshot: one Snapshot carried across cuts — a
+// full one, a smaller delta, an unanchored delta, a full one again —
+// reads each time exactly what the allocating form returns, whatever the
+// earlier cut left in its slices.
+func TestIntoFormsReuseTheirSnapshot(t *testing.T) {
+	views, g := benchCluster(t, 32)
+	v, nb := views[0], views[g.Neighbors(0)[0]]
+	var dst knowledge.Snapshot
+	v.SnapshotInto(&dst)
+	if want := v.Snapshot(); !reflect.DeepEqual(&dst, want) {
+		t.Fatalf("SnapshotInto read %+v, Snapshot %+v", dst, want)
+	}
+	base := v.Version()
+	nb.BeginPeriod()
+	v.BeginPeriod()
+	if err := v.MergeSnapshot(nb.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := v.DeltaSince(base)
+	if !ok || !v.DeltaSinceInto(&dst, base) {
+		t.Fatal("the period's delta is not anchored")
+	}
+	if !reflect.DeepEqual(&dst, want) || len(want.Procs) >= len(v.Snapshot().Procs) {
+		t.Fatalf("DeltaSinceInto over a full cut read %+v, DeltaSince %+v", dst, want)
+	}
+	kept := dst
+	if v.DeltaSinceInto(&dst, v.Version()+1) || !reflect.DeepEqual(dst, kept) {
+		t.Fatal("an unanchored DeltaSinceInto reported a cut or touched its snapshot")
+	}
+	v.SnapshotInto(&dst)
+	if want := v.Snapshot(); !reflect.DeepEqual(&dst, want) {
+		t.Fatalf("SnapshotInto over a delta read %+v, Snapshot %+v", dst, want)
+	}
+}
+
+// TestRecycleBoundsAndClears: a recycled Snapshot is empty, its records
+// are zeroed behind the length, and it keeps a record slice's array only
+// up to KeepRecords.
+func TestRecycleBoundsAndClears(t *testing.T) {
+	views, _ := benchCluster(t, 32)
+	var s knowledge.Snapshot
+	views[0].SnapshotInto(&s)
+	procs, links := s.Procs, s.Links
+	s.Recycle()
+	if s.From != 0 || s.Seq != 0 || len(s.Procs) != 0 || len(s.Links) != 0 ||
+		cap(s.Procs) != cap(procs) || cap(s.Links) != cap(links) {
+		t.Fatalf("recycled to %+v (caps %d, %d), want empty with caps %d, %d",
+			s, cap(s.Procs), cap(s.Links), cap(procs), cap(links))
+	}
+	for i := range procs {
+		if !reflect.DeepEqual(procs[i], knowledge.ProcRecord{}) {
+			t.Fatalf("process record %d still reads %+v", i, procs[i])
+		}
+	}
+	for i := range links {
+		if !reflect.DeepEqual(links[i], knowledge.LinkRecord{}) {
+			t.Fatalf("link record %d still reads %+v", i, links[i])
+		}
+	}
+	big := knowledge.Snapshot{
+		Procs: make([]knowledge.ProcRecord, 1, knowledge.KeepRecords+1),
+		Links: make([]knowledge.LinkRecord, 1, knowledge.KeepRecords),
+	}
+	big.Recycle()
+	if big.Procs != nil || cap(big.Links) != knowledge.KeepRecords {
+		t.Errorf("recycled caps %d and %d, want the first dropped and the second %d kept",
+			cap(big.Procs), cap(big.Links), knowledge.KeepRecords)
+	}
+}
+
 var benchSizes = []struct {
 	name string
 	n    int
 }{{"n=32", 32}, {"n=128", 128}}
 
 var sinkRecords int
+
+var sinkSnapshot *knowledge.Snapshot
 
 func BenchmarkSnapshot(b *testing.B) {
 	for _, size := range benchSizes {

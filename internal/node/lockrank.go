@@ -29,12 +29,12 @@ package node
 //
 // The goroutines, bufpool and bufshared directives are the package's
 // lifecycle contracts (wave-2 analyzers): every go statement must
-// declare the stop signal its body observes (goroleak), and every
-// buffer obtained from encodePool, every decode scratch obtained from
-// decodePool, every replan workspace obtained from planPool — or release
-// callback fanned out through sharedRelease — must be spent exactly once
-// on every path (buflife). Channel ownership
-// is declared per field on the Node struct (chanowner).
+// declare the stop signal its body observes (goroleak), and every value
+// obtained from one of the package's pools — an encode buffer, a decode
+// scratch, a replan or a heartbeat-period workspace, each an instance of
+// the one generic pool.Pool — or release callback fanned out through
+// sharedRelease must be spent exactly once on every path (buflife).
+// Channel ownership is declared per field on the Node struct (chanowner).
 //
 //adaptivelint:lockrank Node.memberMu=10 Node.planMu=20 Node.viewMu=30
 //adaptivelint:lockrank Node.reannMu=40 Node.peerMu=40 Node.cadMu=40 Node.leaseMu=40
@@ -44,7 +44,8 @@ package node
 //adaptivelint:blockingpkg adaptivecast/internal/transport adaptivecast/internal/lanes
 //adaptivelint:epochfence kinds=FrameData,FrameKnowledgeDelta gate=epochGate
 //adaptivelint:goroutines checked
-//adaptivelint:bufpool type=encodePool get=get put=put releaser=releaser
-//adaptivelint:bufpool type=decodePool get=get put=put
-//adaptivelint:bufpool type=planPool get=get put=put
+//adaptivelint:bufpool type=pool.Pool[encBuf] get=Get put=Put releaser=Releaser
+//adaptivelint:bufpool type=pool.Pool[wire.Scratch] get=Get put=Put
+//adaptivelint:bufpool type=pool.Pool[planWorkspace] get=Get put=Put
+//adaptivelint:bufpool type=pool.Pool[tickWorkspace] get=Get put=Put
 //adaptivelint:bufshared type=sharedRelease acquire=acquire

@@ -37,6 +37,7 @@ import (
 	"adaptivecast/internal/lanes"
 	"adaptivecast/internal/mrt"
 	"adaptivecast/internal/optimize"
+	"adaptivecast/internal/pool"
 	"adaptivecast/internal/queue"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
@@ -346,16 +347,18 @@ type Node struct {
 	// ownsFrames is set when the transport hands the handler exclusive
 	// frame buffers (transport.FrameOwner): a delivered body and a relayed
 	// frame may then alias the inbound buffer instead of copying it.
-	// decPool holds the decode storage handle borrows per inbound frame.
+	// decPool holds the decode storage handle borrows per inbound frame:
+	// transports serialize a node's handler, so one Scratch is in use at a
+	// time, and the pool keeps a test calling handle concurrently safe.
 	ownsFrames bool
-	decPool    decodePool
+	decPool    pool.Pool[wire.Scratch]
 
 	// lanes is the prioritized send scheduler every frame leaves through
 	// (see sendpath.go). encPool recycles outbound frame encode buffers
 	// across sends (sound because of the transport Send ownership rule:
 	// buffers are only borrowed for the duration of a send).
 	lanes   *lanes.Scheduler
-	encPool encodePool
+	encPool pool.Pool[encBuf]
 
 	// viewMu guards the knowledge view (heartbeat merges, ticks,
 	// estimate reads). It is never held while sending.
@@ -472,6 +475,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		done:      make(chan struct{}),
 	}
 	n.deliveries.Init(cfg.DeliveryBuffer, deliveryBytes)
+	n.initEncodePool()
 	n.epoch.Store(cfg.Epoch)
 	n.procs.Store(int64(cfg.NumProcs))
 	n.delivered.grow(cfg.NumProcs)
@@ -606,8 +610,8 @@ func (n *Node) Next(ctx context.Context) (Delivery, error) {
 // path's scheduler and encode-pool counters.
 func (n *Node) Stats() Stats {
 	s := n.stats.snapshot()
-	s.EncodePoolHits = int(n.encPool.hits.Load())
-	s.EncodePoolMisses = int(n.encPool.misses.Load())
+	s.EncodePoolHits = int(n.encPool.Hits())
+	s.EncodePoolMisses = int(n.encPool.Misses())
 	ls := n.lanes.Stats()
 	s.LaneDrops = LaneDrops(ls.Drops)
 	s.CoalescedFlushes = ls.CoalescedFlushes
@@ -698,20 +702,19 @@ func (n *Node) Tick() {
 			}
 		}
 	}
-	type outbound struct {
-		to        topology.NodeID
-		base, ack uint64 // the version of this view the neighbor acked; of its view merged here
-		snap      *knowledge.Snapshot
-		since     uint64 // base when snap is a delta cut from it, 0 when it is the full snapshot
-		suspected bool
-	}
-	outs := make([]outbound, len(neighbors))
+	ws := tickWorkspaces.Get()
+	defer tickWorkspaces.Put(ws)
 	n.peerMu.Lock()
-	for i, nb := range neighbors {
-		outs[i] = outbound{to: nb, base: n.peerAcked[nb], ack: n.peerSeen[nb]}
+	for _, nb := range neighbors {
+		ws.outs = append(ws.outs, outbound{to: nb, base: n.peerAcked[nb], ack: n.peerSeen[nb]})
 	}
 	n.peerMu.Unlock()
-	var full *knowledge.Snapshot
+	outs := ws.outs
+	if cap(ws.cuts) < len(outs) {
+		ws.cuts = make([]knowledge.Snapshot, len(outs))
+	}
+	ws.cuts = ws.cuts[:len(outs)]
+	fullCut := false
 
 	n.viewMu.Lock()
 	n.view.BeginPeriod()
@@ -738,13 +741,14 @@ func (n *Node) Tick() {
 		}
 		if j < i {
 			o.snap, o.since = outs[j].snap, outs[j].since
-		} else if d, ok := n.view.DeltaSince(o.base); ok {
-			o.snap, o.since = d, o.base
+		} else if cut := &ws.cuts[i]; n.view.DeltaSinceInto(cut, o.base) {
+			o.snap, o.since = cut, o.base
 		} else {
-			if full == nil {
-				full = n.view.Snapshot()
+			if !fullCut {
+				n.view.SnapshotInto(&ws.full)
+				fullCut = true
 			}
-			o.snap = full // since stays 0: full-snapshot fallback
+			o.snap = &ws.full // since stays 0: full-snapshot fallback
 		}
 	}
 	n.viewMu.Unlock()
@@ -767,39 +771,11 @@ func (n *Node) Tick() {
 		n.leaseMu.Unlock()
 	}
 
-	// Shared delta cuts: the snapshot section of a delta frame is encoded
-	// once per distinct snapshot — in the common case every neighbor acked
-	// the same version, so once per period — then spliced after each
-	// neighbor's individual header: Since/Ack/Cadence differ per peer, the
-	// record section doesn't. It is always cut in the count layout: a
-	// non-empty section rides v5 (see heartbeatCaps), and an empty one is
-	// the same bytes in every layout. Section buffers are copied into the
-	// frames by AppendDeltaFrame, so they recycle as soon as the loop
-	// ends; frame buffers recycle when their send releases them.
-	type section struct {
-		snap  *knowledge.Snapshot
-		bytes []byte
-	}
-	secs := make([]section, 0, 4)
-	secBufs := make([]*encBuf, 0, 4)
-	sectionFor := func(s *knowledge.Snapshot) ([]byte, error) {
-		for _, sec := range secs {
-			if sec.snap == s {
-				return sec.bytes, nil
-			}
-		}
-		eb := n.encPool.get()
-		sec, err := wire.AppendSnapshotSectionCounts(eb.b, s)
-		if err != nil {
-			n.encPool.put(eb)
-			return nil, err
-		}
-		eb.b = sec
-		secBufs = append(secBufs, eb)
-		secs = append(secs, section{s, sec})
-		return sec, nil
-	}
-
+	// Shared delta cuts: the record section of a delta frame is encoded
+	// once per distinct cut (see tickWorkspace.section) — in the common
+	// case every neighbor acked the same version, so once per period —
+	// then spliced after each neighbor's own header: Since/Ack/Cadence
+	// differ per peer, the record section doesn't.
 	sent, deltas, counts := 0, 0, 0
 	for _, o := range outs {
 		declared := 1
@@ -816,12 +792,12 @@ func (n *Node) Tick() {
 				continue
 			}
 		}
-		sec, err := sectionFor(o.snap)
+		sec, err := ws.section(&n.encPool, o.snap)
 		if err != nil {
 			continue
 		}
 		caps := heartbeatCaps(o.snap)
-		eb := n.encPool.get()
+		eb := n.encPool.Get()
 		frame, err := wire.AppendDeltaFrame(eb.b, &wire.KnowledgeDelta{
 			Since:   o.since,
 			Ver:     ver,
@@ -831,11 +807,11 @@ func (n *Node) Tick() {
 			Caps:    caps,
 		}, sec)
 		if err != nil {
-			n.encPool.put(eb)
+			n.encPool.Put(eb)
 			continue
 		}
 		eb.b = frame
-		if err := n.sendControl(o.to, frame, n.encPool.releaser(eb)); err == nil {
+		if err := n.sendControl(o.to, frame, n.encPool.Releaser(eb)); err == nil {
 			sent++
 			n.stats.heartbeatBytesSent.Add(int64(len(frame)))
 			if o.since > 0 {
@@ -846,12 +822,86 @@ func (n *Node) Tick() {
 			}
 		}
 	}
-	for _, eb := range secBufs {
-		n.encPool.put(eb)
+	for _, eb := range ws.secBufs {
+		n.encPool.Put(eb)
 	}
 	n.stats.heartbeatsSent.Add(int64(sent))
 	n.stats.deltaHeartbeatsSent.Add(int64(deltas))
 	n.stats.countHeartbeatsSent.Add(int64(counts))
+}
+
+// outbound is one neighbor's heartbeat of a period: the versions it
+// carries and the cut it ships.
+type outbound struct {
+	to        topology.NodeID
+	base, ack uint64 // the version of this view the neighbor acked; of its view merged here
+	snap      *knowledge.Snapshot
+	since     uint64 // base when snap is a delta cut from it, 0 when it is the full snapshot
+	suspected bool
+}
+
+// section is the record section of one distinct cut, encoded once per
+// period and spliced after each neighbor's header by AppendDeltaFrame.
+type section struct {
+	snap  *knowledge.Snapshot
+	bytes []byte
+}
+
+// tickWorkspace is the scaffolding of one heartbeat period: the outbound
+// list, the cuts — cuts[i] is neighbor i's delta when it is the first to
+// ack its base, full the fallback — and the encoded sections with the
+// pooled buffers that hold them.
+type tickWorkspace struct {
+	outs    []outbound
+	cuts    []knowledge.Snapshot
+	full    knowledge.Snapshot
+	secs    []section
+	secBufs []*encBuf
+}
+
+// tickWorkspaces recycles period workspaces process-wide, for the reason
+// planWorkspaces does: Tick is not serialized against itself, and a
+// workspace per node would sit in the heap between periods.
+var tickWorkspaces = pool.Pool[tickWorkspace]{Reset: (*tickWorkspace).reset}
+
+// reset empties the workspace as it goes back to the pool, so no
+// estimator state, frame or encode buffer stays reachable from it; the
+// slices keep their capacity for the next period.
+func (ws *tickWorkspace) reset() bool {
+	clear(ws.outs)
+	clear(ws.secs)
+	clear(ws.secBufs)
+	ws.outs, ws.secs, ws.secBufs = ws.outs[:0], ws.secs[:0], ws.secBufs[:0]
+	for i := range ws.cuts {
+		ws.cuts[i].Recycle()
+	}
+	ws.full.Recycle()
+	return true
+}
+
+// section returns the encoded record section of s, encoding it into a
+// buffer from encPool the first time the period asks. It is always cut
+// in the count layout: a non-empty section rides v5 (see heartbeatCaps),
+// and an empty one is the same bytes in every layout. AppendDeltaFrame
+// copies the section into each frame, so the buffers recycle as soon as
+// the period's frames are encoded; frame buffers recycle when their send
+// releases them.
+func (ws *tickWorkspace) section(encPool *pool.Pool[encBuf], s *knowledge.Snapshot) ([]byte, error) {
+	for _, sec := range ws.secs {
+		if sec.snap == s {
+			return sec.bytes, nil
+		}
+	}
+	eb := encPool.Get()
+	sec, err := wire.AppendSnapshotSectionCounts(eb.b, s)
+	if err != nil {
+		encPool.Put(eb)
+		return nil, err
+	}
+	eb.b = sec
+	ws.secBufs = append(ws.secBufs, eb)
+	ws.secs = append(ws.secs, section{s, sec})
+	return sec, nil
 }
 
 // heartbeatCaps decides the wire layout of a heartbeat: CapsCounts — a
@@ -1027,8 +1077,8 @@ func (n *Node) currentPlan() (p *plan, fresh bool) {
 // merges. The plan owns its vectors: nothing in it aliases the workspace,
 // which goes back to the pool before the plan is used.
 func (n *Node) replan() (p *plan, ver uint64) {
-	ws := planWorkspaces.get()
-	defer planWorkspaces.put(ws)
+	ws := planWorkspaces.Get()
+	defer planWorkspaces.Put(ws)
 	n.viewMu.Lock()
 	ver = n.view.Version()
 	err := n.view.EstimatedConfigInto(&ws.graph, &ws.config)
@@ -1048,24 +1098,11 @@ type planWorkspace struct {
 	builder mrt.Builder
 }
 
-// planPool recycles replan workspaces: one pool for the process, not a
-// field of the node, because a node that kept its own would hold it
+// planWorkspaces recycles replan workspaces: one pool for the process,
+// not a field of the node, because a node that kept its own would hold it
 // between replans (fabric128-hb: heap 20.5 → 25.4 MB) and, where origins
 // rotate, still find it cold.
-type planPool struct {
-	pool sync.Pool
-}
-
-var planWorkspaces planPool
-
-func (p *planPool) get() *planWorkspace {
-	if v := p.pool.Get(); v != nil {
-		return v.(*planWorkspace)
-	}
-	return new(planWorkspace)
-}
-
-func (p *planPool) put(ws *planWorkspace) { p.pool.Put(ws) }
+var planWorkspaces pool.Pool[planWorkspace]
 
 // plan derives (MRT, allocation) from the estimated configuration the
 // workspace holds.
@@ -1191,8 +1228,8 @@ func (n *Node) flood(except topology.NodeID, frame []byte, release func()) error
 // epoch-gated before any protocol processing (see epochGate). A heartbeat
 // or delta must name its transport sender (see sentBy).
 func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
-	sc := n.decPool.get()
-	defer n.decPool.put(sc)
+	sc := n.decPool.Get()
+	defer n.decPool.Put(sc)
 	frame, err := sc.DecodeBorrow(frameBytes)
 	if err != nil {
 		n.stats.decodeErrors.Add(1)

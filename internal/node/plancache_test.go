@@ -77,6 +77,14 @@ func taughtNode(t *testing.T, g *topology.Graph, id topology.NodeID, rng *rand.R
 		t.Fatal(err)
 	}
 	t.Cleanup(nd.Stop)
+	teach(t, nd, g, rng)
+	return nd
+}
+
+// teach merges into nd's view, as from its first neighbor, a snapshot
+// that knows every process and link of g at distance 0.
+func teach(t *testing.T, nd *Node, g *topology.Graph, rng *rand.Rand) {
+	t.Helper()
 	est := func() bayes.State {
 		return bayes.State{Intervals: bayes.DefaultIntervals, Succ: 200 + rng.Intn(400), Fail: rng.Intn(60)}
 	}
@@ -92,7 +100,6 @@ func taughtNode(t *testing.T, g *topology.Graph, id topology.NodeID, rng *rand.R
 	if err := nd.view.MergeSnapshotKnowledgeOnly(snap); err != nil {
 		t.Fatal(err)
 	}
-	return nd
 }
 
 // samePlan reports whether two plans carry the same tree, allocation and

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/knowledge"
@@ -469,13 +468,11 @@ func TestSuspicionScopedToSuspectLink(t *testing.T) {
 	}
 	settleTicks(nodes, 400)
 
-	// tick01 paces the two survivors one period and lets the async send
-	// path (lane scheduler, fabric goroutines) drain, like settleTicks.
-	tick01 := func() {
-		nodes[0].Tick()
-		nodes[1].Tick()
-		time.Sleep(2 * time.Millisecond)
-	}
+	// tick01 paces the two survivors one period and drains the async send
+	// path (lane scheduler, fabric goroutines) with settleTicks' counting
+	// drain. Node 1's frames toward the stopped node 2 are never handled,
+	// so each round ends on the drain's quiet poll.
+	tick01 := func() { settleTicks(nodes[:2], 1) }
 
 	// Crash node 2 and tick until node 1 suspects it.
 	nodes[2].Stop()
@@ -503,7 +500,6 @@ func TestSuspicionScopedToSuspectLink(t *testing.T) {
 	for p := 0; p < window; p++ {
 		tick01()
 	}
-	time.Sleep(20 * time.Millisecond)
 	toHealthy := tap.count(0) - healthyBefore
 	toSuspect := tap.count(2) - suspectBefore
 

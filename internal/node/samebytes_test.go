@@ -111,12 +111,12 @@ func TestSameBytesDifferential(t *testing.T) {
 			continue
 		}
 		for i, v := range views {
-			ws := planWorkspaces.get()
+			ws := planWorkspaces.Get()
 			if err := v.EstimatedConfigInto(&ws.graph, &ws.config); err != nil {
 				t.Fatal(err)
 			}
 			pl := ws.plan(topology.NodeID(i), DefaultK)
-			planWorkspaces.put(ws)
+			planWorkspaces.Put(ws)
 			if pl.err != nil {
 				planSum.Write([]byte(pl.err.Error()))
 				continue

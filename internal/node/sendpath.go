@@ -8,16 +8,15 @@ package node
 // flush is counted there (Stats.SendFailures), never returned to the
 // caller, which has moved on by then.
 //
-// Frames are encoded into pooled buffers (encodePool); the release
+// Frames are encoded into pooled buffers (Node.encPool); the release
 // callback threaded through the send path returns a buffer to the pool
 // once the last send is done with it, which is what makes the encode
 // datapath allocation-free in steady state. The receive side mirrors it:
-// handle decodes every inbound frame into pooled storage (decodePool)
+// handle decodes every inbound frame into pooled storage (Node.decPool)
 // that is the handler's until it returns, so a relay reads the decoded
 // message only while handing frames to the send path, never after.
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"adaptivecast/internal/lanes"
@@ -35,52 +34,23 @@ type encBuf struct {
 	release func()
 }
 
-// encodePool recycles frame encode buffers and counts its effectiveness
-// (Stats.EncodePoolHits / EncodePoolMisses).
-type encodePool struct {
-	pool   sync.Pool
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// get returns a buffer with zero length and whatever capacity its last
-// user grew it to.
-func (p *encodePool) get() *encBuf {
-	if v := p.pool.Get(); v != nil {
-		p.hits.Add(1)
-		eb := v.(*encBuf)
-		eb.b = eb.b[:0]
+// initEncodePool readies the node's encode pool (Stats.EncodePoolHits /
+// EncodePoolMisses count its effectiveness): each buffer starts at 512
+// bytes with its release callback bound, and comes back emptied with
+// whatever capacity its last user grew it to.
+func (n *Node) initEncodePool() {
+	p := &n.encPool
+	p.New = func() *encBuf {
+		eb := &encBuf{b: make([]byte, 0, 512)}
+		eb.release = func() { p.Put(eb) }
 		return eb
 	}
-	p.misses.Add(1)
-	eb := &encBuf{b: make([]byte, 0, 512)}
-	eb.release = func() { p.put(eb) }
-	return eb
-}
-
-func (p *encodePool) put(eb *encBuf) { p.pool.Put(eb) }
-
-// releaser returns the callback that recycles eb, in the shape the send
-// path threads around.
-func (p *encodePool) releaser(eb *encBuf) func() { return eb.release }
-
-// decodePool recycles the decode storage of the receive path: handle
-// takes one wire.Scratch per inbound frame and puts it back when it
-// returns. Transports serialise a node's handler, so one Scratch per node
-// is in use at a time; the pool is what keeps a test or a second
-// transport goroutine calling handle concurrently safe.
-type decodePool struct {
-	pool sync.Pool
-}
-
-func (p *decodePool) get() *wire.Scratch {
-	if v := p.pool.Get(); v != nil {
-		return v.(*wire.Scratch)
+	p.Reset = func(eb *encBuf) bool {
+		eb.b = eb.b[:0]
+		return true
 	}
-	return new(wire.Scratch)
+	p.Release = func(eb *encBuf) func() { return eb.release }
 }
-
-func (p *decodePool) put(sc *wire.Scratch) { p.pool.Put(sc) }
 
 // sharedRelease fans one release callback out to the several sends of a
 // fan-out (one frame, many children): each acquire() hands out a
@@ -166,14 +136,14 @@ func (n *Node) encodeDataFrame(msg *wire.DataMsg) (frame []byte, release func(),
 		n.viewMu.Unlock()
 		msg = &cp
 	}
-	eb := n.encPool.get()
+	eb := n.encPool.Get()
 	b, err := wire.EncodeInto(eb.b, &wire.Frame{Kind: wire.FrameData, Data: msg})
 	if err != nil {
-		n.encPool.put(eb)
+		n.encPool.Put(eb)
 		return nil, nil, err
 	}
 	eb.b = b
-	return b, n.encPool.releaser(eb), nil
+	return b, n.encPool.Releaser(eb), nil
 }
 
 // relayDataFrame produces the outbound frame for relaying an inbound
@@ -200,15 +170,15 @@ func (n *Node) relayDataFrame(msg *wire.DataMsg, raw []byte) (frame []byte, rele
 		n.viewMu.Lock()
 		snap := n.view.Snapshot()
 		n.viewMu.Unlock()
-		eb := n.encPool.get()
+		eb := n.encPool.Get()
 		b, err := wire.SpliceDataPiggyback(eb.b, raw, snap)
 		if err == nil {
 			eb.b = b
-			return b, n.encPool.releaser(eb), nil
+			return b, n.encPool.Releaser(eb), nil
 		}
 		// A frame that decoded but won't splice shouldn't exist; fall back
 		// to the full re-encode rather than dropping the relay.
-		n.encPool.put(eb)
+		n.encPool.Put(eb)
 	}
 	return n.encodeDataFrame(msg)
 }

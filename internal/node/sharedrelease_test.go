@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaptivecast/internal/knowledge"
+	"adaptivecast/internal/pool"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/wire"
 )
@@ -83,7 +84,7 @@ func TestSharedReleaseDoublePutPanics(t *testing.T) {
 // TestRelaySpliceZeroAllocUnderRace pins the relay splice hot path —
 // writing a fresh piggyback snapshot into a raw inbound frame held in a
 // pooled buffer — at 0 allocs/op, in a form that stays valid under
-// -race. The encodePool round-trip is deliberately outside the measured
+// -race. The encode pool round-trip is deliberately outside the measured
 // region: sync.Pool drops Puts at random when the race detector is on,
 // and a dropped Put would charge the next miss's allocation to the
 // loop. What the loop measures is the steady-state per-relay work once
@@ -109,9 +110,9 @@ func TestRelaySpliceZeroAllocUnderRace(t *testing.T) {
 	relayer.BeginPeriod()
 	snap := relayer.Snapshot()
 
-	var pool encodePool
-	eb := pool.get()
-	defer pool.put(eb)
+	var encPool pool.Pool[encBuf]
+	eb := encPool.Get()
+	defer encPool.Put(eb)
 	allocs := testing.AllocsPerRun(100, func() {
 		b, err := wire.SpliceDataPiggyback(eb.b[:0], raw, snap)
 		if err != nil {

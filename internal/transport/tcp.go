@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"adaptivecast/internal/pool"
 	"adaptivecast/internal/topology"
 )
 
@@ -50,9 +52,9 @@ func (o TCPOptions) withDefaults() TCPOptions {
 //
 // TCP implements FrameOwner: every frame is read into a fresh buffer the
 // transport never touches again. It implements BatchSender: SendN
-// assembles the n length-prefixed copies into one buffer and flushes them
-// with a single Write — one syscall for a whole per-edge retransmission
-// burst instead of 2n. The copies of one SendN share a fate: the stream
+// assembles the n length-prefixed copies into one pooled buffer and
+// flushes them with a single Write — one syscall for a whole per-edge
+// retransmission burst instead of 2n. The copies of one SendN share a fate: the stream
 // is in order, so if copy k arrives then copy 1 arrived, and they are not
 // the independent losses the protocol's per-edge redundancy assumes.
 type TCP struct {
@@ -166,44 +168,21 @@ func (t *TCP) Send(to topology.NodeID, frame []byte) error {
 	return t.SendN(to, frame, 1)
 }
 
-// SendN implements BatchSender: the n length-prefixed copies are laid out
-// in one buffer and flushed with a single Write, so a per-edge burst of
-// m[j] identical copies costs one syscall. A single Send is the n=1 case
-// of the same path (header and frame coalesced — already halving the
-// writes of the naive header-then-body sequence).
+// SendN implements BatchSender: the one-entry case of SendFrames, so a
+// per-edge burst of m[j] identical copies costs one Write. A single Send
+// is the n=1 case of the same path (header and frame coalesced — already
+// halving the writes of the naive header-then-body sequence).
 func (t *TCP) SendN(to topology.NodeID, frame []byte, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	if len(frame) > maxFrameSize {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(frame))
-	}
-	conn, err := t.connTo(to)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 0, n*(4+len(frame)))
-	for i := 0; i < n; i++ {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(frame)))
-		buf = append(buf, frame...)
-	}
-	conn.mu.Lock()
-	defer conn.mu.Unlock()
-	if _, err := conn.c.Write(buf); err != nil {
-		t.dropConn(to, conn)
-		return fmt.Errorf("transport: write to %d: %w", to, err)
-	}
-	t.flushes.Add(1)
-	t.framesSent.Add(int64(n))
-	t.bytesSent.Add(int64(len(buf)))
-	return nil
+	batch := [1]FrameBatch{{Frame: frame, Copies: n}}
+	return t.SendFrames(to, batch[:])
 }
 
 // SendFrames implements MultiFrameSender: the batch's distinct frames —
-// each repeated Copies times — are laid out length-prefixed in one
+// each repeated Copies times — are laid out length-prefixed in one pooled
 // buffer and flushed with a single Write, so a lane-scheduler flush
 // coalescing several broadcasts to one peer costs one syscall however
-// many frames it carries.
+// many frames it carries. Write has returned before the buffer goes back
+// to the pool.
 func (t *TCP) SendFrames(to topology.NodeID, batch []FrameBatch) error {
 	size := 0
 	for _, e := range batch {
@@ -222,8 +201,10 @@ func (t *TCP) SendFrames(to topology.NodeID, batch []FrameBatch) error {
 	if err != nil {
 		return err
 	}
+	wb := writeBufs.Get()
+	defer writeBufs.Put(wb)
 	frames := 0
-	buf := make([]byte, 0, size)
+	buf := slices.Grow(wb.b, size)
 	for _, e := range batch {
 		for i := 0; i < e.Copies; i++ {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Frame)))
@@ -231,6 +212,7 @@ func (t *TCP) SendFrames(to topology.NodeID, batch []FrameBatch) error {
 			frames++
 		}
 	}
+	wb.b = buf
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
 	if _, err := conn.c.Write(buf); err != nil {
@@ -242,6 +224,21 @@ func (t *TCP) SendFrames(to topology.NodeID, batch []FrameBatch) error {
 	t.bytesSent.Add(int64(len(buf)))
 	return nil
 }
+
+// writeBuf is one pooled flush buffer; the pointer wrapper keeps the
+// pool from boxing a slice header on every Put.
+type writeBuf struct{ b []byte }
+
+// keepWriteBuf bounds the flush buffers the pool keeps: a rare flush of
+// a huge frame (up to maxFrameSize) is not pinned for good.
+const keepWriteBuf = 64 << 10
+
+// writeBufs recycles flush buffers across every TCP transport of the
+// process; a buffer per connection would sit in the heap between flushes.
+var writeBufs = pool.Pool[writeBuf]{Reset: func(wb *writeBuf) bool {
+	wb.b = wb.b[:0]
+	return cap(wb.b) <= keepWriteBuf
+}}
 
 // connTo returns a cached connection or dials one, sending the hello.
 func (t *TCP) connTo(to topology.NodeID) (*tcpConn, error) {

@@ -3,12 +3,14 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
 )
 
@@ -221,5 +223,75 @@ func TestTCPCloseWithHandlerHeld(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Errorf("the handler ran %d times, want only the call Close found running", n)
+	}
+}
+
+// TestAllocsTCPFlush pins a warm TCP flush at zero: SendN (through its
+// one-entry batch, which stays on the stack) and SendFrames lay their
+// length-prefixed copies out in a pooled write buffer. The peer is a bare
+// socket reading into one buffer, so nothing on the receiving side
+// allocates either.
+func TestAllocsTCPFlush(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var received atomic.Int64
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = c.Close() }()
+		buf := make([]byte, 64<<10)
+		for {
+			n, err := c.Read(buf)
+			received.Add(int64(n))
+			if err != nil {
+				return
+			}
+		}
+	}()
+	client, err := NewTCP(0, "127.0.0.1:0", map[topology.NodeID]string{1: ln.Addr().String()}, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := bytes.Repeat([]byte{7}, 300)
+	batch := []FrameBatch{{Frame: frame, Copies: 2}, {Frame: frame[:100], Copies: 1}}
+	sendN := func() {
+		if err := client.SendN(1, frame, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendFrames := func() {
+		if err := client.SendFrames(1, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendN() // dial, hello and buffer warm
+	sendFrames()
+	const runs = 200
+	if got := testing.AllocsPerRun(runs, sendN); got != 0 {
+		t.Errorf("a warm SendN allocated %.2f times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(runs, sendFrames); got != 0 {
+		t.Errorf("a warm SendFrames allocated %.2f times, want 0", got)
+	}
+	const flushes = 2 * (runs + 2)
+	perFlush := 3*(4+300) + 2*(4+300) + (4 + 100)
+	st := client.Stats()
+	if st.Flushes != flushes || st.FramesSent != 3*flushes || st.BytesSent != perFlush*flushes/2 {
+		t.Errorf("stats %+v after %d flushes of 3 frames, want %d bytes", st, flushes, perFlush*flushes/2)
+	}
+	_ = client.Close()
+	<-drained
+	_ = ln.Close()
+	if got := received.Load(); got != 12+int64(st.BytesSent) {
+		t.Errorf("the peer read %d bytes, want the 12-byte hello and the %d flushed", got, st.BytesSent)
 	}
 }

@@ -15,8 +15,10 @@
 // The package opts into adaptivelint's goroutine-lifecycle rule: every
 // go statement declares the stop signal its body observes (goroleak),
 // and every channel field declares its sender and closer (chanowner).
+// TCP's pooled write buffers must go back on every path (buflife).
 //
 //adaptivelint:goroutines checked
+//adaptivelint:bufpool type=pool.Pool[writeBuf] get=Get put=Put
 package transport
 
 import "adaptivecast/internal/topology"

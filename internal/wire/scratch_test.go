@@ -293,7 +293,7 @@ func TestAllocsDecodeHeartbeat(t *testing.T) {
 // at the shortest legal record, not by the bytes themselves. A 200 KB
 // frame declaring 200,000 process (or link) records must fail to decode —
 // fresh, borrowed, or into a Scratch a valid heartbeat just used — before
-// the array is made; and a Scratch does not keep arrays past keepRecords.
+// the array is made; and a Scratch does not keep arrays past knowledge.KeepRecords.
 func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 	const declared = 200000
 	forge := func(links bool) []byte {
@@ -348,15 +348,15 @@ func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 		t.Errorf("shortest-record heartbeat decoded to %+v, %v; want 3 process and 2 link records", f, err)
 	}
 
-	_, huge := countHeartbeat(t, 1, keepRecords+1, keepRecords+1, 1)
+	_, huge := countHeartbeat(t, 1, knowledge.KeepRecords+1, knowledge.KeepRecords+1, 1)
 	if _, err := sc.DecodeBorrow(huge); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sc.DecodeBorrow(valid); err != nil {
 		t.Fatal(err)
 	}
-	if cap(sc.snap.Procs) > keepRecords || cap(sc.snap.Links) > keepRecords {
+	if cap(sc.snap.Procs) > knowledge.KeepRecords || cap(sc.snap.Links) > knowledge.KeepRecords {
 		t.Errorf("the Scratch kept arrays of %d and %d records after a %d-record heartbeat, want at most %d",
-			cap(sc.snap.Procs), cap(sc.snap.Links), keepRecords+1, keepRecords)
+			cap(sc.snap.Procs), cap(sc.snap.Links), knowledge.KeepRecords+1, knowledge.KeepRecords)
 	}
 }

@@ -248,20 +248,12 @@ type Scratch struct {
 	snap  knowledge.Snapshot
 }
 
-// keepRecords bounds the record slices a Scratch keeps between decodes:
-// one full heartbeat from a cluster far past anything a flat roster holds
-// must not pin its arrays in a pool for good.
-const keepRecords = 4096
-
 // DecodeBorrow is the package-level DecodeBorrow into s: same parse, same
-// checks, and DataMsg.Body aliases b.
+// checks, and DataMsg.Body aliases b. It recycles the record slices the
+// last decode left first (knowledge.Snapshot.Recycle), so a Scratch kept
+// in a pool holds no arrays past knowledge.KeepRecords.
 func (s *Scratch) DecodeBorrow(b []byte) (*Frame, error) {
-	if cap(s.snap.Procs) > keepRecords {
-		s.snap.Procs = nil
-	}
-	if cap(s.snap.Links) > keepRecords {
-		s.snap.Links = nil
-	}
+	s.snap.Recycle()
 	return s.decode(b, true)
 }
 
