@@ -79,6 +79,9 @@ type Stats struct {
 	// wire v5 frame, shipping estimates as evidence counts: every one
 	// whose record section is non-empty (subset of HeartbeatsSent).
 	CountHeartbeatsSent int
+	// DataSent counts the data copies the plan allocated and handed to
+	// the transport: m[j] per tree edge, one per neighbor on a flood.
+	// Over TCP each entry crosses the wire once, however many it counts.
 	DataSent            int
 	DataReceived        int
 	Delivered           int // deliveries actually queued for the application
@@ -1159,10 +1162,10 @@ func allocByNode(tree *mrt.Tree, alloc []int) ([]int32, error) {
 // msg.AllocByNode[v] copies. The origin and a relay take the same path —
 // the origin's plan is already in msg, a relay has checked the vector
 // (mrt.CheckParents). Each child's m[j] identical copies are batched
-// through the data lane as one SendN flush (one fabric enqueue / one TCP
-// flush per child instead of one per copy). The frame is shared across
-// children; release (optional) is fanned out so the buffer recycles
-// after the last child's send is done with it. When the lanes refuse
+// through the data lane as one SendN flush (one fabric enqueue per child;
+// one TCP flush per child carrying the frame once). The frame is shared
+// across children; release (optional) is fanned out so the buffer
+// recycles after the last child's send is done with it. When the lanes refuse
 // every hand-off — the scheduler is closed — the broadcast went nowhere
 // and the caller is told.
 func (n *Node) forward(msg *wire.DataMsg, frame []byte, release func()) error {

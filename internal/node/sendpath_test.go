@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,6 +151,140 @@ func TestRelayForwardsInboundBytesOverTCP(t *testing.T) {
 	}
 	if s := nodes[1].Stats(); s.DataReceived != msgs || s.DecodeErrors != 0 {
 		t.Errorf("node 1: %d first receipts, %d decode errors; want %d and 0", s.DataReceived, s.DecodeErrors, msgs)
+	}
+}
+
+// countingTCP is a TCP transport that counts the frames its handler is
+// handed and signals each on a channel the whole cluster shares. The
+// embedded *transport.TCP keeps its FrameOwner and batching fast paths.
+type countingTCP struct {
+	*transport.TCP
+	handled atomic.Int64
+	signal  chan struct{} // one token, shared
+}
+
+func (c *countingTCP) SetHandler(h transport.Handler) {
+	c.TCP.SetHandler(func(from topology.NodeID, frame []byte) {
+		h(from, frame)
+		c.handled.Add(1)
+		select {
+		case c.signal <- struct{}{}:
+		default:
+		}
+	})
+}
+
+// quiesceTCP waits until every frame the cluster has written has been
+// handled. It reads the handled count first, then waits for every lane to
+// flush and reads the written count: equal counts mean every frame on the
+// wire was handled, and every frame those calls queued was flushed — so
+// nothing is queued or in flight. Nothing sleeps: it waits on lane idle
+// and on handler signals.
+func quiesceTCP(t *testing.T, trs []*countingTCP, nodes []*Node) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		handled := 0
+		for _, tr := range trs {
+			handled += int(tr.handled.Load())
+		}
+		for i, nd := range nodes {
+			if !nd.WaitSendIdle(5 * time.Second) {
+				t.Fatalf("node %d's lanes never flushed", i)
+			}
+		}
+		written := 0
+		for _, tr := range trs {
+			written += tr.Stats().FramesSent
+		}
+		if handled == written {
+			return
+		}
+		select {
+		case <-trs[0].signal:
+		case <-deadline:
+			t.Fatalf("%d of %d written frames handled", handled, written)
+		}
+	}
+}
+
+// TestTCPHandlesOneFramePerTreeEdge: over real sockets a plan that buys
+// m[j] > 1 copies per tree edge still costs each receiver one handler
+// call per inbound tree edge, because TCP writes an edge's copies once.
+// Every process delivers the broadcast exactly once, and Stats.DataSent
+// still counts the Σ m[j] copies the plan handed to the transport.
+func TestTCPHandlesOneFramePerTreeEdge(t *testing.T) {
+	const procs = 4
+	g, err := topology.Ring(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signal := make(chan struct{}, 1)
+	trs := make([]*countingTCP, procs)
+	for i := range trs {
+		tr, err := transport.NewTCP(topology.NodeID(i), "127.0.0.1:0", nil, transport.TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = tr.Close() }()
+		trs[i] = &countingTCP{TCP: tr, signal: signal}
+	}
+	nodes := make([]*Node, procs)
+	for i := range nodes {
+		nbs := g.Neighbors(topology.NodeID(i))
+		for _, j := range nbs {
+			trs[i].AddPeer(j, trs[j].Addr().String())
+		}
+		nd, err := New(Config{ID: topology.NodeID(i), NumProcs: procs, Neighbors: nbs}, trs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Stop()
+		nodes[i] = nd
+	}
+	for p := 0; p < 8; p++ { // ring(4) has diameter 2: views span it well before
+		for _, nd := range nodes {
+			nd.Tick()
+		}
+		quiesceTCP(t, trs, nodes)
+	}
+	for _, nd := range nodes {
+		drainDeliveries(nd)
+	}
+
+	before := make([]int64, procs)
+	for i, tr := range trs {
+		before[i] = tr.handled.Load()
+	}
+	const body = "one frame per edge"
+	_, planned, err := nodes[0].Broadcast([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes[0].Stats().FallbackFloods != 0 {
+		t.Fatal("the broadcast flooded: the views never spanned the ring")
+	}
+	if planned <= procs-1 {
+		t.Fatalf("the plan allocated %d copies over %d tree edges; the test needs some m[j] > 1", planned, procs-1)
+	}
+	quiesceTCP(t, trs, nodes)
+
+	dataSent := 0
+	for i, nd := range nodes {
+		want := int64(1) // each receiver has one parent: one inbound tree edge
+		if i == 0 {
+			want = 0
+		}
+		if got := trs[i].handled.Load() - before[i]; got != want {
+			t.Errorf("node %d's handler ran %d times for the broadcast, want %d", i, got, want)
+		}
+		if got := drainDeliveries(nd); len(got) != 1 || string(got[0].Body) != body {
+			t.Errorf("node %d delivered %d times (%v), want once", i, len(got), got)
+		}
+		dataSent += nd.Stats().DataSent
+	}
+	if dataSent != planned {
+		t.Errorf("Stats.DataSent sums to %d, want the %d copies the plan allocated", dataSent, planned)
 	}
 }
 

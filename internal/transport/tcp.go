@@ -51,12 +51,12 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // socket buffer and then the sender: TCP never drops and keeps no queue.
 //
 // TCP implements FrameOwner: every frame is read into a fresh buffer the
-// transport never touches again. It implements BatchSender: SendN
-// assembles the n length-prefixed copies into one pooled buffer and
-// flushes them with a single Write — one syscall for a whole per-edge
-// retransmission burst instead of 2n. The copies of one SendN share a fate: the stream
-// is in order, so if copy k arrives then copy 1 arrived, and they are not
-// the independent losses the protocol's per-edge redundancy assumes.
+// transport never touches again. It implements BatchSender, and the n
+// copies of one SendN share a fate: on one in-order stream, if copy k
+// arrives then copy 1 arrived before it. So TCP writes each frame once,
+// however many copies it is handed. A broken connection delivers a byte
+// prefix of the stream, and the one copy ends no later than the first
+// of n would have, so no cut point delivers fewer distinct frames.
 type TCP struct {
 	local    topology.NodeID
 	opts     TCPOptions
@@ -88,7 +88,7 @@ type TCP struct {
 // tests assert through this hook.
 type TCPStats struct {
 	Flushes    int // socket writes issued
-	FramesSent int // logical frames handed to the socket
+	FramesSent int // frames written; the peer's handler runs once per frame
 	BytesSent  int // bytes handed to the socket (headers included)
 }
 
@@ -169,20 +169,19 @@ func (t *TCP) Send(to topology.NodeID, frame []byte) error {
 }
 
 // SendN implements BatchSender: the one-entry case of SendFrames, so a
-// per-edge burst of m[j] identical copies costs one Write. A single Send
-// is the n=1 case of the same path (header and frame coalesced — already
-// halving the writes of the naive header-then-body sequence).
+// per-edge burst of m[j] > 0 copies puts the frame on the wire once, in
+// one Write. A single Send is the n=1 case of the same path (header and
+// frame coalesced — half the writes of a header-then-body sequence).
 func (t *TCP) SendN(to topology.NodeID, frame []byte, n int) error {
 	batch := [1]FrameBatch{{Frame: frame, Copies: n}}
 	return t.SendFrames(to, batch[:])
 }
 
-// SendFrames implements MultiFrameSender: the batch's distinct frames —
-// each repeated Copies times — are laid out length-prefixed in one pooled
-// buffer and flushed with a single Write, so a lane-scheduler flush
-// coalescing several broadcasts to one peer costs one syscall however
-// many frames it carries. Write has returned before the buffer goes back
-// to the pool.
+// SendFrames implements MultiFrameSender: each entry with Copies > 0 is
+// laid out length-prefixed once, in order, in one pooled buffer and
+// flushed with a single Write, so a lane-scheduler flush coalescing
+// several broadcasts to one peer costs one syscall however many frames
+// it carries. Write has returned before the buffer goes back to the pool.
 func (t *TCP) SendFrames(to topology.NodeID, batch []FrameBatch) error {
 	size := 0
 	for _, e := range batch {
@@ -192,7 +191,7 @@ func (t *TCP) SendFrames(to topology.NodeID, batch []FrameBatch) error {
 		if len(e.Frame) > maxFrameSize {
 			return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(e.Frame))
 		}
-		size += e.Copies * (4 + len(e.Frame))
+		size += 4 + len(e.Frame)
 	}
 	if size == 0 {
 		return nil
@@ -206,7 +205,7 @@ func (t *TCP) SendFrames(to topology.NodeID, batch []FrameBatch) error {
 	frames := 0
 	buf := slices.Grow(wb.b, size)
 	for _, e := range batch {
-		for i := 0; i < e.Copies; i++ {
+		if e.Copies > 0 {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Frame)))
 			buf = append(buf, e.Frame...)
 			frames++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,11 +33,11 @@ func tcpPair(t *testing.T, h Handler) (server, client *TCP) {
 }
 
 // TestTCPHandlerOwnsFrame: TCP hands the handler a buffer of its own per
-// frame — single sends and coalesced SendFrames batches alike — so a
-// handler that keeps every frame finds each still holding its bytes once
-// all of them have arrived.
+// frame — single sends and coalesced SendFrames batches alike, each batch
+// entry once whatever its copy count — so a handler that keeps every
+// frame finds each still holding its bytes once all of them have arrived.
 func TestTCPHandlerOwnsFrame(t *testing.T) {
-	const singles, batches, total = 100, 50, 500
+	const singles, batches, total = 100, 50, 300
 	var mu sync.Mutex
 	var kept [][]byte
 	all := make(chan struct{})
@@ -69,7 +70,7 @@ func TestTCPHandlerOwnsFrame(t *testing.T) {
 		batch := make([]FrameBatch, 4)
 		for e := range batch {
 			batch[e] = FrameBatch{Frame: frame(i), Copies: 2}
-			want = append(want, batch[e].Frame, batch[e].Frame)
+			want = append(want, batch[e].Frame)
 			i++
 		}
 		if _, err := SendFrames(client, 1, batch); err != nil {
@@ -228,7 +229,7 @@ func TestTCPCloseWithHandlerHeld(t *testing.T) {
 
 // TestAllocsTCPFlush pins a warm TCP flush at zero: SendN (through its
 // one-entry batch, which stays on the stack) and SendFrames lay their
-// length-prefixed copies out in a pooled write buffer. The peer is a bare
+// length-prefixed frames out in a pooled write buffer. The peer is a bare
 // socket reading into one buffer, so nothing on the receiving side
 // allocates either.
 func TestAllocsTCPFlush(t *testing.T) {
@@ -283,15 +284,136 @@ func TestAllocsTCPFlush(t *testing.T) {
 		t.Errorf("a warm SendFrames allocated %.2f times, want 0", got)
 	}
 	const flushes = 2 * (runs + 2)
-	perFlush := 3*(4+300) + 2*(4+300) + (4 + 100)
+	perPair := (4 + 300) + (4 + 300) + (4 + 100) // each entry once, whatever its copies
 	st := client.Stats()
-	if st.Flushes != flushes || st.FramesSent != 3*flushes || st.BytesSent != perFlush*flushes/2 {
-		t.Errorf("stats %+v after %d flushes of 3 frames, want %d bytes", st, flushes, perFlush*flushes/2)
+	if st.Flushes != flushes || st.FramesSent != 3*flushes/2 || st.BytesSent != perPair*flushes/2 {
+		t.Errorf("stats %+v after %d flushes of 3 frames a pair, want %d bytes", st, flushes, perPair*flushes/2)
 	}
 	_ = client.Close()
 	<-drained
 	_ = ln.Close()
 	if got := received.Load(); got != 12+int64(st.BytesSent) {
 		t.Errorf("the peer read %d bytes, want the 12-byte hello and the %d flushed", got, st.BytesSent)
+	}
+}
+
+// cutConn passes the hello and then only the first budget bytes written
+// to it: the write that reaches the cut closes the connection, so the
+// peer reads exactly that prefix of the stream, then EOF — a connection
+// that breaks mid-flush.
+type cutConn struct {
+	net.Conn
+	helloSent bool
+	budget    int
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if !c.helloSent {
+		c.helloSent = true
+		return c.Conn.Write(p)
+	}
+	if len(p) <= c.budget {
+		c.budget -= len(p)
+		return c.Conn.Write(p)
+	}
+	n, _ := c.Conn.Write(p[:c.budget])
+	c.budget = 0
+	_ = c.Conn.Close()
+	return n, net.ErrClosed
+}
+
+// TestTCPOneCopyLosesNothing: TCP puts a batch entry on the wire once
+// however many copies it carries, and that loses nothing. A connection
+// that breaks delivers a byte prefix of the stream; for every cut point
+// B, the distinct frames the peer handles include every frame the n-copy
+// layout — each entry's Copies length-prefixed copies back to back —
+// would have completed within B bytes.
+func TestTCPOneCopyLosesNothing(t *testing.T) {
+	batch := []FrameBatch{
+		{Frame: []byte("alpha"), Copies: 2},
+		{Frame: []byte("bravo!"), Copies: 1},
+		{Frame: []byte("charlie"), Copies: 3},
+	}
+	// ends[i] is the byte at which the n-copy layout's i-th copy ends.
+	type copyEnd struct {
+		at    int
+		frame string
+	}
+	var ends []copyEnd
+	nCopyLen := 0
+	for _, e := range batch {
+		for range e.Copies {
+			nCopyLen += 4 + len(e.Frame)
+			ends = append(ends, copyEnd{nCopyLen, string(e.Frame)})
+		}
+	}
+
+	var mu sync.Mutex
+	handled := map[topology.NodeID]map[string]bool{}
+	changed := make(chan struct{}, 1)
+	server, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = server.Close() }()
+	server.SetHandler(func(from topology.NodeID, frame []byte) {
+		if !slices.ContainsFunc(batch, func(e FrameBatch) bool { return bytes.Equal(e.Frame, frame) }) {
+			t.Errorf("client %d: the peer handled %q, which is no frame of the batch", from, frame)
+		}
+		mu.Lock()
+		if handled[from] == nil {
+			handled[from] = map[string]bool{}
+		}
+		handled[from][string(frame)] = true
+		mu.Unlock()
+		select {
+		case changed <- struct{}{}:
+		default:
+		}
+	})
+
+	for cut := 0; cut <= nCopyLen; cut++ {
+		from := topology.NodeID(100 + cut) // one client per cut point
+		dial := func(network, address string, timeout time.Duration) (net.Conn, error) {
+			c, err := net.DialTimeout(network, address, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return &cutConn{Conn: c, budget: cut}, nil
+		}
+		client, err := NewTCP(from, "127.0.0.1:0", map[topology.NodeID]string{1: server.Addr().String()}, TCPOptions{Dial: dial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = client.SendFrames(1, batch) // fails when the cut falls inside the flush
+		_ = client.Close()
+
+		var want []string
+		for _, e := range ends {
+			if e.at <= cut {
+				want = append(want, e.frame)
+			}
+		}
+		covered := func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, f := range want {
+				if !handled[from][f] {
+					return false
+				}
+			}
+			return true
+		}
+		deadline := time.After(5 * time.Second)
+		for !covered() {
+			select {
+			case <-changed:
+			case <-deadline:
+				mu.Lock()
+				defer mu.Unlock()
+				t.Fatalf("cut after %d bytes: the peer handled %v, but %d copies back to back would have delivered %q",
+					cut, handled[from], len(ends), want)
+			}
+		}
 	}
 }

@@ -59,19 +59,19 @@ type Transport interface {
 // edge, so the datapath sends the same bytes to the same peer in bursts.
 //
 // Contract: SendN(to, frame, n) hands over n copies of the frame, and the
-// receiver's handler runs once per copy that arrives. n <= 0 is a no-op.
-// Like Send, a nil error means the batch was handed to the transport, not
-// that any copy arrived.
+// receiver's handler runs once per copy the transport puts on the wire
+// and that arrives; a transport whose copies share a fate puts one on the
+// wire. n <= 0 is a no-op. Like Send, a nil error means the batch was
+// handed to the transport, not that any copy arrived.
 //
 // Whether the copies fail independently is the transport's, and the two
 // in this package differ. The Fabric samples loss per copy, the
 // independent losses the protocol's reliability math (Eq. 3) assumes, and
 // delivers the survivors from a single inbox entry (one buffer copy, one
-// inbox put). TCP writes the n length-prefixed copies into one ordered
-// stream with one flush (one syscall instead of 2n writes), so they share
-// a fate: if copy k arrives, copies 1..k-1 arrived before it, and a
-// broken connection loses the tail of the batch, not a random subset.
-// Copies 2..n over TCP buy no reliability.
+// inbox put), so the handler runs once per surviving copy. Over TCP the
+// copies would share a fate — on one ordered stream, if copy k arrives
+// then copy 1 arrived before it — so copies 2..n buy no reliability, and
+// TCP writes the frame once, in one flush: the handler runs at most once.
 type BatchSender interface {
 	SendN(to topology.NodeID, frame []byte, n int) error
 }
@@ -92,7 +92,7 @@ type FrameOwner interface {
 }
 
 // FrameBatch is one entry of a coalesced flush: an encoded frame and the
-// number of logical copies to deliver (the per-edge m[j] burst).
+// number of logical copies the plan allocated (the per-edge m[j] burst).
 type FrameBatch struct {
 	Frame  []byte
 	Copies int
@@ -106,11 +106,11 @@ type FrameBatch struct {
 // Fabric: one lock acquisition with loss still sampled per copy).
 //
 // Contract: SendFrames(to, batch) is semantically the concatenation of
-// SendN(to, e.Frame, e.Copies) over the batch, in order — per-copy
-// handler invocation and the transport's loss model included (see
-// BatchSender). Entries with
-// Copies <= 0 are skipped. Frame buffers follow Send's ownership rule:
-// borrowed for the call, the caller's again on return.
+// SendN(to, e.Frame, e.Copies) over the batch, in order — how many
+// copies go on the wire and the transport's loss model included (see
+// BatchSender). Entries with Copies <= 0 are skipped. Frame buffers
+// follow Send's ownership rule: borrowed for the call, the caller's
+// again on return.
 type MultiFrameSender interface {
 	SendFrames(to topology.NodeID, batch []FrameBatch) error
 }

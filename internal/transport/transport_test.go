@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -413,8 +414,11 @@ func TestFabricSendNSamplesLossPerCopy(t *testing.T) {
 	col.wait(t, s.Sent-s.Lost)
 }
 
-// TestTCPSendNSingleFlush is the batching acceptance hook: n copies must
-// reach the peer as n frames while costing exactly one socket flush.
+// TestTCPSendNSingleFlush is the batching acceptance hook: n copies share
+// a fate on one stream, so they cost one socket flush carrying the frame
+// once, and the peer's handler runs once. The sentinel sent behind the
+// burst proves it: the stream is in order, so a second copy would have
+// reached the handler before the sentinel did.
 func TestTCPSendNSingleFlush(t *testing.T) {
 	col := newCollector()
 	server, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{})
@@ -438,26 +442,25 @@ func TestTCPSendNSingleFlush(t *testing.T) {
 	if st.Flushes != 1 {
 		t.Errorf("SendN(%d) cost %d flushes, want exactly 1", copies, st.Flushes)
 	}
-	if st.FramesSent != copies {
-		t.Errorf("FramesSent = %d, want %d", st.FramesSent, copies)
+	if st.FramesSent != 1 {
+		t.Errorf("FramesSent = %d, want 1", st.FramesSent)
 	}
-	if want := copies * (4 + len(frame)); st.BytesSent != want {
+	if want := 4 + len(frame); st.BytesSent != want {
 		t.Errorf("BytesSent = %d, want %d", st.BytesSent, want)
-	}
-	col.wait(t, copies)
-	frames, _ := col.snapshot()
-	for i, fr := range frames {
-		if fr != string(frame) {
-			t.Fatalf("copy %d corrupted: %q", i, fr)
-		}
 	}
 
 	// A plain Send is the n=1 case of the same path: one more flush.
-	if err := client.Send(1, frame); err != nil {
+	const sentinel = "sentinel"
+	if err := client.Send(1, []byte(sentinel)); err != nil {
 		t.Fatal(err)
 	}
-	if st = client.Stats(); st.Flushes != 2 || st.FramesSent != copies+1 {
+	if st = client.Stats(); st.Flushes != 2 || st.FramesSent != 2 {
 		t.Errorf("after Send: stats = %+v", st)
+	}
+	col.wait(t, 2)
+	frames, _ := col.snapshot()
+	if want := []string{string(frame), sentinel}; !slices.Equal(frames, want) {
+		t.Fatalf("the handler saw %q, want %q", frames, want)
 	}
 }
 
@@ -557,8 +560,9 @@ func TestFabricSendFramesSamplesLossPerCopy(t *testing.T) {
 }
 
 // TestTCPSendFramesSingleFlush is the coalescing acceptance hook: a
-// multi-frame batch must reach the peer as its expanded frame sequence
-// while costing exactly one socket flush.
+// multi-frame batch reaches the peer as its entries, each once and in
+// order, for exactly one socket flush; SendFrames still reports the
+// logical copies the batch carried.
 func TestTCPSendFramesSingleFlush(t *testing.T) {
 	col := newCollector()
 	server, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{})
@@ -581,7 +585,7 @@ func TestTCPSendFramesSingleFlush(t *testing.T) {
 	total, bytes := 0, 0
 	for _, e := range batch {
 		total += e.Copies
-		bytes += e.Copies * (4 + len(e.Frame))
+		bytes += 4 + len(e.Frame)
 	}
 	if sent, err := SendFrames(client, 1, batch); err != nil || sent != total {
 		t.Fatalf("sent=%d err=%v, want %d", sent, err, total)
@@ -590,19 +594,20 @@ func TestTCPSendFramesSingleFlush(t *testing.T) {
 	if st.Flushes != 1 {
 		t.Errorf("batch cost %d flushes, want exactly 1", st.Flushes)
 	}
-	if st.FramesSent != total {
-		t.Errorf("FramesSent = %d, want %d", st.FramesSent, total)
+	if st.FramesSent != len(batch) {
+		t.Errorf("FramesSent = %d, want %d", st.FramesSent, len(batch))
 	}
 	if st.BytesSent != bytes {
 		t.Errorf("BytesSent = %d, want %d", st.BytesSent, bytes)
 	}
 
-	col.wait(t, total)
+	const sentinel = "sentinel"
+	if err := client.Send(1, []byte(sentinel)); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, len(batch)+1)
 	frames, _ := col.snapshot()
-	want := []string{"first", "first", "second", "third", "third", "third"}
-	for i, w := range want {
-		if frames[i] != w {
-			t.Errorf("delivery %d = %q, want %q", i, frames[i], w)
-		}
+	if want := []string{"first", "second", "third", sentinel}; !slices.Equal(frames, want) {
+		t.Errorf("the handler saw %q, want %q", frames, want)
 	}
 }

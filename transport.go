@@ -15,13 +15,14 @@ type Handler = transport.Handler
 
 // BatchSender is the optional transport fast path for sending n logical
 // copies of one frame more cheaply than n Send calls: the receiver's
-// handler runs once per copy that arrives, and the transport is free to
-// batch the work. Whether the copies fail independently depends on the
-// transport: the built-in Fabric samples loss per copy and delivers the
-// survivors from one queue entry, while TCP writes them into one ordered
-// socket flush, so over TCP they share a fate (if copy k arrives, copy 1
-// did). Custom transports need not implement it: the protocol always
-// goes through SendN, which falls back to looping Send.
+// handler runs once per copy the transport puts on the wire and that
+// arrives, and the transport is free to batch the work. Whether the
+// copies fail independently depends on the transport: the built-in
+// Fabric samples loss per copy and delivers the survivors from one queue
+// entry, while over TCP's one ordered stream they would share a fate (if
+// copy k arrives, copy 1 did), so TCP writes the frame once. Custom
+// transports need not implement it: the protocol always goes through
+// SendN, which falls back to looping Send.
 type BatchSender = transport.BatchSender
 
 // SendN transmits n logical copies of frame to one peer, using the
