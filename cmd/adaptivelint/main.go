@@ -6,11 +6,10 @@
 //
 // The suite lives in internal/analysis/registry — run with -list for
 // the authoritative roster, each analyzer's bug class and the directive
-// grammar it consumes. In short: atomicfields, lockorder, wirekind,
-// epochfence and internalboundary machine-enforce the invariants PRs
-// 2–6 introduced (atomics on hot counters, the lock hierarchy, wire
-// corpus/version coherence, epoch fencing, the internal/ import
-// boundary); chanowner, buflife and goroleak cover the concurrent
+// grammar it consumes. In short: atomicfields, wirekind, epochfence and
+// internalboundary machine-enforce the invariants PRs 2–6 introduced
+// (atomics on lock-free counters, wire corpus/version coherence, epoch
+// fencing, the internal/ import boundary); chanowner, buflife and goroleak cover the concurrent
 // datapath's ownership and lifecycle contracts (who sends/closes each
 // channel, pooled buffers released exactly once and never read after
 // release, every goroutine tied to a stop signal it provably observes).

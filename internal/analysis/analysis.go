@@ -4,13 +4,12 @@
 // `go list -export` and the stdlib go/types importer, so the suite runs
 // offline with no dependency outside the standard library and toolchain.
 //
-// The four repo-specific analyzers live in subpackages — atomicfields,
-// lockorder, wirekind and internalboundary — and machine-enforce the side
-// invariants PRs 2–5 introduced in prose: atomic-only access to hot-path
-// counters, the node's lock hierarchy (and no blocking transport call
-// under the view lock), frame-kind/corpus/version-gate coherence in the
-// wire codec, and the internal/ import boundary around the public
-// facades. cmd/adaptivelint is the multichecker driver; CI runs it over
+// The repo-specific analyzers live in subpackages (the roster is
+// internal/analysis/registry). atomicfields, wirekind and
+// internalboundary machine-enforce side invariants PRs 2–5 introduced in
+// prose: atomic-only access to lock-free counters, frame-kind/corpus/
+// version-gate coherence in the wire codec, and the internal/ import
+// boundary around the public facades. cmd/adaptivelint is the multichecker driver; CI runs it over
 // the whole tree and fails on any finding.
 //
 // Findings are suppressed only by an inline justification directive on

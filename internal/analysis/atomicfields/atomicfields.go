@@ -1,8 +1,8 @@
 // Package atomicfields enforces atomic-only access to struct fields that
-// the lock-split node (PR 2) reads and writes from concurrent hot paths
-// without a mutex: the stats counters, the membership epoch, the
-// broadcast sequencer and its persisted lease, and every other field
-// whose safety argument is "it is only ever touched through sync/atomic".
+// are read and written from concurrent paths without a mutex: the node's
+// stats counters, its closed/started flags and its persisted seq lease,
+// and every other field whose safety argument is "it is only ever
+// touched through sync/atomic".
 //
 // Two kinds of field participate:
 //

@@ -1,14 +1,14 @@
 // Package dataflow is the shared flow-analysis substrate for the
-// ownership and lifecycle analyzers (buflife, chanowner, goroleak). It
-// generalizes the statement walker lockorder introduced — source-order
-// scanning, conservative branch merging, terminating-path pruning,
-// loop-body isolation, fresh scopes for function literals — and adds an
-// obligation lattice: per-function tracking of values that must be
-// released exactly once (pooled buffers, refcount release callbacks).
+// ownership and lifecycle analyzers (buflife, chanowner, goroleak): a
+// statement walker — source-order scanning, conservative branch merging,
+// terminating-path pruning, loop-body isolation, fresh scopes for
+// function literals — with an obligation lattice: per-function tracking
+// of values that must be released exactly once (pooled buffers, refcount
+// release callbacks).
 //
 // The analysis model is deliberately intraprocedural and errs toward
-// silence, for the same reason lockorder does: false negatives are
-// acceptable, false positives fail CI. Concretely:
+// silence: false negatives are acceptable, false positives fail CI.
+// Concretely:
 //
 //   - An obligation whose state differs between two merging paths (or
 //     that exists on only one of them) is dropped at the merge — no

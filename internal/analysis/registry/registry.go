@@ -14,7 +14,6 @@ import (
 	"adaptivecast/internal/analysis/epochfence"
 	"adaptivecast/internal/analysis/goroleak"
 	"adaptivecast/internal/analysis/internalboundary"
-	"adaptivecast/internal/analysis/lockorder"
 	"adaptivecast/internal/analysis/wirekind"
 )
 
@@ -24,7 +23,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicfields.Analyzer,
-		lockorder.Analyzer,
 		wirekind.Analyzer,
 		epochfence.Analyzer,
 		internalboundary.Analyzer,

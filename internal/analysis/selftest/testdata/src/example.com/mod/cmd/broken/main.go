@@ -4,7 +4,6 @@
 //
 //   - internalboundary: a cmd/ package importing internal/engine
 //   - atomicfields:     copying an atomic.Int64 field
-//   - lockorder:        acquiring hi (rank 10) while holding lo (rank 20)
 //   - wirekind:         a FrameKind switch missing frameB
 //   - epochfence:       the frameA case never calls the declared gate
 //   - chanowner:        a send on the queue channel outside its owner
@@ -14,22 +13,18 @@
 package main
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"example.com/mod/internal/engine"
 	"example.com/mod/pool"
 )
 
-//adaptivelint:lockrank state.hi=10 state.lo=20
 //adaptivelint:epochfence kinds=frameA gate=gateEpoch
 //adaptivelint:bufpool type=encPool get=get put=put releaser=releaser
 //adaptivelint:bufpool type=pool.Pool[tickWorkspace] get=Get put=Put
 //adaptivelint:goroutines checked
 
 type state struct {
-	hi   sync.Mutex
-	lo   sync.Mutex
 	hits atomic.Int64
 	//adaptivelint:chan owner=feed close=never
 	queue chan int
@@ -108,11 +103,6 @@ func main() {
 	_ = leakyEncode(&encPool{}, true)
 	_ = leakyTick(3)
 	shutdown(&s)
-
-	s.lo.Lock()
-	s.hi.Lock() // lockorder: rank inversion
-	s.hi.Unlock()
-	s.lo.Unlock()
 
 	copied := s.hits // atomicfields: atomic value copied
 	_ = copied

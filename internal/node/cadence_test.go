@@ -91,8 +91,8 @@ func TestAdaptiveCadenceSnapsBackOnSuspicion(t *testing.T) {
 	suspected := func() bool {
 		nodes[0].Tick()
 		nodes[1].Tick()
-		nodes[1].viewMu.Lock()
-		defer nodes[1].viewMu.Unlock()
+		nodes[1].mu.Lock()
+		defer nodes[1].mu.Unlock()
 		return nodes[1].view.Suspected(2)
 	}
 	fired := -1
@@ -247,8 +247,8 @@ func TestAdaptiveCadenceResumesAfterRestart(t *testing.T) {
 	})
 
 	interval := func(nd *Node, to topology.NodeID) int {
-		nd.cadMu.Lock()
-		defer nd.cadMu.Unlock()
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
 		if st := nd.cad[to]; st != nil {
 			return st.Interval()
 		}

@@ -1,14 +1,10 @@
 package node
 
-import (
-	"sync"
-
-	"adaptivecast/internal/topology"
-)
+import "adaptivecast/internal/topology"
 
 // deliveredSet is the volatile per-incarnation dedup state of Algorithm 1
-// line 5 ("if m was not delivered before"), with its own lock so the
-// receive path never contends with broadcast planning.
+// line 5 ("if m was not delivered before"). It has no lock of its own:
+// the node calls it under Node.mu.
 //
 // Broadcast sequence numbers are originator-local and start at 1, and a
 // working network delivers almost all of them, so instead of one entry per
@@ -33,7 +29,6 @@ import (
 // two agree whenever the span above the watermark stays within the window.
 // It is the same best-effort trade the transport already makes.
 type deliveredSet struct {
-	mu   sync.Mutex
 	w    []uint64                       // by origin ID: every seq in [1, w] was seen
 	gaps map[topology.NodeID]*seqWindow // origins with an open gap: what was seen above it
 }
@@ -89,8 +84,6 @@ func newDeliveredSet() *deliveredSet {
 
 // grow sizes the watermarks for an ID space of n processes.
 func (s *deliveredSet) grow(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n > len(s.w) {
 		s.w = append(s.w, make([]uint64, n-len(s.w))...)
 	}
@@ -99,8 +92,6 @@ func (s *deliveredSet) grow(n int) {
 // mark records (origin, seq) and reports whether this was its first
 // sighting.
 func (s *deliveredSet) mark(origin topology.NodeID, seq uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if int(origin) >= len(s.w) {
 		s.w = append(s.w, make([]uint64, int(origin)+1-len(s.w))...)
 	}
@@ -134,8 +125,6 @@ func (s *deliveredSet) mark(origin topology.NodeID, seq uint64) bool {
 
 // seen reports whether (origin, seq) was marked, without marking it.
 func (s *deliveredSet) seen(origin topology.NodeID, seq uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	w := uint64(0)
 	if int(origin) < len(s.w) {
 		w = s.w[origin]
@@ -147,8 +136,6 @@ func (s *deliveredSet) seen(origin topology.NodeID, seq uint64) bool {
 // pending returns the number of out-of-order seqs currently buffered
 // above the watermarks (test hook for the compaction invariant).
 func (s *deliveredSet) pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
 	for _, g := range s.gaps {
 		n += g.n

@@ -37,10 +37,10 @@ func settleFullTicks(nodes []*Node, periods int) { settle(nodes, periods, true) 
 // while no frame is in flight.
 func forgetAcks(nodes []*Node) {
 	for _, nd := range nodes {
-		nd.peerMu.Lock()
+		nd.mu.Lock()
 		clear(nd.peerAcked)
 		clear(nd.peerSeen)
-		nd.peerMu.Unlock()
+		nd.mu.Unlock()
 	}
 }
 
@@ -311,8 +311,8 @@ func TestHeartbeatMustNameItsSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	peerKeys := func() int {
-		nd.peerMu.Lock()
-		defer nd.peerMu.Unlock()
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
 		return len(nd.peerSeen) + len(nd.peerAcked)
 	}
 
@@ -346,9 +346,9 @@ func TestHeartbeatMustNameItsSender(t *testing.T) {
 	if _, dist := nd.CrashEstimate(3); dist != 2 {
 		t.Errorf("process 3 at distortion %d after the honest delta, want 2", dist)
 	}
-	nd.peerMu.Lock()
+	nd.mu.Lock()
 	seen, acked := nd.peerSeen[1], nd.peerAcked[1]
-	nd.peerMu.Unlock()
+	nd.mu.Unlock()
 	if seen != 7 || acked != 2 || peerKeys() != 2 {
 		t.Errorf("after the honest delta seen=%d acked=%d over %d entries, want 7, 2 over 2", seen, acked, peerKeys())
 	}

@@ -125,9 +125,9 @@ func TestLeaveTombstonesRecords(t *testing.T) {
 		if got := nd.Epoch(); got != 1 {
 			t.Errorf("node %d at epoch %d after leave, want 1", nd.ID(), got)
 		}
-		nd.viewMu.Lock()
+		nd.mu.Lock()
 		snap := nd.view.Snapshot()
-		nd.viewMu.Unlock()
+		nd.mu.Unlock()
 		for _, pr := range snap.Procs {
 			if pr.ID == leaver {
 				t.Errorf("node %d heartbeat still carries a record for departed %d", nd.ID(), leaver)
@@ -178,7 +178,10 @@ func TestStaleEpochFramesFencedAndRepaired(t *testing.T) {
 	// announcements are injected, not flooded).
 	m1 := &wire.Membership{Node: 3, Epoch: 1, NumProcs: 4, Neighbors: []topology.NodeID{0}}
 	m2 := &wire.Membership{Node: 4, Epoch: 2, NumProcs: 5, Neighbors: []topology.NodeID{0}}
-	if !nodes[0].applyMembership(wire.FrameJoin, m1) || !nodes[0].applyMembership(wire.FrameJoin, m2) {
+	if lc, _ := nodes[0].applyMembership(wire.FrameJoin, m1); lc == nil {
+		t.Fatal("membership not applied")
+	}
+	if lc, _ := nodes[0].applyMembership(wire.FrameJoin, m2); lc == nil {
 		t.Fatal("membership not applied")
 	}
 	if nodes[0].Epoch() != 2 {

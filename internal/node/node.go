@@ -6,12 +6,11 @@
 // the two cannot drift apart; the node adds timers, serialization,
 // stable-storage crash accounting and delivery plumbing.
 //
-// Concurrency is lock-split so the datapath scales with broadcast rate:
-// the knowledge view has its own mutex (heartbeat merges and ticks),
-// the dedup set has its own (inbound data), the broadcast plan cache has
-// its own (outbound data), the delta-heartbeat peer bookkeeping has its
-// own, and every counter is an atomic — Broadcast, handleData and Tick
-// never serialize on one global lock.
+// Concurrency is one node lock (Node.mu): Broadcast, the transport
+// handler, Tick and membership changes each take it for one critical
+// section, so every entry point is atomic against the others. Hooks,
+// durable writes and sends run after the section, never under it, and
+// every counter is an atomic.
 //
 // Steady-state bandwidth is kept flat by three mechanisms layered here:
 // heartbeats ship per-neighbor knowledge deltas against the version the
@@ -25,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -322,30 +322,57 @@ func newMemberChange(kind wire.FrameKind, m *wire.Membership) *memberChange {
 type Node struct {
 	cfg Config
 
+	// mu is the node lock. It guards the knowledge view, the plan cache
+	// (cachedPlan, planVersion), the delta-heartbeat bookkeeping
+	// (peerSeen, peerAcked), the cadence controllers (cad, cadResume),
+	// the re-announcement budget (reannounced), the dedup watermarks
+	// (delivered), the membership state (epoch, nbs, lastChange,
+	// announceLeft) and the sequencer (seq). Three kinds of call are
+	// never made under it: hooks (a hook may call back into the node),
+	// durable writes (Storage.SaveMark, DedupLog.Record) and sends
+	// (sendControl, sendDataN). Each entry point takes it for one
+	// critical section and does that work after it.
+	mu sync.Mutex
+	// view is this process's knowledge approximation (Algorithm 4).
+	view *knowledge.View
 	// epoch is the membership epoch this node operates in; frames from
 	// older epochs are fenced off, newer epochs are adopted from
-	// membership announcements. nbs is the current neighbor roster
-	// (copy-on-write: mutations install a fresh slice; readers use the
-	// snapshot they loaded). lastChange backs re-announcements; nil until
-	// the first membership change. memberMu serializes whole membership
-	// applications — epoch, view, roster, peer state and lastChange move
-	// together, and concurrent applies (transport goroutine vs a local
-	// AnnounceLeave) must not interleave their updates; readers stay
-	// lock-free on the atomics. Lock order: memberMu may take viewMu,
-	// peerMu and cadMu; never the reverse. reannMu guards reannounced,
-	// the per-peer once-per-period limit on stale-epoch re-announcements.
-	memberMu    sync.Mutex
-	epoch       atomic.Uint64
-	nbs         atomic.Pointer[[]topology.NodeID]
-	lastChange  atomic.Pointer[memberChange]
-	reannMu     sync.Mutex
-	reannounced map[topology.NodeID]bool
-	// announceLeft counts the remaining periods Tick re-floods lastChange
-	// to the neighborhood: announcements ride lossy links like any frame,
-	// and a few redundant rounds bound the chance a member misses a
-	// membership change even where the stale-epoch repair loop cannot see
-	// it.
-	announceLeft atomic.Int32
+	// membership announcements. nbs is the current neighbor roster,
+	// replaced whole on a change, so a caller may keep the slice it read.
+	// lastChange backs re-announcements; nil until the first membership
+	// change. reannounced is the per-peer once-per-period limit on
+	// stale-epoch re-announcements, and announceLeft counts the periods
+	// Tick still re-floods lastChange: announcements ride lossy links
+	// like any frame, and a few redundant rounds bound the chance a
+	// member misses a change even where the stale-epoch repair loop
+	// cannot see it.
+	epoch        uint64
+	nbs          []topology.NodeID
+	lastChange   *memberChange
+	reannounced  map[topology.NodeID]bool
+	announceLeft int
+	// seq is the broadcast sequencer; delivered dedups inbound
+	// broadcasts, one watermark per process.
+	seq       uint64
+	delivered *deliveredSet
+	// cachedPlan is the broadcast plan for view version planVersion.
+	cachedPlan  *plan
+	planVersion uint64
+	// peerSeen[j] is the latest version of j's view merged here — echoed
+	// back to j as Ack on the next heartbeat. peerAcked[j] is the latest
+	// version of *this* view j has acknowledged — the base the next delta
+	// to j is cut from; 0 (or a value ahead of the current view, after a
+	// restart) forces the full-snapshot fallback. Both are keyed only by
+	// senders whose frame named them (see sentBy), so checkSnapshot's
+	// bound on Snap.From bounds them too.
+	peerSeen  map[topology.NodeID]uint64
+	peerAcked map[topology.NodeID]uint64
+	// cad[j] tracks the heartbeat stretch toward neighbor j; nil when
+	// adaptive cadence is off. cadResume holds the per-neighbor intervals
+	// loaded from stable storage; each entry is handed to cadence.Resume
+	// the first time its neighbor is stepped, then dropped.
+	cad       map[topology.NodeID]*cadence.State
+	cadResume map[topology.NodeID]int
 
 	// ownsFrames is set when the transport hands the handler exclusive
 	// frame buffers (transport.FrameOwner): a delivered body and a relayed
@@ -363,50 +390,6 @@ type Node struct {
 	lanes   *lanes.Scheduler
 	encPool pool.Pool[encBuf]
 
-	// viewMu guards the knowledge view (heartbeat merges, ticks,
-	// estimate reads). It is never held while sending.
-	viewMu sync.Mutex
-	view   *knowledge.View
-
-	// seq is the broadcast sequencer (atomic: Broadcast never locks it).
-	seq atomic.Uint64
-
-	// delivered dedups inbound broadcasts under its own lock, one
-	// watermark per process. procs is the view's ID-space size, stored
-	// after every Grow: the receive path range-checks a data frame's
-	// origin against it without viewMu.
-	delivered *deliveredSet
-	procs     atomic.Int64
-
-	// planMu guards the cached broadcast plan. Lock order: planMu may
-	// take viewMu; never the reverse.
-	planMu      sync.Mutex
-	cachedPlan  *plan
-	planVersion uint64
-
-	// peerMu guards the delta-heartbeat version bookkeeping (a leaf lock:
-	// nothing is called while holding it). peerSeen[j] is the latest
-	// version of j's view merged here — echoed back to j as Ack on the
-	// next heartbeat. peerAcked[j] is the latest version of *this* view j
-	// has acknowledged — the base the next delta to j is cut from; 0 (or a
-	// value ahead of the current view, after a restart) forces the
-	// full-snapshot fallback. Both are keyed only by senders whose frame
-	// named them (see sentBy), so checkSnapshot's bound on Snap.From
-	// bounds them too.
-	peerMu    sync.Mutex
-	peerSeen  map[topology.NodeID]uint64
-	peerAcked map[topology.NodeID]uint64
-
-	// cadMu guards the adaptive-cadence controller state (a leaf lock
-	// taken once per Tick; nothing is called while holding it). cad[j]
-	// tracks the stretch toward neighbor j; nil when adaptive cadence is
-	// off. cadResume holds the per-neighbor intervals loaded from stable
-	// storage; each entry is handed to cadence.Resume the first time its
-	// neighbor is stepped, then dropped.
-	cadMu     sync.Mutex
-	cad       map[topology.NodeID]*cadence.State
-	cadResume map[topology.NodeID]int
-
 	// seqLease is the broadcast sequence floor currently persisted in
 	// stable storage: always >= any issued seq, so a crash can never lead
 	// to sequence reuse (which peers' dedup watermarks would silently
@@ -414,8 +397,10 @@ type Node struct {
 	// synchronously under leaseMu before the new seq escapes the node.
 	// cadPersist (also under leaseMu) is the cadence snapshot written
 	// alongside the mark: Tick refreshes it from the controllers, and
-	// lease extensions re-write it unchanged — ensureSeqLease must not
-	// take cadMu itself, since both are rank-40 leaves that never nest.
+	// lease extensions re-write it unchanged. leaseMu orders those two
+	// durable writes and is never held together with mu, so a slow
+	// write stalls neither the handler nor a broadcast that needs no
+	// extension.
 	seqLease   atomic.Uint64
 	leaseMu    sync.Mutex
 	cadPersist map[topology.NodeID]int
@@ -469,22 +454,20 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		view.MarkDeparted(d)
 	}
 	n := &Node{
-		cfg:       cfg,
-		view:      view,
-		delivered: newDeliveredSet(),
-		peerSeen:  make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
-		peerAcked: make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		cfg:         cfg,
+		view:        view,
+		epoch:       cfg.Epoch,
+		nbs:         append([]topology.NodeID(nil), cfg.Neighbors...),
+		reannounced: make(map[topology.NodeID]bool),
+		delivered:   newDeliveredSet(),
+		peerSeen:    make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
+		peerAcked:   make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	n.deliveries.Init(cfg.DeliveryBuffer, deliveryBytes)
 	n.initEncodePool()
-	n.epoch.Store(cfg.Epoch)
-	n.procs.Store(int64(cfg.NumProcs))
 	n.delivered.grow(cfg.NumProcs)
-	roster := append([]topology.NodeID(nil), cfg.Neighbors...)
-	n.nbs.Store(&roster)
-	n.reannounced = make(map[topology.NodeID]bool)
 	if fo, ok := tr.(transport.FrameOwner); ok && fo.HandlerOwnsFrame() {
 		n.ownsFrames = true
 	}
@@ -492,14 +475,14 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		// A node constructed mid-epoch (a joiner) can catch laggard peers
 		// up on its own membership change, and re-floods it for a few
 		// periods in case the AnnounceJoin flood is lost.
-		n.lastChange.Store(newMemberChange(wire.FrameJoin, &wire.Membership{
+		n.lastChange = newMemberChange(wire.FrameJoin, &wire.Membership{
 			Node:      cfg.ID,
 			Epoch:     cfg.Epoch,
 			NumProcs:  cfg.NumProcs,
 			Departed:  cfg.Departed,
-			Neighbors: roster,
-		}))
-		n.announceLeft.Store(announceRounds)
+			Neighbors: n.nbs,
+		})
+		n.announceLeft = announceRounds
 	}
 	if cfg.AdaptiveCadenceMax > 1 {
 		n.cad = make(map[topology.NodeID]*cadence.State, len(cfg.Neighbors))
@@ -539,7 +522,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 			resume = m
 		}
 	}
-	n.seq.Store(resume)
+	n.seq = resume
 	n.lanes = lanes.New(tr, lanes.Config{QueueDepth: cfg.LaneQueueDepth})
 	tr.SetHandler(n.handle)
 	return n, nil
@@ -578,12 +561,20 @@ func (n *Node) Stop() {
 func (n *Node) ID() topology.NodeID { return n.cfg.ID }
 
 // Epoch returns the membership epoch the node currently operates in.
-func (n *Node) Epoch() uint64 { return n.epoch.Load() }
+func (n *Node) Epoch() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.epoch
+}
 
 // Neighbors returns the current neighbor roster (a shared snapshot;
 // callers must not modify it). The roster changes when membership
 // announcements add or remove adjacent processes.
-func (n *Node) Neighbors() []topology.NodeID { return *n.nbs.Load() }
+func (n *Node) Neighbors() []topology.NodeID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.nbs
+}
 
 // Next returns the oldest delivery the application has not taken yet,
 // blocking until one is queued, ctx is done (ctx's error), or the node
@@ -632,22 +623,22 @@ func (n *Node) WaitSendIdle(timeout time.Duration) bool { return n.lanes.WaitIdl
 
 // CrashEstimate reads the node's current estimate of process i.
 func (n *Node) CrashEstimate(i topology.NodeID) (mean float64, dist int) {
-	n.viewMu.Lock()
-	defer n.viewMu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.view.CrashEstimate(i)
 }
 
 // LossEstimate reads the node's current estimate of link l.
 func (n *Node) LossEstimate(l topology.Link) (mean float64, dist int, ok bool) {
-	n.viewMu.Lock()
-	defer n.viewMu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.view.LossEstimate(l)
 }
 
 // KnownLinks reports the links the node has discovered.
 func (n *Node) KnownLinks() []topology.Link {
-	n.viewMu.Lock()
-	defer n.viewMu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.view.KnownLinks()
 }
 
@@ -680,46 +671,33 @@ func (n *Node) Tick() {
 	if n.closed.Load() {
 		return
 	}
-	// Snapshot the roster once per period: membership changes landing
-	// mid-tick take effect next period. Copy the peer bookkeeping into the
-	// per-neighbor outbound list first (leaf lock, never nested under
-	// viewMu) so delta cutting under the view lock reads no shared maps.
-	neighbors := n.Neighbors()
-	epoch := n.epoch.Load()
+	ws := tickWorkspaces.Get()
+	defer tickWorkspaces.Put(ws)
+
+	n.mu.Lock()
 	// Re-arm the per-peer stale-epoch re-announcement budget (see
 	// epochGate): one repair frame per laggard per period.
-	n.reannMu.Lock()
-	for k := range n.reannounced {
-		delete(n.reannounced, k)
-	}
-	n.reannMu.Unlock()
+	clear(n.reannounced)
 	// Redundant membership announcement rounds (see announceRounds): a
 	// recent join/leave is re-flooded with the heartbeats so a lossy link
 	// cannot silently strand a member in the old epoch.
-	if n.announceLeft.Load() > 0 && n.announceLeft.Add(-1) >= 0 {
-		if lc := n.lastChange.Load(); lc != nil && lc.frame != nil {
-			for _, nb := range neighbors {
-				if nb != lc.member.Node {
-					_ = n.sendControl(nb, lc.frame, nil)
-				}
-			}
-		}
+	var announce *memberChange
+	if n.announceLeft > 0 {
+		n.announceLeft--
+		announce = n.lastChange
 	}
-	ws := tickWorkspaces.Get()
-	defer tickWorkspaces.Put(ws)
-	n.peerMu.Lock()
+	// The roster and epoch are read once per period: membership changes
+	// landing after the section take effect next period.
+	neighbors, epoch := n.nbs, n.epoch
 	for _, nb := range neighbors {
-		ws.outs = append(ws.outs, outbound{to: nb, base: n.peerAcked[nb], ack: n.peerSeen[nb]})
+		ws.outs = append(ws.outs, outbound{to: nb, base: n.peerAcked[nb], ack: n.peerSeen[nb], declared: 1, due: true})
 	}
-	n.peerMu.Unlock()
 	outs := ws.outs
 	if cap(ws.cuts) < len(outs) {
 		ws.cuts = make([]knowledge.Snapshot, len(outs))
 	}
 	ws.cuts = ws.cuts[:len(outs)]
 	fullCut := false
-
-	n.viewMu.Lock()
 	n.view.BeginPeriod()
 	ver := n.view.Version()
 	for i := range outs {
@@ -754,8 +732,33 @@ func (n *Node) Tick() {
 			o.snap = &ws.full // since stays 0: full-snapshot fallback
 		}
 	}
-	n.viewMu.Unlock()
+	// The cadence snapshot the mark persists is taken before this
+	// period's steps: it is one period stale at worst.
+	var cadSnap map[topology.NodeID]int
+	if n.cfg.Storage != nil {
+		cadSnap = n.cadenceSnapshot()
+	}
+	if n.cad != nil {
+		// The controller sees the neighborhood state every period —
+		// including skipped ones — so a snap-back trigger (non-empty or
+		// unanchored delta, suspicion of this neighbor) re-enables the δ
+		// cadence and sends within the same period it appears.
+		for i := range outs {
+			o := &outs[i]
+			stable := o.since > 0 && !o.suspected &&
+				len(o.snap.Procs) == 0 && len(o.snap.Links) == 0
+			o.declared, o.due = n.cadenceStep(o.to, stable)
+		}
+	}
+	n.mu.Unlock()
 
+	if announce != nil && announce.frame != nil {
+		for _, nb := range neighbors {
+			if nb != announce.member.Node {
+				_ = n.sendControl(nb, announce.frame, nil)
+			}
+		}
+	}
 	if n.cfg.Storage != nil {
 		// A failed mark is not fatal: it only degrades the crash
 		// self-estimate after the next restart. The persisted sequence
@@ -764,10 +767,7 @@ func (n *Node) Tick() {
 		// the load+write pair is serialized under leaseMu against
 		// concurrent extensions from Broadcast: an unordered write here
 		// could clobber a freshly extended (and already relied-upon) lease
-		// with a stale floor. The cadence snapshot rides along: gathered
-		// under cadMu first (cadMu and leaseMu are rank-40 leaves and must
-		// never nest), it is one period stale at worst.
-		cadSnap := n.cadenceSnapshot()
+		// with a stale floor.
 		n.leaseMu.Lock()
 		n.cadPersist = cadSnap
 		_ = n.cfg.Storage.SaveMark(n.cfg.Now(), n.seqLease.Load(), cadSnap)
@@ -781,19 +781,8 @@ func (n *Node) Tick() {
 	// differ per peer, the record section doesn't.
 	sent, deltas, counts := 0, 0, 0
 	for _, o := range outs {
-		declared := 1
-		if n.cad != nil {
-			// The controller sees the neighborhood state every period —
-			// including skipped ones — so a snap-back trigger (non-empty or
-			// unanchored delta, suspicion of this neighbor) re-enables the
-			// δ cadence and sends within the same period it appears.
-			stable := o.since > 0 && !o.suspected &&
-				len(o.snap.Procs) == 0 && len(o.snap.Links) == 0
-			var due bool
-			declared, due = n.cadenceStep(o.to, stable)
-			if !due {
-				continue
-			}
+		if !o.due {
+			continue
 		}
 		sec, err := ws.section(&n.encPool, o.snap)
 		if err != nil {
@@ -805,7 +794,7 @@ func (n *Node) Tick() {
 			Since:   o.since,
 			Ver:     ver,
 			Ack:     o.ack,
-			Cadence: uint64(declared),
+			Cadence: uint64(o.declared),
 			Epoch:   epoch,
 			Caps:    caps,
 		}, sec)
@@ -834,13 +823,16 @@ func (n *Node) Tick() {
 }
 
 // outbound is one neighbor's heartbeat of a period: the versions it
-// carries and the cut it ships.
+// carries, the cut it ships, and the cadence it declares and whether it
+// is due this period.
 type outbound struct {
 	to        topology.NodeID
 	base, ack uint64 // the version of this view the neighbor acked; of its view merged here
 	snap      *knowledge.Snapshot
 	since     uint64 // base when snap is a delta cut from it, 0 when it is the full snapshot
 	suspected bool
+	declared  int
+	due       bool
 }
 
 // section is the record section of one distinct cut, encoded once per
@@ -923,10 +915,8 @@ func heartbeatCaps(s *knowledge.Snapshot) uint64 {
 // by one heartbeat period and decides whether a frame is due now (see
 // internal/cadence for the stretch/snap-back policy). Stability here
 // means the delta to this neighbor is anchored and empty, and no
-// neighbor is suspected.
+// neighbor is suspected. Called with mu held.
 func (n *Node) cadenceStep(to topology.NodeID, stable bool) (declared int, due bool) {
-	n.cadMu.Lock()
-	defer n.cadMu.Unlock()
 	st := n.cad[to]
 	if st == nil {
 		if hint := n.cadResume[to]; hint > 1 {
@@ -945,13 +935,11 @@ func (n *Node) cadenceStep(to topology.NodeID, stable bool) (declared int, due b
 // hint when that is larger — a node that crashes again before a
 // neighbor turns stable must not lose the stretch the previous
 // incarnation had already earned. Intervals at the default 1 are
-// omitted; nil when adaptive cadence is off.
+// omitted; nil when adaptive cadence is off. Called with mu held.
 func (n *Node) cadenceSnapshot() map[topology.NodeID]int {
 	if n.cad == nil {
 		return nil
 	}
-	n.cadMu.Lock()
-	defer n.cadMu.Unlock()
 	var snap map[topology.NodeID]int
 	record := func(id topology.NodeID, iv int) {
 		if iv > 1 && iv > snap[id] {
@@ -990,19 +978,27 @@ func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 	if n.closed.Load() {
 		return 0, 0, ErrStopped
 	}
-	seq = n.seq.Add(1)
+	n.mu.Lock()
+	n.seq++
+	seq = n.seq
+	n.delivered.mark(n.cfg.ID, seq)
+	msg := &wire.DataMsg{Origin: n.cfg.ID, Seq: seq, Root: n.cfg.ID, Body: body, Epoch: n.epoch}
+	p, fresh := n.currentPlan()
+	roster := n.nbs
+	var snap *knowledge.Snapshot
+	if n.cfg.Piggyback {
+		snap = n.view.Snapshot()
+	}
+	n.mu.Unlock()
+
 	if n.cfg.Storage != nil {
 		n.ensureSeqLease(seq)
 	}
-	n.delivered.mark(n.cfg.ID, seq)
 	if n.cfg.DedupLog != nil {
 		if _, err := n.cfg.DedupLog.Record(dedup.ID{Origin: n.cfg.ID, Seq: seq}); err != nil {
 			n.stats.logErrors.Add(1)
 		}
 	}
-
-	msg := &wire.DataMsg{Origin: n.cfg.ID, Seq: seq, Root: n.cfg.ID, Body: body, Epoch: n.epoch.Load()}
-	p, fresh := n.currentPlan()
 	if p.err == nil {
 		msg.Parents = p.parents
 		msg.AllocByNode = p.alloc
@@ -1012,20 +1008,20 @@ func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 		}
 	} else {
 		n.stats.fallbackFloods.Add(1)
-		planned = len(n.Neighbors())
+		planned = len(roster)
 	}
 	n.pushDelivery(Delivery{Origin: n.cfg.ID, Seq: seq, From: n.cfg.ID, Body: body})
 
 	// Encode once: forward and flood both consume the same frame bytes
 	// (and the same pooled buffer, released after the last send).
-	frame, release, encErr := n.encodeDataFrame(msg)
+	frame, release, encErr := n.encodeDataFrame(msg, snap)
 	if encErr != nil {
 		return seq, planned, encErr
 	}
 	if p.err == nil {
 		err = n.forward(msg, frame, release)
 	} else {
-		err = n.flood(topology.None, frame, release) // originator flood: every neighbor
+		err = n.flood(topology.None, roster, frame, release) // originator flood: every neighbor
 	}
 	return seq, planned, err
 }
@@ -1057,14 +1053,9 @@ func (n *Node) ensureSeqLease(seq uint64) {
 // currentPlan returns the broadcast plan for the node's current view,
 // reusing the cached plan while the view's version is unchanged. fresh
 // reports whether this call built the plan (the OnTreeRebuild hook fires
-// only then).
+// only then). Called with mu held.
 func (n *Node) currentPlan() (p *plan, fresh bool) {
-	n.planMu.Lock()
-	defer n.planMu.Unlock()
-	n.viewMu.Lock()
-	ver := n.view.Version()
-	n.viewMu.Unlock()
-	if n.cachedPlan != nil && n.planVersion == ver {
+	if n.cachedPlan != nil && n.planVersion == n.view.Version() {
 		n.stats.planCacheHits.Add(1)
 		return n.cachedPlan, false
 	}
@@ -1074,19 +1065,16 @@ func (n *Node) currentPlan() (p *plan, fresh bool) {
 }
 
 // replan derives a plan from the view as it stands, and reports the view
-// version it stands at. (G, C) is materialized under the view lock into a
-// pooled workspace; the tree and allocation are built on that private
-// copy with the view lock released, so a replan never blocks heartbeat
-// merges. The plan owns its vectors: nothing in it aliases the workspace,
-// which goes back to the pool before the plan is used.
+// version it stands at. It runs with mu held, inside the broadcast's
+// critical section: (G, C) is materialized into a pooled workspace and
+// the tree and allocation are built on it (≈ 180 µs at n = 128), while
+// heartbeat merges wait. The plan owns its vectors: nothing in it aliases
+// the workspace, which goes back to the pool before the plan is used.
 func (n *Node) replan() (p *plan, ver uint64) {
 	ws := planWorkspaces.Get()
 	defer planWorkspaces.Put(ws)
-	n.viewMu.Lock()
 	ver = n.view.Version()
-	err := n.view.EstimatedConfigInto(&ws.graph, &ws.config)
-	n.viewMu.Unlock()
-	if err != nil {
+	if err := n.view.EstimatedConfigInto(&ws.graph, &ws.config); err != nil {
 		return &plan{err: err}, ver
 	}
 	return ws.plan(n.cfg.ID, n.cfg.K), ver
@@ -1195,17 +1183,17 @@ func (n *Node) forward(msg *wire.DataMsg, frame []byte, release func()) error {
 	return nil
 }
 
-// flood sends one copy of a pre-encoded data frame to every neighbor
-// except `except` (topology.None floods everyone). Originator floods
+// flood sends one copy of a pre-encoded data frame to every neighbor in
+// roster except `except` (topology.None floods everyone). Originator floods
 // cover all neighbors; relay floods exclude the inbound sender —
 // echoing the frame back to whoever just sent it wastes a frame per hop
 // and, with piggybacking, re-merges our own snapshot. Frame sharing,
 // release fan-out and error semantics match forward.
-func (n *Node) flood(except topology.NodeID, frame []byte, release func()) error {
+func (n *Node) flood(except topology.NodeID, roster []topology.NodeID, frame []byte, release func()) error {
 	attempted, sent := 0, 0
 	var lastErr error
 	shared := newSharedRelease(release)
-	for _, nb := range n.Neighbors() {
+	for _, nb := range roster {
 		if nb == except {
 			continue
 		}
@@ -1229,7 +1217,9 @@ func (n *Node) flood(except topology.NodeID, frame []byte, release func()) error
 // so nothing decoded from a data frame outlives this call unless it is
 // copied (see wire.Scratch, pushDelivery), and
 // epoch-gated before any protocol processing (see epochGate). A heartbeat
-// or delta must name its transport sender (see sentBy).
+// or delta must name its transport sender (see sentBy). Each frame kind
+// takes mu for one critical section; what it decides to send, record or
+// deliver runs after it.
 func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	sc := n.decPool.Get()
 	defer n.decPool.Put(sc)
@@ -1244,24 +1234,32 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 		if n.closed.Load() || !n.sentBy(from, frame.Heartbeat) {
 			return
 		}
-		n.viewMu.Lock()
+		n.mu.Lock()
 		err := n.view.MergeSnapshot(frame.Heartbeat)
-		n.viewMu.Unlock()
+		n.mu.Unlock()
 		if err == nil {
 			n.stats.heartbeatsReceived.Add(1)
 		} else {
 			n.stats.snapshotMergeErrors.Add(1)
 		}
 	case wire.FrameKnowledgeDelta:
-		if !n.epochGate(from, frame.Delta.Epoch) || !n.sentBy(from, frame.Delta.Snap) {
-			return
+		n.mu.Lock()
+		repair, ok := n.epochGate(from, frame.Delta.Epoch)
+		if ok && n.sentBy(from, frame.Delta.Snap) {
+			n.handleDelta(from, frame.Delta)
 		}
-		n.handleDelta(from, frame.Delta)
+		n.mu.Unlock()
+		n.sendRepair(from, repair)
 	case wire.FrameData:
-		if !n.epochGate(from, frame.Data.Epoch) {
-			return
+		n.mu.Lock()
+		repair, ok := n.epochGate(from, frame.Data.Epoch)
+		var rx receipt
+		if ok {
+			rx = n.acceptData(from, frame.Data)
 		}
-		n.handleData(from, frame.Data, frameBytes)
+		n.mu.Unlock()
+		n.sendRepair(from, repair)
+		n.handleData(from, frame.Data, frameBytes, rx)
 	case wire.FrameJoin, wire.FrameLeave:
 		n.handleMembership(from, frame.Kind, frame.Member)
 	}
@@ -1283,36 +1281,39 @@ func (n *Node) sentBy(from topology.NodeID, s *knowledge.Snapshot) bool {
 }
 
 // epochGate fences a data/delta frame against the node's membership
-// epoch. Same epoch: process. Older epoch: the sender missed a
-// membership change — drop the frame (its trees, version bookkeeping and
-// roster assumptions belong to a dead membership view), count it, and
-// re-send the announcement that created the current epoch so the laggard
-// catches up in one frame. Newer epoch: this node is the laggard — drop
-// the frame too (it cannot be interpreted against the old roster), and
-// rely on the pull loop the drop creates: our next heartbeat reaches the
-// ahead peer with a stale epoch, the peer re-announces, we adopt, and our
-// cleared ack state makes both sides exchange full knowledge snapshots.
-func (n *Node) epochGate(from topology.NodeID, frameEpoch uint64) bool {
-	cur := n.epoch.Load()
-	if frameEpoch == cur {
-		return true
+// epoch; it is called with mu held. Same epoch: process. Older epoch: the
+// sender missed a membership change — drop the frame (its trees, version
+// bookkeeping and roster assumptions belong to a dead membership view),
+// count it, and return the announcement that created the current epoch as
+// the repair to send, so the laggard catches up in one frame. Newer
+// epoch: this node is the laggard — drop the frame too (it cannot be
+// interpreted against the old roster), and rely on the pull loop the drop
+// creates: our next heartbeat reaches the ahead peer with a stale epoch,
+// the peer re-announces, we adopt, and our cleared ack state makes both
+// sides exchange full knowledge snapshots.
+func (n *Node) epochGate(from topology.NodeID, frameEpoch uint64) (repair []byte, ok bool) {
+	if frameEpoch == n.epoch {
+		return nil, true
 	}
-	if frameEpoch < cur {
+	if frameEpoch < n.epoch {
 		n.stats.staleEpochFrames.Add(1)
 		// Once per peer per heartbeat period (Tick clears the set): a
 		// laggard mid-burst sends many stale frames, and answering each
 		// with a full membership announcement would amplify its traffic.
-		n.reannMu.Lock()
 		first := !n.reannounced[from]
 		n.reannounced[from] = true
-		n.reannMu.Unlock()
-		if first {
-			if lc := n.lastChange.Load(); lc != nil && lc.frame != nil {
-				_ = n.sendControl(from, lc.frame, nil)
-			}
+		if first && n.lastChange != nil {
+			repair = n.lastChange.frame
 		}
 	}
-	return false
+	return repair, false
+}
+
+// sendRepair sends the re-announcement epochGate returned, if any.
+func (n *Node) sendRepair(to topology.NodeID, repair []byte) {
+	if repair != nil {
+		_ = n.sendControl(to, repair, nil)
+	}
 }
 
 // handleMembership applies a join/leave announcement and relays it. The
@@ -1327,68 +1328,55 @@ func (n *Node) handleMembership(from topology.NodeID, kind wire.FrameKind, m *wi
 	if m.Node == n.cfg.ID && kind == wire.FrameLeave {
 		return // the cluster says we left; nothing sensible to apply locally
 	}
-	if !n.applyMembership(kind, m) {
-		return
-	}
 	// Relay the announcement (excluding whoever delivered it) so the
 	// flood covers the cluster even though the roster is changing under
-	// it; applyMembership just pre-encoded it into lastChange. Send
-	// failures are tolerated: the stale-epoch re-announcement path
-	// repairs any member the flood misses.
-	if lc := n.lastChange.Load(); lc != nil && lc.frame != nil {
-		for _, nb := range n.Neighbors() {
-			if nb == from || nb == m.Node {
-				continue
-			}
+	// it; applyMembership just pre-encoded it. Send failures are
+	// tolerated: the stale-epoch re-announcement path repairs any member
+	// the flood misses.
+	lc, roster := n.applyMembership(kind, m)
+	if lc == nil || lc.frame == nil {
+		return
+	}
+	for _, nb := range roster {
+		if nb != from && nb != m.Node {
 			_ = n.sendControl(nb, lc.frame, nil)
 		}
 	}
 }
 
-// applyMembership installs a membership change: grow the view's ID space,
-// tombstone departed members, splice the subject in or out of the local
-// neighbor roster, adopt the epoch, and re-anchor everything derived from
-// the old membership — the plan cache is invalidated, and the
-// per-neighbor ack/seen/cadence state is reset so the next heartbeat
-// exchange falls back to full snapshots (the knowledge pull that brings
-// a joiner, or a laggard crossing several epochs at once, up to speed).
-// It reports whether the change was newer than the current epoch and
-// therefore applied.
-func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
-	n.memberMu.Lock()
-	defer n.memberMu.Unlock()
-	if m.Epoch <= n.epoch.Load() {
-		return false
+// applyMembership installs a membership change in one critical section:
+// grow the view's ID space, tombstone departed members, splice the
+// subject in or out of the local neighbor roster, adopt the epoch, and
+// re-anchor everything derived from the old membership — the plan cache
+// is invalidated, and the per-neighbor ack/seen/cadence state is reset so
+// the next heartbeat exchange falls back to full snapshots (the knowledge
+// pull that brings a joiner, or a laggard crossing several epochs at
+// once, up to speed). When the change is newer than the current epoch it
+// returns the announcement as applied and the new roster to flood it to;
+// otherwise nil.
+func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) (*memberChange, []topology.NodeID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if m.Epoch <= n.epoch {
+		return nil, nil
 	}
-	n.epoch.Store(m.Epoch)
+	n.epoch = m.Epoch
 	n.stats.epochChanges.Add(1)
 
-	n.viewMu.Lock()
 	n.view.Grow(m.NumProcs)
-	n.procs.Store(int64(n.view.NumProcs()))
 	n.delivered.grow(n.view.NumProcs())
 	for _, d := range m.Departed {
 		n.view.MarkDeparted(d)
 	}
-	joinsUs := false
-	if kind == wire.FrameJoin {
-		for _, nb := range m.Neighbors {
-			if nb == n.cfg.ID {
-				joinsUs = true
-			}
-		}
-		if joinsUs {
-			_ = n.view.AddNeighbor(m.Node)
-		}
+	joinsUs := kind == wire.FrameJoin && slices.Contains(m.Neighbors, n.cfg.ID)
+	if joinsUs {
+		_ = n.view.AddNeighbor(m.Node)
 	}
-	n.viewMu.Unlock()
 
-	// Splice the roster copy-on-write; readers keep whatever snapshot
-	// they loaded for the rest of their operation.
-	old := n.Neighbors()
-	roster := make([]topology.NodeID, 0, len(old)+1)
-	for _, nb := range old {
-		if n.isDepartedIn(m, nb) || nb == m.Node {
+	// Install a fresh roster: callers keep whatever slice they read.
+	roster := make([]topology.NodeID, 0, len(n.nbs)+1)
+	for _, nb := range n.nbs {
+		if slices.Contains(m.Departed, nb) || nb == m.Node {
 			continue // dropped (leaver, or re-announced joiner re-added below)
 		}
 		roster = append(roster, nb)
@@ -1396,45 +1384,23 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
 	if joinsUs {
 		roster = append(roster, m.Node)
 	}
-	n.nbs.Store(&roster)
+	n.nbs = roster
 
 	// Re-anchor: trees and version bookkeeping from the old epoch must
 	// not serve the new one. Clearing peerAcked forces the full-snapshot
 	// fallback toward every neighbor; clearing peerSeen makes this node
 	// ack 0 until fresh full snapshots arrive, forcing the fallback in
 	// the other direction too. Cadence controllers restart at one frame
-	// per period, which also pushes the news out immediately.
-	n.peerMu.Lock()
-	for k := range n.peerSeen {
-		delete(n.peerSeen, k)
-	}
-	for k := range n.peerAcked {
-		delete(n.peerAcked, k)
-	}
-	n.peerMu.Unlock()
-	if n.cad != nil {
-		n.cadMu.Lock()
-		for k := range n.cad {
-			delete(n.cad, k)
-		}
-		n.cadMu.Unlock()
-	}
-	// The plan cache invalidates itself: Grow/MarkDeparted/AddNeighbor
-	// bumped the view version it is keyed on.
+	// per period, which also pushes the news out immediately. The plan
+	// cache invalidates itself: Grow/MarkDeparted/AddNeighbor bumped the
+	// view version it is keyed on.
+	clear(n.peerSeen)
+	clear(n.peerAcked)
+	clear(n.cad)
 
-	n.lastChange.Store(newMemberChange(kind, m))
-	n.announceLeft.Store(announceRounds)
-	return true
-}
-
-// isDepartedIn reports whether id is tombstoned by announcement m.
-func (n *Node) isDepartedIn(m *wire.Membership, id topology.NodeID) bool {
-	for _, d := range m.Departed {
-		if d == id {
-			return true
-		}
-	}
-	return false
+	n.lastChange = newMemberChange(kind, m)
+	n.announceLeft = announceRounds
+	return n.lastChange, roster
 }
 
 // AnnounceJoin floods this node's own join announcement to its neighbors.
@@ -1447,14 +1413,16 @@ func (n *Node) AnnounceJoin() error {
 	if n.closed.Load() {
 		return ErrStopped
 	}
-	lc := n.lastChange.Load()
+	n.mu.Lock()
+	lc, roster := n.lastChange, n.nbs
+	n.mu.Unlock()
 	if lc == nil || lc.kind != wire.FrameJoin || lc.member.Node != n.cfg.ID {
 		return errors.New("node: not configured as a joiner (Config.Epoch unset)")
 	}
 	if lc.frame == nil {
 		return errors.New("node: join announcement failed to encode")
 	}
-	for _, nb := range n.Neighbors() {
+	for _, nb := range roster {
 		if err := n.sendControl(nb, lc.frame, nil); err != nil {
 			return fmt.Errorf("node: join announcement: %w", err)
 		}
@@ -1471,7 +1439,7 @@ func (n *Node) AnnounceJoin() error {
 // concurrent changes announced through different members cannot collide
 // on one epoch number.
 func (n *Node) AnnounceLeave(leaver topology.NodeID) error {
-	return n.AnnounceLeaveAt(leaver, n.epoch.Load()+1)
+	return n.AnnounceLeaveAt(leaver, n.Epoch()+1)
 }
 
 // AnnounceLeaveAt is AnnounceLeave with an explicit epoch for the change,
@@ -1479,7 +1447,7 @@ func (n *Node) AnnounceLeave(leaver topology.NodeID) error {
 // every epoch already announced, or the members that adopted the higher
 // epoch will drop this announcement.
 func (n *Node) AnnounceLeaveAt(leaver topology.NodeID, epoch uint64) error {
-	n.viewMu.Lock()
+	n.mu.Lock()
 	numProcs := n.view.NumProcs()
 	already := n.view.Departed(leaver)
 	departed := make([]topology.NodeID, 0, 4)
@@ -1488,7 +1456,7 @@ func (n *Node) AnnounceLeaveAt(leaver topology.NodeID, epoch uint64) error {
 			departed = append(departed, topology.NodeID(i))
 		}
 	}
-	n.viewMu.Unlock()
+	n.mu.Unlock()
 	if int(leaver) >= numProcs || leaver < 0 {
 		return fmt.Errorf("node: leaver %d outside [0,%d)", leaver, numProcs)
 	}
@@ -1517,17 +1485,17 @@ func (n *Node) AnnounceLeaveMembership(m *wire.Membership) error {
 	if m.Node == n.cfg.ID {
 		return errors.New("node: cannot announce own departure")
 	}
-	if !n.isDepartedIn(m, m.Node) {
+	if !slices.Contains(m.Departed, m.Node) {
 		return fmt.Errorf("node: leave announcement does not tombstone the leaver %d", m.Node)
 	}
-	if !n.applyMembership(wire.FrameLeave, m) {
+	lc, roster := n.applyMembership(wire.FrameLeave, m)
+	if lc == nil {
 		return errors.New("node: leave announcement lost an epoch race; retry")
 	}
-	lc := n.lastChange.Load()
-	if lc == nil || lc.frame == nil {
+	if lc.frame == nil {
 		return errors.New("node: leave announcement failed to encode")
 	}
-	for _, nb := range n.Neighbors() {
+	for _, nb := range roster {
 		_ = n.sendControl(nb, lc.frame, nil) // only a stopped node refuses, and the change is applied
 	}
 	return nil
@@ -1550,22 +1518,21 @@ func (n *Node) AnnounceLeaveMembership(m *wire.Membership) error {
 //     is merged for whatever knowledge it carries, but NOT acked: the
 //     stale ack this node keeps echoing makes the sender fall back to a
 //     full snapshot, which repairs the gap one period later.
+//
+// It is called with mu held, so the merge and the bookkeeping are one
+// step: a membership change cannot clear the ack state between them.
 func (n *Node) handleDelta(from topology.NodeID, d *wire.KnowledgeDelta) {
 	if n.closed.Load() {
 		return
 	}
-	n.viewMu.Lock()
 	// The declared cadence scales this view's expected-arrival accounting
 	// for the sender: suspicion timeout and sequence-gap loss bookkeeping
 	// both divide by the promised inter-frame gap.
-	err := n.view.MergeSnapshotAt(d.Snap, int(d.Cadence))
-	n.viewMu.Unlock()
-	if err != nil {
+	if err := n.view.MergeSnapshotAt(d.Snap, int(d.Cadence)); err != nil {
 		n.stats.snapshotMergeErrors.Add(1)
 		return
 	}
 	n.stats.heartbeatsReceived.Add(1)
-	n.peerMu.Lock()
 	switch {
 	case d.Since == 0:
 		n.peerSeen[from] = d.Ver
@@ -1575,24 +1542,33 @@ func (n *Node) handleDelta(from topology.NodeID, d *wire.KnowledgeDelta) {
 		}
 	}
 	n.peerAcked[from] = d.Ack
-	n.peerMu.Unlock()
 }
 
-// handleData is Algorithm 1 lines 5–7: deliver on first receipt, then
-// keep propagating along the carried tree (or re-flood warm-up
-// messages). A frame whose origin is outside the ID space is dropped
-// whole and counted in DecodeErrors. raw is the encoded inbound frame;
-// when the transport handed over its ownership the relay reuses (or
-// splices) it instead of re-serializing — see relayDataFrame.
-func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
+// receipt is what acceptData decided about an inbound data frame, for
+// the work handleData does after the critical section: a first sighting
+// (fresh) is recorded and delivered, and relayed when relay is set —
+// flooded to roster when the frame carries no tree — with snap, this
+// node's view, attached when it piggybacks.
+type receipt struct {
+	fresh, relay bool
+	roster       []topology.NodeID
+	snap         *knowledge.Snapshot
+}
+
+// acceptData is the part of Algorithm 1 lines 5–7 that reads node state,
+// called with mu held: it merges piggybacked knowledge, marks the
+// broadcast seen and decides the relay. A frame whose origin is outside
+// the ID space is dropped whole and counted in DecodeErrors, as is the
+// relay of a first receipt whose parent vector is not a tree.
+func (n *Node) acceptData(from topology.NodeID, msg *wire.DataMsg) (rx receipt) {
 	if n.closed.Load() {
-		return
+		return rx
 	}
-	if msg.Origin < 0 || int64(msg.Origin) >= n.procs.Load() {
+	if msg.Origin < 0 || int(msg.Origin) >= n.view.NumProcs() {
 		// No process of this ID space sent it: a forged origin would be
 		// delivered, relayed and given a dedup entry that is never freed.
 		n.stats.decodeErrors.Add(1)
-		return
+		return rx
 	}
 	if msg.Piggyback != nil {
 		// Piggybacked knowledge is merged on every copy, duplicates
@@ -1601,17 +1577,41 @@ func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
 		// is surfaced in its own counter — the frame itself decoded fine,
 		// and conflating the two hides malformed-peer problems from
 		// operators; the data message is still delivered and forwarded.
-		n.viewMu.Lock()
-		err := n.view.MergeSnapshotKnowledgeOnly(msg.Piggyback)
-		n.viewMu.Unlock()
-		if err != nil {
+		if err := n.view.MergeSnapshotKnowledgeOnly(msg.Piggyback); err != nil {
 			n.stats.snapshotMergeErrors.Add(1)
 		}
 	}
 	if !n.delivered.mark(msg.Origin, msg.Seq) {
-		return
+		return rx
 	}
 	n.stats.dataReceived.Add(1)
+	rx.fresh = true
+	switch {
+	case len(msg.Parents) == 0:
+		// Relay flood: exclude the inbound sender, who by construction
+		// already has the frame.
+		rx.relay, rx.roster = true, n.nbs
+	case mrt.CheckParents(msg.Root, msg.Parents) != nil:
+		n.stats.decodeErrors.Add(1)
+	default:
+		// A tree that predates our membership leaves nothing to forward.
+		rx.relay = int(n.cfg.ID) < len(msg.Parents)
+	}
+	if rx.relay && n.cfg.Piggyback {
+		rx.snap = n.view.Snapshot()
+	}
+	return rx
+}
+
+// handleData finishes a data frame after acceptData's critical section:
+// deliver on first receipt, then keep propagating along the carried tree
+// (or re-flood warm-up messages). raw is the encoded inbound frame; when
+// the transport handed over its ownership the relay reuses (or splices)
+// it instead of re-serializing — see relayDataFrame.
+func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte, rx receipt) {
+	if !rx.fresh {
+		return
+	}
 	deliver := true
 	if n.cfg.DedupLog != nil {
 		fresh, err := n.cfg.DedupLog.Record(dedup.ID{Origin: msg.Origin, Seq: msg.Seq})
@@ -1637,29 +1637,20 @@ func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
 		}
 		n.pushDelivery(Delivery{Origin: msg.Origin, Seq: msg.Seq, From: from, Body: body})
 	}
-
-	if len(msg.Parents) == 0 {
-		// Relay flood: exclude the inbound sender, who by construction
-		// already has the frame. Relay errors mean a knowledge snapshot
-		// failed to encode; the message was already delivered locally, so
-		// just drop the relay.
-		if frame, release, err := n.relayDataFrame(msg, raw); err == nil {
-			_ = n.flood(from, frame, release)
-		}
+	if !rx.relay {
 		return
 	}
-	if err := mrt.CheckParents(msg.Root, msg.Parents); err != nil {
-		n.stats.decodeErrors.Add(1)
-		return
-	}
-	if int(n.cfg.ID) >= len(msg.Parents) {
-		return // tree predates our membership; nothing to forward
-	}
-	frame, release, err := n.relayDataFrame(msg, raw)
+	// Relay errors mean a knowledge snapshot failed to encode; the
+	// message was already delivered locally, so just drop the relay.
+	frame, release, err := n.relayDataFrame(msg, raw, rx.snap)
 	if err != nil {
 		return
 	}
-	_ = n.forward(msg, frame, release)
+	if len(msg.Parents) == 0 {
+		_ = n.flood(from, rx.roster, frame, release)
+	} else {
+		_ = n.forward(msg, frame, release)
+	}
 }
 
 // deliveryBytes is what a queued delivery weighs against

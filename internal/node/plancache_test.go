@@ -95,8 +95,8 @@ func teach(t *testing.T, nd *Node, g *topology.Graph, rng *rand.Rand) {
 	for _, l := range g.Links() {
 		snap.Links = append(snap.Links, knowledge.LinkRecord{Link: l, Dist: 0, Est: est()})
 	}
-	nd.viewMu.Lock()
-	defer nd.viewMu.Unlock()
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
 	if err := nd.view.MergeSnapshotKnowledgeOnly(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -379,17 +379,22 @@ func TestPlanCacheMatchesFreshPlan(t *testing.T) {
 func TestDeliveredWatermarkCompaction(t *testing.T) {
 	nodes, _ := convergedLine3(t, nil)
 	nd := nodes[0]
+	pending := func(nd *Node) int {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		return nd.delivered.pending()
+	}
 	for i := 0; i < 200; i++ {
 		if _, _, err := nd.Broadcast([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := nd.delivered.pending(); got != 0 {
+	if got := pending(nd); got != 0 {
 		t.Errorf("broadcaster dedup overflow = %d entries, want 0 (watermark should absorb contiguous seqs)", got)
 	}
 	waitFor(t, func() bool { return nodes[1].Stats().DataReceived >= 200 },
 		"node 1 never received the broadcasts")
-	if got := nodes[1].delivered.pending(); got != 0 {
+	if got := pending(nodes[1]); got != 0 {
 		t.Errorf("receiver dedup overflow = %d entries, want 0", got)
 	}
 }

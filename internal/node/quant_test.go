@@ -289,8 +289,8 @@ func alarmingHeartbeat(t *testing.T) (*Node, []byte) {
 func rejectedWhole(t *testing.T, nd *Node, what string, bad, good []byte) {
 	t.Helper()
 	state := func() (Stats, uint64, float64) {
-		nd.viewMu.Lock()
-		defer nd.viewMu.Unlock()
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
 		mean, _ := nd.view.CrashEstimate(1)
 		return nd.Stats(), nd.view.Version(), mean
 	}
@@ -478,8 +478,8 @@ func TestSuspicionScopedToSuspectLink(t *testing.T) {
 	nodes[2].Stop()
 	suspected := func() bool {
 		tick01()
-		nodes[1].viewMu.Lock()
-		defer nodes[1].viewMu.Unlock()
+		nodes[1].mu.Lock()
+		defer nodes[1].mu.Unlock()
 		return nodes[1].view.Suspected(2)
 	}
 	fired := false

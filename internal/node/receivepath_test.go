@@ -256,7 +256,10 @@ func TestForwardCacheSurvivesDecoderReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd.handleData(0, f.Data, raw)
+		nd.mu.Lock()
+		rx := nd.acceptData(0, f.Data)
+		nd.mu.Unlock()
+		nd.handleData(0, f.Data, raw, rx)
 		if got, want := rec.take(t), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
 			t.Fatalf("frame %d through reused decode storage: relayed to %v, its tree says %v", i, got, want)
 		}

@@ -19,6 +19,7 @@ package node
 import (
 	"sync/atomic"
 
+	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/lanes"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/wire"
@@ -122,18 +123,17 @@ func (n *Node) sendDataN(to topology.NodeID, frame []byte, copies int, release f
 	return copies, nil
 }
 
-// encodeDataFrame serializes a data message into a pooled buffer,
-// attaching this node's current knowledge snapshot when piggybacking is
-// enabled (each hop re-attaches its own view, so distortion accounting
-// matches hop-by-hop heartbeats). The returned release recycles the
+// encodeDataFrame serializes a data message into a pooled buffer. A
+// non-nil snap — this node's knowledge snapshot, cut under the node lock
+// when piggybacking is enabled — replaces whatever snapshot msg carries
+// (each hop re-attaches its own view, so distortion accounting matches
+// hop-by-hop heartbeats). The returned release recycles the
 // buffer; the caller must thread it through the send path (or invoke it
 // itself on paths that never send).
-func (n *Node) encodeDataFrame(msg *wire.DataMsg) (frame []byte, release func(), err error) {
-	if n.cfg.Piggyback {
+func (n *Node) encodeDataFrame(msg *wire.DataMsg, snap *knowledge.Snapshot) (frame []byte, release func(), err error) {
+	if snap != nil {
 		cp := *msg
-		n.viewMu.Lock()
-		cp.Piggyback = n.view.Snapshot()
-		n.viewMu.Unlock()
+		cp.Piggyback = snap
 		msg = &cp
 	}
 	eb := n.encPool.Get()
@@ -162,14 +162,11 @@ func (n *Node) encodeDataFrame(msg *wire.DataMsg) (frame []byte, release func(),
 //     a pooled buffer.
 //   - not owned (a transport that is no FrameOwner; both shipped ones
 //     are): full re-encode into a pooled buffer.
-func (n *Node) relayDataFrame(msg *wire.DataMsg, raw []byte) (frame []byte, release func(), err error) {
+func (n *Node) relayDataFrame(msg *wire.DataMsg, raw []byte, snap *knowledge.Snapshot) (frame []byte, release func(), err error) {
 	if n.ownsFrames && raw != nil {
-		if !n.cfg.Piggyback {
+		if snap == nil {
 			return raw, nil, nil
 		}
-		n.viewMu.Lock()
-		snap := n.view.Snapshot()
-		n.viewMu.Unlock()
 		eb := n.encPool.Get()
 		b, err := wire.SpliceDataPiggyback(eb.b, raw, snap)
 		if err == nil {
@@ -180,5 +177,5 @@ func (n *Node) relayDataFrame(msg *wire.DataMsg, raw []byte) (frame []byte, rele
 		// to the full re-encode rather than dropping the relay.
 		n.encPool.Put(eb)
 	}
-	return n.encodeDataFrame(msg)
+	return n.encodeDataFrame(msg, snap)
 }

@@ -34,14 +34,11 @@ func TestAllocsTick(t *testing.T) {
 	// ackAll records every neighbor as having acked the current view, as
 	// their heartbeats would; forgetAll as having acked nothing.
 	ackAll := func() {
-		nd.viewMu.Lock()
-		ver := nd.view.Version()
-		nd.viewMu.Unlock()
-		nd.peerMu.Lock()
-		for _, nb := range nd.Neighbors() {
-			nd.peerAcked[nb] = ver
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		for _, nb := range nd.nbs {
+			nd.peerAcked[nb] = nd.view.Version()
 		}
-		nd.peerMu.Unlock()
 	}
 	forgetAll := func() { forgetAcks([]*Node{nd}) }
 	period := func(acks func()) func() {
