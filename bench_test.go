@@ -606,6 +606,7 @@ func BenchmarkHeartbeatSteadyState(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				b.Cleanup(nd.Stop)
 				return nd
 			}
 			n0, n1 := mk(0, trA), mk(1, trB)
@@ -668,6 +669,7 @@ func BenchmarkHeartbeatCounts(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				b.Cleanup(nd.Stop)
 				return nd
 			}
 			n0, n1 := mk(0, trA), mk(1, trB)
@@ -733,6 +735,7 @@ func BenchmarkHeartbeatAdaptiveCadence(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				b.Cleanup(nd.Stop)
 				return nd
 			}
 			n0, n1 := mk(0, trA), mk(1, trB)

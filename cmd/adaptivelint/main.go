@@ -6,13 +6,11 @@
 //
 // The suite lives in internal/analysis/registry — run with -list for
 // the authoritative roster, each analyzer's bug class and the directive
-// grammar it consumes. In short: atomicfields, wirekind, epochfence and
-// internalboundary machine-enforce the invariants PRs 2–6 introduced
-// (atomics on lock-free counters, wire corpus/version coherence, epoch
-// fencing, the internal/ import boundary); chanowner, buflife and goroleak cover the concurrent
-// datapath's ownership and lifecycle contracts (who sends/closes each
-// channel, pooled buffers released exactly once and never read after
-// release, every goroutine tied to a stop signal it provably observes).
+// grammar it consumes. In short: wirekind keeps the wire codec's frame
+// kinds, decoder corpus and version gates coherent, internalboundary
+// keeps cmd/ and examples/ behind the public facades, and buflife proves
+// every pooled buffer is released exactly once and never read after
+// release.
 //
 // -sarif <file> additionally writes the findings as a SARIF 2.1.0 log
 // (rules populated from the registry metadata) so CI can surface them

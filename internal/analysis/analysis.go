@@ -5,12 +5,12 @@
 // offline with no dependency outside the standard library and toolchain.
 //
 // The repo-specific analyzers live in subpackages (the roster is
-// internal/analysis/registry). atomicfields, wirekind and
-// internalboundary machine-enforce side invariants PRs 2–5 introduced in
-// prose: atomic-only access to lock-free counters, frame-kind/corpus/
-// version-gate coherence in the wire codec, and the internal/ import
-// boundary around the public facades. cmd/adaptivelint is the multichecker driver; CI runs it over
-// the whole tree and fails on any finding.
+// internal/analysis/registry): wirekind keeps frame kinds, the decoder
+// corpus and the version gates coherent in the wire codec,
+// internalboundary keeps cmd/ and examples/ behind the public facades,
+// and buflife proves every pooled buffer is released exactly once and
+// never read after release. cmd/adaptivelint is the multichecker
+// driver; CI runs it over the whole tree and fails on any finding.
 //
 // Findings are suppressed only by an inline justification directive on
 // the flagged line (or the line above it):

@@ -2,7 +2,7 @@
 // checks its findings against // want comments, mirroring the
 // golang.org/x/tools/go/analysis/analysistest contract:
 //
-//	x = 1 // want "atomic field .* accessed without sync/atomic"
+//	p.Put(eb) // want "pooled buffer released twice"
 //
 // Each string after "want" is a regular expression; a line with a want
 // comment must produce one matching diagnostic per expectation, and every

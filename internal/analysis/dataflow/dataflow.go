@@ -1,10 +1,9 @@
-// Package dataflow is the shared flow-analysis substrate for the
-// ownership and lifecycle analyzers (buflife, chanowner, goroleak): a
-// statement walker — source-order scanning, conservative branch merging,
-// terminating-path pruning, loop-body isolation, fresh scopes for
-// function literals — with an obligation lattice: per-function tracking
-// of values that must be released exactly once (pooled buffers, refcount
-// release callbacks).
+// Package dataflow is the flow-analysis substrate of the buflife
+// analyzer: a statement walker — source-order scanning, conservative
+// branch merging, terminating-path pruning, loop-body isolation, fresh
+// scopes for function literals — with an obligation lattice:
+// per-function tracking of values that must be released exactly once
+// (pooled buffers, refcount release callbacks).
 //
 // The analysis model is deliberately intraprocedural and errs toward
 // silence: false negatives are acceptable, false positives fail CI.
@@ -26,7 +25,6 @@
 package dataflow
 
 import (
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -109,41 +107,4 @@ func (f *Flow) Merge(other *Flow) {
 			delete(f.obs, v)
 		}
 	}
-}
-
-// FieldVar resolves a selector expression to the struct field it reads,
-// or nil if e is not a field selection.
-func FieldVar(info *types.Info, e ast.Expr) *types.Var {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	selection, ok := info.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return nil
-	}
-	field, ok := selection.Obj().(*types.Var)
-	if !ok {
-		return nil
-	}
-	return field
-}
-
-// DeclaredFuncs indexes the package's function declarations by their
-// types object, so call sites (and go statements) can be resolved back
-// to the body they run.
-func DeclaredFuncs(info *types.Info, files []*ast.File) map[*types.Func]*ast.FuncDecl {
-	out := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-				out[fn] = fd
-			}
-		}
-	}
-	return out
 }

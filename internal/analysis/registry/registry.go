@@ -8,11 +8,7 @@ package registry
 
 import (
 	"adaptivecast/internal/analysis"
-	"adaptivecast/internal/analysis/atomicfields"
 	"adaptivecast/internal/analysis/buflife"
-	"adaptivecast/internal/analysis/chanowner"
-	"adaptivecast/internal/analysis/epochfence"
-	"adaptivecast/internal/analysis/goroleak"
 	"adaptivecast/internal/analysis/internalboundary"
 	"adaptivecast/internal/analysis/wirekind"
 )
@@ -22,12 +18,8 @@ import (
 // swaps internalboundary's facade list for its fixture module).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicfields.Analyzer,
 		wirekind.Analyzer,
-		epochfence.Analyzer,
 		internalboundary.Analyzer,
-		chanowner.Analyzer,
 		buflife.Analyzer,
-		goroleak.Analyzer,
 	}
 }

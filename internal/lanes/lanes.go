@@ -214,7 +214,6 @@ func (s *Scheduler) peerFor(to topology.NodeID) (*peer, error) {
 	}
 	s.peers[to] = p
 	s.wg.Add(1)
-	//adaptivelint:goroutine stop=p.stop
 	go p.loop()
 	return p, nil
 }
@@ -279,16 +278,12 @@ func (s *Scheduler) Close() error {
 }
 
 // peer is one destination's queues plus its drain goroutine's state.
-// Channel ownership and the drain goroutine's lifecycle are declared
-// for adaptivelint (chanowner, goroleak).
-//
-//adaptivelint:goroutines checked
+// kick is the only sender on wake, and Scheduler.Close the only closer
+// of stop, after which the drain flushes what is queued and exits.
 type peer struct {
-	s  *Scheduler
-	to topology.NodeID
-	//adaptivelint:chan owner=peer.kick close=never
+	s    *Scheduler
+	to   topology.NodeID
 	wake chan struct{}
-	//adaptivelint:chan owner=none close=Scheduler.Close
 	stop chan struct{}
 
 	mu     sync.Mutex

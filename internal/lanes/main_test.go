@@ -1,0 +1,11 @@
+package lanes
+
+import (
+	"testing"
+
+	"adaptivecast/internal/leakcheck"
+)
+
+// TestMain fails the binary when a test leaves one of the module's
+// goroutines running (see leakcheck).
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -87,7 +87,7 @@ func TestAdaptiveCadenceSnapsBackOnSuspicion(t *testing.T) {
 	// Crash node 2 (stop ticking it). Node 1 declared a stretched cadence
 	// to node 2's view, and vice versa, so the suspicion fires after
 	// timeout*cadence quiet periods; tick until it does.
-	nodes[2].Stop()
+	stopNode(nodes[2])
 	suspected := func() bool {
 		nodes[0].Tick()
 		nodes[1].Tick()
@@ -276,15 +276,11 @@ func TestAdaptiveCadenceResumesAfterRestart(t *testing.T) {
 	}
 
 	// Crash node 0 and restart it on the same endpoint and storage.
-	nodes[0].Stop()
-	restarted, err := New(Config{
+	stopNode(nodes[0])
+	restarted := newTestNode(t, Config{
 		ID: 0, NumProcs: 2, Neighbors: g.Neighbors(0),
 		Storage: store, AdaptiveCadenceMax: cadenceMax,
 	}, fabric.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restarted.Stop()
 	pair := []*Node{restarted, nodes[1]}
 
 	// The restarted node re-probes at cadence 1 (its peers ack nothing

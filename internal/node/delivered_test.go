@@ -215,6 +215,6 @@ func TestForgedOriginIsRejected(t *testing.T) {
 		if st := nd.Stats(); st.Delivered != 1 || st.DecodeErrors != forged {
 			t.Errorf("node %d: origin %d delivered %d times (DecodeErrors %d), want once", id, procs-1, st.Delivered, st.DecodeErrors)
 		}
-		nd.Stop()
+		stopNode(nd)
 	}
 }

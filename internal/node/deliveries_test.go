@@ -20,12 +20,7 @@ func loneNode(t *testing.T, cfg Config) *Node {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	t.Cleanup(func() { _ = fabric.Close() })
 	cfg.ID, cfg.NumProcs = 0, 1
-	nd, err := New(cfg, fabric.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(nd.Stop)
-	return nd
+	return newTestNode(t, cfg, fabric.Endpoint(0))
 }
 
 // TestDeliveryByteBoundDropsOncePerDelivery: a delivery that would take
@@ -100,7 +95,7 @@ func TestNextBlocksUntilDeliveryOrDone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nd.Stop()
+	stopNode(nd)
 	for _, want := range []string{"a", "b"} {
 		if d := waitDelivery(t, nd); string(d.Body) != want {
 			t.Fatalf("after Stop took %q, want %q", d.Body, want)

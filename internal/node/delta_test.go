@@ -179,13 +179,10 @@ func TestDeltaFullFallbackAfterRestart(t *testing.T) {
 
 	// "Restart" node 3: a fresh incarnation on the same endpoint, with no
 	// peer bookkeeping and an empty view.
-	nodes[3].Stop()
-	replacement, err := New(Config{
+	stopNode(nodes[3])
+	replacement := newTestNode(t, Config{
 		ID: 3, NumProcs: 5, Neighbors: g.Neighbors(3),
 	}, fabric.Endpoint(3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	nodes[3] = replacement
 	settleTicks(nodes, 6)
 
@@ -289,11 +286,7 @@ func TestSnapshotMergeErrorsSurfaced(t *testing.T) {
 // a link that does not exist — and key the ack maps by a transport ID
 // nothing checked. The same frame from its named sender still merges.
 func TestHeartbeatMustNameItsSender(t *testing.T) {
-	nd, err := New(Config{ID: 0, NumProcs: 4, Neighbors: []topology.NodeID{1}}, &sinkTransport{id: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(nd.Stop)
+	nd := newTestNode(t, Config{ID: 0, NumProcs: 4, Neighbors: []topology.NodeID{1}}, &sinkTransport{id: 0})
 	counts := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40}
 	snap := func(from topology.NodeID) *knowledge.Snapshot {
 		return &knowledge.Snapshot{From: from, Seq: 5, Procs: []knowledge.ProcRecord{{ID: 3, Dist: 1, Est: counts}}}

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"adaptivecast/internal/bayes"
+	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 	"adaptivecast/internal/wire"
@@ -25,10 +28,7 @@ func joinNode(t *testing.T, fabric *transport.Fabric, id topology.NodeID, numPro
 	cfg.Neighbors = neighbors
 	cfg.Epoch = epoch
 	cfg.Departed = departed
-	nd, err := New(cfg, fabric.Endpoint(id))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nd := newTestNode(t, cfg, fabric.Endpoint(id))
 	if err := nd.AnnounceJoin(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestLeaveTombstonesRecords(t *testing.T) {
 
 	// Node 3 leaves; node 2 (a ring neighbor) announces.
 	const leaver = topology.NodeID(3)
-	nodes[leaver].Stop()
+	stopNode(nodes[leaver])
 	if err := nodes[2].AnnounceLeave(leaver); err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +205,112 @@ func TestStaleEpochFramesFencedAndRepaired(t *testing.T) {
 	}
 }
 
+// fenceState is what an off-epoch frame must leave alone at a node: what
+// it delivered, its view's version and the ack bookkeeping it keeps for
+// peer 0, plus the count of fenced stale frames.
+type fenceState struct {
+	delivered, stale int
+	version          uint64
+	acked, seen      uint64
+}
+
+func fenceStateOf(nd *Node) fenceState {
+	s := nd.Stats()
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return fenceState{
+		delivered: s.Delivered, stale: s.StaleEpochFrames,
+		version: nd.view.Version(), acked: nd.peerAcked[0], seen: nd.peerSeen[0],
+	}
+}
+
+// TestEpochFenceDropsOffEpochFrames: a well-formed data or delta frame
+// from a real neighbour at another epoch than the node's is dropped
+// whole. Nothing is delivered or relayed, and neither the view nor the
+// sender's ack bookkeeping moves. An older epoch counts as a stale frame
+// and earns the sender one re-announcement per heartbeat period; a newer
+// one is dropped silently. The same frame at the node's epoch is
+// processed, so the frames are ones the node would act on.
+func TestEpochFenceDropsOffEpochFrames(t *testing.T) {
+	const epoch = 2
+	counts := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40}
+	frames := map[string]func(seq, epoch uint64) *wire.Frame{
+		// Broadcast (0, seq) on the chain 0 — 1 — 2: node 1 relays to 2.
+		"data": func(seq, epoch uint64) *wire.Frame {
+			return &wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
+				Origin: 0, Seq: seq, Root: 0, Parents: chainParents(3), AllocByNode: twoPerEdge(chainParents(3)),
+				Body: []byte("fenced"), Epoch: epoch,
+			}}
+		},
+		// A full delta from 0 teaching node 1 about process 2.
+		"delta": func(seq, epoch uint64) *wire.Frame {
+			return &wire.Frame{Kind: wire.FrameKnowledgeDelta, Delta: &wire.KnowledgeDelta{
+				Snap: &knowledge.Snapshot{From: 0, Seq: seq, Procs: []knowledge.ProcRecord{{ID: 2, Dist: 1, Est: counts}}},
+				Ver:  seq, Ack: seq, Cadence: 1, Epoch: epoch,
+			}}
+		},
+	}
+	for _, kind := range []string{"data", "delta"} {
+		for _, tc := range []struct {
+			name  string
+			epoch uint64
+			stale bool
+		}{{"older", epoch - 1, true}, {"newer", epoch + 1, false}} {
+			t.Run(kind+"/"+tc.name, func(t *testing.T) {
+				nd, rec := newRecorded(t, Config{ID: 1, NumProcs: 3, Neighbors: []topology.NodeID{0, 2}, Epoch: epoch})
+				handle := func(seq, epoch uint64) {
+					b, err := wire.Encode(frames[kind](seq, epoch))
+					if err != nil {
+						t.Fatal(err)
+					}
+					nd.handle(0, b)
+				}
+				var want []sentTo
+				if tc.stale {
+					want = []sentTo{{to: 0, copies: 1}} // the re-announcement
+				}
+				seq := uint64(1)
+				for period := 0; period < 2; period++ {
+					rec.take(t) // what Tick sent
+					for i := 0; i < 3; i++ {
+						before := fenceStateOf(nd)
+						handle(seq, tc.epoch)
+						seq++
+						after := fenceStateOf(nd)
+						if tc.stale {
+							before.stale++
+						}
+						if after != before {
+							t.Errorf("period %d, frame %d at epoch %d: state %+v, want %+v", period, i, tc.epoch, after, before)
+						}
+					}
+					if got := rec.take(t); !slices.Equal(got, want) {
+						t.Errorf("period %d: three frames at epoch %d sent %v, want %v", period, tc.epoch, got, want)
+					}
+					nd.Tick()
+				}
+
+				rec.take(t)
+				before := fenceStateOf(nd)
+				handle(seq, epoch)
+				after := fenceStateOf(nd)
+				sent := rec.take(t)
+				switch kind {
+				case "data":
+					if after.delivered != before.delivered+1 || !slices.Equal(sent, []sentTo{{to: 2, copies: 2}}) {
+						t.Errorf("at the node's epoch: delivered %d → %d, sent %v; want one delivery and the relay to 2",
+							before.delivered, after.delivered, sent)
+					}
+				case "delta":
+					if after.version == before.version || after.seen != seq || after.acked != seq {
+						t.Errorf("at the node's epoch: %+v → %+v; want the view merged and peer 0 seen and acked at %d", before, after, seq)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestRestartInGrownClusterResumesAboveSeqLease is the satellite
 // regression test: a node that crashed and restarted inside a grown
 // (epoch > 0) cluster must resume broadcasting above its persisted
@@ -240,15 +346,12 @@ func TestRestartInGrownClusterResumesAboveSeqLease(t *testing.T) {
 	}
 
 	// Crash and restart node 0 inside the grown cluster.
-	nodes[0].Stop()
-	restarted, err := New(Config{
+	stopNode(nodes[0])
+	restarted := newTestNode(t, Config{
 		ID: 0, NumProcs: 3, Neighbors: g.Neighbors(0),
 		Epoch:   1,
 		Storage: store,
 	}, fabric.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	seq, _, err := restarted.Broadcast([]byte("post-restart"))
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +475,7 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 							append([]topology.NodeID(nil), departed...), Config{})
 						nodes = append(nodes, nd)
 					} else {
-						nodes[ev.leaver].Stop()
+						stopNode(nodes[ev.leaver])
 						nodes[ev.leaver] = nil
 						departed = append(departed, ev.leaver)
 						// Node 0 never leaves in these schedules; it announces.

@@ -42,11 +42,7 @@ func lineMiddle(t *testing.T, cfg Config) *Node {
 		t.Fatal(err)
 	}
 	cfg.ID, cfg.NumProcs, cfg.Neighbors = 1, 3, g.Neighbors(1)
-	nd, err := New(cfg, &sinkTransport{id: 1, owns: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(nd.Stop)
+	nd := newTestNode(t, cfg, &sinkTransport{id: 1, owns: true})
 	teach(t, nd, g, rand.New(rand.NewSource(1)))
 	return nd
 }
@@ -206,11 +202,6 @@ func TestBroadcastHandleTickAndMembershipInterleave(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{QueueSize: 1 << 14})
 	t.Cleanup(func() { _ = fabric.Close() })
 	nodes := buildCluster(t, g, fabric, nil)
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	})
 	const senders, each, leaver = 4, 200, 3
 	midpoint := make(chan struct{})
 	var issued atomic.Int32
@@ -237,7 +228,7 @@ func TestBroadcastHandleTickAndMembershipInterleave(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-midpoint
-		nodes[leaver].Stop()
+		stopNode(nodes[leaver])
 		if err := nodes[0].AnnounceLeaveMembership(&wire.Membership{
 			Node: leaver, Epoch: 1, NumProcs: len(nodes), Departed: []topology.NodeID{leaver},
 		}); err != nil {

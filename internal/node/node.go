@@ -413,9 +413,7 @@ type Node struct {
 	// deliveries queues what the application has yet to take with Next.
 	deliveries queue.Ring[Delivery]
 
-	//adaptivelint:chan owner=none close=Node.Stop
-	stop chan struct{}
-	//adaptivelint:chan owner=none close=Node.heartbeatLoop
+	stop      chan struct{}
 	done      chan struct{}
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -532,7 +530,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 func (n *Node) Start() {
 	n.startOnce.Do(func() {
 		n.started.Store(true)
-		//adaptivelint:goroutine stop=n.stop
 		go n.heartbeatLoop()
 	})
 }

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"adaptivecast/internal/dedup"
+	"adaptivecast/internal/leakcheck"
 	"adaptivecast/internal/queue"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
@@ -19,6 +21,37 @@ import (
 // writeLegacyMark writes a pre-seq-floor mark file (timestamp only).
 func writeLegacyMark(path string, t time.Time) error {
 	return os.WriteFile(path, []byte(strconv.FormatInt(t.UnixNano(), 10)+"\n"), 0o644)
+}
+
+// stopWithin bounds a test node's Stop. Stop joins the node's drain
+// goroutines after they flushed what was queued; on a healthy node that
+// takes microseconds.
+const stopWithin = 10 * time.Second
+
+// stopNode stops nd. A Stop that does not return within stopWithin is a
+// deadlock: like go test's own -timeout, a timer panics the binary, from
+// a goroutine no test can recover, with the module's goroutines in the
+// message, instead of letting the tests after it hang too.
+func stopNode(nd *Node) {
+	hung := time.AfterFunc(stopWithin, func() {
+		panic(fmt.Sprintf("node %d: Stop did not return within %v; the module's goroutines:\n\n%s",
+			nd.ID(), stopWithin, strings.Join(leakcheck.Running(), "\n\n")))
+	})
+	nd.Stop()
+	hung.Stop()
+}
+
+// newTestNode builds a node and stops it when the test ends, after the
+// test's own defers: a fabric closed by a defer is already gone, and
+// Stop drains into the closed endpoint.
+func newTestNode(t testing.TB, cfg Config, tr transport.Transport) *Node {
+	t.Helper()
+	nd, err := New(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stopNode(nd) })
+	return nd
 }
 
 // buildCluster wires one node per process of g over a shared fabric.
@@ -60,11 +93,7 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 				c.LaneQueueDepth = over.LaneQueueDepth
 			}
 		}
-		nd, err := New(c, fabric.Endpoint(topology.NodeID(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
+		nodes[i] = newTestNode(t, c, fabric.Endpoint(topology.NodeID(i)))
 	}
 	return nodes
 }
@@ -288,26 +317,19 @@ func TestCrashRecoveryViaStableStorage(t *testing.T) {
 		ID: 0, NumProcs: 2, Neighbors: g.Neighbors(0),
 		Storage: store, HeartbeatEvery: time.Second, Now: clock,
 	}
-	nd, err := New(cfg, fabric.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nd := newTestNode(t, cfg, fabric.Endpoint(0))
 	for i := 0; i < 20; i++ {
 		nd.Tick()
 		now = now.Add(time.Second)
 	}
 	healthy, _ := nd.CrashEstimate(0)
-	nd.Stop()
+	stopNode(nd)
 
 	// The "machine" is down for 60 heartbeat periods, then restarts.
 	now = now.Add(60 * time.Second)
 	fabric2 := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric2.Close() }()
-	nd2, err := New(cfg, fabric2.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd2.Stop()
+	nd2 := newTestNode(t, cfg, fabric2.Endpoint(0))
 	recovered, _ := nd2.CrashEstimate(0)
 	if recovered <= healthy {
 		t.Errorf("crash estimate after 60 missed periods = %v, want > healthy %v", recovered, healthy)
@@ -383,7 +405,7 @@ func TestStartStopLifecycle(t *testing.T) {
 	nd := nodes[0]
 	nd.Start()
 	nd.Start() // idempotent
-	nd.Stop()
+	stopNode(nd)
 	nd.Stop() // idempotent
 	if _, _, err := nd.Broadcast([]byte("x")); err == nil {
 		t.Error("broadcast after Stop should fail")
@@ -461,11 +483,7 @@ func TestDeliveredCountsOnlyEnqueued(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
 	one := deliveryBytes(Delivery{Body: []byte("x")})
-	nd, err := New(Config{ID: 0, NumProcs: 1, DeliveryBuffer: one}, fabric.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Stop()
+	nd := newTestNode(t, Config{ID: 0, NumProcs: 1, DeliveryBuffer: one}, fabric.Endpoint(0))
 	for i := 0; i < 3; i++ {
 		if _, _, err := nd.Broadcast([]byte("x")); err != nil {
 			t.Fatal(err)
@@ -495,14 +513,8 @@ func TestExactlyOnceAcrossRestart(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
 	cfg1 := Config{ID: 1, NumProcs: 2, Neighbors: g.Neighbors(1), DedupLog: dlog}
-	receiver, err := New(cfg1, fabric.Endpoint(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender, err := New(Config{ID: 0, NumProcs: 2, Neighbors: g.Neighbors(0)}, fabric.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	receiver := newTestNode(t, cfg1, fabric.Endpoint(1))
+	sender := newTestNode(t, Config{ID: 0, NumProcs: 2, Neighbors: g.Neighbors(0)}, fabric.Endpoint(0))
 
 	if _, _, err := sender.Broadcast([]byte("once")); err != nil {
 		t.Fatal(err)
@@ -514,7 +526,7 @@ func TestExactlyOnceAcrossRestart(t *testing.T) {
 
 	// Crash the receiver: stop it, drop all volatile state, reopen the
 	// durable log, and build a fresh incarnation on a fresh fabric.
-	receiver.Stop()
+	stopNode(receiver)
 	if err := dlog.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -528,16 +540,8 @@ func TestExactlyOnceAcrossRestart(t *testing.T) {
 	defer func() { _ = fabric2.Close() }()
 	cfg2 := cfg1
 	cfg2.DedupLog = dlog2
-	receiver2, err := New(cfg2, fabric2.Endpoint(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer receiver2.Stop()
-	sender2, err := New(Config{ID: 0, NumProcs: 2, Neighbors: g.Neighbors(0)}, fabric2.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender2.Stop()
+	receiver2 := newTestNode(t, cfg2, fabric2.Endpoint(1))
+	sender2 := newTestNode(t, Config{ID: 0, NumProcs: 2, Neighbors: g.Neighbors(0)}, fabric2.Endpoint(0))
 
 	// The sender replays the same broadcast ID (seq restarts at 1 since
 	// the sender has no log): the receiver must suppress it.
@@ -580,16 +584,13 @@ func TestDedupLogResumesSequencing(t *testing.T) {
 	// the all-sends-failed structural error Broadcast now reports.
 	_ = fabric.Endpoint(1)
 	cfg := Config{ID: 0, NumProcs: 2, Neighbors: g.Neighbors(0), DedupLog: dlog}
-	nd, err := New(cfg, fabric.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nd := newTestNode(t, cfg, fabric.Endpoint(0))
 	for i := 0; i < 3; i++ {
 		if _, _, err := nd.Broadcast([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	nd.Stop()
+	stopNode(nd)
 	if err := dlog.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -603,11 +604,7 @@ func TestDedupLogResumesSequencing(t *testing.T) {
 	defer func() { _ = fabric2.Close() }()
 	_ = fabric2.Endpoint(1)
 	cfg.DedupLog = dlog2
-	nd2, err := New(cfg, fabric2.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd2.Stop()
+	nd2 := newTestNode(t, cfg, fabric2.Endpoint(0))
 	seq, _, err := nd2.Broadcast([]byte("y"))
 	if err != nil {
 		t.Fatal(err)
@@ -630,14 +627,10 @@ func TestPiggybackOnLiveStack(t *testing.T) {
 	nodes := make([]*Node, 5)
 	for i := range nodes {
 		id := topology.NodeID(i)
-		nd, err := New(Config{
+		nodes[i] = newTestNode(t, Config{
 			ID: id, NumProcs: 5, Neighbors: g.Neighbors(id),
 			Piggyback: true,
 		}, fabric.Endpoint(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
 	}
 	// No heartbeats at all: knowledge moves only on flooded data frames.
 	for round := 0; round < 5; round++ {

@@ -54,11 +54,6 @@ func convergedLine3(t *testing.T, cfg func(i int) Config) ([]*Node, *transport.F
 	fabric := transport.NewFabric(transport.FabricOptions{QueueSize: 1 << 14})
 	t.Cleanup(func() { _ = fabric.Close() })
 	nodes := buildCluster(t, g, fabric, cfg)
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	})
 	for i := 0; i < 10; i++ {
 		tickAll(nodes)
 	}
@@ -72,11 +67,7 @@ func taughtNode(t *testing.T, g *topology.Graph, id topology.NodeID, rng *rand.R
 	t.Helper()
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	t.Cleanup(func() { _ = fabric.Close() })
-	nd, err := New(Config{ID: id, NumProcs: g.NumNodes(), Neighbors: g.Neighbors(id)}, fabric.Endpoint(id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(nd.Stop)
+	nd := newTestNode(t, Config{ID: id, NumProcs: g.NumNodes(), Neighbors: g.Neighbors(id)}, fabric.Endpoint(id))
 	teach(t, nd, g, rng)
 	return nd
 }
@@ -310,12 +301,7 @@ func TestPlanCacheMatchesFreshPlan(t *testing.T) {
 	for i := range nodes {
 		id := topology.NodeID(i)
 		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
-		nd, err := New(Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}, boxes[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(nd.Stop)
-		nodes[i] = nd
+		nodes[i] = newTestNode(t, Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}, boxes[i])
 	}
 	planVer := make([]uint64, n) // the version each node last planned at
 	for i := range planVer {

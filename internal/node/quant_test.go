@@ -59,11 +59,7 @@ func buildClusterOver(t *testing.T, g *topology.Graph, fabric *transport.Fabric,
 	for i := range nodes {
 		c := cfg
 		c.ID, c.NumProcs, c.Neighbors = topology.NodeID(i), g.NumNodes(), g.Neighbors(topology.NodeID(i))
-		nd, err := New(c, wrap(i, fabric.Endpoint(topology.NodeID(i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
+		nodes[i] = newTestNode(t, c, wrap(i, fabric.Endpoint(topology.NodeID(i))))
 	}
 	return nodes
 }
@@ -455,16 +451,12 @@ func TestSuspicionScopedToSuspectLink(t *testing.T) {
 			tap = newTap(tr)
 			tr = tap
 		}
-		nd, err := New(Config{
+		nodes[i] = newTestNode(t, Config{
 			ID:                 topology.NodeID(i),
 			NumProcs:           3,
 			Neighbors:          g.Neighbors(topology.NodeID(i)),
 			AdaptiveCadenceMax: 4,
 		}, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
 	}
 	settleTicks(nodes, 400)
 
@@ -475,7 +467,7 @@ func TestSuspicionScopedToSuspectLink(t *testing.T) {
 	tick01 := func() { settleTicks(nodes[:2], 1) }
 
 	// Crash node 2 and tick until node 1 suspects it.
-	nodes[2].Stop()
+	stopNode(nodes[2])
 	suspected := func() bool {
 		tick01()
 		nodes[1].mu.Lock()

@@ -139,12 +139,8 @@ func byDestination(sends []sentTo) []sentTo {
 func newRecorded(tb testing.TB, cfg Config) (*Node, *recordTransport) {
 	tb.Helper()
 	rec := &recordTransport{sinkTransport: sinkTransport{id: cfg.ID, owns: true}}
-	nd, err := New(cfg, rec)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	nd := newTestNode(tb, cfg, rec)
 	rec.idle = nd.WaitSendIdle
-	tb.Cleanup(nd.Stop)
 	return nd, rec
 }
 
@@ -174,13 +170,8 @@ func childrenSends(tb testing.TB, parents []topology.NodeID, alloc []int32, self
 // midChainNode is node 1 of a chain of n over a sink transport.
 func midChainNode(tb testing.TB, n int, owns bool) *Node {
 	tb.Helper()
-	nd, err := New(Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2}},
+	return newTestNode(tb, Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2}},
 		&sinkTransport{id: 1, owns: owns})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(nd.Stop)
-	return nd
 }
 
 // TestForwardCacheLRU keeps the name of the cache it used to test; no
@@ -341,11 +332,8 @@ func TestForgedAllocationIsRejectedWhole(t *testing.T) {
 func TestDeliveredBodyOutlivesTransportBuffer(t *testing.T) {
 	for _, owns := range []bool{false, true} {
 		var hooked Delivery
-		nd, err := New(Config{ID: 1, NumProcs: 3, Neighbors: []topology.NodeID{0, 2},
+		nd := newTestNode(t, Config{ID: 1, NumProcs: 3, Neighbors: []topology.NodeID{0, 2},
 			Hooks: Hooks{OnDeliver: func(d Delivery) { hooked = d }}}, &sinkTransport{id: 1, owns: owns})
-		if err != nil {
-			t.Fatal(err)
-		}
 		buf := chainFrame(t, 3, 1, "keep me")
 		nd.handle(0, buf)
 		d := waitDelivery(t, nd)
@@ -356,7 +344,7 @@ func TestDeliveredBodyOutlivesTransportBuffer(t *testing.T) {
 		if kept == owns {
 			t.Errorf("owning transport %v: delivered body %q, hook saw %q", owns, d.Body, hooked.Body)
 		}
-		nd.Stop()
+		stopNode(nd)
 	}
 }
 
@@ -475,13 +463,9 @@ func BenchmarkForwardFanout(b *testing.B) {
 	}
 	alloc := twoPerEdge(parents)
 	alloc[1] = 1
-	nd, err := New(Config{ID: 1, NumProcs: procs, Neighbors: []topology.NodeID{0},
+	nd := newTestNode(b, Config{ID: 1, NumProcs: procs, Neighbors: []topology.NodeID{0},
 		DeliveryBuffer: 1, // deliveries overflow silently; not under test
 		LaneQueueDepth: 1 << 15}, &sinkTransport{id: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(nd.Stop)
 	msg := &wire.DataMsg{Origin: 0, Root: 0, Parents: parents, AllocByNode: alloc, Body: []byte("fanout payload 0123456789abcdef")}
 	b.ReportAllocs()
 	b.ResetTimer()

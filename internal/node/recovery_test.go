@@ -25,19 +25,11 @@ func TestRecoveredBroadcasterNotCensored(t *testing.T) {
 	defer func() { _ = fabric.Close() }()
 
 	mk := func() *Node {
-		nd, err := New(Config{
+		return newTestNode(t, Config{
 			ID: 0, NumProcs: 2, Neighbors: g.Neighbors(0), Storage: store,
 		}, fabric.Endpoint(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nd
 	}
-	peer, err := New(Config{ID: 1, NumProcs: 2, Neighbors: g.Neighbors(1)}, fabric.Endpoint(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Stop()
+	peer := newTestNode(t, Config{ID: 1, NumProcs: 2, Neighbors: g.Neighbors(1)}, fabric.Endpoint(1))
 
 	sender := mk()
 	for i := 0; i < 3; i++ {
@@ -52,9 +44,8 @@ func TestRecoveredBroadcasterNotCensored(t *testing.T) {
 	// Crash: all volatile state gone, only the storage survives. The peer
 	// keeps running with its watermark intact — the scenario that used to
 	// censor the recovered node.
-	sender.Stop()
+	stopNode(sender)
 	sender2 := mk()
-	defer sender2.Stop()
 	seq, _, err := sender2.Broadcast([]byte("post-recovery"))
 	if err != nil {
 		t.Fatal(err)
@@ -123,24 +114,16 @@ func TestOnRecoverClockMarkSkew(t *testing.T) {
 			}
 			fabric := transport.NewFabric(transport.FabricOptions{})
 			defer func() { _ = fabric.Close() }()
-			nd, err := New(Config{
+			nd := newTestNode(t, Config{
 				ID: 0, NumProcs: 2, Neighbors: []topology.NodeID{1},
 				Storage: store, HeartbeatEvery: delta,
 				Now: func() time.Time { return base },
 			}, fabric.Endpoint(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nd.Stop()
 
 			fabric2 := transport.NewFabric(transport.FabricOptions{})
 			defer func() { _ = fabric2.Close() }()
-			fresh, err := New(Config{ID: 0, NumProcs: 2, Neighbors: []topology.NodeID{1}},
+			fresh := newTestNode(t, Config{ID: 0, NumProcs: 2, Neighbors: []topology.NodeID{1}},
 				fabric2.Endpoint(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fresh.Stop()
 
 			recovered, _ := nd.CrashEstimate(0)
 			baseline, _ := fresh.CrashEstimate(0)
@@ -171,14 +154,10 @@ func TestAckChainRepairsAcrossReceiverRestart(t *testing.T) {
 	nodes := buildCluster(t, g, fabric, nil)
 	settleTicks(nodes, 250) // converge: steady-state deltas are empty
 
-	nodes[2].Stop()
-	replacement, err := New(Config{
+	stopNode(nodes[2])
+	replacement := newTestNode(t, Config{
 		ID: 2, NumProcs: 5, Neighbors: g.Neighbors(2),
 	}, fabric.Endpoint(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replacement.Stop()
 	nodes[2] = replacement
 
 	// Period 1: everyone ticks. The restarted node heartbeats Ack 0; its

@@ -31,11 +31,6 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
 	nodes := buildCluster(t, g, fabric, nil)
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
 
 	// Unconverged: Broadcast floods to both ring neighbors.
 	for i := 1; i <= 3; i++ {
@@ -73,11 +68,6 @@ func TestRelayReusesInboundFrame(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
 	nodes := buildCluster(t, g, fabric, nil)
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
 
 	if _, _, err := nodes[0].Broadcast([]byte("verbatim")); err != nil {
 		t.Fatal(err)
@@ -122,12 +112,7 @@ func TestRelayForwardsInboundBytesOverTCP(t *testing.T) {
 				trs[i].AddPeer(topology.NodeID(j), trs[j].Addr().String())
 			}
 		}
-		nd, err := New(Config{ID: topology.NodeID(i), NumProcs: procs, Neighbors: nbs}, trs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nd.Stop()
-		nodes[i] = nd
+		nodes[i] = newTestNode(t, Config{ID: topology.NodeID(i), NumProcs: procs, Neighbors: nbs}, trs[i])
 	}
 
 	before := poolEncodes(nodes[1])
@@ -235,12 +220,7 @@ func TestTCPHandlesOneFramePerTreeEdge(t *testing.T) {
 		for _, j := range nbs {
 			trs[i].AddPeer(j, trs[j].Addr().String())
 		}
-		nd, err := New(Config{ID: topology.NodeID(i), NumProcs: procs, Neighbors: nbs}, trs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nd.Stop()
-		nodes[i] = nd
+		nodes[i] = newTestNode(t, Config{ID: topology.NodeID(i), NumProcs: procs, Neighbors: nbs}, trs[i])
 	}
 	for p := 0; p < 8; p++ { // ring(4) has diameter 2: views span it well before
 		for _, nd := range nodes {
@@ -302,11 +282,6 @@ func TestPiggybackRelaySplices(t *testing.T) {
 	nodes := buildCluster(t, g, fabric, func(i int) Config {
 		return Config{Piggyback: true}
 	})
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
 
 	if _, _, err := nodes[0].Broadcast([]byte("spliced")); err != nil {
 		t.Fatal(err)
@@ -384,11 +359,6 @@ func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
 			}
 			return tr
 		})
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
 
 	for i := 0; i < msgs; i++ {
 		if _, _, err := nodes[0].Broadcast([]byte(fmt.Sprintf("m%d", i))); err != nil {
@@ -428,11 +398,6 @@ func TestLaneSchedulerClusterDelivers(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
 	nodes := buildCluster(t, g, fabric, nil)
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
 	settleTicks(nodes, 30)
 
 	for i := 0; i < msgs; i++ {
@@ -487,11 +452,6 @@ func TestJoinLandsDuringDataSaturation(t *testing.T) {
 	nodes := buildCluster(t, g, fabric, func(i int) Config {
 		return Config{LaneQueueDepth: 1}
 	})
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
 	settleTicks(nodes, 30)
 
 	// Saturate: a tight burst of broadcasts from every member against a

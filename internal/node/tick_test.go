@@ -23,11 +23,7 @@ func TestAllocsTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, err := New(Config{ID: 0, NumProcs: 128, Neighbors: g.Neighbors(0)}, &sinkTransport{id: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(nd.Stop)
+	nd := newTestNode(t, Config{ID: 0, NumProcs: 128, Neighbors: g.Neighbors(0)}, &sinkTransport{id: 0})
 	teach(t, nd, g, rng)
 	degree := len(nd.Neighbors())
 

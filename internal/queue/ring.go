@@ -47,7 +47,6 @@ type Ring[T any] struct {
 	weigh  func(T) int
 	closed bool
 
-	//adaptivelint:chan owner=Ring.signal close=never
 	wake chan struct{}
 }
 

@@ -241,7 +241,6 @@ func (f *Fabric) Endpoint(id topology.NodeID) Transport {
 	if f.opts.SendCost > 0 {
 		ep.links = make(map[topology.NodeID]*linkBuf)
 	}
-	//adaptivelint:goroutine stop=ep.stop
 	go ep.receiveLoop()
 	f.endpoints[id] = ep
 	return ep
@@ -431,10 +430,8 @@ type fabricEndpoint struct {
 	linksMu sync.Mutex
 	links   map[topology.NodeID]*linkBuf
 
-	inbox inbox
-	//adaptivelint:chan owner=none close=fabricEndpoint.Close
-	stop chan struct{}
-	//adaptivelint:chan owner=none close=fabricEndpoint.receiveLoop
+	inbox     inbox
+	stop      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
 }

@@ -77,7 +77,6 @@ type TCP struct {
 	framesSent atomic.Int64
 	bytesSent  atomic.Int64
 
-	//adaptivelint:chan owner=none close=TCP.Close
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -133,7 +132,6 @@ func NewTCP(local topology.NodeID, listenAddr string, peers map[topology.NodeID]
 		t.peers[id] = addr
 	}
 	t.wg.Add(1)
-	//adaptivelint:goroutine stop=t.closed
 	go t.acceptLoop()
 	return t, nil
 }
@@ -343,7 +341,6 @@ func (t *TCP) acceptLoop() {
 		t.inConns[conn] = struct{}{}
 		t.mu.Unlock()
 		t.wg.Add(1)
-		//adaptivelint:goroutine stop=t.stop
 		go t.readLoop(conn)
 	}
 }

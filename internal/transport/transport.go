@@ -12,12 +12,9 @@
 // Fabric endpoint's receive loop, a TCP connection's reader), one frame at
 // a time per node, so node state machines see serialized input.
 //
-// The package opts into adaptivelint's goroutine-lifecycle rule: every
-// go statement declares the stop signal its body observes (goroleak),
-// and every channel field declares its sender and closer (chanowner).
-// TCP's pooled write buffers must go back on every path (buflife).
+// The bufpool directive below (run by cmd/adaptivelint in CI) holds
+// TCP's pooled write buffers to going back on every path (buflife).
 //
-//adaptivelint:goroutines checked
 //adaptivelint:bufpool type=pool.Pool[writeBuf] get=Get put=Put
 package transport
 
