@@ -571,25 +571,35 @@ func loopPair(full bool) (*loopEnd, *loopEnd) {
 	return a, b
 }
 
-// tickPair advances both nodes one period and yields so the lane
-// scheduler's per-peer drain goroutines actually flush onto the loop
-// transport before the next period. Without the yield a tight benchmark
-// loop on GOMAXPROCS=1 starves the drains entirely — no frame is ever
+// tickPair advances both nodes one period and yields until both nodes'
+// lanes are idle: every heartbeat of the period has been flushed onto
+// the loop transport, whose Send hands it to the peer inline, so each
+// period starts from the same delivered state and a run repeats its
+// byte counts exactly. Without the yield a tight benchmark loop on
+// GOMAXPROCS=1 starves the drains entirely — no frame is ever
 // delivered, acks never flow, and the "steady state" being measured is
-// a cluster that has never heard from itself.
+// a cluster that has never heard from itself; with a single yield, how
+// much of a period had drained before the next one varied from run to
+// run. The drain is inside the timed region: ns/op includes it.
 func tickPair(n0, n1 *node.Node) {
 	n0.Tick()
 	n1.Tick()
-	runtime.Gosched()
+	for !n0.WaitSendIdle(0) || !n1.WaitSendIdle(0) {
+		runtime.Gosched()
+	}
 }
 
 // BenchmarkHeartbeatSteadyState measures the per-period heartbeat cost of
 // a converged two-node system on the live wire path. The delta/full
-// sub-benchmarks quantify the knowledge-delta win: once estimates
-// converge, delta heartbeats collapse to near-empty frames while full
-// snapshots (the since = 0 fallback, forced by an ackless loop) keep
-// re-shipping the whole (Λ_k, C_k) every period. The hb-bytes/period
-// metric is the acceptance number recorded in the README.
+// sub-benchmarks quantify the knowledge-delta win: on this lossless
+// link, once estimates converge, delta heartbeats collapse to near-empty
+// frames — each side's records are the peer's own, or the link between
+// them, which split horizon leaves out, or its own self record, which
+// stops moving past DeltaEpsilon — while full snapshots (the since = 0
+// fallback, forced by an ackless loop) keep re-shipping the whole
+// (Λ_k, C_k) every period. On lossy links deltas stay non-empty far
+// longer (see knowledge.Params.DeltaEpsilon). The hb-bytes/period metric
+// is the acceptance number recorded in the README.
 func BenchmarkHeartbeatSteadyState(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -652,7 +662,7 @@ func rawEquivalent(b *testing.B, frame []byte) []byte {
 // numbers: a two-node full snapshot (the since = 0 fallback every frame
 // is under an ackless loop) is three records — ~2,424 B raw against
 // ~31 B of counts, so at least 40x — and delta heartbeats no worse
-// (converged deltas are near-empty either way).
+// (on this lossless pair converged deltas are near-empty either way).
 func BenchmarkHeartbeatCounts(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -712,9 +722,11 @@ func BenchmarkHeartbeatCounts(b *testing.B) {
 
 // BenchmarkHeartbeatAdaptiveCadence measures the steady-state heartbeat
 // *frame count* of a converged pair with the adaptive cadence controller
-// on (capped at 8δ) versus the fixed one-frame-per-δ schedule. Delta
-// heartbeats already shrank the frames to a liveness header; adaptive
-// cadence attacks the remaining cost — the frames themselves. The
+// on (capped at 8δ) versus the fixed one-frame-per-δ schedule. On this
+// lossless pair delta heartbeats already shrank the frames to a
+// liveness header (on lossy links they stay non-empty, and the
+// controller rarely stretches); adaptive cadence attacks the remaining
+// cost — the frames themselves. The
 // hb-frames/period metric is the acceptance number recorded in the
 // README; the in-benchmark assertion fails the run if stretching stops
 // being effective on long runs.

@@ -3,6 +3,7 @@ package knowledge
 import (
 	"testing"
 
+	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/topology"
 )
 
@@ -197,5 +198,101 @@ func TestDeltaConvergesLikeFullSnapshots(t *testing.T) {
 		if diff := mD - mF; diff > 2e-4 || diff < -2e-4 {
 			t.Fatalf("delta-fed estimate of %d drifted: %v vs full-fed %v", i, mD, mF)
 		}
+	}
+}
+
+// TestSplitHorizon: a delta toward a neighbor leaves out what that
+// neighbor supplied and the link the two share, and still ships those
+// records toward every other neighbor; a full snapshot leaves nothing
+// out; and a record whose supplier moves to another neighbor with a new
+// stamp reaches the old supplier on its next cut.
+func TestSplitHorizon(t *testing.T) {
+	const tNb, uNb = 0, 2 // node 1's neighbors T and U
+	v := deltaView(t, Params{})
+	v.BeginPeriod()
+	base := v.Version()
+	est := func(succ int) bayes.State { return bayes.State{Intervals: bayes.DefaultIntervals, Succ: succ, Fail: 3} }
+	// T supplies itself, process 3 and the remote link 2—3; U supplies
+	// itself. Node 1 measures its links to both.
+	if err := v.MergeSnapshot(&Snapshot{From: tNb, Seq: 1,
+		Procs: []ProcRecord{{ID: tNb, Est: est(50)}, {ID: 3, Dist: 1, Est: est(60)}},
+		Links: []LinkRecord{{Link: topology.NewLink(2, 3), Dist: 1, Est: est(70)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.MergeSnapshot(&Snapshot{From: uNb, Seq: 1,
+		Procs: []ProcRecord{{ID: uNb, Est: est(80)}}}); err != nil {
+		t.Fatal(err)
+	}
+	type rec struct {
+		proc topology.NodeID
+		link topology.Link
+	}
+	recs := func(s *Snapshot) map[rec]bool {
+		out := map[rec]bool{}
+		for _, pr := range s.Procs {
+			out[rec{proc: pr.ID, link: topology.Link{A: -1, B: -1}}] = true
+		}
+		for _, lr := range s.Links {
+			out[rec{proc: -1, link: lr.Link}] = true
+		}
+		return out
+	}
+	proc := func(id topology.NodeID) rec { return rec{proc: id, link: topology.Link{A: -1, B: -1}} }
+	link := func(a, b topology.NodeID) rec { return rec{proc: -1, link: topology.NewLink(a, b)} }
+	fromT := []rec{proc(tNb), proc(3), link(2, 3), link(1, tNb)}
+	fromU := []rec{proc(uNb), link(1, uNb)}
+
+	all, ok := v.DeltaSince(base)
+	if !ok {
+		t.Fatal("delta not anchorable")
+	}
+	for _, c := range []struct {
+		to            topology.NodeID
+		omits, others []rec
+	}{{tNb, fromT, fromU}, {uNb, fromU, fromT}} {
+		d, ok := v.DeltaTo(base, c.to)
+		if !ok {
+			t.Fatal("delta not anchorable")
+		}
+		got := recs(d)
+		for _, r := range c.omits {
+			if got[r] {
+				t.Errorf("the delta toward %d ships %+v, which it holds at lower distortion", c.to, r)
+			}
+		}
+		for _, r := range append(c.others, proc(1)) {
+			if !got[r] {
+				t.Errorf("the delta toward %d lacks %+v", c.to, r)
+			}
+		}
+		// DeltaTo is the receiver-agnostic cut less the records
+		// AppendOmitted names, in the same order.
+		skip := all.AppendOmitted(nil, c.to)
+		if len(skip) != len(c.omits) || len(d.Procs)+len(d.Links)+len(skip) != len(all.Procs)+len(all.Links) {
+			t.Errorf("toward %d: %d records left out of %d, %d shipped; want %d left out",
+				c.to, len(skip), len(all.Procs)+len(all.Links), len(d.Procs)+len(d.Links), len(c.omits))
+		}
+	}
+	full := v.Snapshot()
+	if skip := full.AppendOmitted(nil, tNb); len(skip) != 0 {
+		t.Errorf("a full snapshot leaves out records %v toward %d", skip, tNb)
+	}
+	if got := recs(full); !got[proc(3)] || !got[link(1, tNb)] || !got[proc(tNb)] {
+		t.Errorf("the full snapshot lacks what T supplied: %v", got)
+	}
+
+	// T acks everything; then U supplies process 3 at a lower distortion.
+	// The record's new stamp ships it to T, no longer its supplier, and
+	// not back to U.
+	acked := v.Version()
+	if err := v.MergeSnapshot(&Snapshot{From: uNb, Seq: 2,
+		Procs: []ProcRecord{{ID: 3, Dist: 0, Est: est(90)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := v.DeltaTo(acked, tNb); !recs(d)[proc(3)] {
+		t.Errorf("process 3, now supplied by U, does not reach T: %+v", d)
+	}
+	if d, _ := v.DeltaTo(acked, uNb); recs(d)[proc(3)] {
+		t.Errorf("process 3 echoes back to U, which supplied it: %+v", d)
 	}
 }

@@ -88,15 +88,20 @@ type Params struct {
 	// Incident links (distortion 0) and unknown links never age.
 	LinkAgeTimeout int
 	// DeltaEpsilon is the minimum posterior-mean movement for an estimate
-	// to count as changed for delta heartbeats (View.DeltaSince): a record
+	// to count as changed for delta heartbeats (View.DeltaTo): a record
 	// is re-shipped once its mean has drifted more than DeltaEpsilon from
 	// the value at its last wire-signature bump, or its distortion or
-	// interval count changed. Converged estimates keep absorbing evidence but their mean
-	// barely moves, so they drop out of steady-state deltas — the paper's
-	// continuous heartbeat cost collapses to the liveness header. The
+	// interval count changed. A posterior over n observations moves by
+	// about 1/n on a loss and λ/n on a success, so on a lossy link a
+	// record keeps re-shipping until n ≳ 10⁴: only lossless estimates
+	// drop out of steady-state deltas within a run. Receiver-agnostic
+	// deltas re-shipped 85 % of the view per period on a 32-node lossy
+	// fabric and 99 % at 128 nodes, and split horizon (Snapshot.AppendOmitted)
+	// leaves out only the share that would echo back to its supplier. The
 	// cumulative divergence between a delta receiver's view and the
 	// sender's is bounded by DeltaEpsilon (drift accumulates against the
-	// last-shipped value, not the previous period's). Default 1e-4 — two
+	// last-shipped value, not the previous period's) for every record the
+	// receiver does not hold at lower distortion. Default 1e-4 — two
 	// orders of magnitude finer than the U=100 interval width the paper's
 	// convergence criterion resolves. Negative means exact (any change
 	// re-ships).

@@ -46,13 +46,57 @@ type ProcRecord struct {
 	ID   topology.NodeID
 	Dist int
 	Est  bayes.State
+	// holder is one plus the neighbour that holds this record at no
+	// greater distortion than the cutting view (see
+	// Snapshot.AppendOmitted); 0 when no neighbour is known to, and on
+	// every record that did not come from a delta cut. It is never
+	// encoded.
+	holder int32
 }
 
 // LinkRecord carries one link estimate.
 type LinkRecord struct {
-	Link topology.Link
-	Dist int
-	Est  bayes.State
+	Link   topology.Link
+	Dist   int
+	Est    bayes.State
+	holder int32 // as ProcRecord.holder
+}
+
+// holderOf is a record's holder field for neighbour id; topology.None
+// (or any negative ID) is "no holder".
+func holderOf(id topology.NodeID) int32 { return int32(max(id, -1)) + 1 }
+
+// omitted reports whether a record held by holder stays out of the
+// heartbeat toward the neighbour whose holder field is to.
+func omitted(holder, to int32) bool { return to != 0 && holder == to }
+
+// AppendOmitted appends to dst, in ascending order, the index of every
+// record of s — counting its Procs, then its Links — that stays out of
+// the heartbeat toward neighbour to, and returns the extended slice. A
+// delta cut leaves out every record the receiver provably holds at no
+// greater distortion: one it supplied (we adopted its copy, one
+// distortion step below ours), and the link between the cutting view and
+// the receiver, which the receiver measures itself at distortion 0.
+// Algorithm 3's selectBestEstimate makes the receiver drop such a copy
+// unless its own has aged past ours since, so shipping it is an echo
+// (split horizon, as in RIP). Records of a full snapshot, of a decoded
+// frame or built by hand are never left out.
+func (s *Snapshot) AppendOmitted(dst []int, to topology.NodeID) []int {
+	h := holderOf(to)
+	if h == 0 {
+		return dst
+	}
+	for i := range s.Procs {
+		if omitted(s.Procs[i].holder, h) {
+			dst = append(dst, i)
+		}
+	}
+	for i := range s.Links {
+		if omitted(s.Links[i].holder, h) {
+			dst = append(dst, len(s.Procs)+i)
+		}
+	}
+	return dst
 }
 
 // Snapshot cuts the view into a wire-ready payload: one record per known
@@ -104,30 +148,57 @@ func grow[E any](s []E, n int) []E {
 }
 
 // DeltaSince returns a partial snapshot holding only the records whose
-// wire signature changed after version base — the steady-state heartbeat
-// payload: once estimates converge their means stop moving beyond
-// Params.DeltaEpsilon and drop out, leaving deltas near-empty while the
-// header keeps serving the sequence-gap liveness accounting.
+// wire signature changed after version base: the receiver-agnostic case
+// of DeltaTo (to = topology.None), which leaves no record out. Each
+// record carries its holder, so Snapshot.AppendOmitted can still tell
+// which of them a given neighbour's heartbeat leaves out.
+func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
+	return v.DeltaTo(base, topology.None)
+}
+
+// DeltaTo returns the heartbeat payload toward neighbour to: the records
+// whose wire signature changed after version base — the version that
+// neighbour last acked — less those Snapshot.AppendOmitted names toward
+// it, in the order of DeltaSince.
+//
+// A record re-ships once its posterior mean drifts past
+// Params.DeltaEpsilon, so a delta empties only on quiet links: on a
+// lossy one a link or process posterior keeps moving by
+// about 1/n on a loss and λ/n on a success after n observations, and
+// re-ships until n reaches about 1/DeltaEpsilon. Receiver-agnostic
+// deltas re-shipped 85 % of the view per period on a 32-node lossy
+// fabric and 99 % at 128 nodes; leaving out what the receiver supplied
+// (split horizon) removes the share that only echoes back.
 //
 // ok is false when base cannot anchor a delta — zero (the peer never
 // acked anything) or ahead of the current version (the peer acked a
 // previous incarnation of this view) — and the caller must fall back to a
-// full Snapshot. Deltas are cumulative against the acked base, so a lost
-// delta is repaired by the next one without any retransmission protocol:
-// the records it carried still satisfy sig.at > base until the peer acks
-// past them.
+// full Snapshot, which ships every record to every receiver. Deltas are
+// cumulative against the acked base, so a lost delta is repaired by the
+// next one without any retransmission protocol: the records it carried
+// still satisfy sig.at > base until the peer acks past them.
 //
 // Correctness invariant (induction over acked versions): a peer that
-// acked version V holds every record signature stamped at or before V,
-// within DeltaEpsilon. Base case: the peer's first merge is a full
-// snapshot. Step: the frame cut at version W against acked base V carries
-// exactly the records stamped in (V, W].
-func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
+// acked version V holds every record signature stamped at or before V
+// within DeltaEpsilon, or holds that record at a distortion no greater
+// than ours. Base case: the peer's first merge is a full snapshot. Step:
+// the frame cut at version W against acked base V carries exactly the
+// records stamped in (V, W] that the peer did not supply and that are
+// not the link between us, and the peer holds each of those it was not
+// sent at lower distortion — it supplied our copy, or it measures the
+// link itself. A record whose supplier moves to another neighbour with
+// a new stamp ships to the old supplier on the next cut. The one
+// adoption this gives up is the peer taking back its own knowledge
+// after its copy aged past ours.
+func (v *View) DeltaTo(base uint64, to topology.NodeID) (s *Snapshot, ok bool) {
 	if !v.anchors(base) {
 		return nil, false
 	}
 	s = new(Snapshot)
 	v.DeltaSinceInto(s, base)
+	if to != topology.None {
+		s.omit(to)
+	}
 	return s, true
 }
 
@@ -160,22 +231,58 @@ func (v *View) DeltaSinceInto(dst *Snapshot, base uint64) (ok bool) {
 	for i := range v.procs {
 		if ps := &v.procs[i]; shipsProc(ps) {
 			dst.Procs = append(dst.Procs, ProcRecord{
-				ID:   topology.NodeID(i),
-				Dist: int(ps.dist),
-				Est:  ps.est.State(),
+				ID:     topology.NodeID(i),
+				Dist:   int(ps.dist),
+				Est:    ps.est.State(),
+				holder: holderOf(topology.NodeID(ps.supplier)),
 			})
 		}
 	}
 	for idx, ls := range v.knownLinks() {
 		if ls.sig.at > base {
+			l := v.interner.Link(idx)
 			dst.Links = append(dst.Links, LinkRecord{
-				Link: v.interner.Link(idx),
-				Dist: int(ls.dist),
-				Est:  ls.est.State(),
+				Link:   l,
+				Dist:   int(ls.dist),
+				Est:    ls.est.State(),
+				holder: v.linkHolder(l, ls),
 			})
 		}
 	}
 	return true
+}
+
+// linkHolder is the holder of a link record: the far end of a link
+// incident to this view, which measures the link itself, or else the
+// neighbour that supplied the estimate.
+func (v *View) linkHolder(l topology.Link, ls *linkState) int32 {
+	switch v.self {
+	case l.A:
+		return holderOf(l.B)
+	case l.B:
+		return holderOf(l.A)
+	}
+	return holderOf(topology.NodeID(ls.supplier))
+}
+
+// omit removes from s, in place and in order, the records AppendOmitted
+// names toward to.
+func (s *Snapshot) omit(to topology.NodeID) {
+	h := holderOf(to)
+	procs, links := s.Procs[:0], s.Links[:0]
+	for _, pr := range s.Procs {
+		if !omitted(pr.holder, h) {
+			procs = append(procs, pr)
+		}
+	}
+	for _, lr := range s.Links {
+		if !omitted(lr.holder, h) {
+			links = append(links, lr)
+		}
+	}
+	clear(s.Procs[len(procs):])
+	clear(s.Links[len(links):])
+	s.Procs, s.Links = procs, links
 }
 
 // anchors reports whether a delta can be cut against base: the peer acked

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
@@ -55,6 +56,59 @@ func TestAdaptiveCadenceCutsSteadyStateFrames(t *testing.T) {
 			stretched, baseline, float64(baseline)/float64(stretched))
 	}
 	t.Logf("heartbeat frames over 64 periods on ring(8): adaptive=%d fixed=%d (%.1fx fewer)",
+		stretched, baseline, float64(baseline)/float64(stretched))
+}
+
+// TestAdaptiveCadenceStretchesOnSteppedRing is the frame-count test
+// above with the timing taken out: the ring runs over mailboxes and the
+// test hands every frame over itself, in a fixed order, once every
+// node's lanes have flushed, so each period sees exactly the previous
+// period's frames. Nothing is lost and nothing arrives late, so a
+// neighbor snaps back only on news — and a node that receives news must
+// ack it promptly even though split horizon leaves it nothing to echo
+// back, or the sender stays at δ for up to a whole stretched interval.
+// Converged, the ring should send 8x fewer frames; the 6x floor leaves
+// room for about eight snap-back episodes of ~6 frames each in the
+// 64-period window.
+func TestAdaptiveCadenceStretchesOnSteppedRing(t *testing.T) {
+	run := func(cadenceMax int) int {
+		g, err := topology.Ring(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, boxes := make([]*Node, 8), make([]*mailTransport, 8)
+		for i := range nodes {
+			id := topology.NodeID(i)
+			boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
+			nodes[i] = newTestNode(t, Config{ID: id, NumProcs: 8, Neighbors: g.Neighbors(id), AdaptiveCadenceMax: cadenceMax}, boxes[i])
+		}
+		step := func(periods int) {
+			for range periods {
+				for _, nd := range nodes {
+					nd.Tick()
+				}
+				for _, nd := range nodes {
+					if !nd.WaitSendIdle(5 * time.Second) {
+						t.Fatalf("node %d's lanes never flushed", nd.ID())
+					}
+				}
+				for _, box := range boxes {
+					for _, m := range box.take() {
+						nodes[m.to].handle(m.from, m.frame)
+					}
+				}
+			}
+		}
+		step(600)
+		before := heartbeatsSentAll(nodes)
+		step(64)
+		return heartbeatsSentAll(nodes) - before
+	}
+	stretched, baseline := run(8), run(0)
+	if stretched <= 0 || 6*stretched > baseline {
+		t.Errorf("adaptive cadence sent %d frames vs %d fixed over 64 periods — want >= 6x fewer", stretched, baseline)
+	}
+	t.Logf("heartbeat frames over 64 periods on a stepped ring(8): adaptive=%d fixed=%d (%.1fx fewer)",
 		stretched, baseline, float64(baseline)/float64(stretched))
 }
 

@@ -375,3 +375,170 @@ func mustEncodeHeartbeat(t *testing.T, from topology.NodeID, seq uint64, badID t
 	}
 	return frame
 }
+
+// TestSplitHorizonOnLossyRing is the steady state the lossless test
+// above never reaches: on a ring whose frames are lost at 10 %, every
+// incident link absorbs a success or a loss per frame, and its posterior
+// moves past DeltaEpsilon each period for the whole run, so deltas never
+// go empty. The nodes run over mailboxes and the test hands each frame
+// over itself, in a fixed order, dropping a seeded tenth of them. It
+// keeps its own record of who supplied each record to each node — the
+// sender of the frame whose copy the node adopted, by Algorithm 3's rule
+// that a copy is adopted only at strictly lower distortion — and checks
+// every delta against it: no delta toward T carries a record T supplied
+// or the link to T. It then compares the delta bytes with the
+// receiver-agnostic cut of the same view at the same moment.
+//
+// The floor is arithmetic. On a ring of six a node knows six links: its
+// two incident links and two remote links learned through each
+// neighbor, at distortions one and two. All six re-ship every period
+// (incident links move, and each neighbor re-ships its own incident
+// links, which the node re-adopts at the same distortion), so a
+// receiver-agnostic delta carries six link records and a split-horizon
+// one three — the link to T and the two T supplied are left out. A link
+// record is ~10 bytes and a frame ~15 bytes of header, so link records
+// alone make split-horizon deltas ≤ (15+3·10)/(15+6·10) = 0.6 of the
+// agnostic bytes; process records, which converge and leave the deltas,
+// only narrow the gap. The floor is 0.75.
+func TestSplitHorizonOnLossyRing(t *testing.T) {
+	const n, periods, steady, lossRate = 6, 200, 100, 0.1
+	g, err := topology.Ring(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, boxes := make([]*Node, n), make([]*mailTransport, n)
+	for i := range nodes {
+		id := topology.NodeID(i)
+		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
+		nodes[i] = newTestNode(t, Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}, boxes[i])
+	}
+	type record struct {
+		proc topology.NodeID // -1 for a link record
+		link topology.Link
+	}
+	records := func(s *knowledge.Snapshot) []record {
+		var out []record
+		for _, pr := range s.Procs {
+			out = append(out, record{proc: pr.ID})
+		}
+		for _, lr := range s.Links {
+			out = append(out, record{proc: -1, link: lr.Link})
+		}
+		return out
+	}
+	dists := func(s *knowledge.Snapshot) []int {
+		var out []int
+		for _, pr := range s.Procs {
+			out = append(out, pr.Dist)
+		}
+		for _, lr := range s.Links {
+			out = append(out, lr.Dist)
+		}
+		return out
+	}
+	// distAt is the distortion at which nd holds r, math.MaxInt32 when
+	// it does not know it.
+	distAt := func(nd *Node, r record) int {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		if r.proc >= 0 {
+			_, d := nd.view.CrashEstimate(r.proc)
+			return d
+		}
+		if _, d, ok := nd.view.LossEstimate(r.link); ok {
+			return d
+		}
+		return math.MaxInt32
+	}
+	supplier := make([]map[record]topology.NodeID, n)
+	for i := range supplier {
+		supplier[i] = map[record]topology.NodeID{}
+	}
+	rng := rand.New(rand.NewSource(36))
+	splitBytes, agnosticBytes, deltas, left := 0, 0, 0, 0
+	for p := 1; p <= periods; p++ {
+		for _, nd := range nodes {
+			nd.Tick()
+		}
+		for _, nd := range nodes {
+			if !nd.WaitSendIdle(5 * time.Second) {
+				t.Fatalf("period %d: node %d's lanes never flushed", p, nd.ID())
+			}
+		}
+		var mail []mail
+		for _, box := range boxes {
+			mail = append(mail, box.take()...)
+		}
+		// Every view still stands where its Tick cut it: check each frame
+		// and price the receiver-agnostic cut before anything is handled.
+		for _, m := range mail {
+			f, err := wire.Decode(m.frame)
+			if err != nil || f.Kind != wire.FrameKnowledgeDelta {
+				t.Fatalf("period %d: %d→%d sent %v (%v), want a delta", p, m.from, m.to, f, err)
+			}
+			d := f.Delta
+			if d.Since == 0 {
+				continue // the full-snapshot fallback carries everything
+			}
+			for _, r := range records(d.Snap) {
+				if r.proc < 0 && r.link == topology.NewLink(m.from, m.to) {
+					t.Fatalf("period %d: the delta %d→%d carries the link between them", p, m.from, m.to)
+				}
+				if sup, ok := supplier[m.from][r]; ok && sup == m.to {
+					t.Fatalf("period %d: the delta %d→%d carries %+v, which %d supplied", p, m.from, m.to, r, m.to)
+				}
+			}
+			sender := nodes[m.from]
+			sender.mu.Lock()
+			cut, ok := sender.view.DeltaSince(d.Since)
+			sender.mu.Unlock()
+			if !ok || cut.Seq != d.Snap.Seq {
+				t.Fatalf("period %d: the agnostic cut of %d since %d is not the frame's (anchored %v)", p, m.from, d.Since, ok)
+			}
+			left += len(cut.Procs) + len(cut.Links) - len(d.Snap.Procs) - len(d.Snap.Links)
+			if p <= steady {
+				continue
+			}
+			sec, err := wire.AppendSnapshotSectionCounts(nil, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agnostic := *d
+			agnostic.Caps = wire.CapsCounts
+			frame, err := wire.AppendDeltaFrame(nil, &agnostic, sec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			splitBytes += len(m.frame)
+			agnosticBytes += len(frame)
+			deltas++
+		}
+		for _, m := range mail {
+			if rng.Float64() < lossRate {
+				continue
+			}
+			f, _ := wire.Decode(m.frame)
+			recs, ds := records(f.Delta.Snap), dists(f.Delta.Snap)
+			adopted := make([]bool, len(recs))
+			for i, r := range recs {
+				adopted[i] = ds[i] < distAt(nodes[m.to], r)
+			}
+			nodes[m.to].handle(m.from, m.frame)
+			for i, r := range recs {
+				if adopted[i] {
+					supplier[m.to][r] = m.from
+				}
+			}
+		}
+	}
+	if deltas == 0 || left == 0 {
+		t.Fatalf("%d steady deltas, %d records left out over the run: split horizon never acted", deltas, left)
+	}
+	ratio := float64(splitBytes) / float64(agnosticBytes)
+	if ratio > 0.75 {
+		t.Errorf("over periods %d–%d split-horizon deltas spent %d B against %d B receiver-agnostic (%.2f), want ≤ 0.75",
+			steady+1, periods, splitBytes, agnosticBytes, ratio)
+	}
+	t.Logf("over periods %d–%d: %d deltas, %d B split horizon, %d B receiver-agnostic (%.2f); %d records left out over the run",
+		steady+1, periods, deltas, splitBytes, agnosticBytes, ratio, left)
+}

@@ -373,6 +373,13 @@ type Node struct {
 	// the first time its neighbor is stepped, then dropped.
 	cad       map[topology.NodeID]*cadence.State
 	cadResume map[topology.NodeID]int
+	// ackDue[j] is set while j's last merged delta carried records that
+	// no frame of ours has acked yet: j sits at δ until that ack arrives,
+	// so the cadence controller counts j unstable and sends the ack now.
+	// Split horizon leaves none of j's own news to echo back, so without
+	// it a node stretched toward j would ack only at its stretched pace.
+	// nil when adaptive cadence is off.
+	ackDue map[topology.NodeID]bool
 
 	// ownsFrames is set when the transport hands the handler exclusive
 	// frame buffers (transport.FrameOwner): a delivered body and a relayed
@@ -484,6 +491,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	}
 	if cfg.AdaptiveCadenceMax > 1 {
 		n.cad = make(map[topology.NodeID]*cadence.State, len(cfg.Neighbors))
+		n.ackDue = make(map[topology.NodeID]bool, len(cfg.Neighbors))
 	}
 	// Resume broadcast sequencing above anything this node may have
 	// issued before a crash — the persisted sequence floor and/or the
@@ -660,10 +668,13 @@ func (n *Node) heartbeatLoop() {
 // real time.
 //
 // Each neighbor gets its own frame: the records changed since the
-// version that neighbor last acked, or a full snapshot while the acked
-// version is unknown or unanchorable. Once estimates converge the deltas
-// go empty and a heartbeat shrinks to its liveness header, which is what
-// keeps steady-state bandwidth flat as the system grows.
+// version that neighbor last acked, less those it supplied and the link
+// between us (split horizon, knowledge.Snapshot.AppendOmitted), or a full
+// snapshot while the acked version is unknown or unanchorable. A delta
+// empties only once no shipped record moves past DeltaEpsilon, which on
+// lossless links happens within a few hundred periods and on lossy ones
+// takes about 10⁴ observations per record; until then split horizon is
+// what keeps a neighbor's frame from echoing its own knowledge back.
 func (n *Node) Tick() {
 	if n.closed.Load() {
 		return
@@ -721,6 +732,10 @@ func (n *Node) Tick() {
 			o.snap, o.since = outs[j].snap, outs[j].since
 		} else if cut := &ws.cuts[i]; n.view.DeltaSinceInto(cut, o.base) {
 			o.snap, o.since = cut, o.base
+			// A record has one holder, so the neighbors sharing this cut
+			// leave out disjoint sets of its records: room for all of
+			// them now spares the appends below from growing by halves.
+			ws.skips = slices.Grow(ws.skips, len(cut.Procs)+len(cut.Links))
 		} else {
 			if !fullCut {
 				n.view.SnapshotInto(&ws.full)
@@ -728,6 +743,13 @@ func (n *Node) Tick() {
 			}
 			o.snap = &ws.full // since stays 0: full-snapshot fallback
 		}
+		// The shared cut is receiver-agnostic; the records this neighbor
+		// is not sent of it are the ones Snapshot.AppendOmitted names
+		// (none, for the full snapshot).
+		o.skipFrom = len(ws.skips)
+		ws.skips = o.snap.AppendOmitted(ws.skips, o.to)
+		o.skipTo = len(ws.skips)
+		o.records = len(o.snap.Procs) + len(o.snap.Links) - (o.skipTo - o.skipFrom)
 	}
 	// The cadence snapshot the mark persists is taken before this
 	// period's steps: it is one period stale at worst.
@@ -738,13 +760,15 @@ func (n *Node) Tick() {
 	if n.cad != nil {
 		// The controller sees the neighborhood state every period —
 		// including skipped ones — so a snap-back trigger (non-empty or
-		// unanchored delta, suspicion of this neighbor) re-enables the δ
-		// cadence and sends within the same period it appears.
+		// unanchored delta, suspicion of this neighbor, an ack it waits
+		// for) re-enables the δ cadence and sends within the same period
+		// it appears.
 		for i := range outs {
 			o := &outs[i]
-			stable := o.since > 0 && !o.suspected &&
-				len(o.snap.Procs) == 0 && len(o.snap.Links) == 0
-			o.declared, o.due = n.cadenceStep(o.to, stable)
+			stable := o.since > 0 && !o.suspected && o.records == 0 && !n.ackDue[o.to]
+			if o.declared, o.due = n.cadenceStep(o.to, stable); o.due {
+				delete(n.ackDue, o.to)
+			}
 		}
 	}
 	n.mu.Unlock()
@@ -773,9 +797,10 @@ func (n *Node) Tick() {
 
 	// Shared delta cuts: the record section of a delta frame is encoded
 	// once per distinct cut (see tickWorkspace.section) — in the common
-	// case every neighbor acked the same version, so once per period —
-	// then spliced after each neighbor's own header: Since/Ack/Cadence
-	// differ per peer, the record section doesn't.
+	// case every neighbor acked the same version, so once per period.
+	// Each neighbor's frame is its own header followed by the encoded
+	// records of that section it is sent, copied in (split horizon leaves
+	// out a few): Since/Ack/Cadence differ per peer.
 	sent, deltas, counts := 0, 0, 0
 	for _, o := range outs {
 		if !o.due {
@@ -785,16 +810,23 @@ func (n *Node) Tick() {
 		if err != nil {
 			continue
 		}
-		caps := heartbeatCaps(o.snap)
+		// A non-empty section is cut in the count layout, which rides v5;
+		// an empty one encodes the same bytes in any layout and so takes
+		// the oldest header that fits (v1–v3) rather than pay for the Caps
+		// varint.
+		caps := uint64(0)
+		if o.records > 0 {
+			caps = wire.CapsCounts
+		}
 		eb := n.encPool.Get()
-		frame, err := wire.AppendDeltaFrame(eb.b, &wire.KnowledgeDelta{
+		frame, err := wire.AppendDeltaFrameSubset(eb.b, &wire.KnowledgeDelta{
 			Since:   o.since,
 			Ver:     ver,
 			Ack:     o.ack,
 			Cadence: uint64(o.declared),
 			Epoch:   epoch,
 			Caps:    caps,
-		}, sec)
+		}, sec.bytes, &sec.index, ws.skips[o.skipFrom:o.skipTo])
 		if err != nil {
 			n.encPool.Put(eb)
 			continue
@@ -820,8 +852,8 @@ func (n *Node) Tick() {
 }
 
 // outbound is one neighbor's heartbeat of a period: the versions it
-// carries, the cut it ships, and the cadence it declares and whether it
-// is due this period.
+// carries, the cut it ships from, how many of the cut's records it is
+// sent, and the cadence it declares and whether it is due this period.
 type outbound struct {
 	to        topology.NodeID
 	base, ack uint64 // the version of this view the neighbor acked; of its view merged here
@@ -830,23 +862,31 @@ type outbound struct {
 	suspected bool
 	declared  int
 	due       bool
+
+	// skipFrom:skipTo bounds, in tickWorkspace.skips, the records of snap
+	// it is not sent; records counts those it is.
+	skipFrom, skipTo, records int
 }
 
 // section is the record section of one distinct cut, encoded once per
-// period and spliced after each neighbor's header by AppendDeltaFrame.
+// period, and where its records lie, so a neighbor's subset can be
+// copied out of it (wire.AppendDeltaFrameSubset).
 type section struct {
 	snap  *knowledge.Snapshot
 	bytes []byte
+	index wire.SectionIndex
 }
 
 // tickWorkspace is the scaffolding of one heartbeat period: the outbound
 // list, the cuts — cuts[i] is neighbor i's delta when it is the first to
-// ack its base, full the fallback — and the encoded sections with the
-// pooled buffers that hold them.
+// ack its base, full the fallback — the records each neighbor is not
+// sent, in neighbor order, and the encoded sections with the pooled
+// buffers that hold them.
 type tickWorkspace struct {
 	outs    []outbound
 	cuts    []knowledge.Snapshot
 	full    knowledge.Snapshot
+	skips   []int
 	secs    []section
 	secBufs []*encBuf
 }
@@ -861,9 +901,11 @@ var tickWorkspaces = pool.Pool[tickWorkspace]{Reset: (*tickWorkspace).reset}
 // slices keep their capacity for the next period.
 func (ws *tickWorkspace) reset() bool {
 	clear(ws.outs)
-	clear(ws.secs)
+	for i := range ws.secs {
+		ws.secs[i].snap, ws.secs[i].bytes = nil, nil // the index keeps its storage
+	}
 	clear(ws.secBufs)
-	ws.outs, ws.secs, ws.secBufs = ws.outs[:0], ws.secs[:0], ws.secBufs[:0]
+	ws.outs, ws.skips, ws.secs, ws.secBufs = ws.outs[:0], ws.skips[:0], ws.secs[:0], ws.secBufs[:0]
 	for i := range ws.cuts {
 		ws.cuts[i].Recycle()
 	}
@@ -873,39 +915,33 @@ func (ws *tickWorkspace) reset() bool {
 
 // section returns the encoded record section of s, encoding it into a
 // buffer from encPool the first time the period asks. It is always cut
-// in the count layout: a non-empty section rides v5 (see heartbeatCaps),
-// and an empty one is the same bytes in every layout. AppendDeltaFrame
-// copies the section into each frame, so the buffers recycle as soon as
-// the period's frames are encoded; frame buffers recycle when their send
-// releases them.
-func (ws *tickWorkspace) section(encPool *pool.Pool[encBuf], s *knowledge.Snapshot) ([]byte, error) {
+// in the count layout, and indexed so a neighbor's subset can be copied
+// out of it. AppendDeltaFrameSubset copies the records into each frame,
+// so the buffers recycle as soon as the period's frames are encoded;
+// frame buffers recycle when their send releases them.
+func (ws *tickWorkspace) section(encPool *pool.Pool[encBuf], s *knowledge.Snapshot) (section, error) {
 	for _, sec := range ws.secs {
 		if sec.snap == s {
-			return sec.bytes, nil
+			return sec, nil
 		}
 	}
 	eb := encPool.Get()
-	sec, err := wire.AppendSnapshotSectionCounts(eb.b, s)
+	if len(ws.secs) < cap(ws.secs) {
+		ws.secs = ws.secs[:len(ws.secs)+1] // reuse the index a past period left there
+	} else {
+		ws.secs = append(ws.secs, section{})
+	}
+	sec := &ws.secs[len(ws.secs)-1]
+	b, err := wire.AppendSnapshotSectionIndexed(eb.b, s, &sec.index)
 	if err != nil {
+		ws.secs = ws.secs[:len(ws.secs)-1]
 		encPool.Put(eb)
-		return nil, err
+		return section{}, err
 	}
-	eb.b = sec
+	eb.b = b
 	ws.secBufs = append(ws.secBufs, eb)
-	ws.secs = append(ws.secs, section{s, sec})
-	return sec, nil
-}
-
-// heartbeatCaps decides the wire layout of a heartbeat: CapsCounts — a
-// version-5 frame shipping evidence counts — for a non-empty record
-// section, where the bytes are; 0 for an empty one, which encodes the
-// same bytes in any layout and so takes the oldest header that fits
-// (v1–v3) rather than pay for the Caps varint.
-func heartbeatCaps(s *knowledge.Snapshot) uint64 {
-	if len(s.Procs) > 0 || len(s.Links) > 0 {
-		return wire.CapsCounts
-	}
-	return 0
+	sec.snap, sec.bytes = s, b
+	return *sec, nil
 }
 
 // cadenceStep advances the adaptive-cadence controller for one neighbor
@@ -1394,6 +1430,7 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) (*member
 	clear(n.peerSeen)
 	clear(n.peerAcked)
 	clear(n.cad)
+	clear(n.ackDue)
 
 	n.lastChange = newMemberChange(kind, m)
 	n.announceLeft = announceRounds
@@ -1530,6 +1567,9 @@ func (n *Node) handleDelta(from topology.NodeID, d *wire.KnowledgeDelta) {
 		return
 	}
 	n.stats.heartbeatsReceived.Add(1)
+	if n.ackDue != nil && len(d.Snap.Procs)+len(d.Snap.Links) > 0 {
+		n.ackDue[from] = true
+	}
 	switch {
 	case d.Since == 0:
 		n.peerSeen[from] = d.Ver

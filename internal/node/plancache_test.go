@@ -72,24 +72,33 @@ func taughtNode(t *testing.T, g *topology.Graph, id topology.NodeID, rng *rand.R
 	return nd
 }
 
-// teach merges into nd's view, as from its first neighbor, a snapshot
-// that knows every process and link of g at distance 0.
+// teach merges into nd's view snapshots that together know every
+// process and link of g at distance 0, dealt round-robin among nd's
+// neighbors, so each neighbor supplies a different share of the view.
 func teach(t *testing.T, nd *Node, g *topology.Graph, rng *rand.Rand) {
 	t.Helper()
 	est := func() bayes.State {
 		return bayes.State{Intervals: bayes.DefaultIntervals, Succ: 200 + rng.Intn(400), Fail: rng.Intn(60)}
 	}
-	snap := &knowledge.Snapshot{From: g.Neighbors(nd.ID())[0], Seq: 1}
-	for p := 0; p < g.NumNodes(); p++ {
-		snap.Procs = append(snap.Procs, knowledge.ProcRecord{ID: topology.NodeID(p), Dist: 0, Est: est()})
+	nbs := g.Neighbors(nd.ID())
+	snaps := make([]knowledge.Snapshot, len(nbs))
+	for i, nb := range nbs {
+		snaps[i] = knowledge.Snapshot{From: nb, Seq: 1}
 	}
-	for _, l := range g.Links() {
-		snap.Links = append(snap.Links, knowledge.LinkRecord{Link: l, Dist: 0, Est: est()})
+	for p := 0; p < g.NumNodes(); p++ {
+		s := &snaps[p%len(nbs)]
+		s.Procs = append(s.Procs, knowledge.ProcRecord{ID: topology.NodeID(p), Dist: 0, Est: est()})
+	}
+	for i, l := range g.Links() {
+		s := &snaps[i%len(nbs)]
+		s.Links = append(s.Links, knowledge.LinkRecord{Link: l, Dist: 0, Est: est()})
 	}
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if err := nd.view.MergeSnapshotKnowledgeOnly(snap); err != nil {
-		t.Fatal(err)
+	for i := range snaps {
+		if err := nd.view.MergeSnapshotKnowledgeOnly(&snaps[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

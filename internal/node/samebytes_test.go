@@ -15,20 +15,22 @@ import (
 // TestSameBytesDifferential replays one fixed heartbeat schedule through
 // the shipping knowledge/wire/plan code and pins what comes out: 64 views
 // on a seeded random 4-connected graph, 40 periods of v5 count frames cut
-// against acked versions (a full snapshot while nothing is anchorable),
-// seeded 10 % loss, every frame decoded through its receiver's Scratch and
-// merged, and every view planning every fifth period. The SHA-256 of every
-// heartbeat byte and of every plan (parents, AllocByNode, Σ m[j]) must
-// equal the values recorded before the view's record layout changed: a
-// change to how knowledge stores or walks its records is protocol-neutral
-// exactly when this test still passes.
+// toward each neighbor against the version it acked (DeltaTo, so split
+// horizon leaves out what the receiver supplied; a full snapshot while
+// nothing is anchorable), seeded 10 % loss, every frame decoded through
+// its receiver's Scratch and merged, and every view planning every fifth
+// period. The SHA-256 of every heartbeat byte and of every plan (parents,
+// AllocByNode, Σ m[j]) must equal the recorded values: a change to how
+// knowledge stores or walks its records is protocol-neutral exactly when
+// this test still passes. The plan hash predates split horizon, which
+// moved only the heartbeat bytes.
 func TestSameBytesDifferential(t *testing.T) {
 	const (
 		n          = 64
 		periods    = 40
 		planEvery  = 5
 		lossRate   = 0.1
-		goldenHB   = "1fbb84a69aea2a5d7e55e5c9b0b3bfd698327620b2224f28ab16b0f6a709d979"
+		goldenHB   = "25bfd3189d608285f7ebe9a8a45497e7a269b6640a424964942175a2f4862135"
 		goldenPlan = "611db7bf691d3299d89a5bb86db553d4bf0ea7e1239757d8cba4a17118b2300e"
 	)
 	rng := rand.New(rand.NewSource(2026))
@@ -68,7 +70,7 @@ func TestSameBytesDifferential(t *testing.T) {
 			v.BeginPeriod()
 			for _, nb := range g.Neighbors(id) {
 				base := acked[i][nb]
-				snap, ok := v.DeltaSince(base)
+				snap, ok := v.DeltaTo(base, nb)
 				if !ok {
 					snap, base = v.Snapshot(), 0
 				}

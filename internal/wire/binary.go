@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/knowledge"
@@ -326,22 +327,39 @@ func snapshotSize(s *knowledge.Snapshot, counts bool) int {
 // evidence-count estimator layout; callers must pass false unless the
 // surrounding frame encodes as version 5.
 func appendSnapshot(b []byte, s *knowledge.Snapshot, counts bool) []byte {
+	return appendSnapshotIndexed(b, s, counts, nil)
+}
+
+// appendSnapshotIndexed is appendSnapshot that also records in ix, when
+// it is not nil, where each record's bytes lie (see SectionIndex).
+func appendSnapshotIndexed(b []byte, s *knowledge.Snapshot, counts bool, ix *SectionIndex) []byte {
+	start := len(b)
 	b = binary.AppendVarint(b, int64(s.From))
 	b = binary.AppendUvarint(b, s.Seq)
+	if ix != nil {
+		*ix = SectionIndex{head: len(b) - start, procs: len(s.Procs),
+			recs: slices.Grow(ix.recs[:0], len(s.Procs)+len(s.Links))}
+	}
 	b = binary.AppendUvarint(b, uint64(len(s.Procs)))
 	for i := range s.Procs {
-		pr := &s.Procs[i]
+		pr, at := &s.Procs[i], len(b)
 		b = binary.AppendVarint(b, int64(pr.ID))
 		b = binary.AppendVarint(b, int64(pr.Dist))
 		b = appendEstimator(b, &pr.Est, counts)
+		if ix != nil {
+			ix.recs = append(ix.recs, span{at - start, len(b) - start})
+		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Links)))
 	for i := range s.Links {
-		lr := &s.Links[i]
+		lr, at := &s.Links[i], len(b)
 		b = binary.AppendVarint(b, int64(lr.Link.A))
 		b = binary.AppendVarint(b, int64(lr.Link.B))
 		b = binary.AppendVarint(b, int64(lr.Dist))
 		b = appendEstimator(b, &lr.Est, counts)
+		if ix != nil {
+			ix.recs = append(ix.recs, span{at - start, len(b) - start})
+		}
 	}
 	return b
 }
@@ -359,7 +377,10 @@ const (
 
 // snapshot parses a record section into s, reusing the capacity of its two
 // record slices and overwriting every other field. Each estimator's own
-// float vectors are fresh either way.
+// float vectors are fresh either way. A slice too small for a section
+// grows the way append grows it, not to the exact count: one Scratch
+// decodes the sections of every neighbor, and split horizon cuts each a
+// different size, so exact sizing would reallocate on most larger ones.
 func (r *reader) snapshot(s *knowledge.Snapshot) *knowledge.Snapshot {
 	*s = knowledge.Snapshot{
 		From:  r.nodeID(),
@@ -368,9 +389,7 @@ func (r *reader) snapshot(s *knowledge.Snapshot) *knowledge.Snapshot {
 		Links: s.Links[:0],
 	}
 	nProcs := r.countOf("proc records", minProcRecordSize)
-	if nProcs > cap(s.Procs) {
-		s.Procs = make([]knowledge.ProcRecord, 0, nProcs)
-	}
+	s.Procs = slices.Grow(s.Procs, nProcs)
 	for i := 0; i < nProcs && r.err == nil; i++ {
 		s.Procs = append(s.Procs, knowledge.ProcRecord{
 			ID:   r.nodeID(),
@@ -379,9 +398,7 @@ func (r *reader) snapshot(s *knowledge.Snapshot) *knowledge.Snapshot {
 		})
 	}
 	nLinks := r.countOf("link records", minLinkRecordSize)
-	if nLinks > cap(s.Links) {
-		s.Links = make([]knowledge.LinkRecord, 0, nLinks)
-	}
+	s.Links = slices.Grow(s.Links, nLinks)
 	for i := 0; i < nLinks && r.err == nil; i++ {
 		s.Links = append(s.Links, knowledge.LinkRecord{
 			Link: topology.Link{A: r.nodeID(), B: r.nodeID()},

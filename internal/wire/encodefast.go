@@ -4,15 +4,19 @@ package wire
 // caller-owned (typically pooled) buffers instead of allocating per
 // frame, plus the two structural-sharing fast paths the node's send
 // pipeline is built on — shared delta cuts (encode the snapshot record
-// section once per acked-base group of neighbors) and the piggybacked-
-// forward splice (relays reuse the already-encoded data-message bytes
-// instead of re-serializing per hop). Every function here produces
+// section once per acked-base group of neighbors, and copy each
+// neighbor's subset of its records into that neighbor's frame) and the
+// piggybacked-forward splice (relays reuse the already-encoded
+// data-message bytes instead of re-serializing per hop). Every function
+// here produces
 // byte-identical output to Encode for the same logical frame; the
 // golden and byte-equality tests pin that.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"adaptivecast/internal/knowledge"
 )
@@ -66,6 +70,69 @@ func AppendSnapshotSectionCounts(dst []byte, s *knowledge.Snapshot) ([]byte, err
 	return appendSnapshot(dst, s, true), nil
 }
 
+// SectionIndex locates the records of a section encoded by
+// AppendSnapshotSectionIndexed, so appendSectionSubset can copy any
+// subset of them without re-encoding one. A zero SectionIndex is ready
+// for use; one kept between sections reuses its storage.
+type SectionIndex struct {
+	head  int    // bytes of the From and Seq varints
+	procs int    // process records; recs[:procs] are theirs
+	recs  []span // each record's bytes, processes then links
+}
+
+// span is a record's byte range within its section.
+type span struct{ from, to int }
+
+// AppendSnapshotSectionIndexed is AppendSnapshotSectionCounts that also
+// records in ix where each record's bytes lie, for appendSectionSubset.
+func AppendSnapshotSectionIndexed(dst []byte, s *knowledge.Snapshot, ix *SectionIndex) ([]byte, error) {
+	if s == nil || ix == nil {
+		return dst, errors.New("wire: nil snapshot or index")
+	}
+	return appendSnapshotIndexed(dst, s, true, ix), nil
+}
+
+// appendSectionSubset appends to dst the record section of sec — encoded
+// by AppendSnapshotSectionIndexed, which filled ix — without the records
+// skip lists: skip holds, in ascending order, indices of records of the
+// encoded snapshot, counting its Procs, then its Links. The output is
+// byte-identical to AppendSnapshotSectionCounts of the snapshot without
+// those records, so it obeys the same v5-only rule when it is not empty.
+// Kept records are copied, in order and in one run per gap in skip,
+// never re-encoded.
+func appendSectionSubset(dst, sec []byte, ix *SectionIndex, skip []int) []byte {
+	// The subset is never longer than sec: grow dst once, not per run.
+	dst = slices.Grow(dst, len(sec))
+	if len(skip) == 0 {
+		return append(dst, sec...)
+	}
+	cut := 0 // skip[:cut] are process records
+	for cut < len(skip) && skip[cut] < ix.procs {
+		cut++
+	}
+	dst = append(dst, sec[:ix.head]...)
+	dst = appendRecordRuns(dst, sec, ix.recs[:ix.procs], skip[:cut], 0)
+	return appendRecordRuns(dst, sec, ix.recs[ix.procs:], skip[cut:], ix.procs)
+}
+
+// appendRecordRuns appends one record list of appendSectionSubset: the
+// count of the records kept, then their bytes. recs[j] is record
+// first+j; skip lists, ascending, the records of this list left out.
+func appendRecordRuns(dst, sec []byte, recs []span, skip []int, first int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(recs)-len(skip)))
+	from := 0 // the first record of the run still to copy
+	for _, i := range skip {
+		if j := i - first; j > from {
+			dst = append(dst, sec[recs[from].from:recs[j-1].to]...)
+		}
+		from = i - first + 1
+	}
+	if from < len(recs) {
+		dst = append(dst, sec[recs[from].from:recs[len(recs)-1].to]...)
+	}
+	return dst
+}
+
 // AppendDeltaFrame appends a complete knowledge-delta frame to dst,
 // splicing in a record section pre-encoded with AppendSnapshotSection
 // (or, when d.Caps ≥ CapsCounts, AppendSnapshotSectionCounts — the count
@@ -84,6 +151,18 @@ func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte
 	dst = append(dst, magic, ver, byte(FrameKnowledgeDelta))
 	dst = appendDeltaHeader(dst, d, ver)
 	return append(dst, snapSection...), nil
+}
+
+// AppendDeltaFrameSubset is AppendDeltaFrame with the section
+// appendSectionSubset(sec, ix, skip) copied straight into the frame, so a
+// receiver's subset of a shared cut costs no buffer of its own. d.Caps
+// must be CapsCounts exactly when the subset is not empty.
+func AppendDeltaFrameSubset(dst []byte, d *KnowledgeDelta, sec []byte, ix *SectionIndex, skip []int) ([]byte, error) {
+	frame, err := AppendDeltaFrame(dst, d, nil)
+	if err != nil {
+		return dst, err
+	}
+	return appendSectionSubset(frame, sec, ix, skip), nil
 }
 
 // SpliceDataPiggyback appends to dst a data frame equal to re-encoding

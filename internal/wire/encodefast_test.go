@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
+	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/topology"
 )
@@ -236,5 +238,75 @@ func TestSpliceZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("piggyback strip allocated %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestSectionSubsetMatchesEncode: copying a subset of the records
+// of an indexed section is byte-identical to encoding the snapshot
+// without the skipped records, over random snapshots (count and raw
+// estimator layouts, so records differ in length) and random skip sets,
+// including none, all of them and empty record lists; the frame form
+// matches AppendDeltaFrame around the filtered section.
+func TestSectionSubsetMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	est := func() bayes.State {
+		if rng.Intn(4) == 0 {
+			beliefs := make([]float64, 10)
+			for i := range beliefs {
+				beliefs[i] = -rng.Float64() * 5
+			}
+			return bayes.State{Intervals: 10, LogBeliefs: beliefs, Succ: rng.Intn(3)}
+		}
+		return bayes.State{Intervals: bayes.DefaultIntervals, Succ: rng.Intn(1 << uint(rng.Intn(20))), Fail: rng.Intn(90)}
+	}
+	var ix SectionIndex // carried across cases, as Tick carries it across periods
+	for c := 0; c < 500; c++ {
+		s := &knowledge.Snapshot{From: topology.NodeID(rng.Intn(300)), Seq: rng.Uint64() >> uint(rng.Intn(64))}
+		for i := rng.Intn(6) * rng.Intn(40); i > 0; i-- {
+			s.Procs = append(s.Procs, knowledge.ProcRecord{ID: topology.NodeID(rng.Intn(300)), Dist: rng.Intn(200), Est: est()})
+		}
+		for i := rng.Intn(6) * rng.Intn(40); i > 0; i-- {
+			s.Links = append(s.Links, knowledge.LinkRecord{
+				Link: topology.NewLink(topology.NodeID(rng.Intn(150)), topology.NodeID(150+rng.Intn(150))),
+				Dist: rng.Intn(200), Est: est()})
+		}
+		n := len(s.Procs) + len(s.Links)
+		var skip []int
+		kept := &knowledge.Snapshot{From: s.From, Seq: s.Seq}
+		p := []float64{0, 1, rng.Float64()}[c%3] // skip none, all, or a random share
+		for i := 0; i < n; i++ {
+			switch {
+			case rng.Float64() < p:
+				skip = append(skip, i)
+			case i < len(s.Procs):
+				kept.Procs = append(kept.Procs, s.Procs[i])
+			default:
+				kept.Links = append(kept.Links, s.Links[i-len(s.Procs)])
+			}
+		}
+		prefix := []byte("prefix")
+		b, err := AppendSnapshotSectionIndexed(append([]byte(nil), prefix...), s, &ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec := b[len(prefix):]
+		if full, _ := AppendSnapshotSectionCounts(nil, s); !bytes.Equal(sec, full) {
+			t.Fatalf("case %d: the indexed section differs from AppendSnapshotSectionCounts", c)
+		}
+		want, _ := AppendSnapshotSectionCounts(nil, kept)
+		if got := appendSectionSubset(append([]byte(nil), prefix...), sec, &ix, skip); !bytes.Equal(got[len(prefix):], want) || !bytes.HasPrefix(got, prefix) {
+			t.Fatalf("case %d: %d of %d records skipped: subset section differs from encoding the %d kept", c, len(skip), n, n-len(skip))
+		}
+		d := &KnowledgeDelta{Since: 3, Ver: 9, Ack: 4, Caps: CapsCounts}
+		if len(kept.Procs)+len(kept.Links) == 0 {
+			d.Caps = 0
+		}
+		wantFrame, err := AppendDeltaFrame(nil, d, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := AppendDeltaFrameSubset(nil, d, sec, &ix, skip); err != nil || !bytes.Equal(got, wantFrame) {
+			t.Fatalf("case %d: the subset frame differs from AppendDeltaFrame of the kept records (%v)", c, err)
+		}
 	}
 }

@@ -124,10 +124,16 @@ func WithExactlyOnceLog(l *ExactlyOnceLog) Option {
 // suspicion-free for a few consecutive periods, that neighbor's
 // heartbeat interval doubles geometrically (δ → 2δ → 4δ …) up to max,
 // and snaps back to δ within one period of any change — a non-empty
-// delta, a suspicion anywhere in the neighborhood, or a peer needing the
-// full-snapshot fallback after a restart. In a converged cluster this
-// cuts steady-state heartbeat *frame counts* by roughly δ/max (the
-// frames themselves are already near-empty under delta heartbeats).
+// delta, a suspicion anywhere in the neighborhood, a peer needing the
+// full-snapshot fallback after a restart, or news from that neighbor
+// this node has not acked yet. "Empty" is the delta that
+// neighbor is sent: the records it supplied and the link to it never
+// count (split horizon). Deltas empty only once no record's posterior
+// mean moves past DeltaEpsilon — within a few hundred periods on
+// lossless links, after about 10⁴ observations per record on lossy
+// ones — so stretching pays off in clusters whose links are quiet. There
+// it cuts steady-state heartbeat *frame counts* by roughly δ/max (the
+// frames themselves are already near-empty).
 //
 // The stretched interval rides the wire (the delta frame's Cadence
 // field, wire version 2), and receivers scale their suspicion timeouts
