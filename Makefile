@@ -18,12 +18,11 @@ fmt:
 
 # lint mirrors CI's required lint job. staticcheck and govulncheck are
 # not vendored; they run when installed (CI always installs them), so a
-# clean `make lint` on a bare checkout still covers gofmt, vet, the
-# custom analyzers and the docs links.
+# clean `make lint` on a bare checkout still covers gofmt, vet and the
+# docs links.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/adaptivelint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

@@ -1,5 +1,6 @@
 // Package leakcheck fails a test binary that leaves this module's
-// goroutines running. Call Main from the package's TestMain:
+// goroutines running, or a pooled value out of its pool (see
+// pool.Outstanding). Call Main from the package's TestMain:
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
 //
@@ -15,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adaptivecast/internal/pool"
 )
 
 // module is the module path, the prefix of its functions' names in a
@@ -28,19 +31,25 @@ const module = "adaptivecast"
 const deadline = 5 * time.Second
 
 // Main runs the tests, then polls until none of the module's goroutines
-// is left or the deadline passes. It exits with the tests' status, or 1
-// after printing the stacks of the goroutines still running.
+// is left and every pooled value is back, or the deadline passes. It
+// exits with the tests' status, or 1 after printing the stacks of the
+// goroutines still running and the pooled values still out.
 func Main(m *testing.M) {
 	code := m.Run()
 	end := time.Now().Add(deadline)
-	left := Running()
-	for len(left) > 0 && time.Now().Before(end) {
+	left, out := Running(), pool.Outstanding()
+	for len(left)+len(out) > 0 && time.Now().Before(end) {
 		time.Sleep(10 * time.Millisecond)
-		left = Running()
+		left, out = Running(), pool.Outstanding()
 	}
 	if len(left) > 0 {
 		fmt.Fprintf(os.Stderr, "leakcheck: %d goroutine(s) left running after the tests:\n\n%s\n",
 			len(left), strings.Join(left, "\n\n"))
+		code = 1
+	}
+	if len(out) > 0 {
+		fmt.Fprintf(os.Stderr, "leakcheck: pooled values never put back after the tests: %s\n",
+			strings.Join(out, ", "))
 		code = 1
 	}
 	os.Exit(code)

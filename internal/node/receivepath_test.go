@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"adaptivecast/internal/bayes"
+	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/mrt"
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
@@ -483,5 +485,54 @@ func BenchmarkForwardFanout(b *testing.B) {
 	b.StopTimer()
 	if st, want := nd.Stats(), b.N*60; st.DataSent != want || st.LaneDrops.Data != 0 {
 		b.Fatalf("forwarded %d copies (%d frames shed), want %d", st.DataSent, st.LaneDrops.Data, want)
+	}
+}
+
+// TestEveryFrameKindReachesHandle: every frame kind wire defines reaches
+// a case of handle's switch that acts on it, seen through the counter
+// the kind bumps; a kind that fell through the switch would decode and be
+// dropped without a trace. A new kind fails here until it has a probe
+// below, and its probe fails until handle has a case for it.
+func TestEveryFrameKindReachesHandle(t *testing.T) {
+	counts := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40}
+	snap := func() *knowledge.Snapshot {
+		return &knowledge.Snapshot{From: 0, Seq: 1, Procs: []knowledge.ProcRecord{{ID: 2, Dist: 1, Est: counts}}}
+	}
+	received := func(s Stats) int { return s.HeartbeatsReceived }
+	epochs := func(s Stats) int { return s.EpochChanges }
+	probes := map[wire.FrameKind]struct {
+		frame   *wire.Frame
+		counter func(Stats) int
+	}{
+		wire.FrameHeartbeat: {&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap()}, received},
+		wire.FrameKnowledgeDelta: {&wire.Frame{Kind: wire.FrameKnowledgeDelta, Delta: &wire.KnowledgeDelta{
+			Snap: snap(), Ver: 1, Cadence: 1,
+		}}, received},
+		wire.FrameData: {&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
+			Origin: 0, Seq: 1, Root: 0, Parents: chainParents(3), AllocByNode: twoPerEdge(chainParents(3)), Body: []byte("probe"),
+		}}, func(s Stats) int { return s.DataReceived }},
+		wire.FrameJoin: {&wire.Frame{Kind: wire.FrameJoin, Member: &wire.Membership{
+			Node: 3, Epoch: 1, NumProcs: 4, Neighbors: []topology.NodeID{1},
+		}}, epochs},
+		wire.FrameLeave: {&wire.Frame{Kind: wire.FrameLeave, Member: &wire.Membership{
+			Node: 2, Epoch: 1, NumProcs: 3, Departed: []topology.NodeID{2},
+		}}, epochs},
+	}
+	for _, kind := range wire.FrameKinds() {
+		p, ok := probes[kind]
+		if !ok {
+			t.Errorf("frame kind %d has no probe here: add one, and a case to handle", kind)
+			continue
+		}
+		b, err := wire.Encode(p.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd, _ := recordingRelay(t, 3)
+		before := p.counter(nd.Stats())
+		nd.handle(0, b)
+		if s := nd.Stats(); s.DecodeErrors != 0 || p.counter(s) != before+1 {
+			t.Errorf("frame kind %d: its counter went %d → %d (%d decode errors), want one more", kind, before, p.counter(s), s.DecodeErrors)
+		}
 	}
 }

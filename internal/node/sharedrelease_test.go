@@ -10,11 +10,12 @@ import (
 	"adaptivecast/internal/wire"
 )
 
-// These tests pin the sharedRelease edge cases the buflife analyzer's
-// model assumes: the underlying release runs exactly once no matter how
-// done() and the acquired callbacks interleave, a fan-out of zero is
-// legal, and a callback invoked twice fails loudly instead of recycling
-// a buffer another send may already be reusing.
+// These tests pin the sharedRelease edge cases: the underlying release
+// runs exactly once no matter how done() and the acquired callbacks
+// interleave, a fan-out of zero is legal, and a callback invoked twice
+// fails loudly instead of recycling a buffer another send may already be
+// reusing. One never released leaves its pooled buffer out, which
+// leakcheck.Main reports when the tests end.
 
 func TestSharedReleaseZeroAcquireDone(t *testing.T) {
 	released := 0

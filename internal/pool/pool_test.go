@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"strings"
 	"testing"
 
 	"adaptivecast/internal/raceflag"
@@ -46,5 +47,99 @@ func TestPoolCountsAndHooks(t *testing.T) {
 	p.Put(x)
 	if y := p.Get(); y == x || p.Misses() != 2 {
 		t.Fatalf("a value Reset declined came back from the pool (%d misses)", p.Misses())
+	}
+}
+
+// mustPanic runs f and fails the test unless it panics with a message
+// containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestPutOfValueNotOutPanics: in a test binary a pool knows which values
+// are out, so a second Put of one value — directly or through its release
+// callback — a Put of a value no Get returned, and a Put into another
+// pool all panic at the Put, before the pool can hand the value to a
+// second owner.
+func TestPutOfValueNotOutPanics(t *testing.T) {
+	var p, q Pool[item]
+	p.New = func() *item {
+		x := &item{}
+		x.release = func() { p.Put(x) }
+		return x
+	}
+	p.Release = func(x *item) func() { return x.release }
+
+	x := p.Get()
+	p.Put(x)
+	mustPanic(t, "not out", func() { p.Put(x) })
+
+	x = p.Get()
+	rel := p.Releaser(x)
+	rel()
+	mustPanic(t, "not out", rel)
+
+	mustPanic(t, "not out", func() { p.Put(&item{}) })
+
+	x = p.Get()
+	mustPanic(t, "not out of this pool", func() { q.Put(x) })
+	p.Put(x)
+}
+
+type leased struct{ n int }
+
+// TestOutstandingListsValuesNotPutBack: Outstanding counts, per type,
+// the values taken and not yet put back, which is what leakcheck.Main
+// fails a test binary on.
+func TestOutstandingListsValuesNotPutBack(t *testing.T) {
+	var p Pool[leased]
+	line := func() string {
+		for _, l := range Outstanding() {
+			if strings.HasSuffix(l, " *pool.leased") {
+				return l
+			}
+		}
+		return ""
+	}
+	a, b := p.Get(), p.Get()
+	if got := line(); got != "2 *pool.leased" {
+		t.Fatalf("with two values out, Outstanding reports %q", got)
+	}
+	p.Put(a)
+	p.Put(b)
+	if got := line(); got != "" {
+		t.Fatalf("with every value back, Outstanding still reports %q", got)
+	}
+}
+
+// TestAllocsCheckedGetPut: the ownership check adds no allocation to a
+// warm Get/Put cycle, so the datapath's AllocsPerRun pins read the same
+// with it on.
+func TestAllocsCheckedGetPut(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("a race build's sync.Pool drops what is put back at random")
+	}
+	var p Pool[item]
+	held := make([]*item, 64)
+	for i := range held {
+		held[i] = p.Get()
+	}
+	for _, x := range held {
+		p.Put(x)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		x, y := p.Get(), p.Get()
+		p.Put(y)
+		p.Put(x)
+	}); allocs != 0 {
+		t.Fatalf("a warm Get/Put cycle allocated %.1f times, want 0", allocs)
 	}
 }

@@ -11,11 +11,6 @@
 // encoding. Handlers are invoked on a transport receive goroutine (the
 // Fabric endpoint's receive loop, a TCP connection's reader), one frame at
 // a time per node, so node state machines see serialized input.
-//
-// The bufpool directive below (run by cmd/adaptivelint in CI) holds
-// TCP's pooled write buffers to going back on every path (buflife).
-//
-//adaptivelint:bufpool type=pool.Pool[writeBuf] get=Get put=Put
 package transport
 
 import "adaptivecast/internal/topology"

@@ -47,11 +47,10 @@ import (
 // always v3.
 //
 // The decoder accepts exactly those shapes — heartbeat v1 and v5, data v1
-// and v3, delta v1, v2, v3 and v5, join and leave v3 — which are the
-// versions the wirekind annotations on the FrameKind constants declare.
-// Version 4, the retired quantized-belief profile, is unsupported, and so
-// is the retired refined-grid estimator layout (flags 0x00, midpoints
-// shipped explicitly).
+// and v3, delta v1, v2, v3 and v5, join and leave v3 — which is the
+// kindVersions table. Version 4, the retired quantized-belief profile, is
+// unsupported, and so is the retired refined-grid estimator layout (flags
+// 0x00, midpoints shipped explicitly).
 //
 // Integers are varints (unsigned for sequence numbers, lengths and
 // counts; zigzag for node IDs, distortions and allocations, which can be
@@ -714,32 +713,26 @@ func decodeBinary(b []byte, sc *Scratch, borrow bool) error {
 	if b[0] != magic {
 		return fmt.Errorf("wire: bad magic %#x", b[0])
 	}
-	ver := b[1]
-	if ver < version || ver > version5 || ver == 4 { // 4: the retired quantized profile
-		return fmt.Errorf("wire: unsupported version %d", ver)
+	ver, kind := b[1], FrameKind(b[2])
+	if kind == 0 || kind >= frameKindEnd {
+		return fmt.Errorf("wire: unknown frame kind %d", kind)
 	}
-	f.Kind = FrameKind(b[2])
+	if !slices.Contains(kindVersions[kind], ver) {
+		return fmt.Errorf("wire: unsupported version %d for frame kind %d", ver, kind)
+	}
+	f.Kind = kind
 	r := &reader{b: b, off: headerSize, ver: ver, borrow: borrow}
 	switch f.Kind {
 	case FrameHeartbeat:
-		if ver != version && ver != version5 {
-			return fmt.Errorf("wire: heartbeat frame at version %d", ver)
-		}
 		if ver == version5 {
 			f.Caps = r.caps()
 		}
 		f.Heartbeat = r.snapshot(&sc.snap)
 	case FrameData:
-		if ver != version && ver != version3 {
-			return fmt.Errorf("wire: data frame at version %d", ver)
-		}
 		f.Data = r.data(ver, &sc.data)
 	case FrameKnowledgeDelta:
 		f.Delta = r.delta(ver, &sc.delta, &sc.snap)
 	case FrameJoin, FrameLeave:
-		if ver != version3 {
-			return fmt.Errorf("wire: membership frame at version %d", ver)
-		}
 		f.Member = r.membership()
 	default:
 		return fmt.Errorf("wire: unknown frame kind %d", f.Kind)

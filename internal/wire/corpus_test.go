@@ -81,9 +81,8 @@ func TestWriteSeedCorpus(t *testing.T) {
 	}
 	// Every committed seed must still decode, and together the seeds must
 	// witness every (version, kind) header the canonical frames produce.
-	// The wirekind analyzer audits the declared FrameKind×version pairs
-	// against this same corpus; this gate keeps the corpus itself honest,
-	// so neither side can rot without a red build.
+	// TestEveryFrameKindHasSeedsAndRoundTrips holds the declared
+	// kind×version pairs to this same corpus.
 	want := make(map[[2]byte]bool)
 	for _, frame := range seedFrames(t) {
 		b, err := Encode(frame)

@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"adaptivecast/internal/bayes"
@@ -358,5 +360,72 @@ func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 	if cap(sc.snap.Procs) > knowledge.KeepRecords || cap(sc.snap.Links) > knowledge.KeepRecords {
 		t.Errorf("the Scratch kept arrays of %d and %d records after a %d-record heartbeat, want at most %d",
 			cap(sc.snap.Procs), cap(sc.snap.Links), knowledge.KeepRecords+1, knowledge.KeepRecords)
+	}
+}
+
+// TestForgedCountsMustNotAllocate: every count or length the decoder
+// reads before sizing an array — process and link records (in a
+// heartbeat, a delta and a data frame's piggyback), an estimator's
+// beliefs, a data frame's parents, allocations and body, a membership
+// frame's departed processes and joiner links — is checked against the
+// bytes left before anything is made. A few-byte frame declaring a
+// million elements in any of them must fail to decode, fresh, borrowed
+// or into a used Scratch, without panicking and while allocating less
+// than the smallest array the count would have sized.
+func TestForgedCountsMustNotAllocate(t *testing.T) {
+	const big, ceiling = 1 << 20, 64 << 10
+	hdr := func(ver byte, kind FrameKind, fields ...uint64) []byte {
+		b := []byte{magic, ver, byte(kind)}
+		for _, v := range fields {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	// Node IDs are zigzag varints; the fields below are 0 or 1, so
+	// hdr's uvarints encode them as ID 0 (and 1 as the Seq or flag). Each
+	// frame must be refused at the count its case names.
+	forged := []struct {
+		count string
+		b     []byte
+	}{
+		{"proc records", hdr(version, FrameHeartbeat, 0, 1, big)},
+		{"link records", hdr(version, FrameHeartbeat, 0, 1, 0, big)},
+		{"proc records", hdr(version, FrameKnowledgeDelta, 0, 0, 0, 0, 1, big)},
+		{"beliefs", hdr(version, FrameHeartbeat, 0, 1, 1, 0, 0, flagUniform, 0, big)},
+		{"parents", hdr(version, FrameData, 0, 1, 0, big)},
+		{"allocations", hdr(version, FrameData, 0, 1, 0, 0, big)},
+		{"body", hdr(version, FrameData, 0, 1, 0, 0, 0, big)},
+		{"proc records", hdr(version, FrameData, 0, 1, 0, 0, 0, 0, 1, 0, 1, big)},
+		{"departed processes", hdr(version3, FrameJoin, 0, 1, 2, big)},
+		{"joiner links", hdr(version3, FrameJoin, 0, 1, 2, 0, big)},
+	}
+	_, valid := countHeartbeat(t, 1, 20, 30, 1)
+	var sc Scratch
+	for _, c := range forged {
+		for name, decode := range map[string]func([]byte) (*Frame, error){
+			"Decode": Decode, "DecodeBorrow": DecodeBorrow, "Scratch.DecodeBorrow": sc.DecodeBorrow,
+		} {
+			if _, err := sc.DecodeBorrow(valid); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := func() (err error) {
+				defer func() {
+					if v := recover(); v != nil {
+						err = fmt.Errorf("panic: %v", v)
+					}
+				}()
+				_, err = decode(c.b)
+				return err
+			}()
+			runtime.ReadMemStats(&after)
+			if want := c.count + " count"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s of kind %d declaring %d %s: err %v, want the %q bound", name, c.b[2], big, c.count, err, want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= ceiling {
+				t.Errorf("%s of kind %d allocated %d bytes rejecting a forged %s count, want < %d", name, c.b[2], got, c.count, ceiling)
+			}
+		}
 	}
 }

@@ -28,26 +28,42 @@ import (
 // FrameKind discriminates frame payloads.
 type FrameKind uint8
 
-// Frame kinds. The wirekind analyzer (run by cmd/adaptivelint in CI)
-// reads the annotations: each constant declares the wire versions it may
-// ride, every declared kind×version pair must be witnessed by a
-// committed FuzzDecode corpus seed, and every switch over a FrameKind
-// must stay exhaustive — so a new kind cannot ship without fuzz coverage
-// and codec/dispatch cases.
-//
-//adaptivelint:wirecorpus dir=testdata/fuzz/FuzzDecode magic=0xAC
+// Frame kinds. Each rides only the wire versions kindVersions lists for
+// it, and the decoder refuses any other pairing. FrameKinds enumerates
+// them, so a test can demand of every kind a committed FuzzDecode seed
+// per version, a codec round trip and a dispatch case in the node.
 const (
-	FrameHeartbeat      FrameKind = iota + 1 //adaptivelint:wirekind versions=1,5
-	FrameData                                //adaptivelint:wirekind versions=1,3
-	FrameKnowledgeDelta                      //adaptivelint:wirekind versions=1,2,3,5
+	FrameHeartbeat FrameKind = iota + 1
+	FrameData
+	FrameKnowledgeDelta
 	// FrameJoin announces a membership epoch change that added a process;
 	// FrameLeave one that removed a process. Both carry a Membership
 	// payload and encode as wire version 3. Receivers flood them so every
 	// member converges on the new epoch; the epoch number itself dedups
 	// the flood.
-	FrameJoin  //adaptivelint:wirekind versions=3
-	FrameLeave //adaptivelint:wirekind versions=3
+	FrameJoin
+	FrameLeave
+	frameKindEnd // one past the last kind; keep it last
 )
+
+// kindVersions lists the wire versions each frame kind may ride, oldest
+// first (binary.go says what each version adds).
+var kindVersions = [frameKindEnd][]byte{
+	FrameHeartbeat:      {version, version5},
+	FrameData:           {version, version3},
+	FrameKnowledgeDelta: {version, version2, version3, version5},
+	FrameJoin:           {version3},
+	FrameLeave:          {version3},
+}
+
+// FrameKinds returns every frame kind, in wire order.
+func FrameKinds() []FrameKind {
+	kinds := make([]FrameKind, 0, frameKindEnd-1)
+	for k := FrameHeartbeat; k < frameKindEnd; k++ {
+		kinds = append(kinds, k)
+	}
+	return kinds
+}
 
 // Membership is the payload of FrameJoin and FrameLeave: a complete
 // description of the process set as of Epoch, not just the delta — so a
