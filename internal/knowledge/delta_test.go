@@ -267,14 +267,14 @@ func TestSplitHorizon(t *testing.T) {
 		}
 		// DeltaTo is the receiver-agnostic cut less the records
 		// AppendOmitted names, in the same order.
-		skip := all.AppendOmitted(nil, c.to)
+		skip := v.AppendOmitted(nil, all, c.to)
 		if len(skip) != len(c.omits) || len(d.Procs)+len(d.Links)+len(skip) != len(all.Procs)+len(all.Links) {
 			t.Errorf("toward %d: %d records left out of %d, %d shipped; want %d left out",
 				c.to, len(skip), len(all.Procs)+len(all.Links), len(d.Procs)+len(d.Links), len(c.omits))
 		}
 	}
 	full := v.Snapshot()
-	if skip := full.AppendOmitted(nil, tNb); len(skip) != 0 {
+	if skip := v.AppendOmitted(nil, full, tNb); len(skip) != 0 {
 		t.Errorf("a full snapshot leaves out records %v toward %d", skip, tNb)
 	}
 	if got := recs(full); !got[proc(3)] || !got[link(1, tNb)] || !got[proc(tNb)] {

@@ -96,15 +96,16 @@ type Params struct {
 	// record keeps re-shipping until n ≳ 10⁴: only lossless estimates
 	// drop out of steady-state deltas within a run. Receiver-agnostic
 	// deltas re-shipped 85 % of the view per period on a 32-node lossy
-	// fabric and 99 % at 128 nodes, and split horizon (Snapshot.AppendOmitted)
-	// leaves out only the share that would echo back to its supplier. The
-	// cumulative divergence between a delta receiver's view and the
-	// sender's is bounded by DeltaEpsilon (drift accumulates against the
-	// last-shipped value, not the previous period's) for every record the
-	// receiver does not hold at lower distortion. Default 1e-4 — two
-	// orders of magnitude finer than the U=100 interval width the paper's
-	// convergence criterion resolves. Negative means exact (any change
-	// re-ships).
+	// fabric and 99 % at 128 nodes; Snapshot.AppendOmitted then leaves out
+	// of each neighbour's share the records it supplied and the link
+	// records it is known to hold at no greater distortion, which it
+	// would reject. The cumulative divergence between a delta receiver's
+	// view and the sender's is bounded by DeltaEpsilon (drift accumulates
+	// against the last-shipped value, not the previous period's) for
+	// every record but those the receiver holds at no greater distortion.
+	// Default 1e-4 — two orders of magnitude finer than the U=100
+	// interval width the paper's convergence criterion resolves. Negative
+	// means exact (any change re-ships).
 	DeltaEpsilon float64
 }
 
@@ -246,6 +247,12 @@ type peerState struct {
 	cadence   int    // declared inter-frame gap in periods (0 or 1 = every δ)
 }
 
+// maskSlots is how many neighbours a link mask tracks: the first
+// maskSlots peers of a view get a bit (View.slots), for the view's
+// lifetime, and any later one is left out of a delta only by split
+// horizon.
+const maskSlots = 16
+
 // effCadence is the neighbor's declared heartbeat cadence with the
 // classic one-frame-per-δ default (also for a nil p).
 func (p *peerState) effCadence() int {
@@ -270,6 +277,33 @@ type linkState struct {
 	supplier    int32
 	known       bool // false: a slot no link of this view occupies
 	dirty       bool
+	// mask has the bit of every neighbour whose last copy of this link
+	// it sent us was at no greater distortion than ours, so Algorithm 3
+	// makes it reject ours (sibling horizon, see View.AppendOmitted).
+	// Merges update it (see heard). BeginPeriod clears it once every
+	// LinkAgeTimeout periods, because a neighbour's copy ages unseen
+	// once its own upstream falls silent, and Unmask clears a
+	// neighbour's bit when what it holds is no longer known.
+	mask uint16
+}
+
+// heard books a neighbour's copy of the link, sent at distortion d by
+// the neighbour with mask bit bit, into the mask, and reports whether
+// Algorithm 3 adopts it: when the record is unknown or d is lower than
+// ours. The neighbour holds the link at no greater distortion than ours
+// if d is not greater, and after an adoption too. An adoption that
+// lowers our distortion leaves it the only such neighbour; one at our
+// distortion (d one below it) leaves the others as they were.
+func (ls *linkState) heard(d int32, bit uint16) (adopt bool) {
+	switch {
+	case !ls.known || bump(d) < ls.dist:
+		ls.mask = bit
+	case d > ls.dist:
+		ls.mask &^= bit
+	default:
+		ls.mask |= bit
+	}
+	return !ls.known || d < ls.dist
 }
 
 // Link records live in fixed chunks that never move, so a record's
@@ -293,6 +327,7 @@ type View struct {
 	procs     []procState
 	links     []*[chunkLen]linkState // link records by interner index, in chunks
 	peers     []*peerState           // by process; nil for one that never was a neighbor
+	slots     []topology.NodeID      // the peer of each link-mask bit, in bit order; append-only
 	nDeparted int                    // tombstoned processes; 0 keeps membership checks off hot paths
 	selfSeq   uint64                 // heartbeat sequencer C_k[p_k].seq
 	version   uint64                 // monotonic mutation counter, see Version
@@ -390,8 +425,36 @@ func (v *View) knownLinks() iter.Seq2[int, *linkState] {
 func (v *View) addPeer(j topology.NodeID) *peerState {
 	if v.peers[j] == nil {
 		v.peers[j] = &peerState{timeout: v.params.InitialTimeout}
+		if len(v.slots) < maskSlots {
+			v.slots = append(v.slots, j)
+		}
 	}
 	return v.peers[j]
+}
+
+// peerBit is j's bit in link masks, 0 when it has none.
+func (v *View) peerBit(j topology.NodeID) uint16 {
+	if i := slices.Index(v.slots, j); i >= 0 {
+		return 1 << i
+	}
+	return 0
+}
+
+// Unmask clears j's bit from every link mask, so no link record stays
+// out of the deltas toward j on what j sent before. Call it when j is
+// sent a full snapshot: j never acked this view, or it restarted and
+// acks nothing, and either way what it holds is unknown. A restarted
+// neighbour adopts our copies one distortion step above ours, with us
+// as supplier, and split horizon keeps it from ever sending them back,
+// so no merge would clear its old bits.
+func (v *View) Unmask(j topology.NodeID) {
+	bit := v.peerBit(j)
+	if bit == 0 {
+		return
+	}
+	for _, ls := range v.knownLinks() {
+		ls.mask &^= bit
+	}
 }
 
 // Self returns the owning process ID.
@@ -478,7 +541,7 @@ func (v *View) AddNeighbor(nb topology.NodeID) error {
 	}
 	p.neighbor = true
 	if ls, learned := v.incident(nb); !learned {
-		ls.dist, ls.sinceUpdate, ls.dirty = 0, 0, true
+		ls.dist, ls.sinceUpdate, ls.dirty, ls.mask = 0, 0, true, 0
 	}
 	// The neighbor's sequence accounting restarts from scratch: the first
 	// frame books no gap (lastSeq 0) and suspicion state is clean.
@@ -567,7 +630,21 @@ func (v *View) BeginPeriod() {
 	// distortion ships whenever the record is next re-shipped anyway.
 	// Incident links (dist 0) are self-measured every reception and never
 	// age; unknown links (DistInf) have nothing left to decay.
-	for _, ls := range v.knownLinks() {
+	//
+	// Neighbours' copies age the same way, unseen: a copy at no greater
+	// distortion than ours, which its mask bit keeps ours from, can fall
+	// behind ours once its upstream is silent. So each record's mask is
+	// cleared once every LinkAgeTimeout periods, and a record re-stamped
+	// after that ships to every neighbour that has not reported its copy
+	// again. Clearing ships nothing by itself. The period of the clearing
+	// is set by the link's endpoints, so different links clear in
+	// different periods and their re-ships do not come in one burst;
+	// neighbours whose sequencers agree clear a link in the same period.
+	every := uint64(v.params.LinkAgeTimeout)
+	for idx, ls := range v.knownLinks() {
+		if l := v.interner.Link(idx); (v.selfSeq+uint64(l.A+l.B))%every == 0 {
+			ls.mask = 0
+		}
 		if ls.dist == 0 || ls.dist == DistInf {
 			continue
 		}
@@ -723,7 +800,7 @@ func (v *View) mergeEstimates(src *View) bool {
 			// An unknown link's slot is a zero record: adopting into it
 			// learns the link.
 			if mine := &mines[i]; !mine.known || theirs.dist < mine.dist {
-				mine.est, mine.known = theirs.est, true
+				mine.est, mine.known, mine.mask = theirs.est, true, 0
 				mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty = bump(theirs.dist), int32(src.self), 0, true
 				changed = true
 			}

@@ -3,6 +3,7 @@ package knowledge
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/topology"
@@ -48,7 +49,7 @@ type ProcRecord struct {
 	Est  bayes.State
 	// holder is one plus the neighbour that holds this record at no
 	// greater distortion than the cutting view (see
-	// Snapshot.AppendOmitted); 0 when no neighbour is known to, and on
+	// View.AppendOmitted); 0 when no neighbour is known to, and on
 	// every record that did not come from a delta cut. It is never
 	// encoded.
 	holder int32
@@ -59,40 +60,47 @@ type LinkRecord struct {
 	Link   topology.Link
 	Dist   int
 	Est    bayes.State
-	holder int32 // as ProcRecord.holder
+	holder int32  // as ProcRecord.holder
+	mask   uint16 // the cutting view's mask of the link (see linkState.mask); never encoded
 }
 
 // holderOf is a record's holder field for neighbour id; topology.None
 // (or any negative ID) is "no holder".
 func holderOf(id topology.NodeID) int32 { return int32(max(id, -1)) + 1 }
 
-// omitted reports whether a record held by holder stays out of the
-// heartbeat toward the neighbour whose holder field is to.
-func omitted(holder, to int32) bool { return to != 0 && holder == to }
-
 // AppendOmitted appends to dst, in ascending order, the index of every
-// record of s — counting its Procs, then its Links — that stays out of
-// the heartbeat toward neighbour to, and returns the extended slice. A
-// delta cut leaves out every record the receiver provably holds at no
-// greater distortion: one it supplied (we adopted its copy, one
-// distortion step below ours), and the link between the cutting view and
-// the receiver, which the receiver measures itself at distortion 0.
-// Algorithm 3's selectBestEstimate makes the receiver drop such a copy
-// unless its own has aged past ours since, so shipping it is an echo
-// (split horizon, as in RIP). Records of a full snapshot, of a decoded
-// frame or built by hand are never left out.
-func (s *Snapshot) AppendOmitted(dst []int, to topology.NodeID) []int {
+// record of s, a cut of v — counting its Procs, then its Links — that
+// stays out of the heartbeat toward neighbour to, and returns the
+// extended slice. A delta cut leaves out every record the receiver is
+// known to hold at no greater distortion, which Algorithm 3's
+// selectBestEstimate makes it drop unless its own copy has aged past
+// ours since:
+//
+//   - one it supplied (we adopted its copy, one distortion step below
+//     ours), and the link between the cutting view and the receiver,
+//     which it measures itself at distortion 0 (split horizon, as in
+//     RIP);
+//   - a link record whose last copy it sent us was at no greater
+//     distortion than ours (sibling horizon, linkState.mask), for the
+//     first maskSlots neighbours of the cutting view.
+//
+// Process records stay on split horizon only: they age on a clock of a
+// few periods, so a neighbour's copy falls behind ours too often for a
+// mask to hold. Records of a full snapshot, of a decoded frame or built
+// by hand are never left out.
+func (v *View) AppendOmitted(dst []int, s *Snapshot, to topology.NodeID) []int {
 	h := holderOf(to)
 	if h == 0 {
 		return dst
 	}
+	bit := v.peerBit(to)
 	for i := range s.Procs {
-		if omitted(s.Procs[i].holder, h) {
+		if s.Procs[i].holder == h {
 			dst = append(dst, i)
 		}
 	}
 	for i := range s.Links {
-		if omitted(s.Links[i].holder, h) {
+		if lr := &s.Links[i]; lr.holder == h || lr.mask&bit != 0 {
 			dst = append(dst, len(s.Procs)+i)
 		}
 	}
@@ -150,15 +158,15 @@ func grow[E any](s []E, n int) []E {
 // DeltaSince returns a partial snapshot holding only the records whose
 // wire signature changed after version base: the receiver-agnostic case
 // of DeltaTo (to = topology.None), which leaves no record out. Each
-// record carries its holder, so Snapshot.AppendOmitted can still tell
-// which of them a given neighbour's heartbeat leaves out.
+// record carries its holder and mask, so View.AppendOmitted can still
+// tell which of them a given neighbour's heartbeat leaves out.
 func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 	return v.DeltaTo(base, topology.None)
 }
 
 // DeltaTo returns the heartbeat payload toward neighbour to: the records
 // whose wire signature changed after version base — the version that
-// neighbour last acked — less those Snapshot.AppendOmitted names toward
+// neighbour last acked — less those View.AppendOmitted names toward
 // it, in the order of DeltaSince.
 //
 // A record re-ships once its posterior mean drifts past
@@ -168,7 +176,9 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 // re-ships until n reaches about 1/DeltaEpsilon. Receiver-agnostic
 // deltas re-shipped 85 % of the view per period on a 32-node lossy
 // fabric and 99 % at 128 nodes; leaving out what the receiver supplied
-// (split horizon) removes the share that only echoes back.
+// (split horizon) removes the share that only echoes back, and leaving
+// out the link records it last sent at no greater distortion (sibling
+// horizon) the share it would reject.
 //
 // ok is false when base cannot anchor a delta — zero (the peer never
 // acked anything) or ahead of the current version (the peer acked a
@@ -181,15 +191,21 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 // Correctness invariant (induction over acked versions): a peer that
 // acked version V holds every record signature stamped at or before V
 // within DeltaEpsilon, or holds that record at a distortion no greater
-// than ours. Base case: the peer's first merge is a full snapshot. Step:
-// the frame cut at version W against acked base V carries exactly the
-// records stamped in (V, W] that the peer did not supply and that are
-// not the link between us, and the peer holds each of those it was not
-// sent at lower distortion — it supplied our copy, or it measures the
-// link itself. A record whose supplier moves to another neighbour with
-// a new stamp ships to the old supplier on the next cut. The one
-// adoption this gives up is the peer taking back its own knowledge
-// after its copy aged past ours.
+// than ours. Base case: the peer's first merge is a full snapshot, and
+// whoever sends one calls Unmask, so no mask bit the peer earned before
+// it (in an earlier incarnation) outlives it. Step: the frame cut at
+// version W against acked base V carries exactly the records stamped in
+// (V, W] that AppendOmitted does not name toward the peer, and the peer
+// holds each named one at no greater distortion than ours: it supplied
+// our copy, it measures the link itself, or it last sent us that link
+// at no greater distortion. A record whose supplier
+// moves to another neighbour with a new stamp ships to the old supplier
+// on the next cut, and an adoption that lowers our distortion clears the
+// mask. Copies only rise in distortion by aging, which ships nothing, so
+// two adoptions are given up: the peer taking back its own knowledge
+// after its copy aged past ours, and a masked peer taking ours after its
+// copy aged past it — until the mask's expiry, at most LinkAgeTimeout
+// periods later, ships the next stamp to it.
 func (v *View) DeltaTo(base uint64, to topology.NodeID) (s *Snapshot, ok bool) {
 	if !v.anchors(base) {
 		return nil, false
@@ -197,7 +213,7 @@ func (v *View) DeltaTo(base uint64, to topology.NodeID) (s *Snapshot, ok bool) {
 	s = new(Snapshot)
 	v.DeltaSinceInto(s, base)
 	if to != topology.None {
-		s.omit(to)
+		v.omit(s, to)
 	}
 	return s, true
 }
@@ -246,6 +262,7 @@ func (v *View) DeltaSinceInto(dst *Snapshot, base uint64) (ok bool) {
 				Dist:   int(ls.dist),
 				Est:    ls.est.State(),
 				holder: v.linkHolder(l, ls),
+				mask:   ls.mask,
 			})
 		}
 	}
@@ -267,22 +284,28 @@ func (v *View) linkHolder(l topology.Link, ls *linkState) int32 {
 
 // omit removes from s, in place and in order, the records AppendOmitted
 // names toward to.
-func (s *Snapshot) omit(to topology.NodeID) {
-	h := holderOf(to)
-	procs, links := s.Procs[:0], s.Links[:0]
-	for _, pr := range s.Procs {
-		if !omitted(pr.holder, h) {
-			procs = append(procs, pr)
+func (v *View) omit(s *Snapshot, to topology.NodeID) {
+	skips := v.AppendOmitted(nil, s, to)
+	n := len(s.Procs)
+	k, _ := slices.BinarySearch(skips, n)
+	s.Procs = without(s.Procs, skips[:k], 0)
+	s.Links = without(s.Links, skips[k:], n)
+}
+
+// without removes from recs, in place and in order, the records whose
+// index plus off is in the ascending list skips, and zeroes the tail it
+// frees.
+func without[E any](recs []E, skips []int, off int) []E {
+	kept := recs[:0]
+	for i, r := range recs {
+		if len(skips) > 0 && skips[0] == off+i {
+			skips = skips[1:]
+			continue
 		}
+		kept = append(kept, r)
 	}
-	for _, lr := range s.Links {
-		if !omitted(lr.holder, h) {
-			links = append(links, lr)
-		}
-	}
-	clear(s.Procs[len(procs):])
-	clear(s.Links[len(links):])
-	s.Procs, s.Links = procs, links
+	clear(recs[len(kept):])
+	return kept
 }
 
 // anchors reports whether a delta can be cut against base: the peer acked
@@ -425,6 +448,7 @@ func (v *View) checkSnapshot(s *Snapshot) error {
 // reporting whether any estimate was adopted or link learned.
 func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 	depCheck := v.nDeparted > 0 // keep tombstone filtering off the static fast path
+	bit := v.peerBit(s.From)
 	for _, pr := range s.Procs {
 		if pr.ID < 0 || int(pr.ID) >= v.n {
 			return changed, fmt.Errorf("knowledge: snapshot names unknown process %d", pr.ID)
@@ -458,7 +482,7 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 		// the link, and a malformed state leaves it unknown.
 		mine := v.slot(v.interner.Intern(l))
 		dist := wireDist(lr.Dist)
-		if mine.known && dist >= mine.dist {
+		if !mine.heard(dist, bit) {
 			continue
 		}
 		if !mine.known || !mine.est.Holds(&lr.Est) {

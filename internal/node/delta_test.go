@@ -197,6 +197,107 @@ func TestDeltaFullFallbackAfterRestart(t *testing.T) {
 	}
 }
 
+// TestSiblingHorizonUnmasksRestartedNeighbor: the full-snapshot fallback
+// toward a neighbor clears that neighbor's bit from every link mask. On
+// a ring of six, nodes 2 and 3 both hold the far link 5–0 at distortion
+// 2, so each leaves it out of its deltas toward the other (sibling
+// horizon). Node 3 restarts; its first frame acks nothing, so node 2's
+// next Tick sends it the full snapshot, and from then on node 2's deltas
+// toward it must carry 5–0 again: the restarted node holds our copy one
+// step above ours and, with us as its supplier, never sends it back to
+// clear the bit. Frames are carried by hand, so the run is one schedule.
+func TestSiblingHorizonUnmasksRestartedNeighbor(t *testing.T) {
+	const n, a, b, ageTimeout = 6, 2, 3, 8
+	far := topology.NewLink(5, 0)
+	g, err := topology.Ring(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := func(id topology.NodeID) Config {
+		return Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id),
+			Knowledge: knowledge.Params{DeltaEpsilon: -1, LinkAgeTimeout: ageTimeout}} // every observation re-stamps
+	}
+	nodes, boxes := make([]*Node, n), make([]*mailTransport, n)
+	for i := range nodes {
+		id := topology.NodeID(i)
+		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
+		nodes[i] = newTestNode(t, cfg(id), boxes[i])
+	}
+	// send ticks the given nodes and returns their frames.
+	send := func(ids ...int) []mail {
+		var out []mail
+		for _, i := range ids {
+			nodes[i].Tick()
+			if !nodes[i].WaitSendIdle(5 * time.Second) {
+				t.Fatalf("node %d's lanes never flushed", i)
+			}
+			out = append(out, boxes[i].take()...)
+		}
+		return out
+	}
+	// shipsFar reports whether node a's delta toward b, cut against its
+	// first version, carries the far link: every record but those left
+	// out toward b was stamped since. It fails the test unless node a
+	// holds the link at distortion 2.
+	shipsFar := func() bool {
+		nd := nodes[a]
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		if _, d, _ := nd.view.LossEstimate(far); d != 2 {
+			t.Fatalf("node %d holds %v at distortion %d, want 2", a, far, d)
+		}
+		d, ok := nd.view.DeltaTo(1, b)
+		if !ok {
+			t.Fatal("version 1 does not anchor a delta")
+		}
+		for _, lr := range d.Links {
+			if lr.Link == far {
+				return true
+			}
+		}
+		return false
+	}
+	// expiresNext reports whether node a's next period clears the far
+	// link's mask anyway (the expiry, see knowledge.View.BeginPeriod).
+	expiresNext := func() bool {
+		nd := nodes[a]
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		return (nd.view.SelfSeq()+1+uint64(far.A+far.B))%ageTimeout == 0
+	}
+	all := []int{0, 1, 2, 3, 4, 5}
+	p := 0
+	for ; p < 10 || p < 100 && (shipsFar() || expiresNext()); p++ {
+		for _, m := range send(all...) {
+			nodes[m.to].handle(m.from, m.frame)
+		}
+	}
+	if shipsFar() {
+		t.Fatalf("after %d periods node %d's deltas toward %d still carry %v: the setup never masked it", p, a, b, far)
+	}
+
+	stopNode(nodes[b])
+	boxes[b] = &mailTransport{sinkTransport: sinkTransport{id: b}}
+	nodes[b] = newTestNode(t, cfg(b), boxes[b])
+	for _, m := range send(b) {
+		if m.to == a {
+			nodes[a].handle(m.from, m.frame)
+		}
+	}
+	full := false
+	for _, m := range send(a) {
+		if f, err := wire.Decode(m.frame); err == nil && m.to == b {
+			full = f.Kind == wire.FrameKnowledgeDelta && f.Delta.Since == 0
+		}
+	}
+	if !full {
+		t.Fatalf("node %d did not fall back to the full snapshot toward the restarted %d", a, b)
+	}
+	if !shipsFar() {
+		t.Errorf("after the full snapshot toward the restarted %d, node %d's deltas toward it still leave out %v", b, a, far)
+	}
+}
+
 // TestDeltaConvergesToFullBaseline is the property-style schedule test:
 // random lossy schedules, one cluster on delta heartbeats and one on
 // always-full snapshots (settleFullTicks), must end with the same view of
@@ -389,6 +490,15 @@ func mustEncodeHeartbeat(t *testing.T, from topology.NodeID, seq uint64, badID t
 // or the link to T. It then compares the delta bytes with the
 // receiver-agnostic cut of the same view at the same moment.
 //
+// The link records a delta leaves out beyond that (sibling horizon, a
+// neighbour's mask bit) meet an oracle that reads no mask: when the
+// frame arrives, its receiver must hold each of them at no greater
+// distortion than the sender cut it at, so Algorithm 3 rejects the copy
+// it was not sent. The one exception allowed is a receiver whose copy
+// aged after it last sent that link to the sender, fewer than
+// LinkAgeTimeout periods ago: the mask expiry clears the bit within
+// that time.
+//
 // The floor is arithmetic. On a ring of six a node knows six links: its
 // two incident links and two remote links learned through each
 // neighbor, at distortions one and two. All six re-ship every period
@@ -401,7 +511,7 @@ func mustEncodeHeartbeat(t *testing.T, from topology.NodeID, seq uint64, badID t
 // agnostic bytes; process records, which converge and leave the deltas,
 // only narrow the gap. The floor is 0.75.
 func TestSplitHorizonOnLossyRing(t *testing.T) {
-	const n, periods, steady, lossRate = 6, 200, 100, 0.1
+	const n, periods, steady, lossRate, ageTimeout = 6, 200, 100, 0.1, 8
 	g, err := topology.Ring(n)
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +520,8 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 	for i := range nodes {
 		id := topology.NodeID(i)
 		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
-		nodes[i] = newTestNode(t, Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}, boxes[i])
+		nodes[i] = newTestNode(t, Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id),
+			Knowledge: knowledge.Params{LinkAgeTimeout: ageTimeout}}, boxes[i])
 	}
 	type record struct {
 		proc topology.NodeID // -1 for a link record
@@ -450,15 +561,35 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 		}
 		return math.MaxInt32
 	}
+	// linkDists reads the distortion at which nd holds each link it knows.
+	linkDists := func(nd *Node) map[topology.Link]int {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		out := map[topology.Link]int{}
+		for _, l := range nd.view.KnownLinks() {
+			_, out[l], _ = nd.view.LossEstimate(l)
+		}
+		return out
+	}
+	type toward struct{ from, to topology.NodeID }
 	supplier := make([]map[record]topology.NodeID, n)
+	aged := make([]map[topology.Link]int, n)       // aged[i][l]: the last period node i's copy of l aged
+	reported := map[toward]map[topology.Link]int{} // reported[{i, j}][l]: the last period a frame i→j carrying l arrived
 	for i := range supplier {
-		supplier[i] = map[record]topology.NodeID{}
+		supplier[i], aged[i] = map[record]topology.NodeID{}, map[topology.Link]int{}
 	}
 	rng := rand.New(rand.NewSource(36))
 	splitBytes, agnosticBytes, deltas, left := 0, 0, 0, 0
+	masked, rejected, explained := 0, 0, 0
 	for p := 1; p <= periods; p++ {
-		for _, nd := range nodes {
+		for i, nd := range nodes {
+			before := linkDists(nd)
 			nd.Tick()
+			for l, d := range linkDists(nd) {
+				if d > before[l] {
+					aged[i][l] = p
+				}
+			}
 		}
 		for _, nd := range nodes {
 			if !nd.WaitSendIdle(5 * time.Second) {
@@ -469,9 +600,13 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 		for _, box := range boxes {
 			mail = append(mail, box.take()...)
 		}
+		// sibling[i] lists the link records the frame mail[i] leaves out of
+		// its sender's receiver-agnostic cut beyond split horizon: the ones
+		// a mask bit kept out.
+		sibling := make([][]knowledge.LinkRecord, len(mail))
 		// Every view still stands where its Tick cut it: check each frame
 		// and price the receiver-agnostic cut before anything is handled.
-		for _, m := range mail {
+		for mi, m := range mail {
 			f, err := wire.Decode(m.frame)
 			if err != nil || f.Kind != wire.FrameKnowledgeDelta {
 				t.Fatalf("period %d: %d→%d sent %v (%v), want a delta", p, m.from, m.to, f, err)
@@ -496,6 +631,15 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 				t.Fatalf("period %d: the agnostic cut of %d since %d is not the frame's (anchored %v)", p, m.from, d.Since, ok)
 			}
 			left += len(cut.Procs) + len(cut.Links) - len(d.Snap.Procs) - len(d.Snap.Links)
+			sent := map[topology.Link]bool{}
+			for _, lr := range d.Snap.Links {
+				sent[lr.Link] = true
+			}
+			for _, lr := range cut.Links {
+				if !sent[lr.Link] && lr.Link != topology.NewLink(m.from, m.to) && supplier[m.from][record{proc: -1, link: lr.Link}] != m.to {
+					sibling[mi] = append(sibling[mi], lr)
+				}
+			}
 			if p <= steady {
 				continue
 			}
@@ -513,9 +657,28 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 			agnosticBytes += len(frame)
 			deltas++
 		}
-		for _, m := range mail {
+		for mi, m := range mail {
 			if rng.Float64() < lossRate {
 				continue
+			}
+			// The oracle: each link record a mask bit kept out of this
+			// frame is one its receiver would have rejected now, by
+			// Algorithm 3's strict rule — unless the receiver's copy
+			// aged after the receiver last sent the link to this sender
+			// and the mask expiry has not come round yet, less than
+			// LinkAgeTimeout periods ago.
+			for _, lr := range sibling[mi] {
+				masked++
+				if lr.Dist >= distAt(nodes[m.to], record{proc: -1, link: lr.Link}) {
+					rejected++
+					continue
+				}
+				if at, last := aged[m.to][lr.Link], reported[toward{m.to, m.from}][lr.Link]; at <= last || p-at >= ageTimeout {
+					t.Errorf("period %d: the delta %d→%d left out %v at distortion %d, which %d holds at %d and would adopt (copy aged at period %d, last sent to %d at period %d)",
+						p, m.from, m.to, lr.Link, lr.Dist, m.to, distAt(nodes[m.to], record{proc: -1, link: lr.Link}), at, m.from, last)
+					continue
+				}
+				explained++
 			}
 			f, _ := wire.Decode(m.frame)
 			recs, ds := records(f.Delta.Snap), dists(f.Delta.Snap)
@@ -524,13 +687,25 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 				adopted[i] = ds[i] < distAt(nodes[m.to], r)
 			}
 			nodes[m.to].handle(m.from, m.frame)
+			rep := reported[toward{m.from, m.to}]
+			if rep == nil {
+				rep = map[topology.Link]int{}
+				reported[toward{m.from, m.to}] = rep
+			}
 			for i, r := range recs {
 				if adopted[i] {
 					supplier[m.to][r] = m.from
 				}
+				if r.proc < 0 {
+					rep[r.link] = p
+				}
 			}
 		}
 	}
+	if masked == 0 {
+		t.Error("no mask bit ever kept a link record out: the oracle checked nothing")
+	}
+	t.Logf("sibling horizon kept %d link records out of delivered frames: %d rejected by their receiver, %d adopted after the receiver's copy aged", masked, rejected, explained)
 	if deltas == 0 || left == 0 {
 		t.Fatalf("%d steady deltas, %d records left out over the run: split horizon never acted", deltas, left)
 	}

@@ -668,13 +668,15 @@ func (n *Node) heartbeatLoop() {
 // real time.
 //
 // Each neighbor gets its own frame: the records changed since the
-// version that neighbor last acked, less those it supplied and the link
-// between us (split horizon, knowledge.Snapshot.AppendOmitted), or a full
-// snapshot while the acked version is unknown or unanchorable. A delta
-// empties only once no shipped record moves past DeltaEpsilon, which on
+// version that neighbor last acked, less those it is known to hold at no
+// greater distortion — the ones it supplied, the link between us, and
+// the link records it last sent at our distortion or below (split and
+// sibling horizon, knowledge.View.AppendOmitted) — or a full snapshot
+// while the acked version is unknown or unanchorable. A delta empties
+// only once no shipped record moves past DeltaEpsilon, which on
 // lossless links happens within a few hundred periods and on lossy ones
-// takes about 10⁴ observations per record; until then split horizon is
-// what keeps a neighbor's frame from echoing its own knowledge back.
+// takes about 10⁴ observations per record; until then the two horizons
+// keep a neighbor's frame from carrying copies it would reject.
 func (n *Node) Tick() {
 	if n.closed.Load() {
 		return
@@ -732,10 +734,6 @@ func (n *Node) Tick() {
 			o.snap, o.since = outs[j].snap, outs[j].since
 		} else if cut := &ws.cuts[i]; n.view.DeltaSinceInto(cut, o.base) {
 			o.snap, o.since = cut, o.base
-			// A record has one holder, so the neighbors sharing this cut
-			// leave out disjoint sets of its records: room for all of
-			// them now spares the appends below from growing by halves.
-			ws.skips = slices.Grow(ws.skips, len(cut.Procs)+len(cut.Links))
 		} else {
 			if !fullCut {
 				n.view.SnapshotInto(&ws.full)
@@ -743,11 +741,23 @@ func (n *Node) Tick() {
 			}
 			o.snap = &ws.full // since stays 0: full-snapshot fallback
 		}
+		if o.since == 0 {
+			// A neighbor sent the full snapshot never acked this view or
+			// restarted since: what it holds is unknown.
+			n.view.Unmask(o.to)
+		}
 		// The shared cut is receiver-agnostic; the records this neighbor
-		// is not sent of it are the ones Snapshot.AppendOmitted names
-		// (none, for the full snapshot).
+		// is not sent of it are the ones View.AppendOmitted names
+		// (none, for the full snapshot). Neighbors holding a link record
+		// at the same distortion all leave it out, so their lists may
+		// overlap: room for the whole cut per neighbor keeps each append
+		// from growing the list by halves, and a pooled workspace keeps
+		// that room from period to period.
+		if o.since > 0 {
+			ws.skips = slices.Grow(ws.skips, len(o.snap.Procs)+len(o.snap.Links))
+		}
 		o.skipFrom = len(ws.skips)
-		ws.skips = o.snap.AppendOmitted(ws.skips, o.to)
+		ws.skips = n.view.AppendOmitted(ws.skips, o.snap, o.to)
 		o.skipTo = len(ws.skips)
 		o.records = len(o.snap.Procs) + len(o.snap.Links) - (o.skipTo - o.skipFrom)
 	}

@@ -16,21 +16,23 @@ import (
 // the shipping knowledge/wire/plan code and pins what comes out: 64 views
 // on a seeded random 4-connected graph, 40 periods of v5 count frames cut
 // toward each neighbor against the version it acked (DeltaTo, so split
-// horizon leaves out what the receiver supplied; a full snapshot while
-// nothing is anchorable), seeded 10 % loss, every frame decoded through
-// its receiver's Scratch and merged, and every view planning every fifth
+// horizon leaves out what the receiver supplied and sibling horizon the
+// link records it last sent at no greater distortion; a full snapshot,
+// which clears the receiver's mask bits as Tick does, while nothing is
+// anchorable), seeded 10 % loss, every frame decoded through its
+// receiver's Scratch and merged, and every view planning every fifth
 // period. The SHA-256 of every heartbeat byte and of every plan (parents,
 // AllocByNode, Σ m[j]) must equal the recorded values: a change to how
 // knowledge stores or walks its records is protocol-neutral exactly when
-// this test still passes. The plan hash predates split horizon, which
-// moved only the heartbeat bytes.
+// this test still passes. The plan hash predates split and sibling
+// horizon, which moved only the heartbeat bytes.
 func TestSameBytesDifferential(t *testing.T) {
 	const (
 		n          = 64
 		periods    = 40
 		planEvery  = 5
 		lossRate   = 0.1
-		goldenHB   = "25bfd3189d608285f7ebe9a8a45497e7a269b6640a424964942175a2f4862135"
+		goldenHB   = "f7989043613dc15cea7b7626f8c7eed7b041203d16ffd49901007de8ada8d362"
 		goldenPlan = "611db7bf691d3299d89a5bb86db553d4bf0ea7e1239757d8cba4a17118b2300e"
 	)
 	rng := rand.New(rand.NewSource(2026))
@@ -73,6 +75,7 @@ func TestSameBytesDifferential(t *testing.T) {
 				snap, ok := v.DeltaTo(base, nb)
 				if !ok {
 					snap, base = v.Snapshot(), 0
+					v.Unmask(nb)
 				}
 				sec, err := wire.AppendSnapshotSectionCounts(nil, snap)
 				if err != nil {
