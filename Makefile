@@ -41,7 +41,7 @@ bench-smoke:
 # internal/node — and writes the machine-readable results to
 # BENCH_broadcast.json so perf regressions are diffable across PRs. CI
 # regenerates and uploads the same file.
-BENCH_PATTERN = BenchmarkBroadcastSustained|BenchmarkForwardPipelined|BenchmarkControlLatencyUnderLoad|BenchmarkBroadcast$$|BenchmarkHeartbeatSteadyState|BenchmarkHeartbeatCounts|BenchmarkForwardFanout
+BENCH_PATTERN = BenchmarkBroadcastSustained|BenchmarkForwardPipelined|BenchmarkControlLatencyUnderLoad|BenchmarkBroadcast$$|BenchmarkHeartbeatSteadyState|BenchmarkForwardFanout
 bench:
 	@$(GO) test -bench='$(BENCH_PATTERN)' -benchtime=2000x -run='^$$' . ./internal/node > bench-broadcast.txt; \
 		status=$$?; cat bench-broadcast.txt; \

@@ -530,7 +530,6 @@ type loopEnd struct {
 	id      topology.NodeID
 	peer    *loopEnd
 	handler transport.Handler
-	tap     func(frame []byte) // optional: sees every outbound frame
 	// ackless hands the peer every delta with Ack = 0: the peer never
 	// learns what this end has merged, so every heartbeat it sends back is
 	// the since = 0 full-snapshot fallback — the full-heartbeat baseline.
@@ -541,9 +540,6 @@ func (e *loopEnd) Local() topology.NodeID         { return e.id }
 func (e *loopEnd) SetHandler(h transport.Handler) { e.handler = h }
 func (e *loopEnd) Close() error                   { return nil }
 func (e *loopEnd) Send(_ topology.NodeID, frame []byte) error {
-	if e.tap != nil {
-		e.tap(frame)
-	}
 	if e.ackless {
 		f, err := wire.Decode(frame)
 		if err != nil {
@@ -631,91 +627,6 @@ func BenchmarkHeartbeatSteadyState(b *testing.B) {
 			b.StopTimer()
 			spent := n0.Stats().HeartbeatBytesSent - start
 			b.ReportMetric(float64(spent)/float64(b.N), "hb-bytes/period")
-		})
-	}
-}
-
-// rawEquivalent re-encodes a heartbeat frame without Caps, so every
-// estimator rides the raw float layout at wire version <= 3.
-func rawEquivalent(b *testing.B, frame []byte) []byte {
-	f, err := wire.Decode(frame)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.Caps = 0
-	if f.Kind == wire.FrameKnowledgeDelta {
-		f.Delta.Caps = 0
-	}
-	raw, err := wire.Encode(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return raw
-}
-
-// BenchmarkHeartbeatCounts measures the wire v5 win on the live send
-// path: the same converged two-node system as HeartbeatSteadyState, in
-// the default configuration, where both sides ship the evidence-count
-// layout. The raw baseline is the same traffic, frame for
-// frame, re-encoded without the capability (rawEquivalent) over an
-// untimed window. The in-benchmark assertions pin the acceptance
-// numbers: a two-node full snapshot (the since = 0 fallback every frame
-// is under an ackless loop) is three records — ~2,424 B raw against
-// ~31 B of counts, so at least 40x — and delta heartbeats no worse
-// (on this lossless pair converged deltas are near-empty either way).
-func BenchmarkHeartbeatCounts(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"delta", false}, {"full", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			trA, trB := loopPair(mode.full)
-			mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
-				nd, err := node.New(node.Config{
-					ID:        id,
-					NumProcs:  2,
-					Neighbors: []topology.NodeID{1 - id},
-				}, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(nd.Stop)
-				return nd
-			}
-			n0, n1 := mk(0, trA), mk(1, trB)
-			for i := 0; i < 300; i++ { // converge the estimates
-				tickPair(n0, n1)
-			}
-
-			var sent [][]byte
-			trA.tap = func(frame []byte) { sent = append(sent, append([]byte(nil), frame...)) }
-			for i := 0; i < 400; i++ {
-				tickPair(n0, n1)
-			}
-			trA.tap = nil
-			countBytes, rawBytes := 0, 0
-			for _, frame := range sent {
-				countBytes += len(frame)
-				rawBytes += len(rawEquivalent(b, frame))
-			}
-			ratio := float64(rawBytes) / float64(countBytes)
-
-			start := n0.Stats().HeartbeatBytesSent
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tickPair(n0, n1)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(n0.Stats().HeartbeatBytesSent-start)/float64(b.N), "hb-bytes/period")
-			b.ReportMetric(ratio, "raw-to-counts-ratio")
-			if mode.full && ratio < 40 {
-				b.Errorf("count full heartbeats are only %.1fx smaller than raw (%dB vs %dB), want >= 40x",
-					ratio, countBytes, rawBytes)
-			}
-			if !mode.full && ratio < 1 {
-				b.Errorf("count delta heartbeats regressed: %dB vs %dB raw", countBytes, rawBytes)
-			}
 		})
 	}
 }

@@ -11,17 +11,17 @@
 // paper illustrates one decreaseReliability step with U = 5).
 //
 // An estimator does not store the belief vector. Every estimator starts
-// from a prior — uniform, or the immutable log-prior of a raw wire state —
-// and only ever absorbs integer success and failure counts, so its
-// posterior is a pure function of a few words:
+// from the uniform prior and only ever absorbs integer success and
+// failure counts, so its posterior is a pure function of three integers,
+// (U, successes, failures):
 //
-//	log P_B[u] ∝ prior[u] + failures·log(mid_u) + successes·log(1−mid_u)
+//	log P_B[u] ∝ failures·log(mid_u) + successes·log(1−mid_u)
 //
 // Observing is two integer additions; the vector is materialized on
-// demand (Beliefs, the raw wire layout), in log space so that
-// long one-sided evidence runs (thousands of consecutive successes on a
-// reliable link) cannot underflow an interval's belief to exactly zero.
-// The exposed API still speaks in plain probabilities.
+// demand (Belief, Beliefs), in log space so that long one-sided evidence
+// runs (thousands of consecutive successes on a reliable link) cannot
+// underflow an interval's belief to exactly zero. The exposed API still
+// speaks in plain probabilities.
 //
 // The grid is the paper's fixed one: U uniform intervals. Dynamic
 // precision, which the paper proposes as future work, is not implemented.
@@ -37,6 +37,16 @@ import (
 // DefaultIntervals is the interval count the paper uses in its simulations
 // ("precision of probabilistic intervals", U = 100, Algorithm 5 line 2).
 const DefaultIntervals = 100
+
+// MaxIntervals bounds the interval count U of an estimator. U sizes the
+// grid an estimator is built on, and a state off the wire declares it in
+// a few bytes whatever its value; 4096 is 40× the paper's precision.
+const MaxIntervals = 1 << 12
+
+// MaxEvidence bounds successes+failures, so that count·log(mid) stays a
+// well-conditioned float64: 2^40 events is a heartbeat per millisecond
+// for 35 years. Observations past it saturate.
+const MaxEvidence = 1 << 40
 
 // grid is the immutable interval geometry of an estimator: the uniform
 // midpoints and their cached log likelihoods. Estimators with the same
@@ -109,38 +119,39 @@ func newGrid(u int) *grid {
 // Estimator approximates one failure probability with U probability
 // intervals and per-interval beliefs. The zero value is unusable; use New.
 //
-// An Estimator is a small value (56 bytes): views hold it inline in their
+// An Estimator is a small value (48 bytes): views hold it inline in their
 // records and adopting one is a copy. Estimators are not safe for
 // concurrent mutation; the knowledge layer serializes access, and the live
 // node guards views with a mutex. The posterior summary (mean, MAP) is
 // refreshed by every constructor and mutation and never on a read, so an
 // estimator may be read from several goroutines at once.
 type Estimator struct {
-	g     *grid
-	prior *prior // nil for the uniform prior, which every count estimator has
-	succ  int    // successes absorbed on top of the prior
-	fail  int    // failures absorbed on top of the prior
+	g    *grid
+	succ int // successes absorbed on top of the uniform prior
+	fail int // failures absorbed on top of the uniform prior
 
 	mean   float64 // posterior mean
 	mapBel float64 // MAP belief, 1/Σ_u exp(logBel[u]-max)
 	mapIdx int32   // maximum-a-posteriori interval
 }
 
-// prior is an estimator's non-uniform starting point: the immutable
-// log-prior a raw wire vector shipped.
-type prior struct {
-	base []float64
-}
-
 // New returns an estimator over u intervals with a uniform prior, matching
-// initializeReliability() of Algorithm 5. u must be at least 2.
+// initializeReliability() of Algorithm 5. u must lie in [2, MaxIntervals].
 func New(u int) (*Estimator, error) {
-	if u < 2 {
-		return nil, fmt.Errorf("bayes: need at least 2 intervals, got %d", u)
+	if err := checkIntervals(u); err != nil {
+		return nil, err
 	}
 	e := &Estimator{g: uniformGrid(u)}
 	e.refresh()
 	return e, nil
+}
+
+// checkIntervals bounds an interval count to [2, MaxIntervals].
+func checkIntervals(u int) error {
+	if u < 2 || u > MaxIntervals {
+		return fmt.Errorf("bayes: %d intervals outside [2,%d]", u, MaxIntervals)
+	}
+	return nil
 }
 
 // MustNew is New for callers with a compile-time constant interval count.
@@ -158,55 +169,34 @@ func (e *Estimator) Intervals() int { return len(e.g.mid) }
 
 // ObserveFailure applies decreaseReliability(estimate, factor): it updates
 // the beliefs as if `factor` independent failure events had been observed.
-// factor <= 0 is a no-op.
+// factor <= 0 is a no-op, and the evidence saturates at MaxEvidence.
 func (e *Estimator) ObserveFailure(factor int) {
-	if factor <= 0 {
-		return
+	if factor = e.room(factor); factor > 0 {
+		e.fail += factor
+		e.refresh()
 	}
-	e.fail += factor
-	e.refresh()
 }
 
 // ObserveSuccess applies increaseReliability(estimate, factor): it updates
 // the beliefs as if `factor` independent success (absence-of-failure)
-// events had been observed. factor <= 0 is a no-op.
+// events had been observed. factor <= 0 is a no-op, and the evidence
+// saturates at MaxEvidence.
 func (e *Estimator) ObserveSuccess(factor int) {
-	if factor <= 0 {
-		return
+	if factor = e.room(factor); factor > 0 {
+		e.succ += factor
+		e.refresh()
 	}
-	e.succ += factor
-	e.refresh()
 }
 
-// logBelief returns the unnormalized log belief of interval i: the prior
-// plus the log likelihood of the evidence. Materialization and the
-// summary refresh both evaluate exactly this expression, so a state that
-// crossed the wire as a raw vector summarizes to the same bits as the
-// counts it was cut from.
+// room clamps an observation to the evidence MaxEvidence still admits.
+func (e *Estimator) room(factor int) int {
+	return min(factor, MaxEvidence-e.succ-e.fail)
+}
+
+// logBelief returns the unnormalized log belief of interval i: the log
+// likelihood of the evidence under the uniform prior.
 func (e *Estimator) logBelief(i int) float64 {
-	v := float64(e.fail)*e.g.logFail[i] + float64(e.succ)*e.g.logSucc[i]
-	if e.prior != nil {
-		v += e.prior.base[i]
-	}
-	return v
-}
-
-// appendLogBeliefs appends the log-belief vector, shifted so its maximum
-// is 0 (the range where exp() is meaningful), to dst.
-func (e *Estimator) appendLogBeliefs(dst []float64) []float64 {
-	from := len(dst)
-	max := math.Inf(-1)
-	for i := range e.g.mid {
-		v := e.logBelief(i)
-		if v > max {
-			max = v
-		}
-		dst = append(dst, v)
-	}
-	for i := from; i < len(dst); i++ {
-		dst[i] -= max
-	}
-	return dst
+	return float64(e.fail)*e.g.logFail[i] + float64(e.succ)*e.g.logSucc[i]
 }
 
 // refresh recomputes the posterior summary from the sufficient statistic.
@@ -275,9 +265,9 @@ func (e *Estimator) Belief(u int) float64 {
 
 // Beliefs returns the normalized belief vector.
 func (e *Estimator) Beliefs() []float64 {
-	out := e.appendLogBeliefs(make([]float64, 0, len(e.g.mid)))
-	for i, lb := range out {
-		out[i] = math.Exp(lb) * e.mapBel
+	out := make([]float64, len(e.g.mid))
+	for i := range out {
+		out[i] = e.Belief(i)
 	}
 	return out
 }
@@ -299,8 +289,8 @@ func (e *Estimator) BeliefSum() float64 {
 	return s
 }
 
-// Clone returns an independent copy of the estimator on the heap. Grid and
-// prior are immutable and shared, so a clone copies a few words; an
+// Clone returns an independent copy of the estimator on the heap. The grid
+// is immutable and shared, so a clone copies a few words; an
 // assignment of the value is the same copy, which is how a view adopts a
 // neighbor's less-distorted estimate (Algorithm 3).
 func (e *Estimator) Clone() *Estimator {
@@ -308,8 +298,8 @@ func (e *Estimator) Clone() *Estimator {
 	return &c
 }
 
-// Observations returns the evidence count absorbed on top of the prior:
-// everything observed, for an estimator that started uniform.
+// Observations returns the evidence count absorbed on top of the uniform
+// prior: everything observed.
 func (e *Estimator) Observations() int { return e.succ + e.fail }
 
 // Converged reports whether the estimator has locked onto the true failure

@@ -17,43 +17,35 @@ func offWire(s State) State {
 	return State{Intervals: s.Intervals, Succ: s.Succ, Fail: s.Fail}
 }
 
-// TestBeliefQuantScale: which states are count states. An estimator that
-// only ever observed is one, and its state carries exactly what it
-// observed; one rebuilt from a raw vector carries a prior no count record
-// can describe, and is not.
+// TestBeliefQuantScale: what a count state holds. An estimator's state
+// is (U, successes, failures), exactly what it observed, and so is its
+// clone's.
 func TestBeliefQuantScale(t *testing.T) {
 	e := MustNew(DefaultIntervals)
 	e.ObserveFailure(4)
 	e.ObserveSuccess(96)
-	s := e.State()
-	if !s.IsCounts() || s.Intervals != DefaultIntervals || s.Succ != 96 || s.Fail != 4 {
-		t.Fatalf("observed-only estimator cut %+v, want the count state (100, 96, 4)", s)
-	}
-	if c := e.Clone().State(); !c.IsCounts() {
-		t.Error("a clone of a count estimator is not one")
-	}
-	raw, err := NewFromState(State{Intervals: 4, LogBeliefs: []float64{0, -1, -2, -3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs := raw.State(); rs.IsCounts() {
-		t.Error("an estimator rebuilt from a raw vector cut a count state")
+	for name, s := range map[string]State{"estimator": e.State(), "clone": e.Clone().State()} {
+		if s.Intervals != DefaultIntervals || s.Succ != 96 || s.Fail != 4 {
+			t.Errorf("%s cut %+v, want the count state (100, 96, 4)", name, s)
+		}
 	}
 }
 
-// TestQuantizeBeliefBounds: the bounds Adopt puts on a count state. Fewer
-// than two intervals and negative counts are refused and leave the
-// estimator as it was; counts as large as the wire admits (2^40 events)
-// still summarize to a finite mean inside (0, 1).
+// TestQuantizeBeliefBounds: the bounds Adopt puts on a count state. An
+// interval count outside [2, MaxIntervals], negative counts and evidence
+// past MaxEvidence are refused and leave the estimator as it was; counts
+// at the bounds still summarize to a finite mean inside (0, 1).
 func TestQuantizeBeliefBounds(t *testing.T) {
 	e := MustNew(10)
 	e.ObserveSuccess(30)
 	mean := e.Mean()
 	for name, s := range map[string]State{
-		"no intervals":     {Intervals: 0, Succ: 1},
-		"one interval":     {Intervals: 1, Succ: 1},
-		"negative success": {Intervals: 10, Succ: -1},
-		"negative failure": {Intervals: 10, Fail: -1},
+		"no intervals":        {Intervals: 0, Succ: 1},
+		"one interval":        {Intervals: 1, Succ: 1},
+		"too many intervals":  {Intervals: MaxIntervals + 1, Succ: 1},
+		"negative success":    {Intervals: 10, Succ: -1},
+		"negative failure":    {Intervals: 10, Fail: -1},
+		"evidence past bound": {Intervals: 10, Succ: MaxEvidence - 1, Fail: 2},
 	} {
 		if err := e.Adopt(s); err == nil {
 			t.Errorf("%s: Adopt accepted %+v", name, s)
@@ -63,8 +55,8 @@ func TestQuantizeBeliefBounds(t *testing.T) {
 		}
 	}
 	for _, s := range []State{
-		{Intervals: 4096, Succ: 1<<40 - 1, Fail: 1},
-		{Intervals: 2, Fail: 1 << 40},
+		{Intervals: MaxIntervals, Succ: MaxEvidence - 1, Fail: 1},
+		{Intervals: 2, Fail: MaxEvidence},
 	} {
 		got, err := NewFromState(s)
 		if err != nil {
@@ -124,7 +116,7 @@ func TestBeliefQuantProjection(t *testing.T) {
 		if !next.Holds(&s) {
 			t.Fatalf("hop %d: the adopter does not hold the state it adopted", hop)
 		}
-		if again := next.State(); !again.IsCounts() || again.Intervals != s.Intervals ||
+		if again := next.State(); again.Intervals != s.Intervals ||
 			again.Succ != s.Succ || again.Fail != s.Fail {
 			t.Fatalf("hop %d: re-cut %+v, want %+v", hop, again, s)
 		}
@@ -136,34 +128,39 @@ func TestBeliefQuantProjection(t *testing.T) {
 	}
 }
 
-// TestQuantizeMidRoundTrip: a count state materializes, for the raw wire
-// layouts, exactly the vector its estimator does, with the maximum pinned
-// at 0; a degenerate count state materializes without touching the
-// uniform-grid cache.
+// TestQuantizeMidRoundTrip: the belief vector a count estimator
+// materializes is the one Belief reads interval by interval, peaks at the
+// MAP interval and sums to 1; a state with an interval count outside the
+// bounds is refused without entering the uniform-grid cache.
 func TestQuantizeMidRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for run := 0; run < 100; run++ {
 		e := MustNew(DefaultIntervals)
 		e.ObserveFailure(rng.Intn(100))
 		e.ObserveSuccess(rng.Intn(1000))
-		s := offWire(e.State())
-		got, want := s.AppendLogBeliefs(nil), e.appendLogBeliefs(nil)
-		max := math.Inf(-1)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("run %d: log belief %d materialized as %v, the estimator's is %v", run, i, got[i], want[i])
+		idx, bel := e.MAP()
+		got := e.Beliefs()
+		var sum float64
+		for i, b := range got {
+			if math.Float64bits(b) != math.Float64bits(e.Belief(i)) {
+				t.Fatalf("run %d: belief %d materialized as %v, Belief reads %v", run, i, b, e.Belief(i))
 			}
-			max = math.Max(max, got[i])
+			if b > bel {
+				t.Fatalf("run %d: belief %d is %v, above the MAP belief %v", run, i, b, bel)
+			}
+			sum += b
 		}
-		if max != 0 {
-			t.Fatalf("run %d: materialized maximum %v, want 0", run, max)
+		if got[idx] != bel || math.Abs(sum-1) > 1e-12 {
+			t.Fatalf("run %d: MAP belief %v materialized as %v; beliefs sum to %v", run, bel, got[idx], sum)
 		}
 	}
 	before := cachedGrids()
-	if got := (&State{Intervals: 1, Succ: 3}).AppendLogBeliefs(nil); len(got) != 1 {
-		t.Errorf("a one-interval count state materialized %d beliefs", len(got))
+	for _, u := range []int{1, MaxIntervals + 1, 1 << 40} {
+		if _, err := NewFromState(State{Intervals: u, Succ: 3}); err == nil {
+			t.Errorf("a %d-interval state was adopted", u)
+		}
 	}
 	if cachedGrids() != before {
-		t.Error("a degenerate count state entered the uniform-grid cache")
+		t.Error("a refused state entered the uniform-grid cache")
 	}
 }

@@ -33,68 +33,25 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateRoundTripRefined keeps the name it had when refined grids
-// existed. Its subject is now the other non-count estimator: one whose
-// prior is a raw log-belief vector, as a piggybacked data frame delivers
-// it, with evidence observed on top. Its state carries the prior and the
-// counts, and rebuilds the same posterior around the same shared prior.
-func TestStateRoundTripRefined(t *testing.T) {
-	r := rawPrior(t, 40, 960)
-	r.ObserveFailure(3)
-	r.ObserveSuccess(70)
-	s := r.State()
-	if s.IsCounts() || s.Succ != 70 || s.Fail != 3 {
-		t.Fatalf("raw-prior state %+v, want the prior plus (70, 3)", s)
-	}
-	got, err := NewFromState(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got.prior.base[0] != &r.prior.base[0] {
-		t.Error("the rebuilt estimator copied the prior instead of sharing it")
-	}
-	if got.Mean() != r.Mean() {
-		t.Errorf("raw-prior mean changed: %v vs %v", got.Mean(), r.Mean())
-	}
-}
-
-// rawPrior is an estimator adopted from the raw log-belief vector of one
-// that observed succ successes and fail failures.
-func rawPrior(tb testing.TB, fail, succ int) *Estimator {
-	tb.Helper()
-	e := MustNew(DefaultIntervals)
-	e.ObserveFailure(fail)
-	e.ObserveSuccess(succ)
-	s := e.State()
-	r, err := NewFromState(State{Intervals: s.Intervals, LogBeliefs: s.AppendLogBeliefs(nil)})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return r
-}
-
 func TestNewFromStateValidation(t *testing.T) {
-	flat := make([]float64, 5)
 	cases := map[string]State{
-		"too few intervals": {Intervals: 1, LogBeliefs: []float64{0}},
-		"beliefs mismatch":  {Intervals: 5, LogBeliefs: flat[:3]},
-		"positive logbel":   {Intervals: 5, LogBeliefs: []float64{1, 0, 0, 0, 0}},
-		"nan logbel":        {Intervals: 5, LogBeliefs: []float64{math.NaN(), 0, 0, 0, 0}},
-		"negative count":    {Intervals: 5, Succ: -1},
-		"no mass":           {Intervals: 2, LogBeliefs: []float64{math.Inf(-1), math.Inf(-1)}},
+		"too few intervals":   {Intervals: 1},
+		"too many intervals":  {Intervals: MaxIntervals + 1},
+		"negative count":      {Intervals: 5, Succ: -1},
+		"evidence past bound": {Intervals: 5, Succ: MaxEvidence, Fail: 1},
 	}
 	for name, s := range cases {
 		if _, err := NewFromState(s); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	// A raw vector off the wire shares the memoized grid.
-	e, err := NewFromState(State{Intervals: 5, LogBeliefs: flat})
+	// A state off the wire shares the memoized grid.
+	e, err := NewFromState(State{Intervals: 5, Succ: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.g != uniformGrid(5) {
-		t.Error("a raw-vector state did not resolve to the shared grid")
+		t.Error("a state off the wire did not resolve to the shared grid")
 	}
 }
 
@@ -122,14 +79,6 @@ func TestObservationsCounting(t *testing.T) {
 	}
 	if got := e.Clone().Observations(); got != 10 {
 		t.Errorf("clone observations = %d, want 10", got)
-	}
-	r, err := NewFromState(State{Intervals: 10, LogBeliefs: e.appendLogBeliefs(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.ObserveSuccess(2)
-	if got := r.Observations(); got != 2 {
-		t.Errorf("raw-prior observations = %d, want the 2 observed on top of the prior", got)
 	}
 }
 

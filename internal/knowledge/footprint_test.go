@@ -9,7 +9,6 @@ import (
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
-	"adaptivecast/internal/wire"
 )
 
 // viewBudget is what one view at n = 128 may retain once it holds an
@@ -19,8 +18,8 @@ import (
 const viewBudget = 60 << 10
 
 // TestViewFootprint pins the memory a view keeps per roster: 32 views at
-// n = 128 adopt 128 process and 256 link records from a v5 count
-// snapshot, and the heap they retain, after a collection, is divided
+// n = 128 adopt 128 process and 256 link records from a snapshot off the
+// wire, and the heap they retain, after a collection, is divided
 // among them.
 func TestViewFootprint(t *testing.T) {
 	if raceflag.Enabled {
@@ -40,7 +39,7 @@ func TestViewFootprint(t *testing.T) {
 		snap.Links = append(snap.Links, knowledge.LinkRecord{Link: g.Link(li), Dist: 1,
 			Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 90 + li, Fail: li % 5}})
 	}
-	snap = overWire(t, snap, wire.CapsCounts)
+	snap = overWire(t, snap)
 	if len(snap.Procs) != n || len(snap.Links) != 256 {
 		t.Fatalf("the snapshot carries %d process and %d link records, want %d and 256", len(snap.Procs), len(snap.Links), n)
 	}

@@ -71,7 +71,8 @@ const DistInf = math.MaxInt32
 // Params tunes a view. The zero value gets sensible defaults from
 // applyDefaults.
 type Params struct {
-	// Intervals is U, the Bayesian precision (default bayes.DefaultIntervals).
+	// Intervals is U, the Bayesian precision (default
+	// bayes.DefaultIntervals), in [2, bayes.MaxIntervals].
 	Intervals int
 	// InitialTimeout is ∆_k[p_j] in heartbeat periods (default 1, i.e. δ).
 	InitialTimeout int
@@ -343,6 +344,10 @@ func NewView(self topology.NodeID, n int, neighbors []topology.NodeID, interner 
 		return nil, fmt.Errorf("knowledge: self %d out of range [0,%d)", self, n)
 	}
 	params = params.withDefaults()
+	uniform, err := bayes.New(params.Intervals)
+	if err != nil {
+		return nil, fmt.Errorf("knowledge: %w", err)
+	}
 	if interner == nil {
 		interner = NewInterner()
 	}
@@ -350,7 +355,7 @@ func NewView(self topology.NodeID, n int, neighbors []topology.NodeID, interner 
 		self:     self,
 		params:   params,
 		interner: interner,
-		uniform:  *bayes.MustNew(params.Intervals),
+		uniform:  *uniform,
 	}
 	v.addProcs(n)
 	v.procs[self].dist = 0 // p_k sees itself with no distortion

@@ -606,10 +606,9 @@ func TestAdoptionIsSnapshot(t *testing.T) {
 }
 
 // TestRefinedEstimatePropagates keeps the name it had when refined grids
-// existed. Its subject is now the other estimate no count record can
-// describe: one adopted from a raw log-belief vector, as a piggybacked
-// data frame delivers it. Such an estimate flows on through adoption and
-// snapshots like any other knowledge, and keeps its prior.
+// existed. Its subject is now an estimate a view learned from a snapshot
+// record rather than observed itself: it flows on through adoption and
+// snapshots like any other knowledge, with its evidence counts intact.
 func TestRefinedEstimatePropagates(t *testing.T) {
 	in := NewInterner()
 	params := Params{Intervals: 20}
@@ -621,31 +620,26 @@ func TestRefinedEstimatePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// a adopts process 2's estimate from a raw piggyback and observes on.
+	// a adopts process 2's estimate from a snapshot record.
 	src := bayes.MustNew(20)
 	src.ObserveFailure(4)
 	src.ObserveSuccess(60)
-	st := src.State()
-	raw := bayes.State{Intervals: 20, LogBeliefs: st.AppendLogBeliefs(nil)}
 	if err := a.MergeSnapshotKnowledgeOnly(&Snapshot{From: 1, Seq: 1,
-		Procs: []ProcRecord{{ID: 2, Dist: 0, Est: raw}}}); err != nil {
+		Procs: []ProcRecord{{ID: 2, Dist: 0, Est: bayes.State{Intervals: 20, Succ: 60, Fail: 4}}}}); err != nil {
 		t.Fatal(err)
 	}
-	if s := a.ProcEstimator(2).State(); s.IsCounts() {
-		t.Fatal("the estimate adopted from a raw vector cut a count state")
-	}
 	srcMean, _ := a.CrashEstimate(2)
-	if math.Abs(srcMean-src.Mean()) > 1e-12 {
-		t.Fatalf("adopted raw estimate %v, its source %v", srcMean, src.Mean())
+	if srcMean != src.Mean() {
+		t.Fatalf("adopted estimate %v, its source %v", srcMean, src.Mean())
 	}
 	// b adopts it via the live path...
 	if err := b.MergeFrom(0, a.SelfSeq(), a); err != nil {
 		t.Fatal(err)
 	}
 	if mean, _ := b.CrashEstimate(2); mean != srcMean {
-		t.Errorf("adopted raw-prior estimate diverged: %v vs %v", mean, srcMean)
+		t.Errorf("adopted estimate diverged: %v vs %v", mean, srcMean)
 	}
-	// ...and via the wire path.
+	// ...and via the snapshot path.
 	c, err := NewView(1, 3, []topology.NodeID{0}, NewInterner(), params)
 	if err != nil {
 		t.Fatal(err)
@@ -654,10 +648,12 @@ func TestRefinedEstimatePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mean, _ := c.CrashEstimate(2); mean != srcMean {
-		t.Errorf("snapshot path diverged on a raw-prior estimate: %v vs %v", mean, srcMean)
+		t.Errorf("snapshot path diverged: %v vs %v", mean, srcMean)
 	}
-	if s := c.ProcEstimator(2).State(); s.IsCounts() {
-		t.Error("the snapshot path dropped the raw prior")
+	for name, v := range map[string]*View{"live path": b, "snapshot path": c} {
+		if got := v.ProcEstimator(2).Observations(); got != src.Observations() {
+			t.Errorf("%s: %d observations arrived, want %d", name, got, src.Observations())
+		}
 	}
 }
 

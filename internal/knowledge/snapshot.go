@@ -109,7 +109,7 @@ func (v *View) AppendOmitted(dst []int, s *Snapshot, to topology.NodeID) []int {
 
 // Snapshot cuts the view into a wire-ready payload: one record per known
 // estimate, each an O(1) bayes.State sharing the estimator's immutable
-// grid and prior, so the payload stays valid however the view moves on.
+// grid, so the payload stays valid however the view moves on.
 // It also refreshes the wire signatures (see DeltaSince): a full snapshot
 // ships every record, so it baselines them all — the next delta cut
 // against an ack of this version re-ships only what changes afterwards.

@@ -13,11 +13,10 @@ import (
 	"adaptivecast/internal/wire"
 )
 
-// overWire puts a snapshot through the codec, as a v5 frame shipping
-// evidence counts or as a raw <= v3 frame.
-func overWire(tb testing.TB, snap *knowledge.Snapshot, caps uint64) *knowledge.Snapshot {
+// overWire puts a snapshot through the codec as a heartbeat frame.
+func overWire(tb testing.TB, snap *knowledge.Snapshot) *knowledge.Snapshot {
 	tb.Helper()
-	b, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap, Caps: caps})
+	b, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -31,8 +30,7 @@ func overWire(tb testing.TB, snap *knowledge.Snapshot, caps uint64) *knowledge.S
 // TestEvidenceCountSurvivesAdoption pins the wire bugfix end to end: an
 // estimate adopted from a count heartbeat keeps the evidence count its
 // owner accumulated, so Observations() no longer reads zero for
-// everything learned over the wire. The raw layout cannot carry the count
-// and still reads zero.
+// everything learned over the wire.
 func TestEvidenceCountSurvivesAdoption(t *testing.T) {
 	owner, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{})
 	if err != nil {
@@ -44,25 +42,19 @@ func TestEvidenceCountSurvivesAdoption(t *testing.T) {
 	if got := owner.ProcEstimator(0).Observations(); got != 37 {
 		t.Fatalf("owner absorbed %d observations, want 37", got)
 	}
-	for _, c := range []struct {
-		name string
-		caps uint64
-		want int
-	}{{"counts", wire.CapsCounts, 37}, {"raw", 0, 0}} {
-		adopter, err := knowledge.NewView(1, 3, []topology.NodeID{0}, nil, knowledge.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := adopter.MergeSnapshot(overWire(t, owner.Snapshot(), c.caps)); err != nil {
-			t.Fatal(err)
-		}
-		est := adopter.ProcEstimator(0)
-		if got := est.Observations(); got != c.want {
-			t.Errorf("%s: adopted estimate reports %d observations, want %d", c.name, got, c.want)
-		}
-		if est.Mean() != owner.ProcEstimator(0).Mean() {
-			t.Errorf("%s: adopted mean %v, owner's %v", c.name, est.Mean(), owner.ProcEstimator(0).Mean())
-		}
+	adopter, err := knowledge.NewView(1, 3, []topology.NodeID{0}, nil, knowledge.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adopter.MergeSnapshot(overWire(t, owner.Snapshot())); err != nil {
+		t.Fatal(err)
+	}
+	est := adopter.ProcEstimator(0)
+	if got := est.Observations(); got != 37 {
+		t.Errorf("adopted estimate reports %d observations, want 37", got)
+	}
+	if est.Mean() != owner.ProcEstimator(0).Mean() {
+		t.Errorf("adopted mean %v, owner's %v", est.Mean(), owner.ProcEstimator(0).Mean())
 	}
 }
 
@@ -82,18 +74,18 @@ func TestReadoptionKeepsUnchangedEstimator(t *testing.T) {
 	}
 	owner.BeginPeriod()
 	snap := owner.Snapshot()
-	if err := adopter.MergeSnapshot(overWire(t, snap, wire.CapsCounts)); err != nil {
+	if err := adopter.MergeSnapshot(overWire(t, snap)); err != nil {
 		t.Fatal(err)
 	}
 	first := adopter.ProcEstimator(0)
-	if err := adopter.MergeSnapshot(overWire(t, snap, wire.CapsCounts)); err != nil {
+	if err := adopter.MergeSnapshot(overWire(t, snap)); err != nil {
 		t.Fatal(err)
 	}
 	if got := adopter.ProcEstimator(0); got != first || got.Observations() != 1 {
 		t.Errorf("re-adopting unchanged counts rebuilt the estimator (%d observations)", got.Observations())
 	}
 	owner.BeginPeriod()
-	if err := adopter.MergeSnapshot(overWire(t, owner.Snapshot(), wire.CapsCounts)); err != nil {
+	if err := adopter.MergeSnapshot(overWire(t, owner.Snapshot())); err != nil {
 		t.Fatal(err)
 	}
 	got := adopter.ProcEstimator(0)
@@ -162,7 +154,7 @@ func TestAllocsMergeSnapshot(t *testing.T) {
 	}
 	views, g := benchCluster(t, 128)
 	v, nb := views[0], views[g.Neighbors(0)[0]]
-	base := overWire(t, nb.Snapshot(), wire.CapsCounts)
+	base := overWire(t, nb.Snapshot())
 	if got := len(base.Procs) + len(base.Links); got < 340 {
 		t.Fatalf("the neighbor's snapshot carries %d records, want the whole system (>= 340)", got)
 	}
@@ -411,7 +403,7 @@ func BenchmarkMergeSnapshotAt(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				nb.BeginPeriod()
-				snap := overWire(b, nb.Snapshot(), wire.CapsCounts)
+				snap := overWire(b, nb.Snapshot())
 				b.StartTimer()
 				if err := v.MergeSnapshotAt(snap, 1); err != nil {
 					b.Fatal(err)
@@ -422,7 +414,7 @@ func BenchmarkMergeSnapshotAt(b *testing.B) {
 			views, g := benchCluster(b, size.n)
 			v, nb := views[0], views[g.Neighbors(0)[0]]
 			nb.BeginPeriod()
-			snap := overWire(b, nb.Snapshot(), wire.CapsCounts)
+			snap := overWire(b, nb.Snapshot())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -394,13 +394,13 @@ func TestHeartbeatMustNameItsSender(t *testing.T) {
 	}
 	delta := func(from topology.NodeID) []byte {
 		b, err := wire.Encode(&wire.Frame{Kind: wire.FrameKnowledgeDelta,
-			Delta: &wire.KnowledgeDelta{Snap: snap(from), Ver: 7, Ack: 2, Caps: wire.CapsCounts}})
+			Delta: &wire.KnowledgeDelta{Snap: snap(from), Ver: 7, Ack: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	full, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap(2), Caps: wire.CapsCounts})
+	full, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,13 +643,11 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 			if p <= steady {
 				continue
 			}
-			sec, err := wire.AppendSnapshotSectionCounts(nil, cut)
+			sec, err := wire.AppendSnapshotSection(nil, cut)
 			if err != nil {
 				t.Fatal(err)
 			}
-			agnostic := *d
-			agnostic.Caps = wire.CapsCounts
-			frame, err := wire.AppendDeltaFrame(nil, &agnostic, sec)
+			frame, err := wire.AppendDeltaFrame(nil, d, sec)
 			if err != nil {
 				t.Fatal(err)
 			}

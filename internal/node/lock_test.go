@@ -54,7 +54,7 @@ func deltaFrame(t *testing.T, from topology.NodeID, ver uint64) []byte {
 		{ID: from, Dist: 0, Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40}},
 	}}
 	b, err := wire.Encode(&wire.Frame{Kind: wire.FrameKnowledgeDelta,
-		Delta: &wire.KnowledgeDelta{Snap: snap, Ver: ver, Caps: wire.CapsCounts}})
+		Delta: &wire.KnowledgeDelta{Snap: snap, Ver: ver}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,10 +75,6 @@ type Stats struct {
 	HeartbeatsReceived  int
 	DeltaHeartbeatsSent int // heartbeats that shipped as knowledge deltas (subset of HeartbeatsSent)
 	HeartbeatBytesSent  int // encoded heartbeat bytes handed to the transport
-	// CountHeartbeatsSent counts heartbeats (full or delta) that rode a
-	// wire v5 frame, shipping estimates as evidence counts: every one
-	// whose record section is non-empty (subset of HeartbeatsSent).
-	CountHeartbeatsSent int
 	// DataSent counts the data copies the plan allocated and handed to
 	// the transport: m[j] per tree edge, one per neighbor on a flood.
 	// Over TCP each entry crosses the wire once, however many it counts.
@@ -124,7 +120,6 @@ type counters struct {
 	heartbeatsSent      atomic.Int64
 	heartbeatsReceived  atomic.Int64
 	deltaHeartbeatsSent atomic.Int64
-	countHeartbeatsSent atomic.Int64
 	heartbeatBytesSent  atomic.Int64
 	dataSent            atomic.Int64
 	dataReceived        atomic.Int64
@@ -146,7 +141,6 @@ func (c *counters) snapshot() Stats {
 		HeartbeatsSent:      int(c.heartbeatsSent.Load()),
 		HeartbeatsReceived:  int(c.heartbeatsReceived.Load()),
 		DeltaHeartbeatsSent: int(c.deltaHeartbeatsSent.Load()),
-		CountHeartbeatsSent: int(c.countHeartbeatsSent.Load()),
 		HeartbeatBytesSent:  int(c.heartbeatBytesSent.Load()),
 		DataSent:            int(c.dataSent.Load()),
 		DataReceived:        int(c.dataReceived.Load()),
@@ -811,7 +805,7 @@ func (n *Node) Tick() {
 	// Each neighbor's frame is its own header followed by the encoded
 	// records of that section it is sent, copied in (split horizon leaves
 	// out a few): Since/Ack/Cadence differ per peer.
-	sent, deltas, counts := 0, 0, 0
+	sent, deltas := 0, 0
 	for _, o := range outs {
 		if !o.due {
 			continue
@@ -820,14 +814,6 @@ func (n *Node) Tick() {
 		if err != nil {
 			continue
 		}
-		// A non-empty section is cut in the count layout, which rides v5;
-		// an empty one encodes the same bytes in any layout and so takes
-		// the oldest header that fits (v1–v3) rather than pay for the Caps
-		// varint.
-		caps := uint64(0)
-		if o.records > 0 {
-			caps = wire.CapsCounts
-		}
 		eb := n.encPool.Get()
 		frame, err := wire.AppendDeltaFrameSubset(eb.b, &wire.KnowledgeDelta{
 			Since:   o.since,
@@ -835,7 +821,6 @@ func (n *Node) Tick() {
 			Ack:     o.ack,
 			Cadence: uint64(o.declared),
 			Epoch:   epoch,
-			Caps:    caps,
 		}, sec.bytes, &sec.index, ws.skips[o.skipFrom:o.skipTo])
 		if err != nil {
 			n.encPool.Put(eb)
@@ -848,9 +833,6 @@ func (n *Node) Tick() {
 			if o.since > 0 {
 				deltas++
 			}
-			if caps != 0 {
-				counts++
-			}
 		}
 	}
 	for _, eb := range ws.secBufs {
@@ -858,7 +840,6 @@ func (n *Node) Tick() {
 	}
 	n.stats.heartbeatsSent.Add(int64(sent))
 	n.stats.deltaHeartbeatsSent.Add(int64(deltas))
-	n.stats.countHeartbeatsSent.Add(int64(counts))
 }
 
 // outbound is one neighbor's heartbeat of a period: the versions it
@@ -924,11 +905,11 @@ func (ws *tickWorkspace) reset() bool {
 }
 
 // section returns the encoded record section of s, encoding it into a
-// buffer from encPool the first time the period asks. It is always cut
-// in the count layout, and indexed so a neighbor's subset can be copied
-// out of it. AppendDeltaFrameSubset copies the records into each frame,
-// so the buffers recycle as soon as the period's frames are encoded;
-// frame buffers recycle when their send releases them.
+// buffer from encPool the first time the period asks. It is indexed so a
+// neighbor's subset can be copied out of it. AppendDeltaFrameSubset
+// copies the records into each frame, so the buffers recycle as soon as
+// the period's frames are encoded; frame buffers recycle when their send
+// releases them.
 func (ws *tickWorkspace) section(encPool *pool.Pool[encBuf], s *knowledge.Snapshot) (section, error) {
 	for _, sec := range ws.secs {
 		if sec.snap == s {

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -66,13 +67,12 @@ func buildClusterOver(t *testing.T, g *topology.Graph, fabric *transport.Fabric,
 
 // The tests below keep the names they had when the compact profile was
 // the opt-in v4 quantized encoding with per-peer negotiation; what they
-// pin today is the one dialect every node speaks: v5 evidence counts for
-// every non-empty record section, the oldest header that fits for every
-// empty one.
+// pin today is the one dialect every node speaks: evidence counts in
+// every estimator record, under the oldest header that fits.
 
-// TestQuantizedClusterNegotiates: a default cluster ships evidence counts
-// with no option set — nobody mis-decodes anything, and the knowledge
-// plane is complete.
+// TestQuantizedClusterNegotiates: a default cluster needs no option to
+// speak it — nobody mis-decodes anything, and the knowledge plane is
+// complete.
 func TestQuantizedClusterNegotiates(t *testing.T) {
 	g, err := topology.Line(3)
 	if err != nil {
@@ -84,27 +84,22 @@ func TestQuantizedClusterNegotiates(t *testing.T) {
 	settleTicks(nodes, 120)
 	for i, nd := range nodes {
 		s := nd.Stats()
-		if s.CountHeartbeatsSent == 0 {
-			t.Errorf("node %d never sent a count heartbeat", i)
+		if s.HeartbeatsSent == 0 || s.HeartbeatsReceived == 0 {
+			t.Errorf("node %d sent %d and received %d heartbeats", i, s.HeartbeatsSent, s.HeartbeatsReceived)
 		}
-		if s.DecodeErrors != 0 {
-			t.Errorf("node %d hit %d decode errors on v5 traffic", i, s.DecodeErrors)
+		if s.DecodeErrors != 0 || s.SnapshotMergeErrors != 0 {
+			t.Errorf("node %d hit %d decode and %d merge errors", i, s.DecodeErrors, s.SnapshotMergeErrors)
 		}
 		if got := len(nd.KnownLinks()); got != 2 {
 			t.Errorf("node %d knows %d links, want 2", i, got)
 		}
 	}
-	// Essentially all of a node's heartbeats that carry records ride the
-	// count layout.
-	s := nodes[1].Stats()
-	if s.CountHeartbeatsSent*2 < s.HeartbeatsSent {
-		t.Errorf("middle node sent %d count heartbeats of %d", s.CountHeartbeatsSent, s.HeartbeatsSent)
-	}
 }
 
 // TestQuantizedFullHeartbeats: full-snapshot heartbeats (settleFullTicks,
-// every frame the since = 0 fallback) always carry records, so every one
-// of them ships counts, from the first period on.
+// every frame the since = 0 fallback) always carry records, and every one
+// of them is a version-1 frame, from the first period on: the count
+// layout needs no header of its own.
 func TestQuantizedFullHeartbeats(t *testing.T) {
 	g, err := topology.Line(2)
 	if err != nil {
@@ -112,7 +107,13 @@ func TestQuantizedFullHeartbeats(t *testing.T) {
 	}
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
+	tap := newTap(fabric.Endpoint(0))
+	nodes := buildClusterOver(t, g, fabric, Config{}, func(i int, tr transport.Transport) transport.Transport {
+		if i == 0 {
+			return tap
+		}
+		return tr
+	})
 	settleFullTicks(nodes, 50)
 	for i, nd := range nodes {
 		s := nd.Stats()
@@ -122,35 +123,43 @@ func TestQuantizedFullHeartbeats(t *testing.T) {
 		if s.DeltaHeartbeatsSent != 0 {
 			t.Errorf("node %d cut %d deltas on the full-snapshot reference", i, s.DeltaHeartbeatsSent)
 		}
-		if s.HeartbeatsSent == 0 || s.CountHeartbeatsSent != s.HeartbeatsSent {
-			t.Errorf("node %d sent %d count heartbeats of %d full heartbeats, want all of them",
-				i, s.CountHeartbeatsSent, s.HeartbeatsSent)
+	}
+	frames := tap.frames(1)
+	if len(frames) != nodes[0].Stats().HeartbeatsSent {
+		t.Fatalf("tap saw %d frames, node 0 sent %d heartbeats", len(frames), nodes[0].Stats().HeartbeatsSent)
+	}
+	for fi, b := range frames {
+		f, err := wire.Decode(b)
+		if err != nil {
+			t.Fatalf("frame %d does not decode: %v", fi, err)
+		}
+		if b[1] != 1 || f.Kind != wire.FrameKnowledgeDelta || f.Delta.Since != 0 || len(f.Delta.Snap.Procs) == 0 {
+			t.Errorf("frame %d: version %d kind %d %+v, want a v1 full snapshot with records", fi, b[1], f.Kind, f.Delta)
 		}
 	}
 }
 
 // wireCluster is a deterministic stand-in for a cluster's heartbeat
 // plane: one knowledge view per process, every period each view's full
-// snapshot encoded, put through a seeded loss schedule, decoded and
-// merged at each neighbor — the real wire and merge code with no clocks
-// or goroutines, so two runs that differ only in wire layout see the
-// same frames arrive.
+// snapshot put through a seeded loss schedule and merged at each
+// neighbor — over the real wire (encoded and decoded) or handed over in
+// memory — with no clocks or goroutines, so two runs that differ only in
+// the wire see the same snapshots arrive.
 type wireCluster struct {
-	g     *topology.Graph
-	views []*knowledge.View
-	v5    []bool // which processes speak the count layout
+	g       *topology.Graph
+	views   []*knowledge.View
+	viaWire bool
 }
 
-func newWireCluster(t *testing.T, g *topology.Graph, v5 func(i int) bool) *wireCluster {
+func newWireCluster(t *testing.T, g *topology.Graph, viaWire bool) *wireCluster {
 	t.Helper()
-	wc := &wireCluster{g: g}
+	wc := &wireCluster{g: g, viaWire: viaWire}
 	for i := 0; i < g.NumNodes(); i++ {
 		v, err := knowledge.NewView(topology.NodeID(i), g.NumNodes(), g.Neighbors(topology.NodeID(i)), nil, knowledge.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wc.views = append(wc.views, v)
-		wc.v5 = append(wc.v5, v5(i))
 	}
 	return wc
 }
@@ -168,19 +177,19 @@ func (wc *wireCluster) period(t *testing.T, rng *rand.Rand, loss float64) {
 			if rng.Float64() < loss {
 				continue
 			}
-			var caps uint64
-			if wc.v5[i] && wc.v5[nb] {
-				caps = wire.CapsCounts
+			got := snap
+			if wc.viaWire {
+				b, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := wire.Decode(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = f.Heartbeat
 			}
-			b, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap, Caps: caps})
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := wire.Decode(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := wc.views[nb].MergeSnapshot(f.Heartbeat); err != nil {
+			if err := wc.views[nb].MergeSnapshot(got); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -189,18 +198,18 @@ func (wc *wireCluster) period(t *testing.T, rng *rand.Rand, loss float64) {
 
 // TestQuantizedEstimateParity is the differential test that replaced
 // the v4 profile's 0.05/0.08 tolerances: on identical random loss
-// schedules, a cluster exchanging evidence counts, a cluster exchanging
-// raw belief vectors and a mixed one land on posterior means that agree
-// to <= 1e-12 at every node for every process and link, and every node
-// plans the identical (tree, allocation, Σ m[j]).
+// schedules, a cluster exchanging its snapshots over the wire and one
+// handing them over in memory land on the same posterior means at every
+// node for every process and link, and every node plans the identical
+// (tree, allocation, Σ m[j]): the wire carries an estimate exactly.
 func TestQuantizedEstimateParity(t *testing.T) {
 	for _, seed := range []int64{7, 42, 1234} {
 		g, err := topology.RandomConnected(8, 2, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(v5 func(i int) bool) *wireCluster {
-			wc := newWireCluster(t, g, v5)
+		run := func(viaWire bool) *wireCluster {
+			wc := newWireCluster(t, g, viaWire)
 			rng := rand.New(rand.NewSource(seed))
 			for p := 0; p < 150; p++ {
 				wc.period(t, rng, 0.25)
@@ -210,48 +219,43 @@ func TestQuantizedEstimateParity(t *testing.T) {
 			}
 			return wc
 		}
-		raw := run(func(int) bool { return false })
-		for name, other := range map[string]*wireCluster{
-			"counts": run(func(int) bool { return true }),
-			"mixed":  run(func(i int) bool { return i%2 == 0 }),
-		} {
-			for i, rv := range raw.views {
-				ov := other.views[i]
-				for p := 0; p < g.NumNodes(); p++ {
-					mr, dr := rv.CrashEstimate(topology.NodeID(p))
-					mo, do := ov.CrashEstimate(topology.NodeID(p))
-					if dr != do || math.Abs(mr-mo) > 1e-12 {
-						t.Errorf("seed %d %s: node %d estimates process %d at (%v, dist %d), raw cluster (%v, dist %d)",
-							seed, name, i, p, mo, do, mr, dr)
-					}
+		mem, wired := run(false), run(true)
+		for i, mv := range mem.views {
+			wv := wired.views[i]
+			for p := 0; p < g.NumNodes(); p++ {
+				mm, dm := mv.CrashEstimate(topology.NodeID(p))
+				mw, dw := wv.CrashEstimate(topology.NodeID(p))
+				if dm != dw || mm != mw {
+					t.Errorf("seed %d: node %d estimates process %d at (%v, dist %d) over the wire, (%v, dist %d) in memory",
+						seed, i, p, mw, dw, mm, dm)
 				}
-				links := rv.KnownLinks()
-				if len(ov.KnownLinks()) != len(links) {
-					t.Fatalf("seed %d %s: node %d knows %d links, raw cluster %d", seed, name, i, len(ov.KnownLinks()), len(links))
+			}
+			links := mv.KnownLinks()
+			if len(wv.KnownLinks()) != len(links) {
+				t.Fatalf("seed %d: node %d knows %d links over the wire, %d in memory", seed, i, len(wv.KnownLinks()), len(links))
+			}
+			for _, l := range links {
+				mm, dm, _ := mv.LossEstimate(l)
+				mw, dw, ok := wv.LossEstimate(l)
+				if !ok || dm != dw || mm != mw {
+					t.Errorf("seed %d: node %d estimates link %v at (%v, dist %d) over the wire, (%v, dist %d) in memory",
+						seed, i, l, mw, dw, mm, dm)
 				}
-				for _, l := range links {
-					mr, dr, _ := rv.LossEstimate(l)
-					mo, do, ok := ov.LossEstimate(l)
-					if !ok || dr != do || math.Abs(mr-mo) > 1e-12 {
-						t.Errorf("seed %d %s: node %d estimates link %v at (%v, dist %d), raw cluster (%v, dist %d)",
-							seed, name, i, l, mo, do, mr, dr)
-					}
-				}
-				pr := freshPlan(rv, topology.NodeID(i), DefaultK)
-				po := freshPlan(ov, topology.NodeID(i), DefaultK)
-				if pr.err != nil || po.err != nil {
-					t.Fatalf("seed %d %s: node %d cannot plan: %v / %v", seed, name, i, pr.err, po.err)
-				}
-				if !reflect.DeepEqual(pr.parents, po.parents) || !reflect.DeepEqual(pr.alloc, po.alloc) || pr.planned != po.planned {
-					t.Errorf("seed %d %s: node %d plans (%v, %v, Σ=%d), raw cluster (%v, %v, Σ=%d)",
-						seed, name, i, po.parents, po.alloc, po.planned, pr.parents, pr.alloc, pr.planned)
-				}
+			}
+			pm := freshPlan(mv, topology.NodeID(i), DefaultK)
+			pw := freshPlan(wv, topology.NodeID(i), DefaultK)
+			if pm.err != nil || pw.err != nil {
+				t.Fatalf("seed %d: node %d cannot plan: %v / %v", seed, i, pm.err, pw.err)
+			}
+			if !reflect.DeepEqual(pm.parents, pw.parents) || !reflect.DeepEqual(pm.alloc, pw.alloc) || pm.planned != pw.planned {
+				t.Errorf("seed %d: node %d plans (%v, %v, Σ=%d) over the wire, (%v, %v, Σ=%d) in memory",
+					seed, i, pw.parents, pw.alloc, pw.planned, pm.parents, pm.alloc, pm.planned)
 			}
 		}
 	}
 }
 
-// alarmingHeartbeat settles a Line(2) and returns node 0 with a raw v1
+// alarmingHeartbeat settles a Line(2) and returns node 0 with a v1
 // heartbeat from node 1 carrying a close, alarming estimate of node 1
 // that node 0 would adopt from any frame it accepts.
 func alarmingHeartbeat(t *testing.T) (*Node, []byte) {
@@ -265,16 +269,15 @@ func alarmingHeartbeat(t *testing.T) (*Node, []byte) {
 	nodes := buildCluster(t, g, fabric, nil)
 	settleTicks(nodes, 20)
 
-	alarming := bayes.State{Intervals: bayes.DefaultIntervals, Fail: 500}
 	snap := &knowledge.Snapshot{From: 1, Seq: 1 << 20, Procs: []knowledge.ProcRecord{
-		{ID: 1, Dist: 0, Est: bayes.State{Intervals: bayes.DefaultIntervals, LogBeliefs: alarming.AppendLogBeliefs(nil)}},
+		{ID: 1, Dist: 0, Est: bayes.State{Intervals: bayes.DefaultIntervals, Fail: 500}},
 	}}
 	v1, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v1[1] != 1 {
-		t.Fatalf("raw heartbeat encoded at version %d, want 1", v1[1])
+		t.Fatalf("heartbeat encoded at version %d, want 1", v1[1])
 	}
 	return nodes[0], v1
 }
@@ -312,44 +315,59 @@ func rejectedWhole(t *testing.T, nd *Node, what string, bad, good []byte) {
 	}
 }
 
-// TestQuantizedMixedCluster: a retired wire v4 frame sent at a live node
-// is rejected whole. The frame is a v4 heartbeat around raw estimator
-// layouts, the shape a v4 binary sent: it books exactly one DecodeErrors
-// and merges nothing, and the same heartbeat at version 1 is then merged,
-// so the version alone is what was refused.
+// TestQuantizedMixedCluster: a retired wire v4 or v5 frame sent at a live
+// node is rejected whole. Each is the v1 heartbeat with a caps varint
+// after the header, the shape those versions sent: it books exactly one
+// DecodeErrors and merges nothing, and the same heartbeat at version 1 is
+// then merged, so the version alone is what was refused.
 func TestQuantizedMixedCluster(t *testing.T) {
-	nd, v1 := alarmingHeartbeat(t)
-	// A v4 heartbeat is a v1 heartbeat with a caps varint after the header.
-	v4 := append([]byte{v1[0], 4, v1[2], 4}, v1[3:]...)
-	rejectedWhole(t, nd, "v4 frame", v4, v1)
+	for _, ver := range []byte{4, 5} {
+		nd, v1 := alarmingHeartbeat(t)
+		retired := append([]byte{v1[0], ver, v1[2], ver}, v1[3:]...)
+		rejectedWhole(t, nd, fmt.Sprintf("v%d frame", ver), retired, v1)
+	}
 }
 
-// TestRefinedGridFrameRejected: a heartbeat whose estimator rides the
-// retired refined-grid layout — flags 0x00, then the midpoints shipped
-// explicitly — is rejected whole at a live node, as a v4 frame is, even
-// when its midpoints are the uniform grid's: one DecodeErrors, nothing
-// merged. The same estimate in the raw layout then merges.
+// TestRefinedGridFrameRejected: a heartbeat whose estimator rides a
+// retired float layout — the refined grid (flags 0x00, then the midpoints
+// shipped explicitly, then the log-belief vector) or the raw vector
+// (flags 0x01, then the log-belief vector) — is rejected whole at a live
+// node, as a v4 frame is, even when it describes the uniform grid and the
+// very posterior of a count record: one DecodeErrors, nothing merged. The
+// same estimate in the count layout then merges.
 func TestRefinedGridFrameRejected(t *testing.T) {
-	nd, v1 := alarmingHeartbeat(t)
 	const u = bayes.DefaultIntervals
-	at := bytes.Index(v1, []byte{1, u, u}) // the raw layout's flag, U and belief count
+	nd, v1 := alarmingHeartbeat(t)
+	est := []byte{4, u, 0, 0xf4, 0x03} // the count layout: U, 0 successes, 500 failures
+	at := bytes.Index(v1, est)
 	if at < 0 {
-		t.Fatal("no raw estimator in the heartbeat")
+		t.Fatal("no count record in the heartbeat")
 	}
-	refined := append([]byte(nil), v1[:at]...)
-	refined = append(refined, 0, u) // the refined-grid flag and its midpoint count
+	// The posterior of 500 failures on the uniform grid, in log space with
+	// its maximum at 0, as the float layouts carried it.
+	beliefs := binary.AppendUvarint(nil, u)
+	for i := 0; i < u; i++ {
+		lb := 500 * (math.Log(float64(2*i+1)/(2*u)) - math.Log(float64(2*u-1)/(2*u)))
+		beliefs = binary.LittleEndian.AppendUint64(beliefs, math.Float64bits(lb))
+	}
+	refined := append([]byte{0}, binary.AppendUvarint(nil, u)...)
 	for i := 0; i < u; i++ {
 		refined = binary.LittleEndian.AppendUint64(refined, math.Float64bits(float64(2*i+1)/float64(2*u)))
 	}
-	refined = append(refined, v1[at+2:]...) // the belief count and vector, unchanged
-	rejectedWhole(t, nd, "refined-grid frame", refined, v1)
+	for name, layout := range map[string][]byte{
+		"refined-grid frame": append(refined, beliefs...),
+		"raw-vector frame":   append(append([]byte{1}, binary.AppendUvarint(nil, u)...), beliefs...),
+	} {
+		bad := append(append(append([]byte(nil), v1[:at]...), layout...), v1[at+len(est):]...)
+		rejectedWhole(t, nd, name, bad, v1)
+	}
 }
 
 // TestQuantizedLegacyFrameDiscipline audits every frame a node in a
 // default cluster sends, from its first period: every heartbeat or delta
-// whose record section is non-empty is a v5 frame with Caps = CapsCounts
-// whose records all ride the count layout, every empty one is a header of
-// version 3 or less, every data frame is v1 or v3, and no frame is v4.
+// takes the oldest header its own fields need (version 1, or 2 for a
+// stretched cadence; a static cluster has no epoch), every data frame is
+// v1, and no frame is v4 or v5.
 func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 	g, err := topology.Line(3)
 	if err != nil {
@@ -371,7 +389,7 @@ func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 	}
 	settleTicks(nodes, 40)
 
-	v5, empty, data := 0, 0, 0
+	full, empty, data := 0, 0, 0
 	for _, to := range g.Neighbors(1) {
 		for fi, b := range tap.frames(to) {
 			f, err := wire.Decode(b)
@@ -379,15 +397,18 @@ func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 				t.Fatalf("frame %d to %d does not decode: %v", fi, to, err)
 			}
 			var snap *knowledge.Snapshot
-			var caps uint64
+			want := byte(1)
 			switch f.Kind {
 			case wire.FrameHeartbeat:
-				snap, caps = f.Heartbeat, f.Caps
+				snap = f.Heartbeat
 			case wire.FrameKnowledgeDelta:
-				snap, caps = f.Delta.Snap, f.Delta.Caps
+				snap = f.Delta.Snap
+				if f.Delta.Cadence > 1 {
+					want = 2
+				}
 			case wire.FrameData:
 				data++
-				if b[1] != 1 && b[1] != 3 {
+				if b[1] != 1 {
 					t.Errorf("data frame %d to %d at version %d", fi, to, b[1])
 				}
 				continue
@@ -396,32 +417,17 @@ func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 			}
 			if len(snap.Procs)+len(snap.Links) == 0 {
 				empty++
-				if b[1] > 3 || caps != 0 {
-					t.Errorf("empty frame %d to %d at version %d with caps %d", fi, to, b[1], caps)
-				}
-				continue
+			} else {
+				full++
 			}
-			v5++
-			if b[1] != 5 || caps != wire.CapsCounts {
-				t.Errorf("non-empty frame %d to %d at version %d with caps %d", fi, to, b[1], caps)
-			}
-			for _, pr := range snap.Procs {
-				if !pr.Est.IsCounts() {
-					t.Errorf("frame %d to %d: process %d record rode a raw layout", fi, to, pr.ID)
-				}
-			}
-			for _, lr := range snap.Links {
-				if !lr.Est.IsCounts() {
-					t.Errorf("frame %d to %d: link %v record rode a raw layout", fi, to, lr.Link)
-				}
+			if b[1] != want {
+				t.Errorf("frame %d to %d (kind %d, %d records) at version %d, want %d",
+					fi, to, f.Kind, len(snap.Procs)+len(snap.Links), b[1], want)
 			}
 		}
 	}
-	if v5 == 0 || empty == 0 || data == 0 {
-		t.Fatalf("tap saw %d non-empty, %d empty and %d data frames; the audit needs all three", v5, empty, data)
-	}
-	if got := nodes[1].Stats().CountHeartbeatsSent; got != v5 {
-		t.Errorf("CountHeartbeatsSent = %d but %d v5 frames crossed the tap", got, v5)
+	if full == 0 || empty == 0 || data == 0 {
+		t.Fatalf("tap saw %d non-empty, %d empty and %d data frames; the audit needs all three", full, empty, data)
 	}
 	for i, nd := range nodes {
 		if errs := nd.Stats().DecodeErrors; errs != 0 {

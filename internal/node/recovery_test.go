@@ -2,9 +2,14 @@ package node
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
+	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 )
@@ -178,5 +183,46 @@ func TestAckChainRepairsAcrossReceiverRestart(t *testing.T) {
 	settleTicks(nodes, 2)
 	if nodes[nb].Stats().DeltaHeartbeatsSent == before {
 		t.Error("neighbor never resumed delta heartbeats after the full-snapshot repair")
+	}
+}
+
+// TestEarliestMarkHeartbeatStillMerges: a mark FileStorage accepts can
+// date from the earliest instant an int64 of nanoseconds holds. The
+// downtime to now then saturates at ~292 years, which at δ = 1 ms books
+// some 9·10¹² missed ticks, past what an estimator record may carry; the
+// evidence saturates at bayes.MaxEvidence instead, so the restored node's
+// heartbeat still decodes at its neighbour, which merges it and adopts
+// the saturated estimate.
+func TestEarliestMarkHeartbeatStillMerges(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mark")
+	if err := os.WriteFile(path, []byte(strconv.FormatInt(math.MinInt64, 10)+" 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := topology.Line(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := transport.NewFabric(transport.FabricOptions{})
+	defer func() { _ = fabric.Close() }()
+	restored := newTestNode(t, Config{ID: 0, NumProcs: 2, Neighbors: g.Neighbors(0),
+		Storage: NewFileStorage(path), HeartbeatEvery: time.Millisecond}, fabric.Endpoint(0))
+	peer := newTestNode(t, Config{ID: 1, NumProcs: 2, Neighbors: g.Neighbors(1)}, fabric.Endpoint(1))
+	restored.mu.Lock()
+	booked := restored.view.ProcEstimator(0).Observations()
+	restored.mu.Unlock()
+	if booked != bayes.MaxEvidence {
+		t.Fatalf("the restored node booked %d observations of itself, want the %d bound", booked, bayes.MaxEvidence)
+	}
+
+	settleTicks([]*Node{restored, peer}, 1)
+	s := peer.Stats()
+	if s.HeartbeatsReceived == 0 || s.DecodeErrors != 0 || s.SnapshotMergeErrors != 0 {
+		t.Fatalf("the peer received %d heartbeats with %d decode and %d merge errors", s.HeartbeatsReceived, s.DecodeErrors, s.SnapshotMergeErrors)
+	}
+	peer.mu.Lock()
+	adopted := peer.view.ProcEstimator(0).Observations()
+	peer.mu.Unlock()
+	if adopted != bayes.MaxEvidence {
+		t.Errorf("the peer holds %d observations of the restored node, want the %d it shipped", adopted, bayes.MaxEvidence)
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // TestSameBytesDifferential replays one fixed heartbeat schedule through
 // the shipping knowledge/wire/plan code and pins what comes out: 64 views
-// on a seeded random 4-connected graph, 40 periods of v5 count frames cut
+// on a seeded random 4-connected graph, 40 periods of delta frames cut
 // toward each neighbor against the version it acked (DeltaTo, so split
 // horizon leaves out what the receiver supplied and sibling horizon the
 // link records it last sent at no greater distortion; a full snapshot,
@@ -25,14 +25,15 @@ import (
 // AllocByNode, Σ m[j]) must equal the recorded values: a change to how
 // knowledge stores or walks its records is protocol-neutral exactly when
 // this test still passes. The plan hash predates split and sibling
-// horizon, which moved only the heartbeat bytes.
+// horizon, which moved only the heartbeat bytes, as did the retirement of
+// wire v5 (every frame here now takes a version-1 header with no Caps).
 func TestSameBytesDifferential(t *testing.T) {
 	const (
 		n          = 64
 		periods    = 40
 		planEvery  = 5
 		lossRate   = 0.1
-		goldenHB   = "f7989043613dc15cea7b7626f8c7eed7b041203d16ffd49901007de8ada8d362"
+		goldenHB   = "f6148610b182d9ce10951c8c1318d2e5bdc45cc89efbe1e5e24c12b6d0f09f5a"
 		goldenPlan = "611db7bf691d3299d89a5bb86db553d4bf0ea7e1239757d8cba4a17118b2300e"
 	)
 	rng := rand.New(rand.NewSource(2026))
@@ -77,12 +78,12 @@ func TestSameBytesDifferential(t *testing.T) {
 					snap, base = v.Snapshot(), 0
 					v.Unmask(nb)
 				}
-				sec, err := wire.AppendSnapshotSectionCounts(nil, snap)
+				sec, err := wire.AppendSnapshotSection(nil, snap)
 				if err != nil {
 					t.Fatal(err)
 				}
 				frame, err := wire.AppendDeltaFrame(nil, &wire.KnowledgeDelta{
-					Since: base, Ver: v.Version(), Ack: seen[i][nb], Caps: wire.CapsCounts,
+					Since: base, Ver: v.Version(), Ack: seen[i][nb],
 				}, sec)
 				if err != nil {
 					t.Fatal(err)

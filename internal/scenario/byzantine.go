@@ -15,9 +15,9 @@ import (
 
 // byzantineReplay is the one live-cluster scenario: a rogue peer replays
 // every committed fuzz-corpus seed — one frame of every shape the encoder
-// produces, the retired shapes (wire v4, v5 joins) and the forged
-// evidence-count heartbeats (oversize U, overflowed counts, count records
-// in pre-v5 frames) — plus seeded mutations of them and hand-crafted
+// produces, the retired shapes (wire v4 and v5, the raw float estimator
+// layout) and the forged evidence-count heartbeats (oversize U,
+// overflowed counts) — plus seeded mutations of them and hand-crafted
 // poisonous heartbeats, at a running 4-node Fabric cluster, mid-traffic.
 // Replayed heartbeats name their original senders, not the rogue, so the
 // node refuses them as frames claiming another sender. The cluster is built at a membership epoch

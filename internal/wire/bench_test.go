@@ -34,53 +34,38 @@ func benchSnapshot() *knowledge.Snapshot {
 	return s
 }
 
-var benchLayouts = []struct {
-	name string
-	caps uint64
-}{{"raw", 0}, {"counts", CapsCounts}}
-
 // BenchmarkHeartbeatEncode appends one delta heartbeat carrying the full
 // record set into a warm buffer, the node's per-period encode.
 func BenchmarkHeartbeatEncode(b *testing.B) {
-	snap := benchSnapshot()
-	for _, layout := range benchLayouts {
-		b.Run(layout.name, func(b *testing.B) {
-			f := &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Ver: 9, Ack: 7, Caps: layout.caps}}
-			buf, err := AppendFrame(nil, f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(buf)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if buf, err = AppendFrame(buf[:0], f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	f := &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: benchSnapshot(), Ver: 9, Ack: 7}}
+	buf, err := AppendFrame(nil, f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = AppendFrame(buf[:0], f); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkHeartbeatDecode decodes the same frame, the receive side of
 // every heartbeat.
 func BenchmarkHeartbeatDecode(b *testing.B) {
-	snap := benchSnapshot()
-	for _, layout := range benchLayouts {
-		b.Run(layout.name, func(b *testing.B) {
-			frame, err := Encode(&Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Ver: 9, Ack: 7, Caps: layout.caps}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(frame)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Decode(frame); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	frame, err := Encode(&Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: benchSnapshot(), Ver: 9, Ack: 7}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(frame); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

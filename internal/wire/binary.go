@@ -15,7 +15,7 @@ import (
 // Binary framing (see the README "Wire format" section):
 //
 //	[0] magic 0xAC
-//	[1] version (1, 2, 3 or 5)
+//	[1] version (1, 2 or 3)
 //	[2] kind (FrameHeartbeat | FrameData | FrameKnowledgeDelta | FrameJoin | FrameLeave)
 //	payload…
 //
@@ -32,43 +32,30 @@ import (
 // nonzero epoch (and the membership kinds) needs it, so a static
 // cluster's frames cost nothing for epochs.
 //
-// Version 5 adds a Caps uvarint — the sender's highest supported wire
-// version, at least 5 — to heartbeat frames (before the snapshot) and to
-// delta frames (after Epoch), and the evidence-count estimator layout,
-// flagCounts: an estimator that never left the uniform prior on the
-// uniform grid is a pure function of three integers, so it ships as
-// uvarint U, uvarint successes, uvarint failures (~5 bytes against ~800
-// raw). Every other estimator — one rebuilt from a raw vector — rides the
-// raw layout, which is legal in every version. The node sends
-// a heartbeat or delta whose record section is non-empty as version 5; an
-// empty section encodes the same bytes in any layout, so it keeps the
-// oldest header that fits. Data frames have no v5 layout, so their
-// piggybacked snapshots ride the raw layout. Membership frames are
-// always v3.
-//
-// The decoder accepts exactly those shapes — heartbeat v1 and v5, data v1
-// and v3, delta v1, v2, v3 and v5, join and leave v3 — which is the
-// kindVersions table. Version 4, the retired quantized-belief profile, is
-// unsupported, and so is the retired refined-grid estimator layout (flags
-// 0x00, midpoints shipped explicitly).
+// The decoder accepts exactly those shapes — heartbeat v1, data v1 and
+// v3, delta v1, v2 and v3, join and leave v3 — which is the kindVersions
+// table. Versions 4 and 5 are retired (the quantized-belief profile, and
+// the capability field that fenced the count layout off older frames),
+// and so are the raw float estimator layout (flags 0x01) and the
+// refined-grid one (flags 0x00).
 //
 // Integers are varints (unsigned for sequence numbers, lengths and
 // counts; zigzag for node IDs, distortions and allocations, which can be
-// negative sentinels), floats are 8-byte little-endian IEEE 754, byte
-// strings are length-prefixed. A raw Bayesian estimator ships its
-// interval count and its log-belief vector; the grid is always the
-// uniform one.
+// negative sentinels), byte strings are length-prefixed. A Bayesian
+// estimator is a pure function of its interval count and its evidence
+// counts, so it ships as flagCounts, then uvarint U, uvarint successes,
+// uvarint failures — in every frame version and every section, heartbeat,
+// delta and data piggyback alike.
 
 const (
-	magic       = 0xAC
-	version     = 1
-	version2    = 2 // delta frames carrying a stretched Cadence
-	version3    = 3 // nonzero membership epoch; join/leave frames
-	version5    = 5 // caps field; evidence-count estimator layout
-	headerSize  = 3
-	flagUniform = 1 << 0 // raw estimator layout: U, then the log-belief vector
-	// flagCounts is the evidence-count layout, legal only from version 5
-	// on: uniform grid, uniform prior, (U, successes, failures).
+	magic      = 0xAC
+	version    = 1
+	version2   = 2 // delta frames carrying a stretched Cadence
+	version3   = 3 // nonzero membership epoch; join/leave frames
+	headerSize = 3
+	// flagCounts opens an estimator record: uniform grid, uniform prior,
+	// (U, successes, failures). Its value is that of the layout's first
+	// release, so committed record bytes keep their meaning.
 	flagCounts = 4
 )
 
@@ -79,7 +66,6 @@ const (
 type reader struct {
 	b      []byte
 	off    int
-	ver    byte // frame version from the header; gates the v5 layouts
 	borrow bool // byte fields alias b instead of copying (DecodeBorrow)
 	err    error
 }
@@ -151,47 +137,6 @@ func (r *reader) countOf(what string, minSize int) int {
 	return int(v)
 }
 
-func (r *reader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 8 {
-		r.fail("truncated float")
-		return 0
-	}
-	bits := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return math.Float64frombits(bits)
-}
-
-// floats reads n 8-byte floats, bounds-checked up front.
-func (r *reader) floats(n int, what string) []float64 {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.remaining() < 8*n {
-		r.fail("%s: %d floats exceed frame", what, n)
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-		r.off += 8
-	}
-	return out
-}
-
-// caps reads a Caps field: the sender's highest supported wire
-// version. A frame advertising less than its own version is
-// self-contradictory and rejected.
-func (r *reader) caps() uint64 {
-	v := r.uvarint()
-	if r.err == nil && (v < uint64(r.ver) || v > MaxCaps) {
-		r.fail("version-%d frame advertises caps %d", r.ver, v)
-	}
-	return v
-}
-
 func (r *reader) bytes(what string) []byte {
 	n := r.count(what)
 	if r.err != nil || n == 0 {
@@ -212,89 +157,41 @@ func (r *reader) bytes(what string) []byte {
 // be the None sentinel inside parent vectors).
 func (r *reader) nodeID() topology.NodeID { return topology.NodeID(r.varint()) }
 
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func appendFloats(b []byte, fs []float64) []byte {
-	for _, f := range fs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------------
 // Estimator state
 // ---------------------------------------------------------------------------
 
-// appendEstimator writes one estimator state. counts permits the
-// evidence-count layout and must be false unless the surrounding frame
-// encodes as version 5; states the layout cannot carry — a raw-vector
-// prior, an interval or evidence count beyond what decoders admit — fall
-// back to the raw float layout, materializing the log-belief vector on the
-// way out.
-func appendEstimator(b []byte, s *bayes.State, counts bool) []byte {
-	if counts && s.IsCounts() && s.Intervals <= MaxIntervals &&
-		s.Succ >= 0 && s.Fail >= 0 && s.Succ+s.Fail <= MaxEvidence {
-		b = append(b, flagCounts)
-		b = binary.AppendUvarint(b, uint64(s.Intervals))
-		b = binary.AppendUvarint(b, uint64(s.Succ))
-		return binary.AppendUvarint(b, uint64(s.Fail))
-	}
-	b = append(b, flagUniform)
+// appendEstimator writes one estimator state in the count layout. The
+// state's bounds (bayes.MaxIntervals, bayes.MaxEvidence) hold by
+// construction for every state an estimator cuts.
+func appendEstimator(b []byte, s *bayes.State) []byte {
+	b = append(b, flagCounts)
 	b = binary.AppendUvarint(b, uint64(s.Intervals))
-	// The paper's U = 100 materializes on the stack; larger grids spill.
-	var scratch [128]float64
-	beliefs := s.AppendLogBeliefs(scratch[:0])
-	b = binary.AppendUvarint(b, uint64(len(beliefs)))
-	return appendFloats(b, beliefs)
+	b = binary.AppendUvarint(b, uint64(s.Succ))
+	return binary.AppendUvarint(b, uint64(s.Fail))
 }
 
 func (r *reader) estimator() bayes.State {
 	var s bayes.State
-	flags := r.byte()
-	switch flags {
-	case flagUniform:
-		// The grid ships only as its interval count; each belief below is
-		// 8 bytes, so cap the count by the remaining frame the same way
-		// explicit float arrays are capped.
-		u := r.uvarint()
-		if r.err != nil {
-			return s
-		}
-		if u > uint64(r.remaining()/8+1) {
-			r.fail("uniform grid count %d exceeds frame", u)
-			return s
-		}
-		s.Intervals = int(u)
-	case flagCounts:
-		if r.ver < version5 {
-			r.fail("evidence-count estimator in a version-%d frame", r.ver)
-			return s
-		}
-		// A count record is a handful of bytes whatever it declares, so
-		// nothing about the frame bounds U or the counts: bound them here,
-		// before U can size a grid or a count can overflow float64(n)·log.
-		u, succ, fail := r.uvarint(), r.uvarint(), r.uvarint()
-		if r.err != nil {
-			return s
-		}
-		if u > MaxIntervals {
-			r.fail("evidence-count estimator declares %d intervals, bound is %d", u, MaxIntervals)
-			return s
-		}
-		if succ > MaxEvidence || fail > MaxEvidence || succ+fail > MaxEvidence {
-			r.fail("evidence counts (%d, %d) exceed the %d bound", succ, fail, MaxEvidence)
-			return s
-		}
-		s.Intervals, s.Succ, s.Fail = int(u), int(succ), int(fail)
-		return s
-	default:
+	if flags := r.byte(); flags != flagCounts {
 		r.fail("unknown estimator flags %#x", flags)
+	}
+	// A count record is a handful of bytes whatever it declares, so
+	// nothing about the frame bounds U or the counts: bound them here,
+	// before U can size a grid or a count can overflow float64(n)·log.
+	u, succ, fail := r.uvarint(), r.uvarint(), r.uvarint()
+	if r.err != nil {
 		return s
 	}
-	n := r.count("beliefs")
-	s.LogBeliefs = r.floats(n, "beliefs")
+	if u > MaxIntervals {
+		r.fail("evidence-count estimator declares %d intervals, bound is %d", u, MaxIntervals)
+		return s
+	}
+	if succ > MaxEvidence || fail > MaxEvidence || succ+fail > MaxEvidence {
+		r.fail("evidence counts (%d, %d) exceed the %d bound", succ, fail, MaxEvidence)
+		return s
+	}
+	s.Intervals, s.Succ, s.Fail = int(u), int(succ), int(fail)
 	return s
 }
 
@@ -302,36 +199,23 @@ func (r *reader) estimator() bayes.State {
 // Knowledge snapshots
 // ---------------------------------------------------------------------------
 
-// estimatorSize is a pre-allocation estimate for one serialized
-// estimator; counts says the frame may use the evidence-count layout.
-func estimatorSize(s *bayes.State, counts bool) int {
-	if counts && s.IsCounts() {
-		return 1 + 3*binary.MaxVarintLen64
-	}
-	return 1 + 2*binary.MaxVarintLen32 + 8*s.Intervals
+// estimatorSize bounds the encoded size of one estimator: a flag byte
+// and three varints.
+const estimatorSize = 1 + 3*binary.MaxVarintLen64
+
+func snapshotSize(s *knowledge.Snapshot) int {
+	return 4*binary.MaxVarintLen64 + len(s.Procs)*(2*binary.MaxVarintLen64+estimatorSize) +
+		len(s.Links)*(3*binary.MaxVarintLen64+estimatorSize)
 }
 
-func snapshotSize(s *knowledge.Snapshot, counts bool) int {
-	n := 4 * binary.MaxVarintLen64
-	for i := range s.Procs {
-		n += 2*binary.MaxVarintLen64 + estimatorSize(&s.Procs[i].Est, counts)
-	}
-	for i := range s.Links {
-		n += 3*binary.MaxVarintLen64 + estimatorSize(&s.Links[i].Est, counts)
-	}
-	return n
-}
-
-// appendSnapshot writes a snapshot's record section. counts permits the
-// evidence-count estimator layout; callers must pass false unless the
-// surrounding frame encodes as version 5.
-func appendSnapshot(b []byte, s *knowledge.Snapshot, counts bool) []byte {
-	return appendSnapshotIndexed(b, s, counts, nil)
+// appendSnapshot writes a snapshot's record section.
+func appendSnapshot(b []byte, s *knowledge.Snapshot) []byte {
+	return appendSnapshotIndexed(b, s, nil)
 }
 
 // appendSnapshotIndexed is appendSnapshot that also records in ix, when
 // it is not nil, where each record's bytes lie (see SectionIndex).
-func appendSnapshotIndexed(b []byte, s *knowledge.Snapshot, counts bool, ix *SectionIndex) []byte {
+func appendSnapshotIndexed(b []byte, s *knowledge.Snapshot, ix *SectionIndex) []byte {
 	start := len(b)
 	b = binary.AppendVarint(b, int64(s.From))
 	b = binary.AppendUvarint(b, s.Seq)
@@ -344,7 +228,7 @@ func appendSnapshotIndexed(b []byte, s *knowledge.Snapshot, counts bool, ix *Sec
 		pr, at := &s.Procs[i], len(b)
 		b = binary.AppendVarint(b, int64(pr.ID))
 		b = binary.AppendVarint(b, int64(pr.Dist))
-		b = appendEstimator(b, &pr.Est, counts)
+		b = appendEstimator(b, &pr.Est)
 		if ix != nil {
 			ix.recs = append(ix.recs, span{at - start, len(b) - start})
 		}
@@ -355,7 +239,7 @@ func appendSnapshotIndexed(b []byte, s *knowledge.Snapshot, counts bool, ix *Sec
 		b = binary.AppendVarint(b, int64(lr.Link.A))
 		b = binary.AppendVarint(b, int64(lr.Link.B))
 		b = binary.AppendVarint(b, int64(lr.Dist))
-		b = appendEstimator(b, &lr.Est, counts)
+		b = appendEstimator(b, &lr.Est)
 		if ix != nil {
 			ix.recs = append(ix.recs, span{at - start, len(b) - start})
 		}
@@ -364,19 +248,17 @@ func appendSnapshotIndexed(b []byte, s *knowledge.Snapshot, counts bool, ix *Sec
 }
 
 // The shortest legal encodings, from the layouts above: an estimator is a
-// flag byte and at least two one-byte varints (an interval count, then a
-// belief count; the count layout is longer), a process
+// flag byte and three one-byte varints (U, successes, failures), a process
 // record prefixes it with two varints (ID, distortion) and a link record
 // with three (A, B, distortion).
 const (
-	minEstimatorSize  = 3
+	minEstimatorSize  = 4
 	minProcRecordSize = 2 + minEstimatorSize
 	minLinkRecordSize = 3 + minEstimatorSize
 )
 
 // snapshot parses a record section into s, reusing the capacity of its two
-// record slices and overwriting every other field. Each estimator's own
-// float vectors are fresh either way. A slice too small for a section
+// record slices and overwriting every other field. A slice too small for a section
 // grows the way append grows it, not to the exact count: one Scratch
 // decodes the sections of every neighbor, and split horizon cuts each a
 // different size, so exact sizing would reallocate on most larger ones.
@@ -416,17 +298,16 @@ func (r *reader) snapshot(s *knowledge.Snapshot) *knowledge.Snapshot {
 // ---------------------------------------------------------------------------
 
 func deltaSize(d *KnowledgeDelta) int {
-	return 5*binary.MaxVarintLen64 + snapshotSize(d.Snap, d.Caps >= CapsCounts)
+	return 5*binary.MaxVarintLen64 + snapshotSize(d.Snap)
 }
 
 // appendDelta lays out the version bookkeeping before the record set, so
 // the fixed-cost liveness header of a near-empty steady-state delta stays
 // a handful of bytes. The cadence uvarint exists only in version-2+
 // frames (version-1 frames imply cadence 1); the epoch uvarint only from
-// version 3 on (earlier versions imply epoch 0); the caps uvarint only in
-// version 5.
+// version 3 on (earlier versions imply epoch 0).
 func appendDelta(b []byte, d *KnowledgeDelta, ver byte) []byte {
-	return appendSnapshot(appendDeltaHeader(b, d, ver), d.Snap, ver >= version5)
+	return appendSnapshot(appendDeltaHeader(b, d, ver), d.Snap)
 }
 
 // appendDeltaHeader writes the delta's version bookkeeping without its
@@ -442,9 +323,6 @@ func appendDeltaHeader(b []byte, d *KnowledgeDelta, ver byte) []byte {
 	}
 	if ver >= version3 {
 		b = binary.AppendUvarint(b, d.Epoch)
-	}
-	if ver >= version5 {
-		b = binary.AppendUvarint(b, d.Caps)
 	}
 	return b
 }
@@ -466,9 +344,6 @@ func (r *reader) delta(ver byte, d *KnowledgeDelta, snap *knowledge.Snapshot) *K
 	if ver >= version3 {
 		d.Epoch = r.uvarint()
 	}
-	if ver >= version5 {
-		d.Caps = r.caps()
-	}
 	d.Snap = r.snapshot(snap)
 	if r.err != nil {
 		return nil
@@ -484,7 +359,7 @@ func dataSize(m *DataMsg) int {
 	n := 8*binary.MaxVarintLen64 + len(m.Parents)*binary.MaxVarintLen32 +
 		len(m.AllocByNode)*binary.MaxVarintLen32 + len(m.Body) + 1
 	if m.Piggyback != nil {
-		n += snapshotSize(m.Piggyback, false)
+		n += snapshotSize(m.Piggyback)
 	}
 	return n
 }
@@ -504,9 +379,8 @@ func appendData(b []byte, m *DataMsg, ver byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m.Body)))
 	b = append(b, m.Body...)
 	if m.Piggyback != nil {
-		// Data frames have no v5 layout, so the piggyback is raw.
 		b = append(b, 1)
-		b = appendSnapshot(b, m.Piggyback, false)
+		b = appendSnapshot(b, m.Piggyback)
 	} else {
 		b = append(b, 0)
 	}
@@ -625,10 +499,6 @@ func (r *reader) membership() *Membership {
 // byte-identical to the v1/v2 encoding (the golden test pins this).
 func frameVersion(f *Frame) byte {
 	switch f.Kind {
-	case FrameHeartbeat:
-		if f.Caps > 0 {
-			return version5
-		}
 	case FrameData:
 		if f.Data.Epoch > 0 {
 			// Only a grown/shrunk cluster needs the epoch fence.
@@ -646,9 +516,6 @@ func frameVersion(f *Frame) byte {
 // deltaVersion is frameVersion for the delta payload alone, shared with
 // the pre-encoded-section fast path (AppendDeltaFrame).
 func deltaVersion(d *KnowledgeDelta) byte {
-	if d.Caps > 0 {
-		return version5
-	}
 	if d.Epoch > 0 {
 		return version3
 	}
@@ -666,7 +533,7 @@ func frameSize(f *Frame) int {
 	size := headerSize
 	switch f.Kind {
 	case FrameHeartbeat:
-		size += snapshotSize(f.Heartbeat, f.Caps >= CapsCounts) + binary.MaxVarintLen64
+		size += snapshotSize(f.Heartbeat)
 	case FrameData:
 		size += dataSize(f.Data) + binary.MaxVarintLen64
 	case FrameKnowledgeDelta:
@@ -684,10 +551,7 @@ func appendFrameBytes(b []byte, f *Frame) []byte {
 	b = append(b, magic, ver, byte(f.Kind))
 	switch f.Kind {
 	case FrameHeartbeat:
-		if ver >= version5 {
-			b = binary.AppendUvarint(b, f.Caps)
-		}
-		b = appendSnapshot(b, f.Heartbeat, ver >= version5)
+		b = appendSnapshot(b, f.Heartbeat)
 	case FrameData:
 		b = appendData(b, f.Data, ver)
 	case FrameKnowledgeDelta:
@@ -721,12 +585,9 @@ func decodeBinary(b []byte, sc *Scratch, borrow bool) error {
 		return fmt.Errorf("wire: unsupported version %d for frame kind %d", ver, kind)
 	}
 	f.Kind = kind
-	r := &reader{b: b, off: headerSize, ver: ver, borrow: borrow}
+	r := &reader{b: b, off: headerSize, borrow: borrow}
 	switch f.Kind {
 	case FrameHeartbeat:
-		if ver == version5 {
-			f.Caps = r.caps()
-		}
 		f.Heartbeat = r.snapshot(&sc.snap)
 	case FrameData:
 		f.Data = r.data(ver, &sc.data)

@@ -14,22 +14,15 @@ import (
 // kept as the bytes an old binary or a replaying peer would send:
 // retired-0 to retired-5 are wire v4 quantized frames (four deltas, a
 // heartbeat and a join), retired-6 a v5 join carrying a capability
-// advert, retired-7 a v4 header around raw estimator layouts, and
+// advert, retired-7 a v4 header around raw estimator layouts,
 // retired-8 and retired-9 a v5 heartbeat and a v5 delta around the
-// retired refined-grid estimator layout (flags 0x00). Both kinds are
-// committed next to the seeds so fuzzing starts from them and the
+// retired refined-grid estimator layout (flags 0x00), retired-10 to
+// retired-16 v1–v3 heartbeats, deltas and piggybacked data frames around
+// the retired raw float layout (flags 0x01), and retired-17 to retired-21
+// v5 heartbeats and deltas carrying the retired Caps field. Both kinds
+// are committed next to the seeds so fuzzing starts from them and the
 // byzantine-replay scenario throws them at a live cluster.
 const forgedPrefix, retiredPrefix = "forged-", "retired-"
-
-// seedName names the corpus file of canonical frame i. The names seed-14
-// and seed-15 stay unused: they held v4 frames, now retired-4 and
-// retired-5, and the v5 frames past them keep their committed names.
-func seedName(i int) string {
-	if i >= 14 {
-		i += 2
-	}
-	return fmt.Sprintf("seed-%d", i)
-}
 
 // writeCorpusFile adds one corpus file. A committed file is never
 // overwritten: the corpus's value is its historical bytes (a regenerated
@@ -65,7 +58,7 @@ func TestWriteSeedCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			writeCorpusFile(t, dir, seedName(i), b)
+			writeCorpusFile(t, dir, fmt.Sprintf("seed-%d", i), b)
 		}
 		for i, forged := range forgedCountFrames() {
 			writeCorpusFile(t, dir, fmt.Sprintf("%s%d", forgedPrefix, i), forged.frame)

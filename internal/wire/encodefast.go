@@ -41,33 +41,17 @@ func EncodeInto(buf []byte, f *Frame) ([]byte, error) {
 }
 
 // AppendSnapshotSection appends the wire form of a knowledge snapshot's
-// record section to dst, in the raw (float64) estimator layout. The
-// raw section is identical across all wire versions, which is what makes
-// shared delta cuts sound: encode the section once per acked-base group
-// of neighbors, then build each neighbor's frame around it with
-// AppendDeltaFrame — per-neighbor fields (Ack, Cadence) and even the
-// frame version may differ without invalidating the shared bytes.
-//
-// The evidence-count layout is the one exception: it is legal only
-// inside version-5 frames, so a section encoded with
-// AppendSnapshotSectionCounts may only be spliced under a delta whose
-// Caps is at least CapsCounts.
+// record section to dst. The section is identical across all wire
+// versions, which is what makes shared delta cuts sound: encode the
+// section once per acked-base group of neighbors, then build each
+// neighbor's frame around it with AppendDeltaFrame — per-neighbor fields
+// (Ack, Cadence) and even the frame version may differ without
+// invalidating the shared bytes.
 func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 	if s == nil {
 		return dst, errors.New("wire: nil snapshot")
 	}
-	return appendSnapshot(dst, s, false), nil
-}
-
-// AppendSnapshotSectionCounts is AppendSnapshotSection with the
-// evidence-count layout for every estimator it can carry (three varints
-// instead of U floats). The resulting section may only ride version-5
-// frames: splice it only under deltas whose Caps is CapsCounts or more.
-func AppendSnapshotSectionCounts(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
-	if s == nil {
-		return dst, errors.New("wire: nil snapshot")
-	}
-	return appendSnapshot(dst, s, true), nil
+	return appendSnapshot(dst, s), nil
 }
 
 // SectionIndex locates the records of a section encoded by
@@ -83,23 +67,22 @@ type SectionIndex struct {
 // span is a record's byte range within its section.
 type span struct{ from, to int }
 
-// AppendSnapshotSectionIndexed is AppendSnapshotSectionCounts that also
-// records in ix where each record's bytes lie, for appendSectionSubset.
+// AppendSnapshotSectionIndexed is AppendSnapshotSection that also records
+// in ix where each record's bytes lie, for appendSectionSubset.
 func AppendSnapshotSectionIndexed(dst []byte, s *knowledge.Snapshot, ix *SectionIndex) ([]byte, error) {
 	if s == nil || ix == nil {
 		return dst, errors.New("wire: nil snapshot or index")
 	}
-	return appendSnapshotIndexed(dst, s, true, ix), nil
+	return appendSnapshotIndexed(dst, s, ix), nil
 }
 
 // appendSectionSubset appends to dst the record section of sec — encoded
 // by AppendSnapshotSectionIndexed, which filled ix — without the records
 // skip lists: skip holds, in ascending order, indices of records of the
 // encoded snapshot, counting its Procs, then its Links. The output is
-// byte-identical to AppendSnapshotSectionCounts of the snapshot without
-// those records, so it obeys the same v5-only rule when it is not empty.
-// Kept records are copied, in order and in one run per gap in skip,
-// never re-encoded.
+// byte-identical to AppendSnapshotSection of the snapshot without those
+// records. Kept records are copied, in order and in one run per gap in
+// skip, never re-encoded.
 func appendSectionSubset(dst, sec []byte, ix *SectionIndex, skip []int) []byte {
 	// The subset is never longer than sec: grow dst once, not per run.
 	dst = slices.Grow(dst, len(sec))
@@ -134,12 +117,11 @@ func appendRecordRuns(dst, sec []byte, recs []span, skip []int, first int) []byt
 }
 
 // AppendDeltaFrame appends a complete knowledge-delta frame to dst,
-// splicing in a record section pre-encoded with AppendSnapshotSection
-// (or, when d.Caps ≥ CapsCounts, AppendSnapshotSectionCounts — the count
-// layout requires it) of d.Snap's records; d.Snap itself is not read and
-// may be nil. The output is byte-identical to AppendFrame of the
-// equivalent frame — version selection follows the same rules — at the
-// cost of one header instead of a full snapshot walk per neighbor.
+// splicing in a record section pre-encoded with AppendSnapshotSection of
+// d.Snap's records; d.Snap itself is not read and may be nil. The output
+// is byte-identical to AppendFrame of the equivalent frame — version
+// selection follows the same rules — at the cost of one header instead
+// of a full snapshot walk per neighbor.
 func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte, error) {
 	if d == nil {
 		return dst, errors.New("wire: nil delta")
@@ -155,8 +137,7 @@ func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte
 
 // AppendDeltaFrameSubset is AppendDeltaFrame with the section
 // appendSectionSubset(sec, ix, skip) copied straight into the frame, so a
-// receiver's subset of a shared cut costs no buffer of its own. d.Caps
-// must be CapsCounts exactly when the subset is not empty.
+// receiver's subset of a shared cut costs no buffer of its own.
 func AppendDeltaFrameSubset(dst []byte, d *KnowledgeDelta, sec []byte, ix *SectionIndex, skip []int) ([]byte, error) {
 	frame, err := AppendDeltaFrame(dst, d, nil)
 	if err != nil {
@@ -180,10 +161,8 @@ func SpliceDataPiggyback(dst, raw []byte, snap *knowledge.Snapshot) ([]byte, err
 	}
 	dst = append(dst, raw[:flagOff]...)
 	if snap != nil {
-		// Data frames have no v5 layout (the splice output keeps raw's
-		// version), so the snapshot always uses the raw layout.
 		dst = append(dst, 1)
-		dst = appendSnapshot(dst, snap, false)
+		dst = appendSnapshot(dst, snap)
 	} else {
 		dst = append(dst, 0)
 	}
@@ -194,7 +173,7 @@ func SpliceDataPiggyback(dst, raw []byte, snap *knowledge.Snapshot) ([]byte, err
 // piggyback section: flagOff is the offset of the piggyback flag byte,
 // pbEnd the offset just past the section (flag plus optional snapshot).
 // The walk skips field contents without materializing them, so a splice
-// pays varint scans, never allocations or float conversions.
+// pays varint scans, never allocations.
 func dataSpliceBounds(raw []byte) (flagOff, pbEnd int, err error) {
 	if len(raw) < headerSize {
 		return 0, 0, errors.New("wire: frame shorter than header")
@@ -251,23 +230,12 @@ func (r *reader) skipSnapshot() {
 	for i, n := 0, r.count("proc records"); i < n && r.err == nil; i++ {
 		r.varint() // id
 		r.varint() // dist
-		r.skipEstimator()
+		r.estimator()
 	}
 	for i, n := 0, r.count("link records"); i < n && r.err == nil; i++ {
 		r.varint() // link a
 		r.varint() // link b
 		r.varint() // dist
-		r.skipEstimator()
+		r.estimator()
 	}
-}
-
-// skipEstimator advances past one encoded estimator state.
-func (r *reader) skipEstimator() {
-	switch flags := r.byte(); flags {
-	case flagUniform:
-		r.uvarint() // interval count; nothing allocated, nothing to clamp
-	default:
-		r.fail("unknown estimator flags %#x", flags)
-	}
-	r.skip(8*r.count("beliefs"), "beliefs")
 }

@@ -75,13 +75,7 @@ func TestAppendDeltaFrameMatchesEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Encode: %v", i, err)
 		}
-		// The section layout follows the frame's: v5 seeds splice a count
-		// section (the (cut, layout) cache key Tick uses).
-		appendSection := AppendSnapshotSection
-		if f.Delta.Caps >= CapsCounts {
-			appendSection = AppendSnapshotSectionCounts
-		}
-		section, err := appendSection(nil, f.Delta.Snap)
+		section, err := AppendSnapshotSection(nil, f.Delta.Snap)
 		if err != nil {
 			t.Fatalf("seed %d: snapshot section: %v", i, err)
 		}
@@ -243,21 +237,15 @@ func TestSpliceZeroAlloc(t *testing.T) {
 
 // TestSectionSubsetMatchesEncode: copying a subset of the records
 // of an indexed section is byte-identical to encoding the snapshot
-// without the skipped records, over random snapshots (count and raw
-// estimator layouts, so records differ in length) and random skip sets,
+// without the skipped records, over random snapshots (varints of every
+// width, so records differ in length) and random skip sets,
 // including none, all of them and empty record lists; the frame form
 // matches AppendDeltaFrame around the filtered section.
 func TestSectionSubsetMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	est := func() bayes.State {
-		if rng.Intn(4) == 0 {
-			beliefs := make([]float64, 10)
-			for i := range beliefs {
-				beliefs[i] = -rng.Float64() * 5
-			}
-			return bayes.State{Intervals: 10, LogBeliefs: beliefs, Succ: rng.Intn(3)}
-		}
-		return bayes.State{Intervals: bayes.DefaultIntervals, Succ: rng.Intn(1 << uint(rng.Intn(20))), Fail: rng.Intn(90)}
+		return bayes.State{Intervals: 2 + rng.Intn(MaxIntervals-1),
+			Succ: rng.Intn(1 << uint(rng.Intn(40))), Fail: rng.Intn(1 << uint(rng.Intn(20)))}
 	}
 	var ix SectionIndex // carried across cases, as Tick carries it across periods
 	for c := 0; c < 500; c++ {
@@ -290,17 +278,14 @@ func TestSectionSubsetMatchesEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		sec := b[len(prefix):]
-		if full, _ := AppendSnapshotSectionCounts(nil, s); !bytes.Equal(sec, full) {
-			t.Fatalf("case %d: the indexed section differs from AppendSnapshotSectionCounts", c)
+		if full, _ := AppendSnapshotSection(nil, s); !bytes.Equal(sec, full) {
+			t.Fatalf("case %d: the indexed section differs from AppendSnapshotSection", c)
 		}
-		want, _ := AppendSnapshotSectionCounts(nil, kept)
+		want, _ := AppendSnapshotSection(nil, kept)
 		if got := appendSectionSubset(append([]byte(nil), prefix...), sec, &ix, skip); !bytes.Equal(got[len(prefix):], want) || !bytes.HasPrefix(got, prefix) {
 			t.Fatalf("case %d: %d of %d records skipped: subset section differs from encoding the %d kept", c, len(skip), n, n-len(skip))
 		}
-		d := &KnowledgeDelta{Since: 3, Ver: 9, Ack: 4, Caps: CapsCounts}
-		if len(kept.Procs)+len(kept.Links) == 0 {
-			d.Caps = 0
-		}
+		d := &KnowledgeDelta{Since: 3, Ver: 9, Ack: 4}
 		wantFrame, err := AppendDeltaFrame(nil, d, want)
 		if err != nil {
 			t.Fatal(err)

@@ -68,10 +68,10 @@ func seedFrames(tb testing.TB) []*Frame {
 		{Kind: FrameLeave, Member: &Membership{Node: 1, Epoch: 4, NumProcs: 6, Departed: []topology.NodeID{1, 3}}},
 		// Empty lists and optional sections inside the newer layouts: the
 		// first join into a static cluster (nothing departed), an
-		// epoch-tagged data frame carrying a piggyback, a v5 heartbeat
-		// around a raw-prior snapshot (the raw fallback outside a delta),
-		// and a converged delta with no records, which takes the oldest
-		// header that fits (v2 for its stretched cadence).
+		// epoch-tagged data frame carrying a piggyback, a heartbeat whose
+		// records sit at the decoder's bounds, and a converged delta with
+		// no records, which takes the oldest header that fits (v2 for its
+		// stretched cadence).
 		{Kind: FrameJoin, Member: &Membership{Node: 4, Epoch: 1, NumProcs: 5, Neighbors: []topology.NodeID{0}}},
 		{Kind: FrameData, Data: &DataMsg{
 			Origin:      0,
@@ -83,47 +83,19 @@ func seedFrames(tb testing.TB) []*Frame {
 			Piggyback:   snap,
 			Epoch:       4,
 		}},
-		{Kind: FrameHeartbeat, Heartbeat: rawPriorSnapshot(tb), Caps: CapsCounts},
+		{Kind: FrameHeartbeat, Heartbeat: boundsSnapshot()},
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: empty, Since: v.Version(), Ver: v.Version(), Ack: 9, Cadence: 4}},
-		// Wire v5: frames carrying Caps, whose snapshots ship evidence
-		// counts (flagCounts). The raw-prior snapshot pins the raw fallback
-		// inside a v5 frame.
-		{Kind: FrameKnowledgeDelta,
-			Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 2, Epoch: 4, Caps: CapsCounts}},
-		{Kind: FrameKnowledgeDelta,
-			Delta: &KnowledgeDelta{Snap: v.Snapshot(), Since: 0, Ver: v.Version(), Caps: CapsCounts}},
-		{Kind: FrameKnowledgeDelta,
-			Delta: &KnowledgeDelta{Snap: rawPriorSnapshot(tb), Since: 0, Ver: 1, Caps: CapsCounts}},
-		{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts},
 	}
 }
 
-// rawPriorSnapshot builds a snapshot holding an estimate the view adopted
-// from a raw log-belief vector, as a piggybacked data frame delivers one,
-// with evidence observed on top: its prior is no uniform one, so no count
-// record can describe it.
-func rawPriorSnapshot(tb testing.TB) *knowledge.Snapshot {
-	tb.Helper()
-	v, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{Intervals: 10})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	raw := bayes.State{Intervals: 10, LogBeliefs: []float64{-2, -1, 0, -0.5, -1, -2, -3, -4, -5, -6}}
-	if err := v.MergeSnapshotKnowledgeOnly(&knowledge.Snapshot{From: 1, Seq: 1,
-		Procs: []knowledge.ProcRecord{{ID: 1, Dist: 0, Est: raw}}}); err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		v.BeginPeriod() // the silent neighbour's suspicion books a failure on top
-	}
-	snap := v.Snapshot()
-	for _, pr := range snap.Procs {
-		if !pr.Est.IsCounts() {
-			return snap
-		}
-	}
-	tb.Fatal("fixture holds no raw-prior estimate")
-	return nil
+// boundsSnapshot holds records at the decoder's bounds: the most
+// intervals a record may declare, and evidence saturated at MaxEvidence.
+func boundsSnapshot() *knowledge.Snapshot {
+	return &knowledge.Snapshot{From: 1, Seq: 1, Procs: []knowledge.ProcRecord{
+		{ID: 0, Dist: 1, Est: bayes.State{Intervals: MaxIntervals, Succ: MaxEvidence - 1, Fail: 1}},
+	}, Links: []knowledge.LinkRecord{
+		{Link: topology.NewLink(0, 1), Dist: 0, Est: bayes.State{Intervals: 2, Fail: MaxEvidence}},
+	}}
 }
 
 func nodeIDsEqual(a, b []topology.NodeID) bool {
@@ -138,26 +110,10 @@ func nodeIDsEqual(a, b []topology.NodeID) bool {
 	return true
 }
 
-// floatsEqual compares float vectors bit-for-bit (NaNs compare equal to
-// themselves so arbitrary decoded floats still round-trip).
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// statesEqual compares estimator states by what they denote: the same
-// interval count and, bit for bit, the same materialized log-belief
-// vector. A count state and the raw vector it encodes to are equal; two
-// different evidence counts are not.
+// statesEqual compares estimator states by what they denote: the
+// interval count and the evidence counts.
 func statesEqual(a, b *bayes.State) bool {
-	return a.Intervals == b.Intervals && floatsEqual(a.AppendLogBeliefs(nil), b.AppendLogBeliefs(nil))
+	return a.Intervals == b.Intervals && a.Succ == b.Succ && a.Fail == b.Fail
 }
 
 func snapshotsEqual(a, b *knowledge.Snapshot) bool {
@@ -192,7 +148,7 @@ func framesEqual(a, b *Frame) bool {
 	}
 	switch a.Kind {
 	case FrameHeartbeat:
-		return a.Caps == b.Caps && snapshotsEqual(a.Heartbeat, b.Heartbeat)
+		return snapshotsEqual(a.Heartbeat, b.Heartbeat)
 	case FrameKnowledgeDelta:
 		// Cadence 0 and 1 are the same declaration (one frame per δ), so
 		// they compare equal across a round-trip.
@@ -204,7 +160,7 @@ func framesEqual(a, b *Frame) bool {
 		}
 		return a.Delta.Since == b.Delta.Since && a.Delta.Ver == b.Delta.Ver &&
 			a.Delta.Ack == b.Delta.Ack && normCad(a.Delta.Cadence) == normCad(b.Delta.Cadence) &&
-			a.Delta.Epoch == b.Delta.Epoch && a.Delta.Caps == b.Delta.Caps &&
+			a.Delta.Epoch == b.Delta.Epoch &&
 			snapshotsEqual(a.Delta.Snap, b.Delta.Snap)
 	case FrameData:
 		x, y := a.Data, b.Data
@@ -249,9 +205,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{magic, version, byte(FrameData)})
 	f.Add([]byte{magic, version, byte(FrameHeartbeat), 0xff, 0xff, 0xff})
 	// Headers the decoder refuses: a kind at a version it never rides, and
-	// the retired v4.
+	// the retired v4 and v5.
 	f.Add([]byte{magic, version2, byte(FrameHeartbeat), 2, 1, 0, 0})
 	f.Add([]byte{magic, 4, byte(FrameKnowledgeDelta)})
+	f.Add([]byte{magic, 5, byte(FrameHeartbeat), 5, 2, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := Decode(data)
 		reused, serr := sc.DecodeBorrow(data)
@@ -298,8 +255,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 // handHeartbeat assembles, byte by byte, a heartbeat whose snapshot holds
 // one process record with the given encoded estimator — for layouts and
-// values no encoder emits. A v4 or v5 header advertises its own version
-// as caps.
+// values no encoder emits. A retired v4 or v5 header advertises its own
+// version as caps, the field those versions carried.
 func handHeartbeat(ver byte, estimator []byte) []byte {
 	b := []byte{magic, ver, byte(FrameHeartbeat)}
 	if ver >= 4 {
@@ -324,8 +281,10 @@ type forgedCount struct {
 // forgedCountFrames hand-assembles heartbeats around one count record
 // that no encoder would emit: the record is five-odd bytes whatever it
 // declares, so only the decoder's own bounds stand between a forged
-// U = 2^40 and the grid it would size. They are committed to the fuzz
-// corpus as the forged-N files (TestWriteSeedCorpus).
+// U = 2^40 and the grid it would size. The bound cases ride version 1, so
+// they reach the record; the last two wrap a legal record in the retired
+// v4 and v5 headers. They are committed to the fuzz corpus as the
+// forged-N files (TestWriteSeedCorpus).
 func forgedCountFrames() []forgedCount {
 	heartbeat := func(ver byte, u, succ, fail uint64) []byte {
 		est := []byte{flagCounts}
@@ -334,12 +293,12 @@ func forgedCountFrames() []forgedCount {
 		return handHeartbeat(ver, binary.AppendUvarint(est, fail))
 	}
 	return []forgedCount{
-		{"oversize U", heartbeat(version5, 1<<40, 3, 1)},
-		{"U just past the bound", heartbeat(version5, MaxIntervals+1, 3, 1)},
-		{"success count overflow", heartbeat(version5, 100, math.MaxUint64, 0)},
-		{"evidence sum past the bound", heartbeat(version5, 100, MaxEvidence, 1)},
+		{"oversize U", heartbeat(version, 1<<40, 3, 1)},
+		{"U just past the bound", heartbeat(version, MaxIntervals+1, 3, 1)},
+		{"success count overflow", heartbeat(version, 100, math.MaxUint64, 0)},
+		{"evidence sum past the bound", heartbeat(version, 100, MaxEvidence, 1)},
 		{"count layout in a v4 frame", heartbeat(4, 100, 3, 1)},
-		{"count layout in a v1 frame", heartbeat(version, 100, 3, 1)},
+		{"count layout in a v5 frame", heartbeat(5, 100, 3, 1)},
 	}
 }
 
@@ -351,30 +310,15 @@ func TestForgedCountFramesRejected(t *testing.T) {
 			t.Errorf("%s: forged count frame decoded", forged.name)
 		}
 	}
-	snap := &knowledge.Snapshot{From: 1, Seq: 1, Procs: []knowledge.ProcRecord{
-		{ID: 0, Dist: 1, Est: bayes.State{Intervals: MaxIntervals, Succ: MaxEvidence - 1, Fail: 1}},
-	}}
-	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts})
+	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: boundsSnapshot()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := Decode(b)
 	if err != nil {
-		t.Fatalf("count record at the bounds rejected: %v", err)
+		t.Fatalf("count records at the bounds rejected: %v", err)
 	}
-	if got := f.Heartbeat.Procs[0].Est; got.Intervals != MaxIntervals || got.Succ != MaxEvidence-1 || got.Fail != 1 {
-		t.Errorf("count record at the bounds decoded as %+v", got)
-	}
-	// Past the bounds the encoder falls back to the raw layout instead of
-	// emitting a record peers would reject.
-	snap.Procs[0].Est = bayes.State{Intervals: 8, Succ: MaxEvidence, Fail: 1}
-	if b, err = Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts}); err != nil {
-		t.Fatal(err)
-	}
-	if f, err = Decode(b); err != nil {
-		t.Fatalf("over-bound counts did not fall back to a decodable layout: %v", err)
-	}
-	if f.Heartbeat.Procs[0].Est.IsCounts() {
-		t.Error("over-bound counts still rode the count layout")
+	if !snapshotsEqual(f.Heartbeat, boundsSnapshot()) {
+		t.Errorf("count records at the bounds decoded as %+v", f.Heartbeat)
 	}
 }

@@ -164,32 +164,22 @@ func TestForgedAllocationMustNotDecode(t *testing.T) {
 	}
 }
 
-// countHeartbeat encodes a v5 heartbeat from process 1 of procs process
-// records and links link records, evidence counts all but the first
-// process record: that one builds on a raw prior peaked at interval peak,
-// so it rides the raw float layout and its decoded estimator state owns a
-// vector.
-func countHeartbeat(tb testing.TB, seq uint64, procs, links, peak int) (*knowledge.Snapshot, []byte) {
+// countHeartbeat encodes a heartbeat from process 1 of procs process
+// records and links link records, their evidence counts offset by seed.
+func countHeartbeat(tb testing.TB, seq uint64, procs, links, seed int) (*knowledge.Snapshot, []byte) {
 	tb.Helper()
-	prior := make([]float64, 8)
-	for i := range prior {
-		prior[i] = -float64((i - peak) * (i - peak))
-	}
 	snap := &knowledge.Snapshot{From: 1, Seq: seq}
 	for i := 0; i < procs; i++ {
-		est := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 10 + i + peak, Fail: i % 7}
-		if i == 0 {
-			est = bayes.State{Intervals: len(prior), LogBeliefs: prior}
-		}
-		snap.Procs = append(snap.Procs, knowledge.ProcRecord{ID: topology.NodeID(i + 1), Dist: i % 3, Est: est})
+		snap.Procs = append(snap.Procs, knowledge.ProcRecord{ID: topology.NodeID(i + 1), Dist: i % 3,
+			Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 10 + i + seed, Fail: i % 7}})
 	}
 	for i := 0; i < links; i++ {
 		snap.Links = append(snap.Links, knowledge.LinkRecord{
 			Link: topology.NewLink(topology.NodeID(i+1), topology.NodeID(i+2)), Dist: 1 + i%3,
-			Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 50 + i + peak, Fail: i % 5},
+			Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 50 + i + seed, Fail: i % 5},
 		})
 	}
-	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsCounts})
+	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -198,10 +188,8 @@ func countHeartbeat(tb testing.TB, seq uint64, procs, links, peak int) (*knowled
 
 // TestScratchHeartbeatRecordsAreOverwritten: heartbeat A (300 records)
 // then heartbeat B (3 records) into one Scratch yields exactly B's
-// records, and a view that merged A out of the Scratch — raw-layout record
-// included, whose estimator keeps the decoded vector as its prior — reads
-// the same means after B, whose own raw record lands in the same slot, is
-// decoded over it.
+// records, and a view that merged A out of the Scratch reads the same
+// means after B is decoded over it.
 func TestScratchHeartbeatRecordsAreOverwritten(t *testing.T) {
 	snapA, a := countHeartbeat(t, 1, 120, 180, 2)
 	_, b := countHeartbeat(t, 2, 2, 1, 6)
@@ -235,8 +223,8 @@ func TestScratchHeartbeatRecordsAreOverwritten(t *testing.T) {
 		return out
 	}
 	before := means()
-	if raw, _ := bayes.NewFromState(snapA.Procs[0].Est); before[0] != raw.Mean() {
-		t.Fatalf("the raw-layout record reads %v in the view, its state means %v: it was not adopted", before[0], raw.Mean())
+	if first, _ := bayes.NewFromState(snapA.Procs[0].Est); before[0] != first.Mean() {
+		t.Fatalf("the first record reads %v in the view, its state means %v: it was not adopted", before[0], first.Mean())
 	}
 
 	fb, err := sc.DecodeBorrow(b)
@@ -265,8 +253,7 @@ func TestAllocsDecodeHeartbeat(t *testing.T) {
 		t.Skip("allocation pins do not hold under the race detector")
 	}
 	snap, _ := countHeartbeat(t, 3, 40, 60, 0)
-	snap.Procs = snap.Procs[1:] // counts only
-	b, err := Encode(&Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 4, Ver: 9, Ack: 2, Caps: CapsCounts}})
+	b, err := Encode(&Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 4, Ver: 9, Ack: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +267,7 @@ func TestAllocsDecodeHeartbeat(t *testing.T) {
 		{"DecodeBorrow", DecodeBorrow, 3},
 	} {
 		got := testing.AllocsPerRun(200, func() {
-			if f, err := c.decode(b); err != nil || len(f.Delta.Snap.Procs) != 39 || len(f.Delta.Snap.Links) != 60 {
+			if f, err := c.decode(b); err != nil || len(f.Delta.Snap.Procs) != 40 || len(f.Delta.Snap.Links) != 60 {
 				t.Fatal(f, err)
 			}
 		})
@@ -308,9 +295,9 @@ func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 		b = binary.AppendUvarint(b, declared)
 		// The shortest records there are, repeated, so without the bound
 		// the parse runs on until the bytes are gone.
-		rec := []byte{0, 0, flagUniform, 0, 0} // process 0 at distortion 0, U 0, no beliefs
+		rec := []byte{0, 0, flagCounts, 0, 0, 0} // process 0 at distortion 0, U 0, no evidence
 		if links {
-			rec = []byte{2, 4, 0, flagUniform, 0, 0} // link 1–2
+			rec = []byte{2, 4, 0, flagCounts, 0, 0, 0} // link 1–2
 		}
 		return append(b, bytes.Repeat(rec, declared/len(rec))...)
 	}
@@ -336,16 +323,16 @@ func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 			}
 		}
 	}
-	if minProcRecordSize != 5 || minLinkRecordSize != 6 {
-		t.Errorf("shortest records are %d and %d bytes, the forged frames assume 5 and 6", minProcRecordSize, minLinkRecordSize)
+	if minProcRecordSize != 6 || minLinkRecordSize != 7 {
+		t.Errorf("shortest records are %d and %d bytes, the forged frames assume 6 and 7", minProcRecordSize, minLinkRecordSize)
 	}
 
 	// The shortest legal records, exactly as many as the bytes hold, still
 	// decode (into estimators no view would adopt): the bound is tight.
 	exact := []byte{magic, version, byte(FrameHeartbeat), 2, 1, 3}
-	exact = append(exact, bytes.Repeat([]byte{0, 0, flagUniform, 0, 0}, 3)...)
+	exact = append(exact, bytes.Repeat([]byte{0, 0, flagCounts, 0, 0, 0}, 3)...)
 	exact = append(exact, 2)
-	exact = append(exact, bytes.Repeat([]byte{2, 4, 0, flagUniform, 0, 0}, 2)...)
+	exact = append(exact, bytes.Repeat([]byte{2, 4, 0, flagCounts, 0, 0, 0}, 2)...)
 	if f, err := Decode(exact); err != nil || len(f.Heartbeat.Procs) != 3 || len(f.Heartbeat.Links) != 2 {
 		t.Errorf("shortest-record heartbeat decoded to %+v, %v; want 3 process and 2 link records", f, err)
 	}
@@ -365,8 +352,7 @@ func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 
 // TestForgedCountsMustNotAllocate: every count or length the decoder
 // reads before sizing an array — process and link records (in a
-// heartbeat, a delta and a data frame's piggyback), an estimator's
-// beliefs, a data frame's parents, allocations and body, a membership
+// heartbeat, a delta and a data frame's piggyback), a data frame's parents, allocations and body, a membership
 // frame's departed processes and joiner links — is checked against the
 // bytes left before anything is made. A few-byte frame declaring a
 // million elements in any of them must fail to decode, fresh, borrowed
@@ -391,7 +377,6 @@ func TestForgedCountsMustNotAllocate(t *testing.T) {
 		{"proc records", hdr(version, FrameHeartbeat, 0, 1, big)},
 		{"link records", hdr(version, FrameHeartbeat, 0, 1, 0, big)},
 		{"proc records", hdr(version, FrameKnowledgeDelta, 0, 0, 0, 0, 1, big)},
-		{"beliefs", hdr(version, FrameHeartbeat, 0, 1, 1, 0, 0, flagUniform, 0, big)},
 		{"parents", hdr(version, FrameData, 0, 1, 0, big)},
 		{"allocations", hdr(version, FrameData, 0, 1, 0, 0, big)},
 		{"body", hdr(version, FrameData, 0, 1, 0, 0, 0, big)},

@@ -7,10 +7,9 @@
 // allocation (Algorithm 1's (m, mrt_j)).
 //
 // Encoding is a compact hand-rolled binary format (see binary.go): a
-// 3-byte versioned header followed by varint-coded integers and raw IEEE
-// 754 floats. Inside a version-5 heartbeat or delta frame, a Bayesian
-// estimator that never left the uniform prior ships as its evidence
-// counts — three integers — instead of its belief vector.
+// 3-byte versioned header followed by varint-coded integers and byte
+// strings. A Bayesian estimator ships as its evidence counts — three
+// integers — from which the receiver rebuilds the identical posterior.
 //
 // The allocation is keyed by child node (AllocByNode) rather than by edge
 // index, so the receiver may rebuild the tree in any deterministic order
@@ -21,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 
+	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/topology"
 )
@@ -49,9 +49,9 @@ const (
 // kindVersions lists the wire versions each frame kind may ride, oldest
 // first (binary.go says what each version adds).
 var kindVersions = [frameKindEnd][]byte{
-	FrameHeartbeat:      {version, version5},
+	FrameHeartbeat:      {version},
 	FrameData:           {version, version3},
-	FrameKnowledgeDelta: {version, version2, version3, version5},
+	FrameKnowledgeDelta: {version, version2, version3},
 	FrameJoin:           {version3},
 	FrameLeave:          {version3},
 }
@@ -128,12 +128,6 @@ type KnowledgeDelta struct {
 	Ack     uint64
 	Cadence uint64
 	Epoch   uint64
-	// Caps is the sender's highest supported wire version. 0 encodes the
-	// oldest header that fits (version 1, 2 or 3); CapsCounts or more
-	// rides a version-5 frame, whose record section ships evidence counts.
-	// Nothing negotiates on it today: it is validated and carried as the
-	// field a future version would negotiate from.
-	Caps uint64
 }
 
 // MaxCadence bounds the declared heartbeat cadence a frame may carry.
@@ -142,21 +136,14 @@ type KnowledgeDelta struct {
 // detection forever; 256 periods is far beyond any sane stretch cap.
 const MaxCadence = 256
 
-// CapsCounts is the Caps value a node puts on its version-5 frames, the
-// evidence-count estimator layout, and the lowest nonzero Caps a frame
-// may carry.
-const CapsCounts = 5
+// MaxIntervals bounds the interval count U an estimator record may
+// declare: a record is ~5 bytes whatever it declares, and U sizes the grid
+// the receiver builds.
+const MaxIntervals = bayes.MaxIntervals
 
-// MaxIntervals bounds the interval count U an evidence-count estimator
-// record may declare. The raw float layout bounds U by the bytes left in the
-// frame; a count record is ~5 bytes whatever it declares, and U sizes the
-// grid the receiver builds. 4096 is 40× the paper's precision.
-const MaxIntervals = 1 << 12
-
-// MaxEvidence bounds successes+failures in an evidence-count record, so
-// that count·log(mid) stays a well-conditioned float64: 2^40 events is a
-// heartbeat per millisecond for 35 years.
-const MaxEvidence = 1 << 40
+// MaxEvidence bounds successes+failures in an estimator record, so that
+// count·log(mid) stays a well-conditioned float64.
+const MaxEvidence = bayes.MaxEvidence
 
 // MaxAllocation bounds one AllocByNode entry, restating
 // optimize.DefaultMaxTotal (the most copies the allocator will plan for a
@@ -165,11 +152,6 @@ const MaxEvidence = 1 << 40
 // let one forged frame make every relay enqueue 2³¹ sends, and a negative
 // one would corrupt the relay's sent-versus-attempted accounting.
 const MaxAllocation = 1 << 22
-
-// MaxCaps bounds the capability value a frame may carry. Caps is a
-// version number, not a bitmask; 255 leaves far more headroom than the
-// format will ever use while keeping hostile values trivially rejectable.
-const MaxCaps = 255
 
 // MaxProcs bounds the ID-space size a membership announcement may
 // declare. Receivers grow their views to NumProcs — one estimator record
@@ -214,9 +196,6 @@ type Frame struct {
 	Delta     *KnowledgeDelta
 	// Member carries the FrameJoin / FrameLeave payload.
 	Member *Membership
-	// Caps is KnowledgeDelta.Caps for a full heartbeat frame (a delta
-	// carries its own on its payload).
-	Caps uint64
 }
 
 // Encode serializes a frame in the binary wire format.
@@ -251,12 +230,9 @@ func DecodeBorrow(b []byte) (*Frame, error) {
 // overwritten by its next decode — the Frame, a data frame's DataMsg with
 // its Parents and AllocByNode, a heartbeat's Snapshot or KnowledgeDelta
 // with their record slices — so a caller that keeps any of it past that
-// point copies it first. A heartbeat's records live in the Scratch; only
-// per-estimator vectors are the caller's to keep: the float vectors inside
-// a record's estimator state are fresh per call (a view that adopts the
-// record keeps them as the estimator's prior), as are a data frame's
-// Piggyback snapshot and a membership payload. The zero value is ready to
-// use; a Scratch is not safe for concurrent use.
+// point copies it first. Only a data frame's Piggyback snapshot and a
+// membership payload are fresh per call and the caller's to keep. The
+// zero value is ready to use; a Scratch is not safe for concurrent use.
 type Scratch struct {
 	frame Frame
 	data  DataMsg
@@ -289,14 +265,6 @@ func (s *Scratch) decode(b []byte, borrow bool) (*Frame, error) {
 func validate(f *Frame) error {
 	if f == nil {
 		return errors.New("wire: nil frame")
-	}
-	if f.Caps != 0 {
-		if f.Kind != FrameHeartbeat {
-			return errors.New("wire: frame-level caps on a non-heartbeat frame")
-		}
-		if err := checkCaps(f.Caps); err != nil {
-			return err
-		}
 	}
 	switch f.Kind {
 	case FrameHeartbeat:
@@ -369,17 +337,6 @@ func checkDeltaHeader(d *KnowledgeDelta) error {
 	}
 	if d.Cadence > MaxCadence {
 		return fmt.Errorf("wire: cadence %d exceeds the %d-period bound", d.Cadence, MaxCadence)
-	}
-	if d.Caps != 0 {
-		return checkCaps(d.Caps)
-	}
-	return nil
-}
-
-// checkCaps bounds a nonzero Caps value.
-func checkCaps(c uint64) error {
-	if c < CapsCounts || c > MaxCaps {
-		return fmt.Errorf("wire: caps %d outside [%d,%d]", c, CapsCounts, MaxCaps)
 	}
 	return nil
 }

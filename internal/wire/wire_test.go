@@ -143,28 +143,6 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestRefinedGridRoundTrip keeps the name it had when refined grids had
-// a layout of their own. It covers the slow path that remains: an
-// estimate adopted from a raw log-belief vector rides the raw layout, in
-// a count frame as in a raw one, and round-trips.
-func TestRefinedGridRoundTrip(t *testing.T) {
-	snap := rawPriorSnapshot(t)
-	for _, caps := range []uint64{0, CapsCounts} {
-		want := &Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: caps}
-		b, err := Encode(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := Decode(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !framesEqual(want, f) {
-			t.Fatalf("caps %d: raw-prior snapshot did not round-trip", caps)
-		}
-	}
-}
-
 // EncodeGob serializes a frame with the stdlib-gob codec the binary
 // format replaced, kept as the baseline the codec benchmarks and
 // TestGobCompat measure against.

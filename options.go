@@ -183,7 +183,8 @@ func WithDeparted(ids ...NodeID) Option {
 }
 
 // WithBayesIntervals sets U, the Bayesian estimator precision (default
-// 100, the paper's setting).
+// 100, the paper's setting). U must lie in [2, 4096]; NewNode returns an
+// error for any other value.
 func WithBayesIntervals(u int) Option {
 	return func(c *nodeConfig) { c.inner.Knowledge = knowledge.Params{Intervals: u} }
 }
