@@ -32,6 +32,7 @@ func seedFrames(tb testing.TB) []*Frame {
 	if !ok || len(empty.Procs)+len(empty.Links) != 0 {
 		tb.Fatal("steady-state delta not empty")
 	}
+	heard, heardSince, heardDelta := heardView(tb)
 	return []*Frame{
 		{Kind: FrameHeartbeat, Heartbeat: snap},
 		{Kind: FrameData, Data: &DataMsg{Origin: 2, Seq: 7, Root: 2, Body: []byte("payload")}},
@@ -85,7 +86,46 @@ func seedFrames(tb testing.TB) []*Frame {
 		}},
 		{Kind: FrameHeartbeat, Heartbeat: boundsSnapshot()},
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: empty, Since: v.Version(), Ver: v.Version(), Ack: 9, Cadence: 4}},
+		// Count records carrying success evidence and relayed estimates,
+		// from a view that has heard its neighbour: an epoch-tagged delta,
+		// the epoch-tagged full-snapshot fallback, a piggyback on an
+		// untagged data frame and a plain heartbeat.
+		{Kind: FrameKnowledgeDelta,
+			Delta: &KnowledgeDelta{Snap: heardDelta, Since: heardSince, Ver: heard.Version(), Ack: 3, Cadence: 2, Epoch: 4}},
+		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: heard.Snapshot(), Since: 0, Ver: heard.Version(), Epoch: 4}},
+		{Kind: FrameData, Data: &DataMsg{Origin: 1, Seq: 5, Root: 1, Body: []byte("heard"), Piggyback: heard.Snapshot()}},
+		{Kind: FrameHeartbeat, Heartbeat: heard.Snapshot()},
 	}
+}
+
+// heardView returns a view of node 1 that has merged heartbeats from its
+// neighbour 0, so its records hold success evidence on the shared link
+// and an estimate relayed at distance 1, along with the delta since the
+// view's state before the second heartbeat.
+func heardView(tb testing.TB) (v *knowledge.View, since uint64, delta *knowledge.Snapshot) {
+	tb.Helper()
+	peer, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{Intervals: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if v, err = knowledge.NewView(1, 3, []topology.NodeID{0}, nil, knowledge.Params{Intervals: 8}); err != nil {
+		tb.Fatal(err)
+	}
+	hear := func() {
+		peer.BeginPeriod()
+		v.BeginPeriod()
+		if err := v.MergeSnapshot(peer.Snapshot()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	hear()
+	since = v.Version()
+	hear()
+	delta, ok := v.DeltaSince(since)
+	if !ok {
+		tb.Fatal("heard delta not anchorable")
+	}
+	return v, since, delta
 }
 
 // boundsSnapshot holds records at the decoder's bounds: the most
