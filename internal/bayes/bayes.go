@@ -242,13 +242,9 @@ func (e *Estimator) IntervalOf(p float64) int {
 	return i
 }
 
-// intervalWidth returns the width of one probability interval.
-func (e *Estimator) intervalWidth() float64 {
-	if len(e.g.mid) == 1 {
-		return 1
-	}
-	return e.g.mid[1] - e.g.mid[0]
-}
+// intervalWidth returns the width of one probability interval. Every
+// grid has at least two intervals (checkIntervals).
+func (e *Estimator) intervalWidth() float64 { return e.g.mid[1] - e.g.mid[0] }
 
 // IntervalBounds returns the [lo, hi) bounds of interval u (the final
 // interval is closed: [1-1/U, 1]).

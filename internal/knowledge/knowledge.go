@@ -86,7 +86,11 @@ type Params struct {
 	// processes; like process aging, the threshold scales with the
 	// supplying neighbor's declared inbound cadence so stretched gossip
 	// paths don't decay knowledge that is merely arriving slowly.
-	// Incident links (distortion 0) and unknown links never age.
+	// Incident links (distortion 0) and unknown links never age. It is
+	// also the period of the sibling-horizon mask expiry, for process
+	// and link records alike: a neighbour's copy can age past ours
+	// unseen, so BeginPeriod clears each record's mask once every
+	// LinkAgeTimeout periods.
 	LinkAgeTimeout int
 	// DeltaEpsilon is the minimum posterior-mean movement for an estimate
 	// to count as changed for delta heartbeats (View.DeltaTo): a record
@@ -97,13 +101,14 @@ type Params struct {
 	// record keeps re-shipping until n ≳ 10⁴: only lossless estimates
 	// drop out of steady-state deltas within a run. Receiver-agnostic
 	// deltas re-shipped 85 % of the view per period on a 32-node lossy
-	// fabric and 99 % at 128 nodes; Snapshot.AppendOmitted then leaves out
-	// of each neighbour's share the records it supplied and the link
-	// records it is known to hold at no greater distortion, which it
-	// would reject. The cumulative divergence between a delta receiver's
-	// view and the sender's is bounded by DeltaEpsilon (drift accumulates
-	// against the last-shipped value, not the previous period's) for
-	// every record but those the receiver holds at no greater distortion.
+	// fabric and 99 % at 128 nodes; View.AppendOmitted then leaves out
+	// of each neighbour's share the records it supplied and the process
+	// and link records it is known to hold at no greater distortion,
+	// which it would reject. The cumulative divergence between a delta
+	// receiver's view and the sender's is bounded by DeltaEpsilon (drift
+	// accumulates against the last-shipped value, not the previous
+	// period's) for every process and link record but those the receiver
+	// holds at no greater distortion.
 	// Default 1e-4 — two orders of magnitude finer than the U=100
 	// interval width the paper's convergence criterion resolves. Negative
 	// means exact (any change re-ships).
@@ -231,8 +236,9 @@ type procState struct {
 	// inbound cadence, so a stretched gossip path doesn't decay knowledge
 	// that is merely arriving slowly.
 	supplier int32
-	dirty    bool // the estimate changed since refreshSigs last looked (see wireSig)
-	departed bool // tombstoned by a membership epoch change; never shipped or aged
+	mask     uint16 // the neighbours that hold this record at no greater distortion (see heard)
+	dirty    bool   // the estimate changed since refreshSigs last looked (see wireSig)
+	departed bool   // tombstoned by a membership epoch change; never shipped or aged
 }
 
 // peerState is what a view keeps about a direct neighbor (or a process
@@ -248,11 +254,37 @@ type peerState struct {
 	cadence   int    // declared inter-frame gap in periods (0 or 1 = every δ)
 }
 
-// maskSlots is how many neighbours a link mask tracks: the first
+// maskSlots is how many neighbours a record's mask tracks: the first
 // maskSlots peers of a view get a bit (View.slots), for the view's
 // lifetime, and any later one is left out of a delta only by split
 // horizon.
 const maskSlots = 16
+
+// heard books a neighbour's copy of a record, sent at distortion d by
+// the neighbour with mask bit bit, into the record's mask, and reports
+// whether Algorithm 3 adopts it: when the record is unknown (known is
+// false) or d is lower than ours, dist. The mask has the bit of every
+// neighbour whose last copy of the record it sent us was at no greater
+// distortion than ours, so Algorithm 3 makes it reject ours (sibling
+// horizon, see View.AppendOmitted). The neighbour holds the record at
+// no greater distortion than ours if d is not greater, and after an
+// adoption too. An adoption that lowers our distortion leaves it the
+// only such neighbour; one at our distortion (d one below it) leaves
+// the others as they were. BeginPeriod clears each mask once every
+// LinkAgeTimeout periods, because a neighbour's copy ages unseen once
+// its own upstream falls silent, and Unmask clears a neighbour's bit
+// when what it holds is no longer known.
+func heard(mask *uint16, known bool, dist, d int32, bit uint16) (adopt bool) {
+	switch {
+	case !known || bump(d) < dist:
+		*mask = bit
+	case d > dist:
+		*mask &^= bit
+	default:
+		*mask |= bit
+	}
+	return !known || d < dist
+}
 
 // effCadence is the neighbor's declared heartbeat cadence with the
 // classic one-frame-per-δ default (also for a nil p).
@@ -278,39 +310,13 @@ type linkState struct {
 	supplier    int32
 	known       bool // false: a slot no link of this view occupies
 	dirty       bool
-	// mask has the bit of every neighbour whose last copy of this link
-	// it sent us was at no greater distortion than ours, so Algorithm 3
-	// makes it reject ours (sibling horizon, see View.AppendOmitted).
-	// Merges update it (see heard). BeginPeriod clears it once every
-	// LinkAgeTimeout periods, because a neighbour's copy ages unseen
-	// once its own upstream falls silent, and Unmask clears a
-	// neighbour's bit when what it holds is no longer known.
-	mask uint16
-}
-
-// heard books a neighbour's copy of the link, sent at distortion d by
-// the neighbour with mask bit bit, into the mask, and reports whether
-// Algorithm 3 adopts it: when the record is unknown or d is lower than
-// ours. The neighbour holds the link at no greater distortion than ours
-// if d is not greater, and after an adoption too. An adoption that
-// lowers our distortion leaves it the only such neighbour; one at our
-// distortion (d one below it) leaves the others as they were.
-func (ls *linkState) heard(d int32, bit uint16) (adopt bool) {
-	switch {
-	case !ls.known || bump(d) < ls.dist:
-		ls.mask = bit
-	case d > ls.dist:
-		ls.mask &^= bit
-	default:
-		ls.mask |= bit
-	}
-	return !ls.known || d < ls.dist
+	mask        uint16 // as procState.mask
 }
 
 // Link records live in fixed chunks that never move, so a record's
 // address is stable for the view's lifetime and learning a link never
 // copies the others. A chunk is 16 records: a view of a few processes
-// pays for few empty slots, and 16 × 104 bytes fits the 1,792-byte size
+// pays for few empty slots, and 16 × 96 bytes fits the 1,536-byte size
 // class.
 const chunkLen = 16
 
@@ -437,7 +443,7 @@ func (v *View) addPeer(j topology.NodeID) *peerState {
 	return v.peers[j]
 }
 
-// peerBit is j's bit in link masks, 0 when it has none.
+// peerBit is j's bit in record masks, 0 when it has none.
 func (v *View) peerBit(j topology.NodeID) uint16 {
 	if i := slices.Index(v.slots, j); i >= 0 {
 		return 1 << i
@@ -445,10 +451,10 @@ func (v *View) peerBit(j topology.NodeID) uint16 {
 	return 0
 }
 
-// Unmask clears j's bit from every link mask, so no link record stays
-// out of the deltas toward j on what j sent before. Call it when j is
-// sent a full snapshot: j never acked this view, or it restarted and
-// acks nothing, and either way what it holds is unknown. A restarted
+// Unmask clears j's bit from every record mask, so no record stays out
+// of the deltas toward j on what j sent before. Call it when j is sent
+// a full snapshot: j never acked this view, or it restarted and acks
+// nothing, and either way what it holds is unknown. A restarted
 // neighbour adopts our copies one distortion step above ours, with us
 // as supplier, and split horizon keeps it from ever sending them back,
 // so no merge would clear its old bits.
@@ -456,6 +462,9 @@ func (v *View) Unmask(j topology.NodeID) {
 	bit := v.peerBit(j)
 	if bit == 0 {
 		return
+	}
+	for i := range v.procs {
+		v.procs[i].mask &^= bit
 	}
 	for _, ls := range v.knownLinks() {
 		ls.mask &^= bit
@@ -583,6 +592,17 @@ func (v *View) BeginPeriod() {
 	v.procs[v.self].est.ObserveSuccess(1) // Event 3: ∆tick = δ
 	v.procs[v.self].dirty = true
 
+	// Neighbours' copies age unseen, and aging ships nothing: a copy at
+	// no greater distortion than ours, which its mask bit keeps ours
+	// from, can fall behind ours once its upstream is silent. So each
+	// record's mask is cleared once every LinkAgeTimeout periods, and a
+	// record re-stamped after that ships to every neighbour that has not
+	// reported its copy again. Clearing ships nothing by itself. The
+	// period of the clearing is set by the record — a process's ID, a
+	// link's endpoints — so different records clear in different periods
+	// and their re-ships do not come in one burst; neighbours whose
+	// sequencers agree clear a record in the same period.
+	every := uint64(v.params.LinkAgeTimeout)
 	for j := range v.procs {
 		if topology.NodeID(j) == v.self {
 			continue
@@ -590,6 +610,9 @@ func (v *View) BeginPeriod() {
 		ps := &v.procs[j]
 		if ps.departed {
 			continue // tombstoned: never aged or suspected again
+		}
+		if (v.selfSeq+uint64(j))%every == 0 {
+			ps.mask = 0
 		}
 		ps.sinceUpdate++
 		// Expected arrivals scale with the declared heartbeat cadence of
@@ -635,17 +658,6 @@ func (v *View) BeginPeriod() {
 	// distortion ships whenever the record is next re-shipped anyway.
 	// Incident links (dist 0) are self-measured every reception and never
 	// age; unknown links (DistInf) have nothing left to decay.
-	//
-	// Neighbours' copies age the same way, unseen: a copy at no greater
-	// distortion than ours, which its mask bit keeps ours from, can fall
-	// behind ours once its upstream is silent. So each record's mask is
-	// cleared once every LinkAgeTimeout periods, and a record re-stamped
-	// after that ships to every neighbour that has not reported its copy
-	// again. Clearing ships nothing by itself. The period of the clearing
-	// is set by the link's endpoints, so different links clear in
-	// different periods and their re-ships do not come in one burst;
-	// neighbours whose sequencers agree clear a link in the same period.
-	every := uint64(v.params.LinkAgeTimeout)
 	for idx, ls := range v.knownLinks() {
 		if l := v.interner.Link(idx); (v.selfSeq+uint64(l.A+l.B))%every == 0 {
 			ls.mask = 0
@@ -771,7 +783,7 @@ func (v *View) mergeEstimates(src *View) bool {
 			continue
 		}
 		if mine, theirs := &v.procs[i], &src.procs[i]; theirs.dist < mine.dist {
-			mine.est = theirs.est
+			mine.est, mine.mask = theirs.est, 0
 			mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty = bump(theirs.dist), int32(src.self), 0, true
 			changed = true
 		}

@@ -7,13 +7,14 @@ import (
 	"adaptivecast/internal/topology"
 )
 
-// TestSiblingHorizon walks one remote link record through each way a
-// merge moves its mask, and checks the cut toward each neighbour after
-// every step: the record stays out of the delta toward exactly the
+// TestSiblingHorizon walks one remote link record and one process
+// record, sent side by side at the same distortions, through each way a
+// merge moves a mask, and checks the cut toward each neighbour after
+// every step: each record stays out of the delta toward exactly the
 // neighbours that last sent it at no greater distortion than ours (or
-// supplied it), while a process record at equal distortion still ships,
-// a full snapshot leaves nothing out, and BeginPeriod clears the mask
-// once within LinkAgeTimeout periods.
+// supplied it) — one rule for both kinds — a full snapshot leaves
+// nothing out, and BeginPeriod clears both masks once within
+// LinkAgeTimeout periods.
 func TestSiblingHorizon(t *testing.T) {
 	const self = 1
 	nbs := []topology.NodeID{0, 2, 3}
@@ -33,35 +34,37 @@ func TestSiblingHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// check wants the link at distortion dist, left out toward exactly
-	// the neighbours in holders.
+	// check wants the link and process 5 at distortion dist, each left
+	// out toward exactly the neighbours in holders.
 	check := func(step string, dist int, holders ...topology.NodeID) {
 		t.Helper()
 		if _, d, _ := v.LossEstimate(r); d != dist {
 			t.Fatalf("%s: the link is at distortion %d, want %d", step, d, dist)
+		}
+		if _, d := v.CrashEstimate(5); d != dist {
+			t.Fatalf("%s: process 5 is at distortion %d, want %d", step, d, dist)
 		}
 		for _, nb := range nbs {
 			d, ok := v.DeltaTo(base, nb)
 			if !ok {
 				t.Fatal("delta not anchorable")
 			}
-			shipped := false
+			linkShipped, procShipped := false, false
 			for _, lr := range d.Links {
-				shipped = shipped || lr.Link == r
+				linkShipped = linkShipped || lr.Link == r
+			}
+			for _, pr := range d.Procs {
+				procShipped = procShipped || pr.ID == 5
 			}
 			held := false
 			for _, h := range holders {
 				held = held || h == nb
 			}
-			if shipped == held {
-				t.Errorf("%s: toward %d the link ships %v, want %v", step, nb, shipped, !held)
+			if linkShipped == held {
+				t.Errorf("%s: toward %d the link ships %v, want %v", step, nb, linkShipped, !held)
 			}
-			procShipped := false
-			for _, pr := range d.Procs {
-				procShipped = procShipped || pr.ID == 5
-			}
-			if sup := topology.NodeID(v.procs[5].supplier); procShipped == (sup == nb) {
-				t.Errorf("%s: toward %d process 5 ships %v; want it left out only toward its supplier %d", step, nb, procShipped, sup)
+			if procShipped == held {
+				t.Errorf("%s: toward %d process 5 ships %v, want %v", step, nb, procShipped, !held)
 			}
 		}
 	}
@@ -83,22 +86,29 @@ func TestSiblingHorizon(t *testing.T) {
 	if full := v.Snapshot(); len(v.AppendOmitted(nil, full, 0)) != 0 {
 		t.Error("a full snapshot leaves records out")
 	}
-	ls := v.link(v.interner.Lookup(r))
-	cleared := 0
-	for p := 1; p <= v.params.LinkAgeTimeout && cleared == 0; p++ {
+	ls, ps := v.link(v.interner.Lookup(r)), &v.procs[5]
+	linkCleared, procCleared := 0, 0
+	for p := 1; p <= v.params.LinkAgeTimeout; p++ {
 		v.BeginPeriod()
-		if ls.mask == 0 {
-			cleared = p
+		if ls.mask == 0 && linkCleared == 0 {
+			linkCleared = p
+		}
+		if ps.mask == 0 && procCleared == 0 {
+			procCleared = p
 		}
 	}
-	if cleared == 0 {
-		t.Errorf("the mask still reads %b after %d periods, want it cleared", ls.mask, v.params.LinkAgeTimeout)
+	if linkCleared == 0 {
+		t.Errorf("the link mask still reads %b after %d periods, want it cleared", ls.mask, v.params.LinkAgeTimeout)
+	}
+	if procCleared == 0 {
+		t.Errorf("the process mask still reads %b after %d periods, want it cleared", ps.mask, v.params.LinkAgeTimeout)
 	}
 }
 
 // TestSiblingHorizonPastMaskSlots: only the first maskSlots neighbours
-// get a mask bit; a later one holding a link at our distortion is still
-// sent it, and is left out only of what it supplied.
+// get a mask bit; a later one holding a link or a process record at our
+// distortion is still sent it, and is left out only of what it
+// supplied.
 func TestSiblingHorizonPastMaskSlots(t *testing.T) {
 	const n = maskSlots + 4
 	var nbs []topology.NodeID
@@ -111,22 +121,23 @@ func TestSiblingHorizonPastMaskSlots(t *testing.T) {
 	}
 	v.BeginPeriod()
 	base := v.Version()
-	r := topology.NewLink(n-2, n-1)
+	r, proc := topology.NewLink(n-2, n-1), topology.NodeID(n-1)
 	est := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40, Fail: 4}
-	first, last := nbs[0], nbs[len(nbs)-1]
-	for _, nb := range []topology.NodeID{first, last} {
+	send := func(nb topology.NodeID, dist int) {
+		t.Helper()
 		if err := v.MergeSnapshotKnowledgeOnly(&Snapshot{From: nb, Seq: 1,
-			Links: []LinkRecord{{Link: r, Dist: 1, Est: est}}}); err != nil {
+			Links: []LinkRecord{{Link: r, Dist: dist, Est: est}},
+			Procs: []ProcRecord{{ID: proc, Dist: dist, Est: est}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The link to last is incident, so it ships r at distortion 0 and
-	// supplies it; mid, the 17th neighbour, holds it at ours.
-	mid := nbs[maskSlots]
-	if err := v.MergeSnapshotKnowledgeOnly(&Snapshot{From: mid, Seq: 1,
-		Links: []LinkRecord{{Link: r, Dist: 2, Est: est}}}); err != nil {
-		t.Fatal(err)
-	}
+	// First and last send r and process n-1 at distortion 1, so we hold
+	// both at 2 and last, sent second, supplies them; mid, the 17th
+	// neighbour, holds them at ours.
+	first, last, mid := nbs[0], nbs[len(nbs)-1], nbs[maskSlots]
+	send(first, 1)
+	send(last, 1)
+	send(mid, 2)
 	if v.peerBit(mid) != 0 || v.peerBit(first) == 0 {
 		t.Fatalf("neighbour %d has bit %b and %d has %b; want none past the first %d", mid, v.peerBit(mid), first, v.peerBit(first), maskSlots)
 	}
@@ -135,12 +146,18 @@ func TestSiblingHorizonPastMaskSlots(t *testing.T) {
 		shipped bool
 	}{{first, false}, {mid, true}, {last, false}} {
 		d, _ := v.DeltaTo(base, c.to)
-		shipped := false
+		linkShipped, procShipped := false, false
 		for _, lr := range d.Links {
-			shipped = shipped || lr.Link == r
+			linkShipped = linkShipped || lr.Link == r
 		}
-		if shipped != c.shipped {
-			t.Errorf("toward %d the link ships %v, want %v", c.to, shipped, c.shipped)
+		for _, pr := range d.Procs {
+			procShipped = procShipped || pr.ID == proc
+		}
+		if linkShipped != c.shipped {
+			t.Errorf("toward %d the link ships %v, want %v", c.to, linkShipped, c.shipped)
+		}
+		if procShipped != c.shipped {
+			t.Errorf("toward %d process %d ships %v, want %v", c.to, proc, procShipped, c.shipped)
 		}
 	}
 }

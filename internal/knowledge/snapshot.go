@@ -47,22 +47,31 @@ type ProcRecord struct {
 	ID   topology.NodeID
 	Dist int
 	Est  bayes.State
-	// holder is one plus the neighbour that holds this record at no
-	// greater distortion than the cutting view (see
-	// View.AppendOmitted); 0 when no neighbour is known to, and on
-	// every record that did not come from a delta cut. It is never
-	// encoded.
-	holder int32
+	horizon
 }
 
 // LinkRecord carries one link estimate.
 type LinkRecord struct {
-	Link   topology.Link
-	Dist   int
-	Est    bayes.State
-	holder int32  // as ProcRecord.holder
-	mask   uint16 // the cutting view's mask of the link (see linkState.mask); never encoded
+	Link topology.Link
+	Dist int
+	Est  bayes.State
+	horizon
 }
+
+// horizon is what a delta cut notes on a record for View.AppendOmitted:
+// the neighbours known to hold it at no greater distortion than the
+// cutting view. It is never encoded, and it is zero on every record
+// that did not come from a delta cut.
+type horizon struct {
+	// holder is one plus the neighbour that supplied the record, or that
+	// measures it itself (split horizon); 0 when there is none.
+	holder int32
+	mask   uint16 // the cutting view's mask of the record (see heard)
+}
+
+// omits reports whether the record stays out of the heartbeat toward
+// the neighbour with holder field h and mask bit bit.
+func (r horizon) omits(h int32, bit uint16) bool { return r.holder == h || r.mask&bit != 0 }
 
 // holderOf is a record's holder field for neighbour id; topology.None
 // (or any negative ID) is "no holder".
@@ -80,14 +89,12 @@ func holderOf(id topology.NodeID) int32 { return int32(max(id, -1)) + 1 }
 //     ours), and the link between the cutting view and the receiver,
 //     which it measures itself at distortion 0 (split horizon, as in
 //     RIP);
-//   - a link record whose last copy it sent us was at no greater
-//     distortion than ours (sibling horizon, linkState.mask), for the
+//   - one whose last copy it sent us was at no greater distortion than
+//     ours (sibling horizon, the record's mask, see heard), for the
 //     first maskSlots neighbours of the cutting view.
 //
-// Process records stay on split horizon only: they age on a clock of a
-// few periods, so a neighbour's copy falls behind ours too often for a
-// mask to hold. Records of a full snapshot, of a decoded frame or built
-// by hand are never left out.
+// The rule is the same for process and link records. Records of a full
+// snapshot, of a decoded frame or built by hand are never left out.
 func (v *View) AppendOmitted(dst []int, s *Snapshot, to topology.NodeID) []int {
 	h := holderOf(to)
 	if h == 0 {
@@ -95,12 +102,12 @@ func (v *View) AppendOmitted(dst []int, s *Snapshot, to topology.NodeID) []int {
 	}
 	bit := v.peerBit(to)
 	for i := range s.Procs {
-		if s.Procs[i].holder == h {
+		if s.Procs[i].omits(h, bit) {
 			dst = append(dst, i)
 		}
 	}
 	for i := range s.Links {
-		if lr := &s.Links[i]; lr.holder == h || lr.mask&bit != 0 {
+		if s.Links[i].omits(h, bit) {
 			dst = append(dst, len(s.Procs)+i)
 		}
 	}
@@ -177,8 +184,8 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 // deltas re-shipped 85 % of the view per period on a 32-node lossy
 // fabric and 99 % at 128 nodes; leaving out what the receiver supplied
 // (split horizon) removes the share that only echoes back, and leaving
-// out the link records it last sent at no greater distortion (sibling
-// horizon) the share it would reject.
+// out the process and link records it last sent at no greater
+// distortion (sibling horizon) the share it would reject.
 //
 // ok is false when base cannot anchor a delta — zero (the peer never
 // acked anything) or ahead of the current version (the peer acked a
@@ -197,15 +204,20 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 // version W against acked base V carries exactly the records stamped in
 // (V, W] that AppendOmitted does not name toward the peer, and the peer
 // holds each named one at no greater distortion than ours: it supplied
-// our copy, it measures the link itself, or it last sent us that link
-// at no greater distortion. A record whose supplier
-// moves to another neighbour with a new stamp ships to the old supplier
-// on the next cut, and an adoption that lowers our distortion clears the
-// mask. Copies only rise in distortion by aging, which ships nothing, so
-// two adoptions are given up: the peer taking back its own knowledge
-// after its copy aged past ours, and a masked peer taking ours after its
-// copy aged past it — until the mask's expiry, at most LinkAgeTimeout
-// periods later, ships the next stamp to it.
+// our copy, it measures the link itself, or it last sent us that
+// process or link record at no greater distortion. A record whose
+// supplier moves to another neighbour with a new stamp ships to the old
+// supplier on the next cut, and an adoption that lowers our distortion
+// leaves the mask holding the supplier's bit only. Copies only rise in
+// distortion by aging, which ships nothing, so two adoptions are given
+// up: the peer taking back its own knowledge after its copy aged past
+// ours, and a masked peer taking ours after its copy aged past it —
+// until the mask's expiry, at most LinkAgeTimeout periods later, ships
+// the next stamp to it. Process records age every InitialTimeout quiet
+// periods (scaled by the supplier's cadence) against LinkAgeTimeout for
+// links, so the second case is the more frequent for them: a mask can
+// hold a crash's suspicion back from a neighbour for up to
+// LinkAgeTimeout periods.
 func (v *View) DeltaTo(base uint64, to topology.NodeID) (s *Snapshot, ok bool) {
 	if !v.anchors(base) {
 		return nil, false
@@ -247,10 +259,10 @@ func (v *View) DeltaSinceInto(dst *Snapshot, base uint64) (ok bool) {
 	for i := range v.procs {
 		if ps := &v.procs[i]; shipsProc(ps) {
 			dst.Procs = append(dst.Procs, ProcRecord{
-				ID:     topology.NodeID(i),
-				Dist:   int(ps.dist),
-				Est:    ps.est.State(),
-				holder: holderOf(topology.NodeID(ps.supplier)),
+				ID:      topology.NodeID(i),
+				Dist:    int(ps.dist),
+				Est:     ps.est.State(),
+				horizon: horizon{holderOf(topology.NodeID(ps.supplier)), ps.mask},
 			})
 		}
 	}
@@ -258,11 +270,10 @@ func (v *View) DeltaSinceInto(dst *Snapshot, base uint64) (ok bool) {
 		if ls.sig.at > base {
 			l := v.interner.Link(idx)
 			dst.Links = append(dst.Links, LinkRecord{
-				Link:   l,
-				Dist:   int(ls.dist),
-				Est:    ls.est.State(),
-				holder: v.linkHolder(l, ls),
-				mask:   ls.mask,
+				Link:    l,
+				Dist:    int(ls.dist),
+				Est:     ls.est.State(),
+				horizon: horizon{v.linkHolder(l, ls), ls.mask},
 			})
 		}
 	}
@@ -458,7 +469,7 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 			continue // a stale peer cannot resurrect a tombstoned member
 		}
 		dist := wireDist(pr.Dist)
-		if dist >= mine.dist {
+		if !heard(&mine.mask, true, mine.dist, dist, bit) {
 			continue
 		}
 		if !mine.est.Holds(&pr.Est) {
@@ -482,7 +493,7 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 		// the link, and a malformed state leaves it unknown.
 		mine := v.slot(v.interner.Intern(l))
 		dist := wireDist(lr.Dist)
-		if !mine.heard(dist, bit) {
+		if !heard(&mine.mask, mine.known, mine.dist, dist, bit) {
 			continue
 		}
 		if !mine.known || !mine.est.Holds(&lr.Est) {

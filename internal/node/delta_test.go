@@ -198,7 +198,7 @@ func TestDeltaFullFallbackAfterRestart(t *testing.T) {
 }
 
 // TestSiblingHorizonUnmasksRestartedNeighbor: the full-snapshot fallback
-// toward a neighbor clears that neighbor's bit from every link mask. On
+// toward a neighbor clears that neighbor's bit from every record mask. On
 // a ring of six, nodes 2 and 3 both hold the far link 5–0 at distortion
 // 2, so each leaves it out of its deltas toward the other (sibling
 // horizon). Node 3 restarts; its first frame acks nothing, so node 2's
@@ -490,13 +490,13 @@ func mustEncodeHeartbeat(t *testing.T, from topology.NodeID, seq uint64, badID t
 // or the link to T. It then compares the delta bytes with the
 // receiver-agnostic cut of the same view at the same moment.
 //
-// The link records a delta leaves out beyond that (sibling horizon, a
-// neighbour's mask bit) meet an oracle that reads no mask: when the
-// frame arrives, its receiver must hold each of them at no greater
-// distortion than the sender cut it at, so Algorithm 3 rejects the copy
-// it was not sent. The one exception allowed is a receiver whose copy
-// aged after it last sent that link to the sender, fewer than
-// LinkAgeTimeout periods ago: the mask expiry clears the bit within
+// The process and link records a delta leaves out beyond that (sibling
+// horizon, a neighbour's mask bit) meet an oracle that reads no mask:
+// when the frame arrives, its receiver must hold each of them at no
+// greater distortion than the sender cut it at, so Algorithm 3 rejects
+// the copy it was not sent. The one exception allowed is a receiver
+// whose copy aged after it last sent that record to the sender, fewer
+// than LinkAgeTimeout periods ago: the mask expiry clears the bit within
 // that time.
 //
 // The floor is arithmetic. On a ring of six a node knows six links: its
@@ -561,33 +561,45 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 		}
 		return math.MaxInt32
 	}
-	// linkDists reads the distortion at which nd holds each link it knows.
-	linkDists := func(nd *Node) map[topology.Link]int {
+	// recordDists reads the distortion at which nd holds each process
+	// and link it knows.
+	recordDists := func(nd *Node) map[record]int {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		out := map[topology.Link]int{}
+		out := map[record]int{}
+		for id := range topology.NodeID(n) {
+			if _, d := nd.view.CrashEstimate(id); d != knowledge.DistInf {
+				out[record{proc: id}] = d
+			}
+		}
 		for _, l := range nd.view.KnownLinks() {
-			_, out[l], _ = nd.view.LossEstimate(l)
+			_, out[record{proc: -1, link: l}], _ = nd.view.LossEstimate(l)
 		}
 		return out
 	}
 	type toward struct{ from, to topology.NodeID }
+	// A sibling is a record a mask bit kept out of a frame: what the
+	// sender's receiver-agnostic cut held of it.
+	type sibling struct {
+		r    record
+		dist int
+	}
 	supplier := make([]map[record]topology.NodeID, n)
-	aged := make([]map[topology.Link]int, n)       // aged[i][l]: the last period node i's copy of l aged
-	reported := map[toward]map[topology.Link]int{} // reported[{i, j}][l]: the last period a frame i→j carrying l arrived
+	aged := make([]map[record]int, n)       // aged[i][r]: the last period node i's copy of r aged
+	reported := map[toward]map[record]int{} // reported[{i, j}][r]: the last period a frame i→j carrying r arrived
 	for i := range supplier {
-		supplier[i], aged[i] = map[record]topology.NodeID{}, map[topology.Link]int{}
+		supplier[i], aged[i] = map[record]topology.NodeID{}, map[record]int{}
 	}
 	rng := rand.New(rand.NewSource(36))
 	splitBytes, agnosticBytes, deltas, left := 0, 0, 0, 0
-	masked, rejected, explained := 0, 0, 0
+	var masked, rejected, explained [2]int // by kind: process records, then link records
 	for p := 1; p <= periods; p++ {
 		for i, nd := range nodes {
-			before := linkDists(nd)
+			before := recordDists(nd)
 			nd.Tick()
-			for l, d := range linkDists(nd) {
-				if d > before[l] {
-					aged[i][l] = p
+			for r, d := range recordDists(nd) {
+				if d > before[r] {
+					aged[i][r] = p
 				}
 			}
 		}
@@ -600,10 +612,10 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 		for _, box := range boxes {
 			mail = append(mail, box.take()...)
 		}
-		// sibling[i] lists the link records the frame mail[i] leaves out of
-		// its sender's receiver-agnostic cut beyond split horizon: the ones
-		// a mask bit kept out.
-		sibling := make([][]knowledge.LinkRecord, len(mail))
+		// siblings[i] lists the records the frame mail[i] leaves out of its
+		// sender's receiver-agnostic cut beyond split horizon: the ones a
+		// mask bit kept out.
+		siblings := make([][]sibling, len(mail))
 		// Every view still stands where its Tick cut it: check each frame
 		// and price the receiver-agnostic cut before anything is handled.
 		for mi, m := range mail {
@@ -631,13 +643,14 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 				t.Fatalf("period %d: the agnostic cut of %d since %d is not the frame's (anchored %v)", p, m.from, d.Since, ok)
 			}
 			left += len(cut.Procs) + len(cut.Links) - len(d.Snap.Procs) - len(d.Snap.Links)
-			sent := map[topology.Link]bool{}
-			for _, lr := range d.Snap.Links {
-				sent[lr.Link] = true
+			sent := map[record]bool{}
+			for _, r := range records(d.Snap) {
+				sent[r] = true
 			}
-			for _, lr := range cut.Links {
-				if !sent[lr.Link] && lr.Link != topology.NewLink(m.from, m.to) && supplier[m.from][record{proc: -1, link: lr.Link}] != m.to {
-					sibling[mi] = append(sibling[mi], lr)
+			cutDists := dists(cut)
+			for i, r := range records(cut) {
+				if !sent[r] && r.link != topology.NewLink(m.from, m.to) && supplier[m.from][r] != m.to {
+					siblings[mi] = append(siblings[mi], sibling{r, cutDists[i]})
 				}
 			}
 			if p <= steady {
@@ -659,24 +672,28 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 			if rng.Float64() < lossRate {
 				continue
 			}
-			// The oracle: each link record a mask bit kept out of this
-			// frame is one its receiver would have rejected now, by
-			// Algorithm 3's strict rule — unless the receiver's copy
-			// aged after the receiver last sent the link to this sender
-			// and the mask expiry has not come round yet, less than
+			// The oracle: each record a mask bit kept out of this frame
+			// is one its receiver would have rejected now, by Algorithm
+			// 3's strict rule — unless the receiver's copy aged after
+			// the receiver last sent the record to this sender and the
+			// mask expiry has not come round yet, less than
 			// LinkAgeTimeout periods ago.
-			for _, lr := range sibling[mi] {
-				masked++
-				if lr.Dist >= distAt(nodes[m.to], record{proc: -1, link: lr.Link}) {
-					rejected++
+			for _, sb := range siblings[mi] {
+				kind := 0
+				if sb.r.proc < 0 {
+					kind = 1
+				}
+				masked[kind]++
+				if sb.dist >= distAt(nodes[m.to], sb.r) {
+					rejected[kind]++
 					continue
 				}
-				if at, last := aged[m.to][lr.Link], reported[toward{m.to, m.from}][lr.Link]; at <= last || p-at >= ageTimeout {
-					t.Errorf("period %d: the delta %d→%d left out %v at distortion %d, which %d holds at %d and would adopt (copy aged at period %d, last sent to %d at period %d)",
-						p, m.from, m.to, lr.Link, lr.Dist, m.to, distAt(nodes[m.to], record{proc: -1, link: lr.Link}), at, m.from, last)
+				if at, last := aged[m.to][sb.r], reported[toward{m.to, m.from}][sb.r]; at <= last || p-at >= ageTimeout {
+					t.Errorf("period %d: the delta %d→%d left out %+v at distortion %d, which %d holds at %d and would adopt (copy aged at period %d, last sent to %d at period %d)",
+						p, m.from, m.to, sb.r, sb.dist, m.to, distAt(nodes[m.to], sb.r), at, m.from, last)
 					continue
 				}
-				explained++
+				explained[kind]++
 			}
 			f, _ := wire.Decode(m.frame)
 			recs, ds := records(f.Delta.Snap), dists(f.Delta.Snap)
@@ -687,23 +704,24 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 			nodes[m.to].handle(m.from, m.frame)
 			rep := reported[toward{m.from, m.to}]
 			if rep == nil {
-				rep = map[topology.Link]int{}
+				rep = map[record]int{}
 				reported[toward{m.from, m.to}] = rep
 			}
 			for i, r := range recs {
 				if adopted[i] {
 					supplier[m.to][r] = m.from
 				}
-				if r.proc < 0 {
-					rep[r.link] = p
-				}
+				rep[r] = p
 			}
 		}
 	}
-	if masked == 0 {
-		t.Error("no mask bit ever kept a link record out: the oracle checked nothing")
+	for kind, name := range []string{"process", "link"} {
+		if masked[kind] == 0 {
+			t.Errorf("no mask bit ever kept a %s record out: the oracle checked nothing", name)
+		}
+		t.Logf("sibling horizon kept %d %s records out of delivered frames: %d rejected by their receiver, %d adopted after the receiver's copy aged",
+			masked[kind], name, rejected[kind], explained[kind])
 	}
-	t.Logf("sibling horizon kept %d link records out of delivered frames: %d rejected by their receiver, %d adopted after the receiver's copy aged", masked, rejected, explained)
 	if deltas == 0 || left == 0 {
 		t.Fatalf("%d steady deltas, %d records left out over the run: split horizon never acted", deltas, left)
 	}
@@ -714,4 +732,139 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 	}
 	t.Logf("over periods %d–%d: %d deltas, %d B split horizon, %d B receiver-agnostic (%.2f); %d records left out over the run",
 		steady+1, periods, deltas, splitBytes, agnosticBytes, ratio, left)
+}
+
+// TestCrashSuspicionOnLossyRing: sibling horizon keeps a process record
+// out of a delta toward a neighbour that last sent it at no greater
+// distortion than ours, and that neighbour's copy can age past ours
+// unseen until the mask expires. So a crash's suspicion may reach a
+// node later than under split horizon alone, but by no more than
+// LinkAgeTimeout periods. A ring of nine runs over mailboxes, the test
+// carrying each frame itself and dropping a seeded tenth of them; on an
+// odd ring the two nodes opposite any process hold it at the same
+// distortion, so they mask it toward each other. After a warm-up node 0
+// crashes: it stops ticking and its mail is lost both ways. Its
+// neighbours suspect it (Event 2 books a failure into their copies),
+// and the suspicion spreads as those copies are re-shipped. The test
+// records the first period from which every live node's copy of process
+// 0 carries a failure for the rest of the run.
+//
+// With process records on split horizon alone, the same run had the
+// suspicion on every live node splitHorizonOnly periods after the crash
+// (measured on the tree before process records had a mask); the test
+// allows that plus LinkAgeTimeout. Over seeds 1–10 and 40 on rings of 7, 9 and
+// 11 the two rules settled in the same period in 32 runs of 33, and the
+// one that differed settled a period earlier with the mask.
+func TestCrashSuspicionOnLossyRing(t *testing.T) {
+	const n, crashAt, periods, lossRate, ageTimeout = 9, 60, 160, 0.1, 8
+	const splitHorizonOnly = 7
+	const crashed = topology.NodeID(0)
+	g, err := topology.Ring(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, boxes := make([]*Node, n), make([]*mailTransport, n)
+	for i := range nodes {
+		id := topology.NodeID(i)
+		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
+		nodes[i] = newTestNode(t, Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id),
+			Knowledge: knowledge.Params{LinkAgeTimeout: ageTimeout}}, boxes[i])
+	}
+	// suspects reports whether nd's copy of the crashed process carries a
+	// failure.
+	suspects := func(nd *Node) bool {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		return nd.view.ProcEstimator(crashed).State().Fail > 0
+	}
+	// carries reports whether s holds a record of the crashed process,
+	// and at which distortion.
+	carries := func(s *knowledge.Snapshot) (dist int, ok bool) {
+		for _, pr := range s.Procs {
+			if pr.ID == crashed {
+				return pr.Dist, true
+			}
+		}
+		return 0, false
+	}
+	// supplier[i] is the sender of the frame whose copy of the crashed
+	// process node i adopted last, by Algorithm 3's strict rule.
+	supplier := make([]topology.NodeID, n)
+	rng := rand.New(rand.NewSource(40))
+	since := -1 // the first period of the current run in which every live node suspects
+	masked := 0 // frames after the crash a mask bit kept the crashed process's record out of
+	for p := 1; p <= periods; p++ {
+		for i, nd := range nodes {
+			if p <= crashAt || topology.NodeID(i) != crashed {
+				nd.Tick()
+			}
+		}
+		for _, nd := range nodes {
+			if !nd.WaitSendIdle(5 * time.Second) {
+				t.Fatalf("period %d: node %d's lanes never flushed", p, nd.ID())
+			}
+		}
+		var mail []mail
+		for _, box := range boxes {
+			mail = append(mail, box.take()...)
+		}
+		snaps := make([]*knowledge.Snapshot, len(mail))
+		for i, m := range mail {
+			f, err := wire.Decode(m.frame)
+			if err != nil || f.Kind != wire.FrameKnowledgeDelta {
+				t.Fatalf("period %d: %d→%d sent %v (%v), want a delta", p, m.from, m.to, f, err)
+			}
+			snaps[i] = f.Delta.Snap
+			if p <= crashAt || f.Delta.Since == 0 || supplier[m.from] == m.to {
+				continue
+			}
+			if _, ok := carries(f.Delta.Snap); ok {
+				continue
+			}
+			sender := nodes[m.from]
+			sender.mu.Lock()
+			cut, _ := sender.view.DeltaSince(f.Delta.Since)
+			sender.mu.Unlock()
+			if _, ok := carries(cut); ok {
+				masked++
+			}
+		}
+		for i, m := range mail {
+			if rng.Float64() < lossRate || (p > crashAt && (m.from == crashed || m.to == crashed)) {
+				continue
+			}
+			if d, ok := carries(snaps[i]); ok {
+				nd := nodes[m.to]
+				nd.mu.Lock()
+				if _, mine := nd.view.CrashEstimate(crashed); d < mine {
+					supplier[m.to] = m.from
+				}
+				nd.mu.Unlock()
+			}
+			nodes[m.to].handle(m.from, m.frame)
+		}
+		all := p > crashAt
+		for i, nd := range nodes {
+			all = all && (topology.NodeID(i) == crashed || suspects(nd))
+		}
+		switch {
+		case !all:
+			since = -1
+		case since < 0:
+			since = p
+		}
+	}
+	if since < 0 || periods-since < 2*ageTimeout {
+		t.Fatalf("the suspicion of process %d had not settled on every live node %d periods after its crash (since %d)", crashed, periods-crashAt, since)
+	}
+	if masked == 0 {
+		t.Error("no mask bit kept the crashed process's record out of a frame after the crash: the run does not exercise sibling horizon")
+	}
+	got := since - crashAt
+	t.Logf("every live node suspects process %d from %d periods after its crash on (split horizon only: %d); a mask kept its record out of %d frames after the crash",
+		crashed, got, splitHorizonOnly, masked)
+	if got > splitHorizonOnly+ageTimeout {
+		t.Errorf("the suspicion reached every live node %d periods after the crash; split horizon alone took %d, and the mask expiry may add at most %d",
+			got, splitHorizonOnly, ageTimeout)
+	}
 }

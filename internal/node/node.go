@@ -664,9 +664,9 @@ func (n *Node) heartbeatLoop() {
 // Each neighbor gets its own frame: the records changed since the
 // version that neighbor last acked, less those it is known to hold at no
 // greater distortion — the ones it supplied, the link between us, and
-// the link records it last sent at our distortion or below (split and
-// sibling horizon, knowledge.View.AppendOmitted) — or a full snapshot
-// while the acked version is unknown or unanchorable. A delta empties
+// the process and link records it last sent at our distortion or below
+// (split and sibling horizon, knowledge.View.AppendOmitted) — or a full
+// snapshot while the acked version is unknown or unanchorable. A delta empties
 // only once no shipped record moves past DeltaEpsilon, which on
 // lossless links happens within a few hundred periods and on lossy ones
 // takes about 10⁴ observations per record; until then the two horizons
