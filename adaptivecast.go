@@ -73,6 +73,9 @@ type (
 	// LaneDrops counts outbound frames shed per lane by the lane
 	// scheduler (NodeStats.LaneDrops; see WithLaneQueueDepth).
 	LaneDrops = node.LaneDrops
+	// RecordVerdicts counts Algorithm 3's verdicts on the received
+	// records of one kind (NodeStats.ProcRecords and LinkRecords).
+	RecordVerdicts = node.RecordVerdicts
 )
 
 // DefaultK is the paper's reliability target: deliver to all processes

@@ -339,6 +339,7 @@ type View struct {
 	selfSeq   uint64                 // heartbeat sequencer C_k[p_k].seq
 	version   uint64                 // monotonic mutation counter, see Version
 	sigVer    uint64                 // version the wire signatures were last refreshed at
+	verdicts  [2]Verdicts            // on received process, then link, records (see Verdicts)
 }
 
 // NewView builds the initial view of process self in a system of n

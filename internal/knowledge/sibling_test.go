@@ -321,3 +321,35 @@ func TestSiblingHorizonForgetsRestartedNeighbour(t *testing.T) {
 		t.Errorf("the restarted neighbour holds the link at distortion %d, estimate %v; want ours, %v, at 3", dist, e, want)
 	}
 }
+
+// TestMergeBooksVerdicts: every record a merge judges books one of
+// Algorithm 3's three verdicts, per record kind, and a tombstoned record
+// books none.
+func TestMergeBooksVerdicts(t *testing.T) {
+	v, err := NewView(1, 6, []topology.NodeID{0, 2}, nil, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 4}
+	send := func(from topology.NodeID, dist int) {
+		t.Helper()
+		if err := v.MergeSnapshotKnowledgeOnly(&Snapshot{From: from, Seq: 1,
+			Procs: []ProcRecord{{ID: 5, Dist: dist, Est: est}, {ID: 4, Dist: dist, Est: est}},
+			Links: []LinkRecord{{Link: topology.NewLink(4, 5), Dist: dist, Est: est}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(0, 2) // unknown here: adopted, held at 3 from now on
+	send(2, 3) // at our distortion: rejected equal
+	send(2, 5) // above it: rejected above
+	send(0, 1) // below it: adopted, held at 2
+	v.MarkDeparted(4)
+	send(2, 0) // process 4 and its link are tombstoned: only process 5 is judged
+	procs, links := v.Verdicts()
+	if want := (Verdicts{Adopted: 5, RejectedEqual: 2, RejectedAbove: 2}); procs != want {
+		t.Errorf("process verdicts %+v, want %+v", procs, want)
+	}
+	if want := (Verdicts{Adopted: 2, RejectedEqual: 1, RejectedAbove: 1}); links != want {
+		t.Errorf("link verdicts %+v, want %+v", links, want)
+	}
+}

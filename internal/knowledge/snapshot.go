@@ -440,6 +440,34 @@ func (v *View) MergeSnapshotKnowledgeOnly(s *Snapshot) error {
 	return err
 }
 
+// Verdicts counts Algorithm 3's verdicts on the received records of one
+// kind: adopted (unknown here, or sent at a distortion below ours), or
+// rejected, sent at our distortion or above it. A tombstoned record,
+// skipped unjudged, counts in none.
+type Verdicts struct {
+	Adopted       int
+	RejectedEqual int
+	RejectedAbove int
+}
+
+// book counts the verdict adopt on a record sent at distortion d, ours
+// being dist, and returns adopt.
+func (c *Verdicts) book(adopt bool, dist, d int32) bool {
+	switch {
+	case adopt:
+		c.Adopted++
+	case d == dist:
+		c.RejectedEqual++
+	default:
+		c.RejectedAbove++
+	}
+	return adopt
+}
+
+// Verdicts returns the verdicts on process and link records that
+// MergeSnapshot and its variants booked since the view was made.
+func (v *View) Verdicts() (procs, links Verdicts) { return v.verdicts[0], v.verdicts[1] }
+
 // checkSnapshot validates the snapshot header.
 func (v *View) checkSnapshot(s *Snapshot) error {
 	if s.From < 0 || int(s.From) >= v.n {
@@ -456,7 +484,8 @@ func (v *View) checkSnapshot(s *Snapshot) error {
 
 // mergeSnapshotEstimates applies selectBestEstimate over a snapshot's
 // process and link records (Algorithm 4 lines 26–33, wire path),
-// reporting whether any estimate was adopted or link learned.
+// reporting whether any estimate was adopted or link learned, and books
+// each verdict in v.verdicts.
 func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 	depCheck := v.nDeparted > 0 // keep tombstone filtering off the static fast path
 	bit := v.peerBit(s.From)
@@ -469,7 +498,7 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 			continue // a stale peer cannot resurrect a tombstoned member
 		}
 		dist := wireDist(pr.Dist)
-		if !heard(&mine.mask, true, mine.dist, dist, bit) {
+		if !v.verdicts[0].book(heard(&mine.mask, true, mine.dist, dist, bit), mine.dist, dist) {
 			continue
 		}
 		if !mine.est.Holds(&pr.Est) {
@@ -493,7 +522,7 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 		// the link, and a malformed state leaves it unknown.
 		mine := v.slot(v.interner.Intern(l))
 		dist := wireDist(lr.Dist)
-		if !heard(&mine.mask, mine.known, mine.dist, dist, bit) {
+		if !v.verdicts[1].book(heard(&mine.mask, mine.known, mine.dist, dist, bit), mine.dist, dist) {
 			continue
 		}
 		if !mine.known || !mine.est.Holds(&lr.Est) {

@@ -104,6 +104,19 @@ type Stats struct {
 	SendFailures     int       // flushes the transport refused outright (closed transport, unknown peer)
 	EncodePoolHits   int       // frame encodes served by a recycled pooled buffer
 	EncodePoolMisses int       // frame encodes that had to allocate a fresh buffer
+
+	// Algorithm 3's verdicts on the process and link records that merged
+	// heartbeats, deltas and piggybacks carried.
+	ProcRecords, LinkRecords RecordVerdicts
+}
+
+// RecordVerdicts counts Algorithm 3's verdicts on received records of one
+// kind: adopted (unknown here, or sent at a distortion below this node's),
+// or rejected, sent at this node's distortion or above it.
+type RecordVerdicts struct {
+	Adopted       int
+	RejectedEqual int
+	RejectedAbove int
 }
 
 // LaneDrops counts outbound frames the lane scheduler shed, per lane.
@@ -134,6 +147,10 @@ type counters struct {
 	planCacheMisses     atomic.Int64
 	staleEpochFrames    atomic.Int64
 	epochChanges        atomic.Int64
+	// verdicts holds the view's knowledge.Verdicts, process then link
+	// records, each adopted, rejected equal and rejected above; merges
+	// publish them under mu (noteVerdicts) so Stats takes no lock.
+	verdicts [2][3]atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
@@ -155,6 +172,25 @@ func (c *counters) snapshot() Stats {
 		PlanCacheMisses:     int(c.planCacheMisses.Load()),
 		StaleEpochFrames:    int(c.staleEpochFrames.Load()),
 		EpochChanges:        int(c.epochChanges.Load()),
+		ProcRecords:         c.verdictsOf(0),
+		LinkRecords:         c.verdictsOf(1),
+	}
+}
+
+func (c *counters) verdictsOf(kind int) RecordVerdicts {
+	v := &c.verdicts[kind]
+	return RecordVerdicts{int(v[0].Load()), int(v[1].Load()), int(v[2].Load())}
+}
+
+// noteVerdicts publishes the view's verdict counts to Stats; it is called
+// with mu held, after a merge.
+func (n *Node) noteVerdicts() {
+	procs, links := n.view.Verdicts()
+	for kind, v := range [2]knowledge.Verdicts{procs, links} {
+		c := &n.stats.verdicts[kind]
+		c[0].Store(int64(v.Adopted))
+		c[1].Store(int64(v.RejectedEqual))
+		c[2].Store(int64(v.RejectedAbove))
 	}
 }
 
@@ -187,9 +223,8 @@ type Config struct {
 	// Neighbors are the directly connected processes.
 	Neighbors []topology.NodeID
 	// Epoch is the initial membership epoch. 0 is the static-cluster
-	// default, whose frames carry no epoch; a node created to join a
-	// running cluster declares the bumped epoch of the membership change
-	// that admits it.
+	// default; a node created to join a running cluster declares the
+	// bumped epoch of the membership change that admits it.
 	Epoch uint64
 	// Departed lists the processes already tombstoned as of Epoch, so a
 	// joiner's view starts aligned with the cluster's roster instead of
@@ -1260,6 +1295,7 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 		}
 		n.mu.Lock()
 		err := n.view.MergeSnapshot(frame.Heartbeat)
+		n.noteVerdicts()
 		n.mu.Unlock()
 		if err == nil {
 			n.stats.heartbeatsReceived.Add(1)
@@ -1553,7 +1589,9 @@ func (n *Node) handleDelta(from topology.NodeID, d *wire.KnowledgeDelta) {
 	// The declared cadence scales this view's expected-arrival accounting
 	// for the sender: suspicion timeout and sequence-gap loss bookkeeping
 	// both divide by the promised inter-frame gap.
-	if err := n.view.MergeSnapshotAt(d.Snap, int(d.Cadence)); err != nil {
+	err := n.view.MergeSnapshotAt(d.Snap, int(d.Cadence))
+	n.noteVerdicts()
+	if err != nil {
 		n.stats.snapshotMergeErrors.Add(1)
 		return
 	}
@@ -1608,6 +1646,7 @@ func (n *Node) acceptData(from topology.NodeID, msg *wire.DataMsg) (rx receipt) 
 		if err := n.view.MergeSnapshotKnowledgeOnly(msg.Piggyback); err != nil {
 			n.stats.snapshotMergeErrors.Add(1)
 		}
+		n.noteVerdicts()
 	}
 	if !n.delivered.mark(msg.Origin, msg.Seq) {
 		return rx

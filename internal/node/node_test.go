@@ -645,3 +645,31 @@ func TestPiggybackOnLiveStack(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsCountMergeVerdicts: Stats publishes the Algorithm 3 verdicts
+// the view booked on every merged record, and in a settled ring each node
+// has both adopted and rejected records of each kind.
+func TestStatsCountMergeVerdicts(t *testing.T) {
+	g, err := topology.Ring(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := transport.NewFabric(transport.FabricOptions{})
+	defer func() { _ = fabric.Close() }()
+	nodes := buildCluster(t, g, fabric, nil)
+	settleTicks(nodes, 20)
+	for i, nd := range nodes {
+		nd.mu.Lock()
+		procs, links := nd.view.Verdicts()
+		nd.mu.Unlock()
+		s := nd.Stats()
+		if s.ProcRecords != RecordVerdicts(procs) || s.LinkRecords != RecordVerdicts(links) {
+			t.Errorf("node %d: Stats reads %+v and %+v, the view booked %+v and %+v", i, s.ProcRecords, s.LinkRecords, procs, links)
+		}
+		for kind, v := range map[string]RecordVerdicts{"process": s.ProcRecords, "link": s.LinkRecords} {
+			if v.Adopted == 0 || v.RejectedEqual+v.RejectedAbove == 0 {
+				t.Errorf("node %d: %s record verdicts %+v, want adoptions and rejections", i, kind, v)
+			}
+		}
+	}
+}

@@ -96,10 +96,13 @@ func TestQuantizedClusterNegotiates(t *testing.T) {
 	}
 }
 
+// wireVersion is the one version byte every frame carries (see
+// internal/wire/binary.go).
+const wireVersion = 6
+
 // TestQuantizedFullHeartbeats: full-snapshot heartbeats (settleFullTicks,
 // every frame the since = 0 fallback) always carry records, and every one
-// of them is a version-1 frame, from the first period on: the count
-// layout needs no header of its own.
+// of them rides the one wire version, from the first period on.
 func TestQuantizedFullHeartbeats(t *testing.T) {
 	g, err := topology.Line(2)
 	if err != nil {
@@ -133,8 +136,8 @@ func TestQuantizedFullHeartbeats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d does not decode: %v", fi, err)
 		}
-		if b[1] != 1 || f.Kind != wire.FrameKnowledgeDelta || f.Delta.Since != 0 || len(f.Delta.Snap.Procs) == 0 {
-			t.Errorf("frame %d: version %d kind %d %+v, want a v1 full snapshot with records", fi, b[1], f.Kind, f.Delta)
+		if b[1] != wireVersion || f.Kind != wire.FrameKnowledgeDelta || f.Delta.Since != 0 || len(f.Delta.Snap.Procs) == 0 {
+			t.Errorf("frame %d: version %d kind %d %+v, want a v%d full snapshot with records", fi, b[1], f.Kind, f.Delta, wireVersion)
 		}
 	}
 }
@@ -255,7 +258,7 @@ func TestQuantizedEstimateParity(t *testing.T) {
 	}
 }
 
-// alarmingHeartbeat settles a Line(2) and returns node 0 with a v1
+// alarmingHeartbeat settles a Line(2) and returns node 0 with a
 // heartbeat from node 1 carrying a close, alarming estimate of node 1
 // that node 0 would adopt from any frame it accepts.
 func alarmingHeartbeat(t *testing.T) (*Node, []byte) {
@@ -272,14 +275,14 @@ func alarmingHeartbeat(t *testing.T) (*Node, []byte) {
 	snap := &knowledge.Snapshot{From: 1, Seq: 1 << 20, Procs: []knowledge.ProcRecord{
 		{ID: 1, Dist: 0, Est: bayes.State{Intervals: bayes.DefaultIntervals, Fail: 500}},
 	}}
-	v1, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap})
+	hb, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1[1] != 1 {
-		t.Fatalf("heartbeat encoded at version %d, want 1", v1[1])
+	if hb[1] != wireVersion {
+		t.Fatalf("heartbeat encoded at version %d, want %d", hb[1], wireVersion)
 	}
-	return nodes[0], v1
+	return nodes[0], hb
 }
 
 // rejectedWhole hands nd the retired frame bad, which must book exactly
@@ -315,16 +318,20 @@ func rejectedWhole(t *testing.T, nd *Node, what string, bad, good []byte) {
 	}
 }
 
-// TestQuantizedMixedCluster: a retired wire v4 or v5 frame sent at a live
-// node is rejected whole. Each is the v1 heartbeat with a caps varint
-// after the header, the shape those versions sent: it books exactly one
-// DecodeErrors and merges nothing, and the same heartbeat at version 1 is
-// then merged, so the version alone is what was refused.
+// TestQuantizedMixedCluster: a frame of a retired wire version sent at a
+// live node is rejected whole: the heartbeat under a v1–v3 header, and
+// under a v4 or v5 header with the caps varint those versions carried.
+// Each books exactly one DecodeErrors and merges nothing, and the same
+// heartbeat at the current version is then merged, so the version alone
+// is what was refused.
 func TestQuantizedMixedCluster(t *testing.T) {
-	for _, ver := range []byte{4, 5} {
-		nd, v1 := alarmingHeartbeat(t)
-		retired := append([]byte{v1[0], ver, v1[2], ver}, v1[3:]...)
-		rejectedWhole(t, nd, fmt.Sprintf("v%d frame", ver), retired, v1)
+	for ver := byte(1); ver <= 5; ver++ {
+		nd, hb := alarmingHeartbeat(t)
+		retired := append([]byte{hb[0], ver, hb[2]}, hb[3:]...)
+		if ver >= 4 {
+			retired = append([]byte{hb[0], ver, hb[2], ver}, hb[3:]...)
+		}
+		rejectedWhole(t, nd, fmt.Sprintf("v%d frame", ver), retired, hb)
 	}
 }
 
@@ -334,12 +341,12 @@ func TestQuantizedMixedCluster(t *testing.T) {
 // (flags 0x01, then the log-belief vector) — is rejected whole at a live
 // node, as a v4 frame is, even when it describes the uniform grid and the
 // very posterior of a count record: one DecodeErrors, nothing merged. The
-// same estimate in the count layout then merges.
+// same estimate as evidence counts then merges.
 func TestRefinedGridFrameRejected(t *testing.T) {
 	const u = bayes.DefaultIntervals
-	nd, v1 := alarmingHeartbeat(t)
-	est := []byte{4, u, 0, 0xf4, 0x03} // the count layout: U, 0 successes, 500 failures
-	at := bytes.Index(v1, est)
+	nd, hb := alarmingHeartbeat(t)
+	est := []byte{0, 0, 0xf4, 0x03} // distortion 0 at the section's U, 0 successes, 500 failures
+	at := bytes.Index(hb, est)
 	if at < 0 {
 		t.Fatal("no count record in the heartbeat")
 	}
@@ -358,16 +365,16 @@ func TestRefinedGridFrameRejected(t *testing.T) {
 		"refined-grid frame": append(refined, beliefs...),
 		"raw-vector frame":   append(append([]byte{1}, binary.AppendUvarint(nil, u)...), beliefs...),
 	} {
-		bad := append(append(append([]byte(nil), v1[:at]...), layout...), v1[at+len(est):]...)
-		rejectedWhole(t, nd, name, bad, v1)
+		bad := append(append(append([]byte(nil), hb[:at+1]...), layout...), hb[at+len(est):]...)
+		rejectedWhole(t, nd, name, bad, hb)
 	}
 }
 
-// TestQuantizedLegacyFrameDiscipline audits every frame a node in a
-// default cluster sends, from its first period: every heartbeat or delta
-// takes the oldest header its own fields need (version 1, or 2 for a
-// stretched cadence; a static cluster has no epoch), every data frame is
-// v1, and no frame is v4 or v5.
+// TestQuantizedLegacyFrameDiscipline keeps the name it had when frames
+// took the oldest legacy header their fields needed. It audits every
+// frame a node in a default cluster sends, from its first period: every
+// heartbeat, delta and data frame, with records or without, stretched
+// or not, rides the one wire version.
 func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 	g, err := topology.Line(3)
 	if err != nil {
@@ -397,18 +404,14 @@ func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 				t.Fatalf("frame %d to %d does not decode: %v", fi, to, err)
 			}
 			var snap *knowledge.Snapshot
-			want := byte(1)
 			switch f.Kind {
 			case wire.FrameHeartbeat:
 				snap = f.Heartbeat
 			case wire.FrameKnowledgeDelta:
 				snap = f.Delta.Snap
-				if f.Delta.Cadence > 1 {
-					want = 2
-				}
 			case wire.FrameData:
 				data++
-				if b[1] != 1 {
+				if b[1] != wireVersion {
 					t.Errorf("data frame %d to %d at version %d", fi, to, b[1])
 				}
 				continue
@@ -420,9 +423,9 @@ func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 			} else {
 				full++
 			}
-			if b[1] != want {
+			if b[1] != wireVersion {
 				t.Errorf("frame %d to %d (kind %d, %d records) at version %d, want %d",
-					fi, to, f.Kind, len(snap.Procs)+len(snap.Links), b[1], want)
+					fi, to, f.Kind, len(snap.Procs)+len(snap.Links), b[1], wireVersion)
 			}
 		}
 	}

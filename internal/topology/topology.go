@@ -129,7 +129,7 @@ func (g *Graph) Active(id NodeID) bool {
 // Epoch returns the membership epoch: the number of membership mutations
 // (AddNode, RemoveNode, RemoveLink) applied since construction.
 // Construction-time AddLink does not bump it, so generated static
-// topologies are epoch 0 and their frames carry no epoch.
+// topologies are epoch 0.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
 // AddNode grows Π by one process, returning its ID (always the next dense

@@ -15,48 +15,36 @@ import (
 // Binary framing (see the README "Wire format" section):
 //
 //	[0] magic 0xAC
-//	[1] version (1, 2 or 3)
+//	[1] version (6)
 //	[2] kind (FrameHeartbeat | FrameData | FrameKnowledgeDelta | FrameJoin | FrameLeave)
 //	payload…
 //
-// Every frame encodes as the oldest version that can carry its payload.
-// Version 2 differs from version 1 in exactly one place: a knowledge-
-// delta payload carries one extra Cadence uvarint after the
-// {Since, Ver, Ack} header, so only deltas whose cadence is actually
-// stretched (Cadence > 1) need it.
+// Every kind rides the one version, and the decoder refuses any other:
+// versions 1–3, whose shapes left a cadence of 1 and an epoch of 0 out
+// and repeated a layout flag and U in every record, and the retired 4
+// and 5. A delta payload is {Since, Ver, Ack, Cadence, Epoch} and its
+// record section; a data payload ends in its Epoch.
 //
-// Version 3 adds dynamic membership: delta payloads gain an Epoch uvarint
-// after Cadence (which is always present from v3 on, stretched or not),
-// data payloads gain an Epoch uvarint after the piggyback section, and
-// the FrameJoin / FrameLeave kinds carry a Membership payload. Only a
-// nonzero epoch (and the membership kinds) needs it, so a static
-// cluster's frames cost nothing for epochs.
+// Integers are varints: zigzag for the IDs and allocations of a data
+// payload and a membership payload (a parent vector holds the None
+// sentinel), unsigned for everything else. Byte strings are
+// length-prefixed. A record section — a heartbeat, a delta's records, a
+// data frame's piggyback — is
 //
-// The decoder accepts exactly those shapes — heartbeat v1, data v1 and
-// v3, delta v1, v2 and v3, join and leave v3 — which is the kindVersions
-// table. Versions 4 and 5 are retired (the quantized-belief profile, and
-// the capability field that fenced the count layout off older frames),
-// and so are the raw float estimator layout (flags 0x01) and the
-// refined-grid one (flags 0x00).
+//	from, seq, #procs, #links, U (only if there are records), records…
+//	process record: id,   dist<<1 | x, [U if x], successes, failures
+//	link record:    a, b, dist<<1 | x, [U if x], successes, failures
 //
-// Integers are varints (unsigned for sequence numbers, lengths and
-// counts; zigzag for node IDs, distortions and allocations, which can be
-// negative sentinels), byte strings are length-prefixed. A Bayesian
-// estimator is a pure function of its interval count and its evidence
-// counts, so it ships as flagCounts, then uvarint U, uvarint successes,
-// uvarint failures — in every frame version and every section, heartbeat,
-// delta and data piggyback alike.
+// A Bayesian estimator is a pure function of its interval count U and
+// its evidence counts. The head declares U once, as its first record's,
+// and a record of another U sets x and carries its own. No record is
+// coded against another, so any subset of a section's records, under
+// the same head, is a section too (appendSectionSubset).
 
 const (
 	magic      = 0xAC
-	version    = 1
-	version2   = 2 // delta frames carrying a stretched Cadence
-	version3   = 3 // nonzero membership epoch; join/leave frames
+	version    = 6
 	headerSize = 3
-	// flagCounts opens an estimator record: uniform grid, uniform prior,
-	// (U, successes, failures). Its value is that of the layout's first
-	// release, so committed record bytes keep their meaning.
-	flagCounts = 4
 )
 
 // appendUvarint, appendVarint etc. build on the stdlib append helpers; a
@@ -120,17 +108,18 @@ func (r *reader) varint() int64 {
 // count reads an element count and bounds it by the bytes still in the
 // frame (every element takes at least one byte), so a hostile length
 // prefix cannot drive a giant allocation.
-func (r *reader) count(what string) int { return r.countOf(what, 1) }
+func (r *reader) count(what string) int { return r.countOf(what, 1, 0) }
 
-// countOf is count for elements of at least minSize encoded bytes each:
-// the count sizes an array of decoded elements, which for a knowledge
-// record is some twenty times its shortest encoding.
-func (r *reader) countOf(what string, minSize int) int {
+// countOf is count for elements of at least minSize encoded bytes each,
+// in the bytes left past the reserved ones earlier counts claimed: the
+// count sizes an array of decoded elements, which for a knowledge record
+// is some ten times its shortest encoding.
+func (r *reader) countOf(what string, minSize, reserved int) int {
 	v := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if v > uint64(r.remaining()/minSize) {
+	if v > uint64(max(r.remaining()-reserved, 0)/minSize) {
 		r.fail("%s count %d exceeds frame", what, v)
 		return 0
 	}
@@ -157,89 +146,69 @@ func (r *reader) bytes(what string) []byte {
 // be the None sentinel inside parent vectors).
 func (r *reader) nodeID() topology.NodeID { return topology.NodeID(r.varint()) }
 
-// ---------------------------------------------------------------------------
-// Estimator state
-// ---------------------------------------------------------------------------
-
-// appendEstimator writes one estimator state in the count layout. The
-// state's bounds (bayes.MaxIntervals, bayes.MaxEvidence) hold by
-// construction for every state an estimator cuts.
-func appendEstimator(b []byte, s *bayes.State) []byte {
-	b = append(b, flagCounts)
-	b = binary.AppendUvarint(b, uint64(s.Intervals))
-	b = binary.AppendUvarint(b, uint64(s.Succ))
-	return binary.AppendUvarint(b, uint64(s.Fail))
-}
-
-func (r *reader) estimator() bayes.State {
-	var s bayes.State
-	if flags := r.byte(); flags != flagCounts {
-		r.fail("unknown estimator flags %#x", flags)
+// id decodes a record section's unsigned process ID, below MaxProcs.
+func (r *reader) id() topology.NodeID {
+	v := r.uvarint()
+	if v >= MaxProcs {
+		r.fail("process %d outside [0,%d)", v, MaxProcs)
+		return 0
 	}
-	// A count record is a handful of bytes whatever it declares, so
-	// nothing about the frame bounds U or the counts: bound them here,
-	// before U can size a grid or a count can overflow float64(n)·log.
-	u, succ, fail := r.uvarint(), r.uvarint(), r.uvarint()
-	if r.err != nil {
-		return s
-	}
-	if u > MaxIntervals {
-		r.fail("evidence-count estimator declares %d intervals, bound is %d", u, MaxIntervals)
-		return s
-	}
-	if succ > MaxEvidence || fail > MaxEvidence || succ+fail > MaxEvidence {
-		r.fail("evidence counts (%d, %d) exceed the %d bound", succ, fail, MaxEvidence)
-		return s
-	}
-	s.Intervals, s.Succ, s.Fail = int(u), int(succ), int(fail)
-	return s
+	return topology.NodeID(v)
 }
 
 // ---------------------------------------------------------------------------
 // Knowledge snapshots
 // ---------------------------------------------------------------------------
 
-// estimatorSize bounds the encoded size of one estimator: a flag byte
-// and three varints.
-const estimatorSize = 1 + 3*binary.MaxVarintLen64
-
+// snapshotSize bounds the encoded size of a section: five head varints
+// and at most six per record (a link's endpoints, distortion, U and
+// counts).
 func snapshotSize(s *knowledge.Snapshot) int {
-	return 4*binary.MaxVarintLen64 + len(s.Procs)*(2*binary.MaxVarintLen64+estimatorSize) +
-		len(s.Links)*(3*binary.MaxVarintLen64+estimatorSize)
+	return (5 + 6*(len(s.Procs)+len(s.Links))) * binary.MaxVarintLen64
+}
+
+// sectionIntervals is the U a section's head declares: its first
+// record's.
+func sectionIntervals(s *knowledge.Snapshot) int {
+	switch {
+	case len(s.Procs) > 0:
+		return s.Procs[0].Est.Intervals
+	case len(s.Links) > 0:
+		return s.Links[0].Est.Intervals
+	}
+	return 0
 }
 
 // appendSnapshot writes a snapshot's record section.
 func appendSnapshot(b []byte, s *knowledge.Snapshot) []byte {
-	return appendSnapshotIndexed(b, s, nil)
+	return appendSection(b, s, nil, sectionIntervals(s))
 }
 
-// appendSnapshotIndexed is appendSnapshot that also records in ix, when
-// it is not nil, where each record's bytes lie (see SectionIndex).
-func appendSnapshotIndexed(b []byte, s *knowledge.Snapshot, ix *SectionIndex) []byte {
+// appendSection writes s's record section under a head declaring U u,
+// and records in ix, when it is not nil, where each record's bytes lie
+// (see SectionIndex).
+func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex, u int) []byte {
 	start := len(b)
-	b = binary.AppendVarint(b, int64(s.From))
+	b = binary.AppendUvarint(b, uint64(s.From))
 	b = binary.AppendUvarint(b, s.Seq)
 	if ix != nil {
-		*ix = SectionIndex{head: len(b) - start, procs: len(s.Procs),
+		*ix = SectionIndex{head: len(b) - start, procs: len(s.Procs), u: u,
 			recs: slices.Grow(ix.recs[:0], len(s.Procs)+len(s.Links))}
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Procs)))
+	b = appendCounts(b, len(s.Procs), len(s.Links), u)
 	for i := range s.Procs {
 		pr, at := &s.Procs[i], len(b)
-		b = binary.AppendVarint(b, int64(pr.ID))
-		b = binary.AppendVarint(b, int64(pr.Dist))
-		b = appendEstimator(b, &pr.Est)
+		b = binary.AppendUvarint(b, uint64(pr.ID))
+		b = appendRecord(b, pr.Dist, &pr.Est, u)
 		if ix != nil {
 			ix.recs = append(ix.recs, span{at - start, len(b) - start})
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Links)))
 	for i := range s.Links {
 		lr, at := &s.Links[i], len(b)
-		b = binary.AppendVarint(b, int64(lr.Link.A))
-		b = binary.AppendVarint(b, int64(lr.Link.B))
-		b = binary.AppendVarint(b, int64(lr.Dist))
-		b = appendEstimator(b, &lr.Est)
+		b = binary.AppendUvarint(b, uint64(lr.Link.A))
+		b = binary.AppendUvarint(b, uint64(lr.Link.B))
+		b = appendRecord(b, lr.Dist, &lr.Est, u)
 		if ix != nil {
 			ix.recs = append(ix.recs, span{at - start, len(b) - start})
 		}
@@ -247,14 +216,71 @@ func appendSnapshotIndexed(b []byte, s *knowledge.Snapshot, ix *SectionIndex) []
 	return b
 }
 
-// The shortest legal encodings, from the layouts above: an estimator is a
-// flag byte and three one-byte varints (U, successes, failures), a process
-// record prefixes it with two varints (ID, distortion) and a link record
-// with three (A, B, distortion).
+// appendCounts writes the rest of a section's head: its record counts
+// and, if it has records, its U.
+func appendCounts(b []byte, procs, links, u int) []byte {
+	b = binary.AppendUvarint(b, uint64(procs))
+	b = binary.AppendUvarint(b, uint64(links))
+	if procs+links == 0 {
+		return b
+	}
+	return binary.AppendUvarint(b, uint64(u))
+}
+
+// appendRecord writes what follows a record's ID or endpoints in a
+// section of U u: its distortion, its own U if it differs, and its
+// evidence counts. The state's bounds (bayes.MaxIntervals,
+// bayes.MaxEvidence) hold by construction for every state an estimator
+// cuts.
+func appendRecord(b []byte, dist int, s *bayes.State, u int) []byte {
+	if d := uint64(dist) << 1; s.Intervals == u {
+		b = binary.AppendUvarint(b, d)
+	} else {
+		b = binary.AppendUvarint(b, d|1)
+		b = binary.AppendUvarint(b, uint64(s.Intervals))
+	}
+	b = binary.AppendUvarint(b, uint64(s.Succ))
+	return binary.AppendUvarint(b, uint64(s.Fail))
+}
+
+// intervals decodes a U, bounded before it can size a grid.
+func (r *reader) intervals() int {
+	u := r.uvarint()
+	if r.err == nil && (u < 2 || u > MaxIntervals) {
+		r.fail("estimator declares %d intervals outside [2,%d]", u, MaxIntervals)
+	}
+	return int(u)
+}
+
+// record decodes what appendRecord wrote. A record is a handful of bytes
+// whatever it declares, so nothing about the frame bounds it: the
+// distortion is bounded here, before it becomes an int that could wrap
+// to a low, trusted one, and the counts before one can overflow
+// float64(n)·log.
+func (r *reader) record(u int) (dist int, s bayes.State) {
+	d := r.uvarint()
+	if d&1 != 0 {
+		u = r.intervals()
+	}
+	succ, fail := r.uvarint(), r.uvarint()
+	switch {
+	case r.err != nil:
+	case d>>1 > knowledge.DistInf:
+		r.fail("distortion %d exceeds %d", d>>1, knowledge.DistInf)
+	case succ > MaxEvidence || fail > MaxEvidence || succ+fail > MaxEvidence:
+		r.fail("evidence counts (%d, %d) exceed the %d bound", succ, fail, MaxEvidence)
+	default:
+		return int(d >> 1), bayes.State{Intervals: u, Succ: int(succ), Fail: int(fail)}
+	}
+	return 0, s
+}
+
+// The shortest legal records: a byte per varint, a process record's ID,
+// distortion and two counts and a link record's two endpoints,
+// distortion and two counts.
 const (
-	minEstimatorSize  = 4
-	minProcRecordSize = 2 + minEstimatorSize
-	minLinkRecordSize = 3 + minEstimatorSize
+	minProcRecordSize = 4
+	minLinkRecordSize = 5
 )
 
 // snapshot parses a record section into s, reusing the capacity of its two
@@ -264,28 +290,28 @@ const (
 // different size, so exact sizing would reallocate on most larger ones.
 func (r *reader) snapshot(s *knowledge.Snapshot) *knowledge.Snapshot {
 	*s = knowledge.Snapshot{
-		From:  r.nodeID(),
+		From:  r.id(),
 		Seq:   r.uvarint(),
 		Procs: s.Procs[:0],
 		Links: s.Links[:0],
 	}
-	nProcs := r.countOf("proc records", minProcRecordSize)
+	nProcs := r.countOf("proc records", minProcRecordSize, 0)
+	nLinks := r.countOf("link records", minLinkRecordSize, nProcs*minProcRecordSize)
+	u := 0
+	if nProcs+nLinks > 0 {
+		u = r.intervals()
+	}
 	s.Procs = slices.Grow(s.Procs, nProcs)
 	for i := 0; i < nProcs && r.err == nil; i++ {
-		s.Procs = append(s.Procs, knowledge.ProcRecord{
-			ID:   r.nodeID(),
-			Dist: int(r.varint()),
-			Est:  r.estimator(),
-		})
+		pr := knowledge.ProcRecord{ID: r.id()}
+		pr.Dist, pr.Est = r.record(u)
+		s.Procs = append(s.Procs, pr)
 	}
-	nLinks := r.countOf("link records", minLinkRecordSize)
 	s.Links = slices.Grow(s.Links, nLinks)
 	for i := 0; i < nLinks && r.err == nil; i++ {
-		s.Links = append(s.Links, knowledge.LinkRecord{
-			Link: topology.Link{A: r.nodeID(), B: r.nodeID()},
-			Dist: int(r.varint()),
-			Est:  r.estimator(),
-		})
+		lr := knowledge.LinkRecord{Link: topology.Link{A: r.id(), B: r.id()}}
+		lr.Dist, lr.Est = r.record(u)
+		s.Links = append(s.Links, lr)
 	}
 	if r.err != nil {
 		return nil
@@ -303,46 +329,31 @@ func deltaSize(d *KnowledgeDelta) int {
 
 // appendDelta lays out the version bookkeeping before the record set, so
 // the fixed-cost liveness header of a near-empty steady-state delta stays
-// a handful of bytes. The cadence uvarint exists only in version-2+
-// frames (version-1 frames imply cadence 1); the epoch uvarint only from
-// version 3 on (earlier versions imply epoch 0).
-func appendDelta(b []byte, d *KnowledgeDelta, ver byte) []byte {
-	return appendSnapshot(appendDeltaHeader(b, d, ver), d.Snap)
+// a handful of bytes.
+func appendDelta(b []byte, d *KnowledgeDelta) []byte {
+	return appendSnapshot(appendDeltaHeader(b, d), d.Snap)
 }
 
 // appendDeltaHeader writes the delta's version bookkeeping without its
 // record section, so the shared-cut fast path (AppendDeltaFrame) can
 // splice a snapshot section that was encoded once for a whole group of
-// neighbors.
-func appendDeltaHeader(b []byte, d *KnowledgeDelta, ver byte) []byte {
-	b = binary.AppendUvarint(b, d.Since)
-	b = binary.AppendUvarint(b, d.Ver)
-	b = binary.AppendUvarint(b, d.Ack)
-	if ver >= version2 {
-		b = binary.AppendUvarint(b, d.Cadence)
-	}
-	if ver >= version3 {
-		b = binary.AppendUvarint(b, d.Epoch)
+// neighbors. A cadence of 0 writes as the 1 it means.
+func appendDeltaHeader(b []byte, d *KnowledgeDelta) []byte {
+	for _, v := range [...]uint64{d.Since, d.Ver, d.Ack, max(d.Cadence, 1), d.Epoch} {
+		b = binary.AppendUvarint(b, v)
 	}
 	return b
 }
 
 // delta parses a delta payload into d and its record section into snap
 // (see snapshot), overwriting every field.
-func (r *reader) delta(ver byte, d *KnowledgeDelta, snap *knowledge.Snapshot) *KnowledgeDelta {
+func (r *reader) delta(d *KnowledgeDelta, snap *knowledge.Snapshot) *KnowledgeDelta {
 	*d = KnowledgeDelta{
 		Since:   r.uvarint(),
 		Ver:     r.uvarint(),
 		Ack:     r.uvarint(),
-		Cadence: 1,
-	}
-	if ver >= version2 {
-		if d.Cadence = r.uvarint(); d.Cadence == 0 {
-			d.Cadence = 1 // 0 and 1 both mean the classic one frame per δ
-		}
-	}
-	if ver >= version3 {
-		d.Epoch = r.uvarint()
+		Cadence: max(r.uvarint(), 1), // 0 and 1 both mean the classic one frame per δ
+		Epoch:   r.uvarint(),
 	}
 	d.Snap = r.snapshot(snap)
 	if r.err != nil {
@@ -364,7 +375,7 @@ func dataSize(m *DataMsg) int {
 	return n
 }
 
-func appendData(b []byte, m *DataMsg, ver byte) []byte {
+func appendData(b []byte, m *DataMsg) []byte {
 	b = binary.AppendVarint(b, int64(m.Origin))
 	b = binary.AppendUvarint(b, m.Seq)
 	b = binary.AppendVarint(b, int64(m.Root))
@@ -384,15 +395,12 @@ func appendData(b []byte, m *DataMsg, ver byte) []byte {
 	} else {
 		b = append(b, 0)
 	}
-	if ver >= version3 {
-		b = binary.AppendUvarint(b, m.Epoch)
-	}
-	return b
+	return binary.AppendUvarint(b, m.Epoch)
 }
 
 // data parses a data payload into m, reusing the capacity of m's Parents
 // and AllocByNode and overwriting every other field.
-func (r *reader) data(ver byte, m *DataMsg) *DataMsg {
+func (r *reader) data(m *DataMsg) *DataMsg {
 	*m = DataMsg{
 		Origin:      r.nodeID(),
 		Seq:         r.uvarint(),
@@ -427,9 +435,7 @@ func (r *reader) data(ver byte, m *DataMsg) *DataMsg {
 	default:
 		r.fail("bad piggyback flag")
 	}
-	if ver >= version3 {
-		m.Epoch = r.uvarint()
-	}
+	m.Epoch = r.uvarint()
 	if r.err != nil {
 		return nil
 	}
@@ -494,39 +500,6 @@ func (r *reader) membership() *Membership {
 // Frames
 // ---------------------------------------------------------------------------
 
-// frameVersion picks the wire version a frame encodes as: always the
-// oldest layout that can carry the payload, so static-cluster frames stay
-// byte-identical to the v1/v2 encoding (the golden test pins this).
-func frameVersion(f *Frame) byte {
-	switch f.Kind {
-	case FrameData:
-		if f.Data.Epoch > 0 {
-			// Only a grown/shrunk cluster needs the epoch fence.
-			return version3
-		}
-	case FrameKnowledgeDelta:
-		return deltaVersion(f.Delta)
-	case FrameJoin, FrameLeave:
-		// Membership kinds exist only since v3; no older layout to match.
-		return version3
-	}
-	return version
-}
-
-// deltaVersion is frameVersion for the delta payload alone, shared with
-// the pre-encoded-section fast path (AppendDeltaFrame).
-func deltaVersion(d *KnowledgeDelta) byte {
-	if d.Epoch > 0 {
-		return version3
-	}
-	if d.Cadence > 1 {
-		// Only a stretched cadence needs the v2 layout; the classic
-		// one-frame-per-δ delta stays byte-identical to v1.
-		return version2
-	}
-	return version
-}
-
 // frameSize over-estimates the encoded size of a validated frame, for
 // pre-sizing fresh buffers.
 func frameSize(f *Frame) int {
@@ -547,15 +520,14 @@ func frameSize(f *Frame) int {
 // appendFrameBytes appends the full encoding (header + payload) of a
 // validated frame to b. It allocates nothing beyond growing b.
 func appendFrameBytes(b []byte, f *Frame) []byte {
-	ver := frameVersion(f)
-	b = append(b, magic, ver, byte(f.Kind))
+	b = append(b, magic, version, byte(f.Kind))
 	switch f.Kind {
 	case FrameHeartbeat:
 		b = appendSnapshot(b, f.Heartbeat)
 	case FrameData:
-		b = appendData(b, f.Data, ver)
+		b = appendData(b, f.Data)
 	case FrameKnowledgeDelta:
-		b = appendDelta(b, f.Delta, ver)
+		b = appendDelta(b, f.Delta)
 	case FrameJoin, FrameLeave:
 		b = appendMembership(b, f.Member)
 	}
@@ -577,22 +549,18 @@ func decodeBinary(b []byte, sc *Scratch, borrow bool) error {
 	if b[0] != magic {
 		return fmt.Errorf("wire: bad magic %#x", b[0])
 	}
-	ver, kind := b[1], FrameKind(b[2])
-	if kind == 0 || kind >= frameKindEnd {
-		return fmt.Errorf("wire: unknown frame kind %d", kind)
+	if b[1] != version {
+		return fmt.Errorf("wire: unsupported version %d", b[1])
 	}
-	if !slices.Contains(kindVersions[kind], ver) {
-		return fmt.Errorf("wire: unsupported version %d for frame kind %d", ver, kind)
-	}
-	f.Kind = kind
+	f.Kind = FrameKind(b[2])
 	r := &reader{b: b, off: headerSize, borrow: borrow}
 	switch f.Kind {
 	case FrameHeartbeat:
 		f.Heartbeat = r.snapshot(&sc.snap)
 	case FrameData:
-		f.Data = r.data(ver, &sc.data)
+		f.Data = r.data(&sc.data)
 	case FrameKnowledgeDelta:
-		f.Delta = r.delta(ver, &sc.delta, &sc.snap)
+		f.Delta = r.delta(&sc.delta, &sc.snap)
 	case FrameJoin, FrameLeave:
 		f.Member = r.membership()
 	default:

@@ -9,26 +9,30 @@ import (
 )
 
 // Two kinds of committed corpus file must NOT decode. The forged-N files
-// are the forged evidence-count heartbeats (forgedCountFrames). The
-// retired-N files are frames of shapes this decoder no longer accepts,
-// kept as the bytes an old binary or a replaying peer would send:
-// retired-0 to retired-5 are wire v4 quantized frames (four deltas, a
-// heartbeat and a join), retired-6 a v5 join carrying a capability
-// advert, retired-7 a v4 header around raw estimator layouts,
-// retired-8 and retired-9 a v5 heartbeat and a v5 delta around the
-// retired refined-grid estimator layout (flags 0x00), retired-10 to
-// retired-16 v1–v3 heartbeats, deltas and piggybacked data frames around
-// the retired raw float layout (flags 0x01), and retired-17 to retired-21
-// v5 heartbeats and deltas carrying the retired Caps field. Both kinds
-// are committed next to the seeds so fuzzing starts from them and the
-// byzantine-replay scenario throws them at a live cluster.
+// are the forged heartbeats of forgedCountFrames. The retired-N files
+// are frames of shapes this decoder no longer accepts, kept as the bytes
+// an old binary or a replaying peer would send: retired-0 to retired-5
+// are wire v4 quantized frames (four deltas, a heartbeat and a join),
+// retired-6 a v5 join carrying a capability advert, retired-7 a v4
+// header around raw estimator layouts, retired-8 and retired-9 a v5
+// heartbeat and a v5 delta around the retired refined-grid estimator
+// layout (flags 0x00), retired-10 to retired-16 v1–v3 heartbeats, deltas
+// and piggybacked data frames around the retired raw float layout (flags
+// 0x01), retired-17 to retired-21 v5 heartbeats and deltas carrying the
+// retired Caps field, retired-22 to retired-39 the v1–v3 frames that
+// were seed-0 to seed-19 (their records open with the layout flag 0x04
+// and repeat U), and retired-40 to retired-45 the forged-0 to forged-5
+// of that layout. Both kinds are committed next to the seeds so fuzzing
+// starts from them and the byzantine-replay scenario throws them at a
+// live cluster.
 const forgedPrefix, retiredPrefix = "forged-", "retired-"
 
 // seedName names the corpus file of canonical frame i. The names seed-14
 // and seed-15 stay unused: they held v4 frames, now retired-4 and
 // retired-5. The v5 frames once named seed-16 to seed-19 are now
 // retired-18 to retired-21, and their names hold the frames past
-// seed-13.
+// seed-13. Each name's v1–v3 bytes of before the one-version reset are
+// retired-22 to retired-39, in name order.
 func seedName(i int) string {
 	if i >= 14 {
 		i += 2
@@ -86,8 +90,8 @@ func TestWriteSeedCorpus(t *testing.T) {
 	}
 	// Every committed seed must still decode, and together the seeds must
 	// witness every (version, kind) header the canonical frames produce.
-	// TestEveryFrameKindHasSeedsAndRoundTrips holds the declared
-	// kind×version pairs to this same corpus.
+	// TestEveryFrameKindHasSeedsAndRoundTrips holds every kind to this
+	// same corpus.
 	want := make(map[[2]byte]bool)
 	for _, frame := range seedFrames(t) {
 		b, err := Encode(frame)

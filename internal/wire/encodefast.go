@@ -13,7 +13,6 @@ package wire
 // golden and byte-equality tests pin that.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -41,12 +40,11 @@ func EncodeInto(buf []byte, f *Frame) ([]byte, error) {
 }
 
 // AppendSnapshotSection appends the wire form of a knowledge snapshot's
-// record section to dst. The section is identical across all wire
-// versions, which is what makes shared delta cuts sound: encode the
+// record section to dst. The section is the same in every frame that
+// carries one, which is what makes shared delta cuts sound: encode the
 // section once per acked-base group of neighbors, then build each
 // neighbor's frame around it with AppendDeltaFrame — per-neighbor fields
-// (Ack, Cadence) and even the frame version may differ without
-// invalidating the shared bytes.
+// (Ack, Cadence) may differ without invalidating the shared bytes.
 func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 	if s == nil {
 		return dst, errors.New("wire: nil snapshot")
@@ -61,6 +59,7 @@ func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 type SectionIndex struct {
 	head  int    // bytes of the From and Seq varints
 	procs int    // process records; recs[:procs] are theirs
+	u     int    // the U the head declares
 	recs  []span // each record's bytes, processes then links
 }
 
@@ -73,16 +72,16 @@ func AppendSnapshotSectionIndexed(dst []byte, s *knowledge.Snapshot, ix *Section
 	if s == nil || ix == nil {
 		return dst, errors.New("wire: nil snapshot or index")
 	}
-	return appendSnapshotIndexed(dst, s, ix), nil
+	return appendSection(dst, s, ix, sectionIntervals(s)), nil
 }
 
 // appendSectionSubset appends to dst the record section of sec — encoded
 // by AppendSnapshotSectionIndexed, which filled ix — without the records
 // skip lists: skip holds, in ascending order, indices of records of the
 // encoded snapshot, counting its Procs, then its Links. The output is
-// byte-identical to AppendSnapshotSection of the snapshot without those
-// records. Kept records are copied, in order and in one run per gap in
-// skip, never re-encoded.
+// byte-identical to the section of the snapshot without those records
+// under sec's head, U included. Kept records are copied, in order and in
+// one run per gap in skip, never re-encoded.
 func appendSectionSubset(dst, sec []byte, ix *SectionIndex, skip []int) []byte {
 	// The subset is never longer than sec: grow dst once, not per run.
 	dst = slices.Grow(dst, len(sec))
@@ -94,24 +93,16 @@ func appendSectionSubset(dst, sec []byte, ix *SectionIndex, skip []int) []byte {
 		cut++
 	}
 	dst = append(dst, sec[:ix.head]...)
-	dst = appendRecordRuns(dst, sec, ix.recs[:ix.procs], skip[:cut], 0)
-	return appendRecordRuns(dst, sec, ix.recs[ix.procs:], skip[cut:], ix.procs)
-}
-
-// appendRecordRuns appends one record list of appendSectionSubset: the
-// count of the records kept, then their bytes. recs[j] is record
-// first+j; skip lists, ascending, the records of this list left out.
-func appendRecordRuns(dst, sec []byte, recs []span, skip []int, first int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(recs)-len(skip)))
+	dst = appendCounts(dst, ix.procs-cut, len(ix.recs)-ix.procs-(len(skip)-cut), ix.u)
 	from := 0 // the first record of the run still to copy
 	for _, i := range skip {
-		if j := i - first; j > from {
-			dst = append(dst, sec[recs[from].from:recs[j-1].to]...)
+		if i > from {
+			dst = append(dst, sec[ix.recs[from].from:ix.recs[i-1].to]...)
 		}
-		from = i - first + 1
+		from = i + 1
 	}
-	if from < len(recs) {
-		dst = append(dst, sec[recs[from].from:recs[len(recs)-1].to]...)
+	if from < len(ix.recs) {
+		dst = append(dst, sec[ix.recs[from].from:ix.recs[len(ix.recs)-1].to]...)
 	}
 	return dst
 }
@@ -119,9 +110,8 @@ func appendRecordRuns(dst, sec []byte, recs []span, skip []int, first int) []byt
 // AppendDeltaFrame appends a complete knowledge-delta frame to dst,
 // splicing in a record section pre-encoded with AppendSnapshotSection of
 // d.Snap's records; d.Snap itself is not read and may be nil. The output
-// is byte-identical to AppendFrame of the equivalent frame — version
-// selection follows the same rules — at the cost of one header instead
-// of a full snapshot walk per neighbor.
+// is byte-identical to AppendFrame of the equivalent frame, at the cost
+// of one header instead of a full snapshot walk per neighbor.
 func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte, error) {
 	if d == nil {
 		return dst, errors.New("wire: nil delta")
@@ -129,9 +119,8 @@ func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte
 	if err := checkDeltaHeader(d); err != nil {
 		return dst, err
 	}
-	ver := deltaVersion(d)
-	dst = append(dst, magic, ver, byte(FrameKnowledgeDelta))
-	dst = appendDeltaHeader(dst, d, ver)
+	dst = append(dst, magic, version, byte(FrameKnowledgeDelta))
+	dst = appendDeltaHeader(dst, d)
 	return append(dst, snapSection...), nil
 }
 
@@ -151,9 +140,7 @@ func AppendDeltaFrameSubset(dst []byte, d *KnowledgeDelta, sec []byte, ix *Secti
 // replaced by snap (nil clears it). Everything outside the piggyback
 // section is copied verbatim, so a piggybacking relay re-serializes
 // only its own snapshot, never the message prefix (origin, sequence,
-// tree, allocation, body) or the epoch suffix. The frame version is
-// raw's: the version depends only on the epoch, which a relay never
-// changes (the epoch gate admitted the frame at our own epoch).
+// tree, allocation, body) or the epoch suffix.
 func SpliceDataPiggyback(dst, raw []byte, snap *knowledge.Snapshot) ([]byte, error) {
 	flagOff, pbEnd, err := dataSpliceBounds(raw)
 	if err != nil {
@@ -225,17 +212,21 @@ func (r *reader) skip(n int, what string) {
 // skipSnapshot advances past one encoded snapshot section without
 // materializing records.
 func (r *reader) skipSnapshot() {
-	r.varint()  // from
+	r.uvarint() // from
 	r.uvarint() // seq
-	for i, n := 0, r.count("proc records"); i < n && r.err == nil; i++ {
-		r.varint() // id
-		r.varint() // dist
-		r.estimator()
+	procs, links := r.count("proc records"), r.count("link records")
+	if procs+links > 0 {
+		r.uvarint() // U
 	}
-	for i, n := 0, r.count("link records"); i < n && r.err == nil; i++ {
-		r.varint() // link a
-		r.varint() // link b
-		r.varint() // dist
-		r.estimator()
+	for i := 0; i < procs+links && r.err == nil; i++ {
+		if i >= procs {
+			r.uvarint() // a link's first endpoint
+		}
+		r.uvarint() // the ID, or the link's second endpoint
+		if dist := r.uvarint(); dist&1 != 0 {
+			r.uvarint() // the record's own U
+		}
+		r.uvarint() // successes
+		r.uvarint() // failures
 	}
 }

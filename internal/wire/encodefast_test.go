@@ -11,7 +11,7 @@ import (
 )
 
 // TestAppendFrameMatchesEncode pins the core contract of the fast path:
-// for every canonical frame (all kinds, all wire versions), AppendFrame
+// for every canonical frame (all kinds), AppendFrame
 // and EncodeInto produce bytes identical to Encode, and AppendFrame
 // leaves an existing prefix untouched.
 func TestAppendFrameMatchesEncode(t *testing.T) {
@@ -110,8 +110,8 @@ func spliceSnapshots(t *testing.T) (a, b *knowledge.Snapshot) {
 
 // TestSpliceDataPiggyback: replacing, adding, or stripping the piggyback
 // section of an encoded data frame is byte-identical to re-encoding the
-// frame with the new snapshot, for both plain (v1) and epoch-tagged (v3)
-// data frames.
+// frame with the new snapshot, for both plain and epoch-tagged data
+// frames.
 func TestSpliceDataPiggyback(t *testing.T) {
 	snapA, snapB := spliceSnapshots(t)
 	msgs := []*DataMsg{
@@ -237,14 +237,15 @@ func TestSpliceZeroAlloc(t *testing.T) {
 
 // TestSectionSubsetMatchesEncode: copying a subset of the records
 // of an indexed section is byte-identical to encoding the snapshot
-// without the skipped records, over random snapshots (varints of every
-// width, so records differ in length) and random skip sets,
-// including none, all of them and empty record lists; the frame form
-// matches AppendDeltaFrame around the filtered section.
+// without the skipped records under the same head U, over random
+// snapshots (varints of every width and mixed U, so records differ in
+// length and some carry their own U) and random skip sets, including
+// none, all of them and empty record lists; the frame form matches
+// AppendDeltaFrame around the filtered section.
 func TestSectionSubsetMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	est := func() bayes.State {
-		return bayes.State{Intervals: 2 + rng.Intn(MaxIntervals-1),
+		return bayes.State{Intervals: []int{100, 100, 2 + rng.Intn(MaxIntervals-1)}[rng.Intn(3)],
 			Succ: rng.Intn(1 << uint(rng.Intn(40))), Fail: rng.Intn(1 << uint(rng.Intn(20)))}
 	}
 	var ix SectionIndex // carried across cases, as Tick carries it across periods
@@ -281,7 +282,7 @@ func TestSectionSubsetMatchesEncode(t *testing.T) {
 		if full, _ := AppendSnapshotSection(nil, s); !bytes.Equal(sec, full) {
 			t.Fatalf("case %d: the indexed section differs from AppendSnapshotSection", c)
 		}
-		want, _ := AppendSnapshotSection(nil, kept)
+		want := appendSection(nil, kept, nil, sectionIntervals(s))
 		if got := appendSectionSubset(append([]byte(nil), prefix...), sec, &ix, skip); !bytes.Equal(got[len(prefix):], want) || !bytes.HasPrefix(got, prefix) {
 			t.Fatalf("case %d: %d of %d records skipped: subset section differs from encoding the %d kept", c, len(skip), n, n-len(skip))
 		}
@@ -292,6 +293,28 @@ func TestSectionSubsetMatchesEncode(t *testing.T) {
 		}
 		if got, err := AppendDeltaFrameSubset(nil, d, sec, &ix, skip); err != nil || !bytes.Equal(got, wantFrame) {
 			t.Fatalf("case %d: the subset frame differs from AppendDeltaFrame of the kept records (%v)", c, err)
+		}
+	}
+}
+
+// TestRecordWireBytes pins what a record costs at the paper's U = 100:
+// with IDs and evidence counts below 128 and distortions below 64 — a
+// byte per varint — a process record is at most 4 B and a link record
+// at most 5 B, and a record of another U pays only for its own.
+func TestRecordWireBytes(t *testing.T) {
+	est := bayes.State{Intervals: 100, Succ: 127, Fail: 127}
+	s := &knowledge.Snapshot{From: 127, Seq: 1,
+		Procs: []knowledge.ProcRecord{{ID: 127, Dist: 63, Est: est}, {ID: 0, Dist: 0, Est: bayes.State{Intervals: 100}}},
+		Links: []knowledge.LinkRecord{{Link: topology.NewLink(126, 127), Dist: 63, Est: est},
+			{Link: topology.NewLink(0, 1), Dist: 1, Est: bayes.State{Intervals: 8, Succ: 3}}},
+	}
+	var ix SectionIndex
+	if _, err := AppendSnapshotSectionIndexed(nil, s, &ix); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{4, 4, 5, 6} {
+		if got := ix.recs[i].to - ix.recs[i].from; got > want {
+			t.Errorf("record %d is %d B, want at most %d", i, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,9 +12,8 @@ import (
 )
 
 // goldenFrames rebuilds the deterministic frames whose encodings were
-// captured before epochs existed (wire v1/v2). goldenHex below is that
-// capture; TestStaticFramesByteIdenticalToV2 pins the interop guarantee
-// that an epoch-0 (static-cluster) frame still encodes to those headers.
+// captured before epochs existed (wire v1/v2); goldenHex below is that
+// capture.
 func goldenFrames(tb testing.TB) []*Frame {
 	tb.Helper()
 	v, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{Intervals: 8})
@@ -45,50 +45,58 @@ var goldenHex = []string{
 	"ac02030102090802020102000108080000000000000000e0bcbbe12051d2bf9a86700e94d9e3bf521481faae58f0bfce6bd0887363f8bf0b03ad7aea9301c0348dedf741c009c01f484d3916aa15c000",
 }
 
-// TestStaticFramesByteIdenticalToV2 is the acceptance-criteria interop
-// test: frames of a static cluster (epoch 0) keep the pre-epoch wire
-// format, stretched-cadence v2 deltas included. A data frame encodes
-// byte-identically to the capture. The captured heartbeat and deltas
-// carried their estimators in the retired raw float layout (flags 0x01),
-// so they no longer decode; every byte before their first estimator — the
-// header, the delta bookkeeping, the sender, the sequence, the first
-// record's identity — is unchanged, and the first byte that differs is
-// that estimator's flag.
+// TestStaticFramesByteIdenticalToV2 keeps the name it had when static
+// frames still encoded as v1/v2. Those headers are retired: the v1/v2
+// captures above and every committed v1–v3 frame of the corpus (the
+// retired seeds) must fail as unsupported versions — fresh, borrowed and
+// through a used Scratch — and never parse as something else. The frames
+// the captures came from encode at the current version and round-trip.
 func TestStaticFramesByteIdenticalToV2(t *testing.T) {
 	frames := goldenFrames(t)
 	if len(frames) != len(goldenHex) {
 		t.Fatalf("%d golden frames, %d captures", len(frames), len(goldenHex))
 	}
-	for i, f := range frames {
-		want, err := hex.DecodeString(goldenHex[i])
+	captures := map[string][]byte{}
+	for i, h := range goldenHex {
+		b, err := hex.DecodeString(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Encode(f)
+		captures[fmt.Sprintf("golden frame %d", i)] = b
+		got, err := Encode(frames[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Kind == FrameData {
-			if !bytes.Equal(got, want) {
-				t.Errorf("golden frame %d drifted from the v2 encoding:\n got %x\nwant %x", i, got, want)
+		if f, err := Decode(got); got[1] != version || err != nil || !framesEqual(f, frames[i]) {
+			t.Errorf("golden frame %d encodes at version %d and decodes to %+v, %v", i, got[1], f, err)
+		}
+	}
+	seeds, err := CorpusSeeds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range seeds {
+		if strings.HasPrefix(s.Name, retiredPrefix) && len(s.Data) >= headerSize && s.Data[1] <= 3 {
+			captures[s.Name] = s.Data
+		}
+	}
+	// retired-10 to -16, -22 to -39 and -40 to -43 (see corpus_test.go).
+	if want := len(goldenHex) + 7 + 18 + 4; len(captures) != want {
+		t.Errorf("%d v1–v3 captures, want %d: the golden frames and 29 retired seeds", len(captures), want)
+	}
+	for name, b := range captures {
+		want := fmt.Sprintf("unsupported version %d", b[1])
+		for what, err := range decodeEverywhere(t, b) {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %s says %v, want %q", name, what, err, want)
 			}
-			continue
-		}
-		if _, err := Decode(want); err == nil || !strings.Contains(err.Error(), "unknown estimator flags 0x1") {
-			t.Errorf("golden frame %d: the raw-layout capture says %v, want the retired flag refused", i, err)
-		}
-		k := 0
-		for k < len(got) && k < len(want) && got[k] == want[k] {
-			k++
-		}
-		if k == len(got) || k == len(want) || got[k] != flagCounts || want[k] != 1 {
-			t.Errorf("golden frame %d: first difference at byte %d is not the estimator flag:\n got %x\nwant %x", i, k, got, want)
 		}
 	}
 }
 
-// TestEpochVersionSelection pins the version-byte policy: the epoch costs
-// nothing until it is nonzero.
+// TestEpochVersionSelection keeps the name it had when the version byte
+// followed the epoch: every kind, at epoch 0 or not and at any cadence,
+// now encodes at the one version and round-trips.
 func TestEpochVersionSelection(t *testing.T) {
 	v, err := knowledge.NewView(0, 2, []topology.NodeID{1}, nil, knowledge.Params{Intervals: 4})
 	if err != nil {
@@ -99,23 +107,22 @@ func TestEpochVersionSelection(t *testing.T) {
 	cases := []struct {
 		name string
 		f    *Frame
-		ver  byte
 	}{
-		{"static data", &Frame{Kind: FrameData, Data: &DataMsg{Origin: 0, Seq: 1, Root: 0}}, 1},
-		{"epoch data", &Frame{Kind: FrameData, Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Epoch: 2}}, 3},
-		{"static delta", &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap}}, 1},
-		{"stretched delta", &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Cadence: 4}}, 2},
-		{"epoch delta", &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Cadence: 4, Epoch: 1}}, 3},
-		{"join", &Frame{Kind: FrameJoin, Member: &Membership{Node: 2, Epoch: 1, NumProcs: 3, Neighbors: []topology.NodeID{0}}}, 3},
-		{"leave", &Frame{Kind: FrameLeave, Member: &Membership{Node: 1, Epoch: 2, NumProcs: 3, Departed: []topology.NodeID{1}}}, 3},
+		{"static data", &Frame{Kind: FrameData, Data: &DataMsg{Origin: 0, Seq: 1, Root: 0}}},
+		{"epoch data", &Frame{Kind: FrameData, Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Epoch: 2}}},
+		{"static delta", &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap}}},
+		{"stretched delta", &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Cadence: 4}}},
+		{"epoch delta", &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Cadence: 4, Epoch: 1}}},
+		{"join", &Frame{Kind: FrameJoin, Member: &Membership{Node: 2, Epoch: 1, NumProcs: 3, Neighbors: []topology.NodeID{0}}}},
+		{"leave", &Frame{Kind: FrameLeave, Member: &Membership{Node: 1, Epoch: 2, NumProcs: 3, Departed: []topology.NodeID{1}}}},
 	}
 	for _, c := range cases {
 		b, err := Encode(c.f)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if b[1] != c.ver {
-			t.Errorf("%s: encoded as version %d, want %d", c.name, b[1], c.ver)
+		if b[1] != version {
+			t.Errorf("%s: encoded as version %d, want %d", c.name, b[1], version)
 		}
 		got, err := Decode(b)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"adaptivecast/internal/bayes"
@@ -50,9 +51,9 @@ func seedFrames(tb testing.TB) []*Frame {
 		// and round-trip invariants.
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9}},
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: v.Snapshot(), Since: 0, Ver: v.Version(), Ack: 0}},
-		// A stretched-cadence delta: encodes as wire version 2.
+		// A stretched-cadence delta.
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 8}},
-		// Epoch-tagged data and delta frames (wire version 3), including a
+		// Epoch-tagged data and delta frames, including a
 		// tombstoned slot in the parent vector, and the membership kinds.
 		{Kind: FrameData, Data: &DataMsg{
 			Origin:  2,
@@ -67,12 +68,11 @@ func seedFrames(tb testing.TB) []*Frame {
 		{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: delta, Since: baseVer, Ver: v.Version(), Ack: 9, Cadence: 2, Epoch: 4}},
 		{Kind: FrameJoin, Member: &Membership{Node: 5, Epoch: 3, NumProcs: 6, Departed: []topology.NodeID{1}, Neighbors: []topology.NodeID{0, 2}}},
 		{Kind: FrameLeave, Member: &Membership{Node: 1, Epoch: 4, NumProcs: 6, Departed: []topology.NodeID{1, 3}}},
-		// Empty lists and optional sections inside the newer layouts: the
+		// Empty lists and optional sections: the
 		// first join into a static cluster (nothing departed), an
 		// epoch-tagged data frame carrying a piggyback, a heartbeat whose
 		// records sit at the decoder's bounds, and a converged delta with
-		// no records, which takes the oldest header that fits (v2 for its
-		// stretched cadence).
+		// no records and a stretched cadence.
 		{Kind: FrameJoin, Member: &Membership{Node: 4, Epoch: 1, NumProcs: 5, Neighbors: []topology.NodeID{0}}},
 		{Kind: FrameData, Data: &DataMsg{
 			Origin:      0,
@@ -244,9 +244,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{magic})
 	f.Add([]byte{magic, version, byte(FrameData)})
 	f.Add([]byte{magic, version, byte(FrameHeartbeat), 0xff, 0xff, 0xff})
-	// Headers the decoder refuses: a kind at a version it never rides, and
-	// the retired v4 and v5.
-	f.Add([]byte{magic, version2, byte(FrameHeartbeat), 2, 1, 0, 0})
+	// Headers the decoder refuses: a v2 heartbeat, and the retired v4 and
+	// v5.
+	f.Add([]byte{magic, 2, byte(FrameHeartbeat), 2, 1, 0, 0})
 	f.Add([]byte{magic, 4, byte(FrameKnowledgeDelta)})
 	f.Add([]byte{magic, 5, byte(FrameHeartbeat), 5, 2, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -293,61 +293,77 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// handHeartbeat assembles, byte by byte, a heartbeat whose snapshot holds
-// one process record with the given encoded estimator — for layouts and
-// values no encoder emits. A retired v4 or v5 header advertises its own
-// version as caps, the field those versions carried.
-func handHeartbeat(ver byte, estimator []byte) []byte {
-	b := []byte{magic, ver, byte(FrameHeartbeat)}
-	if ver >= 4 {
-		b = binary.AppendUvarint(b, uint64(ver)) // caps
+// handHeartbeat assembles, byte by byte, a heartbeat at wire version
+// ver whose section, of U u, holds one record: a link record if link is
+// set, else a process record, with the given bytes — for values no
+// encoder emits. Past a version other than the current one nothing is
+// read.
+func handHeartbeat(ver byte, u uint64, link bool, record []byte) []byte {
+	b := []byte{magic, ver, byte(FrameHeartbeat), 1, 1, 1, 0} // from 1, seq 1, one process record
+	if link {
+		b[5], b[6] = 0, 1
 	}
-	b = binary.AppendVarint(b, 1)  // from
-	b = binary.AppendUvarint(b, 1) // seq
-	b = binary.AppendUvarint(b, 1) // one proc record
-	b = binary.AppendVarint(b, 0)  // id
-	b = binary.AppendVarint(b, 1)  // dist
-	b = append(b, estimator...)
-	return binary.AppendUvarint(b, 0) // no link records
+	return append(binary.AppendUvarint(b, u), record...)
 }
 
-// forgedCount is a hostile evidence-count heartbeat and why it must not
-// decode.
+// handRecord is a record's bytes: its ID or endpoints, then its
+// distortion, its own U if u is not 0, and its counts.
+func handRecord(ids []uint64, dist, u, succ, fail uint64) []byte {
+	var b []byte
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, id)
+	}
+	b = binary.AppendUvarint(b, dist<<1|min(u, 1))
+	if u != 0 {
+		b = binary.AppendUvarint(b, u)
+	}
+	b = binary.AppendUvarint(b, succ)
+	return binary.AppendUvarint(b, fail)
+}
+
+// forgedCount is a hostile heartbeat, what it forges, and the bound
+// its decode error must name.
 type forgedCount struct {
 	name  string
 	frame []byte
+	why   string
 }
 
-// forgedCountFrames hand-assembles heartbeats around one count record
-// that no encoder would emit: the record is five-odd bytes whatever it
+// forgedCountFrames hand-assembles heartbeats around one record that no
+// encoder would emit: the record is a handful of bytes whatever it
 // declares, so only the decoder's own bounds stand between a forged
-// U = 2^40 and the grid it would size. The bound cases ride version 1, so
-// they reach the record; the last two wrap a legal record in the retired
-// v4 and v5 headers. They are committed to the fuzz corpus as the
-// forged-N files (TestWriteSeedCorpus).
+// U = 2^40 and the grid it would size, a forged ID and the view it
+// would index, or a forged distortion and the int32 it would wrap to.
+// The bound cases ride the current version, so they reach the record;
+// two wrap a legal record in the retired v4 and v5 headers. They are
+// committed to the fuzz corpus as the forged-N files
+// (TestWriteSeedCorpus).
 func forgedCountFrames() []forgedCount {
-	heartbeat := func(ver byte, u, succ, fail uint64) []byte {
-		est := []byte{flagCounts}
-		est = binary.AppendUvarint(est, u)
-		est = binary.AppendUvarint(est, succ)
-		return handHeartbeat(ver, binary.AppendUvarint(est, fail))
+	proc := func(dist, u, succ, fail uint64) []byte {
+		return handHeartbeat(version, 100, false, handRecord([]uint64{0}, dist, u, succ, fail))
 	}
+	legal := handRecord([]uint64{0}, 1, 0, 3, 1)
 	return []forgedCount{
-		{"oversize U", heartbeat(version, 1<<40, 3, 1)},
-		{"U just past the bound", heartbeat(version, MaxIntervals+1, 3, 1)},
-		{"success count overflow", heartbeat(version, 100, math.MaxUint64, 0)},
-		{"evidence sum past the bound", heartbeat(version, 100, MaxEvidence, 1)},
-		{"count layout in a v4 frame", heartbeat(4, 100, 3, 1)},
-		{"count layout in a v5 frame", heartbeat(5, 100, 3, 1)},
+		{"oversize U", proc(1, 1<<40, 3, 1), "intervals outside"},
+		{"U just past the bound", proc(1, MaxIntervals+1, 3, 1), "intervals outside"},
+		{"success count overflow", proc(1, 0, math.MaxUint64, 0), "evidence counts"},
+		{"evidence sum past the bound", proc(1, 0, MaxEvidence, 1), "evidence counts"},
+		{"a legal record in a v4 frame", handHeartbeat(4, 100, false, legal), "unsupported version 4"},
+		{"a legal record in a v5 frame", handHeartbeat(5, 100, false, legal), "unsupported version 5"},
+		{"process ID at MaxProcs", handHeartbeat(version, 100, false, handRecord([]uint64{MaxProcs}, 1, 0, 3, 1)), "process 65536 outside"},
+		{"link endpoint at MaxProcs", handHeartbeat(version, 100, true, handRecord([]uint64{0, MaxProcs}, 1, 0, 3, 1)), "process 65536 outside"},
+		{"distortion that wraps to 1 in an int32", proc(1<<32+1, 0, 3, 1), "distortion 4294967297 exceeds"},
+		{"U override below 2", proc(1, 1, 3, 1), "1 intervals outside"},
+		{"section U below 2", handHeartbeat(version, 0, false, legal), "0 intervals outside"},
 	}
 }
 
-// TestForgedCountFramesRejected pins the decode-side bounds of the count
-// layout, and that the same record inside the bounds is accepted.
+// TestForgedCountFramesRejected pins the decode-side bounds of a record,
+// and that records at the bounds are accepted.
 func TestForgedCountFramesRejected(t *testing.T) {
 	for _, forged := range forgedCountFrames() {
-		if _, err := Decode(forged.frame); err == nil {
-			t.Errorf("%s: forged count frame decoded", forged.name)
+		if _, err := Decode(forged.frame); err == nil || !strings.Contains(err.Error(), forged.why) {
+			t.Errorf("%s: forged frame decodes with error %v, want one naming %q", forged.name, err, forged.why)
 		}
 	}
 	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: boundsSnapshot()})
@@ -361,4 +377,75 @@ func TestForgedCountFramesRejected(t *testing.T) {
 	if !snapshotsEqual(f.Heartbeat, boundsSnapshot()) {
 		t.Errorf("count records at the bounds decoded as %+v", f.Heartbeat)
 	}
+}
+
+// FuzzSectionSubset builds a snapshot from the fuzz input — records of
+// mixed U, IDs up to MaxProcs−1, distortions up to DistInf, counts up to
+// MaxEvidence — encodes its section indexed, copies a delta frame of a
+// subset of its records drawn from the input, and decodes the frame: the
+// result must equal the snapshot without the skipped records.
+func FuzzSectionSubset(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 2, 5, 7, 0, 1, 2, 3, 9, 1, 0, 4, 4, 0, 6, 1})
+	f.Add(bytes.Repeat([]byte{0xff, 0x7f, 1, 0}, 40))
+	var ix SectionIndex
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// next takes the next varint of the input, 0 once it runs out,
+		// modulo bound.
+		next := func(bound uint64) uint64 {
+			v, k := binary.Uvarint(data)
+			if k <= 0 {
+				v, data = 0, nil
+			} else {
+				data = data[k:]
+			}
+			return v % bound
+		}
+		base := 2 + int(next(MaxIntervals-1))
+		est := func() bayes.State {
+			s := bayes.State{Intervals: base}
+			if next(4) == 0 {
+				s.Intervals = 2 + int(next(MaxIntervals-1))
+			}
+			s.Succ = int(next(MaxEvidence + 1))
+			s.Fail = int(next(uint64(MaxEvidence - s.Succ + 1)))
+			return s
+		}
+		id := func() topology.NodeID { return topology.NodeID(next(MaxProcs)) }
+		dist := func() int { return int(next(knowledge.DistInf + 1)) }
+		s := &knowledge.Snapshot{From: id(), Seq: next(math.MaxUint64)}
+		for i := next(40); i > 0; i-- {
+			s.Procs = append(s.Procs, knowledge.ProcRecord{ID: id(), Dist: dist(), Est: est()})
+		}
+		for i := next(40); i > 0; i-- {
+			s.Links = append(s.Links, knowledge.LinkRecord{Link: topology.Link{A: id(), B: id()}, Dist: dist(), Est: est()})
+		}
+		kept := &knowledge.Snapshot{From: s.From, Seq: s.Seq}
+		var skip []int
+		for i := range len(s.Procs) + len(s.Links) {
+			switch {
+			case next(2) == 1:
+				skip = append(skip, i)
+			case i < len(s.Procs):
+				kept.Procs = append(kept.Procs, s.Procs[i])
+			default:
+				kept.Links = append(kept.Links, s.Links[i-len(s.Procs)])
+			}
+		}
+		sec, err := AppendSnapshotSectionIndexed(nil, s, &ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := AppendDeltaFrameSubset(nil, &KnowledgeDelta{Since: 1, Ver: 2}, sec, &ix, skip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%d of %d records skipped: the subset does not decode: %v", len(skip), len(s.Procs)+len(s.Links), err)
+		}
+		if !snapshotsEqual(got.Delta.Snap, kept) {
+			t.Fatalf("the subset decodes to %+v, want %+v", got.Delta.Snap, kept)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -104,12 +105,12 @@ func TestQuantErrorBound(t *testing.T) {
 }
 
 // TestQuantizedDecodeRenormalizes keeps its name from when the v4
-// quantized profile still decoded. It now pins the retirements: v4 and
-// v5 heartbeats fail as unsupported versions whatever their estimator
-// layout, fresh, borrowed and through a Scratch a valid frame just used,
-// and the quantized, refined-grid (0x00) and raw float (0x01) estimator
-// flags are unknown layouts in a live header. The same count record in a
-// v1 header decodes.
+// quantized profile still decoded. It now pins the retirements: under a
+// v1, v4 or v5 header every retired estimator layout — quantized, raw
+// float (flags 0x01), refined-grid (0x00) and the flagged count layout
+// (0x04) — fails as an unsupported version, fresh, borrowed and through
+// a Scratch a valid frame just used. A record of the current layout
+// under the current header decodes.
 func TestQuantizedDecodeRenormalizes(t *testing.T) {
 	floats := func(b []byte, fs ...float64) []byte {
 		for _, f := range fs {
@@ -125,45 +126,48 @@ func TestQuantizedDecodeRenormalizes(t *testing.T) {
 	raw := binary.AppendUvarint([]byte{1}, 2) // the raw float layout's flag, U = 2
 	raw = binary.AppendUvarint(raw, 2)
 	raw = floats(raw, 0, -1)
-	counts := []byte{flagCounts, 2, 7, 1}
+	counts := []byte{4, 2, 7, 1} // the flagged count layout, U = 2
 
 	for _, c := range []struct {
-		name  string
-		frame []byte
-		why   string
+		name   string
+		ver    byte
+		layout []byte
 	}{
-		{"v4 quantized", handHeartbeat(4, quantized), "unsupported version 4"},
-		{"v4 raw", handHeartbeat(4, raw), "unsupported version 4"},
-		{"v5 raw", handHeartbeat(5, raw), "unsupported version 5"},
-		{"v5 counts", handHeartbeat(5, counts), "unsupported version 5"},
-		{"quantized flag in v1", handHeartbeat(version, quantized), "unknown estimator flags"},
-		{"quantized window flag in v1", handHeartbeat(version, append([]byte{3}, quantized[1:]...)), "unknown estimator flags"},
-		{"refined-grid flag in v1", handHeartbeat(version, append([]byte{0}, raw[1:]...)), "unknown estimator flags"},
-		{"raw flag in v1", handHeartbeat(version, raw), "unknown estimator flags"},
+		{"v4 quantized", 4, quantized},
+		{"v4 raw", 4, raw},
+		{"v5 raw", 5, raw},
+		{"v5 counts", 5, counts},
+		{"v1 quantized", 1, quantized},
+		{"v1 quantized window", 1, append([]byte{3}, quantized[1:]...)},
+		{"v1 refined grid", 1, append([]byte{0}, raw[1:]...)},
+		{"v1 raw", 1, raw},
+		{"v1 counts", 1, counts},
 	} {
-		for what, err := range decodeEverywhere(t, c.frame) {
-			if err == nil || !strings.Contains(err.Error(), c.why) {
-				t.Errorf("%s: %s says %v, want an error naming %q", c.name, what, err, c.why)
+		frame := handHeartbeat(c.ver, 2, false, append([]byte{0, 2}, c.layout...)) // process 0 at distortion 1
+		want := fmt.Sprintf("unsupported version %d", c.ver)
+		for what, err := range decodeEverywhere(t, frame) {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %s says %v, want an error naming %q", c.name, what, err, want)
 			}
 		}
 	}
-	f, err := Decode(handHeartbeat(version, counts))
+	f, err := Decode(handHeartbeat(version, 2, false, handRecord([]uint64{0}, 1, 0, 7, 1)))
 	if err != nil {
-		t.Fatalf("a count record in a v1 heartbeat must decode: %v", err)
+		t.Fatalf("a record in a current heartbeat must decode: %v", err)
 	}
 	if got := f.Heartbeat.Procs[0].Est; got.Intervals != 2 || got.Succ != 7 || got.Fail != 1 {
 		t.Errorf("count record decoded as %+v", got)
 	}
 }
 
-// TestV4DataFrameRejected: a data frame rides version 1 or 3 and no
-// other, so its header at version 2, 4 or 5 fails to decode.
+// TestV4DataFrameRejected: a data frame rides the current version and no
+// other, so its header at versions 1–5 fails to decode.
 func TestV4DataFrameRejected(t *testing.T) {
 	b, err := Encode(&Frame{Kind: FrameData, Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []byte{version2, 4, 5} {
+	for ver := byte(1); ver <= 5; ver++ {
 		forged := append([]byte(nil), b...)
 		forged[1] = ver
 		if _, err := Decode(forged); err == nil {
@@ -173,28 +177,17 @@ func TestV4DataFrameRejected(t *testing.T) {
 }
 
 // TestNonCapsFramesStayLegacy keeps the name it had when a Caps field
-// could lift a frame to version 5. Every frame now encodes at the oldest
-// of versions 1–3 its own fields need: 3 for membership kinds and a
-// nonzero epoch, 2 for a delta's stretched cadence, 1 otherwise. (The
-// epoch golden tests additionally pin the exact bytes of the static
-// shapes; this covers every seed shape.)
+// could lift a frame to version 5, and frames without one took the
+// oldest of versions 1–3 their fields needed. Every seed shape now
+// encodes at the one version.
 func TestNonCapsFramesStayLegacy(t *testing.T) {
 	for i, f := range seedFrames(t) {
-		want := byte(version)
-		switch {
-		case f.Kind == FrameJoin || f.Kind == FrameLeave,
-			f.Kind == FrameData && f.Data.Epoch > 0,
-			f.Kind == FrameKnowledgeDelta && f.Delta.Epoch > 0:
-			want = version3
-		case f.Kind == FrameKnowledgeDelta && f.Delta.Cadence > 1:
-			want = version2
-		}
 		b, err := Encode(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b[1] != want {
-			t.Errorf("seed %d (kind %d) encoded at version %d, want %d", i, f.Kind, b[1], want)
+		if b[1] != version {
+			t.Errorf("seed %d (kind %d) encoded at version %d, want %d", i, f.Kind, b[1], version)
 		}
 	}
 }

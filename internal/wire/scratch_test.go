@@ -278,27 +278,29 @@ func TestAllocsDecodeHeartbeat(t *testing.T) {
 }
 
 // TestForgedRecordCountMustNotAmplify: a record count sizes an array of
-// ≈ 100-byte records, so it is bounded by what the bytes left could hold
+// ≈ 50-byte records, so it is bounded by what the bytes left could hold
 // at the shortest legal record, not by the bytes themselves. A 200 KB
 // frame declaring 200,000 process (or link) records must fail to decode —
 // fresh, borrowed, or into a Scratch a valid heartbeat just used — before
 // the array is made; and a Scratch does not keep arrays past knowledge.KeepRecords.
 func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 	const declared = 200000
+	// The shortest records there are: process 0, or link 1–2, at
+	// distortion 0 with no evidence, a byte per field.
+	procRec, linkRec := []byte{0, 0, 0, 0}, []byte{1, 2, 0, 0, 0}
 	forge := func(links bool) []byte {
-		b := []byte{magic, version, byte(FrameHeartbeat)}
-		b = binary.AppendVarint(b, 1)  // From
-		b = binary.AppendUvarint(b, 1) // Seq
+		b := []byte{magic, version, byte(FrameHeartbeat), 1, 1} // From, Seq
+		rec := procRec
 		if links {
-			b = binary.AppendUvarint(b, 0) // no process records
+			b = append(b, 0) // no process records
+			rec = linkRec
 		}
 		b = binary.AppendUvarint(b, declared)
-		// The shortest records there are, repeated, so without the bound
-		// the parse runs on until the bytes are gone.
-		rec := []byte{0, 0, flagCounts, 0, 0, 0} // process 0 at distortion 0, U 0, no evidence
-		if links {
-			rec = []byte{2, 4, 0, flagCounts, 0, 0, 0} // link 1–2
+		if !links {
+			b = append(b, 0) // no link records
 		}
+		b = append(b, 100) // U
+		// Without the bound the parse runs on until the bytes are gone.
 		return append(b, bytes.Repeat(rec, declared/len(rec))...)
 	}
 	_, valid := countHeartbeat(t, 1, 20, 30, 1)
@@ -323,16 +325,16 @@ func TestForgedRecordCountMustNotAmplify(t *testing.T) {
 			}
 		}
 	}
-	if minProcRecordSize != 6 || minLinkRecordSize != 7 {
-		t.Errorf("shortest records are %d and %d bytes, the forged frames assume 6 and 7", minProcRecordSize, minLinkRecordSize)
+	if minProcRecordSize != len(procRec) || minLinkRecordSize != len(linkRec) {
+		t.Errorf("shortest records are %d and %d bytes, the forged frames assume %d and %d",
+			minProcRecordSize, minLinkRecordSize, len(procRec), len(linkRec))
 	}
 
 	// The shortest legal records, exactly as many as the bytes hold, still
 	// decode (into estimators no view would adopt): the bound is tight.
-	exact := []byte{magic, version, byte(FrameHeartbeat), 2, 1, 3}
-	exact = append(exact, bytes.Repeat([]byte{0, 0, flagCounts, 0, 0, 0}, 3)...)
-	exact = append(exact, 2)
-	exact = append(exact, bytes.Repeat([]byte{2, 4, 0, flagCounts, 0, 0, 0}, 2)...)
+	exact := []byte{magic, version, byte(FrameHeartbeat), 1, 1, 3, 2, 2}
+	exact = append(exact, bytes.Repeat(procRec, 3)...)
+	exact = append(exact, bytes.Repeat(linkRec, 2)...)
 	if f, err := Decode(exact); err != nil || len(f.Heartbeat.Procs) != 3 || len(f.Heartbeat.Links) != 2 {
 		t.Errorf("shortest-record heartbeat decoded to %+v, %v; want 3 process and 2 link records", f, err)
 	}
@@ -367,22 +369,22 @@ func TestForgedCountsMustNotAllocate(t *testing.T) {
 		}
 		return b
 	}
-	// Node IDs are zigzag varints; the fields below are 0 or 1, so
-	// hdr's uvarints encode them as ID 0 (and 1 as the Seq or flag). Each
-	// frame must be refused at the count its case names.
+	// The fields below are 0 or 1; a data payload's zigzag IDs read 0 as
+	// ID 0, and 1 is a Seq, a Cadence or a flag. Each frame must be
+	// refused at the count its case names.
 	forged := []struct {
 		count string
 		b     []byte
 	}{
 		{"proc records", hdr(version, FrameHeartbeat, 0, 1, big)},
 		{"link records", hdr(version, FrameHeartbeat, 0, 1, 0, big)},
-		{"proc records", hdr(version, FrameKnowledgeDelta, 0, 0, 0, 0, 1, big)},
+		{"proc records", hdr(version, FrameKnowledgeDelta, 0, 0, 0, 1, 0, 0, 1, big)},
 		{"parents", hdr(version, FrameData, 0, 1, 0, big)},
 		{"allocations", hdr(version, FrameData, 0, 1, 0, 0, big)},
 		{"body", hdr(version, FrameData, 0, 1, 0, 0, 0, big)},
 		{"proc records", hdr(version, FrameData, 0, 1, 0, 0, 0, 0, 1, 0, 1, big)},
-		{"departed processes", hdr(version3, FrameJoin, 0, 1, 2, big)},
-		{"joiner links", hdr(version3, FrameJoin, 0, 1, 2, 0, big)},
+		{"departed processes", hdr(version, FrameJoin, 0, 1, 2, big)},
+		{"joiner links", hdr(version, FrameJoin, 0, 1, 2, 0, big)},
 	}
 	_, valid := countHeartbeat(t, 1, 20, 30, 1)
 	var sc Scratch

@@ -28,33 +28,21 @@ import (
 // FrameKind discriminates frame payloads.
 type FrameKind uint8
 
-// Frame kinds. Each rides only the wire versions kindVersions lists for
-// it, and the decoder refuses any other pairing. FrameKinds enumerates
-// them, so a test can demand of every kind a committed FuzzDecode seed
-// per version, a codec round trip and a dispatch case in the node.
+// Frame kinds. Every kind rides the one wire version. FrameKinds
+// enumerates them, so a test can demand of every kind a committed
+// FuzzDecode seed, a codec round trip and a dispatch case in the node.
 const (
 	FrameHeartbeat FrameKind = iota + 1
 	FrameData
 	FrameKnowledgeDelta
 	// FrameJoin announces a membership epoch change that added a process;
 	// FrameLeave one that removed a process. Both carry a Membership
-	// payload and encode as wire version 3. Receivers flood them so every
-	// member converges on the new epoch; the epoch number itself dedups
-	// the flood.
+	// payload. Receivers flood them so every member converges on the new
+	// epoch; the epoch number itself dedups the flood.
 	FrameJoin
 	FrameLeave
 	frameKindEnd // one past the last kind; keep it last
 )
-
-// kindVersions lists the wire versions each frame kind may ride, oldest
-// first (binary.go says what each version adds).
-var kindVersions = [frameKindEnd][]byte{
-	FrameHeartbeat:      {version},
-	FrameData:           {version, version3},
-	FrameKnowledgeDelta: {version, version2, version3},
-	FrameJoin:           {version3},
-	FrameLeave:          {version3},
-}
 
 // FrameKinds returns every frame kind, in wire order.
 func FrameKinds() []FrameKind {
@@ -109,18 +97,15 @@ type Membership struct {
 // Cadence declares, in heartbeat periods, the gap the sender plans until
 // its next frame to this recipient (the adaptive-cadence stretch; see
 // the node's cadence controller). 0 and 1 both mean one frame per period
-// — the classic cadence — and encode as a version-1 frame; Cadence > 1
-// rides a version-2 frame, and the receiver scales its expected-arrival
-// accounting (suspicion timeouts and sequence-gap loss bookkeeping) by it
-// so a stretched neighbor is neither falsely suspected nor over-counted
-// as lossy. A sender may break the promise early (snap back on a view
+// — the classic cadence — and encode alike; for Cadence > 1 the
+// receiver scales its expected-arrival accounting (suspicion timeouts
+// and sequence-gap loss bookkeeping) by it so a stretched neighbor is
+// neither falsely suspected nor over-counted as lossy. A sender may break the promise early (snap back on a view
 // change), which is always safe: an early frame shows a
 // smaller-than-declared gap, which books no loss.
 //
-// Epoch is the sender's membership epoch (see Membership). 0 — the
-// static-cluster case — needs no field (wire version 1 or 2); a positive
-// epoch rides a version-3 frame and lets receivers fence frames from
-// other membership views.
+// Epoch is the sender's membership epoch (see Membership), 0 in a static
+// cluster; it lets receivers fence frames from other membership views.
 type KnowledgeDelta struct {
 	Snap    *knowledge.Snapshot
 	Since   uint64
@@ -154,7 +139,8 @@ const MaxEvidence = bayes.MaxEvidence
 const MaxAllocation = 1 << 22
 
 // MaxProcs bounds the ID-space size a membership announcement may
-// declare. Receivers grow their views to NumProcs — one estimator record
+// declare, and every process ID and link endpoint a record section
+// names. Receivers grow their views to NumProcs — one estimator record
 // per process — so an unbounded value would let one forged ~20-byte
 // frame drive a multi-gigabyte allocation; 65536 processes is far beyond
 // any deployment this runtime targets while keeping the worst-case grow
@@ -183,8 +169,7 @@ type DataMsg struct {
 	// their own snapshot so distortion accounting matches hop-by-hop
 	// propagation.
 	Piggyback *knowledge.Snapshot
-	// Epoch is the sender's membership epoch; 0 (static cluster) encodes
-	// as a version-1 frame, which carries none.
+	// Epoch is the sender's membership epoch; 0 in a static cluster.
 	Epoch uint64
 }
 

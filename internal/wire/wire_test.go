@@ -231,48 +231,34 @@ func TestDeltaValidate(t *testing.T) {
 	}
 }
 
-// TestCadenceWireVersioning pins the adaptive-cadence wire contract: an
-// unstretched delta (Cadence absent, 0 or 1) must stay a byte-identical
-// version-1 frame — what pre-cadence peers emit and decode — while a
-// stretched delta rides a version-2 frame that round-trips its cadence.
+// TestCadenceWireVersioning pins the adaptive-cadence wire contract: a
+// delta always carries its cadence, an unstretched one (Cadence absent,
+// 0 or 1) as byte-identical frames that decode as cadence 1, and a
+// stretched one round-trips it.
 func TestCadenceWireVersioning(t *testing.T) {
 	snap := &knowledge.Snapshot{From: 1, Seq: 3}
-	base := &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 2, Ver: 5, Ack: 7}}
-	v1, err := Encode(base)
-	if err != nil {
-		t.Fatal(err)
+	encode := func(cadence uint64) []byte {
+		t.Helper()
+		b, err := Encode(&Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 2, Ver: 5, Ack: 7, Cadence: cadence}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if v1[1] != 1 {
-		t.Fatalf("unstretched delta encoded as wire version %d, want 1", v1[1])
+	one := encode(1)
+	if b := encode(0); !bytes.Equal(b, one) {
+		t.Errorf("cadence-0 delta not byte-identical to cadence 1:\n%x\n%x", b, one)
 	}
-	one := &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 2, Ver: 5, Ack: 7, Cadence: 1}}
-	if b, err := Encode(one); err != nil {
-		t.Fatal(err)
-	} else if !bytes.Equal(b, v1) {
-		t.Errorf("cadence-1 delta not byte-identical to the pre-cadence layout:\n%x\n%x", b, v1)
-	}
-
-	stretched := &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 2, Ver: 5, Ack: 7, Cadence: 8}}
-	v2, err := Encode(stretched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2[1] != 2 {
-		t.Fatalf("stretched delta encoded as wire version %d, want 2", v2[1])
-	}
-	got, err := Decode(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Delta.Cadence != 8 || got.Delta.Since != 2 || got.Delta.Ver != 5 || got.Delta.Ack != 7 {
-		t.Fatalf("stretched delta drifted: %+v", got.Delta)
-	}
-	// And the v1 frame decodes with the implied classic cadence.
-	got1, err := Decode(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1.Delta.Cadence != 1 {
-		t.Errorf("v1 delta decoded with cadence %d, want implied 1", got1.Delta.Cadence)
+	for _, c := range []struct {
+		b    []byte
+		want uint64
+	}{{one, 1}, {encode(8), 8}} {
+		got, err := Decode(c.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Delta.Cadence != c.want || got.Delta.Since != 2 || got.Delta.Ver != 5 || got.Delta.Ack != 7 {
+			t.Errorf("cadence-%d delta drifted: %+v", c.want, got.Delta)
+		}
 	}
 }

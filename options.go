@@ -167,7 +167,7 @@ func WithObserver(o Observer) Option {
 }
 
 // WithEpoch declares the initial membership epoch (default 0, the static
-// cluster, whose frames carry no epoch). A node constructed to join a
+// cluster). A node constructed to join a
 // running cluster sets the epoch of the membership change that admits it;
 // its data and delta frames then carry the epoch fence, and AnnounceJoin
 // floods the change to the cluster.
