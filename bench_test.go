@@ -258,8 +258,9 @@ func BenchmarkGossipRun(b *testing.B) {
 }
 
 // BenchmarkHeartbeatPeriod measures one full heartbeat period of the
-// adaptive cluster on the simulator (100 nodes, connectivity 8): Events
-// 2–3 on every node plus every heartbeat merge.
+// adaptive cluster on the simulator (100 nodes, connectivity 8): every
+// node's heartbeat-plane period (Events 2–3, the delta cuts and their
+// frames) plus every frame decoded and merged.
 func BenchmarkHeartbeatPeriod(b *testing.B) {
 	_, cfg := benchTopology(b, 100, 8)
 	eng := sim.NewEngine(11)
@@ -489,8 +490,8 @@ func BenchmarkHeterogeneous(b *testing.B) {
 	}
 }
 
-// BenchmarkKnowledgeMerge measures one heartbeat merge (Event 1) between
-// two 100-process views with 400 known links — the simulator's hot path.
+// BenchmarkKnowledgeMerge measures one full-snapshot heartbeat cut and
+// merged (Event 1) between two 100-process views with 400 known links.
 func BenchmarkKnowledgeMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	g, err := topology.RandomConnected(100, 8, rng)
@@ -513,7 +514,7 @@ func BenchmarkKnowledgeMerge(b *testing.B) {
 	src.BeginPeriod()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.MergeFrom(nb, src.SelfSeq(), src); err != nil {
+		if err := a.MergeSnapshot(src.Snapshot()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,6 +13,11 @@
 //     optimal ones — the paper's Definition 2 of adaptiveness, covered
 //     by tests and by the Figure 4 experiments.
 //
+// The heartbeat activity is not implemented here: Runner runs each
+// node's internal/heartbeat plane, the one the live node runs, and its
+// frames cross the simulated network as bytes. What this package keeps
+// of its own is the data plane's relay, dedup and plan.
+//
 // Per Algorithm 1 the data message carries the sender's MRT so every
 // process forwards along the same tree; this implementation also carries
 // the allocation vector ~m (the receiver would recompute exactly the same
@@ -48,12 +53,13 @@ type payload struct {
 	Alloc []int     // optimize() output for Tree at the sender's K
 	Body  interface{}
 	// HBSrc opportunistically piggybacks the immediate sender's knowledge
-	// view on the data message (paper Section 4.1: "this data can also be
-	// opportunistically piggybacked in gossip messages, saving
+	// snapshot on the data message (paper Section 4.1: "this data can
+	// also be opportunistically piggybacked in gossip messages, saving
 	// communication bandwidth"). Each forwarder replaces it with its own
-	// view, so distortion accounting matches hop-by-hop heartbeats. Nil
-	// when piggybacking is off or the sender runs the optimal protocol.
-	HBSrc *knowledge.View
+	// snapshot, so distortion accounting matches hop-by-hop heartbeats.
+	// Nil when piggybacking is off or the sender runs the optimal
+	// protocol.
+	HBSrc *knowledge.Snapshot
 }
 
 // Delivery is one message handed to the application.
@@ -71,7 +77,7 @@ type Proc struct {
 	net       *sim.Network
 	k         float64
 	view      *knowledge.View // nil for the optimal protocol
-	piggyback bool            // attach the view to outgoing data messages
+	piggyback bool            // attach a snapshot of the view to outgoing data messages
 	nextSeq   uint64
 	delivered map[MsgID]bool
 	sink      func(Delivery)
@@ -178,7 +184,7 @@ func (p *Proc) plan() (*mrt.Tree, []int, error) {
 // allocated number of copies to the root of each direct subtree.
 func (p *Proc) propagate(pl payload) error {
 	if p.piggyback && p.view != nil {
-		pl.HBSrc = p.view
+		pl.HBSrc = p.view.Snapshot()
 	}
 	for _, child := range pl.Tree.Children(p.id) {
 		copies := pl.Alloc[pl.Tree.EdgeOf(child)]
@@ -200,7 +206,7 @@ func (p *Proc) propagate(pl payload) error {
 func (p *Proc) flood(id MsgID, body interface{}) int {
 	pl := payload{ID: id, Body: body}
 	if p.piggyback && p.view != nil {
-		pl.HBSrc = p.view
+		pl.HBSrc = p.view.Snapshot()
 	}
 	nbs := p.net.Graph().Neighbors(p.id)
 	for _, nb := range nbs {
@@ -228,10 +234,10 @@ func (p *Proc) HandleMessage(from topology.NodeID, msg sim.Message) {
 		return
 	}
 	// Piggybacked knowledge is merged on every copy, duplicates included:
-	// each arrival carries the sender's current view, which only improves
+	// each arrival carries the sender's snapshot, which only improves
 	// local estimates (Section 4.1's bandwidth-saving remark).
 	if p.view != nil && pl.HBSrc != nil {
-		_ = p.view.MergeKnowledgeOnly(pl.HBSrc)
+		_ = p.view.MergeSnapshotKnowledgeOnly(pl.HBSrc)
 	}
 	if p.delivered[pl.ID] {
 		return // duplicate copy of an already-delivered broadcast

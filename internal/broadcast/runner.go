@@ -4,29 +4,12 @@ import (
 	"errors"
 	"fmt"
 
-	"adaptivecast/internal/cadence"
+	"adaptivecast/internal/heartbeat"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/sim"
 	"adaptivecast/internal/topology"
+	"adaptivecast/internal/wire"
 )
-
-// HeartbeatSize is the simulated heartbeat size in bytes. The paper's
-// simulations used 50 KB heartbeats carrying a small Bayesian network per
-// process plus link information.
-const HeartbeatSize = 50 * 1024
-
-// hbPayload is the simulator's heartbeat: the sequence number it was sent
-// with, the sender's declared cadence (the promised gap, in periods,
-// until its next heartbeat to this receiver; 1 = classic), plus
-// read-only access to the sender's view (the simulation fast path; the
-// live runtime serializes knowledge.Snapshot instead, and the
-// equivalence of the two merge paths is unit-tested in package
-// knowledge).
-type hbPayload struct {
-	seq     uint64
-	cadence int
-	src     *knowledge.View
-}
 
 // RunnerOptions tunes the simulated adaptive cluster.
 type RunnerOptions struct {
@@ -43,7 +26,7 @@ type RunnerOptions struct {
 	// sim.Options.DisableCrashSampling so crashes are not double-counted.
 	// This is the convergence-experiment model (Figures 5 and 6).
 	ModelCrashesAsSkips bool
-	// Piggyback attaches each sender's knowledge view to outgoing data
+	// Piggyback attaches each sender's knowledge snapshot to outgoing data
 	// messages (the paper's Section 4.1 bandwidth optimization), so
 	// application traffic spreads estimates in addition to heartbeats.
 	Piggyback bool
@@ -56,14 +39,9 @@ type RunnerOptions struct {
 	// Delta. Nodes joined by Grow during a skewed run tick at 1.0.
 	ClockSkew []float64
 	// AdaptiveCadenceMax, in heartbeat periods, caps the adaptive
-	// heartbeat cadence: a process whose view has been stable toward a
-	// neighbor — nothing new to tell it since the last heartbeat, no
-	// suspicion anywhere — geometrically stretches that neighbor's
-	// heartbeat interval up to this cap and snaps back to δ on any
-	// change, mirroring the live node's cadence controller. Receivers
-	// scale their suspicion timeouts and sequence-gap loss accounting by
-	// the declared cadence. Values <= 1 disable stretching (the classic
-	// one heartbeat per δ).
+	// heartbeat cadence of every node's heartbeat plane, as
+	// node.Config.AdaptiveCadenceMax does the live node's. Values <= 1
+	// disable stretching (the classic one heartbeat per δ).
 	AdaptiveCadenceMax int
 }
 
@@ -78,14 +56,18 @@ func (o RunnerOptions) withDefaults() RunnerOptions {
 }
 
 // Runner wires a full adaptive cluster onto a simulated network: one
-// knowledge view and one adaptive broadcast process per node, plus the
-// periodic heartbeat activity of Algorithm 4.
+// knowledge view, heartbeat plane and adaptive broadcast process per
+// node. Every period each node runs its heartbeat plane — the one the
+// live node runs — and sends each neighbor the encoded delta frame, which
+// the receiver decodes and hands to its own plane; the runner itself
+// keeps only the data plane: relay, dedup and plan.
 type Runner struct {
 	net      *sim.Network
 	opts     RunnerOptions
 	sink     func(topology.NodeID, Delivery)
 	interner *knowledge.Interner
 	views    []*knowledge.View
+	planes   []*heartbeat.Plane
 	procs    []*Proc
 	// departed[i] marks nodes removed by MarkDeparted: their slots stay
 	// (IDs are never reused) but they run no periods and are excluded
@@ -93,49 +75,37 @@ type Runner struct {
 	departed []bool
 	periods  int
 	running  bool
-	// cad[i][nb] is process i's adaptive-cadence state toward neighbor
-	// nb; nil when AdaptiveCadenceMax <= 1.
-	cad []map[topology.NodeID]*neighborCadence
+	// period is the heartbeat-period workspace every node's step reuses:
+	// the engine runs one event at a time.
+	period heartbeat.Period
 	// hbSent counts heartbeat messages actually sent (after cadence
 	// skips), the frame-count metric adaptive cadence optimizes.
 	hbSent int
 }
 
-// neighborCadence pairs the shared stretch/snap-back state machine
-// (internal/cadence — the same code the live node runs) with the
-// simulator's stability probe anchor: lastVer is the sender-view
-// version when the last heartbeat to that neighbor went out, and the
-// next period is "stable" iff the view is QuiescentSince(lastVer) — no
-// estimate's value moved. (The simulator ships whole views by
-// reference, so there is no ack chain to anchor a live-style delta
-// emptiness test on, and full-view merges churn distortions through
-// aging and re-adoption; the value-quiescence probe is the
-// deterministic analog of the live node's empty delta.)
-type neighborCadence struct {
-	state   *cadence.State
-	lastVer uint64
-}
+// fullSnapshots makes every node forget its acks before each period, so
+// every heartbeat is the full snapshot: the reference the delta frames
+// are checked against. Only tests set it (see export_test.go).
+var fullSnapshots bool
 
 // nodeProc multiplexes a node's inbound traffic between the knowledge
 // activity (heartbeats) and the broadcast activity (data), mirroring the
 // paper's modular two-activity design.
 type nodeProc struct {
-	proc *Proc
-	view *knowledge.View
+	proc  *Proc
+	plane *heartbeat.Plane
+	sc    wire.Scratch
 }
 
-// HandleMessage implements sim.Process.
+// HandleMessage implements sim.Process. A heartbeat is decoded through
+// the node's own Scratch and handed to its plane; a frame that does not
+// decode, or that the plane refuses, is dropped like a lost one.
 func (np *nodeProc) HandleMessage(from topology.NodeID, msg sim.Message) {
 	if msg.Kind == sim.KindHeartbeat {
-		hb, ok := msg.Payload.(hbPayload)
-		if !ok {
-			return
+		b, _ := msg.Payload.([]byte)
+		if f, err := np.sc.DecodeBorrow(b); err == nil && f.Kind == wire.FrameKnowledgeDelta {
+			_ = np.plane.Receive(from, f.Delta)
 		}
-		// Merge errors cannot occur on the shared-interner fast path;
-		// treat any as a dropped heartbeat (the probabilistic model
-		// already allows drops). The declared cadence scales the
-		// receiver's expected-arrival accounting.
-		_ = np.view.MergeFromAt(from, hb.seq, hb.cadence, hb.src)
 		return
 	}
 	np.proc.HandleMessage(from, msg)
@@ -152,12 +122,6 @@ func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, 
 		return nil, errors.New("broadcast: empty network")
 	}
 	r := &Runner{net: net, opts: opts, sink: sink, departed: make([]bool, n)}
-	if opts.AdaptiveCadenceMax > 1 {
-		r.cad = make([]map[topology.NodeID]*neighborCadence, n)
-		for i := range r.cad {
-			r.cad[i] = make(map[topology.NodeID]*neighborCadence)
-		}
-	}
 	interner := knowledge.NewInterner()
 	// Intern the ground-truth links first so view indices align with the
 	// graph's link indices (convergence checks and stats rely on it).
@@ -166,6 +130,7 @@ func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, 
 	}
 	r.interner = interner
 	r.views = make([]*knowledge.View, n)
+	r.planes = make([]*heartbeat.Plane, n)
 	r.procs = make([]*Proc, n)
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
@@ -183,8 +148,9 @@ func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, 
 		}
 		proc.piggyback = opts.Piggyback
 		r.views[i] = view
+		r.planes[i] = heartbeat.New(view, opts.AdaptiveCadenceMax)
 		r.procs[i] = proc
-		if err := net.Register(id, &nodeProc{proc: proc, view: view}); err != nil {
+		if err := net.Register(id, &nodeProc{proc: proc, plane: r.planes[i]}); err != nil {
 			return nil, err
 		}
 	}
@@ -277,7 +243,9 @@ func (r *Runner) tick() {
 	r.net.After(r.opts.Delta, r.tick)
 }
 
-// stepNode runs one heartbeat period of node i's protocol.
+// stepNode runs one heartbeat period of node i's protocol: its plane's
+// period, then each due frame sent as the message payload, its size the
+// frame's length.
 func (r *Runner) stepNode(i int) {
 	v := r.views[i]
 	id := topology.NodeID(i)
@@ -295,48 +263,25 @@ func (r *Runner) stepNode(i int) {
 			return
 		}
 	}
-	v.BeginPeriod()
-	for _, nb := range g.Neighbors(id) {
-		declared := 1
-		if r.cad != nil {
-			var due bool
-			declared, due = r.cadenceStep(i, nb, v.Suspected(nb))
-			if !due {
-				continue
-			}
+	ws := &r.period
+	defer ws.Reset()
+	if fullSnapshots {
+		r.planes[i].Reset()
+	}
+	r.planes[i].Cut(ws, g.Neighbors(id), nil)
+	for k, o := range ws.Outbound() {
+		if !o.Due {
+			continue
+		}
+		// The payload is in flight past this period: a fresh frame each.
+		frame, err := ws.AppendFrame(nil, k, 0)
+		if err != nil {
+			continue
 		}
 		// Send errors cannot occur for topology neighbors.
-		_ = r.net.Send(id, nb, sim.Message{
-			Kind:    sim.KindHeartbeat,
-			Size:    HeartbeatSize,
-			Payload: hbPayload{seq: v.SelfSeq(), cadence: declared, src: v},
-		})
+		_ = r.net.Send(id, o.To, sim.Message{Kind: sim.KindHeartbeat, Size: len(frame), Payload: frame})
 		r.hbSent++
 	}
-}
-
-// cadenceStep advances process i's adaptive-cadence controller toward
-// neighbor nb by one period and decides whether a heartbeat is due now
-// (see internal/cadence for the stretch/snap-back policy shared with
-// the live node). Stability is value-quiescence since the last send,
-// with no active suspicion of this neighbor — suspicion is scoped to
-// the suspect's own link, matching the live node: suspecting one dead
-// neighbor permanently pins only that link at δ, while the healthy
-// neighbors snap back just long enough for the (suspicion-dirtied)
-// estimates to reach them and then re-stretch.
-func (r *Runner) cadenceStep(i int, nb topology.NodeID, suspected bool) (declared int, due bool) {
-	v := r.views[i]
-	nc := r.cad[i][nb]
-	if nc == nil {
-		nc = &neighborCadence{state: cadence.New()}
-		r.cad[i][nb] = nc
-	}
-	stable := !suspected && nc.lastVer > 0 && v.QuiescentSince(nc.lastVer)
-	declared, due = nc.state.Step(stable, r.opts.AdaptiveCadenceMax)
-	if due {
-		nc.lastVer = v.Version()
-	}
-	return declared, due
 }
 
 // HeartbeatsSent reports the heartbeat messages actually sent across the
@@ -416,13 +361,12 @@ func (r *Runner) Grow(neighbors []topology.NodeID) (topology.NodeID, error) {
 		return 0, fmt.Errorf("broadcast: grow proc: %w", err)
 	}
 	proc.piggyback = r.opts.Piggyback
+	plane := heartbeat.New(view, r.opts.AdaptiveCadenceMax)
 	r.views = append(r.views, view)
+	r.planes = append(r.planes, plane)
 	r.procs = append(r.procs, proc)
 	r.departed = append(r.departed, false)
-	if r.cad != nil {
-		r.cad = append(r.cad, make(map[topology.NodeID]*neighborCadence))
-	}
-	if err := r.net.Register(id, &nodeProc{proc: proc, view: view}); err != nil {
+	if err := r.net.Register(id, &nodeProc{proc: proc, plane: plane}); err != nil {
 		return 0, err
 	}
 	if r.running && r.skewed() {

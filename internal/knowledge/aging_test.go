@@ -25,7 +25,7 @@ func agingLine(t *testing.T) (v0, v1 *View) {
 		t.Fatal(err)
 	}
 	v2.BeginPeriod()
-	if err := v1.MergeFrom(2, v2.SelfSeq(), v2); err != nil {
+	if err := v1.MergeSnapshot(v2.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	v1.BeginPeriod()
@@ -53,14 +53,14 @@ func periodsToProcBump(t *testing.T, v0 *View, start int) int {
 // the copy must take 4x as long to be considered stale.
 func TestNonNeighborAgingScalesWithSupplierCadence(t *testing.T) {
 	v0, v1 := agingLine(t)
-	if err := v0.MergeFromAt(1, v1.SelfSeq(), 1, v1); err != nil {
+	if err := v0.MergeSnapshotAt(v1.Snapshot(), 1); err != nil {
 		t.Fatal(err)
 	}
 	_, start := v0.CrashEstimate(2)
 	base := periodsToProcBump(t, v0, start)
 
 	v0s, v1s := agingLine(t)
-	if err := v0s.MergeFromAt(1, v1s.SelfSeq(), 4, v1s); err != nil {
+	if err := v0s.MergeSnapshotAt(v1s.Snapshot(), 4); err != nil {
 		t.Fatal(err)
 	}
 	_, startS := v0s.CrashEstimate(2)
@@ -84,7 +84,7 @@ func TestRemoteLinkAgingScalesWithSupplierCadence(t *testing.T) {
 
 	clockToBump := func(cadence int) int {
 		v0, v1 := agingLine(t)
-		if err := v0.MergeFromAt(1, v1.SelfSeq(), cadence, v1); err != nil {
+		if err := v0.MergeSnapshotAt(v1.Snapshot(), cadence); err != nil {
 			t.Fatal(err)
 		}
 		_, start, ok := v0.LossEstimate(remote)
@@ -119,7 +119,7 @@ func TestRemoteLinkAgingScalesWithSupplierCadence(t *testing.T) {
 // suppression and adaptive cadence across the whole neighborhood.
 func TestLinkAgingNeverSetsDirty(t *testing.T) {
 	v0, v1 := agingLine(t)
-	if err := v0.MergeFromAt(1, v1.SelfSeq(), 1, v1); err != nil {
+	if err := v0.MergeSnapshotAt(v1.Snapshot(), 1); err != nil {
 		t.Fatal(err)
 	}
 	remote := topology.NewLink(1, 2)
@@ -143,5 +143,51 @@ func TestLinkAgingNeverSetsDirty(t *testing.T) {
 	}
 	if ls.dirty {
 		t.Error("link aging set the dirty bit — decay must ride the next re-ship, not force one")
+	}
+}
+
+// TestHeartbeatForgivesSuspicion: the failures and distortion steps
+// Event 2 books on a silent neighbour's record are undone by its next
+// heartbeat when that heartbeat leaves the record out — a delta does
+// while the neighbour's estimate of itself is unchanged — as a full
+// heartbeat's copy at distortion 0 would have replaced them; a heartbeat
+// that carries the record has it adopted as before.
+func TestHeartbeatForgivesSuspicion(t *testing.T) {
+	a, b := newPair(t)
+	b.BeginPeriod()
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	held := a.ProcEstimator(1).State()
+	mean, dist := a.CrashEstimate(1)
+	silent := func() {
+		for a.BeginPeriod(); !a.Suspected(1); a.BeginPeriod() {
+		}
+		for i := 0; i < 4; i++ {
+			a.BeginPeriod() // and Event 2 fires again
+		}
+		if m, d := a.CrashEstimate(1); m <= mean || d <= dist {
+			t.Fatalf("b silent: a holds b at mean %v, distortion %d; want above %v and %d", m, d, mean, dist)
+		}
+	}
+
+	silent()
+	b.BeginPeriod()
+	if err := a.MergeSnapshot(&Snapshot{From: 1, Seq: b.SelfSeq()}); err != nil {
+		t.Fatal(err)
+	}
+	if m, d := a.CrashEstimate(1); m != mean || d != dist || !a.ProcEstimator(1).Holds(&held) {
+		t.Errorf("after a heartbeat without b's record: mean %v, distortion %d, state %+v; want %v, %d, %+v as adopted",
+			m, d, a.ProcEstimator(1).State(), mean, dist, held)
+	}
+
+	silent()
+	b.BeginPeriod()
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	want := b.ProcEstimator(1).State()
+	if _, d := a.CrashEstimate(1); d != 1 || !a.ProcEstimator(1).Holds(&want) {
+		t.Errorf("after a heartbeat with b's record: distortion %d, state %+v; want 1 and b's own %+v", d, a.ProcEstimator(1).State(), want)
 	}
 }

@@ -24,7 +24,7 @@ func TestCadenceScalesSuspicionTimeout(t *testing.T) {
 	const cad = 4
 	a, b := newPair(t)
 	b.BeginPeriod()
-	if err := a.MergeFromAt(1, b.SelfSeq(), cad, b); err != nil {
+	if err := a.MergeSnapshotAt(b.Snapshot(), cad); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.NeighborCadence(1); got != cad {
@@ -51,7 +51,7 @@ func TestCadenceScalesSuspicionTimeout(t *testing.T) {
 	// after the plain timeout.
 	c, d := newPair(t)
 	d.BeginPeriod()
-	if err := c.MergeFrom(1, d.SelfSeq(), d); err != nil {
+	if err := c.MergeSnapshot(d.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	c.BeginPeriod()
@@ -78,7 +78,7 @@ func TestCadenceScalesGapLossAccounting(t *testing.T) {
 	for i := 0; i < cad; i++ {
 		b.BeginPeriod() // the sender consumes one seq per period regardless
 	}
-	if err := a.MergeFromAt(1, b.SelfSeq(), cad, b); err != nil {
+	if err := a.MergeSnapshotAt(b.Snapshot(), cad); err != nil {
 		t.Fatal(err)
 	}
 	base := linkObservations(a, link)
@@ -88,7 +88,7 @@ func TestCadenceScalesGapLossAccounting(t *testing.T) {
 	for i := 0; i < cad; i++ {
 		b.BeginPeriod()
 	}
-	if err := a.MergeFromAt(1, b.SelfSeq(), cad, b); err != nil {
+	if err := a.MergeSnapshotAt(b.Snapshot(), cad); err != nil {
 		t.Fatal(err)
 	}
 	if got := linkObservations(a, link) - base; got != 1 {
@@ -101,7 +101,7 @@ func TestCadenceScalesGapLossAccounting(t *testing.T) {
 	for i := 0; i < 2*cad; i++ {
 		b.BeginPeriod()
 	}
-	if err := a.MergeFromAt(1, b.SelfSeq(), cad, b); err != nil {
+	if err := a.MergeSnapshotAt(b.Snapshot(), cad); err != nil {
 		t.Fatal(err)
 	}
 	if got := linkObservations(a, link) - base; got != 2 {
@@ -112,7 +112,7 @@ func TestCadenceScalesGapLossAccounting(t *testing.T) {
 	// Snap-back: the sender breaks its promise and sends the very next
 	// period, declaring cadence 1 again. Early frames book no loss.
 	b.BeginPeriod()
-	if err := a.MergeFromAt(1, b.SelfSeq(), 1, b); err != nil {
+	if err := a.MergeSnapshotAt(b.Snapshot(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := linkObservations(a, link) - base; got != 1 {
@@ -128,79 +128,11 @@ func TestCadenceScalesGapLossAccounting(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.BeginPeriod()
 	}
-	if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if got := linkObservations(a, link) - base; got != 4 {
 		t.Errorf("classic gap-4 frame booked %d observations, want 4 (3 losses + 1 success)", got)
-	}
-}
-
-// TestQuiescentSinceIgnoresDistortionChurn pins the stability probe the
-// simulator's cadence controller uses: re-adopting an unchanged estimate
-// over a shorter route changes only its distortion — the record re-ships
-// on deltas (peers' adoption decisions read distortion) but must NOT
-// break value-quiescence, while a genuine value change must.
-func TestQuiescentSinceIgnoresDistortionChurn(t *testing.T) {
-	in := NewInterner()
-	v, err := NewView(0, 3, []topology.NodeID{1}, in, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid, err := NewView(1, 3, []topology.NodeID{0, 2}, in, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	far, err := NewView(2, 3, []topology.NodeID{1}, in, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.QuiescentSince(0) {
-		t.Error("base 0 must never be quiescent")
-	}
-
-	// mid learns far's self-estimate at distortion 1; v adopts it from
-	// mid at distortion 2. Adoption is a value change for v (its record
-	// had no value before): not quiescent.
-	if err := mid.MergeKnowledgeOnly(far); err != nil {
-		t.Fatal(err)
-	}
-	base := v.Version()
-	if err := v.MergeKnowledgeOnly(mid); err != nil {
-		t.Fatal(err)
-	}
-	if v.QuiescentSince(base) {
-		t.Error("adopting fresh estimates must break quiescence")
-	}
-
-	// Baseline the signatures, then re-adopt the *same* estimator object
-	// straight from far at distortion 1: only the distortion changed.
-	v.Snapshot() // refresh + stamp everything at the current version
-	base = v.Version()
-	if err := v.MergeKnowledgeOnly(far); err != nil {
-		t.Fatal(err)
-	}
-	if _, dist := v.CrashEstimate(2); dist != 1 {
-		t.Fatalf("re-adoption distortion = %d, want 1", dist)
-	}
-	if !v.QuiescentSince(base) {
-		t.Error("distortion-only re-adoption must not break value-quiescence")
-	}
-	if d, ok := v.DeltaSince(base); !ok || len(d.Procs) == 0 {
-		t.Error("the distortion change must still re-ship on deltas")
-	}
-
-	// A genuine value movement on the shared estimate breaks quiescence
-	// again once re-adopted... simplest value change: far's own estimator
-	// observes heavy new evidence and v re-adopts the moved estimate.
-	v.Snapshot()
-	base = v.Version()
-	far.OnRecover(50) // big self-estimate movement on far
-	if err := v.MergeKnowledgeOnly(far); err != nil {
-		t.Fatal(err)
-	}
-	if v.QuiescentSince(base) {
-		t.Error("a moved estimate must break quiescence")
 	}
 }
 
@@ -209,13 +141,13 @@ func TestQuiescentSinceIgnoresDistortionChurn(t *testing.T) {
 func TestCadenceDeclarationClamped(t *testing.T) {
 	a, b := newPair(t)
 	b.BeginPeriod()
-	if err := a.MergeFromAt(1, b.SelfSeq(), 1<<20, b); err != nil {
+	if err := a.MergeSnapshotAt(b.Snapshot(), 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.NeighborCadence(1); got != maxDeclaredCadence {
 		t.Errorf("declared cadence clamped to %d, want %d", got, maxDeclaredCadence)
 	}
-	if err := a.MergeFromAt(1, b.SelfSeq(), -3, b); err != nil {
+	if err := a.MergeSnapshotAt(b.Snapshot(), -3); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.NeighborCadence(1); got != 1 {

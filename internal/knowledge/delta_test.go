@@ -148,6 +148,35 @@ func TestDeltaIncludesAdoptedKnowledge(t *testing.T) {
 	if !foundProc || !foundLink {
 		t.Fatalf("adopted knowledge missing from delta: proc=%v link=%v (%+v)", foundProc, foundLink, d)
 	}
+
+	// Re-adopting the same estimate over a shorter route changes only its
+	// distortion, and at the default DeltaEpsilon that re-ships too:
+	// peers' adoption decisions read distortion.
+	v, err := NewView(0, 3, []topology.NodeID{1}, in, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := NewView(2, 3, []topology.NodeID{1}, in, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.MergeSnapshotKnowledgeOnly(far.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.MergeSnapshotKnowledgeOnly(b.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	v.Snapshot() // baseline the signatures, as sending a full would
+	base = v.Version()
+	if err := v.MergeSnapshotKnowledgeOnly(far.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, dist := v.CrashEstimate(2); dist != 1 {
+		t.Fatalf("re-adoption distortion = %d, want 1", dist)
+	}
+	if d, ok := v.DeltaSince(base); !ok || len(d.Procs) != 1 || d.Procs[0].ID != 2 {
+		t.Errorf("a distortion-only re-adoption must re-ship the record, delta %+v (anchored %v)", d, ok)
+	}
 }
 
 // TestDeltaConvergesLikeFullSnapshots drives two neighbor views with delta

@@ -49,8 +49,10 @@
 // sequence gaps — which distinguish loss (gap: the sender did send) from
 // sender downtime (no gap: the sender never incremented) — while Event 2
 // suspicions decay only the process belief and feed the timeout
-// adaptation. The process belief is self-corrected on reconnection because
-// the neighbor's own zero-distortion self-estimate is always re-adopted.
+// adaptation. The process belief is self-corrected on reconnection: the
+// heartbeat carries the neighbor's own zero-distortion self-estimate,
+// which is re-adopted, or — a delta leaves it out while it is unchanged —
+// the suspicion's evidence is undone (View.forgive).
 package knowledge
 
 import (
@@ -139,9 +141,9 @@ func (p Params) withDefaults() Params {
 
 // Interner assigns process-local dense indices to links as they become
 // known, so views can keep link estimates in slices. Views in one
-// simulation may share an interner (indices then agree across views, which
-// the merge fast path exploits); live nodes each own one. Links are kept
-// packed, both endpoints in one word (see pack).
+// simulation may share an interner (indices then agree across views and
+// with the simulated graph's link indices); live nodes each own one.
+// Links are kept packed, both endpoints in one word (see pack).
 type Interner struct {
 	idx   map[uint64]int32
 	links []uint64
@@ -196,24 +198,17 @@ func (t *Interner) Len() int { return len(t.links) }
 // wireSig is a record's last-shipped wire signature for delta heartbeats:
 // the posterior mean, distortion and interval count at the record's last
 // meaningful change, plus the view version that change was stamped with.
-// Mutation sites set only the record's dirty bit (one store, so the
-// simulator's merge fast path pays nothing); refreshSigs re-evaluates dirty
-// records lazily when a delta is cut and stamps `at` only when the content
-// moved beyond Params.DeltaEpsilon — distortion *aging* (Event 2's dist++)
-// deliberately never sets the bit, because aging is local confidence decay
-// every peer applies to its own copies and carries no news.
+// Mutation sites set only the record's dirty bit (one store); refreshSigs
+// re-evaluates dirty records lazily when a delta is cut and stamps `at`
+// only when the content moved beyond Params.DeltaEpsilon — distortion
+// *aging* (Event 2's dist++) deliberately never sets the bit, because
+// aging is local confidence decay every peer applies to its own copies
+// and carries no news.
 type wireSig struct {
-	at uint64 // view version of the last meaningful change
-	// meanAt is the view version of the last *value* change (mean beyond
-	// DeltaEpsilon, or interval count): distortion-only changes advance `at` (they
-	// must re-ship — peers' adoption decisions read distortion) but not
-	// meanAt. QuiescentSince uses meanAt so cadence controllers can treat
-	// distortion churn — aging and re-adoption of an unchanged estimate —
-	// as stability rather than news.
-	meanAt uint64
-	mean   float64
-	dist   int32
-	gridN  int32
+	at    uint64 // view version of the last meaningful change
+	mean  float64
+	dist  int32
+	gridN int32
 }
 
 // procState is C_k[p_i]: the estimate one process keeps about another
@@ -236,9 +231,13 @@ type procState struct {
 	// inbound cadence, so a stretched gossip path doesn't decay knowledge
 	// that is merely arriving slowly.
 	supplier int32
-	mask     uint16 // the neighbours that hold this record at no greater distortion (see heard)
-	dirty    bool   // the estimate changed since refreshSigs last looked (see wireSig)
-	departed bool   // tombstoned by a membership epoch change; never shipped or aged
+	// suspicions counts the Event 2 firings — a failure observed and a
+	// distortion step each — on a neighbour's record since it was last
+	// adopted; a heartbeat from the neighbour undoes them (see forgive).
+	suspicions int32
+	mask       uint16 // the neighbours that hold this record at no greater distortion (see heard)
+	dirty      bool   // the estimate changed since refreshSigs last looked (see wireSig)
+	departed   bool   // tombstoned by a membership epoch change; never shipped or aged
 }
 
 // peerState is what a view keeps about a direct neighbor (or a process
@@ -322,9 +321,8 @@ const chunkLen = 16
 
 // View is (Λ_k, C_k): everything process self believes about the system.
 // It is a pure state machine — time is injected by calling BeginPeriod
-// once per heartbeat period δ, and message arrival by MergeFrom /
-// MergeSnapshot. It is not safe for concurrent use; the live node wraps
-// it in a mutex.
+// once per heartbeat period δ, and message arrival by MergeSnapshot. It
+// is not safe for concurrent use; the live node wraps it in a mutex.
 type View struct {
 	self      topology.NodeID
 	n         int
@@ -642,6 +640,7 @@ func (v *View) BeginPeriod() {
 		}
 		if p != nil {
 			p.suspected++
+			ps.suspicions++
 			ps.est.ObserveFailure(1)
 			ps.dirty = true
 			// Link evidence is intentionally NOT decreased here; see the
@@ -696,32 +695,6 @@ func (v *View) OnRecover(missedTicks int) {
 	v.procs[v.self].dirty = true
 }
 
-// MergeFrom is Event 1 operating directly on the sender's live view
-// (simulation fast path; both views must share an interner). senderSeq is
-// the heartbeat sequence number carried by the message — it is passed
-// explicitly rather than read from src so that in-flight heartbeats keep
-// the sequence they were sent with even if the sender has since moved on.
-func (v *View) MergeFrom(from topology.NodeID, senderSeq uint64, src *View) error {
-	return v.MergeFromAt(from, senderSeq, 1, src)
-}
-
-// MergeFromAt is MergeFrom for a heartbeat declaring a stretched cadence:
-// the sender promises its next frame in `cadence` heartbeat periods, and
-// this view scales its expected-arrival accounting (sequence-gap losses,
-// Event 2 suspicion timeout) for that neighbor accordingly. Cadence 1 is
-// exactly MergeFrom.
-func (v *View) MergeFromAt(from topology.NodeID, senderSeq uint64, cadence int, src *View) error {
-	if src.interner != v.interner {
-		return fmt.Errorf("knowledge: MergeFrom requires a shared interner; use MergeSnapshot")
-	}
-	// reconcileLink always books fresh link evidence, so the view changed
-	// regardless of whether any estimate was adopted.
-	v.version++
-	v.reconcileLink(from, senderSeq, cadence)
-	v.mergeEstimates(src)
-	return nil
-}
-
 // Suspected reports whether this view currently suspects neighbor j
 // (Event 2 fired since j's last heartbeat). Non-neighbors are never
 // suspected — their estimates only age.
@@ -746,86 +719,6 @@ func (v *View) AnySuspected() bool {
 // NeighborCadence reports the heartbeat cadence neighbor j declared on
 // its last frame (1 = classic), for tests and introspection.
 func (v *View) NeighborCadence(j topology.NodeID) int { return v.peers[j].effCadence() }
-
-// MergeKnowledgeOnly merges the estimates and topology of src without the
-// heartbeat sequence accounting. This is the paper's piggybacking remark
-// (Section 4.1): knowledge can ride on application data messages, which
-// spreads estimates faster, but data messages carry no heartbeat sequence
-// numbers, so they must not feed the link-loss bookkeeping — receipts of
-// data are a biased sample (losses are unobservable without sequencing).
-func (v *View) MergeKnowledgeOnly(src *View) error {
-	if src.interner != v.interner {
-		return fmt.Errorf("knowledge: MergeKnowledgeOnly requires a shared interner")
-	}
-	if v.mergeEstimates(src) {
-		// Knowledge-only merges change the view only when something was
-		// actually adopted — piggybacked duplicates that carry nothing new
-		// must not invalidate derived plan caches.
-		v.version++
-	}
-	return nil
-}
-
-// mergeEstimates applies selectBestEstimate across all process and link
-// estimates and merges topology knowledge (Algorithm 4 lines 26–33). It
-// reports whether any estimate was adopted or link learned.
-func (v *View) mergeEstimates(src *View) bool {
-	changed := false
-	// depCheck keeps the tombstone filtering — per-record branches and an
-	// interner lookup per link — entirely off the merge fast path while no
-	// membership change has ever happened (the common, static case).
-	depCheck := v.nDeparted > 0 || src.nDeparted > 0
-	// Processes: take the most accurate estimate for each (Algorithm 3).
-	// Views may disagree on |Π| mid-epoch-change; merge the common prefix.
-	// Tombstoned records are never adopted — a stale peer cannot resurrect
-	// a departed member.
-	for i := range min(len(v.procs), len(src.procs)) {
-		if depCheck && (v.procs[i].departed || src.procs[i].departed) {
-			continue
-		}
-		if mine, theirs := &v.procs[i], &src.procs[i]; theirs.dist < mine.dist {
-			mine.est, mine.mask = theirs.est, 0
-			mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty = bump(theirs.dist), int32(src.self), 0, true
-			changed = true
-		}
-	}
-
-	// Links: for common links take the best estimate; adopt new links
-	// outright with bumped distortion (lines 28–33). Links incident to a
-	// departed process stay forgotten, and links naming processes beyond
-	// this view's ID space (src grew first, mid-epoch-change) are skipped
-	// like the proc loop's prefix bound — adopting one would poison
-	// EstimatedConfig until this view grows.
-	sizeCheck := len(src.procs) > len(v.procs)
-	// The interner is shared, so both views keep a link in the same chunk
-	// and slot.
-	for c, chunk := range src.links {
-		mines := v.chunk(c)
-		for i := range chunk {
-			theirs := &chunk[i]
-			if !theirs.known {
-				continue
-			}
-			if depCheck || sizeCheck {
-				l := src.interner.Link(c*chunkLen + i)
-				if int(l.B) >= v.n { // canonical A < B: one bound check suffices
-					continue
-				}
-				if depCheck && (v.Departed(l.A) || v.Departed(l.B)) {
-					continue
-				}
-			}
-			// An unknown link's slot is a zero record: adopting into it
-			// learns the link.
-			if mine := &mines[i]; !mine.known || theirs.dist < mine.dist {
-				mine.est, mine.known, mine.mask = theirs.est, true, 0
-				mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty = bump(theirs.dist), int32(src.self), 0, true
-				changed = true
-			}
-		}
-	}
-	return changed
-}
 
 // bump increments a distortion, saturating at DistInf.
 func bump(d int32) int32 {

@@ -103,7 +103,7 @@ func TestMergeAdoptsSelfEstimates(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.BeginPeriod()
 	}
-	if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	mean, dist := a.CrashEstimate(1)
@@ -113,20 +113,6 @@ func TestMergeAdoptsSelfEstimates(t *testing.T) {
 	bMean, _ := b.CrashEstimate(1)
 	if math.Abs(mean-bMean) > 1e-12 {
 		t.Errorf("adopted mean %v != source mean %v", mean, bMean)
-	}
-}
-
-func TestMergeRequiresSharedInterner(t *testing.T) {
-	a, err := NewView(0, 2, []topology.NodeID{1}, NewInterner(), Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewView(1, 2, []topology.NodeID{0}, NewInterner(), Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.MergeFrom(1, 1, b); err == nil {
-		t.Error("merge across interners should fail")
 	}
 }
 
@@ -147,11 +133,11 @@ func TestTopologyPropagation(t *testing.T) {
 	}
 
 	v2.BeginPeriod()
-	if err := v1.MergeFrom(2, v2.SelfSeq(), v2); err != nil {
+	if err := v1.MergeSnapshot(v2.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	v1.BeginPeriod()
-	if err := v0.MergeFrom(1, v1.SelfSeq(), v1); err != nil {
+	if err := v0.MergeSnapshot(v1.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,11 +171,11 @@ func TestLowerDistortionWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2.BeginPeriod()
-	if err := v1.MergeFrom(2, v2.SelfSeq(), v2); err != nil {
+	if err := v1.MergeSnapshot(v2.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	v1.BeginPeriod()
-	if err := v0.MergeFrom(1, v1.SelfSeq(), v1); err != nil {
+	if err := v0.MergeSnapshot(v1.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	_, d0 := v0.CrashEstimate(2) // dist 2
@@ -203,7 +189,7 @@ func TestLowerDistortionWins(t *testing.T) {
 	if d1+1 <= d0 {
 		t.Skipf("aging did not exceed v0's distortion (d1=%d d0=%d)", d1, d0)
 	}
-	if err := v0.MergeFrom(1, v1.SelfSeq(), v1); err != nil {
+	if err := v0.MergeSnapshot(v1.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if _, d := v0.CrashEstimate(2); d != d0 {
@@ -217,7 +203,7 @@ func TestSequenceGapBooksLinkLosses(t *testing.T) {
 
 	// Establish first contact (no loss evidence on first heartbeat).
 	b.BeginPeriod()
-	if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	before, _, _ := a.LossEstimate(link)
@@ -228,7 +214,7 @@ func TestSequenceGapBooksLinkLosses(t *testing.T) {
 		b.BeginPeriod()
 	}
 	b.BeginPeriod()
-	if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	after, _, _ := a.LossEstimate(link)
@@ -242,7 +228,7 @@ func TestSenderRestartDoesNotPoisonLink(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.BeginPeriod()
 	}
-	if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	before, _, _ := a.LossEstimate(topology.NewLink(0, 1))
@@ -253,7 +239,7 @@ func TestSenderRestartDoesNotPoisonLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	b2.BeginPeriod() // seq restarts at 1 < 11
-	if err := a.MergeFrom(1, b2.SelfSeq(), b2); err != nil {
+	if err := a.MergeSnapshot(b2.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	after, _, _ := a.LossEstimate(topology.NewLink(0, 1))
@@ -265,7 +251,7 @@ func TestSenderRestartDoesNotPoisonLink(t *testing.T) {
 func TestSilentNeighborSuspected(t *testing.T) {
 	a, b := newPair(t)
 	b.BeginPeriod()
-	if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	crashBefore, distBefore := a.CrashEstimate(1)
@@ -302,12 +288,12 @@ func TestTwoNodeLossConvergence(t *testing.T) {
 		}
 		// a -> b and b -> a heartbeats, each independently lossy.
 		if rng.Float64() >= trueLoss {
-			if err := b.MergeFrom(0, a.SelfSeq(), a); err != nil {
+			if err := b.MergeSnapshot(a.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if rng.Float64() >= trueLoss {
-			if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+			if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -339,7 +325,7 @@ func TestCrashRateConvergence(t *testing.T) {
 			b.OnRecover(1) // crashed for this period: Event 4
 		} else {
 			b.BeginPeriod() // survived: Event 3 (and Event 2 aging)
-			if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+			if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -369,7 +355,7 @@ func TestEstimatedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1.BeginPeriod()
-	if err := v0.MergeFrom(1, v1.SelfSeq(), v1); err != nil {
+	if err := v0.MergeSnapshot(v1.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	g, c, err := v0.EstimatedConfig()
@@ -393,19 +379,25 @@ func TestEstimatedConfig(t *testing.T) {
 
 func TestSnapshotMergeEquivalence(t *testing.T) {
 	// Two receivers with identical state merge the same sender knowledge,
-	// one via MergeFrom and one via Snapshot/MergeSnapshot; results must
-	// agree.
-	mk := func() (*View, *View, *View) {
+	// one in views sharing an interner (the discrete-event twin) and one
+	// in views each owning theirs (the live node); results must agree.
+	mk := func(shared bool) (*View, *View, *View) {
 		in := NewInterner()
-		recv, err := NewView(0, 3, []topology.NodeID{1}, in, Params{})
+		interner := func() *Interner {
+			if shared {
+				return in
+			}
+			return nil
+		}
+		recv, err := NewView(0, 3, []topology.NodeID{1}, interner(), Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sender, err := NewView(1, 3, []topology.NodeID{0, 2}, in, Params{})
+		sender, err := NewView(1, 3, []topology.NodeID{0, 2}, interner(), Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		third, err := NewView(2, 3, []topology.NodeID{1}, in, Params{})
+		third, err := NewView(2, 3, []topology.NodeID{1}, interner(), Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,19 +407,19 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			third.BeginPeriod()
 			sender.BeginPeriod()
-			if err := sender.MergeFrom(2, third.SelfSeq(), third); err != nil {
+			if err := sender.MergeSnapshot(third.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	r1, s1, t1 := mk()
+	r1, s1, t1 := mk(true)
 	prep(s1, t1)
-	if err := r1.MergeFrom(1, s1.SelfSeq(), s1); err != nil {
+	if err := r1.MergeSnapshot(s1.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 
-	r2, s2, t2 := mk()
+	r2, s2, t2 := mk(false)
 	prep(s2, t2)
 	if err := r2.MergeSnapshot(s2.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -438,14 +430,14 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 		m1, d1 := r1.CrashEstimate(id)
 		m2, d2 := r2.CrashEstimate(id)
 		if d1 != d2 || math.Abs(m1-m2) > 1e-12 {
-			t.Errorf("proc %d: MergeFrom (%v,%d) != MergeSnapshot (%v,%d)", i, m1, d1, m2, d2)
+			t.Errorf("proc %d: shared interner (%v,%d) != private interners (%v,%d)", i, m1, d1, m2, d2)
 		}
 	}
 	for _, l := range []topology.Link{topology.NewLink(0, 1), topology.NewLink(1, 2)} {
 		m1, d1, ok1 := r1.LossEstimate(l)
 		m2, d2, ok2 := r2.LossEstimate(l)
 		if ok1 != ok2 || d1 != d2 || math.Abs(m1-m2) > 1e-12 {
-			t.Errorf("link %v: MergeFrom (%v,%d,%v) != MergeSnapshot (%v,%d,%v)",
+			t.Errorf("link %v: shared interner (%v,%d,%v) != private interners (%v,%d,%v)",
 				l, m1, d1, ok1, m2, d2, ok2)
 		}
 	}
@@ -521,7 +513,7 @@ func TestConvergedToFullLoop(t *testing.T) {
 				if rng.Float64() < trueLoss {
 					continue
 				}
-				if err := views[nb].MergeFrom(topology.NodeID(i), v.SelfSeq(), v); err != nil {
+				if err := views[nb].MergeSnapshot(v.Snapshot()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -582,7 +574,7 @@ func TestAdoptionIsSnapshot(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b.BeginPeriod()
 	}
-	if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	adopted, _ := a.CrashEstimate(1)
@@ -633,7 +625,7 @@ func TestRefinedEstimatePropagates(t *testing.T) {
 		t.Fatalf("adopted estimate %v, its source %v", srcMean, src.Mean())
 	}
 	// b adopts it via the live path...
-	if err := b.MergeFrom(0, a.SelfSeq(), a); err != nil {
+	if err := b.MergeSnapshot(a.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if mean, _ := b.CrashEstimate(2); mean != srcMean {
@@ -687,12 +679,12 @@ func TestDistortionMatchesDistance(t *testing.T) {
 		}
 		for i, v := range views {
 			if i > 0 {
-				if err := views[i-1].MergeFrom(topology.NodeID(i), v.SelfSeq(), v); err != nil {
+				if err := views[i-1].MergeSnapshot(v.Snapshot()); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if i < n-1 {
-				if err := views[i+1].MergeFrom(topology.NodeID(i), v.SelfSeq(), v); err != nil {
+				if err := views[i+1].MergeSnapshot(v.Snapshot()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -734,11 +726,11 @@ func TestVersionAdvancesOnMutation(t *testing.T) {
 	// A heartbeat merge always books link evidence, so it always bumps.
 	b.BeginPeriod()
 	v2 := a.Version()
-	if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+	if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if a.Version() <= v2 {
-		t.Error("MergeFrom must advance the version")
+		t.Error("MergeSnapshot must advance the version")
 	}
 
 	// Snapshot paths: a snapshot carrying news bumps; one carrying no

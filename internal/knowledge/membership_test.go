@@ -52,10 +52,10 @@ func TestMarkDepartedTombstones(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			a.BeginPeriod()
 			b.BeginPeriod()
-			if err := a.MergeFrom(1, b.SelfSeq(), b); err != nil {
+			if err := a.MergeSnapshot(b.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.MergeFrom(0, a.SelfSeq(), a); err != nil {
+			if err := b.MergeSnapshot(a.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 		}

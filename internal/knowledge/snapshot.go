@@ -10,9 +10,8 @@ import (
 )
 
 // Snapshot is the serializable heartbeat payload: the sender's (Λ_k, C_k)
-// plus its heartbeat sequence number. The live runtime encodes snapshots
-// onto the wire; the simulator skips them and merges views directly (the
-// equivalence of the two paths is covered by tests).
+// plus its heartbeat sequence number, encoded onto the wire by package
+// wire.
 type Snapshot struct {
 	From  topology.NodeID
 	Seq   uint64
@@ -354,18 +353,12 @@ func (v *View) refreshSigs() {
 // refresh re-evaluates a dirty record's signature, stamping it iff its
 // content drifted beyond the last stamped signature. Drift is measured
 // against the mean at the last stamp, not the previous period's, so
-// sub-epsilon movements cannot accumulate into unbounded divergence. Value
-// changes (mean or interval count) additionally stamp meanAt, the
-// quiescence watermark that ignores distortion-only churn.
+// sub-epsilon movements cannot accumulate into unbounded divergence.
 func (sig *wireSig) refresh(est *bayes.Estimator, dist int32, eps float64, ver uint64) {
 	gridN := int32(est.Intervals())
 	mean := est.Mean()
-	valueMoved := gridN != sig.gridN || math.Abs(mean-sig.mean) > eps
-	if sig.at != 0 && dist == sig.dist && !valueMoved {
+	if sig.at != 0 && dist == sig.dist && gridN == sig.gridN && math.Abs(mean-sig.mean) <= eps {
 		return
-	}
-	if sig.at == 0 || valueMoved {
-		sig.meanAt = ver
 	}
 	sig.at = ver
 	sig.mean = mean
@@ -373,43 +366,18 @@ func (sig *wireSig) refresh(est *bayes.Estimator, dist int32, eps float64, ver u
 	sig.gridN = gridN
 }
 
-// QuiescentSince reports whether no estimate's *value* — posterior mean
-// beyond DeltaEpsilon, or interval count — changed after version base.
-// Unlike an empty DeltaSince, distortion-only changes (aging, re-adoption
-// of the same estimate over a different route) do not break quiescence:
-// they re-ship on deltas but carry no new measurement. Cadence controllers on
-// merge paths that exchange whole views (the simulator) use this as
-// their stability probe; base 0 or a base from a previous incarnation is
-// never quiescent.
-func (v *View) QuiescentSince(base uint64) bool {
-	if base == 0 || base > v.version {
-		return false
-	}
-	v.refreshSigs()
-	for i := range v.procs {
-		ps := &v.procs[i]
-		if ps.dist != DistInf && ps.sig.meanAt > base {
-			return false
-		}
-	}
-	for _, ls := range v.knownLinks() {
-		if ls.sig.meanAt > base {
-			return false
-		}
-	}
-	return true
-}
-
-// MergeSnapshot is Event 1 over a serialized heartbeat (live-runtime
-// path). It performs exactly the sequence reconciliation and
-// best-estimate selection of MergeFrom.
+// MergeSnapshot is Event 1 over a heartbeat: the sequence-gap
+// accounting of the link to the sender, then Algorithm 3's best-estimate
+// selection over the snapshot's records.
 func (v *View) MergeSnapshot(s *Snapshot) error {
 	return v.MergeSnapshotAt(s, 1)
 }
 
 // MergeSnapshotAt is MergeSnapshot for a heartbeat declaring a stretched
-// cadence (see MergeFromAt): the sender's sequence-gap loss accounting
-// and suspicion timeout are scaled by the declared inter-frame gap.
+// cadence: the sender promises its next frame in `cadence` heartbeat
+// periods, and this view scales its expected-arrival accounting for that
+// neighbor — sequence-gap losses and the Event 2 suspicion timeout — by
+// it. Cadence 1 is exactly MergeSnapshot.
 func (v *View) MergeSnapshotAt(s *Snapshot, cadence int) error {
 	if err := v.checkSnapshot(s); err != nil {
 		return err
@@ -419,14 +387,42 @@ func (v *View) MergeSnapshotAt(s *Snapshot, cadence int) error {
 	v.version++
 	v.reconcileLink(s.From, s.Seq, cadence)
 	_, err := v.mergeSnapshotEstimates(s)
+	v.forgive(s.From)
 	return err
 }
 
+// forgive undoes the Event 2 evidence booked on neighbour j's record
+// since this view last adopted it — the failures observed while j was
+// silent and the distortion steps that came with them — once a
+// heartbeat of j's has been merged without re-adopting it. In the paper
+// every heartbeat carries j's estimate of itself, at distortion 0, and
+// Algorithm 3 adopts it over whatever suspicion left here; a delta
+// leaves that record out while it stays within DeltaEpsilon of the copy
+// adopted here, so undoing the suspicion's evidence is the adoption the
+// full heartbeat would have made. Without it every suspicion of a live
+// neighbour stays in its record, and ships on to every view that takes
+// the record from here.
+func (v *View) forgive(j topology.NodeID) {
+	ps := &v.procs[j]
+	if ps.suspicions == 0 {
+		return
+	}
+	st := ps.est.State()
+	st.Fail = max(st.Fail-int(ps.suspicions), 0)
+	_ = ps.est.Adopt(st) // fewer failures than a well-formed state holds is well-formed
+	if ps.dist != DistInf {
+		ps.dist = max(ps.dist-ps.suspicions, 0)
+	}
+	ps.suspicions, ps.dirty = 0, true
+}
+
 // MergeSnapshotKnowledgeOnly merges a snapshot's estimates and topology
-// without the heartbeat sequence accounting — the wire-path counterpart
-// of MergeKnowledgeOnly, used for knowledge piggybacked on data frames
-// (data messages carry no heartbeat sequence numbers, so they must not
-// feed the link-loss bookkeeping).
+// without the heartbeat sequence accounting. This is the paper's
+// piggybacking remark (Section 4.1): knowledge can ride on application
+// data messages, which spreads estimates faster, but data messages carry
+// no heartbeat sequence numbers, so they must not feed the link-loss
+// bookkeeping — receipts of data are a biased sample (losses are
+// unobservable without sequencing).
 func (v *View) MergeSnapshotKnowledgeOnly(s *Snapshot) error {
 	if err := v.checkSnapshot(s); err != nil {
 		return err
@@ -506,7 +502,7 @@ func (v *View) mergeSnapshotEstimates(s *Snapshot) (changed bool, err error) {
 				return changed, fmt.Errorf("knowledge: process %d estimate: %w", pr.ID, err)
 			}
 		}
-		mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty = bump(dist), int32(s.From), 0, true
+		mine.dist, mine.supplier, mine.sinceUpdate, mine.dirty, mine.suspicions = bump(dist), int32(s.From), 0, true, 0
 		changed = true
 	}
 

@@ -303,10 +303,7 @@ func TestAdaptiveCadenceResumesAfterRestart(t *testing.T) {
 	interval := func(nd *Node, to topology.NodeID) int {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		if st := nd.cad[to]; st != nil {
-			return st.Interval()
-		}
-		return 1
+		return nd.hb.Interval(to)
 	}
 
 	// Converge until node 0 holds the full stretch toward node 1 AND has

@@ -31,15 +31,14 @@ func settleFullTicks(nodes []*Node, periods int) { settle(nodes, periods, true) 
 // forgetAcks makes the nodes' next Ticks full-snapshot heartbeats, the
 // reference the delta path is measured against: with no ack on record
 // toward any neighbor, every frame Tick cuts is the since = 0 fallback
-// carrying the whole view. peerSeen goes with peerAcked so the frames of
-// the coming round ack nothing either — a neighbor that handles one
-// before its own Tick would otherwise cut a delta against it. Call it
-// while no frame is in flight.
+// carrying the whole view. The versions seen go with the acks so the
+// frames of the coming round ack nothing either — a neighbor that
+// handles one before its own Tick would otherwise cut a delta against
+// it. Call it while no frame is in flight.
 func forgetAcks(nodes []*Node) {
 	for _, nd := range nodes {
 		nd.mu.Lock()
-		clear(nd.peerAcked)
-		clear(nd.peerSeen)
+		nd.hb.Reset()
 		nd.mu.Unlock()
 	}
 }
@@ -407,7 +406,7 @@ func TestHeartbeatMustNameItsSender(t *testing.T) {
 	peerKeys := func() int {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		return len(nd.peerSeen) + len(nd.peerAcked)
+		return nd.hb.Peers()
 	}
 
 	// Transport sender 1 claims to be 2, in a delta and in a full heartbeat.
@@ -441,7 +440,7 @@ func TestHeartbeatMustNameItsSender(t *testing.T) {
 		t.Errorf("process 3 at distortion %d after the honest delta, want 2", dist)
 	}
 	nd.mu.Lock()
-	seen, acked := nd.peerSeen[1], nd.peerAcked[1]
+	seen, acked := nd.hb.Seen(1), nd.hb.Acked(1)
 	nd.mu.Unlock()
 	if seen != 7 || acked != 2 || peerKeys() != 2 {
 		t.Errorf("after the honest delta seen=%d acked=%d over %d entries, want 7, 2 over 2", seen, acked, peerKeys())

@@ -220,7 +220,7 @@ func fenceStateOf(nd *Node) fenceState {
 	defer nd.mu.Unlock()
 	return fenceState{
 		delivered: s.Delivered, stale: s.StaleEpochFrames,
-		version: nd.view.Version(), acked: nd.peerAcked[0], seen: nd.peerSeen[0],
+		version: nd.view.Version(), acked: nd.hb.Acked(0), seen: nd.hb.Seen(0),
 	}
 }
 

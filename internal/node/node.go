@@ -2,9 +2,10 @@
 // the paper's full adaptive stack — the knowledge approximation activity
 // (Algorithm 4) on a real clock and the reliable broadcast activity
 // (Algorithm 1) — over a pluggable transport. The simulator and the live
-// node share every algorithmic component (knowledge, mrt, optimize), so
-// the two cannot drift apart; the node adds timers, serialization,
-// stable-storage crash accounting and delivery plumbing.
+// node share every algorithmic component (knowledge, mrt, optimize) and
+// the heartbeat plane (heartbeat), so the two cannot drift apart; the
+// node adds timers, the transport, stable-storage crash accounting and
+// delivery plumbing.
 //
 // Concurrency is one node lock (Node.mu): Broadcast, the transport
 // handler, Tick and membership changes each take it for one critical
@@ -12,9 +13,10 @@
 // durable writes and sends run after the section, never under it, and
 // every counter is an atomic.
 //
-// Steady-state bandwidth is kept flat by three mechanisms layered here:
-// heartbeats ship per-neighbor knowledge deltas against the version the
-// neighbor last acked (full-snapshot fallback when no ack anchors one),
+// Steady-state bandwidth is kept flat by three mechanisms: heartbeats
+// ship per-neighbor knowledge deltas against the version the neighbor
+// last acked (package heartbeat; full-snapshot fallback when no ack
+// anchors one),
 // per-edge retransmission bursts leave through the lane scheduler as one
 // SendN flush, and a relay reads its children straight off the parent
 // vector a data frame carries instead of rebuilding the tree.
@@ -30,9 +32,9 @@ import (
 	"time"
 	"unsafe"
 
-	"adaptivecast/internal/cadence"
 	"adaptivecast/internal/config"
 	"adaptivecast/internal/dedup"
+	"adaptivecast/internal/heartbeat"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/lanes"
 	"adaptivecast/internal/mrt"
@@ -75,6 +77,10 @@ type Stats struct {
 	HeartbeatsReceived  int
 	DeltaHeartbeatsSent int // heartbeats that shipped as knowledge deltas (subset of HeartbeatsSent)
 	HeartbeatBytesSent  int // encoded heartbeat bytes handed to the transport
+	// HeartbeatEncodeErrors counts heartbeats not sent because the
+	// encoder refused their record section: a record outside the wire's
+	// bounds, which every receiver would refuse too.
+	HeartbeatEncodeErrors int
 	// DataSent counts the data copies the plan allocated and handed to
 	// the transport: m[j] per tree edge, one per neighbor on a flood.
 	// Over TCP each entry crosses the wire once, however many it counts.
@@ -130,23 +136,24 @@ type LaneDrops struct {
 // counters is the runtime's internal, atomically updated form of Stats,
 // so hot paths never take a lock to count an event.
 type counters struct {
-	heartbeatsSent      atomic.Int64
-	heartbeatsReceived  atomic.Int64
-	deltaHeartbeatsSent atomic.Int64
-	heartbeatBytesSent  atomic.Int64
-	dataSent            atomic.Int64
-	dataReceived        atomic.Int64
-	delivered           atomic.Int64
-	droppedDeliveries   atomic.Int64
-	suppressedReplays   atomic.Int64
-	fallbackFloods      atomic.Int64
-	decodeErrors        atomic.Int64
-	snapshotMergeErrors atomic.Int64
-	logErrors           atomic.Int64
-	planCacheHits       atomic.Int64
-	planCacheMisses     atomic.Int64
-	staleEpochFrames    atomic.Int64
-	epochChanges        atomic.Int64
+	heartbeatsSent        atomic.Int64
+	heartbeatsReceived    atomic.Int64
+	deltaHeartbeatsSent   atomic.Int64
+	heartbeatBytesSent    atomic.Int64
+	heartbeatEncodeErrors atomic.Int64
+	dataSent              atomic.Int64
+	dataReceived          atomic.Int64
+	delivered             atomic.Int64
+	droppedDeliveries     atomic.Int64
+	suppressedReplays     atomic.Int64
+	fallbackFloods        atomic.Int64
+	decodeErrors          atomic.Int64
+	snapshotMergeErrors   atomic.Int64
+	logErrors             atomic.Int64
+	planCacheHits         atomic.Int64
+	planCacheMisses       atomic.Int64
+	staleEpochFrames      atomic.Int64
+	epochChanges          atomic.Int64
 	// verdicts holds the view's knowledge.Verdicts, process then link
 	// records, each adopted, rejected equal and rejected above; merges
 	// publish them under mu (noteVerdicts) so Stats takes no lock.
@@ -155,25 +162,26 @@ type counters struct {
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		HeartbeatsSent:      int(c.heartbeatsSent.Load()),
-		HeartbeatsReceived:  int(c.heartbeatsReceived.Load()),
-		DeltaHeartbeatsSent: int(c.deltaHeartbeatsSent.Load()),
-		HeartbeatBytesSent:  int(c.heartbeatBytesSent.Load()),
-		DataSent:            int(c.dataSent.Load()),
-		DataReceived:        int(c.dataReceived.Load()),
-		Delivered:           int(c.delivered.Load()),
-		DroppedDeliveries:   int(c.droppedDeliveries.Load()),
-		SuppressedReplays:   int(c.suppressedReplays.Load()),
-		FallbackFloods:      int(c.fallbackFloods.Load()),
-		DecodeErrors:        int(c.decodeErrors.Load()),
-		SnapshotMergeErrors: int(c.snapshotMergeErrors.Load()),
-		LogErrors:           int(c.logErrors.Load()),
-		PlanCacheHits:       int(c.planCacheHits.Load()),
-		PlanCacheMisses:     int(c.planCacheMisses.Load()),
-		StaleEpochFrames:    int(c.staleEpochFrames.Load()),
-		EpochChanges:        int(c.epochChanges.Load()),
-		ProcRecords:         c.verdictsOf(0),
-		LinkRecords:         c.verdictsOf(1),
+		HeartbeatsSent:        int(c.heartbeatsSent.Load()),
+		HeartbeatsReceived:    int(c.heartbeatsReceived.Load()),
+		DeltaHeartbeatsSent:   int(c.deltaHeartbeatsSent.Load()),
+		HeartbeatBytesSent:    int(c.heartbeatBytesSent.Load()),
+		HeartbeatEncodeErrors: int(c.heartbeatEncodeErrors.Load()),
+		DataSent:              int(c.dataSent.Load()),
+		DataReceived:          int(c.dataReceived.Load()),
+		Delivered:             int(c.delivered.Load()),
+		DroppedDeliveries:     int(c.droppedDeliveries.Load()),
+		SuppressedReplays:     int(c.suppressedReplays.Load()),
+		FallbackFloods:        int(c.fallbackFloods.Load()),
+		DecodeErrors:          int(c.decodeErrors.Load()),
+		SnapshotMergeErrors:   int(c.snapshotMergeErrors.Load()),
+		LogErrors:             int(c.logErrors.Load()),
+		PlanCacheHits:         int(c.planCacheHits.Load()),
+		PlanCacheMisses:       int(c.planCacheMisses.Load()),
+		StaleEpochFrames:      int(c.staleEpochFrames.Load()),
+		EpochChanges:          int(c.epochChanges.Load()),
+		ProcRecords:           c.verdictsOf(0),
+		LinkRecords:           c.verdictsOf(1),
 	}
 }
 
@@ -267,7 +275,8 @@ type Config struct {
 	// the delta frame's Cadence field so the receiver scales its
 	// suspicion timeout and sequence-gap loss accounting instead of
 	// falsely suspecting (or under-counting) a quiet-by-design neighbor.
-	// Values <= 1 disable stretching (the default).
+	// Values <= 1 disable stretching (the default); the cap is at most
+	// wire.MaxCadence.
 	AdaptiveCadenceMax int
 	// LaneQueueDepth bounds each peer's data lane in the lane scheduler
 	// (default 256). At the high watermark new data frames are shed and
@@ -288,9 +297,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeliveryBuffer == 0 {
 		c.DeliveryBuffer = DefaultDeliveryBuffer
-	}
-	if c.AdaptiveCadenceMax > wire.MaxCadence {
-		c.AdaptiveCadenceMax = wire.MaxCadence
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -351,9 +357,8 @@ func newMemberChange(kind wire.FrameKind, m *wire.Membership) *memberChange {
 type Node struct {
 	cfg Config
 
-	// mu is the node lock. It guards the knowledge view, the plan cache
-	// (cachedPlan, planVersion), the delta-heartbeat bookkeeping
-	// (peerSeen, peerAcked), the cadence controllers (cad, cadResume),
+	// mu is the node lock. It guards the knowledge view and its heartbeat
+	// plane (hb, cadResume), the plan cache (cachedPlan, planVersion),
 	// the re-announcement budget (reannounced), the dedup watermarks
 	// (delivered), the membership state (epoch, nbs, lastChange,
 	// announceLeft) and the sequencer (seq). Three kinds of call are
@@ -387,28 +392,12 @@ type Node struct {
 	// cachedPlan is the broadcast plan for view version planVersion.
 	cachedPlan  *plan
 	planVersion uint64
-	// peerSeen[j] is the latest version of j's view merged here — echoed
-	// back to j as Ack on the next heartbeat. peerAcked[j] is the latest
-	// version of *this* view j has acknowledged — the base the next delta
-	// to j is cut from; 0 (or a value ahead of the current view, after a
-	// restart) forces the full-snapshot fallback. Both are keyed only by
-	// senders whose frame named them (see sentBy), so checkSnapshot's
-	// bound on Snap.From bounds them too.
-	peerSeen  map[topology.NodeID]uint64
-	peerAcked map[topology.NodeID]uint64
-	// cad[j] tracks the heartbeat stretch toward neighbor j; nil when
-	// adaptive cadence is off. cadResume holds the per-neighbor intervals
-	// loaded from stable storage; each entry is handed to cadence.Resume
-	// the first time its neighbor is stepped, then dropped.
-	cad       map[topology.NodeID]*cadence.State
+	// hb is the heartbeat plane over view: the ack chain and the cadence
+	// controllers. cadResume holds the per-neighbor intervals loaded from
+	// stable storage; the plane hands each entry to cadence.Resume the
+	// first time its neighbor is stepped, then drops it.
+	hb        *heartbeat.Plane
 	cadResume map[topology.NodeID]int
-	// ackDue[j] is set while j's last merged delta carried records that
-	// no frame of ours has acked yet: j sits at δ until that ack arrives,
-	// so the cadence controller counts j unstable and sends the ack now.
-	// Split horizon leaves none of j's own news to echo back, so without
-	// it a node stretched toward j would ack only at its stretched pace.
-	// nil when adaptive cadence is off.
-	ackDue map[topology.NodeID]bool
 
 	// ownsFrames is set when the transport hands the handler exclusive
 	// frame buffers (transport.FrameOwner): a delivered body and a relayed
@@ -494,8 +483,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		nbs:         append([]topology.NodeID(nil), cfg.Neighbors...),
 		reannounced: make(map[topology.NodeID]bool),
 		delivered:   newDeliveredSet(),
-		peerSeen:    make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
-		peerAcked:   make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
+		hb:          heartbeat.New(view, cfg.AdaptiveCadenceMax),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -518,10 +506,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		})
 		n.announceLeft = announceRounds
 	}
-	if cfg.AdaptiveCadenceMax > 1 {
-		n.cad = make(map[topology.NodeID]*cadence.State, len(cfg.Neighbors))
-		n.ackDue = make(map[topology.NodeID]bool, len(cfg.Neighbors))
-	}
 	// Resume broadcast sequencing above anything this node may have
 	// issued before a crash — the persisted sequence floor and/or the
 	// dedup log's high-water mark — so post-recovery broadcasts get fresh
@@ -540,7 +524,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 			}
 			resume = seqFloor
 			n.seqLease.Store(seqFloor)
-			if n.cad != nil && len(cadences) > 0 {
+			if cfg.AdaptiveCadenceMax > 1 && len(cadences) > 0 {
 				// Resume the pre-crash heartbeat stretch: each neighbor
 				// still has to prove itself stable again, but then jumps
 				// straight back to its persisted interval instead of
@@ -710,8 +694,8 @@ func (n *Node) Tick() {
 	if n.closed.Load() {
 		return
 	}
-	ws := tickWorkspaces.Get()
-	defer tickWorkspaces.Put(ws)
+	ws := periods.Get()
+	defer periods.Put(ws)
 
 	n.mu.Lock()
 	// Re-arm the per-peer stale-epoch re-announcement budget (see
@@ -725,91 +709,16 @@ func (n *Node) Tick() {
 		n.announceLeft--
 		announce = n.lastChange
 	}
-	// The roster and epoch are read once per period: membership changes
-	// landing after the section take effect next period.
-	neighbors, epoch := n.nbs, n.epoch
-	for _, nb := range neighbors {
-		ws.outs = append(ws.outs, outbound{to: nb, base: n.peerAcked[nb], ack: n.peerSeen[nb], declared: 1, due: true})
-	}
-	outs := ws.outs
-	if cap(ws.cuts) < len(outs) {
-		ws.cuts = make([]knowledge.Snapshot, len(outs))
-	}
-	ws.cuts = ws.cuts[:len(outs)]
-	fullCut := false
-	n.view.BeginPeriod()
-	ver := n.view.Version()
-	for i := range outs {
-		o := &outs[i]
-		// Suspicion state must be read after BeginPeriod (which is where
-		// Event 2 raises suspicions), so a suspicion snaps cadence back to
-		// δ within the same period it fires. Suspicion is scoped to the
-		// suspect's own link: one dead neighbor must not pin the whole
-		// node at full cadence toward its healthy neighbors — they learn
-		// of the suspicion through the ordinary snap-back (the raised
-		// suspicion dirties the suspect's record, so the deltas toward
-		// everyone go non-empty at δ until the news is acked) and then
-		// re-stretch while the suspect's link alone stays at δ.
-		o.suspected = n.view.Suspected(o.to)
-		// One cut per distinct acked base: in the common case every
-		// neighbor acked the same version, so a node of any degree scans
-		// the view once per period, not once per neighbor. An earlier
-		// neighbor's fallback is reused the same way.
-		j := 0
-		for j < i && outs[j].base != o.base {
-			j++
-		}
-		if j < i {
-			o.snap, o.since = outs[j].snap, outs[j].since
-		} else if cut := &ws.cuts[i]; n.view.DeltaSinceInto(cut, o.base) {
-			o.snap, o.since = cut, o.base
-		} else {
-			if !fullCut {
-				n.view.SnapshotInto(&ws.full)
-				fullCut = true
-			}
-			o.snap = &ws.full // since stays 0: full-snapshot fallback
-		}
-		if o.since == 0 {
-			// A neighbor sent the full snapshot never acked this view or
-			// restarted since: what it holds is unknown.
-			n.view.Unmask(o.to)
-		}
-		// The shared cut is receiver-agnostic; the records this neighbor
-		// is not sent of it are the ones View.AppendOmitted names
-		// (none, for the full snapshot). Neighbors holding a link record
-		// at the same distortion all leave it out, so their lists may
-		// overlap: room for the whole cut per neighbor keeps each append
-		// from growing the list by halves, and a pooled workspace keeps
-		// that room from period to period.
-		if o.since > 0 {
-			ws.skips = slices.Grow(ws.skips, len(o.snap.Procs)+len(o.snap.Links))
-		}
-		o.skipFrom = len(ws.skips)
-		ws.skips = n.view.AppendOmitted(ws.skips, o.snap, o.to)
-		o.skipTo = len(ws.skips)
-		o.records = len(o.snap.Procs) + len(o.snap.Links) - (o.skipTo - o.skipFrom)
-	}
 	// The cadence snapshot the mark persists is taken before this
 	// period's steps: it is one period stale at worst.
 	var cadSnap map[topology.NodeID]int
 	if n.cfg.Storage != nil {
 		cadSnap = n.cadenceSnapshot()
 	}
-	if n.cad != nil {
-		// The controller sees the neighborhood state every period —
-		// including skipped ones — so a snap-back trigger (non-empty or
-		// unanchored delta, suspicion of this neighbor, an ack it waits
-		// for) re-enables the δ cadence and sends within the same period
-		// it appears.
-		for i := range outs {
-			o := &outs[i]
-			stable := o.since > 0 && !o.suspected && o.records == 0 && !n.ackDue[o.to]
-			if o.declared, o.due = n.cadenceStep(o.to, stable); o.due {
-				delete(n.ackDue, o.to)
-			}
-		}
-	}
+	// The roster and epoch are read once per period: membership changes
+	// landing after the section take effect next period.
+	neighbors, epoch := n.nbs, n.epoch
+	n.hb.Cut(ws, neighbors, n.cadResume)
 	n.mu.Unlock()
 
 	if announce != nil && announce.frame != nil {
@@ -834,160 +743,38 @@ func (n *Node) Tick() {
 		n.leaseMu.Unlock()
 	}
 
-	// Shared delta cuts: the record section of a delta frame is encoded
-	// once per distinct cut (see tickWorkspace.section) — in the common
-	// case every neighbor acked the same version, so once per period.
-	// Each neighbor's frame is its own header followed by the encoded
-	// records of that section it is sent, copied in (split horizon leaves
-	// out a few): Since/Ack/Cadence differ per peer.
+	// Each due neighbor's frame is its own header followed by the records
+	// of its cut it is sent, copied out of a section the period encodes
+	// once per distinct cut.
 	sent, deltas := 0, 0
-	for _, o := range outs {
-		if !o.due {
-			continue
-		}
-		sec, err := ws.section(&n.encPool, o.snap)
-		if err != nil {
+	for i, o := range ws.Outbound() {
+		if !o.Due {
 			continue
 		}
 		eb := n.encPool.Get()
-		frame, err := wire.AppendDeltaFrameSubset(eb.b, &wire.KnowledgeDelta{
-			Since:   o.since,
-			Ver:     ver,
-			Ack:     o.ack,
-			Cadence: uint64(o.declared),
-			Epoch:   epoch,
-		}, sec.bytes, &sec.index, ws.skips[o.skipFrom:o.skipTo])
+		frame, err := ws.AppendFrame(eb.b, i, epoch)
 		if err != nil {
 			n.encPool.Put(eb)
+			n.stats.heartbeatEncodeErrors.Add(1)
 			continue
 		}
 		eb.b = frame
-		if err := n.sendControl(o.to, frame, n.encPool.Releaser(eb)); err == nil {
+		if err := n.sendControl(o.To, frame, n.encPool.Releaser(eb)); err == nil {
 			sent++
 			n.stats.heartbeatBytesSent.Add(int64(len(frame)))
-			if o.since > 0 {
+			if o.Since > 0 {
 				deltas++
 			}
 		}
-	}
-	for _, eb := range ws.secBufs {
-		n.encPool.Put(eb)
 	}
 	n.stats.heartbeatsSent.Add(int64(sent))
 	n.stats.deltaHeartbeatsSent.Add(int64(deltas))
 }
 
-// outbound is one neighbor's heartbeat of a period: the versions it
-// carries, the cut it ships from, how many of the cut's records it is
-// sent, and the cadence it declares and whether it is due this period.
-type outbound struct {
-	to        topology.NodeID
-	base, ack uint64 // the version of this view the neighbor acked; of its view merged here
-	snap      *knowledge.Snapshot
-	since     uint64 // base when snap is a delta cut from it, 0 when it is the full snapshot
-	suspected bool
-	declared  int
-	due       bool
-
-	// skipFrom:skipTo bounds, in tickWorkspace.skips, the records of snap
-	// it is not sent; records counts those it is.
-	skipFrom, skipTo, records int
-}
-
-// section is the record section of one distinct cut, encoded once per
-// period, and where its records lie, so a neighbor's subset can be
-// copied out of it (wire.AppendDeltaFrameSubset).
-type section struct {
-	snap  *knowledge.Snapshot
-	bytes []byte
-	index wire.SectionIndex
-}
-
-// tickWorkspace is the scaffolding of one heartbeat period: the outbound
-// list, the cuts — cuts[i] is neighbor i's delta when it is the first to
-// ack its base, full the fallback — the records each neighbor is not
-// sent, in neighbor order, and the encoded sections with the pooled
-// buffers that hold them.
-type tickWorkspace struct {
-	outs    []outbound
-	cuts    []knowledge.Snapshot
-	full    knowledge.Snapshot
-	skips   []int
-	secs    []section
-	secBufs []*encBuf
-}
-
-// tickWorkspaces recycles period workspaces process-wide, for the reason
-// planWorkspaces does: Tick is not serialized against itself, and a
-// workspace per node would sit in the heap between periods.
-var tickWorkspaces = pool.Pool[tickWorkspace]{Reset: (*tickWorkspace).reset}
-
-// reset empties the workspace as it goes back to the pool, so no
-// estimator state, frame or encode buffer stays reachable from it; the
-// slices keep their capacity for the next period.
-func (ws *tickWorkspace) reset() bool {
-	clear(ws.outs)
-	for i := range ws.secs {
-		ws.secs[i].snap, ws.secs[i].bytes = nil, nil // the index keeps its storage
-	}
-	clear(ws.secBufs)
-	ws.outs, ws.skips, ws.secs, ws.secBufs = ws.outs[:0], ws.skips[:0], ws.secs[:0], ws.secBufs[:0]
-	for i := range ws.cuts {
-		ws.cuts[i].Recycle()
-	}
-	ws.full.Recycle()
-	return true
-}
-
-// section returns the encoded record section of s, encoding it into a
-// buffer from encPool the first time the period asks. It is indexed so a
-// neighbor's subset can be copied out of it. AppendDeltaFrameSubset
-// copies the records into each frame, so the buffers recycle as soon as
-// the period's frames are encoded; frame buffers recycle when their send
-// releases them.
-func (ws *tickWorkspace) section(encPool *pool.Pool[encBuf], s *knowledge.Snapshot) (section, error) {
-	for _, sec := range ws.secs {
-		if sec.snap == s {
-			return sec, nil
-		}
-	}
-	eb := encPool.Get()
-	if len(ws.secs) < cap(ws.secs) {
-		ws.secs = ws.secs[:len(ws.secs)+1] // reuse the index a past period left there
-	} else {
-		ws.secs = append(ws.secs, section{})
-	}
-	sec := &ws.secs[len(ws.secs)-1]
-	b, err := wire.AppendSnapshotSectionIndexed(eb.b, s, &sec.index)
-	if err != nil {
-		ws.secs = ws.secs[:len(ws.secs)-1]
-		encPool.Put(eb)
-		return section{}, err
-	}
-	eb.b = b
-	ws.secBufs = append(ws.secBufs, eb)
-	sec.snap, sec.bytes = s, b
-	return *sec, nil
-}
-
-// cadenceStep advances the adaptive-cadence controller for one neighbor
-// by one heartbeat period and decides whether a frame is due now (see
-// internal/cadence for the stretch/snap-back policy). Stability here
-// means the delta to this neighbor is anchored and empty, and no
-// neighbor is suspected. Called with mu held.
-func (n *Node) cadenceStep(to topology.NodeID, stable bool) (declared int, due bool) {
-	st := n.cad[to]
-	if st == nil {
-		if hint := n.cadResume[to]; hint > 1 {
-			st = cadence.Resume(hint)
-			delete(n.cadResume, to)
-		} else {
-			st = cadence.New()
-		}
-		n.cad[to] = st
-	}
-	return st.Step(stable, n.cfg.AdaptiveCadenceMax)
-}
+// periods recycles heartbeat-period workspaces process-wide, for the
+// reason planWorkspaces does: Tick is not serialized against itself, and
+// a workspace per node would sit in the heap between periods.
+var periods = pool.Pool[heartbeat.Period]{Reset: (*heartbeat.Period).Reset}
 
 // cadenceSnapshot collects the per-neighbor intervals worth persisting:
 // the current stretch of every controller, or its unconsumed resume
@@ -996,22 +783,22 @@ func (n *Node) cadenceStep(to topology.NodeID, stable bool) (declared int, due b
 // incarnation had already earned. Intervals at the default 1 are
 // omitted; nil when adaptive cadence is off. Called with mu held.
 func (n *Node) cadenceSnapshot() map[topology.NodeID]int {
-	if n.cad == nil {
+	if n.cfg.AdaptiveCadenceMax <= 1 {
 		return nil
 	}
 	var snap map[topology.NodeID]int
 	record := func(id topology.NodeID, iv int) {
 		if iv > 1 && iv > snap[id] {
 			if snap == nil {
-				snap = make(map[topology.NodeID]int, len(n.cad))
+				snap = make(map[topology.NodeID]int)
 			}
 			snap[id] = iv
 		}
 	}
-	for id, st := range n.cad {
-		record(id, st.Interval())
-		record(id, st.Hint())
-	}
+	n.hb.Cadences(func(id topology.NodeID, interval, hint int) {
+		record(id, interval)
+		record(id, hint)
+	})
 	for id, hint := range n.cadResume {
 		record(id, hint)
 	}
@@ -1276,7 +1063,7 @@ func (n *Node) flood(except topology.NodeID, roster []topology.NodeID, frame []b
 // so nothing decoded from a data frame outlives this call unless it is
 // copied (see wire.Scratch, pushDelivery), and
 // epoch-gated before any protocol processing (see epochGate). A heartbeat
-// or delta must name its transport sender (see sentBy). Each frame kind
+// or delta must name its transport sender (see sentBy, heartbeat.ErrSender). Each frame kind
 // takes mu for one critical section; what it decides to send, record or
 // deliver runs after it.
 func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
@@ -1305,8 +1092,18 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	case wire.FrameKnowledgeDelta:
 		n.mu.Lock()
 		repair, ok := n.epochGate(from, frame.Delta.Epoch)
-		if ok && n.sentBy(from, frame.Delta.Snap) {
-			n.handleDelta(from, frame.Delta)
+		if ok && !n.closed.Load() {
+			// The declared cadence scales this view's expected-arrival
+			// accounting for the sender: suspicion timeout and
+			// sequence-gap loss bookkeeping both divide by the promised
+			// inter-frame gap.
+			err := n.hb.Receive(from, frame.Delta)
+			n.noteVerdicts()
+			if err == nil {
+				n.stats.heartbeatsReceived.Add(1)
+			} else {
+				n.stats.snapshotMergeErrors.Add(1)
+			}
 		}
 		n.mu.Unlock()
 		n.sendRepair(from, repair)
@@ -1325,13 +1122,10 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	}
 }
 
-// sentBy reports whether a heartbeat's snapshot names the peer the
+// sentBy reports whether a full heartbeat's snapshot names the peer the
 // transport delivered it from, and counts a mismatch in
-// SnapshotMergeErrors. The merge books the heartbeat's link evidence on
-// (self, Snap.From) and learns that link if it is new, and the ack
-// bookkeeping is keyed by the transport sender, so a frame claiming
-// another sender would credit a link it never crossed and key state by
-// an ID nothing has checked.
+// SnapshotMergeErrors, for the reason heartbeat.Plane.Receive refuses a
+// delta naming another sender (heartbeat.ErrSender).
 func (n *Node) sentBy(from topology.NodeID, s *knowledge.Snapshot) bool {
 	if s.From == from {
 		return true
@@ -1447,17 +1241,12 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) (*member
 	n.nbs = roster
 
 	// Re-anchor: trees and version bookkeeping from the old epoch must
-	// not serve the new one. Clearing peerAcked forces the full-snapshot
-	// fallback toward every neighbor; clearing peerSeen makes this node
-	// ack 0 until fresh full snapshots arrive, forcing the fallback in
-	// the other direction too. Cadence controllers restart at one frame
-	// per period, which also pushes the news out immediately. The plan
-	// cache invalidates itself: Grow/MarkDeparted/AddNeighbor bumped the
-	// view version it is keyed on.
-	clear(n.peerSeen)
-	clear(n.peerAcked)
-	clear(n.cad)
-	clear(n.ackDue)
+	// not serve the new one. The plane's reset forces the full-snapshot
+	// fallback in both directions and restarts the cadence controllers
+	// (heartbeat.Plane.Reset). The plan cache invalidates itself:
+	// Grow/MarkDeparted/AddNeighbor bumped the view version it is keyed
+	// on.
+	n.hb.Reset()
 
 	n.lastChange = newMemberChange(kind, m)
 	n.announceLeft = announceRounds
@@ -1560,54 +1349,6 @@ func (n *Node) AnnounceLeaveMembership(m *wire.Membership) error {
 		_ = n.sendControl(nb, lc.frame, nil) // only a stopped node refuses, and the change is applied
 	}
 	return nil
-}
-
-// handleDelta merges a delta heartbeat and advances the version
-// bookkeeping of the ack chain. The merge itself is the ordinary Event 1
-// (delta frames carry the sender and heartbeat sequence exactly like full
-// heartbeats, so sequence-gap loss accounting is unaffected); what is
-// delta-specific is when the sender's version may be acknowledged:
-//
-//   - A full snapshot (Since == 0) proves this view now holds everything
-//     the sender had at Ver: overwrite the seen version (overwriting also
-//     un-sticks the bookkeeping when the sender restarted with a smaller
-//     version counter).
-//   - A delta anchored at a base this node has seen (Since <= seen) extends
-//     the held prefix to Ver.
-//   - A delta anchored past what this node has seen (this node restarted
-//     and lost its state while the sender still trusts a pre-crash ack)
-//     is merged for whatever knowledge it carries, but NOT acked: the
-//     stale ack this node keeps echoing makes the sender fall back to a
-//     full snapshot, which repairs the gap one period later.
-//
-// It is called with mu held, so the merge and the bookkeeping are one
-// step: a membership change cannot clear the ack state between them.
-func (n *Node) handleDelta(from topology.NodeID, d *wire.KnowledgeDelta) {
-	if n.closed.Load() {
-		return
-	}
-	// The declared cadence scales this view's expected-arrival accounting
-	// for the sender: suspicion timeout and sequence-gap loss bookkeeping
-	// both divide by the promised inter-frame gap.
-	err := n.view.MergeSnapshotAt(d.Snap, int(d.Cadence))
-	n.noteVerdicts()
-	if err != nil {
-		n.stats.snapshotMergeErrors.Add(1)
-		return
-	}
-	n.stats.heartbeatsReceived.Add(1)
-	if n.ackDue != nil && len(d.Snap.Procs)+len(d.Snap.Links) > 0 {
-		n.ackDue[from] = true
-	}
-	switch {
-	case d.Since == 0:
-		n.peerSeen[from] = d.Ver
-	case d.Since <= n.peerSeen[from]:
-		if d.Ver > n.peerSeen[from] {
-			n.peerSeen[from] = d.Ver
-		}
-	}
-	n.peerAcked[from] = d.Ack
 }
 
 // receipt is what acceptData decided about an inbound data frame, for

@@ -7,6 +7,7 @@ import (
 
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
+	"adaptivecast/internal/wire"
 )
 
 // TestAllocsTick pins a warm heartbeat period at n = 128 at zero: Tick
@@ -39,7 +40,7 @@ func TestAllocsTick(t *testing.T) {
 			nd.mu.Lock()
 			defer nd.mu.Unlock()
 			for i, nb := range nd.nbs {
-				nd.peerAcked[nb] = at(i)
+				nd.hb.SetAcked(nb, at(i))
 			}
 		}
 	}
@@ -99,5 +100,23 @@ func TestAllocsTick(t *testing.T) {
 	t.Logf("bytes a frame: %v", perFrame)
 	if st := nd.Stats(); st.SendFailures != 0 {
 		t.Errorf("%d flushes failed", st.SendFailures)
+	}
+}
+
+// TestTickCountsRefusedSections: a heartbeat whose record section the
+// encoder refuses — here every section of a node whose own ID is past
+// wire.MaxProcs, which no receiver would decode — is not sent, and each
+// refusal is counted in HeartbeatEncodeErrors instead of vanishing.
+func TestTickCountsRefusedSections(t *testing.T) {
+	const id = wire.MaxProcs
+	nd := newTestNode(t, Config{ID: id, NumProcs: id + 1, Neighbors: []topology.NodeID{0, 1}}, &sinkTransport{id: id})
+	nd.Tick()
+	nd.Tick()
+	if !nd.WaitSendIdle(5 * time.Second) {
+		t.Fatal("the lanes never went idle")
+	}
+	if s := nd.Stats(); s.HeartbeatEncodeErrors != 4 || s.HeartbeatsSent != 0 || s.HeartbeatBytesSent != 0 {
+		t.Errorf("two periods toward two neighbors: %d encode errors, %d heartbeats (%d B) sent; want 4 and none",
+			s.HeartbeatEncodeErrors, s.HeartbeatsSent, s.HeartbeatBytesSent)
 	}
 }

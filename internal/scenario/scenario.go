@@ -18,6 +18,7 @@ type Figures struct {
 	ProbesExpected      int     `json:"probes_expected"`  // sum over probes of up processes at send
 	DeliveryRatio       float64 `json:"delivery_ratio"`
 	TailDeliveryRatio   float64 `json:"tail_delivery_ratio"` // probes sent in the recovery window
+	TailProbesSent      int     `json:"tail_probes_sent,omitempty"`
 	WorstProbeRatio     float64 `json:"worst_probe_ratio"`
 	MeanDeliveryLatency float64 `json:"mean_delivery_latency"` // virtual time, send→delivery
 
@@ -27,6 +28,7 @@ type Figures struct {
 
 	// Traffic and injected hostility.
 	HeartbeatsSent int `json:"heartbeats_sent"`
+	HeartbeatBytes int `json:"heartbeat_bytes,omitempty"` // the encoded frames' bytes (twin)
 	MessagesSent   int `json:"messages_sent"`
 	FaultDrops     int `json:"fault_drops"` // transmissions eaten by the fault model
 

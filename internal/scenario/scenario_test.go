@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -94,5 +96,50 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("no-such-scenario"); err == nil {
 		t.Error("ByName(no-such-scenario) succeeded, want error")
+	}
+}
+
+// TestCommittedScenariosReproduce re-runs every Deterministic scenario
+// at SCENARIOS.json's seed and full budget and requires the figures the
+// file commits, so the committed matrix cannot drift from the code: a
+// change that moves a twin figure regenerates the file (make scenarios)
+// and says why in the same commit.
+func TestCommittedScenariosReproduce(t *testing.T) {
+	raw, err := os.ReadFile("../../SCENARIOS.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed struct {
+		Seed    int64    `json:"seed"`
+		Short   bool     `json:"short"`
+		Results []Result `json:"results"`
+	}
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatal(err)
+	}
+	if committed.Short {
+		t.Fatal("SCENARIOS.json holds a -short run; it commits the full budgets")
+	}
+	byName := make(map[string]Figures, len(committed.Results))
+	for _, r := range committed.Results {
+		byName[r.Name] = r.Figures
+	}
+	for _, s := range Matrix() {
+		if !s.Deterministic {
+			continue
+		}
+		t.Run(s.Name, func(t *testing.T) {
+			want, ok := byName[s.Name]
+			if !ok {
+				t.Fatal("no committed entry")
+			}
+			got, err := s.Run(committed.Seed, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("figures drifted from SCENARIOS.json:\n  run:       %+v\n  committed: %+v", got, want)
+			}
+		})
 	}
 }

@@ -150,6 +150,7 @@ func (tw *twin) runFor(periods, tailFrom int) Figures {
 		ConvergedAtPeriod: tw.converged,
 		ConvergedAtEnd:    tw.run.AllConverged(knowledge.DefaultCriterion),
 		HeartbeatsSent:    tw.run.HeartbeatsSent(),
+		HeartbeatBytes:    tw.net.Stats().SentBytes(sim.KindHeartbeat),
 		MessagesSent:      tw.net.Stats().TotalSent(),
 		FaultDrops:        tw.net.Stats().FaultDrops(),
 	}
@@ -190,6 +191,7 @@ func (tw *twin) runFor(periods, tailFrom int) Figures {
 			}
 		}
 		if pr.period >= tailFrom {
+			f.TailProbesSent++
 			tailDelivered += delivered
 			tailExpected += pr.expected
 		}

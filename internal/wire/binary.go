@@ -148,12 +148,46 @@ func (r *reader) nodeID() topology.NodeID { return topology.NodeID(r.varint()) }
 
 // id decodes a record section's unsigned process ID, below MaxProcs.
 func (r *reader) id() topology.NodeID {
-	v := r.uvarint()
-	if v >= MaxProcs {
-		r.fail("process %d outside [0,%d)", v, MaxProcs)
+	v := r.uvarint() // 0 once r has failed
+	if err := checkID(v); err != nil {
+		r.err = err
 		return 0
 	}
 	return topology.NodeID(v)
+}
+
+// checkID holds a process ID or link endpoint of a record section below
+// MaxProcs.
+func checkID(id uint64) error {
+	if id >= MaxProcs {
+		return fmt.Errorf("wire: process %d outside [0,%d)", id, MaxProcs)
+	}
+	return nil
+}
+
+// checkRecord holds one record to the bounds every receiver enforces:
+// its ID, or a link's endpoints a and b (b is 0 for a process record),
+// below MaxProcs; its U in [2, MaxIntervals]; its distortion in [0,
+// DistInf]; and its evidence counts within MaxEvidence together. The
+// decoder applies it to every record it reads and the section encoder to
+// every record it writes, so no sender emits a record its receivers
+// refuse. A record is a handful of bytes whatever it declares, so
+// nothing about the frame bounds it: the distortion is bounded before it
+// becomes an int that could wrap to a low, trusted one, U before it can
+// size a grid, and the counts before one can overflow float64(n)·log.
+func checkRecord(a, b, u, dist, succ, fail uint64) error {
+	if err := checkID(max(a, b)); err != nil {
+		return err
+	}
+	switch {
+	case u < 2 || u > MaxIntervals:
+		return fmt.Errorf("wire: estimator declares %d intervals outside [2,%d]", u, MaxIntervals)
+	case dist > knowledge.DistInf:
+		return fmt.Errorf("wire: distortion %d exceeds %d", dist, knowledge.DistInf)
+	case succ > MaxEvidence || fail > MaxEvidence || succ+fail > MaxEvidence:
+		return fmt.Errorf("wire: evidence counts (%d, %d) exceed the %d bound", succ, fail, MaxEvidence)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -180,14 +214,19 @@ func sectionIntervals(s *knowledge.Snapshot) int {
 }
 
 // appendSnapshot writes a snapshot's record section.
-func appendSnapshot(b []byte, s *knowledge.Snapshot) []byte {
+func appendSnapshot(b []byte, s *knowledge.Snapshot) ([]byte, error) {
 	return appendSection(b, s, nil, sectionIntervals(s))
 }
 
 // appendSection writes s's record section under a head declaring U u,
 // and records in ix, when it is not nil, where each record's bytes lie
-// (see SectionIndex).
-func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex, u int) []byte {
+// (see SectionIndex). A section holding a record checkRecord refuses, or
+// naming a sender outside the ID space, is an error; b then holds a
+// partial section past its old length.
+func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex, u int) ([]byte, error) {
+	if err := checkID(uint64(s.From)); err != nil {
+		return b, err
+	}
 	start := len(b)
 	b = binary.AppendUvarint(b, uint64(s.From))
 	b = binary.AppendUvarint(b, s.Seq)
@@ -198,6 +237,9 @@ func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex, u int) []b
 	b = appendCounts(b, len(s.Procs), len(s.Links), u)
 	for i := range s.Procs {
 		pr, at := &s.Procs[i], len(b)
+		if err := checkRecord(uint64(pr.ID), 0, uint64(pr.Est.Intervals), uint64(pr.Dist), uint64(pr.Est.Succ), uint64(pr.Est.Fail)); err != nil {
+			return b, err
+		}
 		b = binary.AppendUvarint(b, uint64(pr.ID))
 		b = appendRecord(b, pr.Dist, &pr.Est, u)
 		if ix != nil {
@@ -206,6 +248,9 @@ func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex, u int) []b
 	}
 	for i := range s.Links {
 		lr, at := &s.Links[i], len(b)
+		if err := checkRecord(uint64(lr.Link.A), uint64(lr.Link.B), uint64(lr.Est.Intervals), uint64(lr.Dist), uint64(lr.Est.Succ), uint64(lr.Est.Fail)); err != nil {
+			return b, err
+		}
 		b = binary.AppendUvarint(b, uint64(lr.Link.A))
 		b = binary.AppendUvarint(b, uint64(lr.Link.B))
 		b = appendRecord(b, lr.Dist, &lr.Est, u)
@@ -213,7 +258,7 @@ func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex, u int) []b
 			ix.recs = append(ix.recs, span{at - start, len(b) - start})
 		}
 	}
-	return b
+	return b, nil
 }
 
 // appendCounts writes the rest of a section's head: its record counts
@@ -229,9 +274,7 @@ func appendCounts(b []byte, procs, links, u int) []byte {
 
 // appendRecord writes what follows a record's ID or endpoints in a
 // section of U u: its distortion, its own U if it differs, and its
-// evidence counts. The state's bounds (bayes.MaxIntervals,
-// bayes.MaxEvidence) hold by construction for every state an estimator
-// cuts.
+// evidence counts, which checkRecord has bounded.
 func appendRecord(b []byte, dist int, s *bayes.State, u int) []byte {
 	if d := uint64(dist) << 1; s.Intervals == u {
 		b = binary.AppendUvarint(b, d)
@@ -243,36 +286,27 @@ func appendRecord(b []byte, dist int, s *bayes.State, u int) []byte {
 	return binary.AppendUvarint(b, uint64(s.Fail))
 }
 
-// intervals decodes a U, bounded before it can size a grid.
-func (r *reader) intervals() int {
-	u := r.uvarint()
-	if r.err == nil && (u < 2 || u > MaxIntervals) {
-		r.fail("estimator declares %d intervals outside [2,%d]", u, MaxIntervals)
+// record decodes a record of a section whose head declares U u: its ID
+// (one ID) or a link's endpoints (two), then what appendRecord wrote,
+// and holds it to checkRecord's bounds.
+func (r *reader) record(u uint64, ids int) (a, b uint64, dist int, s bayes.State) {
+	a = r.uvarint()
+	if ids == 2 {
+		b = r.uvarint()
 	}
-	return int(u)
-}
-
-// record decodes what appendRecord wrote. A record is a handful of bytes
-// whatever it declares, so nothing about the frame bounds it: the
-// distortion is bounded here, before it becomes an int that could wrap
-// to a low, trusted one, and the counts before one can overflow
-// float64(n)·log.
-func (r *reader) record(u int) (dist int, s bayes.State) {
 	d := r.uvarint()
 	if d&1 != 0 {
-		u = r.intervals()
+		u = r.uvarint()
 	}
 	succ, fail := r.uvarint(), r.uvarint()
-	switch {
-	case r.err != nil:
-	case d>>1 > knowledge.DistInf:
-		r.fail("distortion %d exceeds %d", d>>1, knowledge.DistInf)
-	case succ > MaxEvidence || fail > MaxEvidence || succ+fail > MaxEvidence:
-		r.fail("evidence counts (%d, %d) exceed the %d bound", succ, fail, MaxEvidence)
-	default:
-		return int(d >> 1), bayes.State{Intervals: u, Succ: int(succ), Fail: int(fail)}
+	if r.err != nil {
+		return 0, 0, 0, s
 	}
-	return 0, s
+	if err := checkRecord(a, b, u, d>>1, succ, fail); err != nil {
+		r.err = err
+		return 0, 0, 0, s
+	}
+	return a, b, int(d >> 1), bayes.State{Intervals: int(u), Succ: int(succ), Fail: int(fail)}
 }
 
 // The shortest legal records: a byte per varint, a process record's ID,
@@ -297,21 +331,19 @@ func (r *reader) snapshot(s *knowledge.Snapshot) *knowledge.Snapshot {
 	}
 	nProcs := r.countOf("proc records", minProcRecordSize, 0)
 	nLinks := r.countOf("link records", minLinkRecordSize, nProcs*minProcRecordSize)
-	u := 0
+	var u uint64 // the head's U, which checkRecord bounds on every record that takes it
 	if nProcs+nLinks > 0 {
-		u = r.intervals()
+		u = r.uvarint()
 	}
 	s.Procs = slices.Grow(s.Procs, nProcs)
 	for i := 0; i < nProcs && r.err == nil; i++ {
-		pr := knowledge.ProcRecord{ID: r.id()}
-		pr.Dist, pr.Est = r.record(u)
-		s.Procs = append(s.Procs, pr)
+		id, _, dist, est := r.record(u, 1)
+		s.Procs = append(s.Procs, knowledge.ProcRecord{ID: topology.NodeID(id), Dist: dist, Est: est})
 	}
 	s.Links = slices.Grow(s.Links, nLinks)
 	for i := 0; i < nLinks && r.err == nil; i++ {
-		lr := knowledge.LinkRecord{Link: topology.Link{A: r.id(), B: r.id()}}
-		lr.Dist, lr.Est = r.record(u)
-		s.Links = append(s.Links, lr)
+		a, b, dist, est := r.record(u, 2)
+		s.Links = append(s.Links, knowledge.LinkRecord{Link: topology.Link{A: topology.NodeID(a), B: topology.NodeID(b)}, Dist: dist, Est: est})
 	}
 	if r.err != nil {
 		return nil
@@ -330,7 +362,7 @@ func deltaSize(d *KnowledgeDelta) int {
 // appendDelta lays out the version bookkeeping before the record set, so
 // the fixed-cost liveness header of a near-empty steady-state delta stays
 // a handful of bytes.
-func appendDelta(b []byte, d *KnowledgeDelta) []byte {
+func appendDelta(b []byte, d *KnowledgeDelta) ([]byte, error) {
 	return appendSnapshot(appendDeltaHeader(b, d), d.Snap)
 }
 
@@ -375,7 +407,7 @@ func dataSize(m *DataMsg) int {
 	return n
 }
 
-func appendData(b []byte, m *DataMsg) []byte {
+func appendData(b []byte, m *DataMsg) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(m.Origin))
 	b = binary.AppendUvarint(b, m.Seq)
 	b = binary.AppendVarint(b, int64(m.Root))
@@ -390,12 +422,14 @@ func appendData(b []byte, m *DataMsg) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m.Body)))
 	b = append(b, m.Body...)
 	if m.Piggyback != nil {
-		b = append(b, 1)
-		b = appendSnapshot(b, m.Piggyback)
+		var err error
+		if b, err = appendSnapshot(append(b, 1), m.Piggyback); err != nil {
+			return b, err
+		}
 	} else {
 		b = append(b, 0)
 	}
-	return binary.AppendUvarint(b, m.Epoch)
+	return binary.AppendUvarint(b, m.Epoch), nil
 }
 
 // data parses a data payload into m, reusing the capacity of m's Parents
@@ -518,24 +552,26 @@ func frameSize(f *Frame) int {
 }
 
 // appendFrameBytes appends the full encoding (header + payload) of a
-// validated frame to b. It allocates nothing beyond growing b.
-func appendFrameBytes(b []byte, f *Frame) []byte {
+// validated frame to b. It allocates nothing beyond growing b. A record
+// section checkRecord refuses is an error, and b then holds a partial
+// frame past its old length.
+func appendFrameBytes(b []byte, f *Frame) ([]byte, error) {
 	b = append(b, magic, version, byte(f.Kind))
 	switch f.Kind {
 	case FrameHeartbeat:
-		b = appendSnapshot(b, f.Heartbeat)
+		return appendSnapshot(b, f.Heartbeat)
 	case FrameData:
-		b = appendData(b, f.Data)
+		return appendData(b, f.Data)
 	case FrameKnowledgeDelta:
-		b = appendDelta(b, f.Delta)
+		return appendDelta(b, f.Delta)
 	case FrameJoin, FrameLeave:
 		b = appendMembership(b, f.Member)
 	}
-	return b
+	return b, nil
 }
 
 func encodeBinary(f *Frame) ([]byte, error) {
-	return appendFrameBytes(make([]byte, 0, frameSize(f)), f), nil
+	return appendFrameBytes(make([]byte, 0, frameSize(f)), f)
 }
 
 // decodeBinary parses b into sc: the frame, and its payload into the

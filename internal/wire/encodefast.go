@@ -29,7 +29,11 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	if err := validate(f); err != nil {
 		return dst, err
 	}
-	return appendFrameBytes(dst, f), nil
+	b, err := appendFrameBytes(dst, f)
+	if err != nil {
+		return dst, err
+	}
+	return b, nil
 }
 
 // EncodeInto encodes f into buf's storage, reusing its capacity:
@@ -49,7 +53,11 @@ func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 	if s == nil {
 		return dst, errors.New("wire: nil snapshot")
 	}
-	return appendSnapshot(dst, s), nil
+	b, err := appendSnapshot(dst, s)
+	if err != nil {
+		return dst, err
+	}
+	return b, nil
 }
 
 // SectionIndex locates the records of a section encoded by
@@ -72,7 +80,11 @@ func AppendSnapshotSectionIndexed(dst []byte, s *knowledge.Snapshot, ix *Section
 	if s == nil || ix == nil {
 		return dst, errors.New("wire: nil snapshot or index")
 	}
-	return appendSection(dst, s, ix, sectionIntervals(s)), nil
+	b, err := appendSection(dst, s, ix, sectionIntervals(s))
+	if err != nil {
+		return dst, err
+	}
+	return b, nil
 }
 
 // appendSectionSubset appends to dst the record section of sec — encoded
@@ -146,14 +158,15 @@ func SpliceDataPiggyback(dst, raw []byte, snap *knowledge.Snapshot) ([]byte, err
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, raw[:flagOff]...)
+	b := append(dst, raw[:flagOff]...)
 	if snap != nil {
-		dst = append(dst, 1)
-		dst = appendSnapshot(dst, snap)
+		if b, err = appendSnapshot(append(b, 1), snap); err != nil {
+			return dst, err
+		}
 	} else {
-		dst = append(dst, 0)
+		b = append(b, 0)
 	}
-	return append(dst, raw[pbEnd:]...), nil
+	return append(b, raw[pbEnd:]...), nil
 }
 
 // dataSpliceBounds walks an encoded FrameData frame and locates its

@@ -282,7 +282,10 @@ func TestSectionSubsetMatchesEncode(t *testing.T) {
 		if full, _ := AppendSnapshotSection(nil, s); !bytes.Equal(sec, full) {
 			t.Fatalf("case %d: the indexed section differs from AppendSnapshotSection", c)
 		}
-		want := appendSection(nil, kept, nil, sectionIntervals(s))
+		want, err := appendSection(nil, kept, nil, sectionIntervals(s))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := appendSectionSubset(append([]byte(nil), prefix...), sec, &ix, skip); !bytes.Equal(got[len(prefix):], want) || !bytes.HasPrefix(got, prefix) {
 			t.Fatalf("case %d: %d of %d records skipped: subset section differs from encoding the %d kept", c, len(skip), n, n-len(skip))
 		}

@@ -379,6 +379,68 @@ func TestForgedCountFramesRejected(t *testing.T) {
 	}
 }
 
+// TestEncoderRefusesWhatDecoderRefuses holds the encoder to the bounds
+// the decoder enforces, one case per bounded field of a record section:
+// a section any receiver would refuse is an encode error on every path
+// that writes one — a heartbeat, a delta, a data frame's piggyback, a
+// piggyback splice and the shared delta sections — naming the bound the
+// decoder names, and the destination comes back as it was.
+func TestEncoderRefusesWhatDecoderRefuses(t *testing.T) {
+	ok := bayes.State{Intervals: 100, Succ: 3, Fail: 1}
+	proc := func(id topology.NodeID, dist int, est bayes.State) *knowledge.Snapshot {
+		return &knowledge.Snapshot{From: 1, Seq: 1, Procs: []knowledge.ProcRecord{{ID: id, Dist: dist, Est: est}}}
+	}
+	link := func(a, b topology.NodeID) *knowledge.Snapshot {
+		return &knowledge.Snapshot{From: 1, Seq: 1, Links: []knowledge.LinkRecord{{Link: topology.Link{A: a, B: b}, Dist: 1, Est: ok}}}
+	}
+	raw, err := Encode(&Frame{Kind: FrameData, Data: &DataMsg{Origin: 1, Seq: 1, Root: 1, Body: []byte("b")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		snap *knowledge.Snapshot
+		why  string
+	}{
+		{"U 0, a zero-value estimator state", proc(0, 1, bayes.State{}), "0 intervals outside"},
+		{"U past MaxIntervals", proc(0, 1, bayes.State{Intervals: MaxIntervals + 1}), "intervals outside"},
+		{"negative distortion", proc(0, -1, ok), "distortion 18446744073709551615 exceeds"},
+		{"distortion past DistInf", proc(0, knowledge.DistInf+1, ok), "distortion 2147483648 exceeds"},
+		{"process ID at MaxProcs", proc(MaxProcs, 1, ok), "process 65536 outside"},
+		{"negative process ID", proc(-1, 1, ok), "outside [0,65536)"},
+		{"link endpoint at MaxProcs", link(0, MaxProcs), "process 65536 outside"},
+		{"negative link endpoint", link(-2, 0), "outside [0,65536)"},
+		{"sender at MaxProcs", &knowledge.Snapshot{From: MaxProcs, Seq: 1}, "process 65536 outside"},
+		{"success count past MaxEvidence", proc(0, 1, bayes.State{Intervals: 100, Succ: MaxEvidence + 1}), "evidence counts"},
+		{"negative failure count", proc(0, 1, bayes.State{Intervals: 100, Fail: -1}), "evidence counts"},
+		{"evidence sum past MaxEvidence", proc(0, 1, bayes.State{Intervals: 100, Succ: MaxEvidence, Fail: 1}), "evidence counts"},
+	} {
+		frames := []*Frame{
+			{Kind: FrameHeartbeat, Heartbeat: c.snap},
+			{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Ver: 1, Snap: c.snap}},
+			{Kind: FrameData, Data: &DataMsg{Origin: 1, Seq: 1, Root: 1, Piggyback: c.snap}},
+		}
+		for _, f := range frames {
+			if _, err := Encode(f); err == nil || !strings.Contains(err.Error(), c.why) {
+				t.Errorf("%s: Encode of a %v frame: error %v, want one naming %q", c.name, f.Kind, err, c.why)
+			}
+			if b, err := AppendFrame([]byte("dst"), f); err == nil || string(b) != "dst" {
+				t.Errorf("%s: AppendFrame of a %v frame returned %q, %v", c.name, f.Kind, b, err)
+			}
+		}
+		var ix SectionIndex
+		for name, appendSec := range map[string]func([]byte) ([]byte, error){
+			"AppendSnapshotSection":        func(b []byte) ([]byte, error) { return AppendSnapshotSection(b, c.snap) },
+			"AppendSnapshotSectionIndexed": func(b []byte) ([]byte, error) { return AppendSnapshotSectionIndexed(b, c.snap, &ix) },
+			"SpliceDataPiggyback":          func(b []byte) ([]byte, error) { return SpliceDataPiggyback(b, raw, c.snap) },
+		} {
+			if b, err := appendSec([]byte("dst")); err == nil || string(b) != "dst" || !strings.Contains(err.Error(), c.why) {
+				t.Errorf("%s: %s returned %q, %v; want dst unchanged and an error naming %q", c.name, name, b, err, c.why)
+			}
+		}
+	}
+}
+
 // FuzzSectionSubset builds a snapshot from the fuzz input — records of
 // mixed U, IDs up to MaxProcs−1, distortions up to DistInf, counts up to
 // MaxEvidence — encodes its section indexed, copies a delta frame of a

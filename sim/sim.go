@@ -2,7 +2,7 @@
 // simulation stack: the event engine, the probabilistic network model
 // (per-process crash and per-link loss probabilities), the reference
 // gossip baseline, and the adaptive-broadcast runner that drives the same
-// algorithmic components as the live runtime. It exists so tools and
+// algorithmic components and heartbeat plane as the live runtime. It exists so tools and
 // external users can run paper-style experiments — convergence studies,
 // algorithm comparisons, Monte-Carlo baselines — against a stable import
 // path, without reaching into internal packages.
