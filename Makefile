@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt bench bench-smoke scenarios
+.PHONY: all build test race pins lint fmt bench bench-smoke scenarios
 
 all: build test lint
 
@@ -12,6 +12,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# pins runs the testing.AllocsPerRun pins and the heap-footprint pins,
+# which skip under -race, in the packages that hold the data plane, the
+# heartbeat merge, the replan pipeline, the record layouts and the pool
+# whose test-binary ownership check the pins run under. CI's "allocation
+# pins" step runs this target.
+PINS_PKGS = ./internal/bayes ./internal/wire ./internal/lanes ./internal/transport ./internal/mrt ./internal/knowledge ./internal/optimize ./internal/topology ./internal/config ./internal/pool ./internal/node .
+pins:
+	$(GO) test -run 'Allocs|Footprint' $(PINS_PKGS)
 
 fmt:
 	gofmt -w .

@@ -233,7 +233,7 @@ func BenchmarkReach(b *testing.B) {
 // BenchmarkBayesUpdate measures one Bayes step at the paper's precision
 // (U = 100 intervals).
 func BenchmarkBayesUpdate(b *testing.B) {
-	e := bayes.MustNew(bayes.DefaultIntervals)
+	e := bayes.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%10 == 0 {

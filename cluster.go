@@ -27,9 +27,6 @@ type ClusterConfig struct {
 	// per-call kernel copy of this many bytes (see FabricOptions.SendCost;
 	// default 0, free). Mainly for saturation benchmarks.
 	SendCost int
-	// BayesIntervals is U, the estimator precision (default 100, the
-	// paper's setting).
-	BayesIntervals int
 	// Piggyback attaches knowledge snapshots to data frames on every
 	// node (Section 4.1's bandwidth optimization).
 	Piggyback bool
@@ -103,7 +100,6 @@ func (c *Cluster) nodeOptions() []Option {
 	opts := []Option{
 		WithK(cfg.K),
 		WithHeartbeat(cfg.HeartbeatEvery),
-		WithBayesIntervals(cfg.BayesIntervals),
 	}
 	if cfg.Piggyback {
 		opts = append(opts, WithPiggyback())

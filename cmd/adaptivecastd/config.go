@@ -26,8 +26,8 @@ type ClusterConfig struct {
 	Piggyback bool `json:"piggyback"`
 	// AdaptiveCadenceMillis, when positive, lets nodes stretch heartbeats
 	// toward stable neighbors up to this interval (see
-	// adaptivecast.WithAdaptiveCadence); all members must run a wire-v2
-	// build.
+	// adaptivecast.WithAdaptiveCadence); all members must run the one
+	// wire version, 7.
 	AdaptiveCadenceMillis int `json:"adaptiveCadenceMillis"`
 	// Nodes lists every member; IDs must be dense 0..n-1.
 	Nodes []NodeSpec `json:"nodes"`

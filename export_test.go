@@ -1,14 +1,6 @@
 package adaptivecast
 
-import (
-	"unsafe"
-
-	"adaptivecast/internal/bayes"
-)
-
-// MaxIntervalsForTest is the largest interval count WithBayesIntervals
-// accepts.
-const MaxIntervalsForTest = bayes.MaxIntervals
+import "unsafe"
 
 // DeliveryLimitForTest bounds a node's delivery queue at room for n
 // deliveries of bodyLen-byte bodies (the internal byte bound each

@@ -8,12 +8,36 @@ import (
 	"unsafe"
 )
 
+// testGrid is an interval geometry of any U, for the oracle below.
+type testGrid struct{ mid, logFail, logSucc []float64 }
+
+// newTestGrid builds the grid of u intervals with the package grid's
+// arithmetic.
+func newTestGrid(u int) *testGrid {
+	g := &testGrid{mid: make([]float64, u), logFail: make([]float64, u), logSucc: make([]float64, u)}
+	for i := range g.mid {
+		m := float64(2*i+1) / float64(2*u)
+		g.mid[i], g.logFail[i], g.logSucc[i] = m, math.Log(m), math.Log(1-m)
+	}
+	return g
+}
+
+// packageGrid is the estimators' own grid, as a testGrid.
+func packageGrid() *testGrid {
+	return &testGrid{mid: grid.mid[:], logFail: grid.logFail[:], logSucc: grid.logSucc[:]}
+}
+
 // vectorEstimator is the literal Algorithm 5: U log beliefs updated in
 // place on every observation and rebased to a zero maximum. It is the
 // oracle the evidence-count representation is checked against.
 type vectorEstimator struct {
-	g      *grid
+	g      *testGrid
 	logBel []float64
+}
+
+// newVectorEstimator returns the oracle on g with a uniform prior.
+func newVectorEstimator(g *testGrid) *vectorEstimator {
+	return &vectorEstimator{g: g, logBel: make([]float64, len(g.mid))}
 }
 
 func (v *vectorEstimator) observe(logLik []float64, factor int) {
@@ -66,14 +90,12 @@ func randomRun(rng *rand.Rand, e *Estimator, v *vectorEstimator) {
 func TestCountsMatchIncrementalVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for run := 0; run < 200; run++ {
-		u := 2 + rng.Intn(2*DefaultIntervals)
-		e := MustNew(u)
-		v := &vectorEstimator{g: e.g, logBel: make([]float64, u)}
+		e, v := New(), newVectorEstimator(packageGrid())
 		randomRun(rng, e, v)
 
 		want, wantMean := v.beliefs()
 		if d := math.Abs(e.Mean() - wantMean); d > 1e-12 {
-			t.Fatalf("run %d (U=%d, %d obs): mean from counts off by %v", run, u, e.Observations(), d)
+			t.Fatalf("run %d (%d obs): mean from counts off by %v", run, e.Observations(), d)
 		}
 		got := e.Beliefs()
 		best := 0
@@ -102,12 +124,9 @@ func TestCountsMatchIncrementalVector(t *testing.T) {
 func TestRefinedCountsMatchIncrementalVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for run := 0; run < 50; run++ {
-		e := MustNew(2 + rng.Intn(2*DefaultIntervals))
-		v := &vectorEstimator{g: e.g, logBel: make([]float64, e.Intervals())}
+		e, v := New(), newVectorEstimator(packageGrid())
 		randomRun(rng, e, v)
-		s := e.State()
-		s.g = nil // as decoded off the wire
-		r, err := NewFromState(s)
+		r, err := NewFromState(e.State())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,12 +140,10 @@ func TestRefinedCountsMatchIncrementalVector(t *testing.T) {
 // TestEvidenceCountSurvivesState pins the wire bugfix at its root: a
 // count state rebuilds an estimator with the same Observations(), not 0.
 func TestEvidenceCountSurvivesState(t *testing.T) {
-	e := MustNew(DefaultIntervals)
+	e := New()
 	e.ObserveFailure(7)
 	e.ObserveSuccess(413)
-	s := e.State()
-	s.g = nil // as decoded off the wire
-	got, err := NewFromState(s)
+	got, err := NewFromState(e.State())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +159,7 @@ func TestEvidenceCountSurvivesState(t *testing.T) {
 // every state an estimator cuts stays inside the bounds Adopt (and the
 // wire decoder) put on it, however much evidence was booked.
 func TestEvidenceSaturates(t *testing.T) {
-	e := MustNew(DefaultIntervals)
+	e := New()
 	e.ObserveSuccess(MaxEvidence - 3)
 	e.ObserveFailure(10)
 	if e.Observations() != MaxEvidence {
@@ -171,7 +188,7 @@ func TestEvidenceSaturates(t *testing.T) {
 // detector: one estimator is read from two goroutines at once, each
 // copying it before it mutates, and no read writes a cache.
 func TestSharedEstimatorConcurrentReads(t *testing.T) {
-	shared := MustNew(DefaultIntervals)
+	shared := New()
 	shared.ObserveFailure(3)
 	shared.ObserveSuccess(90)
 	want := shared.Mean()
@@ -197,7 +214,7 @@ func TestSharedEstimatorConcurrentReads(t *testing.T) {
 }
 
 func BenchmarkObserve(b *testing.B) {
-	e := MustNew(DefaultIntervals)
+	e := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i%16 == 0 {
@@ -211,7 +228,7 @@ func BenchmarkObserve(b *testing.B) {
 var sinkFloat float64
 
 func BenchmarkMean(b *testing.B) {
-	e := MustNew(DefaultIntervals)
+	e := New()
 	e.ObserveFailure(5)
 	e.ObserveSuccess(200)
 	b.ReportAllocs()
@@ -223,7 +240,7 @@ func BenchmarkMean(b *testing.B) {
 var sinkEstimator *Estimator
 
 func BenchmarkClone(b *testing.B) {
-	e := MustNew(DefaultIntervals)
+	e := New()
 	e.ObserveFailure(5)
 	e.ObserveSuccess(200)
 	b.ReportAllocs()
@@ -232,10 +249,11 @@ func BenchmarkClone(b *testing.B) {
 	}
 }
 
-// TestEstimatorFootprint pins the estimator at 48 bytes: views hold one
-// inline per process and per link record.
+// TestEstimatorFootprint pins the estimator at 40 bytes: views hold one
+// inline per process and per link record (TestRecordFootprint in
+// knowledge checks that neither it nor its State holds a pointer).
 func TestEstimatorFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(Estimator{}); got > 48 {
-		t.Errorf("an estimator is %d bytes, want <= 48", got)
+	if got := unsafe.Sizeof(Estimator{}); got > 40 {
+		t.Errorf("an estimator is %d bytes, want <= 40", got)
 	}
 }

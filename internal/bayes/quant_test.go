@@ -8,44 +8,34 @@ import (
 
 // The five tests below keep the names they had when the wire's compact
 // profile was the v4 quantized encoding. The compact profile today is the
-// count layout: a state described by (Intervals, Succ, Fail) alone, which
-// a heartbeat ships as three integers. They pin that layout and its bounds.
-
-// offWire is s as a decoder builds it from a count record: the three
-// integers and nothing shared with the estimator that cut it.
-func offWire(s State) State {
-	return State{Intervals: s.Intervals, Succ: s.Succ, Fail: s.Fail}
-}
+// count layout: a state described by (Succ, Fail) alone, which a
+// heartbeat ships as two integers. They pin that layout and its bounds.
 
 // TestBeliefQuantScale: what a count state holds. An estimator's state
-// is (U, successes, failures), exactly what it observed, and so is its
+// is (successes, failures), exactly what it observed, and so is its
 // clone's.
 func TestBeliefQuantScale(t *testing.T) {
-	e := MustNew(DefaultIntervals)
+	e := New()
 	e.ObserveFailure(4)
 	e.ObserveSuccess(96)
 	for name, s := range map[string]State{"estimator": e.State(), "clone": e.Clone().State()} {
-		if s.Intervals != DefaultIntervals || s.Succ != 96 || s.Fail != 4 {
-			t.Errorf("%s cut %+v, want the count state (100, 96, 4)", name, s)
+		if s.Succ != 96 || s.Fail != 4 {
+			t.Errorf("%s cut %+v, want the count state (96, 4)", name, s)
 		}
 	}
 }
 
-// TestQuantizeBeliefBounds: the bounds Adopt puts on a count state. An
-// interval count outside [2, MaxIntervals], negative counts and evidence
-// past MaxEvidence are refused and leave the estimator as it was; counts
+// TestQuantizeBeliefBounds: the bounds Adopt puts on a count state.
+// Negative counts and evidence past MaxEvidence are refused and leave the estimator as it was; counts
 // at the bounds still summarize to a finite mean inside (0, 1).
 func TestQuantizeBeliefBounds(t *testing.T) {
-	e := MustNew(10)
+	e := New()
 	e.ObserveSuccess(30)
 	mean := e.Mean()
 	for name, s := range map[string]State{
-		"no intervals":        {Intervals: 0, Succ: 1},
-		"one interval":        {Intervals: 1, Succ: 1},
-		"too many intervals":  {Intervals: MaxIntervals + 1, Succ: 1},
-		"negative success":    {Intervals: 10, Succ: -1},
-		"negative failure":    {Intervals: 10, Fail: -1},
-		"evidence past bound": {Intervals: 10, Succ: MaxEvidence - 1, Fail: 2},
+		"negative success":    {Succ: -1},
+		"negative failure":    {Fail: -1},
+		"evidence past bound": {Succ: MaxEvidence - 1, Fail: 2},
 	} {
 		if err := e.Adopt(s); err == nil {
 			t.Errorf("%s: Adopt accepted %+v", name, s)
@@ -55,8 +45,8 @@ func TestQuantizeBeliefBounds(t *testing.T) {
 		}
 	}
 	for _, s := range []State{
-		{Intervals: MaxIntervals, Succ: MaxEvidence - 1, Fail: 1},
-		{Intervals: 2, Fail: MaxEvidence},
+		{Succ: MaxEvidence - 1, Fail: 1},
+		{Fail: MaxEvidence},
 	} {
 		got, err := NewFromState(s)
 		if err != nil {
@@ -69,15 +59,15 @@ func TestQuantizeBeliefBounds(t *testing.T) {
 }
 
 // TestBeliefQuantStepBound: the count layout is exact, so there is no
-// step to bound. Over random schedules an estimator rebuilt from the three
+// step to bound. Over random schedules an estimator rebuilt from the two
 // integers alone has the bit-identical mean, MAP and belief vector.
 func TestBeliefQuantStepBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for run := 0; run < 200; run++ {
-		e := MustNew(2 + rng.Intn(DefaultIntervals))
+		e := New()
 		e.ObserveFailure(rng.Intn(300))
 		e.ObserveSuccess(rng.Intn(3000))
-		got, err := NewFromState(offWire(e.State()))
+		got, err := NewFromState(e.State())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,14 +86,14 @@ func TestBeliefQuantStepBound(t *testing.T) {
 }
 
 // TestBeliefQuantProjection: an estimate that crosses several links in
-// the count layout arrives unchanged. Each hop adopts the three integers
+// the count layout arrives unchanged. Each hop adopts the two integers
 // and cuts them again, bit for bit, and Holds recognises the state it
 // already adopted, so a re-delivered estimate is not rebuilt.
 func TestBeliefQuantProjection(t *testing.T) {
-	e := MustNew(DefaultIntervals)
+	e := New()
 	e.ObserveFailure(17)
 	e.ObserveSuccess(1234)
-	s := offWire(e.State())
+	s := e.State()
 	for hop := 0; hop < 5; hop++ {
 		next, err := NewFromState(s)
 		if err != nil {
@@ -116,8 +106,7 @@ func TestBeliefQuantProjection(t *testing.T) {
 		if !next.Holds(&s) {
 			t.Fatalf("hop %d: the adopter does not hold the state it adopted", hop)
 		}
-		if again := next.State(); again.Intervals != s.Intervals ||
-			again.Succ != s.Succ || again.Fail != s.Fail {
+		if again := next.State(); again != s {
 			t.Fatalf("hop %d: re-cut %+v, want %+v", hop, again, s)
 		}
 	}
@@ -130,12 +119,11 @@ func TestBeliefQuantProjection(t *testing.T) {
 
 // TestQuantizeMidRoundTrip: the belief vector a count estimator
 // materializes is the one Belief reads interval by interval, peaks at the
-// MAP interval and sums to 1; a state with an interval count outside the
-// bounds is refused without entering the uniform-grid cache.
+// MAP interval and sums to 1.
 func TestQuantizeMidRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for run := 0; run < 100; run++ {
-		e := MustNew(DefaultIntervals)
+		e := New()
 		e.ObserveFailure(rng.Intn(100))
 		e.ObserveSuccess(rng.Intn(1000))
 		idx, bel := e.MAP()
@@ -153,14 +141,5 @@ func TestQuantizeMidRoundTrip(t *testing.T) {
 		if got[idx] != bel || math.Abs(sum-1) > 1e-12 {
 			t.Fatalf("run %d: MAP belief %v materialized as %v; beliefs sum to %v", run, bel, got[idx], sum)
 		}
-	}
-	before := cachedGrids()
-	for _, u := range []int{1, MaxIntervals + 1, 1 << 40} {
-		if _, err := NewFromState(State{Intervals: u, Succ: 3}); err == nil {
-			t.Errorf("a %d-interval state was adopted", u)
-		}
-	}
-	if cachedGrids() != before {
-		t.Error("a refused state entered the uniform-grid cache")
 	}
 }

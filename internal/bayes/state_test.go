@@ -7,15 +7,12 @@ import (
 )
 
 func TestStateRoundTrip(t *testing.T) {
-	e := MustNew(25)
+	e := New()
 	e.ObserveFailure(3)
 	e.ObserveSuccess(40)
 	got, err := NewFromState(e.State())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.Intervals() != 25 {
-		t.Fatalf("intervals = %d", got.Intervals())
 	}
 	if math.Abs(got.Mean()-e.Mean()) > 1e-12 {
 		t.Errorf("mean changed across state: %v vs %v", got.Mean(), e.Mean())
@@ -35,39 +32,29 @@ func TestStateRoundTrip(t *testing.T) {
 
 func TestNewFromStateValidation(t *testing.T) {
 	cases := map[string]State{
-		"too few intervals":   {Intervals: 1},
-		"too many intervals":  {Intervals: MaxIntervals + 1},
-		"negative count":      {Intervals: 5, Succ: -1},
-		"evidence past bound": {Intervals: 5, Succ: MaxEvidence, Fail: 1},
+		"negative count":      {Succ: -1},
+		"evidence past bound": {Succ: MaxEvidence, Fail: 1},
 	}
 	for name, s := range cases {
 		if _, err := NewFromState(s); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	// A state off the wire shares the memoized grid.
-	e, err := NewFromState(State{Intervals: 5, Succ: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.g != uniformGrid(5) {
-		t.Error("a state off the wire did not resolve to the shared grid")
-	}
 }
 
+// TestUniformGridShared: every estimator reads the one package grid,
+// which New never rebuilds, and Midpoints hands out a copy of it.
 func TestUniformGridShared(t *testing.T) {
-	a, b := MustNew(50), MustNew(50)
-	if &a.g.mid[0] != &b.g.mid[0] {
-		t.Error("uniform grids not shared between estimators")
-	}
-	c := MustNew(60)
-	if &a.g.mid[0] == &c.g.mid[0] {
-		t.Error("different interval counts share a grid")
+	before := grid
+	mids := New().Midpoints()
+	mids[0] = 7
+	if grid != before || New().Midpoints()[0] != before.mid[0] {
+		t.Error("the shared grid moved")
 	}
 }
 
 func TestObservationsCounting(t *testing.T) {
-	e := MustNew(10)
+	e := New()
 	if e.Observations() != 0 {
 		t.Fatal("fresh estimator has observations")
 	}
@@ -85,7 +72,7 @@ func TestObservationsCounting(t *testing.T) {
 // Property: State round-trips exactly for any update history.
 func TestStateRoundTripProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		e := MustNew(15)
+		e := New()
 		for _, fail := range ops {
 			if fail {
 				e.ObserveFailure(1)

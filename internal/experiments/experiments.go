@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/config"
 	"adaptivecast/internal/optimize"
 	"adaptivecast/internal/topology"
@@ -119,22 +118,29 @@ type Table1Row struct {
 }
 
 // Table1 reproduces Table 1: U = 5 intervals with uniform prior beliefs
-// (case a) and the posterior after one failure suspicion (case b).
+// (case a) and the posterior after one failure suspicion (case b). The
+// estimator's U is the paper's 100, so the five rows come straight from
+// Algorithm 5's update: one failure multiplies each uniform belief by
+// its interval's midpoint P_F|B[u] = (2u+1)/2U, and renormalizing leaves
+// belief ∝ midpoint.
 func Table1() []Table1Row {
-	before := mustEstimator(5)
-	after := mustEstimator(5)
-	after.ObserveFailure(1)
-	rows := make([]Table1Row, 5)
-	for u := 0; u < 5; u++ {
-		lo, hi := before.IntervalBounds(u)
+	const u = 5
+	var mids [u]float64
+	var z float64
+	for i := range mids {
+		mids[i] = float64(2*i+1) / (2 * u)
+		z += mids[i]
+	}
+	rows := make([]Table1Row, u)
+	for i := range rows {
 		bracket := ")"
-		if u == 4 {
+		if i == u-1 {
 			bracket = "]"
 		}
-		rows[u] = Table1Row{
-			Interval:     fmt.Sprintf("[%.1f , %.1f%s", lo, hi, bracket),
-			BeliefBefore: before.Belief(u),
-			BeliefAfter:  after.Belief(u),
+		rows[i] = Table1Row{
+			Interval:     fmt.Sprintf("[%.1f , %.1f%s", float64(i)/u, float64(i+1)/u, bracket),
+			BeliefBefore: 1.0 / u,
+			BeliefAfter:  mids[i] / z,
 		}
 	}
 	return rows
@@ -160,9 +166,6 @@ func RenderTable1(rows []Table1Row) string {
 func uniformConfig(g *topology.Graph, p, l float64) (*config.Config, error) {
 	return config.Uniform(g, p, l)
 }
-
-// mustEstimator wraps bayes.MustNew for the table drivers.
-func mustEstimator(u int) *bayes.Estimator { return bayes.MustNew(u) }
 
 // connectedGraph draws a random connected graph with the requested
 // links-per-process connectivity.

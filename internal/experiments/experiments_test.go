@@ -40,7 +40,14 @@ func TestFigure1Values(t *testing.T) {
 func TestTable1MatchesPaper(t *testing.T) {
 	rows := Table1()
 	wantAfter := []float64{0.04, 0.12, 0.20, 0.28, 0.36}
+	wantInterval := []string{"[0.0 , 0.2)", "[0.2 , 0.4)", "[0.4 , 0.6)", "[0.6 , 0.8)", "[0.8 , 1.0]"}
+	if len(rows) != len(wantAfter) {
+		t.Fatalf("%d rows, want %d", len(rows), len(wantAfter))
+	}
 	for i, r := range rows {
+		if r.Interval != wantInterval[i] {
+			t.Errorf("row %d interval = %q, want %q", i, r.Interval, wantInterval[i])
+		}
 		if math.Abs(r.BeliefBefore-0.2) > 1e-12 {
 			t.Errorf("row %d before = %v, want 0.2", i, r.BeliefBefore)
 		}

@@ -240,7 +240,7 @@ func TestSplitHorizon(t *testing.T) {
 	v := deltaView(t, Params{})
 	v.BeginPeriod()
 	base := v.Version()
-	est := func(succ int) bayes.State { return bayes.State{Intervals: bayes.DefaultIntervals, Succ: succ, Fail: 3} }
+	est := func(succ int) bayes.State { return bayes.State{Succ: succ, Fail: 3} }
 	// T supplies itself, process 3 and the remote link 2—3; U supplies
 	// itself. Node 1 measures its links to both.
 	if err := v.MergeSnapshot(&Snapshot{From: tNb, Seq: 1,

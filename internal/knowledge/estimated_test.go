@@ -30,7 +30,7 @@ func randomView(t *testing.T, rng *rand.Rand, n int) *View {
 	v.Grow(n)
 	from := (self + 1) % topology.NodeID(n0)
 	est := func() bayes.State {
-		return bayes.State{Intervals: bayes.DefaultIntervals, Succ: rng.Intn(400), Fail: rng.Intn(40)}
+		return bayes.State{Succ: rng.Intn(400), Fail: rng.Intn(40)}
 	}
 	snap := &Snapshot{From: from, Seq: 1}
 	for _, p := range rng.Perm(n)[:n/2] {

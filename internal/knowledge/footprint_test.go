@@ -33,11 +33,11 @@ func TestViewFootprint(t *testing.T) {
 	snap := &knowledge.Snapshot{From: 0, Seq: 1}
 	for i := 0; i < n; i++ {
 		snap.Procs = append(snap.Procs, knowledge.ProcRecord{ID: topology.NodeID(i), Dist: 1,
-			Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40 + i, Fail: i % 3}})
+			Est: bayes.State{Succ: 40 + i, Fail: i % 3}})
 	}
 	for li := 0; li < g.NumLinks(); li++ {
 		snap.Links = append(snap.Links, knowledge.LinkRecord{Link: g.Link(li), Dist: 1,
-			Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 90 + li, Fail: li % 5}})
+			Est: bayes.State{Succ: 90 + li, Fail: li % 5}})
 	}
 	snap = overWire(t, snap)
 	if len(snap.Procs) != n || len(snap.Links) != 256 {

@@ -73,9 +73,6 @@ const DistInf = math.MaxInt32
 // Params tunes a view. The zero value gets sensible defaults from
 // applyDefaults.
 type Params struct {
-	// Intervals is U, the Bayesian precision (default
-	// bayes.DefaultIntervals), in [2, bayes.MaxIntervals].
-	Intervals int
 	// InitialTimeout is ∆_k[p_j] in heartbeat periods (default 1, i.e. δ).
 	InitialTimeout int
 	// MaxTimeout caps the adaptive growth of per-neighbor timeouts
@@ -97,8 +94,8 @@ type Params struct {
 	// DeltaEpsilon is the minimum posterior-mean movement for an estimate
 	// to count as changed for delta heartbeats (View.DeltaTo): a record
 	// is re-shipped once its mean has drifted more than DeltaEpsilon from
-	// the value at its last wire-signature bump, or its distortion or
-	// interval count changed. A posterior over n observations moves by
+	// the value at its last wire-signature bump, or its distortion
+	// changed. A posterior over n observations moves by
 	// about 1/n on a loss and λ/n on a success, so on a lossy link a
 	// record keeps re-shipping until n ≳ 10⁴: only lossless estimates
 	// drop out of steady-state deltas within a run. Receiver-agnostic
@@ -118,9 +115,6 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.Intervals == 0 {
-		p.Intervals = bayes.DefaultIntervals
-	}
 	if p.InitialTimeout == 0 {
 		// Two periods: a heartbeat received in period t keeps its sender
 		// unsuspected through period t+1, so the regular cadence alone
@@ -196,8 +190,8 @@ func (t *Interner) Link(i int) topology.Link {
 func (t *Interner) Len() int { return len(t.links) }
 
 // wireSig is a record's last-shipped wire signature for delta heartbeats:
-// the posterior mean, distortion and interval count at the record's last
-// meaningful change, plus the view version that change was stamped with.
+// the posterior mean and distortion at the record's last meaningful
+// change, plus the view version that change was stamped with.
 // Mutation sites set only the record's dirty bit (one store); refreshSigs
 // re-evaluates dirty records lazily when a delta is cut and stamps `at`
 // only when the content moved beyond Params.DeltaEpsilon — distortion
@@ -205,10 +199,9 @@ func (t *Interner) Len() int { return len(t.links) }
 // aging is local confidence decay every peer applies to its own copies
 // and carries no news.
 type wireSig struct {
-	at    uint64 // view version of the last meaningful change
-	mean  float64
-	dist  int32
-	gridN int32
+	at   uint64 // view version of the last meaningful change
+	mean float64
+	dist int32
 }
 
 // procState is C_k[p_i]: the estimate one process keeps about another
@@ -312,10 +305,13 @@ type linkState struct {
 	mask        uint16 // as procState.mask
 }
 
+// uniform is the uniform-prior estimator every new record starts from.
+var uniform = *bayes.New()
+
 // Link records live in fixed chunks that never move, so a record's
 // address is stable for the view's lifetime and learning a link never
 // copies the others. A chunk is 16 records: a view of a few processes
-// pays for few empty slots, and 16 × 96 bytes fits the 1,536-byte size
+// pays for few empty slots, and 16 × 80 bytes fits the 1,280-byte size
 // class.
 const chunkLen = 16
 
@@ -328,7 +324,6 @@ type View struct {
 	n         int
 	params    Params
 	interner  *Interner
-	uniform   bayes.Estimator // the uniform-prior estimator every new record starts from
 	procs     []procState
 	links     []*[chunkLen]linkState // link records by interner index, in chunks
 	peers     []*peerState           // by process; nil for one that never was a neighbor
@@ -349,10 +344,6 @@ func NewView(self topology.NodeID, n int, neighbors []topology.NodeID, interner 
 		return nil, fmt.Errorf("knowledge: self %d out of range [0,%d)", self, n)
 	}
 	params = params.withDefaults()
-	uniform, err := bayes.New(params.Intervals)
-	if err != nil {
-		return nil, fmt.Errorf("knowledge: %w", err)
-	}
 	if interner == nil {
 		interner = NewInterner()
 	}
@@ -360,7 +351,6 @@ func NewView(self topology.NodeID, n int, neighbors []topology.NodeID, interner 
 		self:     self,
 		params:   params,
 		interner: interner,
-		uniform:  *uniform,
 	}
 	v.addProcs(n)
 	v.procs[self].dist = 0 // p_k sees itself with no distortion
@@ -380,7 +370,7 @@ func NewView(self topology.NodeID, n int, neighbors []topology.NodeID, interner 
 func (v *View) addProcs(n int) {
 	v.procs = slices.Grow(v.procs, n-v.n)
 	for range n - v.n {
-		v.procs = append(v.procs, procState{est: v.uniform, dist: DistInf, supplier: int32(topology.None)})
+		v.procs = append(v.procs, procState{est: uniform, dist: DistInf, supplier: int32(topology.None)})
 	}
 	v.peers = append(v.peers, make([]*peerState, n-v.n)...)
 	v.n = n
@@ -393,7 +383,7 @@ func (v *View) incident(j topology.NodeID) (ls *linkState, learned bool) {
 	if ls.known {
 		return ls, false
 	}
-	*ls = linkState{est: v.uniform, known: true, dirty: true, supplier: int32(topology.None)}
+	*ls = linkState{est: uniform, known: true, dirty: true, supplier: int32(topology.None)}
 	return ls, true
 }
 

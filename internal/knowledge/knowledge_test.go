@@ -603,7 +603,7 @@ func TestAdoptionIsSnapshot(t *testing.T) {
 // snapshots like any other knowledge, with its evidence counts intact.
 func TestRefinedEstimatePropagates(t *testing.T) {
 	in := NewInterner()
-	params := Params{Intervals: 20}
+	params := Params{}
 	a, err := NewView(0, 3, []topology.NodeID{1}, in, params)
 	if err != nil {
 		t.Fatal(err)
@@ -613,11 +613,11 @@ func TestRefinedEstimatePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a adopts process 2's estimate from a snapshot record.
-	src := bayes.MustNew(20)
+	src := bayes.New()
 	src.ObserveFailure(4)
 	src.ObserveSuccess(60)
 	if err := a.MergeSnapshotKnowledgeOnly(&Snapshot{From: 1, Seq: 1,
-		Procs: []ProcRecord{{ID: 2, Dist: 0, Est: bayes.State{Intervals: 20, Succ: 60, Fail: 4}}}}); err != nil {
+		Procs: []ProcRecord{{ID: 2, Dist: 0, Est: bayes.State{Succ: 60, Fail: 4}}}}); err != nil {
 		t.Fatal(err)
 	}
 	srcMean, _ := a.CrashEstimate(2)

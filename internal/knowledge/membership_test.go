@@ -10,7 +10,7 @@ import (
 // the uniform prior at infinite distortion and the version bumps so plan
 // caches invalidate.
 func TestGrowAddsPriorProcesses(t *testing.T) {
-	v, err := NewView(0, 3, []topology.NodeID{1}, nil, Params{Intervals: 8})
+	v, err := NewView(0, 3, []topology.NodeID{1}, nil, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestGrowAddsPriorProcesses(t *testing.T) {
 func TestMarkDepartedTombstones(t *testing.T) {
 	mk := func() (*View, *View) {
 		interner := NewInterner()
-		a, err := NewView(0, 3, []topology.NodeID{1, 2}, interner, Params{Intervals: 8})
+		a, err := NewView(0, 3, []topology.NodeID{1, 2}, interner, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewView(1, 3, []topology.NodeID{0, 2}, interner, Params{Intervals: 8})
+		b, err := NewView(1, 3, []topology.NodeID{0, 2}, interner, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestMarkDepartedTombstones(t *testing.T) {
 // with zero distortion before any heartbeat crosses it, and re-adding is
 // a no-op.
 func TestAddNeighborLearnsLink(t *testing.T) {
-	v, err := NewView(0, 3, []topology.NodeID{1}, nil, Params{Intervals: 8})
+	v, err := NewView(0, 3, []topology.NodeID{1}, nil, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestSiblingHorizon(t *testing.T) {
 	v.BeginPeriod()
 	base := v.Version()
 	r := topology.NewLink(4, 5)
-	est := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40, Fail: 4}
+	est := bayes.State{Succ: 40, Fail: 4}
 	from := func(nb topology.NodeID, dist int) {
 		t.Helper()
 		if err := v.MergeSnapshotKnowledgeOnly(&Snapshot{From: nb, Seq: 1,
@@ -122,7 +122,7 @@ func TestSiblingHorizonPastMaskSlots(t *testing.T) {
 	v.BeginPeriod()
 	base := v.Version()
 	r, proc := topology.NewLink(n-2, n-1), topology.NodeID(n-1)
-	est := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40, Fail: 4}
+	est := bayes.State{Succ: 40, Fail: 4}
 	send := func(nb topology.NodeID, dist int) {
 		t.Helper()
 		if err := v.MergeSnapshotKnowledgeOnly(&Snapshot{From: nb, Seq: 1,
@@ -271,7 +271,7 @@ func TestSiblingHorizonForgetsRestartedNeighbour(t *testing.T) {
 	send := func(from topology.NodeID, seq uint64, dist, succ int) {
 		t.Helper()
 		if err := v.MergeSnapshot(&Snapshot{From: from, Seq: seq, Links: []LinkRecord{{Link: r, Dist: dist,
-			Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: succ, Fail: 4}}}}); err != nil {
+			Est: bayes.State{Succ: succ, Fail: 4}}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +330,7 @@ func TestMergeBooksVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 4}
+	est := bayes.State{Succ: 4}
 	send := func(from topology.NodeID, dist int) {
 		t.Helper()
 		if err := v.MergeSnapshotKnowledgeOnly(&Snapshot{From: from, Seq: 1,

@@ -114,8 +114,8 @@ func (v *View) AppendOmitted(dst []int, s *Snapshot, to topology.NodeID) []int {
 }
 
 // Snapshot cuts the view into a wire-ready payload: one record per known
-// estimate, each an O(1) bayes.State sharing the estimator's immutable
-// grid, so the payload stays valid however the view moves on.
+// estimate, each an O(1) bayes.State of two counts, so the payload stays
+// valid however the view moves on.
 // It also refreshes the wire signatures (see DeltaSince): a full snapshot
 // ships every record, so it baselines them all — the next delta cut
 // against an ack of this version re-ships only what changes afterwards.
@@ -355,15 +355,13 @@ func (v *View) refreshSigs() {
 // against the mean at the last stamp, not the previous period's, so
 // sub-epsilon movements cannot accumulate into unbounded divergence.
 func (sig *wireSig) refresh(est *bayes.Estimator, dist int32, eps float64, ver uint64) {
-	gridN := int32(est.Intervals())
 	mean := est.Mean()
-	if sig.at != 0 && dist == sig.dist && gridN == sig.gridN && math.Abs(mean-sig.mean) <= eps {
+	if sig.at != 0 && dist == sig.dist && math.Abs(mean-sig.mean) <= eps {
 		return
 	}
 	sig.at = ver
 	sig.mean = mean
 	sig.dist = dist
-	sig.gridN = gridN
 }
 
 // MergeSnapshot is Event 1 over a heartbeat: the sequence-gap

@@ -97,7 +97,7 @@ func TestReadoptionKeepsUnchangedEstimator(t *testing.T) {
 	// A closer route's record that fails validation is refused whole.
 	mean := got.Mean()
 	forged := &knowledge.Snapshot{From: 0, Seq: 9, Procs: []knowledge.ProcRecord{
-		{ID: 0, Dist: 0, Est: bayes.State{Intervals: got.Intervals(), Succ: 5, Fail: -1}},
+		{ID: 0, Dist: 0, Est: bayes.State{Succ: 5, Fail: -1}},
 	}}
 	if err := adopter.MergeSnapshotKnowledgeOnly(forged); err == nil {
 		t.Fatal("a negative evidence count was adopted")
@@ -203,7 +203,7 @@ func TestAllocsMergeSnapshot(t *testing.T) {
 			b--
 		}
 		fresh[r] = &knowledge.Snapshot{From: base.From, Links: []knowledge.LinkRecord{
-			{Link: topology.NewLink(a, b), Dist: 3, Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 7, Fail: 1}}}}
+			{Link: topology.NewLink(a, b), Dist: 3, Est: bayes.State{Succ: 7, Fail: 1}}}}
 		if _, _, known := v.LossEstimate(fresh[r].Links[0].Link); known {
 			t.Fatalf("link %v is already known", fresh[r].Links[0].Link)
 		}

@@ -387,7 +387,7 @@ func TestSnapshotMergeErrorsSurfaced(t *testing.T) {
 // nothing checked. The same frame from its named sender still merges.
 func TestHeartbeatMustNameItsSender(t *testing.T) {
 	nd := newTestNode(t, Config{ID: 0, NumProcs: 4, Neighbors: []topology.NodeID{1}}, &sinkTransport{id: 0})
-	counts := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40}
+	counts := bayes.State{Succ: 40}
 	snap := func(from topology.NodeID) *knowledge.Snapshot {
 		return &knowledge.Snapshot{From: from, Seq: 5, Procs: []knowledge.ProcRecord{{ID: 3, Dist: 1, Est: counts}}}
 	}
@@ -467,7 +467,7 @@ func mustEncodeHeartbeat(t *testing.T, from topology.NodeID, seq uint64, badID t
 		From: from,
 		Seq:  seq,
 		Procs: []knowledge.ProcRecord{
-			{ID: badID, Dist: 1, Est: bayes.MustNew(4).State()},
+			{ID: badID, Dist: 1, Est: bayes.New().State()},
 		},
 	}})
 	if err != nil {

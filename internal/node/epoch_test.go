@@ -233,7 +233,7 @@ func fenceStateOf(nd *Node) fenceState {
 // processed, so the frames are ones the node would act on.
 func TestEpochFenceDropsOffEpochFrames(t *testing.T) {
 	const epoch = 2
-	counts := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40}
+	counts := bayes.State{Succ: 40}
 	frames := map[string]func(seq, epoch uint64) *wire.Frame{
 		// Broadcast (0, seq) on the chain 0 — 1 — 2: node 1 relays to 2.
 		"data": func(seq, epoch uint64) *wire.Frame {

@@ -51,7 +51,7 @@ func lineMiddle(t *testing.T, cfg Config) *Node {
 func deltaFrame(t *testing.T, from topology.NodeID, ver uint64) []byte {
 	t.Helper()
 	snap := &knowledge.Snapshot{From: from, Seq: ver, Procs: []knowledge.ProcRecord{
-		{ID: from, Dist: 0, Est: bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40}},
+		{ID: from, Dist: 0, Est: bayes.State{Succ: 40}},
 	}}
 	b, err := wire.Encode(&wire.Frame{Kind: wire.FrameKnowledgeDelta,
 		Delta: &wire.KnowledgeDelta{Snap: snap, Ver: ver}})

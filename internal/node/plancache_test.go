@@ -78,7 +78,7 @@ func taughtNode(t *testing.T, g *topology.Graph, id topology.NodeID, rng *rand.R
 func teach(t *testing.T, nd *Node, g *topology.Graph, rng *rand.Rand) {
 	t.Helper()
 	est := func() bayes.State {
-		return bayes.State{Intervals: bayes.DefaultIntervals, Succ: 200 + rng.Intn(400), Fail: rng.Intn(60)}
+		return bayes.State{Succ: 200 + rng.Intn(400), Fail: rng.Intn(60)}
 	}
 	nbs := g.Neighbors(nd.ID())
 	snaps := make([]knowledge.Snapshot, len(nbs))

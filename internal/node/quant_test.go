@@ -98,7 +98,7 @@ func TestQuantizedClusterNegotiates(t *testing.T) {
 
 // wireVersion is the one version byte every frame carries (see
 // internal/wire/binary.go).
-const wireVersion = 6
+const wireVersion = 7
 
 // TestQuantizedFullHeartbeats: full-snapshot heartbeats (settleFullTicks,
 // every frame the since = 0 fallback) always carry records, and every one
@@ -273,7 +273,7 @@ func alarmingHeartbeat(t *testing.T) (*Node, []byte) {
 	settleTicks(nodes, 20)
 
 	snap := &knowledge.Snapshot{From: 1, Seq: 1 << 20, Procs: []knowledge.ProcRecord{
-		{ID: 1, Dist: 0, Est: bayes.State{Intervals: bayes.DefaultIntervals, Fail: 500}},
+		{ID: 1, Dist: 0, Est: bayes.State{Fail: 500}},
 	}}
 	hb, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap})
 	if err != nil {
@@ -343,9 +343,9 @@ func TestQuantizedMixedCluster(t *testing.T) {
 // very posterior of a count record: one DecodeErrors, nothing merged. The
 // same estimate as evidence counts then merges.
 func TestRefinedGridFrameRejected(t *testing.T) {
-	const u = bayes.DefaultIntervals
+	const u = bayes.Intervals
 	nd, hb := alarmingHeartbeat(t)
-	est := []byte{0, 0, 0xf4, 0x03} // distortion 0 at the section's U, 0 successes, 500 failures
+	est := []byte{0, 0, 0xf4, 0x03} // distortion 0, 0 successes, 500 failures
 	at := bytes.Index(hb, est)
 	if at < 0 {
 		t.Fatal("no count record in the heartbeat")

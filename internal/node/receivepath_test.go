@@ -494,7 +494,7 @@ func BenchmarkForwardFanout(b *testing.B) {
 // dropped without a trace. A new kind fails here until it has a probe
 // below, and its probe fails until handle has a case for it.
 func TestEveryFrameKindReachesHandle(t *testing.T) {
-	counts := bayes.State{Intervals: bayes.DefaultIntervals, Succ: 40}
+	counts := bayes.State{Succ: 40}
 	snap := func() *knowledge.Snapshot {
 		return &knowledge.Snapshot{From: 0, Seq: 1, Procs: []knowledge.ProcRecord{{ID: 2, Dist: 1, Est: counts}}}
 	}

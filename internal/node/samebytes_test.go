@@ -37,14 +37,17 @@ import (
 // 4,081,495 over the 10,240 frames: a section declares U once, records
 // drop the layout flag and write IDs unsigned, and every delta carries
 // its cadence and epoch. Driving the plane instead of a copy of its
-// bookkeeping moved neither hash.
+// bookkeeping moved neither hash. Wire v7, whose section heads no longer
+// declare U (the paper's constant 100) and whose records write their
+// distortion unshifted, moved only the heartbeat bytes, 4,081,495 →
+// 4,071,255: one byte per frame.
 func TestSameBytesDifferential(t *testing.T) {
 	const (
 		n          = 64
 		periods    = 40
 		planEvery  = 5
 		lossRate   = 0.1
-		goldenHB   = "5d1760adb7e786ff185698dfc473469f4426378ad822a29a9d889ede4999e4c4"
+		goldenHB   = "9dd40ef9c7c833004d77284bc0b15bc362cdc2e08570780d13ccadc98bdfcf6f"
 		goldenPlan = "ba6b7b2c5186294dcec63c5b4388c28aa511c833167af66b9b831038159819e3"
 	)
 	rng := rand.New(rand.NewSource(2026))

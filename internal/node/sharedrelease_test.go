@@ -92,7 +92,7 @@ func TestSharedReleaseDoublePutPanics(t *testing.T) {
 // the pool is warm, which is exactly what relayDataFrame does per frame
 // (wire-level splice correctness is pinned in internal/wire).
 func TestRelaySpliceZeroAllocUnderRace(t *testing.T) {
-	sender, err := knowledge.NewView(2, 5, []topology.NodeID{1, 3}, nil, knowledge.Params{Intervals: 8})
+	sender, err := knowledge.NewView(2, 5, []topology.NodeID{1, 3}, nil, knowledge.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRelaySpliceZeroAllocUnderRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	relayer, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{Intervals: 8})
+	relayer, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

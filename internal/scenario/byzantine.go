@@ -16,9 +16,9 @@ import (
 
 // byzantineReplay is the one live-cluster scenario: a rogue peer replays
 // every committed fuzz-corpus seed — one frame of every shape the encoder
-// produces, the retired shapes (wire v1–v5, the raw float estimator
-// layout) and the forged heartbeats (oversize U, overflowed counts,
-// out-of-range IDs and distortions) — plus seeded mutations of them and
+// produces, the retired shapes (wire v1–v6, the raw float estimator
+// layout) and the forged heartbeats (overflowed counts, out-of-range
+// IDs and distortions) — plus seeded mutations of them and
 // hand-crafted poisonous heartbeats, at a running 4-node Fabric cluster,
 // mid-traffic.
 // Replayed heartbeats name their original senders, not the rogue, so the
@@ -394,7 +394,7 @@ func craftedHeartbeats() []*wire.Frame {
 		// rejection ever depended on the snapshot being empty.
 		{Kind: wire.FrameHeartbeat, Heartbeat: &knowledge.Snapshot{
 			From: 4, Seq: 1 << 40,
-			Procs: []knowledge.ProcRecord{{ID: 0, Dist: 1, Est: bayes.State{Intervals: bayes.DefaultIntervals}}},
+			Procs: []knowledge.ProcRecord{{ID: 0, Dist: 1, Est: bayes.State{}}},
 		}},
 	}
 }

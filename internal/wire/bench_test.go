@@ -15,7 +15,7 @@ import (
 func benchSnapshot() *knowledge.Snapshot {
 	rng := rand.New(rand.NewSource(128))
 	est := func() bayes.State {
-		e := bayes.MustNew(bayes.DefaultIntervals)
+		e := bayes.New()
 		e.ObserveFailure(rng.Intn(20))
 		e.ObserveSuccess(100 + rng.Intn(400))
 		return e.State()

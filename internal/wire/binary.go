@@ -15,15 +15,16 @@ import (
 // Binary framing (see the README "Wire format" section):
 //
 //	[0] magic 0xAC
-//	[1] version (6)
+//	[1] version (7)
 //	[2] kind (FrameHeartbeat | FrameData | FrameKnowledgeDelta | FrameJoin | FrameLeave)
 //	payload…
 //
 // Every kind rides the one version, and the decoder refuses any other:
 // versions 1–3, whose shapes left a cadence of 1 and an epoch of 0 out
-// and repeated a layout flag and U in every record, and the retired 4
-// and 5. A delta payload is {Since, Ver, Ack, Cadence, Epoch} and its
-// record section; a data payload ends in its Epoch.
+// and repeated a layout flag and U in every record, the retired 4 and
+// 5, and 6, whose sections declared U in their head and let a record
+// flag a U of its own. A delta payload is {Since, Ver, Ack, Cadence,
+// Epoch} and its record section; a data payload ends in its Epoch.
 //
 // Integers are varints: zigzag for the IDs and allocations of a data
 // payload and a membership payload (a parent vector holds the None
@@ -31,19 +32,18 @@ import (
 // length-prefixed. A record section — a heartbeat, a delta's records, a
 // data frame's piggyback — is
 //
-//	from, seq, #procs, #links, U (only if there are records), records…
-//	process record: id,   dist<<1 | x, [U if x], successes, failures
-//	link record:    a, b, dist<<1 | x, [U if x], successes, failures
+//	from, seq, #procs, #links, records…
+//	process record: id,   dist, successes, failures
+//	link record:    a, b, dist, successes, failures
 //
-// A Bayesian estimator is a pure function of its interval count U and
-// its evidence counts. The head declares U once, as its first record's,
-// and a record of another U sets x and carries its own. No record is
-// coded against another, so any subset of a section's records, under
-// the same head, is a section too (appendSectionSubset).
+// A Bayesian estimator is a pure function of its evidence counts: U is
+// the paper's constant (bayes.Intervals) and never rides the wire. No
+// record is coded against another, so any subset of a section's records,
+// under the same head, is a section too (appendSectionSubset).
 
 const (
 	magic      = 0xAC
-	version    = 6
+	version    = 7
 	headerSize = 3
 )
 
@@ -167,21 +167,19 @@ func checkID(id uint64) error {
 
 // checkRecord holds one record to the bounds every receiver enforces:
 // its ID, or a link's endpoints a and b (b is 0 for a process record),
-// below MaxProcs; its U in [2, MaxIntervals]; its distortion in [0,
-// DistInf]; and its evidence counts within MaxEvidence together. The
-// decoder applies it to every record it reads and the section encoder to
-// every record it writes, so no sender emits a record its receivers
-// refuse. A record is a handful of bytes whatever it declares, so
-// nothing about the frame bounds it: the distortion is bounded before it
-// becomes an int that could wrap to a low, trusted one, U before it can
-// size a grid, and the counts before one can overflow float64(n)·log.
-func checkRecord(a, b, u, dist, succ, fail uint64) error {
+// below MaxProcs; its distortion in [0, DistInf]; and its evidence counts
+// within MaxEvidence together. The decoder applies it to every record it
+// reads and the section encoder to every record it writes, so no sender
+// emits a record its receivers refuse. A record is a handful of bytes
+// whatever it declares, so nothing about the frame bounds it: the
+// distortion is bounded before it becomes an int that could wrap to a
+// low, trusted one, and the counts before one can overflow
+// float64(n)·log.
+func checkRecord(a, b, dist, succ, fail uint64) error {
 	if err := checkID(max(a, b)); err != nil {
 		return err
 	}
 	switch {
-	case u < 2 || u > MaxIntervals:
-		return fmt.Errorf("wire: estimator declares %d intervals outside [2,%d]", u, MaxIntervals)
 	case dist > knowledge.DistInf:
 		return fmt.Errorf("wire: distortion %d exceeds %d", dist, knowledge.DistInf)
 	case succ > MaxEvidence || fail > MaxEvidence || succ+fail > MaxEvidence:
@@ -194,36 +192,24 @@ func checkRecord(a, b, u, dist, succ, fail uint64) error {
 // Knowledge snapshots
 // ---------------------------------------------------------------------------
 
-// snapshotSize bounds the encoded size of a section: five head varints
-// and at most six per record (a link's endpoints, distortion, U and
+// snapshotSize bounds the encoded size of a section: four head varints
+// and at most five per record (a link's endpoints, distortion and
 // counts).
 func snapshotSize(s *knowledge.Snapshot) int {
-	return (5 + 6*(len(s.Procs)+len(s.Links))) * binary.MaxVarintLen64
-}
-
-// sectionIntervals is the U a section's head declares: its first
-// record's.
-func sectionIntervals(s *knowledge.Snapshot) int {
-	switch {
-	case len(s.Procs) > 0:
-		return s.Procs[0].Est.Intervals
-	case len(s.Links) > 0:
-		return s.Links[0].Est.Intervals
-	}
-	return 0
+	return (4 + 5*(len(s.Procs)+len(s.Links))) * binary.MaxVarintLen64
 }
 
 // appendSnapshot writes a snapshot's record section.
 func appendSnapshot(b []byte, s *knowledge.Snapshot) ([]byte, error) {
-	return appendSection(b, s, nil, sectionIntervals(s))
+	return appendSection(b, s, nil)
 }
 
-// appendSection writes s's record section under a head declaring U u,
-// and records in ix, when it is not nil, where each record's bytes lie
-// (see SectionIndex). A section holding a record checkRecord refuses, or
-// naming a sender outside the ID space, is an error; b then holds a
-// partial section past its old length.
-func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex, u int) ([]byte, error) {
+// appendSection writes s's record section, and records in ix, when it
+// is not nil, where each record's bytes lie (see SectionIndex). A section
+// holding a record checkRecord refuses, or naming a sender outside the
+// ID space, is an error; b then holds a partial section past its old
+// length.
+func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex) ([]byte, error) {
 	if err := checkID(uint64(s.From)); err != nil {
 		return b, err
 	}
@@ -231,29 +217,30 @@ func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex, u int) ([]
 	b = binary.AppendUvarint(b, uint64(s.From))
 	b = binary.AppendUvarint(b, s.Seq)
 	if ix != nil {
-		*ix = SectionIndex{head: len(b) - start, procs: len(s.Procs), u: u,
+		*ix = SectionIndex{head: len(b) - start, procs: len(s.Procs),
 			recs: slices.Grow(ix.recs[:0], len(s.Procs)+len(s.Links))}
 	}
-	b = appendCounts(b, len(s.Procs), len(s.Links), u)
+	b = binary.AppendUvarint(b, uint64(len(s.Procs)))
+	b = binary.AppendUvarint(b, uint64(len(s.Links)))
 	for i := range s.Procs {
 		pr, at := &s.Procs[i], len(b)
-		if err := checkRecord(uint64(pr.ID), 0, uint64(pr.Est.Intervals), uint64(pr.Dist), uint64(pr.Est.Succ), uint64(pr.Est.Fail)); err != nil {
+		if err := checkRecord(uint64(pr.ID), 0, uint64(pr.Dist), uint64(pr.Est.Succ), uint64(pr.Est.Fail)); err != nil {
 			return b, err
 		}
 		b = binary.AppendUvarint(b, uint64(pr.ID))
-		b = appendRecord(b, pr.Dist, &pr.Est, u)
+		b = appendRecord(b, pr.Dist, &pr.Est)
 		if ix != nil {
 			ix.recs = append(ix.recs, span{at - start, len(b) - start})
 		}
 	}
 	for i := range s.Links {
 		lr, at := &s.Links[i], len(b)
-		if err := checkRecord(uint64(lr.Link.A), uint64(lr.Link.B), uint64(lr.Est.Intervals), uint64(lr.Dist), uint64(lr.Est.Succ), uint64(lr.Est.Fail)); err != nil {
+		if err := checkRecord(uint64(lr.Link.A), uint64(lr.Link.B), uint64(lr.Dist), uint64(lr.Est.Succ), uint64(lr.Est.Fail)); err != nil {
 			return b, err
 		}
 		b = binary.AppendUvarint(b, uint64(lr.Link.A))
 		b = binary.AppendUvarint(b, uint64(lr.Link.B))
-		b = appendRecord(b, lr.Dist, &lr.Est, u)
+		b = appendRecord(b, lr.Dist, &lr.Est)
 		if ix != nil {
 			ix.recs = append(ix.recs, span{at - start, len(b) - start})
 		}
@@ -261,52 +248,30 @@ func appendSection(b []byte, s *knowledge.Snapshot, ix *SectionIndex, u int) ([]
 	return b, nil
 }
 
-// appendCounts writes the rest of a section's head: its record counts
-// and, if it has records, its U.
-func appendCounts(b []byte, procs, links, u int) []byte {
-	b = binary.AppendUvarint(b, uint64(procs))
-	b = binary.AppendUvarint(b, uint64(links))
-	if procs+links == 0 {
-		return b
-	}
-	return binary.AppendUvarint(b, uint64(u))
-}
-
-// appendRecord writes what follows a record's ID or endpoints in a
-// section of U u: its distortion, its own U if it differs, and its
-// evidence counts, which checkRecord has bounded.
-func appendRecord(b []byte, dist int, s *bayes.State, u int) []byte {
-	if d := uint64(dist) << 1; s.Intervals == u {
-		b = binary.AppendUvarint(b, d)
-	} else {
-		b = binary.AppendUvarint(b, d|1)
-		b = binary.AppendUvarint(b, uint64(s.Intervals))
-	}
+// appendRecord writes what follows a record's ID or endpoints: its
+// distortion and its evidence counts, which checkRecord has bounded.
+func appendRecord(b []byte, dist int, s *bayes.State) []byte {
+	b = binary.AppendUvarint(b, uint64(dist))
 	b = binary.AppendUvarint(b, uint64(s.Succ))
 	return binary.AppendUvarint(b, uint64(s.Fail))
 }
 
-// record decodes a record of a section whose head declares U u: its ID
-// (one ID) or a link's endpoints (two), then what appendRecord wrote,
-// and holds it to checkRecord's bounds.
-func (r *reader) record(u uint64, ids int) (a, b uint64, dist int, s bayes.State) {
+// record decodes a record: its ID (one ID) or a link's endpoints (two),
+// then what appendRecord wrote, and holds it to checkRecord's bounds.
+func (r *reader) record(ids int) (a, b uint64, dist int, s bayes.State) {
 	a = r.uvarint()
 	if ids == 2 {
 		b = r.uvarint()
 	}
-	d := r.uvarint()
-	if d&1 != 0 {
-		u = r.uvarint()
-	}
-	succ, fail := r.uvarint(), r.uvarint()
+	d, succ, fail := r.uvarint(), r.uvarint(), r.uvarint()
 	if r.err != nil {
 		return 0, 0, 0, s
 	}
-	if err := checkRecord(a, b, u, d>>1, succ, fail); err != nil {
+	if err := checkRecord(a, b, d, succ, fail); err != nil {
 		r.err = err
 		return 0, 0, 0, s
 	}
-	return a, b, int(d >> 1), bayes.State{Intervals: int(u), Succ: int(succ), Fail: int(fail)}
+	return a, b, int(d), bayes.State{Succ: int(succ), Fail: int(fail)}
 }
 
 // The shortest legal records: a byte per varint, a process record's ID,
@@ -331,18 +296,14 @@ func (r *reader) snapshot(s *knowledge.Snapshot) *knowledge.Snapshot {
 	}
 	nProcs := r.countOf("proc records", minProcRecordSize, 0)
 	nLinks := r.countOf("link records", minLinkRecordSize, nProcs*minProcRecordSize)
-	var u uint64 // the head's U, which checkRecord bounds on every record that takes it
-	if nProcs+nLinks > 0 {
-		u = r.uvarint()
-	}
 	s.Procs = slices.Grow(s.Procs, nProcs)
 	for i := 0; i < nProcs && r.err == nil; i++ {
-		id, _, dist, est := r.record(u, 1)
+		id, _, dist, est := r.record(1)
 		s.Procs = append(s.Procs, knowledge.ProcRecord{ID: topology.NodeID(id), Dist: dist, Est: est})
 	}
 	s.Links = slices.Grow(s.Links, nLinks)
 	for i := 0; i < nLinks && r.err == nil; i++ {
-		a, b, dist, est := r.record(u, 2)
+		a, b, dist, est := r.record(2)
 		s.Links = append(s.Links, knowledge.LinkRecord{Link: topology.Link{A: topology.NodeID(a), B: topology.NodeID(b)}, Dist: dist, Est: est})
 	}
 	if r.err != nil {

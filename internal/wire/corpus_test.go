@@ -21,10 +21,13 @@ import (
 // 0x01), retired-17 to retired-21 v5 heartbeats and deltas carrying the
 // retired Caps field, retired-22 to retired-39 the v1–v3 frames that
 // were seed-0 to seed-19 (their records open with the layout flag 0x04
-// and repeat U), and retired-40 to retired-45 the forged-0 to forged-5
-// of that layout. Both kinds are committed next to the seeds so fuzzing
-// starts from them and the byzantine-replay scenario throws them at a
-// live cluster.
+// and repeat U), retired-40 to retired-45 the forged-0 to forged-5
+// of that layout, retired-46 to retired-63 the v6 frames that were
+// seed-0 to seed-19 (their sections declare U in the head and a record
+// may flag a U of its own), in numeric order of their names, and
+// retired-64 to retired-74 the v6 forged-0 to forged-10. Both kinds are
+// committed next to the seeds so fuzzing starts from them and the
+// byzantine-replay scenario throws them at a live cluster.
 const forgedPrefix, retiredPrefix = "forged-", "retired-"
 
 // seedName names the corpus file of canonical frame i. The names seed-14
@@ -32,7 +35,8 @@ const forgedPrefix, retiredPrefix = "forged-", "retired-"
 // retired-5. The v5 frames once named seed-16 to seed-19 are now
 // retired-18 to retired-21, and their names hold the frames past
 // seed-13. Each name's v1–v3 bytes of before the one-version reset are
-// retired-22 to retired-39, in name order.
+// retired-22 to retired-39, in name order, and its v6 bytes of before U
+// left the wire retired-46 to retired-63.
 func seedName(i int) string {
 	if i >= 14 {
 		i += 2

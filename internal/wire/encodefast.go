@@ -13,6 +13,7 @@ package wire
 // golden and byte-equality tests pin that.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -67,7 +68,6 @@ func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 type SectionIndex struct {
 	head  int    // bytes of the From and Seq varints
 	procs int    // process records; recs[:procs] are theirs
-	u     int    // the U the head declares
 	recs  []span // each record's bytes, processes then links
 }
 
@@ -80,7 +80,7 @@ func AppendSnapshotSectionIndexed(dst []byte, s *knowledge.Snapshot, ix *Section
 	if s == nil || ix == nil {
 		return dst, errors.New("wire: nil snapshot or index")
 	}
-	b, err := appendSection(dst, s, ix, sectionIntervals(s))
+	b, err := appendSection(dst, s, ix)
 	if err != nil {
 		return dst, err
 	}
@@ -92,7 +92,7 @@ func AppendSnapshotSectionIndexed(dst []byte, s *knowledge.Snapshot, ix *Section
 // skip lists: skip holds, in ascending order, indices of records of the
 // encoded snapshot, counting its Procs, then its Links. The output is
 // byte-identical to the section of the snapshot without those records
-// under sec's head, U included. Kept records are copied, in order and in
+// under sec's head. Kept records are copied, in order and in
 // one run per gap in skip, never re-encoded.
 func appendSectionSubset(dst, sec []byte, ix *SectionIndex, skip []int) []byte {
 	// The subset is never longer than sec: grow dst once, not per run.
@@ -105,7 +105,8 @@ func appendSectionSubset(dst, sec []byte, ix *SectionIndex, skip []int) []byte {
 		cut++
 	}
 	dst = append(dst, sec[:ix.head]...)
-	dst = appendCounts(dst, ix.procs-cut, len(ix.recs)-ix.procs-(len(skip)-cut), ix.u)
+	dst = binary.AppendUvarint(dst, uint64(ix.procs-cut))
+	dst = binary.AppendUvarint(dst, uint64(len(ix.recs)-ix.procs-(len(skip)-cut)))
 	from := 0 // the first record of the run still to copy
 	for _, i := range skip {
 		if i > from {
@@ -228,17 +229,12 @@ func (r *reader) skipSnapshot() {
 	r.uvarint() // from
 	r.uvarint() // seq
 	procs, links := r.count("proc records"), r.count("link records")
-	if procs+links > 0 {
-		r.uvarint() // U
-	}
 	for i := 0; i < procs+links && r.err == nil; i++ {
 		if i >= procs {
 			r.uvarint() // a link's first endpoint
 		}
 		r.uvarint() // the ID, or the link's second endpoint
-		if dist := r.uvarint(); dist&1 != 0 {
-			r.uvarint() // the record's own U
-		}
+		r.uvarint() // distortion
 		r.uvarint() // successes
 		r.uvarint() // failures
 	}

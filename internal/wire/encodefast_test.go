@@ -96,7 +96,7 @@ func TestAppendDeltaFrameMatchesEncode(t *testing.T) {
 // spliceSnapshots builds two distinct snapshots for splice tests.
 func spliceSnapshots(t *testing.T) (a, b *knowledge.Snapshot) {
 	t.Helper()
-	v, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{Intervals: 8})
+	v, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,16 +237,14 @@ func TestSpliceZeroAlloc(t *testing.T) {
 
 // TestSectionSubsetMatchesEncode: copying a subset of the records
 // of an indexed section is byte-identical to encoding the snapshot
-// without the skipped records under the same head U, over random
-// snapshots (varints of every width and mixed U, so records differ in
-// length and some carry their own U) and random skip sets, including
-// none, all of them and empty record lists; the frame form matches
-// AppendDeltaFrame around the filtered section.
+// without the skipped records under the same head, over random
+// snapshots (varints of every width, so records differ in length) and
+// random skip sets, including none, all of them and empty record lists;
+// the frame form matches AppendDeltaFrame around the filtered section.
 func TestSectionSubsetMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	est := func() bayes.State {
-		return bayes.State{Intervals: []int{100, 100, 2 + rng.Intn(MaxIntervals-1)}[rng.Intn(3)],
-			Succ: rng.Intn(1 << uint(rng.Intn(40))), Fail: rng.Intn(1 << uint(rng.Intn(20)))}
+		return bayes.State{Succ: rng.Intn(1 << uint(rng.Intn(40))), Fail: rng.Intn(1 << uint(rng.Intn(20)))}
 	}
 	var ix SectionIndex // carried across cases, as Tick carries it across periods
 	for c := 0; c < 500; c++ {
@@ -282,7 +280,7 @@ func TestSectionSubsetMatchesEncode(t *testing.T) {
 		if full, _ := AppendSnapshotSection(nil, s); !bytes.Equal(sec, full) {
 			t.Fatalf("case %d: the indexed section differs from AppendSnapshotSection", c)
 		}
-		want, err := appendSection(nil, kept, nil, sectionIntervals(s))
+		want, err := appendSection(nil, kept, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,22 +298,29 @@ func TestSectionSubsetMatchesEncode(t *testing.T) {
 	}
 }
 
-// TestRecordWireBytes pins what a record costs at the paper's U = 100:
-// with IDs and evidence counts below 128 and distortions below 64 — a
-// byte per varint — a process record is at most 4 B and a link record
-// at most 5 B, and a record of another U pays only for its own.
+// TestRecordWireBytes pins what a record costs: with IDs, distortions
+// and evidence counts below 128 — a byte per varint — a process record
+// is at most 4 B and a link record at most 5 B, and a section's head is
+// its sender, its sequence number and its two record counts.
 func TestRecordWireBytes(t *testing.T) {
-	est := bayes.State{Intervals: 100, Succ: 127, Fail: 127}
+	est := bayes.State{Succ: 127, Fail: 127}
 	s := &knowledge.Snapshot{From: 127, Seq: 1,
-		Procs: []knowledge.ProcRecord{{ID: 127, Dist: 63, Est: est}, {ID: 0, Dist: 0, Est: bayes.State{Intervals: 100}}},
-		Links: []knowledge.LinkRecord{{Link: topology.NewLink(126, 127), Dist: 63, Est: est},
-			{Link: topology.NewLink(0, 1), Dist: 1, Est: bayes.State{Intervals: 8, Succ: 3}}},
+		Procs: []knowledge.ProcRecord{{ID: 127, Dist: 127, Est: est}, {ID: 0, Dist: 0, Est: bayes.State{}}},
+		Links: []knowledge.LinkRecord{{Link: topology.NewLink(126, 127), Dist: 127, Est: est},
+			{Link: topology.NewLink(0, 1), Dist: 1, Est: bayes.State{Succ: 3}}},
 	}
 	var ix SectionIndex
-	if _, err := AppendSnapshotSectionIndexed(nil, s, &ix); err != nil {
+	sec, err := AppendSnapshotSectionIndexed(nil, s, &ix)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []int{4, 4, 5, 6} {
+	if got := ix.recs[0].from; got != 4 {
+		t.Errorf("the section head is %d B, want 4", got)
+	}
+	if got, want := len(sec), 4+4+4+5+5; got != want {
+		t.Errorf("the section is %d B, want %d", got, want)
+	}
+	for i, want := range []int{4, 4, 5, 5} {
 		if got := ix.recs[i].to - ix.recs[i].from; got > want {
 			t.Errorf("record %d is %d B, want at most %d", i, got, want)
 		}

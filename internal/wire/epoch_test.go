@@ -16,7 +16,7 @@ import (
 // capture.
 func goldenFrames(tb testing.TB) []*Frame {
 	tb.Helper()
-	v, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{Intervals: 8})
+	v, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestStaticFramesByteIdenticalToV2(t *testing.T) {
 // followed the epoch: every kind, at epoch 0 or not and at any cadence,
 // now encodes at the one version and round-trips.
 func TestEpochVersionSelection(t *testing.T) {
-	v, err := knowledge.NewView(0, 2, []topology.NodeID{1}, nil, knowledge.Params{Intervals: 4})
+	v, err := knowledge.NewView(0, 2, []topology.NodeID{1}, nil, knowledge.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // testdata/fuzz) and anchor the round-trip property test.
 func seedFrames(tb testing.TB) []*Frame {
 	tb.Helper()
-	v, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{Intervals: 8})
+	v, err := knowledge.NewView(1, 5, []topology.NodeID{0, 2}, nil, knowledge.Params{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func seedFrames(tb testing.TB) []*Frame {
 // view's state before the second heartbeat.
 func heardView(tb testing.TB) (v *knowledge.View, since uint64, delta *knowledge.Snapshot) {
 	tb.Helper()
-	peer, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{Intervals: 8})
+	peer, err := knowledge.NewView(0, 3, []topology.NodeID{1}, nil, knowledge.Params{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if v, err = knowledge.NewView(1, 3, []topology.NodeID{0}, nil, knowledge.Params{Intervals: 8}); err != nil {
+	if v, err = knowledge.NewView(1, 3, []topology.NodeID{0}, nil, knowledge.Params{}); err != nil {
 		tb.Fatal(err)
 	}
 	hear := func() {
@@ -128,13 +128,13 @@ func heardView(tb testing.TB) (v *knowledge.View, since uint64, delta *knowledge
 	return v, since, delta
 }
 
-// boundsSnapshot holds records at the decoder's bounds: the most
-// intervals a record may declare, and evidence saturated at MaxEvidence.
+// boundsSnapshot holds records at the decoder's bounds: evidence
+// saturated at MaxEvidence.
 func boundsSnapshot() *knowledge.Snapshot {
 	return &knowledge.Snapshot{From: 1, Seq: 1, Procs: []knowledge.ProcRecord{
-		{ID: 0, Dist: 1, Est: bayes.State{Intervals: MaxIntervals, Succ: MaxEvidence - 1, Fail: 1}},
+		{ID: 0, Dist: 1, Est: bayes.State{Succ: MaxEvidence - 1, Fail: 1}},
 	}, Links: []knowledge.LinkRecord{
-		{Link: topology.NewLink(0, 1), Dist: 0, Est: bayes.State{Intervals: 2, Fail: MaxEvidence}},
+		{Link: topology.NewLink(0, 1), Dist: 0, Est: bayes.State{Fail: MaxEvidence}},
 	}}
 }
 
@@ -150,12 +150,6 @@ func nodeIDsEqual(a, b []topology.NodeID) bool {
 	return true
 }
 
-// statesEqual compares estimator states by what they denote: the
-// interval count and the evidence counts.
-func statesEqual(a, b *bayes.State) bool {
-	return a.Intervals == b.Intervals && a.Succ == b.Succ && a.Fail == b.Fail
-}
-
 func snapshotsEqual(a, b *knowledge.Snapshot) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -169,13 +163,13 @@ func snapshotsEqual(a, b *knowledge.Snapshot) bool {
 	}
 	for i := range a.Procs {
 		x, y := &a.Procs[i], &b.Procs[i]
-		if x.ID != y.ID || x.Dist != y.Dist || !statesEqual(&x.Est, &y.Est) {
+		if x.ID != y.ID || x.Dist != y.Dist || x.Est != y.Est {
 			return false
 		}
 	}
 	for i := range a.Links {
 		x, y := &a.Links[i], &b.Links[i]
-		if x.Link != y.Link || x.Dist != y.Dist || !statesEqual(&x.Est, &y.Est) {
+		if x.Link != y.Link || x.Dist != y.Dist || x.Est != y.Est {
 			return false
 		}
 	}
@@ -244,11 +238,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{magic})
 	f.Add([]byte{magic, version, byte(FrameData)})
 	f.Add([]byte{magic, version, byte(FrameHeartbeat), 0xff, 0xff, 0xff})
-	// Headers the decoder refuses: a v2 heartbeat, and the retired v4 and
-	// v5.
+	// Headers the decoder refuses: a v2 heartbeat, the retired v4 and v5,
+	// and a v6 heartbeat whose section head declares U = 100.
 	f.Add([]byte{magic, 2, byte(FrameHeartbeat), 2, 1, 0, 0})
 	f.Add([]byte{magic, 4, byte(FrameKnowledgeDelta)})
 	f.Add([]byte{magic, 5, byte(FrameHeartbeat), 5, 2, 1, 0, 0})
+	f.Add([]byte{magic, 6, byte(FrameHeartbeat), 1, 1, 1, 0, 100, 0, 2, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := Decode(data)
 		reused, serr := sc.DecodeBorrow(data)
@@ -294,29 +289,25 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // handHeartbeat assembles, byte by byte, a heartbeat at wire version
-// ver whose section, of U u, holds one record: a link record if link is
-// set, else a process record, with the given bytes — for values no
-// encoder emits. Past a version other than the current one nothing is
-// read.
-func handHeartbeat(ver byte, u uint64, link bool, record []byte) []byte {
+// ver whose section holds one record: a link record if link is set, else
+// a process record, with the given bytes — for values no encoder emits.
+// Past a version other than the current one nothing is read.
+func handHeartbeat(ver byte, link bool, record []byte) []byte {
 	b := []byte{magic, ver, byte(FrameHeartbeat), 1, 1, 1, 0} // from 1, seq 1, one process record
 	if link {
 		b[5], b[6] = 0, 1
 	}
-	return append(binary.AppendUvarint(b, u), record...)
+	return append(b, record...)
 }
 
 // handRecord is a record's bytes: its ID or endpoints, then its
-// distortion, its own U if u is not 0, and its counts.
-func handRecord(ids []uint64, dist, u, succ, fail uint64) []byte {
+// distortion and its counts.
+func handRecord(ids []uint64, dist, succ, fail uint64) []byte {
 	var b []byte
 	for _, id := range ids {
 		b = binary.AppendUvarint(b, id)
 	}
-	b = binary.AppendUvarint(b, dist<<1|min(u, 1))
-	if u != 0 {
-		b = binary.AppendUvarint(b, u)
-	}
+	b = binary.AppendUvarint(b, dist)
 	b = binary.AppendUvarint(b, succ)
 	return binary.AppendUvarint(b, fail)
 }
@@ -332,29 +323,35 @@ type forgedCount struct {
 // forgedCountFrames hand-assembles heartbeats around one record that no
 // encoder would emit: the record is a handful of bytes whatever it
 // declares, so only the decoder's own bounds stand between a forged
-// U = 2^40 and the grid it would size, a forged ID and the view it
+// count and the float64 it would overflow, a forged ID and the view it
 // would index, or a forged distortion and the int32 it would wrap to.
 // The bound cases ride the current version, so they reach the record;
-// two wrap a legal record in the retired v4 and v5 headers. They are
-// committed to the fuzz corpus as the forged-N files
-// (TestWriteSeedCorpus).
+// three wrap a legal record of their own layout in the retired v4, v5
+// and v6 headers. They are committed to the fuzz corpus as the forged-N
+// files (TestWriteSeedCorpus).
 func forgedCountFrames() []forgedCount {
-	proc := func(dist, u, succ, fail uint64) []byte {
-		return handHeartbeat(version, 100, false, handRecord([]uint64{0}, dist, u, succ, fail))
+	proc := func(dist, succ, fail uint64) []byte {
+		return handHeartbeat(version, false, handRecord([]uint64{0}, dist, succ, fail))
 	}
-	legal := handRecord([]uint64{0}, 1, 0, 3, 1)
+	link := func(dist, succ, fail uint64) []byte {
+		return handHeartbeat(version, true, handRecord([]uint64{0, 1}, dist, succ, fail))
+	}
+	legal := handRecord([]uint64{0}, 1, 3, 1)
+	// v6 heads a section with U = 100 and shifts a record's distortion
+	// past its own-U flag.
+	v6 := append([]byte{magic, 6, byte(FrameHeartbeat), 1, 1, 1, 0, 100}, handRecord([]uint64{0}, 2, 3, 1)...)
 	return []forgedCount{
-		{"oversize U", proc(1, 1<<40, 3, 1), "intervals outside"},
-		{"U just past the bound", proc(1, MaxIntervals+1, 3, 1), "intervals outside"},
-		{"success count overflow", proc(1, 0, math.MaxUint64, 0), "evidence counts"},
-		{"evidence sum past the bound", proc(1, 0, MaxEvidence, 1), "evidence counts"},
-		{"a legal record in a v4 frame", handHeartbeat(4, 100, false, legal), "unsupported version 4"},
-		{"a legal record in a v5 frame", handHeartbeat(5, 100, false, legal), "unsupported version 5"},
-		{"process ID at MaxProcs", handHeartbeat(version, 100, false, handRecord([]uint64{MaxProcs}, 1, 0, 3, 1)), "process 65536 outside"},
-		{"link endpoint at MaxProcs", handHeartbeat(version, 100, true, handRecord([]uint64{0, MaxProcs}, 1, 0, 3, 1)), "process 65536 outside"},
-		{"distortion that wraps to 1 in an int32", proc(1<<32+1, 0, 3, 1), "distortion 4294967297 exceeds"},
-		{"U override below 2", proc(1, 1, 3, 1), "1 intervals outside"},
-		{"section U below 2", handHeartbeat(version, 0, false, legal), "0 intervals outside"},
+		{"success count overflow", proc(1, math.MaxUint64, 0), "evidence counts"},
+		{"evidence sum past the bound", proc(1, MaxEvidence, 1), "evidence counts"},
+		{"a legal record in a v4 frame", handHeartbeat(4, false, legal), "unsupported version 4"},
+		{"a legal record in a v5 frame", handHeartbeat(5, false, legal), "unsupported version 5"},
+		{"process ID at MaxProcs", handHeartbeat(version, false, handRecord([]uint64{MaxProcs}, 1, 3, 1)), "process 65536 outside"},
+		{"link endpoint at MaxProcs", handHeartbeat(version, true, handRecord([]uint64{0, MaxProcs}, 1, 3, 1)), "process 65536 outside"},
+		{"distortion that wraps to 1 in an int32", proc(1<<32+1, 3, 1), "distortion 4294967297 exceeds"},
+		{"a legal record in a v6 frame", v6, "unsupported version 6"},
+		{"distortion just past DistInf", proc(knowledge.DistInf+1, 3, 1), "distortion 2147483648 exceeds"},
+		{"failure count past the bound", link(1, 0, MaxEvidence+1), "evidence counts"},
+		{"link distortion that wraps to 0 in an int32", link(1<<32, 3, 1), "distortion 4294967296 exceeds"},
 	}
 }
 
@@ -386,7 +383,7 @@ func TestForgedCountFramesRejected(t *testing.T) {
 // piggyback splice and the shared delta sections — naming the bound the
 // decoder names, and the destination comes back as it was.
 func TestEncoderRefusesWhatDecoderRefuses(t *testing.T) {
-	ok := bayes.State{Intervals: 100, Succ: 3, Fail: 1}
+	ok := bayes.State{Succ: 3, Fail: 1}
 	proc := func(id topology.NodeID, dist int, est bayes.State) *knowledge.Snapshot {
 		return &knowledge.Snapshot{From: 1, Seq: 1, Procs: []knowledge.ProcRecord{{ID: id, Dist: dist, Est: est}}}
 	}
@@ -402,8 +399,6 @@ func TestEncoderRefusesWhatDecoderRefuses(t *testing.T) {
 		snap *knowledge.Snapshot
 		why  string
 	}{
-		{"U 0, a zero-value estimator state", proc(0, 1, bayes.State{}), "0 intervals outside"},
-		{"U past MaxIntervals", proc(0, 1, bayes.State{Intervals: MaxIntervals + 1}), "intervals outside"},
 		{"negative distortion", proc(0, -1, ok), "distortion 18446744073709551615 exceeds"},
 		{"distortion past DistInf", proc(0, knowledge.DistInf+1, ok), "distortion 2147483648 exceeds"},
 		{"process ID at MaxProcs", proc(MaxProcs, 1, ok), "process 65536 outside"},
@@ -411,9 +406,9 @@ func TestEncoderRefusesWhatDecoderRefuses(t *testing.T) {
 		{"link endpoint at MaxProcs", link(0, MaxProcs), "process 65536 outside"},
 		{"negative link endpoint", link(-2, 0), "outside [0,65536)"},
 		{"sender at MaxProcs", &knowledge.Snapshot{From: MaxProcs, Seq: 1}, "process 65536 outside"},
-		{"success count past MaxEvidence", proc(0, 1, bayes.State{Intervals: 100, Succ: MaxEvidence + 1}), "evidence counts"},
-		{"negative failure count", proc(0, 1, bayes.State{Intervals: 100, Fail: -1}), "evidence counts"},
-		{"evidence sum past MaxEvidence", proc(0, 1, bayes.State{Intervals: 100, Succ: MaxEvidence, Fail: 1}), "evidence counts"},
+		{"success count past MaxEvidence", proc(0, 1, bayes.State{Succ: MaxEvidence + 1}), "evidence counts"},
+		{"negative failure count", proc(0, 1, bayes.State{Fail: -1}), "evidence counts"},
+		{"evidence sum past MaxEvidence", proc(0, 1, bayes.State{Succ: MaxEvidence, Fail: 1}), "evidence counts"},
 	} {
 		frames := []*Frame{
 			{Kind: FrameHeartbeat, Heartbeat: c.snap},
@@ -441,8 +436,8 @@ func TestEncoderRefusesWhatDecoderRefuses(t *testing.T) {
 	}
 }
 
-// FuzzSectionSubset builds a snapshot from the fuzz input — records of
-// mixed U, IDs up to MaxProcs−1, distortions up to DistInf, counts up to
+// FuzzSectionSubset builds a snapshot from the fuzz input — records with
+// IDs up to MaxProcs−1, distortions up to DistInf, counts up to
 // MaxEvidence — encodes its section indexed, copies a delta frame of a
 // subset of its records drawn from the input, and decodes the frame: the
 // result must equal the snapshot without the skipped records.
@@ -463,12 +458,8 @@ func FuzzSectionSubset(f *testing.F) {
 			}
 			return v % bound
 		}
-		base := 2 + int(next(MaxIntervals-1))
 		est := func() bayes.State {
-			s := bayes.State{Intervals: base}
-			if next(4) == 0 {
-				s.Intervals = 2 + int(next(MaxIntervals-1))
-			}
+			var s bayes.State
 			s.Succ = int(next(MaxEvidence + 1))
 			s.Fail = int(next(uint64(MaxEvidence - s.Succ + 1)))
 			return s

@@ -19,7 +19,7 @@ import (
 // are designed around.
 func paperSnapshot(t *testing.T) *knowledge.Snapshot {
 	t.Helper()
-	v, err := knowledge.NewView(1, 8, []topology.NodeID{0, 2}, nil, knowledge.Params{Intervals: 100})
+	v, err := knowledge.NewView(1, 8, []topology.NodeID{0, 2}, nil, knowledge.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestQuantErrorBound(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 50; trial++ {
-			est := bayes.MustNew(100)
+			est := bayes.New()
 			p := rng.Float64() * 0.5 // the schedule's true loss rate
 			steps := 1 + rng.Intn(400)
 			for i := 0; i < steps; i++ {
@@ -106,11 +106,11 @@ func TestQuantErrorBound(t *testing.T) {
 
 // TestQuantizedDecodeRenormalizes keeps its name from when the v4
 // quantized profile still decoded. It now pins the retirements: under a
-// v1, v4 or v5 header every retired estimator layout — quantized, raw
-// float (flags 0x01), refined-grid (0x00) and the flagged count layout
-// (0x04) — fails as an unsupported version, fresh, borrowed and through
-// a Scratch a valid frame just used. A record of the current layout
-// under the current header decodes.
+// v1, v4, v5 or v6 header every retired estimator layout — quantized, raw
+// float (flags 0x01), refined-grid (0x00), the flagged count layout
+// (0x04) and v6's section-U layout — fails as an unsupported version,
+// fresh, borrowed and through a Scratch a valid frame just used. A record
+// of the current layout under the current header decodes.
 func TestQuantizedDecodeRenormalizes(t *testing.T) {
 	floats := func(b []byte, fs ...float64) []byte {
 		for _, f := range fs {
@@ -127,6 +127,7 @@ func TestQuantizedDecodeRenormalizes(t *testing.T) {
 	raw = binary.AppendUvarint(raw, 2)
 	raw = floats(raw, 0, -1)
 	counts := []byte{4, 2, 7, 1} // the flagged count layout, U = 2
+	sectionU := []byte{7, 1}     // v6's unflagged count record (its head's U left out: nothing past the version is read)
 
 	for _, c := range []struct {
 		name   string
@@ -142,8 +143,9 @@ func TestQuantizedDecodeRenormalizes(t *testing.T) {
 		{"v1 refined grid", 1, append([]byte{0}, raw[1:]...)},
 		{"v1 raw", 1, raw},
 		{"v1 counts", 1, counts},
+		{"v6 section U", 6, sectionU},
 	} {
-		frame := handHeartbeat(c.ver, 2, false, append([]byte{0, 2}, c.layout...)) // process 0 at distortion 1
+		frame := handHeartbeat(c.ver, false, append([]byte{0, 2}, c.layout...)) // process 0 at distortion 1
 		want := fmt.Sprintf("unsupported version %d", c.ver)
 		for what, err := range decodeEverywhere(t, frame) {
 			if err == nil || !strings.Contains(err.Error(), want) {
@@ -151,23 +153,23 @@ func TestQuantizedDecodeRenormalizes(t *testing.T) {
 			}
 		}
 	}
-	f, err := Decode(handHeartbeat(version, 2, false, handRecord([]uint64{0}, 1, 0, 7, 1)))
+	f, err := Decode(handHeartbeat(version, false, handRecord([]uint64{0}, 1, 7, 1)))
 	if err != nil {
 		t.Fatalf("a record in a current heartbeat must decode: %v", err)
 	}
-	if got := f.Heartbeat.Procs[0].Est; got.Intervals != 2 || got.Succ != 7 || got.Fail != 1 {
+	if got := f.Heartbeat.Procs[0].Est; got.Succ != 7 || got.Fail != 1 {
 		t.Errorf("count record decoded as %+v", got)
 	}
 }
 
 // TestV4DataFrameRejected: a data frame rides the current version and no
-// other, so its header at versions 1–5 fails to decode.
+// other, so its header at versions 1–6 fails to decode.
 func TestV4DataFrameRejected(t *testing.T) {
 	b, err := Encode(&Frame{Kind: FrameData, Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ver := byte(1); ver <= 5; ver++ {
+	for ver := byte(1); ver < version; ver++ {
 		forged := append([]byte(nil), b...)
 		forged[1] = ver
 		if _, err := Decode(forged); err == nil {

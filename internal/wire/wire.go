@@ -121,11 +121,6 @@ type KnowledgeDelta struct {
 // detection forever; 256 periods is far beyond any sane stretch cap.
 const MaxCadence = 256
 
-// MaxIntervals bounds the interval count U an estimator record may
-// declare: a record is ~5 bytes whatever it declares, and U sizes the grid
-// the receiver builds.
-const MaxIntervals = bayes.MaxIntervals
-
 // MaxEvidence bounds successes+failures in an estimator record, so that
 // count·log(mid) stays a well-conditioned float64.
 const MaxEvidence = bayes.MaxEvidence

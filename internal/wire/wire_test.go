@@ -12,7 +12,7 @@ import (
 
 func heartbeatSnapshot(t *testing.T) *knowledge.Snapshot {
 	t.Helper()
-	v, err := knowledge.NewView(1, 4, []topology.NodeID{0, 2}, nil, knowledge.Params{Intervals: 10})
+	v, err := knowledge.NewView(1, 4, []topology.NodeID{0, 2}, nil, knowledge.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 		t.Errorf("payload lost: %d procs %d links", len(f.Heartbeat.Procs), len(f.Heartbeat.Links))
 	}
 	// The decoded snapshot merges cleanly into another view.
-	other, err := knowledge.NewView(0, 4, []topology.NodeID{1}, nil, knowledge.Params{Intervals: 10})
+	other, err := knowledge.NewView(0, 4, []topology.NodeID{1}, nil, knowledge.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,37 +47,24 @@ func line2(t *testing.T, opts0, opts1 []adaptivecast.Option) (*adaptivecast.Fabr
 	return fabric, n0, n1
 }
 
-// TestBayesIntervalsBounds: an interval count outside [2, 4096] makes
-// NewNode return an error instead of panicking inside the knowledge
-// view, and the largest count accepted builds a working node.
-func TestBayesIntervalsBounds(t *testing.T) {
+// TestNodeRunsPaperPrecision: U is the paper's constant, 100, with no
+// option to change it, and a node built without options runs the
+// estimator and estimates itself strictly inside (0, 1) after a tick.
+func TestNodeRunsPaperPrecision(t *testing.T) {
 	g, err := adaptivecast.Line(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fabric := adaptivecast.NewFabric(adaptivecast.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
-	for _, u := range []int{1, -3, adaptivecast.MaxIntervalsForTest + 1} {
-		func() {
-			defer func() {
-				if v := recover(); v != nil {
-					t.Errorf("WithBayesIntervals(%d): NewNode panicked: %v", u, v)
-				}
-			}()
-			if nd, err := adaptivecast.NewNode(fabric.Endpoint(0), 2, g.Neighbors(0), adaptivecast.WithBayesIntervals(u)); err == nil {
-				_ = nd.Close()
-				t.Errorf("WithBayesIntervals(%d): NewNode built a node", u)
-			}
-		}()
-	}
-	nd, err := adaptivecast.NewNode(fabric.Endpoint(0), 2, g.Neighbors(0), adaptivecast.WithBayesIntervals(adaptivecast.MaxIntervalsForTest))
+	nd, err := adaptivecast.NewNode(fabric.Endpoint(0), 2, g.Neighbors(0))
 	if err != nil {
-		t.Fatalf("WithBayesIntervals(%d): %v", adaptivecast.MaxIntervalsForTest, err)
+		t.Fatal(err)
 	}
 	defer func() { _ = nd.Close() }()
 	nd.Tick()
 	if mean, _ := nd.CrashEstimate(0); !(mean > 0 && mean < 1) {
-		t.Errorf("a %d-interval node estimates itself at %v", adaptivecast.MaxIntervalsForTest, mean)
+		t.Errorf("a node estimates itself at %v", mean)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"adaptivecast/internal/dedup"
-	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/node"
 )
 
@@ -136,7 +135,7 @@ func WithExactlyOnceLog(l *ExactlyOnceLog) Option {
 // frames themselves are already near-empty).
 //
 // The stretched interval rides the wire (the delta frame's Cadence
-// field, wire version 2), and receivers scale their suspicion timeouts
+// field; all members must run the one wire version, 7), and receivers scale their suspicion timeouts
 // and sequence-gap loss accounting by the sender's declared cadence, so
 // stretched neighbors are neither falsely suspected nor miscounted as
 // lossy. The trade-off is failure-detection latency on stretched links:
@@ -180,13 +179,6 @@ func WithEpoch(epoch uint64) Option {
 // the running cluster instead of waiting for announcements.
 func WithDeparted(ids ...NodeID) Option {
 	return func(c *nodeConfig) { c.inner.Departed = append([]NodeID(nil), ids...) }
-}
-
-// WithBayesIntervals sets U, the Bayesian estimator precision (default
-// 100, the paper's setting). U must lie in [2, 4096]; NewNode returns an
-// error for any other value.
-func WithBayesIntervals(u int) Option {
-	return func(c *nodeConfig) { c.inner.Knowledge = knowledge.Params{Intervals: u} }
 }
 
 // WithClock injects a clock, letting tests drive the stable-storage
