@@ -632,58 +632,6 @@ func BenchmarkHeartbeatSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkHeartbeatAdaptiveCadence measures the steady-state heartbeat
-// *frame count* of a converged pair with the adaptive cadence controller
-// on (capped at 8δ) versus the fixed one-frame-per-δ schedule. On this
-// lossless pair delta heartbeats already shrank the frames to a
-// liveness header (on lossy links they stay non-empty, and the
-// controller rarely stretches); adaptive cadence attacks the remaining
-// cost — the frames themselves. The
-// hb-frames/period metric is the acceptance number recorded in the
-// README; the in-benchmark assertion fails the run if stretching stops
-// being effective on long runs.
-func BenchmarkHeartbeatAdaptiveCadence(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		max  int
-	}{{"adaptive", 8}, {"fixed", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			trA, trB := loopPair(false)
-			mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
-				nd, err := node.New(node.Config{
-					ID:                 id,
-					NumProcs:           2,
-					Neighbors:          []topology.NodeID{1 - id},
-					AdaptiveCadenceMax: mode.max,
-				}, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(nd.Stop)
-				return nd
-			}
-			n0, n1 := mk(0, trA), mk(1, trB)
-			// Converge until posterior drift is far below the delta
-			// epsilon, so the controller holds its cap through the
-			// measured window instead of snap-cycling on re-stamps.
-			for i := 0; i < 650; i++ {
-				tickPair(n0, n1)
-			}
-			start := n0.Stats().HeartbeatsSent
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tickPair(n0, n1)
-			}
-			b.StopTimer()
-			frames := n0.Stats().HeartbeatsSent - start
-			b.ReportMetric(float64(frames)/float64(b.N), "hb-frames/period")
-			if mode.max > 1 && b.N >= 64 && 4*frames > b.N {
-				b.Fatalf("adaptive cadence sent %d frames over %d periods — stretching ineffective", frames, b.N)
-			}
-		})
-	}
-}
-
 // BenchmarkEpochRebuild measures the cost of one membership epoch change
 // on a running cluster — Cluster.AddNode end to end: topology growth,
 // joiner construction (estimator allocation for the grown ID space), the

@@ -30,10 +30,6 @@ type ClusterConfig struct {
 	// Piggyback attaches knowledge snapshots to data frames on every
 	// node (Section 4.1's bandwidth optimization).
 	Piggyback bool
-	// AdaptiveCadence, when positive, lets every node stretch heartbeats
-	// toward stable neighbors up to this interval, snapping back to
-	// HeartbeatEvery on any change (see WithAdaptiveCadence).
-	AdaptiveCadence time.Duration
 	// LaneQueueDepth bounds each peer's data lane (see
 	// WithLaneQueueDepth; default 256).
 	LaneQueueDepth int
@@ -103,9 +99,6 @@ func (c *Cluster) nodeOptions() []Option {
 	}
 	if cfg.Piggyback {
 		opts = append(opts, WithPiggyback())
-	}
-	if cfg.AdaptiveCadence > 0 {
-		opts = append(opts, WithAdaptiveCadence(cfg.AdaptiveCadence))
 	}
 	if cfg.LaneQueueDepth > 0 {
 		opts = append(opts, WithLaneQueueDepth(cfg.LaneQueueDepth))

@@ -24,11 +24,6 @@ type ClusterConfig struct {
 	HeartbeatMillis int `json:"heartbeatMillis"`
 	// Piggyback attaches knowledge snapshots to data frames.
 	Piggyback bool `json:"piggyback"`
-	// AdaptiveCadenceMillis, when positive, lets nodes stretch heartbeats
-	// toward stable neighbors up to this interval (see
-	// adaptivecast.WithAdaptiveCadence); all members must run the one
-	// wire version, 7.
-	AdaptiveCadenceMillis int `json:"adaptiveCadenceMillis"`
 	// Nodes lists every member; IDs must be dense 0..n-1.
 	Nodes []NodeSpec `json:"nodes"`
 }
@@ -45,7 +40,9 @@ const ExampleConfig = `{
   ]
 }`
 
-// LoadClusterConfig reads and validates a cluster file.
+// LoadClusterConfig reads and validates a cluster file. Unknown fields
+// are ignored, so a file written for an older daemon — one that still
+// sets adaptiveCadenceMillis, say — loads as it is.
 func LoadClusterConfig(path string) (*ClusterConfig, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

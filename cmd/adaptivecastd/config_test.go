@@ -56,6 +56,25 @@ func TestLoadConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestLoadConfigIgnoresRetiredFields: a cluster file written for an
+// older daemon, which still sets adaptiveCadenceMillis, loads as it is.
+func TestLoadConfigIgnoresRetiredFields(t *testing.T) {
+	cc, err := LoadClusterConfig(writeConfig(t, `{
+		"heartbeatMillis": 50,
+		"adaptiveCadenceMillis": 400,
+		"nodes": [
+			{"id": 0, "addr": "a:1", "neighbors": [1]},
+			{"id": 1, "addr": "b:1", "neighbors": [0]}
+		]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cc.Nodes) != 2 || cc.HeartbeatPeriod() != 50*time.Millisecond {
+		t.Errorf("parsed %d nodes at period %v, want 2 at 50ms", len(cc.Nodes), cc.HeartbeatPeriod())
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	cases := map[string]string{
 		"too few nodes":      `{"nodes":[{"id":0,"addr":"a:1"}]}`,

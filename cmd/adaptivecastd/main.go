@@ -35,7 +35,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"adaptivecast"
 )
@@ -88,10 +87,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if cc.Piggyback {
 		opts = append(opts, adaptivecast.WithPiggyback())
-	}
-	if cc.AdaptiveCadenceMillis > 0 {
-		opts = append(opts, adaptivecast.WithAdaptiveCadence(
-			time.Duration(cc.AdaptiveCadenceMillis)*time.Millisecond))
 	}
 	if *dataDir != "" {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {

@@ -38,11 +38,6 @@ type RunnerOptions struct {
 	// failure mode under test. Periods() stays anchored to the nominal
 	// Delta. Nodes joined by Grow during a skewed run tick at 1.0.
 	ClockSkew []float64
-	// AdaptiveCadenceMax, in heartbeat periods, caps the adaptive
-	// heartbeat cadence of every node's heartbeat plane, as
-	// node.Config.AdaptiveCadenceMax does the live node's. Values <= 1
-	// disable stretching (the classic one heartbeat per δ).
-	AdaptiveCadenceMax int
 }
 
 func (o RunnerOptions) withDefaults() RunnerOptions {
@@ -78,8 +73,7 @@ type Runner struct {
 	// period is the heartbeat-period workspace every node's step reuses:
 	// the engine runs one event at a time.
 	period heartbeat.Period
-	// hbSent counts heartbeat messages actually sent (after cadence
-	// skips), the frame-count metric adaptive cadence optimizes.
+	// hbSent counts heartbeat messages sent.
 	hbSent int
 }
 
@@ -148,7 +142,7 @@ func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, 
 		}
 		proc.piggyback = opts.Piggyback
 		r.views[i] = view
-		r.planes[i] = heartbeat.New(view, opts.AdaptiveCadenceMax)
+		r.planes[i] = heartbeat.New(view)
 		r.procs[i] = proc
 		if err := net.Register(id, &nodeProc{proc: proc, plane: r.planes[i]}); err != nil {
 			return nil, err
@@ -268,11 +262,8 @@ func (r *Runner) stepNode(i int) {
 	if fullSnapshots {
 		r.planes[i].Reset()
 	}
-	r.planes[i].Cut(ws, g.Neighbors(id), nil)
+	r.planes[i].Cut(ws, g.Neighbors(id))
 	for k, o := range ws.Outbound() {
-		if !o.Due {
-			continue
-		}
 		// The payload is in flight past this period: a fresh frame each.
 		frame, err := ws.AppendFrame(nil, k, 0)
 		if err != nil {
@@ -284,9 +275,8 @@ func (r *Runner) stepNode(i int) {
 	}
 }
 
-// HeartbeatsSent reports the heartbeat messages actually sent across the
-// cluster (after adaptive-cadence skips) — the frame-count metric the
-// cadence controller optimizes.
+// HeartbeatsSent reports the heartbeat messages sent across the
+// cluster.
 func (r *Runner) HeartbeatsSent() int { return r.hbSent }
 
 // AllConverged reports whether every view has learned the ground truth.
@@ -361,7 +351,7 @@ func (r *Runner) Grow(neighbors []topology.NodeID) (topology.NodeID, error) {
 		return 0, fmt.Errorf("broadcast: grow proc: %w", err)
 	}
 	proc.piggyback = r.opts.Piggyback
-	plane := heartbeat.New(view, r.opts.AdaptiveCadenceMax)
+	plane := heartbeat.New(view)
 	r.views = append(r.views, view)
 	r.planes = append(r.planes, plane)
 	r.procs = append(r.procs, proc)

@@ -10,16 +10,16 @@
 // horizon, knowledge.View.AppendOmitted), or the full snapshot while no
 // ack anchors a delta. Every frame echoes back, as its Ack, the version
 // of T's view merged here, which is what anchors T's next delta to us.
-// With adaptive cadence on, a neighbour whose delta stays empty and
-// anchored, that is not suspected and that waits for no ack is sent a
-// frame every few periods only (see internal/cadence).
+// Every neighbour is sent a frame every period, so every frame declares
+// the wire's default cadence of 1; a receiver still scales its loss and
+// suspicion accounting by whatever cadence a frame declares
+// (knowledge.View.MergeSnapshotAt).
 package heartbeat
 
 import (
 	"errors"
 	"slices"
 
-	"adaptivecast/internal/cadence"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/wire"
@@ -34,12 +34,10 @@ import (
 var ErrSender = errors.New("heartbeat: delta names another sender")
 
 // Plane is one process's heartbeat plane over its knowledge view: the
-// ack chain toward and from each neighbour and, with adaptive cadence
-// on, a cadence controller per neighbour. It is not safe for concurrent
-// use; the live node holds its lock across Cut and Receive.
+// ack chain toward and from each neighbour. It is not safe for
+// concurrent use; the live node holds its lock across Cut and Receive.
 type Plane struct {
 	view *knowledge.View
-	max  int // the cadence cap; 0 when adaptive cadence is off
 	// seen[j] is the latest version of j's view merged here — echoed
 	// back to j as Ack on the next heartbeat. acked[j] is the latest
 	// version of *this* view j has acknowledged — the base the next delta
@@ -47,48 +45,26 @@ type Plane struct {
 	// restart) forces the full-snapshot fallback. Both are keyed only by
 	// senders whose frame named them (see ErrSender).
 	seen, acked map[topology.NodeID]uint64
-	// cad[j] tracks the heartbeat stretch toward neighbour j; nil when
-	// adaptive cadence is off.
-	cad map[topology.NodeID]*cadence.State
-	// ackDue[j] is set while j's last merged delta carried records that
-	// no frame of ours has acked yet: j sits at δ until that ack arrives,
-	// so the cadence controller counts j unstable and sends the ack now.
-	// Split horizon leaves none of j's own news to echo back, so without
-	// it a plane stretched toward j would ack only at its stretched pace.
-	// nil when adaptive cadence is off.
-	ackDue map[topology.NodeID]bool
 }
 
-// New returns the plane of view. cadenceMax caps the adaptive heartbeat
-// cadence in periods (at most wire.MaxCadence); values <= 1 keep the
-// classic one frame per neighbour per period.
-func New(view *knowledge.View, cadenceMax int) *Plane {
-	p := &Plane{
+// New returns the plane of view.
+func New(view *knowledge.View) *Plane {
+	return &Plane{
 		view:  view,
 		seen:  make(map[topology.NodeID]uint64),
 		acked: make(map[topology.NodeID]uint64),
 	}
-	if cadenceMax > 1 {
-		p.max = min(cadenceMax, wire.MaxCadence)
-		p.cad = make(map[topology.NodeID]*cadence.State)
-		p.ackDue = make(map[topology.NodeID]bool)
-	}
-	return p
 }
 
 // Cut runs the half of a heartbeat period that reads and writes the
 // view, into ws: Events 2 and 3 (View.BeginPeriod), then one outbound
-// heartbeat per neighbour — its cut, the records of it the neighbour is
-// not sent, and whether it is due this period and at what cadence. The
-// frames are encoded afterwards from ws alone (Period.AppendFrame), so a
-// caller holding a lock over the view can release it first.
-//
-// resume holds per-neighbour cadence intervals a previous incarnation
-// persisted; each entry is handed to cadence.Resume the first time its
-// neighbour is stepped, then deleted. It may be nil.
-func (p *Plane) Cut(ws *Period, neighbors []topology.NodeID, resume map[topology.NodeID]int) {
+// heartbeat per neighbour — its cut and the records of it the neighbour
+// is not sent. The frames are encoded afterwards from ws alone
+// (Period.AppendFrame), so a caller holding a lock over the view can
+// release it first.
+func (p *Plane) Cut(ws *Period, neighbors []topology.NodeID) {
 	for _, nb := range neighbors {
-		ws.outs = append(ws.outs, Outbound{To: nb, Due: true, base: p.acked[nb], ack: p.seen[nb], declared: 1})
+		ws.outs = append(ws.outs, Outbound{To: nb, base: p.acked[nb], ack: p.seen[nb]})
 	}
 	outs := ws.outs
 	if cap(ws.cuts) < len(outs) {
@@ -100,16 +76,6 @@ func (p *Plane) Cut(ws *Period, neighbors []topology.NodeID, resume map[topology
 	ws.ver = p.view.Version()
 	for i := range outs {
 		o := &outs[i]
-		// Suspicion state must be read after BeginPeriod (which is where
-		// Event 2 raises suspicions), so a suspicion snaps cadence back to
-		// δ within the same period it fires. Suspicion is scoped to the
-		// suspect's own link: one dead neighbour must not pin the whole
-		// plane at full cadence toward its healthy neighbours — they learn
-		// of the suspicion through the ordinary snap-back (the raised
-		// suspicion dirties the suspect's record, so the deltas toward
-		// everyone go non-empty at δ until the news is acked) and then
-		// re-stretch while the suspect's link alone stays at δ.
-		o.suspected = p.view.Suspected(o.To)
 		// One cut per distinct acked base: in the common case every
 		// neighbour acked the same version, so a process of any degree
 		// scans the view once per period, not once per neighbour. An
@@ -147,45 +113,14 @@ func (p *Plane) Cut(ws *Period, neighbors []topology.NodeID, resume map[topology
 		o.skipFrom = len(ws.skips)
 		ws.skips = p.view.AppendOmitted(ws.skips, o.snap, o.To)
 		o.skipTo = len(ws.skips)
-		o.records = len(o.snap.Procs) + len(o.snap.Links) - (o.skipTo - o.skipFrom)
 	}
-	if p.cad == nil {
-		return
-	}
-	// The controller sees the neighbourhood state every period —
-	// including skipped ones — so a snap-back trigger (non-empty or
-	// unanchored delta, suspicion of this neighbour, an ack it waits
-	// for) re-enables the δ cadence and sends within the same period it
-	// appears.
-	for i := range outs {
-		o := &outs[i]
-		stable := o.Since > 0 && !o.suspected && o.records == 0 && !p.ackDue[o.To]
-		if o.declared, o.Due = p.step(o.To, stable, resume); o.Due {
-			delete(p.ackDue, o.To)
-		}
-	}
-}
-
-// step advances the cadence controller toward one neighbour by one
-// period and decides whether a frame is due now.
-func (p *Plane) step(to topology.NodeID, stable bool, resume map[topology.NodeID]int) (declared int, due bool) {
-	st := p.cad[to]
-	if st == nil {
-		if hint := resume[to]; hint > 1 {
-			st = cadence.Resume(hint)
-			delete(resume, to)
-		} else {
-			st = cadence.New()
-		}
-		p.cad[to] = st
-	}
-	return st.Step(stable, p.max)
 }
 
 // Receive merges a delta heartbeat from neighbour from (Event 1, with
 // the sequence-gap and suspicion accounting scaled by the cadence the
-// frame declares) and advances the ack chain. What is delta-specific is
-// when the sender's version may be acknowledged:
+// frame declares; a plane's own frames declare 1) and advances the ack
+// chain. What is delta-specific is when the sender's version may be
+// acknowledged:
 //
 //   - A full snapshot (Since == 0) proves this view now holds everything
 //     the sender had at Ver: overwrite the seen version (overwriting also
@@ -208,9 +143,6 @@ func (p *Plane) Receive(from topology.NodeID, d *wire.KnowledgeDelta) error {
 	if err := p.view.MergeSnapshotAt(d.Snap, int(d.Cadence)); err != nil {
 		return err
 	}
-	if p.ackDue != nil && len(d.Snap.Procs)+len(d.Snap.Links) > 0 {
-		p.ackDue[from] = true
-	}
 	switch {
 	case d.Since == 0:
 		p.seen[from] = d.Ver
@@ -223,17 +155,13 @@ func (p *Plane) Receive(from topology.NodeID, d *wire.KnowledgeDelta) error {
 	return nil
 }
 
-// Reset forgets the ack chain and the cadence controllers, as a
-// membership change must: with no ack on record the next heartbeat
-// toward every neighbour is the full snapshot, and with no version seen
-// this plane acks 0 until full snapshots arrive, forcing the fallback in
-// the other direction too. Controllers restart at one frame per period,
-// which also pushes the news out at once.
+// Reset forgets the ack chain, as a membership change must: with no ack
+// on record the next heartbeat toward every neighbour is the full
+// snapshot, and with no version seen this plane acks 0 until full
+// snapshots arrive, forcing the fallback in the other direction too.
 func (p *Plane) Reset() {
 	clear(p.seen)
 	clear(p.acked)
-	clear(p.cad)
-	clear(p.ackDue)
 }
 
 // Acked is the version of this view neighbour to last acknowledged: the
@@ -254,39 +182,18 @@ func (p *Plane) SetAcked(to topology.NodeID, ver uint64) { p.acked[to] = ver }
 // itself.
 func (p *Plane) Peers() int { return len(p.seen) + len(p.acked) }
 
-// Interval is the current heartbeat interval toward neighbour to, in
-// periods: 1 while it is not stretched or adaptive cadence is off.
-func (p *Plane) Interval(to topology.NodeID) int {
-	if st := p.cad[to]; st != nil {
-		return st.Interval()
-	}
-	return 1
-}
-
-// Cadences calls yield with every controller's current interval and its
-// unconsumed resume hint, for a caller that persists them (see
-// cadence.State.Hint).
-func (p *Plane) Cadences(yield func(to topology.NodeID, interval, hint int)) {
-	for to, st := range p.cad {
-		yield(to, st.Interval(), st.Hint())
-	}
-}
-
-// Outbound is one neighbour's heartbeat of a period: where it goes, the
-// base of its delta (0 for the full snapshot), and whether it is due
-// this period; the rest is what Period.AppendFrame encodes it from.
+// Outbound is one neighbour's heartbeat of a period: where it goes and
+// the base of its delta (0 for the full snapshot); the rest is what
+// Period.AppendFrame encodes it from.
 type Outbound struct {
 	To    topology.NodeID
 	Since uint64 // the acked base when the frame is a delta, 0 when it is the full snapshot
-	Due   bool
 
 	base, ack uint64 // the version of this view the neighbour acked; of its view merged here
 	snap      *knowledge.Snapshot
-	suspected bool
-	declared  int
 	// skipFrom:skipTo bounds, in Period.skips, the records of snap it is
-	// not sent; records counts those it is.
-	skipFrom, skipTo, records int
+	// not sent.
+	skipFrom, skipTo int
 }
 
 // section is the record section of one distinct cut, encoded once per
@@ -333,11 +240,10 @@ func (ws *Period) AppendFrame(dst []byte, i int, epoch uint64) ([]byte, error) {
 		return dst, err
 	}
 	return wire.AppendDeltaFrameSubset(dst, &wire.KnowledgeDelta{
-		Since:   o.Since,
-		Ver:     ws.ver,
-		Ack:     o.ack,
-		Cadence: uint64(o.declared),
-		Epoch:   epoch,
+		Since: o.Since,
+		Ver:   ws.ver,
+		Ack:   o.ack,
+		Epoch: epoch,
 	}, sec.bytes, &sec.index, ws.skips[o.skipFrom:o.skipTo])
 }
 

@@ -53,6 +53,13 @@
 // heartbeat carries the neighbor's own zero-distortion self-estimate,
 // which is re-adopted, or — a delta leaves it out while it is unchanged —
 // the suspicion's evidence is undone (View.forgive).
+//
+// A heartbeat may declare a cadence c > 1, promising its next frame c
+// periods later; the view then scales that neighbor's suspicion timeout,
+// its sequence-gap loss count and the aging of the estimates it supplied
+// by c, clamped to maxDeclaredCadence (View.MergeSnapshotAt). The
+// heartbeat plane (internal/heartbeat) sends every neighbor a frame each
+// period and declares 1, which leaves every count unscaled.
 package knowledge
 
 import (
@@ -693,19 +700,6 @@ func (v *View) Suspected(j topology.NodeID) bool {
 	return p != nil && p.neighbor && p.suspected > 0
 }
 
-// AnySuspected reports whether any direct neighbor is currently
-// suspected. The node's adaptive-cadence controller snaps every
-// neighbor's heartbeat interval back to δ while this holds, so suspicion
-// news always propagates at full cadence.
-func (v *View) AnySuspected() bool {
-	for _, p := range v.peers {
-		if p != nil && p.neighbor && p.suspected > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NeighborCadence reports the heartbeat cadence neighbor j declared on
 // its last frame (1 = classic), for tests and introspection.
 func (v *View) NeighborCadence(j topology.NodeID) int { return v.peers[j].effCadence() }
@@ -744,8 +738,8 @@ const maxDeclaredCadence = 256
 // accounting uses the cadence the *previous* frame declared (that was
 // the spacing promise covering this gap); the newly declared cadence is
 // stored for the next gap and for Event 2's scaled suspicion timeout. A
-// sender may break its promise by sending early (snap-back on a view
-// change), which books no spurious loss: an early frame only shrinks g.
+// sender may break its promise by sending early, which books no
+// spurious loss: an early frame only shrinks g.
 func (v *View) reconcileLink(from topology.NodeID, senderSeq uint64, cadence int) {
 	ps := v.addPeer(from)
 	ls, learned := v.incident(from)

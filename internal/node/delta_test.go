@@ -15,9 +15,9 @@ import (
 
 // settleTicks runs `periods` heartbeat rounds on every node, draining
 // the fabric between rounds: frames leaking from one period into the
-// next read as instability to the cadence controller (a non-empty or
-// unanchored delta), so a fixed sleep makes every timing-sensitive
-// assertion flaky under -race on a loaded machine. A round is settled
+// next move the ack chain and the suspicion timers a period off, so a
+// fixed sleep makes every timing-sensitive assertion flaky under -race
+// on a loaded machine. A round is settled
 // exactly when every heartbeat it sent has been handled — the lossless
 // case, decided by counting. Under loss (or toward a stopped node) some
 // never arrive, and the round falls back to waiting until the receive

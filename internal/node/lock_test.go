@@ -111,12 +111,12 @@ type parkedStorage struct {
 	release chan struct{}
 }
 
-func (s *parkedStorage) SaveMark(at time.Time, seqFloor uint64, cadences map[topology.NodeID]int) error {
+func (s *parkedStorage) SaveMark(at time.Time, seqFloor uint64) error {
 	if s.armed.CompareAndSwap(true, false) {
 		s.parked <- struct{}{}
 		<-s.release
 	}
-	return s.MemStorage.SaveMark(at, seqFloor, cadences)
+	return s.MemStorage.SaveMark(at, seqFloor)
 }
 
 // TestNoDurableWriteHoldsTheNodeLock: while Tick is parked in its clock
@@ -178,7 +178,7 @@ func TestNoDurableWriteHoldsTheNodeLock(t *testing.T) {
 	if s := nd.Stats(); s.DataReceived != 2 || s.HeartbeatsReceived != 2 || s.LogErrors != 0 {
 		t.Errorf("stats %+v: want 2 data frames and 2 deltas handled, no durable-write errors", s)
 	}
-	_, floor, _, ok, err := st.LoadMark()
+	_, floor, ok, err := st.LoadMark()
 	if err != nil || !ok {
 		t.Fatalf("no mark persisted (ok=%v, err=%v)", ok, err)
 	}

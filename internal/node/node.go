@@ -242,7 +242,8 @@ type Config struct {
 	K float64
 	// HeartbeatEvery is δ, the heartbeat period (default 1s).
 	HeartbeatEvery time.Duration
-	// Knowledge tunes the view (Bayesian intervals, timeouts).
+	// Knowledge tunes the view (suspicion timeouts, link aging, the
+	// delta threshold).
 	Knowledge knowledge.Params
 	// Storage, when set, enables the crash-recovery clock-mark protocol
 	// (Events 3/4 across restarts).
@@ -265,19 +266,6 @@ type Config struct {
 	// demand up to the bound; a delivery that would cross it is dropped
 	// and counted in Stats.DroppedDeliveries.
 	DeliveryBuffer int
-	// AdaptiveCadenceMax caps the adaptive heartbeat cadence, in
-	// heartbeat periods: once a neighbor's delta has been empty, anchored
-	// and suspicion-free for a few consecutive periods, the node
-	// geometrically stretches that neighbor's heartbeat interval
-	// (1δ → 2δ → 4δ …) up to this cap, and snaps back to δ the moment
-	// anything changes — a non-empty delta, any suspicion, or a neighbor
-	// needing the full-snapshot fallback. The stretched interval rides
-	// the delta frame's Cadence field so the receiver scales its
-	// suspicion timeout and sequence-gap loss accounting instead of
-	// falsely suspecting (or under-counting) a quiet-by-design neighbor.
-	// Values <= 1 disable stretching (the default); the cap is at most
-	// wire.MaxCadence.
-	AdaptiveCadenceMax int
 	// LaneQueueDepth bounds each peer's data lane in the lane scheduler
 	// (default 256). At the high watermark new data frames are shed and
 	// counted in Stats.LaneDrops; the control lane is never bounded.
@@ -358,7 +346,7 @@ type Node struct {
 	cfg Config
 
 	// mu is the node lock. It guards the knowledge view and its heartbeat
-	// plane (hb, cadResume), the plan cache (cachedPlan, planVersion),
+	// plane (hb), the plan cache (cachedPlan, planVersion),
 	// the re-announcement budget (reannounced), the dedup watermarks
 	// (delivered), the membership state (epoch, nbs, lastChange,
 	// announceLeft) and the sequencer (seq). Three kinds of call are
@@ -392,12 +380,9 @@ type Node struct {
 	// cachedPlan is the broadcast plan for view version planVersion.
 	cachedPlan  *plan
 	planVersion uint64
-	// hb is the heartbeat plane over view: the ack chain and the cadence
-	// controllers. cadResume holds the per-neighbor intervals loaded from
-	// stable storage; the plane hands each entry to cadence.Resume the
-	// first time its neighbor is stepped, then drops it.
-	hb        *heartbeat.Plane
-	cadResume map[topology.NodeID]int
+	// hb is the heartbeat plane over view: the ack chain toward and from
+	// each neighbor.
+	hb *heartbeat.Plane
 
 	// ownsFrames is set when the transport hands the handler exclusive
 	// frame buffers (transport.FrameOwner): a delivered body and a relayed
@@ -420,15 +405,11 @@ type Node struct {
 	// to sequence reuse (which peers' dedup watermarks would silently
 	// censor). Broadcasts that catch up with the lease extend it
 	// synchronously under leaseMu before the new seq escapes the node.
-	// cadPersist (also under leaseMu) is the cadence snapshot written
-	// alongside the mark: Tick refreshes it from the controllers, and
-	// lease extensions re-write it unchanged. leaseMu orders those two
-	// durable writes and is never held together with mu, so a slow
-	// write stalls neither the handler nor a broadcast that needs no
-	// extension.
-	seqLease   atomic.Uint64
-	leaseMu    sync.Mutex
-	cadPersist map[topology.NodeID]int
+	// leaseMu orders those writes against Tick's mark and is never held
+	// together with mu, so a slow write stalls neither the handler nor a
+	// broadcast that needs no extension.
+	seqLease atomic.Uint64
+	leaseMu  sync.Mutex
 
 	stats counters
 
@@ -483,7 +464,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		nbs:         append([]topology.NodeID(nil), cfg.Neighbors...),
 		reannounced: make(map[topology.NodeID]bool),
 		delivered:   newDeliveredSet(),
-		hb:          heartbeat.New(view, cfg.AdaptiveCadenceMax),
+		hb:          heartbeat.New(view),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -513,7 +494,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	// watermark.
 	var resume uint64
 	if cfg.Storage != nil {
-		mark, seqFloor, cadences, ok, err := cfg.Storage.LoadMark()
+		mark, seqFloor, ok, err := cfg.Storage.LoadMark()
 		if err != nil {
 			return nil, err
 		}
@@ -524,16 +505,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 			}
 			resume = seqFloor
 			n.seqLease.Store(seqFloor)
-			if cfg.AdaptiveCadenceMax > 1 && len(cadences) > 0 {
-				// Resume the pre-crash heartbeat stretch: each neighbor
-				// still has to prove itself stable again, but then jumps
-				// straight back to its persisted interval instead of
-				// re-walking the geometric ramp. cadPersist starts as the
-				// same map so a lease extension before the first Tick
-				// cannot clobber the stored stretch with an empty one.
-				n.cadResume = cadences
-				n.cadPersist = cloneCadences(cadences)
-			}
 		}
 	}
 	if cfg.DedupLog != nil {
@@ -709,16 +680,10 @@ func (n *Node) Tick() {
 		n.announceLeft--
 		announce = n.lastChange
 	}
-	// The cadence snapshot the mark persists is taken before this
-	// period's steps: it is one period stale at worst.
-	var cadSnap map[topology.NodeID]int
-	if n.cfg.Storage != nil {
-		cadSnap = n.cadenceSnapshot()
-	}
 	// The roster and epoch are read once per period: membership changes
 	// landing after the section take effect next period.
 	neighbors, epoch := n.nbs, n.epoch
-	n.hb.Cut(ws, neighbors, n.cadResume)
+	n.hb.Cut(ws, neighbors)
 	n.mu.Unlock()
 
 	if announce != nil && announce.frame != nil {
@@ -738,19 +703,15 @@ func (n *Node) Tick() {
 		// could clobber a freshly extended (and already relied-upon) lease
 		// with a stale floor.
 		n.leaseMu.Lock()
-		n.cadPersist = cadSnap
-		_ = n.cfg.Storage.SaveMark(n.cfg.Now(), n.seqLease.Load(), cadSnap)
+		_ = n.cfg.Storage.SaveMark(n.cfg.Now(), n.seqLease.Load())
 		n.leaseMu.Unlock()
 	}
 
-	// Each due neighbor's frame is its own header followed by the records
-	// of its cut it is sent, copied out of a section the period encodes
-	// once per distinct cut.
+	// Each neighbor's frame is its own header followed by the records of
+	// its cut it is sent, copied out of a section the period encodes once
+	// per distinct cut.
 	sent, deltas := 0, 0
 	for i, o := range ws.Outbound() {
-		if !o.Due {
-			continue
-		}
 		eb := n.encPool.Get()
 		frame, err := ws.AppendFrame(eb.b, i, epoch)
 		if err != nil {
@@ -775,35 +736,6 @@ func (n *Node) Tick() {
 // reason planWorkspaces does: Tick is not serialized against itself, and
 // a workspace per node would sit in the heap between periods.
 var periods = pool.Pool[heartbeat.Period]{Reset: (*heartbeat.Period).Reset}
-
-// cadenceSnapshot collects the per-neighbor intervals worth persisting:
-// the current stretch of every controller, or its unconsumed resume
-// hint when that is larger — a node that crashes again before a
-// neighbor turns stable must not lose the stretch the previous
-// incarnation had already earned. Intervals at the default 1 are
-// omitted; nil when adaptive cadence is off. Called with mu held.
-func (n *Node) cadenceSnapshot() map[topology.NodeID]int {
-	if n.cfg.AdaptiveCadenceMax <= 1 {
-		return nil
-	}
-	var snap map[topology.NodeID]int
-	record := func(id topology.NodeID, iv int) {
-		if iv > 1 && iv > snap[id] {
-			if snap == nil {
-				snap = make(map[topology.NodeID]int)
-			}
-			snap[id] = iv
-		}
-	}
-	n.hb.Cadences(func(id topology.NodeID, interval, hint int) {
-		record(id, interval)
-		record(id, hint)
-	})
-	for id, hint := range n.cadResume {
-		record(id, hint)
-	}
-	return snap
-}
 
 // Broadcast initiates a reliable broadcast (Algorithm 1). It returns the
 // broadcast's sequence number and the planned number of data messages
@@ -889,7 +821,7 @@ func (n *Node) ensureSeqLease(seq uint64) {
 		return // another broadcast extended the lease meanwhile
 	}
 	lease := seq + seqLeaseBatch
-	if err := n.cfg.Storage.SaveMark(n.cfg.Now(), lease, n.cadPersist); err != nil {
+	if err := n.cfg.Storage.SaveMark(n.cfg.Now(), lease); err != nil {
 		n.stats.logErrors.Add(1)
 		return
 	}
@@ -1093,10 +1025,10 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 		n.mu.Lock()
 		repair, ok := n.epochGate(from, frame.Delta.Epoch)
 		if ok && !n.closed.Load() {
-			// The declared cadence scales this view's expected-arrival
-			// accounting for the sender: suspicion timeout and
-			// sequence-gap loss bookkeeping both divide by the promised
-			// inter-frame gap.
+			// The declared cadence (1 from every node) scales this
+			// view's expected-arrival accounting for the sender:
+			// suspicion timeout and sequence-gap loss bookkeeping both
+			// divide by the promised inter-frame gap.
 			err := n.hb.Receive(from, frame.Delta)
 			n.noteVerdicts()
 			if err == nil {
@@ -1202,7 +1134,7 @@ func (n *Node) handleMembership(from topology.NodeID, kind wire.FrameKind, m *wi
 // grow the view's ID space, tombstone departed members, splice the
 // subject in or out of the local neighbor roster, adopt the epoch, and
 // re-anchor everything derived from the old membership — the plan cache
-// is invalidated, and the per-neighbor ack/seen/cadence state is reset so
+// is invalidated, and the per-neighbor ack/seen state is reset so
 // the next heartbeat exchange falls back to full snapshots (the knowledge
 // pull that brings a joiner, or a laggard crossing several epochs at
 // once, up to speed). When the change is newer than the current epoch it
@@ -1242,10 +1174,9 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) (*member
 
 	// Re-anchor: trees and version bookkeeping from the old epoch must
 	// not serve the new one. The plane's reset forces the full-snapshot
-	// fallback in both directions and restarts the cadence controllers
-	// (heartbeat.Plane.Reset). The plan cache invalidates itself:
-	// Grow/MarkDeparted/AddNeighbor bumped the view version it is keyed
-	// on.
+	// fallback in both directions (heartbeat.Plane.Reset). The plan
+	// cache invalidates itself: Grow/MarkDeparted/AddNeighbor bumped the
+	// view version it is keyed on.
 	n.hb.Reset()
 
 	n.lastChange = newMemberChange(kind, m)

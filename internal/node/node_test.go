@@ -80,9 +80,6 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 			if over.DeliveryBuffer != 0 {
 				c.DeliveryBuffer = over.DeliveryBuffer
 			}
-			if over.AdaptiveCadenceMax != 0 {
-				c.AdaptiveCadenceMax = over.AdaptiveCadenceMax
-			}
 			if over.Knowledge.DeltaEpsilon != 0 {
 				c.Knowledge = over.Knowledge
 			}
@@ -339,15 +336,14 @@ func TestCrashRecoveryViaStableStorage(t *testing.T) {
 func TestFileStorage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mark")
 	fs := NewFileStorage(path)
-	if _, _, _, ok, err := fs.LoadMark(); err != nil || ok {
+	if _, _, ok, err := fs.LoadMark(); err != nil || ok {
 		t.Fatalf("empty storage: ok=%v err=%v", ok, err)
 	}
 	want := time.Unix(123456, 789)
-	wantCad := map[topology.NodeID]int{1: 8, 3: 2}
-	if err := fs.SaveMark(want, 42, wantCad); err != nil {
+	if err := fs.SaveMark(want, 42); err != nil {
 		t.Fatal(err)
 	}
-	got, seq, cad, ok, err := fs.LoadMark()
+	got, seq, ok, err := fs.LoadMark()
 	if err != nil || !ok {
 		t.Fatalf("load: ok=%v err=%v", ok, err)
 	}
@@ -357,8 +353,24 @@ func TestFileStorage(t *testing.T) {
 	if seq != 42 {
 		t.Errorf("seq floor = %d, want 42", seq)
 	}
-	if len(cad) != 2 || cad[1] != 8 || cad[3] != 2 {
-		t.Errorf("cadences = %v, want %v", cad, wantCad)
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temporary file left behind after a save (stat err %v)", err)
+	}
+}
+
+// TestFileStorageFailedRenameLeavesNoTemp: a SaveMark whose rename
+// fails — the mark path is a non-empty directory — returns the error
+// and removes its temporary file.
+func TestFileStorageFailedRenameLeavesNoTemp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mark")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewFileStorage(path).SaveMark(time.Unix(99, 0), 7); err == nil {
+		t.Fatal("SaveMark over a directory succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temporary file left behind after a failed save (stat err %v)", err)
 	}
 }
 
@@ -369,28 +381,54 @@ func TestFileStorageLegacyFormat(t *testing.T) {
 	if err := writeLegacyMark(path, time.Unix(99, 0)); err != nil {
 		t.Fatal(err)
 	}
-	got, seq, cad, ok, err := NewFileStorage(path).LoadMark()
+	got, seq, ok, err := NewFileStorage(path).LoadMark()
 	if err != nil || !ok {
 		t.Fatalf("legacy load: ok=%v err=%v", ok, err)
 	}
-	if !got.Equal(time.Unix(99, 0)) || seq != 0 || cad != nil {
-		t.Errorf("legacy mark = (%v, %d, %v), want (%v, 0, nil)", got, seq, cad, time.Unix(99, 0))
+	if !got.Equal(time.Unix(99, 0)) || seq != 0 {
+		t.Errorf("legacy mark = (%v, %d), want (%v, 0)", got, seq, time.Unix(99, 0))
 	}
 }
 
-// TestFileStorageTwoFieldFormat keeps pre-cadence mark files loadable: a
-// file holding timestamp and floor reads back with no cadence hints.
+// TestFileStorageTwoFieldFormat keeps timestamp-and-floor mark files
+// loadable.
 func TestFileStorageTwoFieldFormat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mark")
 	if err := os.WriteFile(path, []byte("99000000000 17\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, seq, cad, ok, err := NewFileStorage(path).LoadMark()
+	got, seq, ok, err := NewFileStorage(path).LoadMark()
 	if err != nil || !ok {
 		t.Fatalf("two-field load: ok=%v err=%v", ok, err)
 	}
-	if !got.Equal(time.Unix(99, 0)) || seq != 17 || cad != nil {
-		t.Errorf("two-field mark = (%v, %d, %v), want (%v, 17, nil)", got, seq, cad, time.Unix(99, 0))
+	if !got.Equal(time.Unix(99, 0)) || seq != 17 {
+		t.Errorf("two-field mark = (%v, %d), want (%v, 17)", got, seq, time.Unix(99, 0))
+	}
+}
+
+// TestFileStorageCadenceFormat keeps mark files of the version that
+// persisted heartbeat cadences loadable: the id:interval pairs after
+// the floor are ignored, and the timestamp and floor still parse
+// strictly.
+func TestFileStorageCadenceFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mark")
+	if err := os.WriteFile(path, []byte("99000000000 17 1:8 3:2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, seq, ok, err := NewFileStorage(path).LoadMark()
+	if err != nil || !ok {
+		t.Fatalf("cadence-format load: ok=%v err=%v", ok, err)
+	}
+	if !got.Equal(time.Unix(99, 0)) || seq != 17 {
+		t.Errorf("cadence-format mark = (%v, %d), want (%v, 17)", got, seq, time.Unix(99, 0))
+	}
+	for _, bad := range []string{"99x 17 1:8\n", "99000000000 -1 1:8\n"} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := NewFileStorage(path).LoadMark(); err == nil {
+			t.Errorf("LoadMark accepted %q", bad)
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func TestOnRecoverClockMarkSkew(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			store := &MemStorage{}
-			if err := store.SaveMark(base.Add(tc.markOffset), 0, nil); err != nil {
+			if err := store.SaveMark(base.Add(tc.markOffset), 0); err != nil {
 				t.Fatal(err)
 			}
 			fabric := transport.NewFabric(transport.FabricOptions{})

@@ -63,7 +63,7 @@ func TestSameBytesDifferential(t *testing.T) {
 		if views[i], err = knowledge.NewView(id, n, g.Neighbors(id), nil, knowledge.Params{}); err != nil {
 			t.Fatal(err)
 		}
-		planes[i] = heartbeat.New(views[i], 0)
+		planes[i] = heartbeat.New(views[i])
 	}
 	hbSum, planSum := sha256.New(), sha256.New()
 	type inflight struct {
@@ -81,7 +81,7 @@ func TestSameBytesDifferential(t *testing.T) {
 		var arriving []inflight
 		for i, pl := range planes {
 			id := topology.NodeID(i)
-			pl.Cut(&ws, g.Neighbors(id), nil)
+			pl.Cut(&ws, g.Neighbors(id))
 			for k, o := range ws.Outbound() {
 				frame, err := ws.AppendFrame(nil, k, 0)
 				if err != nil {

@@ -3,12 +3,11 @@ package node
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"adaptivecast/internal/topology"
 )
 
 // StableStorage persists the small per-node crash-recovery record: the
@@ -16,7 +15,7 @@ import (
 // probability (Section 4.1) — the process writes the current time every
 // period and, after a crash, compares the last mark with the clock to
 // count the missed intervals (Event 4) — plus the broadcast sequence
-// floor and the last stable heartbeat cadence toward each neighbor.
+// floor.
 //
 // The floor is the highest sequence number this incarnation may have
 // issued; a restarted node resumes its sequencer above it, because
@@ -26,25 +25,16 @@ import (
 // it is bumped in batches ahead of the issued sequence, so the sequencer
 // can crash at any instant and still resume safely without a durable
 // write per broadcast.
-//
-// The cadence map records, per neighbor, the adaptive heartbeat
-// interval (in periods) the node had stretched to before the crash.
-// It is a hint, not an invariant: a restarted node must still re-probe
-// stability, but once a neighbor proves stable again the controller
-// resumes the persisted stretch directly instead of re-walking the
-// geometric ramp (see internal/cadence.Resume). Entries at the default
-// interval 1 are omitted.
 type StableStorage interface {
-	// SaveMark records the latest alive-timestamp, the broadcast
-	// sequence floor (0 when the node never broadcast), and the current
-	// stable cadence intervals (nil or empty when cadence is off or
-	// fully snapped back).
-	SaveMark(t time.Time, seqFloor uint64, cadences map[topology.NodeID]int) error
-	// LoadMark returns the last recorded timestamp, sequence floor and
-	// cadence intervals; ok is false when nothing was ever recorded.
-	// Records written by older versions load with a zero floor and/or
-	// nil cadences.
-	LoadMark() (t time.Time, seqFloor uint64, cadences map[topology.NodeID]int, ok bool, err error)
+	// SaveMark records the latest alive-timestamp and the broadcast
+	// sequence floor (0 when the node never broadcast). The record must
+	// be durable when SaveMark returns nil: the node lets a leased
+	// sequence number escape only after that.
+	SaveMark(t time.Time, seqFloor uint64) error
+	// LoadMark returns the last recorded timestamp and sequence floor;
+	// ok is false when nothing was ever recorded. Records written by
+	// older versions load with a zero floor.
+	LoadMark() (t time.Time, seqFloor uint64, ok bool, err error)
 }
 
 // MemStorage is an in-memory StableStorage for tests and simulations of
@@ -53,38 +43,24 @@ type MemStorage struct {
 	mu   sync.Mutex
 	mark time.Time
 	seq  uint64
-	cad  map[topology.NodeID]int
 	set  bool
 }
 
 var _ StableStorage = (*MemStorage)(nil)
 
 // SaveMark implements StableStorage.
-func (m *MemStorage) SaveMark(t time.Time, seqFloor uint64, cadences map[topology.NodeID]int) error {
+func (m *MemStorage) SaveMark(t time.Time, seqFloor uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.mark, m.seq, m.cad, m.set = t, seqFloor, cloneCadences(cadences), true
+	m.mark, m.seq, m.set = t, seqFloor, true
 	return nil
 }
 
 // LoadMark implements StableStorage.
-func (m *MemStorage) LoadMark() (time.Time, uint64, map[topology.NodeID]int, bool, error) {
+func (m *MemStorage) LoadMark() (time.Time, uint64, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.mark, m.seq, cloneCadences(m.cad), m.set, nil
-}
-
-// cloneCadences copies a cadence map so storage and callers never share
-// one (nil and empty stay nil).
-func cloneCadences(in map[topology.NodeID]int) map[topology.NodeID]int {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make(map[topology.NodeID]int, len(in))
-	for id, iv := range in {
-		out[id] = iv
-	}
-	return out
+	return m.mark, m.seq, m.set, nil
 }
 
 // FileStorage persists the mark in a small text file — the minimal stable
@@ -98,96 +74,89 @@ var _ StableStorage = (*FileStorage)(nil)
 // NewFileStorage returns storage backed by the given path.
 func NewFileStorage(path string) *FileStorage { return &FileStorage{path: path} }
 
-// SaveMark implements StableStorage: an atomic write of one line — the
-// timestamp in nanoseconds, the sequence floor, then one id:interval
-// pair per stretched neighbor. Older readers split on whitespace and
-// ignore trailing fields, so the format stays backward compatible.
-func (f *FileStorage) SaveMark(t time.Time, seqFloor uint64, cadences map[topology.NodeID]int) error {
+// SaveMark implements StableStorage: a durable, atomic write of one
+// line — the timestamp in nanoseconds, then the sequence floor. The
+// line goes to a temporary file that is synced before it is renamed
+// over the mark, and the directory is synced after, so a crash leaves
+// either the old mark or the new one; on any failure the temporary file
+// is removed. Readers split on whitespace and ignore fields past the
+// floor, so the format stays forward compatible.
+func (f *FileStorage) SaveMark(t time.Time, seqFloor uint64) (err error) {
 	tmp := f.path + ".tmp"
-	var b strings.Builder
-	b.WriteString(strconv.FormatInt(t.UnixNano(), 10))
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatUint(seqFloor, 10))
-	for _, id := range sortedCadenceIDs(cadences) {
-		b.WriteByte(' ')
-		b.WriteString(strconv.Itoa(int(id)))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(cadences[id]))
-	}
-	b.WriteByte('\n')
-	if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
+	defer func() {
+		if err != nil {
+			_ = os.Remove(tmp)
+		}
+	}()
+	line := strconv.FormatInt(t.UnixNano(), 10) + " " + strconv.FormatUint(seqFloor, 10) + "\n"
+	if err := writeSynced(tmp, []byte(line)); err != nil {
 		return fmt.Errorf("node: storage write: %w", err)
 	}
 	if err := os.Rename(tmp, f.path); err != nil {
 		return fmt.Errorf("node: storage rename: %w", err)
 	}
+	if err := syncDir(filepath.Dir(f.path)); err != nil {
+		return fmt.Errorf("node: storage sync: %w", err)
+	}
 	return nil
 }
 
-// sortedCadenceIDs orders the map for a deterministic file layout.
-func sortedCadenceIDs(cadences map[topology.NodeID]int) []topology.NodeID {
-	ids := make([]topology.NodeID, 0, len(cadences))
-	for id := range cadences {
-		ids = append(ids, id)
+// writeSynced writes data to a new or truncated file at path and syncs
+// it to stable storage before closing it.
+func writeSynced(path string, data []byte) error {
+	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
+	_, err = fh.Write(data)
+	if err == nil {
+		err = fh.Sync()
 	}
-	return ids
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// LoadMark implements StableStorage. Files written before the sequence
-// floor existed hold just the timestamp; files written before cadence
-// persistence hold two fields; both load with zero values for the
-// missing parts.
-func (f *FileStorage) LoadMark() (time.Time, uint64, map[topology.NodeID]int, bool, error) {
+// syncDir syncs directory dir, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// LoadMark implements StableStorage. The timestamp and the floor are
+// parsed strictly; files written before the sequence floor existed hold
+// just the timestamp and load with floor 0, and fields past the floor
+// (older versions wrote per-neighbor id:interval pairs there) are
+// ignored.
+func (f *FileStorage) LoadMark() (time.Time, uint64, bool, error) {
 	data, err := os.ReadFile(f.path)
 	if os.IsNotExist(err) {
-		return time.Time{}, 0, nil, false, nil
+		return time.Time{}, 0, false, nil
 	}
 	if err != nil {
-		return time.Time{}, 0, nil, false, fmt.Errorf("node: storage read: %w", err)
+		return time.Time{}, 0, false, fmt.Errorf("node: storage read: %w", err)
 	}
 	fields := strings.Fields(string(data))
 	if len(fields) == 0 {
-		return time.Time{}, 0, nil, false, fmt.Errorf("node: storage parse: empty mark file")
+		return time.Time{}, 0, false, fmt.Errorf("node: storage parse: empty mark file")
 	}
 	ns, err := strconv.ParseInt(fields[0], 10, 64)
 	if err != nil {
-		return time.Time{}, 0, nil, false, fmt.Errorf("node: storage parse: %w", err)
+		return time.Time{}, 0, false, fmt.Errorf("node: storage parse: %w", err)
 	}
 	var seq uint64
 	if len(fields) > 1 {
 		if seq, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
-			return time.Time{}, 0, nil, false, fmt.Errorf("node: storage parse: %w", err)
+			return time.Time{}, 0, false, fmt.Errorf("node: storage parse: %w", err)
 		}
 	}
-	var cadences map[topology.NodeID]int
-	var pairs []string
-	if len(fields) > 2 {
-		pairs = fields[2:]
-	}
-	for _, pair := range pairs {
-		idStr, ivStr, ok := strings.Cut(pair, ":")
-		if !ok {
-			return time.Time{}, 0, nil, false, fmt.Errorf("node: storage parse: malformed cadence pair %q", pair)
-		}
-		id, err := strconv.Atoi(idStr)
-		if err != nil {
-			return time.Time{}, 0, nil, false, fmt.Errorf("node: storage parse: %w", err)
-		}
-		iv, err := strconv.Atoi(ivStr)
-		if err != nil {
-			return time.Time{}, 0, nil, false, fmt.Errorf("node: storage parse: %w", err)
-		}
-		if iv > 1 {
-			if cadences == nil {
-				cadences = make(map[topology.NodeID]int)
-			}
-			cadences[topology.NodeID(id)] = iv
-		}
-	}
-	return time.Unix(0, ns), seq, cadences, true, nil
+	return time.Unix(0, ns), seq, true, nil
 }

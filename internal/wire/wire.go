@@ -95,13 +95,13 @@ type Membership struct {
 // periodic heartbeat exchange, with no extra ack messages.
 //
 // Cadence declares, in heartbeat periods, the gap the sender plans until
-// its next frame to this recipient (the adaptive-cadence stretch; see
-// the node's cadence controller). 0 and 1 both mean one frame per period
-// — the classic cadence — and encode alike; for Cadence > 1 the
-// receiver scales its expected-arrival accounting (suspicion timeouts
-// and sequence-gap loss bookkeeping) by it so a stretched neighbor is
-// neither falsely suspected nor over-counted as lossy. A sender may break the promise early (snap back on a view
-// change), which is always safe: an early frame shows a
+// its next frame to this recipient. 0 and 1 both mean one frame per
+// period — the paper's cadence, the one internal/heartbeat sends at —
+// and encode alike; for Cadence > 1 the receiver scales its
+// expected-arrival accounting (suspicion timeouts and sequence-gap loss
+// bookkeeping) by it so a stretched neighbor is neither falsely
+// suspected nor over-counted as lossy. A sender may break the promise
+// early, which is always safe: an early frame shows a
 // smaller-than-declared gap, which books no loss.
 //
 // Epoch is the sender's membership epoch (see Membership), 0 in a static

@@ -82,15 +82,6 @@ func NewNode(tr Transport, numProcs int, neighbors []NodeID, opts ...Option) (*N
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.adaptiveCadence > 0 {
-		// Convert the cap to whole heartbeat periods against the final δ
-		// (options apply in caller order, so δ is only known now).
-		delta := cfg.inner.HeartbeatEvery
-		if delta == 0 {
-			delta = time.Second // the runtime default
-		}
-		cfg.inner.AdaptiveCadenceMax = int(cfg.adaptiveCadence / delta)
-	}
 	n := &Node{done: make(chan struct{})}
 	cfg.inner.Hooks = n.hooks(cfg.obs)
 	inner, err := node.New(cfg.inner, tr)

@@ -91,7 +91,7 @@ func TestStableStorageOption(t *testing.T) {
 	}
 	freshMean, _ := first.CrashEstimate(0)
 	first.Tick()
-	if _, _, _, ok, err := storage.LoadMark(); err != nil || !ok {
+	if _, _, ok, err := storage.LoadMark(); err != nil || !ok {
 		t.Fatalf("tick did not persist a clock mark (ok=%v err=%v)", ok, err)
 	}
 	_ = first.Close()

@@ -11,10 +11,8 @@ import (
 // estimate a process's own crash probability (Section 4.1): the process
 // writes the current time every heartbeat period; after a crash it
 // compares the last mark with the clock to count the missed intervals.
-// The broadcast sequence floor and the last stable adaptive-cadence
-// intervals ride along on the same record, so a restarted node neither
-// reuses sequence numbers nor re-learns its heartbeat stretch from
-// scratch.
+// The broadcast sequence floor rides along on the same record, so a
+// restarted node does not reuse sequence numbers.
 type StableStorage = node.StableStorage
 
 // MemStorage is an in-memory StableStorage for tests and single-process
@@ -70,10 +68,6 @@ type Observer struct {
 type nodeConfig struct {
 	inner node.Config
 	obs   Observer
-	// adaptiveCadence is WithAdaptiveCadence's cap, kept as a duration
-	// until every option has run: the conversion to whole heartbeat
-	// periods needs the final δ, and options apply in caller order.
-	adaptiveCadence time.Duration
 }
 
 // Option configures a Node at construction time.
@@ -101,10 +95,9 @@ func WithPiggyback() Option {
 // WithStableStorage enables the crash-recovery clock-mark protocol: the
 // node marks the given storage every heartbeat period, and a restarted
 // node books the downtime since the last mark as missed ticks, degrading
-// its own crash estimate accordingly. When adaptive cadence is also on,
-// the per-neighbor heartbeat stretch persists alongside the mark and a
-// restarted node resumes it as soon as each neighbor proves stable
-// again, instead of re-walking the geometric ramp.
+// its own crash estimate accordingly. The broadcast sequence floor
+// persists alongside the mark, so a restarted node resumes its sequence
+// numbers above anything it may have issued before the crash.
 func WithStableStorage(s StableStorage) Option {
 	return func(c *nodeConfig) { c.inner.Storage = s }
 }
@@ -116,34 +109,6 @@ func WithStableStorage(s StableStorage) Option {
 // open for the node's lifetime.
 func WithExactlyOnceLog(l *ExactlyOnceLog) Option {
 	return func(c *nodeConfig) { c.inner.DedupLog = l }
-}
-
-// WithAdaptiveCadence stretches heartbeats for stable neighborhoods:
-// once a neighbor's knowledge delta has been empty, anchored and
-// suspicion-free for a few consecutive periods, that neighbor's
-// heartbeat interval doubles geometrically (δ → 2δ → 4δ …) up to max,
-// and snaps back to δ within one period of any change — a non-empty
-// delta, a suspicion anywhere in the neighborhood, a peer needing the
-// full-snapshot fallback after a restart, or news from that neighbor
-// this node has not acked yet. "Empty" is the delta that
-// neighbor is sent: the records it supplied and the link to it never
-// count (split horizon). Deltas empty only once no record's posterior
-// mean moves past DeltaEpsilon — within a few hundred periods on
-// lossless links, after about 10⁴ observations per record on lossy
-// ones — so stretching pays off in clusters whose links are quiet. There
-// it cuts steady-state heartbeat *frame counts* by roughly δ/max (the
-// frames themselves are already near-empty).
-//
-// The stretched interval rides the wire (the delta frame's Cadence
-// field; all members must run the one wire version, 7), and receivers scale their suspicion timeouts
-// and sequence-gap loss accounting by the sender's declared cadence, so
-// stretched neighbors are neither falsely suspected nor miscounted as
-// lossy. The trade-off is failure-detection latency on stretched links:
-// a crashed neighbor is suspected after timeout·cadence periods instead
-// of timeout. max is rounded down to whole heartbeat periods (values
-// below 2δ disable stretching).
-func WithAdaptiveCadence(max time.Duration) Option {
-	return func(c *nodeConfig) { c.adaptiveCadence = max }
 }
 
 // WithLaneQueueDepth bounds each peer's data lane (default 256 frames).
