@@ -18,11 +18,16 @@
 //
 //	log P_B[u] ∝ failures·log(mid_u) + successes·log(1−mid_u)
 //
-// Observing is two integer additions; the vector is materialized on
-// demand (Belief, Beliefs), in log space so that long one-sided evidence
-// runs (thousands of consecutive successes on a reliable link) cannot
-// underflow an interval's belief to exactly zero. The exposed API still
-// speaks in plain probabilities.
+// Observing is two integer additions and a refresh of the cached
+// posterior mean, the one summary the protocol reads. The vector is
+// materialized on demand (Belief, Beliefs, and the MAP interval and its
+// belief), in log space so that long one-sided evidence runs (thousands
+// of consecutive successes on a reliable link) cannot underflow an
+// interval's belief to exactly zero. The log belief is concave in the
+// interval, so the MAP interval is a short climb from the empirical
+// failure rate, and only the intervals near it whose weight does not
+// underflow are summed. The exposed API still speaks in plain
+// probabilities.
 //
 // U is the paper's constant, Intervals = 100 (Algorithm 5 line 2), and
 // every estimator shares one grid. There is no knob: the paper leaves
@@ -56,19 +61,18 @@ var grid = func() (g struct{ mid, logFail, logSucc [Intervals]float64 }) {
 // Estimator approximates one failure probability with U probability
 // intervals and per-interval beliefs. The zero value is unusable; use New.
 //
-// An Estimator is a small value (40 bytes, no pointers): views hold it
+// An Estimator is a small value (24 bytes, no pointers): views hold it
 // inline in their records and adopting one is a copy. Estimators are not
 // safe for concurrent mutation; the knowledge layer serializes access,
-// and the live node guards views with a mutex. The posterior summary
-// (mean, MAP) is refreshed by every constructor and mutation and never on
-// a read, so an estimator may be read from several goroutines at once.
+// and the live node guards views with a mutex. The posterior mean is
+// refreshed by every constructor and mutation and never on a read; the
+// MAP interval and its belief are computed when asked for (MAP, Belief,
+// Converged), which no read writes back, so an estimator may be read
+// from several goroutines at once.
 type Estimator struct {
-	succ int // successes absorbed on top of the uniform prior
-	fail int // failures absorbed on top of the uniform prior
-
-	mean   float64 // posterior mean
-	mapBel float64 // MAP belief, 1/Σ_u exp(logBel[u]-max)
-	mapIdx int32   // maximum-a-posteriori interval
+	succ int     // successes absorbed on top of the uniform prior
+	fail int     // failures absorbed on top of the uniform prior
+	mean float64 // posterior mean
 }
 
 // New returns an estimator with a uniform prior, matching
@@ -111,21 +115,73 @@ func (e *Estimator) logBelief(i int) float64 {
 	return float64(e.fail)*grid.logFail[i] + float64(e.succ)*grid.logSucc[i]
 }
 
-// refresh recomputes the posterior summary from the sufficient statistic.
-func (e *Estimator) refresh() {
-	best, max := 0, math.Inf(-1)
-	for i := range grid.mid {
-		if v := e.logBelief(i); v > max {
-			best, max = i, v
+// underflow is the log-belief gap below which math.Exp returns exactly
+// 0: an interval that far under the MAP adds +0 to every sum.
+const underflow = -746
+
+// peak returns the maximum-a-posteriori interval and its log belief.
+// The log belief is concave in the interval, so the peak is found by
+// climbing from the interval holding the empirical failure rate: down
+// while the next interval is at least as likely (ties break toward the
+// lower interval), else up while it is strictly more likely.
+func (e *Estimator) peak() (best int, top float64) {
+	if n := e.succ + e.fail; n > 0 {
+		best = intervalOf(float64(e.fail) / float64(n))
+	}
+	top = e.logBelief(best)
+	for best > 0 {
+		v := e.logBelief(best - 1)
+		if v < top {
+			break
 		}
+		best, top = best-1, v
 	}
-	var m, z float64
-	for i, mid := range &grid.mid {
-		w := math.Exp(e.logBelief(i) - max)
+	for best < Intervals-1 {
+		v := e.logBelief(best + 1)
+		if v <= top {
+			break
+		}
+		best, top = best+1, v
+	}
+	return best, top
+}
+
+// sums returns the MAP interval and the posterior's normalizer z and
+// unnormalized mean m, both relative to the MAP's belief. Only the
+// intervals around the peak whose belief does not underflow are
+// visited; every interval left out would add an exact +0.
+func (e *Estimator) sums() (best int, m, z float64) {
+	best, top := e.peak()
+	var gap [Intervals]float64 // log belief relative to the MAP's; 0 at the MAP
+	lo, hi := best, best
+	for lo > 0 {
+		x := e.logBelief(lo-1) - top
+		if x < underflow {
+			break
+		}
+		lo--
+		gap[lo] = x
+	}
+	for hi < Intervals-1 {
+		x := e.logBelief(hi+1) - top
+		if x < underflow {
+			break
+		}
+		hi++
+		gap[hi] = x
+	}
+	for i := lo; i <= hi; i++ {
+		w := math.Exp(gap[i])
 		z += w
-		m += w * mid
+		m += w * grid.mid[i]
 	}
-	e.mean, e.mapIdx, e.mapBel = m/z, int32(best), 1/z
+	return best, m, z
+}
+
+// refresh recomputes the posterior mean from the sufficient statistic.
+func (e *Estimator) refresh() {
+	_, m, z := e.sums()
+	e.mean = m / z
 }
 
 // Mean returns the posterior mean failure probability Σ_u P_B[u]*mid_u.
@@ -135,13 +191,19 @@ func (e *Estimator) Mean() float64 { return e.mean }
 
 // MAP returns the index of the maximum-a-posteriori interval and its
 // belief. Ties break toward the more reliable (lower) interval.
-func (e *Estimator) MAP() (interval int, belief float64) { return int(e.mapIdx), e.mapBel }
+func (e *Estimator) MAP() (interval int, belief float64) {
+	best, _, z := e.sums()
+	return best, 1 / z
+}
 
 // IntervalOf returns the index of the interval containing probability p.
 // p is clamped to [0, 1]; p == 1 falls in the last interval, matching the
 // paper's closed final interval [1-1/U, 1].
-func (e *Estimator) IntervalOf(p float64) int {
-	width := e.intervalWidth()
+func (e *Estimator) IntervalOf(p float64) int { return intervalOf(p) }
+
+// intervalOf is IntervalOf, for the package's own use.
+func intervalOf(p float64) int {
+	width := intervalWidth()
 	lo := grid.mid[0] - width/2
 	i := int((p - lo) / width)
 	if i < 0 {
@@ -154,26 +216,33 @@ func (e *Estimator) IntervalOf(p float64) int {
 }
 
 // intervalWidth returns the width of one probability interval.
-func (e *Estimator) intervalWidth() float64 { return grid.mid[1] - grid.mid[0] }
+func intervalWidth() float64 { return grid.mid[1] - grid.mid[0] }
 
 // IntervalBounds returns the [lo, hi) bounds of interval u (the final
 // interval is closed: [1-1/U, 1]).
 func (e *Estimator) IntervalBounds(u int) (lo, hi float64) {
-	width := e.intervalWidth()
+	width := intervalWidth()
 	lo = grid.mid[u] - width/2
 	return lo, lo + width
 }
 
 // Belief returns P_B[u].
 func (e *Estimator) Belief(u int) float64 {
-	return math.Exp(e.logBelief(u)-e.logBelief(int(e.mapIdx))) * e.mapBel
+	best, _, z := e.sums()
+	return e.belief(u, best, 1/z)
+}
+
+// belief returns P_B[u] given the MAP interval and its belief.
+func (e *Estimator) belief(u, best int, mapBel float64) float64 {
+	return math.Exp(e.logBelief(u)-e.logBelief(best)) * mapBel
 }
 
 // Beliefs returns the normalized belief vector.
 func (e *Estimator) Beliefs() []float64 {
+	best, _, z := e.sums()
 	out := make([]float64, Intervals)
 	for i := range out {
-		out[i] = e.Belief(i)
+		out[i] = e.belief(i, best, 1/z)
 	}
 	return out
 }
@@ -212,14 +281,14 @@ func (e *Estimator) Observations() int { return e.succ + e.fail }
 // intervals) and carries at least minBelief posterior mass. This is the
 // convergence criterion behind the paper's Figures 5 and 6 ("all processes
 // in the system learn the reliability probabilities" — i.e. the Bayesian
-// networks have found the right probability interval).
+// networks have found the right probability interval). The interval is
+// checked first: the belief costs a sum over the peak, taken only when the
+// interval passes.
 func (e *Estimator) Converged(truth float64, slack int, minBelief float64) bool {
-	if e.mapBel < minBelief {
+	best, _ := e.peak()
+	if diff := best - intervalOf(truth); diff < -slack || diff > slack {
 		return false
 	}
-	diff := int(e.mapIdx) - e.IntervalOf(truth)
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff <= slack
+	_, _, z := e.sums()
+	return 1/z >= minBelief
 }

@@ -14,8 +14,10 @@ import (
 // viewBudget is what one view at n = 128 may retain once it holds an
 // estimate for every process and every link of a 4-connected graph. It
 // measured 88.6 KiB while estimators sat behind pointers and link records
-// behind a pointer each, and 57.8 KiB with records by value in chunks.
-const viewBudget = 60 << 10
+// behind a pointer each, 57.8 KiB with records by value in chunks, and
+// 42.3 KiB before estimators stopped caching their MAP and the link
+// index stopped being a hash map.
+const viewBudget = 32 << 10
 
 // TestViewFootprint pins the memory a view keeps per roster: 32 views at
 // n = 128 adopt 128 process and 256 link records from a snapshot off the

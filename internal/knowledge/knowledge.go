@@ -144,21 +144,33 @@ func (p Params) withDefaults() Params {
 // known, so views can keep link estimates in slices. Views in one
 // simulation may share an interner (indices then agree across views and
 // with the simulated graph's link indices); live nodes each own one.
-// Links are kept packed, both endpoints in one word (see pack).
+// Links are kept packed, both endpoints in one word (see pack), in
+// first-sight order, which is also the order of a snapshot's link
+// records. The index over them is an open-addressed table of positions
+// in links, at most half full.
 type Interner struct {
-	idx   map[uint64]int32
+	slots []int32 // 1 + the index of the link hashed here, or 0 for an empty slot
 	links []uint64
 }
 
 // NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{idx: make(map[uint64]int32)}
-}
+func NewInterner() *Interner { return &Interner{} }
 
 // pack folds a link's two endpoints into one word, A high; ok is false
 // when an endpoint is outside [0, 2³²), where no interned link lives.
 func pack(l topology.Link) (key uint64, ok bool) {
 	return uint64(l.A)<<32 | uint64(l.B), uint64(l.A)|uint64(l.B) <= math.MaxUint32
+}
+
+// find returns the slot that holds key, or the empty slot where it
+// would go (linear probing from a Fibonacci hash). slots is not empty.
+func (t *Interner) find(key uint64) int {
+	mask := len(t.slots) - 1
+	for i := int(key*0x9e3779b97f4a7c15>>32) & mask; ; i = (i + 1) & mask {
+		if s := t.slots[i]; s == 0 || t.links[s-1] == key {
+			return i
+		}
+	}
 }
 
 // Intern returns the dense index for l, assigning the next free index on
@@ -168,20 +180,25 @@ func (t *Interner) Intern(l topology.Link) int {
 	if !ok {
 		panic(fmt.Sprintf("knowledge: interning link %v outside any ID space", l))
 	}
-	if i, ok := t.idx[key]; ok {
-		return int(i)
+	if i := t.Lookup(l); i >= 0 {
+		return i
 	}
-	i := len(t.links)
-	t.idx[key] = int32(i)
+	if 2*(len(t.links)+1) > len(t.slots) {
+		t.slots = make([]int32, max(16, 2*len(t.slots)))
+		for i, k := range t.links {
+			t.slots[t.find(k)] = int32(i + 1)
+		}
+	}
 	t.links = append(t.links, key)
-	return i
+	t.slots[t.find(key)] = int32(len(t.links))
+	return len(t.links) - 1
 }
 
 // Lookup returns the index of l, or -1 if never interned.
 func (t *Interner) Lookup(l topology.Link) int {
-	if key, ok := pack(l); ok {
-		if i, ok := t.idx[key]; ok {
-			return int(i)
+	if key, ok := pack(l); ok && len(t.slots) > 0 {
+		if s := t.slots[t.find(key)]; s != 0 {
+			return int(s - 1)
 		}
 	}
 	return -1
@@ -318,8 +335,8 @@ var uniform = *bayes.New()
 // Link records live in fixed chunks that never move, so a record's
 // address is stable for the view's lifetime and learning a link never
 // copies the others. A chunk is 16 records: a view of a few processes
-// pays for few empty slots, and 16 × 80 bytes fits the 1,280-byte size
-// class.
+// pays for few empty slots, and 16 × 64 bytes is exactly the 1,024-byte
+// size class.
 const chunkLen = 16
 
 // View is (Λ_k, C_k): everything process self believes about the system.

@@ -14,17 +14,17 @@ import (
 // record, nor the estimator and estimator state they are built from,
 // holds a pointer, which keeps the record arrays out of GC scanning.
 func TestRecordFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(procState{}); got > 88 {
-		t.Errorf("a process record is %d bytes, want <= 88", got)
+	if got := unsafe.Sizeof(procState{}); got > 72 {
+		t.Errorf("a process record is %d bytes, want <= 72", got)
 	}
-	if got := unsafe.Sizeof(linkState{}); got > 80 {
-		t.Errorf("a link record is %d bytes, want <= 80", got)
+	if got := unsafe.Sizeof(linkState{}); got > 64 {
+		t.Errorf("a link record is %d bytes, want <= 64", got)
 	}
 	if got := unsafe.Sizeof(wireSig{}); got > 24 {
 		t.Errorf("a wire signature is %d bytes, want <= 24", got)
 	}
-	if got := unsafe.Sizeof([chunkLen]linkState{}); got > 1280 {
-		t.Errorf("a link chunk is %d bytes, want <= 1280 (its size class)", got)
+	if got := unsafe.Sizeof([chunkLen]linkState{}); got > 1024 {
+		t.Errorf("a link chunk is %d bytes, want <= 1024 (its size class)", got)
 	}
 	for _, v := range []any{procState{}, linkState{}, bayes.Estimator{}, bayes.State{}} {
 		if typ := reflect.TypeOf(v); hasPointers(typ) {

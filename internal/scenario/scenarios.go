@@ -326,10 +326,11 @@ func clockSkew() Scenario {
 // departing node's position), then node 1 retires, and probes keep
 // flowing the whole time. The bridge placement matters: knowledge
 // records carry hop-count distortion and are only adopted when fresher,
-// so a departure that lengthened gossip paths would freeze remote link
-// estimates at their last pre-churn value — the scenario holds the
-// distances fixed so reconvergence to the mutated truth is achievable
-// and therefore checkable.
+// so a departure that lengthened gossip paths would hold remote link
+// estimates at their pre-churn value until Event 2 aging
+// (knowledge.Params.LinkAgeTimeout) let a copy over the longer path win
+// — the scenario holds the distances fixed so reconvergence to the
+// mutated truth measures the estimators, not the aging clock.
 func churnUnderLoss() Scenario {
 	return Scenario{
 		Name:          "churn-under-loss",
