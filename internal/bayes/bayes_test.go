@@ -220,3 +220,51 @@ func TestMonotonicityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGridFloorsTheMean pins the floor the U = 100 grid puts under every
+// estimate: with succ = s and fail = 0, the posterior mean falls toward
+// the lowest midpoint, 1/(2U) = 0.005, and never below it. It reads
+// ≈ 0.00518 at s = 400, and from s = 1,000 on it is 0.00500, within
+// 5·10⁻⁷ of the floor, where the continuous Beta(1, s+1) posterior's mean, 1/(s+2), keeps
+// falling: 0.00249 at 400, 0.00042 at 2,400. A healthy process's crash
+// estimate (Event 3 books a success per period) sits on this floor after
+// about 400 periods, and so does a clean link's loss estimate; a tree
+// edge's λ carries three such terms. The floor is the margin Eq. 1 rests
+// on in practice: docs/ARCHITECTURE.md, "The grid's floor".
+func TestGridFloorsTheMean(t *testing.T) {
+	floor := grid.mid[0]
+	if floor != 0.005 {
+		t.Fatalf("lowest midpoint %v, want 1/(2U) = 0.005", floor)
+	}
+	mean := func(s int) float64 {
+		e, err := NewFromState(State{Succ: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Mean()
+	}
+	if m := mean(400); math.Abs(m-0.00518) > 5e-6 {
+		t.Errorf("mean at s = 400 is %.6f, want ≈ 0.00518", m)
+	}
+	prev := mean(0)
+	for s := 1; s <= 3000; s++ {
+		m := mean(s)
+		if m > prev || m < floor {
+			t.Fatalf("mean at s = %d is %.10f after %.10f: want non-increasing and at least %v", s, m, prev, floor)
+		}
+		if s >= 1000 && m-floor > 5e-7 {
+			t.Fatalf("mean at s = %d is %.7f, want within 5e-7 of the floor", s, m)
+		}
+		prev = m
+	}
+	for _, s := range []int{1e4, 1e6, MaxEvidence} {
+		if m := mean(s); m < floor || m-floor > 5e-7 {
+			t.Errorf("mean at s = %d is %.10f, want within 5e-7 of %v and never below it", s, m, floor)
+		}
+	}
+	for s, want := range map[int]float64{400: 0.00249, 2400: 0.00042} {
+		if beta := 1 / float64(s+2); math.Abs(beta-want) > 5e-6 || mean(s) < 2*beta {
+			t.Errorf("s = %d: Beta(1, s+1) mean %.5f, grid mean %.5f; want ≈ %v and the grid at least twice it", s, beta, mean(s), want)
+		}
+	}
+}

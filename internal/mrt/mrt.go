@@ -239,8 +239,15 @@ func (t *Tree) EdgeOf(v topology.NodeID) int { return t.edgeOf[v] }
 // consumes. c may differ from the configuration the tree was built with
 // (the adaptive protocol re-evaluates trees as estimates improve), but it
 // must cover every tree link.
-func (t *Tree) Lambdas(c *config.Config) ([]float64, error) {
-	out := make([]float64, t.NumEdges())
+func (t *Tree) Lambdas(c *config.Config) ([]float64, error) { return t.LambdasInto(nil, c) }
+
+// LambdasInto is Lambdas written into dst's storage, grown when it is too
+// short: a caller that keeps the vector between trees allocates it once.
+func (t *Tree) LambdasInto(dst []float64, c *config.Config) ([]float64, error) {
+	if cap(dst) < t.NumEdges() {
+		dst = make([]float64, t.NumEdges())
+	}
+	out := dst[:t.NumEdges()]
 	for i := range out {
 		child := t.EdgeChild(i)
 		lam, err := c.Lambda(t.parent[child], child)

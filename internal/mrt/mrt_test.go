@@ -2,6 +2,7 @@ package mrt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -186,6 +187,45 @@ func TestLambdas(t *testing.T) {
 		if diff := lam - want; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("lambda[%d] = %v, want %v", i, lam, want)
 		}
+	}
+}
+
+// TestAllocsLambdasInto: λ written into storage that held a longer
+// tree's vector reads what a fresh Lambdas reads, in that storage and
+// without allocating; storage too short is grown.
+func TestAllocsLambdasInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g, err := topology.RandomConnected(40, 4, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := uniform(t, g, 0.01, 0.05)
+	for i := range g.Links() {
+		if err := c.SetLoss(i, 0.3*rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree, err := Build(g, c, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tree.Lambdas(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 64)
+	for i := range dst {
+		dst[i] = -1
+	}
+	got, err := tree.LambdasInto(dst, c)
+	if err != nil || !slices.Equal(got, want) || &got[0] != &dst[0] {
+		t.Fatalf("into longer storage: %v (%v), want %v in that storage", got, err, want)
+	}
+	if got, err := tree.LambdasInto(dst[:3:3], c); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("into storage too short: %v (%v), want %v", got, err, want)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _, _ = tree.LambdasInto(dst, c) }); allocs != 0 {
+		t.Errorf("LambdasInto over warm storage allocated %.0f times, want 0", allocs)
 	}
 }
 

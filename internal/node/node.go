@@ -352,7 +352,7 @@ type Node struct {
 	// announceLeft) and the sequencer (seq). Three kinds of call are
 	// never made under it: hooks (a hook may call back into the node),
 	// durable writes (Storage.SaveMark, DedupLog.Record) and sends
-	// (sendControl, sendDataN). Each entry point takes it for one
+	// (sendControl, sendData). Each entry point takes it for one
 	// critical section and does that work after it.
 	mu sync.Mutex
 	// view is this process's knowledge approximation (Algorithm 4).
@@ -712,15 +712,17 @@ func (n *Node) Tick() {
 	// per distinct cut.
 	sent, deltas := 0, 0
 	for i, o := range ws.Outbound() {
-		eb := n.encPool.Get()
+		eb := n.takeEncBuf()
 		frame, err := ws.AppendFrame(eb.b, i, epoch)
 		if err != nil {
-			n.encPool.Put(eb)
+			eb.done()
 			n.stats.heartbeatEncodeErrors.Add(1)
 			continue
 		}
 		eb.b = frame
-		if err := n.sendControl(o.To, frame, n.encPool.Releaser(eb)); err == nil {
+		err = n.sendControl(o.To, frame, eb.acquire())
+		eb.done()
+		if err == nil {
 			sent++
 			n.stats.heartbeatBytesSent.Add(int64(len(frame)))
 			if o.Since > 0 {
@@ -791,15 +793,15 @@ func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 	n.pushDelivery(Delivery{Origin: n.cfg.ID, Seq: seq, From: n.cfg.ID, Body: body})
 
 	// Encode once: forward and flood both consume the same frame bytes
-	// (and the same pooled buffer, released after the last send).
-	frame, release, encErr := n.encodeDataFrame(msg, snap)
+	// (and the same pooled buffer, recycled after the last send).
+	frame, eb, encErr := n.encodeDataFrame(msg, snap)
 	if encErr != nil {
 		return seq, planned, encErr
 	}
 	if p.err == nil {
-		err = n.forward(msg, frame, release)
+		err = n.forward(msg, frame, eb)
 	} else {
-		err = n.flood(topology.None, roster, frame, release) // originator flood: every neighbor
+		err = n.flood(topology.None, roster, frame, eb) // originator flood: every neighbor
 	}
 	return seq, planned, err
 }
@@ -858,13 +860,16 @@ func (n *Node) replan() (p *plan, ver uint64) {
 	return ws.plan(n.cfg.ID, n.cfg.K), ver
 }
 
-// planWorkspace is the scaffolding of one replan: the estimated (G, C)
-// and the MRT builder, ≈ 40 KB in ≈ 700 objects at n = 128 and garbage the
-// moment the plan's vectors are copied out.
+// planWorkspace is the scaffolding of one replan: the estimated (G, C),
+// the MRT builder, the tree's λ vector and the allocator's heap and
+// result, ≈ 40 KB in ≈ 700 objects at n = 128 and garbage the moment the
+// plan's vectors are copied out.
 type planWorkspace struct {
-	graph   topology.Graph
-	config  config.Config
-	builder mrt.Builder
+	graph     topology.Graph
+	config    config.Config
+	builder   mrt.Builder
+	lambdas   []float64
+	allocator optimize.Allocator
 }
 
 // planWorkspaces recycles replan workspaces: one pool for the process,
@@ -880,11 +885,12 @@ func (ws *planWorkspace) plan(root topology.NodeID, k float64) *plan {
 	if err != nil {
 		return &plan{err: err}
 	}
-	lams, err := tree.Lambdas(&ws.config)
+	lams, err := tree.LambdasInto(ws.lambdas, &ws.config)
 	if err != nil {
 		return &plan{err: err}
 	}
-	alloc, err := optimize.Greedy(lams, k, optimize.Options{})
+	ws.lambdas = lams
+	alloc, err := ws.allocator.Greedy(lams, k, optimize.Options{})
 	if err != nil {
 		return &plan{err: err}
 	}
@@ -929,65 +935,33 @@ func allocByNode(tree *mrt.Tree, alloc []int) ([]int32, error) {
 // the origin's plan is already in msg, a relay has checked the vector
 // (mrt.CheckParents). Each child's m[j] identical copies are batched
 // through the data lane as one SendN flush (one fabric enqueue per child;
-// one TCP flush per child carrying the frame once). The frame is shared
-// across children; release (optional) is fanned out so the buffer
-// recycles after the last child's send is done with it. When the lanes refuse
-// every hand-off — the scheduler is closed — the broadcast went nowhere
-// and the caller is told.
-func (n *Node) forward(msg *wire.DataMsg, frame []byte, release func()) error {
-	attempted, sent := 0, 0
-	var lastErr error
-	shared := newSharedRelease(release)
+// one TCP flush per child carrying the frame once).
+func (n *Node) forward(msg *wire.DataMsg, frame []byte, eb *encBuf) error {
+	var f fanOut
 	self, ps := n.cfg.ID, msg.Parents
 	for child := mrt.NextChild(ps, self, topology.None); child != topology.None; child = mrt.NextChild(ps, self, child) {
 		// wire's validate, on encode and decode alike, holds AllocByNode
 		// to Parents' length and each entry to [0, wire.MaxAllocation].
-		copies := int(msg.AllocByNode[child])
-		if copies == 0 {
-			continue
-		}
-		attempted += copies
-		got, err := n.sendDataN(child, frame, copies, shared.acquire())
-		sent += got
-		if err != nil {
-			lastErr = err
+		if copies := int(msg.AllocByNode[child]); copies > 0 {
+			n.sendData(&f, child, frame, copies, eb)
 		}
 	}
-	shared.done()
-	n.stats.dataSent.Add(int64(sent))
-	if attempted > 0 && sent == 0 {
-		return fmt.Errorf("node: all %d forwards failed: %w", attempted, lastErr)
-	}
-	return nil
+	return n.settle(&f, eb, "forwards")
 }
 
 // flood sends one copy of a pre-encoded data frame to every neighbor in
 // roster except `except` (topology.None floods everyone). Originator floods
 // cover all neighbors; relay floods exclude the inbound sender —
 // echoing the frame back to whoever just sent it wastes a frame per hop
-// and, with piggybacking, re-merges our own snapshot. Frame sharing,
-// release fan-out and error semantics match forward.
-func (n *Node) flood(except topology.NodeID, roster []topology.NodeID, frame []byte, release func()) error {
-	attempted, sent := 0, 0
-	var lastErr error
-	shared := newSharedRelease(release)
+// and, with piggybacking, re-merges our own snapshot.
+func (n *Node) flood(except topology.NodeID, roster []topology.NodeID, frame []byte, eb *encBuf) error {
+	var f fanOut
 	for _, nb := range roster {
-		if nb == except {
-			continue
-		}
-		attempted++
-		got, err := n.sendDataN(nb, frame, 1, shared.acquire())
-		sent += got
-		if err != nil {
-			lastErr = err
+		if nb != except {
+			n.sendData(&f, nb, frame, 1, eb)
 		}
 	}
-	shared.done()
-	n.stats.dataSent.Add(int64(sent))
-	if attempted > 0 && sent == 0 {
-		return fmt.Errorf("node: all %d floods failed: %w", attempted, lastErr)
-	}
-	return nil
+	return n.settle(&f, eb, "floods")
 }
 
 // handle is the transport callback; frames arrive serialized. Every
@@ -1381,14 +1355,14 @@ func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte, r
 	}
 	// Relay errors mean a knowledge snapshot failed to encode; the
 	// message was already delivered locally, so just drop the relay.
-	frame, release, err := n.relayDataFrame(msg, raw, rx.snap)
+	frame, eb, err := n.relayDataFrame(msg, raw, rx.snap)
 	if err != nil {
 		return
 	}
 	if len(msg.Parents) == 0 {
-		_ = n.flood(from, rx.roster, frame, release)
+		_ = n.flood(from, rx.roster, frame, eb)
 	} else {
-		_ = n.forward(msg, frame, release)
+		_ = n.forward(msg, frame, eb)
 	}
 }
 

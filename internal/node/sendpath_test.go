@@ -1,12 +1,15 @@
 package node
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 )
@@ -53,6 +56,56 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 	}
 	if got := poolEncodes(nodes[0]) - before; got != 1 {
 		t.Fatalf("tree broadcast performed %d encodes, want exactly 1", got)
+	}
+}
+
+// TestAllocsBroadcastWarm pins a warm origin broadcast at zero
+// allocations. With the plan cached and the lanes, the encode pool and
+// the delivery queue warm, Broadcast encodes one frame into a pooled
+// buffer and hands it to each of the hub's seven children, and the
+// buffer's own count recycles it after the last child's flush. Under the
+// race detector the count is the subject, not the allocations: broadcasts
+// go out in bursts, so every child's callback runs on its drain goroutine
+// while the next broadcast takes a buffer, and a reference dropped twice
+// panics, or a buffer never returned fails the binary.
+func TestAllocsBroadcastWarm(t *testing.T) {
+	const n = 8
+	g, err := topology.Star(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := newTestNode(t, Config{ID: 0, NumProcs: n, Neighbors: g.Neighbors(0)}, &sinkTransport{id: 0})
+	teach(t, nd, g, rand.New(rand.NewSource(3)))
+	body := []byte("payload of a broadcast")
+	broadcast := func() {
+		if _, planned, err := nd.Broadcast(body); err != nil || planned < n-1 {
+			t.Fatalf("broadcast planned %d copies (%v), want at least one per child of the hub", planned, err)
+		}
+		if _, err := nd.Next(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle := func() {
+		if !nd.WaitSendIdle(5 * time.Second) {
+			t.Fatal("the broadcast never left the lanes")
+		}
+	}
+	for i := 0; i < 8; i++ {
+		broadcast()
+		settle()
+	}
+	if raceflag.Enabled {
+		for burst := 0; burst < 20; burst++ {
+			for i := 0; i < 10; i++ {
+				broadcast()
+			}
+			settle()
+		}
+	} else if got := testing.AllocsPerRun(200, func() { broadcast(); settle() }); got != 0 {
+		t.Errorf("a warm origin broadcast allocated %.2f times, want 0", got)
+	}
+	if st := nd.Stats(); st.FallbackFloods != 0 || st.PlanCacheMisses != 1 {
+		t.Errorf("stats %+v: want every broadcast on the one cached plan", st)
 	}
 }
 

@@ -139,9 +139,13 @@ func (h gainHeap) down(i int) {
 	h[i] = it
 }
 
-// newGainHeap heaps every edge that can still gain (λ > 0) at m = 1.
-func newGainHeap(lambdas []float64) gainHeap {
-	h := make(gainHeap, 0, len(lambdas))
+// fillGainHeap heaps, in h's storage, every edge that can still gain
+// (λ > 0) at m = 1.
+func fillGainHeap(h gainHeap, lambdas []float64) gainHeap {
+	if cap(h) < len(lambdas) {
+		h = make(gainHeap, 0, len(lambdas))
+	}
+	h = h[:0]
 	for j, lam := range lambdas {
 		if lam > 0 {
 			next := edgeTerm(lam, 2)
@@ -169,11 +173,29 @@ func (h gainHeap) step(lam float64, m int) {
 //
 // K must be in (0, 1); K ≤ 0 returns the minimal all-ones vector.
 func Greedy(lambdas []float64, k float64, opts Options) ([]int, error) {
+	var a Allocator
+	return a.Greedy(lambdas, k, opts)
+}
+
+// Allocator keeps Greedy's heap and result between calls, for a caller
+// that allocates often and keeps neither (a replan copies the result
+// out). The zero value is ready to use.
+type Allocator struct {
+	m []int
+	h gainHeap
+}
+
+// Greedy is Greedy on a's storage. The vector it returns is a's, and the
+// next call overwrites it.
+func (a *Allocator) Greedy(lambdas []float64, k float64, opts Options) ([]int, error) {
 	if err := checkArgs(lambdas, k); err != nil {
 		return nil, err
 	}
 	n := len(lambdas)
-	m := make([]int, n)
+	if cap(a.m) < n {
+		a.m = make([]int, n)
+	}
+	m := a.m[:n]
 	for j := range m {
 		m[j] = 1
 	}
@@ -187,7 +209,8 @@ func Greedy(lambdas []float64, k float64, opts Options) ([]int, error) {
 	for _, lam := range lambdas {
 		logR += math.Log(edgeTerm(lam, 1))
 	}
-	h := newGainHeap(lambdas)
+	a.h = fillGainHeap(a.h, lambdas)
+	h := a.h
 
 	total := n
 	budget := opts.maxTotal()
@@ -226,7 +249,7 @@ func GreedyBudget(lambdas []float64, budget int) ([]int, float64, error) {
 	for j := range m {
 		m[j] = 1
 	}
-	h := newGainHeap(lambdas)
+	h := fillGainHeap(nil, lambdas)
 	for spent := n; spent < budget && len(h) > 0; spent++ {
 		edge := h[0].edge
 		m[edge]++

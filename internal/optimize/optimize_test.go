@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -213,12 +214,17 @@ func TestGreedyMatchesNaive(t *testing.T) {
 		trials = 25
 	}
 	ks := []float64{0.5, 0.9, 0.99, 0.9999}
+	var reused Allocator // one for every trial, of whatever size came before
 	for trial := 0; trial < trials; trial++ {
 		lams := randomLambdas(rng, 1+rng.Intn(200))
 		k := ks[trial%len(ks)]
 		fast, err := Greedy(lams, k, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		again, err := reused.Greedy(lams, k, Options{})
+		if err != nil || !slices.Equal(again, fast) {
+			t.Fatalf("trial %d (K=%v): a reused Allocator allocates %v (%v), a fresh Greedy %v", trial, k, again, err, fast)
 		}
 		naive, err := GreedyNaive(lams, k, Options{})
 		if err != nil {
@@ -246,7 +252,8 @@ func TestGreedyMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestAllocsGreedy pins the allocator at its result and its heap.
+// TestAllocsGreedy pins Greedy at its result and its heap, and an
+// Allocator that has run once at nothing.
 func TestAllocsGreedy(t *testing.T) {
 	lams := randomLambdas(rand.New(rand.NewSource(9)), 127)
 	if got := testing.AllocsPerRun(50, func() {
@@ -255,6 +262,14 @@ func TestAllocsGreedy(t *testing.T) {
 		}
 	}); got != 2 {
 		t.Errorf("Greedy over 127 edges allocated %.0f times, want 2", got)
+	}
+	var a Allocator
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := a.Greedy(lams, 0.9999, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("a warm Allocator over 127 edges allocated %.0f times, want 0", got)
 	}
 }
 
@@ -614,5 +629,63 @@ func TestTwoPathMonteCarlo(t *testing.T) {
 	wantAdaptive := TwoPathAdaptiveReach(l, k1)
 	if math.Abs(gotAdaptive-wantAdaptive) > 0.005 {
 		t.Errorf("adaptive reach MC %v vs closed form %v", gotAdaptive, wantAdaptive)
+	}
+}
+
+// TestPlanReachAgreesWithReachTree: a plan scored in the form the wire
+// carries it (parent vector, copies by node) reads what Reach over the
+// tree's λ vector and the recursive ReachTree read, on random clusters
+// and allocations; copy counts that do not match the parents are an
+// error.
+func TestPlanReachAgreesWithReachTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		g, err := topology.RandomConnected(4+rng.Intn(40), 3, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := config.Uniform(g, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			if err := cfg.SetCrash(topology.NodeID(v), 0.05*rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range g.Links() {
+			if err := cfg.SetLoss(i, 0.3*rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		root := topology.NodeID(rng.Intn(g.NumNodes()))
+		tree, err := mrt.Build(g, cfg, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lams, err := tree.Lambdas(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make([]int, len(lams))
+		copies := make([]int32, tree.NumNodes())
+		for j := range m {
+			m[j] = 1 + rng.Intn(5)
+			copies[tree.EdgeChild(j)] = int32(m[j])
+		}
+		got, err := PlanReach(tree.Parents(), copies, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ReachTree(tree, cfg, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Reach(lams, m); math.Abs(got-want) > 1e-12 || math.Abs(got-rec) > 1e-12 {
+			t.Fatalf("trial %d: PlanReach %v, Reach %v, ReachTree %v", trial, got, want, rec)
+		}
+		if _, err := PlanReach(tree.Parents(), copies[1:], cfg); err == nil {
+			t.Fatalf("trial %d: copies shorter than the parents scored without an error", trial)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"fmt"
 	"math"
 
 	"adaptivecast/internal/config"
@@ -31,6 +32,32 @@ func reachSubtree(t *mrt.Tree, c *config.Config, m []int, v topology.NodeID) (fl
 		r *= edgeTerm(lam, m[t.EdgeOf(child)]) * sub
 	}
 	return r, nil
+}
+
+// PlanReach is Reach, under configuration c, of a broadcast plan in the
+// form the wire carries it: parents[v] is v's parent in the tree
+// (topology.None for the root and for IDs the tree leaves out) and
+// copies[v] the messages that parent sends v. Under the true
+// configuration it is the plan's true reach, which Eq. 1 requires to be
+// at least K.
+func PlanReach(parents []topology.NodeID, copies []int32, c *config.Config) (float64, error) {
+	if len(copies) != len(parents) {
+		return 0, fmt.Errorf("optimize: %d copy counts for %d parents", len(copies), len(parents))
+	}
+	lams := make([]float64, 0, len(parents))
+	m := make([]int, 0, len(parents))
+	for v, p := range parents {
+		if p == topology.None {
+			continue
+		}
+		lam, err := c.Lambda(p, topology.NodeID(v))
+		if err != nil {
+			return 0, err
+		}
+		lams = append(lams, lam)
+		m = append(m, int(copies[v]))
+	}
+	return Reach(lams, m), nil
 }
 
 // AnalyticTwoPath reproduces the closed forms of Appendix A for the

@@ -4,13 +4,13 @@
 // TCP's write buffers are each an instance of it.
 //
 // A value taken with Get belongs to the caller until it goes back with
-// Put (or through the callback Releaser hands out), exactly once. In a
-// test binary every pool checks that: it tracks each value it hands out,
-// a Put of a value that is not out panics (a double Put, a release
-// callback run twice, a value put into a pool it did not come from), and
-// Outstanding lists what was never given back, which leakcheck.Main
-// fails the binary on. Outside a test binary the check is off, and Get
-// and Put cost one branch more than the bare sync.Pool.
+// Put, exactly once. In a test binary every pool checks that: it tracks
+// each value it hands out, a Put of a value that is not out panics (a
+// double Put, a release callback run twice, a value put into a pool it
+// did not come from), and Outstanding lists what was never given back,
+// which leakcheck.Main fails the binary on. Outside a test binary the
+// check is off, and Get and Put cost one branch more than the bare
+// sync.Pool.
 package pool
 
 import (
@@ -32,9 +32,6 @@ type Pool[T any] struct {
 	// keeping. A false return drops x for the collector, which is how a
 	// pool declines to pin a value grown far past its usual size.
 	Reset func(x *T) bool
-	// Release, when set, returns x's own put-back callback — bound once,
-	// when New made x, so handing it out allocates nothing (see Releaser).
-	Release func(x *T) func()
 
 	pool   sync.Pool
 	hits   atomic.Int64
@@ -74,11 +71,6 @@ func (p *Pool[T]) Put(x *T) {
 	}
 	p.pool.Put(x)
 }
-
-// Releaser returns the callback that puts x back, for a pool whose
-// Release hook binds one: the shape the send path threads through to the
-// code that is last to use x. Invoking it is x's Put.
-func (p *Pool[T]) Releaser(x *T) func() { return p.Release(x) }
 
 // Hits counts the Gets served by a recycled value.
 func (p *Pool[T]) Hits() int64 { return p.hits.Load() }

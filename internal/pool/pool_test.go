@@ -14,8 +14,8 @@ type item struct {
 
 // TestPoolCountsAndHooks: a miss makes a value with New (new(T) without
 // it), a Put and a Get make a hit with the same value, Reset clears what
-// goes back and drops what it declines to keep, and Releaser hands out
-// the callback New bound.
+// goes back and drops what it declines to keep, and a put-back callback
+// New bound works as the Put it makes.
 func TestPoolCountsAndHooks(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("a race build's sync.Pool drops what is put back at random")
@@ -35,11 +35,10 @@ func TestPoolCountsAndHooks(t *testing.T) {
 		x.b = x.b[:0]
 		return cap(x.b) <= 16
 	}
-	p.Release = func(x *item) func() { return x.release }
 
 	x := p.Get()
 	x.b = append(x.b, 1, 2, 3)
-	p.Releaser(x)()
+	x.release()
 	if y := p.Get(); y != x || len(y.b) != 0 || p.Hits() != 1 || p.Misses() != 1 {
 		t.Fatalf("after a release: Get = %p (len %d), %d hits, %d misses; want %p emptied, one of each", y, len(y.b), p.Hits(), p.Misses(), x)
 	}
@@ -76,14 +75,13 @@ func TestPutOfValueNotOutPanics(t *testing.T) {
 		x.release = func() { p.Put(x) }
 		return x
 	}
-	p.Release = func(x *item) func() { return x.release }
 
 	x := p.Get()
 	p.Put(x)
 	mustPanic(t, "not out", func() { p.Put(x) })
 
 	x = p.Get()
-	rel := p.Releaser(x)
+	rel := x.release
 	rel()
 	mustPanic(t, "not out", rel)
 
