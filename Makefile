@@ -18,7 +18,7 @@ race:
 # heartbeat merge, the replan pipeline, the record layouts and the pool
 # whose test-binary ownership check the pins run under. CI's "allocation
 # pins" step runs this target.
-PINS_PKGS = ./internal/bayes ./internal/wire ./internal/lanes ./internal/transport ./internal/mrt ./internal/knowledge ./internal/optimize ./internal/topology ./internal/config ./internal/pool ./internal/node .
+PINS_PKGS = ./internal/bayes ./internal/wire ./internal/lanes ./internal/transport ./internal/mrt ./internal/knowledge ./internal/optimize ./internal/topology ./internal/config ./internal/pool ./internal/dataplane ./internal/node .
 pins:
 	$(GO) test -run 'Allocs|Footprint' $(PINS_PKGS)
 

@@ -51,6 +51,7 @@ package adaptivecast
 import (
 	"math/rand"
 
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/node"
 	"adaptivecast/internal/topology"
 )
@@ -80,7 +81,7 @@ type (
 
 // DefaultK is the paper's reliability target: deliver to all processes
 // with probability 0.9999.
-const DefaultK = node.DefaultK
+const DefaultK = dataplane.DefaultK
 
 // NewLink returns the canonical link between a and b.
 func NewLink(a, b NodeID) Link { return topology.NewLink(a, b) }

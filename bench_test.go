@@ -296,8 +296,10 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveBroadcastPlan measures planning one adaptive broadcast
-// (estimated config → MRT → allocation) from a converged view.
+// BenchmarkAdaptiveBroadcastPlan measures one adaptive broadcast on the
+// twin from a converged view: its plan (estimated config → MRT →
+// allocation, cached while the view stands still, as on a node), the
+// frame's encode and its sends.
 func BenchmarkAdaptiveBroadcastPlan(b *testing.B) {
 	_, cfg := benchTopology(b, 100, 8)
 	eng := sim.NewEngine(13)
@@ -310,7 +312,7 @@ func BenchmarkAdaptiveBroadcastPlan(b *testing.B) {
 	eng.RunUntil(60) // enough periods to learn the topology
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := runner.Proc(0).Broadcast(i); err != nil {
+		if _, _, err := runner.Proc(0).Broadcast([]byte{byte(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

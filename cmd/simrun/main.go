@@ -99,7 +99,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "adaptive algorithm: did not converge within %d periods\n", *maxPd)
 		return nil
 	}
-	_, adaptive, err := runner.Proc(root).Broadcast("simrun")
+	_, adaptive, err := runner.Proc(root).Broadcast([]byte("simrun"))
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,5 @@
-// Package broadcast implements the paper's probabilistic reliable
-// broadcast protocols on the simulator:
+// Package broadcast runs the paper's probabilistic reliable broadcast
+// protocols on the simulator:
 //
 //   - the optimal algorithm (Algorithm 1): the sender builds a Maximum
 //     Reliability Tree from perfect knowledge of (G, C), runs optimize()
@@ -13,32 +13,27 @@
 //     optimal ones — the paper's Definition 2 of adaptiveness, covered
 //     by tests and by the Figure 4 experiments.
 //
-// The heartbeat activity is not implemented here: Runner runs each
-// node's internal/heartbeat plane, the one the live node runs, and its
-// frames cross the simulated network as bytes. What this package keeps
-// of its own is the data plane's relay, dedup and plan.
-//
-// Per Algorithm 1 the data message carries the sender's MRT so every
-// process forwards along the same tree; this implementation also carries
-// the allocation vector ~m (the receiver would recompute exactly the same
-// vector from the same tree — optimize() is deterministic — so shipping
-// it is a pure CPU saving, noted here for fidelity).
+// Neither protocol is implemented here: a Proc drives the data plane the
+// live node runs (internal/dataplane), and Runner each node's heartbeat
+// plane (internal/heartbeat). Both planes' frames — the data frame
+// carries the sender's MRT as a parent vector and its allocation keyed by
+// child, so no receiver replans — cross the simulated network as bytes,
+// one message per copy, and each arrival is decoded for its plane to
+// decide. What this package keeps of its own is the simulated clock, the
+// crash model and membership churn (Runner.Grow, Runner.MarkDeparted).
 package broadcast
 
 import (
 	"errors"
 	"fmt"
 
+	"adaptivecast/internal/dataplane"
+	"adaptivecast/internal/heartbeat"
 	"adaptivecast/internal/knowledge"
-	"adaptivecast/internal/mrt"
-	"adaptivecast/internal/optimize"
 	"adaptivecast/internal/sim"
 	"adaptivecast/internal/topology"
+	"adaptivecast/internal/wire"
 )
-
-// DefaultK is the reliability target used throughout the paper's
-// evaluation (reach all processes with probability 0.9999).
-const DefaultK = 0.9999
 
 // MsgID uniquely identifies a broadcast (origin process + local sequence).
 type MsgID struct {
@@ -46,41 +41,26 @@ type MsgID struct {
 	Seq    uint64
 }
 
-// payload is what travels inside a data message.
-type payload struct {
-	ID    MsgID
-	Tree  *mrt.Tree // the sender's MRT (shared immutably, as on a real wire it would be re-decoded)
-	Alloc []int     // optimize() output for Tree at the sender's K
-	Body  interface{}
-	// HBSrc opportunistically piggybacks the immediate sender's knowledge
-	// snapshot on the data message (paper Section 4.1: "this data can
-	// also be opportunistically piggybacked in gossip messages, saving
-	// communication bandwidth"). Each forwarder replaces it with its own
-	// snapshot, so distortion accounting matches hop-by-hop heartbeats.
-	// Nil when piggybacking is off or the sender runs the optimal
-	// protocol.
-	HBSrc *knowledge.Snapshot
-}
-
 // Delivery is one message handed to the application.
 type Delivery struct {
 	ID   MsgID
 	From topology.NodeID // immediate sender (tree parent), not the origin
-	Body interface{}
+	Body []byte          // aliases the frame it arrived in; read-only
 }
 
 // Proc is one process running the reliable broadcast protocol. Create
 // with NewOptimal or NewAdaptive and register it on the network yourself
 // or via Runner.
 type Proc struct {
-	id        topology.NodeID
-	net       *sim.Network
-	k         float64
-	view      *knowledge.View // nil for the optimal protocol
-	piggyback bool            // attach a snapshot of the view to outgoing data messages
-	nextSeq   uint64
-	delivered map[MsgID]bool
-	sink      func(Delivery)
+	id      topology.NodeID
+	net     *sim.Network
+	plane   *dataplane.Plane
+	nextSeq uint64
+	sink    func(Delivery)
+	sc      wire.Scratch
+	// hb is the heartbeat plane over the process's view when a Runner
+	// drives one: inbound deltas go to it.
+	hb *heartbeat.Plane
 	// FallbackFloods counts broadcasts that could not build an MRT from
 	// the current knowledge (disconnected estimated topology) and flooded
 	// neighbors instead — an adaptive-protocol liveness escape hatch for
@@ -91,176 +71,107 @@ type Proc struct {
 // NewOptimal returns a process using perfect knowledge of the network's
 // ground-truth topology and configuration (Section 3).
 func NewOptimal(net *sim.Network, id topology.NodeID, k float64, sink func(Delivery)) (*Proc, error) {
-	return newProc(net, id, k, nil, sink)
+	return newProc(net, id, k, dataplane.NewOptimal(id, k, net.Graph(), net.Config()), sink)
 }
 
 // NewAdaptive returns a process whose MRTs are built from the given
 // knowledge view (Section 4). The caller drives the view's heartbeat
-// activity (see Runner).
-func NewAdaptive(net *sim.Network, id topology.NodeID, k float64, view *knowledge.View, sink func(Delivery)) (*Proc, error) {
+// activity (see Runner). With piggyback set, every data frame the process
+// sends carries a snapshot of its view.
+func NewAdaptive(net *sim.Network, id topology.NodeID, k float64, view *knowledge.View, piggyback bool, sink func(Delivery)) (*Proc, error) {
 	if view == nil {
 		return nil, errors.New("broadcast: adaptive process needs a knowledge view")
 	}
-	return newProc(net, id, k, view, sink)
+	return newProc(net, id, k, dataplane.New(id, k, view, piggyback), sink)
 }
 
-func newProc(net *sim.Network, id topology.NodeID, k float64, view *knowledge.View, sink func(Delivery)) (*Proc, error) {
+func newProc(net *sim.Network, id topology.NodeID, k float64, plane *dataplane.Plane, sink func(Delivery)) (*Proc, error) {
 	if k <= 0 || k >= 1 {
 		return nil, fmt.Errorf("broadcast: K=%v outside (0,1)", k)
 	}
 	if sink == nil {
 		sink = func(Delivery) {}
 	}
-	p := &Proc{
-		id:        id,
-		net:       net,
-		k:         k,
-		view:      view,
-		delivered: make(map[MsgID]bool),
-		sink:      sink,
-	}
-	return p, nil
+	return &Proc{id: id, net: net, plane: plane, sink: sink}, nil
 }
 
 // ID returns the process ID.
 func (p *Proc) ID() topology.NodeID { return p.id }
 
 // Broadcast initiates a reliable broadcast of body (Algorithm 1 lines
-// 1–4): build the MRT, allocate message counts, propagate, deliver
-// locally. It returns the message ID and the total number of data
-// messages the allocation will inject (Σ m[j], the paper's cost metric).
-func (p *Proc) Broadcast(body interface{}) (MsgID, int, error) {
+// 1–4): plan, deliver locally, and send each copy the plan allocates. It
+// returns the message ID and the total number of data messages the
+// allocation will inject (Σ m[j], the paper's cost metric). An adaptive
+// process whose view cannot plan yet floods its neighbours instead, and
+// returns the flood's fan-out.
+func (p *Proc) Broadcast(body []byte) (MsgID, int, error) {
 	p.nextSeq++
 	id := MsgID{Origin: p.id, Seq: p.nextSeq}
-
-	tree, alloc, err := p.plan()
-	if err != nil {
-		if p.view == nil {
-			return MsgID{}, 0, err // perfect knowledge must always plan
+	msg := wire.DataMsg{Origin: p.id, Seq: id.Seq, Root: p.id, Body: body}
+	l := p.plane.Broadcast(&msg, p.net.Graph().Neighbors(p.id))
+	if l.Plan.Err != nil {
+		if !p.plane.Adaptive() {
+			return MsgID{}, 0, l.Plan.Err // perfect knowledge must always plan
 		}
-		// Adaptive warm-up: flood neighbors so the message still moves.
 		p.FallbackFloods++
-		p.deliverLocal(id, p.id, body)
-		n := p.flood(id, body)
-		return id, n, nil
 	}
-
-	p.deliverLocal(id, p.id, body)
-	pl := payload{ID: id, Tree: tree, Alloc: alloc, Body: body}
-	if err := p.propagate(pl); err != nil {
+	p.sink(Delivery{ID: id, From: p.id, Body: body})
+	frame, err := dataplane.AppendRelay(nil, &msg, nil, l.Snap)
+	if err != nil {
 		return MsgID{}, 0, err
 	}
-	return id, optimize.Total(alloc), nil
+	p.send(l.Sends, frame)
+	return id, l.Planned, nil
 }
 
-// plan builds the MRT rooted at this process and the optimize()
-// allocation, from perfect or approximated knowledge.
-func (p *Proc) plan() (*mrt.Tree, []int, error) {
-	g := p.net.Graph()
-	cfg := p.net.Config()
-	if p.view != nil {
+// send puts one simulated message per copy s names on the network. A copy
+// over a link the true topology no longer has — one a stale view's tree
+// named — is lost like any other, and the other copies still leave.
+func (p *Proc) send(s dataplane.Sends, frame []byte) {
+	for to, copies, ok := s.Next(); ok; to, copies, ok = s.Next() {
+		for range copies {
+			_ = p.net.Send(p.id, to, sim.Message{Kind: sim.KindData, Size: len(frame), Payload: frame})
+		}
+	}
+}
+
+// HandleMessage implements sim.Process: it decodes the frame, hands a
+// heartbeat to the heartbeat plane, and delivers a data message on first
+// receipt and relays it as the data plane decides (Algorithm 1 lines
+// 5–7). A frame that does not decode, or that a plane refuses, is
+// dropped like a lost one.
+func (p *Proc) HandleMessage(from topology.NodeID, m sim.Message) {
+	raw, _ := m.Payload.([]byte)
+	f, err := p.sc.DecodeBorrow(raw)
+	switch {
+	case err != nil:
+	case f.Kind == wire.FrameKnowledgeDelta && p.hb != nil:
+		_ = p.hb.Receive(from, f.Delta)
+	case f.Kind == wire.FrameData:
+		p.receive(from, f.Data, raw)
+	}
+}
+
+func (p *Proc) receive(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
+	rx := p.plane.Receive(from, msg, p.net.Graph().Neighbors(p.id))
+	if !rx.Fresh {
+		return
+	}
+	p.sink(Delivery{ID: MsgID{Origin: msg.Origin, Seq: msg.Seq}, From: from, Body: msg.Body})
+	if !rx.Relay {
+		return
+	}
+	// Payloads are never written to, so a relay that attaches no
+	// snapshot of its own passes the bytes on as they came.
+	frame := raw
+	if rx.Snap != nil {
 		var err error
-		g, cfg, err = p.view.EstimatedConfig()
-		if err != nil {
-			return nil, nil, err
+		if frame, err = dataplane.AppendRelay(nil, msg, raw, rx.Snap); err != nil {
+			return
 		}
 	}
-	tree, err := mrt.Build(g, cfg, p.id)
-	if err != nil {
-		return nil, nil, err
-	}
-	lams, err := tree.Lambdas(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	alloc, err := optimize.Greedy(lams, p.k, optimize.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return tree, alloc, nil
-}
-
-// propagate implements Algorithm 1 lines 8–12 at this process: send the
-// allocated number of copies to the root of each direct subtree.
-func (p *Proc) propagate(pl payload) error {
-	if p.piggyback && p.view != nil {
-		pl.HBSrc = p.view.Snapshot()
-	}
-	for _, child := range pl.Tree.Children(p.id) {
-		copies := pl.Alloc[pl.Tree.EdgeOf(child)]
-		for i := 0; i < copies; i++ {
-			if err := p.net.Send(p.id, child, sim.Message{
-				Kind:    sim.KindData,
-				Size:    dataMessageSize,
-				Payload: pl,
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flood sends one copy to every neighbor (adaptive fallback only).
-// It returns the number of messages sent.
-func (p *Proc) flood(id MsgID, body interface{}) int {
-	pl := payload{ID: id, Body: body}
-	if p.piggyback && p.view != nil {
-		pl.HBSrc = p.view.Snapshot()
-	}
-	nbs := p.net.Graph().Neighbors(p.id)
-	for _, nb := range nbs {
-		// Flooded messages carry no tree; receivers re-plan or re-flood.
-		_ = p.net.Send(p.id, nb, sim.Message{
-			Kind:    sim.KindData,
-			Size:    dataMessageSize,
-			Payload: pl,
-		})
-	}
-	return len(nbs)
-}
-
-// dataMessageSize is the simulated size of one data message in bytes.
-const dataMessageSize = 1024
-
-// HandleMessage implements sim.Process (Algorithm 1 lines 5–7): deliver
-// on first receipt and keep propagating along the carried tree.
-func (p *Proc) HandleMessage(from topology.NodeID, msg sim.Message) {
-	if msg.Kind != sim.KindData {
-		return
-	}
-	pl, ok := msg.Payload.(payload)
-	if !ok {
-		return
-	}
-	// Piggybacked knowledge is merged on every copy, duplicates included:
-	// each arrival carries the sender's snapshot, which only improves
-	// local estimates (Section 4.1's bandwidth-saving remark).
-	if p.view != nil && pl.HBSrc != nil {
-		_ = p.view.MergeSnapshotKnowledgeOnly(pl.HBSrc)
-	}
-	if p.delivered[pl.ID] {
-		return // duplicate copy of an already-delivered broadcast
-	}
-	p.deliverLocal(pl.ID, from, pl.Body)
-	if pl.Tree == nil {
-		// Flooded message (adaptive warm-up): keep flooding once.
-		p.flood(pl.ID, pl.Body)
-		return
-	}
-	// Forward along the sender's tree using the carried allocation.
-	if err := p.propagate(pl); err != nil {
-		// Tree links always exist in the real topology when knowledge is
-		// truthful; with a stale view a link may be gone. Dropping is the
-		// correct probabilistic behavior (the copies count as lost).
-		return
-	}
-}
-
-func (p *Proc) deliverLocal(id MsgID, from topology.NodeID, body interface{}) {
-	p.delivered[id] = true
-	p.sink(Delivery{ID: id, From: from, Body: body})
+	p.send(rx.Sends, frame)
 }
 
 // HasDelivered reports whether the process delivered the given broadcast.
-func (p *Proc) HasDelivered(id MsgID) bool { return p.delivered[id] }
+func (p *Proc) HasDelivered(id MsgID) bool { return p.plane.Seen().Seen(id.Origin, id.Seq) }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"adaptivecast/internal/config"
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/knowledge"
+	"adaptivecast/internal/mrt"
 	"adaptivecast/internal/optimize"
 	"adaptivecast/internal/sim"
 	"adaptivecast/internal/topology"
@@ -41,9 +43,9 @@ func TestOptimalBroadcastReliableNetwork(t *testing.T) {
 	cfg := config.New(g)
 	eng := sim.NewEngine(2)
 	net := sim.NewNetwork(eng, cfg, sim.Options{})
-	procs, delivered := buildOptimalCluster(t, net, DefaultK)
+	procs, delivered := buildOptimalCluster(t, net, dataplane.DefaultK)
 
-	id, total, err := procs[0].Broadcast("hello")
+	id, total, err := procs[0].Broadcast([]byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestOptimalPlannedCountMatchesOptimize(t *testing.T) {
 	procs, _ := buildOptimalCluster(t, net, 0.999)
 
 	p := procs[0]
-	tree, alloc, err := p.plan()
+	tree, err := mrt.Build(g, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +91,14 @@ func TestOptimalPlannedCountMatchesOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	alloc, err := optimize.Greedy(lams, 0.999, optimize.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r := optimize.Reach(lams, alloc); r < 0.999*(1-1e-12) {
 		t.Errorf("planned reach %v below K", r)
 	}
-	_, total, err := p.Broadcast("x")
+	_, total, err := p.Broadcast([]byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +128,7 @@ func TestOptimalReachMeetsK(t *testing.T) {
 		eng := sim.NewEngine(int64(trial))
 		net := sim.NewNetwork(eng, cfg, sim.Options{})
 		procs, delivered := buildOptimalCluster(t, net, k)
-		if _, _, err := procs[0].Broadcast(trial); err != nil {
+		if _, _, err := procs[0].Broadcast([]byte{byte(trial)}); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -159,7 +165,7 @@ func TestBroadcastDeliversOncePerMessage(t *testing.T) {
 	procs, delivered := buildOptimalCluster(t, net, 0.999)
 
 	for b := 0; b < 3; b++ {
-		if _, _, err := procs[0].Broadcast(b); err != nil {
+		if _, _, err := procs[0].Broadcast([]byte{byte(b)}); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -185,7 +191,7 @@ func TestNewProcRejectsBadK(t *testing.T) {
 			t.Errorf("K=%v should fail", k)
 		}
 	}
-	if _, err := NewAdaptive(net, 0, 0.99, nil, nil); err == nil {
+	if _, err := NewAdaptive(net, 0, 0.99, nil, false, nil); err == nil {
 		t.Error("nil view should fail")
 	}
 }
@@ -200,7 +206,7 @@ func TestOptimalBroadcastDisconnectedFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Broadcast("x"); err == nil {
+	if _, _, err := p.Broadcast([]byte("x")); err == nil {
 		t.Error("broadcast on a disconnected topology should fail for the optimal protocol")
 	}
 }
@@ -223,7 +229,7 @@ func TestAdaptiveFallbackFloodBeforeConvergence(t *testing.T) {
 	// No heartbeat periods have run: each view knows only its own links,
 	// the estimated topology is disconnected, so the proc must flood.
 	p := r.Proc(0)
-	if _, _, err := p.Broadcast("early"); err != nil {
+	if _, _, err := p.Broadcast([]byte("early")); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -273,7 +279,7 @@ func TestAdaptiveConvergesToOptimal(t *testing.T) {
 	}
 	r.Stop()
 
-	_, adaptiveTotal, err := r.Proc(0).Broadcast("converged")
+	_, adaptiveTotal, err := r.Proc(0).Broadcast([]byte("converged"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +287,11 @@ func TestAdaptiveConvergesToOptimal(t *testing.T) {
 		t.Fatal("adaptive proc flooded after convergence")
 	}
 
-	opt, err := NewOptimal(net, 0, DefaultK, nil)
+	opt, err := NewOptimal(net, 0, dataplane.DefaultK, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, optimalTotal, err := opt.Broadcast("truth")
+	_, optimalTotal, err := opt.Broadcast([]byte("truth"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +410,7 @@ func TestPiggybackSpreadsKnowledge(t *testing.T) {
 	}
 	// No heartbeats at all: knowledge can only move on data messages.
 	for round := 0; round < 6; round++ {
-		if _, _, err := r.Proc(topology.NodeID(round)).Broadcast(round); err != nil {
+		if _, _, err := r.Proc(topology.NodeID(round)).Broadcast([]byte{byte(round)}); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -425,7 +431,7 @@ func TestPiggybackSpreadsKnowledge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 6; round++ {
-		if _, _, err := r2.Proc(topology.NodeID(round)).Broadcast(round); err != nil {
+		if _, _, err := r2.Proc(topology.NodeID(round)).Broadcast([]byte{byte(round)}); err != nil {
 			t.Fatal(err)
 		}
 		eng2.Run()
@@ -434,5 +440,82 @@ func TestPiggybackSpreadsKnowledge(t *testing.T) {
 		if got := len(v.KnownLinks()); got != 2 {
 			t.Errorf("node %d knows %d links without piggybacking, want 2", i, got)
 		}
+	}
+}
+
+// TestRelayFloodExcludesSender: the twin relays a flooded warm-up message
+// by the data plane's rule, as a node does: on to every neighbour but the
+// one it came from. One broadcast down the line 0 — 1 — 2, before any
+// heartbeat, costs two data messages, the counts the node's test of the
+// same name reads; echoing each flood back to its sender cost four.
+func TestRelayFloodExcludesSender(t *testing.T) {
+	g, err := topology.Line(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(3)
+	net := sim.NewNetwork(eng, config.New(g), sim.Options{})
+	delivered := make([]int, 3)
+	r, err := NewRunner(net, RunnerOptions{}, func(id topology.NodeID, _ Delivery) { delivered[id]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, planned, err := r.Proc(0).Broadcast([]byte("warmup")); err != nil || planned != 1 {
+		t.Fatalf("the warm-up broadcast planned %d messages (%v), want a flood of 1", planned, err)
+	}
+	eng.Run()
+	if got := net.Stats().Sent(sim.KindData); got != 2 {
+		t.Errorf("the flood sent %d data messages, want 2", got)
+	}
+	for i, d := range delivered {
+		if d != 1 {
+			t.Errorf("node %d delivered %d times, want once", i, d)
+		}
+	}
+}
+
+// TestStaleTreeEdgeStarvesNoSibling: a copy the plan sends over a link the
+// true topology has lost is lost like any other, and the origin's other
+// child still gets its copies. The hub of a 3-star plans over both links;
+// the more reliable one, 0 — 1, leaves the truth before it broadcasts.
+func TestStaleTreeEdgeStarvesNoSibling(t *testing.T) {
+	g, err := topology.Star(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.New(g)
+	if err := cfg.SetLossBetween(0, 2, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(5)
+	net := sim.NewNetwork(eng, cfg, sim.Options{})
+	delivered := make([]int, 3)
+	r, err := NewRunner(net, RunnerOptions{}, func(id topology.NodeID, _ Delivery) { delivered[id]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	eng.RunUntil(40.5)
+	r.Stop()
+	eng.Run()
+	removed, _, err := g.RemoveLink(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.RemoveLinkAt(removed); err != nil {
+		t.Fatal(err)
+	}
+	net.RemoveLinkAt(removed)
+
+	sent := net.Stats().Sent(sim.KindData)
+	if _, _, err := r.Proc(0).Broadcast([]byte("stale")); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if delivered[1] != 0 || delivered[2] != 1 {
+		t.Errorf("nodes 1 and 2 delivered %d and %d times, want 0 and 1", delivered[1], delivered[2])
+	}
+	if got := net.Stats().Sent(sim.KindData) - sent; got < 2 {
+		t.Errorf("the broadcast sent %d data messages over the lossy live link, want its m[j] >= 2", got)
 	}
 }

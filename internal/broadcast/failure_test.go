@@ -33,7 +33,7 @@ func TestCrashedRelayDegradesThenRecovers(t *testing.T) {
 	eng.RunUntil(10) // learn the topology
 
 	// Healthy broadcast reaches everyone.
-	if _, _, err := r.Proc(0).Broadcast("healthy"); err != nil {
+	if _, _, err := r.Proc(0).Broadcast([]byte("healthy")); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(11)
@@ -43,7 +43,7 @@ func TestCrashedRelayDegradesThenRecovers(t *testing.T) {
 
 	// Crash the relay: node 2 is unreachable no matter the allocation.
 	net.Crash(1)
-	if _, _, err := r.Proc(0).Broadcast("during-crash"); err != nil {
+	if _, _, err := r.Proc(0).Broadcast([]byte("during-crash")); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(20)
@@ -57,7 +57,7 @@ func TestCrashedRelayDegradesThenRecovers(t *testing.T) {
 	// Recover; the relay resumes heartbeating and eventually relays again.
 	net.Recover(1)
 	eng.RunUntil(40)
-	if _, _, err := r.Proc(0).Broadcast("recovered"); err != nil {
+	if _, _, err := r.Proc(0).Broadcast([]byte("recovered")); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(41)
@@ -129,7 +129,7 @@ func TestPartitionHealing(t *testing.T) {
 			healthyCrash, partitionCrash)
 	}
 	// A broadcast during the partition stays on its side.
-	if _, _, err := r.Proc(0).Broadcast("split"); err != nil {
+	if _, _, err := r.Proc(0).Broadcast([]byte("split")); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(66)
@@ -158,7 +158,7 @@ func TestPartitionHealing(t *testing.T) {
 		t.Errorf("far node's crash estimate did not recover: %v -> %v",
 			partitionCrash, relearnedCrash)
 	}
-	if _, _, err := r.Proc(0).Broadcast("healed"); err != nil {
+	if _, _, err := r.Proc(0).Broadcast([]byte("healed")); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(1501)
@@ -199,11 +199,11 @@ func TestAdaptiveRoutesAroundLossyLink(t *testing.T) {
 	if !r.AllConverged(crit) {
 		t.Fatal("no convergence")
 	}
-	tree, _, err := r.Proc(0).plan()
-	if err != nil {
-		t.Fatal(err)
+	pl, _ := r.Proc(0).plane.Plan()
+	if pl.Err != nil {
+		t.Fatal(pl.Err)
 	}
-	if tree.Parent(1) != 2 {
-		t.Errorf("destination parented to %d, want 2 (the reliable relay)", tree.Parent(1))
+	if pl.Parents[1] != 2 {
+		t.Errorf("destination parented to %d, want 2 (the reliable relay)", pl.Parents[1])
 	}
 }

@@ -4,16 +4,16 @@ import (
 	"errors"
 	"fmt"
 
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/heartbeat"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/sim"
 	"adaptivecast/internal/topology"
-	"adaptivecast/internal/wire"
 )
 
 // RunnerOptions tunes the simulated adaptive cluster.
 type RunnerOptions struct {
-	// K is the reliability target (default DefaultK).
+	// K is the reliability target (default dataplane.DefaultK).
 	K float64
 	// Delta is the heartbeat period δ (default 1 time unit).
 	Delta sim.Time
@@ -42,7 +42,7 @@ type RunnerOptions struct {
 
 func (o RunnerOptions) withDefaults() RunnerOptions {
 	if o.K == 0 {
-		o.K = DefaultK
+		o.K = dataplane.DefaultK
 	}
 	if o.Delta == 0 {
 		o.Delta = 1
@@ -51,18 +51,17 @@ func (o RunnerOptions) withDefaults() RunnerOptions {
 }
 
 // Runner wires a full adaptive cluster onto a simulated network: one
-// knowledge view, heartbeat plane and adaptive broadcast process per
-// node. Every period each node runs its heartbeat plane — the one the
-// live node runs — and sends each neighbor the encoded delta frame, which
-// the receiver decodes and hands to its own plane; the runner itself
-// keeps only the data plane: relay, dedup and plan.
+// knowledge view and adaptive broadcast process per node, the process
+// running both planes the live node runs. Every period each node cuts its
+// heartbeat plane and sends each neighbor the encoded delta frame, which
+// the receiver decodes and hands to its own plane; data frames take the
+// data plane (see Proc).
 type Runner struct {
 	net      *sim.Network
 	opts     RunnerOptions
 	sink     func(topology.NodeID, Delivery)
 	interner *knowledge.Interner
 	views    []*knowledge.View
-	planes   []*heartbeat.Plane
 	procs    []*Proc
 	// departed[i] marks nodes removed by MarkDeparted: their slots stay
 	// (IDs are never reused) but they run no periods and are excluded
@@ -82,29 +81,6 @@ type Runner struct {
 // are checked against. Only tests set it (see export_test.go).
 var fullSnapshots bool
 
-// nodeProc multiplexes a node's inbound traffic between the knowledge
-// activity (heartbeats) and the broadcast activity (data), mirroring the
-// paper's modular two-activity design.
-type nodeProc struct {
-	proc  *Proc
-	plane *heartbeat.Plane
-	sc    wire.Scratch
-}
-
-// HandleMessage implements sim.Process. A heartbeat is decoded through
-// the node's own Scratch and handed to its plane; a frame that does not
-// decode, or that the plane refuses, is dropped like a lost one.
-func (np *nodeProc) HandleMessage(from topology.NodeID, msg sim.Message) {
-	if msg.Kind == sim.KindHeartbeat {
-		b, _ := msg.Payload.([]byte)
-		if f, err := np.sc.DecodeBorrow(b); err == nil && f.Kind == wire.FrameKnowledgeDelta {
-			_ = np.plane.Receive(from, f.Delta)
-		}
-		return
-	}
-	np.proc.HandleMessage(from, msg)
-}
-
 // NewRunner builds views and adaptive processes for every node of the
 // network and registers them. Call Start to begin the heartbeat activity,
 // then drive the network's engine.
@@ -115,7 +91,7 @@ func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, 
 	if n == 0 {
 		return nil, errors.New("broadcast: empty network")
 	}
-	r := &Runner{net: net, opts: opts, sink: sink, departed: make([]bool, n)}
+	r := &Runner{net: net, opts: opts, sink: sink}
 	interner := knowledge.NewInterner()
 	// Intern the ground-truth links first so view indices align with the
 	// graph's link indices (convergence checks and stats rely on it).
@@ -123,32 +99,35 @@ func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, 
 		interner.Intern(l)
 	}
 	r.interner = interner
-	r.views = make([]*knowledge.View, n)
-	r.planes = make([]*heartbeat.Plane, n)
-	r.procs = make([]*Proc, n)
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
 		view, err := knowledge.NewView(id, n, g.Neighbors(id), interner, opts.Params)
 		if err != nil {
 			return nil, fmt.Errorf("broadcast: view %d: %w", i, err)
 		}
-		var deliver func(Delivery)
-		if sink != nil {
-			deliver = func(d Delivery) { sink(id, d) }
-		}
-		proc, err := NewAdaptive(net, id, opts.K, view, deliver)
-		if err != nil {
+		if err := r.add(id, view); err != nil {
 			return nil, fmt.Errorf("broadcast: proc %d: %w", i, err)
-		}
-		proc.piggyback = opts.Piggyback
-		r.views[i] = view
-		r.planes[i] = heartbeat.New(view)
-		r.procs[i] = proc
-		if err := net.Register(id, &nodeProc{proc: proc, plane: r.planes[i]}); err != nil {
-			return nil, err
 		}
 	}
 	return r, nil
+}
+
+// add registers node id's process over view: its data plane and, for the
+// runner to drive each period, its heartbeat plane.
+func (r *Runner) add(id topology.NodeID, view *knowledge.View) error {
+	var deliver func(Delivery)
+	if sink := r.sink; sink != nil {
+		deliver = func(d Delivery) { sink(id, d) }
+	}
+	proc, err := NewAdaptive(r.net, id, r.opts.K, view, r.opts.Piggyback, deliver)
+	if err != nil {
+		return err
+	}
+	proc.hb = heartbeat.New(view)
+	r.views = append(r.views, view)
+	r.procs = append(r.procs, proc)
+	r.departed = append(r.departed, false)
+	return r.net.Register(id, proc)
 }
 
 // Views exposes the per-node knowledge views (read-only use).
@@ -260,9 +239,9 @@ func (r *Runner) stepNode(i int) {
 	ws := &r.period
 	defer ws.Reset()
 	if fullSnapshots {
-		r.planes[i].Reset()
+		r.procs[i].hb.Reset()
 	}
-	r.planes[i].Cut(ws, g.Neighbors(id))
+	r.procs[i].hb.Cut(ws, g.Neighbors(id))
 	for k, o := range ws.Outbound() {
 		// The payload is in flight past this period: a fresh frame each.
 		frame, err := ws.AppendFrame(nil, k, 0)
@@ -341,23 +320,8 @@ func (r *Runner) Grow(neighbors []topology.NodeID) (topology.NodeID, error) {
 		}
 	}
 
-	var deliver func(Delivery)
-	if r.sink != nil {
-		sink := r.sink
-		deliver = func(d Delivery) { sink(id, d) }
-	}
-	proc, err := NewAdaptive(r.net, id, r.opts.K, view, deliver)
-	if err != nil {
+	if err := r.add(id, view); err != nil {
 		return 0, fmt.Errorf("broadcast: grow proc: %w", err)
-	}
-	proc.piggyback = r.opts.Piggyback
-	plane := heartbeat.New(view)
-	r.views = append(r.views, view)
-	r.planes = append(r.planes, plane)
-	r.procs = append(r.procs, proc)
-	r.departed = append(r.departed, false)
-	if err := r.net.Register(id, &nodeProc{proc: proc, plane: plane}); err != nil {
-		return 0, err
 	}
 	if r.running && r.skewed() {
 		r.startSkewLoop(id)

@@ -132,6 +132,11 @@ func TestPlaneAckChain(t *testing.T) {
 			if err := to.plane.Receive(f.from, fr.Delta); err != nil {
 				t.Fatalf("period %d: %d refused %d's frame: %v", period, f.to, f.from, err)
 			}
+			// The check runs where View.DeltaTo's invariant holds: as the
+			// receiver merges V. By the time the sender reads the ack, the
+			// receiver's BeginPeriod may have booked Event 2 on a lost
+			// frame (1 → 0 in period 5) and aged its copy of the sender's
+			// process record; forgive undoes that on the next frame.
 			if v := to.plane.Seen(f.from); v == fr.Delta.Ver {
 				holds(t, period, from, to, v)
 			}

@@ -217,6 +217,11 @@ func (v *View) DeltaSince(base uint64) (s *Snapshot, ok bool) {
 // links, so the second case is the more frequent for them: a mask can
 // hold a crash's suspicion back from a neighbour for up to
 // LinkAgeTimeout periods.
+//
+// The invariant holds when the peer merges V, not when we read its ack of
+// V: the peer cuts that ack after its own BeginPeriod, which may have
+// booked Event 2 for a heartbeat of ours it lost and aged its copy of our
+// process record past ours. forgive undoes that on our next frame.
 func (v *View) DeltaTo(base uint64, to topology.NodeID) (s *Snapshot, ok bool) {
 	if !v.anchors(base) {
 		return nil, false

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"adaptivecast/internal/config"
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/optimize"
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
@@ -47,7 +48,7 @@ func (s *auditScores) String() string {
 	at := func(q float64) float64 { return r[int(q*float64(len(r)-1))] }
 	n := len(r)
 	return fmt.Sprintf("true_reach min %.6f p10 %.6f p50 %.6f; below K %d/%d (%.3f); loss-only below K %d/%d (%.3f); copies per tree edge %.2f",
-		r[0], at(0.1), at(0.5), s.below(DefaultK), n, float64(s.below(DefaultK))/float64(n),
+		r[0], at(0.1), at(0.5), s.below(dataplane.DefaultK), n, float64(s.below(dataplane.DefaultK))/float64(n),
 		s.lossOnly, n, float64(s.lossOnly)/float64(n), float64(s.copies)/float64(s.edges))
 }
 
@@ -91,7 +92,7 @@ func runEq1Audit(t *testing.T, seed int64, windows []auditWindow) []*auditScores
 		t.Helper()
 		lossOnly := truth.Clone()
 		nd.mu.Lock()
-		p, _ := nd.replan()
+		p, _ := nd.plane.Replan()
 		for v := 0; v < n; v++ {
 			mean, _ := nd.view.CrashEstimate(topology.NodeID(v))
 			if err := lossOnly.SetCrash(topology.NodeID(v), mean); err != nil {
@@ -99,23 +100,23 @@ func runEq1Audit(t *testing.T, seed int64, windows []auditWindow) []*auditScores
 			}
 		}
 		nd.mu.Unlock()
-		if p.err != nil {
-			t.Fatalf("period %d: origin %d has no plan: %v", period, nd.ID(), p.err)
+		if p.Err != nil {
+			t.Fatalf("period %d: origin %d has no plan: %v", period, nd.ID(), p.Err)
 		}
-		r, err := optimize.PlanReach(p.parents, p.alloc, truth)
+		r, err := optimize.PlanReach(p.Parents, p.Alloc, truth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr, err := optimize.PlanReach(p.parents, p.alloc, lossOnly)
+		lr, err := optimize.PlanReach(p.Parents, p.Alloc, lossOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.trueReach = append(s.trueReach, r)
-		if lr < DefaultK {
+		if lr < dataplane.DefaultK {
 			s.lossOnly++
 		}
-		s.copies += p.planned
-		s.edges += p.edges
+		s.copies += p.Planned
+		s.edges += p.Edges
 	}
 
 	scores := make([]*auditScores, len(windows))
@@ -178,9 +179,9 @@ func TestEq1Audit(t *testing.T) {
 			for i, s := range runEq1Audit(t, seed, windows) {
 				w := windows[i]
 				fmt.Fprintf(&report, "\n  periods %d–%d: %v", w.from, w.to, s)
-				if w.name == "late" && s.below(DefaultK) > 0 {
+				if w.name == "late" && s.below(dataplane.DefaultK) > 0 {
 					t.Errorf("periods %d–%d: %d of %d plans reach below K = %v under the true configuration",
-						w.from, w.to, s.below(DefaultK), len(s.trueReach), DefaultK)
+						w.from, w.to, s.below(dataplane.DefaultK), len(s.trueReach), dataplane.DefaultK)
 				}
 			}
 			t.Logf("Eq. 1 audit, seed %d:%s", seed, report.String())

@@ -5,14 +5,15 @@ import (
 	"slices"
 	"testing"
 
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/wire"
 )
 
 // mapDeliveredSet is the dedup set as it was before the window: a
-// watermark plus an overflow map per origin, capped at maxOverflow entries
-// and conceding by count. It stays as the oracle the window is held to.
+// watermark plus an overflow map per origin, capped at
+// dataplane.DedupWindow entries and conceding by count. It stays as the oracle the window is held to.
 type mapDeliveredSet struct {
 	watermark map[topology.NodeID]uint64
 	overflow  map[topology.NodeID]map[uint64]struct{}
@@ -54,7 +55,7 @@ func (s *mapDeliveredSet) mark(origin topology.NodeID, seq uint64) bool {
 		s.overflow[origin] = over
 	}
 	over[seq] = struct{}{}
-	if len(over) > maxOverflow {
+	if len(over) > dataplane.DedupWindow {
 		min := seq
 		for q := range over {
 			if q < min {
@@ -106,7 +107,7 @@ func TestDeliveredWindowMatchesMapOracle(t *testing.T) {
 			seq    uint64
 		}
 		origins := 1 + rng.Intn(5)
-		perOrigin := uint64(100 + rng.Intn(maxOverflow-100)) // seqs stay within one window
+		perOrigin := uint64(100 + rng.Intn(dataplane.DedupWindow-100)) // seqs stay within one window
 		loss, dup, reorder := rng.Float64()*0.2, rng.Float64()*0.3, 1+rng.Intn(300)
 		var stream []arrival
 		for o := 0; o < origins; o++ {
@@ -129,24 +130,24 @@ func TestDeliveredWindowMatchesMapOracle(t *testing.T) {
 		}
 		slices.SortStableFunc(stream, func(a, b arrival) int { return key[a] - key[b] })
 
-		window, oracle := newDeliveredSet(), newMapDeliveredSet()
+		window, oracle := new(dataplane.Dedup), newMapDeliveredSet()
 		for i, a := range stream {
-			if got, want := window.mark(a.origin, a.seq), oracle.mark(a.origin, a.seq); got != want {
+			if got, want := window.Mark(a.origin, a.seq), oracle.mark(a.origin, a.seq); got != want {
 				t.Fatalf("run %d arrival %d (%d, %d): window says fresh=%v, oracle %v", run, i, a.origin, a.seq, got, want)
 			}
-			if i%97 == 0 && window.pending() != oracle.pending() {
-				t.Fatalf("run %d arrival %d: window holds %d pending seqs, oracle %d", run, i, window.pending(), oracle.pending())
+			if i%97 == 0 && window.Pending() != oracle.pending() {
+				t.Fatalf("run %d arrival %d: window holds %d pending seqs, oracle %d", run, i, window.Pending(), oracle.pending())
 			}
 		}
 		for o := 0; o < 3*origins; o++ {
 			for q := uint64(0); q <= perOrigin+2; q++ {
-				if got, want := window.seen(topology.NodeID(o), q), oracle.seen(topology.NodeID(o), q); got != want {
+				if got, want := window.Seen(topology.NodeID(o), q), oracle.seen(topology.NodeID(o), q); got != want {
 					t.Fatalf("run %d: seen(%d, %d) = %v, oracle %v", run, o, q, got, want)
 				}
 			}
 		}
-		if window.pending() != oracle.pending() {
-			t.Fatalf("run %d: window holds %d pending seqs, oracle %d", run, window.pending(), oracle.pending())
+		if window.Pending() != oracle.pending() {
+			t.Fatalf("run %d: window holds %d pending seqs, oracle %d", run, window.Pending(), oracle.pending())
 		}
 	}
 }
@@ -158,18 +159,18 @@ func TestAllocsDeliveredWindow(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins do not hold under the race detector")
 	}
-	s := newDeliveredSet()
-	s.mark(0, 2) // seq 1 is lost for good: the window opens
+	s := new(dataplane.Dedup)
+	s.Mark(0, 2) // seq 1 is lost for good: the window opens
 	seq := uint64(2)
-	if got := testing.AllocsPerRun(5*maxOverflow, func() {
+	if got := testing.AllocsPerRun(5*dataplane.DedupWindow, func() {
 		seq++
-		s.mark(0, seq)
-		s.mark(0, seq) // a duplicate copy
+		s.Mark(0, seq)
+		s.Mark(0, seq) // a duplicate copy
 	}); got != 0 {
 		t.Errorf("marking behind an open gap allocated %.2f times, want 0", got)
 	}
-	if !s.seen(0, 1) || s.pending() > maxOverflow {
-		t.Errorf("the window never slid past the lost seq: pending %d", s.pending())
+	if !s.Seen(0, 1) || s.Pending() > dataplane.DedupWindow {
+		t.Errorf("the window never slid past the lost seq: pending %d", s.Pending())
 	}
 }
 
@@ -208,8 +209,8 @@ func TestForgedOriginIsRejected(t *testing.T) {
 			t.Errorf("node %d: DecodeErrors %d, DataReceived %d, Delivered %d; want %d, 0, 0 and no relay",
 				id, st.DecodeErrors, st.DataReceived, st.Delivered, forged)
 		}
-		if len(nd.delivered.w) != procs || len(nd.delivered.gaps) != 0 {
-			t.Errorf("node %d: forged origins grew the dedup state to %d watermarks and %d windows", id, len(nd.delivered.w), len(nd.delivered.gaps))
+		if origins, windows := nd.plane.Seen().Size(); origins != procs || windows != 0 {
+			t.Errorf("node %d: forged origins grew the dedup state to %d watermarks and %d windows", id, origins, windows)
 		}
 		nd.handle(from, flood(procs-1))
 		if st := nd.Stats(); st.Delivered != 1 || st.DecodeErrors != forged {

@@ -3,9 +3,10 @@
 // (Algorithm 4) on a real clock and the reliable broadcast activity
 // (Algorithm 1) — over a pluggable transport. The simulator and the live
 // node share every algorithmic component (knowledge, mrt, optimize) and
-// the heartbeat plane (heartbeat), so the two cannot drift apart; the
-// node adds timers, the transport, stable-storage crash accounting and
-// delivery plumbing.
+// both planes, the heartbeat plane (heartbeat) and the data plane
+// (dataplane), so the two cannot drift apart; the node adds timers, the
+// lanes and the transport, stable-storage crash accounting, the
+// exactly-once log and delivery plumbing.
 //
 // Concurrency is one node lock (Node.mu): Broadcast, the transport
 // handler, Tick and membership changes each take it for one critical
@@ -32,22 +33,17 @@ import (
 	"time"
 	"unsafe"
 
-	"adaptivecast/internal/config"
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/dedup"
 	"adaptivecast/internal/heartbeat"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/lanes"
-	"adaptivecast/internal/mrt"
-	"adaptivecast/internal/optimize"
 	"adaptivecast/internal/pool"
 	"adaptivecast/internal/queue"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 	"adaptivecast/internal/wire"
 )
-
-// DefaultK is the default reliability target (the paper's 0.9999).
-const DefaultK = 0.9999
 
 // DefaultDeliveryBuffer is the default bound, in bytes, on what the
 // delivery queue holds: the largest frame TCP accepts (64 MiB), so any
@@ -238,7 +234,7 @@ type Config struct {
 	// joiner's view starts aligned with the cluster's roster instead of
 	// waiting for announcements.
 	Departed []topology.NodeID
-	// K is the reliability target (default DefaultK).
+	// K is the reliability target (default dataplane.DefaultK).
 	K float64
 	// HeartbeatEvery is δ, the heartbeat period (default 1s).
 	HeartbeatEvery time.Duration
@@ -278,7 +274,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.K == 0 {
-		c.K = DefaultK
+		c.K = dataplane.DefaultK
 	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = time.Second
@@ -290,19 +286,6 @@ func (c Config) withDefaults() Config {
 		c.Now = time.Now
 	}
 	return c
-}
-
-// plan is one immutable broadcast plan derived from a view: the MRT, its
-// wire form, the greedy allocation keyed by child node, and the planned
-// message total — or the error that kept the view from planning (cached
-// too, so repeated warm-up broadcasts don't re-derive the failure).
-// Plans are shared across broadcasts; no field is ever mutated.
-type plan struct {
-	edges   int // tree links, for the OnTreeRebuild hook
-	parents []topology.NodeID
-	alloc   []int32
-	planned int
-	err     error
 }
 
 // seqLeaseBatch is how far ahead of the issued broadcast sequence the
@@ -346,9 +329,9 @@ type Node struct {
 	cfg Config
 
 	// mu is the node lock. It guards the knowledge view and its heartbeat
-	// plane (hb), the plan cache (cachedPlan, planVersion),
-	// the re-announcement budget (reannounced), the dedup watermarks
-	// (delivered), the membership state (epoch, nbs, lastChange,
+	// and data planes (hb, plane: the ack chains, the plan cache and the
+	// dedup watermarks), the re-announcement budget (reannounced), the
+	// membership state (epoch, nbs, lastChange,
 	// announceLeft) and the sequencer (seq). Three kinds of call are
 	// never made under it: hooks (a hook may call back into the node),
 	// durable writes (Storage.SaveMark, DedupLog.Record) and sends
@@ -373,16 +356,13 @@ type Node struct {
 	lastChange   *memberChange
 	reannounced  map[topology.NodeID]bool
 	announceLeft int
-	// seq is the broadcast sequencer; delivered dedups inbound
-	// broadcasts, one watermark per process.
-	seq       uint64
-	delivered *deliveredSet
-	// cachedPlan is the broadcast plan for view version planVersion.
-	cachedPlan  *plan
-	planVersion uint64
+	// seq is the broadcast sequencer.
+	seq uint64
 	// hb is the heartbeat plane over view: the ack chain toward and from
-	// each neighbor.
-	hb *heartbeat.Plane
+	// each neighbor. plane is the data plane: the plan cache keyed by the
+	// view's version, and the dedup watermarks, one per process.
+	hb    *heartbeat.Plane
+	plane *dataplane.Plane
 
 	// ownsFrames is set when the transport hands the handler exclusive
 	// frame buffers (transport.FrameOwner): a delivered body and a relayed
@@ -463,14 +443,13 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		epoch:       cfg.Epoch,
 		nbs:         append([]topology.NodeID(nil), cfg.Neighbors...),
 		reannounced: make(map[topology.NodeID]bool),
-		delivered:   newDeliveredSet(),
 		hb:          heartbeat.New(view),
+		plane:       dataplane.New(cfg.ID, cfg.K, view, cfg.Piggyback),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
 	n.deliveries.Init(cfg.DeliveryBuffer, deliveryBytes)
 	n.initEncodePool()
-	n.delivered.grow(cfg.NumProcs)
 	if fo, ok := tr.(transport.FrameOwner); ok && fo.HandlerOwnsFrame() {
 		n.ownsFrames = true
 	}
@@ -735,8 +714,9 @@ func (n *Node) Tick() {
 }
 
 // periods recycles heartbeat-period workspaces process-wide, for the
-// reason planWorkspaces does: Tick is not serialized against itself, and
-// a workspace per node would sit in the heap between periods.
+// reason the data plane pools its replan workspaces: Tick is not
+// serialized against itself, and a workspace per node would sit in the
+// heap between periods.
 var periods = pool.Pool[heartbeat.Period]{Reset: (*heartbeat.Period).Reset}
 
 // Broadcast initiates a reliable broadcast (Algorithm 1). It returns the
@@ -761,14 +741,8 @@ func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 	n.mu.Lock()
 	n.seq++
 	seq = n.seq
-	n.delivered.mark(n.cfg.ID, seq)
 	msg := &wire.DataMsg{Origin: n.cfg.ID, Seq: seq, Root: n.cfg.ID, Body: body, Epoch: n.epoch}
-	p, fresh := n.currentPlan()
-	roster := n.nbs
-	var snap *knowledge.Snapshot
-	if n.cfg.Piggyback {
-		snap = n.view.Snapshot()
-	}
+	l := n.plane.Broadcast(msg, n.nbs)
 	n.mu.Unlock()
 
 	if n.cfg.Storage != nil {
@@ -779,31 +753,26 @@ func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 			n.stats.logErrors.Add(1)
 		}
 	}
-	if p.err == nil {
-		msg.Parents = p.parents
-		msg.AllocByNode = p.alloc
-		planned = p.planned
-		if fresh && n.cfg.Hooks.OnTreeRebuild != nil {
-			n.cfg.Hooks.OnTreeRebuild(seq, p.edges, planned)
-		}
+	if l.Fresh {
+		n.stats.planCacheMisses.Add(1)
 	} else {
+		n.stats.planCacheHits.Add(1)
+	}
+	switch {
+	case l.Plan.Err != nil:
 		n.stats.fallbackFloods.Add(1)
-		planned = len(roster)
+	case l.Fresh && n.cfg.Hooks.OnTreeRebuild != nil:
+		n.cfg.Hooks.OnTreeRebuild(seq, l.Plan.Edges, l.Planned)
 	}
 	n.pushDelivery(Delivery{Origin: n.cfg.ID, Seq: seq, From: n.cfg.ID, Body: body})
 
-	// Encode once: forward and flood both consume the same frame bytes
-	// (and the same pooled buffer, recycled after the last send).
-	frame, eb, encErr := n.encodeDataFrame(msg, snap)
-	if encErr != nil {
-		return seq, planned, encErr
+	// Encode once: every send consumes the same frame bytes (and the same
+	// pooled buffer, recycled after the last send).
+	frame, eb, err := n.encodeDataFrame(msg, nil, l.Snap)
+	if err != nil {
+		return seq, l.Planned, err
 	}
-	if p.err == nil {
-		err = n.forward(msg, frame, eb)
-	} else {
-		err = n.flood(topology.None, roster, frame, eb) // originator flood: every neighbor
-	}
-	return seq, planned, err
+	return seq, l.Planned, n.send(l.Sends, frame, eb)
 }
 
 // ensureSeqLease extends the persisted broadcast sequence floor so it
@@ -828,140 +797,6 @@ func (n *Node) ensureSeqLease(seq uint64) {
 		return
 	}
 	n.seqLease.Store(lease)
-}
-
-// currentPlan returns the broadcast plan for the node's current view,
-// reusing the cached plan while the view's version is unchanged. fresh
-// reports whether this call built the plan (the OnTreeRebuild hook fires
-// only then). Called with mu held.
-func (n *Node) currentPlan() (p *plan, fresh bool) {
-	if n.cachedPlan != nil && n.planVersion == n.view.Version() {
-		n.stats.planCacheHits.Add(1)
-		return n.cachedPlan, false
-	}
-	n.stats.planCacheMisses.Add(1)
-	n.cachedPlan, n.planVersion = n.replan()
-	return n.cachedPlan, true
-}
-
-// replan derives a plan from the view as it stands, and reports the view
-// version it stands at. It runs with mu held, inside the broadcast's
-// critical section: (G, C) is materialized into a pooled workspace and
-// the tree and allocation are built on it (≈ 180 µs at n = 128), while
-// heartbeat merges wait. The plan owns its vectors: nothing in it aliases
-// the workspace, which goes back to the pool before the plan is used.
-func (n *Node) replan() (p *plan, ver uint64) {
-	ws := planWorkspaces.Get()
-	defer planWorkspaces.Put(ws)
-	ver = n.view.Version()
-	if err := n.view.EstimatedConfigInto(&ws.graph, &ws.config); err != nil {
-		return &plan{err: err}, ver
-	}
-	return ws.plan(n.cfg.ID, n.cfg.K), ver
-}
-
-// planWorkspace is the scaffolding of one replan: the estimated (G, C),
-// the MRT builder, the tree's λ vector and the allocator's heap and
-// result, ≈ 40 KB in ≈ 700 objects at n = 128 and garbage the moment the
-// plan's vectors are copied out.
-type planWorkspace struct {
-	graph     topology.Graph
-	config    config.Config
-	builder   mrt.Builder
-	lambdas   []float64
-	allocator optimize.Allocator
-}
-
-// planWorkspaces recycles replan workspaces: one pool for the process,
-// not a field of the node, because a node that kept its own would hold it
-// between replans (fabric128-hb: heap 20.5 → 25.4 MB) and, where origins
-// rotate, still find it cold.
-var planWorkspaces pool.Pool[planWorkspace]
-
-// plan derives (MRT, allocation) from the estimated configuration the
-// workspace holds.
-func (ws *planWorkspace) plan(root topology.NodeID, k float64) *plan {
-	tree, err := ws.builder.Build(&ws.graph, &ws.config, root)
-	if err != nil {
-		return &plan{err: err}
-	}
-	lams, err := tree.LambdasInto(ws.lambdas, &ws.config)
-	if err != nil {
-		return &plan{err: err}
-	}
-	ws.lambdas = lams
-	alloc, err := ws.allocator.Greedy(lams, k, optimize.Options{})
-	if err != nil {
-		return &plan{err: err}
-	}
-	byNode, err := allocByNode(tree, alloc)
-	if err != nil {
-		return &plan{err: err}
-	}
-	return &plan{
-		edges:   tree.NumEdges(),
-		parents: tree.Parents(),
-		alloc:   byNode,
-		planned: optimize.Total(alloc),
-	}
-}
-
-// allocByNode re-keys an edge-indexed allocation by child node for the
-// wire format, rejecting allocations peers would refuse to decode
-// (wire.MaxAllocation) and tree edges that point outside the node range
-// instead of silently truncating either.
-func allocByNode(tree *mrt.Tree, alloc []int) ([]int32, error) {
-	if len(alloc) != tree.NumEdges() {
-		return nil, fmt.Errorf("node: allocation covers %d edges, tree has %d", len(alloc), tree.NumEdges())
-	}
-	out := make([]int32, tree.NumNodes())
-	for i := 0; i < tree.NumEdges(); i++ {
-		child := tree.EdgeChild(i)
-		if child < 0 || int(child) >= len(out) {
-			return nil, fmt.Errorf("node: tree edge %d leads to out-of-range node %d", i, child)
-		}
-		if alloc[i] < 0 || alloc[i] > wire.MaxAllocation {
-			return nil, fmt.Errorf("node: allocation %d for edge %d outside the wire format's [0,%d]", alloc[i], i, wire.MaxAllocation)
-		}
-		out[child] = int32(alloc[i])
-	}
-	return out, nil
-}
-
-// forward pushes the allocated copies of a pre-encoded data frame to
-// this node's children in the tree the message carries (Algorithm 1
-// lines 8–12): every v with msg.Parents[v] == self, in ascending ID, gets
-// msg.AllocByNode[v] copies. The origin and a relay take the same path —
-// the origin's plan is already in msg, a relay has checked the vector
-// (mrt.CheckParents). Each child's m[j] identical copies are batched
-// through the data lane as one SendN flush (one fabric enqueue per child;
-// one TCP flush per child carrying the frame once).
-func (n *Node) forward(msg *wire.DataMsg, frame []byte, eb *encBuf) error {
-	var f fanOut
-	self, ps := n.cfg.ID, msg.Parents
-	for child := mrt.NextChild(ps, self, topology.None); child != topology.None; child = mrt.NextChild(ps, self, child) {
-		// wire's validate, on encode and decode alike, holds AllocByNode
-		// to Parents' length and each entry to [0, wire.MaxAllocation].
-		if copies := int(msg.AllocByNode[child]); copies > 0 {
-			n.sendData(&f, child, frame, copies, eb)
-		}
-	}
-	return n.settle(&f, eb, "forwards")
-}
-
-// flood sends one copy of a pre-encoded data frame to every neighbor in
-// roster except `except` (topology.None floods everyone). Originator floods
-// cover all neighbors; relay floods exclude the inbound sender —
-// echoing the frame back to whoever just sent it wastes a frame per hop
-// and, with piggybacking, re-merges our own snapshot.
-func (n *Node) flood(except topology.NodeID, roster []topology.NodeID, frame []byte, eb *encBuf) error {
-	var f fanOut
-	for _, nb := range roster {
-		if nb != except {
-			n.sendData(&f, nb, frame, 1, eb)
-		}
-	}
-	return n.settle(&f, eb, "floods")
 }
 
 // handle is the transport callback; frames arrive serialized. Every
@@ -1016,7 +851,7 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	case wire.FrameData:
 		n.mu.Lock()
 		repair, ok := n.epochGate(from, frame.Data.Epoch)
-		var rx receipt
+		var rx dataplane.Receipt
 		if ok {
 			rx = n.acceptData(from, frame.Data)
 		}
@@ -1124,7 +959,6 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) (*member
 	n.stats.epochChanges.Add(1)
 
 	n.view.Grow(m.NumProcs)
-	n.delivered.grow(n.view.NumProcs())
 	for _, d := range m.Departed {
 		n.view.MarkDeparted(d)
 	}
@@ -1256,62 +1090,27 @@ func (n *Node) AnnounceLeaveMembership(m *wire.Membership) error {
 	return nil
 }
 
-// receipt is what acceptData decided about an inbound data frame, for
-// the work handleData does after the critical section: a first sighting
-// (fresh) is recorded and delivered, and relayed when relay is set —
-// flooded to roster when the frame carries no tree — with snap, this
-// node's view, attached when it piggybacks.
-type receipt struct {
-	fresh, relay bool
-	roster       []topology.NodeID
-	snap         *knowledge.Snapshot
-}
-
-// acceptData is the part of Algorithm 1 lines 5–7 that reads node state,
-// called with mu held: it merges piggybacked knowledge, marks the
-// broadcast seen and decides the relay. A frame whose origin is outside
-// the ID space is dropped whole and counted in DecodeErrors, as is the
-// relay of a first receipt whose parent vector is not a tree.
-func (n *Node) acceptData(from topology.NodeID, msg *wire.DataMsg) (rx receipt) {
+// acceptData runs the data plane's receipt decision (Algorithm 1 lines
+// 5–7, dataplane.Plane.Receive) with mu held, and counts it: a frame or
+// relay the plane refused in DecodeErrors, a piggybacked snapshot the
+// view rejected in SnapshotMergeErrors (the frame decoded fine, and is
+// still delivered and relayed).
+func (n *Node) acceptData(from topology.NodeID, msg *wire.DataMsg) (rx dataplane.Receipt) {
 	if n.closed.Load() {
 		return rx
 	}
-	if msg.Origin < 0 || int(msg.Origin) >= n.view.NumProcs() {
-		// No process of this ID space sent it: a forged origin would be
-		// delivered, relayed and given a dedup entry that is never freed.
+	rx = n.plane.Receive(from, msg, n.nbs)
+	if rx.Refused != nil {
 		n.stats.decodeErrors.Add(1)
-		return rx
+	}
+	if rx.MergeErr != nil {
+		n.stats.snapshotMergeErrors.Add(1)
 	}
 	if msg.Piggyback != nil {
-		// Piggybacked knowledge is merged on every copy, duplicates
-		// included: each arrival carries the sender's current view. A
-		// rejected snapshot (malformed estimator state, unknown process)
-		// is surfaced in its own counter — the frame itself decoded fine,
-		// and conflating the two hides malformed-peer problems from
-		// operators; the data message is still delivered and forwarded.
-		if err := n.view.MergeSnapshotKnowledgeOnly(msg.Piggyback); err != nil {
-			n.stats.snapshotMergeErrors.Add(1)
-		}
 		n.noteVerdicts()
 	}
-	if !n.delivered.mark(msg.Origin, msg.Seq) {
-		return rx
-	}
-	n.stats.dataReceived.Add(1)
-	rx.fresh = true
-	switch {
-	case len(msg.Parents) == 0:
-		// Relay flood: exclude the inbound sender, who by construction
-		// already has the frame.
-		rx.relay, rx.roster = true, n.nbs
-	case mrt.CheckParents(msg.Root, msg.Parents) != nil:
-		n.stats.decodeErrors.Add(1)
-	default:
-		// A tree that predates our membership leaves nothing to forward.
-		rx.relay = int(n.cfg.ID) < len(msg.Parents)
-	}
-	if rx.relay && n.cfg.Piggyback {
-		rx.snap = n.view.Snapshot()
+	if rx.Fresh {
+		n.stats.dataReceived.Add(1)
 	}
 	return rx
 }
@@ -1321,8 +1120,8 @@ func (n *Node) acceptData(from topology.NodeID, msg *wire.DataMsg) (rx receipt) 
 // (or re-flood warm-up messages). raw is the encoded inbound frame; when
 // the transport handed over its ownership the relay reuses (or splices)
 // it instead of re-serializing — see relayDataFrame.
-func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte, rx receipt) {
-	if !rx.fresh {
+func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte, rx dataplane.Receipt) {
+	if !rx.Fresh {
 		return
 	}
 	deliver := true
@@ -1350,19 +1149,13 @@ func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte, r
 		}
 		n.pushDelivery(Delivery{Origin: msg.Origin, Seq: msg.Seq, From: from, Body: body})
 	}
-	if !rx.relay {
+	if !rx.Relay {
 		return
 	}
-	// Relay errors mean a knowledge snapshot failed to encode; the
-	// message was already delivered locally, so just drop the relay.
-	frame, eb, err := n.relayDataFrame(msg, raw, rx.snap)
-	if err != nil {
-		return
-	}
-	if len(msg.Parents) == 0 {
-		_ = n.flood(from, rx.roster, frame, eb)
-	} else {
-		_ = n.forward(msg, frame, eb)
+	// A relay frame fails only to encode a knowledge snapshot; the message
+	// was already delivered locally, so the relay is dropped.
+	if frame, eb, err := n.relayDataFrame(msg, raw, rx.Snap); err == nil {
+		_ = n.send(rx.Sends, frame, eb)
 	}
 }
 

@@ -480,26 +480,25 @@ func TestDeliveryOverflowCounted(t *testing.T) {
 // (flooded) message is re-flooded to every neighbor *except* the one it
 // came from — echoing it back wastes a frame per hop and re-merges the
 // relay's own piggyback. The originator's flood still covers everyone.
+// The test hands every frame to its addressee itself, so each relay has
+// counted its sends when the last frame is handled.
 func TestRelayFloodExcludesSender(t *testing.T) {
 	g, err := topology.Line(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
+	nodes, boxes := mailCluster(t, g, nil)
 
 	// No heartbeats: the broadcast floods. 0 → 1 → 2 down the line.
 	if _, _, err := nodes[0].Broadcast([]byte("warmup")); err != nil {
 		t.Fatal(err)
 	}
+	deliverMail(t, nodes, boxes)
 	for i, nd := range nodes {
-		d := waitDelivery(t, nd)
-		if string(d.Body) != "warmup" {
-			t.Fatalf("node %d delivery = %+v", i, d)
+		if d := drainDeliveries(nd); len(d) != 1 || string(d[0].Body) != "warmup" {
+			t.Fatalf("node %d deliveries = %+v", i, d)
 		}
 	}
-	time.Sleep(5 * time.Millisecond) // let relays drain
 	// The originator floods its 1 neighbor; the middle relay must send
 	// only onward to node 2 (1 frame, not 2); the end node has nobody
 	// left once its inbound sender is excluded.
@@ -654,28 +653,20 @@ func TestDedupLogResumesSequencing(t *testing.T) {
 
 // TestPiggybackOnLiveStack checks Section 4.1's optimization on the wire
 // path: with piggybacking on, data traffic alone spreads topology
-// knowledge between live nodes.
+// knowledge between live nodes. The test hands every frame over itself.
 func TestPiggybackOnLiveStack(t *testing.T) {
 	g, err := topology.Ring(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := make([]*Node, 5)
-	for i := range nodes {
-		id := topology.NodeID(i)
-		nodes[i] = newTestNode(t, Config{
-			ID: id, NumProcs: 5, Neighbors: g.Neighbors(id),
-			Piggyback: true,
-		}, fabric.Endpoint(id))
-	}
-	// No heartbeats at all: knowledge moves only on flooded data frames.
+	nodes, boxes := mailCluster(t, g, func(c *Config) { c.Piggyback = true })
+	// No heartbeats at all: knowledge moves only on flooded data frames,
+	// each broadcast's handed to every node before the next one leaves.
 	for round := 0; round < 5; round++ {
 		if _, _, err := nodes[round].Broadcast([]byte("pb")); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		deliverMail(t, nodes, boxes)
 	}
 	for i, nd := range nodes {
 		if got := len(nd.KnownLinks()); got < 4 {

@@ -12,20 +12,40 @@ import (
 	"time"
 
 	"adaptivecast/internal/bayes"
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/knowledge"
+	"adaptivecast/internal/mrt"
+	"adaptivecast/internal/optimize"
 	"adaptivecast/internal/raceflag"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 )
 
-// freshPlan is the replan pipeline on storage nobody used before: the
-// reference a plan from a pooled workspace is compared against.
-func freshPlan(v *knowledge.View, root topology.NodeID, k float64) *plan {
-	ws := new(planWorkspace)
-	if err := v.EstimatedConfigInto(&ws.graph, &ws.config); err != nil {
-		return &plan{err: err}
+// freshPlan is the replan pipeline on storage nobody used before, from
+// the package-level mrt.Build and optimize.Greedy: the reference a plan
+// from a pooled workspace is compared against.
+func freshPlan(v *knowledge.View, root topology.NodeID, k float64) *dataplane.Plan {
+	g, c, err := v.EstimatedConfig()
+	if err != nil {
+		return &dataplane.Plan{Err: err}
 	}
-	return ws.plan(root, k)
+	tree, err := mrt.Build(g, c, root)
+	if err != nil {
+		return &dataplane.Plan{Err: err}
+	}
+	lams, err := tree.Lambdas(c)
+	if err != nil {
+		return &dataplane.Plan{Err: err}
+	}
+	alloc, err := optimize.Greedy(lams, k, optimize.Options{})
+	if err != nil {
+		return &dataplane.Plan{Err: err}
+	}
+	byNode := make([]int32, tree.NumNodes())
+	for i, m := range alloc {
+		byNode[tree.EdgeChild(i)] = int32(m)
+	}
+	return &dataplane.Plan{Edges: tree.NumEdges(), Parents: tree.Parents(), Alloc: byNode, Planned: optimize.Total(alloc)}
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -104,9 +124,9 @@ func teach(t *testing.T, nd *Node, g *topology.Graph, rng *rand.Rand) {
 
 // samePlan reports whether two plans carry the same tree, allocation and
 // total.
-func samePlan(a, b *plan) bool {
-	return a.err == nil && b.err == nil && a.edges == b.edges && a.planned == b.planned &&
-		reflect.DeepEqual(a.parents, b.parents) && reflect.DeepEqual(a.alloc, b.alloc)
+func samePlan(a, b *dataplane.Plan) bool {
+	return a.Err == nil && b.Err == nil && a.Edges == b.Edges && a.Planned == b.Planned &&
+		reflect.DeepEqual(a.Parents, b.Parents) && reflect.DeepEqual(a.Alloc, b.Alloc)
 }
 
 // mailTransport keeps every frame sent over it for the test to hand to
@@ -153,11 +173,56 @@ func (m *mailTransport) take() []mail {
 	return out
 }
 
-// TestReplanOnPooledWorkspace: a plan built on a workspace that last held
-// a larger, different cluster equals the plan a fresh pipeline computes
-// from the same view; a plan handed out earlier shares no memory with the
-// workspace, so it reads the same after the workspace planned something
-// else.
+// mailCluster is one node per process of g, each over its own
+// mailTransport, which hands the handler the buffers it is given to keep
+// (transport.FrameOwner) as the Fabric and TCP do. cfg, when set, edits
+// each node's Config.
+func mailCluster(t *testing.T, g *topology.Graph, cfg func(*Config)) ([]*Node, []*mailTransport) {
+	t.Helper()
+	n := g.NumNodes()
+	nodes, boxes := make([]*Node, n), make([]*mailTransport, n)
+	for i := range nodes {
+		id := topology.NodeID(i)
+		c := Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}
+		if cfg != nil {
+			cfg(&c)
+		}
+		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id, owns: true}}
+		nodes[i] = newTestNode(t, c, boxes[i])
+	}
+	return nodes, boxes
+}
+
+// deliverMail hands every frame the nodes sent to its addressee's handle,
+// once every node's lanes have flushed, and again for what those frames
+// made the nodes send, until nothing is left in flight.
+func deliverMail(t *testing.T, nodes []*Node, boxes []*mailTransport) {
+	t.Helper()
+	for {
+		var mail []mail
+		for i, nd := range nodes {
+			if !nd.WaitSendIdle(5 * time.Second) {
+				t.Fatalf("node %d's lanes never flushed", nd.ID())
+			}
+			mail = append(mail, boxes[i].take()...)
+		}
+		if len(mail) == 0 {
+			return
+		}
+		for _, m := range mail {
+			nodes[m.to].handle(m.from, m.frame)
+		}
+	}
+}
+
+// TestReplanOnPooledWorkspace: the node's replans, through the workspace
+// pool that plans over 128 and 24 processes share, equal the plan a fresh
+// pipeline computes from the same view, round after round as the view
+// moves; a plan handed out earlier shares no memory with the workspace,
+// so it reads the same after later replans. Which workspace a replan
+// gets is the pool's to choose; that one which last held the larger
+// cluster plans the smaller right is pinned on a single workspace by
+// dataplane's TestPlanOnReusedWorkspace.
 func TestReplanOnPooledWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	big, err := topology.RandomConnected(128, 4, rng)
@@ -170,35 +235,22 @@ func TestReplanOnPooledWorkspace(t *testing.T) {
 	}
 	bigNode, smallNode := taughtNode(t, big, 7, rng), taughtNode(t, small, 3, rng)
 
-	// One workspace, used in turn, against storage nobody used before.
-	ws := new(planWorkspace)
-	fill := func(nd *Node) *plan {
-		if err := nd.view.EstimatedConfigInto(&ws.graph, &ws.config); err != nil {
-			t.Fatal(err)
-		}
-		return ws.plan(nd.ID(), DefaultK)
+	first, _ := bigNode.plane.Replan()
+	if want := freshPlan(bigNode.view, 7, dataplane.DefaultK); !samePlan(first, want) {
+		t.Fatalf("pooled replan over 128 processes: %+v, fresh pipeline: %+v", first, want)
 	}
-	first := fill(bigNode)
-	if want := freshPlan(bigNode.view, 7, DefaultK); !samePlan(first, want) {
-		t.Fatalf("plan over 128 processes on a new workspace: %+v, fresh pipeline: %+v", first, want)
-	}
-	kept := &plan{edges: first.edges, planned: first.planned,
-		parents: append([]topology.NodeID(nil), first.parents...), alloc: append([]int32(nil), first.alloc...)}
-	if got, want := fill(smallNode), freshPlan(smallNode.view, 3, DefaultK); !samePlan(got, want) {
-		t.Fatalf("plan over 24 processes on the workspace that held 128: %+v, fresh pipeline: %+v", got, want)
-	}
-	if !samePlan(first, kept) {
-		t.Fatalf("the first plan changed when its workspace was reused: %+v, was %+v", first, kept)
-	}
-
-	// The node's own replan, through the pool, over a view that moved.
+	kept := &dataplane.Plan{Edges: first.Edges, Planned: first.Planned,
+		Parents: append([]topology.NodeID(nil), first.Parents...), Alloc: append([]int32(nil), first.Alloc...)}
 	for round := 0; round < 3; round++ {
-		got, ver := bigNode.replan()
-		if want := freshPlan(bigNode.view, 7, DefaultK); !samePlan(got, want) || ver != bigNode.view.Version() {
+		if got, _ := smallNode.plane.Replan(); !samePlan(got, freshPlan(smallNode.view, 3, dataplane.DefaultK)) {
+			t.Fatalf("round %d: pooled replan over 24 processes: %+v, fresh pipeline: %+v", round, got, freshPlan(smallNode.view, 3, dataplane.DefaultK))
+		}
+		got, ver := bigNode.plane.Replan()
+		if want := freshPlan(bigNode.view, 7, dataplane.DefaultK); !samePlan(got, want) || ver != bigNode.view.Version() {
 			t.Fatalf("round %d: pooled replan at version %d: %+v, fresh pipeline at %d: %+v", round, ver, got, bigNode.view.Version(), want)
 		}
-		if _, _ = smallNode.replan(); !samePlan(first, kept) {
-			t.Fatalf("round %d: an earlier plan changed under a later replan", round)
+		if !samePlan(first, kept) {
+			t.Fatalf("round %d: an earlier plan changed under a later replan: %+v, was %+v", round, first, kept)
 		}
 		bigNode.Tick() // a period passes: the self estimate moves, the version with it
 	}
@@ -217,10 +269,10 @@ func TestAllocsReplan(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd := taughtNode(t, g, 0, rng)
-	if p, _ := nd.replan(); p.err != nil || p.edges != 127 {
-		t.Fatalf("the taught node plans %d edges (%v), want 127", p.edges, p.err)
+	if p, _ := nd.plane.Replan(); p.Err != nil || p.Edges != 127 {
+		t.Fatalf("the taught node plans %d edges (%v), want 127", p.Edges, p.Err)
 	}
-	if got := testing.AllocsPerRun(20, func() { nd.replan() }); got > 3 {
+	if got := testing.AllocsPerRun(20, func() { nd.plane.Replan() }); got > 3 {
 		t.Errorf("a replan over 128 processes on a warm workspace allocated %.0f times, want at most 3", got)
 	}
 }
@@ -292,7 +344,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 }
 
 // TestPlanCacheMatchesFreshPlan is the cached-vs-rebuilt plan oracle:
-// across ticks and merged heartbeats, every plan currentPlan hands out
+// across ticks and merged heartbeats, every plan the data plane hands out
 // equals the plan a fresh pipeline builds from the view at that version
 // (the paper's replan per broadcast), it is rebuilt exactly when the
 // version moved, and a second call at an unchanged version returns the
@@ -319,23 +371,23 @@ func TestPlanCacheMatchesFreshPlan(t *testing.T) {
 	checks, trees := 0, 0
 	check := func(nd *Node) {
 		t.Helper()
-		p, fresh := nd.currentPlan()
+		p, fresh := nd.plane.Plan()
 		ver, want := nd.view.Version(), freshPlan(nd.view, nd.ID(), nd.cfg.K)
 		if fresh != (ver != planVer[nd.ID()]) {
 			t.Fatalf("check %d: node %d at version %d (last plan at %d) rebuilt = %v",
 				checks, nd.ID(), ver, planVer[nd.ID()], fresh)
 		}
-		if p.err != nil || want.err != nil {
-			if (p.err == nil) != (want.err == nil) {
+		if p.Err != nil || want.Err != nil {
+			if (p.Err == nil) != (want.Err == nil) {
 				t.Fatalf("check %d: node %d at version %d: cached plan error %v, fresh plan error %v",
-					checks, nd.ID(), ver, p.err, want.err)
+					checks, nd.ID(), ver, p.Err, want.Err)
 			}
 		} else if !samePlan(p, want) {
 			t.Fatalf("check %d: node %d at version %d: cached %+v, fresh %+v", checks, nd.ID(), ver, p, want)
 		} else {
 			trees++
 		}
-		if again, fresh := nd.currentPlan(); again != p || fresh {
+		if again, fresh := nd.plane.Plan(); again != p || fresh {
 			t.Fatalf("check %d: node %d at unchanged version %d: plan %p → %p, rebuilt = %v",
 				checks, nd.ID(), ver, p, again, fresh)
 		}
@@ -377,7 +429,7 @@ func TestDeliveredWatermarkCompaction(t *testing.T) {
 	pending := func(nd *Node) int {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		return nd.delivered.pending()
+		return nd.plane.Seen().Pending()
 	}
 	for i := 0; i < 200; i++ {
 		if _, _, err := nd.Broadcast([]byte("x")); err != nil {
@@ -448,40 +500,40 @@ func TestBroadcastPartialFailureReturnsSeq(t *testing.T) {
 }
 
 func TestDeliveredSetSemantics(t *testing.T) {
-	s := newDeliveredSet()
-	if s.mark(0, 0) {
+	s := new(dataplane.Dedup)
+	if s.Mark(0, 0) {
 		t.Error("seq 0 is reserved and must read as already seen")
 	}
-	if !s.mark(0, 1) || s.mark(0, 1) {
+	if !s.Mark(0, 1) || s.Mark(0, 1) {
 		t.Error("first sighting true, duplicate false")
 	}
 	// Out of order: 4 and 3 buffer above the watermark, then 2 closes the
 	// gap and the watermark absorbs the whole run.
-	if !s.mark(0, 4) || !s.mark(0, 3) {
+	if !s.Mark(0, 4) || !s.Mark(0, 3) {
 		t.Error("out-of-order first sightings must be fresh")
 	}
-	if s.pending() != 2 {
-		t.Errorf("pending = %d, want 2", s.pending())
+	if s.Pending() != 2 {
+		t.Errorf("pending = %d, want 2", s.Pending())
 	}
-	if !s.mark(0, 2) {
+	if !s.Mark(0, 2) {
 		t.Error("gap close must be fresh")
 	}
-	if s.pending() != 0 {
-		t.Errorf("pending after compaction = %d, want 0", s.pending())
+	if s.Pending() != 0 {
+		t.Errorf("pending after compaction = %d, want 0", s.Pending())
 	}
 	for seq := uint64(1); seq <= 4; seq++ {
-		if s.mark(0, seq) {
+		if s.Mark(0, seq) {
 			t.Errorf("seq %d must be a duplicate after compaction", seq)
 		}
-		if !s.seen(0, seq) {
+		if !s.Seen(0, seq) {
 			t.Errorf("seen(%d) = false after marking", seq)
 		}
 	}
-	if s.seen(0, 5) {
+	if s.Seen(0, 5) {
 		t.Error("unmarked seq reads as seen")
 	}
 	// Origins are independent.
-	if !s.mark(7, 1) {
+	if !s.Mark(7, 1) {
 		t.Error("other origin must start fresh")
 	}
 }
@@ -490,28 +542,28 @@ func TestDeliveredSetSemantics(t *testing.T) {
 // that never closes (seq 1 wholly lost): once the overflow hits its cap,
 // the watermark is forced past the gap and memory stops growing.
 func TestDeliveredSetOverflowCap(t *testing.T) {
-	s := newDeliveredSet()
-	// Mark 2..maxOverflow+2, never 1: every seq lands in the overflow.
-	for seq := uint64(2); seq <= maxOverflow+2; seq++ {
-		if !s.mark(0, seq) {
+	s := new(dataplane.Dedup)
+	// Mark 2..dataplane.DedupWindow+2, never 1: every seq lands in the overflow.
+	for seq := uint64(2); seq <= dataplane.DedupWindow+2; seq++ {
+		if !s.Mark(0, seq) {
 			t.Fatalf("seq %d must be fresh", seq)
 		}
-		if s.pending() > maxOverflow {
-			t.Fatalf("overflow grew to %d entries, cap is %d", s.pending(), maxOverflow)
+		if s.Pending() > dataplane.DedupWindow {
+			t.Fatalf("overflow grew to %d entries, cap is %d", s.Pending(), dataplane.DedupWindow)
 		}
 	}
 	// The forced compaction absorbed the whole contiguous 2..N run.
-	if got := s.pending(); got != 0 {
+	if got := s.Pending(); got != 0 {
 		t.Errorf("pending after forced compaction = %d, want 0", got)
 	}
-	if s.mark(0, 2) {
+	if s.Mark(0, 2) {
 		t.Error("absorbed seq must stay a duplicate")
 	}
 	// The never-seen seq 1 is conceded as below the watermark.
-	if s.mark(0, 1) {
+	if s.Mark(0, 1) {
 		t.Error("gap seq below the forced watermark must read as seen")
 	}
-	if !s.mark(0, maxOverflow+3) {
+	if !s.Mark(0, dataplane.DedupWindow+3) {
 		t.Error("the next contiguous seq must be fresh")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"adaptivecast/internal/bayes"
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
@@ -239,14 +240,14 @@ func TestQuantizedEstimateParity(t *testing.T) {
 						seed, i, l, mw, dw, mm, dm)
 				}
 			}
-			pm := freshPlan(mv, topology.NodeID(i), DefaultK)
-			pw := freshPlan(wv, topology.NodeID(i), DefaultK)
-			if pm.err != nil || pw.err != nil {
-				t.Fatalf("seed %d: node %d cannot plan: %v / %v", seed, i, pm.err, pw.err)
+			pm := freshPlan(mv, topology.NodeID(i), dataplane.DefaultK)
+			pw := freshPlan(wv, topology.NodeID(i), dataplane.DefaultK)
+			if pm.Err != nil || pw.Err != nil {
+				t.Fatalf("seed %d: node %d cannot plan: %v / %v", seed, i, pm.Err, pw.Err)
 			}
-			if !reflect.DeepEqual(pm.parents, pw.parents) || !reflect.DeepEqual(pm.alloc, pw.alloc) || pm.planned != pw.planned {
+			if !reflect.DeepEqual(pm.Parents, pw.Parents) || !reflect.DeepEqual(pm.Alloc, pw.Alloc) || pm.Planned != pw.Planned {
 				t.Errorf("seed %d: node %d plans (%v, %v, Σ=%d) over the wire, (%v, %v, Σ=%d) in memory",
-					seed, i, pw.parents, pw.alloc, pw.planned, pm.parents, pm.alloc, pm.planned)
+					seed, i, pw.Parents, pw.Alloc, pw.Planned, pm.Parents, pm.Alloc, pm.Planned)
 			}
 		}
 	}

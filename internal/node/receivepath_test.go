@@ -178,9 +178,9 @@ func midChainNode(tb testing.TB, n int, owns bool) *Node {
 
 // TestForwardCacheLRU keeps the name of the cache it used to test; no
 // tree is cached any more. It unit-tests the scan that replaced the
-// cache: forward reads this node's children off whichever vector the
-// message carries, and vectors taken in turn, over and over, each yield
-// their own children whatever was scanned before.
+// cache: a relay reads this node's children off whichever vector the
+// message carries (dataplane.Sends), and vectors taken in turn, over and
+// over, each yield their own children whatever was scanned before.
 func TestForwardCacheLRU(t *testing.T) {
 	nd, rec := recordingRelay(t, 6)
 	vectors := [][]topology.NodeID{
@@ -189,14 +189,13 @@ func TestForwardCacheLRU(t *testing.T) {
 		{topology.None, 0, 1, 2, 3, 4},                         // the chain: 1 relays to 2
 		{topology.None, 0, topology.None, 1, topology.None, 3}, // tombstones beside 1's only child
 	}
+	seq := uint64(0)
 	for round := 0; round < 3; round++ {
 		for i, parents := range vectors {
 			alloc := twoPerEdge(parents)
 			alloc[len(alloc)-1] = int32(3 + i)
-			msg := &wire.DataMsg{Origin: 0, Seq: 1, Root: 0, Parents: parents, AllocByNode: alloc}
-			if err := nd.forward(msg, []byte("frame"), nil); err != nil {
-				t.Fatal(err)
-			}
+			seq++
+			nd.handle(0, dataFrame(t, seq, parents, alloc, "frame"))
 			if got, want := rec.take(t), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
 				t.Fatalf("round %d vector %d: forwarded %v, the tree's children are %v", round, i, got, want)
 			}
@@ -297,7 +296,7 @@ func TestMalformedTreeIsDeliveredNotRelayed(t *testing.T) {
 
 // TestForgedAllocationIsRejectedWhole: one AllocByNode entry past the
 // allocator's ceiling would have a relay enqueue that many copies toward
-// one child, and a negative one would hide "all forwards failed"; either
+// one child, and a negative one would hide "all N data sends failed"; either
 // frame fails to decode — one DecodeErrors, no delivery, nothing sent.
 func TestForgedAllocationIsRejectedWhole(t *testing.T) {
 	const sentinel = 77777 // a three-byte varint found nowhere else in the frame

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"adaptivecast/internal/bayes"
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
 )
@@ -83,11 +84,11 @@ func TestDeliveredSetWatermarkVsRestart(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newDeliveredSet()
+			s := new(dataplane.Dedup)
 			for _, q := range tc.seen {
-				s.mark(3, q)
+				s.Mark(3, q)
 			}
-			if got := s.mark(3, tc.offered); got != tc.want {
+			if got := s.Mark(3, tc.offered); got != tc.want {
 				t.Errorf("mark(origin 3, seq %d) after %v = %v, want %v",
 					tc.offered, tc.seen, got, tc.want)
 			}

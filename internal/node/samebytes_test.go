@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/heartbeat"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/topology"
@@ -57,6 +58,7 @@ func TestSameBytesDifferential(t *testing.T) {
 	}
 	views := make([]*knowledge.View, n)
 	planes := make([]*heartbeat.Plane, n)
+	dplanes := make([]*dataplane.Plane, n)
 	scratch := make([]wire.Scratch, n)
 	for i := range views {
 		id := topology.NodeID(i)
@@ -64,6 +66,7 @@ func TestSameBytesDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		planes[i] = heartbeat.New(views[i])
+		dplanes[i] = dataplane.New(id, dataplane.DefaultK, views[i], false)
 	}
 	hbSum, planSum := sha256.New(), sha256.New()
 	type inflight struct {
@@ -108,24 +111,19 @@ func TestSameBytesDifferential(t *testing.T) {
 		if p%planEvery != 0 {
 			continue
 		}
-		for i, v := range views {
-			ws := planWorkspaces.Get()
-			if err := v.EstimatedConfigInto(&ws.graph, &ws.config); err != nil {
-				t.Fatal(err)
-			}
-			pl := ws.plan(topology.NodeID(i), DefaultK)
-			planWorkspaces.Put(ws)
-			if pl.err != nil {
-				planSum.Write([]byte(pl.err.Error()))
+		for _, dp := range dplanes {
+			pl, _ := dp.Replan()
+			if pl.Err != nil {
+				planSum.Write([]byte(pl.Err.Error()))
 				continue
 			}
-			for _, parent := range pl.parents {
+			for _, parent := range pl.Parents {
 				putInt(int64(parent))
 			}
-			for _, m := range pl.alloc {
+			for _, m := range pl.Alloc {
 				putInt(int64(m))
 			}
-			putInt(int64(pl.planned))
+			putInt(int64(pl.Planned))
 			plans++
 		}
 	}

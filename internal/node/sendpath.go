@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/lanes"
 	"adaptivecast/internal/pool"
@@ -115,51 +116,43 @@ func (n *Node) sendControl(to topology.NodeID, frame []byte, release func()) err
 	return n.lanes.Enqueue(to, lanes.Control, frame, 1, release)
 }
 
-// fanOut tallies the hand-offs of one data frame to several peers.
-type fanOut struct {
-	attempted, sent int
-	lastErr         error
-}
-
-// sendData hands copies (> 0) logical copies of a pre-encoded data frame
-// to one peer on the data lane — where it may share a flush, or be shed
-// under backpressure — taking a send's reference on eb, the pooled buffer
-// frame lives in (nil for inbound bytes relayed as they are).
-func (n *Node) sendData(f *fanOut, to topology.NodeID, frame []byte, copies int, eb *encBuf) {
-	f.attempted += copies
-	if err := n.lanes.Enqueue(to, lanes.Data, frame, copies, eb.acquire()); err != nil {
-		f.lastErr = err
-	} else {
-		f.sent += copies
+// send hands the copies s names of a pre-encoded data frame to the data
+// lane, each peer's m[j] identical copies as one SendN flush (one fabric
+// enqueue per peer; one TCP flush carrying the frame once), where they may
+// share a flush with other frames or be shed under backpressure. Each
+// peer's hand-off takes a send's reference on eb, the pooled buffer frame
+// lives in (nil for inbound bytes relayed as they are), and the caller's
+// reference is dropped after the last, so the buffer recycles after the
+// last flush. What went out is counted; when the lanes refused every
+// hand-off (the scheduler is closed) the frame went nowhere, and send
+// says so.
+func (n *Node) send(s dataplane.Sends, frame []byte, eb *encBuf) error {
+	var attempted, sent int
+	var lastErr error
+	for to, copies, ok := s.Next(); ok; to, copies, ok = s.Next() {
+		attempted += copies
+		if err := n.lanes.Enqueue(to, lanes.Data, frame, copies, eb.acquire()); err != nil {
+			lastErr = err
+		} else {
+			sent += copies
+		}
 	}
-}
-
-// settle drops the caller's reference on eb, so the buffer recycles after
-// the last send, and counts what went out; when the lanes refused every
-// hand-off (the scheduler is closed) the frame went nowhere, and it says so.
-func (n *Node) settle(f *fanOut, eb *encBuf, what string) error {
 	eb.done()
-	n.stats.dataSent.Add(int64(f.sent))
-	if f.attempted > 0 && f.sent == 0 {
-		return fmt.Errorf("node: all %d %s failed: %w", f.attempted, what, f.lastErr)
+	n.stats.dataSent.Add(int64(sent))
+	if attempted > 0 && sent == 0 {
+		return fmt.Errorf("node: all %d data sends failed: %w", attempted, lastErr)
 	}
 	return nil
 }
 
-// encodeDataFrame serializes a data message into a pooled buffer. A
-// non-nil snap — this node's knowledge snapshot, cut under the node lock
-// when piggybacking is enabled — replaces whatever snapshot msg carries
-// (each hop re-attaches its own view, so distortion accounting matches
-// hop-by-hop heartbeats). The caller holds eb, the buffer frame lives in,
-// until it calls eb.done, having acquired a reference for each send.
-func (n *Node) encodeDataFrame(msg *wire.DataMsg, snap *knowledge.Snapshot) (frame []byte, eb *encBuf, err error) {
-	if snap != nil {
-		cp := *msg
-		cp.Piggyback = snap
-		msg = &cp
-	}
+// encodeDataFrame serializes the frame relaying msg, decoded from raw,
+// into a pooled buffer (dataplane.AppendRelay): with snap, when non-nil,
+// as its piggyback, and encoded afresh without raw, as an origin's own
+// frame is. The caller holds eb, the buffer frame lives in, until it calls
+// eb.done, having acquired a reference for each send.
+func (n *Node) encodeDataFrame(msg *wire.DataMsg, raw []byte, snap *knowledge.Snapshot) (frame []byte, eb *encBuf, err error) {
 	eb = n.takeEncBuf()
-	b, err := wire.EncodeInto(eb.b, &wire.Frame{Kind: wire.FrameData, Data: msg})
+	b, err := dataplane.AppendRelay(eb.b, msg, raw, snap)
 	if err != nil {
 		eb.done()
 		return nil, nil, err
@@ -178,28 +171,17 @@ func (n *Node) encodeDataFrame(msg *wire.DataMsg, snap *knowledge.Snapshot) (fra
 //     a non-piggybacking relay forwards the message (and whatever
 //     snapshot the sender attached) verbatim, so raw is reused as-is:
 //     zero encode work, zero copies, no buffer to count.
-//   - owned, piggybacking: only the attached snapshot changes hop to
-//     hop, so the unchanged prefix (header through body) and suffix
-//     (epoch) of raw are spliced around this node's fresh snapshot into
-//     a pooled buffer.
+//   - owned, piggybacking: raw is spliced around this node's snapshot
+//     into a pooled buffer.
 //   - not owned (a transport that is no FrameOwner; both shipped ones
 //     are): full re-encode into a pooled buffer.
 //
 // A pooled frame comes with its buffer, held as encodeDataFrame's is.
 func (n *Node) relayDataFrame(msg *wire.DataMsg, raw []byte, snap *knowledge.Snapshot) (frame []byte, eb *encBuf, err error) {
-	if n.ownsFrames && raw != nil {
-		if snap == nil {
-			return raw, nil, nil
-		}
-		eb = n.takeEncBuf()
-		b, err := wire.SpliceDataPiggyback(eb.b, raw, snap)
-		if err == nil {
-			eb.b = b
-			return b, eb, nil
-		}
-		// A frame that decoded but won't splice shouldn't exist; fall back
-		// to the full re-encode rather than dropping the relay.
-		eb.done()
+	if !n.ownsFrames {
+		raw = nil
+	} else if snap == nil {
+		return raw, nil, nil
 	}
-	return n.encodeDataFrame(msg, snap)
+	return n.encodeDataFrame(msg, raw, snap)
 }

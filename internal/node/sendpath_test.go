@@ -109,29 +109,27 @@ func TestAllocsBroadcastWarm(t *testing.T) {
 	}
 }
 
-// TestRelayReusesInboundFrame: on an owning transport (the Fabric) a
-// non-piggybacking relay forwards the inbound bytes verbatim — its
-// encode pool is never touched — and the broadcast still reaches
-// everyone.
+// TestRelayReusesInboundFrame: on an owning transport (the Fabric and
+// TCP own their frames, as the test's mailbox does) a non-piggybacking
+// relay forwards the inbound bytes verbatim — its encode pool is never
+// touched — and the broadcast still reaches everyone.
 func TestRelayReusesInboundFrame(t *testing.T) {
 	g, err := topology.Ring(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
+	nodes, boxes := mailCluster(t, g, nil)
 
 	if _, _, err := nodes[0].Broadcast([]byte("verbatim")); err != nil {
 		t.Fatal(err)
 	}
+	deliverMail(t, nodes, boxes)
 	for _, id := range []int{1, 2} {
 		d := waitDelivery(t, nodes[id])
 		if string(d.Body) != "verbatim" {
 			t.Fatalf("node %d delivered %q", id, d.Body)
 		}
 	}
-	time.Sleep(5 * time.Millisecond) // let the relays finish forwarding
 	for _, id := range []int{1, 2} {
 		if got := poolEncodes(nodes[id]); got != 0 {
 			t.Errorf("relay %d performed %d encodes; a verbatim relay must not re-serialize", id, got)
@@ -330,22 +328,18 @@ func TestPiggybackRelaySplices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, func(i int) Config {
-		return Config{Piggyback: true}
-	})
+	nodes, boxes := mailCluster(t, g, func(c *Config) { c.Piggyback = true })
 
 	if _, _, err := nodes[0].Broadcast([]byte("spliced")); err != nil {
 		t.Fatal(err)
 	}
+	deliverMail(t, nodes, boxes)
 	for _, id := range []int{1, 2} {
 		d := waitDelivery(t, nodes[id])
 		if string(d.Body) != "spliced" {
 			t.Fatalf("node %d delivered %q", id, d.Body)
 		}
 	}
-	time.Sleep(5 * time.Millisecond)
 	if got := poolEncodes(nodes[1]); got < 1 {
 		t.Errorf("piggybacking relay performed %d pooled encodes, want >= 1 (the splice)", got)
 	}

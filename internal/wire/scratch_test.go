@@ -123,7 +123,7 @@ func TestAllocsDecodeData(t *testing.T) {
 // TestForgedAllocationMustNotDecode: an AllocByNode entry is a number of
 // sends a relay will make toward one child, so an entry past the
 // allocator's own ceiling (one frame → 2³¹ enqueues) or below zero (a
-// negative attempted count hides "all forwards failed") must not decode —
+// negative attempted count hides "all N data sends failed") must not decode —
 // fresh, borrowed, or into storage a valid frame just used — and Encode
 // must refuse to produce it.
 func TestForgedAllocationMustNotDecode(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 
 	ibroadcast "adaptivecast/internal/broadcast"
 	iconfig "adaptivecast/internal/config"
+	idataplane "adaptivecast/internal/dataplane"
 	igossip "adaptivecast/internal/gossip"
 	iknowledge "adaptivecast/internal/knowledge"
 	isim "adaptivecast/internal/sim"
@@ -74,7 +75,7 @@ const (
 )
 
 // DefaultK is the paper's reliability target (0.9999).
-const DefaultK = ibroadcast.DefaultK
+const DefaultK = idataplane.DefaultK
 
 // DefaultCriterion is the convergence criterion used throughout the
 // paper's evaluation.
