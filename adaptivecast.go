@@ -66,8 +66,8 @@ type (
 	Topology = topology.Graph
 	// Delivery is one broadcast handed to the application by Node.Next
 	// or a Subscribe handler. Its Body is read-only; copy before
-	// modifying: it may share storage with the frame the node is relaying
-	// to its children.
+	// modifying: over TCP it shares storage with the frame the node is
+	// relaying to its children. Over the Fabric it is the node's own copy.
 	Delivery = node.Delivery
 	// NodeStats are per-node protocol counters.
 	NodeStats = node.Stats

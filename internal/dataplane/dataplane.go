@@ -317,18 +317,21 @@ func (p *Plane) snapshot() *knowledge.Snapshot {
 // snap is set: each hop attaches its own view, so distortion accounting
 // matches hop-by-hop heartbeats. For msg decoded from raw, raw's
 // unchanged prefix (header through body) and suffix (epoch) are spliced
-// around snap. Without raw — an origin's frame, or a relay whose buffer
-// was not the caller's to keep — msg is encoded afresh.
+// around snap, and without snap raw is appended as it came: a relay is
+// never re-encoded. Without raw — an origin's frame — msg is encoded
+// afresh.
 func AppendRelay(dst []byte, msg *wire.DataMsg, raw []byte, snap *knowledge.Snapshot) ([]byte, error) {
-	if snap != nil {
-		if raw != nil {
-			if b, err := wire.SpliceDataPiggyback(dst, raw, snap); err == nil {
-				return b, nil
-			}
-			// A frame that decoded but won't splice shouldn't exist;
-			// fall back to the full re-encode rather than dropping the
-			// relay.
+	if raw != nil {
+		if snap == nil {
+			return append(dst, raw...), nil
 		}
+		if b, err := wire.SpliceDataPiggyback(dst, raw, snap); err == nil {
+			return b, nil
+		}
+		// A frame that decoded but won't splice shouldn't exist; fall
+		// back to the full re-encode rather than dropping the relay.
+	}
+	if snap != nil {
 		cp := *msg
 		cp.Piggyback = snap
 		msg = &cp

@@ -241,7 +241,8 @@ func TestPlanOnReusedWorkspace(t *testing.T) {
 
 // TestAppendRelayMatchesEncode: a relay spliced around the relaying
 // process's snapshot is the frame encoding the message afresh with that
-// snapshot would give.
+// snapshot would give, and a relay with no snapshot of its own is the
+// inbound frame, appended as it came.
 func TestAppendRelayMatchesEncode(t *testing.T) {
 	g, err := topology.Ring(6)
 	if err != nil {
@@ -265,6 +266,13 @@ func TestAppendRelayMatchesEncode(t *testing.T) {
 	}
 	if !bytes.Equal(spliced, fresh) {
 		t.Errorf("spliced relay %x, fresh encode %x", spliced, fresh)
+	}
+	verbatim, err := AppendRelay([]byte("dst:"), msg, raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("dst:"), raw...); !bytes.Equal(verbatim, want) {
+		t.Errorf("relay without a snapshot %x, want the inbound frame appended: %x", verbatim, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -538,30 +539,59 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 	}
 }
 
-// TestBorrowDecodeOnFabric pins the zero-copy receive path end to end:
-// over the Fabric (which owns handler buffers) bodies delivered to the
-// application must still be intact — borrow mode aliases, it must not
-// corrupt.
+// TestBorrowDecodeOnFabric pins the zero-copy receive path end to end on
+// a transport that lends its frames: the Fabric takes each frame's buffer
+// back when the handler returns and reuses it for a later frame, so the
+// node decodes borrowing the buffer and copies only what outlives the
+// call — the body it delivers and the frame it relays. On the line
+// 0 — 1 — 2 every body node 2 delivers is still intact after more than
+// 100 later frames have reused the lent buffers, and node 1's application
+// editing each body it is handed — in the OnDeliver hook, which runs
+// before the relay is made — changes nothing node 2 receives.
 func TestBorrowDecodeOnFabric(t *testing.T) {
-	g, err := topology.Line(2)
+	const msgs = 120
+	g, err := topology.Line(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
-	if !nodes[0].ownsFrames {
-		t.Fatal("fabric endpoint did not enable borrow decode")
+	scribble := func(d Delivery) {
+		for i := range d.Body {
+			d.Body[i] = 'X'
+		}
+	}
+	nodes := make([]*Node, g.NumNodes())
+	for i := range nodes {
+		id := topology.NodeID(i)
+		c := Config{ID: id, NumProcs: len(nodes), Neighbors: g.Neighbors(id)}
+		if id == 1 {
+			c.Hooks.OnDeliver = scribble
+		}
+		nodes[i] = newTestNode(t, c, fabric.Endpoint(id))
+	}
+	if nodes[1].ownsFrames {
+		t.Fatal("the node takes the Fabric's lent frames for its own")
 	}
 	settleTicks(nodes, 3)
-	for i := 0; i < 5; i++ {
-		body := fmt.Sprintf("payload-%d", i)
-		if _, _, err := nodes[0].Broadcast([]byte(body)); err != nil {
+	body := func(i int) string { return fmt.Sprintf("payload-%03d", i) }
+	var kept []Delivery
+	for i := 0; i < msgs; i++ {
+		if _, _, err := nodes[0].Broadcast([]byte(body(i))); err != nil {
 			t.Fatal(err)
 		}
-		d := waitDelivery(t, nodes[1])
-		if string(d.Body) != body {
-			t.Fatalf("delivery %d body = %q, want %q", i, d.Body, body)
+		d := waitDelivery(t, nodes[2])
+		if string(d.Body) != body(i) {
+			t.Fatalf("node 2's delivery %d reads %q, want %q: node 1's edit reached its relay", i, d.Body, body(i))
+		}
+		kept = append(kept, d)
+		if d := waitDelivery(t, nodes[1]); string(d.Body) != strings.Repeat("X", len(body(i))) {
+			t.Fatalf("node 1's delivery %d reads %q after its application edited it", i, d.Body)
+		}
+	}
+	for i, d := range kept {
+		if string(d.Body) != body(i) {
+			t.Fatalf("node 2's delivery %d reads %q after %d later broadcasts, want %q", i, d.Body, msgs-1-i, body(i))
 		}
 	}
 }

@@ -61,9 +61,10 @@ type Delivery struct {
 	Seq    uint64          // originator-local sequence number
 	From   topology.NodeID // immediate sender (tree parent), Origin for local broadcasts
 	// Body is read-only; copy before modifying. On a transport that owns
-	// its frames (transport.FrameOwner: the Fabric and TCP) it aliases the
-	// inbound frame, which this node may still be relaying to its
-	// children: an edit in place would change what they receive.
+	// its frames (transport.FrameOwner: TCP) it aliases the inbound frame,
+	// which this node may still be relaying to its children: an edit in
+	// place would change what they receive. On one that lends them (the
+	// Fabric) the body is the node's own copy, apart from every relay.
 	Body []byte
 }
 
@@ -365,8 +366,9 @@ type Node struct {
 	plane *dataplane.Plane
 
 	// ownsFrames is set when the transport hands the handler exclusive
-	// frame buffers (transport.FrameOwner): a delivered body and a relayed
-	// frame may then alias the inbound buffer instead of copying it.
+	// frame buffers (transport.FrameOwner: TCP): a delivered body and a
+	// relayed frame may then alias the inbound buffer instead of copying
+	// it. On a lending transport (the Fabric) both are copied.
 	// decPool holds the decode storage handle borrows per inbound frame:
 	// transports serialize a node's handler, so one Scratch is in use at a
 	// time, and the pool keeps a test calling handle concurrently safe.
@@ -550,7 +552,8 @@ func (n *Node) Neighbors() []topology.NodeID {
 // (ErrStopped). A queued delivery is returned even when ctx is already
 // done, so a done ctx takes what is queued without waiting. Any number
 // of goroutines may call it; each delivery goes to one of them. A
-// delivered Body is read-only; copy before modifying (see Delivery).
+// delivered Body is read-only; copy before modifying: over TCP it shares
+// the frame this node relays (see Delivery).
 func (n *Node) Next(ctx context.Context) (Delivery, error) {
 	for {
 		d, r := n.deliveries.Pop()

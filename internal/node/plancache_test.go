@@ -175,7 +175,7 @@ func (m *mailTransport) take() []mail {
 
 // mailCluster is one node per process of g, each over its own
 // mailTransport, which hands the handler the buffers it is given to keep
-// (transport.FrameOwner) as the Fabric and TCP do. cfg, when set, edits
+// (transport.FrameOwner) as TCP does. cfg, when set, edits
 // each node's Config.
 func mailCluster(t *testing.T, g *topology.Graph, cfg func(*Config)) ([]*Node, []*mailTransport) {
 	t.Helper()

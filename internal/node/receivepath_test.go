@@ -326,10 +326,10 @@ func TestForgedAllocationIsRejectedWhole(t *testing.T) {
 	}
 }
 
-// TestDeliveredBodyOutlivesTransportBuffer: on a transport that keeps its
-// read buffers (neither shipped transport does), what the application and
-// the OnDeliver hook are handed must not change when the buffer does; on
-// an owning transport the body is the inbound buffer itself, uncopied.
+// TestDeliveredBodyOutlivesTransportBuffer: on a transport that lends its
+// read buffers (the Fabric does), what the application and the OnDeliver
+// hook are handed must not change when the buffer does; on an owning
+// transport (TCP) the body is the inbound buffer itself, uncopied.
 func TestDeliveredBodyOutlivesTransportBuffer(t *testing.T) {
 	for _, owns := range []bool{false, true} {
 		var hooked Delivery
@@ -394,45 +394,125 @@ func neverSeenTree(rng *rand.Rand) []topology.NodeID {
 	return parents
 }
 
-// TestAllocsHandleData pins the node's share of a broadcast on an owning
-// transport at zero: a duplicate copy — three of every four copies
-// handled — on its way to being dropped, and a first receipt of a
-// 128-slot tree this node has never seen, checked, delivered and relayed.
+// TestAllocsHandleData pins the node's share of a broadcast: a duplicate
+// copy — three of every four copies handled — on its way to being
+// dropped, and a first receipt of a 128-slot tree this node has never
+// seen, checked, delivered and relayed. On an owning transport (TCP) both
+// allocate nothing. On a lending one (the Fabric) a duplicate allocates
+// nothing either, and a first receipt exactly once: the body the
+// application keeps. The relay copies the frame into a pooled buffer.
 func TestAllocsHandleData(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins do not hold under the race detector")
 	}
-	nd := midChainNode(t, 128, true)
-	const runs = 200
-	rng := rand.New(rand.NewSource(11))
-	frames := make([][]byte, runs+8)
-	for i := range frames {
-		parents := neverSeenTree(rng)
-		frames[i] = dataFrame(t, uint64(i+1), parents, twoPerEdge(parents), "payload of a broadcast")
+	for _, owns := range []bool{true, false} {
+		nd := midChainNode(t, 128, owns)
+		const runs = 200
+		rng := rand.New(rand.NewSource(11))
+		frames := make([][]byte, runs+8)
+		for i := range frames {
+			parents := neverSeenTree(rng)
+			frames[i] = dataFrame(t, uint64(i+1), parents, twoPerEdge(parents), "payload of a broadcast")
+		}
+		next := 0
+		first := func() {
+			nd.handle(0, frames[next])
+			next++
+			if _, err := nd.Next(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if !nd.WaitSendIdle(5 * time.Second) {
+				t.Fatal("relay never left the lanes")
+			}
+		}
+		for i := 0; i < 4; i++ {
+			first() // lane queues, encode buffers and decode storage warm
+		}
+		if got := testing.AllocsPerRun(runs, func() { nd.handle(0, frames[0]) }); got != 0 {
+			t.Errorf("owning transport %v: a duplicate data copy allocated %.2f times through handle, want 0", owns, got)
+		}
+		want := 1.0 // the delivered body's copy
+		if owns {
+			want = 0
+		}
+		if got := testing.AllocsPerRun(runs, first); got != want {
+			t.Errorf("owning transport %v: a first receipt of a never-seen tree allocated %.2f times through handle, want %v", owns, got, want)
+		}
+		st := nd.Stats()
+		if st.DecodeErrors != 0 || st.DataSent != 2*st.DataReceived {
+			t.Errorf("owning transport %v: stats %+v: want no decode errors and two relayed copies per first receipt", owns, st)
+		}
+		stopNode(nd)
 	}
+}
+
+// TestAllocsHandleHeartbeat pins a heartbeat's receive at n = 128 at zero:
+// a warm delta heartbeat through handle on a lending transport is decoded
+// borrowing the frame, merged into the view and dropped, all in pooled or
+// preallocated storage. Nodes 0 and 1 of a 128-ring both know the whole
+// ring and exchange heartbeats until their ack chains stand; then node 1
+// handles, one per run, the deltas node 0 cuts in later periods, each
+// after node 0 was taught new estimates for every process and link, so
+// every delta carries records node 1 already holds and must overwrite.
+func TestAllocsHandleHeartbeat(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	const procs, runs = 128, 200
+	g, err := topology.Ring(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	nodes, boxes := make([]*Node, 2), make([]*mailTransport, 2)
+	for i := range nodes {
+		id := topology.NodeID(i)
+		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
+		nodes[i] = newTestNode(t, Config{ID: id, NumProcs: procs, Neighbors: g.Neighbors(id)}, boxes[i])
+		teach(t, nodes[i], g, rng)
+	}
+	// cut ticks node i and returns the heartbeat it sent the other node.
+	cut := func(i int) []byte {
+		t.Helper()
+		nodes[i].Tick()
+		if !nodes[i].WaitSendIdle(5 * time.Second) {
+			t.Fatalf("node %d's lanes never flushed", i)
+		}
+		var frame []byte
+		for _, m := range boxes[i].take() {
+			if int(m.to) == 1-i {
+				frame = m.frame
+			}
+		}
+		if frame == nil {
+			t.Fatalf("node %d sent no heartbeat to node %d", i, 1-i)
+		}
+		return frame
+	}
+	for round := 0; round < 8; round++ {
+		to1, to0 := cut(0), cut(1)
+		nodes[1].handle(0, to1)
+		nodes[0].handle(1, to0)
+	}
+	deltas := make([][]byte, runs+1)
+	for i := range deltas {
+		teach(t, nodes[0], g, rng)
+		deltas[i] = cut(0)
+	}
+	before := nodes[1].Stats()
 	next := 0
-	first := func() {
-		nd.handle(0, frames[next])
+	if got := testing.AllocsPerRun(runs, func() {
+		nodes[1].handle(0, deltas[next])
 		next++
-		if _, err := nd.Next(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if !nd.WaitSendIdle(5 * time.Second) {
-			t.Fatal("relay never left the lanes")
-		}
+	}); got != 0 {
+		t.Errorf("a warm delta heartbeat allocated %.2f times through handle at n = %d, want 0", got, procs)
 	}
-	for i := 0; i < 4; i++ {
-		first() // lane queues and decode storage warm
+	st := nodes[1].Stats()
+	if got := st.HeartbeatsReceived - before.HeartbeatsReceived; got != runs+1 {
+		t.Errorf("node 1 merged %d of the %d heartbeats (stats %+v)", got, runs+1, st)
 	}
-	if got := testing.AllocsPerRun(runs, func() { nd.handle(0, frames[0]) }); got != 0 {
-		t.Errorf("a duplicate data copy allocated %.2f times through handle, want 0", got)
-	}
-	if got := testing.AllocsPerRun(runs, first); got != 0 {
-		t.Errorf("a first receipt of a never-seen tree allocated %.2f times through handle, want 0", got)
-	}
-	st := nd.Stats()
-	if st.DecodeErrors != 0 || st.DataSent != 2*st.DataReceived {
-		t.Errorf("stats %+v: want no decode errors and two relayed copies per first receipt", st)
+	if s0 := nodes[0].Stats(); s0.DeltaHeartbeatsSent < runs+1 {
+		t.Errorf("node 0 sent %d delta heartbeats, want every measured one a delta", s0.DeltaHeartbeatsSent)
 	}
 }
 

@@ -145,11 +145,12 @@ func (n *Node) send(s dataplane.Sends, frame []byte, eb *encBuf) error {
 	return nil
 }
 
-// encodeDataFrame serializes the frame relaying msg, decoded from raw,
-// into a pooled buffer (dataplane.AppendRelay): with snap, when non-nil,
-// as its piggyback, and encoded afresh without raw, as an origin's own
-// frame is. The caller holds eb, the buffer frame lives in, until it calls
-// eb.done, having acquired a reference for each send.
+// encodeDataFrame writes the frame relaying msg, decoded from raw, into a
+// pooled buffer (dataplane.AppendRelay): raw copied as it came, or
+// spliced around snap when snap is set; without raw — an origin's own
+// frame — msg encoded afresh, with snap as its piggyback. The caller
+// holds eb, the buffer frame lives in, until it calls eb.done, having
+// acquired a reference for each send.
 func (n *Node) encodeDataFrame(msg *wire.DataMsg, raw []byte, snap *knowledge.Snapshot) (frame []byte, eb *encBuf, err error) {
 	eb = n.takeEncBuf()
 	b, err := dataplane.AppendRelay(eb.b, msg, raw, snap)
@@ -162,25 +163,20 @@ func (n *Node) encodeDataFrame(msg *wire.DataMsg, raw []byte, snap *knowledge.Sn
 }
 
 // relayDataFrame produces the outbound frame for relaying an inbound
-// data message, reusing the raw inbound bytes instead of re-serializing
-// where it can. Reuse requires buffer ownership (ownsFrames — the
-// transport handed the handler the buffer for keeps), since the bytes
+// data message from the raw inbound bytes; it never re-serializes the
+// message. A non-piggybacking relay forwards the message (and whatever
+// snapshot the sender attached) verbatim; a piggybacking one splices raw
+// around this node's snapshot into a pooled buffer. Verbatim, the bytes
 // must stay valid for the send path's lifetime:
 //
-//   - owned, not piggybacking: the relay frame IS the inbound frame —
-//     a non-piggybacking relay forwards the message (and whatever
-//     snapshot the sender attached) verbatim, so raw is reused as-is:
-//     zero encode work, zero copies, no buffer to count.
-//   - owned, piggybacking: raw is spliced around this node's snapshot
-//     into a pooled buffer.
-//   - not owned (a transport that is no FrameOwner; both shipped ones
-//     are): full re-encode into a pooled buffer.
+//   - owned (ownsFrames: TCP hands the handler the buffer for keeps):
+//     the relay frame IS the inbound frame — no copy, no buffer to count.
+//   - lent (the Fabric takes the buffer back when handle returns): raw
+//     is copied into a pooled buffer, one memcpy of the frame.
 //
 // A pooled frame comes with its buffer, held as encodeDataFrame's is.
 func (n *Node) relayDataFrame(msg *wire.DataMsg, raw []byte, snap *knowledge.Snapshot) (frame []byte, eb *encBuf, err error) {
-	if !n.ownsFrames {
-		raw = nil
-	} else if snap == nil {
+	if n.ownsFrames && snap == nil {
 		return raw, nil, nil
 	}
 	return n.encodeDataFrame(msg, raw, snap)

@@ -1,9 +1,11 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,8 +111,8 @@ func TestAllocsBroadcastWarm(t *testing.T) {
 	}
 }
 
-// TestRelayReusesInboundFrame: on an owning transport (the Fabric and
-// TCP own their frames, as the test's mailbox does) a non-piggybacking
+// TestRelayReusesInboundFrame: on an owning transport (TCP owns its
+// frames, as the test's mailbox does) a non-piggybacking
 // relay forwards the inbound bytes verbatim — its encode pool is never
 // touched — and the broadcast still reaches everyone.
 func TestRelayReusesInboundFrame(t *testing.T) {
@@ -133,6 +135,89 @@ func TestRelayReusesInboundFrame(t *testing.T) {
 	for _, id := range []int{1, 2} {
 		if got := poolEncodes(nodes[id]); got != 0 {
 			t.Errorf("relay %d performed %d encodes; a verbatim relay must not re-serialize", id, got)
+		}
+	}
+}
+
+// TestRelayReusesLentFrame: on a lending transport (the Fabric, as the
+// test's mailbox here) a relay is made from the inbound bytes as on an
+// owning one, copied into a pooled buffer instead of sent as they came,
+// so wiping the buffer once handle returns changes no relay: a
+// non-piggybacking relay sends exactly the inbound frame, and a
+// piggybacking one exactly the splice the owning node sends. The inbound
+// frame writes its epoch in a longer varint than the encoder does, which
+// decodes to the same epoch; a relay that went through wire.EncodeInto
+// would shorten it, so the relays carrying it show that none did.
+func TestRelayReusesLentFrame(t *testing.T) {
+	g, err := topology.Line(3) // 0 — 1 — 2: node 1 relays for 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, piggyback := range []bool{false, true} {
+		cfg := func(id topology.NodeID) Config {
+			return Config{ID: id, NumProcs: g.NumNodes(), Neighbors: g.Neighbors(id), Piggyback: piggyback}
+		}
+		// relayed hands frame to a node 1 and returns what it sent node 2.
+		// A lending transport reuses the frame's buffer once handle has
+		// returned: the relay's send is held until the buffer is wiped.
+		relayed := func(owns bool, frame []byte) []byte {
+			t.Helper()
+			box := &mailTransport{sinkTransport: sinkTransport{id: 1, owns: owns}}
+			var tr transport.Transport = box
+			held := &holdTransport{Transport: box, entered: make(chan struct{}, 1), release: make(chan struct{})}
+			if !owns {
+				tr = held // holdTransport is no FrameOwner
+			}
+			nd := newTestNode(t, cfg(1), tr)
+			defer stopNode(nd)
+			nd.handle(0, frame)
+			if !owns {
+				select {
+				case <-held.entered:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("piggyback %v: node 1 relayed nothing", piggyback)
+				}
+				clear(frame)
+				close(held.release)
+			}
+			if !nd.WaitSendIdle(5 * time.Second) {
+				t.Fatal("node 1's lanes never flushed")
+			}
+			for _, m := range box.take() {
+				if m.to == 2 {
+					return m.frame
+				}
+			}
+			t.Fatalf("piggyback %v, owning %v: node 1 relayed nothing to node 2", piggyback, owns)
+			return nil
+		}
+
+		origin := &mailTransport{sinkTransport: sinkTransport{id: 0}}
+		nd0 := newTestNode(t, cfg(0), origin)
+		if _, _, err := nd0.Broadcast([]byte("lent")); err != nil {
+			t.Fatal(err)
+		}
+		if !nd0.WaitSendIdle(5 * time.Second) {
+			t.Fatal("node 0's lanes never flushed")
+		}
+		stopNode(nd0)
+		sent := origin.take()
+		if len(sent) == 0 {
+			t.Fatal("node 0 sent no data frame")
+		}
+		frame := sent[0].frame
+		last := len(frame) - 1
+		inbound := append(append(slices.Clip(frame[:last]), frame[last]|0x80), 0) // the epoch's varint, one byte longer
+
+		lent, owned := relayed(false, bytes.Clone(inbound)), relayed(true, bytes.Clone(inbound))
+		if !piggyback && !bytes.Equal(lent, inbound) {
+			t.Errorf("a lent frame was relayed as %x, want the inbound bytes %x", lent, inbound)
+		}
+		if !bytes.Equal(lent, owned) {
+			t.Errorf("piggyback %v: a lent frame was relayed as %x, an owned one as %x", piggyback, lent, owned)
+		}
+		if !bytes.HasSuffix(lent, inbound[last:]) {
+			t.Errorf("piggyback %v: the relay %x lost the inbound epoch's long varint %x, which a re-encode shortens", piggyback, lent, inbound[last:])
 		}
 	}
 }

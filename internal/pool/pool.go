@@ -78,6 +78,15 @@ func (p *Pool[T]) Hits() int64 { return p.hits.Load() }
 // Misses counts the Gets that had to make a fresh value.
 func (p *Pool[T]) Misses() int64 { return p.misses.Load() }
 
+// Outstanding counts the values taken from p and not put back yet; it is
+// 0 outside a test binary.
+func (p *Pool[T]) Outstanding() int {
+	if !checked {
+		return 0
+	}
+	return p.ledger().len()
+}
+
 // checked turns the ownership check on in test binaries.
 var checked = testing.Testing()
 
@@ -125,10 +134,14 @@ func (l *ledger[T]) give(x *T) {
 	delete(l.out, x)
 }
 
-func (l *ledger[T]) outstanding() (typ string, n int) {
+func (l *ledger[T]) len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return fmt.Sprintf("%T", (*T)(nil)), len(l.out)
+	return len(l.out)
+}
+
+func (l *ledger[T]) outstanding() (typ string, n int) {
+	return fmt.Sprintf("%T", (*T)(nil)), l.len()
 }
 
 // Outstanding describes the values taken from any pool and not put back

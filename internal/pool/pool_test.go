@@ -96,7 +96,7 @@ type leased struct{ n int }
 
 // TestOutstandingListsValuesNotPutBack: Outstanding counts, per type,
 // the values taken and not yet put back, which is what leakcheck.Main
-// fails a test binary on.
+// fails a test binary on; a pool's own Outstanding counts its values.
 func TestOutstandingListsValuesNotPutBack(t *testing.T) {
 	var p Pool[leased]
 	line := func() string {
@@ -108,13 +108,13 @@ func TestOutstandingListsValuesNotPutBack(t *testing.T) {
 		return ""
 	}
 	a, b := p.Get(), p.Get()
-	if got := line(); got != "2 *pool.leased" {
-		t.Fatalf("with two values out, Outstanding reports %q", got)
+	if got := line(); got != "2 *pool.leased" || p.Outstanding() != 2 {
+		t.Fatalf("with two values out, Outstanding reports %q and the pool %d", got, p.Outstanding())
 	}
 	p.Put(a)
 	p.Put(b)
-	if got := line(); got != "" {
-		t.Fatalf("with every value back, Outstanding still reports %q", got)
+	if got := line(); got != "" || p.Outstanding() != 0 {
+		t.Fatalf("with every value back, Outstanding still reports %q and the pool %d", got, p.Outstanding())
 	}
 }
 

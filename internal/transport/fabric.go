@@ -1,13 +1,13 @@
 package transport
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
+	"adaptivecast/internal/pool"
 	"adaptivecast/internal/queue"
 	"adaptivecast/internal/topology"
 )
@@ -89,7 +89,15 @@ type Fabric struct {
 	// costSrc is the SendCost-sized source block every simulated kernel
 	// copy reads from (nil when sends are free).
 	costSrc []byte
+	// lent recycles the buffers routed frames are copied into: a buffer
+	// is lent to the receiving handler for its calls and comes back when
+	// the last of them returns, or when the frame is dropped unhandled.
+	lent pool.Pool[lentBuf]
 }
+
+// lentBuf is one routed frame's buffer; the pointer wrapper keeps the
+// pool from boxing a slice header on every Put.
+type lentBuf struct{ b []byte }
 
 // NewFabric returns an empty fabric.
 func NewFabric(opts FabricOptions) *Fabric {
@@ -103,7 +111,19 @@ func NewFabric(opts FabricOptions) *Fabric {
 	if opts.SendCost > 0 {
 		f.costSrc = make([]byte, opts.SendCost)
 	}
+	f.lent.Reset = func(lb *lentBuf) bool {
+		lb.b = lb.b[:0]
+		return cap(lb.b) <= keepBuf
+	}
 	return f
+}
+
+// lend copies frame into a pooled buffer: the sender may reuse its own
+// once Send returns.
+func (f *Fabric) lend(frame []byte) *lentBuf {
+	lb := f.lent.Get()
+	lb.b = append(lb.b[:0], frame...)
+	return lb
 }
 
 // SetLoss injects a loss probability for the (undirected) link a—b. It
@@ -309,9 +329,7 @@ func (f *Fabric) route(from, to topology.NodeID, frame []byte, n int) error {
 		return nil
 	}
 
-	// Copy: the sender may reuse its buffer after Send returns, and the
-	// receiving handler owns what it is handed (FrameOwner).
-	in := inboundFrame{from: from, frame: bytes.Clone(frame), copies: survivors}
+	in := inboundFrame{from: from, buf: f.lend(frame), copies: survivors}
 	if delay > 0 {
 		time.AfterFunc(delay, func() { dst.enqueue(in) })
 		return nil
@@ -381,8 +399,7 @@ func (f *Fabric) routeBatch(from, to topology.NodeID, batch []FrameBatch) error 
 		if survivors[i] == 0 {
 			continue
 		}
-		// Copy per frame: the sender may recycle its buffers on return.
-		in := inboundFrame{from: from, frame: bytes.Clone(e.Frame), copies: survivors[i]}
+		in := inboundFrame{from: from, buf: f.lend(e.Frame), copies: survivors[i]}
 		if delay > 0 {
 			held = append(held, in)
 		} else {
@@ -441,10 +458,10 @@ var _ FrameOwner = (*fabricEndpoint)(nil)
 var _ BatchSender = (*fabricEndpoint)(nil)
 var _ MultiFrameSender = (*fabricEndpoint)(nil)
 
-// HandlerOwnsFrame implements FrameOwner: route() allocates a fresh
-// buffer per routed frame and the fabric never touches it again, so
-// receivers may decode it zero-copy.
-func (ep *fabricEndpoint) HandlerOwnsFrame() bool { return true }
+// HandlerOwnsFrame implements FrameOwner: the Fabric lends each routed
+// frame's buffer for the handler calls and reuses it for a later frame
+// once they have returned, so a handler keeps nothing it is handed.
+func (ep *fabricEndpoint) HandlerOwnsFrame() bool { return false }
 
 // Local implements Transport.
 func (ep *fabricEndpoint) Local() topology.NodeID { return ep.id }
@@ -514,12 +531,15 @@ func (ep *fabricEndpoint) SendFrames(to topology.NodeID, batch []FrameBatch) err
 
 // enqueue hands one routed frame to the endpoint's receive loop. A full
 // inbox counts the frame's copies as overflow; a closed endpoint counts
-// them as fault drops, since route already counted them as sent.
+// them as fault drops, since route already counted them as sent. A frame
+// refused either way goes back to the lent pool unhandled.
 func (ep *fabricEndpoint) enqueue(in inboundFrame) {
 	switch ep.inbox.Put(in) {
 	case queue.Full:
+		ep.fabric.lent.Put(in.buf)
 		ep.fabric.count(&ep.fabric.stats.Overflows, in.copies)
 	case queue.Closed:
+		ep.fabric.lent.Put(in.buf)
 		ep.fabric.count(&ep.fabric.stats.FaultDrops, in.copies)
 	}
 }
@@ -537,7 +557,7 @@ func (ep *fabricEndpoint) Close() error {
 	ep.closeOnce.Do(func() {
 		close(ep.stop)
 		<-ep.done
-		if dropped := ep.inbox.close(); dropped > 0 {
+		if dropped := ep.inbox.close(ep.fabric.lent.Put); dropped > 0 {
 			ep.fabric.count(&ep.fabric.stats.FaultDrops, dropped)
 		}
 	})
@@ -545,7 +565,8 @@ func (ep *fabricEndpoint) Close() error {
 }
 
 // receiveLoop serializes handler invocations for this endpoint: woken by
-// a put on an empty inbox, it drains the inbox in FIFO order.
+// a put on an empty inbox, it drains the inbox in FIFO order, and takes
+// each frame's buffer back once its last handler call has returned.
 func (ep *fabricEndpoint) receiveLoop() {
 	defer close(ep.done)
 	for {
@@ -559,6 +580,7 @@ func (ep *fabricEndpoint) receiveLoop() {
 			h := ep.handler
 			ep.handlerMu.RUnlock()
 			in.deliver(h)
+			ep.fabric.lent.Put(in.buf)
 			select {
 			case <-ep.stop:
 				return

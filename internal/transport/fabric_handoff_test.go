@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,9 +102,10 @@ func TestFabricHandlerRunsOncePerSurvivingCopy(t *testing.T) {
 	settle()
 }
 
-// TestAllocsFabricHandOff: an undelayed hand-off allocates the receiver's
-// owned copy of each surviving frame (the FrameOwner promise) and nothing
-// else.
+// TestAllocsFabricHandOff: a warm undelayed hand-off allocates nothing.
+// Each surviving frame is copied into a buffer from the fabric's lent
+// pool, lent for the handler calls and taken back after the last one;
+// every run waits for that, so the next run's buffer is a recycled one.
 func TestAllocsFabricHandOff(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins do not hold under the race detector")
@@ -114,20 +116,130 @@ func TestAllocsFabricHandOff(t *testing.T) {
 	f.Endpoint(1).SetHandler(func(topology.NodeID, []byte) {})
 	frame := make([]byte, 200)
 	batch := []FrameBatch{{Frame: frame, Copies: 2}, {Frame: frame, Copies: 1}, {Frame: frame, Copies: 3}}
-	if got := testing.AllocsPerRun(200, func() {
+	returned := func() {
+		for f.lent.Outstanding() > 0 {
+			runtime.Gosched()
+		}
+	}
+	sendN := func() {
 		if _, err := SendN(a, 1, frame, 3); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 1 {
-		t.Errorf("SendN allocated %.2f times per call, want 1 (the owned copy)", got)
+		returned()
 	}
-	if got := testing.AllocsPerRun(200, func() {
+	sendFrames := func() {
 		if _, err := SendFrames(a, 1, batch); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 3 {
-		t.Errorf("SendFrames of 3 frames allocated %.2f times per call, want 3 (one owned copy each)", got)
+		returned()
 	}
+	for i := 0; i < 16; i++ { // the pool holds a buffer wherever the loops run
+		sendN()
+		sendFrames()
+	}
+	if got := testing.AllocsPerRun(200, sendN); got != 0 {
+		t.Errorf("a warm SendN allocated %.2f times per call, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, sendFrames); got != 0 {
+		t.Errorf("a warm SendFrames of 3 frames allocated %.2f times per call, want 0", got)
+	}
+}
+
+// TestFabricLendsEveryBufferBack: every buffer the fabric lends comes
+// back to its pool, whichever way the frame leaves — handled copy by
+// copy, refused by a full inbox, emptied from an inbox that closes,
+// refused by a closed endpoint, or landing after Close on a delayed
+// link — and a down link lends none.
+func TestFabricLendsEveryBufferBack(t *testing.T) {
+	f := NewFabric(FabricOptions{QueueSize: 1})
+	defer func() { _ = f.Close() }()
+	back := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for f.lent.Outstanding() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d lent buffers never came back", what, f.lent.Outstanding())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	send := func(to topology.NodeID, frame string, n int) {
+		t.Helper()
+		if _, err := SendN(f.Endpoint(0), to, []byte(frame), n); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Handled: the buffer comes back after the last of its 3 copies.
+	var handled atomic.Int64
+	f.Endpoint(1).SetHandler(func(topology.NodeID, []byte) { handled.Add(1) })
+	send(1, "three copies", 3)
+	for deadline := time.Now().Add(5 * time.Second); handled.Load() < 3; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the handler ran %d times, want 3", handled.Load())
+		}
+	}
+	back("a delivery of 3 copies")
+
+	// Overflow, then close: endpoint 2's handler holds the first frame,
+	// the second waits in its one-slot inbox and the third finds it full;
+	// the held frame comes back when its handler returns, the queued one
+	// when Close empties the inbox.
+	c := f.Endpoint(2)
+	entered, gate := make(chan struct{}, 3), make(chan struct{})
+	c.SetHandler(func(topology.NodeID, []byte) {
+		entered <- struct{}{}
+		<-gate
+	})
+	send(2, "held", 1)
+	<-entered
+	send(2, "queued", 1)
+	send(2, "refused", 1)
+	if s := f.Stats(); s.Overflows != 1 {
+		t.Fatalf("stats %+v: want the one refused copy counted as an overflow", s)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	<-c.(*fabricEndpoint).stop // release the handler only once Close has begun
+	close(gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	back("an inbox overflow and an inbox closed with a frame queued")
+
+	// A closed endpoint refuses what is routed to it.
+	before := f.Stats().FaultDrops
+	send(2, "to a closed endpoint", 2)
+	if got := f.Stats().FaultDrops - before; got != 2 {
+		t.Fatalf("a closed endpoint dropped %d copies as faults, want 2", got)
+	}
+	back("a closed endpoint")
+
+	// A down link drops the frame before it is copied.
+	f.SetLinkDown(0, 1, true)
+	send(1, "down", 2)
+	if n := f.lent.Outstanding(); n != 0 {
+		t.Fatalf("a down link lent %d buffers", n)
+	}
+	f.SetLinkDown(0, 1, false)
+
+	// A delayed flush that lands after its endpoint closed.
+	d := f.Endpoint(3)
+	d.SetHandler(func(topology.NodeID, []byte) { t.Error("a frame reached a closed endpoint's handler") })
+	if err := f.SetLinkModel(0, 3, LinkModel{Latency: 100 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	send(3, "late", 1)
+	if _, err := SendFrames(f.Endpoint(0), 3, []FrameBatch{{Frame: []byte("l1"), Copies: 2}, {Frame: []byte("l2"), Copies: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.lent.Outstanding(); n != 3 {
+		t.Fatalf("%d buffers lent to the delayed flushes, want 3", n)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back("a delayed flush landing after Close")
 }
 
 // BenchmarkFabricSendN is one tree edge's burst: three copies of a

@@ -6,10 +6,12 @@ import (
 )
 
 // inboundFrame is one inbox entry: `copies` logical arrivals of the same
-// frame (the handler runs once per copy).
+// frame (the handler runs once per copy). The frame is buf's bytes, lent
+// by the Fabric's pool; holding the pointer rather than a slice header
+// keeps an inbox slot at 24 bytes.
 type inboundFrame struct {
 	from   topology.NodeID
-	frame  []byte
+	buf    *lentBuf
 	copies int
 }
 
@@ -19,7 +21,7 @@ func (in inboundFrame) deliver(h Handler) {
 		return
 	}
 	for i := 0; i < in.copies; i++ {
-		h(in.from, in.frame)
+		h(in.from, in.buf.b)
 	}
 }
 
@@ -30,11 +32,13 @@ type inbox struct{ queue.Ring[inboundFrame] }
 
 func (q *inbox) init(limit int) { q.Init(limit, nil) }
 
-// close refuses every later put, empties the ring and reports how many
-// logical copies it still held, which no handler will ever see.
-func (q *inbox) close() (dropped int) {
+// close refuses every later put, empties the ring, hands each buffer it
+// held to release and reports how many logical copies it still held,
+// which no handler will ever see.
+func (q *inbox) close(release func(*lentBuf)) (dropped int) {
 	q.Close()
 	for in, r := q.Pop(); r == queue.Popped; in, r = q.Pop() {
+		release(in.buf)
 		dropped += in.copies
 	}
 	return dropped

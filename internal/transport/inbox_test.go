@@ -13,7 +13,7 @@ import (
 )
 
 func entry(i int) inboundFrame {
-	return inboundFrame{from: topology.NodeID(i), frame: []byte{byte(i)}, copies: 1}
+	return inboundFrame{from: topology.NodeID(i), buf: &lentBuf{b: []byte{byte(i)}}, copies: 1}
 }
 
 // TestInboxFIFOAcrossGrowOfWrappedRing: a ring whose live entries wrap
@@ -76,7 +76,7 @@ func TestInboxBoundIsQueueSize(t *testing.T) {
 	if q.Cap() != 12 {
 		t.Fatalf("draining shrank the ring to %d slots", q.Cap())
 	}
-	if got := q.close(); got != 0 {
+	if got := q.close(func(*lentBuf) { t.Fatal("an empty inbox released a buffer") }); got != 0 {
 		t.Fatalf("closing an empty inbox dropped %d copies", got)
 	}
 	if r := q.Put(entry(0)); r != queue.Closed {
@@ -85,15 +85,17 @@ func TestInboxBoundIsQueueSize(t *testing.T) {
 }
 
 // TestInboxTakeReleasesFrame: once its entry is popped the inbox no
-// longer keeps a frame alive, and close reports the copies it still held.
+// longer keeps a frame alive, and close releases each buffer it still
+// held and reports their copies.
 func TestInboxTakeReleasesFrame(t *testing.T) {
 	var q inbox
 	q.init(4)
-	frame := make([]byte, 64)
-	held := weak.Make(&frame[0])
-	q.Put(inboundFrame{frame: frame, copies: 3})
-	frame = nil
-	q.Put(inboundFrame{frame: make([]byte, 64), copies: 2})
+	buf := &lentBuf{b: make([]byte, 64)}
+	held := weak.Make(buf)
+	q.Put(inboundFrame{buf: buf, copies: 3})
+	buf = nil
+	queued := &lentBuf{b: make([]byte, 64)}
+	q.Put(inboundFrame{buf: queued, copies: 2})
 	if _, r := q.Pop(); r != queue.Popped {
 		t.Fatal("pop found nothing")
 	}
@@ -101,8 +103,12 @@ func TestInboxTakeReleasesFrame(t *testing.T) {
 	if held.Value() != nil {
 		t.Fatal("the inbox still references a frame it handed out")
 	}
-	if got := q.close(); got != 2 {
+	var released []*lentBuf
+	if got := q.close(func(lb *lentBuf) { released = append(released, lb) }); got != 2 {
 		t.Fatalf("close dropped %d copies, want the 2 still queued", got)
+	}
+	if len(released) != 1 || released[0] != queued {
+		t.Fatalf("close released %v, want only the queued buffer %p", released, queued)
 	}
 }
 

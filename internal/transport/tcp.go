@@ -226,15 +226,16 @@ func (t *TCP) SendFrames(to topology.NodeID, batch []FrameBatch) error {
 // pool from boxing a slice header on every Put.
 type writeBuf struct{ b []byte }
 
-// keepWriteBuf bounds the flush buffers the pool keeps: a rare flush of
-// a huge frame (up to maxFrameSize) is not pinned for good.
-const keepWriteBuf = 64 << 10
+// keepBuf bounds the buffers a pool of this package keeps (TCP's flush
+// buffers, the Fabric's lent frames): a rare huge frame (up to
+// maxFrameSize) is not pinned for good.
+const keepBuf = 64 << 10
 
 // writeBufs recycles flush buffers across every TCP transport of the
 // process; a buffer per connection would sit in the heap between flushes.
 var writeBufs = pool.Pool[writeBuf]{Reset: func(wb *writeBuf) bool {
 	wb.b = wb.b[:0]
-	return cap(wb.b) <= keepWriteBuf
+	return cap(wb.b) <= keepBuf
 }}
 
 // connTo returns a cached connection or dials one, sending the hello.

@@ -35,10 +35,11 @@ type Transport interface {
 	// of the call — when Send returns, the buffer is the caller's again
 	// and may be recycled immediately. Implementations that need the
 	// bytes later (queued delivery, async writes) must copy before
-	// returning; both in-package transports do (the Fabric copies per
-	// routed frame; TCP has written the frame to the socket before it
-	// returns). This is the outbound mirror of the FrameOwner contract,
-	// and it is what makes pooled encode buffers on the send path sound.
+	// returning; both in-package transports do (the Fabric copies each
+	// routed frame into a buffer it lends the receiver; TCP has written
+	// the frame to the socket before it returns). This is the outbound
+	// mirror of the FrameOwner contract, and it is what makes pooled
+	// encode buffers on the send path sound.
 	Send(to topology.NodeID, frame []byte) error
 	// Close releases resources and stops the receive loop. It is
 	// idempotent; after Close, Send fails and no handler runs.
@@ -72,11 +73,13 @@ type BatchSender interface {
 // buffers are exclusively owned by the receiving side: the transport
 // never reuses or mutates a buffer after handing it to the handler, so
 // the handler may retain it — the node then delivers a body and relays a
-// frame as the inbound bytes themselves instead of copying them. Both
-// in-package transports qualify: the Fabric allocates a fresh buffer per
-// routed frame (the one allocation of its hand-off), and TCP reads every
-// frame into a fresh buffer. A transport that does not promise it gets a
-// node that copies what outlives the handler call.
+// frame as the inbound bytes themselves instead of copying them. TCP
+// owns: it reads every frame into a fresh buffer. The Fabric lends: it
+// copies each routed frame into a pooled buffer, lends it for the
+// handler calls and reuses it afterwards, so a heartbeat or a duplicate
+// copy — dropped before the handler returns — costs no allocation. A
+// transport that does not promise ownership gets a node that copies what
+// outlives the handler call: a delivered body, a relayed frame.
 type FrameOwner interface {
 	// HandlerOwnsFrame reports whether handler-received frame buffers are
 	// the handler's to keep.

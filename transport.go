@@ -10,7 +10,8 @@ type Transport = transport.Transport
 
 // Handler consumes one inbound frame. Implementations must not retain the
 // frame slice after returning unless the transport declares, with
-// HandlerOwnsFrame, that the handler owns it (both shipped transports do).
+// HandlerOwnsFrame, that the handler owns it: TCP does; the Fabric lends
+// each frame for the call and reuses its buffer afterwards.
 type Handler = transport.Handler
 
 // BatchSender is the optional transport fast path for sending n logical
