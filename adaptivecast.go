@@ -66,8 +66,10 @@ type (
 	Topology = topology.Graph
 	// Delivery is one broadcast handed to the application by Node.Next
 	// or a Subscribe handler. Its Body is read-only; copy before
-	// modifying: over TCP it shares storage with the frame the node is
-	// relaying to its children. Over the Fabric it is the node's own copy.
+	// modifying. On every transport it is the node's own copy, apart
+	// from the frames it relays; it may share a backing chunk with other
+	// deliveries, so a retained body keeps at most one chunk alive, and
+	// the delivery queue's byte bound counts its len(Body).
 	Delivery = node.Delivery
 	// NodeStats are per-node protocol counters.
 	NodeStats = node.Stats

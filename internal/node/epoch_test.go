@@ -570,9 +570,6 @@ func TestBorrowDecodeOnFabric(t *testing.T) {
 		}
 		nodes[i] = newTestNode(t, c, fabric.Endpoint(id))
 	}
-	if nodes[1].ownsFrames {
-		t.Fatal("the node takes the Fabric's lent frames for its own")
-	}
 	settleTicks(nodes, 3)
 	body := func(i int) string { return fmt.Sprintf("payload-%03d", i) }
 	var kept []Delivery

@@ -32,9 +32,8 @@ func returnsWithin(t *testing.T, d time.Duration, what string, f func()) {
 	}
 }
 
-// lineMiddle is node 1 of the line 0 — 1 — 2, over a sink transport that
-// owns its frames, with a view taught the whole line so a broadcast plans
-// a tree.
+// lineMiddle is node 1 of the line 0 — 1 — 2, over a sink transport,
+// with a view taught the whole line so a broadcast plans a tree.
 func lineMiddle(t *testing.T, cfg Config) *Node {
 	t.Helper()
 	g, err := topology.Line(3)
@@ -42,7 +41,7 @@ func lineMiddle(t *testing.T, cfg Config) *Node {
 		t.Fatal(err)
 	}
 	cfg.ID, cfg.NumProcs, cfg.Neighbors = 1, 3, g.Neighbors(1)
-	nd := newTestNode(t, cfg, &sinkTransport{id: 1, owns: true})
+	nd := newTestNode(t, cfg, &sinkTransport{id: 1})
 	teach(t, nd, g, rand.New(rand.NewSource(1)))
 	return nd
 }

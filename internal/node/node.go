@@ -60,11 +60,12 @@ type Delivery struct {
 	Origin topology.NodeID // broadcast originator
 	Seq    uint64          // originator-local sequence number
 	From   topology.NodeID // immediate sender (tree parent), Origin for local broadcasts
-	// Body is read-only; copy before modifying. On a transport that owns
-	// its frames (transport.FrameOwner: TCP) it aliases the inbound frame,
-	// which this node may still be relaying to its children: an edit in
-	// place would change what they receive. On one that lends them (the
-	// Fabric) the body is the node's own copy, apart from every relay.
+	// Body is read-only; copy before modifying. On every transport it is
+	// the node's own copy, apart from the inbound frame and every relay.
+	// It may share a backing chunk with other deliveries (its capacity
+	// ends where it does, so an append copies), so a retained body keeps
+	// at most one such chunk alive. Config.DeliveryBuffer counts its
+	// len, not that chunk.
 	Body []byte
 }
 
@@ -365,15 +366,10 @@ type Node struct {
 	hb    *heartbeat.Plane
 	plane *dataplane.Plane
 
-	// ownsFrames is set when the transport hands the handler exclusive
-	// frame buffers (transport.FrameOwner: TCP): a delivered body and a
-	// relayed frame may then alias the inbound buffer instead of copying
-	// it. On a lending transport (the Fabric) both are copied.
 	// decPool holds the decode storage handle borrows per inbound frame:
-	// transports serialize a node's handler, so one Scratch is in use at a
-	// time, and the pool keeps a test calling handle concurrently safe.
-	ownsFrames bool
-	decPool    pool.Pool[wire.Scratch]
+	// transports serialize a node's handler, so one is in use at a time,
+	// and the pool keeps a test calling handle concurrently safe.
+	decPool pool.Pool[decStore]
 
 	// lanes is the prioritized send scheduler every frame leaves through
 	// (see sendpath.go). encPool recycles outbound frame encode buffers
@@ -452,9 +448,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	}
 	n.deliveries.Init(cfg.DeliveryBuffer, deliveryBytes)
 	n.initEncodePool()
-	if fo, ok := tr.(transport.FrameOwner); ok && fo.HandlerOwnsFrame() {
-		n.ownsFrames = true
-	}
 	if cfg.Epoch > 0 {
 		// A node constructed mid-epoch (a joiner) can catch laggard peers
 		// up on its own membership change, and re-floods it for a few
@@ -552,8 +545,8 @@ func (n *Node) Neighbors() []topology.NodeID {
 // (ErrStopped). A queued delivery is returned even when ctx is already
 // done, so a done ctx takes what is queued without waiting. Any number
 // of goroutines may call it; each delivery goes to one of them. A
-// delivered Body is read-only; copy before modifying: over TCP it shares
-// the frame this node relays (see Delivery).
+// delivered Body is read-only; copy before modifying: it may share a
+// backing chunk with other deliveries (see Delivery).
 func (n *Node) Next(ctx context.Context) (Delivery, error) {
 	for {
 		d, r := n.deliveries.Pop()
@@ -804,16 +797,17 @@ func (n *Node) ensureSeqLease(seq uint64) {
 
 // handle is the transport callback; frames arrive serialized. Every
 // frame is decoded into pooled storage with the body aliasing frameBytes,
-// so nothing decoded from a data frame outlives this call unless it is
-// copied (see wire.Scratch, pushDelivery), and
+// which the transport takes back when handle returns, so nothing decoded
+// from a data frame outlives this call unless it is copied (see
+// wire.Scratch, decStore.keep), and
 // epoch-gated before any protocol processing (see epochGate). A heartbeat
 // or delta must name its transport sender (see sentBy, heartbeat.ErrSender). Each frame kind
 // takes mu for one critical section; what it decides to send, record or
 // deliver runs after it.
 func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
-	sc := n.decPool.Get()
-	defer n.decPool.Put(sc)
-	frame, err := sc.DecodeBorrow(frameBytes)
+	ds := n.decPool.Get()
+	defer n.decPool.Put(ds)
+	frame, err := ds.DecodeBorrow(frameBytes)
 	if err != nil {
 		n.stats.decodeErrors.Add(1)
 		return
@@ -860,7 +854,7 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 		}
 		n.mu.Unlock()
 		n.sendRepair(from, repair)
-		n.handleData(from, frame.Data, frameBytes, rx)
+		n.handleData(from, frame.Data, frameBytes, rx, ds)
 	case wire.FrameJoin, wire.FrameLeave:
 		n.handleMembership(from, frame.Kind, frame.Member)
 	}
@@ -1119,11 +1113,11 @@ func (n *Node) acceptData(from topology.NodeID, msg *wire.DataMsg) (rx dataplane
 }
 
 // handleData finishes a data frame after acceptData's critical section:
-// deliver on first receipt, then keep propagating along the carried tree
-// (or re-flood warm-up messages). raw is the encoded inbound frame; when
-// the transport handed over its ownership the relay reuses (or splices)
-// it instead of re-serializing — see relayDataFrame.
-func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte, rx dataplane.Receipt) {
+// deliver a copy of the body (ds.keep) on first receipt, then keep
+// propagating along the carried tree (or re-flood warm-up messages). raw
+// is the encoded inbound frame, which the relay copies (or splices) into
+// a pooled buffer instead of re-serializing msg — see encodeDataFrame.
+func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte, rx dataplane.Receipt, ds *decStore) {
 	if !rx.Fresh {
 		return
 	}
@@ -1144,22 +1138,45 @@ func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte, r
 		}
 	}
 	if deliver {
-		body := msg.Body
-		if !n.ownsFrames {
-			// The transport recycles the buffer the body aliases; the
-			// application keeps its delivery.
-			body = append([]byte(nil), body...)
-		}
-		n.pushDelivery(Delivery{Origin: msg.Origin, Seq: msg.Seq, From: from, Body: body})
+		n.pushDelivery(Delivery{Origin: msg.Origin, Seq: msg.Seq, From: from, Body: ds.keep(msg.Body)})
 	}
 	if !rx.Relay {
 		return
 	}
 	// A relay frame fails only to encode a knowledge snapshot; the message
 	// was already delivered locally, so the relay is dropped.
-	if frame, eb, err := n.relayDataFrame(msg, raw, rx.Snap); err == nil {
+	if frame, eb, err := n.encodeDataFrame(msg, raw, rx.Snap); err == nil {
 		_ = n.send(rx.Sends, frame, eb)
 	}
+}
+
+// decStore is the decode storage handle takes per inbound frame: the
+// Scratch the frame is decoded into, and the chunk delivered bodies are
+// carved from. The chunk never rewinds: a full one is replaced, so it
+// lives exactly as long as the deliveries carved from it, and one no
+// delivery references is collected with the pooled value it rides in.
+type decStore struct {
+	wire.Scratch
+	bodies []byte
+}
+
+// bodyChunk is the size of a chunk; a body over bodyChunk/8 is copied
+// alone, so a large body neither wastes a chunk's tail nor keeps one
+// alive.
+const bodyChunk = 1 << 10
+
+// keep returns the node's own copy of a delivered body: carved from the
+// chunk when it is small, nil when it is empty.
+func (ds *decStore) keep(body []byte) []byte {
+	if len(body) == 0 || len(body) > bodyChunk/8 {
+		return append([]byte(nil), body...)
+	}
+	if cap(ds.bodies)-len(ds.bodies) < len(body) {
+		ds.bodies = make([]byte, 0, bodyChunk)
+	}
+	at := len(ds.bodies)
+	ds.bodies = append(ds.bodies, body...)
+	return ds.bodies[at:len(ds.bodies):len(ds.bodies)]
 }
 
 // deliveryBytes is what a queued delivery weighs against

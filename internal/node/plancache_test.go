@@ -174,9 +174,7 @@ func (m *mailTransport) take() []mail {
 }
 
 // mailCluster is one node per process of g, each over its own
-// mailTransport, which hands the handler the buffers it is given to keep
-// (transport.FrameOwner) as TCP does. cfg, when set, edits
-// each node's Config.
+// mailTransport. cfg, when set, edits each node's Config.
 func mailCluster(t *testing.T, g *topology.Graph, cfg func(*Config)) ([]*Node, []*mailTransport) {
 	t.Helper()
 	n := g.NumNodes()
@@ -187,7 +185,7 @@ func mailCluster(t *testing.T, g *topology.Graph, cfg func(*Config)) ([]*Node, [
 		if cfg != nil {
 			cfg(&c)
 		}
-		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id, owns: true}}
+		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
 		nodes[i] = newTestNode(t, c, boxes[i])
 	}
 	return nodes, boxes

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -21,11 +22,9 @@ import (
 	"adaptivecast/internal/wire"
 )
 
-// sinkTransport accepts every send and does nothing; owns says whether it
-// claims transport.FrameOwner for the frames a test hands to handle.
+// sinkTransport accepts every send and does nothing.
 type sinkTransport struct {
-	id   topology.NodeID
-	owns bool
+	id topology.NodeID
 }
 
 func (s *sinkTransport) Local() topology.NodeID                                   { return s.id }
@@ -34,7 +33,6 @@ func (s *sinkTransport) Close() error                                           
 func (s *sinkTransport) Send(topology.NodeID, []byte) error                       { return nil }
 func (s *sinkTransport) SendN(topology.NodeID, []byte, int) error                 { return nil }
 func (s *sinkTransport) SendFrames(topology.NodeID, []transport.FrameBatch) error { return nil }
-func (s *sinkTransport) HandlerOwnsFrame() bool                                   { return s.owns }
 
 // chainParents is the parent vector of the line 0 — 1 — … — n-1 rooted at 0.
 func chainParents(n int) []topology.NodeID {
@@ -84,7 +82,7 @@ type sentTo struct {
 	copies int
 }
 
-// recordTransport is a frame-owning sink that notes every send. The lane
+// recordTransport is a sink that notes every send. The lane
 // drains call it, one goroutine per peer, so it takes a lock.
 type recordTransport struct {
 	sinkTransport
@@ -140,7 +138,7 @@ func byDestination(sends []sentTo) []sentTo {
 // newRecorded is a node over a recordTransport that waits on its lanes.
 func newRecorded(tb testing.TB, cfg Config) (*Node, *recordTransport) {
 	tb.Helper()
-	rec := &recordTransport{sinkTransport: sinkTransport{id: cfg.ID, owns: true}}
+	rec := &recordTransport{sinkTransport: sinkTransport{id: cfg.ID}}
 	nd := newTestNode(tb, cfg, rec)
 	rec.idle = nd.WaitSendIdle
 	return nd, rec
@@ -170,10 +168,10 @@ func childrenSends(tb testing.TB, parents []topology.NodeID, alloc []int32, self
 }
 
 // midChainNode is node 1 of a chain of n over a sink transport.
-func midChainNode(tb testing.TB, n int, owns bool) *Node {
+func midChainNode(tb testing.TB, n int) *Node {
 	tb.Helper()
 	return newTestNode(tb, Config{ID: 1, NumProcs: n, Neighbors: []topology.NodeID{0, 2}},
-		&sinkTransport{id: 1, owns: owns})
+		&sinkTransport{id: 1})
 }
 
 // TestForwardCacheLRU keeps the name of the cache it used to test; no
@@ -240,7 +238,7 @@ func TestForwardCacheSurvivesDecoderReuse(t *testing.T) {
 	nd, rec := recordingRelay(t, 6)
 	treeA := []topology.NodeID{topology.None, 0, 1, 2, 1, 1} // 1 relays to 2, 4 and 5
 	treeB := []topology.NodeID{topology.None, 0, 0, 1}       // 1 relays to 3
-	var sc wire.Scratch
+	var sc decStore
 	for i, parents := range [][]topology.NodeID{treeA, treeB, treeA} {
 		alloc := twoPerEdge(parents)
 		raw := dataFrame(t, uint64(i+1), parents, alloc, "reuse")
@@ -251,7 +249,7 @@ func TestForwardCacheSurvivesDecoderReuse(t *testing.T) {
 		nd.mu.Lock()
 		rx := nd.acceptData(0, f.Data)
 		nd.mu.Unlock()
-		nd.handleData(0, f.Data, raw, rx)
+		nd.handleData(0, f.Data, raw, rx, &sc)
 		if got, want := rec.take(t), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
 			t.Fatalf("frame %d through reused decode storage: relayed to %v, its tree says %v", i, got, want)
 		}
@@ -326,26 +324,108 @@ func TestForgedAllocationIsRejectedWhole(t *testing.T) {
 	}
 }
 
-// TestDeliveredBodyOutlivesTransportBuffer: on a transport that lends its
-// read buffers (the Fabric does), what the application and the OnDeliver
-// hook are handed must not change when the buffer does; on an owning
-// transport (TCP) the body is the inbound buffer itself, uncopied.
+// TestDeliveredBodyOutlivesTransportBuffer: every transport lends its
+// read buffers, so what the application and the OnDeliver hook are
+// handed must not change when the buffer does.
 func TestDeliveredBodyOutlivesTransportBuffer(t *testing.T) {
-	for _, owns := range []bool{false, true} {
-		var hooked Delivery
-		nd := newTestNode(t, Config{ID: 1, NumProcs: 3, Neighbors: []topology.NodeID{0, 2},
-			Hooks: Hooks{OnDeliver: func(d Delivery) { hooked = d }}}, &sinkTransport{id: 1, owns: owns})
-		buf := chainFrame(t, 3, 1, "keep me")
-		nd.handle(0, buf)
-		d := waitDelivery(t, nd)
-		for i := range buf {
-			buf[i] = 0xEE // the transport reads its next frame into the buffer
+	var hooked Delivery
+	nd := newTestNode(t, Config{ID: 1, NumProcs: 3, Neighbors: []topology.NodeID{0, 2},
+		Hooks: Hooks{OnDeliver: func(d Delivery) { hooked = d }}}, &sinkTransport{id: 1})
+	buf := chainFrame(t, 3, 1, "keep me")
+	nd.handle(0, buf)
+	d := waitDelivery(t, nd)
+	for i := range buf {
+		buf[i] = 0xEE // the transport reads its next frame into the buffer
+	}
+	if string(d.Body) != "keep me" || string(hooked.Body) != "keep me" {
+		t.Errorf("delivered body %q, hook saw %q, want both %q", d.Body, hooked.Body, "keep me")
+	}
+}
+
+// TestDeliveredBodySlab: a delivered body up to bodyChunk/8 bytes is
+// carved from a chunk in the handler's pooled decode storage, and a
+// longer one is copied alone. On the line 0 — 1 — 2, over a Fabric and
+// over TCP, 210 bodies of sizes around that bound reach node 2 through
+// node 1's relay, while both transports reuse the buffers they read
+// frames into and the decode storage goes back to its pool after every
+// frame, with a collection midway that may drop the pooled storage.
+// Every body node 2 kept still reads as sent, a carved one's capacity
+// ends where it does, and appending to one changes no other.
+func TestDeliveredBodySlab(t *testing.T) {
+	sizes := []int{0, 1, 63, 64, 128, 129, 4096}
+	const msgs = 30 * 7
+	body := func(seq uint64) []byte {
+		b := make([]byte, sizes[int(seq)%len(sizes)])
+		for i := range b {
+			b[i] = byte(int(seq) + i)
 		}
-		kept := string(d.Body) == "keep me" && string(hooked.Body) == "keep me"
-		if kept == owns {
-			t.Errorf("owning transport %v: delivered body %q, hook saw %q", owns, d.Body, hooked.Body)
+		return b
+	}
+	g, err := topology.Line(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overFabric := func(t *testing.T) []*Node {
+		fabric := transport.NewFabric(transport.FabricOptions{})
+		t.Cleanup(func() { _ = fabric.Close() })
+		return buildCluster(t, g, fabric, nil)
+	}
+	overTCP := func(t *testing.T) []*Node {
+		trs := make([]*transport.TCP, g.NumNodes())
+		for i := range trs {
+			tr, err := transport.NewTCP(topology.NodeID(i), "127.0.0.1:0", nil, transport.TCPOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = tr.Close() })
+			trs[i] = tr
 		}
-		stopNode(nd)
+		nodes := make([]*Node, len(trs))
+		for i := range nodes {
+			id := topology.NodeID(i)
+			for _, nb := range g.Neighbors(id) {
+				trs[i].AddPeer(nb, trs[nb].Addr().String())
+			}
+			nodes[i] = newTestNode(t, Config{ID: id, NumProcs: len(nodes), Neighbors: g.Neighbors(id)}, trs[i])
+		}
+		return nodes
+	}
+	for _, c := range []struct {
+		name    string
+		cluster func(*testing.T) []*Node
+	}{{"Fabric", overFabric}, {"TCP", overTCP}} {
+		t.Run(c.name, func(t *testing.T) {
+			nodes := c.cluster(t)
+			var kept []Delivery
+			for i := 0; i < msgs; i++ {
+				if _, _, err := nodes[0].Broadcast(body(uint64(i + 1))); err != nil {
+					t.Fatal(err)
+				}
+				kept = append(kept, waitDelivery(t, nodes[2]))
+				waitDelivery(t, nodes[1])
+				if i == msgs/2 {
+					runtime.GC()
+				}
+			}
+			intact := func(when string) {
+				t.Helper()
+				for _, d := range kept {
+					if want := body(d.Seq); !bytes.Equal(d.Body, want) {
+						t.Fatalf("%s: the body of broadcast %d reads %x, want %x", when, d.Seq, d.Body, want)
+					}
+				}
+			}
+			intact("after every broadcast arrived")
+			for _, d := range kept {
+				if n := len(d.Body); n > 0 && n <= bodyChunk/8 && cap(d.Body) != n {
+					t.Errorf("the carved body of broadcast %d has len %d, cap %d", d.Seq, n, cap(d.Body))
+				}
+			}
+			for _, d := range kept {
+				_ = append(d.Body, bytes.Repeat([]byte{0xEE}, 64)...)
+			}
+			intact("after appending to every body")
+		})
 	}
 }
 
@@ -353,7 +433,7 @@ func TestDeliveredBodyOutlivesTransportBuffer(t *testing.T) {
 // handler, but nothing in the node may depend on it — the decode storage
 // is pooled, not per node. Run with -race.
 func TestHandleIsSafeFromSeveralGoroutines(t *testing.T) {
-	nd := midChainNode(t, 8, true)
+	nd := midChainNode(t, 8)
 	const senders, each = 4, 50
 	frames := make([][]byte, senders*each)
 	for i := range frames {
@@ -365,10 +445,8 @@ func TestHandleIsSafeFromSeveralGoroutines(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := s; i < len(frames); i += senders {
-				// The transport owns nothing it handed over: a relayed
-				// frame sits in the lanes after the call returns.
-				nd.handle(0, bytes.Clone(frames[i]))
-				nd.handle(0, bytes.Clone(frames[i]))
+				nd.handle(0, frames[i])
+				nd.handle(0, frames[i])
 			}
 		}(s)
 	}
@@ -397,52 +475,46 @@ func neverSeenTree(rng *rand.Rand) []topology.NodeID {
 // TestAllocsHandleData pins the node's share of a broadcast: a duplicate
 // copy — three of every four copies handled — on its way to being
 // dropped, and a first receipt of a 128-slot tree this node has never
-// seen, checked, delivered and relayed. On an owning transport (TCP) both
-// allocate nothing. On a lending one (the Fabric) a duplicate allocates
-// nothing either, and a first receipt exactly once: the body the
-// application keeps. The relay copies the frame into a pooled buffer.
+// seen, checked, delivered and relayed. Neither allocates on warm
+// storage: the relay copies the frame into a pooled encode buffer, and
+// the body the application keeps is carved from the decode storage's
+// chunk, a fresh one every bodyChunk bytes of bodies — less than one
+// allocation a run, which AllocsPerRun's whole-number average reads as 0.
 func TestAllocsHandleData(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins do not hold under the race detector")
 	}
-	for _, owns := range []bool{true, false} {
-		nd := midChainNode(t, 128, owns)
-		const runs = 200
-		rng := rand.New(rand.NewSource(11))
-		frames := make([][]byte, runs+8)
-		for i := range frames {
-			parents := neverSeenTree(rng)
-			frames[i] = dataFrame(t, uint64(i+1), parents, twoPerEdge(parents), "payload of a broadcast")
+	nd := midChainNode(t, 128)
+	const runs = 200
+	rng := rand.New(rand.NewSource(11))
+	frames := make([][]byte, runs+8)
+	for i := range frames {
+		parents := neverSeenTree(rng)
+		frames[i] = dataFrame(t, uint64(i+1), parents, twoPerEdge(parents), "payload of a broadcast")
+	}
+	next := 0
+	first := func() {
+		nd.handle(0, frames[next])
+		next++
+		if _, err := nd.Next(context.Background()); err != nil {
+			t.Fatal(err)
 		}
-		next := 0
-		first := func() {
-			nd.handle(0, frames[next])
-			next++
-			if _, err := nd.Next(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if !nd.WaitSendIdle(5 * time.Second) {
-				t.Fatal("relay never left the lanes")
-			}
+		if !nd.WaitSendIdle(5 * time.Second) {
+			t.Fatal("relay never left the lanes")
 		}
-		for i := 0; i < 4; i++ {
-			first() // lane queues, encode buffers and decode storage warm
-		}
-		if got := testing.AllocsPerRun(runs, func() { nd.handle(0, frames[0]) }); got != 0 {
-			t.Errorf("owning transport %v: a duplicate data copy allocated %.2f times through handle, want 0", owns, got)
-		}
-		want := 1.0 // the delivered body's copy
-		if owns {
-			want = 0
-		}
-		if got := testing.AllocsPerRun(runs, first); got != want {
-			t.Errorf("owning transport %v: a first receipt of a never-seen tree allocated %.2f times through handle, want %v", owns, got, want)
-		}
-		st := nd.Stats()
-		if st.DecodeErrors != 0 || st.DataSent != 2*st.DataReceived {
-			t.Errorf("owning transport %v: stats %+v: want no decode errors and two relayed copies per first receipt", owns, st)
-		}
-		stopNode(nd)
+	}
+	for i := 0; i < 4; i++ {
+		first() // lane queues, encode buffers and decode storage warm
+	}
+	if got := testing.AllocsPerRun(runs, func() { nd.handle(0, frames[0]) }); got != 0 {
+		t.Errorf("a duplicate data copy allocated %.2f times through handle, want 0", got)
+	}
+	if got := testing.AllocsPerRun(runs, first); got != 0 {
+		t.Errorf("a first receipt of a never-seen tree allocated %.2f times through handle, want 0", got)
+	}
+	st := nd.Stats()
+	if st.DecodeErrors != 0 || st.DataSent != 2*st.DataReceived {
+		t.Errorf("stats %+v: want no decode errors and two relayed copies per first receipt", st)
 	}
 }
 
@@ -517,11 +589,11 @@ func TestAllocsHandleHeartbeat(t *testing.T) {
 }
 
 // BenchmarkHandleDuplicate is what the m[j] redundancy costs a receiver:
-// one already-delivered data copy through handle on an owning transport.
+// one already-delivered data copy through handle.
 func BenchmarkHandleDuplicate(b *testing.B) {
-	nd := midChainNode(b, 32, true)
+	nd := midChainNode(b, 32)
 	f := chainFrame(b, 32, 1, "payload of a broadcast")
-	nd.handle(0, bytes.Clone(f)) // relayed: the lanes keep this buffer
+	nd.handle(0, f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -16,7 +16,9 @@ package node
 // encode datapath allocates nothing in steady state. The receive side
 // mirrors it: handle decodes every inbound frame into pooled storage
 // (Node.decPool) that is the handler's until it returns, so a relay
-// reads the decoded message only while handing frames to the send path.
+// reads the decoded message only while handing frames to the send path,
+// and copies the inbound bytes, which the transport takes back when the
+// handler returns, into a pooled encode buffer.
 
 import (
 	"fmt"
@@ -75,23 +77,15 @@ func (n *Node) takeEncBuf() *encBuf {
 	return eb
 }
 
-// acquire takes a reference for one send and returns its release. A nil
-// buffer (a relay of the inbound bytes as they are) hands out nil.
+// acquire takes a reference for one send and returns its release.
 func (eb *encBuf) acquire() func() {
-	if eb == nil {
-		return nil
-	}
 	eb.refs.Add(1)
 	return eb.put
 }
 
 // done drops the taker's reference; the buffer goes back to its pool
 // once every send acquired from it has let go too.
-func (eb *encBuf) done() {
-	if eb != nil {
-		eb.drop(heldRef, heldRef)
-	}
-}
+func (eb *encBuf) done() { eb.drop(heldRef, heldRef) }
 
 // drop takes ref off the count, which must hold one of its kind (kind
 // masks them). One that does not was dropped twice, and the buffer may be
@@ -121,11 +115,10 @@ func (n *Node) sendControl(to topology.NodeID, frame []byte, release func()) err
 // enqueue per peer; one TCP flush carrying the frame once), where they may
 // share a flush with other frames or be shed under backpressure. Each
 // peer's hand-off takes a send's reference on eb, the pooled buffer frame
-// lives in (nil for inbound bytes relayed as they are), and the caller's
-// reference is dropped after the last, so the buffer recycles after the
-// last flush. What went out is counted; when the lanes refused every
-// hand-off (the scheduler is closed) the frame went nowhere, and send
-// says so.
+// lives in, and the caller's reference is dropped after the last, so the
+// buffer recycles after the last flush. What went out is counted; when
+// the lanes refused every hand-off (the scheduler is closed) the frame
+// went nowhere, and send says so.
 func (n *Node) send(s dataplane.Sends, frame []byte, eb *encBuf) error {
 	var attempted, sent int
 	var lastErr error
@@ -160,24 +153,4 @@ func (n *Node) encodeDataFrame(msg *wire.DataMsg, raw []byte, snap *knowledge.Sn
 	}
 	eb.b = b
 	return b, eb, nil
-}
-
-// relayDataFrame produces the outbound frame for relaying an inbound
-// data message from the raw inbound bytes; it never re-serializes the
-// message. A non-piggybacking relay forwards the message (and whatever
-// snapshot the sender attached) verbatim; a piggybacking one splices raw
-// around this node's snapshot into a pooled buffer. Verbatim, the bytes
-// must stay valid for the send path's lifetime:
-//
-//   - owned (ownsFrames: TCP hands the handler the buffer for keeps):
-//     the relay frame IS the inbound frame — no copy, no buffer to count.
-//   - lent (the Fabric takes the buffer back when handle returns): raw
-//     is copied into a pooled buffer, one memcpy of the frame.
-//
-// A pooled frame comes with its buffer, held as encodeDataFrame's is.
-func (n *Node) relayDataFrame(msg *wire.DataMsg, raw []byte, snap *knowledge.Snapshot) (frame []byte, eb *encBuf, err error) {
-	if n.ownsFrames && snap == nil {
-		return raw, nil, nil
-	}
-	return n.encodeDataFrame(msg, raw, snap)
 }

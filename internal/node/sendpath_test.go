@@ -111,12 +111,13 @@ func TestAllocsBroadcastWarm(t *testing.T) {
 	}
 }
 
-// TestRelayReusesInboundFrame: on an owning transport (TCP owns its
-// frames, as the test's mailbox does) a non-piggybacking
-// relay forwards the inbound bytes verbatim — its encode pool is never
-// touched — and the broadcast still reaches everyone.
+// TestRelayReusesInboundFrame: a non-piggybacking relay forwards the
+// inbound bytes verbatim, even though the buffer they came in is wiped
+// once handle returns — node 1 of the line 0 — 1 — 2 relays node 0's
+// broadcast to node 2 byte for byte — and the broadcast still reaches
+// everyone.
 func TestRelayReusesInboundFrame(t *testing.T) {
-	g, err := topology.Ring(3)
+	g, err := topology.Line(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,26 +126,41 @@ func TestRelayReusesInboundFrame(t *testing.T) {
 	if _, _, err := nodes[0].Broadcast([]byte("verbatim")); err != nil {
 		t.Fatal(err)
 	}
-	deliverMail(t, nodes, boxes)
+	if !nodes[0].WaitSendIdle(5 * time.Second) {
+		t.Fatal("node 0's lanes never flushed")
+	}
+	relays := 0
+	for _, m := range boxes[0].take() { // each copy: the first relayed, the rest duplicates
+		inbound := bytes.Clone(m.frame)
+		nodes[1].handle(0, m.frame)
+		clear(m.frame) // the transport reuses the buffer
+		if !nodes[1].WaitSendIdle(5 * time.Second) {
+			t.Fatal("node 1's lanes never flushed")
+		}
+		for _, r := range boxes[1].take() {
+			relays++
+			if !bytes.Equal(r.frame, inbound) {
+				t.Errorf("node 1 relayed %x to %d, want the inbound bytes %x", r.frame, r.to, inbound)
+			}
+			nodes[r.to].handle(1, r.frame)
+		}
+	}
+	if relays == 0 {
+		t.Error("node 1 relayed nothing")
+	}
 	for _, id := range []int{1, 2} {
 		d := waitDelivery(t, nodes[id])
 		if string(d.Body) != "verbatim" {
 			t.Fatalf("node %d delivered %q", id, d.Body)
 		}
 	}
-	for _, id := range []int{1, 2} {
-		if got := poolEncodes(nodes[id]); got != 0 {
-			t.Errorf("relay %d performed %d encodes; a verbatim relay must not re-serialize", id, got)
-		}
-	}
 }
 
-// TestRelayReusesLentFrame: on a lending transport (the Fabric, as the
-// test's mailbox here) a relay is made from the inbound bytes as on an
-// owning one, copied into a pooled buffer instead of sent as they came,
-// so wiping the buffer once handle returns changes no relay: a
-// non-piggybacking relay sends exactly the inbound frame, and a
-// piggybacking one exactly the splice the owning node sends. The inbound
+// TestRelayReusesLentFrame: every transport lends its frames, so a relay
+// is made from the inbound bytes copied into a pooled buffer, and wiping
+// the buffer once handle returns changes no relay: a non-piggybacking
+// relay sends exactly the inbound frame, and a piggybacking one exactly
+// the splice a node whose buffer is left alone sends. The inbound
 // frame writes its epoch in a longer varint than the encoder does, which
 // decodes to the same epoch; a relay that went through wire.EncodeInto
 // would shorten it, so the relays carrying it show that none did.
@@ -158,20 +174,20 @@ func TestRelayReusesLentFrame(t *testing.T) {
 			return Config{ID: id, NumProcs: g.NumNodes(), Neighbors: g.Neighbors(id), Piggyback: piggyback}
 		}
 		// relayed hands frame to a node 1 and returns what it sent node 2.
-		// A lending transport reuses the frame's buffer once handle has
+		// With wipe, the frame's buffer is reused once handle has
 		// returned: the relay's send is held until the buffer is wiped.
-		relayed := func(owns bool, frame []byte) []byte {
+		relayed := func(wipe bool, frame []byte) []byte {
 			t.Helper()
-			box := &mailTransport{sinkTransport: sinkTransport{id: 1, owns: owns}}
+			box := &mailTransport{sinkTransport: sinkTransport{id: 1}}
 			var tr transport.Transport = box
 			held := &holdTransport{Transport: box, entered: make(chan struct{}, 1), release: make(chan struct{})}
-			if !owns {
-				tr = held // holdTransport is no FrameOwner
+			if wipe {
+				tr = held
 			}
 			nd := newTestNode(t, cfg(1), tr)
 			defer stopNode(nd)
 			nd.handle(0, frame)
-			if !owns {
+			if wipe {
 				select {
 				case <-held.entered:
 				case <-time.After(5 * time.Second):
@@ -188,7 +204,7 @@ func TestRelayReusesLentFrame(t *testing.T) {
 					return m.frame
 				}
 			}
-			t.Fatalf("piggyback %v, owning %v: node 1 relayed nothing to node 2", piggyback, owns)
+			t.Fatalf("piggyback %v, wiped %v: node 1 relayed nothing to node 2", piggyback, wipe)
 			return nil
 		}
 
@@ -209,12 +225,12 @@ func TestRelayReusesLentFrame(t *testing.T) {
 		last := len(frame) - 1
 		inbound := append(append(slices.Clip(frame[:last]), frame[last]|0x80), 0) // the epoch's varint, one byte longer
 
-		lent, owned := relayed(false, bytes.Clone(inbound)), relayed(true, bytes.Clone(inbound))
+		lent, kept := relayed(true, bytes.Clone(inbound)), relayed(false, bytes.Clone(inbound))
 		if !piggyback && !bytes.Equal(lent, inbound) {
 			t.Errorf("a lent frame was relayed as %x, want the inbound bytes %x", lent, inbound)
 		}
-		if !bytes.Equal(lent, owned) {
-			t.Errorf("piggyback %v: a lent frame was relayed as %x, an owned one as %x", piggyback, lent, owned)
+		if !bytes.Equal(lent, kept) {
+			t.Errorf("piggyback %v: a wiped frame was relayed as %x, one left alone as %x", piggyback, lent, kept)
 		}
 		if !bytes.HasSuffix(lent, inbound[last:]) {
 			t.Errorf("piggyback %v: the relay %x lost the inbound epoch's long varint %x, which a re-encode shortens", piggyback, lent, inbound[last:])
@@ -222,12 +238,15 @@ func TestRelayReusesLentFrame(t *testing.T) {
 	}
 }
 
-// TestRelayForwardsInboundBytesOverTCP: TCP keeps no frame it hands the
-// handler, so a relay over real sockets forwards the inbound bytes too —
-// node 1 of the chain 0 — 1 — 2 relays every broadcast without an encode
-// — and node 2 delivers every body intact, although each delivered body
-// shares its buffer with a frame node 1 queued for relay. Nothing ticks:
-// every frame is one of the broadcasts' floods.
+// TestRelayForwardsInboundBytesOverTCP: TCP takes back the buffer it
+// read a frame into once the handler returns, and a relay over real
+// sockets still forwards the inbound bytes verbatim — node 1 of the line
+// 0 — 1 — 2 relays every frame a bare transport at 0 sends it byte for
+// byte — and node 2 delivers every body intact after later frames reused
+// the read buffers. Each inbound frame writes its epoch in a longer
+// varint than the encoder does, which decodes to the same epoch; a relay
+// that went through wire.EncodeInto would shorten it. Nothing ticks:
+// every frame is one the bare transport sent.
 func TestRelayForwardsInboundBytesOverTCP(t *testing.T) {
 	const procs, msgs = 3, 32
 	trs := make([]*transport.TCP, procs)
@@ -239,45 +258,67 @@ func TestRelayForwardsInboundBytesOverTCP(t *testing.T) {
 		defer func() { _ = tr.Close() }()
 		trs[i] = tr
 	}
-	nodes := make([]*Node, procs)
-	for i := range nodes {
-		var nbs []topology.NodeID
-		for _, j := range []int{i - 1, i + 1} {
-			if j >= 0 && j < procs {
-				nbs = append(nbs, topology.NodeID(j))
-				trs[i].AddPeer(topology.NodeID(j), trs[j].Addr().String())
-			}
-		}
-		nodes[i] = newTestNode(t, Config{ID: topology.NodeID(i), NumProcs: procs, Neighbors: nbs}, trs[i])
+	for i := 0; i < procs-1; i++ {
+		trs[i].AddPeer(topology.NodeID(i+1), trs[i+1].Addr().String())
 	}
+	relay := newTestNode(t, Config{ID: 1, NumProcs: procs, Neighbors: []topology.NodeID{0, 2}}, trs[1])
+	leaf := &keepingTCP{TCP: trs[2]}
+	nd2 := newTestNode(t, Config{ID: 2, NumProcs: procs, Neighbors: []topology.NodeID{1}}, leaf)
 
-	before := poolEncodes(nodes[1])
 	body := func(seq uint64) string { return fmt.Sprintf("broadcast %d over sockets", seq) }
-	for i := 0; i < msgs; i++ {
-		if _, _, err := nodes[0].Broadcast([]byte(body(uint64(i + 1)))); err != nil {
+	inbound := make([][]byte, msgs)
+	for i := range inbound {
+		frame := chainFrame(t, procs, uint64(i+1), body(uint64(i+1)))
+		last := len(frame) - 1
+		inbound[i] = append(append(slices.Clip(frame[:last]), frame[last]|0x80), 0) // the epoch's varint, one byte longer
+		if err := trs[0].Send(1, inbound[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var kept []Delivery
 	for i := 0; i < msgs; i++ {
-		d := waitDelivery(t, nodes[2])
+		kept = append(kept, waitDelivery(t, nd2))
+	}
+	for _, d := range kept {
 		if d.Origin != 0 || string(d.Body) != body(d.Seq) {
 			t.Fatalf("node 2 delivered origin %d seq %d %q", d.Origin, d.Seq, d.Body)
 		}
 	}
-	if !nodes[1].WaitSendIdle(5 * time.Second) {
-		t.Fatal("node 1's lanes never flushed")
+	leaf.mu.Lock()
+	defer leaf.mu.Unlock()
+	if len(leaf.frames) != msgs {
+		t.Fatalf("node 2 was handed %d frames, want the %d relays", len(leaf.frames), msgs)
 	}
-	if got := poolEncodes(nodes[1]) - before; got != 0 {
-		t.Errorf("relaying %d broadcasts over TCP took %d encodes, want 0", msgs, got)
+	for i, f := range leaf.frames {
+		if !bytes.Equal(f, inbound[i]) {
+			t.Errorf("relay %d reached node 2 as %x, want the inbound bytes %x", i, f, inbound[i])
+		}
 	}
-	if s := nodes[1].Stats(); s.DataReceived != msgs || s.DecodeErrors != 0 {
+	if s := relay.Stats(); s.DataReceived != msgs || s.DecodeErrors != 0 {
 		t.Errorf("node 1: %d first receipts, %d decode errors; want %d and 0", s.DataReceived, s.DecodeErrors, msgs)
 	}
 }
 
+// keepingTCP is a TCP transport that keeps a copy of every frame its
+// handler is handed.
+type keepingTCP struct {
+	*transport.TCP
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (k *keepingTCP) SetHandler(h transport.Handler) {
+	k.TCP.SetHandler(func(from topology.NodeID, frame []byte) {
+		k.mu.Lock()
+		k.frames = append(k.frames, bytes.Clone(frame))
+		k.mu.Unlock()
+		h(from, frame)
+	})
+}
+
 // countingTCP is a TCP transport that counts the frames its handler is
 // handed and signals each on a channel the whole cluster shares. The
-// embedded *transport.TCP keeps its FrameOwner and batching fast paths.
+// embedded *transport.TCP keeps its batching fast paths.
 type countingTCP struct {
 	*transport.TCP
 	handled atomic.Int64

@@ -105,14 +105,6 @@ func TestSharedReleaseLastReferenceWins(t *testing.T) {
 	}
 }
 
-func TestSharedReleaseNilCollapses(t *testing.T) {
-	var eb *encBuf // a relay that forwards the inbound bytes as they are
-	if cb := eb.acquire(); cb != nil {
-		t.Fatal("acquire on no buffer must return a nil callback")
-	}
-	eb.done() // must not panic
-}
-
 func TestSharedReleaseDoublePutPanics(t *testing.T) {
 	// back is how many buffers the pool took back, and fails the test
 	// unless it is want.
@@ -159,7 +151,7 @@ func TestSharedReleaseDoublePutPanics(t *testing.T) {
 // region: sync.Pool drops Puts at random when the race detector is on,
 // and a dropped Put would charge the next miss's allocation to the
 // loop. What the loop measures is the steady-state per-relay work once
-// the pool is warm, which is exactly what relayDataFrame does per frame
+// the pool is warm, which is exactly what encodeDataFrame does per relay
 // (wire-level splice correctness is pinned in internal/wire).
 func TestRelaySpliceZeroAllocUnderRace(t *testing.T) {
 	sender, err := knowledge.NewView(2, 5, []topology.NodeID{1, 3}, nil, knowledge.Params{})

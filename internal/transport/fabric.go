@@ -95,9 +95,17 @@ type Fabric struct {
 	lent pool.Pool[lentBuf]
 }
 
-// lentBuf is one routed frame's buffer; the pointer wrapper keeps the
-// pool from boxing a slice header on every Put.
+// lentBuf is one inbound frame's buffer, lent to the handler for its
+// calls (a Fabric's routed frame, a frame TCP read); the pointer wrapper
+// keeps the pool from boxing a slice header on every Put.
 type lentBuf struct{ b []byte }
+
+// keepLent is the Reset of a pool of lent buffers: it empties lb and
+// keeps it unless a huge frame grew it past keepBuf.
+func keepLent(lb *lentBuf) bool {
+	lb.b = lb.b[:0]
+	return cap(lb.b) <= keepBuf
+}
 
 // NewFabric returns an empty fabric.
 func NewFabric(opts FabricOptions) *Fabric {
@@ -111,10 +119,7 @@ func NewFabric(opts FabricOptions) *Fabric {
 	if opts.SendCost > 0 {
 		f.costSrc = make([]byte, opts.SendCost)
 	}
-	f.lent.Reset = func(lb *lentBuf) bool {
-		lb.b = lb.b[:0]
-		return cap(lb.b) <= keepBuf
-	}
+	f.lent.Reset = keepLent
 	return f
 }
 
@@ -454,14 +459,8 @@ type fabricEndpoint struct {
 }
 
 var _ Transport = (*fabricEndpoint)(nil)
-var _ FrameOwner = (*fabricEndpoint)(nil)
 var _ BatchSender = (*fabricEndpoint)(nil)
 var _ MultiFrameSender = (*fabricEndpoint)(nil)
-
-// HandlerOwnsFrame implements FrameOwner: the Fabric lends each routed
-// frame's buffer for the handler calls and reuses it for a later frame
-// once they have returned, so a handler keeps nothing it is handed.
-func (ep *fabricEndpoint) HandlerOwnsFrame() bool { return false }
 
 // Local implements Transport.
 func (ep *fabricEndpoint) Local() topology.NodeID { return ep.id }

@@ -50,8 +50,9 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // handler reads nothing, so a slow handler backs up into the kernel
 // socket buffer and then the sender: TCP never drops and keeps no queue.
 //
-// TCP implements FrameOwner: every frame is read into a fresh buffer the
-// transport never touches again. It implements BatchSender, and the n
+// TCP lends its frames: each is read into a buffer from the transport's
+// pool and taken back when the handler returns. It implements
+// BatchSender, and the n
 // copies of one SendN share a fate: on one in-order stream, if copy k
 // arrives then copy 1 arrived before it. So TCP writes each frame once,
 // however many copies it is handed. A broken connection delivers a byte
@@ -72,6 +73,9 @@ type TCP struct {
 	conns   map[topology.NodeID]*tcpConn // outbound connection cache
 	inConns map[net.Conn]struct{}        // accepted connections (closed on shutdown)
 	closed  bool
+
+	// lent recycles the buffers readers read frames into.
+	lent pool.Pool[lentBuf]
 
 	flushes    atomic.Int64
 	framesSent atomic.Int64
@@ -107,7 +111,6 @@ type tcpConn struct {
 }
 
 var _ Transport = (*TCP)(nil)
-var _ FrameOwner = (*TCP)(nil)
 var _ BatchSender = (*TCP)(nil)
 var _ MultiFrameSender = (*TCP)(nil)
 
@@ -128,6 +131,7 @@ func NewTCP(local topology.NodeID, listenAddr string, peers map[topology.NodeID]
 		inConns:  make(map[net.Conn]struct{}),
 		stop:     make(chan struct{}),
 	}
+	t.lent.Reset = keepLent
 	for id, addr := range peers {
 		t.peers[id] = addr
 	}
@@ -138,11 +142,6 @@ func NewTCP(local topology.NodeID, listenAddr string, peers map[topology.NodeID]
 
 // Addr returns the bound listen address (useful with ":0").
 func (t *TCP) Addr() net.Addr { return t.listener.Addr() }
-
-// HandlerOwnsFrame implements FrameOwner: readLoop reads every frame into
-// a fresh buffer and never touches it again, so a delivered body and a
-// relayed frame may be the inbound bytes themselves.
-func (t *TCP) HandlerOwnsFrame() bool { return true }
 
 // AddPeer extends the address book at runtime.
 func (t *TCP) AddPeer(id topology.NodeID, addr string) {
@@ -227,7 +226,7 @@ func (t *TCP) SendFrames(to topology.NodeID, batch []FrameBatch) error {
 type writeBuf struct{ b []byte }
 
 // keepBuf bounds the buffers a pool of this package keeps (TCP's flush
-// buffers, the Fabric's lent frames): a rare huge frame (up to
+// buffers, lent frames): a rare huge frame (up to
 // maxFrameSize) is not pinned for good.
 const keepBuf = 64 << 10
 
@@ -375,24 +374,34 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if size > maxFrameSize {
 			return
 		}
-		frame := make([]byte, size) // the handler's to keep (FrameOwner)
-		if _, err := io.ReadFull(conn, frame); err != nil {
+		lb := t.lent.Get()
+		lb.b = slices.Grow(lb.b, int(size))[:size]
+		ok := t.handleFrame(conn, from, lb.b)
+		t.lent.Put(lb)
+		if !ok {
 			return
 		}
-		// The reader waits for the lock and then for the call: a held
-		// handler holds the connection, and the sender's writes back up
-		// behind it — backpressure instead of loss. Once Close has begun,
-		// no further call starts.
-		t.handleMu.Lock()
-		select {
-		case <-t.stop:
-			t.handleMu.Unlock()
-			return
-		default:
-		}
-		if t.handler != nil {
-			t.handler(from, frame)
-		}
-		t.handleMu.Unlock()
 	}
+}
+
+// handleFrame reads one frame into buf and runs the handler on it; false
+// means the connection is done. The reader waits for the lock and then
+// for the call: a held handler holds the connection, and the sender's
+// writes back up behind it — backpressure instead of loss. Once Close
+// has begun, no further call starts.
+func (t *TCP) handleFrame(conn net.Conn, from topology.NodeID, buf []byte) bool {
+	if _, err := io.ReadFull(conn, buf); err != nil {
+		return false
+	}
+	t.handleMu.Lock()
+	defer t.handleMu.Unlock()
+	select {
+	case <-t.stop:
+		return false
+	default:
+	}
+	if t.handler != nil {
+		t.handler(from, buf)
+	}
+	return true
 }

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"slices"
@@ -32,37 +34,53 @@ func tcpPair(t *testing.T, h Handler) (server, client *TCP) {
 	return server, client
 }
 
-// TestTCPHandlerOwnsFrame: TCP hands the handler a buffer of its own per
-// frame — single sends and coalesced SendFrames batches alike, each batch
-// entry once whatever its copy count — so a handler that keeps every
-// frame finds each still holding its bytes once all of them have arrived.
-func TestTCPHandlerOwnsFrame(t *testing.T) {
-	const singles, batches, total = 100, 50, 300
-	var mu sync.Mutex
-	var kept [][]byte
-	all := make(chan struct{})
-	server, client := tcpPair(t, func(_ topology.NodeID, frame []byte) {
-		mu.Lock()
-		defer mu.Unlock()
-		kept = append(kept, frame)
-		if len(kept) == total {
-			close(all)
+// TestTCPLendsEveryBufferBack: TCP reads each frame into a buffer from
+// its lent pool and takes it back whichever way the frame leaves —
+// handled, cut short by a peer that closes mid-frame, or read while
+// Close begins and never handed to the handler — and takes none for a
+// length prefix over the limit. Every frame a handler is handed reads as
+// sent, single sends and coalesced batches alike, although the buffers
+// are reused.
+func TestTCPLendsEveryBufferBack(t *testing.T) {
+	// lent waits until server has n buffers out.
+	lent := func(server *TCP, n int, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for server.lent.Outstanding() != n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d buffers lent, want %d", what, server.lent.Outstanding(), n)
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-	})
-	defer func() { _ = server.Close() }()
-	defer func() { _ = client.Close() }()
-	if !server.HandlerOwnsFrame() {
-		t.Fatal("TCP does not declare that the handler owns its frames")
+	}
+	// raw dials server and says hello as peer 9, with no transport of its own.
+	raw := func(server *TCP) net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", server.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello := binary.BigEndian.AppendUint32(nil, tcpMagic)
+		if _, err := c.Write(binary.BigEndian.AppendUint64(hello, 9)); err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 
+	// Handled: 100 single sends and 50 batches of 4 entries, each entry
+	// once whatever its copies.
+	const singles, batches, total = 100, 50, 300
+	col := newCollector()
+	server, client := tcpPair(t, col.handler)
+	defer func() { _ = server.Close() }()
+	defer func() { _ = client.Close() }()
 	frame := func(i int) []byte {
 		return []byte(fmt.Sprintf("frame %03d %s", i, bytes.Repeat([]byte{byte(i)}, i%37)))
 	}
-	var want [][]byte
+	var want []string
 	for i := 0; i < singles; i++ {
-		f := frame(i)
-		want = append(want, f)
-		if err := client.Send(1, f); err != nil {
+		want = append(want, string(frame(i)))
+		if err := client.Send(1, frame(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,29 +88,110 @@ func TestTCPHandlerOwnsFrame(t *testing.T) {
 		batch := make([]FrameBatch, 4)
 		for e := range batch {
 			batch[e] = FrameBatch{Frame: frame(i), Copies: 2}
-			want = append(want, batch[e].Frame)
+			want = append(want, string(batch[e].Frame))
 			i++
 		}
 		if _, err := SendFrames(client, 1, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(want) != total {
-		t.Fatalf("the test sends %d frames, want %d", len(want), total)
+	col.wait(t, total)
+	if got, _ := col.snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("the handler was handed %d frames, not the %d sent in order", len(got), total)
 	}
-	select {
-	case <-all:
-	case <-time.After(5 * time.Second):
-		mu.Lock()
-		defer mu.Unlock()
-		t.Fatalf("%d of %d frames arrived", len(kept), total)
+	lent(server, 0, "handled frames")
+
+	// A peer that closes mid-frame: the reader holds a buffer for the
+	// 100 promised bytes, gets 10 and EOF.
+	c := raw(server)
+	if _, err := c.Write(append(binary.BigEndian.AppendUint32(nil, 100), make([]byte, 10)...)); err != nil {
+		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, got := range kept {
-		if !bytes.Equal(got, want[i]) {
-			t.Fatalf("kept frame %d now reads %q, want %q", i, got, want[i])
+	lent(server, 1, "a frame begun")
+	_ = c.Close()
+	lent(server, 0, "a frame cut short")
+
+	// A length prefix over the limit ends the connection before any
+	// buffer is taken: the server closes it, and nothing is out.
+	c = raw(server)
+	if _, err := c.Write(binary.BigEndian.AppendUint32(nil, maxFrameSize+1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(c); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Close()
+	if n := server.lent.Outstanding(); n != 0 {
+		t.Fatalf("an oversize length prefix lent %d buffers", n)
+	}
+
+	// Close between the read and the handler: the first connection's
+	// frame is held in the handler; the second's has been read and waits
+	// for the handler lock when Close begins, so it is never handled.
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	var calls atomic.Int32
+	held, err := NewTCP(1, "127.0.0.1:0", nil, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = held.Close() }()
+	held.SetHandler(func(topology.NodeID, []byte) {
+		calls.Add(1)
+		entered <- struct{}{}
+		<-gate
+	})
+	first, second := raw(held), raw(held)
+	defer func() { _ = first.Close() }()
+	defer func() { _ = second.Close() }()
+	for _, c := range []net.Conn{first, second} {
+		if _, err := c.Write(append(binary.BigEndian.AppendUint32(nil, 1), 'x')); err != nil {
+			t.Fatal(err)
 		}
+		if c == first {
+			<-entered
+		}
+	}
+	lent(held, 2, "two frames read")
+	closed := make(chan error, 1)
+	go func() { closed <- held.Close() }()
+	<-held.stop // release the handler only once Close has begun
+	close(gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("the handler ran %d times, want only the held call", n)
+	}
+	lent(held, 0, "a frame read as Close began")
+}
+
+// TestAllocsTCPReceive pins a warm TCP receive at zero: the reader reads
+// each frame into a buffer from its lent pool and takes it back after the
+// handler returns, so a frame sent, read, handled and given back — the
+// send side included, as TestAllocsTCPFlush pins it — allocates nothing.
+func TestAllocsTCPReceive(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	handled := make(chan struct{}, 1)
+	server, client := tcpPair(t, func(topology.NodeID, []byte) { handled <- struct{}{} })
+	defer func() { _ = server.Close() }()
+	defer func() { _ = client.Close() }()
+	frame := bytes.Repeat([]byte{7}, 300)
+	receive := func() {
+		if err := client.Send(1, frame); err != nil {
+			t.Fatal(err)
+		}
+		<-handled
+		for server.lent.Outstanding() > 0 {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 16; i++ { // dial, hello and the pools warm
+		receive()
+	}
+	if got := testing.AllocsPerRun(200, receive); got != 0 {
+		t.Errorf("a warm TCP receive allocated %.2f times per frame, want 0", got)
 	}
 }
 

@@ -15,8 +15,10 @@ package transport
 
 import "adaptivecast/internal/topology"
 
-// Handler consumes one inbound frame. Implementations must not retain the
-// frame slice after returning unless the transport is a FrameOwner.
+// Handler consumes one inbound frame. The frame is lent for the call:
+// both transports of this package take its buffer back when the handler
+// returns and read or copy a later frame into it, so a handler copies
+// whatever it keeps.
 type Handler func(from topology.NodeID, frame []byte)
 
 // Transport sends frames to peers and feeds inbound frames to a handler.
@@ -38,8 +40,8 @@ type Transport interface {
 	// returning; both in-package transports do (the Fabric copies each
 	// routed frame into a buffer it lends the receiver; TCP has written
 	// the frame to the socket before it returns). This is the outbound
-	// mirror of the FrameOwner contract, and it is what makes pooled
-	// encode buffers on the send path sound.
+	// mirror of Handler's lending, and it is what makes pooled encode
+	// buffers on the send path sound.
 	Send(to topology.NodeID, frame []byte) error
 	// Close releases resources and stops the receive loop. It is
 	// idempotent; after Close, Send fails and no handler runs.
@@ -69,17 +71,12 @@ type BatchSender interface {
 	SendN(to topology.NodeID, frame []byte, n int) error
 }
 
-// FrameOwner is the optional marker for transports whose inbound frame
-// buffers are exclusively owned by the receiving side: the transport
-// never reuses or mutates a buffer after handing it to the handler, so
-// the handler may retain it — the node then delivers a body and relays a
-// frame as the inbound bytes themselves instead of copying them. TCP
-// owns: it reads every frame into a fresh buffer. The Fabric lends: it
-// copies each routed frame into a pooled buffer, lends it for the
-// handler calls and reuses it afterwards, so a heartbeat or a duplicate
-// copy — dropped before the handler returns — costs no allocation. A
-// transport that does not promise ownership gets a node that copies what
-// outlives the handler call: a delivered body, a relayed frame.
+// FrameOwner was the marker of a transport that handed its handler each
+// frame buffer to keep. No transport implements it and the node no
+// longer asks: every transport lends its frames, and the node copies
+// what outlives the handler call, a delivered body and a relayed frame.
+// It remains only because the benchmark's transport tap
+// (internal/bench/tap.go) names it.
 type FrameOwner interface {
 	// HandlerOwnsFrame reports whether handler-received frame buffers are
 	// the handler's to keep.

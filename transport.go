@@ -8,10 +8,9 @@ import "adaptivecast/internal/transport"
 // at a time per node, so node state machines see serialized input.
 type Transport = transport.Transport
 
-// Handler consumes one inbound frame. Implementations must not retain the
-// frame slice after returning unless the transport declares, with
-// HandlerOwnsFrame, that the handler owns it: TCP does; the Fabric lends
-// each frame for the call and reuses its buffer afterwards.
+// Handler consumes one inbound frame. The frame is lent for the call:
+// TCP and the Fabric both reuse its buffer once the handler returns, so
+// an implementation copies whatever it keeps.
 type Handler = transport.Handler
 
 // BatchSender is the optional transport fast path for sending n logical
