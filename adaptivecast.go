@@ -41,11 +41,11 @@
 // a topology, pre-wired over a shared Fabric — the quickest way to run
 // the full adaptive stack in one process.
 //
-// The algorithmic building blocks live in internal packages and are
-// exercised further by the cmd/ tools (cmd/repro regenerates every figure
-// and table of the paper via the public adaptivecast/experiments package,
-// cmd/simrun compares the algorithms on one configuration via the public
-// adaptivecast/sim package) and the examples/ directory.
+// The algorithmic building blocks live in internal packages. The paper's
+// evaluation runs on them directly from cmd/repro (every figure and table
+// of the paper), cmd/simrun (the algorithms compared on one
+// configuration) and cmd/scenariomatrix (the adversarial scenarios); the
+// examples/ directory uses this package alone.
 package adaptivecast
 
 import (

@@ -29,11 +29,26 @@ func TestClusterValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("loss on missing link should fail")
 	}
-	if _, err := NewCluster(ClusterConfig{
-		Topology: ring,
-		LinkLoss: map[Link]float64{NewLink(0, 1): 1.5},
-	}); err == nil {
-		t.Error("invalid loss probability should fail")
+	for _, loss := range []float64{1.5, math.NaN()} {
+		if c, err := NewCluster(ClusterConfig{
+			Topology: ring,
+			LinkLoss: map[Link]float64{NewLink(0, 1): loss},
+		}); err == nil {
+			_ = c.Close()
+			t.Errorf("loss probability %v should fail", loss)
+		}
+	}
+	for _, k := range []float64{1, math.NaN()} {
+		if c, err := NewCluster(ClusterConfig{Topology: ring, K: k}); err == nil {
+			_ = c.Close()
+			t.Errorf("K=%v should fail", k)
+		}
+	}
+	fabric := NewFabric(FabricOptions{})
+	defer func() { _ = fabric.Close() }()
+	if n, err := NewNode(fabric.Endpoint(0), 4, []NodeID{1, 3}, WithK(math.NaN())); err == nil {
+		_ = n.Close()
+		t.Error("WithK(NaN) should fail")
 	}
 }
 

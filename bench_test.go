@@ -468,18 +468,6 @@ func BenchmarkBroadcastParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkGossipMeanField measures the analytic fixed-step predictor on
-// the paper's scale.
-func BenchmarkGossipMeanField(b *testing.B) {
-	_, cfg := benchTopology(b, 100, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gossip.MeanField(cfg, 0, 0.9999, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkHeterogeneous regenerates the heterogeneity extension figure.
 func BenchmarkHeterogeneous(b *testing.B) {
 	p := experiments.HeterogeneousParams{

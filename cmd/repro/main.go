@@ -1,6 +1,6 @@
 // Command repro regenerates every table and figure of the paper's
-// evaluation as text series (see EXPERIMENTS.md for the mapping and the
-// recorded paper-vs-measured comparison).
+// evaluation as text series (docs/ARCHITECTURE.md, "Where the paper lives
+// in the code", maps each to its driver in internal/experiments).
 //
 // Usage:
 //
@@ -20,7 +20,7 @@ import (
 	"os"
 	"time"
 
-	"adaptivecast/experiments"
+	"adaptivecast/internal/experiments"
 )
 
 func main() {

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"os"
 
-	"adaptivecast/scenario"
+	"adaptivecast/internal/scenario"
 )
 
 // report is the SCENARIOS.json document: the run parameters and one

@@ -18,8 +18,14 @@ import (
 	"math/rand"
 	"os"
 
-	"adaptivecast/experiments"
-	"adaptivecast/sim"
+	"adaptivecast/internal/broadcast"
+	"adaptivecast/internal/config"
+	"adaptivecast/internal/dataplane"
+	"adaptivecast/internal/experiments"
+	"adaptivecast/internal/gossip"
+	"adaptivecast/internal/knowledge"
+	"adaptivecast/internal/sim"
+	"adaptivecast/internal/topology"
 )
 
 func main() {
@@ -36,7 +42,7 @@ func run(args []string, out io.Writer) error {
 		conn  = fs.Int("conn", 8, "links per process")
 		p     = fs.Float64("p", 0.01, "per-step crash probability P")
 		l     = fs.Float64("l", 0.03, "per-transmission loss probability L")
-		k     = fs.Float64("k", sim.DefaultK, "reliability target K")
+		k     = fs.Float64("k", dataplane.DefaultK, "reliability target K")
 		seed  = fs.Int64("seed", 1, "random seed")
 		runs  = fs.Int("gossip-runs", 20, "Monte-Carlo runs for the reference algorithm")
 		maxPd = fs.Int("max-periods", 5000, "convergence period budget")
@@ -46,20 +52,20 @@ func run(args []string, out io.Writer) error {
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
-	g, err := sim.RandomConnected(*n, *conn, rng)
+	g, err := topology.RandomConnected(*n, *conn, rng)
 	if err != nil {
 		return err
 	}
-	truth, err := sim.Uniform(g, *p, *l)
+	truth, err := config.Uniform(g, *p, *l)
 	if err != nil {
 		return err
 	}
-	root := sim.NodeID(rng.Intn(*n))
+	root := topology.NodeID(rng.Intn(*n))
 	fmt.Fprintf(out, "configuration: n=%d conn=%d (|Λ|=%d) P=%g L=%g K=%g root=%d seed=%d\n\n",
 		*n, *conn, g.NumLinks(), *p, *l, *k, root, *seed)
 
 	// Reference gossip.
-	ref, err := sim.GossipMeanCost(truth, root, rng, *runs, sim.GossipOptions{})
+	ref, err := gossip.MeanCost(truth, root, rng, *runs, gossip.Options{})
 	if err != nil {
 		return err
 	}
@@ -77,7 +83,7 @@ func run(args []string, out io.Writer) error {
 	// Adaptive: converge, then plan a broadcast from learned knowledge.
 	eng := sim.NewEngine(*seed)
 	net := sim.NewNetwork(eng, truth, sim.Options{DisableCrashSampling: true})
-	runner, err := sim.NewRunner(net, sim.RunnerOptions{
+	runner, err := broadcast.NewRunner(net, broadcast.RunnerOptions{
 		K:                   *k,
 		ModelCrashesAsSkips: true,
 	}, nil)
@@ -85,7 +91,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	runner.Start()
-	crit := sim.DefaultCriterion
+	crit := knowledge.DefaultCriterion
 	converged := false
 	for period := 25; period <= *maxPd; period += 25 {
 		eng.RunUntil(sim.Time(period) + 0.5)

@@ -26,6 +26,7 @@ package broadcast
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/heartbeat"
@@ -86,7 +87,7 @@ func NewAdaptive(net *sim.Network, id topology.NodeID, k float64, view *knowledg
 }
 
 func newProc(net *sim.Network, id topology.NodeID, k float64, plane *dataplane.Plane, sink func(Delivery)) (*Proc, error) {
-	if k <= 0 || k >= 1 {
+	if math.IsNaN(k) || k <= 0 || k >= 1 {
 		return nil, fmt.Errorf("broadcast: K=%v outside (0,1)", k)
 	}
 	if sink == nil {

@@ -186,7 +186,7 @@ func TestNewProcRejectsBadK(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := sim.NewNetwork(sim.NewEngine(1), config.New(g), sim.Options{})
-	for _, k := range []float64{0, 1, -0.5, 1.5} {
+	for _, k := range []float64{0, 1, -0.5, 1.5, math.NaN()} {
 		if _, err := NewOptimal(net, 0, k, nil); err == nil {
 			t.Errorf("K=%v should fail", k)
 		}

@@ -11,7 +11,8 @@ import (
 	"adaptivecast/internal/topology"
 )
 
-// AblationParams configures the design-choice ablations from DESIGN.md.
+// AblationParams configures the design-choice ablations: AblationAllocation,
+// AblationTree and AblationGossipAcks.
 type AblationParams struct {
 	// N is the process count.
 	N int

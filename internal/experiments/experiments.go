@@ -1,9 +1,10 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (Section 5 plus the introduction's Figure 1 and the
-// Bayesian example of Table 1), and the ablation studies listed in
-// DESIGN.md. Each driver returns a FigureResult whose series mirror the
-// rows/curves the paper plots; cmd/repro renders them as text and
-// bench_test.go wraps each driver in a benchmark.
+// Bayesian example of Table 1), and the ablation studies of ablations.go
+// (greedy vs uniform allocation, the MRT vs BFS and random trees, the
+// reference gossip's ack overhead). Each driver returns a FigureResult
+// whose series mirror the rows/curves the paper plots; cmd/repro renders
+// them as text and bench_test.go wraps each driver in a benchmark.
 //
 // Experiment configurations default to the paper's parameters (100
 // processes, connectivity 2..20, K = 0.9999) but every driver accepts

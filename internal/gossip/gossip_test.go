@@ -179,96 +179,6 @@ func TestQuiescenceImpliesReachProperty(t *testing.T) {
 	}
 }
 
-func TestMeanFieldValidation(t *testing.T) {
-	g, err := topology.RandomConnected(30, 4, rand.New(rand.NewSource(21)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := config.Uniform(g, 0, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := MeanField(cfg, 0, 0.99, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mf.ReachMin < 0.99 {
-		t.Errorf("predicted reach %v below K", mf.ReachMin)
-	}
-	if mf.Steps <= 0 || mf.ExpectedData <= 0 {
-		t.Fatalf("degenerate prediction: %+v", mf)
-	}
-
-	// Validate against the exact Monte-Carlo simulation: the fixed-step
-	// run at the predicted step count should reach everyone in the vast
-	// majority of runs, and the message counts should agree within
-	// mean-field tolerance.
-	rng := rand.New(rand.NewSource(22))
-	mc, err := MeanCost(cfg, 0, rng, 60, Options{FixedRounds: mf.Steps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.ReachedAll < 0.85 {
-		t.Errorf("only %v of fixed-step runs reached all (per-node prediction %v)",
-			mc.ReachedAll, mf.ReachMin)
-	}
-	// The factorized cost over-estimates (see MeanFieldResult); it must
-	// stay the right order of magnitude and on the upper side.
-	ratio := mf.ExpectedData / mc.DataMessages
-	if ratio < 0.8 || ratio > 2.5 {
-		t.Errorf("expected data %v vs simulated %v (ratio %v) outside mean-field tolerance",
-			mf.ExpectedData, mc.DataMessages, ratio)
-	}
-}
-
-func TestMeanFieldFixedStepCostsMore(t *testing.T) {
-	// The paper-style fixed-step reference at K=0.9999 must cost at least
-	// as much as the feedback-driven quiescence run (our conservative
-	// default baseline).
-	g, err := topology.RandomConnected(40, 8, rand.New(rand.NewSource(23)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := config.Uniform(g, 0, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := MeanField(cfg, 0, 0.9999, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quiesce, err := MeanCost(cfg, 0, rand.New(rand.NewSource(24)), 30, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mf.ExpectedData < quiesce.DataMessages*0.9 {
-		t.Errorf("fixed-step cost %v unexpectedly below quiescence cost %v",
-			mf.ExpectedData, quiesce.DataMessages)
-	}
-}
-
-func TestMeanFieldErrors(t *testing.T) {
-	g, err := topology.Ring(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := config.New(g)
-	if _, err := MeanField(cfg, 9, 0.99, 0); err == nil {
-		t.Error("bad root should fail")
-	}
-	if _, err := MeanField(cfg, 0, 1.5, 0); err == nil {
-		t.Error("bad K should fail")
-	}
-	// Unreachable: a fully lossy ring cannot meet K.
-	lossy, err := config.Uniform(g, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MeanField(lossy, 0, 0.99, 50); err == nil {
-		t.Error("loss=1 should never reach K")
-	}
-}
-
 func TestDisableAcksRequiresFixedRounds(t *testing.T) {
 	g, err := topology.Ring(5)
 	if err != nil {

@@ -23,7 +23,7 @@
 //  4. Recovering from a crash of n ticks — decrease it n times.
 //
 // Two deliberate deviations from the paper's pseudo-code, documented here
-// and in DESIGN.md:
+// and in docs/ARCHITECTURE.md ("The heartbeat datapath"):
 //
 // First, Algorithm 4 line 19 computes the suspicion adjustment but never
 // credits a successfully received heartbeat as positive evidence for the

@@ -2,12 +2,14 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/config"
 	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/optimize"
@@ -28,6 +30,10 @@ type auditScores struct {
 	lossOnly  int       // plans below K under the true loss and the view's crash estimates
 	copies    int       // Σ m[j] over the plans
 	edges     int       // tree edges over the plans
+	// worst explains the plan of lowest true reach below K, one row per
+	// tree edge; empty while no plan is below K.
+	worst      string
+	worstReach float64
 }
 
 func (s *auditScores) below(k float64) int {
@@ -87,23 +93,30 @@ func runEq1Audit(t *testing.T, seed int64, windows []auditWindow) []*auditScores
 	}
 
 	// score has nd plan through its own replan, and scores the plan under the
-	// truth, and under the true loss with nd's crash estimates.
+	// truth, and under the true loss with nd's crash estimates. A plan
+	// below K that is the window's worst so far is explained from the
+	// view it was planned from.
 	score := func(nd *Node, s *auditScores, period int) {
 		t.Helper()
 		lossOnly := truth.Clone()
 		nd.mu.Lock()
 		p, _ := nd.plane.Replan()
+		if p.Err != nil {
+			nd.mu.Unlock()
+			t.Fatalf("period %d: origin %d has no plan: %v", period, nd.ID(), p.Err)
+		}
 		for v := 0; v < n; v++ {
 			mean, _ := nd.view.CrashEstimate(topology.NodeID(v))
 			if err := lossOnly.SetCrash(topology.NodeID(v), mean); err != nil {
+				nd.mu.Unlock()
 				t.Fatal(err)
 			}
 		}
-		nd.mu.Unlock()
-		if p.Err != nil {
-			t.Fatalf("period %d: origin %d has no plan: %v", period, nd.ID(), p.Err)
-		}
 		r, err := optimize.PlanReach(p.Parents, p.Alloc, truth)
+		if err == nil && r < dataplane.DefaultK && (s.worst == "" || r < s.worstReach) {
+			s.worst, s.worstReach = explainPlan(nd, p, truth, r, period), r
+		}
+		nd.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,6 +168,46 @@ func runEq1Audit(t *testing.T, seed int64, windows []auditWindow) []*auditScores
 	return scores
 }
 
+// explainPlan writes one row per tree edge parent → child of nd's plan p,
+// whose true reach is reach: the λ nd estimated and the true λ (Eq. 1's
+// per-copy miss probability), the (succ, fail) evidence of the view's
+// loss record for the link and of its crash records for both endpoints,
+// the copies m[j], and the edge's share of the miss — ln(1 − λ^m[j]) over
+// ln reach, which sums to 1 over the tree and is its share of 1 − reach
+// while the misses are small. Callers hold nd.mu.
+func explainPlan(nd *Node, p *dataplane.Plan, truth *config.Config, reach float64, period int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "origin %d at period %d: true reach %.6f, %d copies over %d tree edges", nd.ID(), period, reach, p.Planned, p.Edges)
+	fmt.Fprintf(&b, "\n      %-8s %8s %8s %13s %13s %13s %4s %7s", "edge", "est λ", "true λ", "loss (s,f)", "crash p (s,f)", "crash c (s,f)", "m", "share")
+	for v, parent := range p.Parents {
+		child := topology.NodeID(v)
+		if parent == topology.None {
+			continue
+		}
+		lam, err := truth.Lambda(parent, child)
+		if err != nil {
+			fmt.Fprintf(&b, "\n      %d→%d: %v", parent, child, err)
+			continue
+		}
+		crashP, _ := nd.view.CrashEstimate(parent)
+		crashC, _ := nd.view.CrashEstimate(child)
+		link := topology.NewLink(parent, child)
+		loss, _, _ := nd.view.LossEstimate(link)
+		var lossRec bayes.State
+		if e := nd.view.LinkEstimator(link); e != nil {
+			lossRec = e.State()
+		}
+		recP, recC := nd.view.ProcEstimator(parent).State(), nd.view.ProcEstimator(child).State()
+		m := int(p.Alloc[v])
+		share := math.Log(1-math.Pow(lam, float64(m))) / math.Log(reach)
+		fmt.Fprintf(&b, "\n      %-8s %8.5f %8.5f %13s %13s %13s %4d %7.4f",
+			fmt.Sprintf("%d→%d", parent, child), 1-(1-crashP)*(1-loss)*(1-crashC), lam,
+			fmt.Sprintf("(%d,%d)", lossRec.Succ, lossRec.Fail), fmt.Sprintf("(%d,%d)", recP.Succ, recP.Fail),
+			fmt.Sprintf("(%d,%d)", recC.Succ, recC.Fail), m, share)
+	}
+	return b.String()
+}
+
 // TestEq1Audit runs the audit on two seeds over an early window, while
 // the estimates converge, and a late one. Only the late window is gated:
 // there no plan may fall below K under the true configuration. The early
@@ -180,8 +233,8 @@ func TestEq1Audit(t *testing.T) {
 				w := windows[i]
 				fmt.Fprintf(&report, "\n  periods %d–%d: %v", w.from, w.to, s)
 				if w.name == "late" && s.below(dataplane.DefaultK) > 0 {
-					t.Errorf("periods %d–%d: %d of %d plans reach below K = %v under the true configuration",
-						w.from, w.to, s.below(dataplane.DefaultK), len(s.trueReach), dataplane.DefaultK)
+					t.Errorf("periods %d–%d: %d of %d plans reach below K = %v under the true configuration; the worst, %s",
+						w.from, w.to, s.below(dataplane.DefaultK), len(s.trueReach), dataplane.DefaultK, s.worst)
 				}
 			}
 			t.Logf("Eq. 1 audit, seed %d:%s", seed, report.String())

@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -422,7 +423,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if tr.Local() != cfg.ID {
 		return nil, fmt.Errorf("node: transport speaks for %d, config says %d", tr.Local(), cfg.ID)
 	}
-	if cfg.K <= 0 || cfg.K >= 1 {
+	if math.IsNaN(cfg.K) || cfg.K <= 0 || cfg.K >= 1 {
 		return nil, fmt.Errorf("node: K=%v outside (0,1)", cfg.K)
 	}
 	view, err := knowledge.NewView(cfg.ID, cfg.NumProcs, cfg.Neighbors, nil, cfg.Knowledge)

@@ -140,8 +140,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{ID: 1, NumProcs: 2, Neighbors: []topology.NodeID{0}}, ep); err == nil {
 		t.Error("transport/config ID mismatch should fail")
 	}
-	if _, err := New(Config{ID: 0, NumProcs: 2, Neighbors: []topology.NodeID{1}, K: 2}, ep); err == nil {
-		t.Error("invalid K should fail")
+	for _, k := range []float64{2, -0.5, 1, math.NaN()} {
+		if _, err := New(Config{ID: 0, NumProcs: 2, Neighbors: []topology.NodeID{1}, K: k}, ep); err == nil {
+			t.Errorf("K=%v should fail", k)
+		}
 	}
 	if _, err := New(Config{ID: 0, NumProcs: 1, Neighbors: []topology.NodeID{5}}, ep); err == nil {
 		t.Error("bad neighbor should fail")

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -49,41 +50,19 @@ func (o FabricOptions) withDefaults() FabricOptions {
 type FabricStats struct {
 	Sent       int
 	Lost       int // dropped by injected probabilistic loss
-	FaultDrops int // dropped by a hard fault: a Down link, a partition or a closed endpoint
+	FaultDrops int // dropped at a closed endpoint
 	Overflows  int // dropped because a receiving inbox was full
 }
 
-// LinkModel describes one *direction* of a link. The zero value is a
-// perfect wire: no loss, fabric-default latency, no jitter, up.
-type LinkModel struct {
-	// Loss is the per-copy drop probability in [0,1].
-	Loss float64
-	// Latency overrides FabricOptions.Latency for this direction when > 0.
-	Latency time.Duration
-	// Jitter adds a uniform extra delay in [0, Jitter) per flush (frames
-	// that share a wire flush share an arrival, so they share the draw).
-	Jitter time.Duration
-	// Down drops every copy while set — the flapping-link control. Unlike
-	// Loss it is a hard outage, counted in FaultDrops rather than Lost.
-	Down bool
-}
-
-// dlink keys the per-direction model map.
-type dlink struct{ from, to topology.NodeID }
-
 // Fabric is an in-process "network": it owns one endpoint per node and
-// applies an injectable per-direction LinkModel (loss, latency, jitter,
-// outages) plus runtime partition control, giving the live node stack
-// the same probabilistic environment the simulator models — and worse.
+// drops each copy with its link's injected loss probability, the
+// environment the paper's model assumes, on the live node stack.
 type Fabric struct {
 	mu        sync.Mutex
 	opts      FabricOptions
 	rng       *rand.Rand
 	endpoints map[topology.NodeID]*fabricEndpoint
-	models    map[dlink]LinkModel
-	// partition maps nodes to a group index; nil means no partition.
-	// Unlisted nodes form their own implicit group (-1).
-	partition map[topology.NodeID]int
+	loss      map[topology.Link]float64 // by canonical link; missing = lossless
 	stats     FabricStats
 	closed    bool
 	// costSrc is the SendCost-sized source block every simulated kernel
@@ -114,7 +93,7 @@ func NewFabric(opts FabricOptions) *Fabric {
 		opts:      opts,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 		endpoints: make(map[topology.NodeID]*fabricEndpoint),
-		models:    make(map[dlink]LinkModel),
+		loss:      make(map[topology.Link]float64),
 	}
 	if opts.SendCost > 0 {
 		f.costSrc = make([]byte, opts.SendCost)
@@ -131,108 +110,34 @@ func (f *Fabric) lend(frame []byte) *lentBuf {
 	return lb
 }
 
-// SetLoss injects a loss probability for the (undirected) link a—b. It
-// writes both directions of the LinkModel, so legacy symmetric-loss
-// callers and asymmetric SetLinkModel callers share one datapath; any
-// latency/jitter/outage already set on either direction is preserved.
+// SetLoss injects the loss probability p for the link a—b, both
+// directions: each copy routed over it is dropped with probability p.
 func (f *Fabric) SetLoss(a, b topology.NodeID, p float64) error {
-	if p < 0 || p > 1 {
+	if math.IsNaN(p) || p < 0 || p > 1 {
 		return fmt.Errorf("transport: loss %v outside [0,1]", p)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, d := range [2]dlink{{a, b}, {b, a}} {
-		m := f.models[d]
-		m.Loss = p
-		f.models[d] = m
-	}
+	f.loss[topology.NewLink(a, b)] = p
 	return nil
 }
 
-// SetLinkModel installs the model for the *directed* link from→to,
-// replacing that direction entirely (the reverse direction is untouched).
-func (f *Fabric) SetLinkModel(from, to topology.NodeID, m LinkModel) error {
-	if m.Loss < 0 || m.Loss > 1 {
-		return fmt.Errorf("transport: loss %v outside [0,1]", m.Loss)
+// survive draws loss for n copies over a link of loss p, one Float64 per
+// copy and none on a lossless link, counts the lost ones and returns how
+// many survive.
+// Callers hold f.mu (the rng is not safe for concurrent use).
+func (f *Fabric) survive(n int, p float64) int {
+	if p <= 0 {
+		return n
 	}
-	if m.Latency < 0 || m.Jitter < 0 {
-		return fmt.Errorf("transport: negative latency/jitter")
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.models[dlink{from, to}] = m
-	return nil
-}
-
-// LinkModelFor returns the current model for the directed link from→to
-// (the zero model if none was set).
-func (f *Fabric) LinkModelFor(from, to topology.NodeID) LinkModel {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.models[dlink{from, to}]
-}
-
-// SetLinkDown marks both directions of a—b down (true) or up (false)
-// without disturbing the rest of their models — the flapping-link switch.
-func (f *Fabric) SetLinkDown(a, b topology.NodeID, down bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, d := range [2]dlink{{a, b}, {b, a}} {
-		m := f.models[d]
-		m.Down = down
-		f.models[d] = m
-	}
-}
-
-// SetPartition splits the fabric into the given groups: traffic between
-// nodes in different groups (or between a listed node and an unlisted
-// one) is dropped and counted in FaultDrops. Unlisted nodes form their
-// own implicit group, so SetPartition([]NodeID{3}) isolates node 3.
-// Calling with no groups heals the partition.
-func (f *Fabric) SetPartition(groups ...[]topology.NodeID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(groups) == 0 {
-		f.partition = nil
-		return
-	}
-	f.partition = make(map[topology.NodeID]int)
-	for g, members := range groups {
-		for _, id := range members {
-			f.partition[id] = g
+	survivors := 0
+	for i := 0; i < n; i++ {
+		if f.rng.Float64() >= p {
+			survivors++
 		}
 	}
-}
-
-// severed reports whether the current partition blocks from→to.
-// Callers hold f.mu.
-func (f *Fabric) severed(from, to topology.NodeID) bool {
-	if f.partition == nil {
-		return false
-	}
-	gf, okf := f.partition[from]
-	gt, okt := f.partition[to]
-	if !okf {
-		gf = -1
-	}
-	if !okt {
-		gt = -1
-	}
-	return gf != gt
-}
-
-// delayFor computes the delivery delay for one flush on from→to: the
-// model's latency override (else the fabric default) plus one uniform
-// jitter draw. Callers hold f.mu (the rng is not safe for concurrent use).
-func (f *Fabric) delayFor(m LinkModel) time.Duration {
-	delay := f.opts.Latency
-	if m.Latency > 0 {
-		delay = m.Latency
-	}
-	if m.Jitter > 0 {
-		delay += time.Duration(f.rng.Int63n(int64(m.Jitter)))
-	}
-	return delay
+	f.stats.Lost += n - survivors
+	return survivors
 }
 
 // Stats returns a snapshot of the fabric counters.
@@ -312,30 +217,14 @@ func (f *Fabric) route(from, to topology.NodeID, frame []byte, n int) error {
 		return fmt.Errorf("transport: unknown peer %d", to)
 	}
 	f.stats.Sent += n
-	m := f.models[dlink{from, to}]
-	if m.Down || f.severed(from, to) {
-		f.stats.FaultDrops += n
-		f.mu.Unlock()
-		return nil
-	}
-	survivors := n
-	if m.Loss > 0 {
-		survivors = 0
-		for i := 0; i < n; i++ {
-			if f.rng.Float64() >= m.Loss {
-				survivors++
-			}
-		}
-		f.stats.Lost += n - survivors
-	}
-	delay := f.delayFor(m)
+	survivors := f.survive(n, f.loss[topology.NewLink(from, to)])
 	f.mu.Unlock()
 	if survivors == 0 {
 		return nil
 	}
 
 	in := inboundFrame{from: from, buf: f.lend(frame), copies: survivors}
-	if delay > 0 {
+	if delay := f.opts.Latency; delay > 0 {
 		time.AfterFunc(delay, func() { dst.enqueue(in) })
 		return nil
 	}
@@ -360,17 +249,7 @@ func (f *Fabric) routeBatch(from, to topology.NodeID, batch []FrameBatch) error 
 		f.mu.Unlock()
 		return fmt.Errorf("transport: unknown peer %d", to)
 	}
-	m := f.models[dlink{from, to}]
-	if m.Down || f.severed(from, to) {
-		for _, e := range batch {
-			if e.Copies > 0 {
-				f.stats.Sent += e.Copies
-				f.stats.FaultDrops += e.Copies
-			}
-		}
-		f.mu.Unlock()
-		return nil
-	}
+	loss := f.loss[topology.NewLink(from, to)]
 	// A flush is a handful of frames; only a larger one sizes its own
 	// survivor counts.
 	var few [8]int
@@ -381,24 +260,14 @@ func (f *Fabric) routeBatch(from, to topology.NodeID, batch []FrameBatch) error 
 	for _, e := range batch {
 		n := max(e.Copies, 0)
 		f.stats.Sent += n
-		if m.Loss > 0 {
-			sent := n
-			n = 0
-			for c := 0; c < sent; c++ {
-				if f.rng.Float64() >= m.Loss {
-					n++
-				}
-			}
-			f.stats.Lost += sent - n
-		}
-		survivors = append(survivors, n)
+		survivors = append(survivors, f.survive(n, loss))
 	}
-	delay := f.delayFor(m)
 	f.mu.Unlock()
 
 	// One delayed delivery for the whole flush: the frames shared a wire,
 	// so they share an arrival (and one timer — per-frame timers would
 	// melt the runtime under a saturating sender).
+	delay := f.opts.Latency
 	var held []inboundFrame
 	for i, e := range batch {
 		if survivors[i] == 0 {

@@ -86,18 +86,20 @@ func TestFabricHandlerRunsOncePerSurvivingCopy(t *testing.T) {
 	}
 	settle()
 
-	// A down link drops every copy as a fault, and says so.
-	f.SetLinkDown(0, 1, true)
+	// A loss-1 link drops every copy, and counts each one lost.
+	if err := f.SetLoss(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
 	before := f.Stats()
-	if _, err := SendN(a, 1, []byte("down"), 5); err != nil {
+	if _, err := SendN(a, 1, []byte("dead"), 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := SendFrames(a, 1, wide); err != nil {
 		t.Fatal(err)
 	}
 	after := f.Stats()
-	if sent := after.Sent - before.Sent; sent != 5+9 || after.FaultDrops-before.FaultDrops != sent {
-		t.Fatalf("down link: sent %d, fault drops %d, want 14 and 14", sent, after.FaultDrops-before.FaultDrops)
+	if sent := after.Sent - before.Sent; sent != 5+9 || after.Lost-before.Lost != sent {
+		t.Fatalf("loss-1 link: sent %d, lost %d, want 14 and 14", sent, after.Lost-before.Lost)
 	}
 	settle()
 }
@@ -149,11 +151,11 @@ func TestAllocsFabricHandOff(t *testing.T) {
 // back to its pool, whichever way the frame leaves — handled copy by
 // copy, refused by a full inbox, emptied from an inbox that closes,
 // refused by a closed endpoint, or landing after Close on a delayed
-// link — and a down link lends none.
+// fabric — and a copy lost on a loss-1 link lends none.
 func TestFabricLendsEveryBufferBack(t *testing.T) {
 	f := NewFabric(FabricOptions{QueueSize: 1})
 	defer func() { _ = f.Close() }()
-	back := func(what string) {
+	back := func(f *Fabric, what string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for f.lent.Outstanding() > 0 {
@@ -179,7 +181,7 @@ func TestFabricLendsEveryBufferBack(t *testing.T) {
 			t.Fatalf("the handler ran %d times, want 3", handled.Load())
 		}
 	}
-	back("a delivery of 3 copies")
+	back(f, "a delivery of 3 copies")
 
 	// Overflow, then close: endpoint 2's handler holds the first frame,
 	// the second waits in its one-slot inbox and the third finds it full;
@@ -205,7 +207,7 @@ func TestFabricLendsEveryBufferBack(t *testing.T) {
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	back("an inbox overflow and an inbox closed with a frame queued")
+	back(f, "an inbox overflow and an inbox closed with a frame queued")
 
 	// A closed endpoint refuses what is routed to it.
 	before := f.Stats().FaultDrops
@@ -213,33 +215,38 @@ func TestFabricLendsEveryBufferBack(t *testing.T) {
 	if got := f.Stats().FaultDrops - before; got != 2 {
 		t.Fatalf("a closed endpoint dropped %d copies as faults, want 2", got)
 	}
-	back("a closed endpoint")
+	back(f, "a closed endpoint")
 
-	// A down link drops the frame before it is copied.
-	f.SetLinkDown(0, 1, true)
-	send(1, "down", 2)
-	if n := f.lent.Outstanding(); n != 0 {
-		t.Fatalf("a down link lent %d buffers", n)
+	// A lost copy is dropped before it is copied.
+	if err := f.SetLoss(0, 1, 1); err != nil {
+		t.Fatal(err)
 	}
-	f.SetLinkDown(0, 1, false)
+	send(1, "lost", 2)
+	if _, err := SendFrames(f.Endpoint(0), 1, []FrameBatch{{Frame: []byte("lost too"), Copies: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.lent.Outstanding(); n != 0 {
+		t.Fatalf("a loss-1 link lent %d buffers", n)
+	}
 
 	// A delayed flush that lands after its endpoint closed.
-	d := f.Endpoint(3)
+	slow := NewFabric(FabricOptions{Latency: 100 * time.Millisecond})
+	defer func() { _ = slow.Close() }()
+	d := slow.Endpoint(3)
 	d.SetHandler(func(topology.NodeID, []byte) { t.Error("a frame reached a closed endpoint's handler") })
-	if err := f.SetLinkModel(0, 3, LinkModel{Latency: 100 * time.Millisecond}); err != nil {
+	if _, err := SendN(slow.Endpoint(0), 3, []byte("late"), 1); err != nil {
 		t.Fatal(err)
 	}
-	send(3, "late", 1)
-	if _, err := SendFrames(f.Endpoint(0), 3, []FrameBatch{{Frame: []byte("l1"), Copies: 2}, {Frame: []byte("l2"), Copies: 1}}); err != nil {
+	if _, err := SendFrames(slow.Endpoint(0), 3, []FrameBatch{{Frame: []byte("l1"), Copies: 2}, {Frame: []byte("l2"), Copies: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := f.lent.Outstanding(); n != 3 {
+	if n := slow.lent.Outstanding(); n != 3 {
 		t.Fatalf("%d buffers lent to the delayed flushes, want 3", n)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back("a delayed flush landing after Close")
+	back(slow, "a delayed flush landing after Close")
 }
 
 // BenchmarkFabricSendN is one tree edge's burst: three copies of a

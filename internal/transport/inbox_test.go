@@ -117,27 +117,32 @@ func TestInboxTakeReleasesFrame(t *testing.T) {
 // never got to — are fault drops, so Sent − Lost − FaultDrops − Overflows
 // still equals the handler runs.
 func TestFabricCloseCountsFramesInFlight(t *testing.T) {
-	f := NewFabric(FabricOptions{})
+	f := NewFabric(FabricOptions{Latency: 20 * time.Millisecond})
 	defer func() { _ = f.Close() }()
 	a := f.Endpoint(0)
 	b := f.Endpoint(1)
 	var handled atomic.Int64
-	gate := make(chan struct{})
+	entered, gate := make(chan struct{}, 6), make(chan struct{})
 	b.SetHandler(func(topology.NodeID, []byte) {
+		entered <- struct{}{}
 		<-gate
 		handled.Add(1)
 	})
-	// Queued behind the held handler.
+	// Queued behind the held handler: all have landed once it holds the
+	// first copy, since the one flush after the SendN shares its delay.
 	if _, err := SendN(a, 1, []byte("queued"), 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := SendFrames(a, 1, []FrameBatch{{Frame: []byte("q1"), Copies: 1}, {Frame: []byte("q2"), Copies: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	// In flight when the endpoint closes.
-	if err := f.SetLinkModel(0, 1, LinkModel{Latency: 20 * time.Millisecond}); err != nil {
-		t.Fatal(err)
+	<-entered
+	for deadline := time.Now().Add(5 * time.Second); b.(*fabricEndpoint).inbox.Len() < 2; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d entries queued behind the held handler, want 2", b.(*fabricEndpoint).inbox.Len())
+		}
 	}
+	// In flight when the endpoint closes.
 	if _, err := SendN(a, 1, []byte("late"), 4); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 // Package transport abstracts frame delivery between live nodes. Two
 // implementations ship with the library:
 //
-//   - Fabric / endpoint: an in-process transport with injectable per-link
-//     loss and latency, used by the examples and integration tests to run
-//     whole clusters of goroutine nodes in one process;
+//   - Fabric / endpoint: an in-process transport with an injectable loss
+//     probability per link, drawn per copy, and an optional fabric-wide
+//     latency — the paper's network model, used by the examples,
+//     integration tests and benchmarks to run whole clusters of goroutine
+//     nodes in one process (the hostile networks are the simulator's:
+//     internal/sim's fault models);
 //   - TCP: a length-prefixed frame protocol over the standard library's
 //     net package, for running nodes across real machines.
 //

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -123,8 +124,10 @@ func TestFabricLossInjection(t *testing.T) {
 	if err := f.SetLoss(0, 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetLoss(0, 1, 1.5); err == nil {
-		t.Error("invalid loss should fail")
+	for _, bad := range []float64{1.5, -0.1, math.NaN()} {
+		if err := f.SetLoss(0, 1, bad); err == nil {
+			t.Errorf("SetLoss accepted loss %v", bad)
+		}
 	}
 	const total = 2000
 	for i := 0; i < total; i++ {
@@ -173,6 +176,15 @@ func TestFabricLatency(t *testing.T) {
 	col.wait(t, 1)
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
 		t.Errorf("delivered after %v, want >= ~30ms", elapsed)
+	}
+	// A coalesced flush rides the same delayed path, as one arrival.
+	start = time.Now()
+	if _, err := SendFrames(a, 1, []FrameBatch{{Frame: []byte("y"), Copies: 1}, {Frame: []byte("z"), Copies: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, 3)
+	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
+		t.Errorf("flush delivered after %v, want >= ~30ms", elapsed)
 	}
 }
 

@@ -2,6 +2,7 @@ package adaptivecast_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -219,6 +220,98 @@ func TestClusterRemoveNodeRejectsDisconnection(t *testing.T) {
 	}
 	if got := c.Epoch(); got != 0 {
 		t.Errorf("rejected removal advanced the epoch to %d", got)
+	}
+}
+
+// TestClusterChurnDeliversEveryProbe drives a ring(4) through a join, a
+// leave and another join, broadcasting a probe from the lowest active
+// member every 8 periods. A probe within 3 periods after a membership
+// change is skipped: a joiner is promised delivery only 3 periods after
+// its announcement. Every other probe must reach the membership as it
+// stands 3 periods after the probe (members removed since are not
+// expected to hold it), the originator included.
+func TestClusterChurnDeliversEveryProbe(t *testing.T) {
+	ring, err := adaptivecast.Ring(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := adaptivecast.NewCluster(adaptivecast.ClusterConfig{Topology: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	active := func() []adaptivecast.NodeID {
+		var out []adaptivecast.NodeID
+		for id := adaptivecast.NodeID(0); int(id) < c.NumNodes(); id++ {
+			if c.Topology().Active(id) {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	type probe struct {
+		period, expected int
+		seen             map[adaptivecast.NodeID]bool
+	}
+	probes := map[string]*probe{}
+	drain := func() {
+		for _, id := range active() {
+			for _, d := range drainCluster(c, id) {
+				if p := probes[string(d.Body)]; p != nil {
+					p.seen[id] = true
+				}
+			}
+		}
+	}
+
+	changes := map[int]func() error{
+		16: func() error { _, err := c.AddNode(0, 2); return err },
+		32: func() error { return c.RemoveNode(1) },
+		48: func() error { _, err := c.AddNode(0, 4); return err },
+	}
+	const periods = 72
+	lastChange := -4 // no fold window open at the start
+	for period := 0; period < periods; period++ {
+		if change := changes[period]; change != nil {
+			if err := change(); err != nil {
+				t.Fatalf("membership change at period %d: %v", period, err)
+			}
+			lastChange = period
+		}
+		if period%8 == 0 && period-lastChange > 3 {
+			body := fmt.Sprintf("churn-probe-%d", period)
+			if _, _, err := c.Broadcast(active()[0], []byte(body)); err != nil {
+				t.Fatalf("probe at period %d: %v", period, err)
+			}
+			probes[body] = &probe{period: period, seen: map[adaptivecast.NodeID]bool{}}
+		}
+		tickCluster(c, 1)
+		drain()
+		for _, p := range probes {
+			if period == p.period+3 {
+				p.expected = len(active())
+			}
+		}
+	}
+	time.Sleep(2 * time.Millisecond)
+	drain()
+
+	if got := c.Epoch(); got != 3 {
+		t.Errorf("final epoch = %d, want 3", got)
+	}
+	if got := len(active()); got != 5 || c.NumNodes() != 6 {
+		t.Errorf("final membership = %d active of %d slots, want 5 of 6", got, c.NumNodes())
+	}
+	if len(probes) == 0 {
+		t.Fatal("no probes broadcast")
+	}
+	for body, p := range probes {
+		if p.expected == 0 { // a probe within 3 periods of the end
+			p.expected = len(active())
+		}
+		if len(p.seen) < p.expected {
+			t.Errorf("%s: delivered at %d members, want the %d members 3 periods after it", body, len(p.seen), p.expected)
+		}
 	}
 }
 
