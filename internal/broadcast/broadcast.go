@@ -13,24 +13,17 @@
 //     optimal ones — the paper's Definition 2 of adaptiveness, covered
 //     by tests and by the Figure 4 experiments.
 //
-// Neither protocol is implemented here: a Proc drives the data plane the
-// live node runs (internal/dataplane), and Runner each node's heartbeat
-// plane (internal/heartbeat). Both planes' frames — the data frame
-// carries the sender's MRT as a parent vector and its allocation keyed by
-// child, so no receiver replans — cross the simulated network as bytes,
-// one message per copy, and each arrival is decoded for its plane to
-// decide. What this package keeps of its own is the simulated clock, the
-// crash model and membership churn (Runner.Grow, Runner.MarkDeparted).
+// Neither protocol is implemented here: a Proc drives the protocol core
+// the live node runs (node.Core) over sim.Network, every frame crossing
+// it as bytes, one message per copy, and joins and leaves (Runner.Grow,
+// Runner.MarkDeparted) go through the core's announcements and epochs.
+// What this package keeps of its own is the simulated clock and the
+// crash model.
 package broadcast
 
 import (
-	"errors"
-	"fmt"
-	"math"
-
 	"adaptivecast/internal/dataplane"
-	"adaptivecast/internal/heartbeat"
-	"adaptivecast/internal/knowledge"
+	"adaptivecast/internal/node"
 	"adaptivecast/internal/sim"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/wire"
@@ -49,55 +42,47 @@ type Delivery struct {
 	Body []byte          // aliases the frame it arrived in; read-only
 }
 
-// Proc is one process running the reliable broadcast protocol. Create
-// with NewOptimal or NewAdaptive and register it on the network yourself
-// or via Runner.
+// Proc is one process running the reliable broadcast protocol: a
+// node.Core driven over the simulated network. Create one with
+// NewOptimal and register it on the network yourself, or let a Runner
+// build adaptive ones.
 type Proc struct {
-	id      topology.NodeID
-	net     *sim.Network
-	plane   *dataplane.Plane
-	nextSeq uint64
-	sink    func(Delivery)
-	sc      wire.Scratch
-	// hb is the heartbeat plane over the process's view when a Runner
-	// drives one: inbound deltas go to it.
-	hb *heartbeat.Plane
+	net  *sim.Network
+	core *node.Core
+	fx   node.Effects
+	sc   wire.Scratch
+	sink func(Delivery)
 	// FallbackFloods counts broadcasts that could not build an MRT from
 	// the current knowledge (disconnected estimated topology) and flooded
 	// neighbors instead — an adaptive-protocol liveness escape hatch for
 	// the warm-up phase.
 	FallbackFloods int
+	// Outcomes counts what became of each received frame and announced leave.
+	Outcomes [node.Adopted + 1]int
 }
 
 // NewOptimal returns a process using perfect knowledge of the network's
 // ground-truth topology and configuration (Section 3).
 func NewOptimal(net *sim.Network, id topology.NodeID, k float64, sink func(Delivery)) (*Proc, error) {
-	return newProc(net, id, k, dataplane.NewOptimal(id, k, net.Graph(), net.Config()), sink)
+	core, err := node.NewOptimalCore(id, k, net.Graph(), net.Config())
+	if err != nil {
+		return nil, err
+	}
+	return newProc(net, core, sink), nil
 }
 
-// NewAdaptive returns a process whose MRTs are built from the given
-// knowledge view (Section 4). The caller drives the view's heartbeat
-// activity (see Runner). With piggyback set, every data frame the process
-// sends carries a snapshot of its view.
-func NewAdaptive(net *sim.Network, id topology.NodeID, k float64, view *knowledge.View, piggyback bool, sink func(Delivery)) (*Proc, error) {
-	if view == nil {
-		return nil, errors.New("broadcast: adaptive process needs a knowledge view")
-	}
-	return newProc(net, id, k, dataplane.New(id, k, view, piggyback), sink)
-}
-
-func newProc(net *sim.Network, id topology.NodeID, k float64, plane *dataplane.Plane, sink func(Delivery)) (*Proc, error) {
-	if math.IsNaN(k) || k <= 0 || k >= 1 {
-		return nil, fmt.Errorf("broadcast: K=%v outside (0,1)", k)
-	}
+func newProc(net *sim.Network, core *node.Core, sink func(Delivery)) *Proc {
 	if sink == nil {
 		sink = func(Delivery) {}
 	}
-	return &Proc{id: id, net: net, plane: plane, sink: sink}, nil
+	return &Proc{net: net, core: core, sink: sink}
 }
 
 // ID returns the process ID.
-func (p *Proc) ID() topology.NodeID { return p.id }
+func (p *Proc) ID() topology.NodeID { return p.core.ID() }
+
+// Core is the protocol core the process drives.
+func (p *Proc) Core() *node.Core { return p.core }
 
 // Broadcast initiates a reliable broadcast of body (Algorithm 1 lines
 // 1–4): plan, deliver locally, and send each copy the plan allocates. It
@@ -106,73 +91,66 @@ func (p *Proc) ID() topology.NodeID { return p.id }
 // process whose view cannot plan yet floods its neighbours instead, and
 // returns the flood's fan-out.
 func (p *Proc) Broadcast(body []byte) (MsgID, int, error) {
-	p.nextSeq++
-	id := MsgID{Origin: p.id, Seq: p.nextSeq}
-	msg := wire.DataMsg{Origin: p.id, Seq: id.Seq, Root: p.id, Body: body}
-	l := p.plane.Broadcast(&msg, p.net.Graph().Neighbors(p.id))
-	if l.Plan.Err != nil {
-		if !p.plane.Adaptive() {
-			return MsgID{}, 0, l.Plan.Err // perfect knowledge must always plan
+	fx := &p.fx
+	p.core.Broadcast(body, fx)
+	if fx.Plan.Err != nil {
+		if p.core.View() == nil {
+			return MsgID{}, 0, fx.Plan.Err // perfect knowledge must always plan
 		}
 		p.FallbackFloods++
 	}
-	p.sink(Delivery{ID: id, From: p.id, Body: body})
-	frame, err := dataplane.AppendRelay(nil, &msg, nil, l.Snap)
-	if err != nil {
+	if err := p.run(fx); err != nil {
 		return MsgID{}, 0, err
 	}
-	p.send(l.Sends, frame)
-	return id, l.Planned, nil
+	return MsgID{Origin: p.ID(), Seq: fx.Seq}, fx.Planned, nil
 }
 
-// send puts one simulated message per copy s names on the network. A copy
-// over a link the true topology no longer has — one a stale view's tree
-// named — is lost like any other, and the other copies still leave.
-func (p *Proc) send(s dataplane.Sends, frame []byte) {
-	for to, copies, ok := s.Next(); ok; to, copies, ok = s.Next() {
-		for range copies {
-			_ = p.net.Send(p.id, to, sim.Message{Kind: sim.KindData, Size: len(frame), Payload: frame})
-		}
-	}
-}
-
-// HandleMessage implements sim.Process: it decodes the frame, hands a
-// heartbeat to the heartbeat plane, and delivers a data message on first
-// receipt and relays it as the data plane decides (Algorithm 1 lines
-// 5–7). A frame that does not decode, or that a plane refuses, is
-// dropped like a lost one.
+// HandleMessage implements sim.Process: it decodes the frame and hands
+// it to the core. A frame that does not decode is dropped like a lost
+// one.
 func (p *Proc) HandleMessage(from topology.NodeID, m sim.Message) {
 	raw, _ := m.Payload.([]byte)
 	f, err := p.sc.DecodeBorrow(raw)
-	switch {
-	case err != nil:
-	case f.Kind == wire.FrameKnowledgeDelta && p.hb != nil:
-		_ = p.hb.Receive(from, f.Delta)
-	case f.Kind == wire.FrameData:
-		p.receive(from, f.Data, raw)
+	if err != nil {
+		return
 	}
+	p.core.Receive(from, f, raw, &p.fx)
+	p.Outcomes[p.fx.Outcome]++
+	_ = p.run(&p.fx)
 }
 
-func (p *Proc) receive(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
-	rx := p.plane.Receive(from, msg, p.net.Graph().Neighbors(p.id))
-	if !rx.Fresh {
-		return
+// run carries out what the core decided: the control frames, the
+// delivery, then one simulated message per data copy. A copy over a link
+// the true topology no longer has — one a stale view's tree named — is
+// lost like any other, and the other copies still leave.
+func (p *Proc) run(fx *node.Effects) error {
+	id := p.ID()
+	for _, c := range fx.Control {
+		_ = p.net.Send(id, c.To, sim.Message{Kind: sim.KindControl, Size: len(c.Frame), Payload: c.Frame})
 	}
-	p.sink(Delivery{ID: MsgID{Origin: msg.Origin, Seq: msg.Seq}, From: from, Body: msg.Body})
-	if !rx.Relay {
-		return
+	if fx.Deliver {
+		d := fx.Delivery
+		p.sink(Delivery{ID: MsgID{Origin: d.Origin, Seq: d.Seq}, From: d.From, Body: d.Body})
+	}
+	if !fx.Out {
+		return nil
 	}
 	// Payloads are never written to, so a relay that attaches no
 	// snapshot of its own passes the bytes on as they came.
-	frame := raw
-	if rx.Snap != nil {
+	frame := fx.Raw
+	if frame == nil || fx.Snap != nil {
 		var err error
-		if frame, err = dataplane.AppendRelay(nil, msg, raw, rx.Snap); err != nil {
-			return
+		if frame, err = dataplane.AppendRelay(nil, fx.Msg, fx.Raw, fx.Snap); err != nil {
+			return err
 		}
 	}
-	p.send(rx.Sends, frame)
+	for to, copies, ok := fx.Sends.Next(); ok; to, copies, ok = fx.Sends.Next() {
+		for range copies {
+			_ = p.net.Send(id, to, sim.Message{Kind: sim.KindData, Size: len(frame), Payload: frame})
+		}
+	}
+	return nil
 }
 
 // HasDelivered reports whether the process delivered the given broadcast.
-func (p *Proc) HasDelivered(id MsgID) bool { return p.plane.Seen().Seen(id.Origin, id.Seq) }
+func (p *Proc) HasDelivered(id MsgID) bool { return p.core.Data().Seen().Seen(id.Origin, id.Seq) }

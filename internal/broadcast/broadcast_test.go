@@ -191,9 +191,6 @@ func TestNewProcRejectsBadK(t *testing.T) {
 			t.Errorf("K=%v should fail", k)
 		}
 	}
-	if _, err := NewAdaptive(net, 0, 0.99, nil, false, nil); err == nil {
-		t.Error("nil view should fail")
-	}
 }
 
 func TestOptimalBroadcastDisconnectedFails(t *testing.T) {
@@ -505,7 +502,6 @@ func TestStaleTreeEdgeStarvesNoSibling(t *testing.T) {
 	if err := cfg.RemoveLinkAt(removed); err != nil {
 		t.Fatal(err)
 	}
-	net.RemoveLinkAt(removed)
 
 	sent := net.Stats().Sent(sim.KindData)
 	if _, _, err := r.Proc(0).Broadcast([]byte("stale")); err != nil {

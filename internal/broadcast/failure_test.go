@@ -199,7 +199,7 @@ func TestAdaptiveRoutesAroundLossyLink(t *testing.T) {
 	if !r.AllConverged(crit) {
 		t.Fatal("no convergence")
 	}
-	pl, _ := r.Proc(0).plane.Plan()
+	pl, _ := r.Proc(0).core.Data().Plan()
 	if pl.Err != nil {
 		t.Fatal(pl.Err)
 	}

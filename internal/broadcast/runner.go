@@ -7,8 +7,10 @@ import (
 	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/heartbeat"
 	"adaptivecast/internal/knowledge"
+	"adaptivecast/internal/node"
 	"adaptivecast/internal/sim"
 	"adaptivecast/internal/topology"
+	"adaptivecast/internal/wire"
 )
 
 // RunnerOptions tunes the simulated adaptive cluster.
@@ -31,12 +33,10 @@ type RunnerOptions struct {
 	// application traffic spreads estimates in addition to heartbeats.
 	Piggyback bool
 	// ClockSkew, when non-nil, gives each node a private clock: node i
-	// runs its heartbeat period every Delta*ClockSkew[i] instead of the
-	// shared Delta (entries <= 0 and missing entries mean 1.0). A skewed
-	// node still executes the full period protocol — it just drifts
-	// against its neighbors' loss-accounting expectations, which is the
-	// failure mode under test. Periods() stays anchored to the nominal
-	// Delta. Nodes joined by Grow during a skewed run tick at 1.0.
+	// runs its full period every Delta*ClockSkew[i] (entries <= 0 and
+	// missing entries mean 1.0, as do nodes joined by Grow), drifting
+	// against its neighbors' loss accounting. Periods() stays anchored to
+	// the nominal Delta.
 	ClockSkew []float64
 }
 
@@ -51,22 +51,14 @@ func (o RunnerOptions) withDefaults() RunnerOptions {
 }
 
 // Runner wires a full adaptive cluster onto a simulated network: one
-// knowledge view and adaptive broadcast process per node, the process
-// running both planes the live node runs. Every period each node cuts its
-// heartbeat plane and sends each neighbor the encoded delta frame, which
-// the receiver decodes and hands to its own plane; data frames take the
-// data plane (see Proc).
+// adaptive process per node, each driving its own node.Core, whose
+// periods the runner steps.
 type Runner struct {
 	net      *sim.Network
 	opts     RunnerOptions
 	sink     func(topology.NodeID, Delivery)
 	interner *knowledge.Interner
-	views    []*knowledge.View
 	procs    []*Proc
-	// departed[i] marks nodes removed by MarkDeparted: their slots stay
-	// (IDs are never reused) but they run no periods and are excluded
-	// from convergence checks.
-	departed []bool
 	periods  int
 	running  bool
 	// period is the heartbeat-period workspace every node's step reuses:
@@ -81,9 +73,9 @@ type Runner struct {
 // are checked against. Only tests set it (see export_test.go).
 var fullSnapshots bool
 
-// NewRunner builds views and adaptive processes for every node of the
-// network and registers them. Call Start to begin the heartbeat activity,
-// then drive the network's engine.
+// NewRunner builds an adaptive process for every node of the network and
+// registers them. Call Start to begin the heartbeat activity, then drive
+// the network's engine.
 func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, Delivery)) (*Runner, error) {
 	opts = opts.withDefaults()
 	g := net.Graph()
@@ -91,47 +83,44 @@ func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, 
 	if n == 0 {
 		return nil, errors.New("broadcast: empty network")
 	}
-	r := &Runner{net: net, opts: opts, sink: sink}
-	interner := knowledge.NewInterner()
+	r := &Runner{net: net, opts: opts, sink: sink, interner: knowledge.NewInterner()}
 	// Intern the ground-truth links first so view indices align with the
 	// graph's link indices (convergence checks and stats rely on it).
 	for _, l := range g.Links() {
-		interner.Intern(l)
+		r.interner.Intern(l)
 	}
-	r.interner = interner
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
-		view, err := knowledge.NewView(id, n, g.Neighbors(id), interner, opts.Params)
-		if err != nil {
-			return nil, fmt.Errorf("broadcast: view %d: %w", i, err)
-		}
-		if err := r.add(id, view); err != nil {
+		if err := r.add(node.Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}); err != nil {
 			return nil, fmt.Errorf("broadcast: proc %d: %w", i, err)
 		}
 	}
 	return r, nil
 }
 
-// add registers node id's process over view: its data plane and, for the
-// runner to drive each period, its heartbeat plane.
-func (r *Runner) add(id topology.NodeID, view *knowledge.View) error {
-	var deliver func(Delivery)
-	if sink := r.sink; sink != nil {
-		deliver = func(d Delivery) { sink(id, d) }
-	}
-	proc, err := NewAdaptive(r.net, id, r.opts.K, view, r.opts.Piggyback, deliver)
+// add registers the adaptive process of the membership cfg names.
+func (r *Runner) add(cfg node.Config) error {
+	cfg.K, cfg.Knowledge, cfg.Piggyback = r.opts.K, r.opts.Params, r.opts.Piggyback
+	core, err := node.NewCore(cfg, r.interner)
 	if err != nil {
 		return err
 	}
-	proc.hb = heartbeat.New(view)
-	r.views = append(r.views, view)
-	r.procs = append(r.procs, proc)
-	r.departed = append(r.departed, false)
-	return r.net.Register(id, proc)
+	var deliver func(Delivery)
+	if sink := r.sink; sink != nil {
+		deliver = func(d Delivery) { sink(cfg.ID, d) }
+	}
+	r.procs = append(r.procs, newProc(r.net, core, deliver))
+	return r.net.Register(cfg.ID, r.procs[cfg.ID])
 }
 
 // Views exposes the per-node knowledge views (read-only use).
-func (r *Runner) Views() []*knowledge.View { return r.views }
+func (r *Runner) Views() []*knowledge.View {
+	views := make([]*knowledge.View, len(r.procs))
+	for i, p := range r.procs {
+		views[i] = p.core.View()
+	}
+	return views
+}
 
 // Proc returns the adaptive broadcast process of one node.
 func (r *Runner) Proc(id topology.NodeID) *Proc { return r.procs[id] }
@@ -150,7 +139,7 @@ func (r *Runner) Start() {
 	r.running = true
 	if r.skewed() {
 		r.net.After(r.opts.Delta, r.periodClock)
-		for i := range r.views {
+		for i := range r.procs {
 			r.startSkewLoop(topology.NodeID(i))
 		}
 		return
@@ -210,41 +199,40 @@ func (r *Runner) tick() {
 		return
 	}
 	r.periods++
-	for i := range r.views {
+	for i := range r.procs {
 		r.stepNode(i)
 	}
 	r.net.After(r.opts.Delta, r.tick)
 }
 
-// stepNode runs one heartbeat period of node i's protocol: its plane's
-// period, then each due frame sent as the message payload, its size the
-// frame's length.
+// stepNode runs one heartbeat period of node i's core: the control
+// frames it decides, then each heartbeat sent as the message payload,
+// its size the frame's length.
 func (r *Runner) stepNode(i int) {
-	v := r.views[i]
-	id := topology.NodeID(i)
-	if v == nil || !r.net.Up(id) {
+	p, id := r.procs[i], topology.NodeID(i)
+	if !r.net.Up(id) {
 		return // explicitly crashed or departed: nothing runs
 	}
-	g := r.net.Graph()
 	if r.opts.ModelCrashesAsSkips {
 		if rng := r.net.Engine().Rand(); rng.Float64() < r.net.Config().Crash(id) {
 			// The process spent this period crashed: it missed its tick
 			// (Event 4) and sent no heartbeat, consuming no sequence
 			// number — which is exactly what lets receivers distinguish
 			// sender downtime from link loss.
-			v.OnRecover(1)
+			p.core.Recover(1, 0)
 			return
 		}
 	}
 	ws := &r.period
 	defer ws.Reset()
 	if fullSnapshots {
-		r.procs[i].hb.Reset()
+		p.core.Heartbeat().Reset()
 	}
-	r.procs[i].hb.Cut(ws, g.Neighbors(id))
+	p.core.Tick(ws, &p.fx)
+	_ = p.run(&p.fx)
 	for k, o := range ws.Outbound() {
 		// The payload is in flight past this period: a fresh frame each.
-		frame, err := ws.AppendFrame(nil, k, 0)
+		frame, err := ws.AppendFrame(nil, k, p.fx.Epoch)
 		if err != nil {
 			continue
 		}
@@ -263,11 +251,8 @@ func (r *Runner) HeartbeatsSent() int { return r.hbSent }
 // left, and the ground truth no longer contains them.
 func (r *Runner) AllConverged(crit knowledge.Criterion) bool {
 	truth := r.net.Config()
-	for i, v := range r.views {
-		if r.departed[i] {
-			continue
-		}
-		if !v.ConvergedTo(truth, crit) {
+	for i, p := range r.procs {
+		if truth.Graph().Active(topology.NodeID(i)) && !p.core.View().ConvergedTo(truth, crit) {
 			return false
 		}
 	}
@@ -276,11 +261,12 @@ func (r *Runner) AllConverged(crit knowledge.Criterion) bool {
 
 // Grow adds one node to the running twin, linked to the given existing
 // neighbors — the discrete-event analog of Cluster.AddNode. The
-// ground-truth graph, config, network state and every view grow in
-// lockstep: the joiner gets a fresh view (uniform priors beyond its own
-// zero-distortion links), its neighbors book the new link immediately
-// (the join-announcement effect), and everyone else learns it through
-// gossip. New links start at loss 0; set hostile values afterwards via
+// ground-truth graph, config and network state grow at once; the joiner
+// starts at the next membership epoch with the graph's departed set and
+// announces itself (node.Core.AnnounceJoin), so the members learn of it
+// as live nodes do: through the announcement flood, the stale-epoch
+// repair loop and the full-snapshot fallback after an epoch change. New
+// links start at loss 0; set hostile values afterwards via
 // Config().SetLossBetween. Returns the new node's ID.
 func (r *Runner) Grow(neighbors []topology.NodeID) (topology.NodeID, error) {
 	if len(neighbors) == 0 {
@@ -292,58 +278,70 @@ func (r *Runner) Grow(neighbors []topology.NodeID) (topology.NodeID, error) {
 			return 0, fmt.Errorf("broadcast: grow neighbor %d not active", nb)
 		}
 	}
-	id := g.AddNode()
+	cfg := node.Config{NumProcs: g.NumNodes() + 1, Neighbors: neighbors, Epoch: g.Epoch() + 1, Departed: r.gone(topology.None)}
+	cfg.ID = g.AddNode()
 	for _, nb := range neighbors {
-		if _, err := g.AddLink(id, nb); err != nil {
+		if _, err := g.AddLink(cfg.ID, nb); err != nil {
 			return 0, err
 		}
 		// Keep interner indices aligned with graph link indices for the
 		// new links too (NewRunner established the invariant at build).
-		r.interner.Intern(topology.NewLink(id, nb))
+		r.interner.Intern(topology.NewLink(cfg.ID, nb))
 	}
 	r.net.Config().Grow()
 	r.net.Grow()
-
-	view, err := knowledge.NewView(id, g.NumNodes(), neighbors, r.interner, r.opts.Params)
-	if err != nil {
-		return 0, fmt.Errorf("broadcast: grow view: %w", err)
-	}
-	for i, v := range r.views {
-		if v == nil || r.departed[i] {
-			continue
-		}
-		v.Grow(g.NumNodes())
-	}
-	for _, nb := range neighbors {
-		if err := r.views[nb].AddNeighbor(id); err != nil {
-			return 0, fmt.Errorf("broadcast: grow neighbor view: %w", err)
-		}
-	}
-
-	if err := r.add(id, view); err != nil {
+	if err := r.add(cfg); err != nil {
 		return 0, fmt.Errorf("broadcast: grow proc: %w", err)
 	}
-	if r.running && r.skewed() {
-		r.startSkewLoop(id)
+	p := r.procs[cfg.ID]
+	if err := p.core.AnnounceJoin(&p.fx); err != nil {
+		return 0, err
 	}
-	return id, nil
+	_ = p.run(&p.fx)
+	if r.running && r.skewed() {
+		r.startSkewLoop(cfg.ID)
+	}
+	return cfg.ID, nil
 }
 
-// MarkDeparted removes a node from the running twin: its incident links
-// leave the ground truth (with the swap-removal index mirroring the
-// config and stats layers require), the node is tombstoned in the graph
-// and in every surviving view, and it permanently stops executing
-// periods. The slot is never reused.
+// gone lists the processes the graph no longer has, and also, when it is
+// not topology.None, the one that is leaving.
+func (r *Runner) gone(leaving topology.NodeID) []topology.NodeID {
+	g := r.net.Graph()
+	var ids []topology.NodeID
+	for i := range g.NumNodes() {
+		if id := topology.NodeID(i); id == leaving || !g.Active(id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// MarkDeparted removes a node from the running twin — the analog of
+// Cluster.RemoveNode. A surviving neighbor announces the departure at
+// the next membership epoch, built from the graph ledger
+// (node.Core.AnnounceLeave), and the members tombstone the node as the
+// flood reaches them. Its incident links then leave the ground truth
+// (with the swap-removal index mirroring the config layer requires), the
+// node is tombstoned in the graph, and it permanently
+// stops executing periods. The slot is never reused.
 func (r *Runner) MarkDeparted(id topology.NodeID) error {
 	g := r.net.Graph()
-	if int(id) >= len(r.views) || r.departed[id] {
+	if !g.Active(id) {
 		return fmt.Errorf("broadcast: depart of unknown or departed node %d", id)
 	}
-	if !g.Active(id) {
-		return fmt.Errorf("broadcast: depart of inactive node %d", id)
-	}
-	cfg := r.net.Config()
 	nbs := append([]topology.NodeID(nil), g.Neighbors(id)...)
+	if len(nbs) == 0 {
+		return fmt.Errorf("broadcast: node %d has no neighbor to announce its departure", id)
+	}
+	announcer := r.procs[nbs[0]]
+	m := &wire.Membership{Node: id, Epoch: g.Epoch() + 1, NumProcs: g.NumNodes(), Departed: r.gone(id)}
+	if err := announcer.core.AnnounceLeave(m, &announcer.fx); err != nil {
+		return err
+	}
+	announcer.Outcomes[node.Adopted]++
+	_ = announcer.run(&announcer.fx)
+	cfg := r.net.Config()
 	for _, nb := range nbs {
 		removedIdx, _, err := g.RemoveLink(id, nb)
 		if err != nil {
@@ -352,18 +350,10 @@ func (r *Runner) MarkDeparted(id topology.NodeID) error {
 		if err := cfg.RemoveLinkAt(removedIdx); err != nil {
 			return err
 		}
-		r.net.RemoveLinkAt(removedIdx)
 	}
 	if err := g.RemoveNode(id); err != nil {
 		return err
 	}
-	r.departed[id] = true
 	r.net.Crash(id) // permanently down: no periods, no receives
-	for i, v := range r.views {
-		if v == nil || r.departed[i] {
-			continue
-		}
-		v.MarkDeparted(id)
-	}
 	return nil
 }

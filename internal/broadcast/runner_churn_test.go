@@ -7,6 +7,7 @@ import (
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/sim"
 	"adaptivecast/internal/topology"
+	"adaptivecast/internal/wire"
 )
 
 // churnRunner builds a small twin cluster used by the churn tests.
@@ -100,10 +101,19 @@ func TestRunnerMarkDepartedRemovesNode(t *testing.T) {
 		t.Fatalf("config graph links = %d, want 3", got)
 	}
 
-	// Survivors' views tombstone the departed member...
+	// The announcer, neighbor 0, tombstones the departed member at once;
+	// the other survivors as the leave announcement's flood reaches them,
+	// all at its epoch...
+	if !r.Views()[0].Departed(1) {
+		t.Error("the announcer has not tombstoned node 1")
+	}
+	eng.RunUntil(11.5)
 	for _, i := range []topology.NodeID{0, 2, 3, 4} {
 		if !r.Views()[i].Departed(1) {
 			t.Errorf("view %d has not tombstoned node 1", i)
+		}
+		if got, want := r.Proc(i).Core().Epoch(), r.Proc(0).Core().Epoch(); got != want || got == 0 {
+			t.Errorf("survivor %d at epoch %d, the announcer at %d", i, got, want)
 		}
 	}
 
@@ -167,4 +177,52 @@ func TestRunnerClockSkewStillDelivers(t *testing.T) {
 			t.Errorf("node %d missed the slow node's broadcast", i)
 		}
 	}
+}
+
+// TestRunnerGrowRunsTheEpochs: a join in the twin goes through the
+// protocol the live node runs. On a ring of six at 8 % loss the joiner
+// starts at the next epoch and announces itself; the flood, the
+// announcement rounds and the stale-epoch repairs bring every member to
+// that epoch. A member handed frames from a peer still at the old epoch
+// answers the first of each period with one repair (the announcement)
+// and the rest with nothing.
+func TestRunnerGrowRunsTheEpochs(t *testing.T) {
+	r, net := churnRunner(t, 6, 0.08, 4, nil)
+	eng := net.Engine()
+	r.Start()
+	eng.RunUntil(15.5)
+	epoch := net.Graph().Epoch() + 1
+	id, err := r.Grow([]topology.NodeID{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nb := range []topology.NodeID{0, 2} {
+		if err := net.Config().SetLossBetween(id, nb, 0.08); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(40.5)
+	for i := range 7 {
+		if got := r.Proc(topology.NodeID(i)).Core().Epoch(); got != epoch {
+			t.Errorf("node %d at epoch %d 25 periods after the join, want %d", i, got, epoch)
+		}
+	}
+
+	stale, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
+		Origin: 2, Seq: 1 << 20, Root: 2, Body: []byte("stale"), Epoch: epoch - 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for period := 41; period <= 43; period++ {
+		before := net.Stats().Sent(sim.KindControl)
+		for range 3 {
+			r.Proc(3).HandleMessage(2, sim.Message{Kind: sim.KindData, Size: len(stale), Payload: stale})
+		}
+		if got := net.Stats().Sent(sim.KindControl) - before; got != 1 {
+			t.Errorf("period %d: three stale frames earned %d repairs, want 1", period, got)
+		}
+		eng.RunUntil(sim.Time(period) + 0.5)
+	}
+	r.Stop()
 }

@@ -80,9 +80,6 @@ func NewOptimal(self topology.NodeID, k float64, g *topology.Graph, c *config.Co
 	return &Plane{self: self, k: k, truthG: g, truthC: c}
 }
 
-// Adaptive reports whether the plane plans from a knowledge view.
-func (p *Plane) Adaptive() bool { return p.view != nil }
-
 // Seen is the plane's dedup state.
 func (p *Plane) Seen() *Dedup { return &p.seen }
 

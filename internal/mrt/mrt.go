@@ -8,7 +8,11 @@
 // retransmission count to every tree edge, and messages flow strictly down
 // the tree. Appendix C proves that among all propagation graphs, some
 // spanning tree is optimal, and that the maximum spanning tree under this
-// edge weight needs the fewest messages.
+// edge weight needs the fewest messages — when each edge's miss
+// probability is the same both ways and every copy is lost
+// independently, as in the paper's model. TestMRTNeedsFewestGreedyCopies
+// checks it against every spanning tree of small random graphs, with the
+// copies the greedy allocator gives each tree.
 //
 // Tie-breaking is deterministic (lexicographic by endpoint IDs), so two
 // processes that agree on the topology and configuration build the same

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/config"
@@ -58,11 +57,11 @@ func (s *auditScores) String() string {
 		s.lossOnly, n, float64(s.lossOnly)/float64(n), float64(s.copies)/float64(s.edges))
 }
 
-// runEq1Audit hand-steps 24 real nodes over lossy links with no crashes
+// runEq1Audit steps 24 protocol cores over lossy links with no crashes
 // and scores the plans of origins 0, 5, 11 and 17, every 5 periods
 // inside each window, against Eq. 1: the probability that a broadcast
 // reaches every process, under the true configuration, must be at least
-// K. Each plan comes from the node's own replan, so the wire, the
+// K. Each plan comes from the core's own replan, so the wire, the
 // deltas, the horizons and the heartbeat plane are all in what it
 // scores. Every frame is dropped with its link's true loss, drawn from
 // one seeded source in a fixed delivery order, so a run's figures repeat
@@ -85,38 +84,33 @@ func runEq1Audit(t *testing.T, seed int64, windows []auditWindow) []*auditScores
 			t.Fatal(err)
 		}
 	}
-	nodes, boxes := make([]*Node, n), make([]*mailTransport, n)
-	for i := range nodes {
-		id := topology.NodeID(i)
-		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
-		nodes[i] = newTestNode(t, Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}, boxes[i])
+	cluster := newStepped(t, g, 0, nil)
+	cluster.rng = rng
+	for i, l := range g.Links() {
+		cluster.setLoss(l.A, l.B, truth.Loss(i))
 	}
 
-	// score has nd plan through its own replan, and scores the plan under the
-	// truth, and under the true loss with nd's crash estimates. A plan
+	// score has c plan through its own replan, and scores the plan under the
+	// truth, and under the true loss with c's crash estimates. A plan
 	// below K that is the window's worst so far is explained from the
 	// view it was planned from.
-	score := func(nd *Node, s *auditScores, period int) {
+	score := func(c *Core, s *auditScores, period int) {
 		t.Helper()
 		lossOnly := truth.Clone()
-		nd.mu.Lock()
-		p, _ := nd.plane.Replan()
+		p, _ := c.plane.Replan()
 		if p.Err != nil {
-			nd.mu.Unlock()
-			t.Fatalf("period %d: origin %d has no plan: %v", period, nd.ID(), p.Err)
+			t.Fatalf("period %d: origin %d has no plan: %v", period, c.ID(), p.Err)
 		}
 		for v := 0; v < n; v++ {
-			mean, _ := nd.view.CrashEstimate(topology.NodeID(v))
+			mean, _ := c.view.CrashEstimate(topology.NodeID(v))
 			if err := lossOnly.SetCrash(topology.NodeID(v), mean); err != nil {
-				nd.mu.Unlock()
 				t.Fatal(err)
 			}
 		}
 		r, err := optimize.PlanReach(p.Parents, p.Alloc, truth)
 		if err == nil && r < dataplane.DefaultK && (s.worst == "" || r < s.worstReach) {
-			s.worst, s.worstReach = explainPlan(nd, p, truth, r, period), r
+			s.worst, s.worstReach = explainPlan(c, p, truth, r, period), r
 		}
-		nd.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,29 +132,11 @@ func runEq1Audit(t *testing.T, seed int64, windows []auditWindow) []*auditScores
 	}
 	last := windows[len(windows)-1].to
 	for period := 1; period <= last; period++ {
-		for _, nd := range nodes {
-			nd.Tick()
-		}
-		for _, nd := range nodes {
-			if !nd.WaitSendIdle(5 * time.Second) {
-				t.Fatalf("period %d: node %d's lanes never flushed", period, nd.ID())
-			}
-		}
-		for _, box := range boxes {
-			for _, m := range box.take() {
-				loss, err := truth.LossBetween(m.from, m.to)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rng.Float64() >= loss {
-					nodes[m.to].handle(m.from, m.frame)
-				}
-			}
-		}
+		cluster.ticks(1, false)
 		for i, w := range windows {
 			if period >= w.from && period <= w.to && period%5 == 0 {
 				for _, o := range origins {
-					score(nodes[o], scores[i], period)
+					score(cluster.nodes[o].Core, scores[i], period)
 				}
 			}
 		}
@@ -168,16 +144,16 @@ func runEq1Audit(t *testing.T, seed int64, windows []auditWindow) []*auditScores
 	return scores
 }
 
-// explainPlan writes one row per tree edge parent → child of nd's plan p,
-// whose true reach is reach: the λ nd estimated and the true λ (Eq. 1's
+// explainPlan writes one row per tree edge parent → child of c's plan p,
+// whose true reach is reach: the λ c estimated and the true λ (Eq. 1's
 // per-copy miss probability), the (succ, fail) evidence of the view's
 // loss record for the link and of its crash records for both endpoints,
 // the copies m[j], and the edge's share of the miss — ln(1 − λ^m[j]) over
 // ln reach, which sums to 1 over the tree and is its share of 1 − reach
-// while the misses are small. Callers hold nd.mu.
-func explainPlan(nd *Node, p *dataplane.Plan, truth *config.Config, reach float64, period int) string {
+// while the misses are small.
+func explainPlan(c *Core, p *dataplane.Plan, truth *config.Config, reach float64, period int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "origin %d at period %d: true reach %.6f, %d copies over %d tree edges", nd.ID(), period, reach, p.Planned, p.Edges)
+	fmt.Fprintf(&b, "origin %d at period %d: true reach %.6f, %d copies over %d tree edges", c.ID(), period, reach, p.Planned, p.Edges)
 	fmt.Fprintf(&b, "\n      %-8s %8s %8s %13s %13s %13s %4s %7s", "edge", "est λ", "true λ", "loss (s,f)", "crash p (s,f)", "crash c (s,f)", "m", "share")
 	for v, parent := range p.Parents {
 		child := topology.NodeID(v)
@@ -189,15 +165,15 @@ func explainPlan(nd *Node, p *dataplane.Plan, truth *config.Config, reach float6
 			fmt.Fprintf(&b, "\n      %d→%d: %v", parent, child, err)
 			continue
 		}
-		crashP, _ := nd.view.CrashEstimate(parent)
-		crashC, _ := nd.view.CrashEstimate(child)
+		crashP, _ := c.view.CrashEstimate(parent)
+		crashC, _ := c.view.CrashEstimate(child)
 		link := topology.NewLink(parent, child)
-		loss, _, _ := nd.view.LossEstimate(link)
+		loss, _, _ := c.view.LossEstimate(link)
 		var lossRec bayes.State
-		if e := nd.view.LinkEstimator(link); e != nil {
+		if e := c.view.LinkEstimator(link); e != nil {
 			lossRec = e.State()
 		}
-		recP, recC := nd.view.ProcEstimator(parent).State(), nd.view.ProcEstimator(child).State()
+		recP, recC := c.view.ProcEstimator(parent).State(), c.view.ProcEstimator(child).State()
 		m := int(p.Alloc[v])
 		share := math.Log(1-math.Pow(lam, float64(m))) / math.Log(reach)
 		fmt.Fprintf(&b, "\n      %-8s %8.5f %8.5f %13s %13s %13s %4d %7.4f",
@@ -216,8 +192,8 @@ func explainPlan(nd *Node, p *dataplane.Plan, truth *config.Config, reach float6
 // true crash probabilities, which are 0) misses it in most, in both
 // windows: the plans' margin over K is what those estimates add. Both
 // are reported, not gated. -short runs the early window only. Under the
-// race detector it runs six times slower and adds nothing: its only
-// concurrency is the lanes', which the node tests on the lanes stress.
+// race detector it runs several times slower and adds nothing: it steps
+// cores, with no concurrency at all.
 func TestEq1Audit(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the audit's figures are the same without the race detector, and it runs six times slower under it")

@@ -209,7 +209,7 @@ func TestForgedOriginIsRejected(t *testing.T) {
 			t.Errorf("node %d: DecodeErrors %d, DataReceived %d, Delivered %d; want %d, 0, 0 and no relay",
 				id, st.DecodeErrors, st.DataReceived, st.Delivered, forged)
 		}
-		if origins, windows := nd.plane.Seen().Size(); origins != procs || windows != 0 {
+		if origins, windows := nd.core.plane.Seen().Size(); origins != procs || windows != 0 {
 			t.Errorf("node %d: forged origins grew the dedup state to %d watermarks and %d windows", id, origins, windows)
 		}
 		nd.handle(from, flood(procs-1))

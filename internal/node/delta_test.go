@@ -21,44 +21,21 @@ import (
 // exactly when every heartbeat it sent has been handled — the lossless
 // case, decided by counting. Under loss (or toward a stopped node) some
 // never arrive, and the round falls back to waiting until the receive
-// counters have stayed put for a few polls.
-func settleTicks(nodes []*Node, periods int) { settle(nodes, periods, false) }
-
-// settleFullTicks is settleTicks on the full-snapshot reference: every
-// round starts from forgetAcks, so every heartbeat is a whole view.
-func settleFullTicks(nodes []*Node, periods int) { settle(nodes, periods, true) }
-
-// forgetAcks makes the nodes' next Ticks full-snapshot heartbeats, the
-// reference the delta path is measured against: with no ack on record
-// toward any neighbor, every frame Tick cuts is the since = 0 fallback
-// carrying the whole view. The versions seen go with the acks so the
-// frames of the coming round ack nothing either — a neighbor that
-// handles one before its own Tick would otherwise cut a delta against
-// it. Call it while no frame is in flight.
-func forgetAcks(nodes []*Node) {
-	for _, nd := range nodes {
-		nd.mu.Lock()
-		nd.hb.Reset()
-		nd.mu.Unlock()
-	}
-}
-
-func settle(nodes []*Node, periods int, full bool) {
+// counters have stayed put for a few polls. Tests of the protocol alone
+// step cores instead (stepped), with no fabric to drain.
+func settleTicks(nodes []*Node, periods int) {
 	// counts returns the heartbeats sent, the heartbeats handled (merged,
 	// or rejected with a counted reason), and every receive-side counter.
 	counts := func() (sent, handled, received int) {
 		for _, nd := range nodes {
 			s := nd.Stats()
 			sent += s.HeartbeatsSent
-			handled += s.HeartbeatsReceived + s.SnapshotMergeErrors + s.DecodeErrors + s.StaleEpochFrames
+			handled += s.HeartbeatsReceived + s.SnapshotMergeErrors + s.DecodeErrors + s.StaleEpochFrames + s.AheadEpochFrames
 			received += s.DataReceived + s.EpochChanges
 		}
 		return sent, handled, handled + received
 	}
 	for p := 0; p < periods; p++ {
-		if full {
-			forgetAcks(nodes)
-		}
 		sent0, handled0, _ := counts()
 		start := time.Now()
 		for _, nd := range nodes {
@@ -89,8 +66,8 @@ func settle(nodes []*Node, periods int, full bool) {
 
 // TestDeltaHeartbeatSteadyStateBandwidth is the delta acceptance test:
 // once estimates converge, delta heartbeats must spend at least 3x fewer
-// bytes per period than full-snapshot heartbeats (settleFullTicks, every
-// frame the since = 0 fallback). The floor was set when a record was
+// bytes per period than full-snapshot heartbeats (every frame the
+// since = 0 fallback). The floor was set when a record was
 // ~806 bytes and survives the ~7.5-byte count record on arithmetic, not
 // luck: on this ring a full snapshot is a ~15-byte delta header plus 12
 // records, ~105 B; a converged delta is the same header plus the ~1.2
@@ -98,24 +75,22 @@ func settle(nodes []*Node, periods int, full bool) {
 // 4.4x. The floor trips once deltas re-ship more than ~2.6 records per
 // frame.
 func TestDeltaHeartbeatSteadyStateBandwidth(t *testing.T) {
-	run := func(rounds func([]*Node, int)) (steadyBytes int) {
+	run := func(full bool) (steadyBytes int) {
 		g, err := topology.Ring(6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fabric := transport.NewFabric(transport.FabricOptions{})
-		defer func() { _ = fabric.Close() }()
-		nodes := buildCluster(t, g, fabric, nil)
+		c := newStepped(t, g, 0, nil)
 		// Long enough for every estimate's mean to settle well below the
 		// delta epsilon (posterior drift shrinks like 1/periods²).
-		rounds(nodes, 300)
-		before := nodes[0].Stats().HeartbeatBytesSent
-		rounds(nodes, 40)
-		return nodes[0].Stats().HeartbeatBytesSent - before
+		c.ticks(300, full)
+		before := c.nodes[0].Stats().HeartbeatBytesSent
+		c.ticks(40, full)
+		return c.nodes[0].Stats().HeartbeatBytesSent - before
 	}
 
-	deltaBytes := run(settleTicks)
-	fullBytes := run(settleFullTicks)
+	deltaBytes := run(false)
+	fullBytes := run(true)
 	if deltaBytes <= 0 || fullBytes <= 0 {
 		t.Fatalf("no heartbeat bytes measured: delta=%d full=%d", deltaBytes, fullBytes)
 	}
@@ -137,15 +112,11 @@ func TestDeltaHeartbeatsStillDetectLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{Seed: 5})
-	defer func() { _ = fabric.Close() }()
-	if err := fabric.SetLoss(0, 1, trueLoss); err != nil {
-		t.Fatal(err)
-	}
-	nodes := buildCluster(t, g, fabric, nil)
-	settleTicks(nodes, 1200)
+	c := newStepped(t, g, 5, nil)
+	c.setLoss(0, 1, trueLoss)
+	c.ticks(1200, false)
 	link := topology.NewLink(0, 1)
-	for i, nd := range nodes {
+	for i, nd := range c.nodes {
 		got, _, ok := nd.LossEstimate(link)
 		if !ok {
 			t.Fatalf("node %d never learned the link", i)
@@ -166,24 +137,18 @@ func TestDeltaFullFallbackAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
-	settleTicks(nodes, 250) // converge: steady-state deltas are now empty
-	for i, nd := range nodes {
+	c := newStepped(t, g, 0, nil)
+	c.ticks(250, false) // converge: steady-state deltas are now empty
+	for i, nd := range c.nodes {
 		if got := len(nd.KnownLinks()); got != 5 {
 			t.Fatalf("node %d knows %d links before restart, want 5", i, got)
 		}
 	}
 
-	// "Restart" node 3: a fresh incarnation on the same endpoint, with no
-	// peer bookkeeping and an empty view.
-	stopNode(nodes[3])
-	replacement := newTestNode(t, Config{
-		ID: 3, NumProcs: 5, Neighbors: g.Neighbors(3),
-	}, fabric.Endpoint(3))
-	nodes[3] = replacement
-	settleTicks(nodes, 6)
+	// "Restart" node 3: a fresh incarnation with no peer bookkeeping and
+	// an empty view.
+	replacement := c.add(Config{ID: 3, NumProcs: 5, Neighbors: g.Neighbors(3)})
+	c.ticks(6, false)
 
 	// The only way the restarted node can re-learn the far side of the
 	// ring is a full-snapshot fallback: its neighbors' deltas no longer
@@ -216,22 +181,15 @@ func TestSiblingHorizonUnmasksRestartedNeighbor(t *testing.T) {
 		return Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id),
 			Knowledge: knowledge.Params{DeltaEpsilon: -1, LinkAgeTimeout: ageTimeout}} // every observation re-stamps
 	}
-	nodes, boxes := make([]*Node, n), make([]*mailTransport, n)
-	for i := range nodes {
-		id := topology.NodeID(i)
-		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
-		nodes[i] = newTestNode(t, cfg(id), boxes[i])
-	}
+	c := newStepped(t, g, 0, func(c *Config) { *c = cfg(c.ID) })
+	nodes := c.nodes
 	// send ticks the given nodes and returns their frames.
 	send := func(ids ...int) []mail {
 		var out []mail
 		for _, i := range ids {
-			nodes[i].Tick()
-			if !nodes[i].WaitSendIdle(5 * time.Second) {
-				t.Fatalf("node %d's lanes never flushed", i)
-			}
-			out = append(out, boxes[i].take()...)
+			c.tick(nodes[i])
 		}
+		out, c.mail = c.mail, nil
 		return out
 	}
 	// shipsFar reports whether node a's delta toward b, cut against its
@@ -240,8 +198,6 @@ func TestSiblingHorizonUnmasksRestartedNeighbor(t *testing.T) {
 	// holds the link at distortion 2.
 	shipsFar := func() bool {
 		nd := nodes[a]
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
 		if _, d, _ := nd.view.LossEstimate(far); d != 2 {
 			t.Fatalf("node %d holds %v at distortion %d, want 2", a, far, d)
 		}
@@ -260,27 +216,23 @@ func TestSiblingHorizonUnmasksRestartedNeighbor(t *testing.T) {
 	// link's mask anyway (the expiry, see knowledge.View.BeginPeriod).
 	expiresNext := func() bool {
 		nd := nodes[a]
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
 		return (nd.view.SelfSeq()+1+uint64(far.A+far.B))%ageTimeout == 0
 	}
 	all := []int{0, 1, 2, 3, 4, 5}
 	p := 0
 	for ; p < 10 || p < 100 && (shipsFar() || expiresNext()); p++ {
 		for _, m := range send(all...) {
-			nodes[m.to].handle(m.from, m.frame)
+			c.deliver(m.from, m.to, m.frame)
 		}
 	}
 	if shipsFar() {
 		t.Fatalf("after %d periods node %d's deltas toward %d still carry %v: the setup never masked it", p, a, b, far)
 	}
 
-	stopNode(nodes[b])
-	boxes[b] = &mailTransport{sinkTransport: sinkTransport{id: b}}
-	nodes[b] = newTestNode(t, cfg(b), boxes[b])
+	nodes[b] = c.add(cfg(b))
 	for _, m := range send(b) {
 		if m.to == a {
-			nodes[a].handle(m.from, m.frame)
+			c.deliver(m.from, m.to, m.frame)
 		}
 	}
 	full := false
@@ -299,43 +251,33 @@ func TestSiblingHorizonUnmasksRestartedNeighbor(t *testing.T) {
 
 // TestDeltaConvergesToFullBaseline is the property-style schedule test:
 // random lossy schedules, one cluster on delta heartbeats and one on
-// always-full snapshots (settleFullTicks), must end with the same view of
+// always-full snapshots, must end with the same view of
 // the system (up to the documented DeltaEpsilon-scale tolerance) once the
 // links calm down and the ack chain repairs.
 func TestDeltaConvergesToFullBaseline(t *testing.T) {
 	for _, seed := range []int64{3, 17, 99} {
-		run := func(rounds func([]*Node, int)) []*Node {
+		run := func(full bool) []*stepNode {
 			rng := rand.New(rand.NewSource(seed))
 			g, err := topology.RandomConnected(5, 2, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fabric := transport.NewFabric(transport.FabricOptions{Seed: seed})
-			t.Cleanup(func() { _ = fabric.Close() })
-			nodes := buildCluster(t, g, fabric, nil)
+			c := newStepped(t, g, seed, nil)
 			// Lossy phase: both clusters sample the identical loss schedule
 			// (same seed, same send order), dropping full and
 			// delta heartbeats alike.
-			for li := 0; li < g.NumLinks(); li++ {
-				l := g.Link(li)
-				if err := fabric.SetLoss(l.A, l.B, 0.3); err != nil {
-					t.Fatal(err)
-				}
+			for _, l := range g.Links() {
+				c.setLoss(l.A, l.B, 0.3)
 			}
-			rounds(nodes, 150)
+			c.ticks(150, full)
 			// Calm phase: no loss; acks repair and estimates settle.
-			for li := 0; li < g.NumLinks(); li++ {
-				l := g.Link(li)
-				if err := fabric.SetLoss(l.A, l.B, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rounds(nodes, 100)
-			return nodes
+			clear(c.loss)
+			c.ticks(100, full)
+			return c.nodes
 		}
 
-		deltaNodes := run(settleTicks)
-		fullNodes := run(settleFullTicks)
+		deltaNodes := run(false)
+		fullNodes := run(true)
 		for i := range deltaNodes {
 			for p := 0; p < 5; p++ {
 				mD, dD := deltaNodes[i].CrashEstimate(topology.NodeID(p))
@@ -406,7 +348,7 @@ func TestHeartbeatMustNameItsSender(t *testing.T) {
 	peerKeys := func() int {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		return nd.hb.Peers()
+		return nd.core.hb.Peers()
 	}
 
 	// Transport sender 1 claims to be 2, in a delta and in a full heartbeat.
@@ -440,7 +382,7 @@ func TestHeartbeatMustNameItsSender(t *testing.T) {
 		t.Errorf("process 3 at distortion %d after the honest delta, want 2", dist)
 	}
 	nd.mu.Lock()
-	seen, acked := nd.hb.Seen(1), nd.hb.Acked(1)
+	seen, acked := nd.core.hb.Seen(1), nd.core.hb.Acked(1)
 	nd.mu.Unlock()
 	if seen != 7 || acked != 2 || peerKeys() != 2 {
 		t.Errorf("after the honest delta seen=%d acked=%d over %d entries, want 7, 2 over 2", seen, acked, peerKeys())
@@ -515,13 +457,8 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, boxes := make([]*Node, n), make([]*mailTransport, n)
-	for i := range nodes {
-		id := topology.NodeID(i)
-		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
-		nodes[i] = newTestNode(t, Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id),
-			Knowledge: knowledge.Params{LinkAgeTimeout: ageTimeout}}, boxes[i])
-	}
+	c := newStepped(t, g, 0, func(cfg *Config) { cfg.Knowledge = knowledge.Params{LinkAgeTimeout: ageTimeout} })
+	nodes := c.nodes
 	type record struct {
 		proc topology.NodeID // -1 for a link record
 		link topology.Link
@@ -548,9 +485,7 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 	}
 	// distAt is the distortion at which nd holds r, math.MaxInt32 when
 	// it does not know it.
-	distAt := func(nd *Node, r record) int {
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
+	distAt := func(nd *stepNode, r record) int {
 		if r.proc >= 0 {
 			_, d := nd.view.CrashEstimate(r.proc)
 			return d
@@ -562,9 +497,7 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 	}
 	// recordDists reads the distortion at which nd holds each process
 	// and link it knows.
-	recordDists := func(nd *Node) map[record]int {
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
+	recordDists := func(nd *stepNode) map[record]int {
 		out := map[record]int{}
 		for id := range topology.NodeID(n) {
 			if _, d := nd.view.CrashEstimate(id); d != knowledge.DistInf {
@@ -595,22 +528,15 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 	for p := 1; p <= periods; p++ {
 		for i, nd := range nodes {
 			before := recordDists(nd)
-			nd.Tick()
+			c.tick(nd)
 			for r, d := range recordDists(nd) {
 				if d > before[r] {
 					aged[i][r] = p
 				}
 			}
 		}
-		for _, nd := range nodes {
-			if !nd.WaitSendIdle(5 * time.Second) {
-				t.Fatalf("period %d: node %d's lanes never flushed", p, nd.ID())
-			}
-		}
-		var mail []mail
-		for _, box := range boxes {
-			mail = append(mail, box.take()...)
-		}
+		mail := c.mail
+		c.mail = nil
 		// siblings[i] lists the records the frame mail[i] leaves out of its
 		// sender's receiver-agnostic cut beyond split horizon: the ones a
 		// mask bit kept out.
@@ -635,9 +561,7 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 				}
 			}
 			sender := nodes[m.from]
-			sender.mu.Lock()
 			cut, ok := sender.view.DeltaSince(d.Since)
-			sender.mu.Unlock()
 			if !ok || cut.Seq != d.Snap.Seq {
 				t.Fatalf("period %d: the agnostic cut of %d since %d is not the frame's (anchored %v)", p, m.from, d.Since, ok)
 			}
@@ -700,7 +624,7 @@ func TestSplitHorizonOnLossyRing(t *testing.T) {
 			for i, r := range recs {
 				adopted[i] = ds[i] < distAt(nodes[m.to], r)
 			}
-			nodes[m.to].handle(m.from, m.frame)
+			c.deliver(m.from, m.to, m.frame)
 			rep := reported[toward{m.from, m.to}]
 			if rep == nil {
 				rep = map[record]int{}
@@ -762,18 +686,11 @@ func TestCrashSuspicionOnLossyRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, boxes := make([]*Node, n), make([]*mailTransport, n)
-	for i := range nodes {
-		id := topology.NodeID(i)
-		boxes[i] = &mailTransport{sinkTransport: sinkTransport{id: id}}
-		nodes[i] = newTestNode(t, Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id),
-			Knowledge: knowledge.Params{LinkAgeTimeout: ageTimeout}}, boxes[i])
-	}
+	c := newStepped(t, g, 0, func(cfg *Config) { cfg.Knowledge = knowledge.Params{LinkAgeTimeout: ageTimeout} })
+	nodes := c.nodes
 	// suspects reports whether nd's copy of the crashed process carries a
 	// failure.
-	suspects := func(nd *Node) bool {
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
+	suspects := func(nd *stepNode) bool {
 		return nd.view.ProcEstimator(crashed).State().Fail > 0
 	}
 	// carries reports whether s holds a record of the crashed process,
@@ -795,18 +712,11 @@ func TestCrashSuspicionOnLossyRing(t *testing.T) {
 	for p := 1; p <= periods; p++ {
 		for i, nd := range nodes {
 			if p <= crashAt || topology.NodeID(i) != crashed {
-				nd.Tick()
+				c.tick(nd)
 			}
 		}
-		for _, nd := range nodes {
-			if !nd.WaitSendIdle(5 * time.Second) {
-				t.Fatalf("period %d: node %d's lanes never flushed", p, nd.ID())
-			}
-		}
-		var mail []mail
-		for _, box := range boxes {
-			mail = append(mail, box.take()...)
-		}
+		mail := c.mail
+		c.mail = nil
 		snaps := make([]*knowledge.Snapshot, len(mail))
 		for i, m := range mail {
 			f, err := wire.Decode(m.frame)
@@ -821,9 +731,7 @@ func TestCrashSuspicionOnLossyRing(t *testing.T) {
 				continue
 			}
 			sender := nodes[m.from]
-			sender.mu.Lock()
 			cut, _ := sender.view.DeltaSince(f.Delta.Since)
-			sender.mu.Unlock()
 			if _, ok := carries(cut); ok {
 				masked++
 			}
@@ -834,13 +742,11 @@ func TestCrashSuspicionOnLossyRing(t *testing.T) {
 			}
 			if d, ok := carries(snaps[i]); ok {
 				nd := nodes[m.to]
-				nd.mu.Lock()
 				if _, mine := nd.view.CrashEstimate(crashed); d < mine {
 					supplier[m.to] = m.from
 				}
-				nd.mu.Unlock()
 			}
-			nodes[m.to].handle(m.from, m.frame)
+			c.deliver(m.from, m.to, m.frame)
 		}
 		all := p > crashAt
 		for i, nd := range nodes {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"adaptivecast/internal/bayes"
 	"adaptivecast/internal/knowledge"
@@ -45,14 +44,12 @@ func TestJoinFoldsIntoRunningCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
-	settleTicks(nodes, 30) // converged, steady-state deltas near-empty
+	c := newStepped(t, g, 0, nil)
+	c.ticks(30, false) // converged, steady-state deltas near-empty
 
-	joiner := joinNode(t, fabric, 4, 5, []topology.NodeID{0, 2}, 1, nil, Config{})
-	nodes = append(nodes, joiner)
-	settleTicks(nodes, 3)
+	joiner := c.join(Config{ID: 4, NumProcs: 5, Neighbors: []topology.NodeID{0, 2}, Epoch: 1})
+	c.ticks(3, false)
+	nodes := c.nodes
 
 	for i, nd := range nodes {
 		if got := nd.Epoch(); got != 1 {
@@ -74,23 +71,18 @@ func TestJoinFoldsIntoRunningCluster(t *testing.T) {
 
 	// Within 3 periods of the join the whole cluster — joiner included —
 	// must deliver a broadcast from an original member.
-	if _, _, err := nodes[1].Broadcast([]byte("post-join")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
+	c.broadcast(1, []byte("post-join"))
+	c.drain()
 	for i, nd := range nodes {
-		ds := drainDeliveries(nd)
-		if len(ds) == 0 {
+		if len(nd.take()) == 0 {
 			t.Errorf("node %d missed the post-join broadcast", i)
 		}
 	}
 	// And the reverse direction: the joiner's own broadcast reaches all.
-	if _, _, err := joiner.Broadcast([]byte("from-joiner")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
+	c.broadcast(joiner.ID(), []byte("from-joiner"))
+	c.drain()
 	for i, nd := range nodes {
-		if ds := drainDeliveries(nd); len(ds) == 0 {
+		if len(nd.take()) == 0 {
 			t.Errorf("node %d missed the joiner's broadcast", i)
 		}
 	}
@@ -106,29 +98,24 @@ func TestLeaveTombstonesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
-	settleTicks(nodes, 40)
+	c := newStepped(t, g, 0, nil)
+	c.ticks(40, false)
 
 	// Node 3 leaves; node 2 (a ring neighbor) announces.
 	const leaver = topology.NodeID(3)
-	stopNode(nodes[leaver])
-	if err := nodes[2].AnnounceLeave(leaver); err != nil {
-		t.Fatal(err)
-	}
-	remaining := []*Node{nodes[0], nodes[1], nodes[2], nodes[4]}
+	c.leave(2, leaver)
+	nodes := c.nodes
+	remaining := []*stepNode{nodes[0], nodes[1], nodes[2], nodes[4]}
 	// One full-snapshot interval: the epoch change reset every ack, so the
 	// very next period ships full snapshots; give the exchange two rounds.
-	settleTicks(remaining, 2)
+	c.drain()
+	c.ticks(2, false)
 
 	for _, nd := range remaining {
 		if got := nd.Epoch(); got != 1 {
 			t.Errorf("node %d at epoch %d after leave, want 1", nd.ID(), got)
 		}
-		nd.mu.Lock()
 		snap := nd.view.Snapshot()
-		nd.mu.Unlock()
 		for _, pr := range snap.Procs {
 			if pr.ID == leaver {
 				t.Errorf("node %d heartbeat still carries a record for departed %d", nd.ID(), leaver)
@@ -148,12 +135,10 @@ func TestLeaveTombstonesRecords(t *testing.T) {
 
 	// Broadcasts still span the survivors (the ring lost one hop but
 	// stays connected: 4-0-1-2 plus the 2—4 gap routed the long way).
-	if _, _, err := nodes[0].Broadcast([]byte("post-leave")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
+	c.broadcast(0, []byte("post-leave"))
+	c.drain()
 	for _, nd := range remaining {
-		if ds := drainDeliveries(nd); len(ds) == 0 {
+		if len(nd.take()) == 0 {
 			t.Errorf("node %d missed the post-leave broadcast", nd.ID())
 		}
 	}
@@ -169,20 +154,16 @@ func TestStaleEpochFramesFencedAndRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
-	settleTicks(nodes, 10)
+	c := newStepped(t, g, 0, nil)
+	c.ticks(10, false)
+	nodes := c.nodes
 
 	// Apply two membership changes directly to node 0 only (simulating a
 	// flood node 2 never saw; node 1 relays nothing here because the
 	// announcements are injected, not flooded).
 	m1 := &wire.Membership{Node: 3, Epoch: 1, NumProcs: 4, Neighbors: []topology.NodeID{0}}
 	m2 := &wire.Membership{Node: 4, Epoch: 2, NumProcs: 5, Neighbors: []topology.NodeID{0}}
-	if lc, _ := nodes[0].applyMembership(wire.FrameJoin, m1); lc == nil {
-		t.Fatal("membership not applied")
-	}
-	if lc, _ := nodes[0].applyMembership(wire.FrameJoin, m2); lc == nil {
+	if !nodes[0].adopt(m1) || !nodes[0].adopt(m2) {
 		t.Fatal("membership not applied")
 	}
 	if nodes[0].Epoch() != 2 {
@@ -194,8 +175,9 @@ func TestStaleEpochFramesFencedAndRepaired(t *testing.T) {
 	// epoch 2 within a few periods. Node 1 ticks first, on its own: in a
 	// shared round node 0's re-announcement can reach it before it has
 	// sent anything at the old epoch.
-	nodes[1].Tick()
-	settleTicks(nodes, 4)
+	c.tick(nodes[1])
+	c.drain()
+	c.ticks(4, false)
 	if got := nodes[0].Stats().StaleEpochFrames; got == 0 {
 		t.Error("no stale-epoch frames counted at node 0")
 	}
@@ -206,13 +188,25 @@ func TestStaleEpochFramesFencedAndRepaired(t *testing.T) {
 	}
 }
 
+// adopt applies a join announcement at nd as if it had arrived, counting
+// the epoch change but relaying it nowhere, and reports whether it was
+// newer than nd's epoch.
+func adopt(nd *Node, m *wire.Membership) bool {
+	var fx Effects
+	nd.mu.Lock()
+	lc := nd.core.apply(wire.FrameJoin, m, &fx)
+	nd.mu.Unlock()
+	nd.stats.count(&fx)
+	return lc != nil
+}
+
 // fenceState is what an off-epoch frame must leave alone at a node: what
 // it delivered, its view's version and the ack bookkeeping it keeps for
-// peer 0, plus the count of fenced stale frames.
+// peer 0, plus the counts of fenced stale and ahead frames.
 type fenceState struct {
-	delivered, stale int
-	version          uint64
-	acked, seen      uint64
+	delivered, stale, ahead int
+	version                 uint64
+	acked, seen             uint64
 }
 
 func fenceStateOf(nd *Node) fenceState {
@@ -220,8 +214,8 @@ func fenceStateOf(nd *Node) fenceState {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	return fenceState{
-		delivered: s.Delivered, stale: s.StaleEpochFrames,
-		version: nd.view.Version(), acked: nd.hb.Acked(0), seen: nd.hb.Seen(0),
+		delivered: s.Delivered, stale: s.StaleEpochFrames, ahead: s.AheadEpochFrames,
+		version: nd.core.view.Version(), acked: nd.core.hb.Acked(0), seen: nd.core.hb.Seen(0),
 	}
 }
 
@@ -230,7 +224,7 @@ func fenceStateOf(nd *Node) fenceState {
 // whole. Nothing is delivered or relayed, and neither the view nor the
 // sender's ack bookkeeping moves. An older epoch counts as a stale frame
 // and earns the sender one re-announcement per heartbeat period; a newer
-// one is dropped silently. The same frame at the node's epoch is
+// one counts as an ahead frame and earns nothing. The same frame at the node's epoch is
 // processed, so the frames are ones the node would act on.
 func TestEpochFenceDropsOffEpochFrames(t *testing.T) {
 	const epoch = 2
@@ -280,6 +274,8 @@ func TestEpochFenceDropsOffEpochFrames(t *testing.T) {
 						after := fenceStateOf(nd)
 						if tc.stale {
 							before.stale++
+						} else {
+							before.ahead++
 						}
 						if after != before {
 							t.Errorf("period %d, frame %d at epoch %d: state %+v, want %+v", period, i, tc.epoch, after, before)
@@ -401,7 +397,7 @@ func TestEpochStatsRaceClean(t *testing.T) {
 		}
 	}()
 	for e := uint64(1); e <= 20; e++ {
-		nodes[0].applyMembership(wire.FrameJoin, &wire.Membership{
+		adopt(nodes[0], &wire.Membership{
 			Node: topology.NodeID(1 + e), Epoch: e, NumProcs: int(2 + e),
 			Neighbors: []topology.NodeID{0},
 		})
@@ -416,7 +412,7 @@ func TestEpochStatsRaceClean(t *testing.T) {
 // TestDeltaConvergesToFullAcrossChurn extends the delta-vs-full property
 // harness with a random join/leave schedule under loss: delta heartbeats
 // plus the ack chain must converge to the same estimates as full
-// snapshots (forgetAcks before every period), and both modes must agree
+// snapshots (every core forgets its acks before each period), and both modes must agree
 // on the final membership.
 func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 	if testing.Short() {
@@ -439,30 +435,16 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 			{period: 120, join: true, nbs: []topology.NodeID{0}},
 		}
 
-		run := func(full bool) []*Node {
+		run := func(full bool) []*stepNode {
 			g, err := topology.Ring(4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fabric := transport.NewFabric(transport.FabricOptions{Seed: seed})
-			t.Cleanup(func() { _ = fabric.Close() })
-			nodes := buildCluster(t, g, fabric, nil)
-			for li := 0; li < g.NumLinks(); li++ {
-				l := g.Link(li)
-				if err := fabric.SetLoss(l.A, l.B, 0.2); err != nil {
-					t.Fatal(err)
-				}
+			c := newStepped(t, g, seed, nil)
+			for _, l := range g.Links() {
+				c.setLoss(l.A, l.B, 0.2)
 			}
 			epoch := uint64(0)
-			alive := func() []*Node {
-				out := nodes[:0:0]
-				for _, nd := range nodes {
-					if nd != nil {
-						out = append(out, nd)
-					}
-				}
-				return out
-			}
 			departed := []topology.NodeID(nil)
 			for p := 0; p < 170; p++ {
 				for _, ev := range schedule {
@@ -471,38 +453,25 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 					}
 					epoch++
 					if ev.join {
-						id := topology.NodeID(len(nodes))
-						nd := joinNode(t, fabric, id, len(nodes)+1, ev.nbs, epoch,
-							append([]topology.NodeID(nil), departed...), Config{})
-						nodes = append(nodes, nd)
+						n := len(c.nodes)
+						c.join(Config{ID: topology.NodeID(n), NumProcs: n + 1, Neighbors: ev.nbs, Epoch: epoch,
+							Departed: append([]topology.NodeID(nil), departed...)})
 					} else {
-						stopNode(nodes[ev.leaver])
-						nodes[ev.leaver] = nil
 						departed = append(departed, ev.leaver)
 						// Node 0 never leaves in these schedules; it announces.
-						if err := nodes[0].AnnounceLeave(ev.leaver); err != nil {
-							t.Fatal(err)
-						}
+						c.leave(0, ev.leaver)
 					}
 				}
 				if p == 140 {
 					// Calm phase: lossless links let acks repair fully.
-					for li := 0; li < g.NumLinks(); li++ {
-						l := g.Link(li)
-						if err := fabric.SetLoss(l.A, l.B, 0); err != nil {
-							t.Fatal(err)
-						}
-					}
+					clear(c.loss)
 				}
-				if full {
-					forgetAcks(alive())
-				}
-				for _, nd := range alive() {
-					nd.Tick()
-				}
-				time.Sleep(time.Millisecond)
+				c.ticks(1, full)
 			}
-			return nodes
+			for _, id := range departed {
+				c.nodes[id] = nil
+			}
+			return c.nodes
 		}
 
 		deltaNodes := run(false)

@@ -1,34 +1,24 @@
-// Package node is the live runtime: a goroutine-driven implementation of
-// the paper's full adaptive stack — the knowledge approximation activity
-// (Algorithm 4) on a real clock and the reliable broadcast activity
-// (Algorithm 1) — over a pluggable transport. The simulator and the live
-// node share every algorithmic component (knowledge, mrt, optimize) and
-// both planes, the heartbeat plane (heartbeat) and the data plane
-// (dataplane), so the two cannot drift apart; the node adds timers, the
-// lanes and the transport, stable-storage crash accounting, the
-// exactly-once log and delivery plumbing.
+// Package node is the paper's adaptive protocol — the knowledge
+// approximation activity (Algorithm 4) and the reliable broadcast
+// activity (Algorithm 1) — and its live runtime. Core is the protocol
+// with no I/O (core.go): both planes (heartbeat, dataplane), the
+// membership epochs and the sequencer, driven by the live Node here and
+// by the discrete-event twin (internal/broadcast), so the two cannot
+// drift apart. Node adds a real clock, the lanes and the transport,
+// stable-storage crash accounting, the exactly-once log and delivery.
 //
-// Concurrency is one node lock (Node.mu): Broadcast, the transport
-// handler, Tick and membership changes each take it for one critical
-// section, so every entry point is atomic against the others. Hooks,
-// durable writes and sends run after the section, never under it, and
-// every counter is an atomic.
-//
-// Steady-state bandwidth is kept flat by three mechanisms: heartbeats
-// ship per-neighbor knowledge deltas against the version the neighbor
-// last acked (package heartbeat; full-snapshot fallback when no ack
-// anchors one),
-// per-edge retransmission bursts leave through the lane scheduler as one
-// SendN flush, and a relay reads its children straight off the parent
-// vector a data frame carries instead of rebuilding the tree.
+// Concurrency is one node lock (Node.mu) around the Core: Broadcast, the
+// transport handler, Tick and membership changes each take it for one
+// call into the core, so every entry point is atomic against the others.
+// The Effects the call decided — sends, durable writes, deliveries and
+// hooks — are carried out after it, never under it, and every counter is
+// an atomic.
 package node
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,6 +85,7 @@ type Stats struct {
 	PlanCacheHits       int // broadcasts that reused the cached (tree, allocation) plan
 	PlanCacheMisses     int // broadcasts that had to replan because the view changed
 	StaleEpochFrames    int // frames fenced off because they carried an older membership epoch
+	AheadEpochFrames    int // frames fenced off because they carried a newer membership epoch
 	EpochChanges        int // membership epoch adoptions (joins/leaves applied, catch-ups included)
 
 	// Deprecated: always 0, no tree is rebuilt on receipt.
@@ -136,12 +127,10 @@ type LaneDrops struct {
 // so hot paths never take a lock to count an event.
 type counters struct {
 	heartbeatsSent        atomic.Int64
-	heartbeatsReceived    atomic.Int64
 	deltaHeartbeatsSent   atomic.Int64
 	heartbeatBytesSent    atomic.Int64
 	heartbeatEncodeErrors atomic.Int64
 	dataSent              atomic.Int64
-	dataReceived          atomic.Int64
 	delivered             atomic.Int64
 	droppedDeliveries     atomic.Int64
 	suppressedReplays     atomic.Int64
@@ -151,8 +140,8 @@ type counters struct {
 	logErrors             atomic.Int64
 	planCacheHits         atomic.Int64
 	planCacheMisses       atomic.Int64
-	staleEpochFrames      atomic.Int64
-	epochChanges          atomic.Int64
+	// outcomes counts the core's outcomes by kind (see count).
+	outcomes [Adopted + 1]atomic.Int64
 	// verdicts holds the view's knowledge.Verdicts, process then link
 	// records, each adopted, rejected equal and rejected above; merges
 	// publish them under mu (noteVerdicts) so Stats takes no lock.
@@ -162,39 +151,42 @@ type counters struct {
 func (c *counters) snapshot() Stats {
 	return Stats{
 		HeartbeatsSent:        int(c.heartbeatsSent.Load()),
-		HeartbeatsReceived:    int(c.heartbeatsReceived.Load()),
+		HeartbeatsReceived:    c.of(Merged),
 		DeltaHeartbeatsSent:   int(c.deltaHeartbeatsSent.Load()),
 		HeartbeatBytesSent:    int(c.heartbeatBytesSent.Load()),
 		HeartbeatEncodeErrors: int(c.heartbeatEncodeErrors.Load()),
 		DataSent:              int(c.dataSent.Load()),
-		DataReceived:          int(c.dataReceived.Load()),
+		DataReceived:          c.of(Delivered),
 		Delivered:             int(c.delivered.Load()),
 		DroppedDeliveries:     int(c.droppedDeliveries.Load()),
 		SuppressedReplays:     int(c.suppressedReplays.Load()),
 		FallbackFloods:        int(c.fallbackFloods.Load()),
-		DecodeErrors:          int(c.decodeErrors.Load()),
-		SnapshotMergeErrors:   int(c.snapshotMergeErrors.Load()),
+		DecodeErrors:          int(c.decodeErrors.Load()) + c.of(Forged),
+		SnapshotMergeErrors:   int(c.snapshotMergeErrors.Load()) + c.of(Refused),
 		LogErrors:             int(c.logErrors.Load()),
 		PlanCacheHits:         int(c.planCacheHits.Load()),
 		PlanCacheMisses:       int(c.planCacheMisses.Load()),
-		StaleEpochFrames:      int(c.staleEpochFrames.Load()),
-		EpochChanges:          int(c.epochChanges.Load()),
+		StaleEpochFrames:      c.of(Stale),
+		AheadEpochFrames:      c.of(Ahead),
+		EpochChanges:          c.of(Adopted),
 		ProcRecords:           c.verdictsOf(0),
 		LinkRecords:           c.verdictsOf(1),
 	}
 }
+
+func (c *counters) of(o Outcome) int { return int(c.outcomes[o].Load()) }
 
 func (c *counters) verdictsOf(kind int) RecordVerdicts {
 	v := &c.verdicts[kind]
 	return RecordVerdicts{int(v[0].Load()), int(v[1].Load()), int(v[2].Load())}
 }
 
-// noteVerdicts publishes the view's verdict counts to Stats; it is called
-// with mu held, after a merge.
-func (n *Node) noteVerdicts() {
-	procs, links := n.view.Verdicts()
+// noteVerdicts publishes the view's verdict counts to Stats; the node
+// calls it with mu held, after a merge.
+func (c *counters) noteVerdicts(view *knowledge.View) {
+	procs, links := view.Verdicts()
 	for kind, v := range [2]knowledge.Verdicts{procs, links} {
-		c := &n.stats.verdicts[kind]
+		c := &c.verdicts[kind]
 		c[0].Store(int64(v.Adopted))
 		c[1].Store(int64(v.RejectedEqual))
 		c[2].Store(int64(v.RejectedAbove))
@@ -296,79 +288,22 @@ func (c Config) withDefaults() Config {
 // a crash wastes at most this much of the (unbounded) sequence space.
 const seqLeaseBatch = 1 << 10
 
-// announceRounds is how many consecutive heartbeat periods a node
-// re-floods its latest membership announcement. Announcements cross the
-// same lossy links as every other frame; with per-link loss L the chance
-// a neighbor misses all rounds is L^(1+announceRounds) (the original
-// flood plus the repeats), and delta-heartbeat clusters additionally
-// repair stragglers through the stale-epoch re-announcement loop.
-const announceRounds = 3
-
-// memberChange is the last membership announcement this node applied (or
-// originated), kept for re-announcement: a peer whose frames arrive with
-// a stale epoch missed the flood, and re-sending the complete Membership
-// catches it up in one frame. frame is the announcement pre-encoded, so
-// the repair paths (per stale frame received, per redundancy round) pay
-// one Send each, never a re-serialization.
-type memberChange struct {
-	kind   wire.FrameKind // FrameJoin or FrameLeave
-	member wire.Membership
-	frame  []byte
-}
-
-// newMemberChange builds the record, deep-copying the slices (the caller
-// may hold them) and pre-encoding the frame. Encoding a validated
-// Membership cannot fail; a nil frame just disables re-announcement.
-func newMemberChange(kind wire.FrameKind, m *wire.Membership) *memberChange {
-	mc := &memberChange{kind: kind, member: *m}
-	mc.member.Departed = append([]topology.NodeID(nil), m.Departed...)
-	mc.member.Neighbors = append([]topology.NodeID(nil), m.Neighbors...)
-	mc.frame, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &mc.member})
-	return mc
-}
-
 // Node is one live process.
 type Node struct {
 	cfg Config
 
-	// mu is the node lock. It guards the knowledge view and its heartbeat
-	// and data planes (hb, plane: the ack chains, the plan cache and the
-	// dedup watermarks), the re-announcement budget (reannounced), the
-	// membership state (epoch, nbs, lastChange,
-	// announceLeft) and the sequencer (seq). Three kinds of call are
-	// never made under it: hooks (a hook may call back into the node),
-	// durable writes (Storage.SaveMark, DedupLog.Record) and sends
-	// (sendControl, sendData). Each entry point takes it for one
-	// critical section and does that work after it.
-	mu sync.Mutex
-	// view is this process's knowledge approximation (Algorithm 4).
-	view *knowledge.View
-	// epoch is the membership epoch this node operates in; frames from
-	// older epochs are fenced off, newer epochs are adopted from
-	// membership announcements. nbs is the current neighbor roster,
-	// replaced whole on a change, so a caller may keep the slice it read.
-	// lastChange backs re-announcements; nil until the first membership
-	// change. reannounced is the per-peer once-per-period limit on
-	// stale-epoch re-announcements, and announceLeft counts the periods
-	// Tick still re-floods lastChange: announcements ride lossy links
-	// like any frame, and a few redundant rounds bound the chance a
-	// member misses a change even where the stale-epoch repair loop
-	// cannot see it.
-	epoch        uint64
-	nbs          []topology.NodeID
-	lastChange   *memberChange
-	reannounced  map[topology.NodeID]bool
-	announceLeft int
-	// seq is the broadcast sequencer.
-	seq uint64
-	// hb is the heartbeat plane over view: the ack chain toward and from
-	// each neighbor. plane is the data plane: the plan cache keyed by the
-	// view's version, and the dedup watermarks, one per process.
-	hb    *heartbeat.Plane
-	plane *dataplane.Plane
+	// mu is the node lock. It guards core, the protocol's state: the
+	// view, both planes, the membership and the sequencer. Three kinds of
+	// call are never made under it: hooks (a hook may call back into the
+	// node), durable writes (Storage.SaveMark, DedupLog.Record) and sends
+	// (sendControl, send). Each entry point takes it for one call into
+	// core and carries out the Effects it decided after it (apply).
+	mu   sync.Mutex
+	core *Core
 
-	// decPool holds the decode storage handle borrows per inbound frame:
-	// transports serialize a node's handler, so one is in use at a time,
+	// decPool holds the storage of one call into core: the Effects buffer,
+	// and for an inbound frame what handle decodes it into. Transports
+	// serialize a node's handler, so one is in use at a time per handler,
 	// and the pool keeps a test calling handle concurrently safe.
 	decPool pool.Pool[decStore]
 
@@ -423,50 +358,21 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if tr.Local() != cfg.ID {
 		return nil, fmt.Errorf("node: transport speaks for %d, config says %d", tr.Local(), cfg.ID)
 	}
-	if math.IsNaN(cfg.K) || cfg.K <= 0 || cfg.K >= 1 {
-		return nil, fmt.Errorf("node: K=%v outside (0,1)", cfg.K)
-	}
-	view, err := knowledge.NewView(cfg.ID, cfg.NumProcs, cfg.Neighbors, nil, cfg.Knowledge)
+	core, err := NewCore(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, d := range cfg.Departed {
-		if d == cfg.ID {
-			return nil, fmt.Errorf("node: self %d listed as departed", d)
-		}
-		view.MarkDeparted(d)
-	}
-	n := &Node{
-		cfg:         cfg,
-		view:        view,
-		epoch:       cfg.Epoch,
-		nbs:         append([]topology.NodeID(nil), cfg.Neighbors...),
-		reannounced: make(map[topology.NodeID]bool),
-		hb:          heartbeat.New(view),
-		plane:       dataplane.New(cfg.ID, cfg.K, view, cfg.Piggyback),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-	}
+	n := &Node{cfg: cfg, core: core, stop: make(chan struct{}), done: make(chan struct{})}
+	// A pooled Effects keeps no body, frame or snapshot alive.
+	n.decPool.Reset = func(ds *decStore) bool { ds.fx.Reset(); return true }
 	n.deliveries.Init(cfg.DeliveryBuffer, deliveryBytes)
 	n.initEncodePool()
-	if cfg.Epoch > 0 {
-		// A node constructed mid-epoch (a joiner) can catch laggard peers
-		// up on its own membership change, and re-floods it for a few
-		// periods in case the AnnounceJoin flood is lost.
-		n.lastChange = newMemberChange(wire.FrameJoin, &wire.Membership{
-			Node:      cfg.ID,
-			Epoch:     cfg.Epoch,
-			NumProcs:  cfg.NumProcs,
-			Departed:  cfg.Departed,
-			Neighbors: n.nbs,
-		})
-		n.announceLeft = announceRounds
-	}
 	// Resume broadcast sequencing above anything this node may have
 	// issued before a crash — the persisted sequence floor and/or the
 	// dedup log's high-water mark — so post-recovery broadcasts get fresh
 	// IDs instead of being silently censored by every live peer's dedup
 	// watermark.
+	var missed int
 	var resume uint64
 	if cfg.Storage != nil {
 		mark, seqFloor, ok, err := cfg.Storage.LoadMark()
@@ -474,20 +380,15 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 			return nil, err
 		}
 		if ok {
-			missed := int(cfg.Now().Sub(mark) / cfg.HeartbeatEvery)
-			if missed > 0 {
-				view.OnRecover(missed)
-			}
+			missed = int(cfg.Now().Sub(mark) / cfg.HeartbeatEvery)
 			resume = seqFloor
 			n.seqLease.Store(seqFloor)
 		}
 	}
 	if cfg.DedupLog != nil {
-		if m := cfg.DedupLog.MaxSeq(cfg.ID); m > resume {
-			resume = m
-		}
+		resume = max(resume, cfg.DedupLog.MaxSeq(cfg.ID))
 	}
-	n.seq = resume
+	core.Recover(missed, resume)
 	n.lanes = lanes.New(tr, lanes.Config{QueueDepth: cfg.LaneQueueDepth})
 	tr.SetHandler(n.handle)
 	return n, nil
@@ -528,7 +429,7 @@ func (n *Node) ID() topology.NodeID { return n.cfg.ID }
 func (n *Node) Epoch() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.epoch
+	return n.core.epoch
 }
 
 // Neighbors returns the current neighbor roster (a shared snapshot;
@@ -537,7 +438,7 @@ func (n *Node) Epoch() uint64 {
 func (n *Node) Neighbors() []topology.NodeID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.nbs
+	return n.core.nbs
 }
 
 // Next returns the oldest delivery the application has not taken yet,
@@ -590,21 +491,21 @@ func (n *Node) WaitSendIdle(timeout time.Duration) bool { return n.lanes.WaitIdl
 func (n *Node) CrashEstimate(i topology.NodeID) (mean float64, dist int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.view.CrashEstimate(i)
+	return n.core.view.CrashEstimate(i)
 }
 
 // LossEstimate reads the node's current estimate of link l.
 func (n *Node) LossEstimate(l topology.Link) (mean float64, dist int, ok bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.view.LossEstimate(l)
+	return n.core.view.LossEstimate(l)
 }
 
 // KnownLinks reports the links the node has discovered.
 func (n *Node) KnownLinks() []topology.Link {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.view.KnownLinks()
+	return n.core.view.KnownLinks()
 }
 
 // heartbeatLoop is the periodic activity of Algorithm 4 on a real clock.
@@ -622,53 +523,25 @@ func (n *Node) heartbeatLoop() {
 	}
 }
 
-// Tick executes one heartbeat period synchronously: Events 2 and 3, a
-// stable-storage clock mark, and a heartbeat to every neighbor. It is
-// exported so tests and deterministic drivers can pace the node without
-// real time.
-//
-// Each neighbor gets its own frame: the records changed since the
-// version that neighbor last acked, less those it is known to hold at no
-// greater distortion — the ones it supplied, the link between us, and
-// the process and link records it last sent at our distortion or below
-// (split and sibling horizon, knowledge.View.AppendOmitted) — or a full
-// snapshot while the acked version is unknown or unanchorable. A delta empties
-// only once no shipped record moves past DeltaEpsilon, which on
-// lossless links happens within a few hundred periods and on lossy ones
-// takes about 10⁴ observations per record; until then the two horizons
-// keep a neighbor's frame from carrying copies it would reject.
+// Tick executes one heartbeat period synchronously (Core.Tick): Events 2
+// and 3, a stable-storage clock mark, and a heartbeat to every neighbor,
+// each its own delta frame (package heartbeat). It is exported so tests
+// and deterministic harnesses can pace the node without real time.
 func (n *Node) Tick() {
 	if n.closed.Load() {
 		return
 	}
 	ws := periods.Get()
 	defer periods.Put(ws)
+	ds := n.decPool.Get()
+	defer n.decPool.Put(ds)
+	fx := &ds.fx
 
 	n.mu.Lock()
-	// Re-arm the per-peer stale-epoch re-announcement budget (see
-	// epochGate): one repair frame per laggard per period.
-	clear(n.reannounced)
-	// Redundant membership announcement rounds (see announceRounds): a
-	// recent join/leave is re-flooded with the heartbeats so a lossy link
-	// cannot silently strand a member in the old epoch.
-	var announce *memberChange
-	if n.announceLeft > 0 {
-		n.announceLeft--
-		announce = n.lastChange
-	}
-	// The roster and epoch are read once per period: membership changes
-	// landing after the section take effect next period.
-	neighbors, epoch := n.nbs, n.epoch
-	n.hb.Cut(ws, neighbors)
+	n.core.Tick(ws, fx)
 	n.mu.Unlock()
 
-	if announce != nil && announce.frame != nil {
-		for _, nb := range neighbors {
-			if nb != announce.member.Node {
-				_ = n.sendControl(nb, announce.frame, nil)
-			}
-		}
-	}
+	n.sendControls(fx)
 	if n.cfg.Storage != nil {
 		// A failed mark is not fatal: it only degrades the crash
 		// self-estimate after the next restart. The persisted sequence
@@ -689,7 +562,7 @@ func (n *Node) Tick() {
 	sent, deltas := 0, 0
 	for i, o := range ws.Outbound() {
 		eb := n.takeEncBuf()
-		frame, err := ws.AppendFrame(eb.b, i, epoch)
+		frame, err := ws.AppendFrame(eb.b, i, fx.Epoch)
 		if err != nil {
 			eb.done()
 			n.stats.heartbeatEncodeErrors.Add(1)
@@ -735,41 +608,25 @@ func (n *Node) Broadcast(body []byte) (seq uint64, planned int, err error) {
 	if n.closed.Load() {
 		return 0, 0, ErrStopped
 	}
+	ds := n.decPool.Get()
+	defer n.decPool.Put(ds)
+	fx := &ds.fx
 	n.mu.Lock()
-	n.seq++
-	seq = n.seq
-	msg := &wire.DataMsg{Origin: n.cfg.ID, Seq: seq, Root: n.cfg.ID, Body: body, Epoch: n.epoch}
-	l := n.plane.Broadcast(msg, n.nbs)
+	n.core.Broadcast(body, fx)
 	n.mu.Unlock()
 
-	if n.cfg.Storage != nil {
-		n.ensureSeqLease(seq)
-	}
-	if n.cfg.DedupLog != nil {
-		if _, err := n.cfg.DedupLog.Record(dedup.ID{Origin: n.cfg.ID, Seq: seq}); err != nil {
-			n.stats.logErrors.Add(1)
-		}
-	}
-	if l.Fresh {
+	if fx.Fresh {
 		n.stats.planCacheMisses.Add(1)
 	} else {
 		n.stats.planCacheHits.Add(1)
 	}
 	switch {
-	case l.Plan.Err != nil:
+	case fx.Plan.Err != nil:
 		n.stats.fallbackFloods.Add(1)
-	case l.Fresh && n.cfg.Hooks.OnTreeRebuild != nil:
-		n.cfg.Hooks.OnTreeRebuild(seq, l.Plan.Edges, l.Planned)
+	case fx.Fresh && n.cfg.Hooks.OnTreeRebuild != nil:
+		n.cfg.Hooks.OnTreeRebuild(fx.Seq, fx.Plan.Edges, fx.Planned)
 	}
-	n.pushDelivery(Delivery{Origin: n.cfg.ID, Seq: seq, From: n.cfg.ID, Body: body})
-
-	// Encode once: every send consumes the same frame bytes (and the same
-	// pooled buffer, recycled after the last send).
-	frame, eb, err := n.encodeDataFrame(msg, nil, l.Snap)
-	if err != nil {
-		return seq, l.Planned, err
-	}
-	return seq, l.Planned, n.send(l.Sends, frame, eb)
+	return fx.Seq, fx.Planned, n.apply(fx, ds)
 }
 
 // ensureSeqLease extends the persisted broadcast sequence floor so it
@@ -800,11 +657,8 @@ func (n *Node) ensureSeqLease(seq uint64) {
 // frame is decoded into pooled storage with the body aliasing frameBytes,
 // which the transport takes back when handle returns, so nothing decoded
 // from a data frame outlives this call unless it is copied (see
-// wire.Scratch, decStore.keep), and
-// epoch-gated before any protocol processing (see epochGate). A heartbeat
-// or delta must name its transport sender (see sentBy, heartbeat.ErrSender). Each frame kind
-// takes mu for one critical section; what it decides to send, record or
-// deliver runs after it.
+// wire.Scratch, decStore.keep). The core decides the frame under mu, and
+// what it decided to send, record or deliver runs after it.
 func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	ds := n.decPool.Get()
 	defer n.decPool.Put(ds)
@@ -813,352 +667,155 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 		n.stats.decodeErrors.Add(1)
 		return
 	}
-	switch frame.Kind {
-	case wire.FrameHeartbeat:
-		// Full-snapshot heartbeats carry no epoch and are not gated.
-		if n.closed.Load() || !n.sentBy(from, frame.Heartbeat) {
-			return
-		}
-		n.mu.Lock()
-		err := n.view.MergeSnapshot(frame.Heartbeat)
-		n.noteVerdicts()
-		n.mu.Unlock()
-		if err == nil {
-			n.stats.heartbeatsReceived.Add(1)
-		} else {
-			n.stats.snapshotMergeErrors.Add(1)
-		}
-	case wire.FrameKnowledgeDelta:
-		n.mu.Lock()
-		repair, ok := n.epochGate(from, frame.Delta.Epoch)
-		if ok && !n.closed.Load() {
-			// The declared cadence (1 from every node) scales this
-			// view's expected-arrival accounting for the sender:
-			// suspicion timeout and sequence-gap loss bookkeeping both
-			// divide by the promised inter-frame gap.
-			err := n.hb.Receive(from, frame.Delta)
-			n.noteVerdicts()
-			if err == nil {
-				n.stats.heartbeatsReceived.Add(1)
-			} else {
-				n.stats.snapshotMergeErrors.Add(1)
-			}
-		}
-		n.mu.Unlock()
-		n.sendRepair(from, repair)
-	case wire.FrameData:
-		n.mu.Lock()
-		repair, ok := n.epochGate(from, frame.Data.Epoch)
-		var rx dataplane.Receipt
-		if ok {
-			rx = n.acceptData(from, frame.Data)
-		}
-		n.mu.Unlock()
-		n.sendRepair(from, repair)
-		n.handleData(from, frame.Data, frameBytes, rx, ds)
-	case wire.FrameJoin, wire.FrameLeave:
-		n.handleMembership(from, frame.Kind, frame.Member)
-	}
-}
-
-// sentBy reports whether a full heartbeat's snapshot names the peer the
-// transport delivered it from, and counts a mismatch in
-// SnapshotMergeErrors, for the reason heartbeat.Plane.Receive refuses a
-// delta naming another sender (heartbeat.ErrSender).
-func (n *Node) sentBy(from topology.NodeID, s *knowledge.Snapshot) bool {
-	if s.From == from {
-		return true
-	}
-	n.stats.snapshotMergeErrors.Add(1)
-	return false
-}
-
-// epochGate fences a data/delta frame against the node's membership
-// epoch; it is called with mu held. Same epoch: process. Older epoch: the
-// sender missed a membership change — drop the frame (its trees, version
-// bookkeeping and roster assumptions belong to a dead membership view),
-// count it, and return the announcement that created the current epoch as
-// the repair to send, so the laggard catches up in one frame. Newer
-// epoch: this node is the laggard — drop the frame too (it cannot be
-// interpreted against the old roster), and rely on the pull loop the drop
-// creates: our next heartbeat reaches the ahead peer with a stale epoch,
-// the peer re-announces, we adopt, and our cleared ack state makes both
-// sides exchange full knowledge snapshots.
-func (n *Node) epochGate(from topology.NodeID, frameEpoch uint64) (repair []byte, ok bool) {
-	if frameEpoch == n.epoch {
-		return nil, true
-	}
-	if frameEpoch < n.epoch {
-		n.stats.staleEpochFrames.Add(1)
-		// Once per peer per heartbeat period (Tick clears the set): a
-		// laggard mid-burst sends many stale frames, and answering each
-		// with a full membership announcement would amplify its traffic.
-		first := !n.reannounced[from]
-		n.reannounced[from] = true
-		if first && n.lastChange != nil {
-			repair = n.lastChange.frame
-		}
-	}
-	return repair, false
-}
-
-// sendRepair sends the re-announcement epochGate returned, if any.
-func (n *Node) sendRepair(to topology.NodeID, repair []byte) {
-	if repair != nil {
-		_ = n.sendControl(to, repair, nil)
-	}
-}
-
-// handleMembership applies a join/leave announcement and relays it. The
-// epoch number dedups the flood: announcements at or below the current
-// epoch are drops (every member already applied them), strictly newer
-// ones are applied — wholesale, since Membership carries the complete
-// roster — and re-flooded to the rest of the neighborhood.
-func (n *Node) handleMembership(from topology.NodeID, kind wire.FrameKind, m *wire.Membership) {
 	if n.closed.Load() {
 		return
 	}
-	if m.Node == n.cfg.ID && kind == wire.FrameLeave {
-		return // the cluster says we left; nothing sensible to apply locally
-	}
-	// Relay the announcement (excluding whoever delivered it) so the
-	// flood covers the cluster even though the roster is changing under
-	// it; applyMembership just pre-encoded it. Send failures are
-	// tolerated: the stale-epoch re-announcement path repairs any member
-	// the flood misses.
-	lc, roster := n.applyMembership(kind, m)
-	if lc == nil || lc.frame == nil {
-		return
-	}
-	for _, nb := range roster {
-		if nb != from && nb != m.Node {
-			_ = n.sendControl(nb, lc.frame, nil)
-		}
-	}
-}
-
-// applyMembership installs a membership change in one critical section:
-// grow the view's ID space, tombstone departed members, splice the
-// subject in or out of the local neighbor roster, adopt the epoch, and
-// re-anchor everything derived from the old membership — the plan cache
-// is invalidated, and the per-neighbor ack/seen state is reset so
-// the next heartbeat exchange falls back to full snapshots (the knowledge
-// pull that brings a joiner, or a laggard crossing several epochs at
-// once, up to speed). When the change is newer than the current epoch it
-// returns the announcement as applied and the new roster to flood it to;
-// otherwise nil.
-func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) (*memberChange, []topology.NodeID) {
+	fx := &ds.fx
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if m.Epoch <= n.epoch {
-		return nil, nil
+	n.core.Receive(from, frame, frameBytes, fx)
+	if fx.Merged {
+		n.stats.noteVerdicts(n.core.view)
 	}
-	n.epoch = m.Epoch
-	n.stats.epochChanges.Add(1)
-
-	n.view.Grow(m.NumProcs)
-	for _, d := range m.Departed {
-		n.view.MarkDeparted(d)
-	}
-	joinsUs := kind == wire.FrameJoin && slices.Contains(m.Neighbors, n.cfg.ID)
-	if joinsUs {
-		_ = n.view.AddNeighbor(m.Node)
-	}
-
-	// Install a fresh roster: callers keep whatever slice they read.
-	roster := make([]topology.NodeID, 0, len(n.nbs)+1)
-	for _, nb := range n.nbs {
-		if slices.Contains(m.Departed, nb) || nb == m.Node {
-			continue // dropped (leaver, or re-announced joiner re-added below)
-		}
-		roster = append(roster, nb)
-	}
-	if joinsUs {
-		roster = append(roster, m.Node)
-	}
-	n.nbs = roster
-
-	// Re-anchor: trees and version bookkeeping from the old epoch must
-	// not serve the new one. The plane's reset forces the full-snapshot
-	// fallback in both directions (heartbeat.Plane.Reset). The plan
-	// cache invalidates itself: Grow/MarkDeparted/AddNeighbor bumped the
-	// view version it is keyed on.
-	n.hb.Reset()
-
-	n.lastChange = newMemberChange(kind, m)
-	n.announceLeft = announceRounds
-	return n.lastChange, roster
+	n.mu.Unlock()
+	n.stats.count(fx)
+	_ = n.apply(fx, ds)
 }
 
-// AnnounceJoin floods this node's own join announcement to its neighbors.
-// Call it once on a freshly constructed joiner (Config.Epoch set to the
-// membership change's epoch, Config.Neighbors naming its links): the
-// receiving members apply the change, learn their new link, and their
-// next heartbeats deliver the full knowledge snapshots that fold the
-// joiner into the running cluster.
+// count books what became of a received frame, or of a membership change
+// this node applied: every Outcome but Duplicate and Ignored moves one
+// Stats counter.
+func (c *counters) count(fx *Effects) {
+	c.outcomes[fx.Outcome].Add(1)
+	if fx.BadTree {
+		c.decodeErrors.Add(1)
+	}
+	if fx.BadPiggyback {
+		c.snapshotMergeErrors.Add(1)
+	}
+}
+
+// apply carries out what one call into core decided, after mu is
+// released: the control frames, the sequence lease a broadcast needs,
+// the delivery, and the data frame's copies. A relay frame fails only to
+// encode a knowledge snapshot; the message was already delivered
+// locally, so the relay is dropped, and the error is a broadcast's only.
+func (n *Node) apply(fx *Effects, ds *decStore) error {
+	n.sendControls(fx)
+	if fx.Seq != 0 && n.cfg.Storage != nil {
+		n.ensureSeqLease(fx.Seq)
+	}
+	if fx.Deliver {
+		n.deliver(fx.Delivery, ds)
+	}
+	if !fx.Out {
+		return nil
+	}
+	// Encode once: every send consumes the same frame bytes (and the same
+	// pooled buffer, recycled after the last send). A relay copies or
+	// splices the inbound bytes instead of re-serializing the message.
+	frame, eb, err := n.encodeDataFrame(fx.Msg, fx.Raw, fx.Snap)
+	if err != nil {
+		return err
+	}
+	return n.send(fx.Sends, frame, eb)
+}
+
+// sendControls sends the control frames fx lists; only a stopped node
+// refuses them, and the repair loop covers a lost one.
+func (n *Node) sendControls(fx *Effects) {
+	for _, c := range fx.Control {
+		_ = n.sendControl(c.To, c.Frame, nil)
+	}
+}
+
+// deliver hands d to the application, a received body as the node's own
+// copy (ds.keep). With a DedupLog every delivery is durably recorded
+// first; a received message the log already holds was delivered before
+// a crash, and its replay is suppressed (the relay still goes out, so
+// the rest of the tree is served). A failed record delivers anyway:
+// at-least-once rather than losing the message.
+func (n *Node) deliver(d Delivery, ds *decStore) {
+	if n.cfg.DedupLog != nil {
+		fresh, err := n.cfg.DedupLog.Record(dedup.ID{Origin: d.Origin, Seq: d.Seq})
+		switch {
+		case err != nil:
+			n.stats.logErrors.Add(1)
+		case !fresh && d.From != n.cfg.ID:
+			n.stats.suppressedReplays.Add(1)
+			return
+		}
+	}
+	if d.From != n.cfg.ID {
+		d.Body = ds.keep(d.Body)
+	}
+	n.pushDelivery(d)
+}
+
+// AnnounceJoin floods this joiner's own announcement (Core.AnnounceJoin):
+// call it once on a node constructed with Config.Epoch set to the
+// membership change's epoch.
 func (n *Node) AnnounceJoin() error {
 	if n.closed.Load() {
 		return ErrStopped
 	}
+	var fx Effects
 	n.mu.Lock()
-	lc, roster := n.lastChange, n.nbs
+	err := n.core.AnnounceJoin(&fx)
 	n.mu.Unlock()
-	if lc == nil || lc.kind != wire.FrameJoin || lc.member.Node != n.cfg.ID {
-		return errors.New("node: not configured as a joiner (Config.Epoch unset)")
+	if err != nil {
+		return err
 	}
-	if lc.frame == nil {
-		return errors.New("node: join announcement failed to encode")
-	}
-	for _, nb := range roster {
-		if err := n.sendControl(nb, lc.frame, nil); err != nil {
+	for _, c := range fx.Control {
+		if err := n.sendControl(c.To, c.Frame, nil); err != nil {
 			return fmt.Errorf("node: join announcement: %w", err)
 		}
 	}
 	return nil
 }
 
-// AnnounceLeave removes a member from the running cluster on its behalf:
-// this node applies the change locally (tombstoning the leaver, bumping
-// the epoch) and floods the announcement. Call it on any surviving member
-// — typically a neighbor of the departed process — after stopping the
-// leaver. The new epoch is this node's epoch + 1; callers holding an
-// authoritative membership ledger (the Cluster) use AnnounceLeaveAt so
-// concurrent changes announced through different members cannot collide
-// on one epoch number.
+// AnnounceLeave removes a stopped member from the running cluster on its
+// behalf, at this node's epoch + 1 and as this view knows the membership
+// (Core.LeaveOf); callers holding an authoritative membership ledger (the
+// Cluster) use AnnounceLeaveMembership, so changes announced through
+// different members cannot collide on one epoch number.
 func (n *Node) AnnounceLeave(leaver topology.NodeID) error {
-	return n.AnnounceLeaveAt(leaver, n.Epoch()+1)
-}
-
-// AnnounceLeaveAt is AnnounceLeave with an explicit epoch for the change,
-// from an external membership ledger. epoch must be strictly greater than
-// every epoch already announced, or the members that adopted the higher
-// epoch will drop this announcement.
-func (n *Node) AnnounceLeaveAt(leaver topology.NodeID, epoch uint64) error {
 	n.mu.Lock()
-	numProcs := n.view.NumProcs()
-	already := n.view.Departed(leaver)
-	departed := make([]topology.NodeID, 0, 4)
-	for i := 0; i < numProcs; i++ {
-		if n.view.Departed(topology.NodeID(i)) {
-			departed = append(departed, topology.NodeID(i))
-		}
-	}
+	m, err := n.core.LeaveOf(leaver, n.core.epoch+1)
 	n.mu.Unlock()
-	if int(leaver) >= numProcs || leaver < 0 {
-		return fmt.Errorf("node: leaver %d outside [0,%d)", leaver, numProcs)
+	if err != nil {
+		return err
 	}
-	if already {
-		return fmt.Errorf("node: process %d already departed", leaver)
-	}
-	return n.AnnounceLeaveMembership(&wire.Membership{
-		Node:     leaver,
-		Epoch:    epoch,
-		NumProcs: numProcs,
-		Departed: append(departed, leaver),
-	})
+	return n.AnnounceLeaveMembership(m)
 }
 
 // AnnounceLeaveMembership applies and floods a fully specified leave
-// announcement. Callers holding an authoritative ledger (the Cluster's
-// graph) build the Membership from it rather than from this node's view,
-// so the announced ID-space size and tombstone set stay correct even
-// when this node has not yet caught up with an in-flight change — a
-// leave must not erase a join it overtook. m.Departed must include
-// m.Node; nothing is applied on error.
+// announcement (Core.AnnounceLeave). m.Departed must include m.Node;
+// nothing is applied on error.
 func (n *Node) AnnounceLeaveMembership(m *wire.Membership) error {
 	if n.closed.Load() {
 		return ErrStopped
 	}
-	if m.Node == n.cfg.ID {
-		return errors.New("node: cannot announce own departure")
+	var fx Effects
+	n.mu.Lock()
+	err := n.core.AnnounceLeave(m, &fx)
+	n.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	if !slices.Contains(m.Departed, m.Node) {
-		return fmt.Errorf("node: leave announcement does not tombstone the leaver %d", m.Node)
-	}
-	lc, roster := n.applyMembership(wire.FrameLeave, m)
-	if lc == nil {
-		return errors.New("node: leave announcement lost an epoch race; retry")
-	}
-	if lc.frame == nil {
-		return errors.New("node: leave announcement failed to encode")
-	}
-	for _, nb := range roster {
-		_ = n.sendControl(nb, lc.frame, nil) // only a stopped node refuses, and the change is applied
-	}
+	n.stats.count(&fx)
+	n.sendControls(&fx) // only a stopped node refuses, and the change is applied
 	return nil
 }
 
-// acceptData runs the data plane's receipt decision (Algorithm 1 lines
-// 5–7, dataplane.Plane.Receive) with mu held, and counts it: a frame or
-// relay the plane refused in DecodeErrors, a piggybacked snapshot the
-// view rejected in SnapshotMergeErrors (the frame decoded fine, and is
-// still delivered and relayed).
-func (n *Node) acceptData(from topology.NodeID, msg *wire.DataMsg) (rx dataplane.Receipt) {
-	if n.closed.Load() {
-		return rx
-	}
-	rx = n.plane.Receive(from, msg, n.nbs)
-	if rx.Refused != nil {
-		n.stats.decodeErrors.Add(1)
-	}
-	if rx.MergeErr != nil {
-		n.stats.snapshotMergeErrors.Add(1)
-	}
-	if msg.Piggyback != nil {
-		n.noteVerdicts()
-	}
-	if rx.Fresh {
-		n.stats.dataReceived.Add(1)
-	}
-	return rx
-}
-
-// handleData finishes a data frame after acceptData's critical section:
-// deliver a copy of the body (ds.keep) on first receipt, then keep
-// propagating along the carried tree (or re-flood warm-up messages). raw
-// is the encoded inbound frame, which the relay copies (or splices) into
-// a pooled buffer instead of re-serializing msg — see encodeDataFrame.
-func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte, rx dataplane.Receipt, ds *decStore) {
-	if !rx.Fresh {
-		return
-	}
-	deliver := true
-	if n.cfg.DedupLog != nil {
-		fresh, err := n.cfg.DedupLog.Record(dedup.ID{Origin: msg.Origin, Seq: msg.Seq})
-		switch {
-		case err != nil:
-			// Logging failed: deliver anyway (degrade to at-least-once
-			// rather than losing the message) and record the failure.
-			n.stats.logErrors.Add(1)
-		case !fresh:
-			// Delivered before a crash in a previous incarnation:
-			// suppress the replay but keep forwarding so the rest of the
-			// tree is still served.
-			deliver = false
-			n.stats.suppressedReplays.Add(1)
-		}
-	}
-	if deliver {
-		n.pushDelivery(Delivery{Origin: msg.Origin, Seq: msg.Seq, From: from, Body: ds.keep(msg.Body)})
-	}
-	if !rx.Relay {
-		return
-	}
-	// A relay frame fails only to encode a knowledge snapshot; the message
-	// was already delivered locally, so the relay is dropped.
-	if frame, eb, err := n.encodeDataFrame(msg, raw, rx.Snap); err == nil {
-		_ = n.send(rx.Sends, frame, eb)
-	}
-}
-
-// decStore is the decode storage handle takes per inbound frame: the
-// Scratch the frame is decoded into, and the chunk delivered bodies are
-// carved from. The chunk never rewinds: a full one is replaced, so it
+// decStore is the storage of one call into the core: the Effects it
+// fills, and for handle the Scratch the frame is decoded into and the
+// chunk delivered bodies are carved from. The chunk never rewinds: a full one is replaced, so it
 // lives exactly as long as the deliveries carved from it, and one no
 // delivery references is collected with the pooled value it rides in.
 type decStore struct {
 	wire.Scratch
 	bodies []byte
+	fx     Effects
 }
 
 // bodyChunk is the size of a chunk; a body over bodyChunk/8 is copied

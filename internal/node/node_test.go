@@ -200,14 +200,11 @@ func TestHeartbeatsConvergeTopologyAndTreeBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
+	c := newStepped(t, g, 0, nil)
+	nodes := c.nodes
 
 	// Diameter of ring(6) is 3; a few extra periods let everything settle.
-	for p := 0; p < 8; p++ {
-		tickAll(nodes)
-	}
+	c.ticks(8, false)
 	for i, nd := range nodes {
 		if got := len(nd.KnownLinks()); got != 6 {
 			t.Fatalf("node %d knows %d links, want 6", i, got)
@@ -217,28 +214,18 @@ func TestHeartbeatsConvergeTopologyAndTreeBroadcast(t *testing.T) {
 	// Now broadcasts ride a real MRT: on a (still believed lossy-ish)
 	// ring the tree has n-1 = 5 edges; planned = Σ alloc ≥ 5 and no
 	// flooding.
-	_, planned, err := nodes[2].Broadcast([]byte("tree"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nodes[2].Stats().FallbackFloods != 0 {
+	_, planned := c.broadcast(2, []byte("tree"))
+	if c.fx.Plan.Err != nil {
 		t.Error("flooded despite converged topology")
 	}
 	if planned < 5 {
 		t.Errorf("planned = %d, want >= 5", planned)
 	}
+	c.drain()
 	for i, nd := range nodes {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		for {
-			d, err := nd.Next(ctx)
-			if err != nil {
-				t.Fatalf("node %d never delivered: %v", i, err)
-			}
-			if string(d.Body) == "tree" {
-				break
-			}
+		if ds := nd.take(); len(ds) != 1 || string(ds[0].Body) != "tree" {
+			t.Fatalf("node %d delivered %+v", i, ds)
 		}
-		cancel()
 	}
 }
 
@@ -247,27 +234,14 @@ func TestDedupAcrossCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
-	for p := 0; p < 6; p++ {
-		tickAll(nodes)
-	}
-	drainAll := func() {
-		for _, nd := range nodes {
-			drainDeliveries(nd)
-		}
-	}
-	drainAll()
-
+	c := newStepped(t, g, 0, nil)
+	c.ticks(6, false)
 	for b := 0; b < 3; b++ {
-		if _, _, err := nodes[1].Broadcast([]byte(fmt.Sprintf("b%d", b))); err != nil {
-			t.Fatal(err)
-		}
+		c.broadcast(1, []byte(fmt.Sprintf("b%d", b)))
 	}
-	time.Sleep(50 * time.Millisecond)
-	for i, nd := range nodes {
-		got := drainDeliveries(nd)
+	c.drain()
+	for i, nd := range c.nodes {
+		got := nd.take()
 		if len(got) != 3 {
 			t.Errorf("node %d delivered %d messages, want exactly 3 (dedup)", i, len(got))
 		}
@@ -280,17 +254,11 @@ func TestLossEstimateConvergesOnLiveStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{Seed: 99})
-	defer func() { _ = fabric.Close() }()
-	if err := fabric.SetLoss(0, 1, trueLoss); err != nil {
-		t.Fatal(err)
-	}
-	nodes := buildCluster(t, g, fabric, nil)
-	for p := 0; p < 1200; p++ {
-		tickAll(nodes)
-	}
+	c := newStepped(t, g, 99, nil)
+	c.setLoss(0, 1, trueLoss)
+	c.ticks(1200, false)
 	link := topology.NewLink(0, 1)
-	for i, nd := range nodes {
+	for i, nd := range c.nodes {
 		got, dist, ok := nd.LossEstimate(link)
 		if !ok || dist != 0 {
 			t.Fatalf("node %d: ok=%v dist=%d", i, ok, dist)
@@ -691,7 +659,7 @@ func TestStatsCountMergeVerdicts(t *testing.T) {
 	settleTicks(nodes, 20)
 	for i, nd := range nodes {
 		nd.mu.Lock()
-		procs, links := nd.view.Verdicts()
+		procs, links := nd.core.view.Verdicts()
 		nd.mu.Unlock()
 		s := nd.Stats()
 		if s.ProcRecords != RecordVerdicts(procs) || s.LinkRecords != RecordVerdicts(links) {

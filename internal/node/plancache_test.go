@@ -116,7 +116,7 @@ func teach(t *testing.T, nd *Node, g *topology.Graph, rng *rand.Rand) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	for i := range snaps {
-		if err := nd.view.MergeSnapshotKnowledgeOnly(&snaps[i]); err != nil {
+		if err := nd.core.view.MergeSnapshotKnowledgeOnly(&snaps[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,19 +233,19 @@ func TestReplanOnPooledWorkspace(t *testing.T) {
 	}
 	bigNode, smallNode := taughtNode(t, big, 7, rng), taughtNode(t, small, 3, rng)
 
-	first, _ := bigNode.plane.Replan()
-	if want := freshPlan(bigNode.view, 7, dataplane.DefaultK); !samePlan(first, want) {
+	first, _ := bigNode.core.plane.Replan()
+	if want := freshPlan(bigNode.core.view, 7, dataplane.DefaultK); !samePlan(first, want) {
 		t.Fatalf("pooled replan over 128 processes: %+v, fresh pipeline: %+v", first, want)
 	}
 	kept := &dataplane.Plan{Edges: first.Edges, Planned: first.Planned,
 		Parents: append([]topology.NodeID(nil), first.Parents...), Alloc: append([]int32(nil), first.Alloc...)}
 	for round := 0; round < 3; round++ {
-		if got, _ := smallNode.plane.Replan(); !samePlan(got, freshPlan(smallNode.view, 3, dataplane.DefaultK)) {
-			t.Fatalf("round %d: pooled replan over 24 processes: %+v, fresh pipeline: %+v", round, got, freshPlan(smallNode.view, 3, dataplane.DefaultK))
+		if got, _ := smallNode.core.plane.Replan(); !samePlan(got, freshPlan(smallNode.core.view, 3, dataplane.DefaultK)) {
+			t.Fatalf("round %d: pooled replan over 24 processes: %+v, fresh pipeline: %+v", round, got, freshPlan(smallNode.core.view, 3, dataplane.DefaultK))
 		}
-		got, ver := bigNode.plane.Replan()
-		if want := freshPlan(bigNode.view, 7, dataplane.DefaultK); !samePlan(got, want) || ver != bigNode.view.Version() {
-			t.Fatalf("round %d: pooled replan at version %d: %+v, fresh pipeline at %d: %+v", round, ver, got, bigNode.view.Version(), want)
+		got, ver := bigNode.core.plane.Replan()
+		if want := freshPlan(bigNode.core.view, 7, dataplane.DefaultK); !samePlan(got, want) || ver != bigNode.core.view.Version() {
+			t.Fatalf("round %d: pooled replan at version %d: %+v, fresh pipeline at %d: %+v", round, ver, got, bigNode.core.view.Version(), want)
 		}
 		if !samePlan(first, kept) {
 			t.Fatalf("round %d: an earlier plan changed under a later replan: %+v, was %+v", round, first, kept)
@@ -267,10 +267,10 @@ func TestAllocsReplan(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd := taughtNode(t, g, 0, rng)
-	if p, _ := nd.plane.Replan(); p.Err != nil || p.Edges != 127 {
+	if p, _ := nd.core.plane.Replan(); p.Err != nil || p.Edges != 127 {
 		t.Fatalf("the taught node plans %d edges (%v), want 127", p.Edges, p.Err)
 	}
-	if got := testing.AllocsPerRun(20, func() { nd.plane.Replan() }); got > 3 {
+	if got := testing.AllocsPerRun(20, func() { nd.core.plane.Replan() }); got > 3 {
 		t.Errorf("a replan over 128 processes on a warm workspace allocated %.0f times, want at most 3", got)
 	}
 }
@@ -369,8 +369,8 @@ func TestPlanCacheMatchesFreshPlan(t *testing.T) {
 	checks, trees := 0, 0
 	check := func(nd *Node) {
 		t.Helper()
-		p, fresh := nd.plane.Plan()
-		ver, want := nd.view.Version(), freshPlan(nd.view, nd.ID(), nd.cfg.K)
+		p, fresh := nd.core.plane.Plan()
+		ver, want := nd.core.view.Version(), freshPlan(nd.core.view, nd.ID(), nd.cfg.K)
 		if fresh != (ver != planVer[nd.ID()]) {
 			t.Fatalf("check %d: node %d at version %d (last plan at %d) rebuilt = %v",
 				checks, nd.ID(), ver, planVer[nd.ID()], fresh)
@@ -385,7 +385,7 @@ func TestPlanCacheMatchesFreshPlan(t *testing.T) {
 		} else {
 			trees++
 		}
-		if again, fresh := nd.plane.Plan(); again != p || fresh {
+		if again, fresh := nd.core.plane.Plan(); again != p || fresh {
 			t.Fatalf("check %d: node %d at unchanged version %d: plan %p → %p, rebuilt = %v",
 				checks, nd.ID(), ver, p, again, fresh)
 		}
@@ -427,7 +427,7 @@ func TestDeliveredWatermarkCompaction(t *testing.T) {
 	pending := func(nd *Node) int {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		return nd.plane.Seen().Pending()
+		return nd.core.plane.Seen().Pending()
 	}
 	for i := 0; i < 200; i++ {
 		if _, _, err := nd.Broadcast([]byte("x")); err != nil {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"adaptivecast/internal/bayes"
@@ -17,34 +16,6 @@ import (
 	"adaptivecast/internal/transport"
 	"adaptivecast/internal/wire"
 )
-
-// tapTransport wraps a fabric endpoint and records every outbound frame
-// per destination, so tests can audit the wire profile a node actually
-// speaks toward each peer.
-type tapTransport struct {
-	transport.Transport
-	mu   sync.Mutex
-	sent map[topology.NodeID][][]byte
-}
-
-func newTap(tr transport.Transport) *tapTransport {
-	return &tapTransport{Transport: tr, sent: make(map[topology.NodeID][][]byte)}
-}
-
-func (tp *tapTransport) Send(to topology.NodeID, frame []byte) error {
-	tp.mu.Lock()
-	tp.sent[to] = append(tp.sent[to], append([]byte(nil), frame...))
-	tp.mu.Unlock()
-	return tp.Transport.Send(to, frame)
-}
-
-func (tp *tapTransport) frames(to topology.NodeID) [][]byte {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	out := make([][]byte, len(tp.sent[to]))
-	copy(out, tp.sent[to])
-	return out
-}
 
 // buildClusterOver is buildCluster with every node's fabric endpoint
 // passed through wrap.
@@ -73,11 +44,9 @@ func TestQuantizedClusterNegotiates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
-	settleTicks(nodes, 120)
-	for i, nd := range nodes {
+	c := newStepped(t, g, 0, nil)
+	c.ticks(120, false)
+	for i, nd := range c.nodes {
 		s := nd.Stats()
 		if s.HeartbeatsSent == 0 || s.HeartbeatsReceived == 0 {
 			t.Errorf("node %d sent %d and received %d heartbeats", i, s.HeartbeatsSent, s.HeartbeatsReceived)
@@ -95,24 +64,23 @@ func TestQuantizedClusterNegotiates(t *testing.T) {
 // internal/wire/binary.go).
 const wireVersion = 7
 
-// TestQuantizedFullHeartbeats: full-snapshot heartbeats (settleFullTicks,
-// every frame the since = 0 fallback) always carry records, and every one
+// TestQuantizedFullHeartbeats: full-snapshot heartbeats (every frame the
+// since = 0 fallback) always carry records, and every one
 // of them rides the one wire version, from the first period on.
 func TestQuantizedFullHeartbeats(t *testing.T) {
 	g, err := topology.Line(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	tap := newTap(fabric.Endpoint(0))
-	nodes := buildClusterOver(t, g, fabric, Config{}, func(i int, tr transport.Transport) transport.Transport {
-		if i == 0 {
-			return tap
+	c := newStepped(t, g, 0, nil)
+	var frames [][]byte
+	c.tap = func(m mail) {
+		if m.from == 0 {
+			frames = append(frames, m.frame)
 		}
-		return tr
-	})
-	settleFullTicks(nodes, 50)
+	}
+	c.ticks(50, true)
+	nodes := c.nodes
 	for i, nd := range nodes {
 		s := nd.Stats()
 		if s.DecodeErrors != 0 {
@@ -122,7 +90,6 @@ func TestQuantizedFullHeartbeats(t *testing.T) {
 			t.Errorf("node %d cut %d deltas on the full-snapshot reference", i, s.DeltaHeartbeatsSent)
 		}
 	}
-	frames := tap.frames(1)
 	if len(frames) != nodes[0].Stats().HeartbeatsSent {
 		t.Fatalf("tap saw %d frames, node 0 sent %d heartbeats", len(frames), nodes[0].Stats().HeartbeatsSent)
 	}
@@ -288,8 +255,8 @@ func rejectedWhole(t *testing.T, nd *Node, what string, bad, good []byte) {
 	state := func() (Stats, uint64, float64) {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		mean, _ := nd.view.CrashEstimate(1)
-		return nd.Stats(), nd.view.Version(), mean
+		mean, _ := nd.core.view.CrashEstimate(1)
+		return nd.Stats(), nd.core.view.Version(), mean
 	}
 	before, ver, mean := state()
 	nd.handle(1, bad)
@@ -375,25 +342,21 @@ func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-
-	tap := newTap(fabric.Endpoint(1))
-	nodes := buildClusterOver(t, g, fabric, Config{}, func(i int, tr transport.Transport) transport.Transport {
-		if i == 1 {
-			return tap
+	c := newStepped(t, g, 0, nil)
+	sent := map[topology.NodeID][][]byte{}
+	c.tap = func(m mail) {
+		if m.from == 1 {
+			sent[m.to] = append(sent[m.to], m.frame)
 		}
-		return tr
-	})
-	settleTicks(nodes, 200) // long enough for the deltas to go empty
-	if _, _, err := nodes[1].Broadcast([]byte("audit")); err != nil {
-		t.Fatal(err)
 	}
-	settleTicks(nodes, 40)
+	c.ticks(200, false) // long enough for the deltas to go empty
+	c.broadcast(1, []byte("audit"))
+	c.ticks(40, false)
+	nodes := c.nodes
 
 	full, empty, data := 0, 0, 0
 	for _, to := range g.Neighbors(1) {
-		for fi, b := range tap.frames(to) {
+		for fi, b := range sent[to] {
 			f, err := wire.Decode(b)
 			if err != nil {
 				t.Fatalf("frame %d to %d does not decode: %v", fi, to, err)

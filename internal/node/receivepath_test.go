@@ -247,9 +247,9 @@ func TestForwardCacheSurvivesDecoderReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		nd.mu.Lock()
-		rx := nd.acceptData(0, f.Data)
+		nd.core.Receive(0, f, raw, &sc.fx)
 		nd.mu.Unlock()
-		nd.handleData(0, f.Data, raw, rx, &sc)
+		_ = nd.apply(&sc.fx, &sc)
 		if got, want := rec.take(t), childrenSends(t, parents, alloc, 1); !slices.Equal(got, want) {
 			t.Fatalf("frame %d through reused decode storage: relayed to %v, its tree says %v", i, got, want)
 		}

@@ -155,24 +155,19 @@ func TestAckChainRepairsAcrossReceiverRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, nil)
-	settleTicks(nodes, 250) // converge: steady-state deltas are empty
+	c := newStepped(t, g, 0, nil)
+	c.ticks(250, false) // converge: steady-state deltas are empty
 
-	stopNode(nodes[2])
-	replacement := newTestNode(t, Config{
-		ID: 2, NumProcs: 5, Neighbors: g.Neighbors(2),
-	}, fabric.Endpoint(2))
-	nodes[2] = replacement
+	replacement := c.add(Config{ID: 2, NumProcs: 5, Neighbors: g.Neighbors(2)})
+	nodes := c.nodes
 
 	// Period 1: everyone ticks. The restarted node heartbeats Ack 0; its
 	// neighbors' frames this period were cut against the pre-crash ack,
 	// so they carry deltas the fresh view cannot use.
-	settleTicks(nodes, 1)
+	c.ticks(1, false)
 	// Period 2: the neighbors saw Ack 0 (unanchorable) and must fall
 	// back to full snapshots, repairing the fresh view completely.
-	settleTicks(nodes, 1)
+	c.ticks(1, false)
 	if got := len(replacement.KnownLinks()); got != 5 {
 		t.Errorf("restarted node knows %d links two periods after restart, want all 5 (full fallback late?)", got)
 	}
@@ -181,7 +176,7 @@ func TestAckChainRepairsAcrossReceiverRestart(t *testing.T) {
 	// neighbor of the restarted node.
 	nb := g.Neighbors(2)[0]
 	before := nodes[nb].Stats().DeltaHeartbeatsSent
-	settleTicks(nodes, 2)
+	c.ticks(2, false)
 	if nodes[nb].Stats().DeltaHeartbeatsSent == before {
 		t.Error("neighbor never resumed delta heartbeats after the full-snapshot repair")
 	}
@@ -209,7 +204,7 @@ func TestEarliestMarkHeartbeatStillMerges(t *testing.T) {
 		Storage: NewFileStorage(path), HeartbeatEvery: time.Millisecond}, fabric.Endpoint(0))
 	peer := newTestNode(t, Config{ID: 1, NumProcs: 2, Neighbors: g.Neighbors(1)}, fabric.Endpoint(1))
 	restored.mu.Lock()
-	booked := restored.view.ProcEstimator(0).Observations()
+	booked := restored.core.view.ProcEstimator(0).Observations()
 	restored.mu.Unlock()
 	if booked != bayes.MaxEvidence {
 		t.Fatalf("the restored node booked %d observations of itself, want the %d bound", booked, bayes.MaxEvidence)
@@ -221,7 +216,7 @@ func TestEarliestMarkHeartbeatStillMerges(t *testing.T) {
 		t.Fatalf("the peer received %d heartbeats with %d decode and %d merge errors", s.HeartbeatsReceived, s.DecodeErrors, s.SnapshotMergeErrors)
 	}
 	peer.mu.Lock()
-	adopted := peer.view.ProcEstimator(0).Observations()
+	adopted := peer.core.view.ProcEstimator(0).Observations()
 	peer.mu.Unlock()
 	if adopted != bayes.MaxEvidence {
 		t.Errorf("the peer holds %d observations of the restored node, want the %d it shipped", adopted, bayes.MaxEvidence)

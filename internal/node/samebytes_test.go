@@ -7,22 +7,20 @@ import (
 	"math/rand"
 	"testing"
 
-	"adaptivecast/internal/dataplane"
 	"adaptivecast/internal/heartbeat"
-	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/wire"
 )
 
 // TestSameBytesDifferential replays one fixed heartbeat schedule through
-// the shipping heartbeat plane, wire and plan code and pins what comes
-// out: 64 views on a seeded random 4-connected graph, 40 periods of
-// heartbeat.Plane periods (a delta toward each neighbor cut against the
+// the shipping protocol core, wire and plan code and pins what comes
+// out: 64 cores on a seeded random 4-connected graph, 40 periods of
+// Core.Tick (a delta toward each neighbor cut against the
 // version it acked, split and sibling horizon leaving out what it is
 // known to hold; the full snapshot, which clears the receiver's mask
 // bits, while nothing is anchorable), seeded 10 % loss, every frame
-// decoded through its receiver's Scratch and handed to its plane, and
-// every view planning every fifth period. The SHA-256 of every heartbeat
+// decoded through its receiver's Scratch and handed to its
+// Core.Receive, and every core's data plane planning every fifth period. The SHA-256 of every heartbeat
 // byte and of every plan (parents, AllocByNode, Σ m[j]) must equal the
 // recorded values: a change to how knowledge stores or walks its records
 // is protocol-neutral exactly when this test still passes. Split
@@ -41,7 +39,8 @@ import (
 // bookkeeping moved neither hash. Wire v7, whose section heads no longer
 // declare U (the paper's constant 100) and whose records write their
 // distortion unshifted, moved only the heartbeat bytes, 4,081,495 →
-// 4,071,255: one byte per frame.
+// 4,071,255: one byte per frame. Stepping node.Core, which runs both
+// planes for the live node and the twin alike, moved neither hash.
 func TestSameBytesDifferential(t *testing.T) {
 	const (
 		n          = 64
@@ -56,17 +55,13 @@ func TestSameBytesDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := make([]*knowledge.View, n)
-	planes := make([]*heartbeat.Plane, n)
-	dplanes := make([]*dataplane.Plane, n)
+	cores := make([]*Core, n)
 	scratch := make([]wire.Scratch, n)
-	for i := range views {
+	for i := range cores {
 		id := topology.NodeID(i)
-		if views[i], err = knowledge.NewView(id, n, g.Neighbors(id), nil, knowledge.Params{}); err != nil {
+		if cores[i], err = NewCore(Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}, nil); err != nil {
 			t.Fatal(err)
 		}
-		planes[i] = heartbeat.New(views[i])
-		dplanes[i] = dataplane.New(id, dataplane.DefaultK, views[i], false)
 	}
 	hbSum, planSum := sha256.New(), sha256.New()
 	type inflight struct {
@@ -79,14 +74,15 @@ func TestSameBytesDifferential(t *testing.T) {
 		planSum.Write(word[:])
 	}
 	var ws heartbeat.Period
+	var fx Effects
 	frames, plans := 0, 0
 	for p := 1; p <= periods; p++ {
 		var arriving []inflight
-		for i, pl := range planes {
+		for i, c := range cores {
 			id := topology.NodeID(i)
-			pl.Cut(&ws, g.Neighbors(id))
+			c.Tick(&ws, &fx)
 			for k, o := range ws.Outbound() {
-				frame, err := ws.AppendFrame(nil, k, 0)
+				frame, err := ws.AppendFrame(nil, k, fx.Epoch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,15 +100,15 @@ func TestSameBytesDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := planes[f.to].Receive(f.from, fr.Delta); err != nil {
-				t.Fatal(err)
+			if cores[f.to].Receive(f.from, fr, f.frame, &fx); fx.Outcome != Merged || len(fx.Control) > 0 {
+				t.Fatalf("frame %d → %d: outcome %d, %d control frames", f.from, f.to, fx.Outcome, len(fx.Control))
 			}
 		}
 		if p%planEvery != 0 {
 			continue
 		}
-		for _, dp := range dplanes {
-			pl, _ := dp.Replan()
+		for _, c := range cores {
+			pl, _ := c.Data().Replan()
 			if pl.Err != nil {
 				planSum.Write([]byte(pl.Err.Error()))
 				continue

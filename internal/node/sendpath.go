@@ -3,22 +3,14 @@ package node
 // The send path: every outbound frame leaves the node through the
 // helpers in this file, as an asynchronous hand-off to the per-peer lane
 // scheduler (internal/lanes), which flushes control ahead of data, sheds
-// under backpressure, and may coalesce several data frames to one peer
-// into a single multi-frame transport flush. A transport's refusal of a
-// flush is counted there (Stats.SendFailures), never returned to the
-// caller, which has moved on by then.
-//
-// Frames are encoded into pooled buffers (Node.encPool), each counting
-// its readers: the code that encoded into it, and one per send it handed
-// the frame to, through a callback bound when the buffer was made. The
-// last to let go returns it to the pool, so a frame fanned out to every
-// child of a broadcast recycles after the last child's send, and the
-// encode datapath allocates nothing in steady state. The receive side
-// mirrors it: handle decodes every inbound frame into pooled storage
-// (Node.decPool) that is the handler's until it returns, so a relay
-// reads the decoded message only while handing frames to the send path,
-// and copies the inbound bytes, which the transport takes back when the
-// handler returns, into a pooled encode buffer.
+// under backpressure, and may coalesce data frames to one peer into one
+// transport flush; a refused flush is counted there (Stats.SendFailures).
+// Frames are encoded into pooled buffers (Node.encPool) that count their
+// readers — the encoder and each send — and the last to let go returns
+// the buffer, so a fan-out recycles after the last child's send and the
+// encode datapath allocates nothing in steady state. A relay copies the
+// inbound bytes, which the transport takes back when handle returns,
+// into such a buffer.
 
 import (
 	"fmt"

@@ -39,12 +39,12 @@ func TestAllocsTick(t *testing.T) {
 		return func() {
 			nd.mu.Lock()
 			defer nd.mu.Unlock()
-			for i, nb := range nd.nbs {
-				nd.hb.SetAcked(nb, at(i))
+			for i, nb := range nd.core.nbs {
+				nd.core.hb.SetAcked(nb, at(i))
 			}
 		}
 	}
-	current := func(int) uint64 { return nd.view.Version() }
+	current := func(int) uint64 { return nd.core.view.Version() }
 	early := func(int) uint64 { return 1 } // before every taught record's stamp
 	mixed := func(i int) uint64 {
 		if i%2 == 0 {
@@ -52,7 +52,11 @@ func TestAllocsTick(t *testing.T) {
 		}
 		return current(i)
 	}
-	forgetAll := func() { forgetAcks([]*Node{nd}) }
+	forgetAll := func() {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		nd.core.hb.Reset()
+	}
 	period := func(acks func()) func() {
 		return func() {
 			acks()

@@ -123,7 +123,7 @@ func runByzantineReplay(seed int64, short bool) (Figures, error) {
 		for _, nd := range nodes {
 			s := nd.Stats()
 			total += s.HeartbeatsReceived + s.DataReceived + s.SnapshotMergeErrors +
-				s.DecodeErrors + s.StaleEpochFrames + s.EpochChanges
+				s.DecodeErrors + s.StaleEpochFrames + s.AheadEpochFrames + s.EpochChanges
 		}
 		return total
 	}

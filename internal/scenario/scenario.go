@@ -32,7 +32,8 @@ type Figures struct {
 	MessagesSent   int `json:"messages_sent"`
 	FaultDrops     int `json:"fault_drops"` // transmissions eaten by the fault model
 
-	// Live-cluster frame outcomes (byzantine replay).
+	// Frame outcomes: the live cluster's counters (byzantine replay), and
+	// the twin cores' stale-epoch frames and epoch changes.
 	FramesInjected      int `json:"frames_injected,omitempty"`
 	DecodeErrors        int `json:"decode_errors,omitempty"`
 	SnapshotMergeErrors int `json:"snapshot_merge_errors,omitempty"`

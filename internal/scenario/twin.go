@@ -14,6 +14,7 @@ import (
 	"adaptivecast/internal/broadcast"
 	"adaptivecast/internal/config"
 	"adaptivecast/internal/knowledge"
+	"adaptivecast/internal/node"
 	"adaptivecast/internal/sim"
 	"adaptivecast/internal/topology"
 )
@@ -153,6 +154,12 @@ func (tw *twin) runFor(periods, tailFrom int) Figures {
 		HeartbeatBytes:    tw.net.Stats().SentBytes(sim.KindHeartbeat),
 		MessagesSent:      tw.net.Stats().TotalSent(),
 		FaultDrops:        tw.net.Stats().FaultDrops(),
+	}
+
+	for i := range tw.net.Graph().NumNodes() {
+		p := tw.run.Proc(topology.NodeID(i))
+		f.StaleEpochFrames += p.Outcomes[node.Stale]
+		f.EpochChanges += p.Outcomes[node.Adopted]
 	}
 
 	byID := make(map[broadcast.MsgID]*probe, len(tw.probes))

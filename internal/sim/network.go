@@ -14,7 +14,6 @@ type Kind uint8
 // Message kinds used across the protocols.
 const (
 	KindData Kind = iota + 1
-	KindAck
 	KindHeartbeat
 	KindControl
 )
@@ -24,8 +23,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindData:
 		return "data"
-	case KindAck:
-		return "ack"
 	case KindHeartbeat:
 		return "heartbeat"
 	case KindControl:
@@ -94,7 +91,7 @@ func NewNetwork(eng *Engine, cfg *config.Config, opts Options) *Network {
 		opts:  opts,
 		procs: make([]Process, g.NumNodes()),
 		down:  make([]bool, g.NumNodes()),
-		stats: newStats(g),
+		stats: newStats(),
 	}
 }
 
@@ -137,21 +134,20 @@ func (n *Network) Send(from, to topology.NodeID, msg Message) error {
 	if n.down[from] {
 		return nil
 	}
-	n.stats.recordSend(linkIdx, msg)
+	n.stats.recordSend(msg)
 
 	rng := n.eng.Rand()
 	if !n.opts.DisableCrashSampling && rng.Float64() < n.cfg.Crash(from) {
 		return nil // sender executed a crashed step during the send
 	}
 	if rng.Float64() < n.cfg.Loss(linkIdx) {
-		n.stats.recordLoss(linkIdx)
 		return nil // the link lost the message
 	}
 	delay := n.opts.Latency
 	if n.faults != nil {
 		drop, extra := n.faults.Transmit(n.eng.Now(), from, to, rng)
 		if drop {
-			n.stats.recordFaultDrop(linkIdx)
+			n.stats.faultDrops++
 			return nil // the adversary ate the message
 		}
 		delay += extra
@@ -167,19 +163,9 @@ func (n *Network) Send(from, to topology.NodeID, msg Message) error {
 		if p == nil {
 			return
 		}
-		n.stats.recordDeliver(linkIdx)
+		n.stats.delivered++
 		p.HandleMessage(from, msg)
 	})
-	return nil
-}
-
-// Broadcast sends msg from a process to every direct neighbor.
-func (n *Network) Broadcast(from topology.NodeID, msg Message) error {
-	for _, nb := range n.graph.Neighbors(from) {
-		if err := n.Send(from, nb, msg); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -198,23 +184,13 @@ func (n *Network) Recover(id topology.NodeID) { n.down[id] = false }
 // Up reports whether a process is not explicitly crashed.
 func (n *Network) Up(id topology.NodeID) bool { return !n.down[id] }
 
-// Grow resizes the per-process and per-link state to match the graph
-// after nodes/links were added (churn in the twin). New processes start
-// unregistered and up; new links start with zeroed counters. Callers
-// must have grown the config first (config.Grow) so the loss slice is
-// aligned.
+// Grow resizes the per-process state to match the graph after nodes
+// were added (churn in the twin). New processes start unregistered and
+// up. Callers must have grown the config first (config.Grow) so the loss
+// slice is aligned.
 func (n *Network) Grow() {
 	for len(n.procs) < n.graph.NumNodes() {
 		n.procs = append(n.procs, nil)
 		n.down = append(n.down, false)
 	}
-	n.stats.grow(n.graph.NumLinks())
-}
-
-// RemoveLinkAt mirrors a topology.Graph swap-removal on the per-link
-// statistics, keeping dense link indices aligned with the graph. Call it
-// with the removedIdx the graph returned, immediately after the graph
-// mutation (the same contract as config.RemoveLinkAt).
-func (n *Network) RemoveLinkAt(removedIdx int) {
-	n.stats.removeLinkAt(removedIdx)
 }

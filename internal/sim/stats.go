@@ -1,69 +1,31 @@
 package sim
 
-import "adaptivecast/internal/topology"
-
 // Stats accumulates the message counters the paper's figures report:
-// totals per kind, per-link sends (Figures 5 and 6 are "messages / link"),
-// byte volume, and loss/delivery counts.
+// sends and byte volume per kind (Figures 5 and 6 divide the heartbeat
+// count by the link count), deliveries, and the messages the adversarial
+// fault model ate.
 type Stats struct {
 	sentByKind  map[Kind]int
 	bytesByKind map[Kind]int
-	sentPerLink []int
-	lostPerLink []int
 	delivered   int
 	totalSent   int
 	faultDrops  int
 }
 
-func newStats(g *topology.Graph) Stats {
-	return Stats{
-		sentByKind:  make(map[Kind]int),
-		bytesByKind: make(map[Kind]int),
-		sentPerLink: make([]int, g.NumLinks()),
-		lostPerLink: make([]int, g.NumLinks()),
-	}
+func newStats() Stats {
+	return Stats{sentByKind: make(map[Kind]int), bytesByKind: make(map[Kind]int)}
 }
 
-func (s *Stats) recordSend(linkIdx int, msg Message) {
+func (s *Stats) recordSend(msg Message) {
 	s.sentByKind[msg.Kind]++
 	s.bytesByKind[msg.Kind] += msg.Size
-	s.sentPerLink[linkIdx]++
 	s.totalSent++
 }
 
-func (s *Stats) recordLoss(linkIdx int)    { s.lostPerLink[linkIdx]++ }
-func (s *Stats) recordDeliver(linkIdx int) { s.delivered++ }
-
-// recordFaultDrop books a message eaten by the adversarial fault model —
-// separate from the config loss, so scenarios can tell "the paper's loss
-// model" apart from "the injected hostility". The per-link lost counter
-// still advances: from the estimator's point of view both are the link
-// dropping a message.
-func (s *Stats) recordFaultDrop(linkIdx int) {
-	s.lostPerLink[linkIdx]++
-	s.faultDrops++
-}
-
-// FaultDrops returns how many transmissions the fault model ate.
+// FaultDrops returns how many transmissions the fault model ate —
+// counted apart from the config loss, so scenarios can tell "the paper's
+// loss model" apart from "the injected hostility".
 func (s *Stats) FaultDrops() int { return s.faultDrops }
-
-// grow extends the per-link counters to nLinks (new links start at zero).
-func (s *Stats) grow(nLinks int) {
-	for len(s.sentPerLink) < nLinks {
-		s.sentPerLink = append(s.sentPerLink, 0)
-		s.lostPerLink = append(s.lostPerLink, 0)
-	}
-}
-
-// removeLinkAt mirrors a graph swap-removal: the last link's counters
-// move into the removed slot and the slices shrink by one.
-func (s *Stats) removeLinkAt(removedIdx int) {
-	last := len(s.sentPerLink) - 1
-	s.sentPerLink[removedIdx] = s.sentPerLink[last]
-	s.sentPerLink = s.sentPerLink[:last]
-	s.lostPerLink[removedIdx] = s.lostPerLink[last]
-	s.lostPerLink = s.lostPerLink[:last]
-}
 
 // TotalSent returns the number of messages sent across all kinds.
 func (s *Stats) TotalSent() int { return s.totalSent }
@@ -74,34 +36,8 @@ func (s *Stats) Sent(kind Kind) int { return s.sentByKind[kind] }
 // SentBytes returns the simulated byte volume of one kind.
 func (s *Stats) SentBytes(kind Kind) int { return s.bytesByKind[kind] }
 
-// SentOnLink returns the sends (both directions) over the link with the
-// given dense index.
-func (s *Stats) SentOnLink(linkIdx int) int { return s.sentPerLink[linkIdx] }
-
-// LostOnLink returns how many transmissions the link dropped.
-func (s *Stats) LostOnLink(linkIdx int) int { return s.lostPerLink[linkIdx] }
-
 // Delivered returns how many messages reached a registered handler.
 func (s *Stats) Delivered() int { return s.delivered }
 
-// MeanSentPerLink returns TotalSent divided by the link count — the
-// "messages / link" metric of Figures 5 and 6.
-func (s *Stats) MeanSentPerLink() float64 {
-	if len(s.sentPerLink) == 0 {
-		return 0
-	}
-	return float64(s.totalSent) / float64(len(s.sentPerLink))
-}
-
-// Reset zeroes all counters, keeping the link dimension.
-func (s *Stats) Reset() {
-	s.sentByKind = make(map[Kind]int)
-	s.bytesByKind = make(map[Kind]int)
-	for i := range s.sentPerLink {
-		s.sentPerLink[i] = 0
-		s.lostPerLink[i] = 0
-	}
-	s.delivered = 0
-	s.totalSent = 0
-	s.faultDrops = 0
-}
+// Reset zeroes all counters.
+func (s *Stats) Reset() { *s = newStats() }
