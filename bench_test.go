@@ -663,9 +663,9 @@ func BenchmarkEpochRebuild(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Pipelined send-path benchmarks (lane scheduler, coalescing, zero-alloc
-// encode). make bench records the results in BENCH_broadcast.json. Each
-// keeps its one sub-benchmark, lanes, so its rows keep their names in the
-// ledger.
+// encode). make bench runs them at real iterations, and CI uploads their
+// output. Each keeps its one sub-benchmark, lanes, so its rows keep their
+// names across runs.
 // ---------------------------------------------------------------------------
 
 // BenchmarkBroadcastSustained measures sustained broadcast throughput

@@ -57,8 +57,11 @@ type Proc struct {
 	// neighbors instead — an adaptive-protocol liveness escape hatch for
 	// the warm-up phase.
 	FallbackFloods int
-	// Outcomes counts what became of each received frame and announced leave.
-	Outcomes [node.Adopted + 1]int
+	// DecodeErrors counts the received frames that did not decode, and
+	// Outcomes what became of each one that did and of each leave the
+	// process announced.
+	DecodeErrors int
+	Outcomes     [node.Adopted + 1]int
 }
 
 // NewOptimal returns a process using perfect knowledge of the network's
@@ -106,17 +109,27 @@ func (p *Proc) Broadcast(body []byte) (MsgID, int, error) {
 }
 
 // HandleMessage implements sim.Process: it decodes the frame and hands
-// it to the core. A frame that does not decode is dropped like a lost
-// one.
+// it to the core. A frame that does not decode is counted and dropped.
 func (p *Proc) HandleMessage(from topology.NodeID, m sim.Message) {
 	raw, _ := m.Payload.([]byte)
 	f, err := p.sc.DecodeBorrow(raw)
 	if err != nil {
+		p.DecodeErrors++
 		return
 	}
 	p.core.Receive(from, f, raw, &p.fx)
 	p.Outcomes[p.fx.Outcome]++
 	_ = p.run(&p.fx)
+}
+
+// announceLeave has the process apply and flood m, a leave built from
+// the graph ledger (node.Core.AnnounceLeave).
+func (p *Proc) announceLeave(m *wire.Membership) error {
+	if err := p.core.AnnounceLeave(m, &p.fx); err != nil {
+		return err
+	}
+	p.Outcomes[p.fx.Outcome]++
+	return p.run(&p.fx)
 }
 
 // run carries out what the core decided: the control frames, the

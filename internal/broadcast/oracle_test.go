@@ -8,8 +8,7 @@ import (
 	"adaptivecast/internal/scenario"
 )
 
-// TestDeltaMatchesFullSnapshotOracle runs every twin scenario (the
-// Deterministic ones; the live scenario runs real nodes) twice at the
+// TestDeltaMatchesFullSnapshotOracle runs every scenario twice at the
 // same seed: once as shipped, each period's heartbeat a delta against
 // the neighbor's ack, and once with every heartbeat the full snapshot,
 // the paper's own exchange. The horizons and the ack chain may leave
@@ -32,9 +31,6 @@ func TestDeltaMatchesFullSnapshotOracle(t *testing.T) {
 		return math.Abs(p1-p2) <= z*se
 	}
 	for _, s := range scenario.Matrix() {
-		if !s.Deterministic {
-			continue
-		}
 		t.Run(s.Name, func(t *testing.T) {
 			delta, err := s.Run(1, testing.Short())
 			if err != nil {

@@ -73,9 +73,11 @@ type Runner struct {
 // are checked against. Only tests set it (see export_test.go).
 var fullSnapshots bool
 
-// NewRunner builds an adaptive process for every node of the network and
-// registers them. Call Start to begin the heartbeat activity, then drive
-// the network's engine.
+// NewRunner builds an adaptive process for every active node of the
+// network, each at the graph's membership epoch with its tombstones, and
+// registers them; a tombstoned node gets no process and stays down.
+// Call Start to begin the heartbeat activity, then drive the network's
+// engine.
 func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, Delivery)) (*Runner, error) {
 	opts = opts.withDefaults()
 	g := net.Graph()
@@ -89,9 +91,15 @@ func NewRunner(net *sim.Network, opts RunnerOptions, sink func(topology.NodeID, 
 	for _, l := range g.Links() {
 		r.interner.Intern(l)
 	}
+	gone := r.gone(topology.None)
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
-		if err := r.add(node.Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id)}); err != nil {
+		if !g.Active(id) {
+			r.procs = append(r.procs, nil)
+			net.Crash(id)
+			continue
+		}
+		if err := r.add(node.Config{ID: id, NumProcs: n, Neighbors: g.Neighbors(id), Epoch: g.Epoch(), Departed: gone}); err != nil {
 			return nil, fmt.Errorf("broadcast: proc %d: %w", i, err)
 		}
 	}
@@ -113,16 +121,20 @@ func (r *Runner) add(cfg node.Config) error {
 	return r.net.Register(cfg.ID, r.procs[cfg.ID])
 }
 
-// Views exposes the per-node knowledge views (read-only use).
+// Views exposes the per-node knowledge views (read-only use), nil for a
+// node tombstoned before the runner was built.
 func (r *Runner) Views() []*knowledge.View {
 	views := make([]*knowledge.View, len(r.procs))
 	for i, p := range r.procs {
-		views[i] = p.core.View()
+		if p != nil {
+			views[i] = p.core.View()
+		}
 	}
 	return views
 }
 
-// Proc returns the adaptive broadcast process of one node.
+// Proc returns the adaptive broadcast process of one node, nil for a
+// node tombstoned before the runner was built.
 func (r *Runner) Proc(id topology.NodeID) *Proc { return r.procs[id] }
 
 // Periods returns how many heartbeat periods have elapsed.
@@ -334,13 +346,10 @@ func (r *Runner) MarkDeparted(id topology.NodeID) error {
 	if len(nbs) == 0 {
 		return fmt.Errorf("broadcast: node %d has no neighbor to announce its departure", id)
 	}
-	announcer := r.procs[nbs[0]]
 	m := &wire.Membership{Node: id, Epoch: g.Epoch() + 1, NumProcs: g.NumNodes(), Departed: r.gone(id)}
-	if err := announcer.core.AnnounceLeave(m, &announcer.fx); err != nil {
+	if err := r.procs[nbs[0]].announceLeave(m); err != nil {
 		return err
 	}
-	announcer.Outcomes[node.Adopted]++
-	_ = announcer.run(&announcer.fx)
 	cfg := r.net.Config()
 	for _, nb := range nbs {
 		removedIdx, _, err := g.RemoveLink(id, nb)

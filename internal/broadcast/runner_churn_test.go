@@ -139,6 +139,64 @@ func TestRunnerMarkDepartedRemovesNode(t *testing.T) {
 	}
 }
 
+// TestNewRunnerStartsAtTheLedgerEpoch: a twin built over a graph that
+// has seen membership changes starts where the ledger stands. On a
+// ring(4) whose ledger added a fifth process and removed it again, every
+// live core starts at the graph's epoch with the fifth tombstoned, the
+// tombstone gets no process, no heartbeat in 20 periods is addressed to
+// it, and a probe reaches all four processes.
+func TestNewRunnerStartsAtTheLedgerEpoch(t *testing.T) {
+	g, err := topology.Ring(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := g.AddNode()
+	if _, err := g.AddLink(gone, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.RemoveNode(gone); err != nil {
+		t.Fatal(err)
+	}
+	net := sim.NewNetwork(sim.NewEngine(5), config.New(g), sim.Options{DisableCrashSampling: true})
+	delivered := make(map[topology.NodeID]int)
+	r, err := NewRunner(net, RunnerOptions{Delta: 1}, func(id topology.NodeID, _ Delivery) { delivered[id]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := r.Proc(gone); p != nil {
+		t.Errorf("the tombstone %d got a process", gone)
+	}
+	for i := range topology.NodeID(4) {
+		c := r.Proc(i).Core()
+		if c.Epoch() != g.Epoch() || !c.View().Departed(gone) {
+			t.Errorf("process %d starts at epoch %d (tombstone known: %v), the ledger is at %d",
+				i, c.Epoch(), c.View().Departed(gone), g.Epoch())
+		}
+	}
+	eng := net.Engine()
+	r.Start()
+	eng.RunUntil(20.5)
+	// Each ring process heartbeats its two neighbours every period; a
+	// heartbeat addressed to the tombstone would be counted by the runner
+	// and refused by the network, which has no link to it.
+	if got, sent := r.HeartbeatsSent(), net.Stats().Sent(sim.KindHeartbeat); got != 20*8 || sent != got {
+		t.Errorf("%d heartbeats cut and %d sent in 20 periods, want %d of each", got, sent, 20*8)
+	}
+	if _, _, err := r.Proc(0).Broadcast([]byte("probe")); err != nil {
+		t.Fatal(err)
+	}
+	r.Stop()
+	eng.Run()
+	for i := range topology.NodeID(4) {
+		if delivered[i] != 1 {
+			t.Errorf("process %d delivered the probe %d times", i, delivered[i])
+		}
+	}
+	if delivered[gone] != 0 {
+		t.Errorf("the tombstone delivered %d messages", delivered[gone])
+	}
+}
+
 func TestRunnerClockSkewStillDelivers(t *testing.T) {
 	g, err := topology.Ring(4)
 	if err != nil {

@@ -333,5 +333,5 @@ func AppendRelay(dst []byte, msg *wire.DataMsg, raw []byte, snap *knowledge.Snap
 		cp.Piggyback = snap
 		msg = &cp
 	}
-	return wire.EncodeInto(dst, &wire.Frame{Kind: wire.FrameData, Data: msg})
+	return wire.AppendFrame(dst, &wire.Frame{Kind: wire.FrameData, Data: msg})
 }

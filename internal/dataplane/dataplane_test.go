@@ -241,8 +241,9 @@ func TestPlanOnReusedWorkspace(t *testing.T) {
 
 // TestAppendRelayMatchesEncode: a relay spliced around the relaying
 // process's snapshot is the frame encoding the message afresh with that
-// snapshot would give, and a relay with no snapshot of its own is the
-// inbound frame, appended as it came.
+// snapshot would give, a relay with no snapshot of its own is the
+// inbound frame as it came, and whichever it is lands after what dst
+// held.
 func TestAppendRelayMatchesEncode(t *testing.T) {
 	g, err := topology.Ring(6)
 	if err != nil {
@@ -267,12 +268,25 @@ func TestAppendRelayMatchesEncode(t *testing.T) {
 	if !bytes.Equal(spliced, fresh) {
 		t.Errorf("spliced relay %x, fresh encode %x", spliced, fresh)
 	}
-	verbatim, err := AppendRelay([]byte("dst:"), msg, raw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := append([]byte("dst:"), raw...); !bytes.Equal(verbatim, want) {
-		t.Errorf("relay without a snapshot %x, want the inbound frame appended: %x", verbatim, want)
+	// Every case appends to dst: the inbound frame as it came, the splice
+	// around a snapshot, and an origin's frame encoded afresh.
+	for name, c := range map[string]struct {
+		raw  []byte
+		snap *knowledge.Snapshot
+		want []byte
+	}{
+		"inbound frame":   {raw, nil, raw},
+		"piggyback":       {raw, snap, fresh},
+		"fresh encode":    {nil, nil, raw},
+		"fresh piggyback": {nil, snap, fresh},
+	} {
+		got, err := AppendRelay([]byte("dst:"), msg, c.raw, c.snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append([]byte("dst:"), c.want...); !bytes.Equal(got, want) {
+			t.Errorf("%s: relay %x, want the frame appended to dst: %x", name, got, want)
+		}
 	}
 }
 

@@ -62,8 +62,8 @@ type Outcome uint8
 
 const (
 	Ignored   Outcome = iota // an announcement at or below the epoch, or one saying this process left
-	Merged                   // a heartbeat or delta merged into the view
-	Refused                  // a heartbeat or delta naming another sender, or one the view refused
+	Merged                   // a delta merged into the view
+	Refused                  // a delta naming another sender or one the view refused, or a frame of a kind no process sends
 	Stale                    // a delta or data frame from an older membership epoch
 	Ahead                    // a delta or data frame from a newer membership epoch
 	Delivered                // the first receipt of a data message
@@ -256,19 +256,15 @@ func (c *Core) Broadcast(body []byte, fx *Effects) {
 }
 
 // Receive decides one decoded frame from peer `from`, raw its encoding,
-// and reports what became of it in fx.Outcome. A delta or data frame is
-// epoch-fenced first (see admit). A full heartbeat carries no epoch and
-// is not fenced, but must name its sender, as a delta must
-// (heartbeat.ErrSender).
+// and reports what became of it in fx.Outcome. Knowledge enters only as
+// a delta (a full snapshot is the delta whose Since is 0), and a delta
+// or data frame is epoch-fenced first (see admit); a delta must also
+// name its sender (heartbeat.ErrSender). Any other kind — the full
+// heartbeat wire.FrameHeartbeat, which carries no epoch and which no
+// process sends — is Refused.
 func (c *Core) Receive(from topology.NodeID, f *wire.Frame, raw []byte, fx *Effects) {
 	fx.Reset()
 	switch f.Kind {
-	case wire.FrameHeartbeat:
-		if f.Heartbeat.From != from {
-			fx.Outcome = Refused
-			return
-		}
-		c.merged(c.view.MergeSnapshot(f.Heartbeat), fx)
 	case wire.FrameKnowledgeDelta:
 		if c.admit(from, f.Delta.Epoch, fx) {
 			c.merged(c.hb.Receive(from, f.Delta), fx)
@@ -288,6 +284,8 @@ func (c *Core) Receive(from topology.NodeID, f *wire.Frame, raw []byte, fx *Effe
 		if lc := c.apply(f.Kind, f.Member, fx); lc != nil {
 			c.flood(lc, from, fx)
 		}
+	default:
+		fx.Outcome = Refused
 	}
 }
 

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"adaptivecast/internal/bayes"
@@ -17,10 +18,10 @@ import (
 // epoch 2. A forged heartbeat or delta names another sender than the one
 // it came from; a forged data frame carries an origin outside the ID
 // space; an announcement names no sender, so a forged one is one that
-// says this process left. Full heartbeats carry no epoch and are not
-// fenced. Every outcome but Duplicate and Ignored moves exactly one
-// Stats counter (Node.count), so a runtime that counts the frames it
-// handed the core can tell when a round of them is done.
+// says this process left. A full heartbeat, a kind no process sends, is
+// refused whatever it carries. Every outcome but Duplicate and Ignored
+// moves exactly one Stats counter (Node.count), so a runtime that counts
+// the frames it handed the core can tell when a round of them is done.
 func TestCoreReceiveOutcomes(t *testing.T) {
 	const epoch = 2
 	snap := func(from topology.NodeID) *knowledge.Snapshot {
@@ -65,10 +66,7 @@ func TestCoreReceiveOutcomes(t *testing.T) {
 	want := func(kind string, e uint64, again, forged bool) Outcome {
 		switch kind {
 		case "heartbeat":
-			if forged {
-				return Refused
-			}
-			return Merged
+			return Refused
 		case "join", "leave":
 			if e <= epoch || again || (forged && kind == "leave") {
 				return Ignored
@@ -117,4 +115,70 @@ func TestCoreReceiveOutcomes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzCoreReceive hands every input, decoded through a wire.Scratch, to
+// a fresh Core twice: process 0 of a ring(4) at epoch 5 whose ID space
+// holds the tombstoned process 4, the frames coming from its neighbour
+// 1. Seeded with the committed FuzzDecode corpus, it checks what no
+// frame may do to the core: report an outcome its kind cannot produce (a
+// full heartbeat is only ever refused), deliver a copy it delivered
+// before, deliver an origin outside the ID space, move the epoch back,
+// or leave an estimator above bayes.MaxEvidence.
+func FuzzCoreReceive(f *testing.F) {
+	seeds, err := wire.CorpusSeeds()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range seeds {
+		f.Add(s.Data)
+	}
+	outcomes := map[wire.FrameKind][]Outcome{
+		wire.FrameHeartbeat:      {Refused},
+		wire.FrameKnowledgeDelta: {Merged, Refused, Stale, Ahead},
+		wire.FrameData:           {Delivered, Duplicate, Forged, Stale, Ahead},
+		wire.FrameJoin:           {Ignored, Adopted},
+		wire.FrameLeave:          {Ignored, Adopted},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sc wire.Scratch
+		frame, err := sc.DecodeBorrow(data)
+		if err != nil {
+			return
+		}
+		c, err := NewCore(Config{ID: 0, NumProcs: 5, Neighbors: []topology.NodeID{1, 3}, Epoch: 5, Departed: []topology.NodeID{4}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fx Effects
+		for i := range 2 {
+			epoch := c.Epoch()
+			c.Receive(1, frame, data, &fx)
+			if !slices.Contains(outcomes[frame.Kind], fx.Outcome) {
+				t.Fatalf("copy %d: frame kind %d reported outcome %d", i, frame.Kind, fx.Outcome)
+			}
+			if fx.Outcome == Delivered {
+				if i > 0 {
+					t.Fatalf("the second copy of (%d, %d) was delivered", fx.Delivery.Origin, fx.Delivery.Seq)
+				}
+				if o := fx.Delivery.Origin; o < 0 || int(o) >= c.View().NumProcs() {
+					t.Fatalf("delivered origin %d outside [0, %d)", o, c.View().NumProcs())
+				}
+			}
+			if c.Epoch() < epoch {
+				t.Fatalf("copy %d moved the epoch back from %d to %d", i, epoch, c.Epoch())
+			}
+		}
+		snap := c.View().Snapshot()
+		for _, r := range snap.Procs {
+			if r.Est.Succ+r.Est.Fail > bayes.MaxEvidence {
+				t.Fatalf("process %d estimator holds %+v, above %d", r.ID, r.Est, bayes.MaxEvidence)
+			}
+		}
+		for _, r := range snap.Links {
+			if r.Est.Succ+r.Est.Fail > bayes.MaxEvidence {
+				t.Fatalf("link %v estimator holds %+v, above %d", r.Link, r.Est, bayes.MaxEvidence)
+			}
+		}
+	})
 }

@@ -321,8 +321,9 @@ func TestSnapshotMergeErrorsSurfaced(t *testing.T) {
 	}
 }
 
-// TestHeartbeatMustNameItsSender: a heartbeat or delta whose snapshot
-// names another sender than the transport delivered it from is refused
+// TestHeartbeatMustNameItsSender: a delta, a full snapshot's (Since 0)
+// or one cut against an ack, whose snapshot names another sender than
+// the transport delivered it from is refused
 // before any merge or bookkeeping and counted in SnapshotMergeErrors.
 // Merging it would book its link evidence on (self, Snap.From) — learning
 // a link that does not exist — and key the ack maps by a transport ID
@@ -333,27 +334,24 @@ func TestHeartbeatMustNameItsSender(t *testing.T) {
 	snap := func(from topology.NodeID) *knowledge.Snapshot {
 		return &knowledge.Snapshot{From: from, Seq: 5, Procs: []knowledge.ProcRecord{{ID: 3, Dist: 1, Est: counts}}}
 	}
-	delta := func(from topology.NodeID) []byte {
+	cut := func(from topology.NodeID, since uint64) []byte {
 		b, err := wire.Encode(&wire.Frame{Kind: wire.FrameKnowledgeDelta,
-			Delta: &wire.KnowledgeDelta{Snap: snap(from), Ver: 7, Ack: 2}})
+			Delta: &wire.KnowledgeDelta{Snap: snap(from), Ver: 7, Ack: 2, Since: since}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	full, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := func(from topology.NodeID) []byte { return cut(from, 0) }
 	peerKeys := func() int {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
 		return nd.core.hb.Peers()
 	}
 
-	// Transport sender 1 claims to be 2, in a delta and in a full heartbeat.
+	// Transport sender 1 claims to be 2, in a full snapshot and in a delta.
 	nd.handle(1, delta(2))
-	nd.handle(1, full)
+	nd.handle(1, cut(2, 3))
 	// Transport senders nobody knows claim to be the neighbor.
 	for from := topology.NodeID(1000); from < 1005; from++ {
 		nd.handle(from, delta(1))
@@ -401,17 +399,18 @@ func waitStat(t *testing.T, cond func() bool, msg string) {
 	t.Fatal(msg)
 }
 
-// mustEncodeHeartbeat builds a well-formed heartbeat frame from `from`
-// whose snapshot names process `badID` — wire-valid, knowledge-invalid.
+// mustEncodeHeartbeat builds a well-formed heartbeat from `from` — the
+// full snapshot, a delta whose Since is 0, at epoch 0 — whose snapshot
+// names process `badID`: wire-valid, knowledge-invalid.
 func mustEncodeHeartbeat(t *testing.T, from topology.NodeID, seq uint64, badID topology.NodeID) []byte {
 	t.Helper()
-	frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: &knowledge.Snapshot{
+	frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameKnowledgeDelta, Delta: &wire.KnowledgeDelta{Snap: &knowledge.Snapshot{
 		From: from,
 		Seq:  seq,
 		Procs: []knowledge.ProcRecord{
 			{ID: badID, Dist: 1, Est: bayes.New().State()},
 		},
-	}})
+	}, Ver: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ type Stats struct {
 	SuppressedReplays   int // redeliveries filtered by the durable dedup log
 	FallbackFloods      int // broadcasts flooded for lack of a connected view
 	DecodeErrors        int // frames that failed wire decoding, or carried a forged origin or tree
-	SnapshotMergeErrors int // well-formed frames whose knowledge snapshot the view rejected, or that named another sender
+	SnapshotMergeErrors int // well-formed frames whose knowledge snapshot the view rejected, that named another sender, or of a kind no node sends
 	LogErrors           int // durable-write failures: dedup log records and seq-lease extensions
 	PlanCacheHits       int // broadcasts that reused the cached (tree, allocation) plan
 	PlanCacheMisses     int // broadcasts that had to replan because the view changed

@@ -107,9 +107,10 @@ func TestQuantizedFullHeartbeats(t *testing.T) {
 // wireCluster is a deterministic stand-in for a cluster's heartbeat
 // plane: one knowledge view per process, every period each view's full
 // snapshot put through a seeded loss schedule and merged at each
-// neighbor — over the real wire (encoded and decoded) or handed over in
-// memory — with no clocks or goroutines, so two runs that differ only in
-// the wire see the same snapshots arrive.
+// neighbor — over the real wire (encoded and decoded as the delta whose
+// Since is 0) or handed over in memory — with no clocks or goroutines,
+// so two runs that differ only in the wire see the same snapshots
+// arrive.
 type wireCluster struct {
 	g       *topology.Graph
 	views   []*knowledge.View
@@ -144,7 +145,7 @@ func (wc *wireCluster) period(t *testing.T, rng *rand.Rand, loss float64) {
 			}
 			got := snap
 			if wc.viaWire {
-				b, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap})
+				b, err := wire.Encode(&wire.Frame{Kind: wire.FrameKnowledgeDelta, Delta: &wire.KnowledgeDelta{Snap: snap}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +153,7 @@ func (wc *wireCluster) period(t *testing.T, rng *rand.Rand, loss float64) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = f.Heartbeat
+				got = f.Delta.Snap
 			}
 			if err := wc.views[nb].MergeSnapshot(got); err != nil {
 				t.Fatal(err)
@@ -221,8 +222,9 @@ func TestQuantizedEstimateParity(t *testing.T) {
 }
 
 // alarmingHeartbeat settles a Line(2) and returns node 0 with a
-// heartbeat from node 1 carrying a close, alarming estimate of node 1
-// that node 0 would adopt from any frame it accepts.
+// heartbeat from node 1 — the full snapshot, a delta whose Since is 0 —
+// carrying a close, alarming estimate of node 1 that node 0 would adopt
+// from any frame it accepts.
 func alarmingHeartbeat(t *testing.T) (*Node, []byte) {
 	t.Helper()
 	g, err := topology.Line(2)
@@ -237,7 +239,7 @@ func alarmingHeartbeat(t *testing.T) (*Node, []byte) {
 	snap := &knowledge.Snapshot{From: 1, Seq: 1 << 20, Procs: []knowledge.ProcRecord{
 		{ID: 1, Dist: 0, Est: bayes.State{Fail: 500}},
 	}}
-	hb, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap})
+	hb, err := wire.Encode(&wire.Frame{Kind: wire.FrameKnowledgeDelta, Delta: &wire.KnowledgeDelta{Snap: snap, Ver: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +366,7 @@ func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 			var snap *knowledge.Snapshot
 			switch f.Kind {
 			case wire.FrameHeartbeat:
-				snap = f.Heartbeat
+				t.Fatalf("frame %d to %d: a full heartbeat, which no node sends", fi, to)
 			case wire.FrameKnowledgeDelta:
 				snap = f.Delta.Snap
 			case wire.FrameData:

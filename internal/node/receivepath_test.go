@@ -640,10 +640,11 @@ func BenchmarkForwardFanout(b *testing.B) {
 }
 
 // TestEveryFrameKindReachesHandle: every frame kind wire defines reaches
-// a case of handle's switch that acts on it, seen through the counter
-// the kind bumps; a kind that fell through the switch would decode and be
-// dropped without a trace. A new kind fails here until it has a probe
-// below, and its probe fails until handle has a case for it.
+// a case of the core's switch that acts on it, or its refusal, seen
+// through the counter the kind bumps; a kind that fell through the switch
+// would decode and be dropped without a trace. A new kind fails here
+// until it has a probe below, and its probe fails until the core has a
+// case for it.
 func TestEveryFrameKindReachesHandle(t *testing.T) {
 	counts := bayes.State{Succ: 40}
 	snap := func() *knowledge.Snapshot {
@@ -655,7 +656,9 @@ func TestEveryFrameKindReachesHandle(t *testing.T) {
 		frame   *wire.Frame
 		counter func(Stats) int
 	}{
-		wire.FrameHeartbeat: {&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap()}, received},
+		// No process sends a full heartbeat: it is refused, knowledge
+		// entering only through a delta.
+		wire.FrameHeartbeat: {&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap()}, func(s Stats) int { return s.SnapshotMergeErrors }},
 		wire.FrameKnowledgeDelta: {&wire.Frame{Kind: wire.FrameKnowledgeDelta, Delta: &wire.KnowledgeDelta{
 			Snap: snap(), Ver: 1, Cadence: 1,
 		}}, received},

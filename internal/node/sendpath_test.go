@@ -162,8 +162,9 @@ func TestRelayReusesInboundFrame(t *testing.T) {
 // relay sends exactly the inbound frame, and a piggybacking one exactly
 // the splice a node whose buffer is left alone sends. The inbound
 // frame writes its epoch in a longer varint than the encoder does, which
-// decodes to the same epoch; a relay that went through wire.EncodeInto
-// would shorten it, so the relays carrying it show that none did.
+// decodes to the same epoch; a relay re-encoded from the message
+// (wire.AppendFrame) would shorten it, so the relays carrying it show
+// that none did.
 func TestRelayReusesLentFrame(t *testing.T) {
 	g, err := topology.Line(3) // 0 — 1 — 2: node 1 relays for 2
 	if err != nil {
@@ -245,8 +246,8 @@ func TestRelayReusesLentFrame(t *testing.T) {
 // byte — and node 2 delivers every body intact after later frames reused
 // the read buffers. Each inbound frame writes its epoch in a longer
 // varint than the encoder does, which decodes to the same epoch; a relay
-// that went through wire.EncodeInto would shorten it. Nothing ticks:
-// every frame is one the bare transport sent.
+// re-encoded from the message (wire.AppendFrame) would shorten it.
+// Nothing ticks: every frame is one the bare transport sent.
 func TestRelayForwardsInboundBytesOverTCP(t *testing.T) {
 	const procs, msgs = 3, 32
 	trs := make([]*transport.TCP, procs)

@@ -1,44 +1,42 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"adaptivecast/internal/bayes"
+	"adaptivecast/internal/broadcast"
 	"adaptivecast/internal/knowledge"
 	"adaptivecast/internal/node"
+	"adaptivecast/internal/sim"
 	"adaptivecast/internal/topology"
-	"adaptivecast/internal/transport"
 	"adaptivecast/internal/wire"
 )
 
-// byzantineReplay is the one live-cluster scenario: a rogue peer replays
-// every committed fuzz-corpus seed — one frame of every shape the encoder
-// produces, the retired shapes (wire v1–v6, the raw float estimator
-// layout) and the forged heartbeats (overflowed counts, out-of-range
-// IDs and distortions) — plus seeded mutations of them and
-// hand-crafted poisonous heartbeats, at a running 4-node Fabric cluster,
-// mid-traffic.
-// Replayed heartbeats name their original senders, not the rogue, so the
-// node refuses them as frames claiming another sender. The cluster is built at a membership epoch
-// strictly newer than anything the corpus ever encoded, so the epoch
-// fence (not luck) is what keeps historical data/delta/join/leave frames
-// from forging deliveries or mutating the roster. The harness does exact
-// bookkeeping: it pre-computes, by decoding the injected set offline,
-// how many frames must fail decode and how many must be epoch-fenced,
-// and errors if the live counters disagree.
+// byzantineReplay storms a 4-node twin cluster with hostile frames: a
+// rogue peer replays every committed fuzz-corpus seed — one frame of
+// every shape the encoder produces, the retired shapes (wire v1–v6, the
+// raw float estimator layout) and the forged frames (overflowed counts,
+// out-of-range IDs and distortions) — plus seeded mutations of them and
+// crafted poisonous deltas, at every process mid-period while probes
+// flow. The rogue is process 4, tombstoned in the ledger the cluster is
+// built from, and the cluster starts at a membership epoch strictly newer
+// than anything the corpus ever encoded, so the epoch fence (not luck) is
+// what keeps historical data/delta/join/leave frames from forging
+// deliveries or mutating the roster; a full heartbeat, which carries no
+// epoch, is refused whatever it says. The harness does exact
+// bookkeeping: it pre-computes, by decoding the injected set offline, how
+// many frames must fail decode and how many must be epoch-fenced, and
+// errors if the cores' counts disagree.
 func byzantineReplay() Scenario {
 	return Scenario{
 		Name: "byzantine-replay",
-		Description: "Rogue peer replays the full FuzzDecode corpus, seeded mutations and crafted bad-merge " +
-			"heartbeats at a live 4-node epoch-5 cluster while probes flow.",
-		Topology: "ring(4), live fabric",
+		Description: "Rogue peer replays the full FuzzDecode corpus, seeded mutations and crafted current-epoch " +
+			"deltas at a 4-node epoch-5 twin cluster while probes flow.",
+		Topology: "ring(4), rogue tombstoned",
 		Acceptance: "no panic, no forged delivery, post-storm probes fully delivered, epoch and roster " +
 			"untouched, decode/stale-epoch counters exactly match the injected set",
-		Deterministic: false, // live goroutines: figures vary in timing-derived fields
-		Run:           runByzantineReplay,
+		Run: runByzantineReplay,
 		Check: func(f Figures) (v []string) {
 			if f.FramesInjected == 0 {
 				v = violation(v, "no frames injected")
@@ -56,7 +54,7 @@ func byzantineReplay() Scenario {
 				v = violation(v, "no historical frame was epoch-fenced")
 			}
 			if f.SnapshotMergeErrors == 0 {
-				v = violation(v, "crafted heartbeats produced no merge errors")
+				v = violation(v, "crafted deltas produced no merge errors")
 			}
 			if f.EpochChanges != 0 {
 				v = violation(v, "adversary moved the membership epoch %d times", f.EpochChanges)
@@ -66,261 +64,161 @@ func byzantineReplay() Scenario {
 	}
 }
 
-// clusterEpoch is strictly newer than every epoch any committed corpus
+// byzClusterEpoch is strictly newer than every epoch any committed corpus
 // seed carries (the corpus tops out at epoch 4), so every historical
 // data/delta frame is stale by construction and every join/leave replay
 // is a no-op.
 const byzClusterEpoch = 5
 
-// liveProbe tracks one tracked broadcast on the live cluster.
-type liveProbe struct {
-	origin    topology.NodeID
-	seq       uint64
-	postStorm bool
-	delivered map[topology.NodeID]bool
+// byzRogue is the departed member the rogue speaks as: the peer that
+// will not stay dead.
+const byzRogue topology.NodeID = 4
+
+// byzLedger is the ring(4) whose ledger holds the rogue's past: process
+// 4 joined linked to 0, 1 and 2 (epoch 1), lost those links one
+// membership change at a time (epochs 2–4) and was removed
+// (byzClusterEpoch).
+func byzLedger() (*topology.Graph, error) {
+	g, err := topology.Ring(4)
+	if err != nil {
+		return nil, err
+	}
+	rogue := g.AddNode()
+	for nb := range topology.NodeID(3) {
+		if _, err := g.AddLink(rogue, nb); err != nil {
+			return nil, err
+		}
+	}
+	for nb := range topology.NodeID(3) {
+		if _, _, err := g.RemoveLink(rogue, nb); err != nil {
+			return nil, err
+		}
+	}
+	if err := g.RemoveNode(rogue); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// injection is one hostile frame and the process it claims to come from.
+type injection struct {
+	from  topology.NodeID
+	frame []byte
 }
 
 func runByzantineReplay(seed int64, short bool) (Figures, error) {
-	g, err := topology.Ring(4)
+	g, err := byzLedger()
 	if err != nil {
 		return Figures{}, err
 	}
-	fabric := transport.NewFabric(transport.FabricOptions{Seed: seedOr1(seed), QueueSize: 4096})
-	defer func() { _ = fabric.Close() }()
+	tw, err := newTwin(seed, g, 0, 0, broadcast.RunnerOptions{})
+	if err != nil {
+		return Figures{}, err
+	}
+	live := g.NumActive()
 
-	nodes := make([]*node.Node, g.NumNodes())
-	for i := range nodes {
-		id := topology.NodeID(i)
-		nd, err := node.New(node.Config{
-			ID:        id,
-			NumProcs:  5, // ID space includes the tombstoned rogue
-			Neighbors: g.Neighbors(id),
-			Epoch:     byzClusterEpoch,
-			Departed:  []topology.NodeID{4},
-		}, fabric.Endpoint(id))
-		if err != nil {
-			return Figures{}, err
-		}
-		nodes[i] = nd
-	}
-	// The rogue speaks as the departed member 4 — the peer that will not
-	// stay dead. Its endpoint drains silently.
-	rogue := fabric.Endpoint(4)
-	rogue.SetHandler(func(topology.NodeID, []byte) {})
-
-	ticks := 0
-	tick := func() {
-		for _, nd := range nodes {
-			nd.Tick()
-		}
-		ticks++
-	}
-	// settle runs n heartbeat periods and, after each, waits for the
-	// cluster's receive counters to stop moving so no frame leaks across
-	// period boundaries (the same idiom the node tests use).
-	received := func() int {
-		total := 0
-		for _, nd := range nodes {
-			s := nd.Stats()
-			total += s.HeartbeatsReceived + s.DataReceived + s.SnapshotMergeErrors +
-				s.DecodeErrors + s.StaleEpochFrames + s.AheadEpochFrames + s.EpochChanges
-		}
-		return total
-	}
-	settle := func(n int) {
-		for p := 0; p < n; p++ {
-			tick()
-			last := received()
-			for attempt := 0; attempt < 50; attempt++ {
-				time.Sleep(500 * time.Microsecond)
-				if now := received(); now == last {
-					break
-				} else {
-					last = now
-				}
-			}
-		}
-	}
-
-	var probes []*liveProbe
-	probe := func(origin topology.NodeID, post bool) error {
-		seq, _, err := nodes[origin].Broadcast([]byte(fmt.Sprintf("probe-%d-%d", origin, ticks)))
-		if err != nil {
-			return fmt.Errorf("probe from %d: %w", origin, err)
-		}
-		probes = append(probes, &liveProbe{
-			origin: origin, seq: seq, postStorm: post,
-			delivered: map[topology.NodeID]bool{},
-		})
-		return nil
-	}
-	// drain folds every pending delivery into its probe; a delivery that
-	// matches no probe is a forged broadcast the adversary smuggled in.
-	// queued is a done context: Next with it takes what is queued and
-	// never waits.
-	queued, cancel := context.WithCancel(context.Background())
-	cancel()
-	drain := func() error {
-		for i, nd := range nodes {
-			for {
-				d, err := nd.Next(queued)
-				if err != nil {
-					break
-				}
-				matched := false
-				for _, pr := range probes {
-					if pr.origin == d.Origin && pr.seq == d.Seq {
-						pr.delivered[topology.NodeID(i)] = true
-						matched = true
-						break
-					}
-				}
-				if !matched {
-					return fmt.Errorf("forged delivery at node %d: origin %d seq %d body %q",
-						i, d.Origin, d.Seq, d.Body)
-				}
-			}
-		}
-		return nil
-	}
-
-	// Phase 1: converge, then baseline probes — the cluster must be
-	// healthy before we can claim the storm did not regress it.
-	settle(pick(short, 12, 20))
-	for id := topology.NodeID(0); id < 4; id++ {
-		if err := probe(id, false); err != nil {
-			return Figures{}, err
-		}
-		settle(1)
-	}
-	settle(2)
-
-	// Phase 2: build the injection set and its offline expectations.
+	// The injection set and its offline expectations.
 	inject, err := buildInjectionSet(seed, short)
 	if err != nil {
 		return Figures{}, err
 	}
 	expectBadDecode, expectStale := 0, 0
-	for _, b := range inject {
-		f, err := wire.Decode(b)
-		if err != nil {
+	for _, in := range inject {
+		f, err := wire.Decode(in.frame)
+		switch {
+		case err != nil:
 			expectBadDecode++
-			continue
-		}
-		// buildInjectionSet admits data/delta frames only when their
-		// epoch predates the cluster's, so decoding kind is enough here.
-		if f.Kind == wire.FrameData || f.Kind == wire.FrameKnowledgeDelta {
+		case f.Kind == wire.FrameData && f.Data.Epoch < byzClusterEpoch,
+			f.Kind == wire.FrameKnowledgeDelta && f.Delta.Epoch < byzClusterEpoch:
 			expectStale++
 		}
 	}
 
-	// Phase 3: the storm, interleaved with live heartbeat periods so the
-	// cluster is mid-conversation while hostile frames land.
-	injected := 0
+	// Converge, then baseline probes: the cluster must be healthy before
+	// we can claim the storm did not regress it. Then the storm, a chunk
+	// of the set per period, handed to every process mid-period so the
+	// cluster is mid-conversation while hostile frames land. Then the
+	// post-storm probes, the regression gate.
+	warm := budget(short, 20, 12)
+	for id := range topology.NodeID(live) {
+		tw.probeAt(warm+int(id), id)
+	}
 	const chunk = 8
+	storm := warm + live + 2
 	for i := 0; i < len(inject); i += chunk {
-		end := min(i+chunk, len(inject))
-		for _, b := range inject[i:end] {
-			for id := topology.NodeID(0); id < 4; id++ {
-				if err := rogue.Send(id, b); err != nil {
-					return Figures{}, fmt.Errorf("rogue send: %w", err)
+		batch := inject[i:min(i+chunk, len(inject))]
+		tw.atPeriod(storm+i/chunk, func() {
+			for _, in := range batch {
+				for id := range topology.NodeID(live) {
+					tw.run.Proc(id).HandleMessage(in.from, sim.Message{Payload: in.frame})
 				}
-				injected++
 			}
-		}
-		settle(1)
+		})
 	}
-	settle(3)
+	tail := storm + (len(inject)+chunk-1)/chunk + 3
+	for id := range topology.NodeID(live) {
+		tw.probeAt(tail+int(id), id)
+	}
+	f := tw.runFor(tail+live+3, tail)
 
-	// Phase 4: post-storm probes — the regression gate.
-	for id := topology.NodeID(0); id < 4; id++ {
-		if err := probe(id, true); err != nil {
-			return Figures{}, err
-		}
-		settle(1)
+	// Every delivery must be a probe's: anything else is a broadcast the
+	// adversary smuggled in.
+	probes := make(map[broadcast.MsgID]bool, len(tw.probes))
+	for _, pr := range tw.probes {
+		probes[pr.id] = true
 	}
-	settle(3)
-	if err := drain(); err != nil {
-		return Figures{}, err
+	for _, d := range tw.deliveries {
+		if !probes[d.id] {
+			return Figures{}, fmt.Errorf("forged delivery at node %d: origin %d seq %d", d.node, d.id.Origin, d.id.Seq)
+		}
 	}
 
-	// Exact bookkeeping. Overflows would silently eat injected frames and
-	// void the equalities, so they are an error, not a tolerance.
-	if fs := fabric.Stats(); fs.Overflows != 0 {
-		return Figures{}, fmt.Errorf("fabric overflowed %d frames; counter accounting void", fs.Overflows)
-	}
-	f := Figures{
-		Periods:           ticks,
-		ConvergedAtPeriod: -1, // live harness does not inspect views
-		FramesInjected:    injected,
-	}
-	for i, nd := range nodes {
-		if got := nd.Epoch(); got != byzClusterEpoch {
-			return Figures{}, fmt.Errorf("node %d at epoch %d after storm, want %d", i, got, byzClusterEpoch)
+	f.FramesInjected = len(inject) * live
+	for id := range topology.NodeID(live) {
+		p := tw.run.Proc(id)
+		if got := p.Core().Epoch(); got != byzClusterEpoch {
+			return Figures{}, fmt.Errorf("node %d at epoch %d after storm, want %d", id, got, byzClusterEpoch)
 		}
-		if got, want := len(nd.Neighbors()), len(g.Neighbors(topology.NodeID(i))); got != want {
-			return Figures{}, fmt.Errorf("node %d roster has %d neighbors after storm, want %d", i, got, want)
+		if got, want := len(p.Core().Neighbors()), len(g.Neighbors(id)); got != want {
+			return Figures{}, fmt.Errorf("node %d roster has %d neighbors after storm, want %d", id, got, want)
 		}
-		s := nd.Stats()
-		f.DecodeErrors += s.DecodeErrors
-		f.SnapshotMergeErrors += s.SnapshotMergeErrors
-		f.StaleEpochFrames += s.StaleEpochFrames
-		f.EpochChanges += s.EpochChanges
-		f.HeartbeatsSent += s.HeartbeatsSent
-		f.MessagesSent += s.HeartbeatsSent + s.DataSent
+		f.DecodeErrors += p.DecodeErrors
+		f.SnapshotMergeErrors += p.Outcomes[node.Refused]
 	}
-	if want := expectBadDecode * len(nodes); f.DecodeErrors != want {
+	if want := expectBadDecode * live; f.DecodeErrors != want {
 		return Figures{}, fmt.Errorf("decode errors %d, offline expectation %d", f.DecodeErrors, want)
 	}
-	if want := expectStale * len(nodes); f.StaleEpochFrames != want {
+	if want := expectStale * live; f.StaleEpochFrames != want {
 		return Figures{}, fmt.Errorf("stale-epoch frames %d, offline expectation %d", f.StaleEpochFrames, want)
 	}
-	if want := len(craftedHeartbeats()) * len(nodes); f.SnapshotMergeErrors < want {
+	if want := len(craftedDeltas()) * live; f.SnapshotMergeErrors < want {
 		return Figures{}, fmt.Errorf("snapshot merge errors %d < %d crafted rejections", f.SnapshotMergeErrors, want)
-	}
-
-	worst := 1.0
-	var tailDelivered, tailExpected int
-	for _, pr := range probes {
-		f.ProbesSent++
-		f.ProbesDelivered += len(pr.delivered)
-		f.ProbesExpected += len(nodes)
-		if r := float64(len(pr.delivered)) / float64(len(nodes)); r < worst {
-			worst = r
-		}
-		if pr.postStorm {
-			tailDelivered += len(pr.delivered)
-			tailExpected += len(nodes)
-		}
-	}
-	f.WorstProbeRatio = worst
-	if f.ProbesExpected > 0 {
-		f.DeliveryRatio = float64(f.ProbesDelivered) / float64(f.ProbesExpected)
-	}
-	if tailExpected > 0 {
-		f.TailDeliveryRatio = float64(tailDelivered) / float64(tailExpected)
 	}
 	return f, nil
 }
 
 // buildInjectionSet assembles the rogue's arsenal: every committed
-// corpus seed verbatim, seeded deterministic mutations of each, and the
-// crafted bad-merge heartbeats. Mutants are screened offline: a bit flip
+// corpus seed verbatim and seeded deterministic mutations of each, all
+// sent in the rogue's name, and the crafted bad-merge deltas, each sent
+// in the name it carries. Mutants are screened offline: a bit flip
 // that lands on an epoch varint can accidentally mint a frame the
 // cluster would be OBLIGED to honor (a join/leave announcing a newer
 // epoch, or data at the current one) — that is an authorized membership
 // authority, not a replay adversary, so such mutants are discarded.
-func buildInjectionSet(seed int64, short bool) ([][]byte, error) {
+func buildInjectionSet(seed int64, short bool) ([]injection, error) {
 	seeds, err := wire.CorpusSeeds()
 	if err != nil {
 		return nil, err
 	}
-	inject := make([][]byte, 0, len(seeds)*6)
+	inject := make([]injection, 0, len(seeds)*6)
 	for _, s := range seeds {
-		inject = append(inject, s.Data)
+		inject = append(inject, injection{byzRogue, s.Data})
 	}
-	rng := rand.New(rand.NewSource(seedOr1(seed)))
-	perSeed := pick(short, 2, 4)
+	if seed == 0 {
+		seed = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	perSeed := budget(short, 4, 2)
 	for _, s := range seeds {
 		for k := 0; k < perSeed; k++ {
 			m := append([]byte(nil), s.Data...)
@@ -340,16 +238,16 @@ func buildInjectionSet(seed int64, short bool) ([][]byte, error) {
 				m = append(m, tail...)
 			}
 			if admissibleReplay(m) {
-				inject = append(inject, m)
+				inject = append(inject, injection{byzRogue, m})
 			}
 		}
 	}
-	for _, f := range craftedHeartbeats() {
+	for _, f := range craftedDeltas() {
 		b, err := wire.Encode(f)
 		if err != nil {
-			return nil, fmt.Errorf("crafting heartbeat: %w", err)
+			return nil, fmt.Errorf("crafting delta: %w", err)
 		}
-		inject = append(inject, b)
+		inject = append(inject, injection{f.Delta.Snap.From, b})
 	}
 	return inject, nil
 }
@@ -371,44 +269,28 @@ func admissibleReplay(frame []byte) bool {
 		return f.Delta.Epoch < byzClusterEpoch
 	case wire.FrameJoin, wire.FrameLeave:
 		return f.Member.Epoch <= byzClusterEpoch // at-or-below: dropped as already applied
-	case wire.FrameHeartbeat:
-		// Heartbeats carry no epoch (they predate the fence): any
-		// replayed heartbeat is something an adversary could hold.
-		return true
 	}
-	return true
+	return true // a full heartbeat carries no epoch, and is refused
 }
 
-// craftedHeartbeats are well-formed frames whose knowledge snapshot every
-// view must refuse: heartbeats are not epoch-gated (they predate epochs),
-// so snapshot validation is the only line of defense, and each of these
-// is rejected before any accounting side effect. Every node must book
-// one SnapshotMergeError per frame.
-func craftedHeartbeats() []*wire.Frame {
+// craftedDeltas are well-formed current-epoch deltas that pass the
+// epoch fence and name the process they come from, so the view's own
+// refusal is what stops them: each is rejected before any accounting
+// side effect, and every process books one refusal per frame.
+func craftedDeltas() []*wire.Frame {
+	delta := func(s *knowledge.Snapshot) *wire.Frame {
+		return &wire.Frame{Kind: wire.FrameKnowledgeDelta, Delta: &wire.KnowledgeDelta{Snap: s, Ver: 1, Epoch: byzClusterEpoch}}
+	}
 	return []*wire.Frame{
 		// The departed rogue speaking in its own name.
-		{Kind: wire.FrameHeartbeat, Heartbeat: &knowledge.Snapshot{From: 4, Seq: 1}},
+		delta(&knowledge.Snapshot{From: byzRogue, Seq: 1}),
 		// A sender outside the ID space entirely.
-		{Kind: wire.FrameHeartbeat, Heartbeat: &knowledge.Snapshot{From: 99, Seq: 1}},
+		delta(&knowledge.Snapshot{From: 99, Seq: 1}),
 		// The rogue again, with an absurd sequence and a payload, in case
 		// rejection ever depended on the snapshot being empty.
-		{Kind: wire.FrameHeartbeat, Heartbeat: &knowledge.Snapshot{
-			From: 4, Seq: 1 << 40,
+		delta(&knowledge.Snapshot{
+			From: byzRogue, Seq: 1 << 40,
 			Procs: []knowledge.ProcRecord{{ID: 0, Dist: 1, Est: bayes.State{}}},
-		}},
+		}),
 	}
-}
-
-func seedOr1(seed int64) int64 {
-	if seed == 0 {
-		return 1
-	}
-	return seed
-}
-
-func pick(short bool, shortVal, fullVal int) int {
-	if short {
-		return shortVal
-	}
-	return fullVal
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // Figures are the measurable outcomes of one scenario run — the numbers
-// the acceptance predicates check and SCENARIOS.json reports. Twin
-// scenarios fill the delivery/convergence block; the live byzantine
-// scenario fills the frame-outcome block instead.
+// the acceptance predicates check and SCENARIOS.json reports. Every
+// scenario fills the delivery/convergence block; the byzantine one also
+// fills the frame-outcome block.
 type Figures struct {
 	Periods int `json:"periods"`
 
@@ -32,8 +32,8 @@ type Figures struct {
 	MessagesSent   int `json:"messages_sent"`
 	FaultDrops     int `json:"fault_drops"` // transmissions eaten by the fault model
 
-	// Frame outcomes: the live cluster's counters (byzantine replay), and
-	// the twin cores' stale-epoch frames and epoch changes.
+	// Frame outcomes: the cores' stale-epoch frames and epoch changes,
+	// and what the byzantine replay injected and saw refused.
 	FramesInjected      int `json:"frames_injected,omitempty"`
 	DecodeErrors        int `json:"decode_errors,omitempty"`
 	SnapshotMergeErrors int `json:"snapshot_merge_errors,omitempty"`
@@ -42,16 +42,16 @@ type Figures struct {
 }
 
 // Scenario is one named hostile condition: how to run it and what
-// figures it must produce. Scenarios with Deterministic true promise
-// identical Figures for identical seeds (the reproducibility gate).
+// figures it must produce. Every scenario runs on the discrete-event
+// twin and promises identical Figures for identical seeds (the
+// reproducibility gate).
 type Scenario struct {
 	Name        string
 	Description string
 	Topology    string
 	// Acceptance is the human-readable form of Check, for the README
 	// table and SCENARIOS.json.
-	Acceptance    string
-	Deterministic bool
+	Acceptance string
 	// Run executes the scenario. short trims the period budget for CI.
 	Run func(seed int64, short bool) (Figures, error)
 	// Check returns the acceptance violations (empty = pass).

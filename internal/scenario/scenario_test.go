@@ -67,14 +67,11 @@ func TestMatrixCoverage(t *testing.T) {
 	}
 }
 
-// TestDeterministicReproducibility runs each Deterministic scenario
-// twice with the same seed and asserts bit-identical figures — the
-// property that makes the committed SCENARIOS.json meaningful.
+// TestDeterministicReproducibility runs each scenario twice with the
+// same seed and asserts bit-identical figures — the property that makes
+// the committed SCENARIOS.json meaningful.
 func TestDeterministicReproducibility(t *testing.T) {
 	for _, s := range Matrix() {
-		if !s.Deterministic {
-			continue
-		}
 		t.Run(s.Name, func(t *testing.T) {
 			a, errA := s.Run(7, true)
 			b, errB := s.Run(7, true)
@@ -99,8 +96,8 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestCommittedScenariosReproduce re-runs every Deterministic scenario
-// at SCENARIOS.json's seed and full budget and requires the figures the
+// TestCommittedScenariosReproduce re-runs every scenario at
+// SCENARIOS.json's seed and full budget and requires the figures the
 // file commits, so the committed matrix cannot drift from the code: a
 // change that moves a twin figure regenerates the file (make scenarios)
 // and says why in the same commit.
@@ -125,9 +122,6 @@ func TestCommittedScenariosReproduce(t *testing.T) {
 		byName[r.Name] = r.Figures
 	}
 	for _, s := range Matrix() {
-		if !s.Deterministic {
-			continue
-		}
 		t.Run(s.Name, func(t *testing.T) {
 			want, ok := byName[s.Name]
 			if !ok {

@@ -37,11 +37,10 @@ func violation(violations []string, format string, args ...interface{}) []string
 // regresses, the problem is the protocol, not the adversary.
 func baselineUniformLoss() Scenario {
 	return Scenario{
-		Name:          "baseline-uniform-loss",
-		Description:   "Ring of 8 under the paper's uniform 5% independent per-link loss; no adversary.",
-		Topology:      "ring(8)",
-		Acceptance:    "delivery ≥ 0.99, views converge to the truth, no fault drops",
-		Deterministic: true,
+		Name:        "baseline-uniform-loss",
+		Description: "Ring of 8 under the paper's uniform 5% independent per-link loss; no adversary.",
+		Topology:    "ring(8)",
+		Acceptance:  "delivery ≥ 0.99, views converge to the truth, no fault drops",
 		Run: func(seed int64, short bool) (Figures, error) {
 			// Bayesian convergence at 5% loss needs hundreds of periods
 			// (worst observed across seeds ≈ 720); the budget leaves margin.
@@ -79,11 +78,10 @@ func baselineUniformLoss() Scenario {
 // — delivery must hold anyway, because the allocation overshoots.
 func asymmetricLoss() Scenario {
 	return Scenario{
-		Name:          "asymmetric-loss",
-		Description:   "Ring of 8 at 1% uniform loss plus 35% extra loss on the 0→1 and 5→4 directions only.",
-		Topology:      "ring(8)",
-		Acceptance:    "tail delivery ≥ 0.95 despite the undirected estimator mis-modeling the asymmetry; fault drops observed",
-		Deterministic: true,
+		Name:        "asymmetric-loss",
+		Description: "Ring of 8 at 1% uniform loss plus 35% extra loss on the 0→1 and 5→4 directions only.",
+		Topology:    "ring(8)",
+		Acceptance:  "tail delivery ≥ 0.95 despite the undirected estimator mis-modeling the asymmetry; fault drops observed",
 		Run: func(seed int64, short bool) (Figures, error) {
 			periods := budget(short, 60, 36)
 			g, err := topology.Ring(8)
@@ -118,11 +116,10 @@ func asymmetricLoss() Scenario {
 // model. Bad states eat ~85% of a link's traffic for stretches.
 func burstLoss() Scenario {
 	return Scenario{
-		Name:          "burst-loss",
-		Description:   "Ring of 8 where every link direction runs a Gilbert–Elliott chain (5%→bad, 25%→good, 85% loss while bad).",
-		Topology:      "ring(8)",
-		Acceptance:    "tail delivery ≥ 0.85 under correlated bursts; fault drops observed",
-		Deterministic: true,
+		Name:        "burst-loss",
+		Description: "Ring of 8 where every link direction runs a Gilbert–Elliott chain (5%→bad, 25%→good, 85% loss while bad).",
+		Topology:    "ring(8)",
+		Acceptance:  "tail delivery ≥ 0.85 under correlated bursts; fault drops observed",
 		Run: func(seed int64, short bool) (Figures, error) {
 			// Long enough that the tail window averages over many
 			// good/bad-state cycles instead of riding one bad burst.
@@ -160,11 +157,10 @@ func burstLoss() Scenario {
 // sequence-gap loss accounting.
 func wanJitter() Scenario {
 	return Scenario{
-		Name:          "wan-jitter",
-		Description:   "3×3 grid at 2% loss, 0.1δ base hop latency plus uniform jitter up to 0.8δ (reordering across periods).",
-		Topology:      "grid(3x3)",
-		Acceptance:    "tail delivery ≥ 0.97 and convergence despite reordered heartbeats",
-		Deterministic: true,
+		Name:        "wan-jitter",
+		Description: "3×3 grid at 2% loss, 0.1δ base hop latency plus uniform jitter up to 0.8δ (reordering across periods).",
+		Topology:    "grid(3x3)",
+		Acceptance:  "tail delivery ≥ 0.97 and convergence despite reordered heartbeats",
 		Run: func(seed int64, short bool) (Figures, error) {
 			periods := budget(short, 300, 250)
 			g, err := topology.Grid(3, 3)
@@ -196,11 +192,10 @@ func wanJitter() Scenario {
 // what happens after — full delivery must return quickly.
 func healingPartition() Scenario {
 	return Scenario{
-		Name:          "healing-partition",
-		Description:   "Ring of 8 at 2% loss; nodes {0–3} and {4–7} are severed from period 10 to 25, then the partition heals.",
-		Topology:      "ring(8)",
-		Acceptance:    "partition bites (worst probe ≤ 0.6, fault drops > 0), then delivery ≥ 0.98 after heal and reconvergence",
-		Deterministic: true,
+		Name:        "healing-partition",
+		Description: "Ring of 8 at 2% loss; nodes {0–3} and {4–7} are severed from period 10 to 25, then the partition heals.",
+		Topology:    "ring(8)",
+		Acceptance:  "partition bites (worst probe ≤ 0.6, fault drops > 0), then delivery ≥ 0.98 after heal and reconvergence",
 		Run: func(seed int64, short bool) (Figures, error) {
 			// Fifteen periods of 100% phantom loss on the cut links leave a
 			// deep posterior hole; relearning the healed truth takes ~800
@@ -247,11 +242,10 @@ func healingPartition() Scenario {
 // is terrible on average and should stop leaning on it.
 func flappingLink() Scenario {
 	return Scenario{
-		Name:          "flapping-link",
-		Description:   "Ring of 8 at 2% loss; link 0—1 flaps down for 3 of every 6 periods from period 5 on.",
-		Topology:      "ring(8)",
-		Acceptance:    "tail delivery ≥ 0.95 while the flap keeps firing (fault drops > 0)",
-		Deterministic: true,
+		Name:        "flapping-link",
+		Description: "Ring of 8 at 2% loss; link 0—1 flaps down for 3 of every 6 periods from period 5 on.",
+		Topology:    "ring(8)",
+		Acceptance:  "tail delivery ≥ 0.95 while the flap keeps firing (fault drops > 0)",
 		Run: func(seed int64, short bool) (Figures, error) {
 			periods := budget(short, 60, 36)
 			g, err := topology.Ring(8)
@@ -283,11 +277,10 @@ func flappingLink() Scenario {
 // accounting; the cluster must absorb the phantom suspicion.
 func clockSkew() Scenario {
 	return Scenario{
-		Name:          "clock-skew",
-		Description:   "Ring of 8 at 2% loss; node 3's clock runs 1.5× slow and node 5's 0.85× fast.",
-		Topology:      "ring(8)",
-		Acceptance:    "tail delivery ≥ 0.95 including probes from the skewed nodes; skew visibly cuts nominal heartbeat volume",
-		Deterministic: true,
+		Name:        "clock-skew",
+		Description: "Ring of 8 at 2% loss; node 3's clock runs 1.5× slow and node 5's 0.85× fast.",
+		Topology:    "ring(8)",
+		Acceptance:  "tail delivery ≥ 0.95 including probes from the skewed nodes; skew visibly cuts nominal heartbeat volume",
 		Run: func(seed int64, short bool) (Figures, error) {
 			periods := budget(short, 60, 36)
 			g, err := topology.Ring(8)
@@ -333,11 +326,10 @@ func clockSkew() Scenario {
 // mutated truth measures the estimators, not the aging clock.
 func churnUnderLoss() Scenario {
 	return Scenario{
-		Name:          "churn-under-loss",
-		Description:   "Ring of 6 at 8% loss; node 6 joins at period 15 bridging 0 and 2, node 1 departs at period 30.",
-		Topology:      "ring(6)+churn",
-		Acceptance:    "tail delivery ≥ 0.95 over the post-churn roster and reconvergence to the mutated ground truth",
-		Deterministic: true,
+		Name:        "churn-under-loss",
+		Description: "Ring of 6 at 8% loss; node 6 joins at period 15 bridging 0 and 2, node 1 departs at period 30.",
+		Topology:    "ring(6)+churn",
+		Acceptance:  "tail delivery ≥ 0.95 over the post-churn roster and reconvergence to the mutated ground truth",
 		Run: func(seed int64, short bool) (Figures, error) {
 			// Reconvergence to the post-churn ground truth at 8% loss is the
 			// slowest and most seed-variable horizon in the matrix (observed

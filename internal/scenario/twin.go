@@ -1,9 +1,8 @@
 // Package scenario turns hostile network conditions into an enumerable,
 // machine-checked test table: every Scenario names a topology, a seeded
-// fault schedule and an acceptance predicate, runs either on the
-// discrete-event twin (deterministic: same seed, same figures) or
-// against a live Fabric cluster, and reports delivery/convergence
-// figures that CI regression-checks. The matrix is what makes the
+// fault schedule and an acceptance predicate, runs on the discrete-event
+// twin (deterministic: same seed, same figures), and reports
+// delivery/convergence figures that CI regression-checks. The matrix is what makes the
 // ROADMAP's "handles every scenario you can imagine" an auditable claim
 // instead of a slogan.
 package scenario
@@ -157,9 +156,10 @@ func (tw *twin) runFor(periods, tailFrom int) Figures {
 	}
 
 	for i := range tw.net.Graph().NumNodes() {
-		p := tw.run.Proc(topology.NodeID(i))
-		f.StaleEpochFrames += p.Outcomes[node.Stale]
-		f.EpochChanges += p.Outcomes[node.Adopted]
+		if p := tw.run.Proc(topology.NodeID(i)); p != nil {
+			f.StaleEpochFrames += p.Outcomes[node.Stale]
+			f.EpochChanges += p.Outcomes[node.Adopted]
+		}
 	}
 
 	byID := make(map[broadcast.MsgID]*probe, len(tw.probes))

@@ -9,8 +9,9 @@ import (
 )
 
 // The committed FuzzDecode seed corpus is embedded so adversarial
-// harnesses (the byzantine-replay scenario) can replay every seed at a
-// live cluster without knowing where the package sources live on disk.
+// harnesses (the byzantine-replay scenario, FuzzCoreReceive) can replay
+// every seed at a node core without knowing where the package sources
+// live on disk.
 //
 //go:embed testdata/fuzz/FuzzDecode/*
 var corpusFS embed.FS

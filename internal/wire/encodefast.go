@@ -37,13 +37,6 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	return b, nil
 }
 
-// EncodeInto encodes f into buf's storage, reusing its capacity:
-// equivalent to AppendFrame(buf[:0], f). The returned slice shares
-// buf's backing array unless the frame outgrew it.
-func EncodeInto(buf []byte, f *Frame) ([]byte, error) {
-	return AppendFrame(buf[:0], f)
-}
-
 // AppendSnapshotSection appends the wire form of a knowledge snapshot's
 // record section to dst. The section is the same in every frame that
 // carries one, which is what makes shared delta cuts sound: encode the

@@ -11,8 +11,8 @@ import (
 )
 
 // TestAppendFrameMatchesEncode pins the core contract of the fast path:
-// for every canonical frame (all kinds), AppendFrame
-// and EncodeInto produce bytes identical to Encode, and AppendFrame
+// for every canonical frame (all kinds), AppendFrame produces bytes
+// identical to Encode, into a fresh slice or a reused buffer's room, and
 // leaves an existing prefix untouched.
 func TestAppendFrameMatchesEncode(t *testing.T) {
 	for i, f := range seedFrames(t) {
@@ -30,12 +30,12 @@ func TestAppendFrameMatchesEncode(t *testing.T) {
 		}
 
 		buf := make([]byte, 0, len(want)+64)
-		got, err = EncodeInto(buf, f)
+		got, err = AppendFrame(buf, f)
 		if err != nil {
-			t.Fatalf("seed %d: EncodeInto: %v", i, err)
+			t.Fatalf("seed %d: AppendFrame into a buffer: %v", i, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("seed %d: EncodeInto bytes differ from Encode", i)
+		if !bytes.Equal(got, want) || &got[0] != &buf[:1][0] {
+			t.Errorf("seed %d: AppendFrame into a buffer's room gave other bytes or storage than Encode's", i)
 		}
 
 		prefix := []byte("prefix")
@@ -177,16 +177,16 @@ func TestEncodeDataFrameZeroAlloc(t *testing.T) {
 		Epoch:       2,
 	}}
 	buf := make([]byte, 0, 4096)
-	if _, err := EncodeInto(buf, f); err != nil {
+	if _, err := AppendFrame(buf, f); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := EncodeInto(buf, f); err != nil {
+		if _, err := AppendFrame(buf, f); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("data-frame EncodeInto allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("data-frame AppendFrame allocated %.1f times per op, want 0", allocs)
 	}
 }
 

@@ -32,6 +32,9 @@ type FrameKind uint8
 // enumerates them, so a test can demand of every kind a committed
 // FuzzDecode seed, a codec round trip and a dispatch case in the node.
 const (
+	// FrameHeartbeat is a full knowledge snapshot with no epoch. No node
+	// sends one (a full snapshot rides FrameKnowledgeDelta with Since 0),
+	// and a node refuses one.
 	FrameHeartbeat FrameKind = iota + 1
 	FrameData
 	FrameKnowledgeDelta
